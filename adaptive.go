@@ -216,8 +216,8 @@ func staticPlan(stages []*Program, report *Report, cfg config) *Plan {
 		p.StageWeights = append(p.StageWeights, s.Cost.Total)
 	}
 	if cfg.fusion == FusionAuto {
-		_, p.FusedCuts, p.FusionWhy = planFusion(stages, p.StageWeights, 1.0,
-			p.Batch, p.Shards, cfg.shardKey != nil, fusionCores(), cfg.ringImpl)
+		p.FusedCuts, p.FusionWhy = planFusion(stages, p.StageWeights, 1.0,
+			p.Batch, p.Shards, cfg.shardKey != nil, fusionCores())
 	}
 	return p
 }
@@ -348,9 +348,9 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	// (all stages' work must share the host's processors — on a small host
 	// a deep pipeline buys nothing, and the prior must know that or it
 	// would spend every probe on candidates that cannot win). The
-	// per-ring-entry synchronization estimate (ringSyncNsFor, fusion.go)
-	// is the configured ring implementation's measured blocked-handoff
-	// cost — it only has to order batch sizes plausibly; measurements make
+	// per-ring-entry synchronization estimate (ringSyncNsSPSC, fusion.go)
+	// is the ring's measured blocked-handoff cost — it only has to order
+	// batch sizes plausibly; measurements make
 	// the actual choice. When the fusion valuator finds cuts not worth their
 	// ring at a given (degree, batch), the fused realization enters the
 	// space as its own candidate and competes on the same two bounds, with
@@ -376,7 +376,7 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 			work += stageNs[i]
 		}
 		for _, b := range at.Batches {
-			sync := ringSyncNsFor(cfg.ringImpl) / float64(b)
+			sync := ringSyncNsSPSC / float64(b)
 			var fp costmodel.FusionPlan
 			if cfg.fusion != FusionOff && d > 1 {
 				fp = costmodel.PlanFusion(stageNs, sync, int(ncpu))

@@ -37,18 +37,18 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
-echo "== ring gate: SPSC unit tests + microbench smoke + both-impl oracle matrix"
-# The lock-free SPSC ring against its channel oracle. Three layers: the
-# package's own unit tests under -race (the publish/claim and close/drain
-# protocols are only meaningful there), a short microbench smoke proving
-# BenchmarkRingChanVsSPSC still runs on both implementations (the numbers
-# are recorded in EXPERIMENTS.md, not gated — wall-clock on a shared box),
-# and the runtime's both-implementation oracle matrix under -race
-# -count=2, which serves every benchmark pipeline over SPSC rings and
-# channels and demands byte-identical traces from each.
+echo "== ring gate: SPSC unit tests + microbench smoke + ring oracle matrix"
+# Three layers: the ring package's own unit tests under -race (the
+# publish/claim and close/drain protocols are only meaningful there), a
+# short microbench smoke proving BenchmarkRingChanVsSPSC still runs (it is
+# the evidence behind fusion.go's ringSyncNsSPSC; the numbers are recorded
+# in EXPERIMENTS.md, not gated — wall-clock on a shared box), and the
+# runtime's ring tests under -race -count=2: every benchmark pipeline
+# served ringed and fused, unsharded and sharded, each trace byte-identical
+# to the sequential oracle.
 go test -race ./internal/spsc
 go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
-go test -race -count=2 -run 'TestRingImpl|TestRingSPSC' ./internal/runtime
+go test -race -count=2 -run 'TestRing' ./internal/runtime
 
 echo "== fuzz smoke: 10s of FuzzServeVsOracle"
 # Differential fuzzing of the streaming runtime against the sequential
@@ -85,8 +85,7 @@ echo "== pipebench serve (compiled backend) -> BENCH_serve.json"
 # The compiled-backend serve benchmark is also the throughput-regression
 # gate: -baseline compares the fresh guarded points — (D=1, batch=32, P=1),
 # the sharded (D=1, batch=32, P=4) point, and the deep-pipeline (D=4,
-# batch=32, P=1) point, ringed and fused, all measured over the default
-# SPSC rings (schema v4 records the implementation in the "ring" column) —
+# batch=32, P=1) point, ringed and fused —
 # against the checked-in BENCH_serve.json BEFORE -json overwrites it, and
 # fails the run on a >10% pkt/s regression at any of them. -shards 1,2,4
 # makes the sweep measure the sharded widths the gate guards.
@@ -108,5 +107,16 @@ echo "== pipebench replay gate: testdata/flows.pcap through the full pipeline"
 # the timing half shares the machine; the byte-identity half is
 # deterministic.
 retry go run ./cmd/pipebench -experiment replay -pcap testdata/flows.pcap -pcap-loops 4
+
+echo "== size ledger (printed, not gated)"
+# The design-size numbers ROADMAP item 3 tracks, so each PR's reduction is
+# a recorded figure: non-test, non-blank, non-comment Go lines of the serve
+# runtime and the facade files that configure it, the option count, and the
+# sentinel count.
+size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go adaptive.go fusion.go"
+# shellcheck disable=SC2086
+echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
+echo "options (numOpts):         $(sed -n '/^const (/,/^)/p' options.go | grep -c '^	opt[A-Z]')"
+echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)"
 
 echo "ci.sh: all checks passed"

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pipebench [-experiment all|fig19|fig20|fig21|fig22|headline|ablations|sim|serve|adapt|chaos|profile|replay|burst]
-//	          [-j N] [-json FILE] [-backend compiled|interp] [-ring spsc|chan] [-shards LIST] [-baseline FILE]
+//	          [-j N] [-json FILE] [-backend compiled|interp] [-shards LIST] [-baseline FILE]
 //	          [-pcap FILE] [-pcap-loops N] [-burst-packets N] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Every PPS is analyzed once and the independent (PPS × degree) and
@@ -43,9 +43,6 @@
 //
 // -backend selects the serve experiment's stage-execution backend
 // (compiled, the default, or interp — the reference interpreter).
-// -ring selects the serve experiment's inter-stage ring implementation
-// (spsc, the default lock-free ring, or chan — buffered Go channels,
-// retained as the differential oracle and the A/B baseline).
 // -shards gives the serve experiment's shard-width sweep as a
 // comma-separated list (default "1,2,4": each pipeline configuration is
 // also measured replicated P ways behind the flow-hash dispatcher).
@@ -91,7 +88,6 @@ func realMain() int {
 	jsonOut := flag.String("json", "", "write the serve experiment's points to this file as JSON")
 	servePkts := flag.Int("serve-packets", 200000, "packets streamed per serve configuration")
 	backendName := flag.String("backend", "compiled", "serve stage-execution backend: compiled|interp")
-	ringName := flag.String("ring", "spsc", "serve inter-stage ring implementation: spsc|chan")
 	shardsList := flag.String("shards", "1,2,4", "comma-separated shard widths the serve experiment sweeps")
 	baseline := flag.String("baseline", "", "fail the serve experiment if a guarded point's pkt/s regresses >10% below this JSON baseline")
 	pcapPath := flag.String("pcap", "testdata/flows.pcap", "capture file the replay experiment streams")
@@ -109,17 +105,6 @@ func realMain() int {
 		backend = runtime.BackendInterp
 	default:
 		fmt.Fprintf(os.Stderr, "pipebench: unknown -backend %q (want compiled|interp)\n", *backendName)
-		return 2
-	}
-
-	var ring runtime.RingImpl
-	switch *ringName {
-	case "spsc":
-		ring = runtime.RingSPSC
-	case "chan":
-		ring = runtime.RingChan
-	default:
-		fmt.Fprintf(os.Stderr, "pipebench: unknown -ring %q (want spsc|chan)\n", *ringName)
 		return 2
 	}
 
@@ -156,10 +141,14 @@ func realMain() int {
 	}()
 
 	exit := 0
+	var names []string // every experiment offered, for the unknown-name error
+	matched := false
 	run := func(name string, fn func() error) {
+		names = append(names, name)
 		if exit != 0 || (*which != "all" && *which != name) {
 			return
 		}
+		matched = true
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "pipebench %s: %v\n", name, err)
 			exit = 1
@@ -264,9 +253,11 @@ func realMain() int {
 	// measured wall-clock throughput, which would break the byte-identity
 	// invariant of `-experiment all` output.
 	runTimed := func(name string, fn func() error) {
+		names = append(names, name)
 		if exit != 0 || *which != name {
 			return
 		}
+		matched = true
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "pipebench %s: %v\n", name, err)
 			exit = 1
@@ -277,8 +268,8 @@ func realMain() int {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Host runtime throughput (IPv4 PPS, goroutine-per-stage serve, %s backend, %s rings)\n", backend, ring)
-		pts, err := experiments.ServeThroughput("IPv4", []int{1, 2, 4, 8}, []int{1, 32}, shards, *servePkts, backend, ring)
+		fmt.Printf("Host runtime throughput (IPv4 PPS, goroutine-per-stage serve, %s backend)\n", backend)
+		pts, err := experiments.ServeThroughput("IPv4", []int{1, 2, 4, 8}, []int{1, 32}, shards, *servePkts, backend)
 		if err != nil {
 			return err
 		}
@@ -466,5 +457,9 @@ func realMain() int {
 		fmt.Println()
 		return nil
 	})
+	if !matched {
+		fmt.Fprintf(os.Stderr, "pipebench: unknown -experiment %q (want all|%s)\n", *which, strings.Join(names, "|"))
+		return 2
+	}
 	return exit
 }

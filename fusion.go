@@ -17,36 +17,18 @@ import (
 	"repro/internal/runtime"
 )
 
-// Per-ring-entry synchronization estimates shared by the adaptive loop's
-// candidate prior and the fusion valuator, one per ring implementation.
-// Re-derived from BenchmarkRingChanVsSPSC (internal/spsc, recorded in
-// EXPERIMENTS.md): the two-bound model charges the tax at a *saturated*
+// ringSyncNsSPSC is the per-ring-entry synchronization estimate shared by
+// the adaptive loop's candidate prior and the fusion valuator. Derived
+// from the ring microbenchmark in internal/spsc (bench_test.go, recorded
+// in EXPERIMENTS.md): the two-bound model charges the tax at a *saturated*
 // cut, where each entry puts one blocked handoff on the end-to-end
 // cadence, so the constant is the measured blocked ping-pong round trip
 // divided by the two entries each round trip moves — not the far cheaper
-// uncontended cost (chan ~47ns, spsc ~22ns per entry), which a saturated
-// boundary never sees. On the single-core dev host the SPSC figure is
-// slightly above the channel's because strict alternation forces every
-// SPSC wait through its notifier park while the channel runtime hands the
-// timeslice over directly (DESIGN.md §15 has the full argument); in the
-// slack regimes the serve path actually spends most of its time in, the
-// SPSC ring is 2-21x cheaper. The estimates only have to order
-// realizations plausibly — under WithAutotune, measurements make the
-// actual choice; on the static path they err toward fusing cuts that
-// cannot plausibly pay for a ring.
-const (
-	ringSyncNsSPSC = 270.0
-	ringSyncNsChan = 220.0
-)
-
-// ringSyncNsFor selects the per-entry synchronization estimate for the
-// configured ring implementation.
-func ringSyncNsFor(r RingImpl) float64 {
-	if r == RingChan {
-		return ringSyncNsChan
-	}
-	return ringSyncNsSPSC
-}
+// uncontended cost (~22ns per entry), which a saturated boundary never
+// sees. The estimate only has to order realizations plausibly — under
+// WithAutotune, measurements make the actual choice; on the static path it
+// errs toward fusing cuts that cannot plausibly pay for a ring.
+const ringSyncNsSPSC = 270.0
 
 // fusionCores reports the core budget the fusion valuator plans for.
 // A function variable so tests (golden Plan fixtures) can pin a
@@ -54,39 +36,36 @@ func ringSyncNsFor(r RingImpl) float64 {
 var fusionCores = func() int { return stdruntime.GOMAXPROCS(0) }
 
 // planFusion values every cut of a realized pipeline under the given
-// per-stage weights and serve shape, returning the runtime's per-cut fuse
-// mask alongside the Plan-facing form: the 1-based fused cut list and the
-// per-cut rationale. Cuts the cost model wants fused but whose shard
+// per-stage weights and serve shape, returning the Plan-facing verdict:
+// the 1-based fused cut list and the per-cut rationale. Cuts the cost model wants fused but whose shard
 // replica widths differ (dispatch/merge junctions) are kept ringed — a
 // fused unit is one goroutine per lane, so both sides must run at the
 // same width.
 func planFusion(stages []*Program, weights []int64, nsPerWeight float64,
-	batch, shards int, explicitKey bool, cores int, ring RingImpl) (mask []bool, cuts []int, why []string) {
+	batch, shards int, explicitKey bool, cores int) (cuts []int, why []string) {
 	d := len(stages)
 	if d <= 1 || len(weights) != d {
-		return nil, nil, nil
+		return nil, nil
 	}
 	costs := make([]float64, d)
 	for i, w := range weights {
 		costs[i] = float64(w) * nsPerWeight
 	}
-	sync := ringSyncNsFor(ring) / float64(max(1, batch))
+	sync := ringSyncNsSPSC / float64(max(1, batch))
 	fp := costmodel.PlanFusion(costs, sync, cores)
 	aligned := runtime.AlignedCuts(stages, max(1, shards), explicitKey)
-	mask = make([]bool, d-1)
-	for k := range mask {
+	for k, fuse := range fp.FuseCuts {
 		switch {
-		case !fp.FuseCuts[k]:
+		case !fuse:
 			why = append(why, fp.Decisions[k].Why)
 		case !aligned[k]:
 			why = append(why, keptAtJunction(k))
 		default:
-			mask[k] = true
 			cuts = append(cuts, k+1)
 			why = append(why, fp.Decisions[k].Why)
 		}
 	}
-	return mask, cuts, why
+	return cuts, why
 }
 
 // keptAtJunction renders the rationale for a cut the valuator wanted

@@ -38,23 +38,17 @@ type ServePoint struct {
 	// are in-goroutine word copies instead of ring entries. Omitted —
 	// false — for ringed points and in pre-fusion baselines.
 	Fused bool `json:"fused,omitempty"`
-	// Ring names the inter-stage ring implementation the point was
-	// measured with ("spsc" or "chan"). Omitted in schema v3 and older
-	// baselines, which predate the SPSC ring and were measured over
-	// buffered channels (read back as "chan").
-	Ring string `json:"ring,omitempty"`
 }
 
 // ServeThroughput measures the host-native streaming runtime: the named
 // PPS is partitioned at every degree in degrees and served packets
 // minimum-size packets at every batch size in batches and every shard
 // width in shardCounts (the 5-tuple flow key routes lanes), executing
-// stages on the given backend with ring selecting the inter-stage ring
-// implementation. The first (degree, batch, shard) triple
-// with Degree=1 and the sweep's first batch and shard values anchors the
+// stages on the given backend. The first (degree, batch, shard) triple with
+// Degree=1 and the sweep's first batch and shard values anchors the
 // Speedup column, so degrees and shardCounts should include 1. Points are
 // verified against the sequential oracle before being timed.
-func ServeThroughput(name string, degrees, batches, shardCounts []int, packets int, backend runtime.Backend, ring runtime.RingImpl) ([]ServePoint, error) {
+func ServeThroughput(name string, degrees, batches, shardCounts []int, packets int, backend runtime.Backend) ([]ServePoint, error) {
 	pps, ok := netbench.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown PPS %q", name)
@@ -94,7 +88,7 @@ func ServeThroughput(name string, degrees, batches, shardCounts []int, packets i
 					if fused && d == 1 {
 						continue
 					}
-					cfg := runtime.Config{Batch: batch, Backend: backend, Ring: ring,
+					cfg := runtime.Config{Batch: batch, Backend: backend,
 						Shards: shards, ShardKey: netbench.FlowKey}
 					if fused {
 						cfg.FuseCuts = make([]bool, d-1)
@@ -128,7 +122,6 @@ func ServeThroughput(name string, degrees, batches, shardCounts []int, packets i
 						PktPerS: m.PacketsPerSecond(),
 						Backend: backend.String(),
 						Fused:   fused,
-						Ring:    ring.String(),
 					}
 					if d == 1 && batch == batches[0] && shards == shardCounts[0] {
 						base = p.PktPerS
@@ -147,17 +140,13 @@ func ServeThroughput(name string, degrees, batches, shardCounts []int, packets i
 // CheckServeBaseline is the CI throughput-regression gate: it compares the
 // freshly measured points against the checked-in baseline JSON at path and
 // reports an error if any guarded configuration's pkt_per_s regressed more
-// than 10% below the baseline's same point. Guarded points, all on the
-// SPSC ring (the default serve realization since schema v4): the
+// than 10% below the baseline's same point. Guarded points: the
 // historical single-pipeline fast path (D=1, batch=32, P=1), the sharded
 // width-4 point (D=1, batch=32, P=4), a deep-pipeline point (D=4,
 // batch=32, P=1), and the same deep point fused (D=4, batch=32, P=1,
 // fused). A baseline point with Shards omitted (schema v1) is read as
-// P=1; a point with Fused omitted is ringed; a point with Ring omitted
-// (schema v3 and older) was measured over channels and is read as "chan",
-// so a pre-SPSC baseline matches no guarded point and the gate bootstraps
-// cleanly across the schema bump, exactly as it does on first run or when
-// a guarded shape is absent.
+// P=1; a point with Fused omitted is ringed. A missing baseline file or an
+// absent guarded shape passes: the gate bootstraps on first run.
 func CheckServeBaseline(pts []ServePoint, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -170,20 +159,13 @@ func CheckServeBaseline(pts []ServePoint, path string) error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", path, err)
 	}
-	ringOf := func(p *ServePoint) string {
-		if p.Ring == "" {
-			return "chan"
-		}
-		return p.Ring
-	}
-	find := func(pts []ServePoint, d, batch, shards int, fused bool, ring string) *ServePoint {
+	find := func(pts []ServePoint, d, batch, shards int, fused bool) *ServePoint {
 		for i := range pts {
 			s := pts[i].Shards
 			if s == 0 {
 				s = 1
 			}
-			if pts[i].Degree == d && pts[i].Batch == batch && s == shards &&
-				pts[i].Fused == fused && ringOf(&pts[i]) == ring {
+			if pts[i].Degree == d && pts[i].Batch == batch && s == shards && pts[i].Fused == fused {
 				return &pts[i]
 			}
 		}
@@ -193,15 +175,14 @@ func CheckServeBaseline(pts []ServePoint, path string) error {
 	for _, g := range []struct {
 		d, batch, shards int
 		fused            bool
-		ring             string
 	}{
-		{1, 32, 1, false, "spsc"},
-		{1, 32, 4, false, "spsc"},
-		{4, 32, 1, false, "spsc"},
-		{4, 32, 1, true, "spsc"},
+		{1, 32, 1, false},
+		{1, 32, 4, false},
+		{4, 32, 1, false},
+		{4, 32, 1, true},
 	} {
-		want := find(base, g.d, g.batch, g.shards, g.fused, g.ring)
-		got := find(pts, g.d, g.batch, g.shards, g.fused, g.ring)
+		want := find(base, g.d, g.batch, g.shards, g.fused)
+		got := find(pts, g.d, g.batch, g.shards, g.fused)
 		if want == nil || got == nil {
 			continue
 		}
@@ -210,8 +191,8 @@ func CheckServeBaseline(pts []ServePoint, path string) error {
 			if g.fused {
 				tag = " fused"
 			}
-			return fmt.Errorf("serve throughput regression at D=%d batch=%d P=%d%s ring=%s: %.0f pkt/s is %.1f%% below the %s baseline of %.0f pkt/s (gate: -%.0f%%)",
-				g.d, g.batch, g.shards, tag, g.ring, got.PktPerS, 100*(1-got.PktPerS/want.PktPerS), path, want.PktPerS, 100*tolerance)
+			return fmt.Errorf("serve throughput regression at D=%d batch=%d P=%d%s: %.0f pkt/s is %.1f%% below the %s baseline of %.0f pkt/s (gate: -%.0f%%)",
+				g.d, g.batch, g.shards, tag, got.PktPerS, 100*(1-got.PktPerS/want.PktPerS), path, want.PktPerS, 100*tolerance)
 		}
 	}
 	return nil

@@ -1,8 +1,9 @@
 package runtime
 
 // The junction machinery of a sharded serve: sequence side-channels,
-// scatter producers, fan-in mergers, and the per-replica sink collectors
-// whose chunked traces are k-way merged after the join. The determinism
+// scatter producers, the dispatcher's lane feed, fan-in mergers, and the
+// per-replica sink collectors whose chunked traces are k-way merged after
+// the join. The determinism
 // argument lives in shard.go's package comment.
 
 import (
@@ -120,12 +121,12 @@ func (s *seqStream) next(done <-chan struct{}) (int, bool) {
 // lane sequence is recorded (in arrival = global order) and flushed before
 // any sub-batch moves.
 type scatterer struct {
-	rings []ring
+	rings []*tokRing
 	sq    *seqStream // nil: no paired fan-in downstream
 	pend  [][]*token // per-lane sub-batch scratch
 }
 
-func newScatterer(rings []ring, sq *seqStream) *scatterer {
+func newScatterer(rings []*tokRing, sq *seqStream) *scatterer {
 	return &scatterer{rings: rings, sq: sq, pend: make([][]*token, len(rings))}
 }
 
@@ -170,7 +171,7 @@ func (sc *scatterer) send(e *engine, b []*token, lc *laneCtx) bool {
 		if len(sc.pend[j]) == 0 {
 			continue
 		}
-		if e.trySend(sc.rings[j], sc.pend[j], lc.probe) {
+		if tryPush(sc.rings[j], sc.pend[j], lc.probe) {
 			sc.pend[j] = nil
 		} else {
 			held++
@@ -207,7 +208,7 @@ func (sc *scatterer) drain(e *engine, lc *laneCtx, held int) bool {
 			if len(sc.pend[j]) == 0 {
 				continue
 			}
-			if e.trySend(sc.rings[j], sc.pend[j], lc.probe) {
+			if tryPush(sc.rings[j], sc.pend[j], lc.probe) {
 				sc.pend[j] = nil
 				held--
 				continue
@@ -216,34 +217,14 @@ func (sc *scatterer) drain(e *engine, lc *laneCtx, held int) bool {
 			if e.cfg.Overload == OverloadBlock || ticks[j] < e.cfg.Watermark {
 				continue
 			}
-			switch e.cfg.Overload {
-			case OverloadShed:
-				// Only reachable without a fan-in downstream (validated):
-				// dropping sequenced tokens would starve the merger.
-				n := int64(len(sc.pend[j]))
-				for _, t := range sc.pend[j] {
-					e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1,
-						Disposition: "shed", Reason: "ring saturated past watermark"})
-					e.putToken(t)
-				}
-				lc.probe.shed.Add(n)
-				e.putBatch(sc.pend[j])
+			// Shed is only reachable without a fan-in downstream (validated):
+			// dropping sequenced tokens would starve the merger. Degraded
+			// tokens are still delivered; keep pushing.
+			if e.overloaded(lc, sc.pend[j]) {
 				sc.pend[j] = nil
 				held--
-				e.inj.NoteOverload(n)
-			case OverloadDegrade:
-				var n int64
-				for _, t := range sc.pend[j] {
-					if t.degradedAt == 0 && !t.dead {
-						t.degradedAt = int32(lc.s + 2)
-						e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1,
-							Disposition: "degraded", Reason: "ring saturated past watermark"})
-						n++
-					}
-				}
-				lc.probe.degraded.Add(n)
-				e.inj.NoteOverload(n)
-				ticks[j] = 0 // degraded tokens are still delivered; keep pushing
+			} else {
+				ticks[j] = 0
 			}
 		}
 	}
@@ -257,7 +238,94 @@ func (sc *scatterer) close() {
 		sc.sq.close()
 	}
 	for _, r := range sc.rings {
-		r.close()
+		r.Close()
+	}
+}
+
+// laneFeed is the dispatcher's out-port: the source-side 1->P junction of
+// a run whose first stage is replicated. Unlike a scatterer, which splits
+// each batch and delivers the pieces at once, it accumulates a full batch
+// per lane before delivering it, so the replicas see the configured batch
+// size whatever P is — and it is lossless (pure backpressure): the
+// overload policies act at the inter-stage rings. The lane sequence is
+// recorded for the paired fan-in when one exists.
+type laneFeed struct {
+	rings []*tokRing
+	sq    *seqStream // nil: no fan-in downstream
+	pend  [][]*token // per-lane batch being filled
+	probe *stageProbe
+}
+
+// send appends b's tokens to their lanes' pending batches, delivering each
+// lane batch as it fills. Returns false when the run was canceled.
+func (lf *laneFeed) send(e *engine, b []*token) bool {
+	for _, t := range b {
+		lane := int(t.shard)
+		if lf.sq != nil {
+			lf.sq.add(lane)
+		}
+		if lf.pend[lane] == nil {
+			lf.pend[lane] = e.getBatch()
+		}
+		lf.pend[lane] = append(lf.pend[lane], t)
+		if len(lf.pend[lane]) >= e.cfg.Batch {
+			if lf.sq != nil {
+				lf.sq.flush()
+			}
+			if !lf.flush(e, lane) {
+				return false
+			}
+		}
+	}
+	e.putBatch(b)
+	return true
+}
+
+// flush delivers pend[lane] into its head ring. When the ring is full, it
+// repeatedly try-flushes every other pending lane while waiting: the
+// fan-in downstream consumes lanes in dispatch order, so a starved lane's
+// partial batch must be able to leave even while the dispatcher is parked
+// on a saturated one — the cross-lane deadlock guard.
+func (lf *laneFeed) flush(e *engine, lane int) bool {
+	p := lf.probe
+	if !tryPush(lf.rings[lane], lf.pend[lane], p) {
+		p.stalls.Add(1)
+		for {
+			for j := range lf.pend {
+				if j != lane && len(lf.pend[j]) > 0 && tryPush(lf.rings[j], lf.pend[j], p) {
+					lf.pend[j] = nil
+				}
+			}
+			sent, canceled := lf.rings[lane].PushTimeout(lf.pend[lane], e.ictx.Done(), overloadTick, &p.txWait)
+			if canceled {
+				return false
+			}
+			if sent {
+				p.out.Add(int64(len(lf.pend[lane])))
+				break
+			}
+		}
+	}
+	lf.pend[lane] = nil
+	return true
+}
+
+// close flushes the partial lane batches in one last sequenced round
+// (abandoned on cancellation), then ends every lane and the sequence.
+func (lf *laneFeed) close(e *engine) {
+	if lf.sq != nil {
+		lf.sq.flush()
+	}
+	for j := range lf.pend {
+		if len(lf.pend[j]) > 0 && !lf.flush(e, j) {
+			break
+		}
+	}
+	for _, r := range lf.rings {
+		r.Close()
+	}
+	if lf.sq != nil {
+		lf.sq.close()
 	}
 }
 
@@ -267,7 +335,7 @@ func (sc *scatterer) close() {
 // here — they existed only to keep the sequence gap-free.
 type merger struct {
 	e     *engine
-	rings []ring
+	rings []*tokRing
 	sq    *seqStream
 	cur   [][]*token
 	pos   []int
@@ -317,20 +385,11 @@ func (mg *merger) pop(lane int) *token {
 			mg.e.putBatch(mg.cur[lane])
 			mg.cur[lane] = nil
 		}
-		b, ok, ready := mg.rings[lane].tryRecv()
-		if !ready {
-			var canceled bool
-			b, ok, canceled = mg.rings[lane].recv(mg.e.ictx.Done(), &mg.probe.rxWait)
-			if canceled {
-				return nil
-			}
-		}
+		b, ok := mg.e.popRing(mg.rings[lane], mg.probe)
 		if !ok {
 			return nil
 		}
 		mg.cur[lane], mg.pos[lane] = b, 0
-		mg.probe.occSum.Add(int64(mg.rings[lane].len()))
-		mg.probe.occSamples.Add(1)
 	}
 	t := mg.cur[lane][mg.pos[lane]]
 	mg.pos[lane]++
@@ -338,16 +397,13 @@ func (mg *merger) pop(lane int) *token {
 }
 
 // sinkCollector accumulates one sink replica's share of the trace when the
-// final segment is sharded: events in fixed-size chunks (the appendTrace
-// discipline, per replica) plus an (iteration, event-count) span index the
-// offline merge walks. Owned by its sink replica's goroutine until the
-// final join.
+// final segment is sharded: the replica's own chunked trace plus an
+// (iteration, event-count) span index the offline merge walks. Owned by
+// its sink replica's goroutine until the final join.
 type sinkCollector struct {
-	chunks [][]interp.Event
-	tail   []interp.Event
+	traceBuf
 	iters  []int64
 	counts []int32
-	total  int
 }
 
 // add appends one retired iteration's events. Iterations that emitted
@@ -358,22 +414,11 @@ func (c *sinkCollector) add(iter int64, evs []interp.Event) {
 	}
 	c.iters = append(c.iters, iter)
 	c.counts = append(c.counts, int32(len(evs)))
-	c.total += len(evs)
-	for len(evs) > 0 {
-		if cap(c.tail) == 0 {
-			c.tail = make([]interp.Event, 0, traceChunkEvents)
-		}
-		n := copy(c.tail[len(c.tail):cap(c.tail)], evs)
-		c.tail = c.tail[:len(c.tail)+n]
-		evs = evs[n:]
-		if len(c.tail) == cap(c.tail) {
-			c.chunks = append(c.chunks, c.tail)
-			c.tail = nil
-		}
-	}
+	c.append(evs)
 }
 
-// evCursor walks a sealed collector's chunks sequentially.
+// evCursor walks a sealed collector's chunks sequentially, releasing each
+// chunk once it has been copied out.
 type evCursor struct {
 	chunks  [][]interp.Event
 	ci, off int
@@ -391,6 +436,7 @@ func (c *evCursor) take(n int, dst []interp.Event) []interp.Event {
 		c.off += m
 		n -= m
 		if c.off == len(ch) {
+			c.chunks[c.ci] = nil
 			c.ci++
 			c.off = 0
 		}
@@ -406,23 +452,16 @@ func (c *evCursor) take(n int, dst []interp.Event) []interp.Event {
 // at most MaxShards.
 func mergeShardTraces(cols []*sinkCollector) []interp.Event {
 	total := 0
-	for _, c := range cols {
-		if c.tail != nil {
-			c.chunks = append(c.chunks, c.tail)
-			c.tail = nil
-		}
-		total += c.total
+	cur := make([]evCursor, len(cols))
+	for j, c := range cols {
+		cur[j] = evCursor{chunks: c.seal()}
+		total += c.n
 	}
 	if total == 0 {
 		return nil
 	}
 	out := make([]interp.Event, 0, total)
-	cur := make([]evCursor, len(cols))
 	idx := make([]int, len(cols))
-	for j, c := range cols {
-		cur[j] = evCursor{chunks: c.chunks}
-		idx[j] = 0
-	}
 	for {
 		best := -1
 		var bi int64

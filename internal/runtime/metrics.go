@@ -30,12 +30,12 @@ type StageStats struct {
 	// exhausted retry budget; Retries counts transient-fault re-executions.
 	Shed, Degraded, Quarantined, Retries int64
 	// Busy is the time spent executing iterations (the ns/stage counter),
-	// excluding ring waits. Under sharding it is the sum across replicas.
+	// excluding ring waits and, at the head, the time blocked on the
+	// Source. Under sharding it is the sum across replicas.
 	Busy time.Duration
 	// Spins and Parks count blocked ring waits by how they resolved:
 	// still in the ring's spin/yield phase, or after parking on its
-	// notifier. Under RingChan every blocked wait parks immediately (the
-	// channel runtime has no spin phase), so Spins stays zero there.
+	// notifier.
 	Spins, Parks int64
 	// SpinWait and ParkWait split the stage's total blocked-on-ring time
 	// by the same phases; SpinWait + ParkWait is the stage's whole
@@ -169,20 +169,10 @@ func (m *Metrics) String() string {
 		fmt.Fprintf(&b, " across %d shards", m.Shards)
 	}
 	b.WriteString("\n")
-	for _, s := range m.Stages {
-		fmt.Fprintf(&b, "  stage %d: in %d out %d  stalls %d  busy %v  occ %.2f",
-			s.Stage, s.In, s.Out, s.Stalls, s.Busy.Round(time.Microsecond), s.MeanOccupancy())
-		if s.Replicas > 1 {
-			fmt.Fprintf(&b, "  x%d", s.Replicas)
-		}
-		b.WriteString("\n")
-	}
+	writeStageLines(&b, m.Stages)
 	if f := m.Faults; f != nil && f.Shed+f.Quarantined+f.Degraded+f.Retries > 0 {
 		fmt.Fprintf(&b, "  faults: %s", f.String())
 	}
-	if in := m.Ingest; in != nil {
-		fmt.Fprintf(&b, "  ingest: rx %d packets / %d bytes  drops %d  decode errors %d\n",
-			in.RxPackets, in.RxBytes, in.Drops, in.DecodeErrors)
-	}
+	m.Ingest.writeLine(&b)
 	return b.String()
 }

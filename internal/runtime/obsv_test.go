@@ -120,9 +120,10 @@ func TestSnapshotMidServe(t *testing.T) {
 }
 
 // TestServeTracing checks the span stream's structural invariants on a
-// deterministic run: spans only from real stages, exec spans covering
-// every delivered iteration exactly once per stage, wait and tx phases
-// only where rings exist, and a loadable Chrome export.
+// deterministic run: spans only from real stages, exec and wait spans
+// covering every delivered iteration exactly once per stage (the head's
+// wait is its pull on the Source), tx phases only where rings exist, and a
+// loadable Chrome export.
 func TestServeTracing(t *testing.T) {
 	prog, stages := partitionIPv4(t, 3)
 	_ = prog
@@ -143,6 +144,7 @@ func TestServeTracing(t *testing.T) {
 		t.Fatal("tracing enabled but no spans recorded")
 	}
 	execIters := map[int]int64{} // stage -> iterations covered by exec spans
+	waitIters := map[int]int64{} // stage -> iterations covered by wait spans
 	for _, s := range spans {
 		if s.Stage < 1 || s.Stage > 3 {
 			t.Fatalf("span names stage %d of a 3-stage pipeline", s.Stage)
@@ -154,9 +156,7 @@ func TestServeTracing(t *testing.T) {
 		case obsv.PhaseExec:
 			execIters[s.Stage] += int64(s.N)
 		case obsv.PhaseWait:
-			if s.Stage == 1 {
-				t.Fatalf("head stage has no inbound ring, got wait span %+v", s)
-			}
+			waitIters[s.Stage] += int64(s.N)
 		case obsv.PhaseTx:
 			if s.Stage == 3 {
 				t.Fatalf("sink stage has no outbound ring, got tx span %+v", s)
@@ -166,6 +166,9 @@ func TestServeTracing(t *testing.T) {
 	for stage := 1; stage <= 3; stage++ {
 		if execIters[stage] != n {
 			t.Errorf("stage %d exec spans cover %d iterations, want %d", stage, execIters[stage], n)
+		}
+		if waitIters[stage] != n {
+			t.Errorf("stage %d wait spans cover %d iterations, want %d", stage, waitIters[stage], n)
 		}
 	}
 

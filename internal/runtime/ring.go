@@ -1,192 +1,263 @@
 package runtime
 
-// The ring abstraction: every inter-goroutine batch conduit in the serve
-// engine — inter-stage cut rings, the dispatcher's head rings, scatter
-// and fan-in lane rings — is a `ring`, realized either by the lock-free
-// SPSC ring in internal/spsc (the default) or by a buffered Go channel
-// (the original implementation, retained as the behavioural oracle and
-// for hosts where channel semantics win; see DESIGN.md §15). Both
-// realizations carry the same protocol the engine was built on: exactly
-// one producer and one consumer per ring, producer-side close as the
-// end-of-stream signal, drain-then-exit on close, and cancellation via
-// the run's done channel on every blocking operation.
+// The two ends of a unit. Every inter-goroutine batch conduit in the serve
+// engine — inter-stage cut rings, the dispatcher's head rings, scatter and
+// fan-in lane rings, the batch free list — is a lock-free SPSC ring from
+// internal/spsc, held directly: exactly one producer and one consumer per
+// ring, producer-side Close as the end-of-stream signal, drain-then-exit on
+// close (spsc.Ring.Pop folds the closed-and-drained re-check in), and
+// cancellation via the run's done channel on every blocking operation. A
+// unit receives through an inPort and sends through an outPort; the ports
+// own the counters and spans of their side, so the unit loop itself is
+// topology-blind.
 
 import (
 	"fmt"
 	"time"
 
+	"repro/internal/errs"
+	"repro/internal/obsv"
 	"repro/internal/spsc"
 )
 
-// RingImpl selects the inter-stage ring implementation Serve wires
-// between stage goroutines.
-type RingImpl int
+// tokRing is the one conduit type: a ring of token batches.
+type tokRing = spsc.Ring[[]*token]
+
+// newRings builds n conduits of the configured capacity.
+func (e *engine) newRings(n int) []*tokRing {
+	rs := make([]*tokRing, n)
+	for j := range rs {
+		rs[j] = spsc.New[[]*token](e.cfg.RingCapacity, spsc.DefaultStrategy())
+	}
+	return rs
+}
+
+// portKind names what a unit's port is wired to.
+type portKind uint8
 
 const (
-	// RingSPSC is the default: the lock-free single-producer/single-
-	// consumer ring in internal/spsc, with the adaptive spin → yield →
-	// park wait strategy. Handoffs cost two uncontended atomics instead
-	// of a channel's mutex, and blocked sides spin briefly before
-	// parking.
-	RingSPSC RingImpl = iota
-	// RingChan realizes every ring as a buffered Go channel — the
-	// original implementation, kept as the behavioural oracle for
-	// differential tests and for workloads where native channel handoff
-	// beats the spin/park machinery (strict single-entry alternation;
-	// see DESIGN.md §15).
-	RingChan
+	portSource  portKind = iota // in: the packet Source (head or dispatcher)
+	portRing                    // in/out: one SPSC ring (aligned cut, head ring, lane into a fan-in)
+	portMerge                   // in: fan-in merger over P lane rings
+	portScatter                 // out: 1 -> P scatter junction
+	portLanes                   // out: the dispatcher's per-lane batch delivery
+	portSink                    // out: retire into the trace
 )
 
-// String names the ring implementation the way the CLI flags spell it.
-func (r RingImpl) String() string {
-	switch r {
-	case RingSPSC:
-		return "spsc"
-	case RingChan:
-		return "chan"
-	}
-	return fmt.Sprintf("ring(%d)", int(r))
+// inPort is a unit's inbound side. lc is the receiving lane: its probe
+// takes the In count, the receive-side waits and the occupancy samples.
+type inPort struct {
+	kind portKind
+	lc   *laneCtx
+	ring *tokRing // portRing
+	mg   *merger  // portMerge
+	iter int64    // portSource: next iteration index to assign
 }
 
-// ring is the engine-facing conduit contract. Exactly one goroutine may
-// produce (trySend/send/sendTick/close) and one consume (tryRecv/recv);
-// len is readable from anywhere. Blocked time is split into the caller's
-// spin/park wait counters.
-type ring interface {
-	// trySend delivers b without blocking; false means the ring is full.
-	trySend(b []*token) bool
-	// send blocks until b is delivered or done fires (returns false).
-	send(b []*token, done <-chan struct{}, w *spsc.WaitCounters) bool
-	// sendTick is send bounded by one overloadTick: (false, false) means
-	// the tick elapsed with the ring still full — re-probe or engage the
-	// overload policy — and (false, true) that done fired.
-	sendTick(b []*token, done <-chan struct{}, w *spsc.WaitCounters) (sent, canceled bool)
-	// tryRecv claims a batch without blocking. ready is false when
-	// nothing was available; ready && !ok means the ring is closed and
-	// drained.
-	tryRecv() (b []*token, ok, ready bool)
-	// recv blocks until a batch arrives (b, true, false), the ring is
-	// closed and drained (nil, false, false), or done fires (nil, false,
-	// true).
-	recv(done <-chan struct{}, w *spsc.WaitCounters) (b []*token, ok, canceled bool)
-	// close ends the stream; producer side only.
-	close()
-	// len is the current occupancy in batches (racy by nature).
-	len() int
-}
-
-// newRing builds one conduit of the configured implementation with the
-// configured capacity.
-func (e *engine) newRing() ring {
-	if e.cfg.Ring == RingChan {
-		return chanRing(make(chan []*token, e.cfg.RingCapacity))
-	}
-	return spscRing{r: spsc.New[[]*token](e.cfg.RingCapacity, spsc.DefaultStrategy())}
-}
-
-// chanRing adapts a buffered channel to the ring contract. Every blocked
-// operation parks in the runtime's channel machinery immediately, so its
-// wait accounting lands entirely in the park columns — the spin columns
-// are meaningful only under RingSPSC.
-type chanRing chan []*token
-
-func (c chanRing) trySend(b []*token) bool {
-	select {
-	case c <- b:
-		return true
+// recv returns the unit's next batch. more is false when the stream ended
+// (source drained, ring closed and drained) or the run was canceled: the
+// unit processes the batch it was handed, if any, and exits.
+func (in *inPort) recv(e *engine) (b []*token, more bool) {
+	switch in.kind {
+	case portSource:
+		return e.pull(in)
+	case portMerge:
+		b, more = in.mg.nextBatch(e.cfg.Batch)
 	default:
-		return false
+		b, more = e.popRing(in.ring, in.lc.probe)
 	}
+	in.lc.probe.in.Add(int64(len(b)))
+	return b, more
 }
 
-func (c chanRing) send(b []*token, done <-chan struct{}, w *spsc.WaitCounters) bool {
-	start := time.Now()
-	select {
-	case c <- b:
-		w.Parked(time.Since(start))
-		return true
-	case <-done:
-		w.Parked(time.Since(start))
-		return false
+// popRing blocks for the next batch on r, booking the blocked time to p's
+// receive-side wait columns and sampling the occupancy left behind. ok is
+// false when the ring is closed and drained or the run was canceled.
+func (e *engine) popRing(r *tokRing, p *stageProbe) (b []*token, ok bool) {
+	if b, ok, _ = r.Pop(e.ictx.Done(), &p.rxWait); ok {
+		p.occSum.Add(int64(r.Len()))
+		p.occSamples.Add(1)
 	}
+	return b, ok
 }
 
-func (c chanRing) sendTick(b []*token, done <-chan struct{}, w *spsc.WaitCounters) (sent, canceled bool) {
-	start := time.Now()
-	tick := time.NewTimer(overloadTick)
-	defer tick.Stop()
+// pull is the source in-port: it paces the pipeline by pulling up to one
+// batch of packets from the Source, assigning each its iteration index —
+// the key every fault trigger and record is expressed in — and building
+// its token. Poisoned packets are quarantined here, before a token exists
+// (and before sequencing, so no tombstone is needed); the In counter
+// tallies every packet pulled, poisons included, which is the total the
+// FaultReport ledger is reconciled against. Under sharding the token's
+// lane is stamped from the flow hash now, before any stage body can
+// rewrite the packet bytes.
+func (e *engine) pull(in *inPort) (b []*token, more bool) {
 	select {
-	case c <- b:
-		w.Parked(time.Since(start))
-		return true, false
-	case <-done:
-		w.Parked(time.Since(start))
-		return false, true
-	case <-tick.C:
-		w.Parked(time.Since(start))
-		return false, false
-	}
-}
-
-func (c chanRing) tryRecv() (b []*token, ok, ready bool) {
-	select {
-	case b, ok = <-c:
-		return b, ok, true
+	case <-e.ictx.Done():
+		return nil, false
 	default:
-		return nil, false, false
 	}
-}
-
-func (c chanRing) recv(done <-chan struct{}, w *spsc.WaitCounters) (b []*token, ok, canceled bool) {
-	start := time.Now()
-	select {
-	case b, ok = <-c:
-		w.Parked(time.Since(start))
-		return b, ok, false
-	case <-done:
-		w.Parked(time.Since(start))
-		return nil, false, true
-	}
-}
-
-func (c chanRing) close() { close(c) }
-
-func (c chanRing) len() int { return len(c) }
-
-// spscRing adapts the lock-free ring to the engine contract.
-type spscRing struct {
-	r *spsc.Ring[[]*token]
-}
-
-func (s spscRing) trySend(b []*token) bool { return s.r.TryPush(b) }
-
-func (s spscRing) send(b []*token, done <-chan struct{}, w *spsc.WaitCounters) bool {
-	return s.r.Push(b, done, w)
-}
-
-func (s spscRing) sendTick(b []*token, done <-chan struct{}, w *spsc.WaitCounters) (sent, canceled bool) {
-	return s.r.PushTimeout(b, done, overloadTick, w)
-}
-
-func (s spscRing) tryRecv() (b []*token, ok, ready bool) {
-	if b, ok = s.r.TryPop(); ok {
-		return b, true, true
-	}
-	if s.r.Closed() {
-		// Close is sequenced after the producer's final publish: one more
-		// claim attempt observes anything racing in ahead of the close.
-		if b, ok = s.r.TryPop(); ok {
-			return b, true, true
+	p := in.lc.probe
+	sharded := e.plan.sharded()
+	b = e.getBatch()
+	for len(b) < e.cfg.Batch {
+		pkt, ok := e.src.Next()
+		if !ok {
+			return b, false
 		}
-		return nil, false, true
+		i := in.iter
+		in.iter++
+		p.in.Add(1)
+		if e.inj != nil {
+			if bad, poisoned := e.inj.AtSource(i, pkt); poisoned {
+				p.quarantined.Add(1)
+				e.record(in.lc.recIdx, FaultRecord{Iter: i, Stage: 1, Disposition: "quarantined",
+					Reason: fmt.Sprintf("%v: %d malformed bytes at source", errs.ErrPoisonPacket, len(bad))})
+				continue
+			}
+		}
+		t := e.takeToken()
+		t.iter = i
+		t.ctx.Pending, t.ctx.HasPending = pkt, true
+		if sharded {
+			t.shard = int32(shardOf(e.shardKey(pkt), e.plan.p))
+		}
+		b = append(b, t)
 	}
-	return nil, false, false
+	return b, true
 }
 
-func (s spscRing) recv(done <-chan struct{}, w *spsc.WaitCounters) (b []*token, ok, canceled bool) {
-	return s.r.Pop(done, w)
+// outPort is a unit's outbound side. lc is the sending lane — the unit's
+// last segment, or the dispatcher's own lane: its probe takes the Out
+// count, the stalls, the transmit-side waits and the overload counters.
+type outPort struct {
+	kind  portKind
+	lc    *laneCtx
+	ring  *tokRing       // portRing
+	sc    *scatterer     // portScatter
+	lanes *laneFeed      // portLanes
+	col   *sinkCollector // portSink of a sharded final segment; nil at a single sink
 }
 
-func (s spscRing) close() { s.r.Close() }
+// send hands a non-empty batch downstream, with the transmit-phase span
+// when tracing. It returns false when the run was canceled mid-wait. The
+// sink never waits, and the dispatcher's pulled batches are re-split by
+// lane — their keys name no downstream batch — so neither records a span.
+func (o *outPort) send(e *engine, b []*token) bool {
+	switch o.kind {
+	case portSink:
+		e.retire(b, o)
+		return true
+	case portLanes:
+		return o.lanes.send(e, b)
+	}
+	if !e.timed {
+		return o.deliver(e, b)
+	}
+	// Capture before sending: a shed batch is recycled inside.
+	iter, n := b[0].iter, len(b)
+	start := time.Now()
+	ok := o.deliver(e, b)
+	e.span(o.lc.s+1, iter, n, obsv.PhaseTx, start, time.Since(start))
+	return ok
+}
 
-func (s spscRing) len() int { return s.r.Len() }
+func (o *outPort) deliver(e *engine, b []*token) bool {
+	if o.kind == portScatter {
+		return o.sc.send(e, b, o.lc)
+	}
+	return e.sendRing(o.ring, b, o.lc)
+}
+
+// close relinquishes the port: the producer owns its ring(s), so ring
+// closure is the end-of-stream signal downstream.
+func (o *outPort) close(e *engine) {
+	switch o.kind {
+	case portRing:
+		o.ring.Close()
+	case portScatter:
+		o.sc.close()
+	case portLanes:
+		o.lanes.close(e)
+	}
+}
+
+// tryPush is the non-blocking ring put; on success the batch (and its
+// accounting) belongs to the consumer.
+func tryPush(out *tokRing, b []*token, p *stageProbe) bool {
+	if out.TryPush(b) {
+		p.out.Add(int64(len(b)))
+		return true
+	}
+	return false
+}
+
+// sendRing forwards a batch on out, counting a stall when the ring is
+// full. Under OverloadBlock it waits for space (backpressure); under a
+// shedding policy it re-probes the saturated ring for Watermark ticks and
+// then engages the policy — dropping the batch (Shed) or marking it
+// degraded and forwarding it for pass-through delivery (Degrade). It
+// returns false when the run was canceled mid-wait.
+func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
+	p := lc.probe
+	if e.inj != nil {
+		lc.inj.BeforeSend(e.ictx, lc.s+1, b[0].iter)
+	}
+	if tryPush(out, b, p) {
+		return true
+	}
+	p.stalls.Add(1)
+	if e.cfg.Overload != OverloadBlock {
+		for probe := 0; probe < e.cfg.Watermark; probe++ {
+			sent, canceled := out.PushTimeout(b, e.ictx.Done(), overloadTick, &p.txWait)
+			if sent {
+				p.out.Add(int64(len(b)))
+				return true
+			}
+			if canceled {
+				return false
+			}
+		}
+		if e.overloaded(lc, b) {
+			return true
+		}
+	}
+	if !out.Push(b, e.ictx.Done(), &p.txWait) {
+		return false
+	}
+	p.out.Add(int64(len(b)))
+	return true
+}
+
+// overloaded engages the overload policy on a batch whose ring stayed
+// saturated past the watermark. Under OverloadShed the batch is dropped —
+// recorded, counted and recycled — and overloaded returns true. Under
+// OverloadDegrade its live tokens are marked so every later stage passes
+// them through, and it returns false: the caller still delivers the batch.
+// Either way the chaos layer's overload gates are released before the
+// caller blocks again: a schedule may hold the consumer until this very
+// engagement is observed.
+func (e *engine) overloaded(lc *laneCtx, b []*token) (shed bool) {
+	const why = "ring saturated past watermark"
+	shed = e.cfg.Overload == OverloadShed
+	var n int64
+	if shed {
+		for _, t := range b {
+			e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1, Disposition: "shed", Reason: why})
+			e.putToken(t)
+		}
+		n = int64(len(b))
+		lc.probe.shed.Add(n)
+		e.putBatch(b)
+	} else {
+		for _, t := range b {
+			if t.degradedAt == 0 && !t.dead {
+				t.degradedAt = int32(lc.s + 2)
+				e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1, Disposition: "degraded", Reason: why})
+				n++
+			}
+		}
+		lc.probe.degraded.Add(n)
+	}
+	e.inj.NoteOverload(n)
+	return shed
+}

@@ -1,12 +1,11 @@
 package runtime_test
 
-// Black-box coverage of the inter-stage ring implementations through the
-// public Config surface: the lock-free SPSC ring (the default) and the
-// buffered-channel oracle must be observationally indistinguishable —
-// byte-identical traces against the sequential oracle for every benchmark
-// pipeline, at every realization (ringed and fused), shard width, and
-// batch size the matrix sweeps — and the SPSC ring must actually overlap
-// stages when the host has the cores for it.
+// Black-box coverage of the inter-stage rings through the public Config
+// surface: served over the lock-free SPSC ring, every benchmark pipeline
+// must produce a trace byte-identical to the sequential oracle at every
+// realization (ringed and fused) and shard width the matrix sweeps — and
+// the ring must actually overlap stages when the host has the cores for
+// it.
 
 import (
 	"context"
@@ -20,16 +19,14 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestRingImplOracleMatrix is the ring tentpole check: allApps × both ring
-// implementations × {ringed, fused} × P in {1, 4}, each point's merged
-// trace byte-identical to the sequential oracle and its fault ledger
-// balanced. The matrix is deliberately -race and -count=2 safe: every
+// TestRingImplOracleMatrix is the ring check: allApps × {ringed, fused} ×
+// P in {1, 4}, each point's merged trace byte-identical to the sequential
+// oracle and its fault ledger balanced. The matrix is deliberately -race and -count=2 safe: every
 // serve is self-contained (fresh world, fresh config), so the CI ring
 // gate runs it under both to shake out ordering bugs in the ring's
 // publish/claim protocol that a single quiet pass would miss.
 func TestRingImplOracleMatrix(t *testing.T) {
 	const n = 32
-	impls := []runtime.RingImpl{runtime.RingSPSC, runtime.RingChan}
 	for _, pps := range allApps() {
 		prog, err := pps.Compile()
 		if err != nil {
@@ -53,58 +50,33 @@ func TestRingImplOracleMatrix(t *testing.T) {
 		for k := range fuseAll {
 			fuseAll[k] = true
 		}
-		for _, impl := range impls {
-			for fi, fuse := range [][]bool{nil, fuseAll} {
-				tag := []string{"ringed", "fused"}[fi]
-				for _, p := range []int{1, 4} {
-					name := fmt.Sprintf("%s/%v/%s/P=%d", pps.Name, impl, tag, p)
-					world := netbench.NewWorld(nil)
-					cfg := runtime.DefaultConfig()
-					cfg.Ring = impl
-					cfg.FuseCuts = fuse
-					cfg.Shards = p
-					m, err := runtime.Serve(context.Background(), res.Stages, world,
-						runtime.Packets(traffic), cfg)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if m.Packets != n {
-						t.Errorf("%s: served %d packets, want %d", name, m.Packets, n)
-					}
-					if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
-						t.Errorf("%s: trace diverges from oracle: %s", name, diff)
-					}
-					if diff := interp.TraceEqual(seq, world.Trace); diff != "" {
-						t.Errorf("%s: world trace diverges: %s", name, diff)
-					}
-					if rep := m.Faults; rep.Accounted() != m.Stages[0].In {
-						t.Errorf("%s: accounting hole: %s", name, rep)
-					}
+		for fi, fuse := range [][]bool{nil, fuseAll} {
+			tag := []string{"ringed", "fused"}[fi]
+			for _, p := range []int{1, 4} {
+				name := fmt.Sprintf("%s/%s/P=%d", pps.Name, tag, p)
+				world := netbench.NewWorld(nil)
+				cfg := runtime.DefaultConfig()
+				cfg.FuseCuts = fuse
+				cfg.Shards = p
+				m, err := runtime.Serve(context.Background(), res.Stages, world,
+					runtime.Packets(traffic), cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if m.Packets != n {
+					t.Errorf("%s: served %d packets, want %d", name, m.Packets, n)
+				}
+				if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
+					t.Errorf("%s: trace diverges from oracle: %s", name, diff)
+				}
+				if diff := interp.TraceEqual(seq, world.Trace); diff != "" {
+					t.Errorf("%s: world trace diverges: %s", name, diff)
+				}
+				if rep := m.Faults; rep.Accounted() != m.Stages[0].In {
+					t.Errorf("%s: accounting hole: %s", name, rep)
 				}
 			}
 		}
-	}
-}
-
-// TestRingImplRejectsUnknown pins the validation sentinel: a Ring value
-// outside the two known implementations must be refused before any
-// goroutine starts.
-func TestRingImplRejectsUnknown(t *testing.T) {
-	pps, _ := netbench.ByName("IPv4")
-	prog, err := pps.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Partition(prog, core.Options{Stages: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := runtime.DefaultConfig()
-	cfg.Ring = runtime.RingImpl(42)
-	_, err = runtime.Serve(context.Background(), res.Stages, netbench.NewWorld(nil),
-		runtime.Packets(pps.Traffic(4)), cfg)
-	if err == nil {
-		t.Fatal("Serve accepted an unknown ring implementation")
 	}
 }
 
@@ -124,7 +96,7 @@ func TestRingSPSCWaitCountersAccount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := runtime.Config{RingCapacity: 1, Batch: 1, Ring: runtime.RingSPSC}
+	cfg := runtime.Config{RingCapacity: 1, Batch: 1}
 	m, err := runtime.Serve(context.Background(), res.Stages, netbench.NewWorld(nil),
 		runtime.Packets(pps.Traffic(n)), cfg)
 	if err != nil {
@@ -177,7 +149,7 @@ func TestRingSPSCMultiCorePipelineWins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("D=%d: %v", d, err)
 		}
-		cfg := runtime.Config{Batch: 32, Ring: runtime.RingSPSC}
+		cfg := runtime.Config{Batch: 32}
 		m, err := runtime.Serve(context.Background(), res.Stages, netbench.NewWorld(nil),
 			runtime.Repeat(traffic, n), cfg)
 		if err != nil {

@@ -1,13 +1,22 @@
 // Package runtime is the host-native streaming executor for partitioned
-// pipelines: one goroutine per stage, connected by bounded rings, serving
-// a packet stream. Where internal/npsim *predicts* pipeline timing on a
+// pipelines: one goroutine per unit — a stage, or a run of stages fused
+// across cuts not worth a ring — connected by bounded rings, serving a
+// packet stream. Where internal/npsim *predicts* pipeline timing on a
 // model of the IXP, this package *measures* it on the host — each stage
 // really runs concurrently, inter-stage rings really exert backpressure,
 // and throughput comes from the wall clock.
 //
+// Every serve goroutine has the one shape of the paper's pipeline stage
+// (unit, below): take a batch from the in-port — the Source at the head, a
+// ring or a fan-in merger elsewhere — run it stage-major through the
+// unit's segments, hand it to the out-port — a ring, a scatter, or the
+// sink. D=1 is the degenerate pipeline source -> all segments -> sink;
+// the sharding dispatcher is a source in-port with no segments in front
+// of its lane delivery.
+//
 // Correctness model: every iteration owns an interp.IterCtx that flows
-// down the pipeline inside a token. The head stage pulls one packet per
-// iteration from the Source and attaches it to the token; the iteration's
+// down the pipeline inside a token. The source in-port pulls one packet
+// per iteration from the Source and attaches it to the token; the iteration's
 // observable events are buffered on the token (IterCtx.DeferEvents) and
 // merged at the sink in iteration order. Because each ring has exactly one
 // producer and one consumer, tokens retire in iteration order and the
@@ -35,8 +44,8 @@
 //     Live.Snapshot taken mid-serve is race-free; fault records stay
 //     goroutine-local and are merged only after the final join.
 //
-// Observability (internal/obsv) threads through the same loops: when a
-// Config carries an Observer, stages record wait/exec/tx spans, mirror
+// Observability (internal/obsv) threads through the same loop: when a
+// Config carries an Observer, units record wait/exec/tx spans, mirror
 // their counters into a metrics registry, and emit periodic progress
 // lines. With no Observer the extra cost is one nil check per batch — no
 // clocks, no allocation (the serve benchmarks gate this at < 2%).
@@ -111,14 +120,7 @@ type Config struct {
 	Channel costmodel.ChannelKind
 	// RingCapacity overrides the per-ring entry count (batches, not
 	// packets). 0 selects the Channel default: 8 for NN, 64 for scratch.
-	// Under RingSPSC the capacity is rounded up to the next power of two.
 	RingCapacity int
-	// Ring selects the inter-stage ring implementation: the lock-free
-	// SPSC ring (RingSPSC, the default) or the buffered-channel oracle
-	// (RingChan). Both realize identical handoff semantics — producer
-	// close as end-of-stream, drain-then-exit, cancellation-aware blocking
-	// — so the served trace is byte-identical either way.
-	Ring RingImpl
 	// Batch is the number of iterations carried per ring entry; batching
 	// amortizes ring synchronization over several packets. 0 means 1.
 	Batch int
@@ -213,15 +215,17 @@ const overloadTick = 200 * time.Microsecond
 // selected without an explicit watermark.
 const defaultWatermark = 4
 
-func (c Config) validate() error {
+// Validate checks every serve-side value and conflict rule of the
+// configuration against its typed sentinel. It is the one validator: Serve
+// runs it, and the repro facade runs it on the Config its options lower
+// to, so a bad value reports the same error whichever layer catches it.
+// (The fault plan is checked against the actual stage count by Serve.)
+func (c Config) Validate() error {
 	if c.Backend < BackendCompiled || c.Backend > BackendInterp {
 		return fmt.Errorf("%w: %d", errs.ErrBadBackend, int(c.Backend))
 	}
 	if c.RingCapacity < 0 {
 		return fmt.Errorf("%w: %d", errs.ErrBadRing, c.RingCapacity)
-	}
-	if c.Ring < RingSPSC || c.Ring > RingChan {
-		return fmt.Errorf("%w: %d", errs.ErrBadRingImpl, int(c.Ring))
 	}
 	if c.Batch < 0 {
 		return fmt.Errorf("%w: %d", errs.ErrBadBatch, c.Batch)
@@ -372,13 +376,12 @@ type token struct {
 	dead       bool
 }
 
-// laneCtx identifies one stage replica's execution lane: its indices, its
+// laneCtx identifies one stage replica's execution lane: its stage, its
 // probe, its runner, its fault-injector view, and its fault-record buffer.
 // Built once per goroutine; everything the hot path touches is one
 // indirection away.
 type laneCtx struct {
 	s      int // 0-based stage index
-	j      int // replica (lane) index
 	probe  *stageProbe
 	run    stageRunner
 	inj    *fault.Injector
@@ -386,7 +389,23 @@ type laneCtx struct {
 	tomb   bool // quarantines become tombstones (sharded segment ends in a fan-in)
 }
 
-// engine is the per-Serve state shared by the stage goroutines.
+// unit is one serve goroutine — the single shape every pipeline stage of
+// the paper has: take the live set from the in-port, run this unit's slice
+// of the PPS loop, put the live set on the out-port. segs are the stages
+// the unit executes, stage-major, for one replica lane; more than one means
+// the cuts between them are fused (the live set is handed over inside the
+// token instead of through a ring). The head is source -> segs -> ring, an
+// interior stage ring|merge -> segs -> ring|scatter, D=1 source -> all
+// segs -> sink, and the dispatcher a source in-port with no segments at
+// all in front of its lane feed.
+type unit struct {
+	in     inPort
+	segs   []*laneCtx
+	out    outPort
+	labels pprof.LabelSet
+}
+
+// engine is the per-Serve state shared by the unit goroutines.
 type engine struct {
 	ictx     context.Context
 	cancel   context.CancelFunc
@@ -395,11 +414,11 @@ type engine struct {
 	plan     *shardPlan
 	fused    []bool           // cut -> realized by fusion (aligned + requested)
 	runners  [][]stageRunner  // stage -> replicas
-	rings    [][]ring         // cut -> lane rings
-	headRing []ring           // dispatcher -> stage-0 replicas (nil without a dispatcher)
+	rings    [][]*tokRing     // cut -> lane rings (nil for a fused cut)
+	headRing []*tokRing       // dispatcher -> stage-0 replicas (nil without a dispatcher)
 	seqs     []*seqStream     // fan-in sequence side-channels
 	cols     []*sinkCollector // per sink replica, when the final segment is sharded
-	m        *Metrics
+	units    []*unit          // one goroutine each
 	inj      *fault.Injector
 	injs     []*fault.Injector // per-lane injector views; injs[0] is inj
 	shardKey func([]byte) uint64
@@ -420,76 +439,98 @@ type engine struct {
 	fillHist []*obsv.Histogram
 	waitHist []*obsv.Histogram
 
-	tokPool   sync.Pool
-	batchPool sync.Pool
+	// The token and batch pools are allocated apart from the engine: sync
+	// registers every pool it has seen in a global list until two GC cycles
+	// pass, and a pool embedded here would pin the whole engine — trace
+	// chunks, tokens, runners — through that interior pointer long after
+	// Serve returned.
+	tokPool   *sync.Pool
+	batchPool *sync.Pool
 
 	// freeBatches recycles whole retired batches — reset tokens still
 	// attached — from the sink back to the source in one ring
 	// operation per batch, replacing 2×Batch sync.Pool operations with
 	// one synchronization on the serve hot path. It is a ring like any
 	// cut when the sink is a single goroutine (the SPSC contract holds:
-	// the sink produces, the head/dispatcher consumes); a sharded sink
+	// the sink produces, the source in-port consumes); a sharded sink
 	// has P recycling producers, so freeBatchesMP — a buffered channel —
 	// takes its place there. spare is the source side's current stash
-	// (head/dispatcher goroutine only); the pools absorb overflow and
-	// the stragglers recycled off the hot path (quarantines, tombstones).
-	freeBatches   ring
+	// (source in-port goroutine only); the pools absorb overflow and the
+	// stragglers recycled off the hot path (quarantines, tombstones).
+	freeBatches   *tokRing
 	freeBatchesMP chan []*token
 	spare         []*token
 
-	// Trace accumulation. The sink stage's goroutine is the sole writer:
-	// events land in fixed-size chunks (traceTail is the one being
-	// filled, traceChunks the sealed ones) and are assembled into
-	// Metrics.Trace with a single exact-size allocation after the join.
-	// Growing one flat slice by append instead costs a realloc-zero-copy
-	// cycle per doubling, which at streaming scale dominates the sink.
-	// (When the final segment is sharded, each sink replica accumulates
-	// into its own sinkCollector instead and the traces are k-way merged
-	// after the join.)
-	traceChunks [][]interp.Event
-	traceTail   []interp.Event
+	// trace accumulates the single sink's events (a sharded final segment
+	// collects per replica in cols instead and k-way merges after the join).
+	trace traceBuf
 
 	errOnce  sync.Once
 	firstErr error
+}
+
+// newPools builds the token and batch pools for the given batch size.
+func newPools(batch int) (tok, bat *sync.Pool) {
+	return &sync.Pool{New: func() any { return &token{ctx: interp.NewIterCtx()} }},
+		&sync.Pool{New: func() any { return make([]*token, 0, batch) }}
 }
 
 // traceChunkEvents sizes the sink's trace chunks: big enough to amortize
 // the per-chunk allocation, small enough to recycle address space quickly.
 const traceChunkEvents = 1 << 15
 
-// appendTrace adds one iteration's deferred events to the chunked trace.
-// Only the (single) sink goroutine calls it.
-func (e *engine) appendTrace(evs []interp.Event) {
+// traceBuf accumulates a sink's events. The owning sink goroutine is the
+// sole writer: events land in fixed-size chunks (tail is the one being
+// filled, chunks the sealed ones) and are assembled into Metrics.Trace
+// with a single exact-size allocation after the join. Growing one flat
+// slice by append instead costs a realloc-zero-copy cycle per doubling,
+// which at streaming scale dominates the sink.
+type traceBuf struct {
+	chunks [][]interp.Event
+	tail   []interp.Event
+	n      int // events held
+}
+
+// append adds one iteration's deferred events.
+func (tb *traceBuf) append(evs []interp.Event) {
+	tb.n += len(evs)
 	for len(evs) > 0 {
-		if cap(e.traceTail) == 0 {
-			e.traceTail = make([]interp.Event, 0, traceChunkEvents)
+		if cap(tb.tail) == 0 {
+			tb.tail = make([]interp.Event, 0, traceChunkEvents)
 		}
-		n := copy(e.traceTail[len(e.traceTail):cap(e.traceTail)], evs)
-		e.traceTail = e.traceTail[:len(e.traceTail)+n]
+		n := copy(tb.tail[len(tb.tail):cap(tb.tail)], evs)
+		tb.tail = tb.tail[:len(tb.tail)+n]
 		evs = evs[n:]
-		if len(e.traceTail) == cap(e.traceTail) {
-			e.traceChunks = append(e.traceChunks, e.traceTail)
-			e.traceTail = nil
+		if len(tb.tail) == cap(tb.tail) {
+			tb.chunks = append(tb.chunks, tb.tail)
+			tb.tail = nil
 		}
 	}
 }
 
-// assembleTrace concatenates the sealed chunks and the tail into one
-// exact-size trace slice. Called once, strictly after the stage
-// goroutines joined.
-func (e *engine) assembleTrace() []interp.Event {
-	total := len(e.traceTail)
-	for _, c := range e.traceChunks {
-		total += len(c)
+// seal closes the tail chunk and returns all chunks, oldest first. Called
+// strictly after the unit goroutines joined.
+func (tb *traceBuf) seal() [][]interp.Event {
+	if tb.tail != nil {
+		tb.chunks = append(tb.chunks, tb.tail)
+		tb.tail = nil
 	}
-	if total == 0 {
+	return tb.chunks
+}
+
+// assemble concatenates the chunks into one exact-size trace slice,
+// releasing each chunk as it is copied so the run never holds two full
+// copies of the trace.
+func (tb *traceBuf) assemble() []interp.Event {
+	if tb.n == 0 {
 		return nil
 	}
-	trace := make([]interp.Event, 0, total)
-	for _, c := range e.traceChunks {
+	trace := make([]interp.Event, 0, tb.n)
+	for i, c := range tb.seal() {
 		trace = append(trace, c...)
+		tb.chunks[i] = nil
 	}
-	return append(trace, e.traceTail...)
+	return trace
 }
 
 func (e *engine) fail(err error) {
@@ -512,7 +553,6 @@ func (e *engine) record(i int, r FaultRecord) {
 func (e *engine) lane(s, j int) *laneCtx {
 	return &laneCtx{
 		s:      s,
-		j:      j,
 		probe:  e.live.probe(s, j),
 		run:    e.runners[s][j],
 		inj:    e.injs[j],
@@ -531,25 +571,13 @@ func (e *engine) unitEnd(s int) int {
 	return s
 }
 
-// unitSegs builds the execution-lane views of the unit [s..end] for
-// replica j; segs[0] is the receiving segment, segs[len-1] the sending
-// one. Fusion requires aligned replica widths across the unit, so one j
-// indexes every segment.
-func (e *engine) unitSegs(s, end, j int) []*laneCtx {
-	segs := make([]*laneCtx, 0, end-s+1)
-	for k := s; k <= end; k++ {
-		segs = append(segs, e.lane(k, j))
-	}
-	return segs
-}
-
 // effectiveFusion intersects the requested fusion mask with the shard
 // plan's aligned cuts: a cut is realized fused only when it was asked for
 // and both sides have the same replica width (a scatter or fan-in always
 // keeps its junction machinery). The result is defensively sized to the
 // pipeline's D-1 cuts whatever length the request had.
-func effectiveFusion(req []bool, plan *shardPlan, d int) []bool {
-	fused := make([]bool, d-1)
+func effectiveFusion(req []bool, plan *shardPlan) []bool {
+	fused := make([]bool, len(plan.reps)-1)
 	for k := range fused {
 		fused[k] = k < len(req) && req[k] && plan.reps[k] == plan.reps[k+1]
 	}
@@ -580,55 +608,6 @@ func AlignedCuts(stages []*ir.Program, shards int, explicitKey bool) []bool {
 	return aligned
 }
 
-// runSegs drives a batch through the trailing segments of a fused unit,
-// stage-major: the whole batch runs through segs[i] before segs[i+1], so
-// each stage's busy time, counters, and fault attribution stay exact even
-// though no ring separates them. The handoff between segments is the
-// token's own slot buffer — zero synchronization, zero copies beyond the
-// words OpSendLS packs. Each interior handoff settles the predecessor's
-// out counter here (the last segment's out is counted at the ring put or
-// retire, exactly as unfused). Quarantined tokens compact out of the
-// batch; degraded and tombstoned tokens pass through. Returns false when
-// a fatal error aborted the run.
-func (e *engine) runSegs(segs []*laneCtx, b *[]*token) bool {
-	for i := 1; i < len(segs); i++ {
-		lc := segs[i]
-		bb := *b
-		if len(bb) == 0 {
-			return true
-		}
-		segs[i-1].probe.out.Add(int64(len(bb)))
-		lc.probe.in.Add(int64(len(bb)))
-		s := lc.s
-		firstIter := bb[0].iter
-		n := len(bb)
-		t0 := time.Now()
-		keep := bb[:0]
-		for _, t := range bb {
-			if t.dead || (t.degradedAt > 0 && s+1 >= int(t.degradedAt)) {
-				keep = append(keep, t)
-				continue
-			}
-			switch e.runToken(lc, t) {
-			case tokOK, tokDead:
-				keep = append(keep, t)
-			case tokQuarantined:
-			case tokFatal:
-				lc.probe.busyNs.Add(int64(time.Since(t0)))
-				return false
-			}
-		}
-		*b = keep
-		busy := time.Since(t0)
-		lc.probe.busyNs.Add(int64(busy))
-		if e.timed {
-			e.span(s+1, firstIter, n, obsv.PhaseExec, t0, busy)
-			e.fillHist[s].Observe(int64(n))
-		}
-	}
-	return true
-}
-
 func (e *engine) getToken() *token {
 	t := e.tokPool.Get().(*token)
 	t.ctx.DeferEvents = true
@@ -637,7 +616,7 @@ func (e *engine) getToken() *token {
 
 // takeToken is the source side's token allocator: it prefers the batches
 // recycled whole through the free list and falls back to the pool. Only
-// the head/dispatcher goroutine calls it.
+// the source in-port's goroutine calls it.
 func (e *engine) takeToken() *token {
 	if len(e.spare) == 0 {
 		if e.freeBatchesMP != nil {
@@ -646,7 +625,7 @@ func (e *engine) takeToken() *token {
 				e.spare = sb
 			default:
 			}
-		} else if sb, ok, _ := e.freeBatches.tryRecv(); ok {
+		} else if sb, ok := e.freeBatches.TryPop(); ok {
 			e.spare = sb
 		}
 		if len(e.spare) == 0 {
@@ -702,10 +681,6 @@ func (e *engine) putBatch(b []*token) {
 // a single sink recycles through the SPSC freeBatches ring, sharded sink
 // replicas through the multi-producer channel.
 func (e *engine) recycleBatch(b []*token) {
-	if len(b) == 0 {
-		e.putBatch(b)
-		return
-	}
 	for _, t := range b {
 		t.reset()
 	}
@@ -715,7 +690,7 @@ func (e *engine) recycleBatch(b []*token) {
 			return
 		default:
 		}
-	} else if e.freeBatches.trySend(b) {
+	} else if e.freeBatches.TryPush(b) {
 		return
 	}
 	for _, t := range b {
@@ -733,138 +708,6 @@ func (e *engine) span(stage int, iter int64, n int, phase obsv.Phase, start time
 		Stage: stage, Iter: iter, N: n, Phase: phase,
 		Start: start.Sub(e.live.start), Dur: dur,
 	})
-}
-
-// outPort is a stage replica's outbound side: either one ring (aligned
-// junction, or this replica's private lane into a fan-in) or a scatterer
-// (1 -> P junction).
-type outPort struct {
-	ring ring
-	sc   *scatterer
-}
-
-// outFor wires the outbound port of lc's stage replica; nil at the sink.
-func (e *engine) outFor(lc *laneCtx) *outPort {
-	s := lc.s
-	if s == len(e.runners)-1 {
-		return nil
-	}
-	if e.plan.reps[s+1] > e.plan.reps[s] { // scatter
-		var sq *seqStream
-		if e.plan.seqFor[s] >= 0 {
-			sq = e.seqs[e.plan.seqFor[s]]
-		}
-		return &outPort{sc: newScatterer(e.rings[s], sq)}
-	}
-	return &outPort{ring: e.rings[s][lc.j]}
-}
-
-// send forwards a batch through the port with the transmit-phase
-// instrumentation. It returns false when the run was canceled mid-wait.
-func (o *outPort) send(e *engine, b []*token, lc *laneCtx) bool {
-	if !e.timed {
-		if o.sc != nil {
-			return o.sc.send(e, b, lc)
-		}
-		return e.sendRing(o.ring, b, lc)
-	}
-	// Capture before sending: a shed batch is recycled inside.
-	iter, n := b[0].iter, len(b)
-	start := time.Now()
-	var ok bool
-	if o.sc != nil {
-		ok = o.sc.send(e, b, lc)
-	} else {
-		ok = e.sendRing(o.ring, b, lc)
-	}
-	e.span(lc.s+1, iter, n, obsv.PhaseTx, start, time.Since(start))
-	return ok
-}
-
-// close relinquishes the port: the producer owns its ring(s), so ring
-// closure is the end-of-stream signal downstream.
-func (o *outPort) close() {
-	if o.sc != nil {
-		o.sc.close()
-		return
-	}
-	o.ring.close()
-}
-
-// trySend is the non-blocking ring put; on success the batch (and its
-// accounting) belongs to the consumer.
-func (e *engine) trySend(out ring, b []*token, p *stageProbe) bool {
-	if out.trySend(b) {
-		p.out.Add(int64(len(b)))
-		return true
-	}
-	return false
-}
-
-// sendRing forwards a batch on out, counting a stall when the ring is
-// full. Under OverloadBlock it waits for space (backpressure); under a
-// shedding policy it re-probes the saturated ring for Watermark ticks and
-// then engages the policy — dropping the batch (Shed) or marking it
-// degraded and forwarding it for pass-through delivery (Degrade). It
-// returns false when the run was canceled mid-wait.
-func (e *engine) sendRing(out ring, b []*token, lc *laneCtx) bool {
-	p := lc.probe
-	if e.inj != nil {
-		lc.inj.BeforeSend(e.ictx, lc.s+1, b[0].iter)
-	}
-	if out.trySend(b) {
-		p.out.Add(int64(len(b)))
-		return true
-	}
-	p.stalls.Add(1)
-	if e.cfg.Overload == OverloadBlock {
-		if !out.send(b, e.ictx.Done(), &p.txWait) {
-			return false
-		}
-		p.out.Add(int64(len(b)))
-		return true
-	}
-	for probe := 0; probe < e.cfg.Watermark; probe++ {
-		sent, canceled := out.sendTick(b, e.ictx.Done(), &p.txWait)
-		if sent {
-			p.out.Add(int64(len(b)))
-			return true
-		}
-		if canceled {
-			return false
-		}
-	}
-	// The ring stayed saturated past the watermark: engage the policy.
-	switch e.cfg.Overload {
-	case OverloadShed:
-		n := int64(len(b))
-		for _, t := range b {
-			e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1, Disposition: "shed", Reason: "ring saturated past watermark"})
-			e.putToken(t)
-		}
-		p.shed.Add(n)
-		e.putBatch(b)
-		e.inj.NoteOverload(n)
-		return true
-	default: // OverloadDegrade
-		var n int64
-		for _, t := range b {
-			if t.degradedAt == 0 && !t.dead {
-				t.degradedAt = int32(lc.s + 2)
-				e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1, Disposition: "degraded", Reason: "ring saturated past watermark"})
-				n++
-			}
-		}
-		p.degraded.Add(n)
-		// Release overload gates before the blocking put: a chaos schedule
-		// may hold the consumer until this degradation is observed.
-		e.inj.NoteOverload(n)
-		if !out.send(b, e.ictx.Done(), &p.txWait) {
-			return false
-		}
-		p.out.Add(int64(len(b)))
-		return true
-	}
 }
 
 // tokOutcome is the fate of one iteration at one stage.
@@ -980,373 +823,111 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// retire merges a finished batch's events into the trace in iteration
-// order and recycles the whole batch. Only the (single) sink goroutine
-// calls it, so the trace append is single-writer.
-func (e *engine) retire(b []*token, lc *laneCtx) {
+// retire is the sink out-port: it merges a finished batch's events into
+// the sink's trace in iteration order and recycles the whole batch. Each
+// sink goroutine writes only its own buffer — the engine's trace at a
+// single sink, the replica's collector (keyed by iteration, for the
+// post-join k-way merge) under a sharded final segment.
+func (e *engine) retire(b []*token, o *outPort) {
 	var alive int64
 	for _, t := range b {
 		if t.dead {
 			continue
 		}
-		e.appendTrace(t.ctx.Events)
-		alive++
-	}
-	e.live.packets.Add(alive)
-	lc.probe.out.Add(alive)
-	e.recycleBatch(b)
-}
-
-// retireSharded is retire for one replica of a sharded sink: events land
-// in the replica's own collector, keyed by iteration, for the post-join
-// k-way merge.
-func (e *engine) retireSharded(b []*token, col *sinkCollector, lc *laneCtx) {
-	var alive int64
-	for _, t := range b {
-		if t.dead {
-			continue
-		}
-		col.add(t.iter, t.ctx.Events)
-		alive++
-	}
-	e.live.packets.Add(alive)
-	lc.probe.out.Add(alive)
-	e.recycleBatch(b)
-}
-
-// head is the stage-1 goroutine of an undispatched run (stage 0
-// unreplicated): it paces the pipeline by pulling one packet per iteration
-// from the Source, executes the first stage — plus any stages fused onto
-// it, via runSegs — and forwards batches downstream (or retires them
-// directly when the unit reaches the sink). Poisoned packets are
-// quarantined here, before a token is even built; the head's In counter
-// tallies every packet pulled from the source, which is the total the
-// FaultReport accounting is reconciled against. When a later cut scatters,
-// the head also stamps each token's lane from the flow hash.
-func (e *engine) head(segs []*laneCtx) {
-	lc := segs[0]
-	tail := segs[len(segs)-1]
-	p := lc.probe
-	out := e.outFor(tail)
-	if out != nil {
-		defer out.close()
-	}
-	sharded := e.plan.sharded()
-	var iter int64
-	for {
-		select {
-		case <-e.ictx.Done():
-			return
-		default:
-		}
-		// Pull and execute up to one batch of iterations.
-		b := e.getBatch()
-		srcDone := false
-		firstIter := iter
-		t0 := time.Now()
-		for len(b) < e.cfg.Batch {
-			pkt, ok := e.src.Next()
-			if !ok {
-				srcDone = true
-				break
-			}
-			i := iter
-			iter++
-			p.in.Add(1)
-			if e.inj != nil {
-				if bad, poisoned := e.inj.AtSource(i, pkt); poisoned {
-					p.quarantined.Add(1)
-					e.record(lc.recIdx, FaultRecord{Iter: i, Stage: 1, Disposition: "quarantined",
-						Reason: fmt.Sprintf("%v: %d malformed bytes at source", errs.ErrPoisonPacket, len(bad))})
-					continue
-				}
-			}
-			t := e.takeToken()
-			t.iter = i
-			t.ctx.Pending, t.ctx.HasPending = pkt, true
-			if sharded {
-				// Before the stage body: it may rewrite packet bytes.
-				t.shard = int32(shardOf(e.shardKey(pkt), e.plan.p))
-			}
-			switch e.runToken(lc, t) {
-			case tokOK:
-				b = append(b, t)
-			case tokQuarantined, tokDead:
-				// tomb is never set at an unreplicated head (needTomb
-				// covers replicated stages only), so tokDead is unreachable
-				// here; quarantines just drop.
-				continue
-			case tokFatal:
-				p.busyNs.Add(int64(time.Since(t0)))
-				return
-			}
-		}
-		busy := time.Since(t0)
-		p.busyNs.Add(int64(busy))
-		if len(b) > 0 {
-			if e.timed {
-				e.span(1, firstIter, len(b), obsv.PhaseExec, t0, busy)
-				e.fillHist[0].Observe(int64(len(b)))
-			}
-			if !e.runSegs(segs, &b) {
-				return
-			}
-		}
-		if len(b) > 0 {
-			if out == nil {
-				e.retire(b, tail)
-			} else if !out.send(e, b, tail) {
-				return
-			}
+		if o.col != nil {
+			o.col.add(t.iter, t.ctx.Events)
 		} else {
-			e.putBatch(b)
+			e.trace.append(t.ctx.Events)
 		}
-		if srcDone {
-			return
-		}
+		alive++
 	}
+	e.live.packets.Add(alive)
+	o.lc.probe.out.Add(alive)
+	e.recycleBatch(b)
 }
 
-// dispatch is the source goroutine of a run whose first stage is
-// replicated: it pulls packets, assigns iteration indices, quarantines
-// poisons, stamps each token's lane from the flow hash, and forwards
-// per-lane batches into the head rings — recording the lane sequence for
-// the paired fan-in when one exists. It is lossless (pure backpressure):
-// the overload policies act at the inter-stage rings.
-func (e *engine) dispatch() {
-	lc := e.dispLane()
-	p := lc.probe
-	P := e.plan.reps[0]
-	var sq *seqStream
-	if e.plan.dispSeq >= 0 {
-		sq = e.seqs[e.plan.dispSeq]
-	}
-	pend := make([][]*token, P)
-	for j := range pend {
-		pend[j] = e.getBatch()
-	}
-	var iter int64
-loop:
-	for {
-		select {
-		case <-e.ictx.Done():
-			break loop
-		default:
-		}
-		pkt, ok := e.src.Next()
-		if !ok {
-			// Source drained: flush the partial lane batches in one last
-			// sequenced round.
-			if sq != nil {
-				sq.flush()
-			}
-			for j := range pend {
-				if len(pend[j]) == 0 {
-					e.putBatch(pend[j])
-					continue
-				}
-				if !e.dispFlush(pend, j, p) {
-					break loop
-				}
-				pend[j] = nil
-			}
-			break loop
-		}
-		i := iter
-		iter++
-		p.in.Add(1)
-		if e.inj != nil {
-			if bad, poisoned := e.inj.AtSource(i, pkt); poisoned {
-				// Dropped before sequencing, so no tombstone is needed.
-				p.quarantined.Add(1)
-				e.record(lc.recIdx, FaultRecord{Iter: i, Stage: 1, Disposition: "quarantined",
-					Reason: fmt.Sprintf("%v: %d malformed bytes at source", errs.ErrPoisonPacket, len(bad))})
-				continue
-			}
-		}
-		t := e.takeToken()
-		t.iter = i
-		t.ctx.Pending, t.ctx.HasPending = pkt, true
-		lane := shardOf(e.shardKey(pkt), P)
-		t.shard = int32(lane)
-		if sq != nil {
-			sq.add(lane)
-		}
-		pend[lane] = append(pend[lane], t)
-		if len(pend[lane]) >= e.cfg.Batch {
-			if sq != nil {
-				sq.flush()
-			}
-			if !e.dispFlush(pend, lane, p) {
-				break loop
-			}
-			pend[lane] = e.getBatch()
-		}
-	}
-	for _, r := range e.headRing {
-		r.close()
-	}
-	if sq != nil {
-		sq.close()
-	}
-}
-
-// dispLane is the dispatcher's lane view: the extra probe and record
-// buffer past the per-replica ones. It never executes a stage body.
-func (e *engine) dispLane() *laneCtx {
-	return &laneCtx{s: 0, probe: e.live.disp, inj: e.inj, recIdx: len(e.live.probes)}
-}
-
-// dispFlush delivers pend[lane] into its head ring. When the ring is
-// full, it repeatedly try-flushes every other pending lane while waiting:
-// the fan-in downstream consumes lanes in dispatch order, so a starved
-// lane's partial batch must be able to leave even while the dispatcher is
-// parked on a saturated one — the cross-lane deadlock guard.
-func (e *engine) dispFlush(pend [][]*token, lane int, p *stageProbe) bool {
-	if e.trySend(e.headRing[lane], pend[lane], p) {
-		return true
-	}
-	p.stalls.Add(1)
-	for {
-		for j := range pend {
-			if j == lane || len(pend[j]) == 0 {
-				continue
-			}
-			if e.trySend(e.headRing[j], pend[j], p) {
-				pend[j] = e.getBatch()
-			}
-		}
-		sent, canceled := e.headRing[lane].sendTick(pend[lane], e.ictx.Done(), &p.txWait)
-		if sent {
-			p.out.Add(int64(len(pend[lane])))
-			return true
-		}
-		if canceled {
-			return false
-		}
-	}
-}
-
-// stageLoop is the goroutine of one replica of a non-source unit (and of
-// the source unit's replicas, fed by the dispatcher): receive a batch —
-// from the head ring, the private lane ring, or the fan-in merger — run
-// each live iteration with the live-set slots its predecessor packed,
-// drive it through any stages fused onto this one (runSegs), and forward
-// (or retire, at the sink). Degraded and tombstoned tokens pass through
-// without executing; quarantined tokens are compacted out of the batch
-// (or tombstoned, when a fan-in is downstream).
-func (e *engine) stageLoop(segs []*laneCtx) {
-	lc := segs[0]
-	tail := segs[len(segs)-1]
-	s := lc.s
-	p := lc.probe
-	var in ring
-	var mg *merger
-	switch {
-	case s == 0:
-		in = e.headRing[lc.j]
-	case e.plan.faninSeq[s-1] >= 0:
-		mg = e.newMerger(s-1, lc)
-	default:
-		in = e.rings[s-1][lc.j]
-	}
-	out := e.outFor(tail)
-	if out != nil {
-		defer out.close()
-	}
-	var col *sinkCollector
-	if out == nil && e.cols != nil {
-		col = e.cols[tail.j]
-	}
+// runUnit is the one loop every serve goroutine runs: receive a batch,
+// drive it stage-major through the unit's segments, send what survived.
+// The wait for the batch — on the Source at the head, on a ring or the
+// merger elsewhere — is booked as the receiving stage's wait span, keyed
+// by the batch's first iteration like every other span of that batch (so a
+// batch's reconstructed latency window opens at its first pull). The
+// dispatcher has no stage to book to, and its pulled batches are re-split
+// by lane, so it records none.
+func (e *engine) runUnit(u *unit) {
+	defer u.out.close(e)
 	for {
 		var wStart time.Time
 		if e.timed {
 			wStart = time.Now()
 		}
-		var b []*token
-		last := false
-		if mg != nil {
-			var more bool
-			b, more = mg.nextBatch(e.cfg.Batch)
-			last = !more
-		} else {
-			// Fast path first: a waiting batch costs no clock reads. The
-			// blocking path splits its wait into the probe's spin/park
-			// columns.
-			var ok, ready bool
-			b, ok, ready = in.tryRecv()
-			if !ready {
-				var canceled bool
-				b, ok, canceled = in.recv(e.ictx.Done(), &p.rxWait)
-				if canceled {
-					return
-				}
-			}
-			if !ok {
-				return
-			}
-			p.occSum.Add(int64(in.len()))
-			p.occSamples.Add(1)
-		}
-		if len(b) == 0 {
-			e.putBatch(b)
-			if last {
-				return
-			}
-			continue
-		}
-		if e.timed {
+		b, more := u.in.recv(e)
+		if e.timed && len(b) > 0 && len(u.segs) > 0 {
+			s := u.segs[0].s
 			wait := time.Since(wStart)
 			e.span(s+1, b[0].iter, len(b), obsv.PhaseWait, wStart, wait)
-			if h := e.waitHist[s]; h != nil {
-				h.Observe(wait.Microseconds())
-			}
-			e.fillHist[s].Observe(int64(len(b)))
+			e.waitHist[s].Observe(wait.Microseconds())
 		}
-		p.in.Add(int64(len(b)))
-		firstIter := b[0].iter
-		n := len(b)
-		t0 := time.Now()
-		keep := b[:0]
-		for _, t := range b {
-			if t.dead || (t.degradedAt > 0 && s+1 >= int(t.degradedAt)) {
-				keep = append(keep, t)
-				continue
+		for i, lc := range u.segs {
+			if len(b) == 0 {
+				break
 			}
-			switch e.runToken(lc, t) {
-			case tokOK, tokDead:
-				keep = append(keep, t)
-			case tokQuarantined:
-			case tokFatal:
-				p.busyNs.Add(int64(time.Since(t0)))
+			if i > 0 {
+				// A fused cut: no ring, no port — the handoff is the token's
+				// own slot buffer, and both sides' counters settle here.
+				u.segs[i-1].probe.out.Add(int64(len(b)))
+				lc.probe.in.Add(int64(len(b)))
+			}
+			var ok bool
+			if b, ok = e.execBatch(lc, b); !ok {
 				return
 			}
 		}
-		b = keep
-		busy := time.Since(t0)
-		p.busyNs.Add(int64(busy))
-		if e.timed {
-			e.span(s+1, firstIter, n, obsv.PhaseExec, t0, busy)
-		}
-		if !e.runSegs(segs, &b) {
-			return
-		}
-		switch {
-		case len(b) == 0:
+		if len(b) > 0 {
+			if !u.out.send(e, b) {
+				return
+			}
+		} else if b != nil {
 			e.putBatch(b)
-		case out != nil:
-			if !out.send(e, b, tail) {
-				return
-			}
-		case col != nil:
-			e.retireSharded(b, col, tail)
-		default:
-			e.retire(b, tail)
 		}
-		if last {
+		if !more {
 			return
 		}
 	}
+}
+
+// execBatch runs one batch through one stage: the whole batch executes at
+// lc before the unit moves to its next segment, so each stage's busy time,
+// counters, and fault attribution stay exact whether or not a ring
+// separates it from its neighbors. Quarantined tokens compact out of the
+// batch (or stay as tombstones, when a fan-in is downstream); degraded and
+// tombstoned tokens pass through without executing. ok is false when a
+// fatal error aborted the run.
+func (e *engine) execBatch(lc *laneCtx, b []*token) (keep []*token, ok bool) {
+	firstIter, n := b[0].iter, len(b)
+	t0 := time.Now()
+	keep = b[:0]
+	for _, t := range b {
+		if t.dead || (t.degradedAt > 0 && lc.s+1 >= int(t.degradedAt)) {
+			keep = append(keep, t)
+			continue
+		}
+		switch e.runToken(lc, t) {
+		case tokOK, tokDead:
+			keep = append(keep, t)
+		case tokQuarantined:
+		case tokFatal:
+			lc.probe.busyNs.Add(int64(time.Since(t0)))
+			return nil, false
+		}
+	}
+	busy := time.Since(t0)
+	lc.probe.busyNs.Add(int64(busy))
+	if e.timed {
+		e.span(lc.s+1, firstIter, n, obsv.PhaseExec, t0, busy)
+		e.fillHist[lc.s].Observe(int64(n))
+	}
+	return keep, true
 }
 
 // histogram bucket bounds the registry mirror uses: batch fill in
@@ -1438,7 +1019,7 @@ func (e *engine) logLoop(stop <-chan struct{}) {
 }
 
 // Serve runs the partitioned stages concurrently — one goroutine per
-// stage replica, bounded rings between neighbors — against the packet
+// unit replica, bounded rings between neighbors — against the packet
 // stream of src, with world supplying route tables and persistent state.
 // It returns when the source is exhausted and the pipeline has drained,
 // or when ctx is canceled (in-flight iterations are then discarded; the
@@ -1453,10 +1034,23 @@ func (e *engine) logLoop(stop <-chan struct{}) {
 // oracle paths.
 //
 // Each goroutine runs under a pprof label ("stage" = its 1-based index,
-// plus "lane" for replicas), so CPU profiles attribute samples per stage;
-// cfg.Obs attaches the rest of the observability layer and cfg.OnLive
-// exposes the live counter probes for mid-run snapshots.
+// "2+3" for a fused unit, plus "lane" for replicas), so CPU profiles
+// attribute samples per stage; cfg.Obs attaches the rest of the
+// observability layer and cfg.OnLive exposes the live counter probes for
+// mid-run snapshots.
 func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src Source, cfg Config) (*Metrics, error) {
+	e, err := build(stages, world, src, cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.run(ctx)
+	return e.finish(ctx, world)
+}
+
+// build validates the inputs, lays out the shard plan, and wires the whole
+// run — runners, rings, probes, units — without starting anything: the
+// returned engine is the realized topology as a value.
+func build(stages []*ir.Program, world *interp.World, src Source, cfg Config) (*engine, error) {
 	if err := Validate(stages); err != nil {
 		return nil, err
 	}
@@ -1466,11 +1060,10 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 	if src == nil {
 		return nil, errs.ErrNilSource
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-
 	D := len(stages)
 	if err := cfg.Faults.Validate(D); err != nil {
 		return nil, err
@@ -1481,91 +1074,148 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 		return nil, fmt.Errorf("%w: the shed policy cannot drop tokens upstream of a sharded fan-in; use block or degrade, or serve unsharded",
 			errs.ErrConflictingOptions)
 	}
-	runners := newShardRunners(cfg.Backend, stages, world, plan, shapes, cfg.Store)
-
-	ictx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	if b, ok := src.(ContextBinder); ok {
-		// I/O-backed sources block in reads; binding the run's internal
-		// context lets cancelation (external or error teardown) unblock
-		// them instead of stranding the head goroutine in a syscall.
-		b.BindContext(ictx)
-	}
-	start := time.Now()
 	hasDisp := plan.reps[0] > 1
-	key := cfg.ShardKey
-	if key == nil {
-		key = DefaultShardKey
-	}
 	e := &engine{
-		ictx:     ictx,
-		cancel:   cancel,
 		cfg:      cfg,
 		src:      src,
 		plan:     plan,
-		fused:    effectiveFusion(cfg.FuseCuts, plan, D),
-		runners:  runners,
-		rings:    make([][]ring, D-1),
-		m:        &Metrics{},
+		fused:    effectiveFusion(cfg.FuseCuts, plan),
+		runners:  newShardRunners(cfg.Backend, stages, world, plan, shapes, cfg.Store),
+		rings:    make([][]*tokRing, D-1),
+		seqs:     make([]*seqStream, plan.nSeqs),
 		inj:      fault.NewInjector(cfg.Faults, D),
-		shardKey: key,
-		live:     newLive(plan.reps, hasDisp, plan.width(), start),
+		injs:     make([]*fault.Injector, plan.width()),
+		shardKey: cfg.ShardKey,
+		live:     newLive(plan.reps, hasDisp, plan.width()),
+	}
+	if e.shardKey == nil {
+		e.shardKey = DefaultShardKey
 	}
 	e.live.ingest = cfg.Ingest
 	e.recs = make([][]FaultRecord, len(e.live.probes)+1)
-	e.injs = make([]*fault.Injector, plan.width())
 	e.injs[0] = e.inj
 	for j := 1; j < len(e.injs); j++ {
 		e.injs[j] = e.inj.Lane()
 	}
-	e.wireObservability(D)
-	e.tokPool.New = func() any { return &token{ctx: interp.NewIterCtx()} }
-	e.batchPool.New = func() any { return make([]*token, 0, cfg.Batch) }
+	e.tokPool, e.batchPool = newPools(cfg.Batch)
 	// The batch free list is a ring like any cut when exactly one sink
 	// goroutine recycles into it; a sharded sink has P recycling
 	// producers, which breaks the SPSC contract, so it falls back to a
-	// multi-producer channel there (and under RingChan uses the channel
-	// unconditionally — the oracle configuration stays all-channel).
+	// multi-producer channel there.
 	freeCap := 4 + plan.width()*(cfg.RingCapacity+2)
-	if cfg.Ring == RingSPSC && plan.reps[D-1] == 1 {
-		e.freeBatches = spscRing{r: spsc.New[[]*token](freeCap, spsc.DefaultStrategy())}
+	if plan.reps[D-1] == 1 {
+		e.freeBatches = spsc.New[[]*token](freeCap, spsc.DefaultStrategy())
 	} else {
 		e.freeBatchesMP = make(chan []*token, freeCap)
-	}
-	for k := range e.rings {
-		if e.fused[k] {
-			// A fused cut has no ring: its stages share a goroutine and
-			// hand the live set over inside the token.
-			continue
-		}
-		e.rings[k] = make([]ring, plan.lanes(k))
-		for j := range e.rings[k] {
-			e.rings[k][j] = e.newRing()
-		}
-	}
-	if hasDisp {
-		e.headRing = make([]ring, plan.reps[0])
-		for j := range e.headRing {
-			e.headRing[j] = e.newRing()
-		}
-	}
-	e.seqs = make([]*seqStream, plan.nSeqs)
-	for i := range e.seqs {
-		e.seqs[i] = newSeqStream()
-	}
-	if plan.reps[D-1] > 1 {
 		e.cols = make([]*sinkCollector, plan.reps[D-1])
 		for j := range e.cols {
 			e.cols[j] = &sinkCollector{}
 		}
 	}
-	if cfg.OnLive != nil {
-		cfg.OnLive(e.live)
+	for k := range e.rings {
+		// A fused cut has no ring: its stages share a goroutine and hand
+		// the live set over inside the token.
+		if !e.fused[k] {
+			e.rings[k] = e.newRings(plan.lanes(k))
+		}
 	}
+	for i := range e.seqs {
+		e.seqs[i] = newSeqStream()
+	}
+	if hasDisp {
+		e.headRing = e.newRings(plan.reps[0])
+		e.units = append(e.units, e.dispatcher())
+	}
+	// One goroutine per *unit* replica: a unit is a maximal run of stages
+	// joined by fused cuts (a single stage when nothing fuses).
+	for s := 0; s < D; {
+		end := e.unitEnd(s)
+		for j := 0; j < plan.reps[s]; j++ {
+			e.units = append(e.units, e.newUnit(s, end, j))
+		}
+		s = end + 1
+	}
+	return e, nil
+}
 
+// dispatcher builds the source unit of a run whose first stage is
+// replicated: the source in-port pulls and stamps lanes, no segment
+// executes, and the lane feed delivers per-lane batches into the head
+// rings. Its lane view is the extra probe and record buffer past the
+// per-replica ones.
+func (e *engine) dispatcher() *unit {
+	lc := &laneCtx{probe: e.live.disp, inj: e.inj, recIdx: len(e.live.probes)}
+	lf := &laneFeed{rings: e.headRing, pend: make([][]*token, len(e.headRing)), probe: lc.probe}
+	if e.plan.dispSeq >= 0 {
+		lf.sq = e.seqs[e.plan.dispSeq]
+	}
+	return &unit{
+		in:     inPort{kind: portSource, lc: lc},
+		out:    outPort{kind: portLanes, lc: lc, lanes: lf},
+		labels: pprof.Labels("stage", "dispatch"),
+	}
+}
+
+// newUnit wires replica j of the unit running stages s..end: its segments
+// (fusion requires aligned replica widths across the unit, so one j
+// indexes every segment) and the ports the shard plan puts at its two
+// ends.
+func (e *engine) newUnit(s, end, j int) *unit {
+	u := &unit{labels: pprof.Labels("stage", unitLabel(s, end))}
+	if e.plan.reps[s] > 1 {
+		u.labels = pprof.Labels("stage", unitLabel(s, end), "lane", strconv.Itoa(j))
+	}
+	for k := s; k <= end; k++ {
+		u.segs = append(u.segs, e.lane(k, j))
+	}
+	head, tail := u.segs[0], u.segs[len(u.segs)-1]
+	switch {
+	case s == 0 && e.headRing == nil:
+		u.in = inPort{kind: portSource, lc: head}
+	case s == 0:
+		u.in = inPort{kind: portRing, lc: head, ring: e.headRing[j]}
+	case e.plan.faninSeq[s-1] >= 0:
+		u.in = inPort{kind: portMerge, lc: head, mg: e.newMerger(s-1, head)}
+	default:
+		u.in = inPort{kind: portRing, lc: head, ring: e.rings[s-1][j]}
+	}
+	switch {
+	case end == len(e.runners)-1:
+		u.out = outPort{kind: portSink, lc: tail}
+		if e.cols != nil {
+			u.out.col = e.cols[j]
+		}
+	case e.plan.reps[end+1] > e.plan.reps[end]:
+		var sq *seqStream
+		if e.plan.seqFor[end] >= 0 {
+			sq = e.seqs[e.plan.seqFor[end]]
+		}
+		u.out = outPort{kind: portScatter, lc: tail, sc: newScatterer(e.rings[end], sq)}
+	default:
+		u.out = outPort{kind: portRing, lc: tail, ring: e.rings[end][j]}
+	}
+	return u
+}
+
+// run starts the clock, attaches the instruments, runs every unit to
+// completion on its own goroutine, and freezes the elapsed time.
+func (e *engine) run(ctx context.Context) {
+	e.ictx, e.cancel = context.WithCancel(ctx)
+	defer e.cancel()
+	if b, ok := e.src.(ContextBinder); ok {
+		// I/O-backed sources block in reads; binding the run's internal
+		// context lets cancelation (external or error teardown) unblock
+		// them instead of stranding the source goroutine in a syscall.
+		b.BindContext(e.ictx)
+	}
+	e.live.start = time.Now()
+	e.wireObservability(len(e.runners))
+	if e.cfg.OnLive != nil {
+		e.cfg.OnLive(e.live)
+	}
 	var logWg sync.WaitGroup
 	var logStop chan struct{}
-	if cfg.Obs != nil && cfg.Obs.LogEvery > 0 {
+	if e.cfg.Obs != nil && e.cfg.Obs.LogEvery > 0 {
 		logStop = make(chan struct{})
 		logWg.Add(1)
 		go func() {
@@ -1573,76 +1223,50 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 			e.logLoop(logStop)
 		}()
 	}
-
 	var wg sync.WaitGroup
-	if hasDisp {
+	for _, u := range e.units {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pprof.Do(ictx, pprof.Labels("stage", "dispatch"), func(context.Context) { e.dispatch() })
+			pprof.Do(e.ictx, u.labels, func(context.Context) { e.runUnit(u) })
 		}()
 	}
-	// One goroutine per *unit* replica: a unit is a maximal run of stages
-	// joined by fused cuts (a single stage when nothing fuses).
-	for s := 0; s < D; {
-		end := e.unitEnd(s)
-		if s == 0 && !hasDisp {
-			wg.Add(1)
-			segs := e.unitSegs(0, end, 0)
-			go func() {
-				defer wg.Done()
-				pprof.Do(ictx, pprof.Labels("stage", unitLabel(0, end)), func(context.Context) { e.head(segs) })
-			}()
-			s = end + 1
-			continue
-		}
-		for j := 0; j < plan.reps[s]; j++ {
-			segs := e.unitSegs(s, end, j)
-			lbl := pprof.Labels("stage", unitLabel(s, end))
-			if plan.reps[s] > 1 {
-				lbl = pprof.Labels("stage", unitLabel(s, end), "lane", strconv.Itoa(j))
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pprof.Do(ictx, lbl, func(context.Context) { e.stageLoop(segs) })
-			}()
-		}
-		s = end + 1
-	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	e.live.finish(elapsed)
+	e.live.finish(time.Since(e.live.start))
 	if logStop != nil {
 		close(logStop)
 		logWg.Wait()
 	}
+}
 
-	// Freeze the final Metrics from the probes, then reconcile the fault
-	// ledger (both happen strictly after the stage goroutines joined).
+// finish freezes the final Metrics from the probes, assembles the trace,
+// reconciles the fault ledger (all strictly after the unit goroutines
+// joined), and publishes the trace to the world on a clean completion.
+func (e *engine) finish(ctx context.Context, world *interp.World) (*Metrics, error) {
+	m := &Metrics{
+		Packets: e.live.packets.Load(),
+		Elapsed: time.Duration(e.live.elapsedNs.Load()),
+		Shards:  e.plan.width(),
+		Stages:  make([]StageStats, len(e.runners)),
+	}
 	if e.cols != nil {
-		e.m.Trace = mergeShardTraces(e.cols)
+		m.Trace = mergeShardTraces(e.cols)
 	} else {
-		e.m.Trace = e.assembleTrace()
+		m.Trace = e.trace.assemble()
 	}
-	e.m.Elapsed = elapsed
-	e.m.Packets = e.live.packets.Load()
-	e.m.Shards = plan.width()
-	e.m.Stages = make([]StageStats, D)
-	for k := range e.m.Stages {
-		e.m.Stages[k] = e.live.stageStats(k)
+	for k := range m.Stages {
+		m.Stages[k] = e.live.stageStats(k)
 	}
-	e.m.Faults = e.faultReport()
-	if cfg.Ingest != nil {
-		v := cfg.Ingest()
-		e.m.Ingest = &v
+	m.Faults = e.faultReport(m)
+	if e.cfg.Ingest != nil {
+		v := e.cfg.Ingest()
+		m.Ingest = &v
 	}
-
 	if e.firstErr != nil {
 		return nil, e.firstErr
 	}
 	if err := ctx.Err(); err != nil {
-		return e.m, err
+		return m, err
 	}
 	// Publish the run's trace under the oracle-path convention. An empty
 	// world trace (the overwhelmingly common case) adopts the metrics
@@ -1652,11 +1276,11 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 	// slice expression pins capacity so a later append to either alias
 	// reallocates rather than clobbering the other.
 	if len(world.Trace) == 0 {
-		world.Trace = e.m.Trace[:len(e.m.Trace):len(e.m.Trace)]
+		world.Trace = m.Trace[:len(m.Trace):len(m.Trace)]
 	} else {
-		world.Trace = append(world.Trace, e.m.Trace...)
+		world.Trace = append(world.Trace, m.Trace...)
 	}
-	return e.m, nil
+	return m, nil
 }
 
 // newShardRunners builds the per-replica stage runners on the selected
@@ -1700,10 +1324,10 @@ func newShardRunners(b Backend, stages []*ir.Program, world *interp.World, plan 
 // faultReport flushes the per-lane quarantine/shed accounting into one
 // report, after the final join — the drain path runs it on cancellation
 // too, so partially-served runs still account for every fault they took.
-func (e *engine) faultReport() *FaultReport {
-	rep := &FaultReport{Delivered: e.m.Packets}
-	for k := range e.m.Stages {
-		s := &e.m.Stages[k]
+func (e *engine) faultReport(m *Metrics) *FaultReport {
+	rep := &FaultReport{Delivered: m.Packets}
+	for k := range m.Stages {
+		s := &m.Stages[k]
 		rep.Degraded += s.Degraded
 		rep.Shed += s.Shed
 		rep.Quarantined += s.Quarantined

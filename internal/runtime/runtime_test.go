@@ -5,14 +5,17 @@ import (
 	"errors"
 	"fmt"
 	gort "runtime"
+	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/netbench"
+	"repro/internal/obsv"
 	"repro/internal/runtime"
 )
 
@@ -243,5 +246,105 @@ func TestServeSourceExhaustionDrains(t *testing.T) {
 	}
 	if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
 		t.Fatal(diff)
+	}
+}
+
+// traceOnlySrc is a one-stage-able PPS whose observable output is trace
+// events only (no sends), so its trace is nothing but the Event array.
+const traceOnlySrc = `
+pps TraceOnly {
+	loop {
+		var len = pkt_rx();
+		trace(len);
+		trace(pkt_byte(0));
+		trace(pkt_byte(1));
+		trace(pkt_byte(2));
+	}
+}`
+
+// TestServeReleasesEngine: once Serve has returned, one collection must
+// leave little more than the returned trace on the heap. The engine — the
+// chunked second copy of the trace, the tokens, the runners — used to stay
+// reachable for two more GC cycles through sync's pool registry, because
+// the pools were embedded in it; the adaptive loop calls Serve once per
+// round, so that was a full extra trace resident per round. The collector
+// is held off while Serve runs so the pools are certainly still registered
+// when it returns, whatever the host's GC pacing.
+func TestServeReleasesEngine(t *testing.T) {
+	const n = 100_000
+	prog := mustCompile(t, traceOnlySrc)
+	res, err := core.Partition(prog, core.Options{Stages: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic := ipv4Traffic(64)
+	var before, after gort.MemStats
+	for i := 0; i < 3; i++ {
+		gort.GC()
+	}
+	gort.ReadMemStats(&before)
+	gcPercent := debug.SetGCPercent(-1)
+	m, err := runtime.Serve(context.Background(), res.Stages, interp.NewWorld(nil),
+		runtime.Repeat(traffic, n), runtime.Config{Batch: 32})
+	debug.SetGCPercent(gcPercent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gort.GC()
+	gort.ReadMemStats(&after)
+	traceBytes := int64(len(m.Trace)) * int64(unsafe.Sizeof(interp.Event{}))
+	if traceBytes < n*4*24 {
+		t.Fatalf("trace holds %d bytes, expected four events per packet", traceBytes)
+	}
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if growth > traceBytes*3/2 {
+		t.Errorf("heap grew %d bytes across Serve + one GC, more than 1.5x the trace's own %d bytes: the engine is still pinned",
+			growth, traceBytes)
+	}
+	gort.KeepAlive(m)
+}
+
+// TestPacedSourceNotBookedAsExec: time the head spends blocked on the
+// Source is its wait, not stage 1's work. With a source that sleeps before
+// every packet, stage 1's busy time per packet must stay far below the
+// inter-arrival gap (it used to include it, feeding idle arrival gaps to
+// the autotuner's calibration as stage-1 cost), the gap must show up as
+// stage-1 wait spans instead, and RxWait must stay a pure ring-wait
+// column.
+func TestPacedSourceNotBookedAsExec(t *testing.T) {
+	const n, gap = 64, 500 * time.Microsecond
+	_, stages := partitionIPv4(t, 2)
+	traffic := ipv4Traffic(n)
+	i := 0
+	src := runtime.SourceFunc(func() ([]byte, bool) {
+		if i == n {
+			return nil, false
+		}
+		time.Sleep(gap)
+		i++
+		return traffic[i-1], true
+	})
+	tr := obsv.NewTracer(0)
+	cfg := runtime.Config{Batch: 8, Obs: &obsv.Observer{Tracer: tr}}
+	m, err := runtime.Serve(context.Background(), stages, netbench.NewWorld(nil), src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := m.Stages[0]
+	if head.In != n {
+		t.Fatalf("head pulled %d packets, want %d", head.In, n)
+	}
+	if perPkt := head.Busy / n; perPkt > gap/4 {
+		t.Errorf("stage 1 busy %v per packet under a %v arrival gap: the source pull is booked as work", perPkt, gap)
+	}
+	if head.RxWait != 0 {
+		t.Errorf("head RxWait = %v, want 0 (no inbound ring; SpinWait+ParkWait must equal TxWait+RxWait)", head.RxWait)
+	}
+	totals := obsv.PhaseTotals(tr.Spans())
+	if wait := totals[1][obsv.PhaseWait]; wait < n*gap/2 {
+		t.Errorf("stage 1 wait spans total %v, want about %v of source pull", wait, n*gap)
+	}
+	if exec := totals[1][obsv.PhaseExec]; exec > n*gap/4 {
+		t.Errorf("stage 1 exec spans total %v: still include the source pull", exec)
 	}
 }

@@ -8,6 +8,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -174,6 +175,91 @@ func TestNewShardPlanJunctions(t *testing.T) {
 	}
 	if pl := newShardPlan(qmish, 1, true); pl.sharded() || pl.hasFanin() {
 		t.Errorf("P=1 plan must be unsharded, got reps=%v", pl.reps)
+	}
+}
+
+// TestBuildUnits pins the realized topology as build returns it, before
+// anything runs: for each plan shape, which units exist — one goroutine
+// each — and for every unit its in-port kind, the 1-based stages it
+// executes, and its out-port kind. Every serve goroutine is one unit
+// loop, so this table is the whole wiring: the head is a source in-port,
+// D=1 and the fully fused pipeline are source -> all segments -> sink,
+// the dispatcher is a source in-port with no segments, and scatters,
+// fan-ins and sharded sinks appear exactly where the shard plan puts them.
+func TestBuildUnits(t *testing.T) {
+	kinds := map[portKind]string{portSource: "source", portRing: "ring", portMerge: "merge",
+		portScatter: "scatter", portLanes: "lanes", portSink: "sink"}
+	x4 := func(u string) []string { return []string{u, u, u, u} }
+	cat := func(parts ...[]string) (out []string) {
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		app    string
+		d, p   int
+		fuse   []bool
+		want   []string
+		sinkMP bool // sharded sink: per-replica collectors, multi-producer free list
+	}{
+		{name: "D=1", app: "IPv4", d: 1, want: []string{"source[1]sink"}},
+		{name: "D=3 ringed", app: "IPv4", d: 3,
+			want: []string{"source[1]ring", "ring[2]ring", "ring[3]sink"}},
+		{name: "D=3 fully fused", app: "IPv4", d: 3, fuse: []bool{true, true},
+			want: []string{"source[1-3]sink"}},
+		{name: "D=3 head unit fused", app: "IPv4", d: 3, fuse: []bool{true, false},
+			want: []string{"source[1-2]ring", "ring[3]sink"}},
+		{name: "dispatcher + sharded sink", app: "IPv4", d: 2, p: 4, sinkMP: true,
+			want: cat([]string{"source[]lanes"}, x4("ring[1]ring"), x4("ring[2]sink")),
+		},
+		{name: "dispatcher + sharded sink, fused lanes", app: "IPv4", d: 2, p: 4, fuse: []bool{true}, sinkMP: true,
+			want: cat([]string{"source[]lanes"}, x4("ring[1-2]sink")),
+		},
+		// Every QM cut is a junction, so the all-true fuse request fuses nothing.
+		{name: "mid-pipeline scatter + fan-in", app: "QM", d: 4, p: 4, fuse: []bool{true, true, true},
+			want: cat([]string{"source[]lanes"}, x4("ring[1]ring"), []string{"merge[2]scatter"},
+				x4("ring[3]ring"), []string{"merge[4]sink"}),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pps, _ := netbench.ByName(tc.app)
+			prog, err := pps.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Partition(prog, core.Options{Stages: tc.d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := build(res.Stages, netbench.NewWorld(nil), Packets(nil),
+				Config{Shards: tc.p, FuseCuts: tc.fuse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, u := range e.units {
+				stages := ""
+				if n := len(u.segs); n > 0 {
+					stages = fmt.Sprint(u.segs[0].s + 1)
+					if n > 1 {
+						stages += fmt.Sprint("-", u.segs[n-1].s+1)
+					}
+				}
+				got = append(got, fmt.Sprintf("%s[%s]%s", kinds[u.in.kind], stages, kinds[u.out.kind]))
+				if u.out.kind == portSink && (u.out.col != nil) != tc.sinkMP {
+					t.Errorf("unit %s: sink collector present = %v, want %v", got[len(got)-1], u.out.col != nil, tc.sinkMP)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("built %d goroutines %v\nwant  %d goroutines %v", len(got), got, len(tc.want), tc.want)
+			}
+			if (e.freeBatchesMP != nil) != tc.sinkMP || (e.freeBatches != nil) == tc.sinkMP {
+				t.Errorf("free list: ring=%v chan=%v, want the %s", e.freeBatches != nil, e.freeBatchesMP != nil,
+					map[bool]string{false: "SPSC ring (single sink)", true: "multi-producer channel (sharded sink)"}[tc.sinkMP])
+			}
+		})
 	}
 }
 

@@ -75,15 +75,15 @@ type Live struct {
 }
 
 // newLive builds the probe set for a run with the given per-stage replica
-// counts.
-func newLive(reps []int, dispatched bool, shards int, start time.Time) *Live {
+// counts; the run stamps start when its clock starts.
+func newLive(reps []int, dispatched bool, shards int) *Live {
 	offs := make([]int, len(reps))
 	n := 0
 	for s, r := range reps {
 		offs[s] = n
 		n += r
 	}
-	l := &Live{start: start, reps: reps, offs: offs, probes: make([]stageProbe, n), shards: shards}
+	l := &Live{reps: reps, offs: offs, probes: make([]stageProbe, n), shards: shards}
 	if dispatched {
 		l.disp = &stageProbe{}
 	}
@@ -251,17 +251,29 @@ func (s *Snapshot) String() string {
 		fmt.Fprintf(&b, " across %d shards", s.Shards)
 	}
 	b.WriteString("\n")
-	if s.Ingest != nil {
-		fmt.Fprintf(&b, "  ingest: rx %d packets / %d bytes  drops %d  decode errors %d\n",
-			s.Ingest.RxPackets, s.Ingest.RxBytes, s.Ingest.Drops, s.Ingest.DecodeErrors)
-	}
-	for _, st := range s.Stages {
-		fmt.Fprintf(&b, "  stage %d: in %d out %d  stalls %d  busy %v  occ %.2f",
+	s.Ingest.writeLine(&b)
+	writeStageLines(&b, s.Stages)
+	return b.String()
+}
+
+// writeStageLines renders one counter line per stage — the body shared by
+// Snapshot.String and Metrics.String.
+func writeStageLines(b *strings.Builder, stages []StageStats) {
+	for _, st := range stages {
+		fmt.Fprintf(b, "  stage %d: in %d out %d  stalls %d  busy %v  occ %.2f",
 			st.Stage, st.In, st.Out, st.Stalls, st.Busy.Round(time.Microsecond), st.MeanOccupancy())
 		if st.Replicas > 1 {
-			fmt.Fprintf(&b, "  x%d", st.Replicas)
+			fmt.Fprintf(b, "  x%d", st.Replicas)
 		}
 		b.WriteString("\n")
 	}
-	return b.String()
+}
+
+// writeLine renders the boundary counters as one report line (nothing on
+// a nil receiver: the run had no network-facing source).
+func (in *IngestStats) writeLine(b *strings.Builder) {
+	if in != nil {
+		fmt.Fprintf(b, "  ingest: rx %d packets / %d bytes  drops %d  decode errors %d\n",
+			in.RxPackets, in.RxBytes, in.Drops, in.DecodeErrors)
+	}
 }

@@ -83,9 +83,8 @@ func TestTokenResetClearsIterationState(t *testing.T) {
 // takeToken pristine and in deferred-events mode, exactly like the
 // per-token pool path they replace on the serve hot loop.
 func TestBatchRecycleNeverLeaks(t *testing.T) {
-	e := &engine{freeBatches: spscRing{r: spsc.New[[]*token](2, spsc.DefaultStrategy())}}
-	e.tokPool.New = func() any { return &token{ctx: interp.NewIterCtx()} }
-	e.batchPool.New = func() any { return make([]*token, 0, 8) }
+	e := &engine{freeBatches: spsc.New[[]*token](2, spsc.DefaultStrategy())}
+	e.tokPool, e.batchPool = newPools(8)
 	for round := 0; round < 50; round++ {
 		b := e.getBatch()
 		for i := 0; i < 4; i++ {
@@ -110,7 +109,7 @@ func TestBatchRecycleNeverLeaks(t *testing.T) {
 // a fresh token; both must be indistinguishable.
 func TestTokenPoolRecycleNeverLeaks(t *testing.T) {
 	e := &engine{}
-	e.tokPool.New = func() any { return &token{ctx: interp.NewIterCtx()} }
+	e.tokPool, _ = newPools(1)
 	for round := 0; round < 100; round++ {
 		tok := e.getToken()
 		if !tok.ctx.DeferEvents {

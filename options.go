@@ -76,9 +76,6 @@ var (
 	// ErrBadBackend is returned when WithBackend names an unknown
 	// stage-execution backend.
 	ErrBadBackend = errs.ErrBadBackend
-	// ErrBadRingImpl is returned when WithRingImpl names an unknown
-	// inter-stage ring implementation.
-	ErrBadRingImpl = errs.ErrBadRingImpl
 	// ErrBadShards is returned when WithShards falls outside 0..MaxShards.
 	ErrBadShards = errs.ErrBadShards
 	// ErrBadObjective is returned when WithObjective carries a malformed
@@ -179,8 +176,6 @@ type config struct {
 	onLive func(*runtime.Live)
 	// execution backend (serve)
 	backend Backend
-	// ring implementation (serve)
-	ringImpl RingImpl
 	// sharding (serve)
 	shards   int
 	shardKey func([]byte) uint64
@@ -221,7 +216,6 @@ const (
 	optFaults
 	optObserver
 	optBackend
-	optRingImpl
 	optShards
 	optShardKey
 	optObjective
@@ -236,9 +230,8 @@ var optName = [numOpts]string{
 	"WithBudget", "WithMaxPEs", "WithWorkers", "WithThreads",
 	"WithArrivalInterval", "WithIterations", "WithBatch", "WithWorld",
 	"WithOverload", "WithWatermark", "WithDeadline", "WithRetry",
-	"WithFaults", "WithObserver", "WithBackend", "WithRingImpl", "WithShards",
-	"WithShardKey", "WithObjective", "WithAutotune", "WithFusion",
-	"WithSource",
+	"WithFaults", "WithObserver", "WithBackend", "WithShards", "WithShardKey",
+	"WithObjective", "WithAutotune", "WithFusion", "WithSource",
 }
 
 // scope is the set of options one entry point accepts.
@@ -263,9 +256,8 @@ var (
 	scopeRun = scopeOf(optIterations)
 	scopeSim = scopeOf(optArch, optRing, optThreads, optArrival, optIterations)
 	scopeSrv = scopeOf(optRing, optBatch, optWorld, optOverload, optWatermark,
-		optDeadline, optRetry, optFaults, optObserver, optBackend,
-		optRingImpl, optShards, optShardKey, optObjective, optAutotune,
-		optFusion, optSource)
+		optDeadline, optRetry, optFaults, optObserver, optBackend, optShards,
+		optShardKey, optObjective, optAutotune, optFusion, optSource)
 )
 
 // scopeName labels a scope in option-misuse errors.
@@ -300,7 +292,6 @@ var scopeName = map[scope]string{
 //	WithFaults                        yes                -       -        yes
 //	WithObserver                      yes                -       -        yes
 //	WithBackend                       yes                -       -        yes
-//	WithRingImpl                      yes                -       -        yes
 //	WithShards                        yes                -       -        yes
 //	WithShardKey                      yes                -       -        yes
 //	WithObjective                     yes                -       -        yes
@@ -418,18 +409,6 @@ func WithObserver(o *Observer) Option { return opt(optObserver, func(c *config) 
 // byte-identical traces; the compiled backend merely gets there faster.
 func WithBackend(b Backend) Option { return opt(optBackend, func(c *config) { c.backend = b }) }
 
-// WithRingImpl selects the inter-stage ring implementation Serve hands
-// batches across cuts with: RingSPSC (default — the lock-free
-// single-producer/single-consumer ring with adaptive spin-then-park
-// waits) or RingChan (buffered Go channels, retained as the differential
-// oracle). Both saturate at the same capacity and produce byte-identical
-// traces at every degree, batch, shard width, and fusion mode; the SPSC
-// ring merely pays fewer synchronization cycles per handoff. The
-// spin/park split each stage's blocked time resolves into surfaces
-// through StageStats, the pipeline.stageK.{spins,parks,spin_ns,park_ns}
-// gauges, and pipebench -experiment profile.
-func WithRingImpl(r RingImpl) Option { return opt(optRingImpl, func(c *config) { c.ringImpl = r }) }
-
 // WithShards sets the serve-path shard width P: stages without cross-flow
 // state run as P concurrent replicas, packets are dispatched to replicas
 // by a flow hash, and the output is merged back into exact source order —
@@ -508,7 +487,10 @@ func WithSource(s BatchSource) Option { return opt(optSource, func(c *config) { 
 
 // validate is the central gate: every entry point funnels its assembled
 // config through here, so each invalid value maps to one typed error
-// regardless of which option delivered it.
+// regardless of which option delivered it. The serve-side values and
+// conflict rules have one validator, runtime.Config.Validate, run on the
+// Config these options lower to; only the partition, simulate and adapt
+// checks live here.
 func (c *config) validate() error {
 	if c.stages < 0 || c.stages > MaxStages {
 		return fmt.Errorf("repro: %w: %d (want 1..%d)", ErrBadDegree, c.stages, MaxStages)
@@ -522,12 +504,6 @@ func (c *config) validate() error {
 	if c.maxPEs < 0 {
 		return fmt.Errorf("repro: %w: max PEs %d", ErrBadDegree, c.maxPEs)
 	}
-	if c.ringCap < 0 {
-		return fmt.Errorf("repro: %w: %d", ErrBadRing, c.ringCap)
-	}
-	if c.batch < 0 {
-		return fmt.Errorf("repro: %w: %d", ErrBadBatch, c.batch)
-	}
 	if c.threads < 0 {
 		return fmt.Errorf("repro: %w: %d", ErrBadThreads, c.threads)
 	}
@@ -537,50 +513,11 @@ func (c *config) validate() error {
 	if c.iters < 0 {
 		return fmt.Errorf("repro: %w: %d", ErrBadIterations, c.iters)
 	}
-	if c.overload > OverloadDegrade {
-		return fmt.Errorf("repro: %w: %d", ErrBadPolicy, c.overload)
-	}
-	if c.watermark < 0 {
-		return fmt.Errorf("repro: %w: %d", ErrBadWatermark, c.watermark)
-	}
-	if c.deadline < 0 {
-		return fmt.Errorf("repro: %w: %v", ErrBadDeadline, c.deadline)
-	}
-	if c.retry < 0 || c.retryBackoff < 0 {
-		return fmt.Errorf("repro: %w: retry %d, backoff %v", ErrBadRetry, c.retry, c.retryBackoff)
-	}
-	if c.watermark > 0 && c.overload == OverloadBlock {
-		return fmt.Errorf("repro: %w: overload watermark %d set, but the blocking policy never sheds",
-			ErrConflictingOptions, c.watermark)
-	}
-	if c.retryBackoff > 0 && c.retry == 0 {
-		return fmt.Errorf("repro: %w: retry backoff %v set, but retries are disabled",
-			ErrConflictingOptions, c.retryBackoff)
-	}
-	if c.overload != OverloadBlock {
-		ringCap := c.ringCap
-		if ringCap == 0 {
-			ringCap = runtime.DefaultRingCapacity(c.channel)
-		}
-		if c.batch > ringCap {
-			return fmt.Errorf("repro: %w: batch %d exceeds ring capacity %d under the %v policy",
-				ErrConflictingOptions, c.batch, ringCap, c.overload)
-		}
+	if err := c.serveConfig().Validate(); err != nil {
+		return fmt.Errorf("repro: %w", err)
 	}
 	if err := c.faults.Validate(MaxStages); err != nil {
 		return fmt.Errorf("repro: %w", err)
-	}
-	if err := c.obs.Validate(); err != nil {
-		return fmt.Errorf("repro: %w: %v", ErrBadObserver, err)
-	}
-	if c.backend < BackendCompiled || c.backend > BackendInterp {
-		return fmt.Errorf("repro: %w: %d", ErrBadBackend, int(c.backend))
-	}
-	if c.ringImpl < RingSPSC || c.ringImpl > RingChan {
-		return fmt.Errorf("repro: %w: %d", ErrBadRingImpl, int(c.ringImpl))
-	}
-	if c.shards < 0 || c.shards > MaxShards {
-		return fmt.Errorf("repro: %w: %d (want 0..%d)", ErrBadShards, c.shards, MaxShards)
 	}
 	if err := c.objective.validate(); err != nil {
 		return err
@@ -669,7 +606,6 @@ func (c *config) serveConfig() runtime.Config {
 		Obs:           c.obs,
 		OnLive:        c.onLive,
 		Backend:       c.backend,
-		Ring:          c.ringImpl,
 		Shards:        c.shards,
 		ShardKey:      c.shardKey,
 		Ingest:        c.ingestStats,
@@ -719,15 +655,6 @@ type Backend = runtime.Backend
 const (
 	BackendCompiled = runtime.BackendCompiled
 	BackendInterp   = runtime.BackendInterp
-)
-
-// RingImpl selects the inter-stage ring implementation; see WithRingImpl.
-type RingImpl = runtime.RingImpl
-
-// The inter-stage ring implementations.
-const (
-	RingSPSC = runtime.RingSPSC
-	RingChan = runtime.RingChan
 )
 
 // FaultReport is the serve run's loss accounting (Metrics.Faults).
