@@ -11,10 +11,11 @@ package repro
 //  3. Re-cut: re-run the two-phase analysis under the calibrated weights
 //     (core.Analysis.Reweigh) and cut a candidate pipeline per feasible
 //     degree.
-//  4. Tune: score every (degree, batch, shards) candidate with the
-//     calibrated model as prior, then let internal/tuner probe the most
-//     promising ones with real traffic and commit to the measured winner
-//     under the declared objective.
+//  4. Tune: realize every (degree, batch, shards, ringed|fused) candidate
+//     (realize, fusion.go) — its prior is the price costmodel.Predict puts
+//     on its layout under the calibrated weights — then let internal/tuner
+//     probe the most promising ones with real traffic and commit to the
+//     measured winner under the declared objective.
 //  5. Serve: run the rest of the stream on the winning realization.
 //
 // Correctness never depends on the tuner's taste: every round — probe or
@@ -23,21 +24,18 @@ package repro
 // (materialized per realization; same-ID arrays alias the same storage),
 // and every round drains fully before the next starts, so the swap happens
 // at a batch boundary and the accumulated world.Trace stays byte-identical
-// to the sequential oracle no matter what the loop decides. Candidates
-// whose realization forks per-replica flow state are restricted to shard
-// width 1: a fork's writes are private to its round, which would break
-// state continuity across rounds.
+// to the sequential oracle no matter what the loop decides. A shape is a
+// candidate only if its layout builds (what Serve would refuse is never
+// probed) and forks no per-replica flow state: a fork's writes are private
+// to its round, which would break state continuity across rounds.
 
 import (
 	"context"
 	"fmt"
-	"math"
-	stdruntime "runtime"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/errs"
 	"repro/internal/interp"
 	"repro/internal/obsv"
 	"repro/internal/runtime"
@@ -169,8 +167,11 @@ func (t Autotune) withDefaults() Autotune {
 // static cut; after WithAutotune's loop commits, it reflects the measured
 // winner. Returned by Pipeline.Plan.
 type Plan struct {
-	// Degree, Batch, Shards are the realized configuration.
+	// Degree, Batch, Shards are the realized configuration; Shards is the
+	// effective width (1 when no stage can replicate, whatever was asked).
 	Degree, Batch, Shards int
+	// Replicas is each stage's replica width: 1, or Shards.
+	Replicas []int
 	// Backend is the stage-execution backend.
 	Backend Backend
 	// Objective is the declared optimization objective.
@@ -195,31 +196,14 @@ type Plan struct {
 	// order: the two-bound arithmetic behind each fuse/keep call. Empty
 	// when the pipeline has one stage or fusion is off.
 	FusionWhy []string
+	// PredictedNsPerPkt is the cost model's price for exactly this
+	// realization (costmodel.Predict over its units, replica widths and
+	// retained handoffs) — the number the autotuner ranks candidates by.
+	// In nanoseconds after calibration, in datasheet weight units before.
+	PredictedNsPerPkt float64
 	// Why is the human-readable rationale: how the plan was chosen, with
 	// the probe evidence when the autotuner chose it.
 	Why string
-}
-
-// staticPlan renders the plan of a freshly cut, not-yet-adapted pipeline,
-// including the fusion valuator's verdict on the static weights (under
-// FusionAuto; FusionOff keeps every ring and records nothing).
-func staticPlan(stages []*Program, report *Report, cfg config) *Plan {
-	p := &Plan{
-		Degree:    len(report.Stages),
-		Batch:     max(1, cfg.batch),
-		Shards:    max(1, cfg.shards),
-		Backend:   cfg.backend,
-		Objective: cfg.objectiveString(),
-		Why:       "static cut under datasheet weights; no adaptive serve has run",
-	}
-	for _, s := range report.Stages {
-		p.StageWeights = append(p.StageWeights, s.Cost.Total)
-	}
-	if cfg.fusion == FusionAuto {
-		p.FusedCuts, p.FusionWhy = planFusion(stages, p.StageWeights, 1.0,
-			p.Batch, p.Shards, cfg.shardKey != nil, fusionCores())
-	}
-	return p
 }
 
 // meteredSource wraps the one real packet source so each adaptive round
@@ -260,18 +244,25 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	if world == nil {
 		world = NewWorld(nil)
 	}
-	store := interp.NewStore(p.stages...)
+	cfg.store = interp.NewStore(p.stages...)
 	cursor := &meteredSource{src: src}
 	start := time.Now()
-
-	baseRC := cfg.serveConfig()
-	baseRC.Store = store
 
 	// agg accumulates the run-wide result across rounds: packet and fault
 	// totals are summed, the per-stage counters and shard width reflect the
 	// last completed round, and the trace is the world's accumulated stream.
 	agg := &Metrics{Faults: &runtime.FaultReport{}}
-	account := func(m *Metrics) {
+	finish := func() (*Metrics, error) {
+		agg.Elapsed = time.Since(start)
+		agg.Trace = world.Trace
+		return agg, nil
+	}
+	// round serves one window on one realization and folds it into agg.
+	round := func(lay *runtime.Layout, n int) (*Metrics, error) {
+		m, err := lay.Serve(ctx, world, cursor.window(n))
+		if err != nil {
+			return nil, err
+		}
 		agg.Packets += m.Packets
 		agg.Stages = m.Stages
 		agg.Shards = m.Shards
@@ -283,35 +274,21 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 			agg.Faults.Retries += f.Retries
 			agg.Faults.Records = append(agg.Faults.Records, f.Records...)
 		}
-	}
-	finish := func() (*Metrics, error) {
-		agg.Elapsed = time.Since(start)
-		agg.Trace = world.Trace
-		return agg, nil
-	}
-	// round serves one window on one realization and folds it into agg.
-	round := func(stages []*Program, rc runtime.Config, n int) (*Metrics, error) {
-		m, err := runtime.Serve(ctx, stages, world, cursor.window(n), rc)
-		if err != nil {
-			return nil, err
-		}
-		account(m)
 		return m, nil
 	}
 
-	// effShards clamps the shard width for realizations with per-replica
-	// flow-state forks, whose writes would not survive the round boundary.
-	effShards := func(stages []*Program, want int) int {
-		if want > 1 && runtime.HasForkedState(stages) {
-			return 1
-		}
-		return max(1, want)
+	// Round 1 — probe the current static plan (unsharded when its replicas
+	// would fork flow state), measuring per-stage time.
+	plan, lay, err := p.realize(cfg, cfg.fusion, 1.0)
+	if err == nil && lay.Forks() {
+		cfg.shards = 1
+		plan, lay, err = p.realize(cfg, cfg.fusion, 1.0)
 	}
-
-	// Round 1 — probe the current static plan, measuring per-stage time.
-	rc := baseRC
-	rc.Shards = effShards(p.stages, rc.Shards)
-	probe, err := round(p.stages, rc, at.ProbePackets)
+	if err != nil {
+		return nil, err
+	}
+	p.plan.Store(plan)
+	probe, err := round(lay, at.ProbePackets)
 	if err != nil {
 		return nil, err
 	}
@@ -340,108 +317,77 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		}
 	}
 
-	// Cut a candidate realization per feasible degree under the (possibly
-	// calibrated) weights, and enumerate the (degree, batch, shards,
-	// fused) space with the model's predicted throughput as prior. The
-	// prediction takes the tighter of two bounds: the pipeline bound (the
-	// bottleneck stage, divided across shard replicas) and the CPU bound
-	// (all stages' work must share the host's processors — on a small host
-	// a deep pipeline buys nothing, and the prior must know that or it
-	// would spend every probe on candidates that cannot win). The
-	// per-ring-entry synchronization estimate (ringSyncNsSPSC, fusion.go)
-	// is the ring's measured blocked-handoff cost — it only has to order
-	// batch sizes plausibly; measurements make
-	// the actual choice. When the fusion valuator finds cuts not worth their
-	// ring at a given (degree, batch), the fused realization enters the
-	// space as its own candidate and competes on the same two bounds, with
-	// the handoff tax charged per realized unit instead of per stage.
-	ncpu := float64(stdruntime.GOMAXPROCS(0))
-	cuts := map[int]*core.Result{}
-	fusePlans := map[[2]int]costmodel.FusionPlan{} // (degree, batch) -> valuation
+	// Cut a candidate pipeline per feasible degree under the (possibly
+	// calibrated) weights and realize every (degree, batch, shards) shape of
+	// it, with the valuator's verdict — unless fusion is off — and fully
+	// ringed. A candidate exists only if its layout builds and forks no flow
+	// state; shapes that realize identically (a shard width no stage can
+	// use, a verdict that fuses nothing) are one candidate, the first. Probe
+	// rounds trace batch spans only when the objective needs latency; the
+	// user's observer is reserved for the committed realization.
+	type realization struct {
+		pipe *Pipeline
+		cfg  config
+		mode FusionMode
+		lay  *runtime.Layout
+	}
+	probeCfg := cfg
+	probeCfg.obs = nil
+	var tr *obsv.Tracer
+	if obj.P99Bound > 0 {
+		tr = obsv.NewTracer(0)
+		probeCfg.obs = &obsv.Observer{Tracer: tr}
+	}
+	byKey := map[string]realization{}
 	var cands []tuner.Candidate
-	maxD := min(at.MaxDegree, MaxStages)
-	for d := 1; d <= maxD; d++ {
+	add := func(r realization) {
+		plan, lay, err := r.pipe.realize(r.cfg, r.mode, nsPerWeight)
+		if err != nil || lay.Forks() {
+			return
+		}
+		c := tuner.Candidate{Degree: plan.Degree, Batch: plan.Batch, Shards: plan.Shards,
+			Fused: len(plan.FusedCuts) > 0, Prior: 1e9 / plan.PredictedNsPerPkt}
+		if _, dup := byKey[c.Key()]; !dup {
+			r.lay = lay
+			byKey[c.Key()] = r
+			cands = append(cands, c)
+		}
+	}
+	modes := []FusionMode{cfg.fusion}
+	if cfg.fusion != FusionOff {
+		modes = append(modes, FusionOff)
+	}
+	for d := 1; d <= min(at.MaxDegree, MaxStages); d++ {
 		res, err := analysis.Partition(core.Options{
 			Stages: d, Epsilon: cfg.epsilon, Channel: cfg.channel, Tx: cfg.tx,
 		})
-		if err != nil || runtime.Validate(res.Stages) != nil {
+		if err != nil {
 			continue
 		}
-		cuts[d] = res
-		bottleneck := float64(res.Report.Stages[res.Report.LongestStage-1].Cost.Total) * nsPerWeight
-		var work float64
-		stageNs := make([]float64, d)
-		for i, s := range res.Report.Stages {
-			stageNs[i] = float64(s.Cost.Total) * nsPerWeight
-			work += stageNs[i]
-		}
+		cut := newPipeline(res, cfg, analysis)
 		for _, b := range at.Batches {
-			sync := ringSyncNsSPSC / float64(b)
-			var fp costmodel.FusionPlan
-			if cfg.fusion != FusionOff && d > 1 {
-				fp = costmodel.PlanFusion(stageNs, sync, int(ncpu))
-				if fp.Units < d {
-					fusePlans[[2]int{d, b}] = fp
-				}
-			}
 			for _, ps := range at.Shards {
-				if ps != effShards(res.Stages, ps) {
-					continue // forked flow state: replica widths unsound across rounds
-				}
-				pipeBound := bottleneck/float64(ps) + sync
-				cpuBound := (work + float64(d)*sync) / ncpu
-				perPkt := math.Max(pipeBound, cpuBound)
-				cands = append(cands, tuner.Candidate{
-					Degree: d, Batch: b, Shards: ps, Prior: 1e9 / perPkt,
-				})
-				if fp.Units > 0 && fp.Units < d {
-					// The fused realization of the same shape: fewer units,
-					// fewer handoffs, a (possibly) taller bottleneck. Shard
-					// junctions may veto individual cuts at serve time; the
-					// prior ignores that, measurements correct it.
-					us := fusedUnitCosts(stageNs, fp.FuseCuts)
-					var btlU float64
-					for _, u := range us {
-						btlU = math.Max(btlU, u)
-					}
-					pipeF := btlU / float64(ps)
-					if len(us) > 1 {
-						pipeF += sync
-					}
-					cpuF := (work + float64(len(us))*sync) / ncpu
-					cands = append(cands, tuner.Candidate{
-						Degree: d, Batch: b, Shards: ps, Fused: true,
-						Prior: 1e9 / math.Max(pipeF, cpuF),
-					})
+				for _, mode := range modes {
+					c := probeCfg
+					c.batch, c.shards = b, ps
+					add(realization{pipe: cut, cfg: c, mode: mode})
 				}
 			}
 		}
 	}
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("repro: %w: no feasible candidate realization", errs.ErrBadCalibration)
+		// Nothing in the requested space is servable under this
+		// configuration: the realization that served round 1 is the
+		// candidate of last resort, so the search never comes up empty.
+		add(realization{pipe: p, cfg: probeCfg, mode: cfg.fusion})
 	}
 
 	// Probe the most promising candidates with real traffic and commit.
-	// Probe rounds trace batch spans only when the objective needs latency;
-	// the user's observer is reserved for the committed realization.
 	measure := func(c tuner.Candidate) (tuner.Measurement, error) {
 		if cursor.exhausted {
 			return tuner.Measurement{}, fmt.Errorf("source exhausted before probe %s", c.Key())
 		}
-		rc := baseRC
-		rc.Batch = c.Batch
-		rc.Shards = c.Shards
-		rc.FuseCuts = nil
-		if c.Fused {
-			rc.FuseCuts = fusePlans[[2]int{c.Degree, c.Batch}].FuseCuts
-		}
-		rc.Obs = nil
-		var tr *obsv.Tracer
-		if obj.P99Bound > 0 {
-			tr = obsv.NewTracer(0)
-			rc.Obs = &obsv.Observer{Tracer: tr}
-		}
-		m, err := round(cuts[c.Degree].Stages, rc, at.ProbePackets)
+		m, err := round(byKey[c.Key()].lay, at.ProbePackets)
 		if err != nil {
 			return tuner.Measurement{}, err
 		}
@@ -462,50 +408,22 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		return nil, err
 	}
 
-	// Commit: publish the plan and serve the rest of the stream on the
-	// winner, with the user's observer attached.
-	win := decision.Chosen
-	plan := &Plan{
-		Degree:      win.Degree,
-		Batch:       win.Batch,
-		Shards:      win.Shards,
-		Backend:     cfg.backend,
-		Objective:   cfg.objectiveString(),
-		Calibrated:  cal != nil,
-		NsPerWeight: nsPerWeight,
-		Why:         decision.Why,
+	// Commit: realize the winner once more with the user's observer
+	// attached, publish that plan, and serve the rest of the stream on it.
+	win := byKey[decision.Chosen.Key()]
+	win.cfg.obs = cfg.obs
+	plan, lay, err = win.pipe.realize(win.cfg, win.mode, nsPerWeight)
+	if err != nil {
+		return nil, err
 	}
 	if cal != nil {
-		plan.R2 = cal.R2
+		plan.Calibrated, plan.NsPerWeight, plan.R2 = true, nsPerWeight, cal.R2
 		plan.Why = fmt.Sprintf("%s (calibrated, R²=%.3f, %.2f ns/weight)", decision.Why, cal.R2, cal.NsPerWeight)
 	} else {
-		plan.NsPerWeight = 0
 		plan.Why = decision.Why + " (uncalibrated: fit failed, datasheet prior)"
 	}
-	for _, s := range cuts[win.Degree].Report.Stages {
-		plan.StageWeights = append(plan.StageWeights, s.Cost.Total)
-	}
-	rc = baseRC
-	rc.Batch = win.Batch
-	rc.Shards = win.Shards
-	if win.Fused {
-		// Publish what will actually fuse: the valuator's mask intersected
-		// with the winner's shard-aligned cuts (junctions keep their ring).
-		fp := fusePlans[[2]int{win.Degree, win.Batch}]
-		rc.FuseCuts = fp.FuseCuts
-		aligned := runtime.AlignedCuts(cuts[win.Degree].Stages, rc.Shards, cfg.shardKey != nil)
-		for k, f := range fp.FuseCuts {
-			if f && aligned[k] {
-				plan.FusedCuts = append(plan.FusedCuts, k+1)
-			}
-		}
-		for _, dec := range fp.Decisions {
-			plan.FusionWhy = append(plan.FusionWhy, dec.Why)
-		}
-	}
 	p.plan.Store(plan)
-
-	if _, err := round(cuts[win.Degree].Stages, rc, -1); err != nil {
+	if _, err := round(lay, -1); err != nil {
 		return nil, err
 	}
 	return finish()

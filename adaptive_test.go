@@ -3,6 +3,9 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,5 +221,235 @@ func TestPlanStatic(t *testing.T) {
 	}
 	if len(plan.StageWeights) != 3 {
 		t.Errorf("static plan has %d stage weights", len(plan.StageWeights))
+	}
+
+	// Shards is the realized width, not the request: when every stage holds
+	// cross-flow state nothing replicates, whatever WithShards asked for.
+	cross, err := repro.Partition(repro.MustCompile(crossSrc), repro.WithStages(2), repro.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := cross.Plan(); plan.Shards != 1 || fmt.Sprint(plan.Replicas) != "[1 1]" {
+		t.Errorf("all-cross-flow plan: shards %d replicas %v, want 1 and [1 1]", plan.Shards, plan.Replicas)
+	}
+}
+
+// junctionSrc is adaptSrc with its counter made persistent: the stage that
+// holds it is cross-flow and stays unreplicated, the stages before it are
+// stateless and shard, so a sharded D=3 cut runs at widths [P P 1] — one
+// aligned cut and one fan-in junction.
+var junctionSrc = strings.Replace(strings.Replace(adaptSrc, "Adapt", "Junction", 1),
+	"var total[1];", "persistent var total[1];", 1)
+
+// crossSrc keeps a persistent counter on each side of its D=2 cut: both
+// stages are cross-flow, so no shard width can replicate anything.
+const crossSrc = `pps Cross {
+	persistent var a[1];
+	persistent var b[1];
+	loop {
+		var n = pkt_rx();
+		if (n < 0) { continue; }
+		a[0] = a[0] + 1;
+		var h = hash_crc(pkt_byte(0) * 31 + a[0]);
+		var c = csum_fold(h + n);
+		b[0] = b[0] + (c & 7);
+		trace((c + b[0]) & 0xFF);
+		pkt_send(c & 1);
+	}
+}`
+
+// checkPlanCoherent asserts that a Plan does not contradict itself: the
+// per-cut verdicts (when recorded) cover every cut, a line says "fuse cut
+// k" exactly when k is in FusedCuts, and a fused cut joins stages of equal
+// replica width.
+func checkPlanCoherent(t *testing.T, plan *repro.Plan) {
+	t.Helper()
+	fused := map[int]bool{}
+	for _, k := range plan.FusedCuts {
+		fused[k] = true
+		if plan.Replicas[k-1] != plan.Replicas[k] {
+			t.Errorf("cut %d fused across replica widths %v", k, plan.Replicas)
+		}
+	}
+	if n := len(plan.FusionWhy); n != plan.Degree-1 && (n != 0 || len(fused) > 0) {
+		t.Errorf("%d verdicts for %d cuts (fused %v)", n, plan.Degree-1, plan.FusedCuts)
+	}
+	for i, why := range plan.FusionWhy {
+		saysFuse := strings.HasPrefix(why, fmt.Sprintf("fuse cut %d:", i+1))
+		if !saysFuse && !strings.HasPrefix(why, fmt.Sprintf("keep cut %d:", i+1)) {
+			t.Errorf("verdict %d is about another cut: %q", i+1, why)
+		}
+		if saysFuse != fused[i+1] {
+			t.Errorf("FusedCuts %v, but the plan says %q", plan.FusedCuts, why)
+		}
+	}
+}
+
+// TestPlanIsTheServedRealization: Plan reports what the layout says and
+// the engine executes that layout, so the replica widths and shard width
+// Plan publishes are the ones the served Metrics count — ringed, fused, at
+// a shard junction, and when nothing can replicate.
+func TestPlanIsTheServedRealization(t *testing.T) {
+	defer repro.SetFusionCoresForTest(1)() // the valuator wants every cut fused
+	const n = 512
+	packets := testPackets(n)
+	for _, tc := range []struct {
+		name      string
+		src       string
+		opts      []repro.Option
+		replicas  string
+		fusedCuts string
+	}{
+		{"ringed", junctionSrc, []repro.Option{repro.WithStages(3), repro.WithFusion(repro.FusionOff)}, "[1 1 1]", "[]"},
+		{"fused", junctionSrc, []repro.Option{repro.WithStages(3)}, "[1 1 1]", "[1 2]"},
+		{"sharded junction", junctionSrc, []repro.Option{repro.WithStages(3), repro.WithShards(2)}, "[2 2 1]", "[1]"},
+		{"nothing replicates", crossSrc, []repro.Option{repro.WithStages(2), repro.WithShards(4)}, "[1 1]", "[1]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := repro.MustCompile(tc.src)
+			pipe, err := repro.Partition(prog, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := pipe.Serve(context.Background(), repro.PacketSource(packets))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := repro.TraceEqual(seqTrace(t, prog, packets, n), m.Trace); diff != "" {
+				t.Fatalf("trace diverges from oracle: %s", diff)
+			}
+			plan := pipe.Plan()
+			checkPlanCoherent(t, plan)
+			if got := fmt.Sprint(plan.Replicas); got != tc.replicas {
+				t.Errorf("Plan.Replicas = %s, want %s", got, tc.replicas)
+			}
+			if got := fmt.Sprint(plan.FusedCuts); got != tc.fusedCuts {
+				t.Errorf("Plan.FusedCuts = %s, want %s (%q)", got, tc.fusedCuts, plan.FusionWhy)
+			}
+			if plan.Shards != m.Shards {
+				t.Errorf("Plan.Shards = %d, served Metrics.Shards = %d", plan.Shards, m.Shards)
+			}
+			for k, st := range m.Stages {
+				if plan.Replicas[k] != st.Replicas {
+					t.Errorf("stage %d: Plan.Replicas %d, served with %d", k+1, plan.Replicas[k], st.Replicas)
+				}
+			}
+		})
+	}
+}
+
+// TestPlanPredictedNsPerPkt: the figure Plan publishes is the one
+// predictor's price for the realization — for the fully fused D=4 golden
+// plan, the "-> 70 ns/pkt" its last verdict ends on.
+func TestPlanPredictedNsPerPkt(t *testing.T) {
+	defer repro.SetFusionCoresForTest(1)()
+	pipe, err := repro.Partition(repro.MustCompile(facadeSrc), repro.WithStages(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := pipe.Plan()
+	last := plan.FusionWhy[len(plan.FusionWhy)-1]
+	if plan.PredictedNsPerPkt != 70 || !strings.Contains(last, "-> 70 ns/pkt") {
+		t.Errorf("PredictedNsPerPkt = %v, want the 70 of %q", plan.PredictedNsPerPkt, last)
+	}
+}
+
+// TestSameUnitSamePrice: a D-stage cut fully fused and a one-stage pipeline
+// of equal total cost are the same execution unit, so the tuner's prior
+// must price them equally (and below the ringed realization, which pays
+// for its handoffs).
+func TestSameUnitSamePrice(t *testing.T) {
+	stages, ones := []float64{100, 100, 100, 100}, []int{1, 1, 1, 1}
+	fused := repro.PriceForTest(stages, []bool{true, true, true}, ones, 270, 2)
+	single := repro.PriceForTest([]float64{400}, nil, []int{1}, 270, 2)
+	ringed := repro.PriceForTest(stages, []bool{false, false, false}, ones, 270, 2)
+	if fused != single || fused != 400 {
+		t.Errorf("fully fused D=4 priced %v, D=1 of the same work %v; want both 400", fused, single)
+	}
+	if ringed != 910 {
+		t.Errorf("ringed D=4 priced %v, want 910", ringed)
+	}
+}
+
+// TestAdaptiveServeUnderShed: under a shedding policy the batch may not
+// exceed the ring, so half of the default batch candidates — the ones the
+// prior ranks first — are shapes Serve refuses. They must never become
+// candidates: a probe that cannot start used to cost the search its top-K
+// (leaving the choice to the one exploration pick) or fail the whole serve
+// mid-stream, dropping the results of the packets already served. The long
+// watermark keeps the policy from ever engaging, so the trace stays
+// comparable to the oracle.
+func TestAdaptiveServeUnderShed(t *testing.T) {
+	prog := repro.MustCompile(adaptSrc)
+	const n = 24000
+	packets := testPackets(n)
+	pipe, err := repro.Partition(prog, repro.WithStages(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := pipe.Serve(context.Background(), repro.PacketSource(packets),
+		repro.WithOverload(repro.OverloadShed), repro.WithWatermark(5000),
+		repro.WithAutotune(repro.Autotune{}))
+	if err != nil || m == nil {
+		t.Fatalf("adaptive serve under shed: metrics %v, err %v", m, err)
+	}
+	if m.Packets != n || m.Faults.Accounted() != n {
+		t.Errorf("served %d of %d packets; ledger: %s", m.Packets, n, m.Faults)
+	}
+	if diff := repro.TraceEqual(seqTrace(t, prog, packets, n), m.Trace); diff != "" {
+		t.Fatalf("trace diverges from oracle: %s", diff)
+	}
+	if plan := pipe.Plan(); plan.Batch > 8 || !strings.HasPrefix(plan.Why, "chose ") || strings.Contains(plan.Why, "=err(") {
+		t.Errorf("committed batch %d (the ring holds 8): %s", plan.Batch, plan.Why)
+	}
+
+	// A search space with nothing servable in it keeps the realization
+	// that is already serving instead of failing the stream.
+	m, err = pipe.Serve(context.Background(), repro.PacketSource(packets[:3000]),
+		repro.WithOverload(repro.OverloadShed), repro.WithWatermark(5000),
+		repro.WithAutotune(repro.Autotune{ProbePackets: 500, Batches: []int{64}}))
+	if err != nil || m.Packets != 3000 {
+		t.Fatalf("all-infeasible search space: metrics %+v, err %v", m, err)
+	}
+	if plan := pipe.Plan(); plan.Degree != 1 || plan.Batch != 1 || !strings.HasPrefix(plan.Why, "chose d01/b01/p01 ") {
+		t.Errorf("all-infeasible search space committed %+v", plan)
+	}
+}
+
+// TestAdaptivePlanCoherentAtJunctions: the plan an adaptive serve commits
+// is assembled by the same function as the static one, so at a shard
+// junction a cut the layout keeps ringed reads "keep cut k: shard
+// junction", never "fuse cut k" while absent from FusedCuts. One core
+// makes the valuator want every cut of the [P P 1] shape; the never-firing
+// fault at stage 3 makes every shallower cut a shape Serve refuses, so the
+// winner is the D=3 realization, ringed or fused. Which of the two wins is
+// a measurement; a dozen independent serves make a fused winner all but
+// certain to be among them.
+func TestAdaptivePlanCoherentAtJunctions(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prog := repro.MustCompile(junctionSrc)
+	const n = 2400
+	packets := testPackets(n)
+	seq := seqTrace(t, prog, packets, n)
+	never := &repro.FaultPlan{Injections: []repro.FaultInjection{{Kind: repro.FaultStall, Stage: 3, At: 1 << 40}}}
+	for trial := 0; trial < 12; trial++ {
+		pipe, err := repro.Partition(prog, repro.WithStages(3), repro.WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), repro.WithFaults(never),
+			repro.WithAutotune(repro.Autotune{ProbePackets: 300, TopK: 6, MaxDegree: 3,
+				Batches: []int{1}, Shards: []int{2}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+			t.Fatalf("trial %d: trace diverges from oracle: %s", trial, diff)
+		}
+		plan := pipe.Plan()
+		checkPlanCoherent(t, plan)
+		if plan.Degree != 3 || plan.Shards != m.Shards || strings.Contains(plan.Why, "=err(") {
+			t.Errorf("trial %d: degree %d, Plan.Shards %d vs served %d: %s", trial, plan.Degree, plan.Shards, m.Shards, plan.Why)
+		}
 	}
 }

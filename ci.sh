@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the repository's check gate. Run before committing:
 #
-#   ./ci.sh          # format + vet + doc gate + race-enabled tests + serve benchmark
+#   ./ci.sh          # format + vet + doc gate + race-enabled tests + replay gate
 #   ./ci.sh -short   # same, skipping the long sweeps
 #
 # The race detector matters here twice over: the partition engine shares one
@@ -67,55 +67,23 @@ go test -race -count=1 -run 'TestServeUDPLoopback|TestFlowsCaptureFixture' .
 echo "== go test -race ./... $*"
 go test -race "$@" ./...
 
-# The two wall-clock gates below measure real throughput on a shared
-# machine, where ambient load can swing any single measurement well past
-# the gates' tolerance. A genuine code regression fails every attempt; a
-# noisy moment fails one. So each gate gets up to $attempts tries and only
-# a unanimous failure fails CI.
-attempts=3
-retry() {
-    for _try in $(seq "$attempts"); do
-        if "$@"; then return 0; fi
-        echo "ci.sh: attempt $_try/$attempts failed: $*" >&2
-    done
-    return 1
-}
-
-echo "== pipebench serve (compiled backend) -> BENCH_serve.json"
-# The compiled-backend serve benchmark is also the throughput-regression
-# gate: -baseline compares the fresh guarded points — (D=1, batch=32, P=1),
-# the sharded (D=1, batch=32, P=4) point, and the deep-pipeline (D=4,
-# batch=32, P=1) point, ringed and fused —
-# against the checked-in BENCH_serve.json BEFORE -json overwrites it, and
-# fails the run on a >10% pkt/s regression at any of them. -shards 1,2,4
-# makes the sweep measure the sharded widths the gate guards.
-retry go run ./cmd/pipebench -experiment serve -backend compiled -serve-packets 50000 \
-    -shards 1,2,4 -baseline BENCH_serve.json -json BENCH_serve.json
-
-echo "== pipebench adapt gate vs BENCH_serve.json"
-# The closed-loop gate: starting from a deliberately mis-tuned realization,
-# Serve(WithAutotune) must calibrate, re-cut, and commit a configuration
-# whose re-measured throughput reaches at least 90% of the best point in
-# the baseline just written above (trace-equivalence to the sequential
-# oracle is verified inside the experiment before anything is timed).
-retry go run ./cmd/pipebench -experiment adapt -serve-packets 50000 -baseline BENCH_serve.json
-
 echo "== pipebench replay gate: testdata/flows.pcap through the full pipeline"
 # The capture replay demo as a gate: the experiment refuses to time
 # anything until the replayed trace is byte-identical to the sequential
-# oracle over the decoded capture (D=4, P=4, fused). Retried only because
-# the timing half shares the machine; the byte-identity half is
-# deterministic.
-retry go run ./cmd/pipebench -experiment replay -pcap testdata/flows.pcap -pcap-loops 4
+# oracle over the decoded capture (D=4, P=4, fused); the timing it then
+# prints is not gated (wall-clock regressions are benchmark/'s job, run
+# A/B by the PR pipeline and smoke-tested by go test ./... above).
+go run ./cmd/pipebench -experiment replay -pcap testdata/flows.pcap -pcap-loops 4
 
 echo "== size ledger (printed, not gated)"
 # The design-size numbers ROADMAP item 3 tracks, so each PR's reduction is
 # a recorded figure: non-test, non-blank, non-comment Go lines of the serve
 # runtime and the facade files that configure it, the option count, and the
-# sentinel count.
+# sentinel count. The one throughput model is listed on its own line.
 size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go adaptive.go fusion.go"
 # shellcheck disable=SC2086
 echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
+echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')"
 echo "options (numOpts):         $(sed -n '/^const (/,/^)/p' options.go | grep -c '^	opt[A-Z]')"
 echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)"
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pipebench [-experiment all|fig19|fig20|fig21|fig22|headline|ablations|sim|serve|adapt|chaos|profile|replay|burst]
-//	          [-j N] [-json FILE] [-backend compiled|interp] [-shards LIST] [-baseline FILE]
+//	          [-j N] [-json FILE] [-backend compiled|interp] [-shards LIST]
 //	          [-pcap FILE] [-pcap-loops N] [-burst-packets N] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Every PPS is analyzed once and the independent (PPS × degree) and
@@ -17,13 +17,11 @@
 // -experiment serve measures the host-native streaming runtime (wall-clock
 // packets per second through goroutine pipelines); every multi-stage shape
 // is measured both ringed and fused (all cuts realized as in-goroutine
-// handoffs); -json FILE additionally writes those points as JSON (CI emits
-// BENCH_serve.json this way).
+// handoffs); -json FILE additionally writes those points as JSON.
 // -experiment adapt runs the closed-loop adaptive serving experiment:
 // hand-picked reference configurations are measured directly, then a
 // deliberately mis-tuned pipeline is handed to Serve(WithAutotune) and the
-// committed choice is re-measured; with -baseline FILE the auto-selected
-// configuration must reach 90% of the best checked-in serve point.
+// committed choice is re-measured.
 // -experiment chaos sweeps the runtime's fault-injection layer, reporting
 // delivery accounting and surviving throughput versus injected fault rate.
 // -experiment replay streams the capture named by -pcap through the full
@@ -46,12 +44,9 @@
 // -shards gives the serve experiment's shard-width sweep as a
 // comma-separated list (default "1,2,4": each pipeline configuration is
 // also measured replicated P ways behind the flow-hash dispatcher).
-// -baseline FILE gates the serve experiment against a checked-in
-// BENCH_serve.json: a >10% pkt/s regression at any guarded point — (D=1,
-// batch=32, P=1), (D=1, batch=32, P=4), (D=4, batch=32, P=1), or the
-// fused (D=4, batch=32, P=1) realization — fails the run before -json
-// overwrites the file. -cpuprofile and -memprofile
-// write pprof profiles of whatever experiment ran.
+// These sweeps are oracle-checked but not gated: the repository's
+// regression benchmark is benchmark/ (see BENCHMARK.json). -cpuprofile and
+// -memprofile write pprof profiles of whatever experiment ran.
 package main
 
 import (
@@ -89,7 +84,6 @@ func realMain() int {
 	servePkts := flag.Int("serve-packets", 200000, "packets streamed per serve configuration")
 	backendName := flag.String("backend", "compiled", "serve stage-execution backend: compiled|interp")
 	shardsList := flag.String("shards", "1,2,4", "comma-separated shard widths the serve experiment sweeps")
-	baseline := flag.String("baseline", "", "fail the serve experiment if a guarded point's pkt/s regresses >10% below this JSON baseline")
 	pcapPath := flag.String("pcap", "testdata/flows.pcap", "capture file the replay experiment streams")
 	pcapLoops := flag.Int("pcap-loops", 8, "passes over the capture for the replay experiment's timed run")
 	burstPkts := flag.Int("burst-packets", 20000, "packets per burst-resilience point")
@@ -282,13 +276,6 @@ func realMain() int {
 				p.Degree, p.Batch, p.Shards, tag, p.PktPerS, p.Speedup)
 		}
 		fmt.Println()
-		// Gate against the checked-in baseline before -json may overwrite it.
-		if *baseline != "" {
-			if err := experiments.CheckServeBaseline(pts, *baseline); err != nil {
-				return err
-			}
-			fmt.Printf("baseline %s: within tolerance\n", *baseline)
-		}
 		if *jsonOut != "" {
 			data, err := json.MarshalIndent(pts, "", "  ")
 			if err != nil {
@@ -319,12 +306,6 @@ func realMain() int {
 		fmt.Printf("  auto-selected, re-measured:\n    %-22s %12.0f pkt/s\n", rep.Auto.Label, rep.Auto.PktPerS)
 		fmt.Printf("  decision: %s\n", rep.Why)
 		fmt.Println()
-		if *baseline != "" {
-			if err := experiments.CheckAdaptGate(rep, *baseline); err != nil {
-				return err
-			}
-			fmt.Printf("adapt gate vs %s: within tolerance\n", *baseline)
-		}
 		if *jsonOut != "" {
 			data, err := json.MarshalIndent(rep, "", "  ")
 			if err != nil {

@@ -8,3 +8,8 @@ func SetFusionCoresForTest(cores int) (restore func()) {
 	fusionCores = func() int { return cores }
 	return func() { fusionCores = prev }
 }
+
+// PriceForTest is the adaptive loop's candidate prior before inversion:
+// per-stage costs folded into units under a fuse mask and replica widths,
+// priced by costmodel.Predict.
+var PriceForTest = price

@@ -1,13 +1,14 @@
 package repro
 
-// Stage fusion at the repro layer: the valuation that decides, per cut of
-// a realized pipeline, whether the cut's SPSC ring is worth its
-// synchronization tax or whether the two sides should be fused into one
-// execution unit (see internal/costmodel.PlanFusion for the two-bound
-// model and internal/runtime for the fused realization). WithFusion
-// selects the mode: FusionAuto (default) lets the valuator decide,
-// FusionOff pins every cut to a ring. The verdict — which cuts fused and
-// the per-cut arithmetic — is surfaced through Pipeline.Plan().
+// Realization at the repro layer: realize is the one function that turns a
+// cut and a serve configuration into the two faces of one decision — the
+// Plan that Pipeline.Plan() prints and the runtime.Layout the engine
+// executes. The throughput model it prices realizations with is
+// costmodel.Predict; the fusion valuator built on it is
+// costmodel.PlanFusion; which cuts may fuse and how wide each stage
+// replicates is the Layout's say. WithFusion selects the mode: FusionAuto
+// (default) applies the valuator's verdict, FusionOff pins every cut to a
+// ring.
 
 import (
 	"fmt"
@@ -17,91 +18,90 @@ import (
 	"repro/internal/runtime"
 )
 
-// ringSyncNsSPSC is the per-ring-entry synchronization estimate shared by
-// the adaptive loop's candidate prior and the fusion valuator. Derived
-// from the ring microbenchmark in internal/spsc (bench_test.go, recorded
-// in EXPERIMENTS.md): the two-bound model charges the tax at a *saturated*
-// cut, where each entry puts one blocked handoff on the end-to-end
-// cadence, so the constant is the measured blocked ping-pong round trip
-// divided by the two entries each round trip moves — not the far cheaper
-// uncontended cost (~22ns per entry), which a saturated boundary never
-// sees. The estimate only has to order realizations plausibly — under
-// WithAutotune, measurements make the actual choice; on the static path it
-// errs toward fusing cuts that cannot plausibly pay for a ring.
+// ringSyncNsSPSC is the per-ring-entry synchronization estimate every
+// prediction charges per handoff (divided by the batch a ring entry
+// carries). Derived from the ring microbenchmark in internal/spsc
+// (bench_test.go, recorded in EXPERIMENTS.md): the model charges the tax
+// at a *saturated* cut, where each entry puts one blocked handoff on the
+// end-to-end cadence, so the constant is the measured blocked ping-pong
+// round trip divided by the two entries each round trip moves — not the
+// far cheaper uncontended cost (~22ns per entry), which a saturated
+// boundary never sees. The estimate only has to order realizations
+// plausibly — under WithAutotune, measurements make the actual choice; on
+// the static path it errs toward fusing cuts that cannot plausibly pay for
+// a ring.
 const ringSyncNsSPSC = 270.0
 
-// fusionCores reports the core budget the fusion valuator plans for.
-// A function variable so tests (golden Plan fixtures) can pin a
-// host-independent core count.
+// fusionCores reports the core budget predictions plan for. A function
+// variable so tests (golden Plan fixtures) can pin a host-independent core
+// count.
 var fusionCores = func() int { return stdruntime.GOMAXPROCS(0) }
 
-// planFusion values every cut of a realized pipeline under the given
-// per-stage weights and serve shape, returning the Plan-facing verdict:
-// the 1-based fused cut list and the per-cut rationale. Cuts the cost model wants fused but whose shard
-// replica widths differ (dispatch/merge junctions) are kept ringed — a
-// fused unit is one goroutine per lane, so both sides must run at the
-// same width.
-func planFusion(stages []*Program, weights []int64, nsPerWeight float64,
-	batch, shards int, explicitKey bool, cores int) (cuts []int, why []string) {
-	d := len(stages)
-	if d <= 1 || len(weights) != d {
-		return nil, nil
+// realize decides how the pipeline's cut is served under cfg: it asks the
+// valuator which cuts to fuse (mode FusionAuto; FusionOff requests none and
+// records no verdicts), lays the stages out under the resulting runtime
+// configuration, and reports what that layout says — effective shard
+// width, per-stage replicas, the cuts that really fuse — together with the
+// predictor's price for exactly that realization. Stage costs are the
+// report's weights times nsPerWeight (1 on the static path: datasheet
+// weights taken as nanoseconds). When no layout exists — a cut that is not
+// servable, a configuration Serve would refuse — the error says why and
+// the Plan still describes the requested shape.
+func (p *Pipeline) realize(cfg config, mode FusionMode, nsPerWeight float64) (*Plan, *runtime.Layout, error) {
+	rc := cfg.serveConfig()
+	plan := &Plan{
+		Degree:    len(p.stages),
+		Batch:     max(1, rc.Batch),
+		Shards:    max(1, rc.Shards),
+		Backend:   rc.Backend,
+		Objective: cfg.objectiveString(),
+		Why:       "static cut under datasheet weights; no adaptive serve has run",
 	}
-	costs := make([]float64, d)
-	for i, w := range weights {
-		costs[i] = float64(w) * nsPerWeight
+	costs := make([]float64, len(p.report.Stages))
+	for i, s := range p.report.Stages {
+		plan.StageWeights = append(plan.StageWeights, s.Cost.Total)
+		costs[i] = float64(s.Cost.Total) * nsPerWeight
 	}
-	sync := ringSyncNsSPSC / float64(max(1, batch))
-	fp := costmodel.PlanFusion(costs, sync, cores)
-	aligned := runtime.AlignedCuts(stages, max(1, shards), explicitKey)
-	for k, fuse := range fp.FuseCuts {
+	if p.base == nil {
+		return plan, nil, p.baseErr
+	}
+	sync, cores := ringSyncNsSPSC/float64(plan.Batch), fusionCores()
+	var fp costmodel.FusionPlan
+	if mode == FusionAuto {
+		fp = costmodel.PlanFusion(costs, sync, cores)
+		rc.FuseCuts = fp.FuseCuts
+	}
+	lay, err := p.base.With(rc)
+	if err != nil {
+		return plan, nil, err
+	}
+	plan.Shards, plan.Replicas = lay.Width(), lay.Replicas()
+	fused := lay.Fused()
+	for k, dec := range fp.Decisions {
 		switch {
-		case !fuse:
-			why = append(why, fp.Decisions[k].Why)
-		case !aligned[k]:
-			why = append(why, keptAtJunction(k))
-		default:
-			cuts = append(cuts, k+1)
-			why = append(why, fp.Decisions[k].Why)
+		case fused[k]:
+			plan.FusedCuts = append(plan.FusedCuts, k+1)
+		case dec.Fuse:
+			dec.Why = fmt.Sprintf("keep cut %d: shard junction (replica widths differ across the cut); fusion needs aligned lanes", k+1)
 		}
+		plan.FusionWhy = append(plan.FusionWhy, dec.Why)
 	}
-	return cuts, why
+	plan.PredictedNsPerPkt = price(costs, fused, plan.Replicas, sync, cores)
+	return plan, lay, nil
 }
 
-// keptAtJunction renders the rationale for a cut the valuator wanted
-// fused but the shard plan forbids.
-func keptAtJunction(k int) string {
-	return fmt.Sprintf("keep cut %d: shard junction (replica widths differ across the cut); fusion needs aligned lanes", k+1)
-}
-
-// fuseMask lowers Plan.FusedCuts (1-based cut indices) back to the
-// runtime's per-cut boolean mask for a D-stage pipeline.
-func fuseMask(cuts []int, d int) []bool {
-	if len(cuts) == 0 || d <= 1 {
-		return nil
-	}
-	mask := make([]bool, d-1)
-	for _, k := range cuts {
-		if k >= 1 && k < d {
-			mask[k-1] = true
-		}
-	}
-	return mask
-}
-
-// fusedUnitCosts folds per-stage costs into per-unit costs under a fuse
-// mask (the adaptive prior's view of a fused realization).
-func fusedUnitCosts(stageNs []float64, fuse []bool) []float64 {
-	if len(stageNs) == 0 {
-		return nil
-	}
-	us := []float64{stageNs[0]}
-	for i := 1; i < len(stageNs); i++ {
-		if i-1 < len(fuse) && fuse[i-1] {
-			us[len(us)-1] += stageNs[i]
+// price folds per-stage costs into the realization's execution units — a
+// run of stages joined by fused cuts is one unit, at the replica width its
+// stages share — and asks the one predictor for its cost per packet.
+func price(costs []float64, fused []bool, replicas []int, sync float64, cores int) float64 {
+	var units []float64
+	var widths []int
+	for s, c := range costs {
+		if s > 0 && fused[s-1] {
+			units[len(units)-1] += c
 		} else {
-			us = append(us, stageNs[i])
+			units, widths = append(units, c), append(widths, replicas[s])
 		}
 	}
-	return us
+	return costmodel.Predict(units, widths, sync, cores)
 }

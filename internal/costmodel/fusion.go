@@ -27,29 +27,48 @@ type FusionPlan struct {
 	Units int
 }
 
-// PlanFusion decides which cuts of a pipeline are worth their ring. The
-// inputs are the per-stage costs (nanoseconds or model weight — any
-// consistent unit), the per-handoff synchronization cost in the same
-// unit, and the host's usable core count.
+// Predict is the repository's one throughput model: the predicted cost per
+// packet, in the unit of its inputs, of a realization given as its execution
+// units. unitNs[i] is unit i's summed stage cost, widths[i] its replica
+// width (nil or short: 1), syncNs the cost of one ring handoff, cores the
+// processors the units share (< 1 is read as 1):
 //
-// The valuation uses the same two-bound model as the adaptive loop's
-// candidate prior: a realization's predicted cost per packet is
+//	max(pipe, cpu)
+//	pipe = max(unitNs[i]/widths[i]) + syncNs·(units-1)
+//	cpu  = (Σ unitNs + syncNs·(units-1)) / cores
 //
-//	max(pipeBound, cpuBound)
-//	pipeBound = max unit cost + sync·(units-1)
-//	cpuBound  = (total work + sync·(units-1)) / cores
-//
-// sync·(units-1) is the handoff-chain tax: with bounded rings and
+// syncNs·(units-1) is the handoff-chain tax: with bounded rings and
 // steady-state backpressure every boundary's per-packet synchronization
-// appears on the end-to-end cadence, so each retained cut charges one
-// sync against both bounds. A cut pays for its ring only when splitting
-// there lowers the maximum — when the pipeline bound it relieves exceeds
-// the synchronization tax it adds. The planner is greedy: starting from
-// the fully split pipeline, it repeatedly merges the adjacent-unit pair
-// whose merge most improves the predicted cost, until no merge helps.
-// On one core both bounds strictly fall with every merge, so everything
-// fuses; with generous cores and per-stage work far above sync, no merge
-// helps and every cut survives.
+// appears on the end-to-end cadence, so each retained cut charges one sync
+// against both bounds — and a single unit, however many stages it fuses,
+// pays none. Replication divides only the pipe bound: P replicas of a unit
+// retire P packets per unit time, but every packet's work still lands on
+// the shared cores. The fusion valuator below, the adaptive loop's
+// candidate prior and Plan.PredictedNsPerPkt are all this function.
+func Predict(unitNs []float64, widths []int, syncNs float64, cores int) float64 {
+	var total, bottleneck float64
+	for i, u := range unitNs {
+		total += u
+		if i < len(widths) && widths[i] > 1 {
+			u /= float64(widths[i])
+		}
+		bottleneck = max(bottleneck, u)
+	}
+	sync := syncNs * float64(max(len(unitNs)-1, 0))
+	return max(bottleneck+sync, (total+sync)/float64(max(cores, 1)))
+}
+
+// PlanFusion decides which cuts of a pipeline are worth their ring under
+// Predict: a cut pays for its ring only when splitting there lowers the
+// prediction — when the pipeline bound it relieves exceeds the
+// synchronization tax it adds. The inputs are the per-stage costs
+// (nanoseconds or model weight — any consistent unit), the per-handoff
+// synchronization cost in the same unit, and the host's usable core count.
+// The planner is greedy: starting from the fully split pipeline, it
+// repeatedly merges the adjacent-unit pair whose merge most improves the
+// predicted cost, until no merge helps. On one core both bounds strictly
+// fall with every merge, so everything fuses; with generous cores and
+// per-stage work far above sync, no merge helps and every cut survives.
 //
 // stageNs entries must be non-negative; cores < 1 is treated as 1.
 // A single-stage pipeline yields an empty plan.
@@ -71,31 +90,18 @@ func PlanFusion(stageNs []float64, ringSyncNs float64, cores int) FusionPlan {
 	for i := range cutAfter {
 		cutAfter[i] = i
 	}
-	predict := func(us []float64) float64 {
-		var total, bottleneck float64
-		for _, u := range us {
-			total += u
-			if u > bottleneck {
-				bottleneck = u
-			}
-		}
-		sync := ringSyncNs * float64(len(us)-1)
-		pipe := bottleneck + sync
-		cpu := (total + sync) / float64(cores)
-		return max(pipe, cpu)
-	}
 
 	merged := map[int]string{} // cut index -> rationale
+	trial := make([]float64, 0, d)
 	for len(units) > 1 {
-		cur := predict(units)
+		cur := Predict(units, nil, ringSyncNs, cores)
 		bestGain, bestAt := 0.0, -1
 		var bestCost float64
 		for i := 0; i+1 < len(units); i++ {
-			trial := make([]float64, 0, len(units)-1)
-			trial = append(trial, units[:i]...)
+			trial = append(trial[:0], units[:i]...)
 			trial = append(trial, units[i]+units[i+1])
 			trial = append(trial, units[i+2:]...)
-			if c := predict(trial); cur-c > bestGain {
+			if c := Predict(trial, nil, ringSyncNs, cores); cur-c > bestGain {
 				bestGain, bestAt, bestCost = cur-c, i, c
 			}
 		}

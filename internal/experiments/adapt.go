@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro"
 	"repro/internal/netbench"
@@ -31,8 +29,7 @@ type AdaptPoint struct {
 // choice re-measured on a fresh stream, and the calibration evidence.
 type AdaptReport struct {
 	PPS string `json:"pps"`
-	// Hand holds the hand-picked reference configurations (the same
-	// guarded points the serve baseline gate watches).
+	// Hand holds the hand-picked reference configurations.
 	Hand []AdaptPoint `json:"hand"`
 	// Auto is the configuration the closed loop selected, measured fresh.
 	Auto AdaptPoint `json:"auto"`
@@ -155,37 +152,4 @@ func Adapt(name string, packets int) (*AdaptReport, error) {
 		Degree: plan.Degree, Batch: plan.Batch, Shards: plan.Shards, PktPerS: pk,
 	}
 	return rep, nil
-}
-
-// CheckAdaptGate is the CI gate over the adapt experiment: the autotuner's
-// committed configuration, measured fresh, must reach at least 90% of the
-// best point recorded in the checked-in serve baseline JSON at path. A
-// missing baseline skips the gate (first-run bootstrap).
-func CheckAdaptGate(rep *AdaptReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	var base []ServePoint
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	var best ServePoint
-	for _, p := range base {
-		if p.PktPerS > best.PktPerS {
-			best = p
-		}
-	}
-	if best.PktPerS <= 0 {
-		return nil
-	}
-	const floor = 0.90
-	if rep.Auto.PktPerS < best.PktPerS*floor {
-		return fmt.Errorf("adapt gate: auto-selected %s reached %.0f pkt/s, below %.0f%% of the best baseline point (D=%d batch=%d P=%d at %.0f pkt/s)",
-			rep.Auto.Label, rep.Auto.PktPerS, 100*floor, best.Degree, best.Batch, max(1, best.Shards), best.PktPerS)
-	}
-	return nil
 }

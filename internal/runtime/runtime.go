@@ -57,6 +57,7 @@ import (
 	"fmt"
 	"log"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -140,16 +141,13 @@ type Config struct {
 	// refines the table index.
 	ShardKey func(pkt []byte) uint64
 
-	// FuseCuts marks pipeline cuts to realize by fusion: when FuseCuts[k]
-	// is true, stages k+1 and k+2 run in one goroutine with the live-set
-	// handoff folded into token-buffer moves instead of an SPSC ring —
-	// the realization for cuts whose ring tax exceeds their pipeline-bound
-	// gain. nil (the default) fuses nothing. Entries past the last cut are
-	// ignored, and a marked cut is only fused when both sides have the
-	// same replica width (an aligned junction): scatters and fan-ins keep
-	// their ring machinery regardless. Fused stages keep their own probes,
-	// fault-injection indices, and MaxSteps budgets — only the ring
-	// between them disappears.
+	// FuseCuts requests cuts to realize by fusion: when FuseCuts[k] is true,
+	// stages k+1 and k+2 run in one goroutine with the live-set handoff
+	// folded into token-buffer moves instead of an SPSC ring. nil (the
+	// default) fuses nothing. It is a request: Layout.Fused reports what is
+	// granted (a scatter or fan-in keeps its junction machinery). Fused
+	// stages keep their own probes, fault-injection indices, and MaxSteps
+	// budgets — only the ring between them disappears.
 	FuseCuts []bool
 
 	// Overload selects what a producer does when its outgoing ring stays
@@ -216,10 +214,11 @@ const overloadTick = 200 * time.Microsecond
 const defaultWatermark = 4
 
 // Validate checks every serve-side value and conflict rule of the
-// configuration against its typed sentinel. It is the one validator: Serve
-// runs it, and the repro facade runs it on the Config its options lower
-// to, so a bad value reports the same error whichever layer catches it.
-// (The fault plan is checked against the actual stage count by Serve.)
+// configuration against its typed sentinel. It is the one validator: every
+// Layout runs it, and the repro facade runs it on the Config its options
+// lower to, so a bad value reports the same error whichever layer catches
+// it. (The fault plan is checked against the actual stage count by the
+// Layout.)
 func (c Config) Validate() error {
 	if c.Backend < BackendCompiled || c.Backend > BackendInterp {
 		return fmt.Errorf("%w: %d", errs.ErrBadBackend, int(c.Backend))
@@ -571,19 +570,6 @@ func (e *engine) unitEnd(s int) int {
 	return s
 }
 
-// effectiveFusion intersects the requested fusion mask with the shard
-// plan's aligned cuts: a cut is realized fused only when it was asked for
-// and both sides have the same replica width (a scatter or fan-in always
-// keeps its junction machinery). The result is defensively sized to the
-// pipeline's D-1 cuts whatever length the request had.
-func effectiveFusion(req []bool, plan *shardPlan) []bool {
-	fused := make([]bool, len(plan.reps)-1)
-	for k := range fused {
-		fused[k] = k < len(req) && req[k] && plan.reps[k] == plan.reps[k+1]
-	}
-	return fused
-}
-
 // unitLabel renders a unit's 1-based stage range for pprof labels:
 // "2" for a lone stage, "2+3" for stages 2 and 3 fused.
 func unitLabel(s, end int) string {
@@ -591,21 +577,6 @@ func unitLabel(s, end int) string {
 		return strconv.Itoa(s + 1)
 	}
 	return strconv.Itoa(s+1) + "+" + strconv.Itoa(end+1)
-}
-
-// AlignedCuts reports, for the given stage list under the given shard
-// width, which cuts join stages of equal replica width — the cuts fusion
-// may realize. Callers that plan fusion (the repro layer's cost-model
-// pass) intersect their wish list with this so the reported plan matches
-// what Serve will actually fuse; Serve itself re-derives the same mask.
-func AlignedCuts(stages []*ir.Program, shards int, explicitKey bool) []bool {
-	shapes := classifyStages(stages)
-	plan := newShardPlan(shapes, max(shards, 1), explicitKey)
-	aligned := make([]bool, len(stages)-1)
-	for k := range aligned {
-		aligned[k] = plan.reps[k] == plan.reps[k+1]
-	}
-	return aligned
 }
 
 func (e *engine) getToken() *token {
@@ -1039,7 +1010,91 @@ func (e *engine) logLoop(stop <-chan struct{}) {
 // observability layer and cfg.OnLive exposes the live counter probes for
 // mid-run snapshots.
 func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src Source, cfg Config) (*Metrics, error) {
-	e, err := build(stages, world, src, cfg)
+	l, err := NewLayout(stages, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return l.Serve(ctx, world, src)
+}
+
+// Layout is everything a serve decides before it allocates anything, as
+// one immutable value: the stage list checked against the servability
+// contract, each stage's persistent-state class, the configuration
+// validated with its defaults filled, the shard plan (per-stage replica
+// widths and junctions), and the cuts realized by fusion. build wires
+// exactly what it says and the repro facade prints it as the Plan, so what
+// is reported and what runs cannot differ.
+type Layout struct {
+	stages []*ir.Program
+	shapes []stageShape
+	cfg    Config
+	plan   *shardPlan
+	fused  []bool // cut -> realized by fusion (requested and aligned)
+}
+
+// NewLayout validates stages, classifies them, and lays them out under cfg.
+func NewLayout(stages []*ir.Program, cfg Config) (*Layout, error) {
+	if err := Validate(stages); err != nil {
+		return nil, err
+	}
+	return (&Layout{stages: stages, shapes: classifyStages(stages)}).With(cfg)
+}
+
+// With lays the same stages out under another configuration, reusing their
+// classification: the per-candidate step of a search over serve shapes. It
+// fails with the typed error Serve would report for cfg — a bad value, a
+// fault plan naming a stage past the last, the shed policy upstream of a
+// sharded fan-in.
+func (l *Layout) With(cfg Config) (*Layout, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	if err := cfg.Faults.Validate(len(l.stages)); err != nil {
+		return nil, err
+	}
+	plan := newShardPlan(l.shapes, cfg.Shards, cfg.ShardKey != nil)
+	if plan.hasFanin() && cfg.Overload == OverloadShed {
+		return nil, fmt.Errorf("%w: the shed policy cannot drop tokens upstream of a sharded fan-in; use block or degrade, or serve unsharded",
+			errs.ErrConflictingOptions)
+	}
+	// A requested cut fuses only between stages of equal replica width: a
+	// fused unit is one goroutine per lane, and a scatter or fan-in keeps
+	// its junction machinery.
+	fused := make([]bool, len(l.stages)-1)
+	for k := range fused {
+		fused[k] = k < len(cfg.FuseCuts) && cfg.FuseCuts[k] && plan.reps[k] == plan.reps[k+1]
+	}
+	return &Layout{stages: l.stages, shapes: l.shapes, cfg: cfg, plan: plan, fused: fused}, nil
+}
+
+// Fused reports, per cut, whether it is realized by fusion.
+func (l *Layout) Fused() []bool { return slices.Clone(l.fused) }
+
+// Replicas reports each stage's replica width: 1, or the shard width.
+func (l *Layout) Replicas() []int { return slices.Clone(l.plan.reps) }
+
+// Width is the effective shard width: the configured one when any stage
+// replicates, 1 otherwise (a fully cross-flow pipeline).
+func (l *Layout) Width() int { return l.plan.width() }
+
+// Forks reports whether some replica runs on a private fork of flow-keyed
+// persistent arrays. A fork is re-seeded from the base store when a serve
+// starts and its writes end with that serve, so a caller carrying state
+// across serves through Config.Store (the adaptive loop) must not use a
+// forking layout.
+func (l *Layout) Forks() bool {
+	for s, sh := range l.shapes {
+		if l.plan.reps[s] > 1 && len(sh.flowArrs) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Serve runs the layout: build, run, finish. See the package-level Serve.
+func (l *Layout) Serve(ctx context.Context, world *interp.World, src Source) (*Metrics, error) {
+	e, err := build(l, world, src)
 	if err != nil {
 		return nil, err
 	}
@@ -1047,40 +1102,24 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 	return e.finish(ctx, world)
 }
 
-// build validates the inputs, lays out the shard plan, and wires the whole
-// run — runners, rings, probes, units — without starting anything: the
-// returned engine is the realized topology as a value.
-func build(stages []*ir.Program, world *interp.World, src Source, cfg Config) (*engine, error) {
-	if err := Validate(stages); err != nil {
-		return nil, err
-	}
+// build wires the whole run a layout describes — runners, rings, probes,
+// units — without starting anything: the returned engine is the realized
+// topology as a value.
+func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 	if world == nil {
 		return nil, errs.ErrNilWorld
 	}
 	if src == nil {
 		return nil, errs.ErrNilSource
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	D := len(stages)
-	if err := cfg.Faults.Validate(D); err != nil {
-		return nil, err
-	}
-	shapes := classifyStages(stages)
-	plan := newShardPlan(shapes, cfg.Shards, cfg.ShardKey != nil)
-	if plan.hasFanin() && cfg.Overload == OverloadShed {
-		return nil, fmt.Errorf("%w: the shed policy cannot drop tokens upstream of a sharded fan-in; use block or degrade, or serve unsharded",
-			errs.ErrConflictingOptions)
-	}
+	cfg, plan, D := l.cfg, l.plan, len(l.stages)
 	hasDisp := plan.reps[0] > 1
 	e := &engine{
 		cfg:      cfg,
 		src:      src,
 		plan:     plan,
-		fused:    effectiveFusion(cfg.FuseCuts, plan),
-		runners:  newShardRunners(cfg.Backend, stages, world, plan, shapes, cfg.Store),
+		fused:    l.fused,
+		runners:  newShardRunners(cfg.Backend, l.stages, world, plan, l.shapes, cfg.Store),
 		rings:    make([][]*tokRing, D-1),
 		seqs:     make([]*seqStream, plan.nSeqs),
 		inj:      fault.NewInjector(cfg.Faults, D),

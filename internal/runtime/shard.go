@@ -122,22 +122,6 @@ var (
 	mixCalls = map[string]bool{"csum_fold": true, "hash_crc": true}
 )
 
-// HasForkedState reports whether sharding the pipeline (P > 1 with an
-// explicit flow key) would give some stage replicas private forks of
-// persistent arrays. The adaptive serve loop consults it before probing
-// sharded candidates mid-stream: forked replica state is re-seeded from the
-// base store at the start of every Serve round, so writes made by replicas
-// in one round would not survive into the next — pipelines with flow-keyed
-// written state therefore only swap between unsharded configurations.
-func HasForkedState(stages []*ir.Program) bool {
-	for _, sh := range classifyStages(stages) {
-		if len(sh.flowArrs) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // classifyStages derives each stage's shardability from its IR. Register
 // classes propagate across cuts through the live-set transmissions: stage
 // k's OpSendLS argument classes seed stage k+1's OpRecvLS destinations, so

@@ -178,9 +178,9 @@ func TestNewShardPlanJunctions(t *testing.T) {
 	}
 }
 
-// TestBuildUnits pins the realized topology as build returns it, before
-// anything runs: for each plan shape, which units exist — one goroutine
-// each — and for every unit its in-port kind, the 1-based stages it
+// TestBuildUnits pins the realized topology as build returns it from a
+// Layout, before anything runs: for each plan shape, which units exist —
+// one goroutine each — and for every unit its in-port kind, the 1-based stages it
 // executes, and its out-port kind. Every serve goroutine is one unit
 // loop, so this table is the whole wiring: the head is a source in-port,
 // D=1 and the fully fused pipeline are source -> all segments -> sink,
@@ -233,11 +233,18 @@ func TestBuildUnits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := build(res.Stages, netbench.NewWorld(nil), Packets(nil),
-				Config{Shards: tc.p, FuseCuts: tc.fuse})
+			l, err := NewLayout(res.Stages, Config{Shards: tc.p, FuseCuts: tc.fuse})
 			if err != nil {
 				t.Fatal(err)
 			}
+			e, err := build(l, netbench.NewWorld(nil), Packets(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// What the layout says is what build wired: a cut is fused iff
+			// one unit spans it, and a stage's replica width is the number
+			// of units executing it.
+			wired, spans := make([]int, tc.d), make([]bool, tc.d-1)
 			var got []string
 			for _, u := range e.units {
 				stages := ""
@@ -247,10 +254,20 @@ func TestBuildUnits(t *testing.T) {
 						stages += fmt.Sprint("-", u.segs[n-1].s+1)
 					}
 				}
+				for i, lc := range u.segs {
+					wired[lc.s]++
+					if i > 0 {
+						spans[lc.s-1] = true
+					}
+				}
 				got = append(got, fmt.Sprintf("%s[%s]%s", kinds[u.in.kind], stages, kinds[u.out.kind]))
 				if u.out.kind == portSink && (u.out.col != nil) != tc.sinkMP {
 					t.Errorf("unit %s: sink collector present = %v, want %v", got[len(got)-1], u.out.col != nil, tc.sinkMP)
 				}
+			}
+			if fmt.Sprint(l.Replicas()) != fmt.Sprint(wired) || fmt.Sprint(l.Fused()) != fmt.Sprint(spans) {
+				t.Errorf("layout says replicas %v fused %v, build wired replicas %v fused %v",
+					l.Replicas(), l.Fused(), wired, spans)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Errorf("built %d goroutines %v\nwant  %d goroutines %v", len(got), got, len(tc.want), tc.want)

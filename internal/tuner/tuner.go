@@ -18,9 +18,9 @@ type Candidate struct {
 	// Degree, Batch, Shards identify the configuration.
 	Degree, Batch, Shards int
 	// Fused marks the realization that fuses the cuts the cost model says
-	// cannot pay for their ring (the caller derives the concrete mask from
-	// Degree and Batch; it competes against the fully ringed realization
-	// of the same shape).
+	// cannot pay for their ring (the caller holds the concrete realization
+	// under Key; it competes against the fully ringed realization of the
+	// same shape).
 	Fused bool
 	// Prior is the model-predicted score (higher is better; the adaptive
 	// loop uses predicted packets per second).

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/ingest"
+	"repro/internal/interp"
 	"repro/internal/npsim"
 	"repro/internal/runtime"
 	"repro/internal/runtime/fault"
@@ -183,6 +184,9 @@ type config struct {
 	objective *Objective
 	autotune  *Autotune
 	fusion    FusionMode
+	// store is not set by an option: the adaptive loop installs the one
+	// persistent store every round of a serve shares.
+	store *interp.Store
 	// ingestion (serve)
 	source ingest.Source
 	// ingestStats is not set by an option: Pipeline.Serve installs it
@@ -609,6 +613,7 @@ func (c *config) serveConfig() runtime.Config {
 		Shards:        c.shards,
 		ShardKey:      c.shardKey,
 		Ingest:        c.ingestStats,
+		Store:         c.store,
 	}
 }
 

@@ -25,8 +25,13 @@ type Pipeline struct {
 	report   *Report
 	cfg      config
 	analysis *core.Analysis // the cut's parent analysis; Reweigh seam of the adaptive loop
-	live     atomic.Pointer[runtime.Live]
-	plan     atomic.Pointer[Plan]
+	// base is the stage list validated and classified once, laid out under
+	// the default configuration; every realization is base.With(a config).
+	// nil, with the reason in baseErr, when the cut is not servable.
+	base    *runtime.Layout
+	baseErr error
+	live    atomic.Pointer[runtime.Live]
+	plan    atomic.Pointer[Plan]
 }
 
 // newPipeline wraps a core result with the configuration it was cut under,
@@ -35,7 +40,9 @@ type Pipeline struct {
 // calibrated weights.
 func newPipeline(res *core.Result, cfg config, an *core.Analysis) *Pipeline {
 	p := &Pipeline{stages: res.Stages, report: res.Report, cfg: cfg, analysis: an}
-	p.plan.Store(staticPlan(res.Stages, res.Report, cfg))
+	p.base, p.baseErr = runtime.NewLayout(res.Stages, runtime.Config{})
+	plan, _, _ := p.realize(cfg, cfg.fusion, 1.0)
+	p.plan.Store(plan)
 	return p
 }
 
@@ -218,19 +225,19 @@ func (p *Pipeline) serveWith(ctx context.Context, src Source, cfg config) (*Metr
 		}
 		return p.serveAdaptive(ctx, src, cfg)
 	}
+	// Static path: realize the cut under the serve-time shape — cuts whose
+	// ring tax exceeds their pipeline gain run fused (WithFusion(FusionOff)
+	// pins every ring) — publish the plan, and execute its layout.
+	plan, lay, err := p.realize(cfg, cfg.fusion, 1.0)
+	if err != nil {
+		return nil, err
+	}
+	p.plan.Store(plan)
 	world := cfg.world
 	if world == nil {
 		world = NewWorld(nil)
 	}
-	rc := cfg.serveConfig()
-	// Static path: value every cut under the serve-time shape and realize
-	// the verdict — cuts whose ring tax exceeds their pipeline gain run
-	// fused (WithFusion(FusionOff) pins every ring). The refreshed plan
-	// records which cuts fused and why.
-	plan := staticPlan(p.stages, p.report, cfg)
-	rc.FuseCuts = fuseMask(plan.FusedCuts, len(p.stages))
-	p.plan.Store(plan)
-	return runtime.Serve(ctx, p.stages, world, src, rc)
+	return lay.Serve(ctx, world, src)
 }
 
 // Snapshot captures the counters of the pipeline's most recent Serve run
