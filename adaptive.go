@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/interp"
 	"repro/internal/obsv"
@@ -57,7 +56,7 @@ func MaxThroughput() Objective { return Objective{} }
 // measured packets per second among configurations whose 99th-percentile
 // batch latency (measured over traced batch spans) stays under bound. When
 // no probed configuration meets the bound, the lowest-latency one is
-// chosen. The bound must be positive (ErrBadObjective otherwise).
+// chosen. The bound must be positive (ErrBadOption otherwise).
 func ThroughputUnderP99(bound time.Duration) Objective {
 	return Objective{bounded: true, p99: bound}
 }
@@ -71,28 +70,11 @@ func (o Objective) String() string {
 	return "max-throughput"
 }
 
-func (o *Objective) validate() error {
-	if o != nil && o.bounded && o.p99 <= 0 {
-		return fmt.Errorf("repro: %w: p99 bound %v (want > 0)", ErrBadObjective, o.p99)
+func (o Objective) validate() error {
+	if o.bounded && o.p99 <= 0 {
+		return fmt.Errorf("repro: %w: WithObjective p99 bound %v (want > 0)", ErrBadOption, o.p99)
 	}
 	return nil
-}
-
-// objectiveString renders the configured objective, defaulting to
-// max-throughput when none was declared.
-func (c *config) objectiveString() string {
-	if c.objective == nil {
-		return MaxThroughput().String()
-	}
-	return c.objective.String()
-}
-
-// tunerObjective lowers the public objective to the tuner's form.
-func (o *Objective) tunerObjective() tuner.Objective {
-	if o == nil || !o.bounded {
-		return tuner.Objective{}
-	}
-	return tuner.Objective{P99Bound: o.p99}
 }
 
 // Autotune configures the adaptive search WithAutotune turns on. The zero
@@ -123,17 +105,17 @@ func (t *Autotune) validate() error {
 	}
 	if t.ProbePackets < 0 || t.TopK < 0 || t.Seed < 0 ||
 		t.MaxDegree < 0 || t.MaxDegree > MaxStages {
-		return fmt.Errorf("repro: %w: probe %d, topK %d, seed %d, maxDegree %d",
-			ErrBadAutotune, t.ProbePackets, t.TopK, t.Seed, t.MaxDegree)
+		return fmt.Errorf("repro: %w: WithAutotune ProbePackets %d, TopK %d, Seed %d, MaxDegree %d",
+			ErrBadOption, t.ProbePackets, t.TopK, t.Seed, t.MaxDegree)
 	}
 	for _, b := range t.Batches {
 		if b < 1 {
-			return fmt.Errorf("repro: %w: batch candidate %d", ErrBadAutotune, b)
+			return fmt.Errorf("repro: %w: WithAutotune Batches candidate %d", ErrBadOption, b)
 		}
 	}
 	for _, p := range t.Shards {
 		if p < 1 || p > MaxShards {
-			return fmt.Errorf("repro: %w: shard candidate %d (want 1..%d)", ErrBadAutotune, p, MaxShards)
+			return fmt.Errorf("repro: %w: WithAutotune Shards candidate %d (want 1..%d)", ErrBadOption, p, MaxShards)
 		}
 	}
 	return nil
@@ -172,8 +154,6 @@ type Plan struct {
 	Degree, Batch, Shards int
 	// Replicas is each stage's replica width: 1, or Shards.
 	Replicas []int
-	// Backend is the stage-execution backend.
-	Backend Backend
 	// Objective is the declared optimization objective.
 	Objective string
 	// Calibrated reports whether the cost model behind this plan was
@@ -239,12 +219,12 @@ func (m *meteredSource) window(n int) Source {
 // the fully validated serve configuration with cfg.autotune non-nil.
 func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*Metrics, error) {
 	at := cfg.autotune.withDefaults()
-	obj := cfg.objective.tunerObjective()
+	obj := tuner.Objective{P99Bound: cfg.objective.p99} // zero unless bounded
 	world := cfg.world
 	if world == nil {
 		world = NewWorld(nil)
 	}
-	cfg.store = interp.NewStore(p.stages...)
+	cfg.serve.Store = interp.NewStore(p.stages...)
 	cursor := &meteredSource{src: src}
 	start := time.Now()
 
@@ -281,7 +261,7 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	// would fork flow state), measuring per-stage time.
 	plan, lay, err := p.realize(cfg, cfg.fusion, 1.0)
 	if err == nil && lay.Forks() {
-		cfg.shards = 1
+		cfg.serve.Shards = 1
 		plan, lay, err = p.realize(cfg, cfg.fusion, 1.0)
 	}
 	if err != nil {
@@ -299,7 +279,7 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	// Calibrate the cost model from the measured per-stage times. A failed
 	// fit (degenerate measurements) falls back to the static weights; the
 	// tuner still runs, ranking candidates by the datasheet model.
-	arch := cfg.arch
+	arch := cfg.explore.Base.Arch
 	samples := make([]costmodel.Sample, len(p.stages))
 	for i, st := range probe.Stages {
 		samples[i] = costmodel.Sample{
@@ -332,11 +312,11 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		lay  *runtime.Layout
 	}
 	probeCfg := cfg
-	probeCfg.obs = nil
+	probeCfg.serve.Obs = nil
 	var tr *obsv.Tracer
 	if obj.P99Bound > 0 {
 		tr = obsv.NewTracer(0)
-		probeCfg.obs = &obsv.Observer{Tracer: tr}
+		probeCfg.serve.Obs = &obsv.Observer{Tracer: tr}
 	}
 	byKey := map[string]realization{}
 	var cands []tuner.Candidate
@@ -358,9 +338,10 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		modes = append(modes, FusionOff)
 	}
 	for d := 1; d <= min(at.MaxDegree, MaxStages); d++ {
-		res, err := analysis.Partition(core.Options{
-			Stages: d, Epsilon: cfg.epsilon, Channel: cfg.channel, Tx: cfg.tx,
-		})
+		// The (re)weighed analysis supplies the cost model.
+		o := cfg.explore.Base
+		o.Stages, o.Arch = d, nil
+		res, err := analysis.Partition(o)
 		if err != nil {
 			continue
 		}
@@ -369,7 +350,7 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 			for _, ps := range at.Shards {
 				for _, mode := range modes {
 					c := probeCfg
-					c.batch, c.shards = b, ps
+					c.serve.Batch, c.serve.Shards = b, ps
 					add(realization{pipe: cut, cfg: c, mode: mode})
 				}
 			}
@@ -411,7 +392,7 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	// Commit: realize the winner once more with the user's observer
 	// attached, publish that plan, and serve the rest of the stream on it.
 	win := byKey[decision.Chosen.Key()]
-	win.cfg.obs = cfg.obs
+	win.cfg.serve.Obs = cfg.serve.Obs
 	plan, lay, err = win.pipe.realize(win.cfg, win.mode, nsPerWeight)
 	if err != nil {
 		return nil, err

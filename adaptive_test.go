@@ -180,17 +180,17 @@ func TestObjectiveAndAutotuneValidation(t *testing.T) {
 	ctx := context.Background()
 	src := repro.PacketSource(testPackets(1))
 
-	if _, err := pipe.Serve(ctx, src, repro.WithObjective(repro.ThroughputUnderP99(0))); !errors.Is(err, repro.ErrBadObjective) {
-		t.Errorf("zero p99 bound err = %v, want ErrBadObjective", err)
+	if _, err := pipe.Serve(ctx, src, repro.WithObjective(repro.ThroughputUnderP99(0))); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("zero p99 bound err = %v, want ErrBadOption", err)
 	}
-	if _, err := pipe.Serve(ctx, src, repro.WithAutotune(repro.Autotune{ProbePackets: -1})); !errors.Is(err, repro.ErrBadAutotune) {
-		t.Errorf("negative probe window err = %v, want ErrBadAutotune", err)
+	if _, err := pipe.Serve(ctx, src, repro.WithAutotune(repro.Autotune{ProbePackets: -1})); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("negative probe window err = %v, want ErrBadOption", err)
 	}
-	if _, err := pipe.Serve(ctx, src, repro.WithAutotune(repro.Autotune{Shards: []int{99}})); !errors.Is(err, repro.ErrBadAutotune) {
-		t.Errorf("oversized shard candidate err = %v, want ErrBadAutotune", err)
+	if _, err := pipe.Serve(ctx, src, repro.WithAutotune(repro.Autotune{Shards: []int{99}})); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("oversized shard candidate err = %v, want ErrBadOption", err)
 	}
-	if _, err := pipe.Serve(ctx, src, repro.WithAutotune(repro.Autotune{Batches: []int{0}})); !errors.Is(err, repro.ErrBadAutotune) {
-		t.Errorf("zero batch candidate err = %v, want ErrBadAutotune", err)
+	if _, err := pipe.Serve(ctx, src, repro.WithAutotune(repro.Autotune{Batches: []int{0}})); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("zero batch candidate err = %v, want ErrBadOption", err)
 	}
 
 	// MaxThroughput is always valid, with or without autotune.

@@ -290,10 +290,9 @@ func BenchmarkInterpreter(b *testing.B) {
 }
 
 // benchmarkServe measures the host-native streaming runtime on the IPv4
-// PPS: packets per second through a D-stage goroutine pipeline executing
-// stages on the given backend. Extra serve options (fusion mode, shards)
-// are passed through.
-func benchmarkServe(b *testing.B, degree, batch int, backend repro.Backend, opts ...repro.Option) {
+// PPS: packets per second through a D-stage goroutine pipeline. Extra serve
+// options (fusion mode, shards) are passed through.
+func benchmarkServe(b *testing.B, degree, batch int, opts ...repro.Option) {
 	p, _ := netbench.ByName("IPv4")
 	prog, err := p.Compile()
 	if err != nil {
@@ -307,7 +306,7 @@ func benchmarkServe(b *testing.B, degree, batch int, backend repro.Backend, opts
 	world := netbench.NewWorld(nil)
 	b.ResetTimer()
 	m, err := pipe.Serve(context.Background(), repro.RepeatSource(traffic, b.N),
-		append([]repro.Option{repro.WithWorld(world), repro.WithBatch(batch), repro.WithBackend(backend)}, opts...)...)
+		append([]repro.Option{repro.WithWorld(world), repro.WithBatch(batch)}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -319,20 +318,19 @@ func benchmarkServe(b *testing.B, degree, batch int, backend repro.Backend, opts
 }
 
 // BenchmarkServeIPv4Sequential is the single-stage host baseline the
-// pipelined serve benchmarks are compared against (compiled backend — the
-// serve default).
-func BenchmarkServeIPv4Sequential(b *testing.B) { benchmarkServe(b, 1, 1, repro.BackendCompiled) }
+// pipelined serve benchmarks are compared against.
+func BenchmarkServeIPv4Sequential(b *testing.B) { benchmarkServe(b, 1, 1) }
 
 // BenchmarkServeIPv4D2 serves through a 2-stage goroutine pipeline.
-func BenchmarkServeIPv4D2(b *testing.B) { benchmarkServe(b, 2, 1, repro.BackendCompiled) }
+func BenchmarkServeIPv4D2(b *testing.B) { benchmarkServe(b, 2, 1) }
 
 // BenchmarkServeIPv4D4 serves through a 4-stage goroutine pipeline — the
 // configuration EXPERIMENTS.md tabulates.
-func BenchmarkServeIPv4D4(b *testing.B) { benchmarkServe(b, 4, 1, repro.BackendCompiled) }
+func BenchmarkServeIPv4D4(b *testing.B) { benchmarkServe(b, 4, 1) }
 
 // BenchmarkServeIPv4D4Batch32 adds transmission batching, amortizing ring
 // synchronization over 32 iterations per ring entry.
-func BenchmarkServeIPv4D4Batch32(b *testing.B) { benchmarkServe(b, 4, 32, repro.BackendCompiled) }
+func BenchmarkServeIPv4D4Batch32(b *testing.B) { benchmarkServe(b, 4, 32) }
 
 // BenchmarkServeIPv4D4Fused and BenchmarkServeIPv4D4Unfused are the
 // fusion-comparison pair at the perf-gate shape (D=4, batch 32): Fused
@@ -340,30 +338,15 @@ func BenchmarkServeIPv4D4Batch32(b *testing.B) { benchmarkServe(b, 4, 32, repro.
 // (FusionAuto, the serve default); Unfused pins every cut to an SPSC
 // ring. On hosts where the valuator fuses (few cores, or stage work far
 // below the ring tax), Fused measures the zero-copy handoff path.
-func BenchmarkServeIPv4D4Fused(b *testing.B) { benchmarkServe(b, 4, 32, repro.BackendCompiled) }
+func BenchmarkServeIPv4D4Fused(b *testing.B) { benchmarkServe(b, 4, 32) }
 
 func BenchmarkServeIPv4D4Unfused(b *testing.B) {
-	benchmarkServe(b, 4, 32, repro.BackendCompiled, repro.WithFusion(repro.FusionOff))
+	benchmarkServe(b, 4, 32, repro.WithFusion(repro.FusionOff))
 }
 
-// BenchmarkServeIPv4D1Batch32Compiled and its Interp twin are the
-// backend-comparison pair: one stage, batch 32, so ring synchronization is
-// amortized and the measurement isolates the stage-execution substrate
-// (EXPERIMENTS.md §Host throughput tabulates the pair; the 50k-packet
-// pipebench run is the canonical ratio — at b.N≈10⁶ here, trace
-// retention compresses it).
-func BenchmarkServeIPv4D1Batch32Compiled(b *testing.B) {
-	benchmarkServe(b, 1, 32, repro.BackendCompiled)
-}
-
-// BenchmarkServeIPv4D1Batch32Interp is the interpreter half of the
-// backend-comparison pair.
-func BenchmarkServeIPv4D1Batch32Interp(b *testing.B) { benchmarkServe(b, 1, 32, repro.BackendInterp) }
-
-// BenchmarkServeIPv4D4Batch32Interp serves the EXPERIMENTS.md pipeline
-// configuration on the interpreter, for before/after comparison with
-// BenchmarkServeIPv4D4Batch32.
-func BenchmarkServeIPv4D4Batch32Interp(b *testing.B) { benchmarkServe(b, 4, 32, repro.BackendInterp) }
+// BenchmarkServeIPv4D1Batch32 is one stage at batch 32: no ring, so the
+// measurement isolates stage execution plus the source/sink overhead.
+func BenchmarkServeIPv4D1Batch32(b *testing.B) { benchmarkServe(b, 1, 32) }
 
 // BenchmarkSimulator measures the npsim substrate end to end.
 func BenchmarkSimulator(b *testing.B) {

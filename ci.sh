@@ -29,32 +29,30 @@ echo "== doc gate: go run ./internal/doccheck"
 # README.md must compile against the current API.
 go run ./internal/doccheck
 
-echo "== go test -race ./internal/runtime/..."
-go test -race ./internal/runtime/...
-
 echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # The deterministic fault schedules must produce identical accounting on
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
-echo "== ring gate: SPSC unit tests + microbench smoke + ring oracle matrix"
-# Three layers: the ring package's own unit tests under -race (the
-# publish/claim and close/drain protocols are only meaningful there), a
-# short microbench smoke proving BenchmarkRingChanVsSPSC still runs (it is
+echo "== ring gate: microbench smoke + ring oracle matrix"
+# A short microbench smoke proving BenchmarkRingChanVsSPSC still runs (it is
 # the evidence behind fusion.go's ringSyncNsSPSC; the numbers are recorded
 # in EXPERIMENTS.md, not gated — wall-clock on a shared box), and the
 # runtime's ring tests under -race -count=2: every benchmark pipeline
 # served ringed and fused, unsharded and sharded, each trace byte-identical
-# to the sequential oracle.
-go test -race ./internal/spsc
+# to the sequential oracle and no lost wakeup counted. (The ring package's
+# own unit tests run under -race with everything else, below.)
 go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
 go test -race -count=2 -run 'TestRing' ./internal/runtime
 
-echo "== fuzz smoke: 10s of FuzzServeVsOracle"
+echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzOpenSpec, FuzzPcapDecode"
 # Differential fuzzing of the streaming runtime against the sequential
-# oracle; the checked-in corpus under internal/runtime/testdata/fuzz seeds
-# the mutator.
+# oracle (the checked-in corpus under internal/runtime/testdata/fuzz seeds
+# the mutator), and the two parsers that read what an operator hands the
+# ingest front end: source spec strings and capture files.
 go test ./internal/runtime -run '^$' -fuzz=FuzzServeVsOracle -fuzztime=10s
+go test ./internal/ingest -run '^$' -fuzz=FuzzOpenSpec -fuzztime=10s
+go test ./internal/ingest -run '^$' -fuzz=FuzzPcapDecode -fuzztime=10s
 
 echo "== ingest gate: loopback UDP serve + pcap replay byte-identity"
 # The network-facing front end, end to end: a race-enabled serve over a
@@ -84,7 +82,7 @@ size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go adaptive.g
 # shellcheck disable=SC2086
 echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')"
-echo "options (numOpts):         $(sed -n '/^const (/,/^)/p' options.go | grep -c '^	opt[A-Z]')"
+echo "options (func With*):      $(grep -c '^func With' options.go)"
 echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)"
 
 echo "ci.sh: all checks passed"

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pipebench [-experiment all|fig19|fig20|fig21|fig22|headline|ablations|sim|serve|adapt|chaos|profile|replay|burst]
-//	          [-j N] [-json FILE] [-backend compiled|interp] [-shards LIST]
+//	          [-j N] [-json FILE] [-shards LIST]
 //	          [-pcap FILE] [-pcap-loops N] [-burst-packets N] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Every PPS is analyzed once and the independent (PPS × degree) and
@@ -35,12 +35,10 @@
 // -experiment profile serves with the observability layer fully attached
 // and prints a per-stage attribution table: measured host time (execute /
 // ring-wait / transmit) beside the cost model's predicted balance, the
-// table an operator reads to decide which knob to turn (see DESIGN.md §8).
+// table an operator reads to decide which knob to turn (see DESIGN.md §6.7).
 // All three are excluded from -experiment all because their timing output
 // is inherently not byte-stable, while all's tables are.
 //
-// -backend selects the serve experiment's stage-execution backend
-// (compiled, the default, or interp — the reference interpreter).
 // -shards gives the serve experiment's shard-width sweep as a
 // comma-separated list (default "1,2,4": each pipeline configuration is
 // also measured replicated P ways behind the flow-hash dispatcher).
@@ -59,7 +57,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/runtime"
 )
 
 func main() { os.Exit(realMain()) }
@@ -82,7 +79,6 @@ func realMain() int {
 	jobs := flag.Int("j", 0, "worker goroutines for independent configurations (0 = one per CPU, 1 = sequential)")
 	jsonOut := flag.String("json", "", "write the serve experiment's points to this file as JSON")
 	servePkts := flag.Int("serve-packets", 200000, "packets streamed per serve configuration")
-	backendName := flag.String("backend", "compiled", "serve stage-execution backend: compiled|interp")
 	shardsList := flag.String("shards", "1,2,4", "comma-separated shard widths the serve experiment sweeps")
 	pcapPath := flag.String("pcap", "testdata/flows.pcap", "capture file the replay experiment streams")
 	pcapLoops := flag.Int("pcap-loops", 8, "passes over the capture for the replay experiment's timed run")
@@ -90,17 +86,6 @@ func realMain() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile of the run to this file")
 	flag.Parse()
-
-	var backend runtime.Backend
-	switch *backendName {
-	case "compiled":
-		backend = runtime.BackendCompiled
-	case "interp":
-		backend = runtime.BackendInterp
-	default:
-		fmt.Fprintf(os.Stderr, "pipebench: unknown -backend %q (want compiled|interp)\n", *backendName)
-		return 2
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -262,8 +247,8 @@ func realMain() int {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Host runtime throughput (IPv4 PPS, goroutine-per-stage serve, %s backend)\n", backend)
-		pts, err := experiments.ServeThroughput("IPv4", []int{1, 2, 4, 8}, []int{1, 32}, shards, *servePkts, backend)
+		fmt.Println("Host runtime throughput (IPv4 PPS, goroutine-per-stage serve)")
+		pts, err := experiments.ServeThroughput("IPv4", []int{1, 2, 4, 8}, []int{1, 32}, shards, *servePkts)
 		if err != nil {
 			return err
 		}
@@ -341,12 +326,12 @@ func realMain() int {
 		return nil
 	})
 	runTimed("replay", func() error {
-		rep, err := experiments.Replay("IPv4", *pcapPath, *pcapLoops, backend)
+		rep, err := experiments.Replay("IPv4", *pcapPath, *pcapLoops)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Pcap replay through the full pipeline (IPv4 PPS, D=%d, P=%d, fused, %s backend)\n",
-			rep.Degree, rep.Shards, backend)
+		fmt.Printf("Pcap replay through the full pipeline (IPv4 PPS, D=%d, P=%d, fused)\n",
+			rep.Degree, rep.Shards)
 		fmt.Printf("  capture %s: %d packets / %d bytes per pass, trace verified against the oracle\n",
 			rep.Pcap, rep.Packets, rep.Bytes)
 		fmt.Printf("  replay  x%d passes: %12.0f pkt/s\n", rep.Loops, rep.ReplayPktPerS)

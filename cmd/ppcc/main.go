@@ -33,14 +33,11 @@
 //	             On a clean end the captured stream is replayed through
 //	             the degree-1 sequential oracle and the served trace must
 //	             be byte-identical
-//	-backend B   stage-execution backend for -serve: compiled (default,
-//	             IR lowered once to slot-indexed closure programs) or
-//	             interp (the reference interpreter)
 //	-shards P    -serve replica width: stages without cross-flow state run
 //	             as P parallel replicas behind a flow-hash dispatcher; the
 //	             served trace stays byte-identical to the sequential order
 //
-// Observability of the -serve run (see DESIGN.md §8):
+// Observability of the -serve run (see DESIGN.md §6.7):
 //
 //	-trace FILE    write the run's per-stage span timeline as Chrome
 //	               trace_event JSON (load at chrome://tracing), and print
@@ -115,7 +112,6 @@ func main() {
 	var serve serveFlag
 	flag.Var(&serve, "serve", "stream packets through the host runtime: -serve=N for N synthetic packets, plain -serve with -source to serve until the source is exhausted")
 	source := flag.String("source", "", "network-facing packet source for -serve: udp://host:port, tcp://host:port, pcap://file[?pace=N&loop=N], gen://ipv4[?seed=N&packets=N...]")
-	backendName := flag.String("backend", "compiled", "-serve stage-execution backend: compiled|interp")
 	shards := flag.Int("shards", 1, "-serve pipeline replica width (flow-hash sharding)")
 	traceOut := flag.String("trace", "", "write the -serve span timeline to this file as Chrome trace_event JSON")
 	metricsAddr := flag.String("metrics", "", "expose the -serve metrics registry over HTTP on this address (e.g. :8080)")
@@ -221,15 +217,6 @@ func main() {
 		fmt.Printf("verification passed: %d iterations, %d events\n", *verify, len(seq))
 	}
 	if serve.set {
-		var backend repro.Backend
-		switch *backendName {
-		case "compiled":
-			backend = repro.BackendCompiled
-		case "interp":
-			backend = repro.BackendInterp
-		default:
-			fatal(fmt.Errorf("unknown -backend %q (want compiled|interp)", *backendName))
-		}
 		obs := &repro.Observer{}
 		var reg *repro.Registry
 		var tr *repro.Tracer
@@ -258,7 +245,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			}
 		}
-		serveOpts := []repro.Option{repro.WithObserver(obs), repro.WithBackend(backend)}
+		serveOpts := []repro.Option{repro.WithObserver(obs)}
 		if *shards > 1 {
 			serveOpts = append(serveOpts,
 				repro.WithShards(*shards), repro.WithShardKey(repro.FlowKey))

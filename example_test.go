@@ -21,9 +21,9 @@ func Example_sentinelErrors() {
 
 	// An out-of-range degree, whichever entry point sees it.
 	_, err := repro.Partition(prog, repro.WithStages(-1))
-	fmt.Println("bad degree:", errors.Is(err, repro.ErrBadDegree))
+	fmt.Println("bad degree:", errors.Is(err, repro.ErrBadOption))
 
-	// An option applied outside its scope (the matrix in options.go).
+	// An option applied outside its scope (the matrix on Option).
 	pipe, _ := repro.Partition(prog, repro.WithStages(2))
 	_, err = pipe.Serve(context.Background(),
 		repro.PacketSource([][]byte{{1}}), repro.WithThreads(8))
@@ -32,7 +32,7 @@ func Example_sentinelErrors() {
 	// A malformed adaptive objective.
 	_, err = pipe.Serve(context.Background(),
 		repro.PacketSource([][]byte{{1}}), repro.WithObjective(repro.ThroughputUnderP99(0)))
-	fmt.Println("bad objective:", errors.Is(err, repro.ErrBadObjective))
+	fmt.Println("bad objective:", errors.Is(err, repro.ErrBadOption))
 	// Output:
 	// bad degree: true
 	// out of scope: true

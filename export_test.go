@@ -13,3 +13,9 @@ func SetFusionCoresForTest(cores int) (restore func()) {
 // per-stage costs folded into units under a fuse mask and replica widths,
 // priced by costmodel.Predict.
 var PriceForTest = price
+
+// DescribeOptionForTest reports what an Option says about itself: its name
+// and which entry points past the analysis phase accept it.
+func DescribeOptionForTest(o Option) (name string, run, simulate, serve bool) {
+	return o.name, o.scope&inRun != 0, o.scope&inSimulate != 0, o.scope&inServe != 0
+}

@@ -48,13 +48,12 @@ var fusionCores = func() int { return stdruntime.GOMAXPROCS(0) }
 // servable, a configuration Serve would refuse — the error says why and
 // the Plan still describes the requested shape.
 func (p *Pipeline) realize(cfg config, mode FusionMode, nsPerWeight float64) (*Plan, *runtime.Layout, error) {
-	rc := cfg.serveConfig()
+	rc := cfg.serve
 	plan := &Plan{
 		Degree:    len(p.stages),
 		Batch:     max(1, rc.Batch),
 		Shards:    max(1, rc.Shards),
-		Backend:   rc.Backend,
-		Objective: cfg.objectiveString(),
+		Objective: cfg.objective.String(),
 		Why:       "static cut under datasheet weights; no adaptive serve has run",
 	}
 	costs := make([]float64, len(p.report.Stages))

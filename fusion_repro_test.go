@@ -15,16 +15,16 @@ func TestWithFusionValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repro.Partition(prog, repro.WithFusion(repro.FusionMode(9))); !errors.Is(err, repro.ErrBadFusion) {
-		t.Errorf("Partition err = %v, want ErrBadFusion", err)
+	if _, err := repro.Partition(prog, repro.WithFusion(repro.FusionMode(9))); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("Partition err = %v, want ErrBadOption", err)
 	}
 	pipe, err := repro.Partition(prog, repro.WithStages(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pipe.Serve(context.Background(), repro.PacketSource(testPackets(4)),
-		repro.WithFusion(repro.FusionMode(-1))); !errors.Is(err, repro.ErrBadFusion) {
-		t.Errorf("Serve err = %v, want ErrBadFusion", err)
+		repro.WithFusion(repro.FusionMode(-1))); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("Serve err = %v, want ErrBadOption", err)
 	}
 }
 

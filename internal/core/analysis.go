@@ -115,7 +115,7 @@ func (a *Analysis) Seq() PathCost { return a.seq }
 // a candidate cannot swap the cost model; everything else (degree, ε,
 // transmission mode, ring kind) is free per call.
 func (a *Analysis) resolveOptions(options Options) (Options, error) {
-	if err := options.validate(); err != nil {
+	if err := options.Validate(); err != nil {
 		return Options{}, err
 	}
 	if options.Arch != nil && options.Arch != a.arch {

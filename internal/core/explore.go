@@ -25,6 +25,19 @@ type ExploreOptions struct {
 	Base Options
 }
 
+// Validate rejects out-of-range exploration options as errs.ErrBadOption.
+// A zero Budget or MaxPEs means "unset" here (a configuration may be
+// assembled before anyone calls Explore, which itself requires a budget).
+func (o *ExploreOptions) Validate() error {
+	if o.Budget < 0 {
+		return fmt.Errorf("explore: %w: Budget %d", errs.ErrBadOption, o.Budget)
+	}
+	if o.MaxPEs < 0 {
+		return fmt.Errorf("explore: %w: MaxPEs %d", errs.ErrBadOption, o.MaxPEs)
+	}
+	return o.Base.Validate()
+}
+
 // ExploreResult is the compilation result the exploration selected.
 type ExploreResult struct {
 	// Degree is the selected pipelining degree (number of PEs used).
@@ -58,9 +71,6 @@ type CandidateCost struct {
 // The program is analyzed once; candidate degrees share the analysis and
 // are evaluated on opts.Workers goroutines.
 func Explore(prog *ir.Program, opts ExploreOptions) (*ExploreResult, error) {
-	if opts.Budget <= 0 {
-		return nil, fmt.Errorf("explore: %w: %d", errs.ErrBadBudget, opts.Budget)
-	}
 	a, err := Analyze(prog, opts.Base.Arch)
 	if err != nil {
 		return nil, err
@@ -73,11 +83,14 @@ func Explore(prog *ir.Program, opts ExploreOptions) (*ExploreResult, error) {
 // its Result, and the Candidates log are identical to a sequential
 // smallest-degree-first search.
 func (a *Analysis) Explore(opts ExploreOptions) (*ExploreResult, error) {
-	if opts.MaxPEs <= 0 {
-		opts.MaxPEs = 10
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
-	if opts.Budget <= 0 {
-		return nil, fmt.Errorf("explore: %w: %d", errs.ErrBadBudget, opts.Budget)
+	if opts.Budget == 0 {
+		return nil, fmt.Errorf("explore: %w: Budget unset (Explore needs a positive per-packet budget)", errs.ErrBadOption)
+	}
+	if opts.MaxPEs == 0 {
+		opts.MaxPEs = 10
 	}
 
 	candidate := func(d int) (*Result, CandidateCost, error) {

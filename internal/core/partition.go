@@ -65,15 +65,17 @@ type Options struct {
 // microengines, and beyond that the balanced-cut bands collapse anyway.
 const MaxStages = 64
 
-// validate rejects nonsensical options with the shared typed errors. A
-// zero Stages or Epsilon still means "use the default" (filled in by
-// withDefaults); only actively wrong values fail.
-func (o *Options) validate() error {
+// Validate rejects out-of-range options as errs.ErrBadOption, naming the
+// field and the value. A zero Stages or Epsilon still means "use the
+// default" (filled in by withDefaults); only actively wrong values fail.
+// It is the one place these ranges are written: Partition runs it, and the
+// repro facade runs it on the Options its options lower to.
+func (o *Options) Validate() error {
 	if o.Stages < 0 || o.Stages > MaxStages {
-		return fmt.Errorf("core: %w: %d (want 1..%d)", errs.ErrBadDegree, o.Stages, MaxStages)
+		return fmt.Errorf("core: %w: Stages %d (want 1..%d)", errs.ErrBadOption, o.Stages, MaxStages)
 	}
 	if o.Epsilon < 0 || o.Epsilon > 1 {
-		return fmt.Errorf("core: %w: %g (want (0, 1])", errs.ErrBadEpsilon, o.Epsilon)
+		return fmt.Errorf("core: %w: Epsilon %g (want (0, 1])", errs.ErrBadOption, o.Epsilon)
 	}
 	return nil
 }

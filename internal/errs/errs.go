@@ -13,20 +13,15 @@ var (
 	// compiled PPS was required (Analyze, Partition, Run).
 	ErrNilProgram = errors.New("nil program")
 
-	// ErrBadDegree is returned when a pipelining degree falls outside
-	// 1..MaxStages.
-	ErrBadDegree = errors.New("bad pipelining degree")
-
-	// ErrBadEpsilon is returned when a balance variance falls outside (0, 1].
-	ErrBadEpsilon = errors.New("bad balance variance")
+	// ErrBadOption is returned when an option or configuration field holds
+	// a value outside its accepted range (a negative ring capacity, a degree
+	// past MaxStages, an unknown overload policy or fusion mode). The
+	// wrapping message names the option or field and the offending value.
+	ErrBadOption = errors.New("bad option value")
 
 	// ErrUnbalanced is returned when no finite balanced cut exists for the
 	// requested degree and variance.
 	ErrUnbalanced = errors.New("no balanced cut")
-
-	// ErrBadBudget is returned when Explore is given a non-positive
-	// per-packet budget.
-	ErrBadBudget = errors.New("bad per-packet budget")
 
 	// ErrArchMismatch is returned when options carry a different cost model
 	// than the analysis they are applied to.
@@ -50,40 +45,11 @@ var (
 	// ErrNilSource is returned when Serve is given a nil packet source.
 	ErrNilSource = errors.New("nil packet source")
 
-	// ErrBadRing is returned when an inter-stage ring capacity is not
-	// positive.
-	ErrBadRing = errors.New("bad ring capacity")
-
-	// ErrBadBatch is returned when a serve batch size is not positive.
-	ErrBadBatch = errors.New("bad batch size")
-
 	// ErrNotServable is returned when the streaming runtime cannot host a
 	// pipeline: the stages must contain exactly one pkt_rx site (it paces
 	// the packet stream) and each persistent channel (queues, persistent
 	// arrays) must be confined to a single stage.
 	ErrNotServable = errors.New("pipeline not servable")
-
-	// ErrBadThreads is returned when a simulated-thread count is negative.
-	ErrBadThreads = errors.New("bad thread count")
-
-	// ErrBadArrival is returned when a simulated arrival interval is
-	// negative.
-	ErrBadArrival = errors.New("bad arrival interval")
-
-	// ErrBadIterations is returned when an iteration override is negative.
-	ErrBadIterations = errors.New("bad iteration count")
-
-	// ErrBadPolicy is returned when an overload policy value is unknown.
-	ErrBadPolicy = errors.New("bad overload policy")
-
-	// ErrBadWatermark is returned when an overload watermark is negative.
-	ErrBadWatermark = errors.New("bad overload watermark")
-
-	// ErrBadDeadline is returned when a per-stage deadline is negative.
-	ErrBadDeadline = errors.New("bad stage deadline")
-
-	// ErrBadRetry is returned when a retry count or backoff is negative.
-	ErrBadRetry = errors.New("bad retry configuration")
 
 	// ErrConflictingOptions is returned when individually valid options
 	// contradict each other or are applied to an entry point outside their
@@ -112,31 +78,6 @@ var (
 	// fires; the runtime retries with backoff and quarantines on
 	// exhaustion.
 	ErrTransientFault = errors.New("transient stage fault")
-
-	// ErrBadObserver is returned when an observability configuration is
-	// unusable (a negative periodic-log interval).
-	ErrBadObserver = errors.New("bad observer configuration")
-
-	// ErrBadBackend is returned when a stage-execution backend selector is
-	// unknown.
-	ErrBadBackend = errors.New("bad execution backend")
-
-	// ErrBadShards is returned when a shard count falls outside
-	// 1..MaxShards.
-	ErrBadShards = errors.New("bad shard count")
-
-	// ErrBadObjective is returned when a serve objective is malformed (a
-	// non-positive p99 latency bound, or a nil Objective passed to
-	// WithObjective).
-	ErrBadObjective = errors.New("bad objective")
-
-	// ErrBadAutotune is returned when an autotune configuration is
-	// malformed (a non-positive probe window or candidate count).
-	ErrBadAutotune = errors.New("bad autotune configuration")
-
-	// ErrBadFusion is returned when a stage-fusion mode selector is
-	// unknown.
-	ErrBadFusion = errors.New("bad fusion mode")
 
 	// ErrBadSource is returned when an ingest source spec is malformed
 	// (unknown scheme, bad address or parameter) or a pcap file cannot be

@@ -63,7 +63,7 @@ type ReplayReport struct {
 // sequential oracle over the same decoded packets. It then times an
 // unpaced Loops-pass replay and a synthetic generator run of the same
 // packet count for the replay-vs-synthetic table.
-func Replay(name, pcapPath string, loops int, backend runtime.Backend) (*ReplayReport, error) {
+func Replay(name, pcapPath string, loops int) (*ReplayReport, error) {
 	if loops < 1 {
 		loops = 1
 	}
@@ -84,8 +84,7 @@ func Replay(name, pcapPath string, loops int, backend runtime.Backend) (*ReplayR
 	if err != nil {
 		return nil, err
 	}
-	cfg := runtime.Config{Batch: 32, Backend: backend,
-		Shards: shards, ShardKey: netbench.FlowKey,
+	cfg := runtime.Config{Batch: 32, Shards: shards, ShardKey: netbench.FlowKey,
 		FuseCuts: []bool{true, true, true}}
 
 	src, err := ingest.OpenPcap(pcapPath, ingest.PcapOptions{})

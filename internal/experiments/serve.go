@@ -25,9 +25,6 @@ type ServePoint struct {
 	// Speedup is measured throughput relative to the Degree=1, Batch=1
 	// point of the same PPS (the single-goroutine host baseline).
 	Speedup float64 `json:"speedup_vs_seq"`
-	// Backend names the stage-execution backend the point was measured
-	// with ("compiled" or "interp").
-	Backend string `json:"backend,omitempty"`
 	// Fused marks the stage-fusion realization of the same shape: every
 	// aligned cut fused (runtime.Config.FuseCuts all true), so handoffs
 	// are in-goroutine word copies instead of ring entries.
@@ -37,12 +34,11 @@ type ServePoint struct {
 // ServeThroughput measures the host-native streaming runtime: the named
 // PPS is partitioned at every degree in degrees and served packets
 // minimum-size packets at every batch size in batches and every shard
-// width in shardCounts (the 5-tuple flow key routes lanes), executing
-// stages on the given backend. The first (degree, batch, shard) triple with
+// width in shardCounts (the 5-tuple flow key routes lanes). The first (degree, batch, shard) triple with
 // Degree=1 and the sweep's first batch and shard values anchors the
 // Speedup column, so degrees and shardCounts should include 1. Points are
 // verified against the sequential oracle before being timed.
-func ServeThroughput(name string, degrees, batches, shardCounts []int, packets int, backend runtime.Backend) ([]ServePoint, error) {
+func ServeThroughput(name string, degrees, batches, shardCounts []int, packets int) ([]ServePoint, error) {
 	pps, ok := netbench.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown PPS %q", name)
@@ -82,8 +78,7 @@ func ServeThroughput(name string, degrees, batches, shardCounts []int, packets i
 					if fused && d == 1 {
 						continue
 					}
-					cfg := runtime.Config{Batch: batch, Backend: backend,
-						Shards: shards, ShardKey: netbench.FlowKey}
+					cfg := runtime.Config{Batch: batch, Shards: shards, ShardKey: netbench.FlowKey}
 					if fused {
 						cfg.FuseCuts = make([]bool, d-1)
 						for k := range cfg.FuseCuts {
@@ -114,7 +109,6 @@ func ServeThroughput(name string, degrees, batches, shardCounts []int, packets i
 						Packets: m.Packets,
 						NsTotal: m.Elapsed.Nanoseconds(),
 						PktPerS: m.PacketsPerSecond(),
-						Backend: backend.String(),
 						Fused:   fused,
 					}
 					if d == 1 && batch == batches[0] && shards == shardCounts[0] {

@@ -96,14 +96,20 @@ type Generator struct {
 	pendingBurst bool
 }
 
-// NewGenerator validates cfg and builds the generator. Non-positive
-// Alpha, Flows, MinFlow, PeakRate, or OnMean wrap errs.ErrBadSource.
+// maxGenFlows bounds the concurrently active flows: the flow table is
+// allocated up front, and its size comes straight from an operator's spec
+// string.
+const maxGenFlows = 1 << 20
+
+// NewGenerator validates cfg and builds the generator. Non-positive (or
+// NaN) Alpha, Flows outside 1..maxGenFlows, non-positive MinFlow, PeakRate
+// or OnMean wrap errs.ErrBadSource.
 func NewGenerator(cfg GenConfig) (*Generator, error) {
-	if cfg.Alpha <= 0 {
+	if !(cfg.Alpha > 0) {
 		return nil, fmt.Errorf("%w: generator alpha %v must be positive", errs.ErrBadSource, cfg.Alpha)
 	}
-	if cfg.Flows < 1 {
-		return nil, fmt.Errorf("%w: generator flows %d must be at least 1", errs.ErrBadSource, cfg.Flows)
+	if cfg.Flows < 1 || cfg.Flows > maxGenFlows {
+		return nil, fmt.Errorf("%w: generator flows %d must be in 1..%d", errs.ErrBadSource, cfg.Flows, maxGenFlows)
 	}
 	if cfg.MinFlow < 1 {
 		return nil, fmt.Errorf("%w: generator min flow length %d must be at least 1", errs.ErrBadSource, cfg.MinFlow)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/url"
 	"strconv"
 	"strings"
@@ -87,6 +88,18 @@ func (s *Stats) countRx(n int) {
 // pulls, pace=1 at recorded timestamps, pace=N at N× recorded speed.
 // Malformed specs return an error wrapping errs.ErrBadSource.
 func Open(spec string) (Source, error) {
+	open, err := parseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return open()
+}
+
+// parseSpec is Open up to the side effect: it checks everything the spec
+// string alone can get wrong — scheme, address form, parameter syntax — and
+// returns the function that then binds the socket, reads the capture or
+// seeds the generator. Every error it returns wraps errs.ErrBadSource.
+func parseSpec(spec string) (open func() (Source, error), err error) {
 	scheme, rest, ok := strings.Cut(spec, "://")
 	if !ok {
 		return nil, fmt.Errorf("%w: %q has no scheme:// prefix", errs.ErrBadSource, spec)
@@ -97,15 +110,19 @@ func Open(spec string) (Source, error) {
 		return nil, fmt.Errorf("%w: %q: %v", errs.ErrBadSource, spec, err)
 	}
 	switch scheme {
-	case "udp":
-		return OpenUDP(rest)
-	case "tcp":
-		return OpenTCP(rest)
+	case "udp", "tcp":
+		if _, _, err := net.SplitHostPort(rest); err != nil {
+			return nil, fmt.Errorf("%w: %s://%s: %v", errs.ErrBadSource, scheme, rest, err)
+		}
+		if scheme == "udp" {
+			return func() (Source, error) { return OpenUDP(rest) }, nil
+		}
+		return func() (Source, error) { return OpenTCP(rest) }, nil
 	case "pcap":
 		opts := PcapOptions{}
 		if v := params.Get("pace"); v != "" {
 			opts.Pace, err = strconv.ParseFloat(v, 64)
-			if err != nil || opts.Pace < 0 {
+			if err != nil || !(opts.Pace >= 0) {
 				return nil, fmt.Errorf("%w: pace=%q must be a non-negative number", errs.ErrBadSource, v)
 			}
 		}
@@ -115,7 +132,7 @@ func Open(spec string) (Source, error) {
 				return nil, fmt.Errorf("%w: loop=%q must be a non-negative integer", errs.ErrBadSource, v)
 			}
 		}
-		return OpenPcap(rest, opts)
+		return func() (Source, error) { return OpenPcap(rest, opts) }, nil
 	case "gen":
 		cfg := DefaultGenConfig()
 		if rest != "" && rest != "ipv4" {
@@ -147,7 +164,7 @@ func Open(spec string) (Source, error) {
 				return nil, fmt.Errorf("%w: paced=%q must be a boolean", errs.ErrBadSource, v)
 			}
 		}
-		return NewGenerator(cfg)
+		return func() (Source, error) { return NewGenerator(cfg) }, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown scheme %q (want udp, tcp, pcap, or gen)", errs.ErrBadSource, scheme)
 	}

@@ -80,9 +80,14 @@ func OpenPcap(path string, opts PcapOptions) (*PcapSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pcap://%s: %w", path, err)
 	}
+	return newPcapSource(path, data, opts)
+}
+
+// newPcapSource decodes a capture already in memory; name labels errors.
+func newPcapSource(name string, data []byte, opts PcapOptions) (*PcapSource, error) {
 	recs, trunc, err := DecodePcap(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", errs.ErrBadSource, path, err)
+		return nil, fmt.Errorf("%w: %s: %v", errs.ErrBadSource, name, err)
 	}
 	s := &PcapSource{recs: recs, opts: opts, trunc: trunc}
 	if len(recs) > 0 {

@@ -274,7 +274,7 @@ func ReadChromeTrace(r io.Reader) ([]Span, error) {
 // columns wide: each row is one stage, each cell the dominant phase in
 // that time bucket — '#' executing, 'w' ring-wait, 't' transmit blocked,
 // '.' idle. It reads well in a terminal where a trace viewer is not at
-// hand; the worked example in DESIGN.md §8 interprets one.
+// hand; the worked example in DESIGN.md §6.7 interprets one.
 func Timeline(spans []Span, width int) string {
 	if width <= 0 {
 		width = 72

@@ -14,17 +14,16 @@ import (
 
 // FuzzServeVsOracle is the differential-fuzz half of the harness: the fuzz
 // input seeds the random-program generator, the generated program is
-// partitioned and served concurrently — once per stage-execution backend —
-// and every streaming trace must be byte-identical to the sequential
-// oracle's AND to the other backend's (the compiled backend has no oracle
-// of its own; the interpreter is its reference). Inputs that do not yield
+// partitioned and served concurrently, and every streaming trace must be
+// byte-identical to the sequential oracle's (interp.RunSequential on the
+// unpartitioned program). Inputs that do not yield
 // a servable pipeline (no single pkt_rx pacing site, or an unpartitionable
 // shape at the probed degree) are skipped rather than failed, mirroring the
 // grammar-fuzzer convention in internal/ppc. Seeds that exposed a
 // divergence during development are checked into testdata/fuzz so every
 // future run replays them.
 //
-// Each (degree, batch, backend) point is served twice: fully ringed and
+// Each (degree, batch) point is served twice: fully ringed and
 // with a seed-derived fusion mask (runtime.Config.FuseCuts), so the fused
 // realization — including masks that collide with shard junctions and are
 // partially ignored — faces the same byte-identical-trace bar as the
@@ -33,7 +32,6 @@ func FuzzServeVsOracle(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
 	}
-	backends := []runtime.Backend{runtime.BackendCompiled, runtime.BackendInterp}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		src := randprog.Generate(seed, randprog.DefaultConfig())
 		prog, err := ppc.Compile(src)
@@ -74,34 +72,25 @@ func FuzzServeVsOracle(f *testing.F) {
 			for _, batch := range []int{1, 2} {
 				for fi, fuse := range [][]bool{nil, seededMask} {
 					tag := []string{"ringed", "fused"}[fi]
-					traces := make([][]interp.Event, len(backends))
-					for i, backend := range backends {
-						cfg := runtime.DefaultConfig()
-						cfg.Batch = batch
-						cfg.Backend = backend
-						cfg.Shards = shards
-						cfg.FuseCuts = fuse
-						m, err := runtime.Serve(context.Background(), res.Stages, interp.NewWorld(nil),
-							runtime.Packets(packets), cfg)
-						if err != nil {
-							t.Fatalf("seed %d D=%d P=%d batch=%d %s %s: serve: %v\n%s", seed, d, shards, batch, tag, backend, err, src)
-						}
-						if m.Packets != int64(iters) {
-							t.Fatalf("seed %d D=%d P=%d batch=%d %s %s: served %d packets, want %d\n%s",
-								seed, d, shards, batch, tag, backend, m.Packets, iters, src)
-						}
-						if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
-							t.Fatalf("seed %d D=%d P=%d batch=%d %s %s: trace diverges from oracle: %s\nsource:\n%s",
-								seed, d, shards, batch, tag, backend, diff, src)
-						}
-						if rep := m.Faults; rep.Accounted() != m.Stages[0].In {
-							t.Fatalf("seed %d D=%d P=%d batch=%d %s %s: accounting hole: %s", seed, d, shards, batch, tag, backend, rep)
-						}
-						traces[i] = m.Trace
+					cfg := runtime.DefaultConfig()
+					cfg.Batch = batch
+					cfg.Shards = shards
+					cfg.FuseCuts = fuse
+					m, err := runtime.Serve(context.Background(), res.Stages, interp.NewWorld(nil),
+						runtime.Packets(packets), cfg)
+					if err != nil {
+						t.Fatalf("seed %d D=%d P=%d batch=%d %s: serve: %v\n%s", seed, d, shards, batch, tag, err, src)
 					}
-					if diff := interp.TraceEqual(traces[0], traces[1]); diff != "" {
-						t.Fatalf("seed %d D=%d P=%d batch=%d %s: compiled and interp backends diverge: %s\nsource:\n%s",
+					if m.Packets != int64(iters) {
+						t.Fatalf("seed %d D=%d P=%d batch=%d %s: served %d packets, want %d\n%s",
+							seed, d, shards, batch, tag, m.Packets, iters, src)
+					}
+					if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
+						t.Fatalf("seed %d D=%d P=%d batch=%d %s: trace diverges from oracle: %s\nsource:\n%s",
 							seed, d, shards, batch, tag, diff, src)
+					}
+					if rep := m.Faults; rep.Accounted() != m.Stages[0].In {
+						t.Fatalf("seed %d D=%d P=%d batch=%d %s: accounting hole: %s", seed, d, shards, batch, tag, rep)
 					}
 				}
 			}

@@ -7,8 +7,8 @@ package runtime
 // argument lives in shard.go's package comment.
 
 import (
+	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/interp"
 )
@@ -166,55 +166,53 @@ func (sc *scatterer) send(e *engine, b []*token, lc *laneCtx) bool {
 		}
 	}
 
-	held := 0
-	for j := range sc.pend {
-		if len(sc.pend[j]) == 0 {
+	// pend entries are nil or non-empty, and every delivery clears its own.
+	held := false
+	for j, p := range sc.pend {
+		if p == nil {
 			continue
 		}
-		if tryPush(sc.rings[j], sc.pend[j], lc.probe) {
+		if tryPush(sc.rings[j], p, lc.probe) {
 			sc.pend[j] = nil
 		} else {
-			held++
+			held = true
 		}
 	}
-	if held > 0 {
-		lc.probe.stalls.Add(1)
-		if !sc.drain(e, lc, held) {
-			return false
-		}
+	if !held {
+		return true
 	}
-	for j := range sc.pend {
-		if sc.pend[j] != nil {
-			e.putBatch(sc.pend[j])
-		}
-		sc.pend[j] = nil
-	}
-	return true
+	lc.probe.stalls.Add(1)
+	return sc.drain(e, lc)
 }
 
-// drain cycles over the held sub-batches until every one is delivered (or
-// shed/degraded per the overload policy, or the run is canceled).
-func (sc *scatterer) drain(e *engine, lc *laneCtx, held int) bool {
+// drain waits on the held sub-batches, one pushHeld round at a time, until
+// every one is delivered (or shed/degraded per the overload policy, or the
+// run is canceled). A round that times out is one tick of saturation for
+// every lane still full at its end; a lane that stays full for Watermark
+// ticks engages the policy.
+func (sc *scatterer) drain(e *engine, lc *laneCtx) bool {
 	ticks := make([]int, len(sc.pend))
-	for held > 0 {
-		tick := time.NewTimer(overloadTick)
-		select {
-		case <-e.ictx.Done():
-			tick.Stop()
+	for {
+		w := slices.IndexFunc(sc.pend, func(b []*token) bool { return b != nil })
+		if w < 0 {
+			return true
+		}
+		sent, canceled := e.pushHeld(sc.rings, sc.pend, w, lc.probe)
+		if canceled {
 			return false
-		case <-tick.C:
+		}
+		if sent || e.cfg.Overload == OverloadBlock {
+			continue
 		}
 		for j := range sc.pend {
-			if len(sc.pend[j]) == 0 {
+			if sc.pend[j] == nil {
 				continue
 			}
-			if tryPush(sc.rings[j], sc.pend[j], lc.probe) {
+			if j != w && tryPush(sc.rings[j], sc.pend[j], lc.probe) {
 				sc.pend[j] = nil
-				held--
 				continue
 			}
-			ticks[j]++
-			if e.cfg.Overload == OverloadBlock || ticks[j] < e.cfg.Watermark {
+			if ticks[j]++; ticks[j] < e.cfg.Watermark {
 				continue
 			}
 			// Shed is only reachable without a fan-in downstream (validated):
@@ -222,13 +220,33 @@ func (sc *scatterer) drain(e *engine, lc *laneCtx, held int) bool {
 			// tokens are still delivered; keep pushing.
 			if e.overloaded(lc, sc.pend[j]) {
 				sc.pend[j] = nil
-				held--
 			} else {
 				ticks[j] = 0
 			}
 		}
 	}
-	return true
+}
+
+// pushHeld is one wait round of a 1->P junction holding batches for several
+// lanes. Every pending lane but w is first offered its batch without
+// blocking: a fan-in downstream consumes lanes in dispatch order, so a
+// starved lane's batch must be able to leave while the producer waits on a
+// saturated one — the cross-lane deadlock guard. Then the producer waits on
+// lane w the ring's own way (spin, yield, park) for at most one
+// overloadTick, the blocked time booked to p's transmit-side wait. Lanes
+// that took their batch are cleared from pend.
+func (e *engine) pushHeld(rings []*tokRing, pend [][]*token, w int, p *stageProbe) (sent, canceled bool) {
+	for j := range pend {
+		if j != w && len(pend[j]) > 0 && tryPush(rings[j], pend[j], p) {
+			pend[j] = nil
+		}
+	}
+	sent, canceled = rings[w].PushTimeout(pend[w], e.ictx.Done(), overloadTick, &p.txWait)
+	if sent {
+		p.out.Add(int64(len(pend[w])))
+		pend[w] = nil
+	}
+	return sent, canceled
 }
 
 // close ends the junction: the sequence stream first (its tail flushed),
@@ -281,33 +299,20 @@ func (lf *laneFeed) send(e *engine, b []*token) bool {
 	return true
 }
 
-// flush delivers pend[lane] into its head ring. When the ring is full, it
-// repeatedly try-flushes every other pending lane while waiting: the
-// fan-in downstream consumes lanes in dispatch order, so a starved lane's
-// partial batch must be able to leave even while the dispatcher is parked
-// on a saturated one — the cross-lane deadlock guard.
+// flush delivers pend[lane] into its head ring, waiting in pushHeld rounds
+// when the ring is full — so the other lanes' partial batches keep leaving
+// while the dispatcher waits on a saturated one.
 func (lf *laneFeed) flush(e *engine, lane int) bool {
-	p := lf.probe
-	if !tryPush(lf.rings[lane], lf.pend[lane], p) {
-		p.stalls.Add(1)
-		for {
-			for j := range lf.pend {
-				if j != lane && len(lf.pend[j]) > 0 && tryPush(lf.rings[j], lf.pend[j], p) {
-					lf.pend[j] = nil
-				}
-			}
-			sent, canceled := lf.rings[lane].PushTimeout(lf.pend[lane], e.ictx.Done(), overloadTick, &p.txWait)
-			if canceled {
-				return false
-			}
-			if sent {
-				p.out.Add(int64(len(lf.pend[lane])))
-				break
-			}
+	if tryPush(lf.rings[lane], lf.pend[lane], lf.probe) {
+		lf.pend[lane] = nil
+		return true
+	}
+	lf.probe.stalls.Add(1)
+	for {
+		if sent, canceled := e.pushHeld(lf.rings, lf.pend, lane, lf.probe); sent || canceled {
+			return sent
 		}
 	}
-	lf.pend[lane] = nil
-	return true
 }
 
 // close flushes the partial lane batches in one last sequenced round

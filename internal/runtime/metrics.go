@@ -44,12 +44,39 @@ type StageStats struct {
 	// blocked on an empty upstream ring.
 	SpinWait, ParkWait time.Duration
 	TxWait, RxWait     time.Duration
+	// LostWakeups counts ring parks that ended by the 1ms backstop timer
+	// although the awaited entry (or space) was already there — a wakeup
+	// the SPSC handshake should have delivered. Always zero on a healthy
+	// ring; anything else is a protocol bug made visible.
+	LostWakeups int64
 	// Replicas is the number of concurrent replicas the stage ran with: 1
 	// unless the serve was sharded and the stage was shardable, in which
 	// case it is the shard width and the counters above are aggregates.
 	Replicas int
 	// occupancy sampling of the inbound ring, taken at each receive.
 	occSum, occSamples int64
+}
+
+// add folds o's counters into s: another replica of the same stage, or the
+// dispatcher in front of stage 1. Stage and Replicas are the caller's.
+func (s *StageStats) add(o StageStats) {
+	s.In += o.In
+	s.Out += o.Out
+	s.Stalls += o.Stalls
+	s.Shed += o.Shed
+	s.Degraded += o.Degraded
+	s.Quarantined += o.Quarantined
+	s.Retries += o.Retries
+	s.Busy += o.Busy
+	s.Spins += o.Spins
+	s.Parks += o.Parks
+	s.SpinWait += o.SpinWait
+	s.ParkWait += o.ParkWait
+	s.TxWait += o.TxWait
+	s.RxWait += o.RxWait
+	s.LostWakeups += o.LostWakeups
+	s.occSum += o.occSum
+	s.occSamples += o.occSamples
 }
 
 // maxFaultRecords bounds the per-stage record list so a pathological run

@@ -313,7 +313,7 @@ func TestBadObserverRejected(t *testing.T) {
 	cfg.Obs = &obsv.Observer{LogEvery: -time.Second}
 	_, err := runtime.Serve(context.Background(), stages, netbench.NewWorld(nil),
 		runtime.Packets(ipv4Traffic(4)), cfg)
-	if !errors.Is(err, errs.ErrBadObserver) {
-		t.Errorf("negative log interval: got %v, want ErrBadObserver", err)
+	if !errors.Is(err, errs.ErrBadOption) || !strings.Contains(err.Error(), "Obs") {
+		t.Errorf("negative log interval: got %v, want ErrBadOption naming Obs", err)
 	}
 }

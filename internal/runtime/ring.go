@@ -136,6 +136,7 @@ type outPort struct {
 	sc    *scatterer     // portScatter
 	lanes *laneFeed      // portLanes
 	col   *sinkCollector // portSink of a sharded final segment; nil at a single sink
+	free  *tokRing       // portSink: this sink replica's batch free ring
 }
 
 // send hands a non-empty batch downstream, with the transmit-phase span

@@ -75,6 +75,11 @@ func TestRingImplOracleMatrix(t *testing.T) {
 				if rep := m.Faults; rep.Accounted() != m.Stages[0].In {
 					t.Errorf("%s: accounting hole: %s", name, rep)
 				}
+				for _, s := range m.Stages {
+					if s.LostWakeups != 0 {
+						t.Errorf("%s: stage %d: %d lost wakeups (the park backstop rescued a handshake)", name, s.Stage, s.LostWakeups)
+					}
+				}
 			}
 		}
 	}
@@ -109,6 +114,9 @@ func TestRingSPSCWaitCountersAccount(t *testing.T) {
 			t.Errorf("stage %d: spin/park split %v+%v disagrees with tx/rx split %v+%v",
 				s.Stage, s.SpinWait, s.ParkWait, s.TxWait, s.RxWait)
 		}
+		if s.LostWakeups != 0 {
+			t.Errorf("stage %d: %d lost wakeups (the park backstop rescued a handshake)", s.Stage, s.LostWakeups)
+		}
 		if (s.Spins == 0 && s.SpinWait > 0) || (s.Parks == 0 && s.ParkWait > 0) {
 			t.Errorf("stage %d: wait time without a counted wait (spins=%d spin=%v parks=%d park=%v)",
 				s.Stage, s.Spins, s.SpinWait, s.Parks, s.ParkWait)
@@ -116,6 +124,55 @@ func TestRingSPSCWaitCountersAccount(t *testing.T) {
 	}
 	if waits == 0 {
 		t.Error("single-entry rings over a deep pipeline produced no blocked waits")
+	}
+}
+
+// TestScatterWaitIsBooked pins the scatter junction's wait accounting: a
+// scatter that finds a lane ring full waits the ring's own way, so the
+// blocked time lands in the stage's TxWait like any other full ring. QM at
+// D=4, P=4 has a mid-pipeline scatter (stage 2, the merge[2]scatter unit of
+// TestBuildUnits); single-entry rings make it stall.
+func TestScatterWaitIsBooked(t *testing.T) {
+	const n, scatter = 2000, 1 // stage 2, 0-based
+	pps, _ := netbench.ByName("QM")
+	prog, err := pps.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic := pps.Traffic(n)
+	seq, err := interp.RunSequential(prog.Clone(), netbench.NewWorld(traffic), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Partition(prog, core.Options{Stages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := runtime.Config{RingCapacity: 1, Batch: 1, Shards: 4}
+	m, err := runtime.Serve(context.Background(), res.Stages, netbench.NewWorld(nil),
+		runtime.Packets(traffic), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
+		t.Fatalf("trace diverges from oracle: %s", diff)
+	}
+	if m.Stages[scatter].Replicas != 1 || m.Stages[scatter+1].Replicas != 4 {
+		t.Fatalf("stage %d is not a 1->4 scatter: replicas %d -> %d", scatter+1,
+			m.Stages[scatter].Replicas, m.Stages[scatter+1].Replicas)
+	}
+	for _, s := range m.Stages {
+		if s.SpinWait+s.ParkWait != s.TxWait+s.RxWait {
+			t.Errorf("stage %d: spin/park split %v+%v disagrees with tx/rx split %v+%v",
+				s.Stage, s.SpinWait, s.ParkWait, s.TxWait, s.RxWait)
+		}
+	}
+	sc := m.Stages[scatter]
+	if sc.Stalls == 0 {
+		t.Skip("the scatter never found a lane full on this run; nothing to book")
+	}
+	if sc.TxWait == 0 {
+		t.Errorf("scatter stage stalled %d times but booked no transmit-side wait", sc.Stalls)
 	}
 }
 

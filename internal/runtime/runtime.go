@@ -73,48 +73,8 @@ import (
 	"repro/internal/spsc"
 )
 
-// Backend selects the stage-execution substrate Serve drives.
-type Backend int
-
-const (
-	// BackendCompiled runs stages through internal/exec: each stage
-	// program is lowered once into a slot-indexed closure program. It is
-	// the default — byte-identical to the interpreter (enforced
-	// differentially) and substantially faster.
-	BackendCompiled Backend = iota
-	// BackendInterp runs stages through the tree-walking interpreter in
-	// internal/interp — the repository's behavioural oracle. Use it to
-	// cross-check the compiled backend or when instruction-level hooks
-	// (interp.Runner.OnInstr) are needed.
-	BackendInterp
-)
-
-// String names the backend the way the CLI flags spell it.
-func (b Backend) String() string {
-	switch b {
-	case BackendCompiled:
-		return "compiled"
-	case BackendInterp:
-		return "interp"
-	}
-	return fmt.Sprintf("backend(%d)", int(b))
-}
-
-// stageRunner is the per-stage execution contract both backends satisfy:
-// one in-flight iteration at a time, confined to the stage's goroutine.
-// RunIterationInto is the zero-copy handoff form: when the dst buffer has
-// capacity for the outgoing live set, the returned slice aliases dst and
-// the handoff allocates nothing.
-type stageRunner interface {
-	RunIteration(ctx *interp.IterCtx, recv []int64) ([]int64, error)
-	RunIterationInto(ctx *interp.IterCtx, recv, dst []int64) ([]int64, error)
-}
-
 // Config shapes the streaming executor.
 type Config struct {
-	// Backend selects the stage-execution substrate (compiled by
-	// default; the interpreter remains available as the oracle).
-	Backend Backend
 	// Channel is the ring kind the pipeline was partitioned for; it picks
 	// the default ring capacity (nearest-neighbor rings are small on-chip
 	// buffers, scratch rings are deeper).
@@ -214,38 +174,36 @@ const overloadTick = 200 * time.Microsecond
 const defaultWatermark = 4
 
 // Validate checks every serve-side value and conflict rule of the
-// configuration against its typed sentinel. It is the one validator: every
-// Layout runs it, and the repro facade runs it on the Config its options
-// lower to, so a bad value reports the same error whichever layer catches
-// it. (The fault plan is checked against the actual stage count by the
-// Layout.)
+// configuration: an out-of-range field is errs.ErrBadOption naming the field
+// and its value, a contradiction errs.ErrConflictingOptions. It is the one
+// validator: every Layout runs it, and the repro facade runs it on the
+// Config its options write into, so a bad value reports the same error
+// whichever layer catches it. (The fault plan is checked against the actual
+// stage count by the Layout.)
 func (c Config) Validate() error {
-	if c.Backend < BackendCompiled || c.Backend > BackendInterp {
-		return fmt.Errorf("%w: %d", errs.ErrBadBackend, int(c.Backend))
-	}
 	if c.RingCapacity < 0 {
-		return fmt.Errorf("%w: %d", errs.ErrBadRing, c.RingCapacity)
+		return fmt.Errorf("%w: RingCapacity %d", errs.ErrBadOption, c.RingCapacity)
 	}
 	if c.Batch < 0 {
-		return fmt.Errorf("%w: %d", errs.ErrBadBatch, c.Batch)
+		return fmt.Errorf("%w: Batch %d", errs.ErrBadOption, c.Batch)
 	}
 	if c.Shards < 0 || c.Shards > MaxShards {
-		return fmt.Errorf("%w: %d (want 0..%d)", errs.ErrBadShards, c.Shards, MaxShards)
+		return fmt.Errorf("%w: Shards %d (want 0..%d)", errs.ErrBadOption, c.Shards, MaxShards)
 	}
 	if c.Overload > OverloadDegrade {
-		return fmt.Errorf("%w: %d", errs.ErrBadPolicy, c.Overload)
+		return fmt.Errorf("%w: Overload policy %d", errs.ErrBadOption, c.Overload)
 	}
 	if c.Watermark < 0 {
-		return fmt.Errorf("%w: %d", errs.ErrBadWatermark, c.Watermark)
+		return fmt.Errorf("%w: Watermark %d", errs.ErrBadOption, c.Watermark)
 	}
 	if c.StageDeadline < 0 {
-		return fmt.Errorf("%w: %v", errs.ErrBadDeadline, c.StageDeadline)
+		return fmt.Errorf("%w: StageDeadline %v", errs.ErrBadOption, c.StageDeadline)
 	}
 	if c.Retry < 0 || c.RetryBackoff < 0 {
-		return fmt.Errorf("%w: retry %d, backoff %v", errs.ErrBadRetry, c.Retry, c.RetryBackoff)
+		return fmt.Errorf("%w: Retry %d, RetryBackoff %v", errs.ErrBadOption, c.Retry, c.RetryBackoff)
 	}
 	if err := c.Obs.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", errs.ErrBadObserver, err)
+		return fmt.Errorf("%w: Obs: %v", errs.ErrBadOption, err)
 	}
 	if c.Watermark > 0 && c.Overload == OverloadBlock {
 		return fmt.Errorf("%w: overload watermark %d set, but the blocking policy never sheds",
@@ -382,7 +340,7 @@ type token struct {
 type laneCtx struct {
 	s      int // 0-based stage index
 	probe  *stageProbe
-	run    stageRunner
+	run    *exec.Runner
 	inj    *fault.Injector
 	recIdx int
 	tomb   bool // quarantines become tombstones (sharded segment ends in a fan-in)
@@ -412,7 +370,7 @@ type engine struct {
 	src      Source
 	plan     *shardPlan
 	fused    []bool           // cut -> realized by fusion (aligned + requested)
-	runners  [][]stageRunner  // stage -> replicas
+	runners  [][]*exec.Runner // stage -> replicas
 	rings    [][]*tokRing     // cut -> lane rings (nil for a fused cut)
 	headRing []*tokRing       // dispatcher -> stage-0 replicas (nil without a dispatcher)
 	seqs     []*seqStream     // fan-in sequence side-channels
@@ -447,18 +405,18 @@ type engine struct {
 	batchPool *sync.Pool
 
 	// freeBatches recycles whole retired batches — reset tokens still
-	// attached — from the sink back to the source in one ring
-	// operation per batch, replacing 2×Batch sync.Pool operations with
-	// one synchronization on the serve hot path. It is a ring like any
-	// cut when the sink is a single goroutine (the SPSC contract holds:
-	// the sink produces, the source in-port consumes); a sharded sink
-	// has P recycling producers, so freeBatchesMP — a buffered channel —
-	// takes its place there. spare is the source side's current stash
-	// (source in-port goroutine only); the pools absorb overflow and the
-	// stragglers recycled off the hot path (quarantines, tombstones).
-	freeBatches   *tokRing
-	freeBatchesMP chan []*token
-	spare         []*token
+	// attached — from the sink back to the source in one ring operation per
+	// batch, replacing 2×Batch sync.Pool operations with one
+	// synchronization on the serve hot path. There is one ring per sink
+	// replica (a single one at an unsharded sink), so each keeps exactly one
+	// producer — its sink replica — and one consumer, the source in-port,
+	// which polls them round-robin from freeNext. spare is the source
+	// side's current stash (source in-port goroutine only); the pools
+	// absorb overflow and the stragglers recycled off the hot path
+	// (quarantines, tombstones).
+	freeBatches []*tokRing
+	freeNext    int
+	spare       []*token
 
 	// trace accumulates the single sink's events (a sharded final segment
 	// collects per replica in cols instead and k-way merges after the join).
@@ -590,14 +548,13 @@ func (e *engine) getToken() *token {
 // the source in-port's goroutine calls it.
 func (e *engine) takeToken() *token {
 	if len(e.spare) == 0 {
-		if e.freeBatchesMP != nil {
-			select {
-			case sb := <-e.freeBatchesMP:
+		for range e.freeBatches {
+			sb, ok := e.freeBatches[e.freeNext].TryPop()
+			e.freeNext = (e.freeNext + 1) % len(e.freeBatches)
+			if ok {
 				e.spare = sb
-			default:
+				break
 			}
-		} else if sb, ok := e.freeBatches.TryPop(); ok {
-			e.spare = sb
 		}
 		if len(e.spare) == 0 {
 			return e.getToken()
@@ -646,22 +603,14 @@ func (e *engine) putBatch(b []*token) {
 }
 
 // recycleBatch resets a retired batch's tokens in place and hands the
-// whole batch back to the source through the free list — one ring
-// operation instead of per-token pool traffic. Overflow (or a full
-// freelist) falls back to the pools. Only the sink goroutine(s) call it:
-// a single sink recycles through the SPSC freeBatches ring, sharded sink
-// replicas through the multi-producer channel.
-func (e *engine) recycleBatch(b []*token) {
+// whole batch back to the source through free, the calling sink replica's
+// own free ring — one ring operation instead of per-token pool traffic. A
+// full ring falls back to the pools.
+func (e *engine) recycleBatch(b []*token, free *tokRing) {
 	for _, t := range b {
 		t.reset()
 	}
-	if e.freeBatchesMP != nil {
-		select {
-		case e.freeBatchesMP <- b:
-			return
-		default:
-		}
-	} else if e.freeBatches.TryPush(b) {
+	if free.TryPush(b) {
 		return
 	}
 	for _, t := range b {
@@ -814,7 +763,7 @@ func (e *engine) retire(b []*token, o *outPort) {
 	}
 	e.live.packets.Add(alive)
 	o.lc.probe.out.Add(alive)
-	e.recycleBatch(b)
+	e.recycleBatch(b, o.free)
 }
 
 // runUnit is the one loop every serve goroutine runs: receive a batch,
@@ -955,6 +904,7 @@ func (e *engine) wireObservability(d int) {
 		reg.Func(prefix+"parks", func() int64 { return l.stageStats(k).Parks })
 		reg.Func(prefix+"spin_ns", func() int64 { return int64(l.stageStats(k).SpinWait) })
 		reg.Func(prefix+"park_ns", func() int64 { return int64(l.stageStats(k).ParkWait) })
+		reg.Func(prefix+"lost_wakeups", func() int64 { return l.stageStats(k).LostWakeups })
 		reg.Func(prefix+"ring_occ_milli", func() int64 {
 			st := l.stageStats(k)
 			if st.occSamples == 0 {
@@ -1119,7 +1069,7 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		src:      src,
 		plan:     plan,
 		fused:    l.fused,
-		runners:  newShardRunners(cfg.Backend, l.stages, world, plan, l.shapes, cfg.Store),
+		runners:  newShardRunners(l.stages, world, plan, l.shapes, cfg.Store),
 		rings:    make([][]*tokRing, D-1),
 		seqs:     make([]*seqStream, plan.nSeqs),
 		inj:      fault.NewInjector(cfg.Faults, D),
@@ -1137,16 +1087,15 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		e.injs[j] = e.inj.Lane()
 	}
 	e.tokPool, e.batchPool = newPools(cfg.Batch)
-	// The batch free list is a ring like any cut when exactly one sink
-	// goroutine recycles into it; a sharded sink has P recycling
-	// producers, which breaks the SPSC contract, so it falls back to a
-	// multi-producer channel there.
+	// One free ring per sink replica, the total capacity split among them.
+	sinks := plan.reps[D-1]
 	freeCap := 4 + plan.width()*(cfg.RingCapacity+2)
-	if plan.reps[D-1] == 1 {
-		e.freeBatches = spsc.New[[]*token](freeCap, spsc.DefaultStrategy())
-	} else {
-		e.freeBatchesMP = make(chan []*token, freeCap)
-		e.cols = make([]*sinkCollector, plan.reps[D-1])
+	e.freeBatches = make([]*tokRing, sinks)
+	for j := range e.freeBatches {
+		e.freeBatches[j] = spsc.New[[]*token]((freeCap+sinks-1)/sinks, spsc.DefaultStrategy())
+	}
+	if sinks > 1 {
+		e.cols = make([]*sinkCollector, sinks)
 		for j := range e.cols {
 			e.cols[j] = &sinkCollector{}
 		}
@@ -1220,7 +1169,7 @@ func (e *engine) newUnit(s, end, j int) *unit {
 	}
 	switch {
 	case end == len(e.runners)-1:
-		u.out = outPort{kind: portSink, lc: tail}
+		u.out = outPort{kind: portSink, lc: tail, free: e.freeBatches[j]}
 		if e.cols != nil {
 			u.out.col = e.cols[j]
 		}
@@ -1322,39 +1271,34 @@ func (e *engine) finish(ctx context.Context, world *interp.World) (*Metrics, err
 	return m, nil
 }
 
-// newShardRunners builds the per-replica stage runners on the selected
-// backend. All replicas share one fully-materialized persistent store —
-// except the flow-keyed arrays of replicated stages, which each replica
-// forks so its partition of the table is private (shard.go explains when
-// that is sound). A caller-supplied store (Config.Store) is used in place
-// of a fresh one so state survives across Serve rounds; the current stage
-// programs' arrays are materialized into it up front, preserving the
-// read-only-on-hot-path invariant. Every runner is confined to the
-// iteration context's pre-pulled packet (RxFromCtx), so concurrent
-// replicas never race on the World's packet cursor.
-func newShardRunners(b Backend, stages []*ir.Program, world *interp.World, plan *shardPlan, shapes []stageShape, base *interp.Store) [][]stageRunner {
+// newShardRunners builds the per-replica stage runners (internal/exec: each
+// stage program lowered once into a slot-indexed closure program). All
+// replicas share one fully-materialized persistent store — except the
+// flow-keyed arrays of replicated stages, which each replica forks so its
+// partition of the table is private (shard.go explains when that is sound).
+// A caller-supplied store (Config.Store) is used in place of a fresh one so
+// state survives across Serve rounds; the current stage programs' arrays
+// are materialized into it up front, preserving the read-only-on-hot-path
+// invariant. Every runner is confined to the iteration context's pre-pulled
+// packet (RxFromCtx), so concurrent replicas never race on the World's
+// packet cursor.
+func newShardRunners(stages []*ir.Program, world *interp.World, plan *shardPlan, shapes []stageShape, base *interp.Store) [][]*exec.Runner {
 	if base == nil {
 		base = interp.NewStore(stages...)
 	} else {
 		base.Materialize(stages...)
 	}
-	out := make([][]stageRunner, len(stages))
+	out := make([][]*exec.Runner, len(stages))
 	for s, prog := range stages {
-		out[s] = make([]stageRunner, plan.reps[s])
+		out[s] = make([]*exec.Runner, plan.reps[s])
 		for j := range out[s] {
 			store := base
 			if plan.reps[s] > 1 && len(shapes[s].flowArrs) > 0 {
 				store = base.Fork(shapes[s].flowArrs)
 			}
-			if b == BackendInterp {
-				r := interp.NewRunnerShared(prog, world, store)
-				r.RxFromCtx = true
-				out[s][j] = r
-			} else {
-				r := exec.NewRunnerShared(prog, world, store)
-				r.RxFromCtx = true
-				out[s][j] = r
-			}
+			r := exec.NewRunnerShared(prog, world, store)
+			r.RxFromCtx = true
+			out[s][j] = r
 		}
 	}
 	return out

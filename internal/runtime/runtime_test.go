@@ -6,6 +6,7 @@ import (
 	"fmt"
 	gort "runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -183,18 +184,20 @@ func TestValidateRejectsUnservable(t *testing.T) {
 		src    runtime.Source
 		cfg    runtime.Config
 		want   error
+		names  string // the Config field a bad value's message must name
 	}{
-		{"no stages", nil, world, src, runtime.Config{}, errs.ErrNoStages},
-		{"nil stage", []*ir.Program{nil}, world, src, runtime.Config{}, errs.ErrNilStage},
-		{"two rx sites", []*ir.Program{res.Stages[0], res.Stages[0]}, world, src, runtime.Config{}, errs.ErrNotServable},
-		{"nil world", res.Stages, nil, src, runtime.Config{}, errs.ErrNilWorld},
-		{"nil source", res.Stages, world, nil, runtime.Config{}, errs.ErrNilSource},
-		{"bad ring", res.Stages, world, src, runtime.Config{RingCapacity: -1}, errs.ErrBadRing},
-		{"bad batch", res.Stages, world, src, runtime.Config{Batch: -1}, errs.ErrBadBatch},
+		{"no stages", nil, world, src, runtime.Config{}, errs.ErrNoStages, ""},
+		{"nil stage", []*ir.Program{nil}, world, src, runtime.Config{}, errs.ErrNilStage, ""},
+		{"two rx sites", []*ir.Program{res.Stages[0], res.Stages[0]}, world, src, runtime.Config{}, errs.ErrNotServable, ""},
+		{"nil world", res.Stages, nil, src, runtime.Config{}, errs.ErrNilWorld, ""},
+		{"nil source", res.Stages, world, nil, runtime.Config{}, errs.ErrNilSource, ""},
+		{"bad ring", res.Stages, world, src, runtime.Config{RingCapacity: -1}, errs.ErrBadOption, "RingCapacity -1"},
+		{"bad batch", res.Stages, world, src, runtime.Config{Batch: -1}, errs.ErrBadOption, "Batch -1"},
 	}
 	for _, c := range cases {
-		if _, err := runtime.Serve(context.Background(), c.stages, c.world, c.src, c.cfg); !errors.Is(err, c.want) {
-			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		_, err := runtime.Serve(context.Background(), c.stages, c.world, c.src, c.cfg)
+		if !errors.Is(err, c.want) || !strings.Contains(fmt.Sprint(err), c.names) {
+			t.Errorf("%s: err = %v, want %v naming %q", c.name, err, c.want, c.names)
 		}
 	}
 

@@ -202,7 +202,7 @@ func TestBuildUnits(t *testing.T) {
 		d, p   int
 		fuse   []bool
 		want   []string
-		sinkMP bool // sharded sink: per-replica collectors, multi-producer free list
+		sinkMP bool // sharded sink: per-replica collectors and free rings
 	}{
 		{name: "D=1", app: "IPv4", d: 1, want: []string{"source[1]sink"}},
 		{name: "D=3 ringed", app: "IPv4", d: 3,
@@ -272,9 +272,15 @@ func TestBuildUnits(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Errorf("built %d goroutines %v\nwant  %d goroutines %v", len(got), got, len(tc.want), tc.want)
 			}
-			if (e.freeBatchesMP != nil) != tc.sinkMP || (e.freeBatches != nil) == tc.sinkMP {
-				t.Errorf("free list: ring=%v chan=%v, want the %s", e.freeBatches != nil, e.freeBatchesMP != nil,
-					map[bool]string{false: "SPSC ring (single sink)", true: "multi-producer channel (sharded sink)"}[tc.sinkMP])
+			// One free ring per sink replica, each wired to its replica's port.
+			sinks := l.Replicas()[tc.d-1]
+			if len(e.freeBatches) != sinks {
+				t.Errorf("free list: %d rings, want one per sink replica (%d)", len(e.freeBatches), sinks)
+			}
+			for j, u := range e.units[len(e.units)-sinks:] {
+				if u.out.free != e.freeBatches[j] {
+					t.Errorf("sink replica %d recycles into a ring that is not freeBatches[%d]", j, j)
+				}
 			}
 		})
 	}

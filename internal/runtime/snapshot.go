@@ -23,7 +23,7 @@ type stageProbe struct {
 	retries, busyNs             atomic.Int64
 	occSum, occSamples          atomic.Int64
 	txWait, rxWait              spsc.WaitCounters
-	_                           [48]byte
+	_                           [32]byte
 }
 
 // stats converts the probe's current values into the exported snapshot
@@ -46,6 +46,7 @@ func (p *stageProbe) stats(stage int) StageStats {
 		ParkWait:    time.Duration(p.txWait.ParkNs.Load() + p.rxWait.ParkNs.Load()),
 		TxWait:      time.Duration(p.txWait.SpinNs.Load() + p.txWait.ParkNs.Load()),
 		RxWait:      time.Duration(p.rxWait.SpinNs.Load() + p.rxWait.ParkNs.Load()),
+		LostWakeups: p.txWait.LostWakeups.Load() + p.rxWait.LostWakeups.Load(),
 		occSum:      p.occSum.Load(),
 		occSamples:  p.occSamples.Load(),
 	}
@@ -102,38 +103,15 @@ func (l *Live) probe(s, j int) *stageProbe { return &l.probes[l.offs[s]+j] }
 func (l *Live) stageStats(s int) StageStats {
 	agg := l.probe(s, 0).stats(s + 1)
 	for j := 1; j < l.reps[s]; j++ {
-		st := l.probe(s, j).stats(s + 1)
-		agg.In += st.In
-		agg.Out += st.Out
-		agg.Stalls += st.Stalls
-		agg.Shed += st.Shed
-		agg.Degraded += st.Degraded
-		agg.Quarantined += st.Quarantined
-		agg.Retries += st.Retries
-		agg.Busy += st.Busy
-		agg.Spins += st.Spins
-		agg.Parks += st.Parks
-		agg.SpinWait += st.SpinWait
-		agg.ParkWait += st.ParkWait
-		agg.TxWait += st.TxWait
-		agg.RxWait += st.RxWait
-		agg.occSum += st.occSum
-		agg.occSamples += st.occSamples
+		agg.add(l.probe(s, j).stats(s + 1))
 	}
 	agg.Replicas = l.reps[s]
 	if s == 0 && l.disp != nil {
-		// The dispatcher's pulls and head-ring waits fold into stage 1,
-		// preserving the ledger invariant (see the doc comment above).
-		dst := l.disp.stats(1)
-		agg.In = dst.In
-		agg.Stalls += dst.Stalls
-		agg.Quarantined += dst.Quarantined
-		agg.Spins += dst.Spins
-		agg.Parks += dst.Parks
-		agg.SpinWait += dst.SpinWait
-		agg.ParkWait += dst.ParkWait
-		agg.TxWait += dst.TxWait
-		agg.RxWait += dst.RxWait
+		// The dispatcher's pulls replace the replicas' receives as stage
+		// 1's In; its lane deliveries are no stage's output.
+		d := l.disp.stats(1)
+		agg.In, d.Out = 0, 0
+		agg.add(d)
 	}
 	return agg
 }
@@ -230,6 +208,9 @@ func (s *Snapshot) Line() string {
 		fmt.Fprintf(&b, " | s%d in=%d out=%d stall=%d occ=%.1f", st.Stage, st.In, st.Out, st.Stalls, st.MeanOccupancy())
 		if lost := st.Shed + st.Quarantined; lost > 0 {
 			fmt.Fprintf(&b, " lost=%d", lost)
+		}
+		if st.LostWakeups > 0 {
+			fmt.Fprintf(&b, " lostwake=%d", st.LostWakeups)
 		}
 	}
 	return b.String()

@@ -83,7 +83,7 @@ func TestTokenResetClearsIterationState(t *testing.T) {
 // takeToken pristine and in deferred-events mode, exactly like the
 // per-token pool path they replace on the serve hot loop.
 func TestBatchRecycleNeverLeaks(t *testing.T) {
-	e := &engine{freeBatches: spsc.New[[]*token](2, spsc.DefaultStrategy())}
+	e := &engine{freeBatches: []*tokRing{spsc.New[[]*token](2, spsc.DefaultStrategy())}}
 	e.tokPool, e.batchPool = newPools(8)
 	for round := 0; round < 50; round++ {
 		b := e.getBatch()
@@ -98,7 +98,7 @@ func TestBatchRecycleNeverLeaks(t *testing.T) {
 			dirtyToken(tok)
 			b = append(b, tok)
 		}
-		e.recycleBatch(b)
+		e.recycleBatch(b, e.freeBatches[0])
 	}
 }
 

@@ -37,8 +37,8 @@
 // in: it returns ok=false only when the ring is closed and drained.
 //
 // The memory-model argument for why the wakeup handshake cannot lose a
-// wake, and for when a channel still beats this ring, lives in DESIGN.md
-// §15.
+// wake lives in DESIGN.md §7.2; WaitCounters.LostWakeups counts the
+// backstop expiries that would contradict it.
 package spsc
 
 import (
@@ -93,6 +93,12 @@ type WaitCounters struct {
 	// ParkNs is the time from first blocking to the wake, spin phase
 	// included once a park happened.
 	Parks, ParkNs atomic.Int64
+	// LostWakeups counts parks that ended by the backstop timer with the
+	// awaited condition already true and the park announcement still
+	// standing: the peer published without seeing the waiter. The handshake
+	// makes that impossible, so anything but zero is a protocol bug the
+	// backstop turned into a millisecond of latency.
+	LostWakeups atomic.Int64
 }
 
 // Spun records a wait of duration d that resolved without parking. Safe
@@ -114,6 +120,14 @@ func (w *WaitCounters) Parked(d time.Duration) {
 	}
 	w.Parks.Add(1)
 	w.ParkNs.Add(int64(d))
+}
+
+// lostWakeup records one backstop expiry that found its condition already
+// true. Safe on a nil receiver.
+func (w *WaitCounters) lostWakeup() {
+	if w != nil {
+		w.LostWakeups.Add(1)
+	}
 }
 
 // notifier is the futex-style park/wake handshake: waiting is the "I am
@@ -148,8 +162,12 @@ func (n *notifier) post() {
 // says a wake can never be lost, so this timer should never be the thing
 // that unblocks a healthy ring — it is defense in depth that turns a
 // latent protocol bug into 1ms of extra latency instead of a deadlocked
-// pipeline.
+// pipeline, and every time it is, WaitCounters.LostWakeups says so.
 const parkBackstop = time.Millisecond
+
+// lateTurns bounds the runtime.Gosched rounds a backstop expiry grants a
+// peer that published but has not yet posted, before counting a lost wakeup.
+const lateTurns = 16
 
 // Ring is the lock-free SPSC ring. All producer-side methods (TryPush,
 // Push, PushN, PushTimeout, Close) must be called from one goroutine at a
@@ -382,7 +400,7 @@ func (r *Ring[T]) Pop(done <-chan struct{}, w *WaitCounters) (v T, ok, canceled 
 			runtime.Gosched()
 		default:
 			phase = 2
-			if !r.park(&r.notEmpty, done, &timer, func() bool {
+			if !r.park(&r.notEmpty, done, &timer, parkBackstop, w, func() bool {
 				return r.head.Load() != r.tail.Load() || r.closed.Load()
 			}) {
 				r.waitDone(phase, start, w, true)
@@ -437,7 +455,7 @@ func (r *Ring[T]) waitProducer(done <-chan struct{}, d time.Duration, w *WaitCou
 					return false, false
 				}
 			}
-			if !r.parkFor(&r.notFull, done, &timer, wait, func() bool {
+			if !r.park(&r.notFull, done, &timer, wait, w, func() bool {
 				return r.tail.Load()-r.head.Load() < r.cap
 			}) {
 				r.prodWaitDone(phase, start, w)
@@ -485,16 +503,13 @@ func (r *Ring[T]) prodWaitDone(phase int, start time.Time, w *WaitCounters) {
 	}
 }
 
-// park blocks on n until posted, done fires (returns false), or the
-// backstop elapses. ready is re-checked between announcing and blocking —
-// the half of the handshake that makes lost wakeups impossible.
-func (r *Ring[T]) park(n *notifier, done <-chan struct{}, timer **time.Timer, ready func() bool) bool {
-	return r.parkFor(n, done, timer, parkBackstop, ready)
-}
-
-// parkFor is park with an explicit bound (PushTimeout trims it to the
-// remaining deadline).
-func (r *Ring[T]) parkFor(n *notifier, done <-chan struct{}, timer **time.Timer, d time.Duration, ready func() bool) bool {
+// park blocks on n until posted, done fires (returns false), or d elapses —
+// the backstop, or what is left of a PushTimeout deadline when that is
+// sooner. ready is re-checked between announcing and blocking — the half of
+// the handshake that makes lost wakeups impossible; a backstop expiry that
+// finds ready true with the announcement never taken is counted in w as the
+// lost wakeup that argument rules out.
+func (r *Ring[T]) park(n *notifier, done <-chan struct{}, timer **time.Timer, d time.Duration, w *WaitCounters, ready func() bool) bool {
 	n.waiting.Store(1)
 	if ready() {
 		// The peer published between our last check and the announcement;
@@ -519,6 +534,19 @@ func (r *Ring[T]) parkFor(n *notifier, done <-chan struct{}, timer **time.Timer,
 		n.waiting.Store(0)
 		return false
 	case <-(*timer).C:
+		if d == parkBackstop && ready() {
+			// What the waiter wanted is there, yet the backstop is what ended
+			// the park. A peer preempted between its publish and its post
+			// still holds the wake, so it gets a few scheduler turns to take
+			// the announcement before the wakeup is called lost.
+			for i := 0; i < lateTurns && n.waiting.Load() == 1; i++ {
+				runtime.Gosched()
+			}
+			if n.waiting.Swap(0) == 1 {
+				w.lostWakeup()
+			}
+			return true
+		}
 		n.waiting.Store(0)
 		return true
 	}

@@ -300,6 +300,49 @@ func TestWaitCountersSplit(t *testing.T) {
 	}
 }
 
+// TestLostWakeupCounted plants the event the handshake rules out and checks
+// the backstop both rescues it and says so: an entry is published behind a
+// parked consumer's back — cursor advanced, notifier never posted — so the
+// only thing left to end the park is the 1ms backstop, which must find the
+// entry, count one lost wakeup, and deliver it. A PushTimeout deadline that
+// expires on a full ring, and ordinary parks that end by a post, count none.
+func TestLostWakeupCounted(t *testing.T) {
+	r := New[int](1, WaitStrategy{})
+	var w WaitCounters
+	got := make(chan int)
+	go func() {
+		v, _, _ := r.Pop(nil, &w)
+		got <- v
+	}()
+	for r.notEmpty.waiting.Load() == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	r.slots[0] = 42
+	r.tail.Store(1) // publish without post: the wakeup that gets lost
+	if v := <-got; v != 42 {
+		t.Fatalf("backstop delivered %d, want 42", v)
+	}
+	if n := w.LostWakeups.Load(); n != 1 {
+		t.Errorf("LostWakeups = %d after an unposted publish, want 1", n)
+	}
+
+	var tx WaitCounters
+	r.TryPush(1)
+	if pushed, _ := r.PushTimeout(2, nil, 3*time.Millisecond, &tx); pushed {
+		t.Fatal("PushTimeout succeeded on a full ring")
+	}
+	go func() {
+		time.Sleep(2 * time.Millisecond)
+		r.TryPop()
+	}()
+	if !r.Push(2, nil, &tx) {
+		t.Fatal("Push canceled without a done channel")
+	}
+	if n := tx.LostWakeups.Load(); n != 0 {
+		t.Errorf("LostWakeups = %d after a timed-out push and a posted wake, want 0", n)
+	}
+}
+
 // TestAdaptiveSpinCollapses checks the budget halves after parks and
 // regrows after spin successes.
 func TestAdaptiveSpinCollapses(t *testing.T) {

@@ -82,7 +82,7 @@ type Decision struct {
 // seeded exploration pick, and commits to the winner under the objective.
 // measure runs one candidate against real traffic; a measure error skips
 // the candidate (recorded in the probe log). Select fails with
-// errs.ErrBadAutotune when the inputs are malformed and with the first
+// errs.ErrBadOption when the inputs are malformed and with the first
 // probe error when every probe failed.
 //
 // Select is deterministic for fixed (cands, topK, seed, obj) and a
@@ -90,7 +90,7 @@ type Decision struct {
 // exploration index depends only on the seed.
 func Select(cands []Candidate, topK int, seed int64, obj Objective, measure func(Candidate) (Measurement, error)) (*Decision, error) {
 	if len(cands) == 0 || topK <= 0 || measure == nil {
-		return nil, fmt.Errorf("tuner: %w: %d candidates, topK %d", errs.ErrBadAutotune, len(cands), topK)
+		return nil, fmt.Errorf("tuner: %w: %d candidates, topK %d", errs.ErrBadOption, len(cands), topK)
 	}
 	ranked := append([]Candidate(nil), cands...)
 	sort.Slice(ranked, func(i, j int) bool {

@@ -139,13 +139,13 @@ func TestSelectProbeErrors(t *testing.T) {
 
 func TestSelectBadInputs(t *testing.T) {
 	m := fakeMeasure(map[string]Measurement{})
-	if _, err := Select(nil, 3, 1, Objective{}, m); !errors.Is(err, errs.ErrBadAutotune) {
-		t.Errorf("empty candidates: %v, want ErrBadAutotune", err)
+	if _, err := Select(nil, 3, 1, Objective{}, m); !errors.Is(err, errs.ErrBadOption) {
+		t.Errorf("empty candidates: %v, want ErrBadOption", err)
 	}
-	if _, err := Select([]Candidate{{Degree: 1}}, 0, 1, Objective{}, m); !errors.Is(err, errs.ErrBadAutotune) {
-		t.Errorf("zero topK: %v, want ErrBadAutotune", err)
+	if _, err := Select([]Candidate{{Degree: 1}}, 0, 1, Objective{}, m); !errors.Is(err, errs.ErrBadOption) {
+		t.Errorf("zero topK: %v, want ErrBadOption", err)
 	}
-	if _, err := Select([]Candidate{{Degree: 1}}, 1, 1, Objective{}, nil); !errors.Is(err, errs.ErrBadAutotune) {
-		t.Errorf("nil measure: %v, want ErrBadAutotune", err)
+	if _, err := Select([]Candidate{{Degree: 1}}, 1, 1, Objective{}, nil); !errors.Is(err, errs.ErrBadOption) {
+		t.Errorf("nil measure: %v, want ErrBadOption", err)
 	}
 }

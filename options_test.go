@@ -3,12 +3,19 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/errs"
+	"repro/internal/interp"
+	"repro/internal/netbench"
 )
 
 // sentinelTable pairs every re-exported sentinel with its internal/errs
@@ -22,39 +29,22 @@ var sentinelTable = []struct {
 	internal error
 }{
 	{"ErrNilProgram", repro.ErrNilProgram, errs.ErrNilProgram},
-	{"ErrBadDegree", repro.ErrBadDegree, errs.ErrBadDegree},
-	{"ErrBadEpsilon", repro.ErrBadEpsilon, errs.ErrBadEpsilon},
+	{"ErrBadOption", repro.ErrBadOption, errs.ErrBadOption},
 	{"ErrUnbalanced", repro.ErrUnbalanced, errs.ErrUnbalanced},
-	{"ErrBadBudget", repro.ErrBadBudget, errs.ErrBadBudget},
 	{"ErrArchMismatch", repro.ErrArchMismatch, errs.ErrArchMismatch},
+	{"ErrBadCalibration", repro.ErrBadCalibration, errs.ErrBadCalibration},
 	{"ErrNoStages", repro.ErrNoStages, errs.ErrNoStages},
 	{"ErrNilStage", repro.ErrNilStage, errs.ErrNilStage},
 	{"ErrNilWorld", repro.ErrNilWorld, errs.ErrNilWorld},
 	{"ErrNilSource", repro.ErrNilSource, errs.ErrNilSource},
-	{"ErrBadRing", repro.ErrBadRing, errs.ErrBadRing},
-	{"ErrBadBatch", repro.ErrBadBatch, errs.ErrBadBatch},
 	{"ErrNotServable", repro.ErrNotServable, errs.ErrNotServable},
-	{"ErrBadThreads", repro.ErrBadThreads, errs.ErrBadThreads},
-	{"ErrBadArrival", repro.ErrBadArrival, errs.ErrBadArrival},
-	{"ErrBadIterations", repro.ErrBadIterations, errs.ErrBadIterations},
-	{"ErrBadPolicy", repro.ErrBadPolicy, errs.ErrBadPolicy},
-	{"ErrBadWatermark", repro.ErrBadWatermark, errs.ErrBadWatermark},
-	{"ErrBadDeadline", repro.ErrBadDeadline, errs.ErrBadDeadline},
-	{"ErrBadRetry", repro.ErrBadRetry, errs.ErrBadRetry},
 	{"ErrConflictingOptions", repro.ErrConflictingOptions, errs.ErrConflictingOptions},
 	{"ErrBadFaultPlan", repro.ErrBadFaultPlan, errs.ErrBadFaultPlan},
+	{"ErrBadSource", repro.ErrBadSource, errs.ErrBadSource},
 	{"ErrStagePanic", repro.ErrStagePanic, errs.ErrStagePanic},
 	{"ErrPoisonPacket", repro.ErrPoisonPacket, errs.ErrPoisonPacket},
 	{"ErrStageDeadline", repro.ErrStageDeadline, errs.ErrStageDeadline},
 	{"ErrTransientFault", repro.ErrTransientFault, errs.ErrTransientFault},
-	{"ErrBadObserver", repro.ErrBadObserver, errs.ErrBadObserver},
-	{"ErrBadBackend", repro.ErrBadBackend, errs.ErrBadBackend},
-	{"ErrBadShards", repro.ErrBadShards, errs.ErrBadShards},
-	{"ErrBadCalibration", repro.ErrBadCalibration, errs.ErrBadCalibration},
-	{"ErrBadObjective", repro.ErrBadObjective, errs.ErrBadObjective},
-	{"ErrBadAutotune", repro.ErrBadAutotune, errs.ErrBadAutotune},
-	{"ErrBadFusion", repro.ErrBadFusion, errs.ErrBadFusion},
-	{"ErrBadSource", repro.ErrBadSource, errs.ErrBadSource},
 }
 
 func TestSentinelsComplete(t *testing.T) {
@@ -66,70 +56,74 @@ func TestSentinelsComplete(t *testing.T) {
 			t.Errorf("%s: empty message", s.name)
 		}
 	}
-	// internal/errs currently declares 34 sentinels; bump this alongside the
-	// table when adding one.
-	if len(sentinelTable) != 34 {
-		t.Errorf("sentinel table covers %d errors", len(sentinelTable))
+	// The table is exhaustive: one row per errors.New in internal/errs.
+	src, err := os.ReadFile("internal/errs/errs.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(src), "= errors.New("); n != len(sentinelTable) {
+		t.Errorf("internal/errs declares %d sentinels, the table covers %d", n, len(sentinelTable))
 	}
 }
 
-// TestOptionsRejectInvalid drives every validation sentinel through the
-// central validator via the public entry points: each invalid or
-// conflicting option value must surface as its typed error no matter which
-// entry point receives it.
+// TestOptionsRejectInvalid drives every validation path through the
+// central validator via the public entry points. An out-of-range value
+// surfaces as ErrBadOption with a message naming the option (or the
+// configuration field it sets), a contradiction as ErrConflictingOptions,
+// a malformed fault plan as ErrBadFaultPlan — no matter which entry point
+// receives it.
 func TestOptionsRejectInvalid(t *testing.T) {
 	prog := repro.MustCompile(facadeSrc)
 	cases := []struct {
-		name string
-		opts []repro.Option
-		want error
+		name  string
+		opts  []repro.Option
+		want  error
+		names string // what the message must name
 	}{
-		{"negative degree", []repro.Option{repro.WithStages(-1)}, repro.ErrBadDegree},
-		{"huge degree", []repro.Option{repro.WithStages(repro.MaxStages + 1)}, repro.ErrBadDegree},
-		{"negative max PEs", []repro.Option{repro.WithMaxPEs(-1)}, repro.ErrBadDegree},
-		{"epsilon above one", []repro.Option{repro.WithEpsilon(1.5)}, repro.ErrBadEpsilon},
-		{"negative epsilon", []repro.Option{repro.WithEpsilon(-0.5)}, repro.ErrBadEpsilon},
-		{"negative budget", []repro.Option{repro.WithBudget(-5)}, repro.ErrBadBudget},
-		{"negative ring", []repro.Option{repro.WithRing(repro.NNRing, -2)}, repro.ErrBadRing},
-		{"negative batch", []repro.Option{repro.WithBatch(-1)}, repro.ErrBadBatch},
-		{"negative threads", []repro.Option{repro.WithThreads(-1)}, repro.ErrBadThreads},
-		{"negative arrival", []repro.Option{repro.WithArrivalInterval(-10)}, repro.ErrBadArrival},
-		{"negative iterations", []repro.Option{repro.WithIterations(-1)}, repro.ErrBadIterations},
-		{"unknown policy", []repro.Option{repro.WithOverload(repro.OverloadPolicy(9))}, repro.ErrBadPolicy},
-		{"negative watermark", []repro.Option{repro.WithWatermark(-1)}, repro.ErrBadWatermark},
-		{"negative deadline", []repro.Option{repro.WithDeadline(-time.Second)}, repro.ErrBadDeadline},
-		{"negative retry", []repro.Option{repro.WithRetry(-1, 0)}, repro.ErrBadRetry},
-		{"negative backoff", []repro.Option{repro.WithRetry(1, -time.Millisecond)}, repro.ErrBadRetry},
+		{"negative degree", []repro.Option{repro.WithStages(-1)}, repro.ErrBadOption, "Stages -1"},
+		{"huge degree", []repro.Option{repro.WithStages(repro.MaxStages + 1)}, repro.ErrBadOption, "Stages 65"},
+		{"negative max PEs", []repro.Option{repro.WithMaxPEs(-1)}, repro.ErrBadOption, "MaxPEs -1"},
+		{"epsilon above one", []repro.Option{repro.WithEpsilon(1.5)}, repro.ErrBadOption, "Epsilon 1.5"},
+		{"negative epsilon", []repro.Option{repro.WithEpsilon(-0.5)}, repro.ErrBadOption, "Epsilon -0.5"},
+		{"negative budget", []repro.Option{repro.WithBudget(-5)}, repro.ErrBadOption, "Budget -5"},
+		{"negative ring", []repro.Option{repro.WithRing(repro.NNRing, -2)}, repro.ErrBadOption, "RingCapacity -2"},
+		{"negative batch", []repro.Option{repro.WithBatch(-1)}, repro.ErrBadOption, "Batch -1"},
+		{"negative threads", []repro.Option{repro.WithThreads(-1)}, repro.ErrBadOption, "WithThreads -1"},
+		{"negative arrival", []repro.Option{repro.WithArrivalInterval(-10)}, repro.ErrBadOption, "WithArrivalInterval -10"},
+		{"negative iterations", []repro.Option{repro.WithIterations(-1)}, repro.ErrBadOption, "WithIterations -1"},
+		{"unknown policy", []repro.Option{repro.WithOverload(repro.OverloadPolicy(9))}, repro.ErrBadOption, "Overload policy 9"},
+		{"negative watermark", []repro.Option{repro.WithWatermark(-1)}, repro.ErrBadOption, "Watermark -1"},
+		{"negative deadline", []repro.Option{repro.WithDeadline(-time.Second)}, repro.ErrBadOption, "StageDeadline -1s"},
+		{"negative retry", []repro.Option{repro.WithRetry(-1, 0)}, repro.ErrBadOption, "Retry -1"},
+		{"negative backoff", []repro.Option{repro.WithRetry(1, -time.Millisecond)}, repro.ErrBadOption, "RetryBackoff -1ms"},
 		{"watermark without shedding policy",
-			[]repro.Option{repro.WithWatermark(2)}, repro.ErrConflictingOptions},
+			[]repro.Option{repro.WithWatermark(2)}, repro.ErrConflictingOptions, "watermark 2"},
 		{"backoff without retries",
-			[]repro.Option{repro.WithRetry(0, time.Millisecond)}, repro.ErrConflictingOptions},
+			[]repro.Option{repro.WithRetry(0, time.Millisecond)}, repro.ErrConflictingOptions, "backoff 1ms"},
 		{"batch exceeds ring under shed",
 			[]repro.Option{repro.WithOverload(repro.OverloadShed), repro.WithBatch(20)},
-			repro.ErrConflictingOptions},
+			repro.ErrConflictingOptions, "batch 20"},
 		{"fault plan stage zero",
 			[]repro.Option{repro.WithFaults(&repro.FaultPlan{Injections: []repro.FaultInjection{
 				{Kind: repro.FaultStall, Stage: 0},
-			}})}, repro.ErrBadFaultPlan},
+			}})}, repro.ErrBadFaultPlan, "stage 0"},
 		{"fault plan negative trigger",
 			[]repro.Option{repro.WithFaults(&repro.FaultPlan{Injections: []repro.FaultInjection{
 				{Kind: repro.FaultPanic, Stage: 1, At: -3},
-			}})}, repro.ErrBadFaultPlan},
+			}})}, repro.ErrBadFaultPlan, "negative trigger"},
 		{"negative log interval",
 			[]repro.Option{repro.WithObserver(&repro.Observer{LogEvery: -time.Second})},
-			repro.ErrBadObserver},
-		{"unknown execution backend",
-			[]repro.Option{repro.WithBackend(repro.Backend(99))},
-			repro.ErrBadBackend},
+			repro.ErrBadOption, "Obs: negative log interval -1s"},
 		{"negative shard count",
-			[]repro.Option{repro.WithShards(-1)}, repro.ErrBadShards},
+			[]repro.Option{repro.WithShards(-1)}, repro.ErrBadOption, "Shards -1"},
 		{"huge shard count",
-			[]repro.Option{repro.WithShards(repro.MaxShards + 1)}, repro.ErrBadShards},
+			[]repro.Option{repro.WithShards(repro.MaxShards + 1)}, repro.ErrBadOption, "Shards 65"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := repro.Partition(prog, tc.opts...); !errors.Is(err, tc.want) {
-				t.Errorf("Partition err = %v, want %v", err, tc.want)
+			_, err := repro.Partition(prog, tc.opts...)
+			if !errors.Is(err, tc.want) || !strings.Contains(fmt.Sprint(err), tc.names) {
+				t.Errorf("Partition err = %v, want %v naming %q", err, tc.want, tc.names)
 			}
 		})
 	}
@@ -142,15 +136,121 @@ func TestOptionsRejectInvalid(t *testing.T) {
 	}
 	ctx := context.Background()
 	src := repro.PacketSource(testPackets(1))
-	if _, err := pipe.Serve(ctx, src, repro.WithWatermark(-1)); !errors.Is(err, repro.ErrBadWatermark) {
-		t.Errorf("Serve(WithWatermark(-1)) err = %v, want ErrBadWatermark", err)
+	if _, err := pipe.Serve(ctx, src, repro.WithWatermark(-1)); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("Serve(WithWatermark(-1)) err = %v, want ErrBadOption", err)
 	}
 	if _, err := pipe.Serve(ctx, src, repro.WithOverload(repro.OverloadDegrade),
 		repro.WithBatch(64)); !errors.Is(err, repro.ErrConflictingOptions) {
 		t.Errorf("Serve(batch > ring, degrade) err = %v, want ErrConflictingOptions", err)
 	}
-	if _, err := pipe.Simulate(ctx, repro.NewWorld(nil), repro.WithThreads(-2)); !errors.Is(err, repro.ErrBadThreads) {
-		t.Errorf("Simulate(WithThreads(-2)) err = %v, want ErrBadThreads", err)
+	if _, err := pipe.Simulate(ctx, repro.NewWorld(nil), repro.WithThreads(-2)); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("Simulate(WithThreads(-2)) err = %v, want ErrBadOption", err)
+	}
+}
+
+// TestOptionMatrix holds the option matrix in Option's doc comment to the
+// constructors, which are the one list of options: the table's rows are
+// exactly the With* constructors declared in options.go, and every yes/–
+// cell is what the constructor's Option says about itself — which is what
+// the entry points enforce (TestOptionScopes).
+func TestOptionMatrix(t *testing.T) {
+	all := []repro.Option{
+		repro.WithStages(0), repro.WithEpsilon(0), repro.WithArch(nil), repro.WithTxMode(0),
+		repro.WithBudget(0), repro.WithMaxPEs(0), repro.WithWorkers(0), repro.WithIterations(0),
+		repro.WithThreads(0), repro.WithArrivalInterval(0), repro.WithRing(repro.NNRing, 0),
+		repro.WithBatch(0), repro.WithWorld(nil), repro.WithOverload(0), repro.WithWatermark(0),
+		repro.WithDeadline(0), repro.WithRetry(0, 0), repro.WithFaults(nil), repro.WithObserver(nil),
+		repro.WithShards(0), repro.WithShardKey(nil), repro.WithObjective(repro.MaxThroughput()),
+		repro.WithAutotune(repro.Autotune{}), repro.WithFusion(0), repro.WithSource(nil),
+	}
+	cell := map[bool]string{true: "yes", false: "-"}
+	want := map[string]string{}
+	for _, o := range all {
+		name, run, sim, serve := repro.DescribeOptionForTest(o)
+		want[name] = fmt.Sprint("yes ", cell[run], " ", cell[sim], " ", cell[serve])
+	}
+
+	file, err := parser.ParseFile(token.NewFileSet(), "options.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc string
+	declared := 0
+	for _, d := range file.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if strings.HasPrefix(d.Name.Name, "With") && d.Recv == nil {
+				declared++
+				if _, ok := want[d.Name.Name]; !ok {
+					t.Errorf("constructor %s is missing from this test's list", d.Name.Name)
+				}
+			}
+		case *ast.GenDecl:
+			if len(d.Specs) == 1 {
+				if ts, ok := d.Specs[0].(*ast.TypeSpec); ok && ts.Name.Name == "Option" {
+					doc = d.Doc.Text()
+				}
+			}
+		}
+	}
+	if declared != len(want) {
+		t.Errorf("options.go declares %d With* constructors, this test lists %d", declared, len(want))
+	}
+
+	rows := 0
+	for _, line := range strings.Split(doc, "\n") {
+		f := strings.Fields(strings.ReplaceAll(line, "–", "-"))
+		if len(f) != 5 || !strings.HasPrefix(f[0], "With") {
+			continue
+		}
+		rows++
+		if got := strings.Join(f[1:], " "); got != want[f[0]] {
+			t.Errorf("matrix row %s reads %q, the constructor says %q", f[0], got, want[f[0]])
+		}
+	}
+	if rows != len(want) {
+		t.Errorf("matrix has %d rows, options.go has %d options", rows, len(want))
+	}
+}
+
+// TestServeAgreesWithRun is the exec-vs-interp differential at the facade:
+// Serve drives the compiled stage programs (internal/exec), Run the
+// reference interpreter, and on every benchmark PPS cut four ways the two
+// must produce the same trace — which must also be the unpartitioned
+// program's.
+func TestServeAgreesWithRun(t *testing.T) {
+	for _, pps := range append(netbench.IPv4Forwarding(), netbench.IPForwarding()...) {
+		t.Run(pps.App+"/"+pps.Name, func(t *testing.T) {
+			prog, err := pps.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pipe, err := repro.Partition(prog, repro.WithStages(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			packets := pps.Traffic(96)
+			ctx := context.Background()
+			ran, err := pipe.Run(ctx, netbench.NewWorld(packets))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := pipe.Serve(ctx, repro.PacketSource(packets),
+				repro.WithWorld(netbench.NewWorld(nil)), repro.WithBatch(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := repro.TraceEqual(ran, m.Trace); diff != "" {
+				t.Errorf("Serve (exec) and Run (interp) disagree: %s", diff)
+			}
+			seq, err := interp.RunSequential(prog.Clone(), netbench.NewWorld(packets), len(packets))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := repro.TraceEqual(seq, ran); diff != "" {
+				t.Errorf("Run diverges from the unpartitioned program: %s", diff)
+			}
+		})
 	}
 }
 
@@ -185,8 +285,8 @@ func TestStructuralSentinels(t *testing.T) {
 	}
 
 	// Explore requires a positive per-packet budget.
-	if _, err := a.Explore(); !errors.Is(err, repro.ErrBadBudget) {
-		t.Errorf("Explore() without budget err = %v, want ErrBadBudget", err)
+	if _, err := a.Explore(); !errors.Is(err, repro.ErrBadOption) || !strings.Contains(err.Error(), "Budget") {
+		t.Errorf("Explore() without budget err = %v, want ErrBadOption naming Budget", err)
 	}
 
 	// A pipeline with no pkt_rx site cannot pace a packet stream.

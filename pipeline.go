@@ -71,7 +71,7 @@ func (p *Pipeline) Plan() *Plan { return p.plan.Load() }
 // packet of world (override with WithIterations) and returns the
 // observable trace. Cancellation is checked between iterations.
 func (p *Pipeline) Run(ctx context.Context, world *World, opts ...Option) ([]Event, error) {
-	cfg, err := p.cfg.with(opts, scopeRun)
+	cfg, err := p.cfg.within("Run", inRun, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func (p *Pipeline) SimulateThreads(ctx context.Context, world *World, opts ...Op
 }
 
 func (p *Pipeline) simRun(ctx context.Context, world *World, opts []Option) (config, int, error) {
-	cfg, err := p.cfg.with(opts, scopeSim)
+	cfg, err := p.cfg.within("Simulate", inSimulate, opts)
 	if err != nil {
 		return config{}, 0, err
 	}
@@ -167,7 +167,7 @@ func (p *Pipeline) simRun(ctx context.Context, world *World, opts []Option) (con
 // (aggregated across replicas when sharded), and the observable trace in
 // exact sequential-oracle order.
 func (p *Pipeline) Serve(ctx context.Context, src Source, opts ...Option) (*Metrics, error) {
-	cfg, err := p.cfg.with(opts, scopeSrv)
+	cfg, err := p.cfg.within("Serve", inServe, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -181,21 +181,21 @@ func (p *Pipeline) Serve(ctx context.Context, src Source, opts ...Option) (*Metr
 			return nil, fmt.Errorf("repro: %w: both the positional source and WithSource supply the packet stream; pass nil for one of them",
 				ErrConflictingOptions)
 		}
-		pull := cfg.batch
+		pull := cfg.serve.Batch
 		if pull < ingestPullMin {
 			pull = ingestPullMin
 		}
 		feeder = ingest.NewFeeder(cfg.source, pull)
 		feeder.BindContext(ctx)
 		stats := feeder.Stats()
-		cfg.ingestStats = func() runtime.IngestStats {
+		cfg.serve.Ingest = func() runtime.IngestStats {
 			v := stats.View()
 			return runtime.IngestStats{RxPackets: v.RxPackets, RxBytes: v.RxBytes,
 				Drops: v.Drops, DecodeErrors: v.DecodeErrors}
 		}
 		src = feeder
 	}
-	cfg.onLive = func(l *runtime.Live) { p.live.Store(l) }
+	cfg.serve.OnLive = func(l *runtime.Live) { p.live.Store(l) }
 	m, err := p.serveWith(ctx, src, cfg)
 	if feeder != nil && err == nil {
 		// The runtime treats a dead source as clean end-of-stream (it

@@ -25,9 +25,9 @@
 // Callers evaluating many configurations of one program should Analyze
 // once and Partition per configuration; see Analysis. Configuration is
 // uniform functional options (WithStages, WithTxMode, WithRing, ...)
-// validated centrally against typed errors (ErrBadDegree, ErrUnbalanced,
+// validated centrally against typed errors (ErrBadOption, ErrUnbalanced,
 // ...); each entry point accepts exactly the options that mean something
-// to it (the matrix in options.go) and rejects the rest. A served pipeline
+// to it (the matrix on Option) and rejects the rest. A served pipeline
 // can also tune itself: WithAutotune turns Serve into a closed loop that
 // calibrates the cost model against measured stage times, re-cuts the
 // program, and commits to the measured best configuration (see
@@ -252,11 +252,11 @@ type Analysis struct {
 // graph, SCC condensation, flow-network skeleton) on a compiled PPS. Only
 // WithArch matters here; per-cut options are given to Partition.
 func Analyze(prog *Program, opts ...Option) (*Analysis, error) {
-	cfg, err := newConfig(opts)
+	cfg, err := config{}.with(opts)
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.Analyze(prog, cfg.arch)
+	a, err := core.Analyze(prog, cfg.explore.Base.Arch)
 	if err != nil {
 		return nil, err
 	}
@@ -273,11 +273,11 @@ func (a *Analysis) Seq() PathCost { return a.a.Seq() }
 // Analysis, so any number of Partition calls may run concurrently on one
 // receiver, each returning a deterministic Pipeline.
 func (a *Analysis) Partition(opts ...Option) (*Pipeline, error) {
-	cfg, err := a.cfg.with(opts, scopeAll)
+	cfg, err := a.cfg.with(opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := a.a.Partition(cfg.coreOptions())
+	res, err := a.a.Partition(cfg.explore.Base)
 	if err != nil {
 		return nil, err
 	}
@@ -305,11 +305,11 @@ type CandidateCost = core.CandidateCost
 // required) — the compiler-driver behaviour the paper sketches in §2.2.
 // WithMaxPEs bounds the search and WithWorkers fans candidates out.
 func (a *Analysis) Explore(opts ...Option) (*Exploration, error) {
-	cfg, err := a.cfg.with(opts, scopeAll)
+	cfg, err := a.cfg.with(opts)
 	if err != nil {
 		return nil, err
 	}
-	ex, err := a.a.Explore(cfg.exploreOptions())
+	ex, err := a.a.Explore(cfg.explore)
 	if err != nil {
 		return nil, err
 	}

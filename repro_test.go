@@ -181,19 +181,18 @@ func TestOptionValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		opt  repro.Option
-		want error
 	}{
-		{"negative degree", repro.WithStages(-1), repro.ErrBadDegree},
-		{"huge degree", repro.WithStages(repro.MaxStages + 1), repro.ErrBadDegree},
-		{"bad epsilon", repro.WithEpsilon(1.5), repro.ErrBadEpsilon},
-		{"negative ring", repro.WithRing(repro.NNRing, -2), repro.ErrBadRing},
-		{"negative batch", repro.WithBatch(-1), repro.ErrBadBatch},
-		{"negative budget", repro.WithBudget(-5), repro.ErrBadBudget},
+		{"negative degree", repro.WithStages(-1)},
+		{"huge degree", repro.WithStages(repro.MaxStages + 1)},
+		{"bad epsilon", repro.WithEpsilon(1.5)},
+		{"negative ring", repro.WithRing(repro.NNRing, -2)},
+		{"negative batch", repro.WithBatch(-1)},
+		{"negative budget", repro.WithBudget(-5)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := repro.Partition(prog, tc.opt); !errors.Is(err, tc.want) {
-				t.Errorf("Partition err = %v, want %v", err, tc.want)
+			if _, err := repro.Partition(prog, tc.opt); !errors.Is(err, repro.ErrBadOption) {
+				t.Errorf("Partition err = %v, want ErrBadOption", err)
 			}
 		})
 	}
@@ -202,8 +201,8 @@ func TestOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Serve(context.Background(), repro.PacketSource(testPackets(1)), repro.WithBatch(-3)); !errors.Is(err, repro.ErrBadBatch) {
-		t.Errorf("Serve(WithBatch(-3)) err = %v, want ErrBadBatch", err)
+	if _, err := pipe.Serve(context.Background(), repro.PacketSource(testPackets(1)), repro.WithBatch(-3)); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("Serve(WithBatch(-3)) err = %v, want ErrBadOption", err)
 	}
 	// An unmeetable balance constraint surfaces as ErrUnbalanced.
 	if _, err := repro.Partition(prog, repro.WithStages(40)); err != nil && !errors.Is(err, repro.ErrUnbalanced) {
