@@ -45,12 +45,15 @@ echo "== ring gate: microbench smoke + ring oracle matrix"
 go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
 go test -race -count=2 -run 'TestRing' ./internal/runtime
 
-echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzOpenSpec, FuzzPcapDecode"
+echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode"
 # Differential fuzzing of the streaming runtime against the sequential
 # oracle (the checked-in corpus under internal/runtime/testdata/fuzz seeds
-# the mutator), and the two parsers that read what an operator hands the
+# the mutator), of the compiled backend's lowering against the interpreter
+# on random programs and packets (sequential and partitioned, errors
+# included), and the two parsers that read what an operator hands the
 # ingest front end: source spec strings and capture files.
 go test ./internal/runtime -run '^$' -fuzz=FuzzServeVsOracle -fuzztime=10s
+go test ./internal/exec -run '^$' -fuzz=FuzzExecVsInterp -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzOpenSpec -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzPcapDecode -fuzztime=10s
 
@@ -77,11 +80,13 @@ echo "== size ledger (printed, not gated)"
 # The design-size numbers ROADMAP item 3 tracks, so each PR's reduction is
 # a recorded figure: non-test, non-blank, non-comment Go lines of the serve
 # runtime and the facade files that configure it, the option count, and the
-# sentinel count. The one throughput model is listed on its own line.
+# sentinel count. The one throughput model and the compiled backend are
+# each listed on their own line.
 size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go adaptive.go fusion.go"
 # shellcheck disable=SC2086
 echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')"
+echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 echo "options (func With*):      $(grep -c '^func With' options.go)"
 echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)"
 

@@ -16,7 +16,7 @@
 //	             (0 = one per CPU, 1 = sequential; the selected result is
 //	             identical either way)
 //	-ast         print the canonically formatted source and exit
-//	-dump        print the realized stage IR
+//	-dump        print the realized stage IR and, under each stage, what exec lowers it to
 //	-verify N    run N iterations of zero-filled 48-byte packets through
 //	             both the sequential program and the pipeline and compare
 //	             traces
@@ -62,6 +62,7 @@ import (
 	"strconv"
 
 	"repro"
+	"repro/internal/exec"
 	"repro/internal/ingest"
 	"repro/internal/ppc"
 )
@@ -192,9 +193,15 @@ func main() {
 	fmt.Print(pipe.Report())
 
 	if *dump {
-		for _, s := range pipe.Stages() {
+		// Under each stage's IR, what the compiled backend makes of it: the
+		// cut balances the instructions above, the host runs the ops below.
+		runners := exec.NewStageRunners(pipe.Stages(), repro.NewWorld(nil))
+		for k, s := range pipe.Stages() {
 			fmt.Println()
 			fmt.Print(s.Func.String())
+			l := runners[k].Lowered()
+			fmt.Printf("lowered: %d instructions -> %d ops (%d folded, %d fused), frame %d slots, %d reset per iteration\n",
+				l.IRInstrs, l.Ops, l.Folded, l.Fused, l.FrameSlots, l.Resets)
 		}
 	}
 	if *verify > 0 {

@@ -142,6 +142,51 @@ func TestCalibrateNoisy(t *testing.T) {
 	}
 }
 
+// TestCalibrateFitExplainsData: R² > 0 means the calibrated model predicts
+// the stage timings better than their mean does. That is a property of the
+// fit, so it is asserted here on fixed timings shaped like a three-stage
+// serve probe — not on live ones, where stages a few percent apart and a
+// scheduler hiccup can order the timings against the weights and
+// legitimately put R² below zero (the last row).
+func TestCalibrateFitExplainsData(t *testing.T) {
+	mixed := []OpCounts{
+		{ClassALU: 60, ClassPktIO: 22, ClassPure: 4},
+		{ClassALU: 85, ClassLocalMem: 12, ClassPktIO: 6},
+		{ClassALU: 40, ClassLookup: 80, ClassPktIO: 9},
+	}
+	alu := []OpCounts{{ClassALU: 100}, {ClassALU: 120}, {ClassALU: 140}}
+	for _, tc := range []struct {
+		name   string
+		counts []OpCounts
+		ns     [3]float64
+		minR2  float64
+	}{
+		{"proportional to weight", mixed, [3]float64{172, 206, 258}, 0.95},
+		{"lookup-heavy stage slow", mixed, [3]float64{150, 180, 420}, 0.8},
+		{"one stage 20% off the model", mixed, [3]float64{172, 250, 258}, 0.8},
+		{"one class, timings follow the weights", alu, [3]float64{205, 240, 290}, 0.9},
+		{"one class, near-equal timings against the weights", alu, [3]float64{204, 201, 198}, math.Inf(-1)},
+	} {
+		samples := make([]Sample, len(tc.counts))
+		for i := range samples {
+			samples[i] = Sample{Counts: tc.counts[i], NsPerIter: tc.ns[i], Iters: 500}
+		}
+		cal, err := Calibrate(Default(), samples)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if math.IsNaN(cal.R2) || cal.NsPerWeight <= 0 {
+			t.Errorf("%s: fit is not a number: R²=%v ns/weight=%v", tc.name, cal.R2, cal.NsPerWeight)
+		}
+		if cal.R2 < tc.minR2 {
+			t.Errorf("%s: R² = %.3f, want at least %.2f\n%s", tc.name, cal.R2, tc.minR2, cal)
+		}
+		if math.IsInf(tc.minR2, -1) && cal.R2 > 0 {
+			t.Errorf("%s: R² = %.3f; the row is here to show a sound fit can score below zero", tc.name, cal.R2)
+		}
+	}
+}
+
 // TestCalibrateUnobservedClassesPinned: classes the workload never touches
 // must stay exactly at the prior (multiplier 1 after normalization against
 // a uniform fit), not drift to arbitrary values.

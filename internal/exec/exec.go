@@ -17,26 +17,27 @@
 //     own closure; the straight-line body of a basic block executes as one
 //     contiguous closure sweep per dispatch, with the step budget charged
 //     per block rather than per instruction;
-//   - registers that provably hold one compile-time constant on every read
-//     (sole writer is an OpConst that dominates all reads) are preloaded
-//     into a frame template copied at iteration start, and their defining
-//     instructions drop out of the hot body entirely.
+//   - before any closure is built, lower.go analyses and rewrites the
+//     program: constants fold to a fixed point into the frame, the frame
+//     shrinks to the registers still referenced (no per-iteration copy, only
+//     a short reset list), neighbouring instructions fuse into
+//     superinstructions, and straight-line chains of blocks merge.
 //
 // The backend preserves the interpreter's semantics exactly — the MaxSteps
-// bound (bulk per-block accounting switches to a per-instruction exact path
-// before the budget can be crossed), wrapIndex array wrapping, total
-// evalPure arithmetic, RxFromCtx stream discipline, event ordering, and the
-// send/recv live-set layout — and the interpreter is retained as the
-// behavioural oracle: the differential tests in this package and the
-// cross-backend fuzz harness in internal/runtime hold the two byte-identical
-// on the same inputs.
+// bound (each block is charged its original instruction count, and within
+// one block of the budget the same ops run against their recorded step
+// offsets, so the limit fires on the interpreter's instruction), wrapIndex
+// array wrapping, total arithmetic, RxFromCtx stream discipline, event
+// ordering, and the send/recv live-set layout — and the interpreter is
+// retained as the behavioural oracle: the differential tests in this package
+// and the cross-backend fuzz harness in internal/runtime hold the two
+// byte-identical on the same inputs.
 package exec
 
 import (
 	"fmt"
 
 	"repro/internal/errs"
-	"repro/internal/graph"
 	"repro/internal/interp"
 	"repro/internal/ir"
 )
@@ -49,32 +50,33 @@ const (
 	pcErr = -2 // a runtime error was parked in Runner.err
 )
 
-// instrFn is one compiled instruction: it performs its effect and returns
-// the next block index / sentinel (terminators) or pcErr / don't-care
-// (body instructions).
+// metaWords is the size of the packet descriptor meta_get/meta_set index.
+const metaWords = len(interp.IterCtx{}.Meta)
+
+// instrFn is one compiled op: it performs its effect and returns the next
+// block index / sentinel (terminators) or pcErr / don't-care (body ops).
 type instrFn func(m *Runner) int
 
-// block is one compiled basic block: the hot-path body sweep, the exact
-// per-instruction sequence for the MaxSteps boundary, and the terminator.
+// block is one emitted basic block — an IR block, or a chain of them merged
+// through unconditional jumps. The fast path and the MaxSteps boundary path
+// run the same ops.
 type block struct {
-	// body is the straight-line sweep the fast path runs: every non-phi,
-	// non-terminator instruction except preloaded constants.
+	// body is the straight-line sweep: every op lower.go kept.
 	body []instrFn
-	// seq is the same region including preloaded constants, executed one
-	// instruction at a time (with exact step counting) once the step
-	// budget comes within one block of MaxSteps.
-	seq []instrFn
+	// at[i] is the number of original instructions from the top of the
+	// block up to and including the one body[i] stands for. Once the step
+	// budget comes within one block of MaxSteps, body[i] runs only if the
+	// budget reaches that far.
+	at []int32
 	// term transfers control: it performs the taken edge's phi moves and
 	// returns the successor block (or pcRet / pcErr). For a block with no
 	// terminator it is the interpreter's "fell off the end" error.
 	term instrFn
-	// cost is the steps the fast path charges for one pass through the
-	// block: len(seq) plus termCost. termCost is 1 for a real terminator
-	// (the interpreter counts it like any instruction) and 0 for the
-	// synthetic fell-off-the-end error (the interpreter raises it without
-	// consuming a step).
-	cost     int
-	termCost int
+	// cost is the steps the interpreter counts for one pass through the
+	// block: every original instruction, dropped or fused ones included,
+	// plus the terminator (the synthetic fell-off-the-end error is raised
+	// without consuming a step, and adds none).
+	cost int
 }
 
 // Runner executes iterations of one compiled program (or one pipeline
@@ -99,14 +101,17 @@ type Runner struct {
 	entry     int  // entry block index
 	entryEdge edge // phi moves of the virtual predecessor -1 edge
 	name      string
+	lowered   Lowered
 
-	// regs is the dense iteration frame. It is allocated once at compile
-	// time and captured directly by the compiled closures, so register
-	// access is a single slice index. template is its iteration-start
-	// image: zero everywhere except preloaded constant registers.
-	regs     []int64
-	template []int64
-	phiBuf   []int64
+	// regs is the dense iteration frame: one slot per register the lowered
+	// program still references. It is allocated once at compile time, its
+	// constant slots filled in then, and captured directly by the compiled
+	// closures, so register access is a single pointer dereference. Nothing
+	// copies it between iterations: resets lists the few slots that must
+	// read as zero when an iteration starts.
+	regs   []int64
+	resets []int32
+	phiBuf []int64
 
 	// localArrs lists the distinct local arrays the program touches;
 	// localBind holds their per-iteration storage, re-resolved from the
@@ -130,9 +135,7 @@ type Runner struct {
 
 // NewRunner compiles prog against freshly initialized persistent state.
 func NewRunner(prog *ir.Program, world *interp.World) *Runner {
-	r := &Runner{Prog: prog, World: world, persistent: interp.NewStore(prog)}
-	r.compile()
-	return r
+	return NewRunnerShared(prog, world, interp.NewStore(prog))
 }
 
 // NewRunnerShared compiles prog against an existing persistent store. The
@@ -143,7 +146,7 @@ func NewRunner(prog *ir.Program, world *interp.World) *Runner {
 // flow-partitioned fork.
 func NewRunnerShared(prog *ir.Program, world *interp.World, store *interp.Store) *Runner {
 	r := &Runner{Prog: prog, World: world, persistent: store}
-	r.compile()
+	r.compile(new(lowerer))
 	return r
 }
 
@@ -155,9 +158,10 @@ func NewRunnerShared(prog *ir.Program, world *interp.World, store *interp.Store)
 func NewStageRunners(stages []*ir.Program, world *interp.World) []*Runner {
 	shared := interp.NewStore(stages...)
 	runners := make([]*Runner, len(stages))
+	lw := new(lowerer) // one set of analysis tables for the whole pipeline
 	for i, s := range stages {
 		runners[i] = &Runner{Prog: s, World: world, persistent: shared}
-		runners[i].compile()
+		runners[i].compile(lw)
 	}
 	return runners
 }
@@ -165,16 +169,8 @@ func NewStageRunners(stages []*ir.Program, world *interp.World) []*Runner {
 // PersistentStore returns the runner's persistent-array store.
 func (m *Runner) PersistentStore() *interp.Store { return m.persistent }
 
-// wrapIndex mirrors the interpreter's array-index wrapping: out-of-range
-// indices wrap modulo the array size, with negative indices brought into
-// range.
-func wrapIndex(i int64, size int) int {
-	v := i % int64(size)
-	if v < 0 {
-		v += int64(size)
-	}
-	return int(v)
-}
+// Lowered reports what the lowering did to the runner's program.
+func (m *Runner) Lowered() Lowered { return m.lowered }
 
 // RunIteration executes one PPS-loop iteration of the compiled program in
 // the given per-iteration context. recv supplies the live-set slot values
@@ -193,15 +189,7 @@ func (m *Runner) RunIteration(ctx *interp.IterCtx, recv []int64) ([]int64, error
 // token's spare buffer through here so a steady-state handoff is a few
 // word copies into memory the token already owns.
 func (m *Runner) RunIterationInto(ctx *interp.IterCtx, recv, dst []int64) ([]int64, error) {
-	m.ctx, m.recv, m.sent, m.err, m.sendDst = ctx, recv, nil, nil, dst
-	copy(m.regs, m.template)
-	for i, a := range m.localArrs {
-		m.localBind[i] = ctx.Local(a.ID, a.Size)
-	}
-	bi := m.entry
-	if e := &m.entryEdge; !e.trivial() {
-		bi = m.take(e)
-	}
+	bi := m.begin(ctx, recv, dst)
 	blocks := m.blocks
 	steps := 0
 loop:
@@ -223,6 +211,30 @@ loop:
 		}
 		bi = b.term(m)
 	}
+	return m.end(bi)
+}
+
+// begin binds the iteration's state, brings the frame to its
+// iteration-start image and takes the virtual predecessor's edge into the
+// entry block; it returns the first block to dispatch.
+func (m *Runner) begin(ctx *interp.IterCtx, recv, dst []int64) int {
+	m.ctx, m.recv, m.sent, m.err, m.sendDst = ctx, recv, nil, nil, dst
+	regs := m.regs
+	for _, s := range m.resets {
+		regs[s] = 0
+	}
+	for i, a := range m.localArrs {
+		m.localBind[i] = ctx.Local(a.ID, a.Size)
+	}
+	if e := &m.entryEdge; !e.trivial() {
+		return m.take(e)
+	}
+	return m.entry
+}
+
+// end unbinds the iteration's state and shapes the result from the
+// sentinel the dispatch loop stopped on.
+func (m *Runner) end(bi int) ([]int64, error) {
 	sent, err := m.sent, m.err
 	m.ctx, m.recv, m.sent, m.err, m.sendDst = nil, nil, nil, nil, nil
 	if bi == pcErr {
@@ -234,31 +246,34 @@ loop:
 // runExact continues an iteration with per-instruction step accounting (the
 // interpreter increments and checks before executing each instruction). It
 // runs only when an iteration comes within one block of MaxSteps, so its
-// cost is irrelevant; what matters is that its counting is byte-exact.
+// cost is irrelevant; what matters is that its counting is byte-exact. An
+// op runs only if the budget covers its anchor instruction; the ones that
+// were folded or fused away before the anchor are pure, so whether the
+// limit lands on one of them or on the anchor cannot be told apart.
 func (m *Runner) runExact(bi, steps int) int {
 	blocks := m.blocks
 	for bi >= 0 {
 		b := &blocks[bi]
-		for _, fn := range b.seq {
-			steps++
-			if steps > interp.MaxSteps {
-				m.err = fmt.Errorf("%s: step limit exceeded (non-terminating inner loop?)", m.name)
-				return pcErr
+		for i, fn := range b.body {
+			if steps+int(b.at[i]) > interp.MaxSteps {
+				return m.stepLimit()
 			}
 			if fn(m) == pcErr {
 				return pcErr
 			}
 		}
-		if b.termCost != 0 {
-			steps++
-			if steps > interp.MaxSteps {
-				m.err = fmt.Errorf("%s: step limit exceeded (non-terminating inner loop?)", m.name)
-				return pcErr
-			}
+		if steps+b.cost > interp.MaxSteps {
+			return m.stepLimit()
 		}
+		steps += b.cost
 		bi = b.term(m)
 	}
 	return bi
+}
+
+func (m *Runner) stepLimit() int {
+	m.err = fmt.Errorf("%s: step limit exceeded (non-terminating inner loop?)", m.name)
+	return pcErr
 }
 
 // RunSequential executes iters iterations of prog against world on the
@@ -353,86 +368,42 @@ func (m *Runner) take(e *edge) int {
 	return e.to
 }
 
-// compiler carries the layout computed in the first pass.
-type compiler struct {
-	f       *ir.Func
-	nPhis   []int  // block ID -> number of leading phis
-	termIdx []int  // block ID -> index of the first control-transfer instruction, or -1
-	preload []bool // register -> holds a preloaded constant from the template
-	binds   map[*ir.Array]int
-}
-
-// compile lowers the program into the block-fused closure form. The first
-// pass lays out the blocks — leading phi counts and the first control
-// transfer, past which the interpreter never executes — then the constant
-// analysis fills the frame template, and the second pass emits the
-// specialized closures with all targets resolved.
-func (m *Runner) compile() {
+// compile lowers the program (lower.go), lays out the frame, and emits one
+// closure per surviving op with every register, array and branch target
+// resolved.
+func (m *Runner) compile(lw *lowerer) {
 	f := m.Prog.Func
 	m.name = f.Name
-	m.regs = make([]int64, f.NumRegs)
-	m.template = make([]int64, f.NumRegs)
+	lw.lower(f)
+	m.lowered = lw.stats
 
-	c := &compiler{
-		f:       f,
-		nPhis:   make([]int, len(f.Blocks)),
-		termIdx: make([]int, len(f.Blocks)),
-		binds:   make(map[*ir.Array]int),
+	m.regs = make([]int64, lw.nslots)
+	for _, c := range lw.consts {
+		m.regs[c.slot] = c.val
 	}
-	maxPhi := 0
-	for i, b := range f.Blocks {
-		n := 0
-		for _, in := range b.Instrs {
-			if in.Op != ir.OpPhi {
-				break
-			}
-			n++
-		}
-		c.nPhis[i] = n
-		if n > maxPhi {
-			maxPhi = n
-		}
-		// The live region ends at the first control transfer: the
-		// interpreter leaves the block there, so anything after it is
-		// dead code (usually there is exactly one, in last position).
-		c.termIdx[i] = -1
-		for idx := n; idx < len(b.Instrs); idx++ {
-			op := b.Instrs[idx].Op
-			if op == ir.OpJmp || op == ir.OpBr || op == ir.OpSwitch || op == ir.OpRet {
-				c.termIdx[i] = idx
-				break
-			}
-		}
-	}
-	m.phiBuf = make([]int64, maxPhi)
-	c.analyzePreload(m.template)
+	m.resets = append([]int32(nil), lw.resets...)
+	m.phiBuf = make([]int64, lw.maxPhi)
 
+	// Every block's body and step offsets are slices of two arrays.
 	m.blocks = make([]block, len(f.Blocks))
-	for i, b := range f.Blocks {
-		end := c.termIdx[i]
-		if end < 0 {
-			end = len(b.Instrs)
-		}
-		bl := &m.blocks[i]
-		for idx := c.nPhis[i]; idx < end; idx++ {
-			in := b.Instrs[idx]
-			fn := m.compileInstr(c, b, in)
-			bl.seq = append(bl.seq, fn)
-			if in.Op == ir.OpConst && in.Dst != ir.NoReg && c.preload[in.Dst] {
-				continue // the template already holds the value
+	nbody := lw.stats.Ops - len(lw.order)
+	fns := make([]instrFn, 0, nbody)
+	ats := make([]int32, 0, nbody)
+	for _, id := range lw.order {
+		lb, bl := lw.blocks[id], &m.blocks[id]
+		first := len(fns)
+		for i := lb.lo; i < lb.hi; i++ {
+			switch op := &lw.ops[i]; {
+			case op.kind == kDead:
+			case op.kind.isTerm():
+				bl.term = m.emitTerm(lw, op)
+			default:
+				fns = append(fns, m.emitOp(lw, op))
+				ats = append(ats, op.at)
 			}
-			bl.body = append(bl.body, fn)
 		}
-		if ti := c.termIdx[i]; ti >= 0 {
-			bl.term = m.compileTerm(c, b, b.Instrs[ti])
-			bl.termCost = 1
-		} else {
-			// The interpreter raises this after the body, without
-			// consuming a step — hence termCost 0.
-			err := fmt.Errorf("%s: b%d fell off the end without a terminator", f.Name, b.ID)
-			bl.term = func(m *Runner) int { m.err = err; return pcErr }
-		}
-		bl.cost = len(bl.seq) + bl.termCost
+		bl.body, bl.at = fns[first:len(fns):len(fns)], ats[first:len(ats):len(ats)]
+		bl.cost = int(lb.cost)
 	}
 
 	m.entry = f.Entry
@@ -440,156 +411,61 @@ func (m *Runner) compile() {
 	// when the entry block opens with phis — the moves (or the
 	// interpreter's no-value-for-predecessor error) run by RunIteration
 	// before dispatch starts.
-	m.entryEdge = c.planEdge(-1, f.Entry)
+	m.entryEdge = m.planEdge(lw, -1, f.Entry)
 	m.localBind = make([][]int64, len(m.localArrs))
 }
 
-// analyzePreload finds registers that provably hold one compile-time
-// constant whenever read: the register's only live writer is an OpConst,
-// and every live read executes after that write — later in the same block,
-// or in a block the writer's block dominates (a phi argument reads on its
-// edge, i.e. at the end of the predecessor). Those registers are preloaded
-// into the frame template and their defining OpConst is dropped from the
-// hot body. Step accounting is unaffected: the instruction still counts in
-// the block's cost, and the exact path still executes it (rewriting the
-// same value). Reads the analysis cannot order — including entry-block phis
-// fed by the virtual predecessor -1, which the interpreter services from
-// the zeroed frame — disqualify the register.
-func (c *compiler) analyzePreload(template []int64) {
-	f := c.f
-	n := len(template)
-	if n == 0 {
-		return
-	}
-	wBlk := make([]int, n)
-	wIdx := make([]int, n)
-	wImm := make([]int64, n)
-	wConst := make([]bool, n)
-	wCount := make([]int, n)
+// reg returns the frame slot of IR register r.
+func (m *Runner) reg(lw *lowerer, r int) *int64 { return &m.regs[lw.slot(r)] }
 
-	record := func(reg, blk, idx int, isConst bool, imm int64) {
-		if reg < 0 || reg >= n {
-			return
-		}
-		wCount[reg]++
-		wBlk[reg], wIdx[reg] = blk, idx
-		wConst[reg] = isConst
-		wImm[reg] = imm
+// optReg is reg for a destination that may be absent (a call with no
+// result): nil mirrors the interpreter's in.Dst != ir.NoReg check.
+func (m *Runner) optReg(lw *lowerer, r int) *int64 {
+	if r < 0 {
+		return nil
 	}
-	for bi, b := range f.Blocks {
-		for idx := 0; idx < c.nPhis[bi]; idx++ {
-			record(b.Instrs[idx].Dst, bi, idx, false, 0)
-		}
-		end := c.termIdx[bi] // terminators never write registers
-		if end < 0 {
-			end = len(b.Instrs)
-		}
-		for idx := c.nPhis[bi]; idx < end; idx++ {
-			in := b.Instrs[idx]
-			record(in.Dst, bi, idx, in.Op == ir.OpConst, in.Imm)
-			for _, d := range in.Dsts {
-				record(d, bi, idx, false, 0)
-			}
-		}
-	}
-
-	pre := make([]bool, n)
-	any := false
-	for r := 0; r < n; r++ {
-		if wCount[r] == 1 && wConst[r] {
-			pre[r] = true
-			any = true
-		}
-	}
-	if !any {
-		c.preload = pre
-		return
-	}
-
-	g := graph.New(len(f.Blocks))
-	for bi := range f.Blocks {
-		if ti := c.termIdx[bi]; ti >= 0 {
-			for _, t := range f.Blocks[bi].Instrs[ti].Targets {
-				g.AddEdge(bi, t)
-			}
-		}
-	}
-	dom := graph.Dominators(g, f.Entry)
-
-	readOK := func(r, blk, idx int) bool {
-		if blk == wBlk[r] {
-			return idx > wIdx[r]
-		}
-		return dom.Dominates(wBlk[r], blk)
-	}
-	for bi, b := range f.Blocks {
-		for idx := 0; idx < c.nPhis[bi]; idx++ {
-			in := b.Instrs[idx]
-			for j, p := range in.PhiPreds {
-				r := in.Args[j]
-				if r < 0 || r >= n || !pre[r] {
-					continue
-				}
-				if p < 0 || !(p == wBlk[r] || dom.Dominates(wBlk[r], p)) {
-					pre[r] = false
-				}
-			}
-		}
-		end := c.termIdx[bi] + 1 // terminators do read (br cond, switch value)
-		if end == 0 {
-			end = len(b.Instrs)
-		}
-		for idx := c.nPhis[bi]; idx < end; idx++ {
-			for _, r := range b.Instrs[idx].Args {
-				if r >= 0 && r < n && pre[r] && !readOK(r, bi, idx) {
-					pre[r] = false
-				}
-			}
-		}
-	}
-	for r, ok := range pre {
-		if ok {
-			template[r] = wImm[r]
-		}
-	}
-	c.preload = pre
+	return m.reg(lw, r)
 }
 
 // planEdge resolves the phi moves of the pred -> succ edge.
-func (c *compiler) planEdge(pred, succ int) edge {
-	b := c.f.Blocks[succ]
+func (m *Runner) planEdge(lw *lowerer, pred, succ int) edge {
 	e := edge{to: succ}
-	for i := 0; i < c.nPhis[succ]; i++ {
-		in := b.Instrs[i]
-		found := false
-		for j, p := range in.PhiPreds {
-			if p == pred {
-				e.srcs = append(e.srcs, in.Args[j])
-				e.dsts = append(e.dsts, in.Dst)
-				found = true
-				break
-			}
-		}
-		if !found {
+	f := m.Prog.Func
+	for _, phi := range f.Blocks[succ].Instrs[:lw.blocks[succ].nPhis] {
+		j := phiArg(phi, pred)
+		if j < 0 {
 			return edge{
-				err: fmt.Errorf("%s: b%d: phi has no value for predecessor b%d", c.f.Name, succ, pred),
+				err: fmt.Errorf("%s: b%d: phi has no value for predecessor b%d", f.Name, succ, pred),
 				to:  pcErr,
 			}
 		}
+		e.srcs = append(e.srcs, lw.slot(phi.Args[j]))
+		e.dsts = append(e.dsts, lw.slot(phi.Dst))
 	}
 	return e
 }
 
 // bindLocal returns the per-iteration bind slot for a local array,
 // allocating one on first reference.
-func (m *Runner) bindLocal(c *compiler, a *ir.Array) int {
-	if slot, ok := c.binds[a]; ok {
-		return slot
+func (m *Runner) bindLocal(a *ir.Array) int {
+	for slot, have := range m.localArrs {
+		if have == a {
+			return slot
+		}
 	}
-	slot := len(m.localArrs)
-	c.binds[a] = slot
 	m.localArrs = append(m.localArrs, a)
-	return slot
+	return len(m.localArrs) - 1
+}
+
+// wrapIndex mirrors the interpreter's array-index wrapping: out-of-range
+// indices wrap modulo the array size, with negative indices brought into
+// range.
+func wrapIndex(i int64, size int) int {
+	v := i % int64(size)
+	if v < 0 {
+		v += int64(size)
+	}
+	return int(v)
 }
 
 // b2i converts a comparison result to the IR's 0/1 encoding.
@@ -600,22 +476,66 @@ func b2i(v bool) int64 {
 	return 0
 }
 
-// compileTerm emits the control-transfer closure for a block's terminator,
-// with the phi moves of each outgoing edge folded in.
-func (m *Runner) compileTerm(c *compiler, blk *ir.Block, in *ir.Instr) instrFn {
-	regs := m.regs
-	switch in.Op {
-	case ir.OpJmp:
-		e := c.planEdge(blk.ID, in.Targets[0])
+// divTotal and modTotal are the interpreter's total division: a zero
+// divisor yields 0, and the single overflowing case MinInt64 / -1 is
+// answered without trapping.
+func divTotal(a, b int64) int64 {
+	switch {
+	case b == 0:
+		return 0
+	case a == -a && b == -1:
+		return a
+	}
+	return a / b
+}
+
+func modTotal(a, b int64) int64 {
+	if b == 0 || (a == -a && b == -1) {
+		return 0
+	}
+	return a % b
+}
+
+func csumFold(x int64) int64 {
+	v := uint64(x) & 0xFFFFFFFF
+	v = (v & 0xFFFF) + (v >> 16)
+	v = (v & 0xFFFF) + (v >> 16)
+	return int64(v)
+}
+
+// hashCRC is a small deterministic integer mix (xorshift-multiply).
+func hashCRC(x int64) int64 {
+	v := uint64(x)
+	v ^= v >> 33
+	v *= 0xff51afd7ed558ccd
+	v ^= v >> 33
+	return int64(v & 0x7FFFFFFF)
+}
+
+// byteAt is pkt_byte: an offset outside the packet reads 0.
+func byteAt(pkt []byte, off int64) int64 {
+	if uint64(off) < uint64(len(pkt)) {
+		return int64(pkt[off])
+	}
+	return 0
+}
+
+// emitTerm emits the control-transfer closure that ends a block, with the
+// phi moves of each outgoing edge folded in.
+func (m *Runner) emitTerm(lw *lowerer, op *lop) instrFn {
+	blk := int(op.blk)
+	switch op.kind {
+	case kJmp:
+		e := m.planEdge(lw, blk, int(op.k))
 		if e.trivial() {
 			to := e.to
 			return func(m *Runner) int { return to }
 		}
 		return func(m *Runner) int { return m.take(&e) }
-	case ir.OpBr:
-		pc := &regs[in.Args[0]]
-		et := c.planEdge(blk.ID, in.Targets[0])
-		ee := c.planEdge(blk.ID, in.Targets[1])
+	case kBr:
+		pc := m.reg(lw, int(op.a))
+		et := m.planEdge(lw, blk, op.in.Targets[0])
+		ee := m.planEdge(lw, blk, op.in.Targets[1])
 		if et.trivial() && ee.trivial() {
 			tb, eb := et.to, ee.to
 			return func(m *Runner) int {
@@ -631,161 +551,322 @@ func (m *Runner) compileTerm(c *compiler, blk *ir.Block, in *ir.Instr) instrFn {
 			}
 			return m.take(&ee)
 		}
-	case ir.OpSwitch:
-		pv := &regs[in.Args[0]]
-		cases := append([]int64(nil), in.Cases...)
-		edges := make([]edge, len(in.Targets))
-		for i, t := range in.Targets {
-			edges[i] = c.planEdge(blk.ID, t)
-		}
-		return func(m *Runner) int {
-			x := *pv
-			for i, cv := range cases {
-				if x == cv {
-					return m.take(&edges[i])
-				}
-			}
-			return m.take(&edges[len(edges)-1])
-		}
-	case ir.OpRet:
+	case kCmpBr:
+		return cmpBr(op.op, m.reg(lw, int(op.a)), m.reg(lw, int(op.b)), op.in.Targets[0], op.in.Targets[1])
+	case kCmpBrImm:
+		return cmpBrImm(op.op, m.reg(lw, int(op.a)), op.k, op.in.Targets[0], op.in.Targets[1])
+	case kSwitch:
+		return m.emitSwitch(lw, op)
+	case kRet:
 		return func(m *Runner) int { return pcRet }
+	case kFell:
+		err := fmt.Errorf("%s: b%d fell off the end without a terminator", m.name, blk)
+		return func(m *Runner) int { m.err = err; return pcErr }
 	}
-	panic("exec: compileTerm on a non-terminator") // unreachable: termIdx selects control ops only
+	panic("exec: emitTerm on a body op") // unreachable: compile routes by isTerm
 }
 
-// compileInstr emits the specialized closure for one straight-line (non-phi,
-// non-terminator) instruction. Operand and destination registers are
-// captured as direct *int64 pointers into the frame, so the closures touch
-// memory without slice-header or bounds-check overhead; on success they
-// return a don't-care non-pcErr value.
-func (m *Runner) compileInstr(c *compiler, blk *ir.Block, in *ir.Instr) instrFn {
-	regs := m.regs
-
-	switch in.Op {
-	case ir.OpConst:
-		pd, imm := &regs[in.Dst], in.Imm
-		return func(m *Runner) int { *pd = imm; return 0 }
-	case ir.OpCopy:
-		pd, pa := &regs[in.Dst], &regs[in.Args[0]]
-		return func(m *Runner) int { *pd = *pa; return 0 }
-
-	case ir.OpAdd:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa + *pb; return 0 }
-	case ir.OpSub:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa - *pb; return 0 }
-	case ir.OpMul:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa * *pb; return 0 }
-	case ir.OpDiv:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int {
-			a, b := *pa, *pb
-			switch {
-			case b == 0:
-				*pd = 0
-			case a == -a && b == -1:
-				// Avoid the single overflowing case MinInt64 / -1.
-				*pd = a
-			default:
-				*pd = a / b
-			}
-			return 0
+// emitSwitch emits a switch: a jump table when the cases are dense and no
+// edge carries phi moves, else the interpreter's first-match linear scan.
+func (m *Runner) emitSwitch(lw *lowerer, op *lop) instrFn {
+	in := op.in
+	pv := m.reg(lw, int(op.a))
+	edges := make([]edge, len(in.Targets))
+	trivial := true
+	for i, t := range in.Targets {
+		edges[i] = m.planEdge(lw, int(op.blk), t)
+		trivial = trivial && edges[i].trivial()
+	}
+	def := len(edges) - 1
+	if len(in.Cases) > 0 && trivial {
+		lo, hi := in.Cases[0], in.Cases[0]
+		for _, cv := range in.Cases {
+			lo, hi = min(lo, cv), max(hi, cv)
 		}
-	case ir.OpMod:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int {
-			a, b := *pa, *pb
-			switch {
-			case b == 0:
-				*pd = 0
-			case a == -a && b == -1:
-				*pd = 0
-			default:
-				*pd = a % b
+		// Differences are taken in uint64, where they are exact for any
+		// pair of int64 values.
+		if span := uint64(hi) - uint64(lo); span == 0 {
+			// One case (the control-predicate test a realized stage opens
+			// with): a compare.
+			return cmpBrImm(ir.OpEq, pv, lo, edges[0].to, edges[def].to)
+		} else if span < uint64(4*len(in.Cases)) {
+			table := make([]int, span+1)
+			for i := range table {
+				table[i] = edges[def].to
 			}
-			return 0
+			for i := len(in.Cases) - 1; i >= 0; i-- { // the first match wins
+				table[uint64(in.Cases[i])-uint64(lo)] = edges[i].to
+			}
+			dflt := edges[def].to
+			return func(m *Runner) int {
+				if d := uint64(*pv) - uint64(lo); d < uint64(len(table)) {
+					return table[d]
+				}
+				return dflt
+			}
 		}
-	case ir.OpAnd:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa & *pb; return 0 }
-	case ir.OpOr:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa | *pb; return 0 }
-	case ir.OpXor:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa ^ *pb; return 0 }
-	case ir.OpShl:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa << (uint64(*pb) & 63); return 0 }
-	case ir.OpShr:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = *pa >> (uint64(*pb) & 63); return 0 }
+	}
+	cases := append([]int64(nil), in.Cases...)
+	return func(m *Runner) int {
+		x := *pv
+		for i, cv := range cases {
+			if x == cv {
+				return m.take(&edges[i])
+			}
+		}
+		return m.take(&edges[def])
+	}
+}
 
+// cmpBr is a comparison fused with the br that was its only reader.
+func cmpBr(op ir.Op, pa, pb *int64, t, e int) instrFn {
+	switch op {
 	case ir.OpEq:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa == *pb); return 0 }
+		return func(m *Runner) int {
+			if *pa == *pb {
+				return t
+			}
+			return e
+		}
 	case ir.OpNe:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa != *pb); return 0 }
+		return func(m *Runner) int {
+			if *pa != *pb {
+				return t
+			}
+			return e
+		}
 	case ir.OpLt:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa < *pb); return 0 }
+		return func(m *Runner) int {
+			if *pa < *pb {
+				return t
+			}
+			return e
+		}
 	case ir.OpLe:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa <= *pb); return 0 }
+		return func(m *Runner) int {
+			if *pa <= *pb {
+				return t
+			}
+			return e
+		}
 	case ir.OpGt:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa > *pb); return 0 }
+		return func(m *Runner) int {
+			if *pa > *pb {
+				return t
+			}
+			return e
+		}
 	case ir.OpGe:
-		pd, pa, pb := &regs[in.Dst], &regs[in.Args[0]], &regs[in.Args[1]]
-		return func(m *Runner) int { *pd = b2i(*pa >= *pb); return 0 }
+		return func(m *Runner) int {
+			if *pa >= *pb {
+				return t
+			}
+			return e
+		}
+	}
+	panic("exec: cmpBr on " + op.String()) // unreachable: fuseCompare admits comparisons only
+}
 
-	case ir.OpNeg:
-		pd, pa := &regs[in.Dst], &regs[in.Args[0]]
+// cmpBrImm is cmpBr against a constant.
+func cmpBrImm(op ir.Op, pa *int64, k int64, t, e int) instrFn {
+	switch op {
+	case ir.OpEq:
+		return func(m *Runner) int {
+			if *pa == k {
+				return t
+			}
+			return e
+		}
+	case ir.OpNe:
+		return func(m *Runner) int {
+			if *pa != k {
+				return t
+			}
+			return e
+		}
+	case ir.OpLt:
+		return func(m *Runner) int {
+			if *pa < k {
+				return t
+			}
+			return e
+		}
+	case ir.OpLe:
+		return func(m *Runner) int {
+			if *pa <= k {
+				return t
+			}
+			return e
+		}
+	case ir.OpGt:
+		return func(m *Runner) int {
+			if *pa > k {
+				return t
+			}
+			return e
+		}
+	case ir.OpGe:
+		return func(m *Runner) int {
+			if *pa >= k {
+				return t
+			}
+			return e
+		}
+	}
+	panic("exec: cmpBrImm on " + op.String()) // unreachable: fuseCompare admits comparisons only
+}
+
+// emitOp emits the closure for one body op. Operand and destination
+// registers are captured as direct *int64 pointers into the frame, so the
+// closures touch memory without slice-header or bounds-check overhead; on
+// success they return a don't-care non-pcErr value. Every superinstruction
+// keeps the edge semantics of the instructions it stands for: packet
+// offsets outside the packet read 0 byte by byte, a call without a result
+// register writes none.
+func (m *Runner) emitOp(lw *lowerer, op *lop) instrFn {
+	if op.kind == kInstr {
+		return m.emitInstr(lw, int(op.blk), op.in)
+	}
+	pd := m.optReg(lw, int(op.dst))
+	k, k2 := op.k, op.k2
+	switch op.kind {
+	case kSetImm:
+		return func(m *Runner) int { *pd = k; return 0 }
+	case kBinImm:
+		return binImm(op.op, pd, m.reg(lw, int(op.a)), k)
+	case kPktByteImm:
+		return func(m *Runner) int { *pd = byteAt(m.ctx.Pkt, k); return 0 }
+	case kBE16:
+		return func(m *Runner) int {
+			pkt := m.ctx.Pkt
+			*pd = byteAt(pkt, k)<<8 | byteAt(pkt, k2)
+			return 0
+		}
+	case kAccBE16:
+		pa := m.reg(lw, int(op.a))
+		return func(m *Runner) int {
+			pkt := m.ctx.Pkt
+			*pd = *pa + (byteAt(pkt, k)<<8 | byteAt(pkt, k2))
+			return 0
+		}
+	case kMetaGetImm:
+		return func(m *Runner) int { *pd = m.ctx.Meta[k]; return 0 }
+	case kMetaSetImm:
+		pa := m.reg(lw, int(op.a))
+		return func(m *Runner) int {
+			m.ctx.Meta[k] = *pa
+			if pd != nil {
+				*pd = 0
+			}
+			return 0
+		}
+	case kSetByteImm:
+		pa := m.reg(lw, int(op.a))
+		return func(m *Runner) int {
+			if pkt := m.ctx.Pkt; uint64(k) < uint64(len(pkt)) {
+				pkt[k] = byte(*pa)
+			}
+			if pd != nil {
+				*pd = 0
+			}
+			return 0
+		}
+	case kMoves:
+		e := m.planEdge(lw, int(op.blk), int(k))
+		return func(m *Runner) int { m.take(&e); return 0 }
+	}
+	panic("exec: emitOp on a terminator") // unreachable: compile routes by isTerm
+}
+
+// binImm is a binary operator with its right operand a constant.
+func binImm(op ir.Op, pd, pa *int64, k int64) instrFn {
+	switch op {
+	case ir.OpAdd:
+		return func(m *Runner) int { *pd = *pa + k; return 0 }
+	case ir.OpSub:
+		return func(m *Runner) int { *pd = *pa - k; return 0 }
+	case ir.OpMul:
+		return func(m *Runner) int { *pd = *pa * k; return 0 }
+	case ir.OpAnd:
+		return func(m *Runner) int { *pd = *pa & k; return 0 }
+	case ir.OpOr:
+		return func(m *Runner) int { *pd = *pa | k; return 0 }
+	case ir.OpXor:
+		return func(m *Runner) int { *pd = *pa ^ k; return 0 }
+	case ir.OpShl: // k arrives masked to 0..63
+		return func(m *Runner) int { *pd = *pa << uint64(k); return 0 }
+	case ir.OpShr:
+		return func(m *Runner) int { *pd = *pa >> uint64(k); return 0 }
+	case ir.OpEq:
+		return func(m *Runner) int { *pd = b2i(*pa == k); return 0 }
+	case ir.OpNe:
+		return func(m *Runner) int { *pd = b2i(*pa != k); return 0 }
+	case ir.OpLt:
+		return func(m *Runner) int { *pd = b2i(*pa < k); return 0 }
+	case ir.OpLe:
+		return func(m *Runner) int { *pd = b2i(*pa <= k); return 0 }
+	case ir.OpGt:
+		return func(m *Runner) int { *pd = b2i(*pa > k); return 0 }
+	case ir.OpGe:
+		return func(m *Runner) int { *pd = b2i(*pa >= k); return 0 }
+	}
+	panic("exec: binImm on " + op.String()) // unreachable: lowerer.binary excludes div and mod
+}
+
+// emitInstr emits the specialized closure for one straight-line (non-phi,
+// non-terminator) instruction in its register-operand form.
+func (m *Runner) emitInstr(lw *lowerer, blk int, in *ir.Instr) instrFn {
+	switch {
+	case in.Op == ir.OpCopy:
+		pd, pa := m.reg(lw, in.Dst), m.reg(lw, in.Args[0])
+		return func(m *Runner) int { *pd = *pa; return 0 }
+	case in.Op.IsBinary():
+		return binRR(in.Op, m.reg(lw, in.Dst), m.reg(lw, in.Args[0]), m.reg(lw, in.Args[1]))
+
+	case in.Op == ir.OpNeg:
+		pd, pa := m.reg(lw, in.Dst), m.reg(lw, in.Args[0])
 		return func(m *Runner) int { *pd = -*pa; return 0 }
-	case ir.OpNot:
-		pd, pa := &regs[in.Dst], &regs[in.Args[0]]
+	case in.Op == ir.OpNot:
+		pd, pa := m.reg(lw, in.Dst), m.reg(lw, in.Args[0])
 		return func(m *Runner) int { *pd = b2i(*pa == 0); return 0 }
-	case ir.OpBNot:
-		pd, pa := &regs[in.Dst], &regs[in.Args[0]]
+	case in.Op == ir.OpBNot:
+		pd, pa := m.reg(lw, in.Dst), m.reg(lw, in.Args[0])
 		return func(m *Runner) int { *pd = ^*pa; return 0 }
 
-	case ir.OpLoad:
+	case in.Op == ir.OpLoad:
 		arr := in.Arr
 		if arr == nil {
 			// Defer the interpreter's nil-array dereference to execution
 			// time (a hand-built program only fails if the path runs).
 			return func(m *Runner) int { _ = arr.Size; return 0 }
 		}
-		pd, pidx, size := &regs[in.Dst], &regs[in.Args[0]], arr.Size
+		pd, pidx, size := m.reg(lw, in.Dst), m.reg(lw, in.Args[0]), arr.Size
 		if arr.Persistent {
 			st := m.persistent.Get(arr)
 			return func(m *Runner) int { *pd = st[wrapIndex(*pidx, size)]; return 0 }
 		}
-		slot := m.bindLocal(c, arr)
+		slot := m.bindLocal(arr)
 		return func(m *Runner) int { *pd = m.localBind[slot][wrapIndex(*pidx, size)]; return 0 }
-	case ir.OpStore:
+	case in.Op == ir.OpStore:
 		arr := in.Arr
 		if arr == nil {
 			return func(m *Runner) int { _ = arr.Size; return 0 }
 		}
-		pidx, pval, size := &regs[in.Args[0]], &regs[in.Args[1]], arr.Size
+		pidx, pval, size := m.reg(lw, in.Args[0]), m.reg(lw, in.Args[1]), arr.Size
 		if arr.Persistent {
 			st := m.persistent.Get(arr)
 			return func(m *Runner) int { st[wrapIndex(*pidx, size)] = *pval; return 0 }
 		}
-		slot := m.bindLocal(c, arr)
+		slot := m.bindLocal(arr)
 		return func(m *Runner) int { m.localBind[slot][wrapIndex(*pidx, size)] = *pval; return 0 }
 
-	case ir.OpCall:
-		return m.compileCall(in)
+	case in.Op == ir.OpCall:
+		return m.emitCall(lw, in)
 
-	case ir.OpSendLS:
+	case in.Op == ir.OpSendLS:
 		ptrs := make([]*int64, len(in.Args))
 		for i, a := range in.Args {
-			ptrs[i] = &regs[a]
+			ptrs[i] = m.reg(lw, a)
 		}
 		return func(m *Runner) int {
 			vals := m.sendDst
@@ -800,10 +881,10 @@ func (m *Runner) compileInstr(c *compiler, blk *ir.Block, in *ir.Instr) instrFn 
 			m.sent = vals
 			return 0
 		}
-	case ir.OpRecvLS:
+	case in.Op == ir.OpRecvLS:
 		ptrs := make([]*int64, len(in.Dsts))
 		for i, d := range in.Dsts {
-			ptrs[i] = &regs[d]
+			ptrs[i] = m.reg(lw, d)
 		}
 		name := m.name
 		return func(m *Runner) int {
@@ -820,25 +901,59 @@ func (m *Runner) compileInstr(c *compiler, blk *ir.Block, in *ir.Instr) instrFn 
 
 	// Everything else is what the interpreter's evalPure default would
 	// reject (a non-leading phi, an invalid op): reproduce its wrapped
-	// error, but only if the instruction is ever reached.
-	err := fmt.Errorf("%s: b%d: cannot evaluate %s", m.name, blk.ID, in)
+	// error, but only if the instruction is ever reached. (An OpConst never
+	// arrives here: lower.go folds it or turns it into a store-immediate.)
+	err := fmt.Errorf("%s: b%d: cannot evaluate %s", m.name, blk, in)
 	return func(m *Runner) int { m.err = err; return pcErr }
 }
 
-// compileCall specializes an intrinsic call: the name is resolved once here
+// binRR is a binary operator over two registers.
+func binRR(op ir.Op, pd, pa, pb *int64) instrFn {
+	switch op {
+	case ir.OpAdd:
+		return func(m *Runner) int { *pd = *pa + *pb; return 0 }
+	case ir.OpSub:
+		return func(m *Runner) int { *pd = *pa - *pb; return 0 }
+	case ir.OpMul:
+		return func(m *Runner) int { *pd = *pa * *pb; return 0 }
+	case ir.OpDiv:
+		return func(m *Runner) int { *pd = divTotal(*pa, *pb); return 0 }
+	case ir.OpMod:
+		return func(m *Runner) int { *pd = modTotal(*pa, *pb); return 0 }
+	case ir.OpAnd:
+		return func(m *Runner) int { *pd = *pa & *pb; return 0 }
+	case ir.OpOr:
+		return func(m *Runner) int { *pd = *pa | *pb; return 0 }
+	case ir.OpXor:
+		return func(m *Runner) int { *pd = *pa ^ *pb; return 0 }
+	case ir.OpShl:
+		return func(m *Runner) int { *pd = *pa << (uint64(*pb) & 63); return 0 }
+	case ir.OpShr:
+		return func(m *Runner) int { *pd = *pa >> (uint64(*pb) & 63); return 0 }
+	case ir.OpEq:
+		return func(m *Runner) int { *pd = b2i(*pa == *pb); return 0 }
+	case ir.OpNe:
+		return func(m *Runner) int { *pd = b2i(*pa != *pb); return 0 }
+	case ir.OpLt:
+		return func(m *Runner) int { *pd = b2i(*pa < *pb); return 0 }
+	case ir.OpLe:
+		return func(m *Runner) int { *pd = b2i(*pa <= *pb); return 0 }
+	case ir.OpGt:
+		return func(m *Runner) int { *pd = b2i(*pa > *pb); return 0 }
+	case ir.OpGe:
+		return func(m *Runner) int { *pd = b2i(*pa >= *pb); return 0 }
+	}
+	panic("exec: binRR on " + op.String()) // unreachable: emitInstr routes by IsBinary
+}
+
+// emitCall specializes an intrinsic call: the name is resolved once here
 // instead of once per execution, and each intrinsic becomes a dedicated
 // closure over direct pointers to its argument and destination slots. The
 // semantics of every intrinsic match interp.Runner.intrinsic exactly; a nil
 // destination pointer mirrors the interpreter's in.Dst != ir.NoReg check.
-func (m *Runner) compileCall(in *ir.Instr) instrFn {
-	regs := m.regs
-	var pd *int64
-	if in.Dst != ir.NoReg {
-		pd = &regs[in.Dst]
-	}
-	argp := func(i int) *int64 {
-		return &regs[in.Args[i]]
-	}
+func (m *Runner) emitCall(lw *lowerer, in *ir.Instr) instrFn {
+	pd := m.optReg(lw, in.Dst)
+	argp := func(i int) *int64 { return m.reg(lw, in.Args[i]) }
 
 	switch in.Call {
 	case "pkt_rx":
@@ -875,15 +990,8 @@ func (m *Runner) compileCall(in *ir.Instr) instrFn {
 	case "pkt_byte":
 		p0 := argp(0)
 		return func(m *Runner) int {
-			off := *p0
-			if off < 0 || off >= int64(len(m.ctx.Pkt)) {
-				if pd != nil {
-					*pd = 0
-				}
-			} else {
-				if pd != nil {
-					*pd = int64(m.ctx.Pkt[off])
-				}
+			if pd != nil {
+				*pd = byteAt(m.ctx.Pkt, *p0)
 			}
 			return 0
 		}
@@ -998,23 +1106,16 @@ func (m *Runner) compileCall(in *ir.Instr) instrFn {
 	case "csum_fold":
 		p0 := argp(0)
 		return func(m *Runner) int {
-			v := uint64(*p0) & 0xFFFFFFFF
-			v = (v & 0xFFFF) + (v >> 16)
-			v = (v & 0xFFFF) + (v >> 16)
 			if pd != nil {
-				*pd = int64(v)
+				*pd = csumFold(*p0)
 			}
 			return 0
 		}
 	case "hash_crc":
 		p0 := argp(0)
 		return func(m *Runner) int {
-			v := uint64(*p0)
-			v ^= v >> 33
-			v *= 0xff51afd7ed558ccd
-			v ^= v >> 33
 			if pd != nil {
-				*pd = int64(v & 0x7FFFFFFF)
+				*pd = hashCRC(*p0)
 			}
 			return 0
 		}

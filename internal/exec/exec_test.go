@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -308,5 +309,54 @@ func BenchmarkCompiledSequentialIPv4(b *testing.B) {
 		if len(world.Trace) > 1<<16 {
 			world.Trace = world.Trace[:0]
 		}
+	}
+}
+
+// BenchmarkCompiledChainIPv4 runs the realized IPv4 stages back to back on
+// one goroutine the way the serve runtime drives them — RxFromCtx, a
+// pre-pulled packet, deferred events, the live set handed over through
+// RunIterationInto — so ns/op is the exec layer's share of a served packet.
+func BenchmarkCompiledChainIPv4(b *testing.B) {
+	pps, ok := netbench.ByName("IPv4")
+	if !ok {
+		b.Fatal("IPv4 benchmark missing")
+	}
+	prog, err := pps.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	traffic := pps.Traffic(256)
+	for _, d := range []int{1, 4} {
+		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
+			res, err := core.Partition(prog, core.Options{Stages: d})
+			if err != nil {
+				b.Fatal(err)
+			}
+			runners := exec.NewStageRunners(res.Stages, netbench.NewWorld(nil))
+			for _, r := range runners {
+				r.RxFromCtx = true
+			}
+			ctx := interp.NewIterCtx()
+			ctx.DeferEvents = true
+			var slots, spare []int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx.Pending, ctx.HasPending = traffic[i%len(traffic)], true
+				slots = slots[:0]
+				for _, r := range runners {
+					sent, err := r.RunIterationInto(ctx, slots, spare)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if sent != nil {
+						spare, slots = slots, sent
+					} else {
+						slots = slots[:0]
+					}
+				}
+				ctx.Reset()
+			}
+		})
 	}
 }

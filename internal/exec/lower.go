@@ -1,0 +1,792 @@
+package exec
+
+import (
+	"math"
+
+	"repro/internal/graph"
+	"repro/internal/ir"
+)
+
+// This file is the analysis and rewrite half of the backend: it turns an
+// ir.Func into a list of ops — surviving instructions, superinstructions
+// and one terminator per emitted block — over a dense frame. exec.go turns
+// each op into a closure. Nothing here is visible outside a Runner: the IR
+// is read, never changed.
+
+// Lowered summarizes what the lowering did to one program, so the gap
+// between the IR the partitioner balances and the ops the host runs can be
+// printed per stage.
+type Lowered struct {
+	IRInstrs   int // reachable non-phi instructions: what the interpreter can count as steps
+	Ops        int // closures emitted: body ops plus one terminator per emitted block
+	Folded     int // instructions evaluated at set-up; their values sit in the frame
+	Fused      int // instructions absorbed into a neighbouring op or a merged block
+	FrameSlots int // registers in the dense frame
+	Resets     int // slots zeroed at the start of every iteration
+}
+
+// opKind selects the closure shape the emitter builds for an op.
+type opKind uint8
+
+const (
+	kDead opKind = iota // absorbed into a later op of the same chain
+
+	// Body ops.
+	kInstr      // the anchor instruction, emitted as it stands
+	kSetImm     // dst = k
+	kBinImm     // dst = a <op> k
+	kPktByteImm // dst = pkt_byte(k)
+	kBE16       // dst = pkt_byte(k)<<8 | pkt_byte(k2)
+	kAccBE16    // dst = a + (pkt_byte(k)<<8 | pkt_byte(k2))
+	kMetaGetImm // dst = Meta[k]
+	kMetaSetImm // Meta[k] = a; dst = 0
+	kSetByteImm // pkt_setbyte(k, a); dst = 0
+	kMoves      // the phi moves of the merged edge blk -> k
+
+	// Terminators: the last op of every emitted block.
+	kJmp      // goto k
+	kBr       // if a != 0 goto Targets[0] else Targets[1]
+	kCmpBr    // if a <op> b ...
+	kCmpBrImm // if a <op> k ...
+	kSwitch   // match a against Cases
+	kRet
+	kFell // the interpreter's "fell off the end" error
+)
+
+func (k opKind) isTerm() bool { return k >= kJmp }
+
+// lop is one lowered op. dst, a and b are IR registers (-1 when absent)
+// until the emitter maps them to frame slots; a kInstr op reads its operands
+// from in instead.
+type lop struct {
+	kind opKind
+	op   ir.Op // the operator of kBinImm, kCmpBr and kCmpBrImm
+	// at counts the original instructions from the top of the emitted
+	// block up to and including the anchor: the exact path executes the op
+	// only if the step budget reaches that far. Instructions folded away or
+	// fused into the op are pure, so raising the limit "on" one of them is
+	// indistinguishable from raising it on the anchor.
+	at        int32
+	blk       int32 // IR block of the anchor
+	dst, a, b int32
+	k, k2     int64
+	in        *ir.Instr // the anchor instruction
+}
+
+// blockInfo is what the lowering knows about one IR block, and — for a block
+// that heads an emitted one — the ops it became.
+type blockInfo struct {
+	nPhis   int32 // leading phis
+	termIdx int32 // first control transfer (the interpreter never executes past it), or -1
+	npreds  int32 // edges in from reachable blocks; the entry counts its virtual predecessor
+	inChain int32 // the chain that last absorbed the block
+	reach   bool
+
+	// Emitted (hi != 0): ops[lo:hi], the last of them the terminator, and
+	// the steps one pass through them costs the interpreter.
+	lo, hi int32
+	cost   int32
+}
+
+// regInfo is what the lowering knows about one IR register. Its zero value
+// is the state before analysis, so a reused lowerer only clears the slice.
+type regInfo struct {
+	val       int64 // the folded value when konst == isConst
+	wBlk      int32 // the writer's position while writes == 1
+	wIdx      int32
+	slot      int32 // frame slot + 1; 0 until a surviving op references the register
+	def       int32 // index + 1 in lowerer.ops of the latest op writing the register
+	lastW     int32 // stamp of that write
+	writes    uint8 // writers in reachable code, counted to tooMany
+	reads     uint8 // read sites in reachable code, counted to tooMany
+	unordered bool  // some read is not provably after the sole writer
+	konst     uint8
+}
+
+// tooMany is where the writer and reader counts stop: the lowering only
+// tells none, one and several apart.
+const tooMany = 2
+
+const (
+	unknownConst uint8 = iota
+	isConst
+	notConst
+)
+
+// sole reports whether the register has one writer that every read follows:
+// each read then sees that writer's value from this same iteration.
+func (ri *regInfo) sole() bool { return ri.writes == 1 && !ri.unordered }
+
+type slotVal struct {
+	slot int32
+	val  int64
+}
+
+// lowerer holds the scratch of one lowering and its result. It is reusable:
+// NewStageRunners lowers every stage through one, so the per-register and
+// per-block tables are allocated once per pipeline.
+type lowerer struct {
+	f *ir.Func
+
+	blocks []blockInfo // indexed by block ID
+	regs   []regInfo
+	ops    []lop
+	order  []int32 // emitted blocks, in lowering order (the entry first)
+	work   []int32
+	dom    *graph.DomTree
+
+	chain   int32 // id of the chain being lowered
+	horizon int32 // ops before this index are out of fusion's reach
+	base    int32 // stamp of the chain's first instruction, minus one
+	pktW    int32 // stamp of the last op that may change the packet
+
+	nslots int
+	consts []slotVal // frame slots holding folded constants
+	resets []int32   // frame slots zeroed at iteration start
+	maxPhi int
+	stats  Lowered
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// lower runs the pipeline over f: analysis, then the rewrite into ops
+// (folding, fusing and merging as it walks), then frame assignment.
+func (lw *lowerer) lower(f *ir.Func) {
+	nb := len(f.Blocks)
+	lw.f = f
+	lw.blocks = grow(lw.blocks, nb)
+	lw.regs = grow(lw.regs, f.NumRegs)
+	lw.ops, lw.order = lw.ops[:0], lw.order[:0]
+	lw.consts, lw.resets = lw.consts[:0], lw.resets[:0]
+	lw.chain, lw.base, lw.pktW, lw.nslots, lw.maxPhi = 0, 0, 0, 0, 0
+	lw.stats = Lowered{}
+
+	lw.analyze()
+	if need := lw.stats.IRInstrs * 2 / 3; cap(lw.ops) < need {
+		lw.ops = make([]lop, 0, need) // about half the instructions fold away
+	}
+	lw.work = append(lw.work[:0], int32(f.Entry))
+	for len(lw.work) > 0 {
+		b := lw.work[len(lw.work)-1]
+		lw.work = lw.work[:len(lw.work)-1]
+		if lw.blocks[b].hi == 0 {
+			lw.lowerChain(b)
+		}
+	}
+	lw.assignFrame()
+}
+
+// liveEnd is the end of the block's straight-line region: the first control
+// transfer, or the end of a block that has none.
+func (lw *lowerer) liveEnd(b int32) int {
+	if ti := lw.blocks[b].termIdx; ti >= 0 {
+		return int(ti)
+	}
+	return len(lw.f.Blocks[b].Instrs)
+}
+
+// analyze lays the blocks out and, over the blocks reachable from the entry
+// only, records per register its writers, its read sites (a phi argument is
+// read on its edge, i.e. at the end of the predecessor) and whether a sole
+// writer is ordered before every read — earlier in the same block, or in a
+// block that dominates the reader's.
+func (lw *lowerer) analyze() {
+	f := lw.f
+	for i, b := range f.Blocks {
+		n := 0
+		for n < len(b.Instrs) && b.Instrs[n].Op == ir.OpPhi {
+			n++
+		}
+		bi := &lw.blocks[i]
+		bi.nPhis, bi.termIdx = int32(n), -1
+		lw.maxPhi = max(lw.maxPhi, n)
+		for idx := n; idx < len(b.Instrs); idx++ {
+			if b.Instrs[idx].Op.IsTerminator() {
+				bi.termIdx = int32(idx)
+				break
+			}
+		}
+	}
+
+	g := graph.New(len(f.Blocks))
+	lw.blocks[f.Entry].reach, lw.blocks[f.Entry].npreds = true, 1
+	work := append(lw.work[:0], int32(f.Entry))
+	for len(work) > 0 {
+		u := work[len(work)-1]
+		work = work[:len(work)-1]
+		ti := lw.blocks[u].termIdx
+		if ti < 0 {
+			continue
+		}
+		for _, t := range f.Blocks[u].Instrs[ti].Targets {
+			g.AddEdge(int(u), t)
+			tb := &lw.blocks[t]
+			tb.npreds++
+			if !tb.reach {
+				tb.reach = true
+				work = append(work, int32(t))
+			}
+		}
+	}
+	lw.work = work
+	lw.dom = graph.Dominators(g, f.Entry)
+
+	for bi, b := range f.Blocks {
+		if !lw.blocks[bi].reach {
+			continue
+		}
+		end := lw.liveEnd(int32(bi)) // terminators never write registers
+		for idx, in := range b.Instrs[:end] {
+			lw.write(in.Dst, bi, idx)
+			for _, d := range in.Dsts {
+				lw.write(d, bi, idx)
+			}
+		}
+		lw.stats.IRInstrs += end - int(lw.blocks[bi].nPhis)
+		if lw.blocks[bi].termIdx >= 0 {
+			lw.stats.IRInstrs++
+		}
+	}
+	for bi, b := range f.Blocks {
+		if !lw.blocks[bi].reach {
+			continue
+		}
+		np := int(lw.blocks[bi].nPhis)
+		for _, in := range b.Instrs[:np] {
+			for j, p := range in.PhiPreds {
+				switch {
+				case p < 0:
+					// The virtual predecessor reads the frame as the
+					// iteration finds it: before any write.
+					lw.read(in.Args[j], -1, 0)
+				case p < len(lw.blocks) && lw.blocks[p].reach:
+					lw.read(in.Args[j], p, math.MaxInt32)
+				}
+			}
+		}
+		end := int(lw.blocks[bi].termIdx) + 1 // terminators do read (br cond, switch value)
+		if end == 0 {
+			end = len(b.Instrs)
+		}
+		for idx := np; idx < end; idx++ {
+			for _, r := range b.Instrs[idx].Args {
+				lw.read(r, bi, idx)
+			}
+		}
+	}
+}
+
+func (lw *lowerer) write(r, blk, idx int) {
+	if r < 0 {
+		return
+	}
+	ri := &lw.regs[r]
+	ri.writes = min(ri.writes+1, tooMany)
+	ri.wBlk, ri.wIdx = int32(blk), int32(idx)
+}
+
+func (lw *lowerer) read(r, blk, idx int) {
+	ri := &lw.regs[r]
+	ri.reads = min(ri.reads+1, tooMany)
+	if !ri.sole() {
+		return
+	}
+	switch {
+	case blk < 0:
+		ri.unordered = true
+	case blk == int(ri.wBlk):
+		ri.unordered = idx <= int(ri.wIdx)
+	default:
+		ri.unordered = !lw.dom.Dominates(int(ri.wBlk), blk)
+	}
+}
+
+// constReg reports whether r holds one set-up-time constant at every read:
+// its sole, ordered writer is a foldable instruction whose operands are
+// constants in turn. The answer is computed on first demand and kept, so
+// folding reaches its fixed point without an ordering of the blocks.
+func (lw *lowerer) constReg(r int) bool {
+	ri := &lw.regs[r]
+	if ri.konst != unknownConst {
+		return ri.konst == isConst
+	}
+	ri.konst = notConst // also the answer for a register that feeds itself
+	if !ri.sole() {
+		return false
+	}
+	if v, ok := lw.evalConst(lw.f.Blocks[ri.wBlk].Instrs[ri.wIdx]); ok {
+		ri.konst, ri.val = isConst, v
+		return true
+	}
+	return false
+}
+
+// evalConst evaluates in at set-up when it is a const, a copy, a pure
+// operator or one of the pure intrinsics and every operand is a constant.
+func (lw *lowerer) evalConst(in *ir.Instr) (int64, bool) {
+	nargs := 0
+	switch {
+	case in.Op == ir.OpConst:
+		return in.Imm, true
+	case in.Op == ir.OpCopy, in.Op.IsUnary():
+		nargs = 1
+	case in.Op.IsBinary():
+		nargs = 2
+	case in.Op == ir.OpCall && (in.Call == "csum_fold" || in.Call == "hash_crc"):
+		nargs = 1
+	default:
+		return 0, false
+	}
+	if len(in.Args) < nargs {
+		return 0, false
+	}
+	var v [2]int64
+	for i, r := range in.Args[:nargs] {
+		if !lw.constReg(r) {
+			return 0, false
+		}
+		v[i] = lw.regs[r].val
+	}
+	switch {
+	case in.Op == ir.OpCopy:
+		return v[0], true
+	case in.Call == "csum_fold":
+		return csumFold(v[0]), true
+	case in.Call == "hash_crc":
+		return hashCRC(v[0]), true
+	}
+	return evalPure(in.Op, v[0], v[1]), true
+}
+
+// evalPure is the interpreter's total arithmetic, bit for bit: ÷0 and %0
+// yield 0, MinInt64 / -1 does not trap, shift counts are masked to 0..63.
+func evalPure(op ir.Op, a, b int64) int64 {
+	switch op {
+	case ir.OpNeg:
+		return -a
+	case ir.OpNot:
+		return b2i(a == 0)
+	case ir.OpBNot:
+		return ^a
+	case ir.OpAdd:
+		return a + b
+	case ir.OpSub:
+		return a - b
+	case ir.OpMul:
+		return a * b
+	case ir.OpDiv:
+		return divTotal(a, b)
+	case ir.OpMod:
+		return modTotal(a, b)
+	case ir.OpAnd:
+		return a & b
+	case ir.OpOr:
+		return a | b
+	case ir.OpXor:
+		return a ^ b
+	case ir.OpShl:
+		return a << (uint64(b) & 63)
+	case ir.OpShr:
+		return a >> (uint64(b) & 63)
+	case ir.OpEq:
+		return b2i(a == b)
+	case ir.OpNe:
+		return b2i(a != b)
+	case ir.OpLt:
+		return b2i(a < b)
+	case ir.OpLe:
+		return b2i(a <= b)
+	case ir.OpGt:
+		return b2i(a > b)
+	case ir.OpGe:
+		return b2i(a >= b)
+	}
+	panic("exec: evalPure on " + op.String()) // unreachable: evalConst admits unary and binary ops only
+}
+
+func isCompare(op ir.Op) bool { return op >= ir.OpEq && op <= ir.OpGe }
+
+// immOperand prepares "a <op> const" for an operator given its constant on
+// the left: commutative operators swap for free and comparisons flip. The
+// rest (const - a, const << a, const >> a, and div and mod whichever side
+// the constant is on) read it from its frame slot like any register.
+func immOperand(op ir.Op) (ir.Op, bool) {
+	switch op {
+	case ir.OpAdd, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpEq, ir.OpNe:
+		return op, true
+	case ir.OpLt:
+		return ir.OpGt, true
+	case ir.OpLe:
+		return ir.OpGe, true
+	case ir.OpGt:
+		return ir.OpLt, true
+	case ir.OpGe:
+		return ir.OpLe, true
+	}
+	return op, false
+}
+
+// lowerChain lowers one emitted block: head, then every block the chain
+// absorbs through an unconditional jump — a block nothing else jumps to, or
+// one whose body folded away entirely (only its terminator is duplicated).
+// Step offsets run on through the merged jumps, each of which still costs
+// the step the interpreter counts for it.
+func (lw *lowerer) lowerChain(head int32) {
+	f := lw.f
+	lw.chain++
+	lo := int32(len(lw.ops))
+	lw.horizon = lo
+	pos := int32(0)
+	for cur := head; ; {
+		lw.blocks[cur].inChain = lw.chain
+		b := f.Blocks[cur]
+		for _, in := range b.Instrs[lw.blocks[cur].nPhis:lw.liveEnd(cur)] {
+			pos++
+			lw.instr(cur, in, pos)
+		}
+		op := lop{at: pos, blk: cur, dst: -1, a: -1, b: -1}
+		ti := lw.blocks[cur].termIdx
+		if ti < 0 {
+			op.kind = kFell // raised without consuming a step
+			lw.push(op)
+			break
+		}
+		pos++
+		op.at, op.in = pos, b.Instrs[ti]
+		next := lw.soleSucc(op.in)
+		if next >= 0 && lw.absorbs(cur, next) {
+			if lw.blocks[next].npreds != 1 {
+				// next is lowered on its own too, for its other
+				// predecessors: from here on this chain is a copy, and a
+				// register read in it once is read in two places.
+				lw.horizon = int32(len(lw.ops))
+			}
+			if lw.blocks[next].nPhis > 0 {
+				op.kind, op.k = kMoves, int64(next)
+				lw.push(op)
+			}
+			lw.stats.Fused++
+			cur = next
+			continue
+		}
+		lw.term(&op, next)
+		break
+	}
+	hb := &lw.blocks[head]
+	hb.lo, hb.hi, hb.cost = lo, int32(len(lw.ops)), pos
+	lw.order = append(lw.order, head)
+	lw.base += pos
+}
+
+// soleSucc returns the one block a jmp, or a br on a folded condition,
+// continues in; -1 for every other terminator.
+func (lw *lowerer) soleSucc(term *ir.Instr) int32 {
+	switch {
+	case term.Op == ir.OpJmp:
+		return int32(term.Targets[0])
+	case term.Op == ir.OpBr && lw.constReg(term.Args[0]):
+		if lw.regs[term.Args[0]].val != 0 {
+			return int32(term.Targets[0])
+		}
+		return int32(term.Targets[1])
+	}
+	return -1
+}
+
+// absorbs reports whether the chain ending in cur may continue into next.
+func (lw *lowerer) absorbs(cur, next int32) bool {
+	if lw.blocks[next].inChain == lw.chain {
+		return false // a cycle of empty blocks
+	}
+	body := lw.f.Blocks[next].Instrs[:lw.liveEnd(next)]
+	if lw.blocks[next].npreds != 1 {
+		for _, in := range body[lw.blocks[next].nPhis:] {
+			if in.Dst < 0 || !lw.constReg(in.Dst) {
+				return false
+			}
+		}
+	}
+	for _, phi := range body[:lw.blocks[next].nPhis] {
+		if phiArg(phi, int(cur)) < 0 {
+			return false // the edge is the interpreter's no-value error
+		}
+	}
+	return true
+}
+
+// phiArg returns the index of the phi's argument for predecessor pred, or -1.
+func phiArg(phi *ir.Instr, pred int) int {
+	for j, p := range phi.PhiPreds {
+		if p == pred {
+			return j
+		}
+	}
+	return -1
+}
+
+// term closes the chain with cur's terminator; next is its sole successor
+// when it has just one left.
+func (lw *lowerer) term(op *lop, next int32) {
+	in := op.in
+	switch {
+	case next >= 0:
+		op.kind, op.k = kJmp, int64(next)
+		lw.work = append(lw.work, next)
+	case in.Op == ir.OpRet:
+		op.kind = kRet
+	default:
+		op.kind, op.a = kBr, int32(in.Args[0])
+		if in.Op == ir.OpSwitch {
+			op.kind = kSwitch
+		} else {
+			lw.fuseCompare(op)
+		}
+		for _, t := range in.Targets {
+			lw.work = append(lw.work, int32(t))
+		}
+	}
+	lw.push(*op)
+}
+
+// fuseCompare turns "c = a <cmp> b; ...; br c" into one compare-and-branch
+// when the br is c's only reader, neither operand is redefined in between,
+// and neither edge carries phi moves.
+func (lw *lowerer) fuseCompare(br *lop) {
+	p := lw.temp(br.a)
+	if p == nil || lw.blocks[br.in.Targets[0]].nPhis != 0 || lw.blocks[br.in.Targets[1]].nPhis != 0 {
+		return
+	}
+	stamp := lw.base + p.at
+	switch {
+	case p.kind == kBinImm && isCompare(p.op) && lw.regs[p.a].lastW < stamp:
+		br.kind, br.op, br.a, br.k = kCmpBrImm, p.op, p.a, p.k
+	case p.kind == kInstr && isCompare(p.in.Op) &&
+		lw.regs[p.in.Args[0]].lastW < stamp && lw.regs[p.in.Args[1]].lastW < stamp:
+		br.kind, br.op, br.a, br.b = kCmpBr, p.in.Op, int32(p.in.Args[0]), int32(p.in.Args[1])
+	default:
+		return
+	}
+	lw.absorb(p)
+}
+
+// temp returns the op of this chain that defines r when r is a single-use
+// temporary — one writer, one reader, which is whoever asks — else nil.
+func (lw *lowerer) temp(r int32) *lop {
+	ri := &lw.regs[r]
+	if ri.writes != 1 || ri.reads != 1 || ri.def <= lw.horizon {
+		return nil
+	}
+	return &lw.ops[ri.def-1]
+}
+
+// pktTemp is temp for a producer of the given kind that reads the packet:
+// it must also have seen the packet as it is now.
+func (lw *lowerer) pktTemp(r int32, kind opKind) *lop {
+	if p := lw.temp(r); p != nil && p.kind == kind && lw.pktW < lw.base+p.at {
+		return p
+	}
+	return nil
+}
+
+func (lw *lowerer) absorb(p *lop) {
+	p.kind = kDead
+	lw.stats.Fused++
+}
+
+// push appends op and records what it writes.
+func (lw *lowerer) push(op lop) {
+	lw.ops = append(lw.ops, op)
+	if op.kind.isTerm() {
+		return
+	}
+	idx, stamp := int32(len(lw.ops)), lw.base+op.at
+	wrote := func(r int) {
+		if r >= 0 {
+			lw.regs[r].def, lw.regs[r].lastW = idx, stamp
+		}
+	}
+	if op.kind == kMoves {
+		for _, phi := range lw.f.Blocks[op.k].Instrs[:lw.blocks[op.k].nPhis] {
+			wrote(phi.Dst)
+		}
+		return
+	}
+	wrote(op.in.Dst)
+	for _, d := range op.in.Dsts {
+		wrote(d)
+	}
+	if op.in.Op == ir.OpCall {
+		switch op.in.Call {
+		case "pkt_rx", "pkt_setbyte", "pkt_setword":
+			lw.pktW = stamp
+		}
+	}
+}
+
+// instr lowers one straight-line instruction at step offset at: dropped if
+// its value folded into the frame, else pushed in the cheapest form that
+// applies.
+func (lw *lowerer) instr(blk int32, in *ir.Instr, at int32) {
+	if in.Dst >= 0 && lw.constReg(in.Dst) {
+		lw.stats.Folded++
+		return
+	}
+	op := lop{kind: kInstr, at: at, blk: blk, dst: int32(in.Dst), a: -1, b: -1, in: in}
+	switch v, ok := lw.evalConst(in); {
+	case ok && in.Dst >= 0:
+		// Constant operands, but a destination other writers share (a
+		// phi-elimination copy, a control predicate): store the value.
+		op.kind, op.k = kSetImm, v
+	case in.Op.IsBinary() && in.Dst >= 0 && len(in.Args) >= 2:
+		lw.binary(&op)
+	case in.Op == ir.OpCall:
+		lw.call(&op)
+	}
+	lw.push(op)
+}
+
+// binary picks the operand-immediate form of a binary operator, and
+// recognises the big-endian 16-bit load and load-and-accumulate.
+func (lw *lowerer) binary(op *lop) {
+	in := op.in
+	a, b, o := int32(in.Args[0]), int32(in.Args[1]), in.Op
+	if lw.constReg(int(a)) {
+		if flipped, ok := immOperand(o); ok {
+			a, b, o = b, a, flipped
+		}
+	}
+	if lw.constReg(int(b)) && o != ir.OpDiv && o != ir.OpMod {
+		op.kind, op.op, op.a, op.k = kBinImm, o, a, lw.regs[b].val
+		if o == ir.OpShl || o == ir.OpShr {
+			op.k = int64(uint64(op.k) & 63)
+		}
+		return
+	}
+	switch o {
+	case ir.OpOr:
+		if !lw.be16(op, a, b) {
+			lw.be16(op, b, a)
+		}
+	case ir.OpAdd:
+		if !lw.accBE16(op, a, b) {
+			lw.accBE16(op, b, a)
+		}
+	}
+}
+
+// be16 matches or(shl(pkt_byte #k, 8), pkt_byte #k2) over single-use
+// temporaries with no packet write since the loads.
+func (lw *lowerer) be16(op *lop, hi, lo int32) bool {
+	sh := lw.temp(hi)
+	if sh == nil || sh.kind != kBinImm || sh.op != ir.OpShl || sh.k != 8 {
+		return false
+	}
+	ph, pl := lw.pktTemp(sh.a, kPktByteImm), lw.pktTemp(lo, kPktByteImm)
+	if ph == nil || pl == nil {
+		return false
+	}
+	op.kind, op.k, op.k2 = kBE16, ph.k, pl.k
+	lw.absorb(sh)
+	lw.absorb(ph)
+	lw.absorb(pl)
+	return true
+}
+
+// accBE16 matches add(acc, be16) where the load is a single-use temporary.
+func (lw *lowerer) accBE16(op *lop, acc, ld int32) bool {
+	p := lw.pktTemp(ld, kBE16)
+	if p == nil {
+		return false
+	}
+	op.kind, op.a, op.k, op.k2 = kAccBE16, acc, p.k, p.k2
+	lw.absorb(p)
+	return true
+}
+
+// call picks the constant-index forms of the packet and metadata
+// intrinsics.
+func (lw *lowerer) call(op *lop) {
+	in := op.in
+	if len(in.Args) == 0 || !lw.constReg(in.Args[0]) {
+		return
+	}
+	k := lw.regs[in.Args[0]].val
+	switch {
+	case in.Call == "pkt_byte" && in.Dst >= 0:
+		op.kind, op.k = kPktByteImm, k
+	case in.Call == "meta_get" && in.Dst >= 0:
+		op.kind, op.k = kMetaGetImm, int64(wrapIndex(k, metaWords))
+	case in.Call == "meta_set" && len(in.Args) >= 2:
+		op.kind, op.a, op.k = kMetaSetImm, int32(in.Args[1]), int64(wrapIndex(k, metaWords))
+	case in.Call == "pkt_setbyte" && len(in.Args) >= 2:
+		op.kind, op.a, op.k = kSetByteImm, int32(in.Args[1]), k
+	}
+}
+
+// assignFrame numbers the registers the surviving ops still reference, in
+// the order the emitted code first touches them, and sorts each into the
+// frame's three kinds: a constant (written once, here), a register written
+// before it is read on every path (never initialised), and the rest — merge
+// registers and live-set slots a path may skip — which the interpreter's
+// zeroed frame makes read as 0 and are therefore reset every iteration.
+func (lw *lowerer) assignFrame() {
+	for _, id := range lw.order {
+		b := lw.blocks[id]
+		for i := b.lo; i < b.hi; i++ {
+			op := &lw.ops[i]
+			if op.kind == kDead {
+				continue
+			}
+			lw.stats.Ops++
+			lw.ref(int(op.dst))
+			lw.ref(int(op.a))
+			lw.ref(int(op.b))
+			if op.kind == kInstr {
+				for _, r := range op.in.Args {
+					lw.ref(r)
+				}
+				for _, r := range op.in.Dsts {
+					lw.ref(r)
+				}
+			}
+		}
+	}
+	for bi, b := range lw.f.Blocks {
+		if !lw.blocks[bi].reach {
+			continue
+		}
+		for _, phi := range b.Instrs[:lw.blocks[bi].nPhis] {
+			lw.ref(phi.Dst)
+			for _, r := range phi.Args {
+				lw.ref(r)
+			}
+		}
+	}
+	lw.stats.FrameSlots, lw.stats.Resets = lw.nslots, len(lw.resets)
+}
+
+func (lw *lowerer) ref(r int) {
+	if r < 0 || lw.regs[r].slot != 0 {
+		return
+	}
+	ri := &lw.regs[r]
+	slot := int32(lw.nslots)
+	lw.nslots++
+	ri.slot = slot + 1
+	switch {
+	case lw.constReg(r):
+		lw.consts = append(lw.consts, slotVal{slot, ri.val})
+	case ri.writes > 0 && ri.reads > 0 && !ri.sole():
+		lw.resets = append(lw.resets, slot)
+	}
+}
+
+// slot returns r's frame slot; every register an emitted op names has one.
+func (lw *lowerer) slot(r int) int { return int(lw.regs[r].slot) - 1 }

@@ -1,0 +1,616 @@
+package exec_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/netbench"
+)
+
+// The programs below are built by hand so each one has exactly the shape a
+// lowering pass keys on; every one is then held byte-identical to the
+// interpreter — trace, error text and the trace prefix before an error.
+
+// build assembles a one-function program: body emits into the entry block
+// and may add more.
+func build(name string, body func(bl *ir.Builder)) *ir.Program {
+	f := ir.NewFunc(name)
+	body(ir.NewBuilder(f))
+	return &ir.Program{Name: name, Func: f}
+}
+
+// outcome is everything observable about a sequential run.
+type outcome struct {
+	trace []interp.Event
+	err   string
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+func runInterp(prog *ir.Program, packets [][]byte, iters int) outcome {
+	w := interp.NewWorld(packets)
+	_, err := interp.RunSequential(prog.Clone(), w, iters)
+	return outcome{w.Trace, errText(err)}
+}
+
+func runExec(prog *ir.Program, packets [][]byte, iters int) (outcome, exec.Lowered) {
+	w := interp.NewWorld(packets)
+	r := exec.NewRunner(prog.Clone(), w)
+	ctx := interp.NewIterCtx()
+	var err error
+	for i := 0; i < iters && err == nil; i++ {
+		if _, err = r.RunIteration(ctx, nil); err != nil {
+			err = fmt.Errorf("iteration %d: %w", i, err)
+		}
+		ctx.Reset()
+	}
+	return outcome{w.Trace, errText(err)}, r.Lowered()
+}
+
+// same runs prog on both backends over packets (one iteration per packet
+// plus one on the exhausted stream) and fails on any observable difference.
+func same(t *testing.T, prog *ir.Program, packets [][]byte) exec.Lowered {
+	t.Helper()
+	iters := len(packets) + 1
+	want := runInterp(prog, packets, iters)
+	got, low := runExec(prog, packets, iters)
+	if want.err != got.err {
+		t.Fatalf("%s: errors diverge:\ninterp: %q\nexec:   %q", prog.Name, want.err, got.err)
+	}
+	if diff := interp.TraceEqual(want.trace, got.trace); diff != "" {
+		t.Fatalf("%s: %s\n%s", prog.Name, diff, prog.Func)
+	}
+	return low
+}
+
+func word(v int64) []byte { return binary.BigEndian.AppendUint64(nil, uint64(v)) }
+
+// word64 emits the packet's first eight bytes as one register: a value the
+// lowering cannot know.
+func word64(bl *ir.Builder) int {
+	hi := bl.Call("pkt_word", bl.Const(0))
+	lo := bl.Call("pkt_word", bl.Const(4))
+	return bl.Bin(ir.OpOr, bl.Bin(ir.OpShl, hi, bl.Const(32)), lo)
+}
+
+var edgeValues = []int64{0, 1, -1, 2, 7, 8, 63, 64, 65, 255, -8, -64, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+
+var binaryOps = []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod, ir.OpAnd, ir.OpOr, ir.OpXor,
+	ir.OpShl, ir.OpShr, ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe}
+
+// TestFoldedOperators folds every pure operator and pure intrinsic over the
+// edge values at set-up — ÷0, MinInt64 / -1 and % -1, shift counts ≥ 64 and
+// negative — and checks nothing is left to run but the traces.
+func TestFoldedOperators(t *testing.T) {
+	prog := build("folded", func(bl *ir.Builder) {
+		for _, a := range edgeValues {
+			ra := bl.Const(a)
+			for _, op := range []ir.Op{ir.OpNeg, ir.OpNot, ir.OpBNot} {
+				bl.CallVoid("trace", bl.Un(op, ra))
+			}
+			bl.CallVoid("trace", bl.Call("csum_fold", ra))
+			bl.CallVoid("trace", bl.Call("hash_crc", bl.Copy(ra)))
+			for _, b := range edgeValues {
+				rb := bl.Const(b)
+				for _, op := range binaryOps {
+					bl.CallVoid("trace", bl.Bin(op, ra, rb))
+				}
+			}
+		}
+		bl.Ret()
+	})
+	low := same(t, prog, nil)
+	traces := len(edgeValues) * (5 + len(edgeValues)*len(binaryOps))
+	if low.Ops != traces+1 || low.Resets != 0 {
+		t.Fatalf("expected %d traces and a ret to survive, no resets: %+v", traces, low)
+	}
+}
+
+// TestImmediateOperators runs every binary operator with a constant on
+// either side of a value that arrives in the packet, over the edge values.
+func TestImmediateOperators(t *testing.T) {
+	var packets [][]byte
+	for _, v := range edgeValues {
+		packets = append(packets, word(v))
+	}
+	for _, k := range edgeValues {
+		prog := build(fmt.Sprintf("imm(%d)", k), func(bl *ir.Builder) {
+			bl.Call("pkt_rx")
+			x := word64(bl)
+			for _, op := range binaryOps {
+				bl.CallVoid("trace", bl.Bin(op, x, bl.Const(k)))
+				bl.CallVoid("trace", bl.Bin(op, bl.Const(k), x))
+			}
+			bl.Ret()
+		})
+		same(t, prog, packets)
+	}
+}
+
+// TestPacketSuperinstructions runs pkt_byte #k, the big-endian 16-bit load,
+// load-and-accumulate, pkt_setbyte #k and constant-index meta_set/meta_get
+// at offsets negative, inside, straddling, equal to and past len(Pkt), on
+// packets of several lengths (none at all included).
+func TestPacketSuperinstructions(t *testing.T) {
+	packets := [][]byte{{}, {0x11}, {0x11, 0x22}, {1, 2, 3, 4, 5}, {0xFF, 0xFE, 0xFD, 0xFC, 0xFB, 0xFA}}
+	for _, off := range []int64{math.MinInt64, -2, -1, 0, 1, 3, 4, 5, 6, 15, 16, 17, 1 << 40, math.MaxInt64} {
+		be16 := func(bl *ir.Builder, a, b int64) int {
+			hi := bl.Bin(ir.OpShl, bl.Call("pkt_byte", bl.Const(a)), bl.Const(8))
+			return bl.Bin(ir.OpOr, hi, bl.Call("pkt_byte", bl.Const(b)))
+		}
+		prog := build(fmt.Sprintf("pkt(%d)", off), func(bl *ir.Builder) {
+			n := bl.Call("pkt_rx")
+			bl.CallVoid("trace", bl.Call("pkt_byte", bl.Const(off)))
+			bl.CallVoid("trace", be16(bl, off, off+1))
+			bl.CallVoid("trace", be16(bl, off+1, off)) // little-endian order: still two independent loads
+			bl.CallVoid("trace", bl.Bin(ir.OpAdd, n, be16(bl, off, off+1)))
+			bl.CallVoid("trace", bl.Bin(ir.OpAdd, be16(bl, off-1, off), n))
+			bl.CallVoid("pkt_setbyte", bl.Const(off), bl.Bin(ir.OpAdd, n, bl.Const(0x1A0)))
+			bl.CallVoid("trace", bl.Call("pkt_setbyte", bl.Const(off+1), n)) // result register: always 0
+			bl.CallVoid("meta_set", bl.Const(off), n)
+			bl.CallVoid("trace", bl.Call("meta_set", bl.Const(off+1), bl.Const(77)))
+			bl.CallVoid("trace", bl.Call("meta_get", bl.Const(off)))
+			bl.CallVoid("trace", bl.Call("meta_get", bl.Const(off+1)))
+			bl.CallVoid("trace", bl.Call("meta_get", bl.Const(off+2)))
+			bl.CallVoid("pkt_send", bl.Const(1))
+			bl.Ret()
+		})
+		if low := same(t, prog, packets); low.Fused < 14 {
+			t.Fatalf("%s: superinstructions did not form: %+v", prog.Name, low)
+		}
+	}
+}
+
+// TestBE16NotAcrossPacketWrite puts a pkt_setbyte, or a second pkt_rx,
+// between the two loads of a 16-bit load: fusing would read the first byte
+// after the write.
+func TestBE16NotAcrossPacketWrite(t *testing.T) {
+	packets := [][]byte{{1, 2, 3}, {9, 8, 7}, {5}}
+	for _, between := range []string{"", "pkt_setbyte", "pkt_rx"} {
+		prog := build("be16/"+between, func(bl *ir.Builder) {
+			bl.Call("pkt_rx")
+			hi := bl.Bin(ir.OpShl, bl.Call("pkt_byte", bl.Const(0)), bl.Const(8))
+			switch between {
+			case "pkt_setbyte":
+				bl.CallVoid("pkt_setbyte", bl.Const(0), bl.Const(0x55))
+			case "pkt_rx":
+				bl.Call("pkt_rx")
+			}
+			bl.CallVoid("trace", bl.Bin(ir.OpOr, hi, bl.Call("pkt_byte", bl.Const(1))))
+			bl.Ret()
+		})
+		low := same(t, prog, packets)
+		if fused := low.Fused > 0; fused != (between == "") {
+			t.Fatalf("%s: fused=%v: %+v", prog.Name, fused, low)
+		}
+	}
+}
+
+// TestCompareBranchFusion fuses a comparison into the br that alone reads
+// it — unless an operand is redefined between the two, or something else
+// reads the result too.
+func TestCompareBranchFusion(t *testing.T) {
+	var packets [][]byte
+	for _, v := range []int64{0, 4, 5, 6, -1, math.MinInt64} {
+		packets = append(packets, word(v))
+	}
+	for _, op := range []ir.Op{ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe} {
+		for _, imm := range []bool{false, true} {
+			for _, spoil := range []string{"", "clobber", "reuse"} {
+				clobber, reuse := spoil == "clobber", spoil == "reuse"
+				name := fmt.Sprintf("cmpbr/%s/imm=%v/%s", op, imm, spoil)
+				prog := build(name, func(bl *ir.Builder) {
+					f := bl.Func
+					then, els := f.NewBlock("then"), f.NewBlock("else")
+					bl.Call("pkt_rx")
+					x := bl.Copy(word64(bl))
+					var y int
+					if imm {
+						y = bl.Const(5)
+					} else {
+						y = bl.Call("pkt_len")
+					}
+					c := bl.Bin(op, x, y)
+					if clobber {
+						bl.CopyTo(x, bl.Const(5)) // x is now a second value; c was computed from the first
+					}
+					bl.Br(c, then, els)
+					bl.SetBlock(then)
+					bl.CallVoid("trace", bl.Const(1))
+					bl.CallVoid("trace", x)
+					if reuse {
+						bl.CallVoid("trace", c) // a second reader: c must stay a register
+					}
+					bl.Ret()
+					bl.SetBlock(els)
+					bl.CallVoid("trace", bl.Const(0))
+					bl.CallVoid("trace", x)
+					bl.Ret()
+				})
+				low := same(t, prog, packets)
+				// word64 fuses nothing; the compare is the only candidate.
+				if fused := low.Fused > 0; fused != (spoil == "") {
+					t.Fatalf("%s: fused=%v: %+v", name, fused, low)
+				}
+			}
+		}
+	}
+}
+
+// TestSwitchForms drives a dense switch (a jump table), a sparse one (the
+// linear scan), a single case and duplicate cases through every case, the
+// default, and values just outside and far outside the table.
+func TestSwitchForms(t *testing.T) {
+	forms := map[string][]int64{
+		"dense":     {3, 4, 5, 7},
+		"negative":  {-2, -1, 0, 1},
+		"single":    {0},
+		"duplicate": {1, 2, 1, 2, 3},
+		"sparse":    {math.MinInt64, 0, math.MaxInt64},
+		"wide":      {0, 1000},
+		"none":      {},
+	}
+	var packets [][]byte
+	for _, v := range []int64{-3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 999, 1000, 1001, math.MinInt64, math.MaxInt64} {
+		packets = append(packets, word(v))
+	}
+	for name, cases := range forms {
+		prog := build("switch/"+name, func(bl *ir.Builder) {
+			f := bl.Func
+			targets := make([]*ir.Block, len(cases)+1)
+			for i := range targets {
+				targets[i] = f.NewBlock("case")
+			}
+			bl.Call("pkt_rx")
+			bl.Switch(word64(bl), cases, targets)
+			for i, b := range targets {
+				bl.SetBlock(b)
+				bl.CallVoid("trace", bl.Const(int64(100+i)))
+				bl.Ret()
+			}
+		})
+		same(t, prog, packets)
+	}
+}
+
+// TestFrameReset reads a merge register on a path that skips its write:
+// the interpreter's zeroed frame makes that read 0 in every iteration, not
+// the value an earlier iteration left in the slot.
+func TestFrameReset(t *testing.T) {
+	prog := build("reset", func(bl *ir.Builder) {
+		f := bl.Func
+		set, join := f.NewBlock("set"), f.NewBlock("join")
+		merge := f.NewReg()
+		n := bl.Call("pkt_rx")
+		bl.Br(bl.Bin(ir.OpGt, n, bl.Const(1)), set, join)
+		bl.SetBlock(set)
+		bl.CopyTo(merge, n)
+		bl.Jmp(join)
+		bl.SetBlock(join)
+		bl.CallVoid("trace", merge)
+		bl.Ret()
+	})
+	low := same(t, prog, [][]byte{{1, 2, 3}, {1}, {1, 2}, {}})
+	if low.Resets != 1 {
+		t.Fatalf("expected the merge register alone on the reset list: %+v", low)
+	}
+
+	// One writer is not enough when it reads its own register first.
+	prog = build("selffeed", func(bl *ir.Builder) {
+		acc := bl.Func.NewReg()
+		n := bl.Call("pkt_rx")
+		bl.Cur.Instrs = append(bl.Cur.Instrs, &ir.Instr{Op: ir.OpAdd, Dst: acc, Args: []int{acc, n}})
+		bl.CallVoid("trace", acc)
+		bl.Ret()
+	})
+	if low := same(t, prog, [][]byte{{1, 2, 3}, {1}, {1, 2}}); low.Resets != 1 {
+		t.Fatalf("expected the accumulator on the reset list: %+v", low)
+	}
+}
+
+// TestEntryPhiReadsZeroedFrame reads, through the entry block's virtual
+// predecessor, a register whose only writer is a constant further down: the
+// phi sees the frame as the iteration starts, so the constant must not be
+// folded into it.
+func TestEntryPhiReadsZeroedFrame(t *testing.T) {
+	for _, loop := range []bool{false, true} {
+		prog := build(fmt.Sprintf("entryphi/loop=%v", loop), func(bl *ir.Builder) {
+			f := bl.Func
+			entry := bl.Cur
+			k, p, i := f.NewReg(), f.NewReg(), f.NewReg()
+			phi := &ir.Instr{Op: ir.OpPhi, Dst: p, Args: []int{k}, PhiPreds: []int{-1}}
+			entry.Instrs = append(entry.Instrs, phi)
+			bl.ConstTo(k, 7)
+			bl.CallVoid("trace", p)
+			bl.CallVoid("trace", k)
+			if !loop {
+				bl.Ret()
+				return
+			}
+			// Second time round the edge comes from the latch, where k is 7.
+			latch, exit := f.NewBlock("latch"), f.NewBlock("exit")
+			phi.Args, phi.PhiPreds = append(phi.Args, k), append(phi.PhiPreds, latch.ID)
+			entry.Instrs = append([]*ir.Instr{entry.Instrs[0], {Op: ir.OpPhi, Dst: i, Args: []int{i, i}, PhiPreds: []int{-1, latch.ID}}}, entry.Instrs[1:]...)
+			bl.Br(i, exit, latch)
+			bl.SetBlock(latch)
+			bl.ConstTo(i, 1)
+			bl.Jmp(entry)
+			bl.SetBlock(exit)
+			bl.Ret()
+		})
+		same(t, prog, [][]byte{{1}})
+	}
+}
+
+// TestMergedChains covers the control-flow rewrites: a chain of
+// single-predecessor blocks with phi moves on the merged edges, a jump
+// threaded through blocks whose bodies folded away, a br on a folded
+// condition, a phi edge with no value, and a block that falls off its end
+// behind dropped instructions.
+func TestMergedChains(t *testing.T) {
+	packets := [][]byte{{4, 2}, {}, {9}}
+	t.Run("phi-moves", func(t *testing.T) {
+		prog := build("chain", func(bl *ir.Builder) {
+			f := bl.Func
+			b1, b2 := f.NewBlock("b1"), f.NewBlock("b2")
+			n := bl.Call("pkt_rx")
+			m := bl.Bin(ir.OpAdd, n, bl.Const(1))
+			bl.Jmp(b1)
+			// Parallel moves: p and q swap roles on the edge.
+			p, q := f.NewReg(), f.NewReg()
+			b1.Instrs = append(b1.Instrs,
+				&ir.Instr{Op: ir.OpPhi, Dst: p, Args: []int{m}, PhiPreds: []int{0}},
+				&ir.Instr{Op: ir.OpPhi, Dst: q, Args: []int{n}, PhiPreds: []int{0}})
+			bl.SetBlock(b1)
+			bl.CallVoid("trace", p)
+			bl.Jmp(b2)
+			p2, q2 := f.NewReg(), f.NewReg()
+			b2.Instrs = append(b2.Instrs,
+				&ir.Instr{Op: ir.OpPhi, Dst: p2, Args: []int{q}, PhiPreds: []int{b1.ID}},
+				&ir.Instr{Op: ir.OpPhi, Dst: q2, Args: []int{p}, PhiPreds: []int{b1.ID}})
+			bl.SetBlock(b2)
+			bl.CallVoid("trace", bl.Bin(ir.OpSub, p2, q2))
+			bl.Ret()
+		})
+		if low := same(t, prog, packets); low.Ops != 8 { // rx, add, moves, trace, moves, sub, trace, ret
+			t.Fatalf("three blocks should have merged into one: %+v", low)
+		}
+	})
+	t.Run("threaded", func(t *testing.T) {
+		prog := build("thread", func(bl *ir.Builder) {
+			f := bl.Func
+			then, els, empty, exit := f.NewBlock("then"), f.NewBlock("else"), f.NewBlock("empty"), f.NewBlock("exit")
+			n := bl.Call("pkt_rx")
+			bl.Br(bl.Bin(ir.OpGt, n, bl.Const(1)), then, els)
+			for i, b := range []*ir.Block{then, els} {
+				bl.SetBlock(b)
+				bl.CallVoid("trace", bl.Const(int64(i)))
+				bl.Jmp(empty)
+			}
+			bl.SetBlock(empty) // two predecessors, nothing left to run
+			bl.Bin(ir.OpAdd, bl.Const(2), bl.Const(3))
+			bl.Br(bl.Const(1), exit, then)
+			bl.SetBlock(exit)
+			bl.Const(9)
+			bl.Ret()
+		})
+		if low := same(t, prog, packets); low.Ops != 6 { // entry: rx, cmp-br; then, else: trace, ret
+			t.Fatalf("both arms should end in their own ret: %+v", low)
+		}
+	})
+	t.Run("copied-tail", func(t *testing.T) {
+		// E has nothing but a br and two predecessors, so each absorbs a
+		// copy of it. A's copy must not swallow the compare: lap 0 reaches
+		// E through A, laps 1 and 2 through B, and there E's own br reads
+		// the c that A wrote.
+		prog := build("copied", func(bl *ir.Builder) {
+			f := bl.Func
+			head, a, b, e := f.NewBlock("head"), f.NewBlock("A"), f.NewBlock("B"), f.NewBlock("E")
+			yes, no, latch, exit := f.NewBlock("T"), f.NewBlock("F"), f.NewBlock("latch"), f.NewBlock("exit")
+			i := f.NewReg()
+			bl.Call("pkt_rx")
+			bl.ConstTo(i, 0)
+			bl.Jmp(head)
+			bl.SetBlock(head)
+			x := bl.Call("pkt_byte", i)
+			bl.Br(bl.Bin(ir.OpEq, i, bl.Const(0)), a, b)
+			bl.SetBlock(a)
+			c := bl.Bin(ir.OpLt, x, bl.Const(3))
+			bl.Jmp(e)
+			bl.SetBlock(b)
+			bl.Jmp(e)
+			bl.SetBlock(e)
+			bl.Br(c, yes, no)
+			for k, blk := range []*ir.Block{yes, no} {
+				bl.SetBlock(blk)
+				bl.CallVoid("trace", bl.Bin(ir.OpAdd, i, bl.Const(int64(100*k))))
+				bl.Jmp(latch)
+			}
+			bl.SetBlock(latch)
+			bl.CopyTo(i, bl.Bin(ir.OpAdd, i, bl.Const(1)))
+			bl.Br(bl.Bin(ir.OpGe, i, bl.Const(3)), exit, head)
+			bl.SetBlock(exit)
+			bl.Ret()
+		})
+		same(t, prog, [][]byte{{1, 9, 9}, {7, 0, 0}})
+	})
+	t.Run("empty-cycle", func(t *testing.T) {
+		prog := build("spin", func(bl *ir.Builder) {
+			spin := bl.Func.NewBlock("spin")
+			bl.CallVoid("trace", bl.Const(1))
+			bl.Jmp(spin)
+			bl.SetBlock(spin)
+			bl.Const(2)
+			bl.Jmp(spin)
+		})
+		same(t, prog, nil)
+	})
+	t.Run("no-phi-value", func(t *testing.T) {
+		prog := build("nophi", func(bl *ir.Builder) {
+			f := bl.Func
+			b1 := f.NewBlock("b1")
+			bl.CallVoid("trace", bl.Const(1))
+			bl.Jmp(b1)
+			b1.Instrs = append(b1.Instrs, &ir.Instr{Op: ir.OpPhi, Dst: f.NewReg(), Args: []int{0}, PhiPreds: []int{b1.ID}})
+			bl.SetBlock(b1)
+			bl.Ret()
+		})
+		same(t, prog, nil)
+	})
+	t.Run("fell-off", func(t *testing.T) {
+		prog := build("fell", func(bl *ir.Builder) {
+			b1 := bl.Func.NewBlock("b1")
+			bl.CallVoid("trace", bl.Const(1))
+			bl.Jmp(b1)
+			bl.SetBlock(b1)
+			bl.CallVoid("trace", bl.Const(2))
+			bl.Const(3)
+		})
+		same(t, prog, nil)
+	})
+}
+
+// TestStepLimitParityWithEffects runs a non-terminating loop whose body has
+// foldable constants, a fusable 16-bit load, packet writes and two traces,
+// spread over three blocks that merge into one. The prologue is padded by
+// every length from zero up to one lap of the loop, so the limit lands once
+// on every instruction of the body — dropped, fused, merged jump and
+// terminator alike — and each time both backends must stop with the same
+// error after the same events.
+func TestStepLimitParityWithEffects(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 10⁶ interpreter steps per offset")
+	}
+	limitProg := func(pad int) *ir.Program {
+		return build(fmt.Sprintf("limit/pad=%d", pad), func(bl *ir.Builder) {
+			f := bl.Func
+			head, mid, tail, exit := f.NewBlock("head"), f.NewBlock("mid"), f.NewBlock("tail"), f.NewBlock("exit")
+			bl.Call("pkt_rx")
+			for i := 0; i < pad; i++ {
+				bl.Const(int64(i))
+			}
+			bl.Jmp(head)
+
+			bl.SetBlock(head)
+			one := bl.Const(1)
+			hi := bl.Bin(ir.OpShl, bl.Call("pkt_byte", bl.Const(0)), bl.Const(8))
+			v := bl.Bin(ir.OpOr, hi, bl.Call("pkt_byte", one))
+			bl.CallVoid("trace", v)
+			bl.Jmp(mid)
+
+			bl.SetBlock(mid)
+			nv := bl.Bin(ir.OpAdd, v, one)
+			bl.CallVoid("pkt_setbyte", one, nv)
+			bl.CallVoid("pkt_setbyte", bl.Const(0), bl.Bin(ir.OpShr, nv, bl.Const(8)))
+			bl.Jmp(tail)
+
+			bl.SetBlock(tail)
+			bl.CallVoid("trace", nv)
+			bl.Br(bl.Copy(one), head, exit)
+
+			bl.SetBlock(exit)
+			bl.Ret()
+		})
+	}
+	body := 0 // instructions in head, mid and tail: one lap of the loop
+	for _, b := range limitProg(0).Func.Blocks[1:4] {
+		body += len(b.Instrs)
+	}
+	for pad := 0; pad < body; pad++ {
+		prog := limitProg(pad)
+		want := runInterp(prog, [][]byte{{0, 0}}, 1)
+		got, low := runExec(prog, [][]byte{{0, 0}}, 1)
+		if want.err == "" || want.err != got.err {
+			t.Fatalf("pad %d: errors diverge:\ninterp: %q\nexec:   %q", pad, want.err, got.err)
+		}
+		if diff := interp.TraceEqual(want.trace, got.trace); diff != "" {
+			t.Fatalf("pad %d: trace prefix: %s", pad, diff)
+		}
+		if low.Folded < 6 || low.Fused < 5 || low.Ops > 12 {
+			t.Fatalf("the body should fold its constants, fuse its load and merge its blocks: %+v", low)
+		}
+	}
+}
+
+// TestLoweringShape pins what the lowering makes of the stages the serve
+// workloads run, so a change that quietly stops folding, fusing or shrinking
+// the frame fails here rather than as a slower benchmark: per stage the
+// static shape, and per packet the closures dispatched (body ops plus
+// terminators) over netbench traffic. Lowering one closure per instruction
+// dispatched 257 per packet at D=1; the bounds sit a few percent above what
+// the passes reach today (78.6, 152.6, 254.4).
+func TestLoweringShape(t *testing.T) {
+	for _, tc := range []struct {
+		pps    string
+		degree int
+		shape  []exec.Lowered
+		maxDyn float64 // closures per packet, summed over the stages
+	}{
+		{pps: "IPv4", degree: 1, maxDyn: 85, shape: []exec.Lowered{
+			{IRInstrs: 373, Ops: 128, Folded: 180, Fused: 77, FrameSlots: 61, Resets: 3},
+		}},
+		{pps: "IPv4", degree: 4, maxDyn: 165, shape: []exec.Lowered{
+			{IRInstrs: 112, Ops: 43, Folded: 49, Fused: 20, FrameSlots: 20, Resets: 10},
+			{IRInstrs: 123, Ops: 40, Folded: 58, Fused: 25, FrameSlots: 33, Resets: 5},
+			{IRInstrs: 112, Ops: 68, Folded: 35, Fused: 9, FrameSlots: 42, Resets: 10},
+			{IRInstrs: 110, Ops: 65, Folded: 38, Fused: 8, FrameSlots: 41, Resets: 2},
+		}},
+		{pps: "IP(v4)", degree: 4, maxDyn: 275, shape: []exec.Lowered{
+			{IRInstrs: 221, Ops: 85, Folded: 98, Fused: 38, FrameSlots: 51, Resets: 20},
+			{IRInstrs: 202, Ops: 104, Folded: 76, Fused: 22, FrameSlots: 81, Resets: 11},
+			{IRInstrs: 246, Ops: 155, Folded: 80, Fused: 11, FrameSlots: 106, Resets: 17},
+			{IRInstrs: 216, Ops: 146, Folded: 65, Fused: 8, FrameSlots: 105, Resets: 10},
+		}},
+	} {
+		pps, ok := netbench.ByName(tc.pps)
+		if !ok {
+			t.Fatalf("%s benchmark missing", tc.pps)
+		}
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Partition(prog, core.Options{Stages: tc.degree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners := exec.NewStageRunners(res.Stages, netbench.NewWorld(nil))
+		for k, r := range runners {
+			r.RxFromCtx = true
+			if got := r.Lowered(); got != tc.shape[k] {
+				t.Errorf("%s D=%d stage %d:\n got %+v\nwant %+v", tc.pps, tc.degree, k+1, got, tc.shape[k])
+			}
+		}
+		traffic := pps.Traffic(256)
+		ctx := interp.NewIterCtx()
+		ctx.DeferEvents = true
+		total := 0
+		for _, p := range traffic {
+			ctx.Pending, ctx.HasPending = p, true
+			var slots []int64
+			for k, r := range runners {
+				ops, sent, err := r.DynOps(ctx, slots)
+				if err != nil {
+					t.Fatalf("%s D=%d stage %d: %v", tc.pps, tc.degree, k+1, err)
+				}
+				total += ops
+				slots = sent
+			}
+			ctx.Reset()
+		}
+		if dyn := float64(total) / float64(len(traffic)); dyn > tc.maxDyn {
+			t.Errorf("%s D=%d: %.1f closures per packet, want at most %.0f", tc.pps, tc.degree, dyn, tc.maxDyn)
+		}
+	}
+}

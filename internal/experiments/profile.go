@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/netbench"
 	"repro/internal/obsv"
@@ -26,6 +27,11 @@ type ProfileStage struct {
 	ModelCost int64 `json:"model_cost"`
 	// ModelShare is ModelCost over the sum of all stages' predictions.
 	ModelShare float64 `json:"model_share"`
+	// Ops is the closures the compiled backend emitted for the stage and
+	// OpsShare its share of all stages': the cut balances IR instructions,
+	// the host runs lowered ops, and the two shares need not agree.
+	Ops      int     `json:"ops"`
+	OpsShare float64 `json:"ops_share"`
 	// Exec is the measured host time spent executing stage bodies; Wait is
 	// time blocked receiving from the upstream ring; Tx is time blocked
 	// transmitting into a full downstream ring.
@@ -118,6 +124,11 @@ func Profile(name string, degree, batch, packets int) (*ProfileResult, error) {
 
 	totals := obsv.PhaseTotals(tr.Spans())
 	var modelSum, execSum int64
+	ops, opsSum := make([]int, len(res.Stages)), 0
+	for k, r := range exec.NewStageRunners(res.Stages, netbench.NewWorld(nil)) {
+		ops[k] = r.Lowered().Ops
+		opsSum += ops[k]
+	}
 	for _, sr := range res.Report.Stages {
 		modelSum += sr.Cost.Total
 	}
@@ -137,6 +148,7 @@ func Profile(name string, degree, batch, packets int) (*ProfileResult, error) {
 		ps := ProfileStage{
 			Stage:     k + 1,
 			ModelCost: sr.Cost.Total,
+			Ops:       ops[k],
 			Exec:      totals[k+1][obsv.PhaseExec],
 			Wait:      totals[k+1][obsv.PhaseWait],
 			Tx:        totals[k+1][obsv.PhaseTx],
@@ -149,6 +161,9 @@ func Profile(name string, degree, batch, packets int) (*ProfileResult, error) {
 		if modelSum > 0 {
 			ps.ModelShare = float64(sr.Cost.Total) / float64(modelSum)
 		}
+		if opsSum > 0 {
+			ps.OpsShare = float64(ps.Ops) / float64(opsSum)
+		}
 		if execSum > 0 {
 			ps.HostShare = float64(ps.Exec) / float64(execSum)
 		}
@@ -158,17 +173,17 @@ func Profile(name string, degree, batch, packets int) (*ProfileResult, error) {
 }
 
 // ProfileTable renders the attribution as the table pipebench prints: one
-// row per stage, model share beside host share, with the blocked-time
-// columns that explain any gap between them.
+// row per stage, model share and lowered-op share beside host share, with
+// the blocked-time columns that explain any gap between them.
 func ProfileTable(r *ProfileResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Profile: %s PPS, %d stage(s), batch %d — %d packets, %.0f pkt/s\n",
 		r.PPS, r.Degree, r.Batch, r.Packets, r.PktPerS)
-	fmt.Fprintf(&b, "  %-6s %10s %7s | %12s %7s %12s %12s %7s | %12s %12s\n",
-		"stage", "model", "share", "exec", "share", "wait", "tx", "stalls", "spin", "park")
+	fmt.Fprintf(&b, "  %-6s %10s %7s %6s %7s | %12s %7s %12s %12s %7s | %12s %12s\n",
+		"stage", "model", "share", "ops", "share", "exec", "share", "wait", "tx", "stalls", "spin", "park")
 	for _, s := range r.Stages {
-		fmt.Fprintf(&b, "  %-6d %10d %6.1f%% | %12v %6.1f%% %12v %12v %7d | %12v %12v\n",
-			s.Stage, s.ModelCost, 100*s.ModelShare,
+		fmt.Fprintf(&b, "  %-6d %10d %6.1f%% %6d %6.1f%% | %12v %6.1f%% %12v %12v %7d | %12v %12v\n",
+			s.Stage, s.ModelCost, 100*s.ModelShare, s.Ops, 100*s.OpsShare,
 			s.Exec.Round(time.Microsecond), 100*s.HostShare,
 			s.Wait.Round(time.Microsecond), s.Tx.Round(time.Microsecond), s.Stalls,
 			s.Spin.Round(time.Microsecond), s.Park.Round(time.Microsecond))
