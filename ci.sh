@@ -49,8 +49,9 @@ echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzExecVsInterp, FuzzOpenSp
 # Differential fuzzing of the streaming runtime against the sequential
 # oracle (the checked-in corpus under internal/runtime/testdata/fuzz seeds
 # the mutator), of the compiled backend's lowering against the interpreter
-# on random programs and packets (sequential and partitioned, errors
-# included), and the two parsers that read what an operator hands the
+# on random programs and packets (sequential and partitioned, one iteration
+# per call and in batches of a fuzzed width and split, errors included), and
+# the two parsers that read what an operator hands the
 # ingest front end: source spec strings and capture files.
 go test ./internal/runtime -run '^$' -fuzz=FuzzServeVsOracle -fuzztime=10s
 go test ./internal/exec -run '^$' -fuzz=FuzzExecVsInterp -fuzztime=10s
@@ -77,7 +78,7 @@ echo "== pipebench replay gate: testdata/flows.pcap through the full pipeline"
 go run ./cmd/pipebench -experiment replay -pcap testdata/flows.pcap -pcap-loops 4
 
 echo "== size ledger (printed, not gated)"
-# The design-size numbers ROADMAP item 3 tracks, so each PR's reduction is
+# The design-size numbers ROADMAP item 4 tracks, so each PR's reduction is
 # a recorded figure: non-test, non-blank, non-comment Go lines of the serve
 # runtime and the facade files that configure it, the option count, and the
 # sentinel count. The one throughput model and the compiled backend are

@@ -194,7 +194,9 @@ func main() {
 
 	if *dump {
 		// Under each stage's IR, what the compiled backend makes of it: the
-		// cut balances the instructions above, the host runs the ops below.
+		// cut balances the instructions above, the host runs the ops below,
+		// over a whole batch at once unless the stage carries state from one
+		// iteration to the next.
 		runners := exec.NewStageRunners(pipe.Stages(), repro.NewWorld(nil))
 		for k, s := range pipe.Stages() {
 			fmt.Println()
@@ -202,6 +204,11 @@ func main() {
 			l := runners[k].Lowered()
 			fmt.Printf("lowered: %d instructions -> %d ops (%d folded, %d fused), frame %d slots, %d reset per iteration\n",
 				l.IRInstrs, l.Ops, l.Folded, l.Fused, l.FrameSlots, l.Resets)
+			if l.Serial {
+				fmt.Printf("batches:  serial (%s)\n", l.Carried)
+			} else {
+				fmt.Println("batches:  lane-parallel")
+			}
 		}
 	}
 	if *verify > 0 {

@@ -1,77 +1,98 @@
 // Package exec is the compiled stage-execution backend: it lowers an
 // ir.Program once into a flat, slot-indexed closure program and then runs
-// iterations by dispatching through that program directly. Where the
-// interpreter in internal/interp walks the IR tree — a switch on in.Op per
-// step, a string switch per intrinsic call, and an array-storage lookup per
-// load/store — the compiled form pre-resolves everything resolvable at
-// compile time:
+// iterations a batch at a time by dispatching through that program. Where
+// the interpreter in internal/interp walks the IR tree — a switch on in.Op
+// per step, a string switch per intrinsic call, and an array-storage lookup
+// per load/store — the compiled form pre-resolves everything resolvable at
+// compile time, and pays what is left once per batch instead of once per
+// packet:
 //
-//   - basic-block labels become block indices (the closure for a terminator
-//     returns the next block, with the per-edge phi moves folded in, so a
-//     taken branch costs exactly one dispatch);
-//   - registers and phi slots become offsets into one dense frame, captured
-//     by the closures as a slice, so no per-step indirection remains;
+//   - basic-block labels become block numbers (the closure for a terminator
+//     returns the next block, with the per-edge phi moves folded in);
+//   - registers and phi slots become columns of one dense frame, a value per
+//     lane, captured by the closures by pointer, so no per-step indirection
+//     remains;
 //   - persistent arrays are bound to their preallocated []int64 storage at
-//     compile time, and local arrays to dense per-iteration bind slots;
+//     compile time, and local arrays to dense per-lane bind slots;
 //   - every pure op, terminator shape, and intrinsic is specialized into its
-//     own closure; the straight-line body of a basic block executes as one
-//     contiguous closure sweep per dispatch, with the step budget charged
-//     per block rather than per instruction;
+//     own closure, and one call of it performs the op for every live
+//     iteration of the batch: the straight-line body of a basic block is
+//     one closure sweep per batch, with the step budget charged per block;
+//   - control flow is by selection: lanes that agree on a branch move on
+//     together, lanes that split wait under their blocks and re-join;
 //   - before any closure is built, lower.go analyses and rewrites the
 //     program: constants fold to a fixed point into the frame, the frame
 //     shrinks to the registers still referenced (no per-iteration copy, only
 //     a short reset list), neighbouring instructions fuse into
-//     superinstructions, and straight-line chains of blocks merge.
+//     superinstructions, straight-line chains of blocks merge, and the
+//     stage is marked serial if it carries state between iterations.
 //
 // The backend preserves the interpreter's semantics exactly — the MaxSteps
 // bound (each block is charged its original instruction count, and within
-// one block of the budget the same ops run against their recorded step
-// offsets, so the limit fires on the interpreter's instruction), wrapIndex
-// array wrapping, total arithmetic, RxFromCtx stream discipline, event
-// ordering, and the send/recv live-set layout — and the interpreter is
-// retained as the behavioural oracle: the differential tests in this package
-// and the cross-backend fuzz harness in internal/runtime hold the two
-// byte-identical on the same inputs.
+// one block of the budget a lane runs the same ops alone against their
+// recorded step offsets, so the limit fires on the interpreter's
+// instruction), wrapIndex array wrapping, total arithmetic, RxFromCtx stream
+// discipline, event ordering, and the send/recv live-set layout — and the
+// interpreter is retained as the behavioural oracle: the differential tests
+// in this package and the cross-backend fuzz harness in internal/runtime
+// hold the two byte-identical on the same inputs.
 package exec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/errs"
 	"repro/internal/interp"
 	"repro/internal/ir"
 )
 
-// Control-flow sentinels a compiled terminator may return instead of a next
-// block index. Body closures return pcErr on failure and any non-negative
-// value otherwise (the dispatch loop only inspects them for pcErr).
+// lanes is the width of one group: how many iterations a lane-parallel
+// stage runs side by side. A frame register is one col, so the IPv4 stage's
+// 61 registers take 15.6 KB — the L1 share that leaves room for 32 packets
+// and their contexts; a wider batch runs as successive groups.
 const (
-	pcRet = -1 // OpRet: the iteration completed normally
-	pcErr = -2 // a runtime error was parked in Runner.err
+	lanes = 32
+	lm    = lanes - 1 // l&lm indexes a [lanes] array without a bounds check
 )
+
+// lane names one iteration of the group being run; col is one frame
+// register across the group.
+type (
+	lane = uint8
+	col  [lanes]int64
+)
+
+// pcNone is what a terminator returns instead of a block number when the
+// selection it was given has nowhere further to go together: its lanes
+// returned, failed, or were parked under the blocks they split to.
+const pcNone = -1
 
 // metaWords is the size of the packet descriptor meta_get/meta_set index.
 const metaWords = len(interp.IterCtx{}.Meta)
 
-// instrFn is one compiled op: it performs its effect and returns the next
-// block index / sentinel (terminators) or pcErr / don't-care (body ops).
-type instrFn func(m *Runner) int
+// opFn is one compiled body op: it performs its effect for every selected
+// lane. termFn ends a block: it performs the taken edges' phi moves and
+// returns the block all the selected lanes continue in, or pcNone.
+type (
+	opFn   func(m *Runner, sel []lane)
+	termFn func(m *Runner, sel []lane) int
+)
 
 // block is one emitted basic block — an IR block, or a chain of them merged
 // through unconditional jumps. The fast path and the MaxSteps boundary path
 // run the same ops.
 type block struct {
 	// body is the straight-line sweep: every op lower.go kept.
-	body []instrFn
+	body []opFn
 	// at[i] is the number of original instructions from the top of the
-	// block up to and including the one body[i] stands for. Once the step
-	// budget comes within one block of MaxSteps, body[i] runs only if the
-	// budget reaches that far.
+	// block up to and including the one body[i] stands for. Once a lane's
+	// step budget comes within one block of MaxSteps, body[i] runs only if
+	// the budget reaches that far.
 	at []int32
-	// term transfers control: it performs the taken edge's phi moves and
-	// returns the successor block (or pcRet / pcErr). For a block with no
-	// terminator it is the interpreter's "fell off the end" error.
-	term instrFn
+	// term transfers control. For a block with no terminator it is the
+	// interpreter's "fell off the end" error.
+	term termFn
 	// cost is the steps the interpreter counts for one pass through the
 	// block: every original instruction, dropped or fused ones included,
 	// plus the terminator (the synthetic fell-off-the-end error is raised
@@ -79,11 +100,21 @@ type block struct {
 	cost int
 }
 
+// Iteration is one PPS-loop iteration handed to RunBatch: its context, the
+// live set OpRecvLS consumes (nil for a first stage), and a caller-owned
+// buffer OpSendLS writes the outgoing live set into when its capacity
+// suffices. RunBatch sets Sent to what the iteration sent — aliasing Dst
+// when it was used, nil when the iteration executed no OpSendLS.
+type Iteration struct {
+	Ctx       *interp.IterCtx
+	Recv, Dst []int64
+	Sent      []int64
+}
+
 // Runner executes iterations of one compiled program (or one pipeline
 // stage), holding its persistent array state between iterations. It mirrors
-// interp.Runner's API so the streaming runtime can drive either backend
-// through the same calls; like interp.Runner, it executes one iteration at
-// a time and is confined to a single goroutine.
+// interp.Runner's API for single iterations and adds RunBatch; like
+// interp.Runner it is confined to a single goroutine.
 type Runner struct {
 	Prog  *ir.Program
 	World *interp.World
@@ -92,45 +123,62 @@ type Runner struct {
 	// packet, exactly as on interp.Runner: the streaming runtime sets it
 	// on every stage runner so concurrent stages never race on the
 	// World's packet cursor. It is read at execution time, so it may be
-	// set after construction (the compiled pkt_rx closure consults it).
+	// set after construction.
 	RxFromCtx bool
 
 	persistent *interp.Store
 
-	blocks    []block
-	entry     int  // entry block index
-	entryEdge edge // phi moves of the virtual predecessor -1 edge
+	blocks    []block // numbered in reverse post-order
+	entryEdge edge    // the virtual predecessor -1 edge into the entry block
 	name      string
 	lowered   Lowered
+	rx, emits bool // the program calls pkt_rx / records events
 
-	// regs is the dense iteration frame: one slot per register the lowered
-	// program still references. It is allocated once at compile time, its
-	// constant slots filled in then, and captured directly by the compiled
-	// closures, so register access is a single pointer dereference. Nothing
-	// copies it between iterations: resets lists the few slots that must
-	// read as zero when an iteration starts.
-	regs   []int64
+	// cols is the frame: one column per register the lowered program still
+	// references, allocated once at compile time, its constant columns
+	// filled in then, and captured by the closures column by column.
+	// Nothing copies it between batches: resets lists the few registers
+	// that must read as zero when an iteration starts. void takes the
+	// result of a call that has no result register.
+	cols   []col
+	void   col
 	resets []int32
 	phiBuf []int64
 
 	// localArrs lists the distinct local arrays the program touches;
-	// localBind holds their per-iteration storage, re-resolved from the
-	// IterCtx at the top of every RunIteration (local state flows with
-	// the iteration token, not with the stage).
+	// localBind holds their storage per lane, re-resolved from each
+	// IterCtx at the top of every group (local state flows with the
+	// iteration token, not with the stage).
 	localArrs []*ir.Array
-	localBind [][]int64
+	localBind [][lanes][]int64
 
-	// Per-iteration state the closures reach through the runner.
-	ctx  *interp.IterCtx
-	recv []int64
-	sent []int64
-	err  error
+	// The group being run, and what the closures need of each lane without
+	// chasing its Iteration: the context, the packet as pkt_rx or a
+	// copy-on-write last left it, the steps settled so far, the error that
+	// took the lane out.
+	its   []Iteration
+	ctxs  [lanes]*interp.IterCtx
+	pkts  [lanes][]byte
+	steps [lanes]int
+	errs  [lanes]error
+	nfail int
 
-	// sendDst, when non-nil, is a caller-owned buffer OpSendLS writes the
-	// outgoing live set into instead of allocating (set per call by
-	// RunIterationInto). It is only reused when its capacity covers the
-	// live set; an iteration that executes no OpSendLS leaves it untouched.
-	sendDst []int64
+	// Control flow by selection: pend[b] is the set of lanes waiting to
+	// enter block b, waiting the number of blocks with any, low a lower
+	// bound on the first of them. cur backs the selection being run.
+	pend    []uint32
+	waiting int
+	low     int
+	cur     [lanes]lane
+	solo    [1]lane // runExact's selection
+	one     [1]Iteration
+
+	// slab is the rest of the chunk packet copies are carved from. It
+	// carries over from batch to batch, so a batch of one packet costs no
+	// chunk of its own.
+	slab []byte
+
+	dispatched int // closures called, for the shape tests
 }
 
 // NewRunner compiles prog against freshly initialized persistent state.
@@ -185,95 +233,232 @@ func (m *Runner) RunIteration(ctx *interp.IterCtx, recv []int64) ([]int64, error
 // for the outgoing live set: when dst has capacity for the slots OpSendLS
 // emits, the returned slice aliases dst and the handoff allocates nothing.
 // A nil (or too-small) dst falls back to allocating, and an iteration that
-// sends nothing still returns nil. The streaming runtime threads each
-// token's spare buffer through here so a steady-state handoff is a few
-// word copies into memory the token already owns.
+// sends nothing still returns nil. It is a RunBatch of one.
 func (m *Runner) RunIterationInto(ctx *interp.IterCtx, recv, dst []int64) ([]int64, error) {
-	bi := m.begin(ctx, recv, dst)
-	blocks := m.blocks
-	steps := 0
-loop:
-	for bi >= 0 {
-		b := &blocks[bi]
-		if steps+b.cost > interp.MaxSteps {
-			// Within one block of the budget: fall back to exact
-			// per-instruction accounting so the limit fires on
-			// precisely the same step as the interpreter.
-			bi = m.runExact(bi, steps)
-			break loop
-		}
-		steps += b.cost
-		for _, fn := range b.body {
-			if fn(m) == pcErr {
-				bi = pcErr
-				break loop
-			}
-		}
-		bi = b.term(m)
-	}
-	return m.end(bi)
-}
-
-// begin binds the iteration's state, brings the frame to its
-// iteration-start image and takes the virtual predecessor's edge into the
-// entry block; it returns the first block to dispatch.
-func (m *Runner) begin(ctx *interp.IterCtx, recv, dst []int64) int {
-	m.ctx, m.recv, m.sent, m.err, m.sendDst = ctx, recv, nil, nil, dst
-	regs := m.regs
-	for _, s := range m.resets {
-		regs[s] = 0
-	}
-	for i, a := range m.localArrs {
-		m.localBind[i] = ctx.Local(a.ID, a.Size)
-	}
-	if e := &m.entryEdge; !e.trivial() {
-		return m.take(e)
-	}
-	return m.entry
-}
-
-// end unbinds the iteration's state and shapes the result from the
-// sentinel the dispatch loop stopped on.
-func (m *Runner) end(bi int) ([]int64, error) {
-	sent, err := m.sent, m.err
-	m.ctx, m.recv, m.sent, m.err, m.sendDst = nil, nil, nil, nil, nil
-	if bi == pcErr {
+	m.one[0] = Iteration{Ctx: ctx, Recv: recv, Dst: dst}
+	err := m.group(m.one[:])
+	sent := m.one[0].Sent
+	m.one[0] = Iteration{}
+	if err != nil {
 		return nil, err
 	}
 	return sent, nil
 }
 
-// runExact continues an iteration with per-instruction step accounting (the
-// interpreter increments and checks before executing each instruction). It
-// runs only when an iteration comes within one block of MaxSteps, so its
-// cost is irrelevant; what matters is that its counting is byte-exact. An
-// op runs only if the budget covers its anchor instruction; the ones that
-// were folded or fused away before the anchor are pure, so whether the
-// limit lands on one of them or on the anchor cannot be told apart.
-func (m *Runner) runExact(bi, steps int) int {
+// RunBatch executes its, one PPS-loop iteration each, as RunIterationInto
+// would one after the other — same events, same live sets, same persistent
+// state — and stores each one's outgoing live set in its Sent. A stage that
+// carries nothing from one iteration to the next (Lowered.Serial is false)
+// runs every op over all of them before the next op. The error is that of
+// the first iteration that failed; the iterations after it may or may not
+// have run.
+func (m *Runner) RunBatch(its []Iteration) error {
+	for len(its) > 0 {
+		n := min(len(its), lanes)
+		if err := m.group(its[:n]); err != nil {
+			return err
+		}
+		its = its[n:]
+	}
+	return nil
+}
+
+// group runs up to lanes iterations: it binds each lane's state, brings the
+// frame to its iteration-start image, takes the virtual predecessor's edge
+// into the entry block and dispatches — all lanes together, or one at a
+// time, in order, when something the stage touches orders its iterations:
+// carried state (the static rule in lower.go), the World's packet cursor,
+// the World's trace.
+func (m *Runner) group(its []Iteration) error {
+	n := len(its)
+	m.its = its
+	if m.waiting+m.nfail != 0 {
+		// A panic unwound the last group in mid-flight.
+		clear(m.pend)
+		clear(m.errs[:])
+		m.waiting, m.nfail = 0, 0
+	}
+	for _, s := range m.resets {
+		for c, l := &m.cols[s], 0; l < n; l++ {
+			c[l&lm] = 0
+		}
+	}
+	deferred := true
+	for l := range its {
+		it := &its[l]
+		ctx := it.Ctx
+		it.Sent = nil
+		m.ctxs[l], m.pkts[l], m.steps[l], m.cur[l] = ctx, ctx.Pkt, 0, lane(l)
+		deferred = deferred && ctx.DeferEvents
+		for i, a := range m.localArrs {
+			m.localBind[i][l] = ctx.Local(a.ID, a.Size)
+		}
+	}
+	switch bi := m.take(&m.entryEdge, m.cur[:n]); {
+	case bi < 0:
+		// The entry block's phis have no value for the virtual predecessor.
+	case n > 1 && (m.lowered.Serial || m.rx && !m.RxFromCtx || m.emits && !deferred):
+		for l := 0; l < n && m.nfail == 0; l++ {
+			m.cur[0] = lane(l)
+			m.run(bi, m.cur[:1])
+		}
+	default:
+		m.run(bi, m.cur[:n])
+	}
+	if m.nfail == 0 {
+		return nil
+	}
+	m.nfail = 0
+	var first error
+	for l := n - 1; l >= 0; l-- {
+		if m.errs[l] != nil {
+			first, m.errs[l] = m.errs[l], nil
+		}
+	}
+	return first
+}
+
+// run drives sel from block bi until every lane has returned or failed.
+// While the lanes agree on every branch they move from block to block as
+// one selection and nothing else is touched. Where they split, each part is
+// parked under its block, and from then on the lowest-numbered block with
+// lanes waiting runs next (blocks are numbered in reverse post-order), so a
+// join collects the lanes of all its predecessors before it runs.
+//
+// Steps are exact per lane without being counted per lane: acc is what the
+// selection has run up since it formed, top the most any of its lanes had
+// before; the sum settles into steps when the selection splits. A selection
+// that comes within one block of MaxSteps finishes lane by lane in runExact.
+func (m *Runner) run(bi int, sel []lane) {
 	blocks := m.blocks
+	top, acc, nf := 0, 0, m.nfail
+	for {
+	flow:
+		for bi >= 0 {
+			b := &blocks[bi]
+			if top+acc+b.cost > interp.MaxSteps {
+				for _, l := range sel {
+					m.runExact(bi, l, m.steps[l&lm]+acc)
+				}
+				sel = sel[:0]
+				break
+			}
+			acc += b.cost
+			m.dispatched += len(b.body) + 1
+			for _, fn := range b.body {
+				fn(m, sel)
+				if m.nfail != nf {
+					// An op raised an error: its lanes stop here.
+					if sel, nf = m.prune(sel), m.nfail; len(sel) == 0 {
+						break flow
+					}
+				}
+			}
+			if bi = b.term(m, sel); bi >= 0 && m.waiting > 0 {
+				m.park(bi, maskOf(sel))
+				bi = pcNone
+			}
+		}
+		if m.waiting == 0 {
+			return
+		}
+		for _, l := range sel {
+			m.steps[l&lm] += acc
+		}
+		bi, sel = m.pop()
+		top, acc, nf = 0, 0, m.nfail
+		for _, l := range sel {
+			top = max(top, m.steps[l&lm])
+		}
+	}
+}
+
+// runExact finishes lane l from block bi with per-instruction step
+// accounting (the interpreter increments and checks before executing each
+// instruction). It runs only when an iteration comes within one block of
+// MaxSteps, so its cost is irrelevant; what matters is that its counting is
+// byte-exact. An op runs only if the budget covers its anchor instruction;
+// the ones that were folded or fused away before the anchor are pure, so
+// whether the limit lands on one of them or on the anchor cannot be told
+// apart.
+func (m *Runner) runExact(bi int, l lane, steps int) {
+	m.solo[0] = l
+	sel := m.solo[:]
 	for bi >= 0 {
-		b := &blocks[bi]
+		b := &m.blocks[bi]
 		for i, fn := range b.body {
 			if steps+int(b.at[i]) > interp.MaxSteps {
-				return m.stepLimit()
+				m.stepLimit(l)
+				return
 			}
-			if fn(m) == pcErr {
-				return pcErr
+			if fn(m, sel); m.errs[l&lm] != nil {
+				return
 			}
 		}
 		if steps+b.cost > interp.MaxSteps {
-			return m.stepLimit()
+			m.stepLimit(l)
+			return
 		}
 		steps += b.cost
-		bi = b.term(m)
+		bi = b.term(m, sel)
 	}
-	return bi
 }
 
-func (m *Runner) stepLimit() int {
-	m.err = fmt.Errorf("%s: step limit exceeded (non-terminating inner loop?)", m.name)
-	return pcErr
+func (m *Runner) stepLimit(l lane) {
+	m.fail(l, fmt.Errorf("%s: step limit exceeded (non-terminating inner loop?)", m.name))
+}
+
+// fail takes lane l out with err: no later op runs for it.
+func (m *Runner) fail(l lane, err error) {
+	m.errs[l&lm] = err
+	m.nfail++
+}
+
+// prune drops the failed lanes from sel, in place.
+func (m *Runner) prune(sel []lane) []lane {
+	keep := sel[:0]
+	for _, l := range sel {
+		if m.errs[l&lm] == nil {
+			keep = append(keep, l)
+		}
+	}
+	return keep
+}
+
+func maskOf(sel []lane) (mask uint32) {
+	for _, l := range sel {
+		mask |= 1 << (l & lm)
+	}
+	return mask
+}
+
+// spread appends the lanes of mask to sel, lowest first.
+func spread(sel []lane, mask uint32) []lane {
+	for ; mask != 0; mask &= mask - 1 {
+		sel = append(sel, lane(bits.TrailingZeros32(mask)))
+	}
+	return sel
+}
+
+// park leaves the lanes of mask waiting to enter block to.
+func (m *Runner) park(to int, mask uint32) {
+	if m.pend[to] == 0 {
+		m.waiting++
+	}
+	m.pend[to] |= mask
+	m.low = min(m.low, to)
+}
+
+// pop takes the lowest-numbered block with lanes waiting, and the lanes.
+func (m *Runner) pop() (int, []lane) {
+	bi := m.low
+	for m.pend[bi] == 0 {
+		bi++
+	}
+	sel := spread(m.cur[:0], m.pend[bi])
+	m.pend[bi], m.low = 0, bi
+	m.waiting--
+	return bi, sel
 }
 
 // RunSequential executes iters iterations of prog against world on the
@@ -328,44 +513,127 @@ func RunPipeline(stages []*ir.Program, world *interp.World, iters int) ([]interp
 	return world.Trace, nil
 }
 
-// emitEv routes an observable event the way the interpreter does: into the
+// emit routes an observable event the way the interpreter does: into the
 // iteration's deferred buffer when the context asks for it, else straight
 // onto the shared World trace.
-func (m *Runner) emitEv(e interp.Event) {
-	if m.ctx.DeferEvents {
-		m.ctx.Events = append(m.ctx.Events, e)
+func (m *Runner) emit(ctx *interp.IterCtx, e interp.Event) {
+	if ctx.DeferEvents {
+		ctx.Events = append(ctx.Events, e)
 		return
 	}
 	m.World.EmitEvent(e)
 }
 
-// edge is one resolved CFG edge: the parallel phi moves the edge performs
-// and the block index it lands on. A nil-err edge with no moves is
-// "trivial" and folds to a bare constant in the terminator closure.
-type edge struct {
-	srcs []int // phi source registers, read first (parallel semantics)
-	dsts []int // phi destination registers
-	err  error // set when a phi lacks a value for this predecessor
-	to   int   // target block index
+// slabChunk is the size packet copies are allocated in: one allocation per
+// few hundred packets instead of one per packet.
+const slabChunk = 16 << 10
+
+// copyPkt returns a private copy of p, carved from the slab with its
+// capacity clipped so that nothing can grow into its neighbour.
+func (m *Runner) copyPkt(p []byte) []byte {
+	n := len(p)
+	if len(m.slab) < n || m.slab == nil {
+		m.slab = make([]byte, max(n, slabChunk))
+	}
+	buf := m.slab[:n:n]
+	m.slab = m.slab[n:]
+	copy(buf, p)
+	return buf
 }
 
-func (e *edge) trivial() bool { return e.err == nil && len(e.srcs) == 0 }
+// writable returns lane l's packet for writing. pkt_send hands the packet's
+// buffer to the event it records instead of copying it; the first write
+// after that copies, so the event keeps the bytes that were sent.
+func (m *Runner) writable(l lane) []byte {
+	if ctx := m.ctxs[l&lm]; ctx.PktShared {
+		ctx.Pkt, ctx.PktShared = m.copyPkt(ctx.Pkt), false
+		m.pkts[l&lm] = ctx.Pkt
+	}
+	return m.pkts[l&lm]
+}
 
-// take performs the edge's phi moves (reads before writes, via the shared
-// scratch buffer) and returns the target block index.
-func (m *Runner) take(e *edge) int {
+// edge is one resolved CFG edge: the parallel phi moves the edge performs
+// and the block it lands on.
+type edge struct {
+	to    int   // target block number
+	plain bool  // no moves, no error: taking the edge is going to its target
+	srcs  []int // phi source registers, read first (parallel semantics)
+	dsts  []int // phi destination registers
+	err   error // set when a phi lacks a value for this predecessor
+}
+
+// take performs the edge's phi moves for every selected lane (reads before
+// writes, via the shared scratch buffer) and returns the target block; an
+// edge whose phi lacks a value fails the lanes instead. Most edges carry
+// nothing: the test for that inlines into the terminators.
+func (m *Runner) take(e *edge, sel []lane) int {
+	if e.plain {
+		return e.to
+	}
+	return m.move(e, sel)
+}
+
+func (m *Runner) move(e *edge, sel []lane) int {
 	if e.err != nil {
-		m.err = e.err
-		return pcErr
+		for _, l := range sel {
+			m.fail(l, e.err)
+		}
+		return pcNone
 	}
-	regs, buf := m.regs, m.phiBuf
-	for i, s := range e.srcs {
-		buf[i] = regs[s]
-	}
-	for i, d := range e.dsts {
-		regs[d] = buf[i]
+	cols, buf := m.cols, m.phiBuf
+	for _, l := range sel {
+		for i, s := range e.srcs {
+			buf[i] = cols[s][l&lm]
+		}
+		for i, d := range e.dsts {
+			cols[d][l&lm] = buf[i]
+		}
 	}
 	return e.to
+}
+
+// parkEdge takes e for the lanes of mask and leaves them waiting at its
+// target.
+func (m *Runner) parkEdge(e *edge, mask uint32) {
+	var buf [lanes]lane
+	if to := m.take(e, spread(buf[:0], mask)); to >= 0 {
+		m.park(to, mask)
+	}
+}
+
+// branch ends a block on a two-way test: taken holds the bit of every
+// selected lane whose test held. Lanes that agree stay one selection.
+func (m *Runner) branch(sel []lane, taken uint32, yes, no *edge) int {
+	switch bits.OnesCount32(taken) {
+	case len(sel):
+		return m.take(yes, sel)
+	case 0:
+		return m.take(no, sel)
+	}
+	return m.split(sel, taken, yes, no)
+}
+
+func (m *Runner) split(sel []lane, taken uint32, yes, no *edge) int {
+	m.parkEdge(yes, taken)
+	m.parkEdge(no, maskOf(sel)&^taken)
+	return pcNone
+}
+
+// fan ends a block on a many-way test: masks[i] holds the lanes that chose
+// edges[i], and is cleared for the next use.
+func (m *Runner) fan(sel []lane, masks []uint32, edges []edge) int {
+	to := pcNone
+	for i, mask := range masks {
+		switch {
+		case mask == 0:
+		case bits.OnesCount32(mask) == len(sel):
+			to = m.take(&edges[i], sel)
+		default:
+			m.parkEdge(&edges[i], mask)
+		}
+		masks[i] = 0
+	}
+	return to
 }
 
 // compile lowers the program (lower.go), lays out the frame, and emits one
@@ -375,22 +643,25 @@ func (m *Runner) compile(lw *lowerer) {
 	f := m.Prog.Func
 	m.name = f.Name
 	lw.lower(f)
-	m.lowered = lw.stats
+	m.lowered, m.rx, m.emits = lw.stats, lw.rx, lw.emits
 
-	m.regs = make([]int64, lw.nslots)
+	m.cols = make([]col, lw.nslots)
 	for _, c := range lw.consts {
-		m.regs[c.slot] = c.val
+		for l := range m.cols[c.slot] {
+			m.cols[c.slot][l] = c.val
+		}
 	}
 	m.resets = append([]int32(nil), lw.resets...)
 	m.phiBuf = make([]int64, lw.maxPhi)
 
 	// Every block's body and step offsets are slices of two arrays.
-	m.blocks = make([]block, len(f.Blocks))
+	m.blocks = make([]block, len(lw.order))
+	m.pend = make([]uint32, len(lw.order))
 	nbody := lw.stats.Ops - len(lw.order)
-	fns := make([]instrFn, 0, nbody)
+	fns := make([]opFn, 0, nbody)
 	ats := make([]int32, 0, nbody)
-	for _, id := range lw.order {
-		lb, bl := lw.blocks[id], &m.blocks[id]
+	for num, id := range lw.order {
+		lb, bl := lw.blocks[id], &m.blocks[num]
 		first := len(fns)
 		for i := lb.lo; i < lb.hi; i++ {
 			switch op := &lw.ops[i]; {
@@ -406,42 +677,43 @@ func (m *Runner) compile(lw *lowerer) {
 		bl.cost = int(lb.cost)
 	}
 
-	m.entry = f.Entry
 	// The virtual predecessor -1 edge: trivially the entry block, or —
 	// when the entry block opens with phis — the moves (or the
-	// interpreter's no-value-for-predecessor error) run by RunIteration
+	// interpreter's no-value-for-predecessor error) every lane takes
 	// before dispatch starts.
 	m.entryEdge = m.planEdge(lw, -1, f.Entry)
-	m.localBind = make([][]int64, len(m.localArrs))
+	m.localBind = make([][lanes][]int64, len(m.localArrs))
 }
 
-// reg returns the frame slot of IR register r.
-func (m *Runner) reg(lw *lowerer, r int) *int64 { return &m.regs[lw.slot(r)] }
+// col returns the frame column of IR register r.
+func (m *Runner) col(lw *lowerer, r int) *col { return &m.cols[lw.slot(r)] }
 
-// optReg is reg for a destination that may be absent (a call with no
-// result): nil mirrors the interpreter's in.Dst != ir.NoReg check.
-func (m *Runner) optReg(lw *lowerer, r int) *int64 {
+// dst is col for a destination that may be absent (a call with no result):
+// the value then lands in a column nothing reads, which mirrors the
+// interpreter's in.Dst != ir.NoReg check.
+func (m *Runner) dst(lw *lowerer, r int) *col {
 	if r < 0 {
-		return nil
+		return &m.void
 	}
-	return m.reg(lw, r)
+	return m.col(lw, r)
 }
 
 // planEdge resolves the phi moves of the pred -> succ edge.
 func (m *Runner) planEdge(lw *lowerer, pred, succ int) edge {
-	e := edge{to: succ}
+	e := edge{to: lw.blockNum(succ)}
 	f := m.Prog.Func
 	for _, phi := range f.Blocks[succ].Instrs[:lw.blocks[succ].nPhis] {
 		j := phiArg(phi, pred)
 		if j < 0 {
 			return edge{
 				err: fmt.Errorf("%s: b%d: phi has no value for predecessor b%d", f.Name, succ, pred),
-				to:  pcErr,
+				to:  pcNone,
 			}
 		}
 		e.srcs = append(e.srcs, lw.slot(phi.Args[j]))
 		e.dsts = append(e.dsts, lw.slot(phi.Dst))
 	}
+	e.plain = len(e.srcs) == 0
 	return e
 }
 
@@ -520,65 +792,56 @@ func byteAt(pkt []byte, off int64) int64 {
 	return 0
 }
 
+// wordAt is pkt_word: four bytes big-endian, each read as byteAt reads it.
+func wordAt(pkt []byte, off int64) (v int64) {
+	for i := int64(0); i < 4; i++ {
+		v = v<<8 | byteAt(pkt, off+i)
+	}
+	return v
+}
+
 // emitTerm emits the control-transfer closure that ends a block, with the
 // phi moves of each outgoing edge folded in.
-func (m *Runner) emitTerm(lw *lowerer, op *lop) instrFn {
+func (m *Runner) emitTerm(lw *lowerer, op *lop) termFn {
 	blk := int(op.blk)
 	switch op.kind {
 	case kJmp:
 		e := m.planEdge(lw, blk, int(op.k))
-		if e.trivial() {
-			to := e.to
-			return func(m *Runner) int { return to }
+		return func(m *Runner, sel []lane) int { return m.take(&e, sel) }
+	case kBr, kCmpBr, kCmpBrImm:
+		yes, no := m.planEdge(lw, blk, op.in.Targets[0]), m.planEdge(lw, blk, op.in.Targets[1])
+		a := m.col(lw, int(op.a))
+		switch op.kind {
+		case kCmpBr:
+			return cmpBr(op.op, a, m.col(lw, int(op.b)), &yes, &no)
+		case kCmpBrImm:
+			return cmpBrImm(op.op, a, op.k, &yes, &no)
 		}
-		return func(m *Runner) int { return m.take(&e) }
-	case kBr:
-		pc := m.reg(lw, int(op.a))
-		et := m.planEdge(lw, blk, op.in.Targets[0])
-		ee := m.planEdge(lw, blk, op.in.Targets[1])
-		if et.trivial() && ee.trivial() {
-			tb, eb := et.to, ee.to
-			return func(m *Runner) int {
-				if *pc != 0 {
-					return tb
-				}
-				return eb
-			}
-		}
-		return func(m *Runner) int {
-			if *pc != 0 {
-				return m.take(&et)
-			}
-			return m.take(&ee)
-		}
-	case kCmpBr:
-		return cmpBr(op.op, m.reg(lw, int(op.a)), m.reg(lw, int(op.b)), op.in.Targets[0], op.in.Targets[1])
-	case kCmpBrImm:
-		return cmpBrImm(op.op, m.reg(lw, int(op.a)), op.k, op.in.Targets[0], op.in.Targets[1])
+		return cmpBrImm(ir.OpNe, a, 0, &yes, &no)
 	case kSwitch:
 		return m.emitSwitch(lw, op)
 	case kRet:
-		return func(m *Runner) int { return pcRet }
+		return func(m *Runner, sel []lane) int { return pcNone }
 	case kFell:
-		err := fmt.Errorf("%s: b%d fell off the end without a terminator", m.name, blk)
-		return func(m *Runner) int { m.err = err; return pcErr }
+		e := edge{err: fmt.Errorf("%s: b%d fell off the end without a terminator", m.name, blk)}
+		return func(m *Runner, sel []lane) int { return m.take(&e, sel) }
 	}
 	panic("exec: emitTerm on a body op") // unreachable: compile routes by isTerm
 }
 
-// emitSwitch emits a switch: a jump table when the cases are dense and no
-// edge carries phi moves, else the interpreter's first-match linear scan.
-func (m *Runner) emitSwitch(lw *lowerer, op *lop) instrFn {
+// emitSwitch emits a switch: a compare when there is one case, a table
+// from value to edge when the cases are dense, else the interpreter's
+// first-match linear scan.
+func (m *Runner) emitSwitch(lw *lowerer, op *lop) termFn {
 	in := op.in
-	pv := m.reg(lw, int(op.a))
+	v := m.col(lw, int(op.a))
 	edges := make([]edge, len(in.Targets))
-	trivial := true
 	for i, t := range in.Targets {
 		edges[i] = m.planEdge(lw, int(op.blk), t)
-		trivial = trivial && edges[i].trivial()
 	}
 	def := len(edges) - 1
-	if len(in.Cases) > 0 && trivial {
+	masks := make([]uint32, len(edges)) // lanes per edge, cleared by fan
+	if len(in.Cases) > 0 {
 		lo, hi := in.Cases[0], in.Cases[0]
 		for _, cv := range in.Cases {
 			lo, hi = min(lo, cv), max(hi, cv)
@@ -588,314 +851,367 @@ func (m *Runner) emitSwitch(lw *lowerer, op *lop) instrFn {
 		if span := uint64(hi) - uint64(lo); span == 0 {
 			// One case (the control-predicate test a realized stage opens
 			// with): a compare.
-			return cmpBrImm(ir.OpEq, pv, lo, edges[0].to, edges[def].to)
+			return cmpBrImm(ir.OpEq, v, lo, &edges[0], &edges[def])
 		} else if span < uint64(4*len(in.Cases)) {
-			table := make([]int, span+1)
+			table := make([]int32, span+1)
 			for i := range table {
-				table[i] = edges[def].to
+				table[i] = int32(def)
 			}
 			for i := len(in.Cases) - 1; i >= 0; i-- { // the first match wins
-				table[uint64(in.Cases[i])-uint64(lo)] = edges[i].to
+				table[uint64(in.Cases[i])-uint64(lo)] = int32(i)
 			}
-			dflt := edges[def].to
-			return func(m *Runner) int {
-				if d := uint64(*pv) - uint64(lo); d < uint64(len(table)) {
-					return table[d]
+			return func(m *Runner, sel []lane) int {
+				for _, l := range sel {
+					e := def
+					if d := uint64(v[l&lm]) - uint64(lo); d < uint64(len(table)) {
+						e = int(table[d])
+					}
+					masks[e] |= 1 << (l & lm)
 				}
-				return dflt
+				return m.fan(sel, masks, edges)
 			}
 		}
 	}
 	cases := append([]int64(nil), in.Cases...)
-	return func(m *Runner) int {
-		x := *pv
-		for i, cv := range cases {
-			if x == cv {
-				return m.take(&edges[i])
+	return func(m *Runner, sel []lane) int {
+		for _, l := range sel {
+			e, x := def, v[l&lm]
+			for i, cv := range cases {
+				if x == cv {
+					e = i
+					break
+				}
 			}
+			masks[e] |= 1 << (l & lm)
 		}
-		return m.take(&edges[def])
+		return m.fan(sel, masks, edges)
 	}
 }
 
-// cmpBr is a comparison fused with the br that was its only reader.
-func cmpBr(op ir.Op, pa, pb *int64, t, e int) instrFn {
+// cmpBr is a comparison fused with the br that was its only reader. Three
+// tests serve the six comparisons: the others swap the edges.
+func cmpBr(op ir.Op, a, b *col, yes, no *edge) termFn {
 	switch op {
-	case ir.OpEq:
-		return func(m *Runner) int {
-			if *pa == *pb {
-				return t
-			}
-			return e
-		}
 	case ir.OpNe:
-		return func(m *Runner) int {
-			if *pa != *pb {
-				return t
+		return cmpBr(ir.OpEq, a, b, no, yes)
+	case ir.OpGt:
+		return cmpBr(ir.OpLe, a, b, no, yes)
+	case ir.OpGe:
+		return cmpBr(ir.OpLt, a, b, no, yes)
+	case ir.OpEq:
+		return func(m *Runner, sel []lane) int {
+			var taken uint32
+			for _, l := range sel {
+				taken |= uint32(b2i(a[l&lm] == b[l&lm])) << (l & lm)
 			}
-			return e
+			return m.branch(sel, taken, yes, no)
 		}
 	case ir.OpLt:
-		return func(m *Runner) int {
-			if *pa < *pb {
-				return t
+		return func(m *Runner, sel []lane) int {
+			var taken uint32
+			for _, l := range sel {
+				taken |= uint32(b2i(a[l&lm] < b[l&lm])) << (l & lm)
 			}
-			return e
+			return m.branch(sel, taken, yes, no)
 		}
 	case ir.OpLe:
-		return func(m *Runner) int {
-			if *pa <= *pb {
-				return t
+		return func(m *Runner, sel []lane) int {
+			var taken uint32
+			for _, l := range sel {
+				taken |= uint32(b2i(a[l&lm] <= b[l&lm])) << (l & lm)
 			}
-			return e
-		}
-	case ir.OpGt:
-		return func(m *Runner) int {
-			if *pa > *pb {
-				return t
-			}
-			return e
-		}
-	case ir.OpGe:
-		return func(m *Runner) int {
-			if *pa >= *pb {
-				return t
-			}
-			return e
+			return m.branch(sel, taken, yes, no)
 		}
 	}
 	panic("exec: cmpBr on " + op.String()) // unreachable: fuseCompare admits comparisons only
 }
 
 // cmpBrImm is cmpBr against a constant.
-func cmpBrImm(op ir.Op, pa *int64, k int64, t, e int) instrFn {
+func cmpBrImm(op ir.Op, a *col, k int64, yes, no *edge) termFn {
 	switch op {
-	case ir.OpEq:
-		return func(m *Runner) int {
-			if *pa == k {
-				return t
-			}
-			return e
-		}
 	case ir.OpNe:
-		return func(m *Runner) int {
-			if *pa != k {
-				return t
+		return cmpBrImm(ir.OpEq, a, k, no, yes)
+	case ir.OpGt:
+		return cmpBrImm(ir.OpLe, a, k, no, yes)
+	case ir.OpGe:
+		return cmpBrImm(ir.OpLt, a, k, no, yes)
+	case ir.OpEq:
+		return func(m *Runner, sel []lane) int {
+			var taken uint32
+			for _, l := range sel {
+				taken |= uint32(b2i(a[l&lm] == k)) << (l & lm)
 			}
-			return e
+			return m.branch(sel, taken, yes, no)
 		}
 	case ir.OpLt:
-		return func(m *Runner) int {
-			if *pa < k {
-				return t
+		return func(m *Runner, sel []lane) int {
+			var taken uint32
+			for _, l := range sel {
+				taken |= uint32(b2i(a[l&lm] < k)) << (l & lm)
 			}
-			return e
+			return m.branch(sel, taken, yes, no)
 		}
 	case ir.OpLe:
-		return func(m *Runner) int {
-			if *pa <= k {
-				return t
+		return func(m *Runner, sel []lane) int {
+			var taken uint32
+			for _, l := range sel {
+				taken |= uint32(b2i(a[l&lm] <= k)) << (l & lm)
 			}
-			return e
-		}
-	case ir.OpGt:
-		return func(m *Runner) int {
-			if *pa > k {
-				return t
-			}
-			return e
-		}
-	case ir.OpGe:
-		return func(m *Runner) int {
-			if *pa >= k {
-				return t
-			}
-			return e
+			return m.branch(sel, taken, yes, no)
 		}
 	}
 	panic("exec: cmpBrImm on " + op.String()) // unreachable: fuseCompare admits comparisons only
 }
 
 // emitOp emits the closure for one body op. Operand and destination
-// registers are captured as direct *int64 pointers into the frame, so the
-// closures touch memory without slice-header or bounds-check overhead; on
-// success they return a don't-care non-pcErr value. Every superinstruction
-// keeps the edge semantics of the instructions it stands for: packet
-// offsets outside the packet read 0 byte by byte, a call without a result
-// register writes none.
-func (m *Runner) emitOp(lw *lowerer, op *lop) instrFn {
+// registers are captured as pointers to their frame columns, so the lane
+// loops index fixed-size arrays and carry no bounds checks. Every
+// superinstruction keeps the edge semantics of the instructions it stands
+// for: packet offsets outside the packet read 0 byte by byte, a call
+// without a result register writes none.
+func (m *Runner) emitOp(lw *lowerer, op *lop) opFn {
 	if op.kind == kInstr {
 		return m.emitInstr(lw, int(op.blk), op.in)
 	}
-	pd := m.optReg(lw, int(op.dst))
+	d := m.dst(lw, int(op.dst))
 	k, k2 := op.k, op.k2
 	switch op.kind {
 	case kSetImm:
-		return func(m *Runner) int { *pd = k; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = k
+			}
+		}
 	case kBinImm:
-		return binImm(op.op, pd, m.reg(lw, int(op.a)), k)
+		return binImm(op.op, d, m.col(lw, int(op.a)), k)
 	case kPktByteImm:
-		return func(m *Runner) int { *pd = byteAt(m.ctx.Pkt, k); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = byteAt(m.pkts[l&lm], k)
+			}
+		}
 	case kBE16:
-		return func(m *Runner) int {
-			pkt := m.ctx.Pkt
-			*pd = byteAt(pkt, k)<<8 | byteAt(pkt, k2)
-			return 0
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				pkt := m.pkts[l&lm]
+				d[l&lm] = byteAt(pkt, k)<<8 | byteAt(pkt, k2)
+			}
 		}
 	case kAccBE16:
-		pa := m.reg(lw, int(op.a))
-		return func(m *Runner) int {
-			pkt := m.ctx.Pkt
-			*pd = *pa + (byteAt(pkt, k)<<8 | byteAt(pkt, k2))
-			return 0
+		a := m.col(lw, int(op.a))
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				pkt := m.pkts[l&lm]
+				d[l&lm] = a[l&lm] + (byteAt(pkt, k)<<8 | byteAt(pkt, k2))
+			}
 		}
 	case kMetaGetImm:
-		return func(m *Runner) int { *pd = m.ctx.Meta[k]; return 0 }
-	case kMetaSetImm:
-		pa := m.reg(lw, int(op.a))
-		return func(m *Runner) int {
-			m.ctx.Meta[k] = *pa
-			if pd != nil {
-				*pd = 0
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = m.ctxs[l&lm].Meta[k]
 			}
-			return 0
+		}
+	case kMetaSetImm:
+		a := m.col(lw, int(op.a))
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				m.ctxs[l&lm].Meta[k] = a[l&lm]
+				d[l&lm] = 0
+			}
 		}
 	case kSetByteImm:
-		pa := m.reg(lw, int(op.a))
-		return func(m *Runner) int {
-			if pkt := m.ctx.Pkt; uint64(k) < uint64(len(pkt)) {
-				pkt[k] = byte(*pa)
+		a := m.col(lw, int(op.a))
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				if pkt := m.writable(l); uint64(k) < uint64(len(pkt)) {
+					pkt[k] = byte(a[l&lm])
+				}
+				d[l&lm] = 0
 			}
-			if pd != nil {
-				*pd = 0
-			}
-			return 0
 		}
 	case kMoves:
 		e := m.planEdge(lw, int(op.blk), int(k))
-		return func(m *Runner) int { m.take(&e); return 0 }
+		return func(m *Runner, sel []lane) { m.take(&e, sel) }
 	}
 	panic("exec: emitOp on a terminator") // unreachable: compile routes by isTerm
 }
 
 // binImm is a binary operator with its right operand a constant.
-func binImm(op ir.Op, pd, pa *int64, k int64) instrFn {
+func binImm(op ir.Op, d, a *col, k int64) opFn {
 	switch op {
 	case ir.OpAdd:
-		return func(m *Runner) int { *pd = *pa + k; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] + k
+			}
+		}
 	case ir.OpSub:
-		return func(m *Runner) int { *pd = *pa - k; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] - k
+			}
+		}
 	case ir.OpMul:
-		return func(m *Runner) int { *pd = *pa * k; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] * k
+			}
+		}
 	case ir.OpAnd:
-		return func(m *Runner) int { *pd = *pa & k; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] & k
+			}
+		}
 	case ir.OpOr:
-		return func(m *Runner) int { *pd = *pa | k; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] | k
+			}
+		}
 	case ir.OpXor:
-		return func(m *Runner) int { *pd = *pa ^ k; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] ^ k
+			}
+		}
 	case ir.OpShl: // k arrives masked to 0..63
-		return func(m *Runner) int { *pd = *pa << uint64(k); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] << uint64(k)
+			}
+		}
 	case ir.OpShr:
-		return func(m *Runner) int { *pd = *pa >> uint64(k); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] >> uint64(k)
+			}
+		}
 	case ir.OpEq:
-		return func(m *Runner) int { *pd = b2i(*pa == k); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] == k)
+			}
+		}
 	case ir.OpNe:
-		return func(m *Runner) int { *pd = b2i(*pa != k); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] != k)
+			}
+		}
 	case ir.OpLt:
-		return func(m *Runner) int { *pd = b2i(*pa < k); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] < k)
+			}
+		}
 	case ir.OpLe:
-		return func(m *Runner) int { *pd = b2i(*pa <= k); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] <= k)
+			}
+		}
 	case ir.OpGt:
-		return func(m *Runner) int { *pd = b2i(*pa > k); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] > k)
+			}
+		}
 	case ir.OpGe:
-		return func(m *Runner) int { *pd = b2i(*pa >= k); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] >= k)
+			}
+		}
 	}
 	panic("exec: binImm on " + op.String()) // unreachable: lowerer.binary excludes div and mod
 }
 
 // emitInstr emits the specialized closure for one straight-line (non-phi,
 // non-terminator) instruction in its register-operand form.
-func (m *Runner) emitInstr(lw *lowerer, blk int, in *ir.Instr) instrFn {
+func (m *Runner) emitInstr(lw *lowerer, blk int, in *ir.Instr) opFn {
 	switch {
 	case in.Op == ir.OpCopy:
-		pd, pa := m.reg(lw, in.Dst), m.reg(lw, in.Args[0])
-		return func(m *Runner) int { *pd = *pa; return 0 }
+		d, a := m.col(lw, in.Dst), m.col(lw, in.Args[0])
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm]
+			}
+		}
 	case in.Op.IsBinary():
-		return binRR(in.Op, m.reg(lw, in.Dst), m.reg(lw, in.Args[0]), m.reg(lw, in.Args[1]))
+		return binRR(in.Op, m.col(lw, in.Dst), m.col(lw, in.Args[0]), m.col(lw, in.Args[1]))
 
 	case in.Op == ir.OpNeg:
-		pd, pa := m.reg(lw, in.Dst), m.reg(lw, in.Args[0])
-		return func(m *Runner) int { *pd = -*pa; return 0 }
+		d, a := m.col(lw, in.Dst), m.col(lw, in.Args[0])
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = -a[l&lm]
+			}
+		}
 	case in.Op == ir.OpNot:
-		pd, pa := m.reg(lw, in.Dst), m.reg(lw, in.Args[0])
-		return func(m *Runner) int { *pd = b2i(*pa == 0); return 0 }
+		d, a := m.col(lw, in.Dst), m.col(lw, in.Args[0])
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] == 0)
+			}
+		}
 	case in.Op == ir.OpBNot:
-		pd, pa := m.reg(lw, in.Dst), m.reg(lw, in.Args[0])
-		return func(m *Runner) int { *pd = ^*pa; return 0 }
+		d, a := m.col(lw, in.Dst), m.col(lw, in.Args[0])
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = ^a[l&lm]
+			}
+		}
 
-	case in.Op == ir.OpLoad:
+	case in.Op == ir.OpLoad || in.Op == ir.OpStore:
 		arr := in.Arr
 		if arr == nil {
 			// Defer the interpreter's nil-array dereference to execution
 			// time (a hand-built program only fails if the path runs).
-			return func(m *Runner) int { _ = arr.Size; return 0 }
+			return func(m *Runner, sel []lane) { _ = arr.Size }
 		}
-		pd, pidx, size := m.reg(lw, in.Dst), m.reg(lw, in.Args[0]), arr.Size
-		if arr.Persistent {
-			st := m.persistent.Get(arr)
-			return func(m *Runner) int { *pd = st[wrapIndex(*pidx, size)]; return 0 }
-		}
-		slot := m.bindLocal(arr)
-		return func(m *Runner) int { *pd = m.localBind[slot][wrapIndex(*pidx, size)]; return 0 }
-	case in.Op == ir.OpStore:
-		arr := in.Arr
-		if arr == nil {
-			return func(m *Runner) int { _ = arr.Size; return 0 }
-		}
-		pidx, pval, size := m.reg(lw, in.Args[0]), m.reg(lw, in.Args[1]), arr.Size
-		if arr.Persistent {
-			st := m.persistent.Get(arr)
-			return func(m *Runner) int { st[wrapIndex(*pidx, size)] = *pval; return 0 }
-		}
-		slot := m.bindLocal(arr)
-		return func(m *Runner) int { m.localBind[slot][wrapIndex(*pidx, size)] = *pval; return 0 }
+		return m.emitMem(lw, in, arr)
 
 	case in.Op == ir.OpCall:
 		return m.emitCall(lw, in)
 
 	case in.Op == ir.OpSendLS:
-		ptrs := make([]*int64, len(in.Args))
+		cols := make([]*col, len(in.Args))
 		for i, a := range in.Args {
-			ptrs[i] = m.reg(lw, a)
+			cols[i] = m.col(lw, a)
 		}
-		return func(m *Runner) int {
-			vals := m.sendDst
-			if cap(vals) >= len(ptrs) {
-				vals = vals[:len(ptrs)]
-			} else {
-				vals = make([]int64, len(ptrs))
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				it := &m.its[l]
+				vals := it.Dst
+				if cap(vals) >= len(cols) {
+					vals = vals[:len(cols)]
+				} else {
+					vals = make([]int64, len(cols))
+				}
+				for i, c := range cols {
+					vals[i] = c[l&lm]
+				}
+				it.Sent = vals
 			}
-			for i, p := range ptrs {
-				vals[i] = *p
-			}
-			m.sent = vals
-			return 0
 		}
 	case in.Op == ir.OpRecvLS:
-		ptrs := make([]*int64, len(in.Dsts))
+		cols := make([]*col, len(in.Dsts))
 		for i, d := range in.Dsts {
-			ptrs[i] = m.reg(lw, d)
+			cols[i] = m.col(lw, d)
 		}
 		name := m.name
-		return func(m *Runner) int {
-			if len(m.recv) != len(ptrs) {
-				m.err = fmt.Errorf("%s: recvls expects %d slots, got %d", name, len(ptrs), len(m.recv))
-				return pcErr
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				recv := m.its[l].Recv
+				if len(recv) != len(cols) {
+					m.fail(l, fmt.Errorf("%s: recvls expects %d slots, got %d", name, len(cols), len(recv)))
+					continue
+				}
+				for i, c := range cols {
+					c[l&lm] = recv[i]
+				}
 			}
-			for i, p := range ptrs {
-				*p = m.recv[i]
-			}
-			return 0
 		}
 	}
 
@@ -903,268 +1219,330 @@ func (m *Runner) emitInstr(lw *lowerer, blk int, in *ir.Instr) instrFn {
 	// reject (a non-leading phi, an invalid op): reproduce its wrapped
 	// error, but only if the instruction is ever reached. (An OpConst never
 	// arrives here: lower.go folds it or turns it into a store-immediate.)
-	err := fmt.Errorf("%s: b%d: cannot evaluate %s", m.name, blk, in)
-	return func(m *Runner) int { m.err = err; return pcErr }
+	return raise(fmt.Errorf("%s: b%d: cannot evaluate %s", m.name, blk, in))
+}
+
+// raise is the op that fails every lane that reaches it.
+func raise(err error) opFn {
+	e := edge{err: err}
+	return func(m *Runner, sel []lane) { m.take(&e, sel) }
+}
+
+// emitMem emits a load or a store: a persistent array is bound to its
+// storage here, a local one through the lane's bind slot.
+func (m *Runner) emitMem(lw *lowerer, in *ir.Instr, arr *ir.Array) opFn {
+	idx, size := m.col(lw, in.Args[0]), arr.Size
+	var st []int64
+	slot := 0
+	if arr.Persistent {
+		st = m.persistent.Get(arr)
+	} else {
+		slot = m.bindLocal(arr)
+	}
+	if in.Op == ir.OpLoad {
+		d := m.col(lw, in.Dst)
+		if arr.Persistent {
+			return func(m *Runner, sel []lane) {
+				for _, l := range sel {
+					d[l&lm] = st[wrapIndex(idx[l&lm], size)]
+				}
+			}
+		}
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = m.localBind[slot][l&lm][wrapIndex(idx[l&lm], size)]
+			}
+		}
+	}
+	val := m.col(lw, in.Args[1])
+	if arr.Persistent {
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				st[wrapIndex(idx[l&lm], size)] = val[l&lm]
+			}
+		}
+	}
+	return func(m *Runner, sel []lane) {
+		for _, l := range sel {
+			m.localBind[slot][l&lm][wrapIndex(idx[l&lm], size)] = val[l&lm]
+		}
+	}
 }
 
 // binRR is a binary operator over two registers.
-func binRR(op ir.Op, pd, pa, pb *int64) instrFn {
+func binRR(op ir.Op, d, a, b *col) opFn {
 	switch op {
 	case ir.OpAdd:
-		return func(m *Runner) int { *pd = *pa + *pb; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] + b[l&lm]
+			}
+		}
 	case ir.OpSub:
-		return func(m *Runner) int { *pd = *pa - *pb; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] - b[l&lm]
+			}
+		}
 	case ir.OpMul:
-		return func(m *Runner) int { *pd = *pa * *pb; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] * b[l&lm]
+			}
+		}
 	case ir.OpDiv:
-		return func(m *Runner) int { *pd = divTotal(*pa, *pb); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = divTotal(a[l&lm], b[l&lm])
+			}
+		}
 	case ir.OpMod:
-		return func(m *Runner) int { *pd = modTotal(*pa, *pb); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = modTotal(a[l&lm], b[l&lm])
+			}
+		}
 	case ir.OpAnd:
-		return func(m *Runner) int { *pd = *pa & *pb; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] & b[l&lm]
+			}
+		}
 	case ir.OpOr:
-		return func(m *Runner) int { *pd = *pa | *pb; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] | b[l&lm]
+			}
+		}
 	case ir.OpXor:
-		return func(m *Runner) int { *pd = *pa ^ *pb; return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] ^ b[l&lm]
+			}
+		}
 	case ir.OpShl:
-		return func(m *Runner) int { *pd = *pa << (uint64(*pb) & 63); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] << (uint64(b[l&lm]) & 63)
+			}
+		}
 	case ir.OpShr:
-		return func(m *Runner) int { *pd = *pa >> (uint64(*pb) & 63); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = a[l&lm] >> (uint64(b[l&lm]) & 63)
+			}
+		}
 	case ir.OpEq:
-		return func(m *Runner) int { *pd = b2i(*pa == *pb); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] == b[l&lm])
+			}
+		}
 	case ir.OpNe:
-		return func(m *Runner) int { *pd = b2i(*pa != *pb); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] != b[l&lm])
+			}
+		}
 	case ir.OpLt:
-		return func(m *Runner) int { *pd = b2i(*pa < *pb); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] < b[l&lm])
+			}
+		}
 	case ir.OpLe:
-		return func(m *Runner) int { *pd = b2i(*pa <= *pb); return 0 }
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = b2i(a[l&lm] <= b[l&lm])
+			}
+		}
 	case ir.OpGt:
-		return func(m *Runner) int { *pd = b2i(*pa > *pb); return 0 }
+		return binRR(ir.OpLt, d, b, a)
 	case ir.OpGe:
-		return func(m *Runner) int { *pd = b2i(*pa >= *pb); return 0 }
+		return binRR(ir.OpLe, d, b, a)
 	}
 	panic("exec: binRR on " + op.String()) // unreachable: emitInstr routes by IsBinary
 }
 
 // emitCall specializes an intrinsic call: the name is resolved once here
 // instead of once per execution, and each intrinsic becomes a dedicated
-// closure over direct pointers to its argument and destination slots. The
-// semantics of every intrinsic match interp.Runner.intrinsic exactly; a nil
-// destination pointer mirrors the interpreter's in.Dst != ir.NoReg check.
-func (m *Runner) emitCall(lw *lowerer, in *ir.Instr) instrFn {
-	pd := m.optReg(lw, in.Dst)
-	argp := func(i int) *int64 { return m.reg(lw, in.Args[i]) }
+// closure over its argument and destination columns. The semantics of every
+// intrinsic match interp.Runner.intrinsic exactly, but for the packet's
+// storage: pkt_rx copies into the runner's slab (or adopts a packet the
+// source handed over), pkt_send hands the buffer to the event, and the
+// packet writes copy first when an event holds it.
+func (m *Runner) emitCall(lw *lowerer, in *ir.Instr) opFn {
+	d := m.dst(lw, in.Dst)
+	arg := func(i int) *col { return m.col(lw, in.Args[i]) }
 
 	switch in.Call {
 	case "pkt_rx":
-		return func(m *Runner) int {
-			ctx := m.ctx
-			var p []byte
-			if ctx.HasPending {
-				p, ctx.Pending, ctx.HasPending = ctx.Pending, nil, false
-			} else if !m.RxFromCtx {
-				p = m.World.RxPacket()
-			}
-			if p == nil {
-				ctx.Pkt, ctx.HasPkt = nil, false
-				if pd != nil {
-					*pd = -1
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				ctx := m.ctxs[l&lm]
+				var p []byte
+				owned := false
+				if ctx.HasPending {
+					p, owned = ctx.Pending, ctx.PendingOwned
+					ctx.Pending, ctx.HasPending = nil, false
+				} else if !m.RxFromCtx {
+					p = m.World.RxPacket()
 				}
-				return 0
+				if p != nil && !owned {
+					p = m.copyPkt(p)
+				}
+				ctx.Pkt, ctx.HasPkt, ctx.PktShared = p, p != nil, false
+				m.pkts[l&lm] = p
+				if d[l&lm] = int64(len(p)); p == nil {
+					d[l&lm] = -1
+				}
 			}
-			buf := make([]byte, len(p))
-			copy(buf, p)
-			ctx.Pkt, ctx.HasPkt = buf, true
-			if pd != nil {
-				*pd = int64(len(buf))
-			}
-			return 0
 		}
 	case "pkt_len":
-		return func(m *Runner) int {
-			if pd != nil {
-				*pd = int64(len(m.ctx.Pkt))
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = int64(len(m.pkts[l&lm]))
 			}
-			return 0
 		}
 	case "pkt_byte":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			if pd != nil {
-				*pd = byteAt(m.ctx.Pkt, *p0)
+		a := arg(0)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = byteAt(m.pkts[l&lm], a[l&lm])
 			}
-			return 0
 		}
 	case "pkt_word":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			off := *p0
-			pkt := m.ctx.Pkt
-			var v int64
-			for i := int64(0); i < 4; i++ {
-				v <<= 8
-				if o := off + i; o >= 0 && o < int64(len(pkt)) {
-					v |= int64(pkt[o])
-				}
+		a := arg(0)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = wordAt(m.pkts[l&lm], a[l&lm])
 			}
-			if pd != nil {
-				*pd = v
-			}
-			return 0
 		}
 	case "pkt_setbyte":
-		p0, p1 := argp(0), argp(1)
-		return func(m *Runner) int {
-			off, val := *p0, *p1
-			if off >= 0 && off < int64(len(m.ctx.Pkt)) {
-				m.ctx.Pkt[off] = byte(val)
+		a, b := arg(0), arg(1)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				if pkt, off := m.writable(l), a[l&lm]; uint64(off) < uint64(len(pkt)) {
+					pkt[off] = byte(b[l&lm])
+				}
+				d[l&lm] = 0
 			}
-			if pd != nil {
-				*pd = 0
-			}
-			return 0
 		}
 	case "pkt_setword":
-		p0, p1 := argp(0), argp(1)
-		return func(m *Runner) int {
-			off, val := *p0, *p1
-			pkt := m.ctx.Pkt
-			for i := int64(0); i < 4; i++ {
-				if o := off + i; o >= 0 && o < int64(len(pkt)) {
-					pkt[o] = byte(val >> (8 * (3 - i)))
+		a, b := arg(0), arg(1)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				pkt, off, val := m.writable(l), a[l&lm], b[l&lm]
+				for i := int64(0); i < 4; i++ {
+					if o := off + i; uint64(o) < uint64(len(pkt)) {
+						pkt[o] = byte(val >> (8 * (3 - i)))
+					}
 				}
+				d[l&lm] = 0
 			}
-			if pd != nil {
-				*pd = 0
-			}
-			return 0
 		}
 	case "pkt_send":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			pkt := make([]byte, len(m.ctx.Pkt))
-			copy(pkt, m.ctx.Pkt)
-			m.emitEv(interp.Event{Kind: interp.EvSend, Val: *p0, Pkt: pkt})
-			if pd != nil {
-				*pd = 0
+		a := arg(0)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				ctx := m.ctxs[l&lm]
+				m.emit(ctx, interp.Event{Kind: interp.EvSend, Val: a[l&lm], Pkt: ctx.Pkt})
+				ctx.PktShared = true
+				d[l&lm] = 0
 			}
-			return 0
 		}
 	case "pkt_drop":
-		return func(m *Runner) int {
-			m.emitEv(interp.Event{Kind: interp.EvDrop})
-			if pd != nil {
-				*pd = 0
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				m.emit(m.ctxs[l&lm], interp.Event{Kind: interp.EvDrop})
+				d[l&lm] = 0
 			}
-			return 0
 		}
 	case "meta_get":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			if pd != nil {
-				*pd = m.ctx.Meta[wrapIndex(*p0, len(m.ctx.Meta))]
+		a := arg(0)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = m.ctxs[l&lm].Meta[wrapIndex(a[l&lm], metaWords)]
 			}
-			return 0
 		}
 	case "meta_set":
-		p0, p1 := argp(0), argp(1)
-		return func(m *Runner) int {
-			m.ctx.Meta[wrapIndex(*p0, len(m.ctx.Meta))] = *p1
-			if pd != nil {
-				*pd = 0
+		a, b := arg(0), arg(1)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				m.ctxs[l&lm].Meta[wrapIndex(a[l&lm], metaWords)] = b[l&lm]
+				d[l&lm] = 0
 			}
-			return 0
 		}
 	case "rt_lookup":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			if m.World.RT4 == nil {
-				if pd != nil {
-					*pd = -1
-				}
-			} else {
-				if pd != nil {
-					*pd = m.World.RT4(*p0)
+		a := arg(0)
+		return func(m *Runner, sel []lane) {
+			rt := m.World.RT4
+			for _, l := range sel {
+				if d[l&lm] = -1; rt != nil {
+					d[l&lm] = rt(a[l&lm])
 				}
 			}
-			return 0
 		}
 	case "rt6_lookup":
-		p0, p1 := argp(0), argp(1)
-		return func(m *Runner) int {
-			if m.World.RT6 == nil {
-				if pd != nil {
-					*pd = -1
-				}
-			} else {
-				if pd != nil {
-					*pd = m.World.RT6(*p0, *p1)
+		a, b := arg(0), arg(1)
+		return func(m *Runner, sel []lane) {
+			rt := m.World.RT6
+			for _, l := range sel {
+				if d[l&lm] = -1; rt != nil {
+					d[l&lm] = rt(a[l&lm], b[l&lm])
 				}
 			}
-			return 0
 		}
 	case "csum_fold":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			if pd != nil {
-				*pd = csumFold(*p0)
+		a := arg(0)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = csumFold(a[l&lm])
 			}
-			return 0
 		}
 	case "hash_crc":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			if pd != nil {
-				*pd = hashCRC(*p0)
+		a := arg(0)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = hashCRC(a[l&lm])
 			}
-			return 0
 		}
 	case "q_put":
-		p0, p1 := argp(0), argp(1)
-		return func(m *Runner) int {
-			q := *p0
-			m.World.Queues[q] = append(m.World.Queues[q], *p1)
-			if pd != nil {
-				*pd = 0
+		a, b := arg(0), arg(1)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				q := a[l&lm]
+				m.World.Queues[q] = append(m.World.Queues[q], b[l&lm])
+				d[l&lm] = 0
 			}
-			return 0
 		}
 	case "q_get":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			q := *p0
-			vs := m.World.Queues[q]
-			if len(vs) == 0 {
-				if pd != nil {
-					*pd = -1
-				}
-			} else {
-				m.World.Queues[q] = vs[1:]
-				if pd != nil {
-					*pd = vs[0]
+		a := arg(0)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				q := a[l&lm]
+				if vs := m.World.Queues[q]; len(vs) == 0 {
+					d[l&lm] = -1
+				} else {
+					m.World.Queues[q], d[l&lm] = vs[1:], vs[0]
 				}
 			}
-			return 0
 		}
 	case "q_len":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			if pd != nil {
-				*pd = int64(len(m.World.Queues[*p0]))
+		a := arg(0)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				d[l&lm] = int64(len(m.World.Queues[a[l&lm]]))
 			}
-			return 0
 		}
 	case "trace":
-		p0 := argp(0)
-		return func(m *Runner) int {
-			m.emitEv(interp.Event{Kind: interp.EvTrace, Val: *p0})
-			if pd != nil {
-				*pd = 0
+		a := arg(0)
+		return func(m *Runner, sel []lane) {
+			for _, l := range sel {
+				m.emit(m.ctxs[l&lm], interp.Event{Kind: interp.EvTrace, Val: a[l&lm]})
+				d[l&lm] = 0
 			}
-			return 0
 		}
 	}
-
-	err := fmt.Errorf("unknown intrinsic %q", in.Call)
-	return func(m *Runner) int { m.err = err; return pcErr }
+	return raise(fmt.Errorf("unknown intrinsic %q", in.Call))
 }

@@ -313,50 +313,69 @@ func BenchmarkCompiledSequentialIPv4(b *testing.B) {
 }
 
 // BenchmarkCompiledChainIPv4 runs the realized IPv4 stages back to back on
-// one goroutine the way the serve runtime drives them — RxFromCtx, a
-// pre-pulled packet, deferred events, the live set handed over through
-// RunIterationInto — so ns/op is the exec layer's share of a served packet.
-func BenchmarkCompiledChainIPv4(b *testing.B) {
-	pps, ok := netbench.ByName("IPv4")
+// one goroutine the way the serve runtime drives them — RxFromCtx,
+// pre-pulled packets, deferred events, a batch per RunBatch with the live
+// sets handed over through the iterations' Dst buffers — so ns/op is the
+// exec layer's share of a served packet at that batch width. IPv4 is
+// lane-parallel at every degree; beside it stands BenchmarkNativeIPv4, the
+// hand-written floor.
+func BenchmarkCompiledChainIPv4(b *testing.B) { benchChain(b, "IPv4", 1, 4) }
+
+// BenchmarkCompiledChainQM is the same for a pipeline whose second stage
+// keeps the queue state and therefore runs its lanes one at a time.
+func BenchmarkCompiledChainQM(b *testing.B) { benchChain(b, "QM", 2) }
+
+func benchChain(b *testing.B, name string, degrees ...int) {
+	pps, ok := netbench.ByName(name)
 	if !ok {
-		b.Fatal("IPv4 benchmark missing")
+		b.Fatalf("%s benchmark missing", name)
 	}
 	prog, err := pps.Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
 	traffic := pps.Traffic(256)
-	for _, d := range []int{1, 4} {
-		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
-			res, err := core.Partition(prog, core.Options{Stages: d})
-			if err != nil {
-				b.Fatal(err)
-			}
-			runners := exec.NewStageRunners(res.Stages, netbench.NewWorld(nil))
-			for _, r := range runners {
-				r.RxFromCtx = true
-			}
-			ctx := interp.NewIterCtx()
-			ctx.DeferEvents = true
-			var slots, spare []int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctx.Pending, ctx.HasPending = traffic[i%len(traffic)], true
-				slots = slots[:0]
+	for _, d := range degrees {
+		res, err := core.Partition(prog, core.Options{Stages: d})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, width := range []int{1, 2, 8, 32} {
+			b.Run(fmt.Sprintf("D=%d/width=%d", d, width), func(b *testing.B) {
+				runners := exec.NewStageRunners(res.Stages, netbench.NewWorld(nil))
 				for _, r := range runners {
-					sent, err := r.RunIterationInto(ctx, slots, spare)
-					if err != nil {
-						b.Fatal(err)
+					r.RxFromCtx = true
+				}
+				its := make([]exec.Iteration, width)
+				for l := range its {
+					its[l].Ctx = interp.NewIterCtx()
+					its[l].Ctx.DeferEvents = true
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += width {
+					for l := range its {
+						it := &its[l]
+						it.Ctx.Pending, it.Ctx.HasPending = traffic[(i+l)%len(traffic)], true
+						it.Recv = it.Recv[:0]
 					}
-					if sent != nil {
-						spare, slots = slots, sent
-					} else {
-						slots = slots[:0]
+					for _, r := range runners {
+						if err := r.RunBatch(its); err != nil {
+							b.Fatal(err)
+						}
+						for l := range its {
+							if it := &its[l]; it.Sent != nil {
+								it.Dst, it.Recv = it.Recv, it.Sent
+							} else {
+								it.Recv = it.Recv[:0]
+							}
+						}
+					}
+					for l := range its {
+						its[l].Ctx.Reset()
 					}
 				}
-				ctx.Reset()
-			}
-		})
+			})
+		}
 	}
 }

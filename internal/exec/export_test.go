@@ -1,25 +1,9 @@
 package exec
 
-import "repro/internal/interp"
+// Lanes is the group width, for tests that must fill or straddle a group.
+const Lanes = lanes
 
-// DynOps runs one iteration exactly as RunIterationInto does and also
-// returns how many closures it dispatched: body ops plus one terminator
-// per block entered.
-func (m *Runner) DynOps(ctx *interp.IterCtx, recv []int64) (ops int, sent []int64, err error) {
-	bi := m.begin(ctx, recv, nil)
-loop:
-	for bi >= 0 {
-		b := &m.blocks[bi]
-		for _, fn := range b.body {
-			ops++
-			if fn(m) == pcErr {
-				bi = pcErr
-				break loop
-			}
-		}
-		ops++
-		bi = b.term(m)
-	}
-	sent, err = m.end(bi)
-	return ops, sent, err
-}
+// Dispatched returns how many closures the runner has called so far: body
+// ops plus one terminator per block entered, each counted once however
+// many lanes it served.
+func (m *Runner) Dispatched() int { return m.dispatched }

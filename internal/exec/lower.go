@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/ir"
@@ -23,6 +24,12 @@ type Lowered struct {
 	Fused      int // instructions absorbed into a neighbouring op or a merged block
 	FrameSlots int // registers in the dense frame
 	Resets     int // slots zeroed at the start of every iteration
+	// Serial says the stage keeps state from one iteration to the next, so
+	// a batch runs its iterations one at a time, in order; Carried names
+	// that state. A stage without any is lane-parallel: every op runs over
+	// all the batch's iterations at once.
+	Serial  bool
+	Carried string
 }
 
 // opKind selects the closure shape the emitter builds for an op.
@@ -82,10 +89,12 @@ type blockInfo struct {
 	inChain int32 // the chain that last absorbed the block
 	reach   bool
 
-	// Emitted (hi != 0): ops[lo:hi], the last of them the terminator, and
-	// the steps one pass through them costs the interpreter.
+	// Emitted (hi != 0): ops[lo:hi], the last of them the terminator, the
+	// steps one pass through them costs the interpreter, and the block's
+	// number in the emitted program (plus one; 0 until numbered).
 	lo, hi int32
 	cost   int32
+	num    int32
 }
 
 // regInfo is what the lowering knows about one IR register. Its zero value
@@ -131,7 +140,7 @@ type lowerer struct {
 	blocks []blockInfo // indexed by block ID
 	regs   []regInfo
 	ops    []lop
-	order  []int32 // emitted blocks, in lowering order (the entry first)
+	order  []int32 // emitted blocks: in lowering order, then renumbered in reverse post-order
 	work   []int32
 	dom    *graph.DomTree
 
@@ -145,6 +154,11 @@ type lowerer struct {
 	resets []int32   // frame slots zeroed at iteration start
 	maxPhi int
 	stats  Lowered
+
+	// Effects of the surviving ops that order iterations only under a
+	// condition the runner knows: pkt_rx reads the World's cursor unless
+	// RxFromCtx, events go to the World's trace unless deferred.
+	rx, emits bool
 }
 
 func grow[T any](s []T, n int) []T {
@@ -166,7 +180,7 @@ func (lw *lowerer) lower(f *ir.Func) {
 	lw.ops, lw.order = lw.ops[:0], lw.order[:0]
 	lw.consts, lw.resets = lw.consts[:0], lw.resets[:0]
 	lw.chain, lw.base, lw.pktW, lw.nslots, lw.maxPhi = 0, 0, 0, 0, 0
-	lw.stats = Lowered{}
+	lw.stats, lw.rx, lw.emits = Lowered{}, false, false
 
 	lw.analyze()
 	if need := lw.stats.IRInstrs * 2 / 3; cap(lw.ops) < need {
@@ -180,8 +194,45 @@ func (lw *lowerer) lower(f *ir.Func) {
 			lw.lowerChain(b)
 		}
 	}
+	lw.number()
 	lw.assignFrame()
 }
+
+// number orders the emitted blocks in reverse post-order, visiting each
+// terminator's targets last to first so that a branch's first target — a
+// loop body, a then-arm — is numbered before its second. The batch
+// dispatcher runs the lowest-numbered block with waiting lanes, so lanes
+// that split re-join at the first block their paths share, and a loop turns
+// until its last lane leaves. The order only gathers lanes; any order runs
+// each of them correctly.
+func (lw *lowerer) number() {
+	lw.order = lw.order[:0]
+	var visit func(b int32)
+	visit = func(b int32) {
+		bi := &lw.blocks[b]
+		if bi.num != 0 {
+			return
+		}
+		bi.num = -1
+		switch term := &lw.ops[bi.hi-1]; term.kind {
+		case kJmp:
+			visit(int32(term.k))
+		case kBr, kCmpBr, kCmpBrImm, kSwitch:
+			for i := len(term.in.Targets) - 1; i >= 0; i-- {
+				visit(int32(term.in.Targets[i]))
+			}
+		}
+		lw.order = append(lw.order, b)
+	}
+	visit(int32(lw.f.Entry))
+	slices.Reverse(lw.order)
+	for i, b := range lw.order {
+		lw.blocks[b].num = int32(i) + 1
+	}
+}
+
+// blockNum returns the number of the emitted block IR block b heads.
+func (lw *lowerer) blockNum(b int) int { return int(lw.blocks[b].num) - 1 }
 
 // liveEnd is the end of the block's straight-line region: the first control
 // transfer, or the end of a block that has none.
@@ -745,6 +796,7 @@ func (lw *lowerer) assignFrame() {
 				continue
 			}
 			lw.stats.Ops++
+			lw.effects(op)
 			lw.ref(int(op.dst))
 			lw.ref(int(op.a))
 			lw.ref(int(op.b))
@@ -770,6 +822,29 @@ func (lw *lowerer) assignFrame() {
 		}
 	}
 	lw.stats.FrameSlots, lw.stats.Resets = lw.nslots, len(lw.resets)
+}
+
+// effects records what a surviving op does that orders iterations. The
+// partitioner pins a PPS-loop-carried dependence's whole SCC to one stage,
+// so a stage that never stores to a persistent array and never touches a
+// queue carries nothing from one iteration to the next: an array it only
+// loads is a constant table, because no other stage touches it at all.
+func (lw *lowerer) effects(op *lop) {
+	in := op.in
+	if in == nil || lw.stats.Serial {
+		return
+	}
+	switch {
+	case in.Op == ir.OpStore && in.Arr != nil && in.Arr.Persistent:
+		lw.stats.Serial, lw.stats.Carried = true, "persistent array "+in.Arr.Name
+	case in.Op != ir.OpCall:
+	case in.Call == "q_put" || in.Call == "q_get" || in.Call == "q_len":
+		lw.stats.Serial, lw.stats.Carried = true, "queue"
+	case in.Call == "pkt_rx":
+		lw.rx = true
+	case in.Call == "trace" || in.Call == "pkt_send" || in.Call == "pkt_drop":
+		lw.emits = true
+	}
 }
 
 func (lw *lowerer) ref(r int) {

@@ -544,12 +544,15 @@ func TestStepLimitParityWithEffects(t *testing.T) {
 }
 
 // TestLoweringShape pins what the lowering makes of the stages the serve
-// workloads run, so a change that quietly stops folding, fusing or shrinking
-// the frame fails here rather than as a slower benchmark: per stage the
-// static shape, and per packet the closures dispatched (body ops plus
-// terminators) over netbench traffic. Lowering one closure per instruction
-// dispatched 257 per packet at D=1; the bounds sit a few percent above what
-// the passes reach today (78.6, 152.6, 254.4).
+// workloads run, so a change that quietly stops folding, fusing, shrinking
+// the frame or running lanes together fails here rather than as a slower
+// benchmark: per stage the static shape and whether it is serial, and per
+// packet the closures dispatched (body ops plus terminators, each call
+// counted once however many lanes it serves) over netbench traffic in
+// batches of one full group. One lane at a time the three IP pipelines
+// dispatch 78.6, 152.6 and 254.4 closures per packet; the bounds sit a few
+// percent above what a group of 32 reaches today (3.1, 5.5, 8.8; the QM
+// pipeline, half of it serial, 37.1).
 func TestLoweringShape(t *testing.T) {
 	for _, tc := range []struct {
 		pps    string
@@ -557,20 +560,29 @@ func TestLoweringShape(t *testing.T) {
 		shape  []exec.Lowered
 		maxDyn float64 // closures per packet, summed over the stages
 	}{
-		{pps: "IPv4", degree: 1, maxDyn: 85, shape: []exec.Lowered{
+		{pps: "IPv4", degree: 1, maxDyn: 5, shape: []exec.Lowered{
 			{IRInstrs: 373, Ops: 128, Folded: 180, Fused: 77, FrameSlots: 61, Resets: 3},
 		}},
-		{pps: "IPv4", degree: 4, maxDyn: 165, shape: []exec.Lowered{
+		{pps: "IPv4", degree: 4, maxDyn: 6, shape: []exec.Lowered{
 			{IRInstrs: 112, Ops: 43, Folded: 49, Fused: 20, FrameSlots: 20, Resets: 10},
 			{IRInstrs: 123, Ops: 40, Folded: 58, Fused: 25, FrameSlots: 33, Resets: 5},
 			{IRInstrs: 112, Ops: 68, Folded: 35, Fused: 9, FrameSlots: 42, Resets: 10},
 			{IRInstrs: 110, Ops: 65, Folded: 38, Fused: 8, FrameSlots: 41, Resets: 2},
 		}},
-		{pps: "IP(v4)", degree: 4, maxDyn: 275, shape: []exec.Lowered{
+		{pps: "IP(v4)", degree: 4, maxDyn: 9.5, shape: []exec.Lowered{
 			{IRInstrs: 221, Ops: 85, Folded: 98, Fused: 38, FrameSlots: 51, Resets: 20},
 			{IRInstrs: 202, Ops: 104, Folded: 76, Fused: 22, FrameSlots: 81, Resets: 11},
 			{IRInstrs: 246, Ops: 155, Folded: 80, Fused: 11, FrameSlots: 106, Resets: 17},
 			{IRInstrs: 216, Ops: 146, Folded: 65, Fused: 8, FrameSlots: 105, Resets: 10},
+		}},
+		// The partitioner has isolated the queue manager's carried state in
+		// stages 2 and 4: those run their lanes one at a time, the other two
+		// stay lane-parallel.
+		{pps: "QM", degree: 4, maxDyn: 40, shape: []exec.Lowered{
+			{IRInstrs: 24, Ops: 16, Folded: 7, Fused: 1, FrameSlots: 10, Resets: 5},
+			{IRInstrs: 68, Ops: 42, Folded: 19, Fused: 7, FrameSlots: 29, Resets: 5, Serial: true, Carried: "queue"},
+			{IRInstrs: 21, Ops: 18, Folded: 3, FrameSlots: 12},
+			{IRInstrs: 33, Ops: 21, Folded: 11, Fused: 3, FrameSlots: 18, Serial: true, Carried: "persistent array dropped"},
 		}},
 	} {
 		pps, ok := netbench.ByName(tc.pps)
@@ -593,23 +605,32 @@ func TestLoweringShape(t *testing.T) {
 			}
 		}
 		traffic := pps.Traffic(256)
-		ctx := interp.NewIterCtx()
-		ctx.DeferEvents = true
+		its := make([]exec.Iteration, exec.Lanes)
+		for l := range its {
+			its[l].Ctx = interp.NewIterCtx()
+			its[l].Ctx.DeferEvents = true
+		}
 		total := 0
-		for _, p := range traffic {
-			ctx.Pending, ctx.HasPending = p, true
-			var slots []int64
+		for ; len(traffic) >= len(its); traffic = traffic[len(its):] {
+			for l := range its {
+				its[l].Ctx.Pending, its[l].Ctx.HasPending = traffic[l], true
+				its[l].Recv = nil
+			}
 			for k, r := range runners {
-				ops, sent, err := r.DynOps(ctx, slots)
-				if err != nil {
+				before := r.Dispatched()
+				if err := r.RunBatch(its); err != nil {
 					t.Fatalf("%s D=%d stage %d: %v", tc.pps, tc.degree, k+1, err)
 				}
-				total += ops
-				slots = sent
+				total += r.Dispatched() - before
+				for l := range its {
+					its[l].Recv = its[l].Sent
+				}
 			}
-			ctx.Reset()
+			for l := range its {
+				its[l].Ctx.Reset()
+			}
 		}
-		if dyn := float64(total) / float64(len(traffic)); dyn > tc.maxDyn {
+		if dyn := float64(total) / 256; dyn > tc.maxDyn {
 			t.Errorf("%s D=%d: %.1f closures per packet, want at most %.0f", tc.pps, tc.degree, dyn, tc.maxDyn)
 		}
 	}

@@ -67,6 +67,11 @@ func (f *Feeder) Next() ([]byte, bool) {
 	return p, true
 }
 
+// PacketsOwned tells the runtime that a packet Next returns is the caller's
+// alone — Pull transferred its ownership and the Feeder keeps no other
+// reference — so the pipeline may rewrite it in place instead of copying.
+func (f *Feeder) PacketsOwned() bool { return true }
+
 // Err reports why the stream ended, or nil if it is still live or ended
 // cleanly (io.EOF and context cancelation are clean ends — the runtime
 // already reports cancelation through its own serve error).

@@ -144,7 +144,12 @@ func (w *World) rx() []byte {
 type IterCtx struct {
 	Pkt    []byte // nil when pkt_rx found no packet
 	HasPkt bool
-	Meta   [16]int64
+	// PktShared marks Pkt as also held by an Event: the compiled backend's
+	// pkt_send hands the buffer over instead of copying it, and copies
+	// before the next packet write. The interpreter neither sets nor reads
+	// it — its pkt_send always copies.
+	PktShared bool
+	Meta      [16]int64
 
 	// locals is the per-iteration local-array storage, indexed densely by
 	// the compiler-assigned array ID (nil entry: not yet touched this
@@ -159,6 +164,10 @@ type IterCtx struct {
 	// the head stage so a downstream rx stage never touches shared state.
 	Pending    []byte
 	HasPending bool
+	// PendingOwned says nothing else reads or writes Pending's bytes (the
+	// source transferred ownership), so the compiled backend's pkt_rx may
+	// adopt the buffer as the iteration's packet instead of copying it.
+	PendingOwned bool
 
 	// DeferEvents redirects this iteration's observable events (trace,
 	// send, drop) into Events instead of the World's shared Trace. The
@@ -195,13 +204,13 @@ func (c *IterCtx) Local(id, size int) []int64 {
 // allocated capacity (the local-array storage is zeroed in place, the
 // event buffer truncated).
 func (c *IterCtx) Reset() {
-	c.Pkt, c.HasPkt = nil, false
+	c.Pkt, c.HasPkt, c.PktShared = nil, false, false
 	c.Meta = [16]int64{}
 	for _, st := range c.locals {
 		if st != nil {
 			clear(st)
 		}
 	}
-	c.Pending, c.HasPending = nil, false
+	c.Pending, c.HasPending, c.PendingOwned = nil, false, false
 	c.Events = c.Events[:0]
 }

@@ -368,23 +368,55 @@ func TestChaosSaturatedRingSheds(t *testing.T) {
 
 // TestChaosDegradeShortCircuits: same saturation shape under the degrade
 // policy — the blocked packet is delivered with only stages 1..2 executed,
-// and nothing is lost.
+// and nothing is lost. The schedule is paced by what the run is observed to
+// have done, not by the clock, so that no ring but the one under test can
+// be found full however late any goroutine wakes: the source hands out
+// packet 1 once stage 3 has taken packet 0 (which it holds until one packet
+// has been degraded), packet 2 once stage 2 has put packet 1 in the ring —
+// packet 2 is then the one that finds it saturated — and each further
+// packet once everything before it has been retired. Stage 3 is the sink,
+// so the three packets the gate releases together have no ring ahead of
+// them.
 func TestChaosDegradeShortCircuits(t *testing.T) {
 	const n = 8
-	_, stages := partitionIPv4(t, 4)
+	_, stages := partitionIPv4(t, 3)
 	traffic := ipv4Traffic(n)
 	segs := stageSegments(t, stages, traffic)
+	var live *runtime.Live
+	next := 0
+	src := runtime.SourceFunc(func() ([]byte, bool) {
+		if next == n {
+			return nil, false
+		}
+		for ready := false; !ready; time.Sleep(50 * time.Microsecond) {
+			switch snap := live.Snapshot(); next {
+			case 0:
+				ready = true
+			case 1:
+				ready = snap.Stages[2].In >= 1
+			case 2:
+				ready = snap.Stages[1].Out >= 2
+			default:
+				ready = snap.Packets >= int64(next)
+			}
+		}
+		next++
+		return traffic[next-1], true
+	})
 	cfg := runtime.Config{
 		RingCapacity: 1,
 		Batch:        1,
 		Overload:     runtime.OverloadDegrade,
 		Watermark:    2,
 		Faults: &fault.Plan{Injections: []fault.Injection{
-			{Kind: fault.Stall, Stage: 1, Every: 1, Sleep: 2 * time.Millisecond},
 			{Kind: fault.Stall, Stage: 3, At: 0, UntilOverload: 1},
 		}},
+		OnLive: func(l *runtime.Live) { live = l },
 	}
-	m := chaosServe(t, stages, traffic, cfg)
+	m, err := runtime.Serve(context.Background(), stages, netbench.NewWorld(nil), src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep := m.Faults
 	if rep.Delivered != n || rep.Degraded != 1 || rep.Shed != 0 || rep.Quarantined != 0 {
 		t.Fatalf("delivered %d degraded %d shed %d quarantined %d, want %d, 1, 0, 0\n%s",

@@ -1,0 +1,217 @@
+package runtime
+
+// White-box coverage of the batch-at-a-time stage step: which tokens of a
+// batch reach the stage body, what a panic out of the body costs, and who
+// owns a packet's bytes once the pipeline has them.
+
+import (
+	"bytes"
+	"context"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/netbench"
+)
+
+func ipv4Stages(t *testing.T, d int) (*ir.Program, []*ir.Program, [][]byte) {
+	t.Helper()
+	pps, ok := netbench.ByName("IPv4")
+	if !ok {
+		t.Fatal("IPv4 benchmark missing")
+	}
+	prog, err := pps.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Partition(prog, core.Options{Stages: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, res.Stages, pps.Traffic(16)
+}
+
+// TestExecBatchSkipsDeadAndDegraded hands one stage a batch in which a
+// tombstone and a degraded token sit between live ones: the body must run
+// over the live tokens only — one group, lanes closed up — and every token
+// must come back in its place.
+func TestExecBatchSkipsDeadAndDegraded(t *testing.T) {
+	_, stages, traffic := ipv4Stages(t, 2)
+	lay, err := NewLayout(stages, Config{Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := build(lay, netbench.NewWorld(nil), Packets(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ictx = context.Background()
+	b := e.getBatch()
+	for i := 0; i < 8; i++ {
+		tok := e.getToken()
+		tok.iter = int64(i)
+		tok.ctx.Pending, tok.ctx.HasPending = traffic[i], true
+		b = append(b, tok)
+	}
+	b[2].dead = true
+	b[5].degradedAt = 1 // short-circuited from stage 1 on
+	order := append([]*token(nil), b...)
+
+	keep, ok := e.execBatch(e.lane(0, 0), b)
+	if !ok || len(keep) != len(order) {
+		t.Fatalf("execBatch kept %d of %d tokens (ok=%v)", len(keep), len(order), ok)
+	}
+	for i, tok := range keep {
+		if tok != order[i] {
+			t.Fatalf("token %d came back out of place", i)
+		}
+		skipped := i == 2 || i == 5
+		if ran := !tok.ctx.HasPending; ran == skipped {
+			t.Errorf("token %d: body ran = %v, want %v", i, ran, !skipped)
+		}
+		if !skipped && len(tok.slots) == 0 {
+			t.Errorf("token %d executed but carries no live set", i)
+		}
+	}
+
+	// The live tokens go on through stage 2 and end with the oracle's events.
+	if keep, ok = e.execBatch(e.lane(1, 0), keep); !ok {
+		t.Fatal("stage 2 failed")
+	}
+	for i, tok := range keep {
+		if i == 2 || i == 5 {
+			continue
+		}
+		w := netbench.NewWorld([][]byte{traffic[i]})
+		want, err := interp.RunPipeline(stages, w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := interp.TraceEqual(want, tok.ctx.Events); diff != "" {
+			t.Errorf("token %d: %s", i, diff)
+		}
+	}
+}
+
+// panicStage is a one-stage pipeline whose body dereferences a nil array —
+// a bug no fault plan injected — for every packet whose first byte is 7.
+func panicStage() *ir.Program {
+	f := ir.NewFunc("panics")
+	bl := ir.NewBuilder(f)
+	bad, ok := f.NewBlock("bad"), f.NewBlock("ok")
+	bl.Call("pkt_rx")
+	v := bl.Call("pkt_byte", bl.Const(0))
+	bl.Br(bl.Bin(ir.OpEq, v, bl.Const(7)), bad, ok)
+	bl.SetBlock(bad)
+	bl.Load(nil, v)
+	bl.Jmp(ok)
+	bl.SetBlock(ok)
+	bl.CallVoid("trace", v)
+	bl.Ret()
+	return &ir.Program{Name: "panics", Func: f}
+}
+
+// TestBodyPanicQuarantinesItsGroup: a panic out of the stage body cannot be
+// pinned on one lane, so the batch it happened in is quarantined whole —
+// each token recorded, the event counted — while the other batches are
+// delivered and the ledger balances.
+func TestBodyPanicQuarantinesItsGroup(t *testing.T) {
+	const n, batch = 16, 4
+	traffic := make([][]byte, n)
+	for i := range traffic {
+		traffic[i] = []byte{byte(i)}
+	}
+	m, err := Serve(context.Background(), []*ir.Program{panicStage()}, interp.NewWorld(nil), Packets(traffic), Config{Batch: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := m.Faults
+	if rep.Quarantined != batch || rep.Delivered != n-batch || rep.Accounted() != m.Stages[0].In {
+		t.Fatalf("quarantined %d delivered %d of %d pulled, want %d and %d\n%s",
+			rep.Quarantined, rep.Delivered, m.Stages[0].In, batch, n-batch, rep)
+	}
+	for i, rec := range rep.Records {
+		if rec.Iter != int64(4+i) || rec.Stage != 1 || !strings.Contains(rec.Reason, "stage panic") {
+			t.Errorf("record %d: %+v, want iteration %d quarantined at stage 1 for a stage panic", i, rec, 4+i)
+		}
+	}
+	if got := m.Stages[0].BodyPanics; got != 1 {
+		t.Errorf("BodyPanics = %d, want 1", got)
+	}
+	var want []interp.Event
+	for i := 0; i < n; i++ {
+		if i/batch != 7/batch {
+			want = append(want, interp.Event{Kind: interp.EvTrace, Val: int64(i)})
+		}
+	}
+	if diff := interp.TraceEqual(want, m.Trace); diff != "" {
+		t.Errorf("delivered batches: %s", diff)
+	}
+}
+
+// ownedPackets is a Source that hands its packets over, as the ingest
+// feeder does.
+type ownedPackets struct{ sliceSource }
+
+func (*ownedPackets) PacketsOwned() bool { return true }
+
+// TestPacketOwnership serves a pipeline that rewrites every packet it
+// forwards (TTL and checksum) from both kinds of source. An in-memory
+// source may hand the same bytes out again, so they must come through
+// bit-identical however often the cycle repeats; a source that transfers
+// ownership gets no copy — the sent events carry its own buffers, rewritten
+// in place.
+func TestPacketOwnership(t *testing.T) {
+	prog, stages, traffic := ipv4Stages(t, 2)
+	var stream, pristine [][]byte
+	for lap := 0; lap < 3; lap++ {
+		stream = append(stream, traffic...)
+	}
+	for _, p := range traffic {
+		pristine = append(pristine, bytes.Clone(p))
+	}
+	want, err := interp.RunSequential(prog, netbench.NewWorld(stream), len(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(src Source) *Metrics {
+		t.Helper()
+		m, err := Serve(context.Background(), stages, netbench.NewWorld(nil), src, Config{Batch: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := interp.TraceEqual(want, m.Trace); diff != "" {
+			t.Fatalf("served trace: %s", diff)
+		}
+		return m
+	}
+
+	serve(Repeat(traffic, len(stream)))
+	for i, p := range traffic {
+		if !bytes.Equal(p, pristine[i]) {
+			t.Fatalf("packet %d of the in-memory source was rewritten in place", i)
+		}
+	}
+
+	own := make(map[*byte]bool)
+	src := &ownedPackets{}
+	for _, p := range stream {
+		p = bytes.Clone(p)
+		src.pkts = append(src.pkts, p)
+		own[&p[0]] = true
+	}
+	sends := 0
+	for _, ev := range serve(src).Trace {
+		if ev.Kind == interp.EvSend {
+			sends++
+			if !own[&ev.Pkt[0]] {
+				t.Fatalf("send event %d carries a copy of an owned packet", sends)
+			}
+		}
+	}
+	if sends == 0 {
+		t.Fatal("the traffic forwarded nothing")
+	}
+}

@@ -85,7 +85,7 @@ func TestHandoffBytesPerPacket(t *testing.T) {
 			if len(out) > 0 && &out[0] != &dst[:1][0] {
 				t.Fatalf("cut %d: warm handoff allocated a fresh buffer instead of writing the caller's", k+1)
 			}
-			// Ping-pong exactly as the serve runtime's execOnce does: the
+			// Ping-pong exactly as the serve runtime's execGroup does: the
 			// buffer just filled becomes the input, the consumed one the
 			// next destination.
 			slots, spare = out, slots

@@ -30,3 +30,13 @@ type IngestStats struct {
 type ContextBinder interface {
 	BindContext(ctx context.Context)
 }
+
+// packetOwner is implemented by Sources whose packets are the pipeline's
+// alone once Next has returned them (the ingest feeder: Pull transfers
+// ownership). The head then marks each packet owned and pkt_rx adopts its
+// buffer; every other Source — Packets, Repeat, SourceFunc — may hand the
+// same bytes out again, so its packets are copied before a stage can
+// rewrite them.
+type packetOwner interface {
+	PacketsOwned() bool
+}

@@ -49,6 +49,12 @@ type StageStats struct {
 	// the SPSC handshake should have delivered. Always zero on a healthy
 	// ring; anything else is a protocol bug made visible.
 	LostWakeups int64
+	// BodyPanics counts panics out of a stage body itself (the fault hooks
+	// run before it, under their own recover): a bug in the stage program
+	// or the backend, which cannot be pinned on one packet of the batch the
+	// body was running, so the whole group is quarantined. Always zero on a
+	// healthy run.
+	BodyPanics int64
 	// Replicas is the number of concurrent replicas the stage ran with: 1
 	// unless the serve was sharded and the stage was shardable, in which
 	// case it is the shard width and the counters above are aggregates.
@@ -75,6 +81,7 @@ func (s *StageStats) add(o StageStats) {
 	s.TxWait += o.TxWait
 	s.RxWait += o.RxWait
 	s.LostWakeups += o.LostWakeups
+	s.BodyPanics += o.BodyPanics
 	s.occSum += o.occSum
 	s.occSamples += o.occSamples
 }

@@ -117,7 +117,7 @@ func (e *engine) pull(in *inPort) (b []*token, more bool) {
 		}
 		t := e.takeToken()
 		t.iter = i
-		t.ctx.Pending, t.ctx.HasPending = pkt, true
+		t.ctx.Pending, t.ctx.HasPending, t.ctx.PendingOwned = pkt, true, e.owned
 		if sharded {
 			t.shard = int32(shardOf(e.shardKey(pkt), e.plan.p))
 		}

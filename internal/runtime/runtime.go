@@ -83,7 +83,8 @@ type Config struct {
 	// packets). 0 selects the Channel default: 8 for NN, 64 for scratch.
 	RingCapacity int
 	// Batch is the number of iterations carried per ring entry; batching
-	// amortizes ring synchronization over several packets. 0 means 1.
+	// amortizes ring synchronization over several packets, and it is the
+	// width a stage body executes at (exec.Runner.RunBatch). 0 means 1.
 	Batch int
 
 	// Shards is the pipeline replica width P: stages without cross-flow
@@ -320,7 +321,7 @@ func Validate(stages []*ir.Program) error {
 // (8 + 24 + 24 + 8), so the steady-state handoff path dirties a single
 // line; the cold fate flags (degradedAt, shard, dead) trail after it.
 // slots and spare ping-pong: a stage reads its live set from slots and
-// writes the outgoing set into spare (via RunIterationInto), then the two
+// writes the outgoing set into spare (exec.Iteration.Dst), then the two
 // swap, so a handoff is a few word copies into memory the token already
 // owns and the hot path allocates nothing after warmup.
 type token struct {
@@ -344,6 +345,13 @@ type laneCtx struct {
 	inj    *fault.Injector
 	recIdx int
 	tomb   bool // quarantines become tombstones (sharded segment ends in a fan-in)
+
+	// The group being executed: one Iteration per admitted token, each
+	// one's position in the batch, and when the group — under a per-stage
+	// deadline a single token — began its current attempt.
+	its  []exec.Iteration
+	live []int
+	t0   time.Time
 }
 
 // unit is one serve goroutine — the single shape every pipeline stage of
@@ -368,6 +376,7 @@ type engine struct {
 	cancel   context.CancelFunc
 	cfg      Config
 	src      Source
+	owned    bool // src hands its packets over (packetOwner)
 	plan     *shardPlan
 	fused    []bool           // cut -> realized by fusion (aligned + requested)
 	runners  [][]*exec.Runner // stage -> replicas
@@ -630,107 +639,72 @@ func (e *engine) span(stage int, iter int64, n int, phase obsv.Phase, start time
 	})
 }
 
-// tokOutcome is the fate of one iteration at one stage.
-type tokOutcome uint8
-
-const (
-	tokOK          tokOutcome = iota // executed; token continues
-	tokQuarantined                   // removed from the pipeline, recorded
-	tokDead                          // quarantined but forwarded as a tombstone (fan-in upstream)
-	tokFatal                         // unrecoverable runtime error; abort the serve
-)
-
-// runToken executes one iteration at lc's stage with the full recovery
-// machinery: injected faults, panic recovery, the per-stage deadline, and
-// bounded retry with exponential backoff for transient faults.
-// Quarantined tokens are recorded and recycled — or, inside a sharded
-// segment that ends in a fan-in, tombstoned and forwarded so the dispatch
-// sequence stays gap-free; their buffered events never reach the trace
-// either way.
-func (e *engine) runToken(lc *laneCtx, t *token) tokOutcome {
+// admit runs what precedes one iteration's body at lc's stage — the injected
+// faults, bounded retry with exponential backoff for the transient ones, and
+// the check that an injected stall alone did not blow the per-stage deadline
+// — under its own recover, so an injected panic quarantines exactly the
+// token it was aimed at. A nil error admits the token to the body; anything
+// else is the reason to quarantine it, with persistent state untouched.
+func (e *engine) admit(lc *laneCtx, t *token) error {
+	if e.inj == nil {
+		return nil
+	}
 	backoff := e.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
-		err := e.execOnce(lc, t)
-		if err == nil {
-			return tokOK
+		err := e.beforeStage(lc, t)
+		if !errors.Is(err, errs.ErrTransientFault) || attempt >= e.cfg.Retry {
+			return err
 		}
-		var fatal *fatalError
-		if errors.As(err, &fatal) {
-			e.fail(fmt.Errorf("stage %d: %w", lc.s+1, fatal.err))
-			e.putToken(t)
-			return tokFatal
+		lc.probe.retries.Add(1)
+		if backoff > 0 {
+			sleepCtx(e.ictx, backoff)
+			backoff *= 2
 		}
-		if errors.Is(err, errs.ErrTransientFault) && attempt < e.cfg.Retry {
-			lc.probe.retries.Add(1)
-			if backoff > 0 {
-				sleepCtx(e.ictx, backoff)
-				backoff *= 2
-			}
-			continue
-		}
-		lc.probe.quarantined.Add(1)
-		e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1, Disposition: "quarantined", Reason: err.Error()})
-		if lc.tomb {
-			t.dead = true
-			return tokDead
-		}
-		e.putToken(t)
-		return tokQuarantined
 	}
 }
 
-// fatalError wraps interpreter errors that must abort the whole serve (a
-// malformed stage program, a step-limit blowout) rather than quarantine
-// one packet; runToken unwraps it for the engine's first-error slot.
-type fatalError struct{ err error }
-
-func (f *fatalError) Error() string { return f.err.Error() }
-func (f *fatalError) Unwrap() error { return f.err }
-
-// execOnce is one execution attempt: fault hooks, the stage body, and the
-// deadline check, under a recover that converts any panic — injected or
-// genuine — into a quarantinable errs.ErrStagePanic.
-func (e *engine) execOnce(lc *laneCtx, t *token) (err error) {
+func (e *engine) beforeStage(lc *laneCtx, t *token) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: %v", errs.ErrStagePanic, r)
 		}
 	}()
-	var start time.Time
-	deadline := e.cfg.StageDeadline
-	if deadline > 0 {
-		start = time.Now()
+	lc.t0 = time.Now() // each attempt has the whole deadline
+	if err := lc.inj.BeforeStage(e.ictx, lc.s+1, t.iter); err != nil {
+		return err
 	}
-	if e.inj != nil {
-		if ferr := lc.inj.BeforeStage(e.ictx, lc.s+1, t.iter); ferr != nil {
-			return ferr
-		}
-		if deadline > 0 && time.Since(start) > deadline {
-			// The injected stall alone blew the deadline: quarantine before
-			// the body runs, leaving persistent state untouched.
-			return fmt.Errorf("%w: stage %d stalled past the %v deadline",
-				errs.ErrStageDeadline, lc.s+1, deadline)
-		}
-	}
-	// Zero-copy handoff: the stage reads its live set from t.slots and
-	// writes the outgoing one into t.spare, then the buffers ping-pong.
-	// The two are always distinct arrays, so OpSendLS/OpRecvLS execution
-	// order inside the stage body cannot alias them; after warmup both
-	// have capacity for the widest cut and no handoff allocates.
-	sent, rerr := lc.run.RunIterationInto(t.ctx, t.slots, t.spare)
-	if rerr != nil {
-		return &fatalError{err: rerr}
-	}
-	if sent != nil {
-		t.spare = t.slots
-		t.slots = sent
-	} else {
-		t.slots = t.slots[:0]
-	}
-	if deadline > 0 && time.Since(start) > deadline {
-		return fmt.Errorf("%w: stage %d exceeded the %v deadline", errs.ErrStageDeadline, lc.s+1, deadline)
+	if d := e.cfg.StageDeadline; d > 0 && time.Since(lc.t0) > d {
+		return fmt.Errorf("%w: stage %d stalled past the %v deadline", errs.ErrStageDeadline, lc.s+1, d)
 	}
 	return nil
+}
+
+// quarantine removes t from the pipeline and records why. Inside a sharded
+// segment that ends in a fan-in the token is tombstoned and forwarded
+// instead, so the dispatch sequence stays gap-free (kept is true); its
+// buffered events never reach the trace either way.
+func (e *engine) quarantine(lc *laneCtx, t *token, why error) (kept bool) {
+	lc.probe.quarantined.Add(1)
+	e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1, Disposition: "quarantined", Reason: why.Error()})
+	if lc.tomb {
+		t.dead = true
+		return true
+	}
+	e.putToken(t)
+	return false
+}
+
+// runBody runs the stage body over lc.its, one call for the whole group,
+// under a recover that converts a panic into errs.ErrStagePanic. The fault
+// hooks ran in admit, so a panic here is a bug in the stage program or the
+// backend, not an injection, and cannot be pinned on one iteration.
+func (e *engine) runBody(lc *laneCtx) (panicked, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			panicked = fmt.Errorf("%w: %v", errs.ErrStagePanic, r)
+		}
+	}()
+	return nil, lc.run.RunBatch(lc.its)
 }
 
 // sleepCtx sleeps for d or until the run is canceled.
@@ -819,33 +793,93 @@ func (e *engine) runUnit(u *unit) {
 // execBatch runs one batch through one stage: the whole batch executes at
 // lc before the unit moves to its next segment, so each stage's busy time,
 // counters, and fault attribution stay exact whether or not a ring
-// separates it from its neighbors. Quarantined tokens compact out of the
-// batch (or stay as tombstones, when a fan-in is downstream); degraded and
-// tombstoned tokens pass through without executing. ok is false when a
+// separates it from its neighbors. The batch runs as one group — every
+// token admitted, then one RunBatch over the admitted ones — unless a
+// per-stage deadline is configured: the deadline bounds one packet's time
+// in the stage, so the groups are then single tokens. ok is false when a
 // fatal error aborted the run.
 func (e *engine) execBatch(lc *laneCtx, b []*token) (keep []*token, ok bool) {
 	firstIter, n := b[0].iter, len(b)
 	t0 := time.Now()
-	keep = b[:0]
-	for _, t := range b {
+	step := n
+	if e.cfg.StageDeadline > 0 {
+		step = 1
+	}
+	keep, ok = b[:0], true
+	for lo := 0; lo < n && ok; lo += step {
+		keep, ok = e.execGroup(lc, b[lo:min(lo+step, n)], keep)
+	}
+	busy := time.Since(t0)
+	lc.probe.busyNs.Add(int64(busy))
+	if ok && e.timed {
+		e.span(lc.s+1, firstIter, n, obsv.PhaseExec, t0, busy)
+		e.fillHist[lc.s].Observe(int64(n))
+	}
+	return keep, ok
+}
+
+// execGroup runs the tokens of g through lc's stage and appends the ones
+// that go on to keep (which trails g in the same array). Degraded and
+// tombstoned tokens pass through without executing; a token that fails its
+// admission, or whose group blew the deadline or panicked, is quarantined:
+// compacted out, or kept as a tombstone when a fan-in is downstream. The
+// body reads each token's live set from slots and writes the outgoing one
+// into spare, then the buffers ping-pong: the two are always distinct
+// arrays, so OpSendLS/OpRecvLS execution order inside the stage body cannot
+// alias them, and after warmup both have capacity for the widest cut and no
+// handoff allocates.
+func (e *engine) execGroup(lc *laneCtx, g, keep []*token) ([]*token, bool) {
+	deadline := e.cfg.StageDeadline
+	if deadline > 0 {
+		lc.t0 = time.Now()
+	}
+	lc.its, lc.live = lc.its[:0], lc.live[:0]
+	for _, t := range g {
 		if t.dead || (t.degradedAt > 0 && lc.s+1 >= int(t.degradedAt)) {
 			keep = append(keep, t)
 			continue
 		}
-		switch e.runToken(lc, t) {
-		case tokOK, tokDead:
-			keep = append(keep, t)
-		case tokQuarantined:
-		case tokFatal:
-			lc.probe.busyNs.Add(int64(time.Since(t0)))
-			return nil, false
+		if err := e.admit(lc, t); err != nil {
+			if e.quarantine(lc, t, err) {
+				keep = append(keep, t)
+			}
+			continue
 		}
+		keep = append(keep, t)
+		lc.live = append(lc.live, len(keep)-1)
+		lc.its = append(lc.its, exec.Iteration{Ctx: t.ctx, Recv: t.slots, Dst: t.spare})
 	}
-	busy := time.Since(t0)
-	lc.probe.busyNs.Add(int64(busy))
-	if e.timed {
-		e.span(lc.s+1, firstIter, n, obsv.PhaseExec, t0, busy)
-		e.fillHist[lc.s].Observe(int64(n))
+	if len(lc.its) == 0 {
+		return keep, true
+	}
+	fault, err := e.runBody(lc)
+	if err != nil {
+		// An interpreter-level error (a malformed stage program, a
+		// step-limit blowout) aborts the whole serve.
+		e.fail(fmt.Errorf("stage %d: %w", lc.s+1, err))
+		return keep, false
+	}
+	if fault != nil {
+		lc.probe.bodyPanics.Add(1)
+	} else if deadline > 0 && time.Since(lc.t0) > deadline {
+		fault = fmt.Errorf("%w: stage %d exceeded the %v deadline", errs.ErrStageDeadline, lc.s+1, deadline)
+	}
+	if fault != nil {
+		// Quarantine the group: drop its tokens from keep, back to front.
+		for i := len(lc.live) - 1; i >= 0; i-- {
+			if k := lc.live[i]; !e.quarantine(lc, keep[k], fault) {
+				keep = slices.Delete(keep, k, k+1)
+			}
+		}
+		return keep, true
+	}
+	for i, k := range lc.live {
+		t := keep[k]
+		if sent := lc.its[i].Sent; sent != nil {
+			t.spare, t.slots = t.slots, sent
+		} else {
+			t.slots = t.slots[:0]
+		}
 	}
 	return keep, true
 }
@@ -905,6 +939,7 @@ func (e *engine) wireObservability(d int) {
 		reg.Func(prefix+"spin_ns", func() int64 { return int64(l.stageStats(k).SpinWait) })
 		reg.Func(prefix+"park_ns", func() int64 { return int64(l.stageStats(k).ParkWait) })
 		reg.Func(prefix+"lost_wakeups", func() int64 { return l.stageStats(k).LostWakeups })
+		reg.Func(prefix+"body_panics", func() int64 { return l.stageStats(k).BodyPanics })
 		reg.Func(prefix+"ring_occ_milli", func() int64 {
 			st := l.stageStats(k)
 			if st.occSamples == 0 {
@@ -1079,6 +1114,9 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 	}
 	if e.shardKey == nil {
 		e.shardKey = DefaultShardKey
+	}
+	if o, ok := src.(packetOwner); ok {
+		e.owned = o.PacketsOwned()
 	}
 	e.live.ingest = cfg.Ingest
 	e.recs = make([][]FaultRecord, len(e.live.probes)+1)

@@ -20,10 +20,10 @@ import (
 type stageProbe struct {
 	in, out, stalls             atomic.Int64
 	shed, degraded, quarantined atomic.Int64
-	retries, busyNs             atomic.Int64
+	retries, busyNs, bodyPanics atomic.Int64
 	occSum, occSamples          atomic.Int64
 	txWait, rxWait              spsc.WaitCounters
-	_                           [32]byte
+	_                           [24]byte
 }
 
 // stats converts the probe's current values into the exported snapshot
@@ -47,6 +47,7 @@ func (p *stageProbe) stats(stage int) StageStats {
 		TxWait:      time.Duration(p.txWait.SpinNs.Load() + p.txWait.ParkNs.Load()),
 		RxWait:      time.Duration(p.rxWait.SpinNs.Load() + p.rxWait.ParkNs.Load()),
 		LostWakeups: p.txWait.LostWakeups.Load() + p.rxWait.LostWakeups.Load(),
+		BodyPanics:  p.bodyPanics.Load(),
 		occSum:      p.occSum.Load(),
 		occSamples:  p.occSamples.Load(),
 	}
@@ -211,6 +212,9 @@ func (s *Snapshot) Line() string {
 		}
 		if st.LostWakeups > 0 {
 			fmt.Fprintf(&b, " lostwake=%d", st.LostWakeups)
+		}
+		if st.BodyPanics > 0 {
+			fmt.Fprintf(&b, " bodypanic=%d", st.BodyPanics)
 		}
 	}
 	return b.String()

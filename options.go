@@ -246,7 +246,9 @@ func WithIterations(n int) Option {
 }
 
 // WithBatch sets the iterations carried per serve-path ring entry
-// (default 1); batching amortizes ring synchronization.
+// (default 1). Batching amortizes ring synchronization, and a stage that
+// carries no state between iterations executes a whole batch at once, up to
+// 32 iterations per pass over its code; one at a time is its slowest gear.
 func WithBatch(n int) Option {
 	return Option{"WithBatch", inServe, func(c *config) { c.serve.Batch = n }}
 }
