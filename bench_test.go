@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
+	"repro/internal/interp"
 	"repro/internal/netbench"
 	"repro/internal/npsim"
 )
@@ -289,64 +290,66 @@ func BenchmarkInterpreter(b *testing.B) {
 	}
 }
 
-// benchmarkServe measures the host-native streaming runtime on the IPv4
-// PPS: packets per second through a D-stage goroutine pipeline. Extra serve
-// options (fusion mode, shards) are passed through.
-func benchmarkServe(b *testing.B, degree, batch int, opts ...repro.Option) {
+// BenchmarkServe is the host-throughput sweep: the IPv4 PPS cut D ways and
+// served at batch 32, every cut on an SPSC ring (ringed, FusionOff) or as
+// the cost model's verdict for this host has it (auto, FusionAuto, the
+// serve default). Each point must reproduce interp.RunSequential byte for
+// byte on a short prefix before its timer starts, and reports pkt/s beside
+// the number of cuts the served Plan fused. The whole procedure is
+//
+//	go test -run '^$' -bench '^BenchmarkServe$' -count=10 .
+//
+// and -count gives the spread; EXPERIMENTS.md ("Host throughput") records
+// the table. At D=1 there is no cut, so the two modes are one realization
+// measured twice — the sweep's own noise floor.
+func BenchmarkServe(b *testing.B) {
 	p, _ := netbench.ByName("IPv4")
 	prog, err := p.Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
-	pipe, err := repro.Partition(prog, repro.WithStages(degree))
+	traffic, prefix := p.Traffic(256), p.Traffic(64)
+	seq, err := interp.RunSequential(prog.Clone(), netbench.NewWorld(prefix), len(prefix))
 	if err != nil {
 		b.Fatal(err)
 	}
-	traffic := p.Traffic(256)
-	world := netbench.NewWorld(nil)
-	b.ResetTimer()
-	m, err := pipe.Serve(context.Background(), repro.RepeatSource(traffic, b.N),
-		append([]repro.Option{repro.WithWorld(world), repro.WithBatch(batch)}, opts...)...)
-	if err != nil {
-		b.Fatal(err)
+	modes := []struct {
+		name string
+		mode repro.FusionMode
+	}{{"ringed", repro.FusionOff}, {"auto", repro.FusionAuto}}
+	for d := 1; d <= 4; d++ {
+		pipe, err := repro.Partition(prog, repro.WithStages(d))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range modes {
+			serve := func(src repro.Source) (*repro.Metrics, error) {
+				return pipe.Serve(context.Background(), src, repro.WithWorld(netbench.NewWorld(nil)),
+					repro.WithBatch(32), repro.WithFusion(mode.mode))
+			}
+			b.Run(fmt.Sprintf("D%d/%s", d, mode.name), func(b *testing.B) {
+				vm, err := serve(repro.PacketSource(prefix))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if diff := interp.TraceEqual(seq, vm.Trace); diff != "" {
+					b.Fatalf("diverged from the sequential oracle: %s", diff)
+				}
+				b.ResetTimer()
+				m, err := serve(repro.RepeatSource(traffic, b.N))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if m.Packets != int64(b.N) {
+					b.Fatalf("served %d packets, want %d", m.Packets, b.N)
+				}
+				b.ReportMetric(m.PacketsPerSecond(), "pkt/s")
+				b.ReportMetric(float64(len(pipe.Plan().FusedCuts)), "fused_cuts")
+			})
+		}
 	}
-	b.StopTimer()
-	if m.Packets != int64(b.N) {
-		b.Fatalf("served %d packets, want %d", m.Packets, b.N)
-	}
-	b.ReportMetric(m.PacketsPerSecond(), "pkt/s")
 }
-
-// BenchmarkServeIPv4Sequential is the single-stage host baseline the
-// pipelined serve benchmarks are compared against.
-func BenchmarkServeIPv4Sequential(b *testing.B) { benchmarkServe(b, 1, 1) }
-
-// BenchmarkServeIPv4D2 serves through a 2-stage goroutine pipeline.
-func BenchmarkServeIPv4D2(b *testing.B) { benchmarkServe(b, 2, 1) }
-
-// BenchmarkServeIPv4D4 serves through a 4-stage goroutine pipeline — the
-// configuration EXPERIMENTS.md tabulates.
-func BenchmarkServeIPv4D4(b *testing.B) { benchmarkServe(b, 4, 1) }
-
-// BenchmarkServeIPv4D4Batch32 adds transmission batching, amortizing ring
-// synchronization over 32 iterations per ring entry.
-func BenchmarkServeIPv4D4Batch32(b *testing.B) { benchmarkServe(b, 4, 32) }
-
-// BenchmarkServeIPv4D4Fused and BenchmarkServeIPv4D4Unfused are the
-// fusion-comparison pair at the perf-gate shape (D=4, batch 32): Fused
-// lets the valuator realize ring-unworthy cuts as fused units
-// (FusionAuto, the serve default); Unfused pins every cut to an SPSC
-// ring. On hosts where the valuator fuses (few cores, or stage work far
-// below the ring tax), Fused measures the zero-copy handoff path.
-func BenchmarkServeIPv4D4Fused(b *testing.B) { benchmarkServe(b, 4, 32) }
-
-func BenchmarkServeIPv4D4Unfused(b *testing.B) {
-	benchmarkServe(b, 4, 32, repro.WithFusion(repro.FusionOff))
-}
-
-// BenchmarkServeIPv4D1Batch32 is one stage at batch 32: no ring, so the
-// measurement isolates stage execution plus the source/sink overhead.
-func BenchmarkServeIPv4D1Batch32(b *testing.B) { benchmarkServe(b, 1, 32) }
 
 // BenchmarkSimulator measures the npsim substrate end to end.
 func BenchmarkSimulator(b *testing.B) {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the repository's check gate. Run before committing:
 #
-#   ./ci.sh          # format + vet + doc gate + race-enabled tests + replay gate
+#   ./ci.sh          # format + vet + doc gate + examples + race-enabled tests + fuzz smokes
 #   ./ci.sh -short   # same, skipping the long sweeps
 #
 # The race detector matters here twice over: the partition engine shares one
@@ -29,6 +29,12 @@ echo "== doc gate: go run ./internal/doccheck"
 # README.md must compile against the current API.
 go run ./internal/doccheck
 
+echo "== examples: go run ./examples/quickstart, ./examples/serve"
+# Tier-1 only builds the examples; here they run, and each checks its own
+# acts against the sequential oracle, so the exit status is the verdict.
+go run ./examples/quickstart >/dev/null
+go run ./examples/serve >/dev/null
+
 echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # The deterministic fault schedules must produce identical accounting on
 # repeated race-enabled runs; -count=2 defeats the test cache.
@@ -45,37 +51,31 @@ echo "== ring gate: microbench smoke + ring oracle matrix"
 go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
 go test -race -count=2 -run 'TestRing' ./internal/runtime
 
-echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode"
+echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode, FuzzTCPFramer"
 # Differential fuzzing of the streaming runtime against the sequential
 # oracle (the checked-in corpus under internal/runtime/testdata/fuzz seeds
 # the mutator), of the compiled backend's lowering against the interpreter
 # on random programs and packets (sequential and partitioned, one iteration
 # per call and in batches of a fuzzed width and split, errors included), and
-# the two parsers that read what an operator hands the
-# ingest front end: source spec strings and capture files.
+# the three parsers of bytes the ingest front end did not write: source spec
+# strings, capture files, and the TCP source's length-prefixed frame stream.
 go test ./internal/runtime -run '^$' -fuzz=FuzzServeVsOracle -fuzztime=10s
 go test ./internal/exec -run '^$' -fuzz=FuzzExecVsInterp -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzOpenSpec -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzPcapDecode -fuzztime=10s
+go test ./internal/ingest -run '^$' -fuzz=FuzzTCPFramer -fuzztime=10s
 
 echo "== ingest gate: loopback UDP serve + pcap replay byte-identity"
 # The network-facing front end, end to end: a race-enabled serve over a
-# real loopback UDP socket (TestServeUDPLoopback) plus the checked-in
-# capture's fixture pin (TestFlowsCaptureFixture). Both compare the served
-# trace or decoded stream byte-for-byte against the deterministic
-# reference.
-go test -race -count=1 -run 'TestServeUDPLoopback|TestFlowsCaptureFixture' .
+# real loopback UDP socket (TestServeUDPLoopback), the checked-in capture's
+# fixture pin (TestFlowsCaptureFixture), and that capture replayed off the
+# Source path through D=4, P=4, fused (TestServeFlowsCaptureReplay). Each
+# compares the served trace or decoded stream byte-for-byte against the
+# deterministic reference.
+go test -race -count=1 -run 'TestServeUDPLoopback|TestFlowsCaptureFixture|TestServeFlowsCaptureReplay' .
 
 echo "== go test -race ./... $*"
 go test -race "$@" ./...
-
-echo "== pipebench replay gate: testdata/flows.pcap through the full pipeline"
-# The capture replay demo as a gate: the experiment refuses to time
-# anything until the replayed trace is byte-identical to the sequential
-# oracle over the decoded capture (D=4, P=4, fused); the timing it then
-# prints is not gated (wall-clock regressions are benchmark/'s job, run
-# A/B by the PR pipeline and smoke-tested by go test ./... above).
-go run ./cmd/pipebench -experiment replay -pcap testdata/flows.pcap -pcap-loops 4
 
 echo "== size ledger (printed, not gated)"
 # The design-size numbers ROADMAP item 4 tracks, so each PR's reduction is
@@ -90,5 +90,11 @@ echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 echo "options (func With*):      $(grep -c '^func With' options.go)"
 echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)"
+# The second measurement stack and the prose about it, the two things
+# ROADMAP item 4 asked to shrink.
+bench_files="$(find internal/experiments cmd/pipebench examples -name '*.go' ! -name '*_test.go')"
+# shellcheck disable=SC2086
+echo "experiments+pipebench+examples code lines: $(cat $bench_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
+echo "README+DESIGN+EXPERIMENTS bytes: $(cat README.md DESIGN.md EXPERIMENTS.md | wc -c)"
 
 echo "ci.sh: all checks passed"

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/experiments"
 	"repro/internal/ingest"
 	"repro/internal/netbench"
 )
@@ -179,12 +178,32 @@ func TestOpenSourceBadSpec(t *testing.T) {
 	}
 }
 
-// TestFlowsCaptureFixture pins testdata/flows.pcap — the capture the
-// replay demo and the CI replay gate stream — to the generator profile
-// that produced it. Run with -update to regenerate the file (shared with
-// the golden Plan fixtures' flag).
+// flowsCaptureConfig is the generator profile behind testdata/flows.pcap:
+// 4096 packets from 32 concurrent heavy-tailed flows, the default bursty
+// arrival process, seed 42. The checked-in capture is Records of exactly
+// this config anchored at flowsCaptureBase, so replaying the file and
+// running the generator produce byte-identical packet streams.
+func flowsCaptureConfig() ingest.GenConfig {
+	cfg := ingest.DefaultGenConfig()
+	cfg.Seed = 42
+	cfg.Packets = 4096
+	cfg.Flows = 32
+	return cfg
+}
+
+// flowsCaptureBase anchors the capture's record timestamps (the paper's
+// conference week; any fixed instant works, a changing one would churn
+// the fixture).
+func flowsCaptureBase() time.Time {
+	return time.Date(2005, 6, 12, 9, 0, 0, 0, time.UTC)
+}
+
+// TestFlowsCaptureFixture pins testdata/flows.pcap — the capture
+// TestServeFlowsCaptureReplay streams — to the generator profile that
+// produced it. Run with -update to regenerate the file (shared with the
+// golden Plan fixtures' flag).
 func TestFlowsCaptureFixture(t *testing.T) {
-	cfg, base := experiments.FlowsCaptureConfig(), experiments.FlowsCaptureBase()
+	cfg, base := flowsCaptureConfig(), flowsCaptureBase()
 	recs, err := ingest.Records(cfg, base)
 	if err != nil {
 		t.Fatal(err)
@@ -218,5 +237,45 @@ func TestFlowsCaptureFixture(t *testing.T) {
 		if i > 0 && got[i].Time.Before(got[i-1].Time) {
 			t.Fatalf("timestamps run backwards at record %d", i)
 		}
+	}
+}
+
+// TestServeFlowsCaptureReplay streams the checked-in capture off the
+// Source path through the deepest realization the repo serves — the IPv4
+// PPS cut four ways, four shards behind the flow-hash dispatcher, every
+// cut fused (the valuator's verdict at one core, pinned so the shape does
+// not depend on the host) — and requires the served trace byte-identical
+// to the sequential oracle over the decoded capture.
+func TestServeFlowsCaptureReplay(t *testing.T) {
+	defer repro.SetFusionCoresForTest(1)()
+	pps, _ := netbench.ByName("IPv4")
+	prog, err := pps.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := repro.Partition(prog, repro.WithStages(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := repro.OpenSource("pcap://" + filepath.Join("testdata", "flows.pcap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	tee := ingest.Tee(src) // the decoded capture, as the pipeline saw it
+	m, err := pipe.Serve(context.Background(), nil, repro.WithSource(tee),
+		repro.WithBatch(32), repro.WithShards(4), repro.WithShardKey(repro.FlowKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := pipe.Plan(); plan.Shards != 4 || len(plan.FusedCuts) != 3 {
+		t.Fatalf("served %d shards with cuts %v fused, want 4 shards and all three cuts", plan.Shards, plan.FusedCuts)
+	}
+	pkts := tee.Captured()
+	if want := flowsCaptureConfig().Packets; len(pkts) != want || m.Packets != int64(want) {
+		t.Fatalf("decoded %d and served %d packets, capture holds %d", len(pkts), m.Packets, want)
+	}
+	if diff := repro.TraceEqual(seqTrace(t, prog, pkts, len(pkts)), m.Trace); diff != "" {
+		t.Fatalf("replayed trace diverges from the oracle over the decoded capture: %s", diff)
 	}
 }

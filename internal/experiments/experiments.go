@@ -395,7 +395,7 @@ func AblationWeightMode(name string, degree, workers int) ([]WeightModePoint, er
 		// Judge the partition's instruction balance with the standard
 		// cost table so the two rows are comparable.
 		instrArch := costmodel.Default()
-		seq := core.FuncCost(resolveSeq(prog), instrArch, costmodel.NNRing)
+		seq := core.FuncCost(prog.Func, instrArch, costmodel.NNRing)
 		var maxStage int64
 		for _, sp := range res.Stages {
 			if c := core.FuncCost(sp.Func, instrArch, costmodel.NNRing); c.Total > maxStage {
@@ -413,10 +413,6 @@ func AblationWeightMode(name string, degree, workers int) ([]WeightModePoint, er
 	}
 	return out, nil
 }
-
-// resolveSeq returns the function whose cost stands for the sequential
-// program (the unpartitioned body).
-func resolveSeq(prog *ir.Program) *ir.Func { return prog.Func }
 
 // ThroughputPoint is one simulator measurement.
 type ThroughputPoint struct {

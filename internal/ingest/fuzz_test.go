@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -112,6 +113,60 @@ func FuzzPcapDecode(f *testing.F) {
 		if delivered != len(recs) || v.RxPackets != int64(len(recs)) || v.RxBytes != bytesIn || v.DecodeErrors != int64(trunc) {
 			t.Fatalf("replay delivered %d of %d records; stats %+v, want %d bytes and %d decode errors",
 				delivered, len(recs), v, bytesIn, trunc)
+		}
+	})
+}
+
+// FuzzTCPFramer feeds arbitrary byte streams to the TCP source's frame
+// reader, the parser a remote peer writes to. It must never panic and
+// never yield an empty or oversized frame; the yielded frames, each behind
+// its length header, must concatenate to a prefix of the input; the reader
+// may stop short of the input's end only where the rest is malformed (a
+// zero length, a cut header, a cut body); and such a stream counts exactly
+// one decode error, a clean one none.
+func FuzzTCPFramer(f *testing.F) {
+	frame := func(payloads ...[]byte) []byte {
+		var out []byte
+		for _, p := range payloads {
+			out = append(binary.BigEndian.AppendUint16(out, uint16(len(p))), p...)
+		}
+		return out
+	}
+	good := frame([]byte{1, 2, 3}, []byte{4}, bytes.Repeat([]byte{9}, 300))
+	f.Add(good)
+	f.Add([]byte{})
+	f.Add(good[:len(good)-5])                          // cut mid-body
+	f.Add(good[:6])                                    // cut mid-header
+	f.Add(append(frame([]byte{7, 7}), 0, 0, 1, 2))     // zero length after a good frame
+	f.Add(append([]byte{0xff, 0xff}, good...))         // claims 65535 bytes, delivers fewer
+	f.Add(frame(bytes.Repeat([]byte{5}, maxTCPFrame))) // the largest legal frame
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A frame is at least three bytes, so the queue cannot fill.
+		src := &TCPSource{frames: make(chan []byte, len(data)/3+1), done: make(chan struct{})}
+		src.readFrames(bytes.NewReader(data))
+		close(src.frames)
+		off := 0
+		for buf := range src.frames {
+			if len(buf) == 0 || len(buf) > maxTCPFrame {
+				t.Fatalf("yielded a %d-byte frame", len(buf))
+			}
+			end := off + 2 + len(buf)
+			if end > len(data) || int(binary.BigEndian.Uint16(data[off:])) != len(buf) || !bytes.Equal(data[off+2:end], buf) {
+				t.Fatalf("frame at offset %d (%d bytes) is not what the input holds there", off, len(buf))
+			}
+			off = end
+		}
+		rest, wantErrs := data[off:], int64(0)
+		if len(rest) > 0 {
+			wantErrs = 1
+			if len(rest) >= 2 {
+				if size := int(binary.BigEndian.Uint16(rest)); size != 0 && len(rest) >= 2+size {
+					t.Fatalf("stopped at offset %d in front of a well-formed %d-byte frame", off, size)
+				}
+			}
+		}
+		if got := src.Stats().View().DecodeErrors; got != wantErrs {
+			t.Fatalf("%d input bytes, %d unread: %d decode errors, want %d", len(data), len(rest), got, wantErrs)
 		}
 	})
 }

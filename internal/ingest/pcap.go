@@ -181,10 +181,6 @@ func WritePcap(path string, recs []PcapRecord) error {
 	return os.WriteFile(path, EncodePcap(recs), 0o644)
 }
 
-// Records exposes the decoded capture — the oracle check feeds these
-// same bytes to the sequential interpreter.
-func (p *PcapSource) Records() []PcapRecord { return p.recs }
-
 // Pull delivers the next batch of records, pacing against recorded
 // timestamps when opts.Pace > 0. Each returned slice is a fresh copy
 // (ownership transfers to the caller; a looped replay re-delivers the

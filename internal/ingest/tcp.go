@@ -88,9 +88,18 @@ func (t *TCPSource) readConn(conn net.Conn) {
 		delete(t.conns, conn)
 		t.mu.Unlock()
 	}()
+	t.readFrames(conn)
+}
+
+// readFrames queues the length-prefixed frames of one byte stream until it
+// ends, the source closes, or the stream is malformed — a zero or oversized
+// length, or a cut inside a header or a body — which counts one decode
+// error (a desynced stream never recovers, so the caller drops it). A cut
+// caused by Close itself is not the peer's fault and is not counted.
+func (t *TCPSource) readFrames(r io.Reader) {
 	var hdr [2]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if err != io.EOF && !t.isClosed() {
 				t.stats.decodeErrors.Add(1) // mid-header cut: truncated frame
 			}
@@ -102,7 +111,7 @@ func (t *TCPSource) readConn(conn net.Conn) {
 			return
 		}
 		buf := make([]byte, size)
-		if _, err := io.ReadFull(conn, buf); err != nil {
+		if _, err := io.ReadFull(r, buf); err != nil {
 			if !t.isClosed() {
 				t.stats.decodeErrors.Add(1)
 			}

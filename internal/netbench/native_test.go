@@ -9,8 +9,8 @@ import (
 // nativeIPv4 is the IPv4 PPS of IPv4Src written by hand in Go: the same
 // checks in the same order, the same packet edits, the same events, over a
 // private copy of the frame as pkt_rx takes one. It is the floor the
-// compiled backend's ns/packet is set against (EXPERIMENTS.md, "serve
-// substrate"): what this host needs to forward one packet when nothing is
+// compiled backend's ns/packet is set against (EXPERIMENTS.md, "Host
+// throughput", records of PR 15 and 16): what this host needs to forward one packet when nothing is
 // interpreted.
 type nativeIPv4 struct {
 	fib    *RouteTable4

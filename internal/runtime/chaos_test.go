@@ -23,8 +23,8 @@ import (
 // deadline) are keyed on iteration indices, so their outcomes are exact at
 // any interleaving. Overload faults are made exact with a gate — a stalled
 // consumer that provably consumes nothing until the producer has finished
-// shedding — plus a paced head, so ring occupancy is a function of the
-// schedule, not the scheduler.
+// shedding — plus a head paced on the run's own counters, so ring occupancy
+// is a function of the schedule, not the scheduler or the clock.
 
 // partitionIPv4 compiles the IPv4 benchmark and partitions it at degree d.
 func partitionIPv4(t *testing.T, d int) (*ir.Program, []*ir.Program) {
@@ -327,29 +327,56 @@ func TestChaosRetryExhaustedQuarantines(t *testing.T) {
 }
 
 // TestChaosSaturatedRingSheds saturates the ring between stages 2 and 3 and
-// asserts an exact shed count. The schedule: stage 3 is gated on iteration 0
-// until the pipeline has shed 17 packets, so it provably consumes nothing
-// while the ring is saturated; the head is paced at 2ms per packet so stage
-// 2 (which sheds after 2 watermark ticks, ~400µs) is never the bottleneck's
-// victim itself. Stage 3 then holds packet 0, the ring holds 1 and 2, and
-// stage 2 must shed exactly packets 3..19 — at which point the gate opens
-// and the backlog drains.
+// asserts an exact shed count. Stage 3 is gated on iteration 0 until the
+// pipeline has shed 17 packets, so it provably consumes nothing while the
+// ring is saturated: it holds packet 0, the ring holds 1 and 2, and stage 2
+// must shed exactly packets 3..19 — at which point the gate opens and the
+// backlog drains. The schedule is paced by what the run is observed to have
+// done, not by the clock (as in TestChaosDegradeShortCircuits below): the
+// source hands out packet 1 once stage 3 has taken packet 0 off the ring,
+// and each later packet once stage 2 has forwarded or shed every packet
+// before it — so the ring into stage 2 never holds more than one entry and
+// stage 1 cannot be the one that sheds, however long stage 2 spends on its
+// watermark ticks. Stage 3 is the sink, so the three packets the gate
+// releases together have no ring ahead of them.
 func TestChaosSaturatedRingSheds(t *testing.T) {
 	const n = 20
-	_, stages := partitionIPv4(t, 4)
+	_, stages := partitionIPv4(t, 3)
 	traffic := ipv4Traffic(n)
 	segs := stageSegments(t, stages, traffic)
+	var live *runtime.Live
+	next := 0
+	src := runtime.SourceFunc(func() ([]byte, bool) {
+		if next == n {
+			return nil, false
+		}
+		for ready := false; !ready; time.Sleep(50 * time.Microsecond) {
+			switch snap := live.Snapshot(); next {
+			case 0:
+				ready = true
+			case 1:
+				ready = snap.Stages[2].In >= 1
+			default:
+				ready = snap.Stages[1].Out+snap.Stages[1].Shed >= int64(next)
+			}
+		}
+		next++
+		return traffic[next-1], true
+	})
 	cfg := runtime.Config{
 		RingCapacity: 2,
 		Batch:        1,
 		Overload:     runtime.OverloadShed,
 		Watermark:    2,
 		Faults: &fault.Plan{Injections: []fault.Injection{
-			{Kind: fault.Stall, Stage: 1, Every: 1, Sleep: 2 * time.Millisecond},
 			{Kind: fault.Stall, Stage: 3, At: 0, UntilOverload: n - 3},
 		}},
+		OnLive: func(l *runtime.Live) { live = l },
 	}
-	m := chaosServe(t, stages, traffic, cfg)
+	m, err := runtime.Serve(context.Background(), stages, netbench.NewWorld(nil), src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep := m.Faults
 	if rep.Shed != n-3 || rep.Delivered != 3 || rep.Quarantined != 0 {
 		t.Fatalf("shed %d delivered %d quarantined %d, want %d, 3, 0\n%s",
