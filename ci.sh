@@ -81,13 +81,15 @@ echo "== size ledger (printed, not gated)"
 # The design-size numbers ROADMAP item 4 tracks, so each PR's reduction is
 # a recorded figure: non-test, non-blank, non-comment Go lines of the serve
 # runtime and the facade files that configure it, the option count, and the
-# sentinel count. The one throughput model and the compiled backend are
-# each listed on their own line.
+# sentinel count. The one throughput model, the compiled backend and the
+# ingest front end are each listed on their own line.
 size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go adaptive.go fusion.go"
 # shellcheck disable=SC2086
 echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')"
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
+# shellcheck disable=SC2046
+echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 echo "options (func With*):      $(grep -c '^func With' options.go)"
 echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)"
 # The second measurement stack and the prose about it, the two things

@@ -11,7 +11,6 @@ package repro
 // ring.
 
 import (
-	"fmt"
 	stdruntime "runtime"
 
 	"repro/internal/costmodel"
@@ -64,26 +63,29 @@ func (p *Pipeline) realize(cfg config, mode FusionMode, nsPerWeight float64) (*P
 	if p.base == nil {
 		return plan, nil, p.baseErr
 	}
-	sync, cores := ringSyncNsSPSC/float64(plan.Batch), fusionCores()
-	var fp costmodel.FusionPlan
-	if mode == FusionAuto {
-		fp = costmodel.PlanFusion(costs, sync, cores)
-		rc.FuseCuts = fp.FuseCuts
-	}
+	// Replica widths do not depend on the fuse mask, so the ringed layout
+	// supplies the widths the valuator prices its merges with.
 	lay, err := p.base.With(rc)
 	if err != nil {
 		return plan, nil, err
 	}
 	plan.Shards, plan.Replicas = lay.Width(), lay.Replicas()
-	fused := lay.Fused()
-	for k, dec := range fp.Decisions {
-		switch {
-		case fused[k]:
-			plan.FusedCuts = append(plan.FusedCuts, k+1)
-		case dec.Fuse:
-			dec.Why = fmt.Sprintf("keep cut %d: shard junction (replica widths differ across the cut); fusion needs aligned lanes", k+1)
+	sync, cores := ringSyncNsSPSC/float64(plan.Batch), fusionCores()
+	if mode == FusionAuto {
+		fp := costmodel.PlanFusion(costs, plan.Replicas, sync, cores)
+		rc.FuseCuts = fp.FuseCuts
+		if lay, err = p.base.With(rc); err != nil {
+			return plan, nil, err
 		}
-		plan.FusionWhy = append(plan.FusionWhy, dec.Why)
+		for _, dec := range fp.Decisions {
+			plan.FusionWhy = append(plan.FusionWhy, dec.Why)
+		}
+	}
+	fused := lay.Fused()
+	for k, f := range fused {
+		if f {
+			plan.FusedCuts = append(plan.FusedCuts, k+1)
+		}
 	}
 	plan.PredictedNsPerPkt = price(costs, fused, plan.Replicas, sync, cores)
 	return plan, lay, nil

@@ -32,8 +32,9 @@ func renderPlan(p *repro.Plan) string {
 // TestPlanFusionGolden locks down which cuts the fusion valuator fuses —
 // and the exact arithmetic it states for each — for a fixed program under
 // pinned core budgets. One core must fuse everything (rings are pure tax
-// with no parallelism to buy); a generous core budget must justify every
-// verdict it makes in the rationale; FusionOff must record nothing.
+// with no parallelism to buy), and so must as many cores as there are
+// lanes; a generous core budget must justify every verdict it makes in the
+// rationale; FusionOff must record nothing.
 // Regenerate with: go test . -run TestPlanFusionGolden -update
 func TestPlanFusionGolden(t *testing.T) {
 	prog, err := repro.Compile(facadeSrc)
@@ -49,6 +50,10 @@ func TestPlanFusionGolden(t *testing.T) {
 		{"d3_8core", 8, []repro.Option{repro.WithStages(3)}},
 		{"d4_1core", 1, []repro.Option{repro.WithStages(4)}},
 		{"d3_off", 1, []repro.Option{repro.WithStages(3), repro.WithFusion(repro.FusionOff)}},
+		// Two lanes: on two cores they already own both, so every ring inside
+		// a lane is pure tax; on eight, each kept ring must say what it buys.
+		{"d4_p2_2core", 2, []repro.Option{repro.WithStages(4), repro.WithShards(2), repro.WithBatch(64)}},
+		{"d4_p2_8core", 8, []repro.Option{repro.WithStages(4), repro.WithShards(2), repro.WithBatch(64)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,6 +69,19 @@ func TestPlanFusionGolden(t *testing.T) {
 			}
 			if strings.HasSuffix(tc.name, "_off") && (len(plan.FusedCuts) != 0 || len(plan.FusionWhy) != 0) {
 				t.Errorf("FusionOff must record no fusion: cuts %v why %v", plan.FusedCuts, plan.FusionWhy)
+			}
+			if tc.name == "d4_p2_2core" && len(plan.FusedCuts) != plan.Degree-1 {
+				t.Errorf("two lanes on two cores must fuse every cut; got %v (%q)", plan.FusedCuts, plan.FusionWhy)
+			}
+			if tc.name == "d4_p2_8core" {
+				for _, why := range plan.FusionWhy {
+					if strings.HasPrefix(why, "keep") && !strings.Contains(why, "fused, on 8 core(s) shared by 2 lanes") {
+						t.Errorf("a kept ring must state what it buys and for how many lanes: %q", why)
+					}
+				}
+				if len(plan.FusedCuts) == plan.Degree-1 {
+					t.Errorf("with six cores to spare some ring must pay for itself; got %q", plan.FusionWhy)
+				}
 			}
 			got := renderPlan(plan)
 			path := filepath.Join("testdata", "plan_"+tc.name+".golden")

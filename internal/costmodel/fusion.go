@@ -1,6 +1,9 @@
 package costmodel
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // FusionDecision values one cut of a realized pipeline: whether fusing it
 // is predicted to win, and the human-readable arithmetic behind the call.
@@ -61,10 +64,15 @@ func Predict(unitNs []float64, widths []int, syncNs float64, cores int) float64 
 // PlanFusion decides which cuts of a pipeline are worth their ring under
 // Predict: a cut pays for its ring only when splitting there lowers the
 // prediction — when the pipeline bound it relieves exceeds the
-// synchronization tax it adds. The inputs are the per-stage costs
-// (nanoseconds or model weight — any consistent unit), the per-handoff
-// synchronization cost in the same unit, and the host's usable core count.
-// The planner is greedy: starting from the fully split pipeline, it
+// synchronization tax it adds. The inputs are Predict's, per stage: the
+// stage costs (nanoseconds or model weight — any consistent unit), the
+// replica width the layout gives each stage (nil or short: 1), the
+// per-handoff synchronization cost in the same unit, and the host's usable
+// core count. Widths matter because lanes divide only the pipe bound: two
+// lanes on two cores already own both, so a ring inside a lane buys no
+// parallelism and the cpu bound, which every merge lowers, decides. A cut
+// between stages of different width is a shard junction and is never
+// merged. The planner is greedy: starting from the fully split pipeline, it
 // repeatedly merges the adjacent-unit pair whose merge most improves the
 // predicted cost, until no merge helps. On one core both bounds strictly
 // fall with every merge, so everything fuses; with generous cores and
@@ -72,7 +80,7 @@ func Predict(unitNs []float64, widths []int, syncNs float64, cores int) float64 
 //
 // stageNs entries must be non-negative; cores < 1 is treated as 1.
 // A single-stage pipeline yields an empty plan.
-func PlanFusion(stageNs []float64, ringSyncNs float64, cores int) FusionPlan {
+func PlanFusion(stageNs []float64, widths []int, ringSyncNs float64, cores int) FusionPlan {
 	d := len(stageNs)
 	if cores < 1 {
 		cores = 1
@@ -83,25 +91,40 @@ func PlanFusion(stageNs []float64, ringSyncNs float64, cores int) FusionPlan {
 	}
 	plan.FuseCuts = make([]bool, d-1)
 
-	// units[i] is the summed cost of the i-th realized unit; cutAfter[i]
-	// is the original cut index that ends it (len-1 for the last).
+	// units[i] is the summed cost of the i-th realized unit, lanes[i] its
+	// replica width; cutAfter[i] is the original cut index that ends it
+	// (len-1 for the last).
 	units := append([]float64(nil), stageNs...)
-	cutAfter := make([]int, d)
-	for i := range cutAfter {
-		cutAfter[i] = i
+	lanes, cutAfter := make([]int, d), make([]int, d)
+	for i := range units {
+		lanes[i], cutAfter[i] = 1, i
+		if i < len(widths) && widths[i] > 1 {
+			lanes[i] = widths[i]
+		}
+	}
+	host := fmt.Sprintf("%d core(s)", cores) // what every verdict says the units share
+	if w := slices.Max(lanes); w > 1 {
+		host += fmt.Sprintf(" shared by %d lanes", w)
+	}
+	// merged prices the realization with units i and i+1 (of one width) as one.
+	trialNs, trialLanes := make([]float64, 0, d), make([]int, 0, d)
+	merged := func(i int) float64 {
+		trialNs = append(append(trialNs[:0], units[:i+1]...), units[i+2:]...)
+		trialNs[i] += units[i+1]
+		trialLanes = append(append(trialLanes[:0], lanes[:i+1]...), lanes[i+2:]...)
+		return Predict(trialNs, trialLanes, ringSyncNs, cores)
 	}
 
-	merged := map[int]string{} // cut index -> rationale
-	trial := make([]float64, 0, d)
+	why := make([]string, d-1) // cut index -> rationale
 	for len(units) > 1 {
-		cur := Predict(units, nil, ringSyncNs, cores)
+		cur := Predict(units, lanes, ringSyncNs, cores)
 		bestGain, bestAt := 0.0, -1
 		var bestCost float64
 		for i := 0; i+1 < len(units); i++ {
-			trial = append(trial[:0], units[:i]...)
-			trial = append(trial, units[i]+units[i+1])
-			trial = append(trial, units[i+2:]...)
-			if c := Predict(trial, nil, ringSyncNs, cores); cur-c > bestGain {
+			if lanes[i] != lanes[i+1] {
+				continue
+			}
+			if c := merged(i); cur-c > bestGain {
 				bestGain, bestAt, bestCost = cur-c, i, c
 			}
 		}
@@ -110,25 +133,30 @@ func PlanFusion(stageNs []float64, ringSyncNs float64, cores int) FusionPlan {
 		}
 		cut := cutAfter[bestAt]
 		plan.FuseCuts[cut] = true
-		merged[cut] = fmt.Sprintf(
-			"fuse cut %d: ring tax %.0f exceeds its pipeline gain (predicted %.0f -> %.0f ns/pkt on %d core(s))",
-			cut+1, ringSyncNs, cur, bestCost, cores)
+		why[cut] = fmt.Sprintf(
+			"fuse cut %d: ring tax %.0f exceeds its pipeline gain (predicted %.0f -> %.0f ns/pkt on %s)",
+			cut+1, ringSyncNs, cur, bestCost, host)
 		units[bestAt] += units[bestAt+1]
-		units = append(units[:bestAt+1], units[bestAt+2:]...)
-		cutAfter = append(cutAfter[:bestAt], cutAfter[bestAt+1:]...)
+		units = slices.Delete(units, bestAt+1, bestAt+2)
+		lanes = slices.Delete(lanes, bestAt+1, bestAt+2)
+		cutAfter = slices.Delete(cutAfter, bestAt, bestAt+1)
 	}
 	plan.Units = len(units)
 
-	for k := 0; k < d-1; k++ {
-		dec := FusionDecision{Cut: k, Fuse: plan.FuseCuts[k]}
-		if why, ok := merged[k]; ok {
-			dec.Why = why
-		} else {
-			dec.Why = fmt.Sprintf(
-				"keep cut %d: its ring tax %.0f buys pipeline parallelism on %d core(s)",
-				k+1, ringSyncNs, cores)
+	// What each surviving ring buys: the price of the realization without it.
+	cur := Predict(units, lanes, ringSyncNs, cores)
+	for i := 0; i+1 < len(units); i++ {
+		cut := cutAfter[i]
+		if lanes[i] != lanes[i+1] {
+			why[cut] = fmt.Sprintf("keep cut %d: shard junction (replica widths differ across the cut); fusion needs aligned lanes", cut+1)
+			continue
 		}
-		plan.Decisions = append(plan.Decisions, dec)
+		why[cut] = fmt.Sprintf(
+			"keep cut %d: its ring tax %.0f buys pipeline parallelism (predicted %.0f ns/pkt with it, %.0f fused, on %s)",
+			cut+1, ringSyncNs, cur, merged(i), host)
+	}
+	for k, w := range why {
+		plan.Decisions = append(plan.Decisions, FusionDecision{Cut: k, Fuse: plan.FuseCuts[k], Why: w})
 	}
 	return plan
 }

@@ -1,12 +1,15 @@
 package costmodel
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestPlanFusionSingleCoreFusesEverything: with one core there is no
 // pipeline parallelism to buy, so every ring is pure tax and the whole
 // pipeline collapses to one unit.
 func TestPlanFusionSingleCoreFusesEverything(t *testing.T) {
-	p := PlanFusion([]float64{100, 100, 100, 100}, 1500, 1)
+	p := PlanFusion([]float64{100, 100, 100, 100}, nil, 1500, 1)
 	if p.Units != 1 {
 		t.Fatalf("Units = %d, want 1 (everything fused on one core)", p.Units)
 	}
@@ -29,7 +32,7 @@ func TestPlanFusionSingleCoreFusesEverything(t *testing.T) {
 // dwarfs the sync cost should keep every cut on a host with enough cores
 // — that is exactly when pipelining pays.
 func TestPlanFusionCheapRingsKeepCuts(t *testing.T) {
-	p := PlanFusion([]float64{10_000, 10_000, 10_000, 10_000}, 100, 8)
+	p := PlanFusion([]float64{10_000, 10_000, 10_000, 10_000}, nil, 100, 8)
 	if p.Units != 4 {
 		t.Fatalf("Units = %d, want 4 (no fusion when rings are cheap)", p.Units)
 	}
@@ -48,7 +51,7 @@ func TestPlanFusionFoldsTinyStageIntoNeighbor(t *testing.T) {
 	// (the bottleneck stays 10000 either way); at least one of its cuts
 	// must fuse, and the pipeline must keep at least two units so the
 	// two heavy stages still overlap.
-	p := PlanFusion([]float64{10_000, 50, 10_000}, 1500, 4)
+	p := PlanFusion([]float64{10_000, 50, 10_000}, nil, 1500, 4)
 	if p.Units != 2 {
 		t.Fatalf("Units = %d, want 2 (tiny stage folded, heavy cut kept)", p.Units)
 	}
@@ -63,12 +66,54 @@ func TestPlanFusionFoldsTinyStageIntoNeighbor(t *testing.T) {
 // TestPlanFusionDegenerateInputs: single stage and zero cores must not
 // panic and must return a sane empty/clamped plan.
 func TestPlanFusionDegenerateInputs(t *testing.T) {
-	p := PlanFusion([]float64{100}, 1500, 0)
+	p := PlanFusion([]float64{100}, nil, 1500, 0)
 	if p.Units != 1 || len(p.FuseCuts) != 0 || len(p.Decisions) != 0 {
 		t.Fatalf("single-stage plan not empty: %+v", p)
 	}
-	p = PlanFusion(nil, 1500, 4)
+	p = PlanFusion(nil, nil, 1500, 4)
 	if p.Units != 0 || p.FuseCuts != nil {
 		t.Fatalf("nil-stage plan not empty: %+v", p)
+	}
+}
+
+// TestPlanFusionNeverMergesAcrossWidths: a cut between stages of different
+// replica width is a shard junction — a fused unit is one goroutine per
+// lane — so whatever the cores and the ring tax, the valuator keeps it and
+// says why, while the cuts on either side of it fuse on their merits.
+func TestPlanFusionNeverMergesAcrossWidths(t *testing.T) {
+	stages, widths := []float64{100, 100, 100, 100}, []int{2, 2, 1, 1}
+	for cores := 1; cores <= 8; cores++ {
+		for _, sync := range []float64{1, 50, 270, 5000} {
+			p := PlanFusion(stages, widths, sync, cores)
+			if p.FuseCuts[1] || !strings.Contains(p.Decisions[1].Why, "shard junction") {
+				t.Errorf("cores %d sync %v: junction verdict %+v", cores, sync, p.Decisions[1])
+			}
+			if cores == 1 && !(p.FuseCuts[0] && p.FuseCuts[2] && p.Units == 2) {
+				t.Errorf("sync %v: one core must fuse both aligned cuts; got %v", sync, p.FuseCuts)
+			}
+		}
+	}
+}
+
+// TestPlanFusionCountsLanesAgainstCores: two lanes on two cores already own
+// both, so a ring inside a lane buys no parallelism and every cut fuses,
+// where the same stages unsharded keep their cuts; with cores to spare the
+// lanes keep them too.
+func TestPlanFusionCountsLanesAgainstCores(t *testing.T) {
+	stages, sync := []float64{300, 300, 300, 300}, 8.0
+	if p := PlanFusion(stages, nil, sync, 2); p.Units == 1 {
+		t.Errorf("unsharded on 2 cores fused everything: %v", p.FuseCuts)
+	}
+	p := PlanFusion(stages, []int{2, 2, 2, 2}, sync, 2)
+	if p.Units != 1 {
+		t.Errorf("2 lanes on 2 cores: %d units, want 1 (%v)", p.Units, p.FuseCuts)
+	}
+	for _, d := range p.Decisions {
+		if !strings.Contains(d.Why, "2 core(s) shared by 2 lanes") {
+			t.Errorf("verdict does not say how many lanes share the cores: %q", d.Why)
+		}
+	}
+	if p := PlanFusion(stages, []int{2, 2, 2, 2}, sync, 8); p.Units != 4 {
+		t.Errorf("2 lanes on 8 cores: %d units, want 4 (%v)", p.Units, p.FuseCuts)
 	}
 }

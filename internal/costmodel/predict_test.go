@@ -3,6 +3,7 @@ package costmodel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -57,53 +58,68 @@ func mergeAt(units []float64, i int) []float64 {
 
 // TestPlanFusionIsLocalOptimumOfPredict: the valuator and the predictor are
 // the same model, so the mask PlanFusion returns must be a local optimum of
-// Predict — no single further merge of adjacent units predicts lower — and
-// every merge it reports must have lowered the prediction when it was made
-// (the before -> after figures in its rationale).
+// Predict under the replica widths it was given — no single further merge
+// of adjacent units of one width predicts lower, no cut between different
+// widths is merged — and every merge it reports must have lowered the
+// prediction when it was made (the before -> after figures in its
+// rationale).
 func TestPlanFusionIsLocalOptimumOfPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 300; trial++ {
 		stages := make([]float64, 2+rng.Intn(9))
+		widths := make([]int, len(stages))
+		shards := 1 << rng.Intn(3)
 		for i := range stages {
 			stages[i] = float64(1 + rng.Intn(2000))
+			widths[i] = 1
+			if rng.Intn(4) > 0 {
+				widths[i] = shards
+			}
 		}
 		sync := float64(1 + rng.Intn(600))
 		cores := 1 + rng.Intn(8)
-		plan := PlanFusion(stages, sync, cores)
+		plan := PlanFusion(stages, widths, sync, cores)
 
-		units := []float64{stages[0]}
+		units, lanes := []float64{stages[0]}, []int{widths[0]}
 		for k, fuse := range plan.FuseCuts {
-			if fuse {
+			switch {
+			case fuse && widths[k] != widths[k+1]:
+				t.Fatalf("%v widths %v: cut %d fused across a junction", stages, widths, k+1)
+			case fuse:
 				units[len(units)-1] += stages[k+1]
-			} else {
-				units = append(units, stages[k+1])
+			default:
+				units, lanes = append(units, stages[k+1]), append(lanes, widths[k+1])
 			}
 		}
 		if len(units) != plan.Units {
 			t.Fatalf("%v sync %v cores %d: mask %v folds to %d units, plan says %d",
 				stages, sync, cores, plan.FuseCuts, len(units), plan.Units)
 		}
-		final := Predict(units, nil, sync, cores)
+		final := Predict(units, lanes, sync, cores)
 		for i := 0; i+1 < len(units); i++ {
-			if c := Predict(mergeAt(units, i), nil, sync, cores); c < final {
-				t.Errorf("%v sync %v cores %d: mask %v predicts %v, but merging units %d,%d predicts %v",
-					stages, sync, cores, plan.FuseCuts, final, i, i+1, c)
+			if lanes[i] != lanes[i+1] {
+				continue
+			}
+			if c := Predict(mergeAt(units, i), slices.Delete(slices.Clone(lanes), i, i+1), sync, cores); c < final {
+				t.Errorf("%v widths %v sync %v cores %d: mask %v predicts %v, but merging units %d,%d predicts %v",
+					stages, widths, sync, cores, plan.FuseCuts, final, i, i+1, c)
 			}
 		}
+		split := Predict(stages, widths, sync, cores)
 		for _, dec := range plan.Decisions {
 			if !dec.Fuse {
 				continue
 			}
-			var cut, onCores int
+			var cut int
 			var tax, before, after float64
 			if _, err := fmt.Sscanf(dec.Why,
-				"fuse cut %d: ring tax %f exceeds its pipeline gain (predicted %f -> %f ns/pkt on %d core(s))",
-				&cut, &tax, &before, &after, &onCores); err != nil {
+				"fuse cut %d: ring tax %f exceeds its pipeline gain (predicted %f -> %f ns/pkt on ",
+				&cut, &tax, &before, &after); err != nil {
 				t.Fatalf("rationale %q: %v", dec.Why, err)
 			}
-			if after > before || before > Predict(stages, nil, sync, cores)+0.5 || after < final-0.5 {
-				t.Errorf("%v sync %v cores %d: %q does not lie on a descent from %v to %v",
-					stages, sync, cores, dec.Why, Predict(stages, nil, sync, cores), final)
+			if after > before || before > split+0.5 || after < final-0.5 {
+				t.Errorf("%v widths %v sync %v cores %d: %q does not lie on a descent from %v to %v",
+					stages, widths, sync, cores, dec.Why, split, final)
 			}
 		}
 	}

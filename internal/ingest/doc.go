@@ -7,10 +7,16 @@
 // packet supplier. Pull blocks until at least one packet is available and
 // then fills as many of the caller's slots as it can without blocking
 // again, which is what lets one syscall-bound read feed a whole ring
-// batch. Ownership transfers at Pull: every slice a Source hands out is a
-// freshly owned buffer the source never touches again, so the runtime can
-// thread packet bytes through its token free-list (the bytes ride in the
-// iteration context until the token retires) without a defensive copy.
+// batch. Ownership transfers at Pull: the bytes of every slice a Source
+// hands out are the caller's alone and the source never touches them
+// again, so the runtime can thread packet bytes through its token
+// free-list (the bytes ride in the iteration context until the token
+// retires) without a defensive copy. What is owned is the bytes, not the
+// allocation: the socket sources receive into chunks and hand packets out
+// as sub-slices with capacity cut to length, so packets of one TCP
+// connection (or one UDP socket) share a chunk, an append reallocates, and
+// a packet the caller retains pins at most one chunk (128 KiB TCP, 64 KiB
+// UDP) — copy out what must outlive its neighbours.
 //
 // Backpressure composes end to end. The runtime's head stage pulls one
 // batch at a time; when the first inter-stage ring is full under the

@@ -23,10 +23,12 @@ import (
 // packets) and (0, ctx.Err()) when canceled; any other error is an I/O
 // failure and the source is dead.
 //
-// Ownership transfers at Pull: each returned slice is freshly owned by
-// the caller and will never be read or written by the source again. This
+// Ownership transfers at Pull: the bytes of each returned slice are the
+// caller's and will never be read or written by the source again. This
 // is what lets the serve runtime's token free-list recycle batches
-// without copying packet bytes.
+// without copying packet bytes. Slices may share an allocation (a socket
+// source's receive chunk; len == cap, so append reallocates): a retained
+// packet pins at most one chunk.
 //
 // Pull is single-consumer — the runtime calls it from exactly one
 // goroutine — but Stats and Close may be called concurrently with Pull.
@@ -73,6 +75,17 @@ func (s *Stats) View() View {
 func (s *Stats) countRx(n int) {
 	s.rxPackets.Add(1)
 	s.rxBytes.Add(int64(n))
+}
+
+// countRxBatch books the packets one Pull hands out: two atomic adds per
+// batch, not per packet.
+func (s *Stats) countRxBatch(pkts [][]byte) {
+	var size int64
+	for _, p := range pkts {
+		size += int64(len(p))
+	}
+	s.rxPackets.Add(int64(len(pkts)))
+	s.rxBytes.Add(size)
 }
 
 // Open builds a Source from an operator-facing spec of the form

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/errs"
@@ -25,6 +26,10 @@ const udpPollInterval = 50 * time.Millisecond
 // any non-jumbo packet with room to spare.
 const maxDatagram = 9216
 
+// udpChunk is the buffer datagrams are received into, one behind the
+// other; a new one starts when less than maxDatagram is left.
+const udpChunk = 64 << 10
+
 // UDPSource receives one packet per datagram from a bound UDP socket.
 // Datagrams shorter than a POS frame header are counted as decode errors
 // and dropped at the boundary; everything else enters the pipeline
@@ -32,10 +37,20 @@ const maxDatagram = 9216
 // blocking policy), the socket stops being drained and the kernel
 // receive buffer absorbs — then drops — the excess; those drops never
 // appear in Stats.
+//
+// Packets are sub-slices of shared receive chunks, each with its capacity
+// cut to its length: a packet the caller retains keeps its chunk (udpChunk
+// bytes, shared with the packets received around it) reachable.
 type UDPSource struct {
 	conn   *net.UDPConn
+	raw    syscall.RawConn
 	stats  Stats
 	closed atomic.Bool
+
+	// Pull-side state; Pull is single-consumer.
+	chunk []byte // chunk[used:] is free
+	used  int
+	drain drainer
 }
 
 // OpenUDP binds addr (":9000", "127.0.0.1:9000") and returns a listening
@@ -49,64 +64,68 @@ func OpenUDP(addr string) (*UDPSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udp://%s: %w", addr, err)
 	}
-	return &UDPSource{conn: conn}, nil
+	raw, err := conn.SyscallConn()
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("udp://%s: %w", addr, err)
+	}
+	return &UDPSource{conn: conn, raw: raw}, nil
 }
 
 // LocalAddr returns the bound address (useful when listening on port 0).
 func (u *UDPSource) LocalAddr() net.Addr { return u.conn.LocalAddr() }
 
 // Pull blocks until at least one datagram arrives, then drains whatever
-// else is already queued without blocking, one packet per dst slot.
+// else is already queued without blocking (a non-blocking read where the
+// platform has one — see drainer — else nothing), one packet per dst slot.
 func (u *UDPSource) Pull(ctx context.Context, dst [][]byte) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	n := 0
+	n, armed := 0, false
 	for n < len(dst) {
-		var deadline time.Time
-		if n == 0 {
-			// Block for the first packet, but wake often enough to
-			// honor cancelation.
-			deadline = time.Now().Add(udpPollInterval)
-		} else {
+		if len(u.chunk)-u.used < maxDatagram {
+			u.chunk, u.used = make([]byte, udpChunk), 0
+		}
+		buf := u.chunk[u.used : u.used+maxDatagram]
+		var sz int
+		if n > 0 {
 			// Already have packets: only take what is immediately ready.
-			deadline = time.Now()
-		}
-		if err := u.conn.SetReadDeadline(deadline); err != nil {
-			return n, err
-		}
-		buf := make([]byte, maxDatagram)
-		sz, _, err := u.conn.ReadFromUDP(buf)
-		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				if n > 0 {
-					return n, nil
+			var ok bool
+			if sz, ok = u.drain.read(u.raw, buf); !ok {
+				break
+			}
+		} else {
+			// Block for the first packet, but wake often enough to honor
+			// cancelation: one deadline per wait, not per datagram.
+			if !armed {
+				if err := u.conn.SetReadDeadline(time.Now().Add(udpPollInterval)); err != nil {
+					return 0, err
 				}
+				armed = true
+			}
+			var err error
+			if sz, err = u.conn.Read(buf); err != nil {
 				if ctx.Err() != nil {
 					return 0, ctx.Err()
 				}
-				continue
-			}
-			if u.closed.Load() {
-				// Close mid-serve is a clean shutdown, not an I/O failure.
-				if n > 0 {
-					return n, nil
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					armed = false
+					continue
 				}
-				if ctx.Err() != nil {
-					return 0, ctx.Err()
+				if u.closed.Load() {
+					// Close mid-serve is a clean shutdown, not an I/O failure.
+					return 0, io.EOF
 				}
-				return 0, io.EOF
+				return 0, err
 			}
-			return n, err
 		}
 		if sz < netbench.FrameHdrLen {
 			u.stats.decodeErrors.Add(1)
 			continue
 		}
-		dst[n] = buf[:sz]
-		u.stats.countRx(sz)
+		dst[n] = buf[:sz:sz]
+		u.used += sz
 		n++
 	}
+	u.stats.countRxBatch(dst[:n])
 	return n, nil
 }
 
