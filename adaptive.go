@@ -167,18 +167,20 @@ type Plan struct {
 	// StageWeights is the per-stage worst-case path cost under the plan's
 	// weights — calibrated units after adaptation, static units before.
 	StageWeights []int64
-	// FusedCuts lists the 1-based cuts realized by stage fusion — cut k
-	// joins stages k and k+1 into one execution unit instead of an SPSC
-	// ring. Empty when every cut keeps its ring (including under
-	// FusionOff).
+	// FusedCuts lists the 1-based cuts un-made by stage fusion — stages k
+	// and k+1 around cut k are served as one re-realized program, with no
+	// transmission between them, instead of two programs on an SPSC ring
+	// (Units renders the result). Empty when every cut keeps its ring
+	// (including under FusionOff and under a fault plan).
 	FusedCuts []int
 	// FusionWhy records the fusion valuator's per-cut verdicts in cut
 	// order: the two-bound arithmetic behind each fuse/keep call. Empty
 	// when the pipeline has one stage or fusion is off.
 	FusionWhy []string
 	// PredictedNsPerPkt is the cost model's price for exactly this
-	// realization (costmodel.Predict over its units, replica widths and
-	// retained handoffs) — the number the autotuner ranks candidates by.
+	// realization (costmodel.Predict over the served programs' own path
+	// costs, their replica widths and the retained handoffs) — the number
+	// the autotuner ranks candidates by.
 	// In nanoseconds after calibration, in datasheet weight units before.
 	PredictedNsPerPkt float64
 	// Why is the human-readable rationale: how the plan was chosen, with
@@ -276,17 +278,24 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		return finish() // stream shorter than one probe window: nothing to adapt
 	}
 
-	// Calibrate the cost model from the measured per-stage times. A failed
-	// fit (degenerate measurements) falls back to the static weights; the
-	// tuner still runs, ranking candidates by the datasheet model.
+	// Calibrate the cost model from the measured per-stage times: one sample
+	// per program the probe round served, its op counts against the time
+	// booked under the stage it begins at (the entries of stages fused into
+	// it carry nothing). A failed fit (degenerate measurements) falls back to
+	// the static weights; the tuner still runs, ranking candidates by the
+	// datasheet model.
 	arch := cfg.explore.Base.Arch
-	samples := make([]costmodel.Sample, len(p.stages))
-	for i, st := range probe.Stages {
-		samples[i] = costmodel.Sample{
-			Counts:    costmodel.CountOps(p.stages[i].Func, arch),
+	progs := lay.Stages()
+	samples := make([]costmodel.Sample, 0, len(progs))
+	for _, st := range probe.Stages {
+		if st.FusedInto != 0 {
+			continue
+		}
+		samples = append(samples, costmodel.Sample{
+			Counts:    costmodel.CountOps(progs[len(samples)].Func, arch),
 			NsPerIter: st.NsPerIteration(),
 			Iters:     st.In,
-		}
+		})
 	}
 	analysis := p.analysis
 	nsPerWeight := 1.0

@@ -112,6 +112,53 @@ func TestAdaptiveServeShortStream(t *testing.T) {
 	}
 }
 
+// TestAdaptiveProbeOnFusedPlan: the probe round runs the static plan, and
+// when that plan fuses cuts the round serves coarsened programs — here D=3
+// with cut 2 un-made, so two programs stand for three stages. A stream that
+// ends inside the probe window shows the round's shape in the Metrics (stage
+// 3 reported inside stage 2, which saw every packet); a longer one must
+// calibrate from the two programs that ran — each unit's op counts against
+// the time booked under its first stage, the folded entry skipped — and stay
+// exact through the re-cut.
+func TestAdaptiveProbeOnFusedPlan(t *testing.T) {
+	defer repro.SetFuseMaskForTest([]bool{false, true})()
+	prog := repro.MustCompile(adaptSrc)
+	const n = 6000
+	packets := testPackets(n)
+	seq := seqTrace(t, prog, packets, n)
+	at := repro.Autotune{ProbePackets: 500, TopK: 2, MaxDegree: 3, Batches: []int{1, 8}, Shards: []int{1}}
+
+	pipe, err := repro.Partition(prog, repro.WithStages(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pipe.Plan().Units(); got != "[1] [2+3]" {
+		t.Fatalf("static plan serves %s, want [1] [2+3]", got)
+	}
+	short, err := pipe.Serve(context.Background(), repro.PacketSource(packets[:40]), repro.WithAutotune(at))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(short.Stages) != 3 || short.Stages[1].In != 40 || short.Stages[1].FusedInto != 0 || short.Stages[2].FusedInto != 2 {
+		t.Errorf("probe round did not serve [1] [2+3]: %+v", short.Stages)
+	}
+	if diff := repro.TraceEqual(seqTrace(t, prog, packets[:40], 40), short.Trace); diff != "" {
+		t.Fatalf("probe round on the fused plan diverged: %s", diff)
+	}
+
+	m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), repro.WithAutotune(at))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+		t.Fatalf("adaptive serve from a fused probe diverged: %s", diff)
+	}
+	plan := pipe.Plan()
+	if m.Packets != n || !plan.Calibrated || plan.NsPerWeight <= 0 {
+		t.Errorf("served %d of %d; calibrated %v at %v ns/weight: %s", m.Packets, n, plan.Calibrated, plan.NsPerWeight, plan.Why)
+	}
+}
+
 // TestAdaptiveServeP99Objective exercises the latency-bounded objective
 // end to end: the loop must still be exact, and the plan must carry the
 // declared objective.
@@ -342,36 +389,67 @@ func TestPlanIsTheServedRealization(t *testing.T) {
 	}
 }
 
-// TestPlanPredictedNsPerPkt: the figure Plan publishes is the one
-// predictor's price for the realization — for the fully fused D=4 golden
-// plan, the "-> 70 ns/pkt" its last verdict ends on.
+// TestPlanPredictedNsPerPkt: the figure Plan publishes prices what is
+// served. On one core the D=4 cut fuses whole and is served as one
+// re-realized program, so the price is that program's own path cost — the
+// D=1 partition's — which undercuts both the sum of the four stages (each
+// pays for transmissions the unit does not make) and the valuator's trial
+// figure, which only drops the sends and receives.
 func TestPlanPredictedNsPerPkt(t *testing.T) {
 	defer repro.SetFusionCoresForTest(1)()
-	pipe, err := repro.Partition(repro.MustCompile(facadeSrc), repro.WithStages(4))
+	prog := repro.MustCompile(facadeSrc)
+	pipe, err := repro.Partition(prog, repro.WithStages(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := repro.Partition(prog, repro.WithStages(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := pipe.Plan()
-	last := plan.FusionWhy[len(plan.FusionWhy)-1]
-	if plan.PredictedNsPerPkt != 70 || !strings.Contains(last, "-> 70 ns/pkt") {
-		t.Errorf("PredictedNsPerPkt = %v, want the 70 of %q", plan.PredictedNsPerPkt, last)
+	if got, want := plan.PredictedNsPerPkt, float64(one.Report().Stages[0].Cost.Total); got != want {
+		t.Errorf("PredictedNsPerPkt = %v, want the D=1 program's path cost %v", got, want)
+	}
+	var sum int64
+	for _, w := range plan.StageWeights {
+		sum += w
+	}
+	// The valuator's figure for the fully fused cut is where its descent ends.
+	trial := math.Inf(1)
+	for _, why := range plan.FusionWhy {
+		var after float64
+		if _, err := fmt.Sscanf(why[strings.Index(why, "-> "):], "-> %f ns/pkt", &after); err != nil {
+			t.Fatalf("verdict %q: %v", why, err)
+		}
+		trial = min(trial, after)
+	}
+	if !(plan.PredictedNsPerPkt <= trial && trial < float64(sum)) {
+		t.Errorf("served price %v, valuator's trial %v, member sum %d: want served <= trial < sum",
+			plan.PredictedNsPerPkt, trial, sum)
 	}
 }
 
 // TestSameUnitSamePrice: a D-stage cut fully fused and a one-stage pipeline
-// of equal total cost are the same execution unit, so the tuner's prior
-// must price them equally (and below the ringed realization, which pays
-// for its handoffs).
+// are the same program, so the tuner's prior must price them equally (and
+// below the ringed realization, which pays for its transmissions and its
+// handoffs).
 func TestSameUnitSamePrice(t *testing.T) {
-	stages, ones := []float64{100, 100, 100, 100}, []int{1, 1, 1, 1}
-	fused := repro.PriceForTest(stages, []bool{true, true, true}, ones, 270, 2)
-	single := repro.PriceForTest([]float64{400}, nil, []int{1}, 270, 2)
-	ringed := repro.PriceForTest(stages, []bool{false, false, false}, ones, 270, 2)
-	if fused != single || fused != 400 {
-		t.Errorf("fully fused D=4 priced %v, D=1 of the same work %v; want both 400", fused, single)
+	defer repro.SetFusionCoresForTest(1)()
+	prog := repro.MustCompile(facadeSrc)
+	price := func(opts ...repro.Option) float64 {
+		pipe, err := repro.Partition(prog, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pipe.Plan().PredictedNsPerPkt
 	}
-	if ringed != 910 {
-		t.Errorf("ringed D=4 priced %v, want 910", ringed)
+	fused, single := price(repro.WithStages(4)), price(repro.WithStages(1))
+	ringed := price(repro.WithStages(4), repro.WithFusion(repro.FusionOff))
+	if fused != single {
+		t.Errorf("fully fused D=4 priced %v, D=1 %v; want the same", fused, single)
+	}
+	if ringed <= fused {
+		t.Errorf("ringed D=4 priced %v, not above the fused %v", ringed, fused)
 	}
 }
 
@@ -426,9 +504,8 @@ func TestAdaptiveServeUnderShed(t *testing.T) {
 // junction", never "fuse cut k" while absent from FusedCuts. One core
 // makes the valuator want every cut of the [P P 1] shape; the never-firing
 // fault at stage 3 makes every shallower cut a shape Serve refuses, so the
-// winner is the D=3 realization, ringed or fused. Which of the two wins is
-// a measurement; a dozen independent serves make a fused winner all but
-// certain to be among them.
+// winner is the D=3 realization — and, a fault plan naming stages, one that
+// keeps every cut and says "keep cut k" for each.
 func TestAdaptivePlanCoherentAtJunctions(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	prog := repro.MustCompile(junctionSrc)

@@ -45,21 +45,25 @@ echo "== ring gate: microbench smoke + ring oracle matrix"
 # the evidence behind fusion.go's ringSyncNsSPSC; the numbers are recorded
 # in EXPERIMENTS.md, not gated — wall-clock on a shared box), and the
 # runtime's ring tests under -race -count=2: every benchmark pipeline
-# served ringed and fused, unsharded and sharded, each trace byte-identical
-# to the sequential oracle and no lost wakeup counted. (The ring package's
+# served ringed and coarsened (every aligned cut un-made), unsharded and
+# sharded, each trace byte-identical to the sequential oracle and no lost
+# wakeup counted. (The ring package's
 # own unit tests run under -race with everything else, below.)
 go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
 go test -race -count=2 -run 'TestRing' ./internal/runtime
 
-echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode, FuzzTCPFramer"
+echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCoarsen, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode, FuzzTCPFramer"
 # Differential fuzzing of the streaming runtime against the sequential
 # oracle (the checked-in corpus under internal/runtime/testdata/fuzz seeds
-# the mutator), of the compiled backend's lowering against the interpreter
+# the mutator), of the partitioner's coarsening (random program, depth and
+# keep mask: the re-realized units against the sequential program on the
+# interpreter), of the compiled backend's lowering against the interpreter
 # on random programs and packets (sequential and partitioned, one iteration
 # per call and in batches of a fuzzed width and split, errors included), and
 # the three parsers of bytes the ingest front end did not write: source spec
 # strings, capture files, and the TCP source's length-prefixed frame stream.
 go test ./internal/runtime -run '^$' -fuzz=FuzzServeVsOracle -fuzztime=10s
+go test ./internal/core -run '^$' -fuzz=FuzzCoarsen -fuzztime=10s
 go test ./internal/exec -run '^$' -fuzz=FuzzExecVsInterp -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzOpenSpec -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzPcapDecode -fuzztime=10s
@@ -85,13 +89,15 @@ echo "== size ledger (printed, not gated)"
 # ingest front end are each listed on their own line.
 size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go adaptive.go fusion.go"
 # shellcheck disable=SC2086
-echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
+echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2660 before fusion moved into the cut, ISSUE 19)"
+# shellcheck disable=SC2046
+echo "  internal/runtime alone:  $(cat $(ls internal/runtime/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2095 before)"
 echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')"
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
-echo "options (func With*):      $(grep -c '^func With' options.go)"
-echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)"
+echo "options (func With*):      $(grep -c '^func With' options.go)  (25 before)"
+echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)  (17 before)"
 # The second measurement stack and the prose about it, the two things
 # ROADMAP item 4 asked to shrink.
 bench_files="$(find internal/experiments cmd/pipebench examples -name '*.go' ! -name '*_test.go')"

@@ -290,6 +290,7 @@ func main() {
 			}
 			if m != nil {
 				fmt.Print(m)
+				fmt.Printf("plan: units %s\n", pipe.Plan().Units())
 			}
 			if interrupted {
 				fmt.Println("interrupted: skipping the oracle check (partial stream)")
@@ -320,6 +321,7 @@ func main() {
 				fatal(err)
 			}
 			fmt.Print(m)
+			fmt.Printf("plan: units %s\n", pipe.Plan().Units())
 		}
 		if tr != nil {
 			spans := tr.Spans()

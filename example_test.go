@@ -132,9 +132,12 @@ func ExamplePipeline_Snapshot() {
 		panic(err)
 	}
 
+	// Every cut kept, so both stages are served and each books its own
+	// counters (a stage fused into its neighbor reports StageStats.FusedInto).
 	reg := repro.NewRegistry()
 	packets := [][]byte{{1}, {2}, {3}, {4}}
 	if _, err := pipe.Serve(context.Background(), repro.PacketSource(packets),
+		repro.WithFusion(repro.FusionOff),
 		repro.WithObserver(&repro.Observer{Registry: reg})); err != nil {
 		panic(err)
 	}

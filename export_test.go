@@ -1,5 +1,11 @@
 package repro
 
+import (
+	"fmt"
+
+	"repro/internal/costmodel"
+)
+
 // Test-only seams. SetFusionCoresForTest pins the core budget the fusion
 // valuator plans for, so golden Plan fixtures are host-independent; the
 // returned func restores the real GOMAXPROCS-backed seam.
@@ -9,10 +15,22 @@ func SetFusionCoresForTest(cores int) (restore func()) {
 	return func() { fusionCores = prev }
 }
 
-// PriceForTest is the adaptive loop's candidate prior before inversion:
-// per-stage costs folded into units under a fuse mask and replica widths,
-// priced by costmodel.Predict.
-var PriceForTest = price
+// SetFuseMaskForTest replaces the fusion valuator with one that asks for
+// exactly the cuts mask names (mask[k]: fuse the cut between stages k+1 and
+// k+2; short masks keep the rest), so a test can put any coarsening through
+// Serve; the returned func restores the cost model's valuator.
+func SetFuseMaskForTest(mask []bool) (restore func()) {
+	prev := planFusion
+	planFusion = func(stageNs, _ []float64, _ []int, _ float64, _ int) costmodel.FusionPlan {
+		var fp costmodel.FusionPlan
+		for k := 0; k+1 < len(stageNs); k++ {
+			fuse := k < len(mask) && mask[k]
+			fp.Decisions = append(fp.Decisions, costmodel.FusionDecision{Cut: k, Fuse: fuse, Why: fmt.Sprintf("forced: fuse %v", fuse)})
+		}
+		return fp
+	}
+	return func() { planFusion = prev }
+}
 
 // DescribeOptionForTest reports what an Option says about itself: its name
 // and which entry points past the analysis phase accept it.

@@ -3,17 +3,23 @@ package repro
 // Realization at the repro layer: realize is the one function that turns a
 // cut and a serve configuration into the two faces of one decision — the
 // Plan that Pipeline.Plan() prints and the runtime.Layout the engine
-// executes. The throughput model it prices realizations with is
-// costmodel.Predict; the fusion valuator built on it is
-// costmodel.PlanFusion; which cuts may fuse and how wide each stage
-// replicates is the Layout's say. WithFusion selects the mode: FusionAuto
-// (default) applies the valuator's verdict, FusionOff pins every cut to a
-// ring.
+// executes. Fusion is a property of the cut, not of the runtime: a cut the
+// valuator (costmodel.PlanFusion) finds not worth its ring is un-made —
+// core.Result.Coarsen realizes the same stage assignment with one program
+// per run of fused stages — and the runtime serves those programs, a ring at
+// every boundary that is left. WithFusion selects the mode: FusionAuto
+// (default) applies the valuator's verdict, FusionOff keeps every cut. The
+// throughput model every realization is priced with is costmodel.Predict.
 
 import (
+	"fmt"
 	stdruntime "runtime"
+	"slices"
+	"strings"
 
+	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/ir"
 	"repro/internal/runtime"
 )
 
@@ -36,16 +42,67 @@ const ringSyncNsSPSC = 270.0
 // count.
 var fusionCores = func() int { return stdruntime.GOMAXPROCS(0) }
 
-// realize decides how the pipeline's cut is served under cfg: it asks the
-// valuator which cuts to fuse (mode FusionAuto; FusionOff requests none and
-// records no verdicts), lays the stages out under the resulting runtime
-// configuration, and reports what that layout says — effective shard
-// width, per-stage replicas, the cuts that really fuse — together with the
-// predictor's price for exactly that realization. Stage costs are the
-// report's weights times nsPerWeight (1 on the static path: datasheet
-// weights taken as nanoseconds). When no layout exists — a cut that is not
-// servable, a configuration Serve would refuse — the error says why and
-// the Plan still describes the requested shape.
+// planFusion is the fusion valuator. A variable so the equivalence tests can
+// put every fuse mask through Serve, not only the ones the cost model picks
+// on the test host.
+var planFusion = costmodel.PlanFusion
+
+// served is the cut realized with a set of its cuts un-made: the units (one
+// program per maximal run of fused stages, with the cut stages it stands for
+// and its path cost) and their layout under the default configuration, from
+// which every serve shape is base.With(a config). err says why the units
+// cannot be served.
+type served struct {
+	units []core.Unit
+	base  *runtime.Layout
+	err   error
+}
+
+// shape returns the pipeline's cut with the cuts in fuse un-made (bit k:
+// the cut between stages k+1 and k+2), realizing and classifying it on first
+// use. The fully ringed shape is the partition's own stage list; only a
+// shape that fuses something pays for a coarser realization, once.
+func (p *Pipeline) shape(fuse uint64) *served {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if sv, ok := p.shapes[fuse]; ok {
+		return sv
+	}
+	sv := &served{}
+	if fuse == 0 {
+		for i, prog := range p.stages {
+			sv.units = append(sv.units, core.Unit{First: i + 1, Last: i + 1, Prog: prog, Cost: p.report.Stages[i].Cost})
+		}
+	} else {
+		keep := make([]bool, len(p.stages)-1)
+		for k := range keep {
+			keep[k] = fuse>>k&1 == 0
+		}
+		sv.units, sv.err = p.res.Coarsen(keep)
+	}
+	if sv.err == nil {
+		progs, covers := make([]*ir.Program, len(sv.units)), make([]int, len(sv.units))
+		for i, u := range sv.units {
+			progs[i], covers[i] = u.Prog, u.Last-u.First+1
+		}
+		sv.base, sv.err = runtime.NewCoarseLayout(progs, covers, runtime.Config{})
+	}
+	p.shapes[fuse] = sv
+	return sv
+}
+
+// realize decides how the pipeline's cut is served under cfg: it lays the
+// cut out ringed for the replica widths, asks the valuator which cuts to
+// un-make (mode FusionAuto; FusionOff asks nothing and records no verdicts;
+// a fault plan names stages, so every cut it could aim at is kept and the
+// verdicts say so), lays the coarsened units out under the same
+// configuration, and reports what that layout says — effective shard width,
+// per-stage replicas, the fused cuts — with the predictor's price for the
+// programs actually served: each unit's own worst-case path cost, not the
+// sum of its members'. Costs are model weights times nsPerWeight (1 on the
+// static path: datasheet weights taken as nanoseconds). When no layout
+// exists — a cut that is not servable, a configuration Serve would refuse —
+// the error says why and the Plan still describes the requested shape.
 func (p *Pipeline) realize(cfg config, mode FusionMode, nsPerWeight float64) (*Plan, *runtime.Layout, error) {
 	rc := cfg.serve
 	plan := &Plan{
@@ -55,54 +112,88 @@ func (p *Pipeline) realize(cfg config, mode FusionMode, nsPerWeight float64) (*P
 		Objective: cfg.objective.String(),
 		Why:       "static cut under datasheet weights; no adaptive serve has run",
 	}
-	costs := make([]float64, len(p.report.Stages))
-	for i, s := range p.report.Stages {
+	for _, s := range p.report.Stages {
 		plan.StageWeights = append(plan.StageWeights, s.Cost.Total)
-		costs[i] = float64(s.Cost.Total) * nsPerWeight
 	}
-	if p.base == nil {
-		return plan, nil, p.baseErr
+	sv := p.shape(0)
+	if sv.err != nil {
+		return plan, nil, sv.err
 	}
-	// Replica widths do not depend on the fuse mask, so the ringed layout
-	// supplies the widths the valuator prices its merges with.
-	lay, err := p.base.With(rc)
+	lay, err := sv.base.With(rc)
 	if err != nil {
 		return plan, nil, err
 	}
 	plan.Shards, plan.Replicas = lay.Width(), lay.Replicas()
 	sync, cores := ringSyncNsSPSC/float64(plan.Batch), fusionCores()
-	if mode == FusionAuto {
-		fp := costmodel.PlanFusion(costs, plan.Replicas, sync, cores)
-		rc.FuseCuts = fp.FuseCuts
-		if lay, err = p.base.With(rc); err != nil {
+	var fuse uint64
+	switch {
+	case mode != FusionAuto:
+	case rc.Faults != nil:
+		for k := 1; k < plan.Degree; k++ {
+			plan.FusionWhy = append(plan.FusionWhy, fmt.Sprintf("keep cut %d: kept: the fault plan names stages", k))
+		}
+	default:
+		// A merge does not pay for the cut it swallows: its send and its
+		// receive, priced as the cut report's slot count on the cut's ring.
+		arch, ring := p.analysis.Arch(), cfg.explore.Base.Channel
+		costs, cutNs := make([]float64, plan.Degree), make([]float64, plan.Degree-1)
+		for i, w := range plan.StageWeights {
+			costs[i] = float64(w) * nsPerWeight
+		}
+		for k, c := range p.report.Cuts {
+			cutNs[k] = 2 * float64(arch.TxWeight(ring, c.Slots)) * nsPerWeight
+		}
+		// A cut fuses only between stages of equal replica width: a fused
+		// unit is one program per lane, and a scatter or fan-in keeps its
+		// junction machinery (the valuator never asks otherwise).
+		for _, dec := range planFusion(costs, cutNs, plan.Replicas, sync, cores).Decisions {
+			plan.FusionWhy = append(plan.FusionWhy, dec.Why)
+			if dec.Fuse && plan.Replicas[dec.Cut] == plan.Replicas[dec.Cut+1] {
+				fuse |= 1 << dec.Cut
+				plan.FusedCuts = append(plan.FusedCuts, dec.Cut+1)
+			}
+		}
+	}
+	if fuse != 0 {
+		if sv = p.shape(fuse); sv.err != nil {
+			return plan, nil, sv.err
+		}
+		if lay, err = sv.base.With(rc); err != nil {
 			return plan, nil, err
 		}
-		for _, dec := range fp.Decisions {
-			plan.FusionWhy = append(plan.FusionWhy, dec.Why)
+	}
+	widths := lay.Replicas()
+	unitNs := make([]float64, len(sv.units))
+	for i, u := range sv.units {
+		unitNs[i] = float64(u.Cost.Total) * nsPerWeight
+		for s := u.First; s <= u.Last; s++ {
+			plan.Replicas[s-1] = widths[i]
 		}
 	}
-	fused := lay.Fused()
-	for k, f := range fused {
-		if f {
-			plan.FusedCuts = append(plan.FusedCuts, k+1)
-		}
-	}
-	plan.PredictedNsPerPkt = price(costs, fused, plan.Replicas, sync, cores)
+	plan.PredictedNsPerPkt = costmodel.Predict(unitNs, widths, sync, cores)
 	return plan, lay, nil
 }
 
-// price folds per-stage costs into the realization's execution units — a
-// run of stages joined by fused cuts is one unit, at the replica width its
-// stages share — and asks the one predictor for its cost per packet.
-func price(costs []float64, fused []bool, replicas []int, sync float64, cores int) float64 {
-	var units []float64
-	var widths []int
-	for s, c := range costs {
-		if s > 0 && fused[s-1] {
-			units[len(units)-1] += c
-		} else {
-			units, widths = append(units, c), append(widths, replicas[s])
+// Units renders the served units: each program's cut stages joined by "+",
+// with its replica width when sharded — "[1+2+3+4]×2" for a four-stage cut
+// served fully fused on two lanes, "[1] [2+3] [4]" with only cut 2 fused.
+func (p *Plan) Units() string {
+	var b strings.Builder
+	for s := 1; s <= p.Degree; s++ {
+		switch {
+		case s == 1:
+			b.WriteString("[1")
+		case slices.Contains(p.FusedCuts, s-1):
+			fmt.Fprintf(&b, "+%d", s)
+		default:
+			fmt.Fprintf(&b, " [%d", s)
+		}
+		if !slices.Contains(p.FusedCuts, s) {
+			b.WriteString("]")
+			if s <= len(p.Replicas) && p.Replicas[s-1] > 1 {
+				fmt.Fprintf(&b, "×%d", p.Replicas[s-1])
+			}
 		}
 	}
-	return costmodel.Predict(units, widths, sync, cores)
+	return b.String()
 }

@@ -3,9 +3,14 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro"
+	"repro/internal/interp"
+	"repro/internal/netbench"
 )
 
 // TestWithFusionValidates: an unknown fusion mode fails fast with the
@@ -70,5 +75,172 @@ func TestServeFusionOffMatchesAuto(t *testing.T) {
 				t.Error("fused plan carries no rationale")
 			}
 		})
+	}
+}
+
+// TestServeEveryFuseMaskMatchesOracle is the realization-independence
+// matrix at the facade: every benchmark PPS × D=1..5 × every fuse mask × P ∈ {1, 2, 4},
+// each point served through Pipeline.Serve — the valuator replaced by one
+// that asks for exactly the mask, so realize grants it where replica widths
+// align, coarsens the cut and lays the units out — and compared byte for
+// byte with the interpreter on the unpartitioned program. One Pipeline per
+// depth serves every mask and width, so the shape cache is exercised too.
+// Beyond the trace each point checks that the Plan and the Metrics agree on
+// the served shape: a granted cut is in FusedCuts, the stage behind it is
+// reported as fused into the unit's first stage with no counters of its own,
+// and every served stage saw every packet.
+func TestServeEveryFuseMaskMatchesOracle(t *testing.T) {
+	const n = 48
+	for _, pps := range append(netbench.IPv4Forwarding(), netbench.IPForwarding()...) {
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", pps.Name, err)
+		}
+		an, err := repro.Analyze(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", pps.Name, err)
+		}
+		traffic := pps.Traffic(n)
+		seq, err := interp.RunSequential(prog, netbench.NewWorld(traffic), n)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", pps.Name, err)
+		}
+		for d := 1; d <= 5; d++ {
+			pipe, err := an.Partition(repro.WithStages(d), repro.WithBatch(4), repro.WithShardKey(repro.FlowKey))
+			if err != nil {
+				t.Fatalf("%s D=%d: %v", pps.Name, d, err)
+			}
+			for bits := 0; bits < 1<<(d-1); bits++ {
+				mask := make([]bool, d-1)
+				for k := range mask {
+					mask[k] = bits>>k&1 == 1
+				}
+				for _, shards := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s/D=%d/fuse=%0*b/P=%d", pps.Name, d, d-1, bits, shards)
+					restore := repro.SetFuseMaskForTest(mask)
+					m, err := pipe.Serve(context.Background(), repro.PacketSource(traffic),
+						repro.WithShards(shards), repro.WithWorld(netbench.NewWorld(nil)))
+					restore()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+						t.Errorf("%s: trace diverges from oracle: %s", name, diff)
+					}
+					plan := pipe.Plan()
+					if m.Packets != n || len(m.Stages) != d || len(plan.Replicas) != d {
+						t.Fatalf("%s: %d packets over %d stage entries, plan replicas %v", name, m.Packets, len(m.Stages), plan.Replicas)
+					}
+					fused := map[int]bool{}
+					for _, k := range plan.FusedCuts {
+						fused[k] = true
+					}
+					first := 1 // the first stage of the unit the walk is in
+					for k := 1; k <= d; k++ {
+						st := m.Stages[k-1]
+						if k > 1 {
+							if want := mask[k-2] && plan.Replicas[k-2] == plan.Replicas[k-1]; fused[k-1] != want {
+								t.Errorf("%s: cut %d fused = %v, asked %v at widths %v", name, k-1, fused[k-1], mask[k-2], plan.Replicas)
+							}
+							if !fused[k-1] {
+								first = k
+							}
+						}
+						switch {
+						case st.Stage != k || st.Replicas != plan.Replicas[k-1]:
+							t.Errorf("%s: stage entry %d: %+v, plan replicas %v", name, k, st, plan.Replicas)
+						case first < k && (st.FusedInto != first || st.In != 0 || st.Busy != 0):
+							t.Errorf("%s: stage %d should be folded into %d: %+v", name, k, first, st)
+						case first == k && (st.FusedInto != 0 || st.In != n || st.Out != n):
+							t.Errorf("%s: served stage %d: in=%d out=%d fused into %d, want %d, %d, 0", name, k, st.In, st.Out, st.FusedInto, n, n)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestServeWithFaultsKeepsEveryCut: a fault plan names stages, so a serve
+// that carries one fuses nothing — on a core budget where FusionAuto would
+// otherwise fuse the whole cut — says so in every verdict, and still
+// attributes a stage-3 fault to stage 3.
+func TestServeWithFaultsKeepsEveryCut(t *testing.T) {
+	defer repro.SetFusionCoresForTest(1)()
+	pps, _ := netbench.ByName("IPv4")
+	prog, err := pps.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := repro.Partition(prog, repro.WithStages(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(pipe.Plan().FusedCuts); got != 3 {
+		t.Fatalf("without a fault plan one core fuses %d cuts, want 3", got)
+	}
+	const n = 24
+	m, err := pipe.Serve(context.Background(), repro.PacketSource(pps.Traffic(n)),
+		repro.WithWorld(netbench.NewWorld(nil)),
+		repro.WithFaults(&repro.FaultPlan{Injections: []repro.FaultInjection{{Kind: repro.FaultPanic, Stage: 3, At: 4}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := pipe.Plan()
+	if len(plan.FusedCuts) != 0 || plan.Units() != "[1] [2] [3] [4]" || len(plan.FusionWhy) != 3 {
+		t.Errorf("fault plan did not keep every cut: fused %v units %s verdicts %q", plan.FusedCuts, plan.Units(), plan.FusionWhy)
+	}
+	for _, why := range plan.FusionWhy {
+		if !strings.Contains(why, "kept: the fault plan names stages") {
+			t.Errorf("verdict does not say why the cut is kept: %q", why)
+		}
+	}
+	rep := m.Faults
+	if rep.Quarantined != 1 || len(rep.Records) != 1 || rep.Records[0].Stage != 3 || rep.Records[0].Iter != 4 {
+		t.Fatalf("stage-3 panic misattributed:\n%s", rep)
+	}
+	for _, st := range m.Stages {
+		if st.FusedInto != 0 {
+			t.Errorf("stage %d reported as fused into %d under a fault plan", st.Stage, st.FusedInto)
+		}
+	}
+	if rep.Accounted() != m.Stages[0].In || m.Packets != n-1 {
+		t.Errorf("ledger: accounted %d of %d pulled, delivered %d", rep.Accounted(), m.Stages[0].In, m.Packets)
+	}
+}
+
+// TestServeConcurrentlySharesShapes: a Pipeline is safe for concurrent use,
+// and the coarsened shapes it caches are the one state its serves share.
+// Eight serves start together on a fresh pipeline whose static plan fuses
+// every cut — all of them reach for the same not-yet-realized shape — and
+// each must come back with the oracle's trace.
+func TestServeConcurrentlySharesShapes(t *testing.T) {
+	defer repro.SetFusionCoresForTest(1)()
+	prog := repro.MustCompile(facadeSrc)
+	const n = 64
+	packets := testPackets(n)
+	seq := seqTrace(t, prog, packets, n)
+	pipe, err := repro.Partition(prog, repro.WithStages(4), repro.WithFusion(repro.FusionOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), repro.WithFusion(repro.FusionAuto))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+				t.Errorf("concurrent fused serve diverged: %s", diff)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := pipe.Plan().Units(); got != "[1+2+3+4]" {
+		t.Errorf("served %s, want the whole cut fused", got)
 	}
 }

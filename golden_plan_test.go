@@ -14,8 +14,9 @@ import (
 var updatePlans = flag.Bool("update", false, "rewrite the golden Plan fixtures")
 
 // renderPlan serializes the fusion-relevant face of a Plan: the realized
-// shape, the per-stage weights the valuator saw, which cuts it fused, and
-// the stated per-cut rationale. Everything here is a pure function of the
+// shape, the per-stage weights the valuator saw, which cuts it fused, the
+// units served with the price of exactly those programs, and the stated
+// per-cut rationale. Everything here is a pure function of the
 // program, the options, and the pinned core budget — no measured times —
 // so the rendering must be byte-stable across runs and machines.
 func renderPlan(p *repro.Plan) string {
@@ -23,6 +24,7 @@ func renderPlan(p *repro.Plan) string {
 	fmt.Fprintf(&b, "degree %d batch %d shards %d\n", p.Degree, p.Batch, p.Shards)
 	fmt.Fprintf(&b, "stage weights %v\n", p.StageWeights)
 	fmt.Fprintf(&b, "fused cuts %v\n", p.FusedCuts)
+	fmt.Fprintf(&b, "units %s predicted %.0f ns/pkt\n", p.Units(), p.PredictedNsPerPkt)
 	for _, why := range p.FusionWhy {
 		fmt.Fprintf(&b, "  %s\n", why)
 	}

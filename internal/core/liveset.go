@@ -248,6 +248,22 @@ func (st *partitionState) usePositions(o object, j int, ps *positions) []pos {
 	return out
 }
 
+// reach is what the interference relation needs of one live-set object at
+// one cut: whether the sending stage relays it (defined before stage j) and
+// its definition and beyond-the-cut use points. packCut computes it once per
+// object; the relation is evaluated per pair.
+type reach struct {
+	o       object
+	relayed bool
+	defs    []pos
+	uses    []pos
+}
+
+// reachOf computes object o's reach at cut j.
+func (st *partitionState) reachOf(o object, j int, ps *positions) reach {
+	return reach{o: o, relayed: st.defStage(o) < j, defs: st.defPositions(o, ps), uses: st.usePositions(o, j, ps)}
+}
+
 // interferes implements the paper's interference relation over the
 // concatenated CFGs with impossible paths excluded (figures 15/16): u and v
 // interfere iff some execution path defines u, later defines v, and carries
@@ -267,29 +283,27 @@ func (st *partitionState) usePositions(o object, j int, ps *positions) []pos {
 //     relayed object (the relay write always precedes it);
 //   - a relayed object never clobbers a locally defined one (entry writes
 //     precede all local definitions).
-func (st *partitionState) interferes(u, v object, j int, ps *positions, prev *cutInfo) bool {
-	uRelayed := st.defStage(u) < j
-	vRelayed := st.defStage(v) < j
-	if uRelayed && vRelayed {
+func interferes(u, v reach, ps *positions, prev *cutInfo) bool {
+	if u.relayed && v.relayed {
 		if prev == nil {
 			return true // defensive: should not happen
 		}
-		return prev.slotOf[u] != prev.slotOf[v]
+		return prev.slotOf[u.o] != prev.slotOf[v.o]
 	}
-	if uRelayed {
-		return st.clobbersRelayed(u, v, j, ps)
+	if u.relayed {
+		return clobbersRelayed(u, v, ps)
 	}
-	if vRelayed {
-		return st.clobbersRelayed(v, u, j, ps)
+	if v.relayed {
+		return clobbersRelayed(v, u, ps)
 	}
-	return st.clobbers(u, v, j, ps) || st.clobbers(v, u, j, ps)
+	return clobbers(u, v, ps) || clobbers(v, u, ps)
 }
 
 // clobbersRelayed reports whether local object v's definition can co-occur
 // on a path with a beyond-the-cut use of relayed object u.
-func (st *partitionState) clobbersRelayed(u, v object, j int, ps *positions) bool {
-	for _, dv := range st.defPositions(v, ps) {
-		for _, q := range st.usePositions(u, j, ps) {
+func clobbersRelayed(u, v reach, ps *positions) bool {
+	for _, dv := range v.defs {
+		for _, q := range u.uses {
 			if ps.reaches(dv, q) || ps.reaches(q, dv) {
 				return true
 			}
@@ -300,13 +314,13 @@ func (st *partitionState) clobbersRelayed(u, v object, j int, ps *positions) boo
 
 // clobbers reports whether v's definition can follow u's on a path that
 // also uses u beyond the cut.
-func (st *partitionState) clobbers(u, v object, j int, ps *positions) bool {
-	for _, du := range st.defPositions(u, ps) {
-		for _, dv := range st.defPositions(v, ps) {
+func clobbers(u, v reach, ps *positions) bool {
+	for _, du := range u.defs {
+		for _, dv := range v.defs {
 			if !ps.reaches(du, dv) {
 				continue
 			}
-			for _, q := range st.usePositions(u, j, ps) {
+			for _, q := range u.uses {
 				// Paper figure 15: def(u) ... def(v) ... use(u).
 				if ps.reaches(dv, q) {
 					return true
@@ -325,12 +339,12 @@ func (st *partitionState) clobbers(u, v object, j int, ps *positions) bool {
 // both objects are live at a common program point, where live means the
 // definition reaches the point and some beyond-cut use is reachable from
 // it. This admits the paper's t2/t3 false interference.
-func (st *partitionState) naiveInterferes(u, v object, j int, ps *positions) bool {
-	livePoints := func(o object) map[int]bool {
+func naiveInterferes(u, v reach, ps *positions) bool {
+	livePoints := func(o reach) map[int]bool {
 		// Block-granularity liveness region.
 		blocks := make(map[int]bool)
-		for _, d := range st.defPositions(o, ps) {
-			for _, q := range st.usePositions(o, j, ps) {
+		for _, d := range o.defs {
+			for _, q := range o.uses {
 				if !ps.reaches(d, q) && d.block != q.block {
 					continue
 				}
@@ -360,30 +374,31 @@ func (st *partitionState) naiveInterferes(u, v object, j int, ps *positions) boo
 func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 	n := len(ci.objects)
 	adj := make([][]bool, n)
-	for i := range adj {
+	rs := make([]reach, n)
+	for i, o := range ci.objects {
 		adj[i] = make([]bool, n)
+		rs[i] = st.reachOf(o, ci.index, ps)
 	}
 	for i := 0; i < n; i++ {
 		for k := i + 1; k < n; k++ {
-			u, v := ci.objects[i], ci.objects[k]
+			u, v := rs[i], rs[k]
 			var conflict bool
 			switch {
 			case st.opts.Tx == TxNaiveUnified:
 				conflict = true
-			case st.defStage(u) < ci.index || st.defStage(v) < ci.index:
+			case u.relayed || v.relayed:
 				// Relay-involved pairs always use the exact relation: the
 				// naive modes are ablations of packing quality, never of
 				// correctness.
-				conflict = st.interferes(u, v, ci.index, ps, prev)
+				conflict = interferes(u, v, ps, prev)
 			case st.opts.Tx == TxNaiveInterference:
 				// The naive relation (concatenated CFGs without excluding
 				// impossible paths) is a SUPERSET of the exact one: it adds
 				// false pairs like the paper's t2/t3 but must never drop a
 				// real conflict.
-				conflict = st.interferes(u, v, ci.index, ps, prev) ||
-					st.naiveInterferes(u, v, ci.index, ps)
+				conflict = interferes(u, v, ps, prev) || naiveInterferes(u, v, ps)
 			default:
-				conflict = st.interferes(u, v, ci.index, ps, prev)
+				conflict = interferes(u, v, ps, prev)
 			}
 			if conflict {
 				adj[i][k], adj[k][i] = true, true

@@ -122,7 +122,7 @@ func TestInterferenceExclusiveArms(t *testing.T) {
 	nonInterfering := 0
 	for i := 0; i < len(vals); i++ {
 		for k := i + 1; k < len(vals); k++ {
-			if !st.interferes(vals[i], vals[k], 1, ps, nil) {
+			if !interferes(st.reachOf(vals[i], 1, ps), st.reachOf(vals[k], 1, ps), ps, nil) {
 				nonInterfering++
 			}
 		}

@@ -51,6 +51,10 @@ type Result struct {
 	// program's arrays.
 	Stages []*ir.Program
 	Report *Report
+
+	// cut is the D-way stage assignment the programs were realized from,
+	// kept so Coarsen can realize the same assignment with fewer cuts.
+	cut *partitionState
 }
 
 // Partition applies the automatic pipelining transformation to a PPS
@@ -92,38 +96,10 @@ func (a *Analysis) Partition(options Options) (*Result, error) {
 	}
 
 	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf}
-	ps := a.ps
-	var prev *cutInfo
-	for j := 1; j < opts.Stages; j++ {
-		ci := st.buildCut(j, ps, prev)
-		st.cuts = append(st.cuts, ci)
-		prev = ci
-	}
-
 	rep := &Report{Seq: a.seq}
-	res := &Result{Report: rep}
-	for k := 1; k <= opts.Stages; k++ {
-		sf, err := st.realizeStage(k)
-		if err != nil {
-			return nil, err
-		}
-		sp := &ir.Program{
-			Name:   fmt.Sprintf("%s.stage%d", a.prog.Name, k),
-			Arrays: a.prog.Arrays,
-			Func:   sf,
-		}
-		res.Stages = append(res.Stages, sp)
-		cost := FuncCost(sf, opts.Arch, opts.Channel)
-		nInstr := 0
-		for _, b := range sf.Blocks {
-			nInstr += len(b.Instrs)
-		}
-		rep.Stages = append(rep.Stages, StageReport{
-			Stage:  k,
-			Cost:   cost,
-			Blocks: len(sf.Blocks),
-			Instrs: nInstr,
-		})
+	res := &Result{Report: rep, cut: st}
+	if res.Stages, rep.Stages, err = st.realize(); err != nil {
+		return nil, err
 	}
 
 	for i, ci := range st.cuts {
@@ -149,10 +125,6 @@ func (a *Analysis) Partition(options Options) (*Result, error) {
 		rep.Cuts = append(rep.Cuts, cr)
 	}
 
-	if err := ValidateStages(res.Stages); err != nil {
-		return nil, fmt.Errorf("internal error: %w", err)
-	}
-
 	// Longest stage, speedup, overhead.
 	longest := 0
 	for i, s := range rep.Stages {
@@ -169,4 +141,87 @@ func (a *Analysis) Partition(options Options) (*Result, error) {
 		rep.Overhead = float64(ls.Tx) / float64(ls.Proc())
 	}
 	return res, nil
+}
+
+// realize computes and packs the live set of every cut of st's stage
+// assignment, then builds and validates one program per stage.
+func (st *partitionState) realize() ([]*ir.Program, []StageReport, error) {
+	a, opts := st.a, st.opts
+	var prev *cutInfo
+	for j := 1; j < opts.Stages; j++ {
+		prev = st.buildCut(j, a.ps, prev)
+		st.cuts = append(st.cuts, prev)
+	}
+	stages := make([]*ir.Program, 0, opts.Stages)
+	reports := make([]StageReport, 0, opts.Stages)
+	for k := 1; k <= opts.Stages; k++ {
+		sf, err := st.realizeStage(k)
+		if err != nil {
+			return nil, nil, err
+		}
+		stages = append(stages, &ir.Program{
+			Name:   fmt.Sprintf("%s.stage%d", a.prog.Name, k),
+			Arrays: a.prog.Arrays,
+			Func:   sf,
+		})
+		nInstr := 0
+		for _, b := range sf.Blocks {
+			nInstr += len(b.Instrs)
+		}
+		reports = append(reports, StageReport{
+			Stage:  k,
+			Cost:   FuncCost(sf, opts.Arch, opts.Channel),
+			Blocks: len(sf.Blocks),
+			Instrs: nInstr,
+		})
+	}
+	if err := ValidateStages(stages); err != nil {
+		return nil, nil, fmt.Errorf("internal error: %w", err)
+	}
+	return stages, reports, nil
+}
+
+// Unit is one program of a coarsened cut: cut stages First..Last (1-based,
+// First == Last for a lone stage) realized as a single stage, with its
+// worst-case path cost under the cut's cost model.
+type Unit struct {
+	First, Last int
+	Prog        *ir.Program
+	Cost        PathCost
+}
+
+// Coarsen realizes the result's stage assignment with only the cuts keep
+// names: keep[j] false un-makes cut j+1, so each maximal run of stages
+// joined by un-made cuts becomes one program — no transmission, relay copy
+// or control-object switch is generated for a cut that is not there. Entries
+// past the last cut are ignored and missing ones keep their cut. Keeping
+// every cut reproduces Stages; keeping none is the D=1 realization. The
+// units run as a pipeline of their own (interp.RunPipeline, the serve
+// runtime) with the trace of the unpartitioned program. Coarsen mutates
+// neither the Result nor its Analysis and may be called concurrently.
+func (r *Result) Coarsen(keep []bool) ([]Unit, error) {
+	fine := r.cut
+	// unitOf[s] is the 1-based unit of cut stage s.
+	unitOf := make([]int, fine.opts.Stages+1)
+	var units []Unit
+	for s := 1; s <= fine.opts.Stages; s++ {
+		if s == 1 || s-2 >= len(keep) || keep[s-2] {
+			units = append(units, Unit{First: s})
+		}
+		units[len(units)-1].Last = s
+		unitOf[s] = len(units)
+	}
+	st := &partitionState{opts: fine.opts, a: fine.a, an: fine.an, stageOf: make([]int, len(fine.stageOf))}
+	st.opts.Stages = len(units)
+	for u, s := range fine.stageOf {
+		st.stageOf[u] = unitOf[s]
+	}
+	progs, reports, err := st.realize()
+	if err != nil {
+		return nil, err
+	}
+	for i := range units {
+		units[i].Prog, units[i].Cost = progs[i], reports[i].Cost
+	}
+	return units, nil
 }

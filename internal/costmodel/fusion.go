@@ -21,7 +21,8 @@ type FusionDecision struct {
 // FusionPlan is the valuator's verdict over every cut of a D-stage
 // pipeline under a given core budget.
 type FusionPlan struct {
-	// FuseCuts is the per-cut mask in the runtime.Config.FuseCuts shape.
+	// FuseCuts is the per-cut verdict: FuseCuts[k] un-makes the cut between
+	// stages k+1 and k+2.
 	FuseCuts []bool
 	// Decisions records the per-cut arithmetic, in cut order.
 	Decisions []FusionDecision
@@ -68,7 +69,11 @@ func Predict(unitNs []float64, widths []int, syncNs float64, cores int) float64 
 // stage costs (nanoseconds or model weight — any consistent unit), the
 // replica width the layout gives each stage (nil or short: 1), the
 // per-handoff synchronization cost in the same unit, and the host's usable
-// core count. Widths matter because lanes divide only the pipe bound: two
+// core count. cutNs[k] is the transmission share of cut k+1 inside the two
+// stage costs around it — the send on one side, the receive on the other —
+// which a merge across the cut does not pay: a fused cut is not realized, so
+// the merged unit costs the sum of its sides less that share (nil or short:
+// 0). Widths matter because lanes divide only the pipe bound: two
 // lanes on two cores already own both, so a ring inside a lane buys no
 // parallelism and the cpu bound, which every merge lowers, decides. A cut
 // between stages of different width is a shard junction and is never
@@ -80,7 +85,7 @@ func Predict(unitNs []float64, widths []int, syncNs float64, cores int) float64 
 //
 // stageNs entries must be non-negative; cores < 1 is treated as 1.
 // A single-stage pipeline yields an empty plan.
-func PlanFusion(stageNs []float64, widths []int, ringSyncNs float64, cores int) FusionPlan {
+func PlanFusion(stageNs, cutNs []float64, widths []int, ringSyncNs float64, cores int) FusionPlan {
 	d := len(stageNs)
 	if cores < 1 {
 		cores = 1
@@ -106,11 +111,18 @@ func PlanFusion(stageNs []float64, widths []int, ringSyncNs float64, cores int) 
 	if w := slices.Max(lanes); w > 1 {
 		host += fmt.Sprintf(" shared by %d lanes", w)
 	}
+	// saved is what merging across original cut k takes off the two sides' sum.
+	saved := func(k int) float64 {
+		if k < len(cutNs) {
+			return cutNs[k]
+		}
+		return 0
+	}
 	// merged prices the realization with units i and i+1 (of one width) as one.
 	trialNs, trialLanes := make([]float64, 0, d), make([]int, 0, d)
 	merged := func(i int) float64 {
 		trialNs = append(append(trialNs[:0], units[:i+1]...), units[i+2:]...)
-		trialNs[i] += units[i+1]
+		trialNs[i] += units[i+1] - saved(cutAfter[i])
 		trialLanes = append(append(trialLanes[:0], lanes[:i+1]...), lanes[i+2:]...)
 		return Predict(trialNs, trialLanes, ringSyncNs, cores)
 	}
@@ -136,7 +148,7 @@ func PlanFusion(stageNs []float64, widths []int, ringSyncNs float64, cores int) 
 		why[cut] = fmt.Sprintf(
 			"fuse cut %d: ring tax %.0f exceeds its pipeline gain (predicted %.0f -> %.0f ns/pkt on %s)",
 			cut+1, ringSyncNs, cur, bestCost, host)
-		units[bestAt] += units[bestAt+1]
+		units[bestAt] += units[bestAt+1] - saved(cut)
 		units = slices.Delete(units, bestAt+1, bestAt+2)
 		lanes = slices.Delete(lanes, bestAt+1, bestAt+2)
 		cutAfter = slices.Delete(cutAfter, bestAt, bestAt+1)

@@ -78,17 +78,26 @@ func TestPlanFusionIsLocalOptimumOfPredict(t *testing.T) {
 		}
 		sync := float64(1 + rng.Intn(600))
 		cores := 1 + rng.Intn(8)
-		plan := PlanFusion(stages, widths, sync, cores)
+		// Each cut's transmission share: at most half of either side, so a
+		// stage between two fused cuts keeps a non-negative cost.
+		cuts := make([]float64, len(stages)-1)
+		for k := range cuts {
+			cuts[k] = float64(rng.Intn(int(min(stages[k], stages[k+1]))/2 + 1))
+		}
+		plan := PlanFusion(stages, cuts, widths, sync, cores)
 
-		units, lanes := []float64{stages[0]}, []int{widths[0]}
+		// lastCut[i] is the original cut after unit i (the merge across it
+		// would save cuts[lastCut[i]]).
+		units, lanes, lastCut := []float64{stages[0]}, []int{widths[0]}, []int{0}
 		for k, fuse := range plan.FuseCuts {
 			switch {
 			case fuse && widths[k] != widths[k+1]:
 				t.Fatalf("%v widths %v: cut %d fused across a junction", stages, widths, k+1)
 			case fuse:
-				units[len(units)-1] += stages[k+1]
+				units[len(units)-1] += stages[k+1] - cuts[k]
+				lastCut[len(lastCut)-1] = k + 1
 			default:
-				units, lanes = append(units, stages[k+1]), append(lanes, widths[k+1])
+				units, lanes, lastCut = append(units, stages[k+1]), append(lanes, widths[k+1]), append(lastCut, k+1)
 			}
 		}
 		if len(units) != plan.Units {
@@ -100,7 +109,9 @@ func TestPlanFusionIsLocalOptimumOfPredict(t *testing.T) {
 			if lanes[i] != lanes[i+1] {
 				continue
 			}
-			if c := Predict(mergeAt(units, i), slices.Delete(slices.Clone(lanes), i, i+1), sync, cores); c < final {
+			trial := mergeAt(units, i)
+			trial[i] -= cuts[lastCut[i]]
+			if c := Predict(trial, slices.Delete(slices.Clone(lanes), i, i+1), sync, cores); c < final {
 				t.Errorf("%v widths %v sync %v cores %d: mask %v predicts %v, but merging units %d,%d predicts %v",
 					stages, widths, sync, cores, plan.FuseCuts, final, i, i+1, c)
 			}

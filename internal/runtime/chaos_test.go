@@ -544,53 +544,69 @@ func TestChaosSeededPlansAccount(t *testing.T) {
 	}
 }
 
-// TestChaosFusedStageAttribution: fault attribution must survive stage
-// fusion. When the injected stage runs mid-way through a fused unit (no
-// ring of its own, one goroutine for several stages), a panic and an
-// exhausted transient keyed to that stage must still quarantine exactly
-// their packets, the records must name the original stage index — not the
-// unit — and the ledger must balance to the packet: every packet the
-// source supplied is delivered or quarantined, and the survivors' trace
-// matches the oracle segments.
+// TestChaosFusedStageAttribution: fault attribution keeps the cut's stage
+// numbers when cuts are un-made. A coarsened layout serves stages 2, 3 and 4
+// as one program behind stage 1's ring; a panic and an exhausted transient
+// keyed to stage 2 — where that program begins — must quarantine exactly
+// their packets under stage 2, an injection keyed to stage 3 has no seam to
+// fire at, the per-stage report stays four entries long with stages 3 and 4
+// naming the stage they run inside, and the ledger balances to the packet.
+// (Through the facade a fault plan keeps every cut, so an injection never
+// meets a folded stage there: repro's TestServeWithFaultsKeepsEveryCut.)
 func TestChaosFusedStageAttribution(t *testing.T) {
 	const n = 24
-	_, stages := partitionIPv4(t, 4)
-	traffic := ipv4Traffic(n)
-	segs := stageSegments(t, stages, traffic)
-	for _, tc := range []struct {
-		name string
-		fuse []bool
-	}{
-		{"fully_fused", []bool{true, true, true}},
-		{"tail_unit", []bool{false, true, true}}, // stage 3 interior to the 2+3+4 unit
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := runtime.DefaultConfig()
-			cfg.Retry = 1
-			cfg.RetryBackoff = 50 * time.Microsecond
-			cfg.FuseCuts = tc.fuse
-			cfg.Faults = &fault.Plan{Injections: []fault.Injection{
-				{Kind: fault.Panic, Stage: 3, At: 4},
-				{Kind: fault.Transient, Stage: 3, At: 9, Count: 5},
-			}}
-			m := chaosServe(t, stages, traffic, cfg)
-			rep := m.Faults
-			if rep.Quarantined != 2 || rep.Delivered != n-2 {
-				t.Fatalf("quarantined %d delivered %d, want 2 and %d\n%s",
-					rep.Quarantined, rep.Delivered, n-2, rep)
-			}
-			if len(rep.Records) != 2 {
-				t.Fatalf("got %d records, want 2\n%s", len(rep.Records), rep)
-			}
-			for _, rec := range rep.Records {
-				if rec.Stage != 3 || rec.Disposition != "quarantined" {
-					t.Fatalf("fused unit misattributed the fault: %+v", rec)
-				}
-			}
-			if diff := interp.TraceEqual(expectedTrace(segs, rep), m.Trace); diff != "" {
-				t.Fatalf("surviving packets diverge from oracle: %s", diff)
-			}
-			checkAccounting(t, m)
-		})
+	pps, _ := netbench.ByName("IPv4")
+	prog, err := pps.Compile()
+	if err != nil {
+		t.Fatal(err)
 	}
+	res, err := core.Partition(prog, core.Options{Stages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic := ipv4Traffic(n)
+	segs := stageSegments(t, res.Stages, traffic)
+	t.Run("unit_head", func(t *testing.T) {
+		cfg := runtime.DefaultConfig()
+		cfg.Retry = 1
+		cfg.RetryBackoff = 50 * time.Microsecond
+		cfg.Faults = &fault.Plan{Injections: []fault.Injection{
+			{Kind: fault.Panic, Stage: 2, At: 4},
+			{Kind: fault.Transient, Stage: 2, At: 9, Count: 5},
+			{Kind: fault.Panic, Stage: 3, At: 12}, // folded into stage 2's program
+		}}
+		l, err := runtime.CoarseLayout(res, []bool{false, true, true}, true, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := l.Serve(context.Background(), netbench.NewWorld(nil), runtime.Packets(traffic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := m.Faults
+		if rep.Quarantined != 2 || rep.Delivered != n-2 || len(rep.Records) != 2 {
+			t.Fatalf("quarantined %d delivered %d, want 2 and %d\n%s", rep.Quarantined, rep.Delivered, n-2, rep)
+		}
+		for _, rec := range rep.Records {
+			if rec.Stage != 2 || rec.Disposition != "quarantined" {
+				t.Fatalf("coarsened unit misattributed the fault: %+v", rec)
+			}
+		}
+		if len(m.Stages) != 4 {
+			t.Fatalf("%d stage entries, want the cut's 4", len(m.Stages))
+		}
+		for k, want := range []int{0, 0, 2, 2} {
+			st := m.Stages[k]
+			if st.Stage != k+1 || st.FusedInto != want || (want > 0 && (st.In != 0 || st.Busy != 0)) {
+				t.Errorf("stage entry %d: %+v, want FusedInto %d", k+1, st, want)
+			}
+		}
+		if st := m.Stages[1]; st.In != n || st.Out != n-2 || st.Quarantined != 2 {
+			t.Errorf("stage 2 booked in %d out %d quarantined %d, want %d, %d, 2", st.In, st.Out, st.Quarantined, n, n-2)
+		}
+		if diff := interp.TraceEqual(expectedTrace(segs, rep), m.Trace); diff != "" {
+			t.Fatalf("surviving packets diverge from oracle: %s", diff)
+		}
+		checkAccounting(t, m)
+	})
 }

@@ -23,11 +23,10 @@ import (
 // divergence during development are checked into testdata/fuzz so every
 // future run replays them.
 //
-// Each (degree, batch) point is served twice: fully ringed and
-// with a seed-derived fusion mask (runtime.Config.FuseCuts), so the fused
-// realization — including masks that collide with shard junctions and are
-// partially ignored — faces the same byte-identical-trace bar as the
-// ringed one.
+// Each (degree, batch) point is served twice: fully ringed and coarsened by
+// a seed-derived fusion mask (CoarseLayout, taken as is), so the re-realized
+// programs — including ones merged across what was a shard junction — face
+// the same byte-identical-trace bar as the ringed ones.
 func FuzzServeVsOracle(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
@@ -75,9 +74,11 @@ func FuzzServeVsOracle(f *testing.F) {
 					cfg := runtime.DefaultConfig()
 					cfg.Batch = batch
 					cfg.Shards = shards
-					cfg.FuseCuts = fuse
-					m, err := runtime.Serve(context.Background(), res.Stages, interp.NewWorld(nil),
-						runtime.Packets(packets), cfg)
+					l, err := runtime.CoarseLayout(res, fuse, false, cfg)
+					if err != nil {
+						t.Fatalf("seed %d D=%d P=%d batch=%d %s: layout: %v\n%s", seed, d, shards, batch, tag, err, src)
+					}
+					m, err := l.Serve(context.Background(), interp.NewWorld(nil), runtime.Packets(packets))
 					if err != nil {
 						t.Fatalf("seed %d D=%d P=%d batch=%d %s: serve: %v\n%s", seed, d, shards, batch, tag, err, src)
 					}

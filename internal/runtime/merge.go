@@ -162,7 +162,7 @@ func (sc *scatterer) send(e *engine, b []*token, lc *laneCtx) bool {
 			}
 		}
 		if first >= 0 {
-			lc.inj.BeforeSend(e.ictx, lc.s+1, first)
+			lc.inj.BeforeSend(e.ictx, lc.num, first)
 		}
 	}
 

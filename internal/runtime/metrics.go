@@ -16,6 +16,11 @@ import (
 type StageStats struct {
 	// Stage is the 1-based stage index.
 	Stage int
+	// FusedInto is non-zero when the cut between this stage and its
+	// predecessor was not realized: the stage runs inside the program that
+	// begins at stage FusedInto, which books the work of every stage it
+	// covers; every counter here is zero and Replicas is that program's.
+	FusedInto int
 	// In and Out count iterations received from upstream and forwarded
 	// downstream. For the head stage, In counts packets pulled from the
 	// Source; for the sink stage, Out counts iterations retired.

@@ -127,7 +127,7 @@ func (e *engine) pull(in *inPort) (b []*token, more bool) {
 }
 
 // outPort is a unit's outbound side. lc is the sending lane — the unit's
-// last segment, or the dispatcher's own lane: its probe takes the Out
+// stage, or the dispatcher's own lane: its probe takes the Out
 // count, the stalls, the transmit-side waits and the overload counters.
 type outPort struct {
 	kind  portKind
@@ -158,7 +158,7 @@ func (o *outPort) send(e *engine, b []*token) bool {
 	iter, n := b[0].iter, len(b)
 	start := time.Now()
 	ok := o.deliver(e, b)
-	e.span(o.lc.s+1, iter, n, obsv.PhaseTx, start, time.Since(start))
+	e.span(o.lc.num, iter, n, obsv.PhaseTx, start, time.Since(start))
 	return ok
 }
 
@@ -201,7 +201,7 @@ func tryPush(out *tokRing, b []*token, p *stageProbe) bool {
 func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 	p := lc.probe
 	if e.inj != nil {
-		lc.inj.BeforeSend(e.ictx, lc.s+1, b[0].iter)
+		lc.inj.BeforeSend(e.ictx, lc.num, b[0].iter)
 	}
 	if tryPush(out, b, p) {
 		return true
@@ -243,7 +243,7 @@ func (e *engine) overloaded(lc *laneCtx, b []*token) (shed bool) {
 	var n int64
 	if shed {
 		for _, t := range b {
-			e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1, Disposition: "shed", Reason: why})
+			e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "shed", Reason: why})
 			e.putToken(t)
 		}
 		n = int64(len(b))
@@ -253,7 +253,7 @@ func (e *engine) overloaded(lc *laneCtx, b []*token) (shed bool) {
 		for _, t := range b {
 			if t.degradedAt == 0 && !t.dead {
 				t.degradedAt = int32(lc.s + 2)
-				e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1, Disposition: "degraded", Reason: why})
+				e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "degraded", Reason: why})
 				n++
 			}
 		}

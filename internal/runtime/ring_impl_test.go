@@ -3,7 +3,8 @@ package runtime_test
 // Black-box coverage of the inter-stage rings through the public Config
 // surface: served over the lock-free SPSC ring, every benchmark pipeline
 // must produce a trace byte-identical to the sequential oracle at every
-// realization (ringed and fused) and shard width the matrix sweeps — and
+// realization (ringed, and coarsened where replica widths align) and shard
+// width the matrix sweeps — and
 // the ring must actually overlap stages when the host has the cores for
 // it.
 
@@ -56,10 +57,12 @@ func TestRingImplOracleMatrix(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/P=%d", pps.Name, tag, p)
 				world := netbench.NewWorld(nil)
 				cfg := runtime.DefaultConfig()
-				cfg.FuseCuts = fuse
 				cfg.Shards = p
-				m, err := runtime.Serve(context.Background(), res.Stages, world,
-					runtime.Packets(traffic), cfg)
+				l, err := runtime.CoarseLayout(res, fuse, true, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				m, err := l.Serve(context.Background(), world, runtime.Packets(traffic))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -1,18 +1,23 @@
 // Package runtime is the host-native streaming executor for partitioned
-// pipelines: one goroutine per unit — a stage, or a run of stages fused
-// across cuts not worth a ring — connected by bounded rings, serving a
-// packet stream. Where internal/npsim *predicts* pipeline timing on a
+// pipelines: one goroutine per stage replica, connected by bounded rings,
+// serving a packet stream. Where internal/npsim *predicts* pipeline timing on a
 // model of the IXP, this package *measures* it on the host — each stage
 // really runs concurrently, inter-stage rings really exert backpressure,
 // and throughput comes from the wall clock.
 //
 // Every serve goroutine has the one shape of the paper's pipeline stage
 // (unit, below): take a batch from the in-port — the Source at the head, a
-// ring or a fan-in merger elsewhere — run it stage-major through the
-// unit's segments, hand it to the out-port — a ring, a scatter, or the
-// sink. D=1 is the degenerate pipeline source -> all segments -> sink;
-// the sharding dispatcher is a source in-port with no segments in front
-// of its lane delivery.
+// ring or a fan-in merger elsewhere — run it through the unit's stage, hand
+// it to the out-port — a ring, a scatter, or the sink. D=1 is the
+// degenerate pipeline source -> stage -> sink; the sharding dispatcher is a
+// source in-port with no stage in front of its lane delivery.
+//
+// The runtime serves exactly the stages it is given, every cut between them
+// on a ring. A cut that should not cost a ring is not served here at all:
+// the partitioner realizes the stages around it as one program
+// (core.Result.Coarsen) and NewCoarseLayout says which cut stages each
+// program stands for, so counters, spans and fault records keep the cut's
+// stage numbers.
 //
 // Correctness model: every iteration owns an interp.IterCtx that flows
 // down the pipeline inside a token. The source in-port pulls one packet
@@ -102,15 +107,6 @@ type Config struct {
 	// refines the table index.
 	ShardKey func(pkt []byte) uint64
 
-	// FuseCuts requests cuts to realize by fusion: when FuseCuts[k] is true,
-	// stages k+1 and k+2 run in one goroutine with the live-set handoff
-	// folded into token-buffer moves instead of an SPSC ring. nil (the
-	// default) fuses nothing. It is a request: Layout.Fused reports what is
-	// granted (a scatter or fan-in keeps its junction machinery). Fused
-	// stages keep their own probes, fault-injection indices, and MaxSteps
-	// budgets — only the ring between them disappears.
-	FuseCuts []bool
-
 	// Overload selects what a producer does when its outgoing ring stays
 	// saturated past the watermark: block (default, lossless), shed, or
 	// degrade. See OverloadPolicy.
@@ -121,10 +117,13 @@ type Config struct {
 	// configuration conflict: the blocking policy never consults it.
 	Watermark int
 	// StageDeadline, when positive, bounds one iteration's execution at
-	// one stage (injected stalls included); a blown deadline quarantines
-	// the packet with errs.ErrStageDeadline. The check is cooperative —
-	// a stall that already exceeded the deadline quarantines before the
-	// stage body runs, so persistent state stays untouched.
+	// one served stage (injected stalls included); a blown deadline
+	// quarantines the packet with errs.ErrStageDeadline. The check is
+	// cooperative — a stall that already exceeded the deadline quarantines
+	// before the stage body runs, so persistent state stays untouched. Like
+	// shed and degrade it acts where a ring is: a program that realizes
+	// several cut stages (NewCoarseLayout) is one served stage with one
+	// deadline.
 	StageDeadline time.Duration
 	// Retry bounds re-executions of an iteration that failed with a
 	// transient fault (errs.ErrTransientFault); RetryBackoff is the first
@@ -309,8 +308,8 @@ func Validate(stages []*ir.Program) error {
 // cut, exactly as OpSendLS packed them. iter is the packet's source-order
 // index (assigned at the head, 0-based), the key every fault-injection
 // trigger and fault record is expressed in. degradedAt, when non-zero, is
-// the 1-based stage from which processing is short-circuited: stages with
-// index >= degradedAt pass the token through without executing it. Under
+// the 1-based served stage from which processing is short-circuited: stages
+// with index >= degradedAt pass the token through without executing it. Under
 // sharding, shard is the token's lane (fixed at dispatch by the flow
 // hash), and dead marks a tombstone: a quarantined iteration that keeps
 // flowing toward its fan-in so the dispatch sequence stays gap-free, then
@@ -339,7 +338,8 @@ type token struct {
 // Built once per goroutine; everything the hot path touches is one
 // indirection away.
 type laneCtx struct {
-	s      int // 0-based stage index
+	s      int // 0-based index among the served stages
+	num    int // 1-based cut stage it reports as (s+1 unless the layout is coarse)
 	probe  *stageProbe
 	run    *exec.Runner
 	inj    *fault.Injector
@@ -356,16 +356,14 @@ type laneCtx struct {
 
 // unit is one serve goroutine — the single shape every pipeline stage of
 // the paper has: take the live set from the in-port, run this unit's slice
-// of the PPS loop, put the live set on the out-port. segs are the stages
-// the unit executes, stage-major, for one replica lane; more than one means
-// the cuts between them are fused (the live set is handed over inside the
-// token instead of through a ring). The head is source -> segs -> ring, an
-// interior stage ring|merge -> segs -> ring|scatter, D=1 source -> all
-// segs -> sink, and the dispatcher a source in-port with no segments at
-// all in front of its lane feed.
+// of the PPS loop, put the live set on the out-port. lc is the stage replica
+// the unit executes. The head is source -> stage -> ring, an interior stage
+// ring|merge -> stage -> ring|scatter, D=1 source -> stage -> sink, and the
+// dispatcher a source in-port with no stage at all (lc nil) in front of its
+// lane feed.
 type unit struct {
 	in     inPort
-	segs   []*laneCtx
+	lc     *laneCtx
 	out    outPort
 	labels pprof.LabelSet
 }
@@ -378,9 +376,8 @@ type engine struct {
 	src      Source
 	owned    bool // src hands its packets over (packetOwner)
 	plan     *shardPlan
-	fused    []bool           // cut -> realized by fusion (aligned + requested)
 	runners  [][]*exec.Runner // stage -> replicas
-	rings    [][]*tokRing     // cut -> lane rings (nil for a fused cut)
+	rings    [][]*tokRing     // cut -> lane rings
 	headRing []*tokRing       // dispatcher -> stage-0 replicas (nil without a dispatcher)
 	seqs     []*seqStream     // fan-in sequence side-channels
 	cols     []*sinkCollector // per sink replica, when the final segment is sharded
@@ -519,6 +516,7 @@ func (e *engine) record(i int, r FaultRecord) {
 func (e *engine) lane(s, j int) *laneCtx {
 	return &laneCtx{
 		s:      s,
+		num:    e.live.first[s],
 		probe:  e.live.probe(s, j),
 		run:    e.runners[s][j],
 		inj:    e.injs[j],
@@ -527,23 +525,14 @@ func (e *engine) lane(s, j int) *laneCtx {
 	}
 }
 
-// unitEnd returns the last stage of the fused unit starting at stage s:
-// the maximal run of stages joined by fused cuts. With no fusion every
-// unit is the single stage s.
-func (e *engine) unitEnd(s int) int {
-	for s < len(e.fused) && e.fused[s] {
-		s++
+// unitLabel renders the cut stages first..last a served stage stands for, as
+// its pprof label: "2" for a lone stage, "2+3" for one program realizing
+// stages 2 and 3.
+func unitLabel(first, last int) string {
+	if first == last {
+		return strconv.Itoa(first)
 	}
-	return s
-}
-
-// unitLabel renders a unit's 1-based stage range for pprof labels:
-// "2" for a lone stage, "2+3" for stages 2 and 3 fused.
-func unitLabel(s, end int) string {
-	if s == end {
-		return strconv.Itoa(s + 1)
-	}
-	return strconv.Itoa(s+1) + "+" + strconv.Itoa(end+1)
+	return strconv.Itoa(first) + "+" + strconv.Itoa(last)
 }
 
 func (e *engine) getToken() *token {
@@ -670,11 +659,11 @@ func (e *engine) beforeStage(lc *laneCtx, t *token) (err error) {
 		}
 	}()
 	lc.t0 = time.Now() // each attempt has the whole deadline
-	if err := lc.inj.BeforeStage(e.ictx, lc.s+1, t.iter); err != nil {
+	if err := lc.inj.BeforeStage(e.ictx, lc.num, t.iter); err != nil {
 		return err
 	}
 	if d := e.cfg.StageDeadline; d > 0 && time.Since(lc.t0) > d {
-		return fmt.Errorf("%w: stage %d stalled past the %v deadline", errs.ErrStageDeadline, lc.s+1, d)
+		return fmt.Errorf("%w: stage %d stalled past the %v deadline", errs.ErrStageDeadline, lc.num, d)
 	}
 	return nil
 }
@@ -685,7 +674,7 @@ func (e *engine) beforeStage(lc *laneCtx, t *token) (err error) {
 // buffered events never reach the trace either way.
 func (e *engine) quarantine(lc *laneCtx, t *token, why error) (kept bool) {
 	lc.probe.quarantined.Add(1)
-	e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.s + 1, Disposition: "quarantined", Reason: why.Error()})
+	e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "quarantined", Reason: why.Error()})
 	if lc.tomb {
 		t.dead = true
 		return true
@@ -740,14 +729,13 @@ func (e *engine) retire(b []*token, o *outPort) {
 	e.recycleBatch(b, o.free)
 }
 
-// runUnit is the one loop every serve goroutine runs: receive a batch,
-// drive it stage-major through the unit's segments, send what survived.
-// The wait for the batch — on the Source at the head, on a ring or the
-// merger elsewhere — is booked as the receiving stage's wait span, keyed
-// by the batch's first iteration like every other span of that batch (so a
-// batch's reconstructed latency window opens at its first pull). The
-// dispatcher has no stage to book to, and its pulled batches are re-split
-// by lane, so it records none.
+// runUnit is the one loop every serve goroutine runs: receive a batch, run
+// it through the unit's stage, send what survived. The wait for the batch —
+// on the Source at the head, on a ring or the merger elsewhere — is booked
+// as the receiving stage's wait span, keyed by the batch's first iteration
+// like every other span of that batch (so a batch's reconstructed latency
+// window opens at its first pull). The dispatcher has no stage to book to,
+// and its pulled batches are re-split by lane, so it records none.
 func (e *engine) runUnit(u *unit) {
 	defer u.out.close(e)
 	for {
@@ -756,21 +744,11 @@ func (e *engine) runUnit(u *unit) {
 			wStart = time.Now()
 		}
 		b, more := u.in.recv(e)
-		if e.timed && len(b) > 0 && len(u.segs) > 0 {
-			s := u.segs[0].s
-			wait := time.Since(wStart)
-			e.span(s+1, b[0].iter, len(b), obsv.PhaseWait, wStart, wait)
-			e.waitHist[s].Observe(wait.Microseconds())
-		}
-		for i, lc := range u.segs {
-			if len(b) == 0 {
-				break
-			}
-			if i > 0 {
-				// A fused cut: no ring, no port — the handoff is the token's
-				// own slot buffer, and both sides' counters settle here.
-				u.segs[i-1].probe.out.Add(int64(len(b)))
-				lc.probe.in.Add(int64(len(b)))
+		if lc := u.lc; lc != nil && len(b) > 0 {
+			if e.timed {
+				wait := time.Since(wStart)
+				e.span(lc.num, b[0].iter, len(b), obsv.PhaseWait, wStart, wait)
+				e.waitHist[lc.num-1].Observe(wait.Microseconds())
 			}
 			var ok bool
 			if b, ok = e.execBatch(lc, b); !ok {
@@ -790,14 +768,11 @@ func (e *engine) runUnit(u *unit) {
 	}
 }
 
-// execBatch runs one batch through one stage: the whole batch executes at
-// lc before the unit moves to its next segment, so each stage's busy time,
-// counters, and fault attribution stay exact whether or not a ring
-// separates it from its neighbors. The batch runs as one group — every
-// token admitted, then one RunBatch over the admitted ones — unless a
-// per-stage deadline is configured: the deadline bounds one packet's time
-// in the stage, so the groups are then single tokens. ok is false when a
-// fatal error aborted the run.
+// execBatch runs one batch through the unit's stage, booking its busy time.
+// The batch runs as one group — every token admitted, then one RunBatch over
+// the admitted ones — unless a per-stage deadline is configured: the
+// deadline bounds one packet's time in the stage, so the groups are then
+// single tokens. ok is false when a fatal error aborted the run.
 func (e *engine) execBatch(lc *laneCtx, b []*token) (keep []*token, ok bool) {
 	firstIter, n := b[0].iter, len(b)
 	t0 := time.Now()
@@ -812,8 +787,8 @@ func (e *engine) execBatch(lc *laneCtx, b []*token) (keep []*token, ok bool) {
 	busy := time.Since(t0)
 	lc.probe.busyNs.Add(int64(busy))
 	if ok && e.timed {
-		e.span(lc.s+1, firstIter, n, obsv.PhaseExec, t0, busy)
-		e.fillHist[lc.s].Observe(int64(n))
+		e.span(lc.num, firstIter, n, obsv.PhaseExec, t0, busy)
+		e.fillHist[lc.num-1].Observe(int64(n))
 	}
 	return keep, ok
 }
@@ -856,13 +831,13 @@ func (e *engine) execGroup(lc *laneCtx, g, keep []*token) ([]*token, bool) {
 	if err != nil {
 		// An interpreter-level error (a malformed stage program, a
 		// step-limit blowout) aborts the whole serve.
-		e.fail(fmt.Errorf("stage %d: %w", lc.s+1, err))
+		e.fail(fmt.Errorf("stage %d: %w", lc.num, err))
 		return keep, false
 	}
 	if fault != nil {
 		lc.probe.bodyPanics.Add(1)
 	} else if deadline > 0 && time.Since(lc.t0) > deadline {
-		fault = fmt.Errorf("%w: stage %d exceeded the %v deadline", errs.ErrStageDeadline, lc.s+1, deadline)
+		fault = fmt.Errorf("%w: stage %d exceeded the %v deadline", errs.ErrStageDeadline, lc.num, deadline)
 	}
 	if fault != nil {
 		// Quarantine the group: drop its tokens from keep, back to front.
@@ -913,7 +888,7 @@ func (e *engine) wireObservability(d int) {
 	}
 	reg := obs.Registry
 	l := e.live
-	reg.Func("pipeline.stages", func() int64 { return int64(len(l.reps)) })
+	reg.Func("pipeline.stages", func() int64 { return int64(l.degree()) })
 	reg.Func("pipeline.shards", func() int64 { return int64(l.shards) })
 	reg.Func("pipeline.packets", l.packets.Load)
 	reg.Func("pipeline.elapsed_ns", func() int64 { return int64(l.Snapshot().Elapsed) })
@@ -990,7 +965,8 @@ func (e *engine) logLoop(stop <-chan struct{}) {
 // oracle paths.
 //
 // Each goroutine runs under a pprof label ("stage" = its 1-based index,
-// "2+3" for a fused unit, plus "lane" for replicas), so CPU profiles
+// "2+3" for a program realizing two cut stages, plus "lane" for replicas),
+// so CPU profiles
 // attribute samples per stage; cfg.Obs attaches the rest of the
 // observability layer and cfg.OnLive exposes the live counter probes for
 // mid-run snapshots.
@@ -1004,26 +980,55 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 
 // Layout is everything a serve decides before it allocates anything, as
 // one immutable value: the stage list checked against the servability
-// contract, each stage's persistent-state class, the configuration
-// validated with its defaults filled, the shard plan (per-stage replica
-// widths and junctions), and the cuts realized by fusion. build wires
-// exactly what it says and the repro facade prints it as the Plan, so what
-// is reported and what runs cannot differ.
+// contract, the cut stage each one reports as, each stage's
+// persistent-state class, the configuration validated with its defaults
+// filled, and the shard plan (per-stage replica widths and junctions). build
+// wires exactly what it says and the repro facade prints it as the Plan, so
+// what is reported and what runs cannot differ.
 type Layout struct {
 	stages []*ir.Program
+	first  []int // served stage -> 1-based cut stage it begins at; one past the last closes the list
 	shapes []stageShape
 	cfg    Config
 	plan   *shardPlan
-	fused  []bool // cut -> realized by fusion (requested and aligned)
 }
 
 // NewLayout validates stages, classifies them, and lays them out under cfg.
 func NewLayout(stages []*ir.Program, cfg Config) (*Layout, error) {
+	return NewCoarseLayout(stages, nil, cfg)
+}
+
+// NewCoarseLayout is NewLayout for the programs of a coarsened cut
+// (core.Result.Coarsen): covers[i] is the number of consecutive cut stages
+// program i realizes (nil: one each). The programs are served as they come —
+// one unit per program replica, a ring at every boundary between them — but
+// everything reported per stage keeps the cut's numbering: Metrics.Stages and
+// Snapshot.Stages have one entry per cut stage, a program books its counters,
+// spans and fault records under the first stage it covers, and the entries
+// of the stages folded into it stay zero and name that stage in FusedInto. A
+// fault plan names cut stages too, and fires only at a stage that begins a
+// program.
+func NewCoarseLayout(stages []*ir.Program, covers []int, cfg Config) (*Layout, error) {
 	if err := Validate(stages); err != nil {
 		return nil, err
 	}
-	return (&Layout{stages: stages, shapes: classifyStages(stages)}).With(cfg)
+	if covers != nil && (len(covers) != len(stages) || slices.Min(covers) < 1) {
+		return nil, fmt.Errorf("%w: cover counts %v for %d stages", errs.ErrBadOption, covers, len(stages))
+	}
+	first := make([]int, len(stages)+1)
+	first[0] = 1
+	for i := range stages {
+		first[i+1] = first[i] + 1
+		if covers != nil {
+			first[i+1] = first[i] + covers[i]
+		}
+	}
+	return (&Layout{stages: stages, first: first, shapes: classifyStages(stages)}).With(cfg)
 }
+
+// degree is the number of cut stages the layout's programs stand for: the
+// length of every per-stage report.
+func (l *Layout) degree() int { return l.first[len(l.stages)] - 1 }
 
 // With lays the same stages out under another configuration, reusing their
 // classification: the per-candidate step of a search over serve shapes. It
@@ -1035,7 +1040,7 @@ func (l *Layout) With(cfg Config) (*Layout, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if err := cfg.Faults.Validate(len(l.stages)); err != nil {
+	if err := cfg.Faults.Validate(l.degree()); err != nil {
 		return nil, err
 	}
 	plan := newShardPlan(l.shapes, cfg.Shards, cfg.ShardKey != nil)
@@ -1043,20 +1048,13 @@ func (l *Layout) With(cfg Config) (*Layout, error) {
 		return nil, fmt.Errorf("%w: the shed policy cannot drop tokens upstream of a sharded fan-in; use block or degrade, or serve unsharded",
 			errs.ErrConflictingOptions)
 	}
-	// A requested cut fuses only between stages of equal replica width: a
-	// fused unit is one goroutine per lane, and a scatter or fan-in keeps
-	// its junction machinery.
-	fused := make([]bool, len(l.stages)-1)
-	for k := range fused {
-		fused[k] = k < len(cfg.FuseCuts) && cfg.FuseCuts[k] && plan.reps[k] == plan.reps[k+1]
-	}
-	return &Layout{stages: l.stages, shapes: l.shapes, cfg: cfg, plan: plan, fused: fused}, nil
+	return &Layout{stages: l.stages, first: l.first, shapes: l.shapes, cfg: cfg, plan: plan}, nil
 }
 
-// Fused reports, per cut, whether it is realized by fusion.
-func (l *Layout) Fused() []bool { return slices.Clone(l.fused) }
+// Stages returns the served programs, in pipeline order (read-only).
+func (l *Layout) Stages() []*ir.Program { return l.stages }
 
-// Replicas reports each stage's replica width: 1, or the shard width.
+// Replicas reports each served stage's replica width: 1, or the shard width.
 func (l *Layout) Replicas() []int { return slices.Clone(l.plan.reps) }
 
 // Width is the effective shard width: the configured one when any stage
@@ -1103,14 +1101,13 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		cfg:      cfg,
 		src:      src,
 		plan:     plan,
-		fused:    l.fused,
 		runners:  newShardRunners(l.stages, world, plan, l.shapes, cfg.Store),
 		rings:    make([][]*tokRing, D-1),
 		seqs:     make([]*seqStream, plan.nSeqs),
-		inj:      fault.NewInjector(cfg.Faults, D),
+		inj:      fault.NewInjector(cfg.Faults, l.degree()),
 		injs:     make([]*fault.Injector, plan.width()),
 		shardKey: cfg.ShardKey,
-		live:     newLive(plan.reps, hasDisp, plan.width()),
+		live:     newLive(plan.reps, l.first, hasDisp, plan.width()),
 	}
 	if e.shardKey == nil {
 		e.shardKey = DefaultShardKey
@@ -1139,11 +1136,7 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		}
 	}
 	for k := range e.rings {
-		// A fused cut has no ring: its stages share a goroutine and hand
-		// the live set over inside the token.
-		if !e.fused[k] {
-			e.rings[k] = e.newRings(plan.lanes(k))
-		}
+		e.rings[k] = e.newRings(plan.lanes(k))
 	}
 	for i := range e.seqs {
 		e.seqs[i] = newSeqStream()
@@ -1152,25 +1145,21 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		e.headRing = e.newRings(plan.reps[0])
 		e.units = append(e.units, e.dispatcher())
 	}
-	// One goroutine per *unit* replica: a unit is a maximal run of stages
-	// joined by fused cuts (a single stage when nothing fuses).
-	for s := 0; s < D; {
-		end := e.unitEnd(s)
+	for s := 0; s < D; s++ {
 		for j := 0; j < plan.reps[s]; j++ {
-			e.units = append(e.units, e.newUnit(s, end, j))
+			e.units = append(e.units, e.newUnit(s, j))
 		}
-		s = end + 1
 	}
 	return e, nil
 }
 
 // dispatcher builds the source unit of a run whose first stage is
-// replicated: the source in-port pulls and stamps lanes, no segment
+// replicated: the source in-port pulls and stamps lanes, no stage
 // executes, and the lane feed delivers per-lane batches into the head
 // rings. Its lane view is the extra probe and record buffer past the
 // per-replica ones.
 func (e *engine) dispatcher() *unit {
-	lc := &laneCtx{probe: e.live.disp, inj: e.inj, recIdx: len(e.live.probes)}
+	lc := &laneCtx{num: 1, probe: e.live.disp, inj: e.inj, recIdx: len(e.live.probes)}
 	lf := &laneFeed{rings: e.headRing, pend: make([][]*token, len(e.headRing)), probe: lc.probe}
 	if e.plan.dispSeq >= 0 {
 		lf.sq = e.seqs[e.plan.dispSeq]
@@ -1182,43 +1171,39 @@ func (e *engine) dispatcher() *unit {
 	}
 }
 
-// newUnit wires replica j of the unit running stages s..end: its segments
-// (fusion requires aligned replica widths across the unit, so one j
-// indexes every segment) and the ports the shard plan puts at its two
-// ends.
-func (e *engine) newUnit(s, end, j int) *unit {
-	u := &unit{labels: pprof.Labels("stage", unitLabel(s, end))}
+// newUnit wires replica j of served stage s: its lane and the ports the
+// shard plan puts at its two ends.
+func (e *engine) newUnit(s, j int) *unit {
+	lc := e.lane(s, j)
+	last := e.live.first[s+1] - 1
+	u := &unit{lc: lc, labels: pprof.Labels("stage", unitLabel(lc.num, last))}
 	if e.plan.reps[s] > 1 {
-		u.labels = pprof.Labels("stage", unitLabel(s, end), "lane", strconv.Itoa(j))
+		u.labels = pprof.Labels("stage", unitLabel(lc.num, last), "lane", strconv.Itoa(j))
 	}
-	for k := s; k <= end; k++ {
-		u.segs = append(u.segs, e.lane(k, j))
-	}
-	head, tail := u.segs[0], u.segs[len(u.segs)-1]
 	switch {
 	case s == 0 && e.headRing == nil:
-		u.in = inPort{kind: portSource, lc: head}
+		u.in = inPort{kind: portSource, lc: lc}
 	case s == 0:
-		u.in = inPort{kind: portRing, lc: head, ring: e.headRing[j]}
+		u.in = inPort{kind: portRing, lc: lc, ring: e.headRing[j]}
 	case e.plan.faninSeq[s-1] >= 0:
-		u.in = inPort{kind: portMerge, lc: head, mg: e.newMerger(s-1, head)}
+		u.in = inPort{kind: portMerge, lc: lc, mg: e.newMerger(s-1, lc)}
 	default:
-		u.in = inPort{kind: portRing, lc: head, ring: e.rings[s-1][j]}
+		u.in = inPort{kind: portRing, lc: lc, ring: e.rings[s-1][j]}
 	}
 	switch {
-	case end == len(e.runners)-1:
-		u.out = outPort{kind: portSink, lc: tail, free: e.freeBatches[j]}
+	case s == len(e.runners)-1:
+		u.out = outPort{kind: portSink, lc: lc, free: e.freeBatches[j]}
 		if e.cols != nil {
 			u.out.col = e.cols[j]
 		}
-	case e.plan.reps[end+1] > e.plan.reps[end]:
+	case e.plan.reps[s+1] > e.plan.reps[s]:
 		var sq *seqStream
-		if e.plan.seqFor[end] >= 0 {
-			sq = e.seqs[e.plan.seqFor[end]]
+		if e.plan.seqFor[s] >= 0 {
+			sq = e.seqs[e.plan.seqFor[s]]
 		}
-		u.out = outPort{kind: portScatter, lc: tail, sc: newScatterer(e.rings[end], sq)}
+		u.out = outPort{kind: portScatter, lc: lc, sc: newScatterer(e.rings[s], sq)}
 	default:
-		u.out = outPort{kind: portRing, lc: tail, ring: e.rings[end][j]}
+		u.out = outPort{kind: portRing, lc: lc, ring: e.rings[s][j]}
 	}
 	return u
 }
@@ -1235,7 +1220,7 @@ func (e *engine) run(ctx context.Context) {
 		b.BindContext(e.ictx)
 	}
 	e.live.start = time.Now()
-	e.wireObservability(len(e.runners))
+	e.wireObservability(e.live.degree())
 	if e.cfg.OnLive != nil {
 		e.cfg.OnLive(e.live)
 	}
@@ -1273,7 +1258,7 @@ func (e *engine) finish(ctx context.Context, world *interp.World) (*Metrics, err
 		Packets: e.live.packets.Load(),
 		Elapsed: time.Duration(e.live.elapsedNs.Load()),
 		Shards:  e.plan.width(),
-		Stages:  make([]StageStats, len(e.runners)),
+		Stages:  make([]StageStats, e.live.degree()),
 	}
 	if e.cols != nil {
 		m.Trace = mergeShardTraces(e.cols)

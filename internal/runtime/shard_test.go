@@ -180,12 +180,13 @@ func TestNewShardPlanJunctions(t *testing.T) {
 
 // TestBuildUnits pins the realized topology as build returns it from a
 // Layout, before anything runs: for each plan shape, which units exist —
-// one goroutine each — and for every unit its in-port kind, the 1-based stages it
-// executes, and its out-port kind. Every serve goroutine is one unit
-// loop, so this table is the whole wiring: the head is a source in-port,
-// D=1 and the fully fused pipeline are source -> all segments -> sink,
-// the dispatcher is a source in-port with no segments, and scatters,
-// fan-ins and sharded sinks appear exactly where the shard plan puts them.
+// one goroutine each — and for every unit its in-port kind, the 1-based cut
+// stages its program realizes, and its out-port kind. Every serve goroutine
+// is one unit loop, so this table is the whole wiring: the head is a source
+// in-port, D=1 and the fully coarsened cut are source -> stage -> sink, the
+// dispatcher is a source in-port with no stage, and scatters, fan-ins and
+// sharded sinks appear exactly where the shard plan puts them. The fused
+// rows lay out the cut coarsened by their mask where replica widths align.
 func TestBuildUnits(t *testing.T) {
 	kinds := map[portKind]string{portSource: "source", portRing: "ring", portMerge: "merge",
 		portScatter: "scatter", portLanes: "lanes", portSink: "sink"}
@@ -233,7 +234,7 @@ func TestBuildUnits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, err := NewLayout(res.Stages, Config{Shards: tc.p, FuseCuts: tc.fuse})
+			l, err := CoarseLayout(res, tc.fuse, true, Config{Shards: tc.p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,23 +242,18 @@ func TestBuildUnits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// What the layout says is what build wired: a cut is fused iff
-			// one unit spans it, and a stage's replica width is the number
-			// of units executing it.
-			wired, spans := make([]int, tc.d), make([]bool, tc.d-1)
+			// What the layout says is what build wired: a served stage's
+			// replica width is the number of units executing it, and the
+			// stages report under the cut stages their programs begin at.
+			wired := make([]int, len(l.Stages()))
 			var got []string
 			for _, u := range e.units {
 				stages := ""
-				if n := len(u.segs); n > 0 {
-					stages = fmt.Sprint(u.segs[0].s + 1)
-					if n > 1 {
-						stages += fmt.Sprint("-", u.segs[n-1].s+1)
-					}
-				}
-				for i, lc := range u.segs {
+				if lc := u.lc; lc != nil {
 					wired[lc.s]++
-					if i > 0 {
-						spans[lc.s-1] = true
+					stages = fmt.Sprint(lc.num)
+					if last := l.first[lc.s+1] - 1; last > lc.num {
+						stages += fmt.Sprint("-", last)
 					}
 				}
 				got = append(got, fmt.Sprintf("%s[%s]%s", kinds[u.in.kind], stages, kinds[u.out.kind]))
@@ -265,15 +261,14 @@ func TestBuildUnits(t *testing.T) {
 					t.Errorf("unit %s: sink collector present = %v, want %v", got[len(got)-1], u.out.col != nil, tc.sinkMP)
 				}
 			}
-			if fmt.Sprint(l.Replicas()) != fmt.Sprint(wired) || fmt.Sprint(l.Fused()) != fmt.Sprint(spans) {
-				t.Errorf("layout says replicas %v fused %v, build wired replicas %v fused %v",
-					l.Replicas(), l.Fused(), wired, spans)
+			if fmt.Sprint(l.Replicas()) != fmt.Sprint(wired) {
+				t.Errorf("layout says replicas %v, build wired replicas %v", l.Replicas(), wired)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Errorf("built %d goroutines %v\nwant  %d goroutines %v", len(got), got, len(tc.want), tc.want)
 			}
 			// One free ring per sink replica, each wired to its replica's port.
-			sinks := l.Replicas()[tc.d-1]
+			sinks := l.Replicas()[len(l.Stages())-1]
 			if len(e.freeBatches) != sinks {
 				t.Errorf("free list: %d rings, want one per sink replica (%d)", len(e.freeBatches), sinks)
 			}
@@ -283,6 +278,57 @@ func TestBuildUnits(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCoarsenedWidthsMatchMembers: un-making a cut between stages of equal
+// replica width never changes that width. For every benchmark PPS, depth,
+// shard key choice and fuse mask (granted where the ringed widths align),
+// each coarsened program replicates exactly as wide as every stage it
+// realizes did on its own — so the facade may price and report a fused unit
+// at its members' width, and the classifier sees through a merge as well as
+// it sees across a live-set transmission.
+func TestCoarsenedWidthsMatchMembers(t *testing.T) {
+	for _, pps := range append(netbench.IPv4Forwarding(), netbench.IPForwarding()...) {
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", pps.Name, err)
+		}
+		a, err := core.Analyze(prog, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", pps.Name, err)
+		}
+		for d := 2; d <= 5; d++ {
+			res, err := a.Partition(core.Options{Stages: d})
+			if err != nil {
+				t.Fatalf("%s D=%d: %v", pps.Name, d, err)
+			}
+			for _, key := range []func([]byte) uint64{nil, netbench.FlowKey} {
+				cfg := Config{Shards: 4, ShardKey: key}
+				ringed, err := NewLayout(res.Stages, cfg)
+				if err != nil {
+					t.Fatalf("%s D=%d: %v", pps.Name, d, err)
+				}
+				for bits := 1; bits < 1<<(d-1); bits++ {
+					fuse := make([]bool, d-1)
+					for k := range fuse {
+						fuse[k] = bits>>k&1 == 1
+					}
+					l, err := CoarseLayout(res, fuse, true, cfg)
+					if err != nil {
+						t.Fatalf("%s D=%d fuse %v: %v", pps.Name, d, fuse, err)
+					}
+					for i, w := range l.Replicas() {
+						for s := l.first[i]; s < l.first[i+1]; s++ {
+							if m := ringed.Replicas()[s-1]; m != w {
+								t.Errorf("%s D=%d key=%v fuse %v: program %d replicates x%d, its stage %d x%d",
+									pps.Name, d, key != nil, fuse, i+1, w, s, m)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

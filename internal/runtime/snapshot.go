@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -57,14 +58,17 @@ func (p *stageProbe) stats(stage int) StageStats {
 // probes that can be snapshotted at any moment — mid-serve, from any
 // goroutine, race-free — without perturbing the stage goroutines beyond
 // their ordinary atomic counter updates. Probes are flattened stage-major
-// (offs[s] is stage s's first replica); disp is the extra probe of the
-// flow-hash dispatcher when the first stage is replicated. Serve
-// publishes it through Config.OnLive before the first packet moves;
-// repro.Pipeline.Snapshot is the public face.
+// over the served stages (offs[s] is served stage s's first replica); disp
+// is the extra probe of the flow-hash dispatcher when the first stage is
+// replicated. Reports are per cut stage: first (Layout.first) says which cut
+// stage each served stage begins at. Serve publishes it through
+// Config.OnLive before the first packet moves; repro.Pipeline.Snapshot is
+// the public face.
 type Live struct {
 	start     time.Time
 	reps      []int
 	offs      []int
+	first     []int
 	probes    []stageProbe
 	disp      *stageProbe
 	shards    int
@@ -76,35 +80,45 @@ type Live struct {
 	ingest func() IngestStats
 }
 
-// newLive builds the probe set for a run with the given per-stage replica
-// counts; the run stamps start when its clock starts.
-func newLive(reps []int, dispatched bool, shards int) *Live {
+// newLive builds the probe set for a run with the given per-served-stage
+// replica counts and cut-stage numbering (Layout.first); the run stamps
+// start when its clock starts.
+func newLive(reps, first []int, dispatched bool, shards int) *Live {
 	offs := make([]int, len(reps))
 	n := 0
 	for s, r := range reps {
 		offs[s] = n
 		n += r
 	}
-	l := &Live{reps: reps, offs: offs, probes: make([]stageProbe, n), shards: shards}
+	l := &Live{reps: reps, offs: offs, first: first, probes: make([]stageProbe, n), shards: shards}
 	if dispatched {
 		l.disp = &stageProbe{}
 	}
 	return l
 }
 
-// probe is stage s, replica j's counter block.
+// degree is the number of cut stages reported on.
+func (l *Live) degree() int { return l.first[len(l.reps)] - 1 }
+
+// probe is served stage s, replica j's counter block.
 func (l *Live) probe(s, j int) *stageProbe { return &l.probes[l.offs[s]+j] }
 
-// stageStats aggregates stage s's counters across its replicas. When a
-// dispatcher paces the source, stage 1's In is the dispatcher's pull
-// count (every packet that left the source, poisons included) and its
-// stall/quarantine counts fold in the dispatcher's — preserving the
-// ledger invariant Delivered + Shed + Quarantined == Stages[0].In at any
-// shard width.
-func (l *Live) stageStats(s int) StageStats {
-	agg := l.probe(s, 0).stats(s + 1)
+// stageStats reports cut stage k (0-based): the counters of the served stage
+// that begins there, aggregated across its replicas, or — for a stage folded
+// into an earlier one's program — an entry of zero counters naming that
+// stage. When a dispatcher paces the source, stage 1's In is the
+// dispatcher's pull count (every packet that left the source, poisons
+// included) and its stall/quarantine counts fold in the dispatcher's —
+// preserving the ledger invariant Delivered + Shed + Quarantined ==
+// Stages[0].In at any shard width.
+func (l *Live) stageStats(k int) StageStats {
+	s := sort.SearchInts(l.first, k+2) - 1 // the served stage standing for cut stage k+1
+	if l.first[s] != k+1 {
+		return StageStats{Stage: k + 1, FusedInto: l.first[s], Replicas: l.reps[s]}
+	}
+	agg := l.probe(s, 0).stats(k + 1)
 	for j := 1; j < l.reps[s]; j++ {
-		agg.add(l.probe(s, j).stats(s + 1))
+		agg.add(l.probe(s, j).stats(k + 1))
 	}
 	agg.Replicas = l.reps[s]
 	if s == 0 && l.disp != nil {
@@ -135,14 +149,14 @@ func (l *Live) Snapshot() *Snapshot {
 		Running: !l.done.Load(),
 		Packets: l.packets.Load(),
 		Shards:  l.shards,
-		Stages:  make([]StageStats, len(l.reps)),
+		Stages:  make([]StageStats, l.degree()),
 	}
 	if s.Running {
 		s.Elapsed = time.Since(l.start)
 	} else {
 		s.Elapsed = time.Duration(l.elapsedNs.Load())
 	}
-	for k := range l.reps {
+	for k := range s.Stages {
 		s.Stages[k] = l.stageStats(k)
 	}
 	if l.ingest != nil {
@@ -206,6 +220,10 @@ func (s *Snapshot) Line() string {
 		}
 	}
 	for _, st := range s.Stages {
+		if st.FusedInto > 0 {
+			fmt.Fprintf(&b, " | s%d in s%d", st.Stage, st.FusedInto)
+			continue
+		}
 		fmt.Fprintf(&b, " | s%d in=%d out=%d stall=%d occ=%.1f", st.Stage, st.In, st.Out, st.Stalls, st.MeanOccupancy())
 		if lost := st.Shed + st.Quarantined; lost > 0 {
 			fmt.Fprintf(&b, " lost=%d", lost)
@@ -245,6 +263,10 @@ func (s *Snapshot) String() string {
 // Snapshot.String and Metrics.String.
 func writeStageLines(b *strings.Builder, stages []StageStats) {
 	for _, st := range stages {
+		if st.FusedInto > 0 {
+			fmt.Fprintf(b, "  stage %d: fused into stage %d\n", st.Stage, st.FusedInto)
+			continue
+		}
 		fmt.Fprintf(b, "  stage %d: in %d out %d  stalls %d  busy %v  occ %.2f",
 			st.Stage, st.In, st.Out, st.Stalls, st.Busy.Round(time.Microsecond), st.MeanOccupancy())
 		if st.Replicas > 1 {

@@ -112,10 +112,10 @@ type config struct {
 	// explore holds the exploration options (budget, PEs, workers) and, in
 	// Base, the partitioning ones (degree, ε, arch, ring kind, tx mode).
 	explore core.ExploreOptions
-	// serve is the runtime's configuration. Three of its fields are not set
-	// by options: realize fills FuseCuts from the fusion verdict, the
-	// adaptive loop installs the Store its rounds share, and Pipeline.Serve
-	// installs OnLive and — around a WithSource feeder — Ingest.
+	// serve is the runtime's configuration. Two of its fields are not set by
+	// options: the adaptive loop installs the Store its rounds share, and
+	// Pipeline.Serve installs OnLive and — around a WithSource feeder —
+	// Ingest.
 	serve runtime.Config
 	// simulation
 	threads int
@@ -260,7 +260,9 @@ func WithWorld(w *World) Option { return Option{"WithWorld", inServe, func(c *co
 // WithOverload selects the serve-path overload policy: OverloadBlock
 // (default — lossless backpressure), OverloadShed (drop batches when a
 // ring stays saturated past the watermark), or OverloadDegrade
-// (short-circuit them: delivered with later stages skipped).
+// (short-circuit them: delivered with later stages skipped). The policies
+// act at rings, so between served stages: a cut un-made by fusion
+// (WithFusion) has no ring to saturate.
 func WithOverload(p OverloadPolicy) Option {
 	return Option{"WithOverload", inServe, func(c *config) { c.serve.Overload = p }}
 }
@@ -273,9 +275,9 @@ func WithWatermark(ticks int) Option {
 	return Option{"WithWatermark", inServe, func(c *config) { c.serve.Watermark = ticks }}
 }
 
-// WithDeadline bounds one iteration's execution at one stage; a blown
-// deadline quarantines the packet (errs.ErrStageDeadline) instead of
-// stalling the pipeline.
+// WithDeadline bounds one iteration's execution at one served stage — a
+// fused unit (WithFusion) is one; a blown deadline quarantines the packet
+// (errs.ErrStageDeadline) instead of stalling the pipeline.
 func WithDeadline(d time.Duration) Option {
 	return Option{"WithDeadline", inServe, func(c *config) { c.serve.StageDeadline = d }}
 }
@@ -288,7 +290,10 @@ func WithRetry(n int, backoff time.Duration) Option {
 }
 
 // WithFaults installs a deterministic fault-injection plan for Serve —
-// the chaos-testing seam. Nil clears it.
+// the chaos-testing seam. Nil clears it. A plan names stages, so a serve
+// that carries one keeps every cut of the partition (no fusion, whatever
+// WithFusion says) and Plan().FusionWhy says so: an injection always finds
+// the stage it was aimed at.
 func WithFaults(p *FaultPlan) Option {
 	return Option{"WithFaults", inServe, func(c *config) { c.serve.Faults = p }}
 }
@@ -347,11 +352,11 @@ type FusionMode int
 const (
 	// FusionAuto (the default) lets the cost model value each cut: a cut
 	// whose ring synchronization tax exceeds its predicted pipeline-bound
-	// gain is realized by fusing the adjacent stages into one execution
-	// unit — no ring, the live set handed over inside the token — while
-	// cuts that buy real overlap keep their rings. On a single-core host
-	// this typically fuses the whole pipeline; on a wide host with
-	// balanced stages it fuses nothing.
+	// gain is un-made — the stages around it are re-realized as one
+	// program, with no live-set transmission between them — while cuts that
+	// buy real overlap keep their rings. On a single-core host this
+	// typically fuses the whole pipeline, which is then served as the D=1
+	// program; on a wide host with balanced stages it fuses nothing.
 	FusionAuto FusionMode = iota
 	// FusionOff keeps every cut on an SPSC ring regardless of the cost
 	// model's verdict — the pre-fusion realization, retained as the
@@ -361,11 +366,16 @@ const (
 
 // WithFusion selects the stage-fusion mode of a served pipeline (default
 // FusionAuto). Fusion is a realization choice, not a semantic one: the
-// served trace, the per-stage counters, and the fault ledger are
-// byte-identical in every mode, and Pipeline.Plan() states which cuts
-// were fused and why. A scatter or fan-in junction (sharded serving)
-// always keeps its ring machinery — fusion applies only to cuts whose
-// two sides run at the same replica width.
+// served trace and the fault ledger are byte-identical in every mode, and
+// Pipeline.Plan() states which cuts were fused and why. Per-stage reports
+// keep the partition's numbering: a fused unit books its counters, spans
+// and fault records under the first stage it covers, and the entries of
+// the stages fused into it are zero and name that stage
+// (StageStats.FusedInto). What acts per stage — WithDeadline, shed and
+// degrade under WithOverload — acts per served stage: a fused unit is one
+// stage with one deadline and one outgoing ring. A scatter or fan-in
+// junction (sharded serving) always keeps its ring machinery — fusion
+// applies only to cuts whose two sides run at the same replica width.
 func WithFusion(m FusionMode) Option {
 	return Option{"WithFusion", inServe, func(c *config) { c.fusion = m }}
 }

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -18,20 +19,20 @@ import (
 // (Simulate, SimulateThreads), and the concurrent host runtime (Serve).
 // A Pipeline is immutable and safe for concurrent use; each execution
 // method builds its own run state. The mutable state is two atomically
-// published handles: the counters of the most recent Serve run (Snapshot)
-// and the live realization plan (Plan).
+// published handles — the counters of the most recent Serve run (Snapshot)
+// and the live realization plan (Plan) — and the cache of served shapes.
 type Pipeline struct {
 	stages   []*Program
 	report   *Report
+	res      *core.Result // the cut itself; Coarsen seam of fusion
 	cfg      config
 	analysis *core.Analysis // the cut's parent analysis; Reweigh seam of the adaptive loop
-	// base is the stage list validated and classified once, laid out under
-	// the default configuration; every realization is base.With(a config).
-	// nil, with the reason in baseErr, when the cut is not servable.
-	base    *runtime.Layout
-	baseErr error
-	live    atomic.Pointer[runtime.Live]
-	plan    atomic.Pointer[Plan]
+	// shapes caches, per set of fused cuts, the cut realized without them,
+	// validated and classified once (shape, fusion.go).
+	mu     sync.Mutex
+	shapes map[uint64]*served
+	live   atomic.Pointer[runtime.Live]
+	plan   atomic.Pointer[Plan]
 }
 
 // newPipeline wraps a core result with the configuration it was cut under,
@@ -39,16 +40,16 @@ type Pipeline struct {
 // with the parent analysis, so an adaptive serve can re-cut it under
 // calibrated weights.
 func newPipeline(res *core.Result, cfg config, an *core.Analysis) *Pipeline {
-	p := &Pipeline{stages: res.Stages, report: res.Report, cfg: cfg, analysis: an}
-	p.base, p.baseErr = runtime.NewLayout(res.Stages, runtime.Config{})
-	plan, _, _ := p.realize(cfg, cfg.fusion, 1.0)
-	p.plan.Store(plan)
-	return p
+	return &Pipeline{stages: res.Stages, report: res.Report, res: res, cfg: cfg, analysis: an,
+		shapes: map[uint64]*served{}}
 }
 
 // Stages returns the realized per-stage programs, connected by live-set
-// transmissions (OpSendLS/OpRecvLS). The slice and its programs must be
-// treated as read-only.
+// transmissions (OpSendLS/OpRecvLS): the D-way cut, which Run and the
+// simulators execute. Serve runs them too unless Plan().FusedCuts names cuts
+// it un-made, in which case each run of fused stages is served as one
+// re-realized program. The slice and its programs must be treated as
+// read-only.
 func (p *Pipeline) Stages() []*Program { return p.stages }
 
 // Degree returns the pipelining degree D.
@@ -62,8 +63,17 @@ func (p *Pipeline) Report() *Report { return p.report }
 // (or, before any adaptive serve, the static cut), the cost model behind
 // it, and the rationale for choosing it. After a WithAutotune serve
 // commits to a winner, Plan reflects that winner — safe to call from any
-// goroutine, including while a serve is in flight.
-func (p *Pipeline) Plan() *Plan { return p.plan.Load() }
+// goroutine, including while a serve is in flight. The static plan is
+// worked out on first use: a partition that is never served or asked for
+// its plan pays for no layout and no coarsened realization.
+func (p *Pipeline) Plan() *Plan {
+	if plan := p.plan.Load(); plan != nil {
+		return plan
+	}
+	plan, _, _ := p.realize(p.cfg, p.cfg.fusion, 1.0)
+	p.plan.CompareAndSwap(nil, plan)
+	return p.plan.Load()
+}
 
 // Run executes the pipeline on the sequential oracle: every iteration runs
 // to completion through all stages before the next begins, which preserves
@@ -226,8 +236,8 @@ func (p *Pipeline) serveWith(ctx context.Context, src Source, cfg config) (*Metr
 		return p.serveAdaptive(ctx, src, cfg)
 	}
 	// Static path: realize the cut under the serve-time shape — cuts whose
-	// ring tax exceeds their pipeline gain run fused (WithFusion(FusionOff)
-	// pins every ring) — publish the plan, and execute its layout.
+	// ring tax exceeds their pipeline gain are un-made (WithFusion(FusionOff)
+	// keeps every cut) — publish the plan, and execute its layout.
 	plan, lay, err := p.realize(cfg, cfg.fusion, 1.0)
 	if err != nil {
 		return nil, err
