@@ -4,19 +4,18 @@ package repro
 // call becomes a sequence of rounds over the same source, world, and
 // persistent store:
 //
-//  1. Probe: serve a short window under the current plan, measuring each
-//     stage's host nanoseconds per iteration.
-//  2. Calibrate: fit per-class costs to those measurements
-//     (costmodel.Calibrate) and build a calibrated Arch.
-//  3. Re-cut: re-run the two-phase analysis under the calibrated weights
-//     (core.Analysis.Reweigh) and cut a candidate pipeline per feasible
-//     degree.
-//  4. Tune: realize every (degree, batch, shards, ringed|fused) candidate
-//     (realize, fusion.go) — its prior is the price costmodel.Predict puts
-//     on its layout under the calibrated weights — then let internal/tuner
-//     probe the most promising ones with real traffic and commit to the
-//     measured winner under the declared objective.
-//  5. Serve: run the rest of the stream on the winning realization.
+//  1. Probe: serve a short window under the current plan and take one
+//     number from it, host nanoseconds per weight: the served units'
+//     measured ns per iteration over their static path costs.
+//  2. Enumerate: cut a candidate pipeline per feasible degree from the
+//     pipeline's own analysis — the paper's weights — and realize every
+//     (degree, batch, shards, ringed|fused) shape of it (realize,
+//     fusion.go); a candidate's prior is the price costmodel.Predict puts
+//     on its layout at the measured scale.
+//  3. Measure: internal/tuner probes the most promising candidates with
+//     real traffic and commits to the measured winner under the declared
+//     objective.
+//  4. Serve: run the rest of the stream on the winning realization.
 //
 // Correctness never depends on the tuner's taste: every round — probe or
 // committed — serves real packets from the one shared source in order,
@@ -34,7 +33,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/interp"
 	"repro/internal/obsv"
 	"repro/internal/runtime"
@@ -81,7 +79,7 @@ func (o Objective) validate() error {
 // value selects the defaults noted per field.
 type Autotune struct {
 	// ProbePackets is the length of each measured probe window, in packets
-	// (default 4096). The first window calibrates; each candidate probe
+	// (default 4096). The first window sets the scale; each candidate probe
 	// consumes one more.
 	ProbePackets int
 	// TopK is how many top-ranked candidates the tuner measures, beyond
@@ -156,16 +154,14 @@ type Plan struct {
 	Replicas []int
 	// Objective is the declared optimization objective.
 	Objective string
-	// Calibrated reports whether the cost model behind this plan was
-	// fitted to measured per-stage times (false: datasheet weights).
+	// Calibrated reports whether the plan's prices are scaled to host time
+	// measured by an adaptive serve's probe round (false: datasheet weights
+	// taken as nanoseconds).
 	Calibrated bool
-	// NsPerWeight is the fitted host nanoseconds per calibrated weight
-	// unit (0 when uncalibrated).
+	// NsPerWeight is that scale: measured host nanoseconds per weight unit
+	// (0 when uncalibrated).
 	NsPerWeight float64
-	// R2 is the calibration's goodness of fit (0 when uncalibrated).
-	R2 float64
-	// StageWeights is the per-stage worst-case path cost under the plan's
-	// weights — calibrated units after adaptation, static units before.
+	// StageWeights is the per-stage worst-case path cost in weight units.
 	StageWeights []int64
 	// FusedCuts lists the 1-based cuts un-made by stage fusion — stages k
 	// and k+1 around cut k are served as one re-realized program, with no
@@ -180,8 +176,8 @@ type Plan struct {
 	// PredictedNsPerPkt is the cost model's price for exactly this
 	// realization (costmodel.Predict over the served programs' own path
 	// costs, their replica widths and the retained handoffs) — the number
-	// the autotuner ranks candidates by.
-	// In nanoseconds after calibration, in datasheet weight units before.
+	// the autotuner ranks candidates by. In nanoseconds when Calibrated, in
+	// datasheet weight units otherwise.
 	PredictedNsPerPkt float64
 	// Why is the human-readable rationale: how the plan was chosen, with
 	// the probe evidence when the autotuner chose it.
@@ -196,28 +192,48 @@ type meteredSource struct {
 	exhausted bool
 }
 
-// window returns a Source serving at most n more packets (n < 0 means the
-// rest of the stream). The returned source is only used by one round at a
-// time; the happens-before edge between rounds is runtime.Serve's join.
-func (m *meteredSource) window(n int) Source {
-	return SourceFunc(func() ([]byte, bool) {
-		if m.exhausted || n == 0 {
-			return nil, false
-		}
-		if n > 0 {
-			n--
-		}
-		pkt, ok := m.src.Next()
-		if !ok {
-			m.exhausted = true
-			return nil, false
-		}
-		return pkt, true
-	})
+// window is one round's share of the metered source: at most n more packets
+// (n < 0: the rest of the stream). Only one round uses it at a time; the
+// happens-before edge between rounds is runtime.Serve's join.
+type window struct {
+	m *meteredSource
+	n int
 }
 
-// serveAdaptive is Serve's WithAutotune path: the closed probe → calibrate
-// → re-cut → tune → commit loop described at the top of this file. cfg is
+// Next hands out the next packet of the stream while the window lasts.
+func (w *window) Next() ([]byte, bool) {
+	if w.m.exhausted || w.n == 0 {
+		return nil, false
+	}
+	if w.n > 0 {
+		w.n--
+	}
+	pkt, ok := w.m.src.Next()
+	if !ok {
+		w.m.exhausted = true
+		return nil, false
+	}
+	return pkt, true
+}
+
+// PacketsOwned and BindContext pass on what the wrapped source says of
+// itself, so a round treats the ingest feeder as the static path does: the
+// packets it handed over are adopted, not copied again at pkt_rx, and the
+// round's internal teardown reaches a blocked read.
+func (w *window) PacketsOwned() bool {
+	o, ok := w.m.src.(interface{ PacketsOwned() bool })
+	return ok && o.PacketsOwned()
+}
+
+// BindContext: see PacketsOwned.
+func (w *window) BindContext(ctx context.Context) {
+	if b, ok := w.m.src.(runtime.ContextBinder); ok {
+		b.BindContext(ctx)
+	}
+}
+
+// serveAdaptive is Serve's WithAutotune path: the closed probe → enumerate
+// → measure → commit loop described at the top of this file. cfg is
 // the fully validated serve configuration with cfg.autotune non-nil.
 func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*Metrics, error) {
 	at := cfg.autotune.withDefaults()
@@ -241,7 +257,7 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	}
 	// round serves one window on one realization and folds it into agg.
 	round := func(lay *runtime.Layout, n int) (*Metrics, error) {
-		m, err := lay.Serve(ctx, world, cursor.window(n))
+		m, err := lay.Serve(ctx, world, &window{cursor, n})
 		if err != nil {
 			return nil, err
 		}
@@ -278,37 +294,28 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		return finish() // stream shorter than one probe window: nothing to adapt
 	}
 
-	// Calibrate the cost model from the measured per-stage times: one sample
-	// per program the probe round served, its op counts against the time
-	// booked under the stage it begins at (the entries of stages fused into
-	// it carry nothing). A failed fit (degenerate measurements) falls back to
-	// the static weights; the tuner still runs, ranking candidates by the
-	// datasheet model.
-	arch := cfg.explore.Base.Arch
-	progs := lay.Stages()
-	samples := make([]costmodel.Sample, 0, len(progs))
+	// The one number taken from the probe: host nanoseconds per weight, the
+	// measured ns per iteration of the programs the round served (a stage
+	// folded into a unit books nothing of its own) over their static path
+	// costs. realize multiplies it back into the same path costs, so at this
+	// scale the probed plan is priced at what it measured.
+	var fuse uint64
+	for _, k := range plan.FusedCuts {
+		fuse |= 1 << (k - 1)
+	}
+	var ns float64
 	for _, st := range probe.Stages {
-		if st.FusedInto != 0 {
-			continue
-		}
-		samples = append(samples, costmodel.Sample{
-			Counts:    costmodel.CountOps(progs[len(samples)].Func, arch),
-			NsPerIter: st.NsPerIteration(),
-			Iters:     st.In,
-		})
+		ns += st.NsPerIteration()
 	}
-	analysis := p.analysis
-	nsPerWeight := 1.0
-	var cal *costmodel.Calibration
-	if c, err := costmodel.Calibrate(arch, samples); err == nil {
-		if re, err := analysis.Reweigh(c.Arch); err == nil {
-			cal, analysis, nsPerWeight = c, re, c.NsPerWeight
-		}
+	var weight int64
+	for _, u := range p.shape(fuse).units {
+		weight += u.Cost.Total
 	}
+	nsPerWeight := ns / float64(weight)
 
-	// Cut a candidate pipeline per feasible degree under the (possibly
-	// calibrated) weights and realize every (degree, batch, shards) shape of
-	// it, with the valuator's verdict — unless fusion is off — and fully
+	// Cut a candidate pipeline per feasible degree from the pipeline's own
+	// analysis and realize every (degree, batch, shards) shape of it, with
+	// the valuator's verdict — unless fusion is off — and fully
 	// ringed. A candidate exists only if its layout builds and forks no flow
 	// state; shapes that realize identically (a shard width no stage can
 	// use, a verdict that fuses nothing) are one candidate, the first. Probe
@@ -347,14 +354,14 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		modes = append(modes, FusionOff)
 	}
 	for d := 1; d <= min(at.MaxDegree, MaxStages); d++ {
-		// The (re)weighed analysis supplies the cost model.
+		// The analysis supplies the cost model.
 		o := cfg.explore.Base
 		o.Stages, o.Arch = d, nil
-		res, err := analysis.Partition(o)
+		res, err := p.analysis.Partition(o)
 		if err != nil {
 			continue
 		}
-		cut := newPipeline(res, cfg, analysis)
+		cut := newPipeline(res, cfg, p.analysis)
 		for _, b := range at.Batches {
 			for _, ps := range at.Shards {
 				for _, mode := range modes {
@@ -406,12 +413,8 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	if err != nil {
 		return nil, err
 	}
-	if cal != nil {
-		plan.Calibrated, plan.NsPerWeight, plan.R2 = true, nsPerWeight, cal.R2
-		plan.Why = fmt.Sprintf("%s (calibrated, R²=%.3f, %.2f ns/weight)", decision.Why, cal.R2, cal.NsPerWeight)
-	} else {
-		plan.Why = decision.Why + " (uncalibrated: fit failed, datasheet prior)"
-	}
+	plan.Calibrated, plan.NsPerWeight = true, nsPerWeight
+	plan.Why = fmt.Sprintf("%s (measured %.2f ns/weight)", decision.Why, nsPerWeight)
 	p.plan.Store(plan)
 	if _, err := round(lay, -1); err != nil {
 		return nil, err

@@ -14,8 +14,8 @@ import (
 )
 
 // adaptSrc is a PPS with enough heterogeneous work (table lookups, header
-// arithmetic, a persistent counter) that calibration sees several op
-// classes and re-cutting has real choices to make.
+// arithmetic, a persistent counter) that cutting it at another degree has
+// real choices to make.
 const adaptSrc = `pps Adapt {
 	var total[1];
 	loop {
@@ -33,8 +33,8 @@ const adaptSrc = `pps Adapt {
 }`
 
 // TestAdaptiveServeTraceIdentity is the tentpole's correctness gate: a
-// WithAutotune serve — probe, calibrate, re-cut, candidate probes, commit,
-// all mid-stream — must produce a trace byte-identical to the sequential
+// WithAutotune serve — probe, candidate cuts, candidate probes, commit, all
+// mid-stream — must produce a trace byte-identical to the sequential
 // oracle over the whole stream. Run under -race via ci.sh.
 func TestAdaptiveServeTraceIdentity(t *testing.T) {
 	prog := repro.MustCompile(adaptSrc)
@@ -71,11 +71,8 @@ func TestAdaptiveServeTraceIdentity(t *testing.T) {
 	if !plan.Calibrated {
 		t.Errorf("plan not calibrated: %s", plan.Why)
 	}
-	// That the fit explains its data (R² > 0) is a property of Calibrate,
-	// held on fixed timings in internal/costmodel; live stage timings a few
-	// percent apart can put it below zero.
-	if math.IsNaN(plan.R2) || plan.NsPerWeight <= 0 {
-		t.Errorf("calibration fit missing from plan: R2=%v ns/w=%v", plan.R2, plan.NsPerWeight)
+	if plan.NsPerWeight <= 0 || !strings.Contains(plan.Why, "ns/weight") {
+		t.Errorf("measured scale missing from plan: %v ns/weight: %s", plan.NsPerWeight, plan.Why)
 	}
 	if len(plan.StageWeights) != plan.Degree {
 		t.Errorf("plan has %d stage weights for degree %d", len(plan.StageWeights), plan.Degree)
@@ -116,10 +113,10 @@ func TestAdaptiveServeShortStream(t *testing.T) {
 // when that plan fuses cuts the round serves coarsened programs — here D=3
 // with cut 2 un-made, so two programs stand for three stages. A stream that
 // ends inside the probe window shows the round's shape in the Metrics (stage
-// 3 reported inside stage 2, which saw every packet); a longer one must
-// calibrate from the two programs that ran — each unit's op counts against
-// the time booked under its first stage, the folded entry skipped — and stay
-// exact through the re-cut.
+// 3 reported inside stage 2, which saw every packet); a longer one must take
+// its scale from the two programs that ran — their path costs against the
+// time booked under each one's first stage, the folded entry booking nothing
+// — and stay exact through the search.
 func TestAdaptiveProbeOnFusedPlan(t *testing.T) {
 	defer repro.SetFuseMaskForTest([]bool{false, true})()
 	prog := repro.MustCompile(adaptSrc)
@@ -218,6 +215,52 @@ func TestAdaptiveServeDeterministicPlan(t *testing.T) {
 	}
 	if a.Degree != 1 || a.Batch != 32 {
 		t.Errorf("constrained search chose %+v, want d1/b32", a)
+	}
+}
+
+// TestAdaptiveProbePricedAtItsMeasurement: the scale the probe round yields
+// is its measured ns per iteration over its units' path costs, and realize
+// multiplies it back into the same costs, so a plan of the probed shape is
+// priced at what the probe measured. A one-shape search space (D=1, batch
+// 32) commits the probed shape; the probe round's own counters are read off
+// the registry while the first candidate probe, which runs unobserved, pulls
+// its first packet.
+func TestAdaptiveProbePricedAtItsMeasurement(t *testing.T) {
+	prog := repro.MustCompile(adaptSrc)
+	const n, window = 3000, 400
+	packets := testPackets(n)
+	pipe, err := repro.Partition(prog, repro.WithStages(1), repro.WithBatch(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := repro.NewRegistry()
+	var busy, in int64
+	next := 0
+	src := repro.SourceFunc(func() ([]byte, bool) {
+		if next == window {
+			snap := reg.Snapshot()
+			busy, in = snap["pipeline.stage1.busy_ns"].(int64), snap["pipeline.stage1.in"].(int64)
+		}
+		if next == n {
+			return nil, false
+		}
+		next++
+		return packets[next-1], true
+	})
+	m, err := pipe.Serve(context.Background(), src, repro.WithObserver(&repro.Observer{Registry: reg}),
+		repro.WithAutotune(repro.Autotune{ProbePackets: window, TopK: 1, MaxDegree: 1, Batches: []int{32}, Shards: []int{1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := repro.TraceEqual(seqTrace(t, prog, packets, n), m.Trace); diff != "" {
+		t.Fatalf("trace diverges from oracle: %s", diff)
+	}
+	plan := pipe.Plan()
+	if in != window || busy <= 0 || plan.Degree != 1 || plan.Batch != 32 {
+		t.Fatalf("probe round saw %d packets in %d ns; committed %+v", in, busy, plan)
+	}
+	if got := plan.PredictedNsPerPkt * float64(in); math.Abs(got-float64(busy)) > 1e-6*float64(busy) {
+		t.Errorf("probed shape priced at %v ns over the %d-packet window, the probe measured %d ns (%s)", got, in, busy, plan.Why)
 	}
 }
 

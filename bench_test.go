@@ -8,6 +8,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro"
@@ -301,7 +302,10 @@ func BenchmarkInterpreter(b *testing.B) {
 //
 // and -count gives the spread; EXPERIMENTS.md ("Host throughput") records
 // the table. At D=1 there is no cut, so the two modes are one realization
-// measured twice — the sweep's own noise floor.
+// measured twice — the sweep's own noise floor. D4/autotune is the same cut
+// served under WithAutotune's defaults: its pkt/s is over the whole stream,
+// search included — the adaptive loop's regret against the best static row —
+// and the shape it committed to is the name of its batch metric.
 func BenchmarkServe(b *testing.B) {
 	p, _ := netbench.ByName("IPv4")
 	prog, err := p.Compile()
@@ -313,21 +317,25 @@ func BenchmarkServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
+	type row struct {
 		name string
-		mode repro.FusionMode
-	}{{"ringed", repro.FusionOff}, {"auto", repro.FusionAuto}}
+		opt  repro.Option
+	}
 	for d := 1; d <= 4; d++ {
 		pipe, err := repro.Partition(prog, repro.WithStages(d))
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range modes {
+		rows := []row{{"ringed", repro.WithFusion(repro.FusionOff)}, {"auto", repro.WithFusion(repro.FusionAuto)}}
+		if d == 4 {
+			rows = append(rows, row{"autotune", repro.WithAutotune(repro.Autotune{})})
+		}
+		for _, r := range rows {
 			serve := func(src repro.Source) (*repro.Metrics, error) {
 				return pipe.Serve(context.Background(), src, repro.WithWorld(netbench.NewWorld(nil)),
-					repro.WithBatch(32), repro.WithFusion(mode.mode))
+					repro.WithBatch(32), r.opt)
 			}
-			b.Run(fmt.Sprintf("D%d/%s", d, mode.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("D%d/%s", d, r.name), func(b *testing.B) {
 				vm, err := serve(repro.PacketSource(prefix))
 				if err != nil {
 					b.Fatal(err)
@@ -344,8 +352,12 @@ func BenchmarkServe(b *testing.B) {
 				if m.Packets != int64(b.N) {
 					b.Fatalf("served %d packets, want %d", m.Packets, b.N)
 				}
+				plan := pipe.Plan()
 				b.ReportMetric(m.PacketsPerSecond(), "pkt/s")
-				b.ReportMetric(float64(len(pipe.Plan().FusedCuts)), "fused_cuts")
+				b.ReportMetric(float64(len(plan.FusedCuts)), "fused_cuts")
+				if r.name == "autotune" {
+					b.ReportMetric(float64(plan.Batch), "batch@"+strings.ReplaceAll(plan.Units(), " ", ""))
+				}
 			})
 		}
 	}

@@ -85,14 +85,17 @@ echo "== size ledger (printed, not gated)"
 # The design-size numbers ROADMAP item 4 tracks, so each PR's reduction is
 # a recorded figure: non-test, non-blank, non-comment Go lines of the serve
 # runtime and the facade files that configure it, the option count, and the
-# sentinel count. The one throughput model, the compiled backend and the
-# ingest front end are each listed on their own line.
+# sentinel count. The one throughput model, the adaptive stack (the loop,
+# the tuner and the whole cost model), the compiled backend and the ingest
+# front end are each listed on their own line.
 size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go adaptive.go fusion.go"
 # shellcheck disable=SC2086
 echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2660 before fusion moved into the cut, ISSUE 19)"
 # shellcheck disable=SC2046
 echo "  internal/runtime alone:  $(cat $(ls internal/runtime/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2095 before)"
 echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')"
+# shellcheck disable=SC2046
+echo "adaptive stack code lines: $(cat adaptive.go $(ls internal/tuner/*.go internal/costmodel/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (976 before the calibration went, ISSUE 20)"
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"

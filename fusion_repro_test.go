@@ -161,6 +161,68 @@ func TestServeEveryFuseMaskMatchesOracle(t *testing.T) {
 	}
 }
 
+// sharedTableSrc reads one persistent table, which nothing stores to, early
+// and late in the loop body: the partitioner may put the two reads in
+// different stages (read-only flow state may be read from any engine).
+const sharedTableSrc = `pps SharedTable {
+	persistent var tab[16];
+	persistent var salt = 37;
+	loop {
+		var n = pkt_rx();
+		if (n < 0) { continue; }
+		var b0 = pkt_byte(0);
+		var a = tab[b0 & 15] + salt;
+		var h = hash_crc(b0 * 31 + a + n);
+		var hop = rt_lookup(h & 0xFF);
+		var c = csum_fold(h + hop);
+		meta_set(0, c & 0xFFFF);
+		var z = tab[c & 15] + salt;
+		trace((hop + c + z) & 0xFF);
+		pkt_send(hop & 1);
+	}
+}`
+
+// TestServeSharedReadOnlyTable: a persistent array no stage stores to is a
+// constant table, so a cut that reads it on both sides is served — ringed and
+// with the valuator's verdict, unsharded and sharded — as the partitioner and
+// Run already allow, byte-identical to the unpartitioned program.
+func TestServeSharedReadOnlyTable(t *testing.T) {
+	prog := repro.MustCompile(sharedTableSrc)
+	const n = 256
+	packets := testPackets(n)
+	seq, err := interp.RunSequential(prog.Clone(), repro.NewWorld(packets), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 2; d <= 4; d++ {
+		pipe, err := repro.Partition(prog, repro.WithStages(d), repro.WithBatch(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers := 0
+		for _, st := range pipe.Stages() {
+			if strings.Contains(st.Func.String(), "tab[") {
+				readers++
+			}
+		}
+		if readers < 2 {
+			t.Fatalf("D=%d: the table is read in %d stage(s); the case needs a cut between its reads", d, readers)
+		}
+		for _, shards := range []int{1, 2} {
+			for mode, name := range []string{repro.FusionAuto: "auto", repro.FusionOff: "ringed"} {
+				m, err := pipe.Serve(context.Background(), repro.PacketSource(packets),
+					repro.WithShards(shards), repro.WithFusion(repro.FusionMode(mode)))
+				if err != nil {
+					t.Fatalf("D=%d P=%d %s: %v", d, shards, name, err)
+				}
+				if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+					t.Errorf("D=%d P=%d %s: trace diverges from oracle: %s", d, shards, name, diff)
+				}
+			}
+		}
+	}
+}
+
 // TestServeWithFaultsKeepsEveryCut: a fault plan names stages, so a serve
 // that carries one fuses nothing — on a core budget where FusionAuto would
 // otherwise fuse the whole cut — says so in every verdict, and still

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/ingest"
+	"repro/internal/interp"
 	"repro/internal/netbench"
 )
 
@@ -277,5 +280,124 @@ func TestServeFlowsCaptureReplay(t *testing.T) {
 	}
 	if diff := repro.TraceEqual(seqTrace(t, prog, pkts, len(pkts)), m.Trace); diff != "" {
 		t.Fatalf("replayed trace diverges from the oracle over the decoded capture: %s", diff)
+	}
+}
+
+// handoverSource is a BatchSource over buffers the test keeps hold of: Pull
+// hands them out in order (ownership transfers, as the contract says), and at
+// the end of them either reports end of stream or, when block is set, waits
+// for the context Pull runs under — a socket with nothing more to read.
+type handoverSource struct {
+	stats ingest.Stats
+	pkts  [][]byte
+	block bool
+}
+
+func (h *handoverSource) Pull(ctx context.Context, dst [][]byte) (int, error) {
+	if len(h.pkts) == 0 {
+		if !h.block {
+			return 0, io.EOF
+		}
+		<-ctx.Done()
+		return 0, ctx.Err()
+	}
+	n := copy(dst, h.pkts)
+	h.pkts = h.pkts[n:]
+	return n, nil
+}
+func (h *handoverSource) Stats() *ingest.Stats { return &h.stats }
+func (h *handoverSource) Close() error         { return nil }
+
+// TestAdaptiveServeAdoptsOwnedPackets: the ingest feeder says its packets are
+// the pipeline's, and every adaptive round must hear it through the window it
+// serves — a PPS that rewrites each packet it forwards sends the source's own
+// buffers, rewritten in place, under WithAutotune as under the static serve.
+func TestAdaptiveServeAdoptsOwnedPackets(t *testing.T) {
+	prog := repro.MustCompile(`pps Rewrite { loop {
+		var n = pkt_rx();
+		if (n < 0) { continue; }
+		pkt_setbyte(0, pkt_byte(0) ^ 0xFF);
+		trace(pkt_byte(0));
+		pkt_send(pkt_byte(1) & 1);
+	} }`)
+	const n = 1200
+	seq := seqTrace(t, prog, testPackets(n), n)
+	for _, tc := range []struct {
+		name string
+		opts []repro.Option
+	}{
+		{"static", nil},
+		{"autotune", []repro.Option{repro.WithAutotune(repro.Autotune{ProbePackets: 200, TopK: 2, MaxDegree: 2, Batches: []int{1, 8}, Shards: []int{1}})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pipe, err := repro.Partition(prog, repro.WithStages(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &handoverSource{pkts: testPackets(n)}
+			own := make(map[*byte]bool, n)
+			for _, p := range src.pkts {
+				own[&p[0]] = true
+			}
+			m, err := pipe.Serve(context.Background(), nil, append(tc.opts, repro.WithSource(src))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+				t.Fatalf("trace diverges from oracle: %s", diff)
+			}
+			sends := 0
+			for _, ev := range m.Trace {
+				if ev.Kind == interp.EvSend {
+					sends++
+					if !own[&ev.Pkt[0]] {
+						t.Fatalf("send event %d carries a copy of a packet the source handed over", sends)
+					}
+				}
+			}
+			if sends != n {
+				t.Errorf("%d packets forwarded, want %d", sends, n)
+			}
+		})
+	}
+}
+
+// TestAdaptiveServeTeardownUnblocksSource: a stage error tears the round
+// down through the engine's own context, and the source must be bound to
+// that context to notice — here stage 2 fails (a non-terminating inner loop
+// on the marked packet) while stage 1 sits in a Pull that has nothing more
+// to return. Serve must come back with the stage's error, not hang until
+// the caller gives up.
+func TestAdaptiveServeTeardownUnblocksSource(t *testing.T) {
+	prog := repro.MustCompile(`pps Trap { loop {
+		var n = pkt_rx();
+		if (n < 0) { continue; }
+		var b0 = pkt_byte(0);
+		var hop = rt_lookup(hash_crc(b0 * 31 + n) & 0xFF);
+		var i = 0;
+		if (b0 == 255) { while (1) { i = i + 1; } }
+		trace((hop + i) & 0xFF);
+		pkt_send(hop & 1);
+	} }`)
+	pipe, err := repro.Partition(prog, repro.WithStages(2), repro.WithFusion(repro.FusionOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &handoverSource{pkts: [][]byte{{1, 0, 0}, {2, 0, 0}, {255, 0, 0}}, block: true}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := pipe.Serve(ctx, nil, repro.WithSource(src), repro.WithAutotune(repro.Autotune{}))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "stage 2") || !strings.Contains(err.Error(), "step limit") {
+			t.Fatalf("Serve returned %v, want stage 2's step-limit error", err)
+		}
+	case <-time.After(10 * time.Second):
+		cancel()
+		t.Fatalf("Serve still blocked in the source 10s after stage 2 failed (after cancel: %v)", <-done)
 	}
 }

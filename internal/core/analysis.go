@@ -27,7 +27,6 @@ import (
 type Analysis struct {
 	arch *costmodel.Arch
 	prog *ir.Program // analyzed private clone; realized stages share its Arrays
-	orig *ir.Program // pristine pre-SSA clone, kept so Reweigh can re-analyze
 	an   *dep.Analysis
 
 	ug          *graph.Digraph   // unit dependence graph
@@ -65,14 +64,13 @@ func Analyze(orig *ir.Program, arch *costmodel.Arch) (*Analysis, error) {
 	if arch == nil {
 		arch = costmodel.Default()
 	}
-	pristine := orig.Clone()
 	prog := orig.Clone()
 	an, err := prepare(prog, arch)
 	if err != nil {
 		return nil, err
 	}
 
-	a := &Analysis{arch: arch, prog: prog, orig: pristine, an: an}
+	a := &Analysis{arch: arch, prog: prog, an: an}
 	a.ug = an.UnitGraph()
 	a.scc = graph.SCC(a.ug)
 	nc := a.scc.NumComps()
@@ -94,18 +92,6 @@ func Analyze(orig *ir.Program, arch *costmodel.Arch) (*Analysis, error) {
 
 // Arch returns the cost model the analysis is bound to.
 func (a *Analysis) Arch() *costmodel.Arch { return a.arch }
-
-// Reweigh re-runs the degree-independent analysis under a different cost
-// model and returns a fresh Analysis of the same program. The unit weights
-// and flow-network capacities are baked in at Analyze time, so swapping
-// weights means rebuilding — but the build is cheap (milliseconds) next to
-// serving, and the receiver stays untouched, so a live pipeline can keep
-// cutting candidates from the old analysis while the calibrated one is
-// prepared. This is the re-cut entry point of the adaptive serve loop: feed
-// it the Arch a costmodel.Calibrate produced.
-func (a *Analysis) Reweigh(arch *costmodel.Arch) (*Analysis, error) {
-	return Analyze(a.orig, arch)
-}
 
 // Seq returns the worst-case path cost of the unpartitioned program.
 func (a *Analysis) Seq() PathCost { return a.seq }

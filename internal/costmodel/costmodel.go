@@ -167,12 +167,6 @@ type Arch struct {
 	// DefaultLoopBound is the worst-case trip count assumed for inner
 	// loops that carry no loop[n] annotation.
 	DefaultLoopBound int
-
-	// IntrinsicWeight overrides the WeightInstrs-mode weight of named
-	// intrinsics (nil means the Intrinsics table applies unchanged).
-	// Calibrate populates it with measured host costs so a re-analysis
-	// balances observed time instead of data-sheet instruction counts.
-	IntrinsicWeight map[string]int
 }
 
 // Default returns the cost model used throughout the experiments; it
@@ -216,9 +210,6 @@ func (a *Arch) InstrWeight(in *ir.Instr) int {
 		if intr, ok := Intrinsics[in.Call]; ok {
 			if a.Mode == WeightLatency && intr.Latency > 0 {
 				return intr.Latency
-			}
-			if w, ok := a.IntrinsicWeight[in.Call]; ok {
-				return w
 			}
 			return intr.Weight
 		}

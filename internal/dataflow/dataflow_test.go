@@ -142,46 +142,3 @@ func TestLiveAcross(t *testing.T) {
 	}
 	_ = cfg
 }
-
-func TestDefUse(t *testing.T) {
-	f := compile(t, `pps P { loop {
-		var n = pkt_rx();
-		trace(n + 1);
-		trace(n + 2);
-	} }`, true)
-	du := ComputeDefUse(f)
-	// Find the pkt_rx result register and check it has one def, two uses.
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpCall && in.Call == "pkt_rx" {
-				r := in.Dst
-				if du.Def[r] != in {
-					t.Error("Def does not point at the defining call")
-				}
-				// `var n = pkt_rx()` copies the result into n, so the call
-				// result has exactly one use (the copy) and n has two (the
-				// two adds).
-				if len(du.Uses[r]) != 1 {
-					t.Fatalf("Uses(call result) = %d, want 1", len(du.Uses[r]))
-				}
-				cp := du.Uses[r][0]
-				if cp.Op != ir.OpCopy {
-					t.Fatalf("use of call result is %s, want copy", cp)
-				}
-				n := cp.Dst
-				if len(du.Uses[n]) != 2 {
-					t.Errorf("Uses(n) = %d, want 2", len(du.Uses[n]))
-				}
-				site := du.DefSite[r]
-				if f.Blocks[site.Block].Instrs[site.Index] != in {
-					t.Error("DefSite does not locate the call")
-				}
-				for k, u := range du.UseSites[n] {
-					if f.Blocks[u.Block].Instrs[u.Index] != du.Uses[n][k] {
-						t.Error("UseSites inconsistent with Uses")
-					}
-				}
-			}
-		}
-	}
-}

@@ -1,7 +1,7 @@
-// Package dataflow implements the register-level dataflow analyses used by
-// the pipelining transformation: backward liveness and def-use chains.
-// Both operate on either mutable or SSA-form IR (they only rely on each
-// instruction's Defines and Uses sets).
+// Package dataflow implements the register-level dataflow analysis used by
+// the pipelining transformation: backward liveness. It operates on either
+// mutable or SSA-form IR (it only relies on each instruction's Defines and
+// Uses sets).
 package dataflow
 
 import (

@@ -27,11 +27,6 @@ var (
 	// than the analysis they are applied to.
 	ErrArchMismatch = errors.New("cost model differs from analysis")
 
-	// ErrBadCalibration is returned when cost-model calibration has no
-	// usable measurements to fit (no stage with both a positive measured
-	// time and a positive static weight), or the fit degenerates.
-	ErrBadCalibration = errors.New("bad calibration input")
-
 	// ErrNoStages is returned when an empty pipeline is executed where
 	// stage programs were required (Run, Simulate, Serve).
 	ErrNoStages = errors.New("empty pipeline")
@@ -47,8 +42,9 @@ var (
 
 	// ErrNotServable is returned when the streaming runtime cannot host a
 	// pipeline: the stages must contain exactly one pkt_rx site (it paces
-	// the packet stream) and each persistent channel (queues, persistent
-	// arrays) must be confined to a single stage.
+	// the packet stream), each queue must be confined to a single stage, and
+	// a persistent array that some stage stores to must be accessed by that
+	// stage only.
 	ErrNotServable = errors.New("pipeline not servable")
 
 	// ErrConflictingOptions is returned when individually valid options

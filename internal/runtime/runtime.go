@@ -39,8 +39,9 @@
 //
 //   - the packet stream is pre-pulled at the head stage (Runner.RxFromCtx),
 //     so no stage touches the World's packet cursor;
-//   - persistent arrays and queues are each confined to a single stage
-//     (the partitioning invariant, re-checked by Validate), and the shared
+//   - a queue, and a persistent array any stage stores to, is confined to
+//     a single stage (the partitioning invariant, re-checked by Validate);
+//     an array no stage stores to is read from anywhere; and the shared
 //     persistent store is fully materialized before any goroutine starts;
 //     replicated stages either carry no persistent writes or fork their
 //     flow-keyed arrays per replica (see shard.go);
@@ -247,10 +248,12 @@ func (c Config) withDefaults() Config {
 
 // Validate checks the servability contract of a stage list: stages exist
 // and are non-nil; exactly one pkt_rx site exists across the pipeline (it
-// is the pacing point — one packet enters per iteration); and every
-// persistent channel (queues) and persistent array is confined to a single
-// stage, which is what lets stage goroutines touch them without locks. The
-// partitioner guarantees the confinement for its own output; Validate
+// is the pacing point — one packet enters per iteration); every persistent
+// channel (queues) is confined to a single stage; and a persistent array
+// that some stage stores to is accessed by that stage only, which is what
+// lets stage goroutines touch them without locks (an array no stage stores
+// to is a constant table, read from any stage — core.ValidateStages' rule).
+// The partitioner guarantees the confinement for its own output; Validate
 // re-checks it so hand-built stage lists fail loudly instead of racing.
 func Validate(stages []*ir.Program) error {
 	if len(stages) == 0 {
@@ -263,7 +266,12 @@ func Validate(stages []*ir.Program) error {
 	}
 	rxSites := 0
 	chanStage := map[string]int{} // persistent intrinsic channel -> stage
-	arrStage := map[int]int{}     // persistent array ID -> stage
+	arrFirst := map[int]int{}     // persistent array ID -> first stage accessing it
+	arrStore := map[int]int{}     // persistent array ID -> the stage storing to it
+	shared := func(a *ir.Array, writer, other int) error {
+		return fmt.Errorf("%w: persistent array %s stored to by stage %d and used by stage %d",
+			errs.ErrNotServable, a.Name, writer+1, other+1)
+	}
 	for k, s := range stages {
 		for _, b := range s.Func.Blocks {
 			for _, in := range b.Instrs {
@@ -285,12 +293,20 @@ func Validate(stages []*ir.Program) error {
 						}
 					}
 				case ir.OpLoad, ir.OpStore:
-					if in.Arr != nil && in.Arr.Persistent {
-						if prev, ok := arrStage[in.Arr.ID]; ok && prev != k {
-							return fmt.Errorf("%w: persistent array %s used by stages %d and %d",
-								errs.ErrNotServable, in.Arr.Name, prev+1, k+1)
+					if in.Arr == nil || !in.Arr.Persistent {
+						continue
+					}
+					first, seen := arrFirst[in.Arr.ID]
+					if !seen {
+						arrFirst[in.Arr.ID], first = k, k
+					}
+					if in.Op == ir.OpStore {
+						if first != k {
+							return shared(in.Arr, k, first)
 						}
-						arrStage[in.Arr.ID] = k
+						arrStore[in.Arr.ID] = k
+					} else if w, ok := arrStore[in.Arr.ID]; ok && w != k {
+						return shared(in.Arr, w, k)
 					}
 				}
 			}

@@ -209,6 +209,35 @@ func TestValidateRejectsUnservable(t *testing.T) {
 	if err := runtime.Validate(norx.Stages); !errors.Is(err, errs.ErrNotServable) {
 		t.Errorf("no-rx pipeline: err = %v, want ErrNotServable", err)
 	}
+
+	// Hand-built stage lists over one persistent array (each program declares
+	// it first, so the descriptors share ID 0): an array some stage stores to
+	// belongs to that stage alone, whichever side of it the other access is
+	// on; an array nothing stores to is a constant table, read anywhere.
+	stage := func(body string) *ir.Program {
+		res, err := core.Partition(mustCompile(t, `pps S { persistent var tab[16]; loop { `+body+` } }`), core.Options{Stages: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stages[0]
+	}
+	stores := stage(`var n = pkt_rx(); tab[n & 15] = n;`)
+	reads := stage(`var n = pkt_rx(); trace(tab[n & 15]);`)
+	loads := stage(`trace(tab[3]);`)
+	for _, c := range []struct {
+		name   string
+		stages []*ir.Program
+		want   string // "": servable
+	}{
+		{"load after the store", []*ir.Program{stores, loads}, "tab stored to by stage 1 and used by stage 2"},
+		{"load before the store", []*ir.Program{loads, stores}, "tab stored to by stage 2 and used by stage 1"},
+		{"loads only", []*ir.Program{reads, loads}, ""},
+	} {
+		err := runtime.Validate(c.stages)
+		if c.want == "" && err != nil || c.want != "" && (!errors.Is(err, errs.ErrNotServable) || !strings.Contains(fmt.Sprint(err), c.want)) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
 }
 
 func mustCompile(t *testing.T, src string) *ir.Program {

@@ -1,6 +1,8 @@
 package spsc
 
 import (
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -385,5 +387,110 @@ func TestDefaultStrategySingleCore(t *testing.T) {
 	ws := DefaultStrategy()
 	if ws.Spin < 0 || ws.Yield <= 0 {
 		t.Fatalf("DefaultStrategy() = %+v, want Spin >= 0 and Yield > 0", ws)
+	}
+}
+
+// TestRandomizedProducerConsumerCloser drives seeded random schedules through
+// the ring: the producer publishes 0..n-1 through a random mix of TryPush,
+// Push, PushTimeout and PushN, pausing at random, and closes after the last
+// one — n itself is drawn from the seed, so the close lands at a random
+// point of the consumer's schedule; the consumer claims through a random mix
+// of Pop, TryPop and PopN. Whatever the interleaving, at capacities 1, 2 and
+// 8 and whether waits spin first or park at once, the consumer must see
+// exactly 0..n-1 in order, be told the stream ended only once the ring is
+// closed and drained, and no park on either side may have needed the
+// backstop timer to notice a publish. Run under -race by ci.sh.
+func TestRandomizedProducerConsumerCloser(t *testing.T) {
+	seeds := 24
+	if testing.Short() {
+		seeds = 6
+	}
+	pause := func(rng *rand.Rand) {
+		switch rng.Intn(32) {
+		case 0:
+			time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+		case 1, 2:
+			runtime.Gosched()
+		}
+	}
+	for _, capacity := range []int{1, 2, 8} {
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			ws := WaitStrategy{}
+			if seed%2 == 0 {
+				ws = DefaultStrategy()
+			}
+			r := New[int](capacity, ws)
+			n := rand.New(rand.NewSource(seed)).Intn(1000)
+			var tx, rx WaitCounters
+			go func() {
+				rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+				vs := make([]int, 2*capacity)
+				for next := 0; next < n; {
+					pause(rng)
+					switch rng.Intn(4) {
+					case 0:
+						if r.TryPush(next) {
+							next++
+						}
+					case 1:
+						r.Push(next, nil, &tx)
+						next++
+					case 2:
+						if ok, _ := r.PushTimeout(next, nil, time.Duration(rng.Intn(300))*time.Microsecond, &tx); ok {
+							next++
+						}
+					case 3:
+						m := min(1+rng.Intn(len(vs)), n-next)
+						for i := range vs[:m] {
+							vs[i] = next + i
+						}
+						next += r.PushN(vs[:m])
+					}
+				}
+				pause(rng)
+				r.Close()
+			}()
+
+			rng := rand.New(rand.NewSource(seed ^ 0xc0de))
+			dst := make([]int, 2*capacity)
+			want := 0
+			check := func(v int) {
+				if v != want {
+					t.Fatalf("cap %d seed %d: claimed %d, want %d (of %d)", capacity, seed, v, want, n)
+				}
+				want++
+			}
+			for ended := false; !ended; {
+				pause(rng)
+				switch rng.Intn(3) {
+				case 0:
+					v, ok, canceled := r.Pop(nil, &rx)
+					switch {
+					case ok:
+						check(v)
+					case canceled:
+						t.Fatalf("cap %d seed %d: Pop canceled without a done channel", capacity, seed)
+					default:
+						ended = true
+					}
+				case 1:
+					if v, ok := r.TryPop(); ok {
+						check(v)
+					}
+				case 2:
+					for _, v := range dst[:r.PopN(dst[:1+rng.Intn(len(dst))])] {
+						check(v)
+					}
+				}
+			}
+			if want != n || !r.Closed() || r.Len() != 0 {
+				t.Fatalf("cap %d seed %d: stream ended after %d of %d entries (closed %v, %d still queued)",
+					capacity, seed, want, n, r.Closed(), r.Len())
+			}
+			if lost := tx.LostWakeups.Load() + rx.LostWakeups.Load(); lost != 0 {
+				t.Errorf("cap %d seed %d: %d lost wakeups (tx %d, rx %d)", capacity, seed, lost,
+					tx.LostWakeups.Load(), rx.LostWakeups.Load())
+			}
+		}
 	}
 }

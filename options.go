@@ -34,10 +34,6 @@ var (
 	// ErrArchMismatch is returned when options carry a different cost
 	// model than the analysis they are applied to.
 	ErrArchMismatch = errs.ErrArchMismatch
-	// ErrBadCalibration is returned when adaptive serving cannot fit the
-	// cost model: no stage produced both a positive measured time and a
-	// positive static weight.
-	ErrBadCalibration = errs.ErrBadCalibration
 )
 
 // Configuration — assembling options into a runnable setup.
@@ -77,8 +73,8 @@ var (
 	// ErrNilSource is returned when Serve runs without a packet source.
 	ErrNilSource = errs.ErrNilSource
 	// ErrNotServable is returned when the stage list violates the
-	// streaming runtime's contract (exactly one pkt_rx site; persistent
-	// state confined to single stages).
+	// streaming runtime's contract (exactly one pkt_rx site; each queue, and
+	// each persistent array some stage stores to, confined to one stage).
 	ErrNotServable = errs.ErrNotServable
 )
 
@@ -335,10 +331,10 @@ func WithObjective(o Objective) Option {
 }
 
 // WithAutotune turns Serve into the closed adaptive loop: serve a probe
-// window, calibrate the cost model from the measured per-stage times,
-// re-cut the program under the calibrated weights, probe the most
-// promising (degree, batch, shards) candidates with real traffic, then
-// commit to the winner for the rest of the stream — all at batch
+// window, scale the cost model to the host time it measured, cut a
+// candidate per degree, probe the most promising (degree, batch, shards)
+// candidates with real traffic, then commit to the measured winner for the
+// rest of the stream — all at batch
 // boundaries, with the served trace byte-identical to the sequential
 // oracle throughout. The zero Autotune selects defaults.
 func WithAutotune(t Autotune) Option {

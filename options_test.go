@@ -32,7 +32,6 @@ var sentinelTable = []struct {
 	{"ErrBadOption", repro.ErrBadOption, errs.ErrBadOption},
 	{"ErrUnbalanced", repro.ErrUnbalanced, errs.ErrUnbalanced},
 	{"ErrArchMismatch", repro.ErrArchMismatch, errs.ErrArchMismatch},
-	{"ErrBadCalibration", repro.ErrBadCalibration, errs.ErrBadCalibration},
 	{"ErrNoStages", repro.ErrNoStages, errs.ErrNoStages},
 	{"ErrNilStage", repro.ErrNilStage, errs.ErrNilStage},
 	{"ErrNilWorld", repro.ErrNilWorld, errs.ErrNilWorld},

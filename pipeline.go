@@ -26,7 +26,7 @@ type Pipeline struct {
 	report   *Report
 	res      *core.Result // the cut itself; Coarsen seam of fusion
 	cfg      config
-	analysis *core.Analysis // the cut's parent analysis; Reweigh seam of the adaptive loop
+	analysis *core.Analysis // the cut's parent analysis; the adaptive loop cuts its candidates from it
 	// shapes caches, per set of fused cuts, the cut realized without them,
 	// validated and classified once (shape, fusion.go).
 	mu     sync.Mutex
@@ -37,8 +37,8 @@ type Pipeline struct {
 
 // newPipeline wraps a core result with the configuration it was cut under,
 // so execution defaults (ring kind, capacities) follow the partition, and
-// with the parent analysis, so an adaptive serve can re-cut it under
-// calibrated weights.
+// with the parent analysis, so an adaptive serve can cut it at other
+// degrees.
 func newPipeline(res *core.Result, cfg config, an *core.Analysis) *Pipeline {
 	return &Pipeline{stages: res.Stages, report: res.Report, res: res, cfg: cfg, analysis: an,
 		shapes: map[uint64]*served{}}
@@ -168,8 +168,8 @@ func (p *Pipeline) simRun(ctx context.Context, world *World, opts []Option) (con
 // With WithShards(P), stages free of cross-flow state run as P parallel
 // replicas behind a flow-hash dispatcher (WithShardKey selects the key)
 // and the output is deterministically re-merged. With WithAutotune, Serve
-// becomes the closed adaptive loop (see adaptive.go): it calibrates the
-// cost model against measured stage times, re-cuts the program, probes the
+// becomes the closed adaptive loop (see adaptive.go): it scales the cost
+// model to measured stage times, cuts a candidate per degree, probes the
 // best candidate configurations with real traffic, and commits to the
 // measured winner — the served trace stays byte-identical to the
 // sequential oracle throughout, and Plan reports what was chosen and why.

@@ -29,9 +29,9 @@
 // ...); each entry point accepts exactly the options that mean something
 // to it (the matrix on Option) and rejects the rest. A served pipeline
 // can also tune itself: WithAutotune turns Serve into a closed loop that
-// calibrates the cost model against measured stage times, re-cuts the
-// program, and commits to the measured best configuration (see
-// WithObjective and Pipeline.Plan).
+// scales the cost model to measured stage times, probes the candidate
+// configurations it ranks first with real traffic, and commits to the
+// measured best (see WithObjective and Pipeline.Plan).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured results.
