@@ -255,7 +255,11 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		agg.Trace = world.Trace
 		return agg, nil
 	}
-	// round serves one window on one realization and folds it into agg.
+	// round serves one window on one realization and folds it into agg. Each
+	// round's engine numbers its packets from 0, so its fault records are
+	// moved by what earlier rounds pulled: FaultRecord.Iter stays the packet's
+	// index in the source's order.
+	var pulled int64
 	round := func(lay *runtime.Layout, n int) (*Metrics, error) {
 		m, err := lay.Serve(ctx, world, &window{cursor, n})
 		if err != nil {
@@ -266,12 +270,14 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		agg.Shards = m.Shards
 		if f := m.Faults; f != nil {
 			agg.Faults.Delivered += f.Delivered
-			agg.Faults.Degraded += f.Degraded
 			agg.Faults.Shed += f.Shed
 			agg.Faults.Quarantined += f.Quarantined
-			agg.Faults.Retries += f.Retries
-			agg.Faults.Records = append(agg.Faults.Records, f.Records...)
+			for _, r := range f.Records {
+				r.Iter += pulled
+				agg.Faults.Records = append(agg.Faults.Records, r)
+			}
 		}
+		pulled += m.Stages[0].In
 		return m, nil
 	}
 

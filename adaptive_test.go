@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/runtime/fault"
 )
 
 // adaptSrc is a PPS with enough heterogeneous work (table lookups, header
@@ -555,13 +556,13 @@ func TestAdaptivePlanCoherentAtJunctions(t *testing.T) {
 	const n = 2400
 	packets := testPackets(n)
 	seq := seqTrace(t, prog, packets, n)
-	never := &repro.FaultPlan{Injections: []repro.FaultInjection{{Kind: repro.FaultStall, Stage: 3, At: 1 << 40}}}
+	never := &fault.Plan{Injections: []fault.Injection{{Kind: fault.Stall, Stage: 3, At: 1 << 40}}}
 	for trial := 0; trial < 12; trial++ {
 		pipe, err := repro.Partition(prog, repro.WithStages(3), repro.WithShards(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), repro.WithFaults(never),
+		m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), repro.WithFaultsForTest(never),
 			repro.WithAutotune(repro.Autotune{ProbePackets: 300, TopK: 6, MaxDegree: 3,
 				Batches: []int{1}, Shards: []int{2}}))
 		if err != nil {
@@ -574,6 +575,35 @@ func TestAdaptivePlanCoherentAtJunctions(t *testing.T) {
 		checkPlanCoherent(t, plan)
 		if plan.Degree != 3 || plan.Shards != m.Shards || strings.Contains(plan.Why, "=err(") {
 			t.Errorf("trial %d: degree %d, Plan.Shards %d vs served %d: %s", trial, plan.Degree, plan.Shards, m.Shards, plan.Why)
+		}
+	}
+}
+
+// TestAdaptiveFaultRecordsInSourceOrder: every round of an adaptive serve
+// runs a fresh engine that numbers its packets from 0, and FaultRecord.Iter
+// is the packet's index in the source's order — so a round's records are
+// moved by what earlier rounds pulled. A panic at stage 1, iteration 5 fires
+// once per round (each round binds the plan anew); every round but the last
+// pulls exactly one probe window, so record i must name packet 5 + i·window.
+func TestAdaptiveFaultRecordsInSourceOrder(t *testing.T) {
+	const n, window, at = 3000, 200, 5
+	pipe, err := repro.Partition(repro.MustCompile(adaptSrc), repro.WithStages(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := pipe.Serve(context.Background(), repro.PacketSource(testPackets(n)),
+		repro.WithFaultsForTest(&fault.Plan{Injections: []fault.Injection{{Kind: fault.Panic, Stage: 1, At: at}}}),
+		repro.WithAutotune(repro.Autotune{ProbePackets: window, TopK: 2, MaxDegree: 2, Batches: []int{1, 8}, Shards: []int{1, 2}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := m.Faults
+	if len(rep.Records) < 3 || int64(len(rep.Records)) != rep.Quarantined || rep.Accounted() != n {
+		t.Fatalf("want a quarantine per round (probe, candidates, commit) and %d packets accounted:\n%s", n, rep)
+	}
+	for i, rec := range rep.Records {
+		if want := int64(at + i*window); rec.Iter != want || rec.Stage != 1 {
+			t.Errorf("record %d: %+v, want stage 1, source-order iteration %d", i, rec, want)
 		}
 	}
 }

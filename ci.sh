@@ -29,6 +29,12 @@ echo "== doc gate: go run ./internal/doccheck"
 # README.md must compile against the current API.
 go run ./internal/doccheck
 
+echo "== seam gate: only internal/runtime imports internal/runtime/fault outside tests"
+# The fault plan is a test seam (DESIGN §6.5), not API: it must not grow back into the facade.
+if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -v '^repro/internal/runtime:' | grep ' repro/internal/runtime/fault'; then
+    echo "seam gate: the packages above import the fault seam" >&2 && exit 1
+fi
+
 echo "== examples: go run ./examples/quickstart, ./examples/serve"
 # Tier-1 only builds the examples; here they run, and each checks its own
 # acts against the sequential oracle, so the exit status is the verdict.
@@ -90,9 +96,10 @@ echo "== size ledger (printed, not gated)"
 # front end are each listed on their own line.
 size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go adaptive.go fusion.go"
 # shellcheck disable=SC2086
-echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2660 before fusion moved into the cut, ISSUE 19)"
+echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2749 before the chaos API went, ISSUE 21)"
 # shellcheck disable=SC2046
-echo "  internal/runtime alone:  $(cat $(ls internal/runtime/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2095 before)"
+echo "  internal/runtime alone:  $(cat $(ls internal/runtime/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2114 before)"
+echo "  internal/runtime/fault:  $(grep -v '^[[:space:]]*$' internal/runtime/fault/fault.go | grep -vc '^[[:space:]]*//')  (247 before)"
 echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')"
 # shellcheck disable=SC2046
 echo "adaptive stack code lines: $(cat adaptive.go $(ls internal/tuner/*.go internal/costmodel/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (976 before the calibration went, ISSUE 20)"
@@ -100,7 +107,7 @@ echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 echo "options (func With*):      $(grep -c '^func With' options.go)  (25 before)"
-echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)  (17 before)"
+echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)  (16 before)"
 # The second measurement stack and the prose about it, the two things
 # ROADMAP item 4 asked to shrink.
 bench_files="$(find internal/experiments cmd/pipebench examples -name '*.go' ! -name '*_test.go')"

@@ -3,8 +3,9 @@
 // runtime — fed not from an in-memory slice but through the network-facing
 // Source interface (the same front end that serves live sockets and pcap
 // replay). A tee at the source boundary captures exactly what the pipeline
-// saw, so every act ends the same way: the served trace is byte-identical
-// to the sequential program run over the captured stream.
+// saw, so both acts — a generator serve and a sharded pcap replay — end the
+// same way: the served trace is byte-identical to the sequential program run
+// over the captured stream.
 package main
 
 import (
@@ -101,42 +102,5 @@ func main() {
 		sm.Packets, sm.Shards, sm.Elapsed.Round(time.Millisecond), sm.PacketsPerSecond())
 	for _, s := range sm.Stages {
 		fmt.Printf("  stage %d: x%d replicas  in %6d  out %6d\n", s.Stage, s.Replicas, s.In, s.Out)
-	}
-
-	// Third act: the same generator under fire. A deterministic fault plan
-	// poisons every 500th source packet, panics inside stage 2 every 777th
-	// iteration, and injects a transient fault the retry budget absorbs;
-	// the degrade overload policy keeps delivery lossless if a ring ever
-	// saturates. Faulted packets are quarantined, the rest are delivered,
-	// and the FaultReport accounts for every packet pulled.
-	chaos, err := repro.OpenSource(fmt.Sprintf("gen://ipv4?seed=7&packets=%d", packets))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fm, err := pipe.Serve(ctx, nil, repro.WithSource(chaos),
-		repro.WithWorld(netbench.NewWorld(nil)),
-		repro.WithOverload(repro.OverloadDegrade),
-		repro.WithRetry(2, 10*time.Microsecond),
-		repro.WithFaults(&repro.FaultPlan{Injections: []repro.FaultInjection{
-			{Kind: repro.FaultPoison, Every: 500},
-			{Kind: repro.FaultPanic, Stage: 2, Every: 777},
-			{Kind: repro.FaultTransient, Stage: 3, At: 42, Count: 2},
-		}}))
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep := fm.Faults
-	fmt.Printf("\nunder injected faults: %d pulled, %d delivered, %d quarantined, %d retries (%.0f pkt/s)\n",
-		fm.Stages[0].In, rep.Delivered, rep.Quarantined, rep.Retries, fm.PacketsPerSecond())
-	if rep.Accounted() != fm.Stages[0].In {
-		log.Fatalf("accounting hole: %d of %d packets accounted", rep.Accounted(), fm.Stages[0].In)
-	}
-	fmt.Printf("first fault records:\n")
-	for i, rec := range rep.Records {
-		if i == 5 {
-			fmt.Printf("  ... %d more\n", len(rep.Records)-i)
-			break
-		}
-		fmt.Printf("  iter %-6d stage %d  %-11s %s\n", rec.Iter, rec.Stage, rec.Disposition, rec.Reason)
 	}
 }

@@ -4,7 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/costmodel"
+	"repro/internal/runtime/fault"
 )
+
+// WithFaultsForTest is how this package's tests reach the runtime's fault
+// seam (runtime.Config.Faults): a schedule of stage stalls and panics. The
+// public API has no such option.
+func WithFaultsForTest(p *fault.Plan) Option {
+	return Option{"WithFaultsForTest", inServe, func(c *config) { c.serve.Faults = p }}
+}
 
 // Test-only seams. SetFusionCoresForTest pins the core budget the fusion
 // valuator plans for, so golden Plan fixtures are host-independent; the

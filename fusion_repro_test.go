@@ -11,6 +11,7 @@ import (
 	"repro"
 	"repro/internal/interp"
 	"repro/internal/netbench"
+	"repro/internal/runtime/fault"
 )
 
 // TestWithFusionValidates: an unknown fusion mode fails fast with the
@@ -244,7 +245,7 @@ func TestServeWithFaultsKeepsEveryCut(t *testing.T) {
 	const n = 24
 	m, err := pipe.Serve(context.Background(), repro.PacketSource(pps.Traffic(n)),
 		repro.WithWorld(netbench.NewWorld(nil)),
-		repro.WithFaults(&repro.FaultPlan{Injections: []repro.FaultInjection{{Kind: repro.FaultPanic, Stage: 3, At: 4}}}))
+		repro.WithFaultsForTest(&fault.Plan{Injections: []fault.Injection{{Kind: fault.Panic, Stage: 3, At: 4}}}))
 	if err != nil {
 		t.Fatal(err)
 	}

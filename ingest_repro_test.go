@@ -174,6 +174,67 @@ func TestServeSourceErrorPropagates(t *testing.T) {
 	}
 }
 
+// dyingSource passes its inner source's pulls through until pull number
+// failAt, which returns its n > 0 packets together with err: a socket that
+// delivered one last batch and then failed. handed counts what it gave out.
+type dyingSource struct {
+	ingest.Source
+	failAt, pulls int
+	handed        int64
+	err           error
+}
+
+func (d *dyingSource) Pull(ctx context.Context, dst [][]byte) (int, error) {
+	n, err := d.Source.Pull(ctx, dst)
+	d.handed += int64(n)
+	if d.pulls++; d.pulls == d.failAt && err == nil {
+		err = d.err
+	}
+	return n, err
+}
+
+// TestServeSourceErrorMidStream: a Pull that returns (n > 0, err) ends the
+// stream after those n packets, not before them. They are served, Serve
+// returns the run's Metrics beside an error wrapping the source's, and the
+// ledger balances against what the source handed over.
+func TestServeSourceErrorMidStream(t *testing.T) {
+	prog, err := repro.Compile(facadeSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := repro.Partition(prog, repro.WithStages(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := repro.OpenSource("gen://ipv4?seed=5&packets=1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gen.Close()
+	tee := ingest.Tee(gen)
+	boom := errors.New("NIC caught fire")
+	src := &dyingSource{Source: tee, failAt: 3, err: boom}
+	m, err := pipe.Serve(context.Background(), nil, repro.WithSource(src), repro.WithBatch(16))
+	if !errors.Is(err, boom) {
+		t.Fatalf("source I/O failure did not surface: got %v", err)
+	}
+	if m == nil {
+		t.Fatal("Serve returned no Metrics for the packets it served before the source died")
+	}
+	if src.pulls != 3 || src.handed == 0 || src.handed >= 1000 {
+		t.Fatalf("source pulled %d times handing over %d packets; want 3 pulls of a partial stream", src.pulls, src.handed)
+	}
+	if got := m.Faults.Accounted(); got != src.handed || m.Stages[0].In != src.handed ||
+		m.Ingest.RxPackets != src.handed || m.Packets != src.handed {
+		t.Errorf("source handed over %d packets: accounted %d, stage-1 in %d, ingest rx %d, delivered %d",
+			src.handed, got, m.Stages[0].In, m.Ingest.RxPackets, m.Packets)
+	}
+	seq := seqTrace(t, prog, tee.Captured(), len(tee.Captured()))
+	if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+		t.Errorf("the packets handed over with the error were not served as the oracle serves them: %s", diff)
+	}
+}
+
 // TestOpenSourceBadSpec: the re-exported sentinel matches.
 func TestOpenSourceBadSpec(t *testing.T) {
 	if _, err := repro.OpenSource("smoke-signals://hill"); !errors.Is(err, repro.ErrBadSource) {

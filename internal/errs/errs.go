@@ -49,31 +49,18 @@ var (
 
 	// ErrConflictingOptions is returned when individually valid options
 	// contradict each other or are applied to an entry point outside their
-	// scope (an overload watermark under the blocking policy, a retry
-	// backoff with retries disabled, WithThreads passed to Serve).
+	// scope (an overload watermark under the blocking policy, WithThreads
+	// passed to Serve).
 	ErrConflictingOptions = errors.New("conflicting options")
-
-	// ErrBadFaultPlan is returned when a fault-injection plan names a stage
-	// outside the pipeline, an unknown fault kind, or a negative trigger.
-	ErrBadFaultPlan = errors.New("bad fault plan")
 
 	// ErrStagePanic is returned when a panic is recovered inside a stage
 	// body; the offending packet is quarantined and the pipeline keeps
 	// serving.
 	ErrStagePanic = errors.New("stage panic")
 
-	// ErrPoisonPacket is returned when a malformed (poisoned) packet is
-	// detected at the source and quarantined before entering the pipeline.
-	ErrPoisonPacket = errors.New("poison packet")
-
 	// ErrStageDeadline is returned when an iteration exceeds the per-stage
 	// deadline; the packet is quarantined.
 	ErrStageDeadline = errors.New("stage deadline exceeded")
-
-	// ErrTransientFault is returned when an injected transient stage fault
-	// fires; the runtime retries with backoff and quarantines on
-	// exhaustion.
-	ErrTransientFault = errors.New("transient stage fault")
 
 	// ErrBadSource is returned when an ingest source spec is malformed
 	// (unknown scheme, bad address or parameter) or a pcap file cannot be

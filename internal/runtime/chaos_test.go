@@ -2,6 +2,9 @@ package runtime_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/netbench"
+	"repro/internal/ppc"
 	"repro/internal/runtime"
 	"repro/internal/runtime/fault"
 )
@@ -17,9 +21,12 @@ import (
 // The chaos suite drives the serve runtime through deterministic fault
 // schedules and asserts exact loss accounting: every packet pulled from the
 // source is delivered, shed, or quarantined — and the packets that survive
-// still produce a trace byte-identical to the sequential oracle.
+// still produce a trace byte-identical to the sequential oracle. The seam
+// (Config.Faults) only stalls and panics, so every loss goes through a
+// mechanism a production run can hit: a panic quarantines, a stall blows the
+// stage deadline or saturates a ring into shed.
 //
-// Determinism discipline: quarantining faults (poison, panic, transient,
+// Determinism discipline: quarantining faults (a panic, a stall past the
 // deadline) are keyed on iteration indices, so their outcomes are exact at
 // any interleaving. Overload faults are made exact with a gate — a stalled
 // consumer that provably consumes nothing until the producer has finished
@@ -52,8 +59,7 @@ func ipv4Traffic(n int) [][]byte {
 // stageSegments runs the pipeline sequentially (the oracle) and records the
 // events each (iteration, stage) pair produces. The expected trace of any
 // faulted run is assembled from these segments: a delivered packet
-// contributes every stage's segment, a degraded one only the stages that
-// ran, a shed or quarantined one nothing. This is only sound for stateless
+// contributes every stage's segment, a shed or quarantined one nothing. This is only sound for stateless
 // stages (IPv4 has no persistent arrays or queues), where dropping an
 // iteration cannot perturb later ones.
 func stageSegments(t *testing.T, stages []*ir.Program, traffic [][]byte) [][][]interp.Event {
@@ -85,38 +91,26 @@ func stageSegments(t *testing.T, stages []*ir.Program, traffic [][]byte) [][][]i
 
 // expectedTrace assembles the oracle trace a faulted run should produce,
 // given its own fault records: shed and quarantined iterations contribute
-// nothing, degraded ones the stages up to and including the marking stage,
-// everything else its full segments.
+// nothing, everything else its full segments.
 func expectedTrace(segs [][][]interp.Event, rep *runtime.FaultReport) []interp.Event {
 	drop := map[int64]bool{}
-	deg := map[int64]int{}
 	for _, r := range rep.Records {
-		switch r.Disposition {
-		case "shed", "quarantined":
-			drop[r.Iter] = true
-		case "degraded":
-			deg[r.Iter] = r.Stage
-		}
+		drop[r.Iter] = true
 	}
 	var want []interp.Event
 	for i := range segs {
 		if drop[int64(i)] {
 			continue
 		}
-		limit := len(segs[i])
-		if s, ok := deg[int64(i)]; ok && s < limit {
-			limit = s
-		}
-		for k := 0; k < limit; k++ {
-			want = append(want, segs[i][k]...)
+		for _, seg := range segs[i] {
+			want = append(want, seg...)
 		}
 	}
 	return want
 }
 
 // checkAccounting asserts the report invariant: every packet pulled from
-// the source is delivered, shed, or quarantined, and degraded packets are a
-// subset of delivered ones.
+// the source is delivered, shed, or quarantined.
 func checkAccounting(t *testing.T, m *runtime.Metrics) {
 	t.Helper()
 	rep := m.Faults
@@ -131,9 +125,6 @@ func checkAccounting(t *testing.T, m *runtime.Metrics) {
 	if rep.Delivered != m.Packets {
 		t.Errorf("report says %d delivered, sink retired %d", rep.Delivered, m.Packets)
 	}
-	if rep.Degraded > rep.Delivered {
-		t.Errorf("degraded %d exceeds delivered %d", rep.Degraded, rep.Delivered)
-	}
 }
 
 func chaosServe(t *testing.T, stages []*ir.Program, traffic [][]byte, cfg runtime.Config) *runtime.Metrics {
@@ -145,9 +136,10 @@ func chaosServe(t *testing.T, stages []*ir.Program, traffic [][]byte, cfg runtim
 	return m
 }
 
-// TestChaosStallsAndDelaysAreLossless: stalls and ring-put delays slow the
-// pipeline but never lose packets — the trace stays byte-identical to the
-// clean oracle and every fault counter stays zero.
+// TestChaosStallsAndDelaysAreLossless: stalls slow the pipeline — a stalled
+// stage delays its ring puts and backs up the ring into it — but under the
+// blocking policy with no deadline they never lose packets: the trace stays
+// byte-identical to the clean oracle and every fault counter stays zero.
 func TestChaosStallsAndDelaysAreLossless(t *testing.T) {
 	const n = 32
 	prog, stages := partitionIPv4(t, 4)
@@ -160,7 +152,7 @@ func TestChaosStallsAndDelaysAreLossless(t *testing.T) {
 	cfg.Faults = &fault.Plan{Injections: []fault.Injection{
 		{Kind: fault.Stall, Stage: 1, Every: 8, Count: 2, Sleep: time.Millisecond},
 		{Kind: fault.Stall, Stage: 3, At: 11, Sleep: 2 * time.Millisecond},
-		{Kind: fault.Delay, Stage: 2, At: 5, Sleep: time.Millisecond},
+		{Kind: fault.Stall, Stage: 2, At: 5, Sleep: time.Millisecond},
 	}}
 	m := chaosServe(t, stages, traffic, cfg)
 	if m.Packets != n {
@@ -170,7 +162,7 @@ func TestChaosStallsAndDelaysAreLossless(t *testing.T) {
 		t.Fatalf("trace diverges under stalls: %s", diff)
 	}
 	rep := m.Faults
-	if rep.Shed+rep.Quarantined+rep.Degraded != 0 {
+	if rep.Shed+rep.Quarantined != 0 {
 		t.Fatalf("lossless schedule lost packets: %s", rep)
 	}
 	checkAccounting(t, m)
@@ -200,35 +192,6 @@ func TestChaosDeadlineQuarantines(t *testing.T) {
 	if rec.Iter != 5 || rec.Stage != 2 || rec.Disposition != "quarantined" ||
 		!strings.Contains(rec.Reason, "deadline") {
 		t.Fatalf("unexpected record: %+v", rec)
-	}
-	if diff := interp.TraceEqual(expectedTrace(segs, rep), m.Trace); diff != "" {
-		t.Fatalf("surviving packets diverge from oracle: %s", diff)
-	}
-	checkAccounting(t, m)
-}
-
-// TestChaosPoisonEveryK: every K-th source packet is corrupted and must be
-// quarantined at the head, before it enters the pipeline.
-func TestChaosPoisonEveryK(t *testing.T) {
-	const n, k = 24, 6
-	_, stages := partitionIPv4(t, 2)
-	traffic := ipv4Traffic(n)
-	segs := stageSegments(t, stages, traffic)
-	cfg := runtime.DefaultConfig()
-	cfg.Faults = &fault.Plan{Injections: []fault.Injection{
-		{Kind: fault.Poison, Every: k},
-	}}
-	m := chaosServe(t, stages, traffic, cfg)
-	rep := m.Faults
-	if rep.Quarantined != n/k || rep.Delivered != n-n/k {
-		t.Fatalf("quarantined %d delivered %d, want %d and %d\n%s",
-			rep.Quarantined, rep.Delivered, n/k, n-n/k, rep)
-	}
-	for i, rec := range rep.Records {
-		wantIter := int64((i+1)*k - 1)
-		if rec.Iter != wantIter || rec.Stage != 1 || !strings.Contains(rec.Reason, "poison") {
-			t.Fatalf("record %d: %+v, want poison of iteration %d at stage 1", i, rec, wantIter)
-		}
 	}
 	if diff := interp.TraceEqual(expectedTrace(segs, rep), m.Trace); diff != "" {
 		t.Fatalf("surviving packets diverge from oracle: %s", diff)
@@ -269,71 +232,13 @@ func TestChaosPanicOncePerStage(t *testing.T) {
 	checkAccounting(t, m)
 }
 
-// TestChaosTransientRetryRecovers: a transient fault that clears within the
-// retry budget costs retries but loses nothing.
-func TestChaosTransientRetryRecovers(t *testing.T) {
-	const n = 10
-	prog, stages := partitionIPv4(t, 2)
-	traffic := ipv4Traffic(n)
-	seq, err := interp.RunSequential(prog, netbench.NewWorld(traffic), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := runtime.DefaultConfig()
-	cfg.Retry = 3
-	cfg.RetryBackoff = 100 * time.Microsecond
-	cfg.Faults = &fault.Plan{Injections: []fault.Injection{
-		{Kind: fault.Transient, Stage: 2, At: 3, Count: 2},
-	}}
-	m := chaosServe(t, stages, traffic, cfg)
-	rep := m.Faults
-	if rep.Delivered != n || rep.Retries != 2 || rep.Quarantined != 0 {
-		t.Fatalf("delivered %d retries %d quarantined %d, want %d, 2, 0\n%s",
-			rep.Delivered, rep.Retries, rep.Quarantined, n, rep)
-	}
-	if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
-		t.Fatalf("trace diverges after recovered retries: %s", diff)
-	}
-	checkAccounting(t, m)
-}
-
-// TestChaosRetryExhaustedQuarantines: a transient fault that outlives the
-// retry budget quarantines the packet after the configured attempts.
-func TestChaosRetryExhaustedQuarantines(t *testing.T) {
-	const n = 10
-	_, stages := partitionIPv4(t, 2)
-	traffic := ipv4Traffic(n)
-	segs := stageSegments(t, stages, traffic)
-	cfg := runtime.DefaultConfig()
-	cfg.Retry = 2
-	cfg.RetryBackoff = 50 * time.Microsecond
-	cfg.Faults = &fault.Plan{Injections: []fault.Injection{
-		{Kind: fault.Transient, Stage: 2, At: 3, Count: 5},
-	}}
-	m := chaosServe(t, stages, traffic, cfg)
-	rep := m.Faults
-	if rep.Quarantined != 1 || rep.Retries != 2 || rep.Delivered != n-1 {
-		t.Fatalf("quarantined %d retries %d delivered %d, want 1, 2, %d\n%s",
-			rep.Quarantined, rep.Retries, rep.Delivered, n-1, rep)
-	}
-	rec := rep.Records[0]
-	if rec.Iter != 3 || rec.Stage != 2 || !strings.Contains(rec.Reason, "transient") {
-		t.Fatalf("unexpected record: %+v", rec)
-	}
-	if diff := interp.TraceEqual(expectedTrace(segs, rep), m.Trace); diff != "" {
-		t.Fatalf("surviving packets diverge from oracle: %s", diff)
-	}
-	checkAccounting(t, m)
-}
-
 // TestChaosSaturatedRingSheds saturates the ring between stages 2 and 3 and
 // asserts an exact shed count. Stage 3 is gated on iteration 0 until the
 // pipeline has shed 17 packets, so it provably consumes nothing while the
 // ring is saturated: it holds packet 0, the ring holds 1 and 2, and stage 2
 // must shed exactly packets 3..19 — at which point the gate opens and the
 // backlog drains. The schedule is paced by what the run is observed to have
-// done, not by the clock (as in TestChaosDegradeShortCircuits below): the
-// source hands out packet 1 once stage 3 has taken packet 0 off the ring,
+// done, not by the clock: the source hands out packet 1 once stage 3 has taken packet 0 off the ring,
 // and each later packet once stage 2 has forwarded or shed every packet
 // before it — so the ring into stage 2 never holds more than one entry and
 // stage 1 cannot be the one that sheds, however long stage 2 spends on its
@@ -393,78 +298,14 @@ func TestChaosSaturatedRingSheds(t *testing.T) {
 	checkAccounting(t, m)
 }
 
-// TestChaosDegradeShortCircuits: same saturation shape under the degrade
-// policy — the blocked packet is delivered with only stages 1..2 executed,
-// and nothing is lost. The schedule is paced by what the run is observed to
-// have done, not by the clock, so that no ring but the one under test can
-// be found full however late any goroutine wakes: the source hands out
-// packet 1 once stage 3 has taken packet 0 (which it holds until one packet
-// has been degraded), packet 2 once stage 2 has put packet 1 in the ring —
-// packet 2 is then the one that finds it saturated — and each further
-// packet once everything before it has been retired. Stage 3 is the sink,
-// so the three packets the gate releases together have no ring ahead of
-// them.
-func TestChaosDegradeShortCircuits(t *testing.T) {
-	const n = 8
-	_, stages := partitionIPv4(t, 3)
-	traffic := ipv4Traffic(n)
-	segs := stageSegments(t, stages, traffic)
-	var live *runtime.Live
-	next := 0
-	src := runtime.SourceFunc(func() ([]byte, bool) {
-		if next == n {
-			return nil, false
-		}
-		for ready := false; !ready; time.Sleep(50 * time.Microsecond) {
-			switch snap := live.Snapshot(); next {
-			case 0:
-				ready = true
-			case 1:
-				ready = snap.Stages[2].In >= 1
-			case 2:
-				ready = snap.Stages[1].Out >= 2
-			default:
-				ready = snap.Packets >= int64(next)
-			}
-		}
-		next++
-		return traffic[next-1], true
-	})
-	cfg := runtime.Config{
-		RingCapacity: 1,
-		Batch:        1,
-		Overload:     runtime.OverloadDegrade,
-		Watermark:    2,
-		Faults: &fault.Plan{Injections: []fault.Injection{
-			{Kind: fault.Stall, Stage: 3, At: 0, UntilOverload: 1},
-		}},
-		OnLive: func(l *runtime.Live) { live = l },
-	}
-	m, err := runtime.Serve(context.Background(), stages, netbench.NewWorld(nil), src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := m.Faults
-	if rep.Delivered != n || rep.Degraded != 1 || rep.Shed != 0 || rep.Quarantined != 0 {
-		t.Fatalf("delivered %d degraded %d shed %d quarantined %d, want %d, 1, 0, 0\n%s",
-			rep.Delivered, rep.Degraded, rep.Shed, rep.Quarantined, n, rep)
-	}
-	rec := rep.Records[0]
-	if rec.Iter != 2 || rec.Stage != 2 || rec.Disposition != "degraded" {
-		t.Fatalf("unexpected record: %+v", rec)
-	}
-	if diff := interp.TraceEqual(expectedTrace(segs, rep), m.Trace); diff != "" {
-		t.Fatalf("degraded delivery diverges from partial oracle: %s", diff)
-	}
-	checkAccounting(t, m)
-}
-
 // TestChaosShardedLedgerBalances drives a sharded serve (P=4 over the
 // stateless IPv4 pipeline, so every stage runs replicated) through a
 // deterministic fault schedule and asserts the ledger still balances when
-// the counters are aggregated across shards: source poisons quarantine at
-// the dispatcher, an in-stage panic quarantines on exactly one replica,
-// and Delivered + Shed + Quarantined equals the dispatcher's pull count.
+// the counters are aggregated across shards: a panic cadence at stage 1
+// quarantines every k-th packet on whichever replica it was dispatched to,
+// a one-off panic and a stall past the deadline each quarantine on exactly
+// one replica, and Delivered + Shed + Quarantined equals the dispatcher's
+// pull count.
 func TestChaosShardedLedgerBalances(t *testing.T) {
 	const n, k = 24, 6
 	_, stages := partitionIPv4(t, 4)
@@ -472,39 +313,38 @@ func TestChaosShardedLedgerBalances(t *testing.T) {
 	segs := stageSegments(t, stages, traffic)
 	cfg := runtime.DefaultConfig()
 	cfg.Shards = 4
+	// The deadline is wall-clock: generous enough that none of the seventeen
+	// goroutines blows it by being descheduled under -race on a small host.
+	cfg.StageDeadline = 100 * time.Millisecond
 	cfg.Faults = &fault.Plan{Injections: []fault.Injection{
-		{Kind: fault.Poison, Every: k},
+		{Kind: fault.Panic, Stage: 1, Every: k},
 		{Kind: fault.Panic, Stage: 2, At: 3},
+		{Kind: fault.Stall, Stage: 3, At: 10, Sleep: 300 * time.Millisecond},
 	}}
 	m := chaosServe(t, stages, traffic, cfg)
 	if m.Shards != 4 {
 		t.Fatalf("ran at width %d, want 4", m.Shards)
 	}
 	rep := m.Faults
-	wantQ := int64(n/k + 1)
-	if rep.Quarantined != wantQ || rep.Delivered != n-wantQ {
+	wantQ := int64(n/k + 2)
+	if rep.Quarantined != wantQ || rep.Delivered != n-wantQ || int64(len(rep.Records)) != wantQ {
 		t.Fatalf("quarantined %d delivered %d, want %d and %d\n%s",
 			rep.Quarantined, rep.Delivered, wantQ, n-wantQ, rep)
 	}
-	poisons, panics := 0, 0
 	for _, rec := range rep.Records {
+		var stage int
+		why := "injected panic"
 		switch {
-		case strings.Contains(rec.Reason, "poison"):
-			poisons++
-			if rec.Stage != 1 || (rec.Iter+1)%k != 0 {
-				t.Fatalf("unexpected poison record: %+v", rec)
-			}
-		case strings.Contains(rec.Reason, "injected panic"):
-			panics++
-			if rec.Stage != 2 || rec.Iter != 3 {
-				t.Fatalf("unexpected panic record: %+v", rec)
-			}
-		default:
+		case (rec.Iter+1)%k == 0:
+			stage = 1
+		case rec.Iter == 3:
+			stage = 2
+		case rec.Iter == 10:
+			stage, why = 3, "deadline"
+		}
+		if rec.Stage != stage || rec.Disposition != "quarantined" || !strings.Contains(rec.Reason, why) {
 			t.Fatalf("unexpected record: %+v", rec)
 		}
-	}
-	if poisons != n/k || panics != 1 {
-		t.Fatalf("got %d poisons and %d panics, want %d and 1\n%s", poisons, panics, n/k, rep)
 	}
 	if diff := interp.TraceEqual(expectedTrace(segs, rep), m.Trace); diff != "" {
 		t.Fatalf("surviving packets diverge from oracle: %s", diff)
@@ -512,25 +352,131 @@ func TestChaosShardedLedgerBalances(t *testing.T) {
 	checkAccounting(t, m)
 }
 
+// junctionSrc keeps a persistent counter behind stateless header work: at
+// D=3 the stage that holds the counter is cross-flow and stays unreplicated,
+// the two before it shard, so a sharded serve runs at widths [P P 1] — an
+// aligned cut and then a fan-in.
+const junctionSrc = `pps Junction {
+	persistent var total[1];
+	loop {
+		var n = pkt_rx();
+		if (n < 0) { continue; }
+		var b0 = pkt_byte(0);
+		var h = hash_crc(b0 * 31 + n);
+		var hop = rt_lookup(h & 0xFF);
+		var c = csum_fold(h + hop);
+		total[0] = total[0] + 1;
+		meta_set(0, c & 0xFFFF);
+		trace((hop + c + total[0]) & 0xFF);
+		pkt_send(hop & 1);
+	}
+}`
+
+// TestChaosTombstoneThroughFanin quarantines a packet inside a sharded
+// segment that ends in a fan-in. The merger consumes lanes in dispatch
+// order, so the quarantined token cannot just vanish: it travels on as a
+// tombstone and is recycled at the merger. The serve must terminate with the
+// ledger balanced, and — the panic fired before any stage touched the
+// counter — the trace must be the sequential program's over the traffic
+// minus that one packet.
+func TestChaosTombstoneThroughFanin(t *testing.T) {
+	const n, at = 40, 13
+	prog, err := ppc.Compile(junctionSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Partition(prog.Clone(), core.Options{Stages: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic := ipv4Traffic(n)
+	want, err := interp.RunSequential(prog, netbench.NewWorld(slices.Delete(slices.Clone(traffic), at, at+1)), n-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{2, 4} {
+		for _, batch := range []int{1, 8} {
+			for _, stage := range []int{1, 2} {
+				t.Run(fmt.Sprintf("P=%d/batch=%d/stage=%d", p, batch, stage), func(t *testing.T) {
+					l, err := runtime.NewLayout(res.Stages, runtime.Config{Shards: p, Batch: batch,
+						Faults: &fault.Plan{Injections: []fault.Injection{{Kind: fault.Panic, Stage: stage, At: at}}}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := l.Replicas(); !slices.Equal(got, []int{p, p, 1}) {
+						t.Fatalf("replica widths %v, want [%d %d 1]", got, p, p)
+					}
+					m, err := l.Serve(context.Background(), netbench.NewWorld(nil), runtime.Packets(traffic))
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep := m.Faults
+					if rep.Quarantined != 1 || rep.Delivered != n-1 || m.Stages[0].In != n || len(rep.Records) != 1 {
+						t.Fatalf("pulled %d, quarantined %d, delivered %d, want %d, 1, %d\n%s",
+							m.Stages[0].In, rep.Quarantined, rep.Delivered, n, n-1, rep)
+					}
+					if rec := rep.Records[0]; rec.Iter != at || rec.Stage != stage ||
+						rec.Disposition != "quarantined" || !strings.Contains(rec.Reason, "injected panic") {
+						t.Fatalf("unexpected record: %+v", rec)
+					}
+					if in := m.Stages[2].In; in != n-1 {
+						t.Errorf("the fan-in handed stage 3 %d tokens, want the %d live ones", in, n-1)
+					}
+					if diff := interp.TraceEqual(want, m.Trace); diff != "" {
+						t.Fatalf("trace diverges from the oracle over the surviving packets: %s", diff)
+					}
+					checkAccounting(t, m)
+				})
+			}
+		}
+	}
+}
+
+// seededPlan derives a small random plan for a pipeline of the given degree —
+// the randomized half of the chaos harness. The plan is a pure function of
+// the seed: a few stalls with sub-2ms holds, some on a cadence, and some
+// panics, all within the first horizon iterations.
+func seededPlan(seed int64, stages int, horizon int64) *fault.Plan {
+	rng := rand.New(rand.NewSource(seed))
+	p := &fault.Plan{}
+	n := 1 + rng.Intn(2*stages)
+	for i := 0; i < n; i++ {
+		in := fault.Injection{
+			Kind:  fault.Kind(rng.Intn(int(fault.Panic) + 1)),
+			Stage: 1 + rng.Intn(stages),
+			At:    rng.Int63n(horizon),
+		}
+		if in.Kind == fault.Stall {
+			in.Sleep = time.Duration(rng.Intn(2000)) * time.Microsecond
+			if rng.Intn(2) == 0 {
+				in.Every = 1 + rng.Int63n(horizon/2+1)
+				in.Count = 1 + rng.Int63n(4)
+			}
+		}
+		p.Injections = append(p.Injections, in)
+	}
+	return p
+}
+
 // TestChaosSeededPlansAccount is the randomized half of the harness: seeded
-// random fault plans across all policies must terminate, never error, and
-// account for 100% of the packets the source supplied.
+// random fault plans across both policies, with and without a stage deadline
+// (500µs, so some of the stalls blow it and some do not), must terminate,
+// never error, and account for 100% of the packets the source supplied.
 func TestChaosSeededPlansAccount(t *testing.T) {
 	const n = 40
 	_, stages := partitionIPv4(t, 4)
 	traffic := ipv4Traffic(n)
-	policies := []runtime.OverloadPolicy{runtime.OverloadBlock, runtime.OverloadShed, runtime.OverloadDegrade}
 	for seed := int64(0); seed < 18; seed++ {
 		cfg := runtime.Config{
 			RingCapacity: 2,
 			Batch:        1,
-			Overload:     policies[seed%3],
-			Retry:        1,
-			RetryBackoff: 50 * time.Microsecond,
-			Faults:       fault.Seeded(seed, 4, n),
+			Faults:       seededPlan(seed, 4, n),
 		}
-		if cfg.Overload != runtime.OverloadBlock {
-			cfg.Watermark = 1
+		if seed%2 == 1 {
+			cfg.Overload, cfg.Watermark = runtime.OverloadShed, 1
+		}
+		if seed%3 == 0 {
+			cfg.StageDeadline = 500 * time.Microsecond
 		}
 		m, err := runtime.Serve(context.Background(), stages, netbench.NewWorld(nil),
 			runtime.Packets(traffic), cfg)
@@ -546,7 +492,7 @@ func TestChaosSeededPlansAccount(t *testing.T) {
 
 // TestChaosFusedStageAttribution: fault attribution keeps the cut's stage
 // numbers when cuts are un-made. A coarsened layout serves stages 2, 3 and 4
-// as one program behind stage 1's ring; a panic and an exhausted transient
+// as one program behind stage 1's ring; a panic and a stall past the deadline
 // keyed to stage 2 — where that program begins — must quarantine exactly
 // their packets under stage 2, an injection keyed to stage 3 has no seam to
 // fire at, the per-stage report stays four entries long with stages 3 and 4
@@ -568,11 +514,10 @@ func TestChaosFusedStageAttribution(t *testing.T) {
 	segs := stageSegments(t, res.Stages, traffic)
 	t.Run("unit_head", func(t *testing.T) {
 		cfg := runtime.DefaultConfig()
-		cfg.Retry = 1
-		cfg.RetryBackoff = 50 * time.Microsecond
+		cfg.StageDeadline = 2 * time.Millisecond
 		cfg.Faults = &fault.Plan{Injections: []fault.Injection{
 			{Kind: fault.Panic, Stage: 2, At: 4},
-			{Kind: fault.Transient, Stage: 2, At: 9, Count: 5},
+			{Kind: fault.Stall, Stage: 2, At: 9, Sleep: 20 * time.Millisecond},
 			{Kind: fault.Panic, Stage: 3, At: 12}, // folded into stage 2's program
 		}}
 		l, err := runtime.CoarseLayout(res, []bool{false, true, true}, true, cfg)

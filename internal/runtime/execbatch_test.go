@@ -33,10 +33,10 @@ func ipv4Stages(t *testing.T, d int) (*ir.Program, []*ir.Program, [][]byte) {
 	return prog, res.Stages, pps.Traffic(16)
 }
 
-// TestExecBatchSkipsDeadAndDegraded hands one stage a batch in which a
-// tombstone and a degraded token sit between live ones: the body must run
-// over the live tokens only — one group, lanes closed up — and every token
-// must come back in its place.
+// TestExecBatchSkipsDeadAndDegraded hands one stage a batch in which two
+// tombstones sit between live ones: the body must run over the live tokens
+// only — one group, lanes closed up — and every token must come back in its
+// place.
 func TestExecBatchSkipsDeadAndDegraded(t *testing.T) {
 	_, stages, traffic := ipv4Stages(t, 2)
 	lay, err := NewLayout(stages, Config{Batch: 8})
@@ -55,8 +55,7 @@ func TestExecBatchSkipsDeadAndDegraded(t *testing.T) {
 		tok.ctx.Pending, tok.ctx.HasPending = traffic[i], true
 		b = append(b, tok)
 	}
-	b[2].dead = true
-	b[5].degradedAt = 1 // short-circuited from stage 1 on
+	b[2].dead, b[5].dead = true, true
 	order := append([]*token(nil), b...)
 
 	keep, ok := e.execBatch(e.lane(0, 0), b)

@@ -13,70 +13,40 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden FaultReport fixtures")
 
-// TestFaultReportGolden locks down the rendered FaultReport for fixed fault
-// schedules. Every schedule here is fully deterministic — quarantining
-// faults are keyed on iteration indices and the record reasons embed no
-// measured times — so the rendering must be byte-stable across runs,
+// TestFaultReportGolden locks down the rendered FaultReport for a fixed
+// fault schedule: a panic cadence at stage 1, a one-off panic at stage 2, and
+// a stall that blows the stage deadline. The schedule is fully deterministic
+// — quarantining faults are keyed on iteration indices and the record reasons
+// embed no measured times — so the rendering must be byte-stable across runs,
 // machines, and schedulers. Regenerate with: go test ./internal/runtime
 // -run TestFaultReportGolden -update
 func TestFaultReportGolden(t *testing.T) {
 	const n = 24
 	_, stages := partitionIPv4(t, 2)
 	traffic := ipv4Traffic(n)
-	cases := []struct {
-		name string
-		cfg  func() runtime.Config
-	}{
-		{
-			// One of each quarantining fault: a poison cadence, an injected
-			// panic, a transient that outlives its retry budget, and a stall
-			// that blows the stage deadline.
-			name: "quarantine",
-			cfg: func() runtime.Config {
-				cfg := runtime.DefaultConfig()
-				cfg.Retry = 2
-				cfg.StageDeadline = 2 * time.Millisecond
-				cfg.Faults = &fault.Plan{Injections: []fault.Injection{
-					{Kind: fault.Poison, Every: 6},
-					{Kind: fault.Panic, Stage: 2, At: 2},
-					{Kind: fault.Transient, Stage: 2, At: 8, Count: 5},
-					{Kind: fault.Stall, Stage: 2, At: 14, Sleep: 20 * time.Millisecond},
-				}}
-				return cfg
-			},
-		},
-		{
-			// A transient that clears within the retry budget: counters only,
-			// no records.
-			name: "recovered",
-			cfg: func() runtime.Config {
-				cfg := runtime.DefaultConfig()
-				cfg.Retry = 3
-				cfg.Faults = &fault.Plan{Injections: []fault.Injection{
-					{Kind: fault.Transient, Stage: 1, At: 4, Count: 2},
-				}}
-				return cfg
-			},
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			m := chaosServe(t, stages, traffic, c.cfg())
-			checkAccounting(t, m)
-			got := m.Faults.String()
-			path := filepath.Join("testdata", "faultreport_"+c.name+".golden")
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("quarantine", func(t *testing.T) {
+		cfg := runtime.DefaultConfig()
+		cfg.StageDeadline = 2 * time.Millisecond
+		cfg.Faults = &fault.Plan{Injections: []fault.Injection{
+			{Kind: fault.Panic, Stage: 1, Every: 6},
+			{Kind: fault.Panic, Stage: 2, At: 2},
+			{Kind: fault.Stall, Stage: 2, At: 14, Sleep: 20 * time.Millisecond},
+		}}
+		m := chaosServe(t, stages, traffic, cfg)
+		checkAccounting(t, m)
+		got := m.Faults.String()
+		path := filepath.Join("testdata", "faultreport_quarantine.golden")
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
-			}
-			if got != string(want) {
-				t.Errorf("fault report drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
-			}
-		})
-	}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if got != string(want) {
+			t.Errorf("fault report drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+		}
+	})
 }

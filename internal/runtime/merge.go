@@ -153,19 +153,6 @@ func (sc *scatterer) send(e *engine, b []*token, lc *laneCtx) bool {
 		sc.sq.flush()
 	}
 
-	if e.inj != nil {
-		var first int64 = -1
-		for _, p := range sc.pend {
-			if len(p) > 0 {
-				first = p[0].iter
-				break
-			}
-		}
-		if first >= 0 {
-			lc.inj.BeforeSend(e.ictx, lc.num, first)
-		}
-	}
-
 	// pend entries are nil or non-empty, and every delivery clears its own.
 	held := false
 	for j, p := range sc.pend {
@@ -186,10 +173,10 @@ func (sc *scatterer) send(e *engine, b []*token, lc *laneCtx) bool {
 }
 
 // drain waits on the held sub-batches, one pushHeld round at a time, until
-// every one is delivered (or shed/degraded per the overload policy, or the
-// run is canceled). A round that times out is one tick of saturation for
-// every lane still full at its end; a lane that stays full for Watermark
-// ticks engages the policy.
+// every one is delivered (or shed under OverloadShed, or the run is
+// canceled). A round that times out is one tick of saturation for every lane
+// still full at its end; a lane that stays full for Watermark ticks sheds its
+// sub-batch.
 func (sc *scatterer) drain(e *engine, lc *laneCtx) bool {
 	ticks := make([]int, len(sc.pend))
 	for {
@@ -215,14 +202,10 @@ func (sc *scatterer) drain(e *engine, lc *laneCtx) bool {
 			if ticks[j]++; ticks[j] < e.cfg.Watermark {
 				continue
 			}
-			// Shed is only reachable without a fan-in downstream (validated):
-			// dropping sequenced tokens would starve the merger. Degraded
-			// tokens are still delivered; keep pushing.
-			if e.overloaded(lc, sc.pend[j]) {
-				sc.pend[j] = nil
-			} else {
-				ticks[j] = 0
-			}
+			// Only reachable without a fan-in downstream (validated):
+			// dropping sequenced tokens would starve the merger.
+			e.shed(lc, sc.pend[j])
+			sc.pend[j] = nil
 		}
 	}
 }

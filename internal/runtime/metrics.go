@@ -29,11 +29,9 @@ type StageStats struct {
 	// outgoing ring at capacity and had to wait for the consumer.
 	Stalls int64
 	// Shed counts packets this stage dropped under the OverloadShed
-	// policy; Degraded counts packets it short-circuited under
-	// OverloadDegrade; Quarantined counts packets it removed from the
-	// pipeline after a panic, a poison detection, a blown deadline, or an
-	// exhausted retry budget; Retries counts transient-fault re-executions.
-	Shed, Degraded, Quarantined, Retries int64
+	// policy; Quarantined counts packets it removed from the pipeline after
+	// a panic or a blown deadline.
+	Shed, Quarantined int64
 	// Busy is the time spent executing iterations (the ns/stage counter),
 	// excluding ring waits and, at the head, the time blocked on the
 	// Source. Under sharding it is the sum across replicas.
@@ -75,9 +73,7 @@ func (s *StageStats) add(o StageStats) {
 	s.Out += o.Out
 	s.Stalls += o.Stalls
 	s.Shed += o.Shed
-	s.Degraded += o.Degraded
 	s.Quarantined += o.Quarantined
-	s.Retries += o.Retries
 	s.Busy += o.Busy
 	s.Spins += o.Spins
 	s.Parks += o.Parks
@@ -91,39 +87,37 @@ func (s *StageStats) add(o StageStats) {
 	s.occSamples += o.occSamples
 }
 
-// maxFaultRecords bounds the per-stage record list so a pathological run
-// (every packet shed) cannot grow memory without bound; the counters keep
-// exact totals past the cap.
+// maxFaultRecords bounds each lane's record buffer — one per stage replica —
+// so a pathological run (every packet shed) cannot grow memory without bound;
+// the counters keep exact totals past the cap.
 const maxFaultRecords = 4096
 
 // FaultRecord describes the fate of one packet that did not complete the
-// pipeline normally (or, for "degraded", completed it short-circuited).
+// pipeline.
 type FaultRecord struct {
 	// Iter is the packet's iteration index (assigned at the head stage in
 	// source order, 0-based).
 	Iter int64
 	// Stage is the 1-based stage at which the disposition happened.
 	Stage int
-	// Disposition is "shed", "degraded", or "quarantined".
+	// Disposition is "shed" or "quarantined".
 	Disposition string
 	// Reason is a human-readable cause; for quarantines it embeds the
-	// sentinel error text (errs.ErrStagePanic, errs.ErrPoisonPacket, ...).
+	// sentinel error text (errs.ErrStagePanic, errs.ErrStageDeadline).
 	Reason string
 }
 
 // FaultReport is the serve run's loss accounting: every packet pulled from
 // the source is either delivered at the sink, shed under overload, or
 // quarantined by the recovery machinery — Delivered + Shed + Quarantined
-// equals the head stage's In count on every drained run. Degraded packets
-// are a subset of Delivered.
+// equals the head stage's In count on every drained run.
 type FaultReport struct {
 	Delivered   int64
-	Degraded    int64
 	Shed        int64
 	Quarantined int64
-	Retries     int64
 	// Records lists the affected packets in iteration order (capped at
-	// maxFaultRecords per stage; the counters above are always exact).
+	// maxFaultRecords per stage replica; the counters above are always
+	// exact).
 	Records []FaultRecord
 }
 
@@ -138,8 +132,7 @@ func (r *FaultReport) Accounted() int64 { return r.Delivered + r.Shed + r.Quaran
 // diff against.
 func (r *FaultReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "delivered %d (degraded %d)  shed %d  quarantined %d  retries %d\n",
-		r.Delivered, r.Degraded, r.Shed, r.Quarantined, r.Retries)
+	fmt.Fprintf(&b, "delivered %d  shed %d  quarantined %d\n", r.Delivered, r.Shed, r.Quarantined)
 	for _, rec := range r.Records {
 		fmt.Fprintf(&b, "  iter %-4d stage %d  %-11s %s\n", rec.Iter, rec.Stage, rec.Disposition, rec.Reason)
 	}
@@ -181,9 +174,9 @@ type Metrics struct {
 	// Trace is the observable event stream, merged from the per-iteration
 	// buffers in iteration order — byte-identical to the sequential oracle.
 	Trace []interp.Event
-	// Faults is the run's loss accounting (always non-nil): delivered,
-	// shed, quarantined, degraded and retried packets, with per-packet
-	// records. On a clean run every counter except Delivered is zero.
+	// Faults is the run's loss accounting (always non-nil): delivered, shed
+	// and quarantined packets, with per-packet records. On a clean run every
+	// counter except Delivered is zero.
 	Faults *FaultReport
 	// Ingest is the feeding source's boundary counters, frozen after the
 	// final join, when the run was fed through the ingest front end
@@ -209,7 +202,7 @@ func (m *Metrics) String() string {
 	}
 	b.WriteString("\n")
 	writeStageLines(&b, m.Stages)
-	if f := m.Faults; f != nil && f.Shed+f.Quarantined+f.Degraded+f.Retries > 0 {
+	if f := m.Faults; f != nil && f.Shed+f.Quarantined > 0 {
 		fmt.Fprintf(&b, "  faults: %s", f.String())
 	}
 	m.Ingest.writeLine(&b)

@@ -15,12 +15,6 @@ const (
 	// never propagates upstream; throughput is preserved at the cost of
 	// losing packets under overload.
 	OverloadShed
-	// OverloadDegrade short-circuits the blocked batch: its packets are
-	// marked degraded and forwarded, and every later stage passes them
-	// through without executing, so the backlog drains at ring speed.
-	// Degraded packets are delivered with partial processing (the stages
-	// up to and including the marking stage ran; the rest did not).
-	OverloadDegrade
 )
 
 // String returns the policy's name as used in flags and reports.
@@ -30,8 +24,6 @@ func (p OverloadPolicy) String() string {
 		return "block"
 	case OverloadShed:
 		return "shed"
-	case OverloadDegrade:
-		return "degrade"
 	}
 	return "?"
 }

@@ -12,10 +12,8 @@ package runtime
 // topology-blind.
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/errs"
 	"repro/internal/obsv"
 	"repro/internal/spsc"
 )
@@ -84,10 +82,8 @@ func (e *engine) popRing(r *tokRing, p *stageProbe) (b []*token, ok bool) {
 // pull is the source in-port: it paces the pipeline by pulling up to one
 // batch of packets from the Source, assigning each its iteration index —
 // the key every fault trigger and record is expressed in — and building
-// its token. Poisoned packets are quarantined here, before a token exists
-// (and before sequencing, so no tombstone is needed); the In counter
-// tallies every packet pulled, poisons included, which is the total the
-// FaultReport ledger is reconciled against. Under sharding the token's
+// its token. The In counter tallies every packet pulled, which is the total
+// the FaultReport ledger is reconciled against. Under sharding the token's
 // lane is stamped from the flow hash now, before any stage body can
 // rewrite the packet bytes.
 func (e *engine) pull(in *inPort) (b []*token, more bool) {
@@ -104,19 +100,10 @@ func (e *engine) pull(in *inPort) (b []*token, more bool) {
 		if !ok {
 			return b, false
 		}
-		i := in.iter
-		in.iter++
 		p.in.Add(1)
-		if e.inj != nil {
-			if bad, poisoned := e.inj.AtSource(i, pkt); poisoned {
-				p.quarantined.Add(1)
-				e.record(in.lc.recIdx, FaultRecord{Iter: i, Stage: 1, Disposition: "quarantined",
-					Reason: fmt.Sprintf("%v: %d malformed bytes at source", errs.ErrPoisonPacket, len(bad))})
-				continue
-			}
-		}
 		t := e.takeToken()
-		t.iter = i
+		t.iter = in.iter
+		in.iter++
 		t.ctx.Pending, t.ctx.HasPending, t.ctx.PendingOwned = pkt, true, e.owned
 		if sharded {
 			t.shard = int32(shardOf(e.shardKey(pkt), e.plan.p))
@@ -193,21 +180,16 @@ func tryPush(out *tokRing, b []*token, p *stageProbe) bool {
 }
 
 // sendRing forwards a batch on out, counting a stall when the ring is
-// full. Under OverloadBlock it waits for space (backpressure); under a
-// shedding policy it re-probes the saturated ring for Watermark ticks and
-// then engages the policy — dropping the batch (Shed) or marking it
-// degraded and forwarding it for pass-through delivery (Degrade). It
-// returns false when the run was canceled mid-wait.
+// full. Under OverloadBlock it waits for space (backpressure); under
+// OverloadShed it re-probes the saturated ring for Watermark ticks and then
+// drops the batch. It returns false when the run was canceled mid-wait.
 func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 	p := lc.probe
-	if e.inj != nil {
-		lc.inj.BeforeSend(e.ictx, lc.num, b[0].iter)
-	}
 	if tryPush(out, b, p) {
 		return true
 	}
 	p.stalls.Add(1)
-	if e.cfg.Overload != OverloadBlock {
+	if e.cfg.Overload == OverloadShed {
 		for probe := 0; probe < e.cfg.Watermark; probe++ {
 			sent, canceled := out.PushTimeout(b, e.ictx.Done(), overloadTick, &p.txWait)
 			if sent {
@@ -218,9 +200,8 @@ func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 				return false
 			}
 		}
-		if e.overloaded(lc, b) {
-			return true
-		}
+		e.shed(lc, b)
+		return true
 	}
 	if !out.Push(b, e.ictx.Done(), &p.txWait) {
 		return false
@@ -229,36 +210,17 @@ func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 	return true
 }
 
-// overloaded engages the overload policy on a batch whose ring stayed
-// saturated past the watermark. Under OverloadShed the batch is dropped —
-// recorded, counted and recycled — and overloaded returns true. Under
-// OverloadDegrade its live tokens are marked so every later stage passes
-// them through, and it returns false: the caller still delivers the batch.
-// Either way the chaos layer's overload gates are released before the
-// caller blocks again: a schedule may hold the consumer until this very
-// engagement is observed.
-func (e *engine) overloaded(lc *laneCtx, b []*token) (shed bool) {
-	const why = "ring saturated past watermark"
-	shed = e.cfg.Overload == OverloadShed
-	var n int64
-	if shed {
-		for _, t := range b {
-			e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "shed", Reason: why})
-			e.putToken(t)
-		}
-		n = int64(len(b))
-		lc.probe.shed.Add(n)
-		e.putBatch(b)
-	} else {
-		for _, t := range b {
-			if t.degradedAt == 0 && !t.dead {
-				t.degradedAt = int32(lc.s + 2)
-				e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "degraded", Reason: why})
-				n++
-			}
-		}
-		lc.probe.degraded.Add(n)
+// shed drops a batch whose ring stayed saturated past the watermark under
+// OverloadShed: each packet recorded, counted and recycled. The fault seam's
+// overload gates are released before the caller moves on: a schedule may hold
+// the consumer until this very engagement is observed.
+func (e *engine) shed(lc *laneCtx, b []*token) {
+	for _, t := range b {
+		e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "shed", Reason: "ring saturated past watermark"})
+		e.putToken(t)
 	}
+	n := int64(len(b))
+	lc.probe.shed.Add(n)
+	e.putBatch(b)
 	e.inj.NoteOverload(n)
-	return shed
 }

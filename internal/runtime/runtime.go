@@ -59,7 +59,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"runtime/pprof"
@@ -109,10 +108,10 @@ type Config struct {
 	ShardKey func(pkt []byte) uint64
 
 	// Overload selects what a producer does when its outgoing ring stays
-	// saturated past the watermark: block (default, lossless), shed, or
-	// degrade. See OverloadPolicy.
+	// saturated past the watermark: block (default, lossless) or shed. See
+	// OverloadPolicy.
 	Overload OverloadPolicy
-	// Watermark is how long a ring must stay saturated before a shedding
+	// Watermark is how long a ring must stay saturated before the shed
 	// policy engages, counted in failed re-probe ticks of 200µs each. 0
 	// selects the default (4 ticks). Setting it under OverloadBlock is a
 	// configuration conflict: the blocking policy never consults it.
@@ -122,18 +121,11 @@ type Config struct {
 	// quarantines the packet with errs.ErrStageDeadline. The check is
 	// cooperative — a stall that already exceeded the deadline quarantines
 	// before the stage body runs, so persistent state stays untouched. Like
-	// shed and degrade it acts where a ring is: a program that realizes
-	// several cut stages (NewCoarseLayout) is one served stage with one
-	// deadline.
+	// shed it acts where a ring is: a program that realizes several cut
+	// stages (NewCoarseLayout) is one served stage with one deadline.
 	StageDeadline time.Duration
-	// Retry bounds re-executions of an iteration that failed with a
-	// transient fault (errs.ErrTransientFault); RetryBackoff is the first
-	// inter-attempt sleep, doubling per retry. Exhausting the budget
-	// quarantines the packet. Transient faults fire before the stage body,
-	// so a retry never re-applies persistent side effects.
-	Retry        int
-	RetryBackoff time.Duration
-	// Faults is the deterministic fault-injection schedule (nil: none).
+	// Faults is the test seam: a deterministic schedule of stage stalls and
+	// panics (nil: none). Nothing outside tests sets it.
 	Faults *fault.Plan
 
 	// Store, when non-nil, supplies the persistent-array storage the stage
@@ -166,11 +158,11 @@ type Config struct {
 // DefaultConfig returns the nearest-neighbor-ring configuration.
 func DefaultConfig() Config { return Config{Channel: costmodel.NNRing} }
 
-// overloadTick is the re-probe interval of a saturated ring under a
-// shedding policy; Watermark counts these.
+// overloadTick is the re-probe interval of a saturated ring under the shed
+// policy; Watermark counts these.
 const overloadTick = 200 * time.Microsecond
 
-// defaultWatermark is the saturation tolerance when a shedding policy is
+// defaultWatermark is the saturation tolerance when the shed policy is
 // selected without an explicit watermark.
 const defaultWatermark = 4
 
@@ -191,7 +183,7 @@ func (c Config) Validate() error {
 	if c.Shards < 0 || c.Shards > MaxShards {
 		return fmt.Errorf("%w: Shards %d (want 0..%d)", errs.ErrBadOption, c.Shards, MaxShards)
 	}
-	if c.Overload > OverloadDegrade {
+	if c.Overload > OverloadShed {
 		return fmt.Errorf("%w: Overload policy %d", errs.ErrBadOption, c.Overload)
 	}
 	if c.Watermark < 0 {
@@ -200,9 +192,6 @@ func (c Config) Validate() error {
 	if c.StageDeadline < 0 {
 		return fmt.Errorf("%w: StageDeadline %v", errs.ErrBadOption, c.StageDeadline)
 	}
-	if c.Retry < 0 || c.RetryBackoff < 0 {
-		return fmt.Errorf("%w: Retry %d, RetryBackoff %v", errs.ErrBadOption, c.Retry, c.RetryBackoff)
-	}
 	if err := c.Obs.Validate(); err != nil {
 		return fmt.Errorf("%w: Obs: %v", errs.ErrBadOption, err)
 	}
@@ -210,12 +199,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: overload watermark %d set, but the blocking policy never sheds",
 			errs.ErrConflictingOptions, c.Watermark)
 	}
-	if c.RetryBackoff > 0 && c.Retry == 0 {
-		return fmt.Errorf("%w: retry backoff %v set, but retries are disabled",
-			errs.ErrConflictingOptions, c.RetryBackoff)
-	}
 	if c.Overload != OverloadBlock {
-		// Under a shedding policy the batch is the shed unit; a batch
+		// Under the shed policy the batch is the shed unit; a batch
 		// bigger than the whole ring would let one overload event drop
 		// more than a ring's worth of packets at once.
 		ringCap := c.RingCapacity
@@ -323,30 +308,27 @@ func Validate(stages []*ir.Program) error {
 // locals, buffered events) and the live-set slots realized for the next
 // cut, exactly as OpSendLS packed them. iter is the packet's source-order
 // index (assigned at the head, 0-based), the key every fault-injection
-// trigger and fault record is expressed in. degradedAt, when non-zero, is
-// the 1-based served stage from which processing is short-circuited: stages
-// with index >= degradedAt pass the token through without executing it. Under
-// sharding, shard is the token's lane (fixed at dispatch by the flow
-// hash), and dead marks a tombstone: a quarantined iteration that keeps
-// flowing toward its fan-in so the dispatch sequence stays gap-free, then
-// is recycled there without ever reaching the trace.
+// trigger and fault record is expressed in. Under sharding, shard is the
+// token's lane (fixed at dispatch by the flow hash), and dead marks a
+// tombstone: a quarantined iteration that keeps flowing toward its fan-in so
+// the dispatch sequence stays gap-free, then is recycled there without ever
+// reaching the trace.
 //
 // Layout is cache-line aware: the fields every handoff touches — ctx,
 // the two live-set buffers, and iter — pack into the first 64 bytes
 // (8 + 24 + 24 + 8), so the steady-state handoff path dirties a single
-// line; the cold fate flags (degradedAt, shard, dead) trail after it.
+// line; the cold fate flags (shard, dead) trail after it.
 // slots and spare ping-pong: a stage reads its live set from slots and
 // writes the outgoing set into spare (exec.Iteration.Dst), then the two
 // swap, so a handoff is a few word copies into memory the token already
 // owns and the hot path allocates nothing after warmup.
 type token struct {
-	ctx        *interp.IterCtx
-	slots      []int64
-	spare      []int64
-	iter       int64
-	degradedAt int32
-	shard      int32
-	dead       bool
+	ctx   *interp.IterCtx
+	slots []int64
+	spare []int64
+	iter  int64
+	shard int32
+	dead  bool
 }
 
 // laneCtx identifies one stage replica's execution lane: its stage, its
@@ -354,8 +336,7 @@ type token struct {
 // Built once per goroutine; everything the hot path touches is one
 // indirection away.
 type laneCtx struct {
-	s      int // 0-based index among the served stages
-	num    int // 1-based cut stage it reports as (s+1 unless the layout is coarse)
+	num    int // 1-based cut stage it reports as
 	probe  *stageProbe
 	run    *exec.Runner
 	inj    *fault.Injector
@@ -364,7 +345,7 @@ type laneCtx struct {
 
 	// The group being executed: one Iteration per admitted token, each
 	// one's position in the batch, and when the group — under a per-stage
-	// deadline a single token — began its current attempt.
+	// deadline a single token — began.
 	its  []exec.Iteration
 	live []int
 	t0   time.Time
@@ -403,8 +384,8 @@ type engine struct {
 	shardKey func([]byte) uint64
 
 	// live holds the per-replica atomic probes every counter update lands
-	// in; recs are the per-lane fault-record buffers (dispatcher last),
-	// each owned by its goroutine until the final join.
+	// in; recs are the per-lane fault-record buffers, each owned by its
+	// goroutine until the final join.
 	live *Live
 	recs [][]FaultRecord
 
@@ -531,7 +512,6 @@ func (e *engine) record(i int, r FaultRecord) {
 // lane builds the execution-lane view of stage s, replica j.
 func (e *engine) lane(s, j int) *laneCtx {
 	return &laneCtx{
-		s:      s,
 		num:    e.live.first[s],
 		probe:  e.live.probe(s, j),
 		run:    e.runners[s][j],
@@ -598,7 +578,6 @@ func (t *token) reset() {
 	t.slots = t.slots[:0]
 	t.spare = t.spare[:0]
 	t.iter = 0
-	t.degradedAt = 0
 	t.shard = 0
 	t.dead = false
 }
@@ -644,40 +623,22 @@ func (e *engine) span(stage int, iter int64, n int, phase obsv.Phase, start time
 	})
 }
 
-// admit runs what precedes one iteration's body at lc's stage — the injected
-// faults, bounded retry with exponential backoff for the transient ones, and
-// the check that an injected stall alone did not blow the per-stage deadline
-// — under its own recover, so an injected panic quarantines exactly the
-// token it was aimed at. A nil error admits the token to the body; anything
-// else is the reason to quarantine it, with persistent state untouched.
-func (e *engine) admit(lc *laneCtx, t *token) error {
+// admit runs what precedes one iteration's body at lc's stage under a fault
+// plan — the injected stall or panic, and the check that a stall alone did
+// not blow the per-stage deadline — under its own recover, so an injected
+// panic quarantines exactly the token it was aimed at. A nil error admits the
+// token to the body; anything else is the reason to quarantine it, with
+// persistent state untouched.
+func (e *engine) admit(lc *laneCtx, t *token) (err error) {
 	if e.inj == nil {
 		return nil
 	}
-	backoff := e.cfg.RetryBackoff
-	for attempt := 0; ; attempt++ {
-		err := e.beforeStage(lc, t)
-		if !errors.Is(err, errs.ErrTransientFault) || attempt >= e.cfg.Retry {
-			return err
-		}
-		lc.probe.retries.Add(1)
-		if backoff > 0 {
-			sleepCtx(e.ictx, backoff)
-			backoff *= 2
-		}
-	}
-}
-
-func (e *engine) beforeStage(lc *laneCtx, t *token) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: %v", errs.ErrStagePanic, r)
 		}
 	}()
-	lc.t0 = time.Now() // each attempt has the whole deadline
-	if err := lc.inj.BeforeStage(e.ictx, lc.num, t.iter); err != nil {
-		return err
-	}
+	lc.inj.BeforeStage(e.ictx, lc.num, t.iter)
 	if d := e.cfg.StageDeadline; d > 0 && time.Since(lc.t0) > d {
 		return fmt.Errorf("%w: stage %d stalled past the %v deadline", errs.ErrStageDeadline, lc.num, d)
 	}
@@ -710,16 +671,6 @@ func (e *engine) runBody(lc *laneCtx) (panicked, err error) {
 		}
 	}()
 	return nil, lc.run.RunBatch(lc.its)
-}
-
-// sleepCtx sleeps for d or until the run is canceled.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
 }
 
 // retire is the sink out-port: it merges a finished batch's events into
@@ -810,8 +761,8 @@ func (e *engine) execBatch(lc *laneCtx, b []*token) (keep []*token, ok bool) {
 }
 
 // execGroup runs the tokens of g through lc's stage and appends the ones
-// that go on to keep (which trails g in the same array). Degraded and
-// tombstoned tokens pass through without executing; a token that fails its
+// that go on to keep (which trails g in the same array). Tombstoned tokens
+// pass through without executing; a token that fails its
 // admission, or whose group blew the deadline or panicked, is quarantined:
 // compacted out, or kept as a tombstone when a fan-in is downstream. The
 // body reads each token's live set from slots and writes the outgoing one
@@ -826,7 +777,7 @@ func (e *engine) execGroup(lc *laneCtx, g, keep []*token) ([]*token, bool) {
 	}
 	lc.its, lc.live = lc.its[:0], lc.live[:0]
 	for _, t := range g {
-		if t.dead || (t.degradedAt > 0 && lc.s+1 >= int(t.degradedAt)) {
+		if t.dead {
 			keep = append(keep, t)
 			continue
 		}
@@ -921,9 +872,7 @@ func (e *engine) wireObservability(d int) {
 		reg.Func(prefix+"out", func() int64 { return l.stageStats(k).Out })
 		reg.Func(prefix+"stalls", func() int64 { return l.stageStats(k).Stalls })
 		reg.Func(prefix+"shed", func() int64 { return l.stageStats(k).Shed })
-		reg.Func(prefix+"degraded", func() int64 { return l.stageStats(k).Degraded })
 		reg.Func(prefix+"quarantined", func() int64 { return l.stageStats(k).Quarantined })
-		reg.Func(prefix+"retries", func() int64 { return l.stageStats(k).Retries })
 		reg.Func(prefix+"busy_ns", func() int64 { return int64(l.stageStats(k).Busy) })
 		reg.Func(prefix+"spins", func() int64 { return l.stageStats(k).Spins })
 		reg.Func(prefix+"parks", func() int64 { return l.stageStats(k).Parks })
@@ -1061,7 +1010,7 @@ func (l *Layout) With(cfg Config) (*Layout, error) {
 	}
 	plan := newShardPlan(l.shapes, cfg.Shards, cfg.ShardKey != nil)
 	if plan.hasFanin() && cfg.Overload == OverloadShed {
-		return nil, fmt.Errorf("%w: the shed policy cannot drop tokens upstream of a sharded fan-in; use block or degrade, or serve unsharded",
+		return nil, fmt.Errorf("%w: the shed policy cannot drop tokens upstream of a sharded fan-in; use block, or serve unsharded",
 			errs.ErrConflictingOptions)
 	}
 	return &Layout{stages: l.stages, first: l.first, shapes: l.shapes, cfg: cfg, plan: plan}, nil
@@ -1132,7 +1081,7 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		e.owned = o.PacketsOwned()
 	}
 	e.live.ingest = cfg.Ingest
-	e.recs = make([][]FaultRecord, len(e.live.probes)+1)
+	e.recs = make([][]FaultRecord, len(e.live.probes))
 	e.injs[0] = e.inj
 	for j := 1; j < len(e.injs); j++ {
 		e.injs[j] = e.inj.Lane()
@@ -1172,10 +1121,10 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 // dispatcher builds the source unit of a run whose first stage is
 // replicated: the source in-port pulls and stamps lanes, no stage
 // executes, and the lane feed delivers per-lane batches into the head
-// rings. Its lane view is the extra probe and record buffer past the
-// per-replica ones.
+// rings. Its lane view is the extra probe past the per-replica ones; the lane
+// feed is lossless, so it takes no fault records.
 func (e *engine) dispatcher() *unit {
-	lc := &laneCtx{num: 1, probe: e.live.disp, inj: e.inj, recIdx: len(e.live.probes)}
+	lc := &laneCtx{num: 1, probe: e.live.disp}
 	lf := &laneFeed{rings: e.headRing, pend: make([][]*token, len(e.headRing)), probe: lc.probe}
 	if e.plan.dispSeq >= 0 {
 		lf.sq = e.seqs[e.plan.dispSeq]
@@ -1350,10 +1299,8 @@ func (e *engine) faultReport(m *Metrics) *FaultReport {
 	rep := &FaultReport{Delivered: m.Packets}
 	for k := range m.Stages {
 		s := &m.Stages[k]
-		rep.Degraded += s.Degraded
 		rep.Shed += s.Shed
 		rep.Quarantined += s.Quarantined
-		rep.Retries += s.Retries
 	}
 	for i := range e.recs {
 		rep.Records = append(rep.Records, e.recs[i]...)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -250,9 +251,10 @@ func TestBuildUnits(t *testing.T) {
 			for _, u := range e.units {
 				stages := ""
 				if lc := u.lc; lc != nil {
-					wired[lc.s]++
+					s := slices.Index(l.first, lc.num) // the served stage beginning at lc.num
+					wired[s]++
 					stages = fmt.Sprint(lc.num)
-					if last := l.first[lc.s+1] - 1; last > lc.num {
+					if last := l.first[s+1] - 1; last > lc.num {
 						stages += fmt.Sprint("-", last)
 					}
 				}

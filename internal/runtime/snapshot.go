@@ -19,12 +19,12 @@ import (
 // neighboring replicas' probes off one cache line, so the single-writer
 // updates never false-share.
 type stageProbe struct {
-	in, out, stalls             atomic.Int64
-	shed, degraded, quarantined atomic.Int64
-	retries, busyNs, bodyPanics atomic.Int64
-	occSum, occSamples          atomic.Int64
-	txWait, rxWait              spsc.WaitCounters
-	_                           [24]byte
+	in, out, stalls    atomic.Int64
+	shed, quarantined  atomic.Int64
+	busyNs, bodyPanics atomic.Int64
+	occSum, occSamples atomic.Int64
+	txWait, rxWait     spsc.WaitCounters
+	_                  [40]byte
 }
 
 // stats converts the probe's current values into the exported snapshot
@@ -37,9 +37,7 @@ func (p *stageProbe) stats(stage int) StageStats {
 		Out:         p.out.Load(),
 		Stalls:      p.stalls.Load(),
 		Shed:        p.shed.Load(),
-		Degraded:    p.degraded.Load(),
 		Quarantined: p.quarantined.Load(),
-		Retries:     p.retries.Load(),
 		Busy:        time.Duration(p.busyNs.Load()),
 		Spins:       p.txWait.Spins.Load() + p.rxWait.Spins.Load(),
 		Parks:       p.txWait.Parks.Load() + p.rxWait.Parks.Load(),
@@ -107,10 +105,9 @@ func (l *Live) probe(s, j int) *stageProbe { return &l.probes[l.offs[s]+j] }
 // that begins there, aggregated across its replicas, or — for a stage folded
 // into an earlier one's program — an entry of zero counters naming that
 // stage. When a dispatcher paces the source, stage 1's In is the
-// dispatcher's pull count (every packet that left the source, poisons
-// included) and its stall/quarantine counts fold in the dispatcher's —
-// preserving the ledger invariant Delivered + Shed + Quarantined ==
-// Stages[0].In at any shard width.
+// dispatcher's pull count (every packet that left the source) and its stall
+// count folds in the dispatcher's — preserving the ledger invariant
+// Delivered + Shed + Quarantined == Stages[0].In at any shard width.
 func (l *Live) stageStats(k int) StageStats {
 	s := sort.SearchInts(l.first, k+2) - 1 // the served stage standing for cut stage k+1
 	if l.first[s] != k+1 {

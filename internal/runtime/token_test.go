@@ -25,7 +25,6 @@ func dirtyToken(t *token) {
 	t.slots = []int64{1, 2, 3}
 	t.spare = []int64{4, 5}
 	t.iter = 17
-	t.degradedAt = 2
 	t.shard = 3
 	t.dead = true
 }
@@ -61,8 +60,8 @@ func checkPristine(t *testing.T, tok *token) {
 	if len(tok.spare) != 0 {
 		t.Errorf("recycled token leaks spare live-set buffer: %v", tok.spare)
 	}
-	if tok.iter != 0 || tok.degradedAt != 0 {
-		t.Errorf("recycled token leaks control state: iter=%d degradedAt=%d", tok.iter, tok.degradedAt)
+	if tok.iter != 0 {
+		t.Errorf("recycled token leaks control state: iter=%d", tok.iter)
 	}
 	if tok.shard != 0 || tok.dead {
 		t.Errorf("recycled token leaks shard routing state: shard=%d dead=%v", tok.shard, tok.dead)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/npsim"
 	"repro/internal/runtime"
-	"repro/internal/runtime/fault"
 )
 
 // Typed sentinel errors, grouped by lifecycle. Every entry point validates
@@ -50,15 +49,11 @@ var (
 	// cannot be parsed.
 	ErrBadSource = errs.ErrBadSource
 	// ErrConflictingOptions is returned when individually valid options
-	// contradict each other (a watermark under the blocking policy, a
-	// retry backoff with retries disabled, a batch larger than the ring
-	// under a shedding policy) — or when an option is passed to an entry
-	// point outside its scope (WithThreads on Serve); see the option
-	// matrix on Option.
+	// contradict each other (a watermark under the blocking policy, a batch
+	// larger than the ring under the shed policy) — or when an option is
+	// passed to an entry point outside its scope (WithThreads on Serve); see
+	// the option matrix on Option.
 	ErrConflictingOptions = errs.ErrConflictingOptions
-	// ErrBadFaultPlan is returned when WithFaults carries an out-of-range
-	// stage, an unknown kind, or a negative trigger.
-	ErrBadFaultPlan = errs.ErrBadFaultPlan
 )
 
 // Execution — starting a run.
@@ -84,15 +79,9 @@ var (
 	// ErrStagePanic is returned when a panic recovered inside a stage body
 	// quarantines the offending packet.
 	ErrStagePanic = errs.ErrStagePanic
-	// ErrPoisonPacket is returned when a malformed packet is quarantined
-	// at the source.
-	ErrPoisonPacket = errs.ErrPoisonPacket
 	// ErrStageDeadline is returned when an iteration exceeds the per-stage
 	// deadline.
 	ErrStageDeadline = errs.ErrStageDeadline
-	// ErrTransientFault is returned when an injected transient fault fires
-	// (retried, then quarantined on exhaustion).
-	ErrTransientFault = errs.ErrTransientFault
 )
 
 // MaxStages bounds the accepted pipelining degree.
@@ -156,8 +145,6 @@ const (
 //	WithOverload                      yes                -       -        yes
 //	WithWatermark                     yes                -       -        yes
 //	WithDeadline                      yes                -       -        yes
-//	WithRetry                         yes                -       -        yes
-//	WithFaults                        yes                -       -        yes
 //	WithObserver                      yes                -       -        yes
 //	WithShards                        yes                -       -        yes
 //	WithShardKey                      yes                -       -        yes
@@ -254,19 +241,18 @@ func WithBatch(n int) Option {
 func WithWorld(w *World) Option { return Option{"WithWorld", inServe, func(c *config) { c.world = w }} }
 
 // WithOverload selects the serve-path overload policy: OverloadBlock
-// (default — lossless backpressure), OverloadShed (drop batches when a
-// ring stays saturated past the watermark), or OverloadDegrade
-// (short-circuit them: delivered with later stages skipped). The policies
-// act at rings, so between served stages: a cut un-made by fusion
-// (WithFusion) has no ring to saturate.
+// (default — lossless backpressure) or OverloadShed (drop batches when a
+// ring stays saturated past the watermark). The policy acts at rings, so
+// between served stages: a cut un-made by fusion (WithFusion) has no ring to
+// saturate.
 func WithOverload(p OverloadPolicy) Option {
 	return Option{"WithOverload", inServe, func(c *config) { c.serve.Overload = p }}
 }
 
 // WithWatermark sets how long a ring must stay saturated before the
 // overload policy engages, in 200µs re-probe ticks (default 4). Only
-// meaningful under OverloadShed/OverloadDegrade; combining it with the
-// blocking policy is rejected as ErrConflictingOptions.
+// meaningful under OverloadShed; combining it with the blocking policy is
+// rejected as ErrConflictingOptions.
 func WithWatermark(ticks int) Option {
 	return Option{"WithWatermark", inServe, func(c *config) { c.serve.Watermark = ticks }}
 }
@@ -276,22 +262,6 @@ func WithWatermark(ticks int) Option {
 // (errs.ErrStageDeadline) instead of stalling the pipeline.
 func WithDeadline(d time.Duration) Option {
 	return Option{"WithDeadline", inServe, func(c *config) { c.serve.StageDeadline = d }}
-}
-
-// WithRetry bounds re-executions of transient stage faults: up to n
-// retries, sleeping backoff before the first and doubling per attempt.
-// Packets whose fault outlives the budget are quarantined.
-func WithRetry(n int, backoff time.Duration) Option {
-	return Option{"WithRetry", inServe, func(c *config) { c.serve.Retry, c.serve.RetryBackoff = n, backoff }}
-}
-
-// WithFaults installs a deterministic fault-injection plan for Serve —
-// the chaos-testing seam. Nil clears it. A plan names stages, so a serve
-// that carries one keeps every cut of the partition (no fusion, whatever
-// WithFusion says) and Plan().FusionWhy says so: an injection always finds
-// the stage it was aimed at.
-func WithFaults(p *FaultPlan) Option {
-	return Option{"WithFaults", inServe, func(c *config) { c.serve.Faults = p }}
 }
 
 // WithObserver attaches the observability layer to Serve: span tracing
@@ -367,9 +337,9 @@ const (
 // keep the partition's numbering: a fused unit books its counters, spans
 // and fault records under the first stage it covers, and the entries of
 // the stages fused into it are zero and name that stage
-// (StageStats.FusedInto). What acts per stage — WithDeadline, shed and
-// degrade under WithOverload — acts per served stage: a fused unit is one
-// stage with one deadline and one outgoing ring. A scatter or fan-in
+// (StageStats.FusedInto). What acts per stage — WithDeadline, shed under
+// WithOverload — acts per served stage: a fused unit is one stage with one
+// deadline and one outgoing ring. A scatter or fan-in
 // junction (sharded serving) always keeps its ring machinery — fusion
 // applies only to cuts whose two sides run at the same replica width.
 func WithFusion(m FusionMode) Option {
@@ -472,45 +442,18 @@ func (c *config) simConfig() npsim.Config {
 	return sim
 }
 
-// FaultPlan is a deterministic fault-injection schedule for the serve
-// runtime; see repro/internal/runtime/fault.
-type FaultPlan = fault.Plan
-
-// FaultInjection is one scheduled fault of a FaultPlan.
-type FaultInjection = fault.Injection
-
-// FaultKind classifies an injected fault.
-type FaultKind = fault.Kind
-
-// The injectable fault kinds.
-const (
-	FaultStall     = fault.Stall
-	FaultDelay     = fault.Delay
-	FaultPoison    = fault.Poison
-	FaultPanic     = fault.Panic
-	FaultTransient = fault.Transient
-)
-
-// SeededFaults derives a small random fault plan from a seed — the
-// randomized half of the chaos harness.
-func SeededFaults(seed int64, stages int, horizon int64) *FaultPlan {
-	return fault.Seeded(seed, stages, horizon)
-}
-
 // OverloadPolicy decides what a saturated ring does to the packets that
 // cannot enter it; see WithOverload.
 type OverloadPolicy = runtime.OverloadPolicy
 
 // The overload policies.
 const (
-	OverloadBlock   = runtime.OverloadBlock
-	OverloadShed    = runtime.OverloadShed
-	OverloadDegrade = runtime.OverloadDegrade
+	OverloadBlock = runtime.OverloadBlock
+	OverloadShed  = runtime.OverloadShed
 )
 
 // FaultReport is the serve run's loss accounting (Metrics.Faults).
 type FaultReport = runtime.FaultReport
 
-// FaultRecord describes the fate of one shed, degraded, or quarantined
-// packet.
+// FaultRecord describes the fate of one shed or quarantined packet.
 type FaultRecord = runtime.FaultRecord

@@ -16,6 +16,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/interp"
 	"repro/internal/netbench"
+	"repro/internal/runtime/fault"
 )
 
 // sentinelTable pairs every re-exported sentinel with its internal/errs
@@ -38,12 +39,9 @@ var sentinelTable = []struct {
 	{"ErrNilSource", repro.ErrNilSource, errs.ErrNilSource},
 	{"ErrNotServable", repro.ErrNotServable, errs.ErrNotServable},
 	{"ErrConflictingOptions", repro.ErrConflictingOptions, errs.ErrConflictingOptions},
-	{"ErrBadFaultPlan", repro.ErrBadFaultPlan, errs.ErrBadFaultPlan},
 	{"ErrBadSource", repro.ErrBadSource, errs.ErrBadSource},
 	{"ErrStagePanic", repro.ErrStagePanic, errs.ErrStagePanic},
-	{"ErrPoisonPacket", repro.ErrPoisonPacket, errs.ErrPoisonPacket},
 	{"ErrStageDeadline", repro.ErrStageDeadline, errs.ErrStageDeadline},
-	{"ErrTransientFault", repro.ErrTransientFault, errs.ErrTransientFault},
 }
 
 func TestSentinelsComplete(t *testing.T) {
@@ -68,9 +66,9 @@ func TestSentinelsComplete(t *testing.T) {
 // TestOptionsRejectInvalid drives every validation path through the
 // central validator via the public entry points. An out-of-range value
 // surfaces as ErrBadOption with a message naming the option (or the
-// configuration field it sets), a contradiction as ErrConflictingOptions,
-// a malformed fault plan as ErrBadFaultPlan — no matter which entry point
-// receives it.
+// configuration field it sets) — a malformed fault plan reaching the seam
+// included — and a contradiction as ErrConflictingOptions, no matter which
+// entry point receives it.
 func TestOptionsRejectInvalid(t *testing.T) {
 	prog := repro.MustCompile(facadeSrc)
 	cases := []struct {
@@ -93,23 +91,19 @@ func TestOptionsRejectInvalid(t *testing.T) {
 		{"unknown policy", []repro.Option{repro.WithOverload(repro.OverloadPolicy(9))}, repro.ErrBadOption, "Overload policy 9"},
 		{"negative watermark", []repro.Option{repro.WithWatermark(-1)}, repro.ErrBadOption, "Watermark -1"},
 		{"negative deadline", []repro.Option{repro.WithDeadline(-time.Second)}, repro.ErrBadOption, "StageDeadline -1s"},
-		{"negative retry", []repro.Option{repro.WithRetry(-1, 0)}, repro.ErrBadOption, "Retry -1"},
-		{"negative backoff", []repro.Option{repro.WithRetry(1, -time.Millisecond)}, repro.ErrBadOption, "RetryBackoff -1ms"},
 		{"watermark without shedding policy",
 			[]repro.Option{repro.WithWatermark(2)}, repro.ErrConflictingOptions, "watermark 2"},
-		{"backoff without retries",
-			[]repro.Option{repro.WithRetry(0, time.Millisecond)}, repro.ErrConflictingOptions, "backoff 1ms"},
 		{"batch exceeds ring under shed",
 			[]repro.Option{repro.WithOverload(repro.OverloadShed), repro.WithBatch(20)},
 			repro.ErrConflictingOptions, "batch 20"},
 		{"fault plan stage zero",
-			[]repro.Option{repro.WithFaults(&repro.FaultPlan{Injections: []repro.FaultInjection{
-				{Kind: repro.FaultStall, Stage: 0},
-			}})}, repro.ErrBadFaultPlan, "stage 0"},
+			[]repro.Option{repro.WithFaultsForTest(&fault.Plan{Injections: []fault.Injection{
+				{Kind: fault.Stall, Stage: 0},
+			}})}, repro.ErrBadOption, "stage 0"},
 		{"fault plan negative trigger",
-			[]repro.Option{repro.WithFaults(&repro.FaultPlan{Injections: []repro.FaultInjection{
-				{Kind: repro.FaultPanic, Stage: 1, At: -3},
-			}})}, repro.ErrBadFaultPlan, "negative trigger"},
+			[]repro.Option{repro.WithFaultsForTest(&fault.Plan{Injections: []fault.Injection{
+				{Kind: fault.Panic, Stage: 1, At: -3},
+			}})}, repro.ErrBadOption, "negative trigger"},
 		{"negative log interval",
 			[]repro.Option{repro.WithObserver(&repro.Observer{LogEvery: -time.Second})},
 			repro.ErrBadOption, "Obs: negative log interval -1s"},
@@ -138,9 +132,9 @@ func TestOptionsRejectInvalid(t *testing.T) {
 	if _, err := pipe.Serve(ctx, src, repro.WithWatermark(-1)); !errors.Is(err, repro.ErrBadOption) {
 		t.Errorf("Serve(WithWatermark(-1)) err = %v, want ErrBadOption", err)
 	}
-	if _, err := pipe.Serve(ctx, src, repro.WithOverload(repro.OverloadDegrade),
+	if _, err := pipe.Serve(ctx, src, repro.WithOverload(repro.OverloadShed),
 		repro.WithBatch(64)); !errors.Is(err, repro.ErrConflictingOptions) {
-		t.Errorf("Serve(batch > ring, degrade) err = %v, want ErrConflictingOptions", err)
+		t.Errorf("Serve(batch > ring, shed) err = %v, want ErrConflictingOptions", err)
 	}
 	if _, err := pipe.Simulate(ctx, repro.NewWorld(nil), repro.WithThreads(-2)); !errors.Is(err, repro.ErrBadOption) {
 		t.Errorf("Simulate(WithThreads(-2)) err = %v, want ErrBadOption", err)
@@ -158,7 +152,7 @@ func TestOptionMatrix(t *testing.T) {
 		repro.WithBudget(0), repro.WithMaxPEs(0), repro.WithWorkers(0), repro.WithIterations(0),
 		repro.WithThreads(0), repro.WithArrivalInterval(0), repro.WithRing(repro.NNRing, 0),
 		repro.WithBatch(0), repro.WithWorld(nil), repro.WithOverload(0), repro.WithWatermark(0),
-		repro.WithDeadline(0), repro.WithRetry(0, 0), repro.WithFaults(nil), repro.WithObserver(nil),
+		repro.WithDeadline(0), repro.WithObserver(nil),
 		repro.WithShards(0), repro.WithShardKey(nil), repro.WithObjective(repro.MaxThroughput()),
 		repro.WithAutotune(repro.Autotune{}), repro.WithFusion(0), repro.WithSource(nil),
 	}
@@ -306,11 +300,11 @@ func TestStructuralSentinels(t *testing.T) {
 	}
 }
 
-// TestFaultSentinelsSurfaceInReport drives the four runtime fault sentinels
-// (panic, poison, deadline, transient) through the public facade: a served
-// chaos schedule must quarantine each offending packet and embed the
-// sentinel's message in its fault record, while Serve itself still returns
-// success.
+// TestFaultSentinelsSurfaceInReport drives the two per-packet fault sentinels
+// (panic, deadline) through the facade, reaching the runtime's fault seam by
+// WithFaultsForTest: a served chaos schedule must quarantine each offending
+// packet and embed the sentinel's message in its fault record, while Serve
+// itself still returns success.
 func TestFaultSentinelsSurfaceInReport(t *testing.T) {
 	const n = 12
 	pipe, err := repro.Partition(repro.MustCompile(facadeSrc), repro.WithStages(2))
@@ -318,13 +312,10 @@ func TestFaultSentinelsSurfaceInReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := pipe.Serve(context.Background(), repro.PacketSource(testPackets(n)),
-		repro.WithRetry(1, 50*time.Microsecond),
 		repro.WithDeadline(2*time.Millisecond),
-		repro.WithFaults(&repro.FaultPlan{Injections: []repro.FaultInjection{
-			{Kind: repro.FaultPoison, At: 0},
-			{Kind: repro.FaultPanic, Stage: 2, At: 2},
-			{Kind: repro.FaultTransient, Stage: 1, At: 4, Count: 3},
-			{Kind: repro.FaultStall, Stage: 2, At: 6, Sleep: 20 * time.Millisecond},
+		repro.WithFaultsForTest(&fault.Plan{Injections: []fault.Injection{
+			{Kind: fault.Panic, Stage: 2, At: 2},
+			{Kind: fault.Stall, Stage: 2, At: 6, Sleep: 20 * time.Millisecond},
 		}}))
 	if err != nil {
 		t.Fatal(err)
@@ -333,13 +324,11 @@ func TestFaultSentinelsSurfaceInReport(t *testing.T) {
 	if rep == nil {
 		t.Fatal("serve metrics carry no fault report")
 	}
-	if rep.Quarantined != 4 || rep.Delivered != n-4 {
-		t.Fatalf("quarantined %d delivered %d, want 4 and %d\n%s", rep.Quarantined, rep.Delivered, n-4, rep)
+	if rep.Quarantined != 2 || rep.Delivered != n-2 {
+		t.Fatalf("quarantined %d delivered %d, want 2 and %d\n%s", rep.Quarantined, rep.Delivered, n-2, rep)
 	}
 	wantReasons := map[int64]error{
-		0: repro.ErrPoisonPacket,
 		2: repro.ErrStagePanic,
-		4: repro.ErrTransientFault,
 		6: repro.ErrStageDeadline,
 	}
 	for _, rec := range rep.Records {
