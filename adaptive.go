@@ -7,11 +7,14 @@ package repro
 //  1. Probe: serve a short window under the current plan and take one
 //     number from it, host nanoseconds per weight: the served units'
 //     measured ns per iteration over their static path costs.
-//  2. Enumerate: cut a candidate pipeline per feasible degree from the
-//     pipeline's own analysis — the paper's weights — and realize every
-//     (degree, batch, shards, ringed|fused) shape of it (realize,
-//     fusion.go); a candidate's prior is the price costmodel.Predict puts
-//     on its layout at the measured scale.
+//  2. Enumerate: the candidates are the coarsenings of the pipeline's own
+//     cut — per (batch, shards), the prefixes of the order in which the
+//     valuator (costmodel.PlanFusion) would un-make its cuts, fully ringed to
+//     fully fused, each addressed by its fuse mask and realized once
+//     (realize, Pipeline.shape; fusion.go). WithStages(D) is thereby the
+//     upper bound of the search: nothing is re-partitioned inside a serve. A
+//     candidate's prior is the price costmodel.Predict puts on its layout at
+//     the measured scale.
 //  3. Measure: internal/tuner probes the most promising candidates with
 //     real traffic and commits to the measured winner under the declared
 //     objective.
@@ -88,9 +91,6 @@ type Autotune struct {
 	// Seed drives the exploration pick; fixed seed, fixed decision
 	// (default 1).
 	Seed int64
-	// MaxDegree caps the candidate pipelining depths (default: the
-	// analysis maximum, MaxStages).
-	MaxDegree int
 	// Batches lists the candidate serve batch sizes (default 1, 8, 32, 64).
 	Batches []int
 	// Shards lists the candidate shard widths (default 1, 2, 4).
@@ -101,10 +101,9 @@ func (t *Autotune) validate() error {
 	if t == nil {
 		return nil
 	}
-	if t.ProbePackets < 0 || t.TopK < 0 || t.Seed < 0 ||
-		t.MaxDegree < 0 || t.MaxDegree > MaxStages {
-		return fmt.Errorf("repro: %w: WithAutotune ProbePackets %d, TopK %d, Seed %d, MaxDegree %d",
-			ErrBadOption, t.ProbePackets, t.TopK, t.Seed, t.MaxDegree)
+	if t.ProbePackets < 0 || t.TopK < 0 || t.Seed < 0 {
+		return fmt.Errorf("repro: %w: WithAutotune ProbePackets %d, TopK %d, Seed %d",
+			ErrBadOption, t.ProbePackets, t.TopK, t.Seed)
 	}
 	for _, b := range t.Batches {
 		if b < 1 {
@@ -130,9 +129,6 @@ func (t Autotune) withDefaults() Autotune {
 	if t.Seed == 0 {
 		t.Seed = 1
 	}
-	if t.MaxDegree == 0 {
-		t.MaxDegree = MaxStages
-	}
 	if len(t.Batches) == 0 {
 		t.Batches = []int{1, 8, 32, 64}
 	}
@@ -145,10 +141,13 @@ func (t Autotune) withDefaults() Autotune {
 // Plan describes a Pipeline's live realization — which configuration is
 // (or would be) serving and why. Before any adaptive serve it reflects the
 // static cut; after WithAutotune's loop commits, it reflects the measured
-// winner. Returned by Pipeline.Plan.
+// winner — always a coarsening of the same cut, so every per-stage field is
+// in Pipeline.Stages' numbering. Returned by Pipeline.Plan.
 type Plan struct {
-	// Degree, Batch, Shards are the realized configuration; Shards is the
-	// effective width (1 when no stage can replicate, whatever was asked).
+	// Degree is the cut's degree D (Pipeline.Degree; Units and FusedCuts say
+	// how many programs serve it). Batch and Shards are the realized
+	// configuration; Shards is the effective width (1 when no stage can
+	// replicate, whatever was asked).
 	Degree, Batch, Shards int
 	// Replicas is each stage's replica width: 1, or Shards.
 	Replicas []int
@@ -185,32 +184,27 @@ type Plan struct {
 }
 
 // meteredSource wraps the one real packet source so each adaptive round
-// consumes a bounded window of it. Windows hand out packets strictly in
-// source order; exhaustion is sticky.
+// consumes a bounded window of it: at most n more packets (n < 0: the rest of
+// the stream), set before the round starts. Packets are handed out strictly
+// in source order and exhaustion is sticky. Only one round uses it at a
+// time; the happens-before edge between rounds is runtime.Serve's join.
 type meteredSource struct {
 	src       Source
+	n         int
 	exhausted bool
 }
 
-// window is one round's share of the metered source: at most n more packets
-// (n < 0: the rest of the stream). Only one round uses it at a time; the
-// happens-before edge between rounds is runtime.Serve's join.
-type window struct {
-	m *meteredSource
-	n int
-}
-
 // Next hands out the next packet of the stream while the window lasts.
-func (w *window) Next() ([]byte, bool) {
-	if w.m.exhausted || w.n == 0 {
+func (w *meteredSource) Next() ([]byte, bool) {
+	if w.exhausted || w.n == 0 {
 		return nil, false
 	}
 	if w.n > 0 {
 		w.n--
 	}
-	pkt, ok := w.m.src.Next()
+	pkt, ok := w.src.Next()
 	if !ok {
-		w.m.exhausted = true
+		w.exhausted = true
 		return nil, false
 	}
 	return pkt, true
@@ -220,73 +214,74 @@ func (w *window) Next() ([]byte, bool) {
 // itself, so a round treats the ingest feeder as the static path does: the
 // packets it handed over are adopted, not copied again at pkt_rx, and the
 // round's internal teardown reaches a blocked read.
-func (w *window) PacketsOwned() bool {
-	o, ok := w.m.src.(interface{ PacketsOwned() bool })
+func (w *meteredSource) PacketsOwned() bool {
+	o, ok := w.src.(interface{ PacketsOwned() bool })
 	return ok && o.PacketsOwned()
 }
 
 // BindContext: see PacketsOwned.
-func (w *window) BindContext(ctx context.Context) {
-	if b, ok := w.m.src.(runtime.ContextBinder); ok {
+func (w *meteredSource) BindContext(ctx context.Context) {
+	if b, ok := w.src.(runtime.ContextBinder); ok {
 		b.BindContext(ctx)
 	}
 }
 
 // serveAdaptive is Serve's WithAutotune path: the closed probe → enumerate
 // → measure → commit loop described at the top of this file. cfg is
-// the fully validated serve configuration with cfg.autotune non-nil.
+// the fully validated serve configuration with cfg.autotune and cfg.world
+// non-nil.
 func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*Metrics, error) {
 	at := cfg.autotune.withDefaults()
 	obj := tuner.Objective{P99Bound: cfg.objective.p99} // zero unless bounded
-	world := cfg.world
-	if world == nil {
-		world = NewWorld(nil)
-	}
 	cfg.serve.Store = interp.NewStore(p.stages...)
 	cursor := &meteredSource{src: src}
 	start := time.Now()
 
-	// agg accumulates the run-wide result across rounds: packet and fault
-	// totals are summed, the per-stage counters and shard width reflect the
-	// last completed round, and the trace is the world's accumulated stream.
-	agg := &Metrics{Faults: &runtime.FaultReport{}}
+	// agg accumulates the run-wide result across rounds. Every round serves a
+	// coarsening of the one cut, so its per-stage report is D long in the
+	// cut's numbering and the counters sum stage by stage; which stages are
+	// folded into which, the replica widths and the shard width are the last
+	// completed round's, as are the ingest counters (the source keeps them
+	// for the whole stream); the trace is the world's accumulated stream.
+	agg := &Metrics{Faults: &runtime.FaultReport{}, Stages: make([]StageStats, len(p.stages))}
 	finish := func() (*Metrics, error) {
 		agg.Elapsed = time.Since(start)
-		agg.Trace = world.Trace
+		agg.Trace = cfg.world.Trace
 		return agg, nil
 	}
 	// round serves one window on one realization and folds it into agg. Each
 	// round's engine numbers its packets from 0, so its fault records are
 	// moved by what earlier rounds pulled: FaultRecord.Iter stays the packet's
 	// index in the source's order.
-	var pulled int64
 	round := func(lay *runtime.Layout, n int) (*Metrics, error) {
-		m, err := lay.Serve(ctx, world, &window{cursor, n})
+		cursor.n = n
+		m, err := lay.Serve(ctx, cfg.world, cursor)
 		if err != nil {
 			return nil, err
 		}
+		pulled := agg.Stages[0].In
 		agg.Packets += m.Packets
-		agg.Stages = m.Stages
-		agg.Shards = m.Shards
-		if f := m.Faults; f != nil {
-			agg.Faults.Delivered += f.Delivered
-			agg.Faults.Shed += f.Shed
-			agg.Faults.Quarantined += f.Quarantined
-			for _, r := range f.Records {
-				r.Iter += pulled
-				agg.Faults.Records = append(agg.Faults.Records, r)
-			}
+		agg.Shards, agg.Ingest = m.Shards, m.Ingest
+		for i, st := range m.Stages {
+			st.Add(agg.Stages[i])
+			agg.Stages[i] = st
 		}
-		pulled += m.Stages[0].In
+		agg.Faults.Delivered += m.Faults.Delivered
+		agg.Faults.Shed += m.Faults.Shed
+		agg.Faults.Quarantined += m.Faults.Quarantined
+		for _, r := range m.Faults.Records {
+			r.Iter += pulled
+			agg.Faults.Records = append(agg.Faults.Records, r)
+		}
 		return m, nil
 	}
 
 	// Round 1 — probe the current static plan (unsharded when its replicas
 	// would fork flow state), measuring per-stage time.
-	plan, lay, err := p.realize(cfg, cfg.fusion, 1.0)
+	plan, lay, err := p.realize(cfg, 1.0)
 	if err == nil && lay.Forks() {
 		cfg.serve.Shards = 1
-		plan, lay, err = p.realize(cfg, cfg.fusion, 1.0)
+		plan, lay, err = p.realize(cfg, 1.0)
 	}
 	if err != nil {
 		return nil, err
@@ -319,18 +314,16 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	}
 	nsPerWeight := ns / float64(weight)
 
-	// Cut a candidate pipeline per feasible degree from the pipeline's own
-	// analysis and realize every (degree, batch, shards) shape of it, with
-	// the valuator's verdict — unless fusion is off — and fully
-	// ringed. A candidate exists only if its layout builds and forks no flow
-	// state; shapes that realize identically (a shard width no stage can
-	// use, a verdict that fuses nothing) are one candidate, the first. Probe
-	// rounds trace batch spans only when the objective needs latency; the
-	// user's observer is reserved for the committed realization.
+	// Enumerate. The probed shape is candidate 0, so the search never comes
+	// up empty; then, per (batch, shards), the prefixes of the valuator's
+	// merge order for that configuration, fully ringed to fully fused. A
+	// candidate exists only if its layout builds and forks no flow state;
+	// shapes that realize identically (a shard width no stage can use, a mask
+	// FusionOff or a fault plan does not grant) are one candidate, the first.
+	// Probe rounds trace batch spans only when the objective needs latency;
+	// the user's observer is reserved for the committed realization.
 	type realization struct {
-		pipe *Pipeline
-		cfg  config
-		mode FusionMode
+		plan *Plan
 		lay  *runtime.Layout
 	}
 	probeCfg := cfg
@@ -342,47 +335,35 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 	}
 	byKey := map[string]realization{}
 	var cands []tuner.Candidate
-	add := func(r realization) {
-		plan, lay, err := r.pipe.realize(r.cfg, r.mode, nsPerWeight)
+	add := func(c config, mask uint64) *Plan {
+		c.fuse = &mask
+		plan, lay, err := p.realize(c, nsPerWeight)
 		if err != nil || lay.Forks() {
-			return
+			return nil
 		}
-		c := tuner.Candidate{Degree: plan.Degree, Batch: plan.Batch, Shards: plan.Shards,
-			Fused: len(plan.FusedCuts) > 0, Prior: 1e9 / plan.PredictedNsPerPkt}
-		if _, dup := byKey[c.Key()]; !dup {
-			r.lay = lay
-			byKey[c.Key()] = r
-			cands = append(cands, c)
+		cand := tuner.Candidate{Units: plan.Units(), Batch: plan.Batch, Shards: plan.Shards,
+			Prior: 1e9 / plan.PredictedNsPerPkt}
+		if _, dup := byKey[cand.Key()]; !dup {
+			byKey[cand.Key()] = realization{plan, lay}
+			cands = append(cands, cand)
 		}
+		return plan
 	}
-	modes := []FusionMode{cfg.fusion}
-	if cfg.fusion != FusionOff {
-		modes = append(modes, FusionOff)
-	}
-	for d := 1; d <= min(at.MaxDegree, MaxStages); d++ {
-		// The analysis supplies the cost model.
-		o := cfg.explore.Base
-		o.Stages, o.Arch = d, nil
-		res, err := p.analysis.Partition(o)
-		if err != nil {
-			continue
-		}
-		cut := newPipeline(res, cfg, p.analysis)
-		for _, b := range at.Batches {
-			for _, ps := range at.Shards {
-				for _, mode := range modes {
-					c := probeCfg
-					c.serve.Batch, c.serve.Shards = b, ps
-					add(realization{pipe: cut, cfg: c, mode: mode})
-				}
+	add(probeCfg, fuse)
+	for _, b := range at.Batches {
+		for _, ps := range at.Shards {
+			c := probeCfg
+			c.serve.Batch, c.serve.Shards = b, ps
+			ringed := add(c, 0)
+			if ringed == nil {
+				continue
+			}
+			var mask uint64
+			for _, m := range p.valuate(c, ringed, nsPerWeight).Order {
+				mask |= 1 << m.Cut
+				add(c, mask)
 			}
 		}
-	}
-	if len(cands) == 0 {
-		// Nothing in the requested space is servable under this
-		// configuration: the realization that served round 1 is the
-		// candidate of last resort, so the search never comes up empty.
-		add(realization{pipe: p, cfg: probeCfg, mode: cfg.fusion})
 	}
 
 	// Probe the most promising candidates with real traffic and commit.
@@ -411,17 +392,17 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*
 		return nil, err
 	}
 
-	// Commit: realize the winner once more with the user's observer
-	// attached, publish that plan, and serve the rest of the stream on it.
+	// Commit: lay the winner out once more, now under the user's observer,
+	// publish its plan, and serve the rest of the stream on it.
 	win := byKey[decision.Chosen.Key()]
-	win.cfg.serve.Obs = cfg.serve.Obs
-	plan, lay, err = win.pipe.realize(win.cfg, win.mode, nsPerWeight)
-	if err != nil {
+	rc := cfg.serve
+	rc.Batch, rc.Shards = win.plan.Batch, win.plan.Shards
+	if lay, err = win.lay.With(rc); err != nil {
 		return nil, err
 	}
-	plan.Calibrated, plan.NsPerWeight = true, nsPerWeight
-	plan.Why = fmt.Sprintf("%s (measured %.2f ns/weight)", decision.Why, nsPerWeight)
-	p.plan.Store(plan)
+	win.plan.Calibrated, win.plan.NsPerWeight = true, nsPerWeight
+	win.plan.Why = fmt.Sprintf("%s (measured %.2f ns/weight)", decision.Why, nsPerWeight)
+	p.plan.Store(win.plan)
 	if _, err := round(lay, -1); err != nil {
 		return nil, err
 	}

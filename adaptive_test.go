@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/netbench"
 	"repro/internal/runtime/fault"
 )
 
@@ -33,8 +35,8 @@ const adaptSrc = `pps Adapt {
 	}
 }`
 
-// TestAdaptiveServeTraceIdentity is the tentpole's correctness gate: a
-// WithAutotune serve — probe, candidate cuts, candidate probes, commit, all
+// TestAdaptiveServeTraceIdentity is the adaptive loop's correctness gate: a
+// WithAutotune serve — probe, candidate shapes, candidate probes, commit, all
 // mid-stream — must produce a trace byte-identical to the sequential
 // oracle over the whole stream. Run under -race via ci.sh.
 func TestAdaptiveServeTraceIdentity(t *testing.T) {
@@ -48,7 +50,7 @@ func TestAdaptiveServeTraceIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := pipe.Serve(context.Background(), repro.PacketSource(packets),
-		repro.WithAutotune(repro.Autotune{ProbePackets: 500, TopK: 2, MaxDegree: 4, Batches: []int{1, 8}, Shards: []int{1, 2}}))
+		repro.WithAutotune(repro.Autotune{ProbePackets: 500, TopK: 2, Batches: []int{1, 8}, Shards: []int{1, 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestAdaptiveServeTraceIdentity(t *testing.T) {
 	if plan == nil {
 		t.Fatal("no plan published")
 	}
-	if plan.Why == "" || plan.Degree < 1 || plan.Batch < 1 || plan.Shards < 1 {
+	if plan.Why == "" || plan.Degree != pipe.Degree() || plan.Batch < 1 || plan.Shards < 1 {
 		t.Errorf("implausible plan: %+v", plan)
 	}
 	if !plan.Calibrated {
@@ -119,14 +121,14 @@ func TestAdaptiveServeShortStream(t *testing.T) {
 // time booked under each one's first stage, the folded entry booking nothing
 // — and stay exact through the search.
 func TestAdaptiveProbeOnFusedPlan(t *testing.T) {
-	defer repro.SetFuseMaskForTest([]bool{false, true})()
+	t.Parallel()
 	prog := repro.MustCompile(adaptSrc)
 	const n = 6000
 	packets := testPackets(n)
 	seq := seqTrace(t, prog, packets, n)
-	at := repro.Autotune{ProbePackets: 500, TopK: 2, MaxDegree: 3, Batches: []int{1, 8}, Shards: []int{1}}
+	at := repro.Autotune{ProbePackets: 500, TopK: 2, Batches: []int{1, 8}, Shards: []int{1}}
 
-	pipe, err := repro.Partition(prog, repro.WithStages(3))
+	pipe, err := repro.Partition(prog, repro.WithStages(3), repro.WithFuseMaskForTest(0b10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestAdaptiveServeP99Objective(t *testing.T) {
 	}
 	m, err := pipe.Serve(context.Background(), repro.PacketSource(packets),
 		repro.WithObjective(repro.ThroughputUnderP99(50*time.Millisecond)),
-		repro.WithAutotune(repro.Autotune{ProbePackets: 400, TopK: 2, MaxDegree: 3, Batches: []int{1, 16}, Shards: []int{1}}))
+		repro.WithAutotune(repro.Autotune{ProbePackets: 400, TopK: 2, Batches: []int{1, 16}, Shards: []int{1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,35 +189,32 @@ func TestAdaptiveServeP99Objective(t *testing.T) {
 // TestAdaptiveServeDeterministicPlan: with a fixed seed and fixed
 // candidate space, two adaptive serves over identical streams must commit
 // to the same configuration (measured throughput varies run to run, but
-// the satellite requires the decision machinery itself to be seeded; the
-// probe set is, and with one candidate topping every ranking the committed
-// plan is stable).
+// the decision machinery itself is seeded; the probe set is, and with one
+// candidate in the space — FusionOff leaves only the ringed chain of the one
+// cut — the committed plan is stable).
 func TestAdaptiveServeDeterministicPlan(t *testing.T) {
 	prog := repro.MustCompile(adaptSrc)
 	const n = 3000
 	packets := testPackets(n)
 
 	serve := func() *repro.Plan {
-		pipe, err := repro.Partition(prog, repro.WithStages(2))
+		pipe, err := repro.Partition(prog, repro.WithStages(2), repro.WithBatch(32), repro.WithFusion(repro.FusionOff))
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = pipe.Serve(context.Background(), repro.PacketSource(packets),
-			repro.WithAutotune(repro.Autotune{
-				ProbePackets: 400, TopK: 1, Seed: 7,
-				MaxDegree: 1, Batches: []int{32}, Shards: []int{1},
-			}))
+			repro.WithAutotune(repro.Autotune{ProbePackets: 400, TopK: 1, Seed: 7, Batches: []int{32}, Shards: []int{1}}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pipe.Plan()
 	}
 	a, b := serve(), serve()
-	if a.Degree != b.Degree || a.Batch != b.Batch || a.Shards != b.Shards {
+	if a.Units() != b.Units() || a.Batch != b.Batch || a.Shards != b.Shards {
 		t.Errorf("plans diverged: %+v vs %+v", a, b)
 	}
-	if a.Degree != 1 || a.Batch != 32 {
-		t.Errorf("constrained search chose %+v, want d1/b32", a)
+	if a.Units() != "[1] [2]" || a.Batch != 32 || !strings.Contains(a.Why, "from 1 probes") {
+		t.Errorf("constrained search chose %+v, want the one candidate [1] [2]/b32", a)
 	}
 }
 
@@ -249,7 +248,7 @@ func TestAdaptiveProbePricedAtItsMeasurement(t *testing.T) {
 		return packets[next-1], true
 	})
 	m, err := pipe.Serve(context.Background(), src, repro.WithObserver(&repro.Observer{Registry: reg}),
-		repro.WithAutotune(repro.Autotune{ProbePackets: window, TopK: 1, MaxDegree: 1, Batches: []int{32}, Shards: []int{1}}))
+		repro.WithAutotune(repro.Autotune{ProbePackets: window, TopK: 1, Batches: []int{32}, Shards: []int{1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,8 +518,8 @@ func TestAdaptiveServeUnderShed(t *testing.T) {
 	if err != nil || m == nil {
 		t.Fatalf("adaptive serve under shed: metrics %v, err %v", m, err)
 	}
-	if m.Packets != n || m.Faults.Accounted() != n {
-		t.Errorf("served %d of %d packets; ledger: %s", m.Packets, n, m.Faults)
+	if m.Packets != n || m.Faults.Accounted() != n || m.Stages[0].In != n {
+		t.Errorf("served %d of %d packets, %d pulled; ledger: %s", m.Packets, n, m.Stages[0].In, m.Faults)
 	}
 	if diff := repro.TraceEqual(seqTrace(t, prog, packets, n), m.Trace); diff != "" {
 		t.Fatalf("trace diverges from oracle: %s", diff)
@@ -537,7 +536,7 @@ func TestAdaptiveServeUnderShed(t *testing.T) {
 	if err != nil || m.Packets != 3000 {
 		t.Fatalf("all-infeasible search space: metrics %+v, err %v", m, err)
 	}
-	if plan := pipe.Plan(); plan.Degree != 1 || plan.Batch != 1 || !strings.HasPrefix(plan.Why, "chose d01/b01/p01 ") {
+	if plan := pipe.Plan(); plan.Batch != 1 || !strings.HasPrefix(plan.Why, "chose [1]/b01/p01 ") {
 		t.Errorf("all-infeasible search space committed %+v", plan)
 	}
 }
@@ -546,10 +545,9 @@ func TestAdaptiveServeUnderShed(t *testing.T) {
 // is assembled by the same function as the static one, so at a shard
 // junction a cut the layout keeps ringed reads "keep cut k: shard
 // junction", never "fuse cut k" while absent from FusedCuts. One core
-// makes the valuator want every cut of the [P P 1] shape; the never-firing
-// fault at stage 3 makes every shallower cut a shape Serve refuses, so the
-// winner is the D=3 realization — and, a fault plan naming stages, one that
-// keeps every cut and says "keep cut k" for each.
+// makes the valuator want every cut of the [P P 1] shape; a fault plan names
+// stages, so the never-firing fault at stage 3 leaves the search only the
+// ringed chain, which keeps every cut and says "keep cut k" for each.
 func TestAdaptivePlanCoherentAtJunctions(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	prog := repro.MustCompile(junctionSrc)
@@ -563,8 +561,7 @@ func TestAdaptivePlanCoherentAtJunctions(t *testing.T) {
 			t.Fatal(err)
 		}
 		m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), repro.WithFaultsForTest(never),
-			repro.WithAutotune(repro.Autotune{ProbePackets: 300, TopK: 6, MaxDegree: 3,
-				Batches: []int{1}, Shards: []int{2}}))
+			repro.WithAutotune(repro.Autotune{ProbePackets: 300, TopK: 6, Batches: []int{1}, Shards: []int{2}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -573,8 +570,8 @@ func TestAdaptivePlanCoherentAtJunctions(t *testing.T) {
 		}
 		plan := pipe.Plan()
 		checkPlanCoherent(t, plan)
-		if plan.Degree != 3 || plan.Shards != m.Shards || strings.Contains(plan.Why, "=err(") {
-			t.Errorf("trial %d: degree %d, Plan.Shards %d vs served %d: %s", trial, plan.Degree, plan.Shards, m.Shards, plan.Why)
+		if len(plan.FusedCuts) != 0 || plan.Shards != m.Shards || strings.Contains(plan.Why, "=err(") {
+			t.Errorf("trial %d: fused %v, Plan.Shards %d vs served %d: %s", trial, plan.FusedCuts, plan.Shards, m.Shards, plan.Why)
 		}
 	}
 }
@@ -593,17 +590,93 @@ func TestAdaptiveFaultRecordsInSourceOrder(t *testing.T) {
 	}
 	m, err := pipe.Serve(context.Background(), repro.PacketSource(testPackets(n)),
 		repro.WithFaultsForTest(&fault.Plan{Injections: []fault.Injection{{Kind: fault.Panic, Stage: 1, At: at}}}),
-		repro.WithAutotune(repro.Autotune{ProbePackets: window, TopK: 2, MaxDegree: 2, Batches: []int{1, 8}, Shards: []int{1, 2}}))
+		repro.WithAutotune(repro.Autotune{ProbePackets: window, TopK: 2, Batches: []int{1, 8}, Shards: []int{1, 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := m.Faults
-	if len(rep.Records) < 3 || int64(len(rep.Records)) != rep.Quarantined || rep.Accounted() != n {
-		t.Fatalf("want a quarantine per round (probe, candidates, commit) and %d packets accounted:\n%s", n, rep)
+	if len(rep.Records) < 3 || int64(len(rep.Records)) != rep.Quarantined || rep.Accounted() != n || m.Stages[0].In != n {
+		t.Fatalf("want a quarantine per round (probe, candidates, commit) and %d packets pulled and accounted (pulled %d):\n%s",
+			n, m.Stages[0].In, rep)
 	}
 	for i, rec := range rep.Records {
 		if want := int64(at + i*window); rec.Iter != want || rec.Stage != 1 {
 			t.Errorf("record %d: %+v, want stage 1, source-order iteration %d", i, rec, want)
 		}
+	}
+}
+
+// candidateKey matches one candidate key inside Plan().Why: the served units
+// as Plan.Units prints them, then the batch and the shard width.
+var candidateKey = regexp.MustCompile(`(\[[0-9+\] \[×]+)/b(\d+)/p(\d+)`)
+
+// TestAdaptiveSearchesOwnCut: the adaptive loop searches the coarsenings of
+// the pipeline's own cut and nothing else. With TopK above the size of the
+// space every candidate is probed and so named in Plan().Why: each is a run
+// of contiguous stage groups covering 1..D, the fully ringed and the fully
+// fused shapes are both among them, there are at most D per (batch, shards),
+// and the committed plan still describes pipe.Stages() — D stages, D weights.
+// Autotune{} on the D=4 IPv4 cut needs no more than its five probe windows of
+// a 100 k-packet stream to commit.
+func TestAdaptiveSearchesOwnCut(t *testing.T) {
+	prog := repro.MustCompile(adaptSrc)
+	const n, d = 4000, 4
+	packets := testPackets(n)
+	at := repro.Autotune{ProbePackets: 100, TopK: 64, Batches: []int{1, 8}, Shards: []int{1, 2}}
+	pipe, err := repro.Partition(prog, repro.WithStages(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), repro.WithAutotune(at))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := repro.TraceEqual(seqTrace(t, prog, packets, n), m.Trace); diff != "" {
+		t.Fatalf("trace diverges from oracle: %s", diff)
+	}
+	plan := pipe.Plan()
+	if plan.Degree != pipe.Degree() || len(plan.StageWeights) != d || len(plan.Replicas) != d || len(m.Stages) != d {
+		t.Errorf("committed plan is not a shape of the D=%d cut: %+v", d, plan)
+	}
+	keys := map[string]bool{}
+	for _, k := range candidateKey.FindAllStringSubmatch(plan.Why, -1) {
+		keys[k[0]] = true
+		next := 1 // the stage the next unit must start at
+		for _, unit := range strings.Fields(k[1]) {
+			unit = strings.TrimLeft(unit[:strings.Index(unit, "]")], "[")
+			for _, s := range strings.Split(unit, "+") {
+				if s != fmt.Sprint(next) {
+					t.Errorf("candidate %s is not a contiguous coarsening of stages 1..%d", k[0], d)
+				}
+				next++
+			}
+		}
+		if next != d+1 {
+			t.Errorf("candidate %s covers %d stages, want %d", k[0], next-1, d)
+		}
+	}
+	if !keys["[1] [2] [3] [4]/b01/p01"] || !keys["[1+2+3+4]/b01/p01"] {
+		t.Errorf("fully ringed and fully fused are not both candidates: %s", plan.Why)
+	}
+	if max := d * len(at.Batches) * len(at.Shards); len(keys) < 2*len(at.Batches) || len(keys) > max {
+		t.Errorf("%d candidates probed, want at most D·|Batches|·|Shards| = %d: %s", len(keys), max, plan.Why)
+	}
+
+	p, _ := netbench.ByName("IPv4")
+	ipv4, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err = repro.Partition(ipv4, repro.WithStages(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err = pipe.Serve(context.Background(), repro.RepeatSource(p.Traffic(256), 100_000),
+		repro.WithWorld(netbench.NewWorld(nil)), repro.WithAutotune(repro.Autotune{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := pipe.Plan(); m.Packets != 100_000 || !plan.Calibrated || plan.Degree != 4 || !strings.HasPrefix(plan.Why, "chose ") {
+		t.Errorf("Autotune{} on the D=4 IPv4 cut served %d packets and left %+v", m.Packets, plan)
 	}
 }

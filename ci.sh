@@ -25,8 +25,10 @@ go vet ./...
 
 echo "== doc gate: go run ./internal/doccheck"
 # Every exported symbol must carry a doc comment, every package a
-# package-level doc comment, and every package-level Go snippet in
-# README.md must compile against the current API.
+# package-level doc comment, every sentinel-shaped word in a Go comment,
+# README.md or DESIGN.md must name a sentinel internal/errs declares, and
+# every package-level Go snippet in README.md must compile against the
+# current API.
 go run ./internal/doccheck
 
 echo "== seam gate: only internal/runtime imports internal/runtime/fault outside tests"
@@ -102,12 +104,13 @@ echo "  internal/runtime alone:  $(cat $(ls internal/runtime/*.go | grep -v _tes
 echo "  internal/runtime/fault:  $(grep -v '^[[:space:]]*$' internal/runtime/fault/fault.go | grep -vc '^[[:space:]]*//')  (247 before)"
 echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')"
 # shellcheck disable=SC2046
-echo "adaptive stack code lines: $(cat adaptive.go $(ls internal/tuner/*.go internal/costmodel/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (976 before the calibration went, ISSUE 20)"
+echo "adaptive stack code lines: $(cat adaptive.go $(ls internal/tuner/*.go internal/costmodel/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (670 before, ISSUE 22)"
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 echo "options (func With*):      $(grep -c '^func With' options.go)  (25 before)"
 echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)  (16 before)"
+echo "Autotune fields:           $(sed -n '/^type Autotune struct/,/^}/p' adaptive.go | grep -c '^	[A-Z]')  (6 before, ISSUE 22)"
 # The second measurement stack and the prose about it, the two things
 # ROADMAP item 4 asked to shrink.
 bench_files="$(find internal/experiments cmd/pipebench examples -name '*.go' ! -name '*_test.go')"

@@ -1,11 +1,6 @@
 package repro
 
-import (
-	"fmt"
-
-	"repro/internal/costmodel"
-	"repro/internal/runtime/fault"
-)
+import "repro/internal/runtime/fault"
 
 // WithFaultsForTest is how this package's tests reach the runtime's fault
 // seam (runtime.Config.Faults): a schedule of stage stalls and panics. The
@@ -23,21 +18,12 @@ func SetFusionCoresForTest(cores int) (restore func()) {
 	return func() { fusionCores = prev }
 }
 
-// SetFuseMaskForTest replaces the fusion valuator with one that asks for
-// exactly the cuts mask names (mask[k]: fuse the cut between stages k+1 and
-// k+2; short masks keep the rest), so a test can put any coarsening through
-// Serve; the returned func restores the cost model's valuator.
-func SetFuseMaskForTest(mask []bool) (restore func()) {
-	prev := planFusion
-	planFusion = func(stageNs, _ []float64, _ []int, _ float64, _ int) costmodel.FusionPlan {
-		var fp costmodel.FusionPlan
-		for k := 0; k+1 < len(stageNs); k++ {
-			fuse := k < len(mask) && mask[k]
-			fp.Decisions = append(fp.Decisions, costmodel.FusionDecision{Cut: k, Fuse: fuse, Why: fmt.Sprintf("forced: fuse %v", fuse)})
-		}
-		return fp
-	}
-	return func() { planFusion = prev }
+// WithFuseMaskForTest serves exactly the cuts mask names un-made (bit k: the
+// cut between stages k+1 and k+2) where replica widths align, in place of the
+// valuator's verdict, so a test can put any coarsening through Serve — the
+// path the adaptive loop's candidates take.
+func WithFuseMaskForTest(mask uint64) Option {
+	return Option{"WithFuseMaskForTest", inServe, func(c *config) { c.fuse = &mask }}
 }
 
 // DescribeOptionForTest reports what an Option says about itself: its name

@@ -7,9 +7,12 @@ package repro
 // valuator (costmodel.PlanFusion) finds not worth its ring is un-made —
 // core.Result.Coarsen realizes the same stage assignment with one program
 // per run of fused stages — and the runtime serves those programs, a ring at
-// every boundary that is left. WithFusion selects the mode: FusionAuto
-// (default) applies the valuator's verdict, FusionOff keeps every cut. The
-// throughput model every realization is priced with is costmodel.Predict.
+// every boundary that is left. The set of un-made cuts, a bit mask, is the
+// one address of a served shape: the static path serves the valuator's
+// verdict, the adaptive loop the prefixes of the valuator's merge order.
+// WithFusion selects the mode: FusionAuto (default) applies the verdict,
+// FusionOff keeps every cut. The throughput model every realization is
+// priced with is costmodel.Predict.
 
 import (
 	"fmt"
@@ -41,11 +44,6 @@ const ringSyncNsSPSC = 270.0
 // variable so tests (golden Plan fixtures) can pin a host-independent core
 // count.
 var fusionCores = func() int { return stdruntime.GOMAXPROCS(0) }
-
-// planFusion is the fusion valuator. A variable so the equivalence tests can
-// put every fuse mask through Serve, not only the ones the cost model picks
-// on the test host.
-var planFusion = costmodel.PlanFusion
 
 // served is the cut realized with a set of its cuts un-made: the units (one
 // program per maximal run of fused stages, with the cut stages it stands for
@@ -91,19 +89,57 @@ func (p *Pipeline) shape(fuse uint64) *served {
 	return sv
 }
 
+// valuate asks the valuator (costmodel.PlanFusion) about the cuts of the
+// ringed layout plan describes: the order it would un-make them in, its
+// verdict and the arithmetic behind it. FusionOff asks nothing and records
+// nothing; a fault plan names stages, so every cut it could aim at is kept
+// and the verdicts say so.
+func (p *Pipeline) valuate(cfg config, plan *Plan, nsPerWeight float64) (fp costmodel.FusionPlan) {
+	if cfg.fusion != FusionAuto {
+		return fp
+	}
+	if cfg.serve.Faults != nil {
+		for k := 1; k < plan.Degree; k++ {
+			fp.Why = append(fp.Why, fmt.Sprintf("keep cut %d: kept: the fault plan names stages", k))
+		}
+		return fp
+	}
+	// A merge does not pay for the cut it swallows: its send and its receive,
+	// priced as the cut report's slot count on the cut's ring.
+	costs, cutNs := make([]float64, plan.Degree), make([]float64, plan.Degree-1)
+	for i, w := range plan.StageWeights {
+		costs[i] = float64(w) * nsPerWeight
+	}
+	for k, c := range p.report.Cuts {
+		cutNs[k] = 2 * float64(p.arch.TxWeight(cfg.explore.Base.Channel, c.Slots)) * nsPerWeight
+	}
+	return costmodel.PlanFusion(costs, cutNs, plan.Replicas, ringSyncNsSPSC/float64(plan.Batch), fusionCores())
+}
+
+// fuseMask is the shape address of a run of merges: bit k set un-makes the
+// cut between stages k+1 and k+2.
+func fuseMask(order []costmodel.Merge) (mask uint64) {
+	for _, m := range order {
+		mask |= 1 << m.Cut
+	}
+	return mask
+}
+
 // realize decides how the pipeline's cut is served under cfg: it lays the
-// cut out ringed for the replica widths, asks the valuator which cuts to
-// un-make (mode FusionAuto; FusionOff asks nothing and records no verdicts;
-// a fault plan names stages, so every cut it could aim at is kept and the
-// verdicts say so), lays the coarsened units out under the same
-// configuration, and reports what that layout says — effective shard width,
-// per-stage replicas, the fused cuts — with the predictor's price for the
-// programs actually served: each unit's own worst-case path cost, not the
-// sum of its members'. Costs are model weights times nsPerWeight (1 on the
-// static path: datasheet weights taken as nanoseconds). When no layout
-// exists — a cut that is not servable, a configuration Serve would refuse —
-// the error says why and the Plan still describes the requested shape.
-func (p *Pipeline) realize(cfg config, mode FusionMode, nsPerWeight float64) (*Plan, *runtime.Layout, error) {
+// cut out ringed for the replica widths, takes the mask to serve — the
+// valuator's verdict, or cfg.fuse when the adaptive loop or a test names one,
+// granted where the valuator could have: between stages of equal replica
+// width (a fused unit is one program per lane; a scatter or fan-in keeps its
+// junction machinery), never under FusionOff or a fault plan — lays the
+// coarsened units out under the same configuration, and reports what that
+// layout says — effective shard width, per-stage replicas, the fused cuts —
+// with the predictor's price for the programs actually served: each unit's
+// own worst-case path cost, not the sum of its members'. Costs are model
+// weights times nsPerWeight (1 on the static path: datasheet weights taken as
+// nanoseconds). When no layout exists — a cut that is not servable, a
+// configuration Serve would refuse — the error says why and the Plan still
+// describes the requested shape.
+func (p *Pipeline) realize(cfg config, nsPerWeight float64) (*Plan, *runtime.Layout, error) {
 	rc := cfg.serve
 	plan := &Plan{
 		Degree:    len(p.stages),
@@ -124,33 +160,19 @@ func (p *Pipeline) realize(cfg config, mode FusionMode, nsPerWeight float64) (*P
 		return plan, nil, err
 	}
 	plan.Shards, plan.Replicas = lay.Width(), lay.Replicas()
-	sync, cores := ringSyncNsSPSC/float64(plan.Batch), fusionCores()
-	var fuse uint64
-	switch {
-	case mode != FusionAuto:
-	case rc.Faults != nil:
-		for k := 1; k < plan.Degree; k++ {
-			plan.FusionWhy = append(plan.FusionWhy, fmt.Sprintf("keep cut %d: kept: the fault plan names stages", k))
-		}
-	default:
-		// A merge does not pay for the cut it swallows: its send and its
-		// receive, priced as the cut report's slot count on the cut's ring.
-		arch, ring := p.analysis.Arch(), cfg.explore.Base.Channel
-		costs, cutNs := make([]float64, plan.Degree), make([]float64, plan.Degree-1)
-		for i, w := range plan.StageWeights {
-			costs[i] = float64(w) * nsPerWeight
-		}
-		for k, c := range p.report.Cuts {
-			cutNs[k] = 2 * float64(arch.TxWeight(ring, c.Slots)) * nsPerWeight
-		}
-		// A cut fuses only between stages of equal replica width: a fused
-		// unit is one program per lane, and a scatter or fan-in keeps its
-		// junction machinery (the valuator never asks otherwise).
-		for _, dec := range planFusion(costs, cutNs, plan.Replicas, sync, cores).Decisions {
-			plan.FusionWhy = append(plan.FusionWhy, dec.Why)
-			if dec.Fuse && plan.Replicas[dec.Cut] == plan.Replicas[dec.Cut+1] {
-				fuse |= 1 << dec.Cut
-				plan.FusedCuts = append(plan.FusedCuts, dec.Cut+1)
+	fp := p.valuate(cfg, plan, nsPerWeight)
+	plan.FusionWhy = fp.Why
+	fuse := fuseMask(fp.Order[:fp.Fused])
+	if cfg.fuse != nil {
+		verdict := fuse
+		fuse = *cfg.fuse & fuseMask(fp.Order)
+		for k, why := range plan.FusionWhy {
+			switch {
+			case fuse>>k&1 == verdict>>k&1:
+			case fuse>>k&1 == 1:
+				plan.FusionWhy[k] = fmt.Sprintf("fuse cut %d: given, against the valuator (%s)", k+1, why)
+			default:
+				plan.FusionWhy[k] = fmt.Sprintf("keep cut %d: given, against the valuator (%s)", k+1, why)
 			}
 		}
 	}
@@ -168,9 +190,12 @@ func (p *Pipeline) realize(cfg config, mode FusionMode, nsPerWeight float64) (*P
 		unitNs[i] = float64(u.Cost.Total) * nsPerWeight
 		for s := u.First; s <= u.Last; s++ {
 			plan.Replicas[s-1] = widths[i]
+			if s > u.First {
+				plan.FusedCuts = append(plan.FusedCuts, s-1)
+			}
 		}
 	}
-	plan.PredictedNsPerPkt = costmodel.Predict(unitNs, widths, sync, cores)
+	plan.PredictedNsPerPkt = costmodel.Predict(unitNs, widths, ringSyncNsSPSC/float64(plan.Batch), fusionCores())
 	return plan, lay, nil
 }
 

@@ -81,11 +81,12 @@ func TestServeFusionOffMatchesAuto(t *testing.T) {
 
 // TestServeEveryFuseMaskMatchesOracle is the realization-independence
 // matrix at the facade: every benchmark PPS × D=1..5 × every fuse mask × P ∈ {1, 2, 4},
-// each point served through Pipeline.Serve — the valuator replaced by one
-// that asks for exactly the mask, so realize grants it where replica widths
-// align, coarsens the cut and lays the units out — and compared byte for
-// byte with the interpreter on the unpartitioned program. One Pipeline per
-// depth serves every mask and width, so the shape cache is exercised too.
+// each point served through Pipeline.Serve with the mask given explicitly
+// (WithFuseMaskForTest: the adaptive loop's path), so realize grants it where
+// replica widths align, coarsens the cut and lays the units out — and
+// compared byte for byte with the interpreter on the unpartitioned program.
+// One Pipeline per depth serves every mask and width, so the shape cache is
+// exercised too; the depths run in parallel, each on its own Pipeline.
 // Beyond the trace each point checks that the Plan and the Metrics agree on
 // the served shape: a granted cut is in FusedCuts, the stage behind it is
 // reported as fused into the unit's first stage with no counters of its own,
@@ -107,57 +108,63 @@ func TestServeEveryFuseMaskMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: sequential: %v", pps.Name, err)
 		}
 		for d := 1; d <= 5; d++ {
-			pipe, err := an.Partition(repro.WithStages(d), repro.WithBatch(4), repro.WithShardKey(repro.FlowKey))
-			if err != nil {
-				t.Fatalf("%s D=%d: %v", pps.Name, d, err)
-			}
-			for bits := 0; bits < 1<<(d-1); bits++ {
-				mask := make([]bool, d-1)
-				for k := range mask {
-					mask[k] = bits>>k&1 == 1
+			t.Run(fmt.Sprintf("%s/D=%d", pps.Name, d), func(t *testing.T) {
+				t.Parallel()
+				pipe, err := an.Partition(repro.WithStages(d), repro.WithBatch(4), repro.WithShardKey(repro.FlowKey))
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, shards := range []int{1, 2, 4} {
-					name := fmt.Sprintf("%s/D=%d/fuse=%0*b/P=%d", pps.Name, d, d-1, bits, shards)
-					restore := repro.SetFuseMaskForTest(mask)
-					m, err := pipe.Serve(context.Background(), repro.PacketSource(traffic),
-						repro.WithShards(shards), repro.WithWorld(netbench.NewWorld(nil)))
-					restore()
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
-						t.Errorf("%s: trace diverges from oracle: %s", name, diff)
-					}
-					plan := pipe.Plan()
-					if m.Packets != n || len(m.Stages) != d || len(plan.Replicas) != d {
-						t.Fatalf("%s: %d packets over %d stage entries, plan replicas %v", name, m.Packets, len(m.Stages), plan.Replicas)
-					}
-					fused := map[int]bool{}
-					for _, k := range plan.FusedCuts {
-						fused[k] = true
-					}
-					first := 1 // the first stage of the unit the walk is in
-					for k := 1; k <= d; k++ {
-						st := m.Stages[k-1]
-						if k > 1 {
-							if want := mask[k-2] && plan.Replicas[k-2] == plan.Replicas[k-1]; fused[k-1] != want {
-								t.Errorf("%s: cut %d fused = %v, asked %v at widths %v", name, k-1, fused[k-1], mask[k-2], plan.Replicas)
-							}
-							if !fused[k-1] {
-								first = k
-							}
-						}
-						switch {
-						case st.Stage != k || st.Replicas != plan.Replicas[k-1]:
-							t.Errorf("%s: stage entry %d: %+v, plan replicas %v", name, k, st, plan.Replicas)
-						case first < k && (st.FusedInto != first || st.In != 0 || st.Busy != 0):
-							t.Errorf("%s: stage %d should be folded into %d: %+v", name, k, first, st)
-						case first == k && (st.FusedInto != 0 || st.In != n || st.Out != n):
-							t.Errorf("%s: served stage %d: in=%d out=%d fused into %d, want %d, %d, 0", name, k, st.In, st.Out, st.FusedInto, n, n)
-						}
+				for mask := uint64(0); mask < 1<<(d-1); mask++ {
+					for _, shards := range []int{1, 2, 4} {
+						checkServedMask(t, pipe, mask, shards, traffic, seq)
 					}
 				}
+			})
+		}
+	}
+}
+
+// checkServedMask serves traffic through pipe with exactly the cuts in mask
+// un-made, on shards lanes, and checks the trace against seq and the Plan
+// against the Metrics (TestServeEveryFuseMaskMatchesOracle).
+func checkServedMask(t *testing.T, pipe *repro.Pipeline, mask uint64, shards int, traffic [][]byte, seq []repro.Event) {
+	d, n := pipe.Degree(), int64(len(traffic))
+	name := fmt.Sprintf("fuse=%0*b/P=%d", d-1, mask, shards)
+	m, err := pipe.Serve(context.Background(), repro.PacketSource(traffic),
+		repro.WithShards(shards), repro.WithWorld(netbench.NewWorld(nil)), repro.WithFuseMaskForTest(mask))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+		t.Errorf("%s: trace diverges from oracle: %s", name, diff)
+	}
+	plan := pipe.Plan()
+	if m.Packets != n || len(m.Stages) != d || len(plan.Replicas) != d {
+		t.Fatalf("%s: %d packets over %d stage entries, plan replicas %v", name, m.Packets, len(m.Stages), plan.Replicas)
+	}
+	fused := map[int]bool{}
+	for _, k := range plan.FusedCuts {
+		fused[k] = true
+	}
+	first := 1 // the first stage of the unit the walk is in
+	for k := 1; k <= d; k++ {
+		st := m.Stages[k-1]
+		if k > 1 {
+			asked := mask>>(k-2)&1 == 1
+			if want := asked && plan.Replicas[k-2] == plan.Replicas[k-1]; fused[k-1] != want {
+				t.Errorf("%s: cut %d fused = %v, asked %v at widths %v", name, k-1, fused[k-1], asked, plan.Replicas)
 			}
+			if !fused[k-1] {
+				first = k
+			}
+		}
+		switch {
+		case st.Stage != k || st.Replicas != plan.Replicas[k-1]:
+			t.Errorf("%s: stage entry %d: %+v, plan replicas %v", name, k, st, plan.Replicas)
+		case first < k && (st.FusedInto != first || st.In != 0 || st.Busy != 0):
+			t.Errorf("%s: stage %d should be folded into %d: %+v", name, k, first, st)
+		case first == k && (st.FusedInto != 0 || st.In != n || st.Out != n):
+			t.Errorf("%s: served stage %d: in=%d out=%d fused into %d, want %d, %d, 0", name, k, st.In, st.Out, st.FusedInto, n, n)
 		}
 	}
 }

@@ -5,30 +5,30 @@ import (
 	"slices"
 )
 
-// FusionDecision values one cut of a realized pipeline: whether fusing it
-// is predicted to win, and the human-readable arithmetic behind the call.
-// The repro layer surfaces these verbatim in Pipeline.Plan().
-type FusionDecision struct {
-	// Cut is the 0-based cut index (between stages Cut+1 and Cut+2).
+// Merge is one step of the valuator's greedy descent.
+type Merge struct {
+	// Cut is the 0-based cut the step un-makes (between stages Cut+1 and
+	// Cut+2).
 	Cut int
-	// Fuse is true when the cut's ring tax exceeds its pipeline-bound
-	// gain, so the realizer should merge the two sides into one unit.
-	Fuse bool
-	// Why states the two-bound comparison that decided the cut.
-	Why string
+	// Price is Predict for the realization after the step.
+	Price float64
 }
 
-// FusionPlan is the valuator's verdict over every cut of a D-stage
-// pipeline under a given core budget.
+// FusionPlan is the valuator's opinion of every cut of a D-stage pipeline
+// under a given core budget: the order in which it would un-make them, and
+// how far down that order the prediction keeps falling.
 type FusionPlan struct {
-	// FuseCuts is the per-cut verdict: FuseCuts[k] un-makes the cut between
-	// stages k+1 and k+2.
-	FuseCuts []bool
-	// Decisions records the per-cut arithmetic, in cut order.
-	Decisions []FusionDecision
-	// Units is the number of realized execution units (goroutines per
-	// replica lane) after fusion: D minus the fused cuts.
-	Units int
+	// Order lists every cut between stages of equal replica width, in the
+	// order the greedy descent un-makes them: its prefixes are the shapes
+	// from fully ringed (none) to one unit per run of equal width (all).
+	Order []Merge
+	// Fused is the verdict: the length of the prefix of Order in which every
+	// merge lowered the prediction. The realizer un-makes Order[:Fused].
+	Fused int
+	// Why records the verdict's arithmetic per cut, in cut order: the
+	// two-bound comparison that fused or kept it. The repro layer surfaces
+	// these verbatim in Pipeline.Plan().
+	Why []string
 }
 
 // Predict is the repository's one throughput model: the predicted cost per
@@ -62,26 +62,27 @@ func Predict(unitNs []float64, widths []int, syncNs float64, cores int) float64 
 	return max(bottleneck+sync, (total+sync)/float64(max(cores, 1)))
 }
 
-// PlanFusion decides which cuts of a pipeline are worth their ring under
-// Predict: a cut pays for its ring only when splitting there lowers the
-// prediction — when the pipeline bound it relieves exceeds the
-// synchronization tax it adds. The inputs are Predict's, per stage: the
-// stage costs (nanoseconds or model weight — any consistent unit), the
-// replica width the layout gives each stage (nil or short: 1), the
-// per-handoff synchronization cost in the same unit, and the host's usable
-// core count. cutNs[k] is the transmission share of cut k+1 inside the two
-// stage costs around it — the send on one side, the receive on the other —
-// which a merge across the cut does not pay: a fused cut is not realized, so
-// the merged unit costs the sum of its sides less that share (nil or short:
-// 0). Widths matter because lanes divide only the pipe bound: two
-// lanes on two cores already own both, so a ring inside a lane buys no
+// PlanFusion values the cuts of a pipeline under Predict: a cut pays for its
+// ring only when splitting there lowers the prediction — when the pipeline
+// bound it relieves exceeds the synchronization tax it adds. The inputs are
+// Predict's, per stage: the stage costs (nanoseconds or model weight — any
+// consistent unit), the replica width the layout gives each stage (nil or
+// short: 1), the per-handoff synchronization cost in the same unit, and the
+// host's usable core count. cutNs[k] is the transmission share of cut k+1
+// inside the two stage costs around it — the send on one side, the receive
+// on the other — which a merge across the cut does not pay: a fused cut is
+// not realized, so the merged unit costs the sum of its sides less that share
+// (nil or short: 0). Widths matter because lanes divide only the pipe bound:
+// two lanes on two cores already own both, so a ring inside a lane buys no
 // parallelism and the cpu bound, which every merge lowers, decides. A cut
-// between stages of different width is a shard junction and is never
-// merged. The planner is greedy: starting from the fully split pipeline, it
-// repeatedly merges the adjacent-unit pair whose merge most improves the
-// predicted cost, until no merge helps. On one core both bounds strictly
-// fall with every merge, so everything fuses; with generous cores and
-// per-stage work far above sync, no merge helps and every cut survives.
+// between stages of different width is a shard junction and is never merged.
+// The planner is greedy: starting from the fully split pipeline, it
+// repeatedly merges the adjacent-unit pair whose merge predicts lowest, down
+// to one unit per run of equal width, and records that order; the verdict is
+// the prefix before the first merge that does not lower the prediction. On
+// one core both bounds strictly fall with every merge, so everything fuses;
+// with generous cores and per-stage work far above sync, no merge helps and
+// every cut survives.
 //
 // stageNs entries must be non-negative; cores < 1 is treated as 1.
 // A single-stage pipeline yields an empty plan.
@@ -90,11 +91,10 @@ func PlanFusion(stageNs, cutNs []float64, widths []int, ringSyncNs float64, core
 	if cores < 1 {
 		cores = 1
 	}
-	plan := FusionPlan{Units: d}
+	var plan FusionPlan
 	if d <= 1 {
 		return plan
 	}
-	plan.FuseCuts = make([]bool, d-1)
 
 	// units[i] is the summed cost of the i-th realized unit, lanes[i] its
 	// replica width; cutAfter[i] is the original cut index that ends it
@@ -127,8 +127,9 @@ func PlanFusion(stageNs, cutNs []float64, widths []int, ringSyncNs float64, core
 		return Predict(trialNs, trialLanes, ringSyncNs, cores)
 	}
 
-	why := make([]string, d-1) // cut index -> rationale
-	for len(units) > 1 {
+	plan.Why = make([]string, d-1)
+	improving := true
+	for {
 		cur := Predict(units, lanes, ringSyncNs, cores)
 		bestGain, bestAt := 0.0, -1
 		var bestCost float64
@@ -136,39 +137,38 @@ func PlanFusion(stageNs, cutNs []float64, widths []int, ringSyncNs float64, core
 			if lanes[i] != lanes[i+1] {
 				continue
 			}
-			if c := merged(i); cur-c > bestGain {
+			if c := merged(i); bestAt < 0 || cur-c > bestGain {
 				bestGain, bestAt, bestCost = cur-c, i, c
 			}
 		}
+		if improving && (bestAt < 0 || bestGain <= 0) {
+			// The verdict ends here. What each surviving ring buys: the price
+			// of the realization without it.
+			improving, plan.Fused = false, len(plan.Order)
+			for i := 0; i+1 < len(units); i++ {
+				cut := cutAfter[i]
+				if lanes[i] != lanes[i+1] {
+					plan.Why[cut] = fmt.Sprintf("keep cut %d: shard junction (replica widths differ across the cut); fusion needs aligned lanes", cut+1)
+					continue
+				}
+				plan.Why[cut] = fmt.Sprintf(
+					"keep cut %d: its ring tax %.0f buys pipeline parallelism (predicted %.0f ns/pkt with it, %.0f fused, on %s)",
+					cut+1, ringSyncNs, cur, merged(i), host)
+			}
+		}
 		if bestAt < 0 {
-			break
+			return plan
 		}
 		cut := cutAfter[bestAt]
-		plan.FuseCuts[cut] = true
-		why[cut] = fmt.Sprintf(
-			"fuse cut %d: ring tax %.0f exceeds its pipeline gain (predicted %.0f -> %.0f ns/pkt on %s)",
-			cut+1, ringSyncNs, cur, bestCost, host)
+		if improving {
+			plan.Why[cut] = fmt.Sprintf(
+				"fuse cut %d: ring tax %.0f exceeds its pipeline gain (predicted %.0f -> %.0f ns/pkt on %s)",
+				cut+1, ringSyncNs, cur, bestCost, host)
+		}
+		plan.Order = append(plan.Order, Merge{Cut: cut, Price: bestCost})
 		units[bestAt] += units[bestAt+1] - saved(cut)
 		units = slices.Delete(units, bestAt+1, bestAt+2)
 		lanes = slices.Delete(lanes, bestAt+1, bestAt+2)
 		cutAfter = slices.Delete(cutAfter, bestAt, bestAt+1)
 	}
-	plan.Units = len(units)
-
-	// What each surviving ring buys: the price of the realization without it.
-	cur := Predict(units, lanes, ringSyncNs, cores)
-	for i := 0; i+1 < len(units); i++ {
-		cut := cutAfter[i]
-		if lanes[i] != lanes[i+1] {
-			why[cut] = fmt.Sprintf("keep cut %d: shard junction (replica widths differ across the cut); fusion needs aligned lanes", cut+1)
-			continue
-		}
-		why[cut] = fmt.Sprintf(
-			"keep cut %d: its ring tax %.0f buys pipeline parallelism (predicted %.0f ns/pkt with it, %.0f fused, on %s)",
-			cut+1, ringSyncNs, cur, merged(i), host)
-	}
-	for k, w := range why {
-		plan.Decisions = append(plan.Decisions, FusionDecision{Cut: k, Fuse: plan.FuseCuts[k], Why: w})
-	}
-	return plan
 }

@@ -5,25 +5,36 @@ import (
 	"testing"
 )
 
+// verdict unpacks a plan over d stages: which cuts its verdict un-makes, and
+// how many units that leaves.
+func verdict(p FusionPlan, d int) (fuse []bool, units int) {
+	fuse = make([]bool, max(d-1, 0))
+	for _, m := range p.Order[:p.Fused] {
+		fuse[m.Cut] = true
+	}
+	return fuse, d - p.Fused
+}
+
 // TestPlanFusionSingleCoreFusesEverything: with one core there is no
 // pipeline parallelism to buy, so every ring is pure tax and the whole
 // pipeline collapses to one unit.
 func TestPlanFusionSingleCoreFusesEverything(t *testing.T) {
 	p := PlanFusion([]float64{100, 100, 100, 100}, nil, nil, 1500, 1)
-	if p.Units != 1 {
-		t.Fatalf("Units = %d, want 1 (everything fused on one core)", p.Units)
+	fuse, units := verdict(p, 4)
+	if units != 1 {
+		t.Fatalf("units = %d, want 1 (everything fused on one core)", units)
 	}
-	for k, f := range p.FuseCuts {
+	for k, f := range fuse {
 		if !f {
 			t.Errorf("cut %d not fused on a single core", k)
 		}
 	}
-	if len(p.Decisions) != 3 {
-		t.Fatalf("got %d decisions, want 3", len(p.Decisions))
+	if len(p.Why) != 3 {
+		t.Fatalf("got %d verdicts, want 3", len(p.Why))
 	}
-	for _, d := range p.Decisions {
-		if d.Why == "" {
-			t.Errorf("cut %d decision has empty rationale", d.Cut)
+	for k, why := range p.Why {
+		if why == "" {
+			t.Errorf("cut %d verdict has empty rationale", k)
 		}
 	}
 }
@@ -32,11 +43,11 @@ func TestPlanFusionSingleCoreFusesEverything(t *testing.T) {
 // dwarfs the sync cost should keep every cut on a host with enough cores
 // — that is exactly when pipelining pays.
 func TestPlanFusionCheapRingsKeepCuts(t *testing.T) {
-	p := PlanFusion([]float64{10_000, 10_000, 10_000, 10_000}, nil, nil, 100, 8)
-	if p.Units != 4 {
-		t.Fatalf("Units = %d, want 4 (no fusion when rings are cheap)", p.Units)
+	fuse, units := verdict(PlanFusion([]float64{10_000, 10_000, 10_000, 10_000}, nil, nil, 100, 8), 4)
+	if units != 4 {
+		t.Fatalf("units = %d, want 4 (no fusion when rings are cheap)", units)
 	}
-	for k, f := range p.FuseCuts {
+	for k, f := range fuse {
 		if f {
 			t.Errorf("cut %d fused despite cheap rings and spare cores", k)
 		}
@@ -51,28 +62,22 @@ func TestPlanFusionFoldsTinyStageIntoNeighbor(t *testing.T) {
 	// (the bottleneck stays 10000 either way); at least one of its cuts
 	// must fuse, and the pipeline must keep at least two units so the
 	// two heavy stages still overlap.
-	p := PlanFusion([]float64{10_000, 50, 10_000}, nil, nil, 1500, 4)
-	if p.Units != 2 {
-		t.Fatalf("Units = %d, want 2 (tiny stage folded, heavy cut kept)", p.Units)
+	fuse, units := verdict(PlanFusion([]float64{10_000, 50, 10_000}, nil, nil, 1500, 4), 3)
+	if units != 2 {
+		t.Fatalf("units = %d, want 2 (tiny stage folded, heavy cut kept)", units)
 	}
-	if !p.FuseCuts[0] && !p.FuseCuts[1] {
-		t.Fatalf("neither cut around the 50ns stage fused: %v", p.FuseCuts)
-	}
-	if p.FuseCuts[0] && p.FuseCuts[1] {
-		t.Fatalf("both cuts fused, losing the heavy stages' overlap: %v", p.FuseCuts)
+	if fuse[0] == fuse[1] {
+		t.Fatalf("want exactly one cut around the 50ns stage fused: %v", fuse)
 	}
 }
 
 // TestPlanFusionDegenerateInputs: single stage and zero cores must not
 // panic and must return a sane empty/clamped plan.
 func TestPlanFusionDegenerateInputs(t *testing.T) {
-	p := PlanFusion([]float64{100}, nil, nil, 1500, 0)
-	if p.Units != 1 || len(p.FuseCuts) != 0 || len(p.Decisions) != 0 {
-		t.Fatalf("single-stage plan not empty: %+v", p)
-	}
-	p = PlanFusion(nil, nil, nil, 1500, 4)
-	if p.Units != 0 || p.FuseCuts != nil {
-		t.Fatalf("nil-stage plan not empty: %+v", p)
+	for _, stages := range [][]float64{{100}, nil} {
+		if p := PlanFusion(stages, nil, nil, 1500, 0); len(p.Order) != 0 || p.Fused != 0 || len(p.Why) != 0 {
+			t.Fatalf("%d-stage plan not empty: %+v", len(stages), p)
+		}
 	}
 }
 
@@ -85,11 +90,12 @@ func TestPlanFusionNeverMergesAcrossWidths(t *testing.T) {
 	for cores := 1; cores <= 8; cores++ {
 		for _, sync := range []float64{1, 50, 270, 5000} {
 			p := PlanFusion(stages, nil, widths, sync, cores)
-			if p.FuseCuts[1] || !strings.Contains(p.Decisions[1].Why, "shard junction") {
-				t.Errorf("cores %d sync %v: junction verdict %+v", cores, sync, p.Decisions[1])
+			fuse, units := verdict(p, 4)
+			if fuse[1] || !strings.Contains(p.Why[1], "shard junction") {
+				t.Errorf("cores %d sync %v: junction verdict %q", cores, sync, p.Why[1])
 			}
-			if cores == 1 && !(p.FuseCuts[0] && p.FuseCuts[2] && p.Units == 2) {
-				t.Errorf("sync %v: one core must fuse both aligned cuts; got %v", sync, p.FuseCuts)
+			if cores == 1 && !(fuse[0] && fuse[2] && units == 2) {
+				t.Errorf("sync %v: one core must fuse both aligned cuts; got %v", sync, fuse)
 			}
 		}
 	}
@@ -101,20 +107,20 @@ func TestPlanFusionNeverMergesAcrossWidths(t *testing.T) {
 // lanes keep them too.
 func TestPlanFusionCountsLanesAgainstCores(t *testing.T) {
 	stages, sync := []float64{300, 300, 300, 300}, 8.0
-	if p := PlanFusion(stages, nil, nil, sync, 2); p.Units == 1 {
-		t.Errorf("unsharded on 2 cores fused everything: %v", p.FuseCuts)
+	if fuse, units := verdict(PlanFusion(stages, nil, nil, sync, 2), 4); units == 1 {
+		t.Errorf("unsharded on 2 cores fused everything: %v", fuse)
 	}
 	p := PlanFusion(stages, nil, []int{2, 2, 2, 2}, sync, 2)
-	if p.Units != 1 {
-		t.Errorf("2 lanes on 2 cores: %d units, want 1 (%v)", p.Units, p.FuseCuts)
+	if fuse, units := verdict(p, 4); units != 1 {
+		t.Errorf("2 lanes on 2 cores: %d units, want 1 (%v)", units, fuse)
 	}
-	for _, d := range p.Decisions {
-		if !strings.Contains(d.Why, "2 core(s) shared by 2 lanes") {
-			t.Errorf("verdict does not say how many lanes share the cores: %q", d.Why)
+	for _, why := range p.Why {
+		if !strings.Contains(why, "2 core(s) shared by 2 lanes") {
+			t.Errorf("verdict does not say how many lanes share the cores: %q", why)
 		}
 	}
-	if p := PlanFusion(stages, nil, []int{2, 2, 2, 2}, sync, 8); p.Units != 4 {
-		t.Errorf("2 lanes on 8 cores: %d units, want 4 (%v)", p.Units, p.FuseCuts)
+	if fuse, units := verdict(PlanFusion(stages, nil, []int{2, 2, 2, 2}, sync, 8), 4); units != 4 {
+		t.Errorf("2 lanes on 8 cores: %d units, want 4 (%v)", units, fuse)
 	}
 }
 
@@ -124,11 +130,11 @@ func TestPlanFusionCountsLanesAgainstCores(t *testing.T) {
 // of those 600 are the cut's own send and receive (280 against 308).
 func TestPlanFusionDropsTheFusedCutsTransmission(t *testing.T) {
 	stages, sync := []float64{300, 300}, 8.0
-	if p := PlanFusion(stages, nil, nil, sync, 2); p.FuseCuts[0] {
-		t.Fatalf("fused without a transmission share: %v", p.Decisions)
+	if p := PlanFusion(stages, nil, nil, sync, 2); p.Fused != 0 {
+		t.Fatalf("fused without a transmission share: %v", p.Why)
 	}
 	p := PlanFusion(stages, []float64{320}, nil, sync, 2)
-	if !p.FuseCuts[0] || !strings.Contains(p.Decisions[0].Why, "308 -> 280") {
-		t.Fatalf("cut share 320 not dropped from the merge: %v", p.Decisions)
+	if p.Fused != 1 || !strings.Contains(p.Why[0], "308 -> 280") {
+		t.Fatalf("cut share 320 not dropped from the merge: %v", p.Why)
 	}
 }

@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -56,6 +57,75 @@ func mergeAt(units []float64, i int) []float64 {
 	return append(out, units[i+2:]...)
 }
 
+// randomCut draws a pipeline for the valuator: 2..10 stages, each at width 1
+// or the trial's shard width, a ring tax and a core budget. Each cut's
+// transmission share is at most half of either side, so a stage between two
+// fused cuts keeps a non-negative cost.
+func randomCut(rng *rand.Rand) (stages, cuts []float64, widths []int, sync float64, cores int) {
+	stages = make([]float64, 2+rng.Intn(9))
+	widths = make([]int, len(stages))
+	shards := 1 << rng.Intn(3)
+	for i := range stages {
+		stages[i] = float64(1 + rng.Intn(2000))
+		widths[i] = 1
+		if rng.Intn(4) > 0 {
+			widths[i] = shards
+		}
+	}
+	cuts = make([]float64, len(stages)-1)
+	for k := range cuts {
+		cuts[k] = float64(rng.Intn(int(min(stages[k], stages[k+1]))/2 + 1))
+	}
+	return stages, cuts, widths, float64(1 + rng.Intn(600)), 1 + rng.Intn(8)
+}
+
+// TestPlanFusionOrder: the merge order is the search space the adaptive loop
+// walks, so it must name every cut between stages of equal width exactly once
+// and no shard junction, each step priced at what Predict says of the shape
+// it reaches; and the verdict is the order's improving prefix — every price
+// in it below the one before, the next one (if any) not.
+func TestPlanFusionOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		stages, cuts, widths, sync, cores := randomCut(rng)
+		plan := PlanFusion(stages, cuts, widths, sync, cores)
+		seen := map[int]bool{}
+		for _, m := range plan.Order {
+			if m.Cut < 0 || m.Cut >= len(cuts) || seen[m.Cut] || widths[m.Cut] != widths[m.Cut+1] {
+				t.Fatalf("%v widths %v: order %v repeats a cut or crosses a junction", stages, widths, plan.Order)
+			}
+			seen[m.Cut] = true
+		}
+		for k := range cuts {
+			if widths[k] == widths[k+1] && !seen[k] {
+				t.Errorf("%v widths %v: aligned cut %d missing from order %v", stages, widths, k+1, plan.Order)
+			}
+		}
+		price := Predict(stages, widths, sync, cores)
+		for i, m := range plan.Order {
+			if improves := m.Price < price; i < plan.Fused && !improves || i == plan.Fused && improves {
+				t.Errorf("%v widths %v sync %v cores %d: verdict %d, but step %d prices %v after %v (order %v)",
+					stages, widths, sync, cores, plan.Fused, i, m.Price, price, plan.Order)
+			}
+			price = m.Price
+		}
+		// The last price is Predict of one unit per run of equal width.
+		var units []float64
+		var lanes []int
+		for i, s := range stages {
+			if i > 0 && widths[i] == widths[i-1] {
+				units[len(units)-1] += s - cuts[i-1]
+				continue
+			}
+			units, lanes = append(units, s), append(lanes, widths[i])
+		}
+		if n := len(plan.Order); n > 0 && math.Abs(plan.Order[n-1].Price-Predict(units, lanes, sync, cores)) > 1e-6 {
+			t.Errorf("%v widths %v: order ends at %v, the fully merged shape predicts %v",
+				stages, widths, plan.Order[n-1].Price, Predict(units, lanes, sync, cores))
+		}
+	}
+}
+
 // TestPlanFusionIsLocalOptimumOfPredict: the valuator and the predictor are
 // the same model, so the mask PlanFusion returns must be a local optimum of
 // Predict under the replica widths it was given — no single further merge
@@ -66,30 +136,14 @@ func mergeAt(units []float64, i int) []float64 {
 func TestPlanFusionIsLocalOptimumOfPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 300; trial++ {
-		stages := make([]float64, 2+rng.Intn(9))
-		widths := make([]int, len(stages))
-		shards := 1 << rng.Intn(3)
-		for i := range stages {
-			stages[i] = float64(1 + rng.Intn(2000))
-			widths[i] = 1
-			if rng.Intn(4) > 0 {
-				widths[i] = shards
-			}
-		}
-		sync := float64(1 + rng.Intn(600))
-		cores := 1 + rng.Intn(8)
-		// Each cut's transmission share: at most half of either side, so a
-		// stage between two fused cuts keeps a non-negative cost.
-		cuts := make([]float64, len(stages)-1)
-		for k := range cuts {
-			cuts[k] = float64(rng.Intn(int(min(stages[k], stages[k+1]))/2 + 1))
-		}
+		stages, cuts, widths, sync, cores := randomCut(rng)
 		plan := PlanFusion(stages, cuts, widths, sync, cores)
+		fuseCuts, planUnits := verdict(plan, len(stages))
 
 		// lastCut[i] is the original cut after unit i (the merge across it
 		// would save cuts[lastCut[i]]).
 		units, lanes, lastCut := []float64{stages[0]}, []int{widths[0]}, []int{0}
-		for k, fuse := range plan.FuseCuts {
+		for k, fuse := range fuseCuts {
 			switch {
 			case fuse && widths[k] != widths[k+1]:
 				t.Fatalf("%v widths %v: cut %d fused across a junction", stages, widths, k+1)
@@ -100,9 +154,9 @@ func TestPlanFusionIsLocalOptimumOfPredict(t *testing.T) {
 				units, lanes, lastCut = append(units, stages[k+1]), append(lanes, widths[k+1]), append(lastCut, k+1)
 			}
 		}
-		if len(units) != plan.Units {
+		if len(units) != planUnits {
 			t.Fatalf("%v sync %v cores %d: mask %v folds to %d units, plan says %d",
-				stages, sync, cores, plan.FuseCuts, len(units), plan.Units)
+				stages, sync, cores, fuseCuts, len(units), planUnits)
 		}
 		final := Predict(units, lanes, sync, cores)
 		for i := 0; i+1 < len(units); i++ {
@@ -113,24 +167,24 @@ func TestPlanFusionIsLocalOptimumOfPredict(t *testing.T) {
 			trial[i] -= cuts[lastCut[i]]
 			if c := Predict(trial, slices.Delete(slices.Clone(lanes), i, i+1), sync, cores); c < final {
 				t.Errorf("%v widths %v sync %v cores %d: mask %v predicts %v, but merging units %d,%d predicts %v",
-					stages, widths, sync, cores, plan.FuseCuts, final, i, i+1, c)
+					stages, widths, sync, cores, fuseCuts, final, i, i+1, c)
 			}
 		}
 		split := Predict(stages, widths, sync, cores)
-		for _, dec := range plan.Decisions {
-			if !dec.Fuse {
+		for k, why := range plan.Why {
+			if !fuseCuts[k] {
 				continue
 			}
 			var cut int
 			var tax, before, after float64
-			if _, err := fmt.Sscanf(dec.Why,
+			if _, err := fmt.Sscanf(why,
 				"fuse cut %d: ring tax %f exceeds its pipeline gain (predicted %f -> %f ns/pkt on ",
 				&cut, &tax, &before, &after); err != nil {
-				t.Fatalf("rationale %q: %v", dec.Why, err)
+				t.Fatalf("rationale %q: %v", why, err)
 			}
 			if after > before || before > split+0.5 || after < final-0.5 {
 				t.Errorf("%v widths %v sync %v cores %d: %q does not lie on a descent from %v to %v",
-					stages, widths, sync, cores, dec.Why, split, final)
+					stages, widths, sync, cores, why, split, final)
 			}
 		}
 	}

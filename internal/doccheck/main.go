@@ -2,7 +2,7 @@
 //
 //	go run ./internal/doccheck
 //
-// It enforces four invariants that ordinary builds do not:
+// It enforces five invariants that ordinary builds do not:
 //
 //  1. Every exported symbol — functions, methods, types, consts, vars —
 //     in every non-test file carries a doc comment. The public facade is
@@ -19,6 +19,10 @@
 //     non-test file (the doc.go convention, though any file counts): a
 //     package whose purpose must be reverse-engineered from its exports
 //     is undocumented no matter how well each export reads.
+//  5. Every word shaped like a sentinel (Err, then a capitalized name) in a
+//     Go comment, README.md or DESIGN.md names a sentinel internal/errs
+//     declares, unless another package qualifies it: prose that cites an
+//     error a past PR deleted or renamed fails here instead of misleading.
 //
 // Exit status is non-zero with one line per finding.
 package main
@@ -32,6 +36,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -40,8 +45,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	known := declaredSentinels(root)
 	var findings []string
-	findings = append(findings, checkDocComments(root)...)
+	findings = append(findings, checkDocComments(root, known)...)
+	for _, md := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(filepath.Join(root, md))
+		if err != nil {
+			fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			findings = append(findings, checkSentinelWords(fmt.Sprintf("%s:%d", md, i+1), line, known)...)
+		}
+	}
 	findings = append(findings, checkReadmeSnippets(root)...)
 	if len(findings) > 0 {
 		for _, f := range findings {
@@ -50,13 +65,51 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doccheck: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: exported surface documented, README snippets compile")
+	fmt.Println("doccheck: exported surface documented, cited sentinels exist, README snippets compile")
+}
+
+// sentinelWord matches a word shaped like a sentinel error's name, with the
+// package qualifying it, if any.
+var sentinelWord = regexp.MustCompile(`(\w+\.)?\bErr[A-Z]\w*`)
+
+// declaredSentinels returns the names of the sentinels internal/errs declares.
+func declaredSentinels(root string) map[string]bool {
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, "internal", "errs", "errs.go"), nil, 0)
+	if err != nil {
+		fatal(err)
+	}
+	known := map[string]bool{}
+	for _, decl := range file.Decls {
+		if d, ok := decl.(*ast.GenDecl); ok && d.Tok == token.VAR {
+			for _, spec := range d.Specs {
+				for _, id := range spec.(*ast.ValueSpec).Names {
+					known[id.Name] = true
+				}
+			}
+		}
+	}
+	return known
+}
+
+// checkSentinelWords reports the sentinel-shaped words of text that name no
+// declared sentinel. A word another package qualifies (os.ErrClosed) is that
+// package's; errs. and repro. qualify the repository's own.
+func checkSentinelWords(where, text string, known map[string]bool) []string {
+	var findings []string
+	for _, m := range sentinelWord.FindAllStringSubmatch(text, -1) {
+		name := strings.TrimPrefix(m[0], m[1])
+		if (m[1] == "" || m[1] == "errs." || m[1] == "repro.") && !known[name] {
+			findings = append(findings, fmt.Sprintf("%s: %s names no sentinel declared in internal/errs", where, m[0]))
+		}
+	}
+	return findings
 }
 
 // checkDocComments parses every non-test .go file under root and reports
-// exported declarations without doc comments, and packages where no file
-// carries a package-level doc comment.
-func checkDocComments(root string) []string {
+// exported declarations without doc comments, packages where no file
+// carries a package-level doc comment, and comments citing a sentinel that
+// is not in known.
+func checkDocComments(root string, known map[string]bool) []string {
 	var findings []string
 	fset := token.NewFileSet()
 	var pkgDirs []string           // package directories in walk order
@@ -91,6 +144,9 @@ func checkDocComments(root string) []string {
 			pkgDoc[dir] = true
 		}
 		findings = append(findings, checkFile(fset, rel, file)...)
+		for _, cg := range file.Comments {
+			findings = append(findings, checkSentinelWords(fmt.Sprintf("%s:%d", rel, fset.Position(cg.Pos()).Line), cg.Text(), known)...)
+		}
 		return nil
 	})
 	if err != nil {

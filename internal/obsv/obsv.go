@@ -16,8 +16,8 @@
 //
 // The contract that keeps the hot loop honest: a nil *Observer (or nil
 // instrument field) is the disabled fast path — one pointer check per
-// batch, no time.Now calls, no allocation. The serve benchmarks gate this
-// at < 2% regression versus the pre-observability runtime.
+// batch, no time.Now calls, no allocation. What turning the tracer on costs
+// is a tracked number (obsv.trace_overhead_frac, BENCHMARK.json), not a gate.
 package obsv
 
 import (

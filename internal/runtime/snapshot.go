@@ -115,7 +115,7 @@ func (l *Live) stageStats(k int) StageStats {
 	}
 	agg := l.probe(s, 0).stats(k + 1)
 	for j := 1; j < l.reps[s]; j++ {
-		agg.add(l.probe(s, j).stats(k + 1))
+		agg.Add(l.probe(s, j).stats(k + 1))
 	}
 	agg.Replicas = l.reps[s]
 	if s == 0 && l.disp != nil {
@@ -123,7 +123,7 @@ func (l *Live) stageStats(k int) StageStats {
 		// 1's In; its lane deliveries are no stage's output.
 		d := l.disp.stats(1)
 		agg.In, d.Out = 0, 0
-		agg.add(d)
+		agg.Add(d)
 	}
 	return agg
 }

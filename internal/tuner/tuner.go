@@ -10,18 +10,16 @@ import (
 	"repro/internal/errs"
 )
 
-// Candidate is one point of the configuration space: a pipelining depth, a
-// serve batch size, a shard width, and whether ring-unworthy cuts are
-// realized by stage fusion, with the calibrated model's predicted score
-// attached.
+// Candidate is one point of the configuration space: a coarsening of the
+// pipeline's cut, a serve batch size and a shard width, with the model's
+// predicted score attached.
 type Candidate struct {
-	// Degree, Batch, Shards identify the configuration.
-	Degree, Batch, Shards int
-	// Fused marks the realization that fuses the cuts the cost model says
-	// cannot pay for their ring (the caller holds the concrete realization
-	// under Key; it competes against the fully ringed realization of the
-	// same shape).
-	Fused bool
+	// Units names the served shape the way Plan.Units prints it ("[1+2] [3]":
+	// which cuts of the one D-way cut are un-made); the caller holds the
+	// concrete realization under Key.
+	Units string
+	// Batch and Shards complete the configuration.
+	Batch, Shards int
 	// Prior is the model-predicted score (higher is better; the adaptive
 	// loop uses predicted packets per second).
 	Prior float64
@@ -30,11 +28,7 @@ type Candidate struct {
 // Key returns the candidate's stable identity, used for deterministic
 // tie-breaking and for reporting.
 func (c Candidate) Key() string {
-	k := fmt.Sprintf("d%02d/b%02d/p%02d", c.Degree, c.Batch, c.Shards)
-	if c.Fused {
-		k += "+f"
-	}
-	return k
+	return fmt.Sprintf("%s/b%02d/p%02d", c.Units, c.Batch, c.Shards)
 }
 
 // Measurement is the outcome of probing one candidate with real traffic.

@@ -23,10 +23,10 @@ func fakeMeasure(table map[string]Measurement) func(Candidate) (Measurement, err
 
 func TestSelectMaxThroughput(t *testing.T) {
 	cands := []Candidate{
-		{Degree: 1, Batch: 32, Shards: 1, Prior: 100},
-		{Degree: 2, Batch: 32, Shards: 1, Prior: 90},
-		{Degree: 4, Batch: 32, Shards: 1, Prior: 80},
-		{Degree: 1, Batch: 1, Shards: 1, Prior: 10},
+		{Units: "d01", Batch: 32, Shards: 1, Prior: 100},
+		{Units: "d02", Batch: 32, Shards: 1, Prior: 90},
+		{Units: "d04", Batch: 32, Shards: 1, Prior: 80},
+		{Units: "d01", Batch: 1, Shards: 1, Prior: 10},
 	}
 	table := map[string]Measurement{
 		"d01/b32/p01": {PPS: 1000},
@@ -51,8 +51,8 @@ func TestSelectMaxThroughput(t *testing.T) {
 
 func TestSelectP99Bound(t *testing.T) {
 	cands := []Candidate{
-		{Degree: 1, Batch: 64, Shards: 1, Prior: 100},
-		{Degree: 1, Batch: 8, Shards: 1, Prior: 90},
+		{Units: "d01", Batch: 64, Shards: 1, Prior: 100},
+		{Units: "d01", Batch: 8, Shards: 1, Prior: 90},
 	}
 	table := map[string]Measurement{
 		"d01/b64/p01": {PPS: 2000, P99: 50 * time.Millisecond}, // fast but laggy
@@ -84,7 +84,7 @@ func TestSelectDeterministic(t *testing.T) {
 	table := map[string]Measurement{}
 	for d := 1; d <= 8; d++ {
 		for _, b := range []int{1, 8, 32, 64} {
-			c := Candidate{Degree: d, Batch: b, Shards: 1, Prior: float64(100 - d*b%37)}
+			c := Candidate{Units: fmt.Sprintf("d%02d", d), Batch: b, Shards: 1, Prior: float64(100 - d*b%37)}
 			cands = append(cands, c)
 			table[c.Key()] = Measurement{PPS: float64(500 + (d*31+b*7)%400)}
 		}
@@ -117,8 +117,8 @@ func TestSelectDeterministic(t *testing.T) {
 
 func TestSelectProbeErrors(t *testing.T) {
 	cands := []Candidate{
-		{Degree: 1, Batch: 32, Shards: 1, Prior: 100},
-		{Degree: 2, Batch: 32, Shards: 1, Prior: 90},
+		{Units: "d01", Batch: 32, Shards: 1, Prior: 100},
+		{Units: "d02", Batch: 32, Shards: 1, Prior: 90},
 	}
 	// Only the lower-ranked candidate measures successfully.
 	table := map[string]Measurement{"d02/b32/p01": {PPS: 900}}
@@ -142,10 +142,10 @@ func TestSelectBadInputs(t *testing.T) {
 	if _, err := Select(nil, 3, 1, Objective{}, m); !errors.Is(err, errs.ErrBadOption) {
 		t.Errorf("empty candidates: %v, want ErrBadOption", err)
 	}
-	if _, err := Select([]Candidate{{Degree: 1}}, 0, 1, Objective{}, m); !errors.Is(err, errs.ErrBadOption) {
+	if _, err := Select([]Candidate{{Units: "d01"}}, 0, 1, Objective{}, m); !errors.Is(err, errs.ErrBadOption) {
 		t.Errorf("zero topK: %v, want ErrBadOption", err)
 	}
-	if _, err := Select([]Candidate{{Degree: 1}}, 1, 1, Objective{}, nil); !errors.Is(err, errs.ErrBadOption) {
+	if _, err := Select([]Candidate{{Units: "d01"}}, 1, 1, Objective{}, nil); !errors.Is(err, errs.ErrBadOption) {
 		t.Errorf("nil measure: %v, want ErrBadOption", err)
 	}
 }

@@ -111,7 +111,11 @@ type config struct {
 	objective Objective
 	autotune  *Autotune
 	fusion    FusionMode
-	source    ingest.Source
+	// fuse, when set, is the fuse mask to serve in place of the valuator's
+	// verdict (realize, fusion.go): the adaptive loop's candidates and the
+	// tests' WithFuseMaskForTest write it, no public option does.
+	fuse   *uint64
+	source ingest.Source
 }
 
 // scope is the set of entry points, past the analysis phase, that accept
@@ -167,7 +171,9 @@ type Option struct {
 	apply func(*config)
 }
 
-// WithStages sets the pipelining degree D.
+// WithStages sets the pipelining degree D the program is cut at. For Serve
+// that is an upper bound: fusion and WithAutotune serve coarsenings of the
+// D-way cut — never a deeper or a different one.
 func WithStages(d int) Option {
 	return Option{"WithStages", 0, func(c *config) { c.explore.Base.Stages = d }}
 }
@@ -279,7 +285,7 @@ func WithObserver(o *Observer) Option {
 // the served trace stays byte-identical to the sequential oracle at any
 // P. Stages with cross-flow state (queues, schedulers) keep running
 // unsharded behind a deterministic fan-in. 0 and 1 both mean unsharded;
-// widths outside 0..MaxShards are rejected as ErrBadShards.
+// widths outside 0..MaxShards are rejected as ErrBadOption.
 func WithShards(p int) Option {
 	return Option{"WithShards", inServe, func(c *config) { c.serve.Shards = p }}
 }
@@ -301,12 +307,14 @@ func WithObjective(o Objective) Option {
 }
 
 // WithAutotune turns Serve into the closed adaptive loop: serve a probe
-// window, scale the cost model to the host time it measured, cut a
-// candidate per degree, probe the most promising (degree, batch, shards)
-// candidates with real traffic, then commit to the measured winner for the
-// rest of the stream — all at batch
-// boundaries, with the served trace byte-identical to the sequential
-// oracle throughout. The zero Autotune selects defaults.
+// window, scale the cost model to the host time it measured, probe the most
+// promising (shape, batch, shards) candidates with real traffic, then commit
+// to the measured winner for the rest of the stream — all at batch
+// boundaries, with the served trace byte-identical to the sequential oracle
+// throughout. The shapes searched are the coarsenings of the pipeline's own
+// cut, fully ringed to fully fused, so WithStages(D) is the upper bound of
+// the search; on every host measured so far the winner is shallower than any
+// D > 1 given. The zero Autotune selects defaults.
 func WithAutotune(t Autotune) Option {
 	return Option{"WithAutotune", inServe, func(c *config) { c.autotune = &t }}
 }

@@ -22,11 +22,11 @@ import (
 // published handles — the counters of the most recent Serve run (Snapshot)
 // and the live realization plan (Plan) — and the cache of served shapes.
 type Pipeline struct {
-	stages   []*Program
-	report   *Report
-	res      *core.Result // the cut itself; Coarsen seam of fusion
-	cfg      config
-	analysis *core.Analysis // the cut's parent analysis; the adaptive loop cuts its candidates from it
+	stages []*Program
+	report *Report
+	res    *core.Result // the cut itself; Coarsen seam of fusion
+	cfg    config
+	arch   *Arch // the cost model the cut was made under; prices a cut's transmission
 	// shapes caches, per set of fused cuts, the cut realized without them,
 	// validated and classified once (shape, fusion.go).
 	mu     sync.Mutex
@@ -37,10 +37,9 @@ type Pipeline struct {
 
 // newPipeline wraps a core result with the configuration it was cut under,
 // so execution defaults (ring kind, capacities) follow the partition, and
-// with the parent analysis, so an adaptive serve can cut it at other
-// degrees.
-func newPipeline(res *core.Result, cfg config, an *core.Analysis) *Pipeline {
-	return &Pipeline{stages: res.Stages, report: res.Report, res: res, cfg: cfg, analysis: an,
+// with the analysis's cost model.
+func newPipeline(res *core.Result, cfg config, arch *Arch) *Pipeline {
+	return &Pipeline{stages: res.Stages, report: res.Report, res: res, cfg: cfg, arch: arch,
 		shapes: map[uint64]*served{}}
 }
 
@@ -70,7 +69,7 @@ func (p *Pipeline) Plan() *Plan {
 	if plan := p.plan.Load(); plan != nil {
 		return plan
 	}
-	plan, _, _ := p.realize(p.cfg, p.cfg.fusion, 1.0)
+	plan, _, _ := p.realize(p.cfg, 1.0)
 	p.plan.CompareAndSwap(nil, plan)
 	return p.plan.Load()
 }
@@ -169,13 +168,14 @@ func (p *Pipeline) simRun(ctx context.Context, world *World, opts []Option) (con
 // replicas behind a flow-hash dispatcher (WithShardKey selects the key)
 // and the output is deterministically re-merged. With WithAutotune, Serve
 // becomes the closed adaptive loop (see adaptive.go): it scales the cost
-// model to measured stage times, cuts a candidate per degree, probes the
-// best candidate configurations with real traffic, and commits to the
+// model to measured stage times, probes the best-priced coarsenings of its
+// own cut (× batch × shards) with real traffic, and commits to the
 // measured winner — the served trace stays byte-identical to the
 // sequential oracle throughout, and Plan reports what was chosen and why.
 // The returned Metrics carry measured throughput, per-stage counters
-// (aggregated across replicas when sharded), and the observable trace in
-// exact sequential-oracle order.
+// (aggregated across replicas when sharded; summed over the rounds of an
+// adaptive serve, with FusedInto and Replicas as the committed round had
+// them), and the observable trace in exact sequential-oracle order.
 func (p *Pipeline) Serve(ctx context.Context, src Source, opts ...Option) (*Metrics, error) {
 	cfg, err := p.cfg.within("Serve", inServe, opts)
 	if err != nil {
@@ -226,6 +226,9 @@ const ingestPullMin = 32
 // serveWith dispatches an assembled serve configuration to the static or
 // adaptive path.
 func (p *Pipeline) serveWith(ctx context.Context, src Source, cfg config) (*Metrics, error) {
+	if cfg.world == nil {
+		cfg.world = NewWorld(nil)
+	}
 	if cfg.autotune != nil {
 		if src == nil {
 			return nil, ErrNilSource
@@ -238,16 +241,12 @@ func (p *Pipeline) serveWith(ctx context.Context, src Source, cfg config) (*Metr
 	// Static path: realize the cut under the serve-time shape — cuts whose
 	// ring tax exceeds their pipeline gain are un-made (WithFusion(FusionOff)
 	// keeps every cut) — publish the plan, and execute its layout.
-	plan, lay, err := p.realize(cfg, cfg.fusion, 1.0)
+	plan, lay, err := p.realize(cfg, 1.0)
 	if err != nil {
 		return nil, err
 	}
 	p.plan.Store(plan)
-	world := cfg.world
-	if world == nil {
-		world = NewWorld(nil)
-	}
-	return lay.Serve(ctx, world, src)
+	return lay.Serve(ctx, cfg.world, src)
 }
 
 // Snapshot captures the counters of the pipeline's most recent Serve run

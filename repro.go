@@ -281,7 +281,7 @@ func (a *Analysis) Partition(opts ...Option) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(res, cfg, a.a), nil
+	return newPipeline(res, cfg, a.a.Arch()), nil
 }
 
 // Exploration is the outcome of a budget-driven degree search.
@@ -316,7 +316,7 @@ func (a *Analysis) Explore(opts ...Option) (*Exploration, error) {
 	return &Exploration{
 		Degree:     ex.Degree,
 		Met:        ex.Met,
-		Pipeline:   newPipeline(ex.Result, cfg, a.a),
+		Pipeline:   newPipeline(ex.Result, cfg, a.a.Arch()),
 		Candidates: ex.Candidates,
 	}, nil
 }
