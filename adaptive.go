@@ -21,12 +21,13 @@ package repro
 //  4. Serve: run the rest of the stream on the winning realization.
 //
 // Correctness never depends on the tuner's taste: every round — probe or
-// committed — serves real packets from the one shared source in order,
-// persistent state is carried across rounds in one shared interp.Store
-// (materialized per realization; same-ID arrays alias the same storage),
-// and every round drains fully before the next starts, so the swap happens
-// at a batch boundary and the accumulated world.Trace stays byte-identical
-// to the sequential oracle no matter what the loop decides. A shape is a
+// committed — serves real packets from the one shared source in order and
+// pushes into the one sink that spans the rounds, persistent state is
+// carried across rounds in one shared interp.Store (materialized per
+// realization; same-ID arrays alias the same storage), and every round
+// drains fully before the next starts, so the swap happens at a batch
+// boundary and the stream the sink sees stays byte-identical to the
+// sequential oracle no matter what the loop decides. A shape is a
 // candidate only if its layout builds (what Serve would refuse is never
 // probed) and forks no per-replica flow state: a fork's writes are private
 // to its round, which would break state continuity across rounds.
@@ -226,27 +227,55 @@ func (w *meteredSource) BindContext(ctx context.Context) {
 	}
 }
 
+// spanSink lends the serve's one sink to a round: the round pushes into it,
+// and the Close the round's engine makes on its way out is held back, so the
+// sink sees one stream and — from serveAdaptive — one Close.
+type spanSink struct{ Sink }
+
+func (spanSink) Close() (int64, error) { return 0, nil }
+
 // serveAdaptive is Serve's WithAutotune path: the closed probe → enumerate
 // → measure → commit loop described at the top of this file. cfg is
 // the fully validated serve configuration with cfg.autotune and cfg.world
 // non-nil.
-func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (*Metrics, error) {
+func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (m *Metrics, err error) {
 	at := cfg.autotune.withDefaults()
 	obj := tuner.Objective{P99Bound: cfg.objective.p99} // zero unless bounded
 	cfg.serve.Store = interp.NewStore(p.stages...)
 	cursor := &meteredSource{src: src}
 	start := time.Now()
 
+	// One sink spans the rounds — the caller's, or the default trace — and is
+	// closed here, once, however the loop ends.
+	sink, trace := cfg.serve.Sink, (*runtime.TraceSink)(nil)
+	if sink == nil {
+		trace = &runtime.TraceSink{}
+		sink = trace
+	}
+	cfg.serve.Sink = spanSink{sink}
+	defer func() {
+		flushed, cerr := sink.Close()
+		if err == nil && cerr != nil {
+			err = fmt.Errorf("repro: sink: close: %w", cerr)
+		}
+		if m != nil {
+			m.Flushed = flushed
+			if trace != nil {
+				m.Trace = trace.Events()
+				runtime.AdoptTrace(cfg.world, m.Trace)
+			}
+		}
+	}()
+
 	// agg accumulates the run-wide result across rounds. Every round serves a
 	// coarsening of the one cut, so its per-stage report is D long in the
 	// cut's numbering and the counters sum stage by stage; which stages are
 	// folded into which, the replica widths and the shard width are the last
 	// completed round's, as are the ingest counters (the source keeps them
-	// for the whole stream); the trace is the world's accumulated stream.
+	// for the whole stream); the trace is the spanning sink's, above.
 	agg := &Metrics{Faults: &runtime.FaultReport{}, Stages: make([]StageStats, len(p.stages))}
 	finish := func() (*Metrics, error) {
 		agg.Elapsed = time.Since(start)
-		agg.Trace = cfg.world.Trace
 		return agg, nil
 	}
 	// round serves one window on one realization and folds it into agg. Each

@@ -305,7 +305,10 @@ func BenchmarkInterpreter(b *testing.B) {
 // measured twice — the sweep's own noise floor. D4/autotune is the same cut
 // served under WithAutotune's defaults: its pkt/s is over the whole stream,
 // search included — the adaptive loop's regret against the best static row —
-// and the shape it committed to is the name of its batch metric.
+// and the shape it committed to is the name of its batch metric. D1/discard
+// and D1/hash are D1/ringed with the trace sent elsewhere (WithSink): what
+// the in-memory trace costs is the distance to them. Their prefix check is the
+// sink's: the event count, and for the hash the oracle's digest.
 func BenchmarkServe(b *testing.B) {
 	p, _ := netbench.ByName("IPv4")
 	prog, err := p.Compile()
@@ -320,31 +323,53 @@ func BenchmarkServe(b *testing.B) {
 	type row struct {
 		name string
 		opt  repro.Option
+		sink func() repro.Sink // nil: the default, the trace
 	}
+	var oracle repro.HashSink
+	oracle.Push(context.Background(), seq)
+	wantSum, _ := oracle.Digest()
 	for d := 1; d <= 4; d++ {
 		pipe, err := repro.Partition(prog, repro.WithStages(d))
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows := []row{{"ringed", repro.WithFusion(repro.FusionOff)}, {"auto", repro.WithFusion(repro.FusionAuto)}}
+		rows := []row{{name: "ringed", opt: repro.WithFusion(repro.FusionOff)}, {name: "auto", opt: repro.WithFusion(repro.FusionAuto)}}
+		if d == 1 {
+			rows = append(rows, row{"discard", repro.WithFusion(repro.FusionOff), repro.DiscardSink},
+				row{"hash", repro.WithFusion(repro.FusionOff), func() repro.Sink { return &repro.HashSink{} }})
+		}
 		if d == 4 {
-			rows = append(rows, row{"autotune", repro.WithAutotune(repro.Autotune{})})
+			rows = append(rows, row{name: "autotune", opt: repro.WithAutotune(repro.Autotune{})})
 		}
 		for _, r := range rows {
-			serve := func(src repro.Source) (*repro.Metrics, error) {
-				return pipe.Serve(context.Background(), src, repro.WithWorld(netbench.NewWorld(nil)),
-					repro.WithBatch(32), r.opt)
+			serve := func(src repro.Source) (*repro.Metrics, repro.Sink, error) {
+				var sink repro.Sink
+				if r.sink != nil {
+					sink = r.sink()
+				}
+				m, err := pipe.Serve(context.Background(), src, repro.WithWorld(netbench.NewWorld(nil)),
+					repro.WithBatch(32), r.opt, repro.WithSink(sink))
+				return m, sink, err
 			}
 			b.Run(fmt.Sprintf("D%d/%s", d, r.name), func(b *testing.B) {
-				vm, err := serve(repro.PacketSource(prefix))
+				vm, sink, err := serve(repro.PacketSource(prefix))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if diff := interp.TraceEqual(seq, vm.Trace); diff != "" {
-					b.Fatalf("diverged from the sequential oracle: %s", diff)
+				if sink == nil {
+					if diff := interp.TraceEqual(seq, vm.Trace); diff != "" {
+						b.Fatalf("diverged from the sequential oracle: %s", diff)
+					}
+				} else if h, ok := sink.(*repro.HashSink); ok {
+					if sum, _ := h.Digest(); sum != wantSum {
+						b.Fatalf("digest %016x, the oracle's is %016x", sum, wantSum)
+					}
+				}
+				if vm.Flushed != int64(len(seq)) {
+					b.Fatalf("sink flushed %d events, the oracle emits %d", vm.Flushed, len(seq))
 				}
 				b.ResetTimer()
-				m, err := serve(repro.RepeatSource(traffic, b.N))
+				m, _, err := serve(repro.RepeatSource(traffic, b.N))
 				if err != nil {
 					b.Fatal(err)
 				}

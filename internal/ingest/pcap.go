@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -148,35 +150,67 @@ func DecodePcap(data []byte) (recs []PcapRecord, truncated int, err error) {
 	return recs, 0, nil
 }
 
-// EncodePcap serializes records as a classic big-endian microsecond-tick
-// libpcap file with the raw link type; the inverse of DecodePcap, used
-// to build checked-in fixtures deterministically.
-func EncodePcap(recs []PcapRecord) []byte {
-	size := pcapHdrLen
-	for _, r := range recs {
-		size += pcapRecLen + len(r.Data)
-	}
-	out := make([]byte, 0, size)
+// PcapWriter streams records to w as a classic big-endian microsecond-tick
+// libpcap file with the raw link type — the one encoder behind EncodePcap,
+// WritePcap and the serve path's pcap sink. The global header goes out with
+// the first record (or with Flush, so an empty capture is still a valid
+// file); writes are buffered.
+type PcapWriter struct {
+	w      *bufio.Writer
+	headed bool
+}
+
+// NewPcapWriter returns a writer onto w; the caller closes w after Flush.
+func NewPcapWriter(w io.Writer) *PcapWriter { return &PcapWriter{w: bufio.NewWriter(w)} }
+
+func (p *PcapWriter) header() {
 	var hdr [pcapHdrLen]byte
 	binary.BigEndian.PutUint32(hdr[0:4], pcapMagicUsec)
 	binary.BigEndian.PutUint16(hdr[4:6], 2) // version 2.4
 	binary.BigEndian.PutUint16(hdr[6:8], 4)
 	binary.BigEndian.PutUint32(hdr[16:20], maxPcapRecord) // snaplen
 	binary.BigEndian.PutUint32(hdr[20:24], pcapLinkRaw)
-	out = append(out, hdr[:]...)
-	var rec [pcapRecLen]byte
-	for _, r := range recs {
-		binary.BigEndian.PutUint32(rec[0:4], uint32(r.Time.Unix()))
-		binary.BigEndian.PutUint32(rec[4:8], uint32(r.Time.Nanosecond()/1000))
-		binary.BigEndian.PutUint32(rec[8:12], uint32(len(r.Data)))
-		binary.BigEndian.PutUint32(rec[12:16], uint32(len(r.Data)))
-		out = append(out, rec[:]...)
-		out = append(out, r.Data...)
-	}
-	return out
+	p.w.Write(hdr[:]) //nolint:errcheck // a bufio.Writer keeps its first error for Flush
+	p.headed = true
 }
 
-// WritePcap writes records to path in the format EncodePcap produces.
+// Write appends one record.
+func (p *PcapWriter) Write(r PcapRecord) error {
+	if !p.headed {
+		p.header()
+	}
+	var rec [pcapRecLen]byte
+	binary.BigEndian.PutUint32(rec[0:4], uint32(r.Time.Unix()))
+	binary.BigEndian.PutUint32(rec[4:8], uint32(r.Time.Nanosecond()/1000))
+	binary.BigEndian.PutUint32(rec[8:12], uint32(len(r.Data)))
+	binary.BigEndian.PutUint32(rec[12:16], uint32(len(r.Data)))
+	p.w.Write(rec[:]) //nolint:errcheck // reported by the data write below
+	_, err := p.w.Write(r.Data)
+	return err
+}
+
+// Flush writes out what is buffered, the header included, and reports the
+// first error any write met.
+func (p *PcapWriter) Flush() error {
+	if !p.headed {
+		p.header()
+	}
+	return p.w.Flush()
+}
+
+// EncodePcap serializes records in the PcapWriter format; the inverse of
+// DecodePcap, used to build checked-in fixtures deterministically.
+func EncodePcap(recs []PcapRecord) []byte {
+	var out bytes.Buffer
+	w := NewPcapWriter(&out)
+	for _, r := range recs {
+		w.Write(r) //nolint:errcheck // a bytes.Buffer does not fail
+	}
+	w.Flush() //nolint:errcheck
+	return out.Bytes()
+}
+
+// WritePcap writes records to path in the same format.
 func WritePcap(path string, recs []PcapRecord) error {
 	return os.WriteFile(path, EncodePcap(recs), 0o644)
 }

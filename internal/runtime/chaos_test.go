@@ -352,6 +352,113 @@ func TestChaosShardedLedgerBalances(t *testing.T) {
 	checkAccounting(t, m)
 }
 
+// shedOracle is the oracle of a run that shed at its scatters: the stage
+// programs run sequentially, iteration by iteration, a shed iteration only
+// through the ran[iter] stages it had passed when it was dropped — their
+// persistent state keeps what it did there — and its events discarded. Every
+// cross-flow stage of the served run saw exactly these packets in exactly
+// this order, so the trace must match whatever state the stages carry.
+func shedOracle(t *testing.T, stages []*ir.Program, traffic [][]byte, ran map[int64]int) []interp.Event {
+	t.Helper()
+	runners := interp.NewStageRunners(stages, netbench.NewWorld(nil))
+	for _, r := range runners {
+		r.RxFromCtx = true
+	}
+	ctx := interp.NewIterCtx()
+	var want []interp.Event
+	for i, p := range traffic {
+		ctx.DeferEvents = true
+		ctx.Pending, ctx.HasPending = p, true
+		upTo, shed := ran[int64(i)]
+		if !shed {
+			upTo = len(runners)
+		}
+		var slots []int64
+		for k, r := range runners[:upTo] {
+			out, err := r.RunIteration(ctx, slots)
+			if err != nil {
+				t.Fatalf("oracle iteration %d stage %d: %v", i, k+1, err)
+			}
+			slots = out
+		}
+		if !shed {
+			want = append(want, ctx.Events...)
+		}
+		ctx.Reset()
+	}
+	return want
+}
+
+// TestServeShardedShedsAtDispatch: the shed policy under sharding. The last
+// stage stalls on its first packet until the pipeline has shed a quota; every
+// ring of a sharded segment blocks, so the saturation backs up to where the
+// segment's lane sequence is recorded — the dispatcher, or the scatter out of
+// an unreplicated stage — and the drop happens there, before the packet has a
+// place in the merge order. The serve must terminate (no merge waits on a
+// token that was dropped), the ledger must balance, every loss must be a shed
+// at a recording point, and the delivered trace must be the oracle's without
+// the shed iterations: IPv4 [P P] into the sink's fan-in, and QM [P 1 P 1],
+// whose queues and counters see exactly the surviving stream.
+func TestServeShardedShedsAtDispatch(t *testing.T) {
+	for _, tc := range []struct {
+		app     string
+		d, p    int
+		reps    []int
+		scatter map[int]int // recording points: record stage -> stages the packet had run
+	}{
+		{app: "IPv4", d: 2, p: 2, reps: []int{2, 2}, scatter: map[int]int{1: 0}},
+		{app: "QM", d: 4, p: 4, reps: []int{4, 1, 4, 1}, scatter: map[int]int{1: 0, 2: 2}},
+	} {
+		t.Run(fmt.Sprintf("%s/D=%d/P=%d", tc.app, tc.d, tc.p), func(t *testing.T) {
+			const n, quota = 400, 40
+			pps, _ := netbench.ByName(tc.app)
+			prog, err := pps.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Partition(prog, core.Options{Stages: tc.d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			traffic := pps.Traffic(n)
+			l, err := runtime.NewLayout(res.Stages, runtime.Config{
+				Shards: tc.p, Batch: 2, RingCapacity: 2,
+				Overload: runtime.OverloadShed, Watermark: 1,
+				Faults: &fault.Plan{Injections: []fault.Injection{
+					{Kind: fault.Stall, Stage: tc.d, At: 0, UntilOverload: quota},
+				}},
+			})
+			if err != nil {
+				t.Fatalf("shed with sharding refused: %v", err)
+			}
+			if got := l.Replicas(); !slices.Equal(got, tc.reps) {
+				t.Fatalf("replica widths %v, want %v", got, tc.reps)
+			}
+			m, err := l.Serve(context.Background(), netbench.NewWorld(nil), runtime.Packets(traffic))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := m.Faults
+			if rep.Shed < quota || rep.Quarantined != 0 || m.Stages[0].In != n || int64(len(rep.Records)) != rep.Shed {
+				t.Fatalf("pulled %d, shed %d (quota %d), quarantined %d, %d records",
+					m.Stages[0].In, rep.Shed, quota, rep.Quarantined, len(rep.Records))
+			}
+			ran := map[int64]int{}
+			for _, rec := range rep.Records {
+				stagesRun, ok := tc.scatter[rec.Stage]
+				if !ok || rec.Disposition != "shed" || !strings.Contains(rec.Reason, "lane saturated") {
+					t.Fatalf("loss away from a recording point: %+v", rec)
+				}
+				ran[rec.Iter] = stagesRun
+			}
+			if diff := interp.TraceEqual(shedOracle(t, res.Stages, traffic, ran), m.Trace); diff != "" {
+				t.Fatalf("delivered trace is not the oracle's minus the shed iterations: %s", diff)
+			}
+			checkAccounting(t, m)
+		})
+	}
+}
+
 // junctionSrc keeps a persistent counter behind stateless header work: at
 // D=3 the stage that holds the counter is cross-flow and stays unreplicated,
 // the two before it shard, so a sharded serve runs at widths [P P 1] — an

@@ -1,17 +1,12 @@
 package runtime
 
-// The junction machinery of a sharded serve: sequence side-channels,
-// scatter producers, the dispatcher's lane feed, fan-in mergers, and the
-// per-replica sink collectors whose chunked traces are k-way merged after
-// the join. The determinism
-// argument lives in shard.go's package comment.
+// The junction machinery of a sharded serve: sequence side-channels, the
+// scatter that opens a sharded segment (the dispatcher's lane feed is one)
+// and the fan-in merger that closes it — in front of an unreplicated stage
+// or of the sink unit. The determinism argument lives in shard.go's package
+// comment.
 
-import (
-	"slices"
-	"sync"
-
-	"repro/internal/interp"
-)
+import "sync"
 
 // seqSliceLen sizes one sequence-stream slice: the lane indices of up to
 // this many dispatched tokens travel in one publish.
@@ -21,15 +16,26 @@ const seqSliceLen = 256
 // paired fan-in. The producer appends one lane index per token in global
 // iteration order and flushes before pushing the tokens themselves, so by
 // the time the fan-in reads an entry, the token it names is either already
-// in its lane ring or still held by the producer — never unrecorded. The
-// published queue is unbounded on purpose: a flush must never block, or
-// the producer could stall holding exactly the sub-batch the fan-in is
-// starved on. Memory stays bounded by the tokens actually in flight (one
-// id per token), and spent slices recycle through freeQ.
+// in its lane ring or still held by the producer — never unrecorded.
+//
+// Bound: an entry is published for a token the scatter has accepted and is
+// consumed when the fan-in pops that token, so the queue never holds more
+// entries than the segment holds tokens: per lane, the batch pending at the
+// scatter, then a ring (which blocks, also under the shed policy) and a batch
+// in hand for each of the segment's stages and for the fan-in. With the slice
+// the fan-in is reading, counted until it is spent, that is at most lanes ×
+// ((stages+1) × (ring capacity+1) + 2) × batch entries, fixed by the
+// configuration (peak records the high-water mark;
+// TestSeqStreamBoundedUnderSkew holds it to that). Because the bound is the
+// rings' backpressure, the queue needs none of its own and a flush never
+// blocks — it must not: the producer would stall holding exactly the batch
+// the fan-in is starved on. Spent slices recycle through freeQ.
 type seqStream struct {
 	mu     sync.Mutex
 	q      [][]uint16 // published, oldest first
 	freeQ  [][]uint16 // spent slices handed back by the consumer
+	queued int        // entries published and not yet taken by the consumer
+	peak   int        // the most queued ever was
 	closed bool
 	notify chan struct{} // cap 1: kicks a waiting consumer
 
@@ -55,6 +61,8 @@ func (s *seqStream) flush() {
 	}
 	s.mu.Lock()
 	s.q = append(s.q, s.pend)
+	s.queued += len(s.pend)
+	s.peak = max(s.peak, s.queued)
 	s.pend = nil
 	if n := len(s.freeQ); n > 0 {
 		s.pend = s.freeQ[n-1][:0]
@@ -89,6 +97,7 @@ func (s *seqStream) next(done <-chan struct{}) (int, bool) {
 	for s.pos >= len(s.cur) {
 		s.mu.Lock()
 		if s.cur != nil {
+			s.queued -= len(s.cur)
 			s.freeQ = append(s.freeQ, s.cur)
 			s.cur = nil
 		}
@@ -115,206 +124,143 @@ func (s *seqStream) next(done <-chan struct{}) (int, bool) {
 	return lane, true
 }
 
-// scatterer is the producer side of a 1->P junction: the single upstream
-// replica partitions each batch by the tokens' shard index and pushes one
-// sub-batch per lane. When the junction feeds a downstream fan-in, the
-// lane sequence is recorded (in arrival = global order) and flushed before
-// any sub-batch moves.
-type scatterer struct {
-	rings []*tokRing
-	sq    *seqStream // nil: no paired fan-in downstream
-	pend  [][]*token // per-lane sub-batch scratch
-}
-
-func newScatterer(rings []*tokRing, sq *seqStream) *scatterer {
-	return &scatterer{rings: rings, sq: sq, pend: make([][]*token, len(rings))}
-}
-
-// send partitions b by lane and delivers every sub-batch. Delivery cycles
-// over the held lanes instead of blocking on one: with a fan-in
-// downstream, the merger consumes lanes in dispatch order, so parking on
-// a saturated lane while a starved lane's sub-batch sits here would
-// deadlock. The overload policy is applied per lane once it stays
-// saturated past the watermark (shed is rejected at validation when a
-// fan-in exists). Returns false when the run was canceled mid-delivery.
-func (sc *scatterer) send(e *engine, b []*token, lc *laneCtx) bool {
-	for _, t := range b {
-		if sc.sq != nil {
-			sc.sq.add(int(t.shard))
-		}
-		if sc.pend[t.shard] == nil {
-			sc.pend[t.shard] = e.getBatch()
-		}
-		sc.pend[t.shard] = append(sc.pend[t.shard], t)
-	}
-	b = b[:0]
-	e.putBatch(b)
-	if sc.sq != nil {
-		sc.sq.flush()
-	}
-
-	// pend entries are nil or non-empty, and every delivery clears its own.
-	held := false
-	for j, p := range sc.pend {
-		if p == nil {
-			continue
-		}
-		if tryPush(sc.rings[j], p, lc.probe) {
-			sc.pend[j] = nil
-		} else {
-			held = true
-		}
-	}
-	if !held {
+// ready reports whether next would return without waiting. Consumer side only.
+func (s *seqStream) ready() bool {
+	if s.pos < len(s.cur) {
 		return true
 	}
-	lc.probe.stalls.Add(1)
-	return sc.drain(e, lc)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.q) > 0 || s.closed
 }
 
-// drain waits on the held sub-batches, one pushHeld round at a time, until
-// every one is delivered (or shed under OverloadShed, or the run is
-// canceled). A round that times out is one tick of saturation for every lane
-// still full at its end; a lane that stays full for Watermark ticks sheds its
-// sub-batch.
-func (sc *scatterer) drain(e *engine, lc *laneCtx) bool {
-	ticks := make([]int, len(sc.pend))
-	for {
-		w := slices.IndexFunc(sc.pend, func(b []*token) bool { return b != nil })
-		if w < 0 {
+// scatterer is the producer side of a 1->P junction, where a sharded segment
+// opens: the dispatcher's lane feed in front of a replicated first stage, or
+// the out-port of an unreplicated stage whose successor is replicated. It
+// appends each token to its lane's pending batch and records the lane — in
+// arrival, which is global, order — for the fan-in that closes the segment;
+// recorded entries are flushed before any batch they name moves. The
+// dispatcher fills a whole batch per lane before delivering it (fill is the
+// configured batch), so the replicas see the configured batch size whatever
+// P is; a mid-pipeline scatter delivers what each send split off at once
+// (fill 0).
+//
+// This is also where the shed policy acts under sharding. A recorded token
+// must reach the fan-in — a hole would stall the merge on a lane that went
+// quiet — so the rings of a sharded segment block, and a lane whose ring
+// stayed full past the watermark keeps its refused batch here (held) while
+// whatever arrives for it is shed before it is recorded: no entry, no hole.
+type scatterer struct {
+	rings []*tokRing
+	sq    *seqStream
+	pend  [][]*token // per-lane batch: being filled, or held
+	held  []bool     // pend[j] was refused past the watermark; lane j sheds until it leaves
+	fill  int
+	lc    *laneCtx // the sending lane: the dispatcher's, or the scattering stage's
+}
+
+func newScatterer(rings []*tokRing, sq *seqStream, fill int, lc *laneCtx) *scatterer {
+	return &scatterer{rings: rings, sq: sq, pend: make([][]*token, len(rings)),
+		held: make([]bool, len(rings)), fill: fill, lc: lc}
+}
+
+// send records b's tokens and appends them to their lanes, delivering lane
+// batches as they fill (or all of them, at a scatter). A held lane is offered
+// its batch once per call, so it leaves as soon as there is room even if the
+// lane's flows have gone quiet. Returns false when the run was canceled.
+func (sc *scatterer) send(e *engine, b []*token) bool {
+	for j, h := range sc.held {
+		if h {
+			sc.offer(j)
+		}
+	}
+	for _, t := range b {
+		j := int(t.shard)
+		if sc.held[j] {
+			e.shed(sc.lc, t, "lane saturated past watermark")
+			continue
+		}
+		sc.sq.add(j)
+		if sc.pend[j] == nil {
+			sc.pend[j] = e.getBatch()
+		}
+		sc.pend[j] = append(sc.pend[j], t)
+		if sc.fill > 0 && len(sc.pend[j]) >= sc.fill && !sc.deliver(e, j) {
+			return false
+		}
+	}
+	e.putBatch(b)
+	if sc.fill > 0 {
+		return true
+	}
+	for j := range sc.pend {
+		if len(sc.pend[j]) > 0 && !sc.held[j] && !sc.deliver(e, j) {
+			return false
+		}
+	}
+	return true
+}
+
+// offer is the non-blocking put of lane j's pending batch.
+func (sc *scatterer) offer(j int) bool {
+	if !tryPush(sc.rings[j], sc.pend[j], sc.lc.probe) {
+		return false
+	}
+	sc.pend[j], sc.held[j] = nil, false
+	return true
+}
+
+// deliver hands lane j's pending batch to its ring, waiting in rounds while
+// the ring is full. Each round first offers every other pending lane its
+// batch, partial or not, without blocking — the fan-in consumes lanes in
+// dispatch order, so a starved lane's batch must be able to leave while the
+// producer waits on a saturated one: the cross-lane deadlock guard — then
+// waits on lane j the ring's own way (spin, yield, park) for at most one
+// overloadTick, booked as transmit-side wait. Under the blocking policy the
+// rounds go on until the batch has left; under shed the lane is marked held
+// after Watermark of them. False means the run was canceled.
+func (sc *scatterer) deliver(e *engine, j int) bool {
+	sc.sq.flush()
+	if sc.offer(j) {
+		return true
+	}
+	p := sc.lc.probe
+	p.stalls.Add(1)
+	for tick := 0; e.cfg.Overload == OverloadBlock || tick < e.cfg.Watermark; tick++ {
+		for i := range sc.pend {
+			if i != j && len(sc.pend[i]) > 0 {
+				sc.offer(i)
+			}
+		}
+		sent, canceled := sc.rings[j].PushTimeout(sc.pend[j], e.ictx.Done(), overloadTick, &p.txWait)
+		if sent {
+			p.out.Add(int64(len(sc.pend[j])))
+			sc.pend[j], sc.held[j] = nil, false
 			return true
 		}
-		sent, canceled := e.pushHeld(sc.rings, sc.pend, w, lc.probe)
 		if canceled {
 			return false
 		}
-		if sent || e.cfg.Overload == OverloadBlock {
-			continue
-		}
-		for j := range sc.pend {
-			if sc.pend[j] == nil {
-				continue
-			}
-			if j != w && tryPush(sc.rings[j], sc.pend[j], lc.probe) {
-				sc.pend[j] = nil
-				continue
-			}
-			if ticks[j]++; ticks[j] < e.cfg.Watermark {
-				continue
-			}
-			// Only reachable without a fan-in downstream (validated):
-			// dropping sequenced tokens would starve the merger.
-			e.shed(lc, sc.pend[j])
-			sc.pend[j] = nil
-		}
 	}
+	sc.held[j] = true
+	return true
 }
 
-// pushHeld is one wait round of a 1->P junction holding batches for several
-// lanes. Every pending lane but w is first offered its batch without
-// blocking: a fan-in downstream consumes lanes in dispatch order, so a
-// starved lane's batch must be able to leave while the producer waits on a
-// saturated one — the cross-lane deadlock guard. Then the producer waits on
-// lane w the ring's own way (spin, yield, park) for at most one
-// overloadTick, the blocked time booked to p's transmit-side wait. Lanes
-// that took their batch are cleared from pend.
-func (e *engine) pushHeld(rings []*tokRing, pend [][]*token, w int, p *stageProbe) (sent, canceled bool) {
-	for j := range pend {
-		if j != w && len(pend[j]) > 0 && tryPush(rings[j], pend[j], p) {
-			pend[j] = nil
+// close delivers what is still pending — partial batches and held ones: what
+// was recorded must arrive, so this waits whatever the policy (abandoned on
+// cancellation) — then ends every lane and the sequence.
+func (sc *scatterer) close(e *engine) {
+	for j := 0; j < len(sc.pend); {
+		if len(sc.pend[j]) == 0 {
+			j++
+		} else if !sc.deliver(e, j) {
+			break
 		}
-	}
-	sent, canceled = rings[w].PushTimeout(pend[w], e.ictx.Done(), overloadTick, &p.txWait)
-	if sent {
-		p.out.Add(int64(len(pend[w])))
-		pend[w] = nil
-	}
-	return sent, canceled
-}
-
-// close ends the junction: the sequence stream first (its tail flushed),
-// then every lane ring.
-func (sc *scatterer) close() {
-	if sc.sq != nil {
-		sc.sq.close()
 	}
 	for _, r := range sc.rings {
 		r.Close()
 	}
-}
-
-// laneFeed is the dispatcher's out-port: the source-side 1->P junction of
-// a run whose first stage is replicated. Unlike a scatterer, which splits
-// each batch and delivers the pieces at once, it accumulates a full batch
-// per lane before delivering it, so the replicas see the configured batch
-// size whatever P is — and it is lossless (pure backpressure): the
-// overload policies act at the inter-stage rings. The lane sequence is
-// recorded for the paired fan-in when one exists.
-type laneFeed struct {
-	rings []*tokRing
-	sq    *seqStream // nil: no fan-in downstream
-	pend  [][]*token // per-lane batch being filled
-	probe *stageProbe
-}
-
-// send appends b's tokens to their lanes' pending batches, delivering each
-// lane batch as it fills. Returns false when the run was canceled.
-func (lf *laneFeed) send(e *engine, b []*token) bool {
-	for _, t := range b {
-		lane := int(t.shard)
-		if lf.sq != nil {
-			lf.sq.add(lane)
-		}
-		if lf.pend[lane] == nil {
-			lf.pend[lane] = e.getBatch()
-		}
-		lf.pend[lane] = append(lf.pend[lane], t)
-		if len(lf.pend[lane]) >= e.cfg.Batch {
-			if lf.sq != nil {
-				lf.sq.flush()
-			}
-			if !lf.flush(e, lane) {
-				return false
-			}
-		}
-	}
-	e.putBatch(b)
-	return true
-}
-
-// flush delivers pend[lane] into its head ring, waiting in pushHeld rounds
-// when the ring is full — so the other lanes' partial batches keep leaving
-// while the dispatcher waits on a saturated one.
-func (lf *laneFeed) flush(e *engine, lane int) bool {
-	if tryPush(lf.rings[lane], lf.pend[lane], lf.probe) {
-		lf.pend[lane] = nil
-		return true
-	}
-	lf.probe.stalls.Add(1)
-	for {
-		if sent, canceled := e.pushHeld(lf.rings, lf.pend, lane, lf.probe); sent || canceled {
-			return sent
-		}
-	}
-}
-
-// close flushes the partial lane batches in one last sequenced round
-// (abandoned on cancellation), then ends every lane and the sequence.
-func (lf *laneFeed) close(e *engine) {
-	if lf.sq != nil {
-		lf.sq.flush()
-	}
-	for j := range lf.pend {
-		if len(lf.pend[j]) > 0 && !lf.flush(e, j) {
-			break
-		}
-	}
-	for _, r := range lf.rings {
-		r.Close()
-	}
-	if lf.sq != nil {
-		lf.sq.close()
-	}
+	sc.sq.close()
 }
 
 // merger is the consumer side of a P->1 junction: the single downstream
@@ -334,19 +280,22 @@ func (e *engine) newMerger(cut int, lc *laneCtx) *merger {
 	return &merger{
 		e:     e,
 		rings: e.rings[cut],
-		sq:    e.seqs[e.plan.faninSeq[cut]],
+		sq:    e.seqs[e.plan.seqAt[cut+1]],
 		cur:   make([][]*token, len(e.rings[cut])),
 		pos:   make([]int, len(e.rings[cut])),
 		probe: lc.probe,
 	}
 }
 
-// nextBatch assembles up to n live tokens in global order. more is false
-// when the stream ended (or the run was canceled): process the partial
-// batch, then return.
+// nextBatch assembles up to n live tokens in global order, fewer when the
+// sequence runs dry with some in hand. more is false when the stream ended
+// (or the run was canceled): process the partial batch, then return.
 func (mg *merger) nextBatch(n int) (b []*token, more bool) {
 	b = mg.e.getBatch()
 	for len(b) < n {
+		if len(b) > 0 && !mg.sq.ready() {
+			return b, true // nothing more was dispatched: do not sit on retired work
+		}
 		lane, ok := mg.sq.next(mg.e.ictx.Done())
 		if !ok {
 			return b, false
@@ -382,86 +331,4 @@ func (mg *merger) pop(lane int) *token {
 	t := mg.cur[lane][mg.pos[lane]]
 	mg.pos[lane]++
 	return t
-}
-
-// sinkCollector accumulates one sink replica's share of the trace when the
-// final segment is sharded: the replica's own chunked trace plus an
-// (iteration, event-count) span index the offline merge walks. Owned by
-// its sink replica's goroutine until the final join.
-type sinkCollector struct {
-	traceBuf
-	iters  []int64
-	counts []int32
-}
-
-// add appends one retired iteration's events. Iterations that emitted
-// nothing need no span — the merge only orders events.
-func (c *sinkCollector) add(iter int64, evs []interp.Event) {
-	if len(evs) == 0 {
-		return
-	}
-	c.iters = append(c.iters, iter)
-	c.counts = append(c.counts, int32(len(evs)))
-	c.append(evs)
-}
-
-// evCursor walks a sealed collector's chunks sequentially, releasing each
-// chunk once it has been copied out.
-type evCursor struct {
-	chunks  [][]interp.Event
-	ci, off int
-}
-
-// take appends the cursor's next n events to dst.
-func (c *evCursor) take(n int, dst []interp.Event) []interp.Event {
-	for n > 0 {
-		ch := c.chunks[c.ci]
-		m := len(ch) - c.off
-		if m > n {
-			m = n
-		}
-		dst = append(dst, ch[c.off:c.off+m]...)
-		c.off += m
-		n -= m
-		if c.off == len(ch) {
-			c.chunks[c.ci] = nil
-			c.ci++
-			c.off = 0
-		}
-	}
-	return dst
-}
-
-// mergeShardTraces k-way merges the per-replica sink traces back into
-// global iteration order — the offline half of the determinism story,
-// used when the final segment is sharded and there is no live fan-in.
-// Each collector's spans are already iteration-sorted (per-lane order is
-// preserved end to end), so one linear min-scan per span suffices; P is
-// at most MaxShards.
-func mergeShardTraces(cols []*sinkCollector) []interp.Event {
-	total := 0
-	cur := make([]evCursor, len(cols))
-	for j, c := range cols {
-		cur[j] = evCursor{chunks: c.seal()}
-		total += c.n
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]interp.Event, 0, total)
-	idx := make([]int, len(cols))
-	for {
-		best := -1
-		var bi int64
-		for j, c := range cols {
-			if idx[j] < len(c.iters) && (best < 0 || c.iters[idx[j]] < bi) {
-				best, bi = j, c.iters[idx[j]]
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = cur[best].take(int(cols[best].counts[idx[best]]), out)
-		idx[best]++
-	}
 }

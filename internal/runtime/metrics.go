@@ -46,8 +46,9 @@ type StageStats struct {
 	// SpinWait and ParkWait split the stage's total blocked-on-ring time
 	// by the same phases; SpinWait + ParkWait is the stage's whole
 	// handoff wait. TxWait and RxWait split the same total the other way:
-	// time blocked pushing into a full downstream ring versus time
-	// blocked on an empty upstream ring.
+	// time blocked pushing into a full downstream ring — at the stage that
+	// pushes to the Sink, the time inside Sink.Push, counted as parked —
+	// versus time blocked on an empty upstream ring.
 	SpinWait, ParkWait time.Duration
 	TxWait, RxWait     time.Duration
 	// LostWakeups counts ring parks that ended by the 1ms backstop timer
@@ -161,8 +162,8 @@ func (s *StageStats) NsPerIteration() float64 {
 	return float64(s.Busy.Nanoseconds()) / float64(s.In)
 }
 
-// Metrics is the snapshot Serve returns: end-to-end throughput, the
-// observable trace (in exact sequential order), and per-stage counters.
+// Metrics is the snapshot Serve returns: end-to-end throughput, per-stage
+// counters and — under the default sink — the observable trace.
 type Metrics struct {
 	// Packets is the number of iterations that retired at the sink stage.
 	Packets int64
@@ -175,9 +176,13 @@ type Metrics struct {
 	// Stages holds one entry per pipeline stage (counters aggregated
 	// across the stage's replicas when sharded; see StageStats.Replicas).
 	Stages []StageStats
-	// Trace is the observable event stream, merged from the per-iteration
-	// buffers in iteration order — byte-identical to the sequential oracle.
+	// Trace is the observable event stream in iteration order —
+	// byte-identical to the sequential oracle. The trace sink fills it: the
+	// default sink of a serve given none. Under any other Sink it is nil.
 	Trace []interp.Event
+	// Flushed is what the Sink's Close reported: the events it has put where
+	// they go (len(Trace) under the default sink).
+	Flushed int64
 	// Faults is the run's loss accounting (always non-nil): delivered, shed
 	// and quarantined packets, with per-packet records. On a clean run every
 	// counter except Delivered is zero.

@@ -2,7 +2,7 @@ package runtime
 
 // The two ends of a unit. Every inter-goroutine batch conduit in the serve
 // engine — inter-stage cut rings, the dispatcher's head rings, scatter and
-// fan-in lane rings, the batch free list — is a lock-free SPSC ring from
+// fan-in lane rings, the batch free ring — is a lock-free SPSC ring from
 // internal/spsc, held directly: exactly one producer and one consumer per
 // ring, producer-side Close as the end-of-stream signal, drain-then-exit on
 // close (spsc.Ring.Pop folds the closed-and-drained re-check in), and
@@ -37,9 +37,8 @@ const (
 	portSource  portKind = iota // in: the packet Source (head or dispatcher)
 	portRing                    // in/out: one SPSC ring (aligned cut, head ring, lane into a fan-in)
 	portMerge                   // in: fan-in merger over P lane rings
-	portScatter                 // out: 1 -> P scatter junction
-	portLanes                   // out: the dispatcher's per-lane batch delivery
-	portSink                    // out: retire into the trace
+	portScatter                 // out: 1 -> P scatter junction (the dispatcher's lane feed is one)
+	portSink                    // out: push to the Sink and retire
 )
 
 // inPort is a unit's inbound side. lc is the receiving lane: its probe
@@ -117,28 +116,23 @@ func (e *engine) pull(in *inPort) (b []*token, more bool) {
 // stage, or the dispatcher's own lane: its probe takes the Out
 // count, the stalls, the transmit-side waits and the overload counters.
 type outPort struct {
-	kind  portKind
-	lc    *laneCtx
-	ring  *tokRing       // portRing
-	sc    *scatterer     // portScatter
-	lanes *laneFeed      // portLanes
-	col   *sinkCollector // portSink of a sharded final segment; nil at a single sink
-	free  *tokRing       // portSink: this sink replica's batch free ring
+	kind portKind
+	lc   *laneCtx
+	ring *tokRing   // portRing
+	sc   *scatterer // portScatter
 }
 
 // send hands a non-empty batch downstream, with the transmit-phase span
-// when tracing. It returns false when the run was canceled mid-wait. The
-// sink never waits, and the dispatcher's pulled batches are re-split by
-// lane — their keys name no downstream batch — so neither records a span.
-func (o *outPort) send(e *engine, b []*token) bool {
-	switch o.kind {
-	case portSink:
-		e.retire(b, o)
-		return true
-	case portLanes:
-		return o.lanes.send(e, b)
+// when span is set: a stage's unit under tracing. It returns false when the
+// run was canceled mid-wait or the sink failed. The sink's time is booked on
+// the probe, not as a span (a batch's residence window still closes at its
+// last stage's exec), and the dispatcher's pulled batches are re-split by
+// lane — their keys name no downstream batch — so neither records one.
+func (o *outPort) send(e *engine, b []*token, span bool) bool {
+	if o.kind == portSink {
+		return e.retire(b, o.lc)
 	}
-	if !e.timed {
+	if !span {
 		return o.deliver(e, b)
 	}
 	// Capture before sending: a shed batch is recycled inside.
@@ -151,7 +145,7 @@ func (o *outPort) send(e *engine, b []*token) bool {
 
 func (o *outPort) deliver(e *engine, b []*token) bool {
 	if o.kind == portScatter {
-		return o.sc.send(e, b, o.lc)
+		return o.sc.send(e, b)
 	}
 	return e.sendRing(o.ring, b, o.lc)
 }
@@ -163,9 +157,7 @@ func (o *outPort) close(e *engine) {
 	case portRing:
 		o.ring.Close()
 	case portScatter:
-		o.sc.close()
-	case portLanes:
-		o.lanes.close(e)
+		o.sc.close(e)
 	}
 }
 
@@ -180,16 +172,18 @@ func tryPush(out *tokRing, b []*token, p *stageProbe) bool {
 }
 
 // sendRing forwards a batch on out, counting a stall when the ring is
-// full. Under OverloadBlock it waits for space (backpressure); under
-// OverloadShed it re-probes the saturated ring for Watermark ticks and then
-// drops the batch. It returns false when the run was canceled mid-wait.
+// full. Under OverloadBlock — and inside a sharded segment whatever the
+// policy: a token the scatter recorded must reach the fan-in — it waits for
+// space (backpressure); under OverloadShed it re-probes the saturated ring
+// for Watermark ticks and then drops the batch. It returns false when the
+// run was canceled mid-wait.
 func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 	p := lc.probe
 	if tryPush(out, b, p) {
 		return true
 	}
 	p.stalls.Add(1)
-	if e.cfg.Overload == OverloadShed {
+	if e.cfg.Overload == OverloadShed && !lc.tomb {
 		for probe := 0; probe < e.cfg.Watermark; probe++ {
 			sent, canceled := out.PushTimeout(b, e.ictx.Done(), overloadTick, &p.txWait)
 			if sent {
@@ -200,7 +194,10 @@ func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 				return false
 			}
 		}
-		e.shed(lc, b)
+		for _, t := range b {
+			e.shed(lc, t, "ring saturated past watermark")
+		}
+		e.putBatch(b)
 		return true
 	}
 	if !out.Push(b, e.ictx.Done(), &p.txWait) {
@@ -210,17 +207,13 @@ func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 	return true
 }
 
-// shed drops a batch whose ring stayed saturated past the watermark under
-// OverloadShed: each packet recorded, counted and recycled. The fault seam's
-// overload gates are released before the caller moves on: a schedule may hold
-// the consumer until this very engagement is observed.
-func (e *engine) shed(lc *laneCtx, b []*token) {
-	for _, t := range b {
-		e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "shed", Reason: "ring saturated past watermark"})
-		e.putToken(t)
-	}
-	n := int64(len(b))
-	lc.probe.shed.Add(n)
-	e.putBatch(b)
-	e.inj.NoteOverload(n)
+// shed drops one packet under OverloadShed — its ring, or at a scatter its
+// lane, stayed saturated past the watermark: recorded, counted and recycled.
+// The fault seam's overload gates are released before the caller moves on: a
+// schedule may hold the consumer until this very engagement is observed.
+func (e *engine) shed(lc *laneCtx, t *token, why string) {
+	e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "shed", Reason: why})
+	e.putToken(t)
+	lc.probe.shed.Add(1)
+	e.inj.NoteOverload(1)
 }

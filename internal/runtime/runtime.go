@@ -8,9 +8,11 @@
 // Every serve goroutine has the one shape of the paper's pipeline stage
 // (unit, below): take a batch from the in-port — the Source at the head, a
 // ring or a fan-in merger elsewhere — run it through the unit's stage, hand
-// it to the out-port — a ring, a scatter, or the sink. D=1 is the
+// it to the out-port — a ring, a scatter, or the Sink. D=1 is the
 // degenerate pipeline source -> stage -> sink; the sharding dispatcher is a
-// source in-port with no stage in front of its lane delivery.
+// source in-port with no stage in front of its lane delivery, and its mirror,
+// the sink unit behind a replicated last stage, a fan-in with no stage in
+// front of the Sink.
 //
 // The runtime serves exactly the stages it is given, every cut between them
 // on a ring. A cut that should not cost a ring is not served here at all:
@@ -23,17 +25,18 @@
 // down the pipeline inside a token. The source in-port pulls one packet
 // per iteration from the Source and attaches it to the token; the iteration's
 // observable events are buffered on the token (IterCtx.DeferEvents) and
-// merged at the sink in iteration order. Because each ring has exactly one
-// producer and one consumer, tokens retire in iteration order and the
-// merged trace is byte-identical to the sequential oracle's — there is no
-// cross-stage reordering to normalize away.
+// pushed to the Sink (sink.go) as the token retires. Because each ring has
+// exactly one producer and one consumer, tokens retire in iteration order
+// and the stream the Sink sees — the default one keeps it as Metrics.Trace —
+// is byte-identical to the sequential oracle's: there is no cross-stage
+// reordering to normalize away.
 //
 // Sharding (Config.Shards > 1) replicates the shardable stages P ways:
 // packets are dispatched to lanes by a flow hash and the global order is
 // restored at deterministic merge points, so the served trace stays
 // byte-identical to the oracle at any shard count. The topology and the
 // determinism argument live in shard.go; the junction machinery (scatter,
-// fan-in, sequence side-channel, offline sink merge) in merge.go.
+// fan-in, sequence side-channel) in merge.go.
 //
 // Shared state discipline (what makes the concurrency safe):
 //
@@ -137,6 +140,12 @@ type Config struct {
 	// reference are materialized into it before the goroutines start.
 	// nil keeps the classic semantics: fresh state per Serve call.
 	Store *interp.Store
+
+	// Sink receives the served stream (see Sink): the events of every retired
+	// iteration, in source order, pushed by one goroutine, and one Close when
+	// the serve ends. nil selects a TraceSink of the serve's own, whose events
+	// become Metrics.Trace.
+	Sink Sink
 
 	// Ingest, when non-nil, snapshots the boundary counters of the
 	// network-facing source feeding this run (rx packets/bytes, drops,
@@ -313,7 +322,7 @@ func Validate(stages []*ir.Program) error {
 // token's lane (fixed at dispatch by the flow hash), and dead marks a
 // tombstone: a quarantined iteration that keeps flowing toward its fan-in so
 // the dispatch sequence stays gap-free, then is recycled there without ever
-// reaching the trace.
+// reaching the sink.
 //
 // Layout is cache-line aware: the fields every handoff touches — ctx,
 // the two live-set buffers, and iter — pack into the first 64 bytes
@@ -342,7 +351,7 @@ type laneCtx struct {
 	run    *exec.Runner
 	inj    *fault.Injector
 	recIdx int
-	tomb   bool // quarantines become tombstones (sharded segment ends in a fan-in)
+	tomb   bool // replicated: a fan-in follows, so quarantines become tombstones and full rings block
 
 	// The group being executed: one Iteration per admitted token, each
 	// one's position in the batch, and when the group — under a per-stage
@@ -358,7 +367,8 @@ type laneCtx struct {
 // the unit executes. The head is source -> stage -> ring, an interior stage
 // ring|merge -> stage -> ring|scatter, D=1 source -> stage -> sink, and the
 // dispatcher a source in-port with no stage at all (lc nil) in front of its
-// lane feed.
+// lane feed; the sink unit is its mirror, a fan-in with no stage in front of
+// the Sink.
 type unit struct {
 	in     inPort
 	lc     *laneCtx
@@ -375,10 +385,9 @@ type engine struct {
 	owned    bool // src hands its packets over (packetOwner)
 	plan     *shardPlan
 	runners  [][]*exec.Runner // stage -> replicas
-	rings    [][]*tokRing     // cut -> lane rings
+	rings    [][]*tokRing     // cut -> lane rings; the last, into the sink unit, only when one exists
 	headRing []*tokRing       // dispatcher -> stage-0 replicas (nil without a dispatcher)
-	seqs     []*seqStream     // fan-in sequence side-channels
-	cols     []*sinkCollector // per sink replica, when the final segment is sharded
+	seqs     []*seqStream     // one sequence side-channel per sharded segment
 	units    []*unit          // one goroutine each
 	inj      *fault.Injector
 	injs     []*fault.Injector // per-lane injector views; injs[0] is inj
@@ -408,23 +417,23 @@ type engine struct {
 	tokPool   *sync.Pool
 	batchPool *sync.Pool
 
-	// freeBatches recycles whole retired batches — reset tokens still
-	// attached — from the sink back to the source in one ring operation per
-	// batch, replacing 2×Batch sync.Pool operations with one
-	// synchronization on the serve hot path. There is one ring per sink
-	// replica (a single one at an unsharded sink), so each keeps exactly one
-	// producer — its sink replica — and one consumer, the source in-port,
-	// which polls them round-robin from freeNext. spare is the source
-	// side's current stash (source in-port goroutine only); the pools
-	// absorb overflow and the stragglers recycled off the hot path
-	// (quarantines, tombstones).
-	freeBatches []*tokRing
-	freeNext    int
-	spare       []*token
+	// free recycles whole retired batches — reset tokens still attached —
+	// from the sink back to the source in one ring operation per batch,
+	// replacing 2×Batch sync.Pool operations with one synchronization on the
+	// serve hot path. One goroutine pushes to the Sink, so the ring has its
+	// one producer there and its one consumer in the source in-port; neither
+	// end ever waits on it. spare is the source side's current stash (source
+	// in-port goroutine only); the pools absorb overflow and the stragglers
+	// recycled off the hot path (quarantines, tombstones).
+	free  *tokRing
+	spare []*token
 
-	// trace accumulates the single sink's events (a sharded final segment
-	// collects per replica in cols instead and k-way merges after the join).
-	trace traceBuf
+	// sink is where retired iterations go; trace is the same value when the
+	// serve made its own (Config.Sink nil). evbuf is the pushing goroutine's
+	// scratch: one batch's events, flat, the engine's again after each Push.
+	sink  Sink
+	trace *TraceSink
+	evbuf []interp.Event
 
 	errOnce  sync.Once
 	firstErr error
@@ -434,64 +443,6 @@ type engine struct {
 func newPools(batch int) (tok, bat *sync.Pool) {
 	return &sync.Pool{New: func() any { return &token{ctx: interp.NewIterCtx()} }},
 		&sync.Pool{New: func() any { return make([]*token, 0, batch) }}
-}
-
-// traceChunkEvents sizes the sink's trace chunks: big enough to amortize
-// the per-chunk allocation, small enough to recycle address space quickly.
-const traceChunkEvents = 1 << 15
-
-// traceBuf accumulates a sink's events. The owning sink goroutine is the
-// sole writer: events land in fixed-size chunks (tail is the one being
-// filled, chunks the sealed ones) and are assembled into Metrics.Trace
-// with a single exact-size allocation after the join. Growing one flat
-// slice by append instead costs a realloc-zero-copy cycle per doubling,
-// which at streaming scale dominates the sink.
-type traceBuf struct {
-	chunks [][]interp.Event
-	tail   []interp.Event
-	n      int // events held
-}
-
-// append adds one iteration's deferred events.
-func (tb *traceBuf) append(evs []interp.Event) {
-	tb.n += len(evs)
-	for len(evs) > 0 {
-		if cap(tb.tail) == 0 {
-			tb.tail = make([]interp.Event, 0, traceChunkEvents)
-		}
-		n := copy(tb.tail[len(tb.tail):cap(tb.tail)], evs)
-		tb.tail = tb.tail[:len(tb.tail)+n]
-		evs = evs[n:]
-		if len(tb.tail) == cap(tb.tail) {
-			tb.chunks = append(tb.chunks, tb.tail)
-			tb.tail = nil
-		}
-	}
-}
-
-// seal closes the tail chunk and returns all chunks, oldest first. Called
-// strictly after the unit goroutines joined.
-func (tb *traceBuf) seal() [][]interp.Event {
-	if tb.tail != nil {
-		tb.chunks = append(tb.chunks, tb.tail)
-		tb.tail = nil
-	}
-	return tb.chunks
-}
-
-// assemble concatenates the chunks into one exact-size trace slice,
-// releasing each chunk as it is copied so the run never holds two full
-// copies of the trace.
-func (tb *traceBuf) assemble() []interp.Event {
-	if tb.n == 0 {
-		return nil
-	}
-	trace := make([]interp.Event, 0, tb.n)
-	for i, c := range tb.seal() {
-		trace = append(trace, c...)
-		tb.chunks[i] = nil
-	}
-	return trace
 }
 
 func (e *engine) fail(err error) {
@@ -518,7 +469,7 @@ func (e *engine) lane(s, j int) *laneCtx {
 		run:    e.runners[s][j],
 		inj:    e.injs[j],
 		recIdx: e.live.offs[s] + j,
-		tomb:   e.plan.needTomb[s],
+		tomb:   e.plan.reps[s] > 1,
 	}
 }
 
@@ -543,15 +494,7 @@ func (e *engine) getToken() *token {
 // the source in-port's goroutine calls it.
 func (e *engine) takeToken() *token {
 	if len(e.spare) == 0 {
-		for range e.freeBatches {
-			sb, ok := e.freeBatches[e.freeNext].TryPop()
-			e.freeNext = (e.freeNext + 1) % len(e.freeBatches)
-			if ok {
-				e.spare = sb
-				break
-			}
-		}
-		if len(e.spare) == 0 {
+		if e.spare, _ = e.free.TryPop(); len(e.spare) == 0 {
 			return e.getToken()
 		}
 	}
@@ -597,14 +540,13 @@ func (e *engine) putBatch(b []*token) {
 }
 
 // recycleBatch resets a retired batch's tokens in place and hands the
-// whole batch back to the source through free, the calling sink replica's
-// own free ring — one ring operation instead of per-token pool traffic. A
-// full ring falls back to the pools.
-func (e *engine) recycleBatch(b []*token, free *tokRing) {
+// whole batch back to the source through the free ring — one ring operation
+// instead of per-token pool traffic. A full ring falls back to the pools.
+func (e *engine) recycleBatch(b []*token) {
 	for _, t := range b {
 		t.reset()
 	}
-	if free.TryPush(b) {
+	if e.free.TryPush(b) {
 		return
 	}
 	for _, t := range b {
@@ -647,9 +589,9 @@ func (e *engine) admit(lc *laneCtx, t *token) (err error) {
 }
 
 // quarantine removes t from the pipeline and records why. Inside a sharded
-// segment that ends in a fan-in the token is tombstoned and forwarded
-// instead, so the dispatch sequence stays gap-free (kept is true); its
-// buffered events never reach the trace either way.
+// segment the token is tombstoned and forwarded instead, so the dispatch
+// sequence its fan-in follows stays gap-free (kept is true); its buffered
+// events never reach the sink either way.
 func (e *engine) quarantine(lc *laneCtx, t *token, why error) (kept bool) {
 	lc.probe.quarantined.Add(1)
 	e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "quarantined", Reason: why.Error()})
@@ -674,27 +616,32 @@ func (e *engine) runBody(lc *laneCtx) (panicked, err error) {
 	return nil, lc.run.RunBatch(lc.its)
 }
 
-// retire is the sink out-port: it merges a finished batch's events into
-// the sink's trace in iteration order and recycles the whole batch. Each
-// sink goroutine writes only its own buffer — the engine's trace at a
-// single sink, the replica's collector (keyed by iteration, for the
-// post-join k-way merge) under a sharded final segment.
-func (e *engine) retire(b []*token, o *outPort) {
-	var alive int64
+// retire is the sink out-port: it pushes a finished batch's events to the
+// Sink, in iteration order, and recycles the whole batch. One goroutine per
+// serve calls it — the last stage's unit, or the sink unit behind a
+// replicated last stage — and the time it spends inside Push, working or
+// blocked, is booked on its probe as transmit-side wait. A Push error ends the
+// serve (unless the serve was ending already, and the error is only the
+// sink's way of saying so); the refused batch is not delivered.
+func (e *engine) retire(b []*token, lc *laneCtx) bool {
+	evs := e.evbuf[:0]
 	for _, t := range b {
-		if t.dead {
-			continue
-		}
-		if o.col != nil {
-			o.col.add(t.iter, t.ctx.Events)
-		} else {
-			e.trace.append(t.ctx.Events)
-		}
-		alive++
+		evs = append(evs, t.ctx.Events...)
 	}
-	e.live.packets.Add(alive)
-	o.lc.probe.out.Add(alive)
-	e.recycleBatch(b, o.free)
+	e.evbuf = evs
+	t0 := time.Now()
+	err := e.sink.Push(e.ictx, evs)
+	lc.probe.txWait.ParkNs.Add(int64(time.Since(t0)))
+	if err != nil {
+		if e.ictx.Err() == nil {
+			e.fail(fmt.Errorf("sink: %w", err))
+		}
+		return false
+	}
+	e.live.packets.Add(int64(len(b)))
+	lc.probe.out.Add(int64(len(b)))
+	e.recycleBatch(b)
+	return true
 }
 
 // runUnit is the one loop every serve goroutine runs: receive a batch, run
@@ -702,8 +649,9 @@ func (e *engine) retire(b []*token, o *outPort) {
 // on the Source at the head, on a ring or the merger elsewhere — is booked
 // as the receiving stage's wait span, keyed by the batch's first iteration
 // like every other span of that batch (so a batch's reconstructed latency
-// window opens at its first pull). The dispatcher has no stage to book to,
-// and its pulled batches are re-split by lane, so it records none.
+// window opens at its first pull). The dispatcher and the sink unit have no
+// stage to book to, and their batches are re-split or re-merged by lane, so
+// they record none.
 func (e *engine) runUnit(u *unit) {
 	defer u.out.close(e)
 	for {
@@ -724,7 +672,7 @@ func (e *engine) runUnit(u *unit) {
 			}
 		}
 		if len(b) > 0 {
-			if !u.out.send(e, b) {
+			if !u.out.send(e, b, e.timed && u.lc != nil) {
 				return
 			}
 		} else if b != nil {
@@ -924,11 +872,12 @@ func (e *engine) logLoop(stop <-chan struct{}) {
 //
 // With cfg.Shards = P > 1, stages without cross-flow state run as P
 // replicas fed by a flow-hash dispatcher; stages with cross-flow state
-// run unsharded behind a deterministic fan-in. The returned Metrics hold
-// the merged observable trace in exact sequential-oracle order plus
-// per-stage counters aggregated across replicas. On normal completion the
-// trace is also appended to world.Trace, matching the convention of the
-// oracle paths.
+// run unsharded behind a deterministic fan-in. The observable events go to
+// cfg.Sink in exact sequential-oracle order as iterations retire; the
+// returned Metrics hold per-stage counters aggregated across replicas and,
+// under the default sink, the whole trace — which on normal completion is
+// also published on world.Trace, matching the convention of the oracle
+// paths.
 //
 // Each goroutine runs under a pprof label ("stage" = its 1-based index,
 // "2+3" for a program realizing two cut stages, plus "lane" for replicas),
@@ -999,8 +948,7 @@ func (l *Layout) degree() int { return l.first[len(l.stages)] - 1 }
 // With lays the same stages out under another configuration, reusing their
 // classification: the per-candidate step of a search over serve shapes. It
 // fails with the typed error Serve would report for cfg — a bad value, a
-// fault plan naming a stage past the last, the shed policy upstream of a
-// sharded fan-in.
+// fault plan naming a stage past the last.
 func (l *Layout) With(cfg Config) (*Layout, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -1010,10 +958,6 @@ func (l *Layout) With(cfg Config) (*Layout, error) {
 		return nil, err
 	}
 	plan := newShardPlan(l.shapes, cfg.Shards, cfg.ShardKey != nil)
-	if plan.hasFanin() && cfg.Overload == OverloadShed {
-		return nil, fmt.Errorf("%w: the shed policy cannot drop tokens upstream of a sharded fan-in; use block, or serve unsharded",
-			errs.ErrConflictingOptions)
-	}
 	return &Layout{stages: l.stages, first: l.first, shapes: l.shapes, cfg: cfg, plan: plan}, nil
 }
 
@@ -1042,9 +986,14 @@ func (l *Layout) Forks() bool {
 }
 
 // Serve runs the layout: build, run, finish. See the package-level Serve.
+// The configured Sink is closed exactly once, also by a serve that could not
+// be built.
 func (l *Layout) Serve(ctx context.Context, world *interp.World, src Source) (*Metrics, error) {
 	e, err := build(l, world, src)
 	if err != nil {
+		if l.cfg.Sink != nil {
+			l.cfg.Sink.Close() //nolint:errcheck // the build error is the one to report
+		}
 		return nil, err
 	}
 	e.run(ctx)
@@ -1062,18 +1011,22 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		return nil, errs.ErrNilSource
 	}
 	cfg, plan, D := l.cfg, l.plan, len(l.stages)
-	hasDisp := plan.reps[0] > 1
 	e := &engine{
 		cfg:      cfg,
 		src:      src,
 		plan:     plan,
 		runners:  newShardRunners(l.stages, world, plan, l.shapes, cfg.Store),
-		rings:    make([][]*tokRing, D-1),
+		rings:    make([][]*tokRing, D),
 		seqs:     make([]*seqStream, plan.nSeqs),
 		inj:      fault.NewInjector(cfg.Faults, l.degree()),
 		injs:     make([]*fault.Injector, plan.width()),
 		shardKey: cfg.ShardKey,
-		live:     newLive(plan.reps, l.first, hasDisp, plan.width()),
+		live:     newLive(plan.reps, l.first, plan.width()),
+		sink:     cfg.Sink,
+	}
+	if e.sink == nil {
+		e.trace = &TraceSink{}
+		e.sink = e.trace
 	}
 	if e.shardKey == nil {
 		e.shardKey = DefaultShardKey
@@ -1082,32 +1035,22 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		e.owned = o.PacketsOwned()
 	}
 	e.live.ingest = cfg.Ingest
-	e.recs = make([][]FaultRecord, len(e.live.probes))
+	e.recs = make([][]FaultRecord, len(e.live.probes)+1) // the last is the dispatcher's
 	e.injs[0] = e.inj
 	for j := 1; j < len(e.injs); j++ {
 		e.injs[j] = e.inj.Lane()
 	}
 	e.tokPool, e.batchPool = newPools(cfg.Batch)
-	// One free ring per sink replica, the total capacity split among them.
-	sinks := plan.reps[D-1]
-	freeCap := 4 + plan.width()*(cfg.RingCapacity+2)
-	e.freeBatches = make([]*tokRing, sinks)
-	for j := range e.freeBatches {
-		e.freeBatches[j] = spsc.New[[]*token]((freeCap+sinks-1)/sinks, spsc.DefaultStrategy())
-	}
-	if sinks > 1 {
-		e.cols = make([]*sinkCollector, sinks)
-		for j := range e.cols {
-			e.cols[j] = &sinkCollector{}
-		}
-	}
+	e.free = spsc.New[[]*token](4+plan.width()*(cfg.RingCapacity+2), spsc.DefaultStrategy())
 	for k := range e.rings {
-		e.rings[k] = e.newRings(plan.lanes(k))
+		if k < D-1 || plan.reps[k] > 1 {
+			e.rings[k] = e.newRings(plan.lanes(k))
+		}
 	}
 	for i := range e.seqs {
 		e.seqs[i] = newSeqStream()
 	}
-	if hasDisp {
+	if plan.reps[0] > 1 {
 		e.headRing = e.newRings(plan.reps[0])
 		e.units = append(e.units, e.dispatcher())
 	}
@@ -1116,24 +1059,38 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 			e.units = append(e.units, e.newUnit(s, j))
 		}
 	}
+	if plan.reps[D-1] > 1 {
+		e.units = append(e.units, e.sinkUnit())
+	}
 	return e, nil
 }
 
 // dispatcher builds the source unit of a run whose first stage is
 // replicated: the source in-port pulls and stamps lanes, no stage
-// executes, and the lane feed delivers per-lane batches into the head
-// rings. Its lane view is the extra probe past the per-replica ones; the lane
-// feed is lossless, so it takes no fault records.
+// executes, and the lane feed — a scatter that fills a whole batch per lane —
+// delivers into the head rings. Its lane view is the extra probe past the
+// per-replica ones, and the extra record buffer: under the shed policy this
+// is where stage 1's lanes drop.
 func (e *engine) dispatcher() *unit {
-	lc := &laneCtx{num: 1, probe: e.live.disp}
-	lf := &laneFeed{rings: e.headRing, pend: make([][]*token, len(e.headRing)), probe: lc.probe}
-	if e.plan.dispSeq >= 0 {
-		lf.sq = e.seqs[e.plan.dispSeq]
-	}
+	lc := &laneCtx{num: 1, probe: e.live.disp, recIdx: len(e.recs) - 1}
 	return &unit{
 		in:     inPort{kind: portSource, lc: lc},
-		out:    outPort{kind: portLanes, lc: lc, lanes: lf},
+		out:    outPort{kind: portScatter, lc: lc, sc: newScatterer(e.headRing, e.seqs[e.plan.seqAt[0]], e.cfg.Batch, lc)},
 		labels: pprof.Labels("stage", "dispatch"),
+	}
+}
+
+// sinkUnit builds the dispatcher's mirror behind a replicated last stage: a
+// fan-in merges the lanes back into source order, no stage executes, and the
+// out-port pushes to the Sink — so exactly one goroutine does, at any width.
+// Its probe folds into the last stage's report as the dispatcher's does into
+// the first's.
+func (e *engine) sinkUnit() *unit {
+	lc := &laneCtx{probe: e.live.sink}
+	return &unit{
+		in:     inPort{kind: portMerge, lc: lc, mg: e.newMerger(len(e.runners)-1, lc)},
+		out:    outPort{kind: portSink, lc: lc},
+		labels: pprof.Labels("stage", "sink"),
 	}
 }
 
@@ -1151,23 +1108,16 @@ func (e *engine) newUnit(s, j int) *unit {
 		u.in = inPort{kind: portSource, lc: lc}
 	case s == 0:
 		u.in = inPort{kind: portRing, lc: lc, ring: e.headRing[j]}
-	case e.plan.faninSeq[s-1] >= 0:
+	case e.plan.reps[s-1] > e.plan.reps[s]:
 		u.in = inPort{kind: portMerge, lc: lc, mg: e.newMerger(s-1, lc)}
 	default:
 		u.in = inPort{kind: portRing, lc: lc, ring: e.rings[s-1][j]}
 	}
 	switch {
-	case s == len(e.runners)-1:
-		u.out = outPort{kind: portSink, lc: lc, free: e.freeBatches[j]}
-		if e.cols != nil {
-			u.out.col = e.cols[j]
-		}
-	case e.plan.reps[s+1] > e.plan.reps[s]:
-		var sq *seqStream
-		if e.plan.seqFor[s] >= 0 {
-			sq = e.seqs[e.plan.seqFor[s]]
-		}
-		u.out = outPort{kind: portScatter, lc: lc, sc: newScatterer(e.rings[s], sq)}
+	case e.rings[s] == nil:
+		u.out = outPort{kind: portSink, lc: lc}
+	case e.plan.repsAt(s+1) > e.plan.reps[s]:
+		u.out = outPort{kind: portScatter, lc: lc, sc: newScatterer(e.rings[s], e.seqs[e.plan.seqAt[s+1]], 0, lc)}
 	default:
 		u.out = outPort{kind: portRing, lc: lc, ring: e.rings[s][j]}
 	}
@@ -1216,20 +1166,22 @@ func (e *engine) run(ctx context.Context) {
 	}
 }
 
-// finish freezes the final Metrics from the probes, assembles the trace,
+// finish closes the sink, freezes the final Metrics from the probes and
 // reconciles the fault ledger (all strictly after the unit goroutines
-// joined), and publishes the trace to the world on a clean completion.
+// joined); a serve that made its own trace sink hands its events over as
+// Metrics.Trace and, on a clean completion, publishes them to the world. A
+// serve that failed — a stage error, a sink error — still reports what it did.
 func (e *engine) finish(ctx context.Context, world *interp.World) (*Metrics, error) {
+	flushed, cerr := e.sink.Close()
 	m := &Metrics{
 		Packets: e.live.packets.Load(),
 		Elapsed: time.Duration(e.live.elapsedNs.Load()),
 		Shards:  e.plan.width(),
 		Stages:  make([]StageStats, e.live.degree()),
+		Flushed: flushed,
 	}
-	if e.cols != nil {
-		m.Trace = mergeShardTraces(e.cols)
-	} else {
-		m.Trace = e.trace.assemble()
+	if e.trace != nil {
+		m.Trace = e.trace.Events()
 	}
 	for k := range m.Stages {
 		m.Stages[k] = e.live.stageStats(k)
@@ -1239,25 +1191,17 @@ func (e *engine) finish(ctx context.Context, world *interp.World) (*Metrics, err
 		v := e.cfg.Ingest()
 		m.Ingest = &v
 	}
-	if e.firstErr != nil {
-		return nil, e.firstErr
+	err := e.firstErr
+	if err == nil {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		return m, err
+	if err == nil && cerr != nil {
+		err = fmt.Errorf("sink: close: %w", cerr)
 	}
-	// Publish the run's trace under the oracle-path convention. An empty
-	// world trace (the overwhelmingly common case) adopts the metrics
-	// trace directly instead of copying it: at streaming scale the trace
-	// is the largest allocation of the whole run, and duplicating it costs
-	// more wall-clock than several stages' worth of execution. The full
-	// slice expression pins capacity so a later append to either alias
-	// reallocates rather than clobbering the other.
-	if len(world.Trace) == 0 {
-		world.Trace = m.Trace[:len(m.Trace):len(m.Trace)]
-	} else {
-		world.Trace = append(world.Trace, m.Trace...)
+	if err == nil && e.trace != nil {
+		AdoptTrace(world, m.Trace)
 	}
-	return m, nil
+	return m, err
 }
 
 // newShardRunners builds the per-replica stage runners (internal/exec: each

@@ -22,16 +22,18 @@ package runtime
 // the global order without comparing iteration numbers across lanes (and
 // without the head-of-line deadlock a min-iter merge hits under flow
 // skew, where it would wait on a lane that has nothing in flight).
-// Quarantines inside a sharded segment that ends in a fan-in would leave
-// holes in that sequence, so such segments forward quarantined tokens as
-// tombstones (token.dead) and the fan-in recycles them silently. When the
-// final segment is sharded there is no live fan-in: each sink replica
-// collects its own trace chunks keyed by iteration, and one k-way merge
-// after the join rebuilds the sequential trace. Stages classified as
-// cross-flow run unsharded behind a fan-in, therefore observe packets in
-// exact global order and mutate their state identically to the sequential
-// oracle — which is why the merged trace stays byte-identical even for
-// stateful pipelines like the QM and Scheduler PPSes.
+// Every sharded segment ends in a fan-in: in front of the next unreplicated
+// stage, or — when the last stage itself is replicated — in front of the
+// stage-less sink unit, the dispatcher's mirror, which merges the lanes
+// online and is the one goroutine that pushes to the Sink. A quarantine
+// inside a segment would leave a hole in its sequence, so the token goes on
+// as a tombstone (token.dead) and the fan-in recycles it silently; a shed
+// would too, so under the shed policy a segment's rings block and the drop
+// happens where the sequence is recorded, before the entry exists (merge.go).
+// Stages classified as cross-flow run unsharded behind a fan-in, therefore
+// observe packets in exact global order and mutate their state identically
+// to the sequential oracle — which is why the merged trace stays
+// byte-identical even for stateful pipelines like the QM and Scheduler PPSes.
 
 import (
 	"repro/internal/costmodel"
@@ -297,79 +299,49 @@ type shardPlan struct {
 	p    int   // configured shard count
 	reps []int // per-stage replica count: 1 or p
 
-	// needTomb marks stages whose sharded segment ends in a fan-in:
-	// quarantined tokens there are forwarded dead instead of dropped, so
-	// the fan-in's dispatch sequence stays gap-free.
-	needTomb []bool
-
-	// seqFor maps a scatter's cut index to the sequence stream consumed by
-	// its paired fan-in (-1: no downstream fan-in, no sequence needed).
-	// dispSeq is the same for the dispatcher (the virtual cut before stage
-	// 0); faninSeq maps a fan-in's cut index to that stream.
-	seqFor   []int
-	faninSeq []int
-	dispSeq  int
-	nSeqs    int
+	// seqAt[k+1] is the sequence stream of the junction at cut k — recorded
+	// by the scatter that opens a sharded segment, consumed by the fan-in
+	// that closes it — or -1 at an aligned cut. Cut -1 is the dispatcher's
+	// lane feed in front of stage 0, cut d-1 the sink's fan-in behind the
+	// last stage: source and sink are the unreplicated ends of every plan.
+	seqAt []int
+	nSeqs int
 }
 
-// newShardPlan assigns replica counts and pairs scatters with fan-ins.
+// newShardPlan assigns replica counts and numbers the sharded segments.
 // Flow-keyed stages shard only when the caller configured an explicit
 // shard key (haveKey): partitioned tables are only correct when the lane
 // assignment refines the table index, which the default whole-packet hash
 // does not promise.
 func newShardPlan(shapes []stageShape, p int, haveKey bool) *shardPlan {
 	d := len(shapes)
-	pl := &shardPlan{
-		p:        p,
-		reps:     make([]int, d),
-		needTomb: make([]bool, d),
-		seqFor:   make([]int, max(d-1, 0)),
-		faninSeq: make([]int, max(d-1, 0)),
-		dispSeq:  -1,
-	}
+	pl := &shardPlan{p: p, reps: make([]int, d), seqAt: make([]int, d+1)}
 	for s := range pl.reps {
 		pl.reps[s] = 1
-		if p > 1 {
-			switch shapes[s].class {
-			case classStateless:
-				pl.reps[s] = p
-			case classFlowKeyed:
-				if haveKey {
-					pl.reps[s] = p
-				}
-			}
+		if p > 1 && (shapes[s].class == classStateless || shapes[s].class == classFlowKeyed && haveKey) {
+			pl.reps[s] = p
 		}
 	}
-	for k := range pl.seqFor {
-		pl.seqFor[k] = -1
-		pl.faninSeq[k] = -1
-	}
-	// Pair each fan-in with the nearest upstream scatter (or the
-	// dispatcher) and allocate its sequence stream; mark the sharded
-	// segment feeding it as tombstoning.
-	lastScatter := -2 // -2: none; -1: dispatcher; >=0: cut index
-	if pl.reps[0] > 1 {
-		lastScatter = -1
-	}
-	for k := 0; k < d-1; k++ {
-		switch {
-		case pl.reps[k] == 1 && pl.reps[k+1] > 1: // scatter
-			lastScatter = k
-		case pl.reps[k] > 1 && pl.reps[k+1] == 1: // fan-in
-			idx := pl.nSeqs
+	for k := -1; k < d; k++ {
+		pl.seqAt[k+1] = -1
+		switch a, b := pl.repsAt(k), pl.repsAt(k+1); {
+		case a < b: // scatter: opens segment nSeqs
+			pl.seqAt[k+1] = pl.nSeqs
+		case a > b: // the fan-in that closes it
+			pl.seqAt[k+1] = pl.nSeqs
 			pl.nSeqs++
-			pl.faninSeq[k] = idx
-			if lastScatter == -1 {
-				pl.dispSeq = idx
-			} else if lastScatter >= 0 {
-				pl.seqFor[lastScatter] = idx
-			}
-			for s := k; s >= 0 && pl.reps[s] > 1; s-- {
-				pl.needTomb[s] = true
-			}
 		}
 	}
 	return pl
+}
+
+// repsAt is reps with the two ends on: the source before stage 0 and the
+// sink after the last stage are one goroutine each.
+func (pl *shardPlan) repsAt(s int) int {
+	if s < 0 || s >= len(pl.reps) {
+		return 1
+	}
+	return pl.reps[s]
 }
 
 // sharded reports whether any stage actually runs replicated.
@@ -382,9 +354,6 @@ func (pl *shardPlan) sharded() bool {
 	return false
 }
 
-// hasFanin reports whether the plan contains a live P->1 merge junction.
-func (pl *shardPlan) hasFanin() bool { return pl.nSeqs > 0 }
-
 // width returns the effective shard width the run executes with: p when
 // anything sharded, 1 otherwise (e.g. a fully cross-flow pipeline).
 func (pl *shardPlan) width() int {
@@ -396,5 +365,5 @@ func (pl *shardPlan) width() int {
 
 // lanes is the ring-lane count of cut k: the wider side's replica count.
 func (pl *shardPlan) lanes(k int) int {
-	return max(pl.reps[k], pl.reps[k+1])
+	return max(pl.repsAt(k), pl.repsAt(k+1))
 }

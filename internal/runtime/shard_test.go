@@ -2,18 +2,17 @@ package runtime
 
 // White-box coverage of the sharding layer: the flow-hash lane reduction,
 // the static state classification that decides which stages may replicate,
-// the plan topology (scatter/fan-in pairing, tombstone marking), and the
+// the plan topology (scatter/fan-in pairing), the sequence stream bound, and the
 // end-to-end flow-keyed serve path that depends on all three.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
-	"repro/internal/errs"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/netbench"
@@ -139,9 +138,10 @@ func TestClassifyFlowKeyedTable(t *testing.T) {
 }
 
 // TestNewShardPlanJunctions pins the plan topology on the shapes that
-// matter: the QM alternation (dispatcher, fan-in, scatter, second fan-in,
-// tombstoned sharded segments), the flow-keyed gating on an explicit key,
-// and the degenerate all-cross-flow and P=1 plans.
+// matter: the QM alternation (dispatcher, fan-in, scatter, second fan-in),
+// a replicated last stage (the segment closes at the sink's fan-in), the
+// flow-keyed gating on an explicit key, and the degenerate all-cross-flow and
+// P=1 plans.
 func TestNewShardPlanJunctions(t *testing.T) {
 	qmish := []stageShape{{class: classStateless}, {class: classCrossFlow},
 		{class: classStateless}, {class: classCrossFlow}}
@@ -149,32 +149,33 @@ func TestNewShardPlanJunctions(t *testing.T) {
 	if got, want := pl.reps, []int{4, 1, 4, 1}; !equalInts(got, want) {
 		t.Fatalf("reps = %v, want %v", got, want)
 	}
-	if !pl.sharded() || !pl.hasFanin() || pl.width() != 4 {
-		t.Fatalf("sharded=%v fanin=%v width=%d, want true/true/4", pl.sharded(), pl.hasFanin(), pl.width())
+	if !pl.sharded() || pl.nSeqs != 2 || pl.width() != 4 {
+		t.Fatalf("sharded=%v segments=%d width=%d, want true/2/4", pl.sharded(), pl.nSeqs, pl.width())
 	}
-	if pl.dispSeq != 0 || !equalInts(pl.faninSeq, []int{0, -1, 1}) || !equalInts(pl.seqFor, []int{-1, 1, -1}) {
-		t.Fatalf("sequence pairing wrong: dispSeq=%d faninSeq=%v seqFor=%v", pl.dispSeq, pl.faninSeq, pl.seqFor)
+	// Dispatcher and the fan-in into stage 2 share sequence 0, the scatter
+	// out of stage 2 and the fan-in into stage 4 sequence 1; stage 4 pushes
+	// to the sink itself.
+	if !equalInts(pl.seqAt, []int{0, 0, 1, 1, -1}) {
+		t.Fatalf("sequence pairing wrong: seqAt=%v", pl.seqAt)
 	}
-	if !pl.needTomb[0] || pl.needTomb[1] || !pl.needTomb[2] || pl.needTomb[3] {
-		t.Fatalf("tombstone marking wrong: %v", pl.needTomb)
-	}
-	if pl.lanes(0) != 4 || pl.lanes(1) != 4 || pl.lanes(2) != 4 {
-		t.Fatalf("lane widths wrong: %d %d %d", pl.lanes(0), pl.lanes(1), pl.lanes(2))
+	if pl.lanes(0) != 4 || pl.lanes(1) != 4 || pl.lanes(2) != 4 || pl.lanes(3) != 1 {
+		t.Fatalf("lane widths wrong: %d %d %d %d", pl.lanes(0), pl.lanes(1), pl.lanes(2), pl.lanes(3))
 	}
 
 	keyed := []stageShape{{class: classStateless}, {class: classFlowKeyed}}
 	if pl := newShardPlan(keyed, 4, false); pl.reps[1] != 1 {
 		t.Errorf("flow-keyed stage replicated without an explicit shard key: reps=%v", pl.reps)
 	}
-	if pl := newShardPlan(keyed, 4, true); pl.reps[1] != 4 || pl.hasFanin() {
-		t.Errorf("flow-keyed stage with key: reps=%v fanin=%v, want [4 4] and no fan-in", pl.reps, pl.hasFanin())
+	if pl := newShardPlan(keyed, 4, true); pl.reps[1] != 4 || !equalInts(pl.seqAt, []int{0, -1, 0}) || pl.lanes(1) != 4 {
+		t.Errorf("flow-keyed stage with key: reps=%v seqAt=%v, want [4 4] as one segment from the dispatcher to the sink's fan-in",
+			pl.reps, pl.seqAt)
 	}
 
 	cross := []stageShape{{class: classCrossFlow}, {class: classCrossFlow}}
 	if pl := newShardPlan(cross, 4, true); pl.sharded() || pl.width() != 1 {
 		t.Errorf("all-cross-flow pipeline must stay width 1, got reps=%v width=%d", pl.reps, pl.width())
 	}
-	if pl := newShardPlan(qmish, 1, true); pl.sharded() || pl.hasFanin() {
+	if pl := newShardPlan(qmish, 1, true); pl.sharded() || pl.nSeqs != 0 {
 		t.Errorf("P=1 plan must be unsharded, got reps=%v", pl.reps)
 	}
 }
@@ -185,12 +186,13 @@ func TestNewShardPlanJunctions(t *testing.T) {
 // stages its program realizes, and its out-port kind. Every serve goroutine
 // is one unit loop, so this table is the whole wiring: the head is a source
 // in-port, D=1 and the fully coarsened cut are source -> stage -> sink, the
-// dispatcher is a source in-port with no stage, and scatters, fan-ins and
-// sharded sinks appear exactly where the shard plan puts them. The fused
-// rows lay out the cut coarsened by their mask where replica widths align.
+// dispatcher is a source in-port with no stage, the sink unit behind a
+// replicated last stage a fan-in with no stage, and scatters and fan-ins
+// appear exactly where the shard plan puts them. The fused rows lay out the
+// cut coarsened by their mask where replica widths align.
 func TestBuildUnits(t *testing.T) {
 	kinds := map[portKind]string{portSource: "source", portRing: "ring", portMerge: "merge",
-		portScatter: "scatter", portLanes: "lanes", portSink: "sink"}
+		portScatter: "scatter", portSink: "sink"}
 	x4 := func(u string) []string { return []string{u, u, u, u} }
 	cat := func(parts ...[]string) (out []string) {
 		for _, p := range parts {
@@ -199,12 +201,11 @@ func TestBuildUnits(t *testing.T) {
 		return out
 	}
 	for _, tc := range []struct {
-		name   string
-		app    string
-		d, p   int
-		fuse   []bool
-		want   []string
-		sinkMP bool // sharded sink: per-replica collectors and free rings
+		name string
+		app  string
+		d, p int
+		fuse []bool
+		want []string
 	}{
 		{name: "D=1", app: "IPv4", d: 1, want: []string{"source[1]sink"}},
 		{name: "D=3 ringed", app: "IPv4", d: 3,
@@ -213,15 +214,15 @@ func TestBuildUnits(t *testing.T) {
 			want: []string{"source[1-3]sink"}},
 		{name: "D=3 head unit fused", app: "IPv4", d: 3, fuse: []bool{true, false},
 			want: []string{"source[1-2]ring", "ring[3]sink"}},
-		{name: "dispatcher + sharded sink", app: "IPv4", d: 2, p: 4, sinkMP: true,
-			want: cat([]string{"source[]lanes"}, x4("ring[1]ring"), x4("ring[2]sink")),
+		{name: "dispatcher + sharded sink", app: "IPv4", d: 2, p: 4,
+			want: cat([]string{"source[]scatter"}, x4("ring[1]ring"), x4("ring[2]ring"), []string{"merge[]sink"}),
 		},
-		{name: "dispatcher + sharded sink, fused lanes", app: "IPv4", d: 2, p: 4, fuse: []bool{true}, sinkMP: true,
-			want: cat([]string{"source[]lanes"}, x4("ring[1-2]sink")),
+		{name: "dispatcher + sharded sink, fused lanes", app: "IPv4", d: 2, p: 4, fuse: []bool{true},
+			want: cat([]string{"source[]scatter"}, x4("ring[1-2]ring"), []string{"merge[]sink"}),
 		},
 		// Every QM cut is a junction, so the all-true fuse request fuses nothing.
 		{name: "mid-pipeline scatter + fan-in", app: "QM", d: 4, p: 4, fuse: []bool{true, true, true},
-			want: cat([]string{"source[]lanes"}, x4("ring[1]ring"), []string{"merge[2]scatter"},
+			want: cat([]string{"source[]scatter"}, x4("ring[1]ring"), []string{"merge[2]scatter"},
 				x4("ring[3]ring"), []string{"merge[4]sink"}),
 		},
 	} {
@@ -259,9 +260,6 @@ func TestBuildUnits(t *testing.T) {
 					}
 				}
 				got = append(got, fmt.Sprintf("%s[%s]%s", kinds[u.in.kind], stages, kinds[u.out.kind]))
-				if u.out.kind == portSink && (u.out.col != nil) != tc.sinkMP {
-					t.Errorf("unit %s: sink collector present = %v, want %v", got[len(got)-1], u.out.col != nil, tc.sinkMP)
-				}
 			}
 			if fmt.Sprint(l.Replicas()) != fmt.Sprint(wired) {
 				t.Errorf("layout says replicas %v, build wired replicas %v", l.Replicas(), wired)
@@ -269,14 +267,11 @@ func TestBuildUnits(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Errorf("built %d goroutines %v\nwant  %d goroutines %v", len(got), got, len(tc.want), tc.want)
 			}
-			// One free ring per sink replica, each wired to its replica's port.
-			sinks := l.Replicas()[len(l.Stages())-1]
-			if len(e.freeBatches) != sinks {
-				t.Errorf("free list: %d rings, want one per sink replica (%d)", len(e.freeBatches), sinks)
-			}
-			for j, u := range e.units[len(e.units)-sinks:] {
-				if u.out.free != e.freeBatches[j] {
-					t.Errorf("sink replica %d recycles into a ring that is not freeBatches[%d]", j, j)
+			// Exactly one unit pushes to the sink — the free ring's one
+			// producer — and it is the last one built.
+			for i, u := range e.units {
+				if (u.out.kind == portSink) != (i == len(e.units)-1) {
+					t.Errorf("unit %d of %d: out-port %s", i+1, len(e.units), kinds[u.out.kind])
 				}
 			}
 		})
@@ -403,25 +398,60 @@ func TestServeShardedFlowKeyedTable(t *testing.T) {
 	}
 }
 
-// TestServeShardedShedRejected: OverloadShed is incompatible with a plan
-// containing a fan-in (a shed token would leave a hole in the dispatch
-// sequence), so Serve must refuse the combination up front.
-func TestServeShardedShedRejected(t *testing.T) {
-	pps, _ := netbench.ByName("QM")
+// napSink is a discard sink that dawdles, so the lanes back up behind it.
+type napSink struct{}
+
+func (napSink) Push(context.Context, []interp.Event) error {
+	time.Sleep(20 * time.Microsecond)
+	return nil
+}
+func (napSink) Close() (int64, error) { return 0, nil }
+
+// TestSeqStreamBoundedUnderSkew holds the sequence side-channel to the bound
+// its comment states. A [P P]->sink plan is served under flow skew — fifteen
+// packets in sixteen hash to one lane — through rings of capacity 2 into a
+// slow sink, so every ring of the hot lane fills and the dispatcher runs as
+// far ahead as backpressure lets it; the published queue must never have held
+// more entries than the segment can hold tokens.
+func TestSeqStreamBoundedUnderSkew(t *testing.T) {
+	const n, p, batch, ringCap = 6000, 4, 4, 2
+	pps, _ := netbench.ByName("IPv4")
 	prog, err := pps.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Partition(prog, core.Options{Stages: 4})
+	res, err := core.Partition(prog, core.Options{Stages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	cfg.Overload = OverloadShed
-	cfg.Watermark = 1
-	_, err = Serve(context.Background(), res.Stages, netbench.NewWorld(nil), Packets(pps.Traffic(8)), cfg)
-	if !errors.Is(err, errs.ErrConflictingOptions) {
-		t.Fatalf("Serve = %v, want ErrConflictingOptions for shed+fan-in", err)
+	cfg := Config{Shards: p, Batch: batch, RingCapacity: ringCap, Sink: napSink{},
+		ShardKey: func(pkt []byte) uint64 {
+			if k := DefaultShardKey(pkt); k%16 == 0 {
+				return k
+			}
+			return 0
+		}}
+	l, err := NewLayout(res.Stages, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalInts(l.Replicas(), []int{p, p}) {
+		t.Fatalf("replicas %v, want [%d %d]", l.Replicas(), p, p)
+	}
+	e, err := build(l, netbench.NewWorld(nil), Packets(pps.Traffic(n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.run(context.Background())
+	m, err := e.finish(context.Background(), netbench.NewWorld(nil))
+	if err != nil || m.Packets != n {
+		t.Fatalf("served %d of %d: %v", m.Packets, n, err)
+	}
+	if len(e.seqs) != 1 {
+		t.Fatalf("%d sequence streams, want the one from the dispatcher to the sink", len(e.seqs))
+	}
+	bound := p * ((len(res.Stages)+1)*(ringCap+1) + 2) * batch
+	if peak := e.seqs[0].peak; peak == 0 || peak > bound {
+		t.Errorf("published queue peaked at %d entries, bound %d", peak, bound)
 	}
 }

@@ -58,21 +58,21 @@ func (p *stageProbe) stats(stage int) StageStats {
 // their ordinary atomic counter updates. Probes are flattened stage-major
 // over the served stages (offs[s] is served stage s's first replica); disp
 // is the extra probe of the flow-hash dispatcher when the first stage is
-// replicated. Reports are per cut stage: first (Layout.first) says which cut
+// replicated, sink that of the sink unit when the last one is. Reports are per cut stage: first (Layout.first) says which cut
 // stage each served stage begins at. Serve publishes it through
 // Config.OnLive before the first packet moves; repro.Pipeline.Snapshot is
 // the public face.
 type Live struct {
-	start     time.Time
-	reps      []int
-	offs      []int
-	first     []int
-	probes    []stageProbe
-	disp      *stageProbe
-	shards    int
-	packets   atomic.Int64
-	done      atomic.Bool
-	elapsedNs atomic.Int64
+	start      time.Time
+	reps       []int
+	offs       []int
+	first      []int
+	probes     []stageProbe
+	disp, sink *stageProbe
+	shards     int
+	packets    atomic.Int64
+	done       atomic.Bool
+	elapsedNs  atomic.Int64
 	// ingest snapshots the feeding source's boundary counters (nil when
 	// the run is fed by an in-process source with nothing to report).
 	ingest func() IngestStats
@@ -81,7 +81,7 @@ type Live struct {
 // newLive builds the probe set for a run with the given per-served-stage
 // replica counts and cut-stage numbering (Layout.first); the run stamps
 // start when its clock starts.
-func newLive(reps, first []int, dispatched bool, shards int) *Live {
+func newLive(reps, first []int, shards int) *Live {
 	offs := make([]int, len(reps))
 	n := 0
 	for s, r := range reps {
@@ -89,8 +89,11 @@ func newLive(reps, first []int, dispatched bool, shards int) *Live {
 		n += r
 	}
 	l := &Live{reps: reps, offs: offs, first: first, probes: make([]stageProbe, n), shards: shards}
-	if dispatched {
+	if reps[0] > 1 {
 		l.disp = &stageProbe{}
+	}
+	if reps[len(reps)-1] > 1 {
+		l.sink = &stageProbe{}
 	}
 	return l
 }
@@ -106,8 +109,10 @@ func (l *Live) probe(s, j int) *stageProbe { return &l.probes[l.offs[s]+j] }
 // into an earlier one's program — an entry of zero counters naming that
 // stage. When a dispatcher paces the source, stage 1's In is the
 // dispatcher's pull count (every packet that left the source) and its stall
-// count folds in the dispatcher's — preserving the ledger invariant
-// Delivered + Shed + Quarantined == Stages[0].In at any shard width.
+// and shed counts fold in the dispatcher's — preserving the ledger invariant
+// Delivered + Shed + Quarantined == Stages[0].In at any shard width. The
+// sink unit mirrors it: the last stage's Out is what the sink unit retired,
+// and the time it spent in the Sink is that stage's TxWait.
 func (l *Live) stageStats(k int) StageStats {
 	s := sort.SearchInts(l.first, k+2) - 1 // the served stage standing for cut stage k+1
 	if l.first[s] != k+1 {
@@ -124,6 +129,11 @@ func (l *Live) stageStats(k int) StageStats {
 		d := l.disp.stats(1)
 		agg.In, d.Out = 0, 0
 		agg.Add(d)
+	}
+	if s == len(l.reps)-1 && l.sink != nil {
+		k := l.sink.stats(k + 1)
+		agg.Out, k.In = 0, 0
+		agg.Add(k)
 	}
 	return agg
 }

@@ -82,7 +82,7 @@ func TestTokenResetClearsIterationState(t *testing.T) {
 // takeToken pristine and in deferred-events mode, exactly like the
 // per-token pool path they replace on the serve hot loop.
 func TestBatchRecycleNeverLeaks(t *testing.T) {
-	e := &engine{freeBatches: []*tokRing{spsc.New[[]*token](2, spsc.DefaultStrategy())}}
+	e := &engine{free: spsc.New[[]*token](2, spsc.DefaultStrategy())}
 	e.tokPool, e.batchPool = newPools(8)
 	for round := 0; round < 50; round++ {
 		b := e.getBatch()
@@ -97,7 +97,7 @@ func TestBatchRecycleNeverLeaks(t *testing.T) {
 			dirtyToken(tok)
 			b = append(b, tok)
 		}
-		e.recycleBatch(b, e.freeBatches[0])
+		e.recycleBatch(b)
 	}
 }
 

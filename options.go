@@ -97,10 +97,10 @@ type config struct {
 	// explore holds the exploration options (budget, PEs, workers) and, in
 	// Base, the partitioning ones (degree, ε, arch, ring kind, tx mode).
 	explore core.ExploreOptions
-	// serve is the runtime's configuration. Two of its fields are not set by
-	// options: the adaptive loop installs the Store its rounds share, and
-	// Pipeline.Serve installs OnLive and — around a WithSource feeder —
-	// Ingest.
+	// serve is the runtime's configuration. Some of its fields are not set by
+	// options: the adaptive loop installs the Store its rounds share and lends
+	// them its one Sink, and Pipeline.Serve installs OnLive and — around a
+	// WithSource feeder — Ingest.
 	serve runtime.Config
 	// simulation
 	threads int
@@ -156,6 +156,7 @@ const (
 //	WithAutotune                      yes                -       -        yes
 //	WithFusion                        yes                -       -        yes
 //	WithSource                        yes                -       -        yes
+//	WithSink                          yes                -       -        yes
 //
 // The table is documentation; the constructors below are the one list, and
 // TestOptionMatrix holds the two together. The first column is the
@@ -250,7 +251,9 @@ func WithWorld(w *World) Option { return Option{"WithWorld", inServe, func(c *co
 // (default — lossless backpressure) or OverloadShed (drop batches when a
 // ring stays saturated past the watermark). The policy acts at rings, so
 // between served stages: a cut un-made by fusion (WithFusion) has no ring to
-// saturate.
+// saturate. Inside a run of replicated stages (WithShards) the rings block
+// and the drop happens at the dispatch into the run, before a packet is
+// given its place in the merge order.
 func WithOverload(p OverloadPolicy) Option {
 	return Option{"WithOverload", inServe, func(c *config) { c.serve.Overload = p }}
 }
@@ -366,6 +369,17 @@ func WithFusion(m FusionMode) Option {
 // owns its lifecycle.
 func WithSource(s BatchSource) Option {
 	return Option{"WithSource", inServe, func(c *config) { c.source = s }}
+}
+
+// WithSink sends a served pipeline's output — the trace, pkt_send and
+// pkt_drop events of every retired iteration, in source order at any depth
+// and shard width — to s as the serve runs (see Sink), instead of keeping it
+// for Metrics.Trace. One goroutine pushes; Serve closes s exactly once, on
+// every exit, and Metrics.Flushed is what Close reported. DiscardSink,
+// HashSink and NewPcapSink ship with the package; nil restores the default,
+// the in-memory trace.
+func WithSink(s Sink) Option {
+	return Option{"WithSink", inServe, func(c *config) { c.serve.Sink = s }}
 }
 
 // validate is the central gate: every entry point funnels its assembled

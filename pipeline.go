@@ -172,10 +172,14 @@ func (p *Pipeline) simRun(ctx context.Context, world *World, opts []Option) (con
 // own cut (× batch × shards) with real traffic, and commits to the
 // measured winner — the served trace stays byte-identical to the
 // sequential oracle throughout, and Plan reports what was chosen and why.
-// The returned Metrics carry measured throughput, per-stage counters
-// (aggregated across replicas when sharded; summed over the rounds of an
-// adaptive serve, with FusedInto and Replicas as the committed round had
-// them), and the observable trace in exact sequential-oracle order.
+// The pipeline's output — every retired iteration's events, in exact
+// sequential-oracle order — leaves through one Sink as the serve runs
+// (WithSink: discard, a digest, a pcap file, or your own); by default it is
+// kept in memory and returned as Metrics.Trace. The returned Metrics carry
+// measured throughput and per-stage counters (aggregated across replicas
+// when sharded; summed over the rounds of an adaptive serve, with FusedInto
+// and Replicas as the committed round had them). A serve its sink ended
+// returns the sink's error wrapped, with the Metrics of what it delivered.
 func (p *Pipeline) Serve(ctx context.Context, src Source, opts ...Option) (*Metrics, error) {
 	cfg, err := p.cfg.within("Serve", inServe, opts)
 	if err != nil {

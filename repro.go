@@ -38,7 +38,9 @@
 package repro
 
 import (
+	"context"
 	"io"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -97,8 +99,9 @@ type SimResult = npsim.Result
 // ThreadSimResult reports thread-level simulated timing.
 type ThreadSimResult = npsim.ThreadSimResult
 
-// Metrics is the serve-path snapshot: measured throughput, the observable
-// trace in sequential order, and per-stage counters.
+// Metrics is the serve-path snapshot: measured throughput, per-stage
+// counters, and — unless WithSink sent it elsewhere — the observable trace
+// in sequential order.
 type Metrics = runtime.Metrics
 
 // StageStats are one stage's serve-path counters.
@@ -175,6 +178,48 @@ func RepeatSource(pkts [][]byte, total int) Source { return runtime.Repeat(pkts,
 
 // SourceFunc adapts a closure to the Source interface.
 func SourceFunc(f func() ([]byte, bool)) Source { return runtime.SourceFunc(f) }
+
+// Sink is where a served pipeline's output goes (WithSink): batches of
+// events pushed in source order by one goroutine, the slice the engine's
+// again when Push returns, one Close on every exit.
+type Sink = runtime.Sink
+
+// HashSink is the sink that folds the stream into one order-sensitive digest
+// (Digest); push the oracle's trace through a second one to compare. The
+// zero value is ready to use.
+type HashSink = runtime.HashSink
+
+// DiscardSink returns a sink that keeps nothing, so a serve of any length
+// runs in flat memory.
+func DiscardSink() Sink { return runtime.Discard() }
+
+// NewPcapSink returns a sink that writes every sent packet (the EvSend
+// events; trace and drop events carry none) to w as one capture record, in
+// the classic libpcap format OpenSource's pcap:// reads back. Records are
+// stamped with the time they were pushed; Close flushes and reports the
+// records written. The caller closes w.
+func NewPcapSink(w io.Writer) Sink { return &pcapSink{w: ingest.NewPcapWriter(w)} }
+
+type pcapSink struct {
+	w *ingest.PcapWriter
+	n int64
+}
+
+func (p *pcapSink) Push(_ context.Context, evs []Event) error {
+	now := time.Now()
+	for i := range evs {
+		if evs[i].Kind != interp.EvSend {
+			continue
+		}
+		if err := p.w.Write(ingest.PcapRecord{Time: now, Data: evs[i].Pkt}); err != nil {
+			return err
+		}
+		p.n++
+	}
+	return nil
+}
+
+func (p *pcapSink) Close() (int64, error) { return p.n, p.w.Flush() }
 
 // BatchSource is a network-facing packet supplier: a pull-batch,
 // context-cancelable source whose buffers transfer ownership at Pull

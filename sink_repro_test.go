@@ -1,0 +1,289 @@
+package repro_test
+
+import (
+	"context"
+	"io"
+	"os"
+	"path/filepath"
+	gort "runtime"
+	"strconv"
+	"testing"
+	"time"
+
+	"repro"
+	"repro/internal/ingest"
+	"repro/internal/interp"
+	"repro/internal/netbench"
+)
+
+// netbenchOracle runs the unpartitioned program on the interpreter in the
+// netbench world (route tables and all) the serves below run in.
+func netbenchOracle(t *testing.T, prog *repro.Program, traffic [][]byte) []repro.Event {
+	t.Helper()
+	seq, err := interp.RunSequential(prog.Clone(), netbench.NewWorld(traffic), len(traffic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
+// digest pushes a trace through a fresh hash sink.
+func digest(evs []repro.Event) (uint64, int64) {
+	var h repro.HashSink
+	h.Push(context.Background(), evs)
+	return h.Digest()
+}
+
+// TestServeHashSinkMatchesOracle: under WithSink(hash) nothing of the stream
+// is kept, and its digest is the oracle trace's — the IPv4 PPS at D=1..4 as
+// the valuator realizes it, and the IP PPS on mixed v4/v6 traffic at D=4 on
+// two shards by flow key, through the sink unit's online merge.
+func TestServeHashSinkMatchesOracle(t *testing.T) {
+	const n = 3000
+	type row struct {
+		app     string
+		traffic [][]byte
+		d       int
+		opts    []repro.Option
+	}
+	var rows []row
+	for d := 1; d <= 4; d++ {
+		rows = append(rows, row{"IPv4", netbench.IPv4Stream(n), d, nil})
+	}
+	rows = append(rows, row{"IP(v4)", netbench.MixedStream(n), 4,
+		[]repro.Option{repro.WithShards(2), repro.WithShardKey(repro.FlowKey)}})
+	for _, r := range rows {
+		pps, _ := netbench.ByName(r.app)
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSum, wantN := digest(netbenchOracle(t, prog, r.traffic))
+		pipe, err := repro.Partition(prog, repro.WithStages(r.d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &repro.HashSink{}
+		opts := append([]repro.Option{repro.WithWorld(netbench.NewWorld(nil)), repro.WithBatch(32), repro.WithSink(sink)}, r.opts...)
+		m, err := pipe.Serve(context.Background(), repro.PacketSource(r.traffic), opts...)
+		if err != nil {
+			t.Fatalf("%s D=%d: %v", r.app, r.d, err)
+		}
+		if sum, events := sink.Digest(); sum != wantSum || events != wantN || m.Flushed != wantN {
+			t.Errorf("%s D=%d %s: digest %016x over %d events (flushed %d), oracle %016x over %d",
+				r.app, r.d, pipe.Plan().Units(), sum, events, m.Flushed, wantSum, wantN)
+		}
+		if m.Trace != nil || m.Packets != n || m.Faults.Accounted() != m.Stages[0].In {
+			t.Errorf("%s D=%d: trace kept %v, %d packets, ledger %s", r.app, r.d, m.Trace != nil, m.Packets, m.Faults)
+		}
+	}
+}
+
+// TestServePcapSinkRoundTrip: testdata/flows.pcap, served, written by the pcap
+// sink and read back through the ingest pcap source yields exactly the
+// packets the oracle sends, in order — unsharded and through the sink unit.
+func TestServePcapSinkRoundTrip(t *testing.T) {
+	pps, _ := netbench.ByName("IPv4")
+	prog, err := pps.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := repro.Partition(prog, repro.WithStages(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		src, err := repro.OpenSource("pcap://" + filepath.Join("testdata", "flows.pcap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tee := ingest.Tee(src)
+		path := filepath.Join(t.TempDir(), "egress.pcap")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := pipe.Serve(context.Background(), nil, repro.WithSource(tee), repro.WithWorld(netbench.NewWorld(nil)),
+			repro.WithBatch(16), repro.WithShards(p), repro.WithSink(repro.NewPcapSink(f)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Close()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var want [][]byte
+		for _, e := range netbenchOracle(t, prog, tee.Captured()) {
+			if e.Kind == interp.EvSend {
+				want = append(want, e.Pkt)
+			}
+		}
+		if m.Flushed != int64(len(want)) || len(want) == 0 {
+			t.Fatalf("P=%d: sink flushed %d records, the oracle sends %d packets", p, m.Flushed, len(want))
+		}
+		back, err := repro.OpenSource("pcap://" + path)
+		if err != nil {
+			t.Fatalf("P=%d: the written capture does not parse: %v", p, err)
+		}
+		var got [][]byte
+		buf := make([][]byte, 64)
+		for {
+			k, err := back.Pull(context.Background(), buf)
+			got = append(got, buf[:k]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		back.Close()
+		if len(got) != len(want) {
+			t.Fatalf("P=%d: read back %d packets, want %d", p, len(got), len(want))
+		}
+		for i := range want {
+			if string(got[i]) != string(want[i]) {
+				t.Fatalf("P=%d: packet %d differs from the oracle's send %d", p, i, i)
+			}
+		}
+	}
+}
+
+// countingSink wraps a sink and counts the Close calls that reach it.
+type countingSink struct {
+	repro.Sink
+	closed int
+}
+
+func (c *countingSink) Close() (int64, error) {
+	c.closed++
+	return c.Sink.Close()
+}
+
+// TestAdaptiveServeOneSinkSpansRounds: under WithAutotune every round pushes
+// into the one sink the serve was given and only the serve closes it, once;
+// the stream it saw across probe rounds, search and commit is the oracle's.
+// With no sink given the spanning sink is the trace, and Metrics.Trace and
+// the world hold it once.
+func TestAdaptiveServeOneSinkSpansRounds(t *testing.T) {
+	prog := repro.MustCompile(adaptSrc)
+	const n = 9000
+	packets := testPackets(n)
+	seq := seqTrace(t, prog, packets, n)
+	wantSum, wantN := digest(seq)
+	pipe, err := repro.Partition(prog, repro.WithStages(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := repro.WithAutotune(repro.Autotune{ProbePackets: 500})
+	hash := &repro.HashSink{}
+	sink := &countingSink{Sink: hash}
+	m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), at, repro.WithSink(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, events := hash.Digest(); sum != wantSum || events != wantN || sink.closed != 1 || m.Flushed != wantN || m.Trace != nil {
+		t.Errorf("digest %016x over %d events, closed %d times, flushed %d, trace kept %v; oracle %016x over %d",
+			sum, events, sink.closed, m.Flushed, m.Trace != nil, wantSum, wantN)
+	}
+	world := repro.NewWorld(nil)
+	m, err = pipe.Serve(context.Background(), repro.PacketSource(packets), at, repro.WithWorld(world))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+		t.Errorf("trace across rounds diverges from the oracle: %s", diff)
+	}
+	if diff := repro.TraceEqual(seq, world.Trace); diff != "" {
+		t.Errorf("world trace diverges: %s", diff)
+	}
+	if m.Flushed != int64(len(seq)) {
+		t.Errorf("flushed %d of %d events", m.Flushed, len(seq))
+	}
+}
+
+// heapMarks is a generator source that reads the heap in use — after a
+// collection, so garbage does not count — when a tenth of the stream has been
+// pulled and again when it ends: the pipeline is still up at both marks. The
+// stream is n packets long, or, with a deadline, as long as that lasts.
+type heapMarks struct {
+	repro.BatchSource
+	n, pulled int64
+	start     time.Time
+	deadline  time.Duration
+	at10, end uint64
+}
+
+func (h *heapMarks) inuse() uint64 {
+	var ms gort.MemStats
+	gort.GC()
+	gort.ReadMemStats(&ms)
+	return ms.HeapInuse
+}
+
+func (h *heapMarks) Pull(ctx context.Context, dst [][]byte) (int, error) {
+	tenth := h.pulled >= h.n/10
+	over := false
+	if h.deadline > 0 {
+		el := time.Since(h.start)
+		tenth, over = el >= h.deadline/10, el >= h.deadline
+	}
+	if tenth && h.at10 == 0 {
+		h.at10 = h.inuse()
+	}
+	k, err := 0, io.EOF
+	if !over {
+		k, err = h.BatchSource.Pull(ctx, dst)
+	}
+	if err == io.EOF {
+		h.end = h.inuse()
+	}
+	h.pulled += int64(k)
+	return k, err
+}
+
+// TestSoakDiscardSink is the bounded-memory check: gen://ipv4 through the
+// discard sink, unsharded and on two shards, with the heap in use at the end
+// of the stream within 8 MiB of what it was a tenth of the way in, and the
+// packet ledger balanced. It runs 200,000 packets by default; ci.sh sets
+// SOAK_PACKETS to ten million, or SOAK_SECONDS to serve by the clock.
+func TestSoakDiscardSink(t *testing.T) {
+	n, secs := int64(200_000), 0
+	if v := os.Getenv("SOAK_PACKETS"); v != "" {
+		n, _ = strconv.ParseInt(v, 10, 64)
+	}
+	if v := os.Getenv("SOAK_SECONDS"); v != "" {
+		secs, _ = strconv.Atoi(v)
+		n = 1 << 40
+	}
+	pps, _ := netbench.ByName("IPv4")
+	prog, err := pps.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := repro.Partition(prog, repro.WithStages(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		gen, err := repro.OpenSource("gen://ipv4?packets=" + strconv.FormatInt(n, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &heapMarks{BatchSource: gen, n: n, start: time.Now(), deadline: time.Duration(secs) * time.Second}
+		m, err := pipe.Serve(context.Background(), nil, repro.WithSource(src), repro.WithWorld(netbench.NewWorld(nil)),
+			repro.WithBatch(32), repro.WithShards(p), repro.WithShardKey(repro.FlowKey), repro.WithSink(repro.DiscardSink()))
+		gen.Close()
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+		if in := m.Stages[0].In; m.Faults.Accounted() != in || in != src.pulled || m.Packets == 0 {
+			t.Errorf("P=%d: ledger %s against %d pulled, %d handed out", p, m.Faults, in, src.pulled)
+		}
+		t.Logf("P=%d: %d packets at %.0f pkt/s, heap in use %.1f MiB at 10%%, %.1f MiB at the end",
+			p, m.Packets, m.PacketsPerSecond(), float64(src.at10)/(1<<20), float64(src.end)/(1<<20))
+		if src.end > src.at10+8<<20 {
+			t.Errorf("P=%d: heap in use grew from %d to %d bytes over the stream", p, src.at10, src.end)
+		}
+	}
+}
