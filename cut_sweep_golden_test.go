@@ -1,0 +1,108 @@
+package repro_test
+
+import (
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/ir"
+	"repro/internal/netbench"
+)
+
+// sweepPPS are the six distinct PPS sources of the paper's two applications,
+// the ones benchmark/'s cut-sweep workload cuts.
+var sweepPPS = []string{"RX", "IPv4", "Scheduler", "QM", "TX", "IP(v4)"}
+
+// digestPrograms folds the printed IR of every program into one FNV-64 hash.
+func digestPrograms(progs []*ir.Program) uint64 {
+	h := fnv.New64a()
+	for _, p := range progs {
+		h.Write([]byte(p.String()))
+		h.Write([]byte{0})
+	}
+	return h.Sum64()
+}
+
+// digestReport folds everything Partition measured — stage costs and sizes,
+// every field of every cut, the sequential cost, speedup and overhead — into
+// one FNV-64 hash.
+func digestReport(r *core.Report) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v|%+v|%+v|%v|%v|%d", r.Stages, r.Cuts, r.Seq, r.Speedup, r.Overhead, r.LongestStage)
+	return h.Sum64()
+}
+
+// TestCutSweepGolden is the partitioner's byte-identity oracle: the six
+// netbench PPS cut at D=1..10 from one Analysis each, one line per (PPS, D)
+// holding a digest of the stage programs' printed IR and one of the Report,
+// plus Coarsen with every second cut un-made at D=4 and D=8. A change to how
+// cuts are found or stages are realized must leave every line alone; a change
+// to which cuts are found or what is realized says so by regenerating the
+// file (go test . -run TestCutSweepGolden -update).
+func TestCutSweepGolden(t *testing.T) {
+	var b strings.Builder
+	for _, name := range sweepPPS {
+		pps, ok := netbench.ByName(name)
+		if !ok {
+			t.Fatalf("unknown PPS %q", name)
+		}
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.Analyze(prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range experiments.Degrees {
+			res, err := a.Partition(core.Options{Stages: d})
+			if err != nil {
+				t.Fatalf("%s D=%d: %v", name, d, err)
+			}
+			fmt.Fprintf(&b, "%s d=%d stages=%016x report=%016x\n", name, d, digestPrograms(res.Stages), digestReport(res.Report))
+			if d != 4 && d != 8 {
+				continue
+			}
+			keep := make([]bool, d-1)
+			for j := range keep {
+				keep[j] = j%2 == 0 // cuts 1, 3, 5, 7 stay; every second one is un-made
+			}
+			units, err := res.Coarsen(keep)
+			if err != nil {
+				t.Fatalf("%s D=%d coarsen: %v", name, d, err)
+			}
+			h := fnv.New64a()
+			for _, u := range units {
+				fmt.Fprintf(h, "%d-%d|%+v|%s\x00", u.First, u.Last, u.Cost, u.Prog)
+			}
+			fmt.Fprintf(&b, "%s d=%d coarsen=%016x units=%d\n", name, d, h.Sum64(), len(units))
+		}
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "cut_sweep.golden")
+	if *updatePlans {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Errorf("line %d drifted from %s:\n got  %s\n want %s", i+1, path, gl[i], wl[min(i, len(wl)-1)])
+			}
+		}
+		if len(gl) != len(wl) {
+			t.Errorf("%d lines, golden has %d", len(gl), len(wl))
+		}
+	}
+}
