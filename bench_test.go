@@ -254,6 +254,46 @@ func BenchmarkAnalyzeOnceCutMany(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionSweep measures the per-configuration phase alone, the
+// way benchmark/'s cut-sweep workload pays for it: the six PPS of the two
+// applications, each analyzed once outside the timer and cut at D=1..10 per
+// iteration — one sub-benchmark per PPS (ten Partition calls) and "all" (the
+// sixty of one sweep), reported as ms/sweep.
+func BenchmarkPartitionSweep(b *testing.B) {
+	var analyses []*core.Analysis
+	for _, name := range sweepPPS {
+		p, _ := netbench.ByName(name)
+		prog, err := p.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := core.Analyze(prog, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		analyses = append(analyses, a)
+	}
+	sweep := func(as []*core.Analysis) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, a := range as {
+					for _, d := range experiments.Degrees {
+						if _, err := a.Partition(core.Options{Stages: d}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/sweep")
+		}
+	}
+	for i, name := range sweepPPS {
+		b.Run(name, sweep(analyses[i:i+1]))
+	}
+	b.Run("all", sweep(analyses))
+}
+
 // BenchmarkExploreParallel measures the budget exploration with the degree
 // fan-out enabled (one worker per CPU; on a single-core machine this
 // coincides with the sequential path).

@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the repository's check gate. Run before committing:
 #
-#   ./ci.sh          # format + vet + doc gate + examples + race-enabled tests + fuzz smokes
+#   ./ci.sh          # format + vet + doc gate + examples + golden gates + race-enabled tests + fuzz smokes
 #   ./ci.sh -short   # same, skipping the long sweeps
 #
 # The race detector matters here twice over: the partition engine shares one
@@ -47,6 +47,21 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # The deterministic fault schedules must produce identical accounting on
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
+
+echo "== partitioner gate: cut-sweep oracle + max-flow differential under -race -count=2; pipebench figures vs golden"
+# The partitioner's byte-identity oracles. TestCutSweepGolden digests every
+# stage program and report of the six PPS at D=1..10 (and two coarsenings);
+# TestRandomContractionAgainstEdmondsKarp holds push-relabel's value and its
+# cut to an in-test reference under random contractions — the reason the
+# discharge schedule is free to change. Both twice under the race detector
+# (Partition is called concurrently on one Analysis). Then every figure
+# pipebench prints against testdata/pipebench_all.golden: ROADMAP's "stays
+# byte-identical unless the PR says which figure moves", enforced. A PR that
+# moves a figure regenerates the file and names the figure:
+#   go run ./cmd/pipebench -experiment all > testdata/pipebench_all.golden
+go test -race -count=2 -run '^TestCutSweepGolden$' .
+go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
+go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 
 echo "== ring gate: microbench smoke + ring oracle matrix"
 # A short microbench smoke proving BenchmarkRingChanVsSPSC still runs (it is
@@ -121,6 +136,11 @@ echo "  internal/runtime/fault:  $(grep -v '^[[:space:]]*$' internal/runtime/fau
 echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')"
 # shellcheck disable=SC2046
 echo "adaptive stack code lines: $(cat adaptive.go $(ls internal/tuner/*.go internal/costmodel/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (670 before, ISSUE 22)"
+for d in maxflow balance core; do
+    case $d in maxflow) before=325 ;; balance) before=175 ;; core) before=1846 ;; esac
+    # shellcheck disable=SC2046
+    echo "internal/$d code lines: $(cat $(ls internal/$d/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  ($before before the partitioner halving, ISSUE 24)"
+done
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"

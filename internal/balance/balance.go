@@ -9,7 +9,9 @@
 // Infinite-capacity edges encode direction constraints (an edge a -> b with
 // capacity >= maxflow.Inf/2 means "a upstream implies b upstream"). When
 // the heuristic moves a node across the cut it moves the node's constraint
-// closure with it, so finite cuts remain reachable.
+// closure with it, so finite cuts remain reachable. The constraints are read
+// off the network's own adjacency, which every clone of a skeleton shares;
+// the search builds no lists of its own.
 package balance
 
 import "repro/internal/maxflow"
@@ -42,18 +44,8 @@ var debugLog func(iter int, wx, cost, lo, hi int64)
 // so an infeasible band never produces an empty pipeline stage.
 func MinCut(nw *maxflow.Network, weight []int64, lo, hi, minProgress int64) *Result {
 	n := nw.Len()
+	s := &search{nw: nw, weight: weight, mark: make([]bool, n), gain: make([]int64, n)}
 	var best *Result
-
-	// Constraint adjacency from infinite edges: fwd[a] lists b with
-	// a-in-S => b-in-S; rev[b] lists a (b-in-T => a-in-T).
-	fwd := make([][]int, n)
-	rev := make([][]int, n)
-	nw.ForEachEdge(func(_, tail, head int, capacity int64) {
-		if capacity >= maxflow.Inf/2 {
-			fwd[tail] = append(fwd[tail], head)
-			rev[head] = append(rev[head], tail)
-		}
-	})
 
 	better := func(a, b *Result) bool {
 		if b == nil {
@@ -77,7 +69,7 @@ func MinCut(nw *maxflow.Network, weight []int64, lo, hi, minProgress int64) *Res
 	}
 
 	for iter := 1; iter <= 2*n+4; iter++ {
-		_ = nw.MaxFlow()
+		nw.MaxFlow()
 		side := nw.SourceSide()
 		cost := nw.CutValue(side)
 		var wx int64
@@ -102,7 +94,7 @@ func MinCut(nw *maxflow.Network, weight []int64, lo, hi, minProgress int64) *Res
 		case wx < lo:
 			// Too light: absorb the current source side plus one frontier
 			// node (with its upstream-forcing closure) into the source.
-			group := closureForSource(nw, side, weight, fwd)
+			group := s.closureOfFrontier(side, false)
 			if group == nil {
 				return finish(best, cur)
 			}
@@ -112,11 +104,12 @@ func MinCut(nw *maxflow.Network, weight []int64, lo, hi, minProgress int64) *Res
 				}
 			}
 			nw.CollapseIntoSource(group)
+			s.queue = group // the closure's queue, grown: keep the larger buffer
 
 		default:
 			// Too heavy: push one frontier node (with its downstream-
 			// forcing closure) across to the sink.
-			group := closureForSink(nw, side, weight, rev)
+			group := s.closureOfFrontier(side, true)
 			if group == nil {
 				return finish(best, cur)
 			}
@@ -146,32 +139,46 @@ func distanceToBand(w, lo, hi int64) int64 {
 	return 0
 }
 
+// search is one MinCut call's scratch, reused across its iterations: node
+// marks (all false between uses), the closure's queue, and the frontier's
+// candidates with their gains.
+type search struct {
+	nw     *maxflow.Network
+	weight []int64
+	mark   []bool
+	queue  []int
+	gain   []int64
+	cands  []int
+}
+
 // frontierCandidates lists representative nodes adjacent to the current
 // cut, on the requested side, ordered by descending incident cut capacity
-// (the costliest edges are the ones we most want to stop cutting) then by
-// ascending weight.
-func frontierCandidates(nw *maxflow.Network, side []bool, weight []int64, fromSource bool) []int {
-	s := nw.Find(nw.Source)
-	t := nw.Find(nw.Sink)
-	gain := make(map[int]int64)
-	for _, e := range nw.CutEdges(side) {
-		tail, head := nw.EdgeEnds(e)
+// (the costliest edges are the ones we most want to stop cutting), then by
+// ascending weight, then by node id — a total order, so the list does not
+// depend on the order the cut edges are met in.
+func (s *search) frontierCandidates(side []bool, fromSource bool) []int {
+	nw, gain, weight := s.nw, s.gain, s.weight
+	out := s.cands[:0]
+	nw.ForEachEdge(func(_, tail, head int, capacity int64) {
+		if !side[tail] || side[head] {
+			return
+		}
 		cand := head
 		if fromSource {
 			cand = tail
 		}
 		r := nw.Find(cand)
-		if r == s || r == t {
-			continue
+		if r == nw.Source || r == nw.Sink {
+			return
 		}
-		gain[r] += nw.EdgeCap(e)
-	}
-	out := make([]int, 0, len(gain))
-	for v := range gain {
-		out = append(out, v)
-	}
-	// Insertion sort by (gain desc, weight asc, id asc) — candidate sets
-	// are small.
+		if !s.mark[r] {
+			s.mark[r] = true
+			gain[r] = 0
+			out = append(out, r)
+		}
+		gain[r] += capacity
+	})
+	// Insertion sort — candidate sets are small.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {
 			a, b := out[j-1], out[j]
@@ -182,64 +189,64 @@ func frontierCandidates(nw *maxflow.Network, side []bool, weight []int64, fromSo
 			}
 		}
 	}
+	for _, r := range out {
+		s.mark[r] = false
+	}
+	s.cands = out
 	return out
 }
 
-// closureForSource returns a sink-side frontier candidate together with
-// every node its absorption into the source forces upstream (forward
-// constraint closure). Returns nil when no candidate works.
-func closureForSource(nw *maxflow.Network, side []bool, weight []int64, fwd [][]int) []int {
-	t := nw.Find(nw.Sink)
-	for _, v := range frontierCandidates(nw, side, weight, false) {
-		group, ok := closure(nw, v, fwd, t)
-		if ok {
+// closureOfFrontier returns the first frontier candidate that can cross the
+// cut, together with every node its move forces across with it. Towards the
+// source (toSink false) that is a sink-side candidate and its forward
+// constraint closure, which must not pull in the sink; towards the sink, a
+// source-side candidate and its reverse closure, which must not pull in the
+// source. Returns nil when no candidate works. The result is scratch: it is
+// valid until the next call.
+func (s *search) closureOfFrontier(side []bool, toSink bool) []int {
+	forbidden := s.nw.Sink
+	if toSink {
+		forbidden = s.nw.Source
+	}
+	for _, v := range s.frontierCandidates(side, toSink) {
+		if group, ok := s.closure(v, !toSink, forbidden); ok {
 			return group
 		}
 	}
 	return nil
 }
 
-// closureForSink returns a source-side frontier candidate together with
-// every node its move to the sink forces downstream (reverse constraint
-// closure). Returns nil when no candidate works.
-func closureForSink(nw *maxflow.Network, side []bool, weight []int64, rev [][]int) []int {
-	s := nw.Find(nw.Source)
-	for _, v := range frontierCandidates(nw, side, weight, true) {
-		group, ok := closure(nw, v, rev, s)
-		if ok {
-			return group
-		}
-	}
-	return nil
-}
-
-// closure BFS-walks the constraint adjacency from v over representative
-// nodes, failing if the forbidden terminal is pulled in.
-func closure(nw *maxflow.Network, v int, adj [][]int, forbidden int) ([]int, bool) {
-	seen := map[int]bool{nw.Find(v): true}
-	queue := []int{nw.Find(v)}
-	var out []int
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+// closure walks the constraints breadth-first from representative v over
+// representative nodes — forward along a -> b (a upstream forces b
+// upstream) or in reverse — failing if the forbidden terminal is pulled in.
+// A group's constraints are those of all its members.
+func (s *search) closure(v int, forward bool, forbidden int) ([]int, bool) {
+	nw := s.nw
+	queue := append(s.queue[:0], v)
+	s.mark[v] = true
+	ok := true
+	for qh := 0; qh < len(queue); qh++ {
+		u := queue[qh]
 		if u == forbidden {
-			return nil, false
+			ok = false
+			break
 		}
-		out = append(out, u)
-		// Constraint edges were recorded on original node ids; scan every
-		// original node represented by u.
-		for orig := 0; orig < nw.Len(); orig++ {
-			if nw.Find(orig) != u {
-				continue
+		nw.ForEachIncident(u, func(e int) {
+			// The constraint is the forward (even) edge of the pair: follow
+			// it from its tail going forward, from its head in reverse.
+			if (e&1 == 0) != forward || nw.EdgeCap(e&^1) < maxflow.Inf/2 {
+				return
 			}
-			for _, w := range adj[orig] {
-				rw := nw.Find(w)
-				if !seen[rw] {
-					seen[rw] = true
-					queue = append(queue, rw)
-				}
+			_, w := nw.EdgeEnds(e)
+			if rw := nw.Find(w); !s.mark[rw] {
+				s.mark[rw] = true
+				queue = append(queue, rw)
 			}
-		}
+		})
 	}
-	return out, true
+	for _, u := range queue {
+		s.mark[u] = false
+	}
+	s.queue = queue
+	return queue, ok
 }

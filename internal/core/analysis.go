@@ -46,6 +46,18 @@ type Analysis struct {
 	ps       *positions
 	closures map[int][]int
 
+	// What realization needs of the analyzed function alone, the same for
+	// every cut and every stage: each summarized node's entry block (-1 when
+	// it has none), the unique exit block, the unit of the instruction at
+	// each position (-1 for a structural jmp/ret), and each branch or loop
+	// unit's distinct external successor blocks, which control-object values
+	// index. (The post-dominator tree skip targets come from is an.PostDom;
+	// where each register is defined is ps.defAt.)
+	nodeEntry []int
+	exitBlock int
+	unitAt    [][]int
+	targets   [][]int
+
 	// seq is the worst-case path cost of the unpartitioned program. The
 	// channel kind cannot affect it: channel costs apply only to the
 	// OpSendLS/OpRecvLS instructions that realization inserts later.
@@ -84,10 +96,62 @@ func Analyze(orig *ir.Program, arch *costmodel.Arch) (*Analysis, error) {
 	a.cg = compDAG(an, a.scc)
 	a.topo = topoByProgramOrder(a.cg, a.scc)
 	a.net = buildNetwork(an, a.scc, a.cg, a.compWeight, arch)
-	a.ps = newPositions(an.F)
+	cfg := an.F.CFG()
+	a.ps = newPositions(an, cfg)
 	a.closures = ctrlClosures(an)
+	a.indexForRealize(cfg)
 	a.seq = FuncCost(an.F, arch, costmodel.NNRing)
 	return a, nil
+}
+
+// indexForRealize computes the cut-invariant tables stage realization reads;
+// cfg is the analyzed function's CFG.
+func (a *Analysis) indexForRealize(cfg *graph.Digraph) {
+	an, f := a.an, a.an.F
+	a.exitBlock = f.ExitBlocks()[0] // dep.Analyze checked there is exactly one
+
+	// A summarized node's entry is its only block, or its first block with a
+	// predecessor outside the node.
+	members := make([]int, an.SumCFG.Len())
+	a.nodeEntry = make([]int, an.SumCFG.Len())
+	for n := range a.nodeEntry {
+		a.nodeEntry[n] = -1
+	}
+	for _, b := range f.Blocks {
+		members[an.BlockComp[b.ID]]++
+	}
+	for _, b := range f.Blocks {
+		n := an.BlockComp[b.ID]
+		if a.nodeEntry[n] >= 0 {
+			continue
+		}
+		external := members[n] == 1
+		for _, p := range cfg.Preds(b.ID) {
+			external = external || an.BlockComp[p] != n
+		}
+		if external {
+			a.nodeEntry[n] = b.ID
+		}
+	}
+
+	a.unitAt = make([][]int, len(f.Blocks))
+	for _, b := range f.Blocks {
+		a.unitAt[b.ID] = make([]int, len(b.Instrs))
+		for i, in := range b.Instrs {
+			u, ok := an.UnitOf[in]
+			if !ok {
+				u = -1
+			}
+			a.unitAt[b.ID][i] = u
+		}
+	}
+
+	a.targets = make([][]int, len(an.Units))
+	for _, u := range an.Units {
+		if last := u.Instrs[len(u.Instrs)-1]; u.IsLoop || last.Op == ir.OpBr || last.Op == ir.OpSwitch {
+			a.targets[u.ID] = unitTargets(f, u)
+		}
+	}
 }
 
 // Arch returns the cost model the analysis is bound to.
@@ -118,21 +182,21 @@ func (a *Analysis) resolveOptions(options Options) (Options, error) {
 // mutable state, so concurrent Partition calls need no locking.
 func ctrlClosures(an *dep.Analysis) map[int][]int {
 	out := make(map[int][]int, len(an.Ctrl))
+	seen := make([]int, len(an.Units)) // seen[w] == stamp: w is in this closure
+	var queue []int
+	stamp := 0
 	for u := range an.Ctrl {
-		seen := make(map[int]bool)
-		queue := append([]int(nil), an.Ctrl[u]...)
+		stamp++
+		queue = append(queue[:0], an.Ctrl[u]...)
 		var c []int
-		for len(queue) > 0 {
-			w := queue[0]
-			queue = queue[1:]
-			if seen[w] {
+		for qh := 0; qh < len(queue); qh++ {
+			w := queue[qh]
+			if seen[w] == stamp {
 				continue
 			}
-			seen[w] = true
+			seen[w] = stamp
 			c = append(c, w)
-			if nested, ok := an.Ctrl[w]; ok {
-				queue = append(queue, nested...)
-			}
+			queue = append(queue, an.Ctrl[w]...)
 		}
 		out[u] = c
 	}

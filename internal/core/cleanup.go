@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/ir"
+import (
+	"slices"
+
+	"repro/internal/ir"
+)
 
 // cleanupFunc simplifies a realized stage function to a fixed point:
 // unreachable-block removal, jump threading through empty blocks, trivial
@@ -46,10 +50,13 @@ func threadJumps(f *ir.Func) bool {
 			forward[b.ID] = t
 		}
 	}
+	// visit[b] == stamp marks b as seen by the current resolve.
+	visit := make([]int, len(f.Blocks))
+	stamp := 0
 	resolve := func(b int) int {
-		seen := map[int]bool{}
-		for forward[b] != b && !seen[b] {
-			seen[b] = true
+		stamp++
+		for forward[b] != b && visit[b] != stamp {
+			visit[b] = stamp
 			b = forward[b]
 		}
 		return b
@@ -103,32 +110,33 @@ func collapseTrivialBranches(f *ir.Func) bool {
 // mergeStraightLine merges a block into its unique successor when that
 // successor has no other predecessors.
 func mergeStraightLine(f *ir.Func) bool {
-	changed := false
-	cfg := f.CFG()
+	// preds[b] counts the distinct blocks branching to b; no graph is built.
+	preds := make([]int, len(f.Blocks))
+	for _, b := range f.Blocks {
+		succs := b.Succs()
+		for i, s := range succs {
+			if !slices.Contains(succs[:i], s) {
+				preds[s]++
+			}
+		}
+	}
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpJmp {
 			continue
 		}
 		succ := t.Targets[0]
-		if succ == b.ID || succ == f.Entry {
+		if succ == b.ID || succ == f.Entry || preds[succ] != 1 {
 			continue
 		}
-		if len(cfg.Preds(succ)) != 1 {
-			continue
-		}
+		// Absorb the successor. One merge per pass: the next round starts
+		// by dropping the stub and renumbering.
 		sb := f.Blocks[succ]
-		if sb == b {
-			continue
-		}
-		// Absorb the successor.
 		b.Instrs = append(b.Instrs[:len(b.Instrs)-1], sb.Instrs...)
 		sb.Instrs = []*ir.Instr{{Op: ir.OpRet, Dst: ir.NoReg}} // unreachable stub
-		changed = true
-		// One merge per pass keeps the CFG snapshot valid.
-		break
+		return true
 	}
-	return changed
+	return false
 }
 
 // removeDeadCode drops pure instructions whose destination register is

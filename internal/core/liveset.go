@@ -3,6 +3,8 @@ package core
 import (
 	"sort"
 
+	"repro/internal/dep"
+	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
@@ -31,18 +33,33 @@ type pos struct {
 	idx   int
 }
 
-// positions precomputes what the interference test needs: block-level
-// reachability (via at least one edge) and instruction positions.
+// positions precomputes what the interference test needs of the analyzed
+// function alone: block-level reachability (via at least one edge), and
+// where every SSA value is defined, where each unit reads it, and where each
+// unit's instructions sit. A cut only selects among these.
 type positions struct {
 	f      *ir.Func
 	reach1 [][]bool // reach1[b][c]: nonempty path b -> c
-	of     map[*ir.Instr]pos
+	// defAt[r] is where register r is defined (block -1: nowhere).
+	defAt []pos
+	// usesOf[r] lists where r is consumed, grouped by using unit in DataUses
+	// order. For a phi operand the consuming point is the end of the
+	// incoming predecessor block.
+	usesOf [][]useAt
+	// unitPos[u] lists the positions of unit u's instructions.
+	unitPos [][]pos
 }
 
-func newPositions(f *ir.Func) *positions {
-	cfg := f.CFG()
+// useAt is one consuming point of a value, in the unit that reads it.
+type useAt struct {
+	unit int
+	at   pos
+}
+
+func newPositions(an *dep.Analysis, cfg *graph.Digraph) *positions {
+	f := an.F
 	n := len(f.Blocks)
-	p := &positions{f: f, reach1: make([][]bool, n), of: make(map[*ir.Instr]pos)}
+	p := &positions{f: f, reach1: make([][]bool, n)}
 	for b := 0; b < n; b++ {
 		r := make([]bool, n)
 		// BFS from the successors of b (nonempty paths only).
@@ -65,9 +82,42 @@ func newPositions(f *ir.Func) *positions {
 		}
 		p.reach1[b] = r
 	}
+
+	of := make(map[*ir.Instr]pos)
+	p.defAt = make([]pos, f.NumRegs)
+	for r := range p.defAt {
+		p.defAt[r].block = -1
+	}
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
-			p.of[in] = pos{block: b.ID, idx: i}
+			of[in] = pos{block: b.ID, idx: i}
+			for _, d := range in.Defines() {
+				p.defAt[d] = of[in]
+			}
+		}
+	}
+	p.unitPos = make([][]pos, len(an.Units))
+	for _, u := range an.Units {
+		for _, in := range u.Instrs {
+			p.unitPos[u.ID] = append(p.unitPos[u.ID], of[in])
+		}
+	}
+	p.usesOf = make([][]useAt, f.NumRegs)
+	for r, useUnits := range an.DataUses {
+		for _, u := range useUnits {
+			for _, in := range an.Units[u].Instrs {
+				for k, a := range in.Args {
+					if a != r {
+						continue
+					}
+					if in.Op != ir.OpPhi {
+						p.usesOf[r] = append(p.usesOf[r], useAt{u, of[in]})
+						break // one consuming point per instruction
+					}
+					pred := in.PhiPreds[k]
+					p.usesOf[r] = append(p.usesOf[r], useAt{u, pos{block: pred, idx: len(f.Blocks[pred].Instrs)}})
+				}
+			}
 		}
 	}
 	return p
@@ -149,34 +199,32 @@ func (st *partitionState) defStage(o object) int {
 	return st.stageOf[st.an.DataDef[o.reg]]
 }
 
-// defPositions returns the realization-relevant definition points of an
-// object: the defining instruction for values, or the start of each
+// defPositions appends the realization-relevant definition points of an
+// object to buf: the defining instruction for values, or the start of each
 // distinct successor block for control objects (where the realization
 // materializes the control-object constants).
-func (st *partitionState) defPositions(o object, ps *positions) []pos {
+func (st *partitionState) defPositions(buf []pos, o object, ps *positions) []pos {
 	if !o.isCtrl {
-		def := st.an.DataDef[o.reg]
-		u := st.an.Units[def]
-		for _, in := range u.Instrs {
-			for _, d := range in.Defines() {
-				if d == o.reg {
-					return []pos{ps.of[in]}
-				}
-			}
+		if d := ps.defAt[o.reg]; d.block >= 0 {
+			buf = append(buf, d)
 		}
-		return nil
+		return buf
 	}
-	var out []pos
 	for _, t := range st.ctrlTargets(o.branch) {
-		out = append(out, pos{block: t, idx: 0})
+		buf = append(buf, pos{block: t, idx: 0})
 	}
-	return out
+	return buf
 }
 
 // ctrlTargets returns the distinct external successor blocks of a branch
 // unit in deterministic order. Control-object values index this list.
 func (st *partitionState) ctrlTargets(branchUnit int) []int {
-	u := st.an.Units[branchUnit]
+	return st.a.targets[branchUnit]
+}
+
+// unitTargets computes that list for one branch or loop unit; Analyze does
+// so once per unit.
+func unitTargets(f *ir.Func, u *dep.Unit) []int {
 	if !u.IsLoop {
 		return distinctTargets(u.Instrs[len(u.Instrs)-1])
 	}
@@ -189,7 +237,7 @@ func (st *partitionState) ctrlTargets(branchUnit int) []int {
 	blocks := append([]int(nil), u.Blocks...)
 	sort.Ints(blocks)
 	for _, bid := range blocks {
-		t := st.an.F.Blocks[bid].Term()
+		t := f.Blocks[bid].Term()
 		if t == nil {
 			continue
 		}
@@ -203,49 +251,23 @@ func (st *partitionState) ctrlTargets(branchUnit int) []int {
 	return out
 }
 
-// usePositions returns the positions where stages beyond cut j consume the
-// object. For phi operands the consuming point is the end of the incoming
-// predecessor block.
-func (st *partitionState) usePositions(o object, j int, ps *positions) []pos {
-	an := st.an
-	var out []pos
+// usePositions appends to buf the positions where stages beyond cut j
+// consume the object.
+func (st *partitionState) usePositions(buf []pos, o object, j int, ps *positions) []pos {
 	if o.isCtrl {
 		for _, d := range st.ctrlClosure(o.branch) {
-			if st.stageOf[d] <= j {
-				continue
-			}
-			for _, in := range an.Units[d].Instrs {
-				out = append(out, ps.of[in])
+			if st.stageOf[d] > j {
+				buf = append(buf, ps.unitPos[d]...)
 			}
 		}
-		return out
+		return buf
 	}
-	for _, useUnit := range an.DataUses[o.reg] {
-		if st.stageOf[useUnit] <= j {
-			continue
-		}
-		for _, in := range an.Units[useUnit].Instrs {
-			if in.Op == ir.OpPhi {
-				for k, a := range in.Args {
-					if a == o.reg {
-						p := in.PhiPreds[k]
-						out = append(out, pos{block: p, idx: len(an.F.Blocks[p].Instrs)})
-					}
-				}
-				continue
-			}
-			uses := false
-			for _, r := range in.Uses() {
-				if r == o.reg {
-					uses = true
-				}
-			}
-			if uses {
-				out = append(out, ps.of[in])
-			}
+	for _, use := range ps.usesOf[o.reg] {
+		if st.stageOf[use.unit] > j {
+			buf = append(buf, use.at)
 		}
 	}
-	return out
+	return buf
 }
 
 // reach is what the interference relation needs of one live-set object at
@@ -261,7 +283,7 @@ type reach struct {
 
 // reachOf computes object o's reach at cut j.
 func (st *partitionState) reachOf(o object, j int, ps *positions) reach {
-	return reach{o: o, relayed: st.defStage(o) < j, defs: st.defPositions(o, ps), uses: st.usePositions(o, j, ps)}
+	return reach{o: o, relayed: st.defStage(o) < j, defs: st.defPositions(nil, o, ps), uses: st.usePositions(nil, o, j, ps)}
 }
 
 // interferes implements the paper's interference relation over the
@@ -373,12 +395,21 @@ func naiveInterferes(u, v reach, ps *positions) bool {
 // packCut colors the interference graph, assigning each object a slot.
 func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 	n := len(ci.objects)
-	adj := make([][]bool, n)
+	adj := make([]bool, n*n) // adj[i*n+k]: objects i and k interfere
 	rs := make([]reach, n)
+	// Every object's definition and use points share one buffer, handed
+	// from cut to cut; a reach keeps capacity-limited windows of it, which
+	// stay valid when it grows, and is dead when this cut is packed.
+	buf := st.posBuf[:0]
 	for i, o := range ci.objects {
-		adj[i] = make([]bool, n)
-		rs[i] = st.reachOf(o, ci.index, ps)
+		d0 := len(buf)
+		buf = st.defPositions(buf, o, ps)
+		u0 := len(buf)
+		buf = st.usePositions(buf, o, ci.index, ps)
+		rs[i] = reach{o: o, relayed: st.defStage(o) < ci.index, defs: buf[d0:u0:u0], uses: buf[u0:len(buf):len(buf)]}
 	}
+	st.posBuf = buf
+	degree := make([]int, n)
 	for i := 0; i < n; i++ {
 		for k := i + 1; k < n; k++ {
 			u, v := rs[i], rs[k]
@@ -401,7 +432,9 @@ func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 				conflict = interferes(u, v, ps, prev)
 			}
 			if conflict {
-				adj[i][k], adj[k][i] = true, true
+				adj[i*n+k], adj[k*n+i] = true, true
+				degree[i]++
+				degree[k]++
 				ci.interferences++
 			}
 		}
@@ -412,24 +445,17 @@ func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 	for i := range order {
 		order[i] = i
 	}
-	degree := make([]int, n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			if adj[i][k] {
-				degree[i]++
-			}
-		}
-	}
 	sort.SliceStable(order, func(a, b int) bool { return degree[order[a]] > degree[order[b]] })
 
 	color := make([]int, n)
 	for i := range color {
 		color[i] = -1
 	}
+	used := make([]bool, n+1) // a neighbour's color is below n
 	for _, i := range order {
-		used := make(map[int]bool)
+		clear(used)
 		for k := 0; k < n; k++ {
-			if adj[i][k] && color[k] >= 0 {
+			if adj[i*n+k] && color[k] >= 0 {
 				used[color[k]] = true
 			}
 		}

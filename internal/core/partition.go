@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -105,6 +106,8 @@ type partitionState struct {
 	stageOf []int
 	// cutInfos[j] describes cut j+1 (between stage j+1 and j+2).
 	cuts []*cutInfo
+	// posBuf is packCut's position buffer, reused from cut to cut.
+	posBuf []pos
 }
 
 // ctrlClosure returns the transitive control dependents of branch unit u:
@@ -142,11 +145,15 @@ func (m *netModel) clone() *netModel {
 // carries CCost; use edges are infinite; and reverse-infinite edges enforce
 // that no dependence flows from the sink side to the source side.
 //
-// The network is built exactly once per analysis and cloned per cut, so
-// node numbering and edge order must be deterministic: variable nodes are
-// assigned in register order and control nodes in branch-unit order (never
-// in map-iteration order, which would perturb the preflow schedule and
-// hence which of several equal-cost min cuts is found).
+// The network is built exactly once per analysis and cloned per cut. What
+// must be deterministic is the node numbering: variable nodes are assigned
+// in register order and control nodes in branch-unit order, never in
+// map-iteration order, because node ids are order-sensitive downstream —
+// balance's frontierCandidates breaks its last tie by id, and the numbering
+// is what the reports' values/ctrls counts are read off. The order edges
+// are added in is not: among equal-cost minimum cuts maxflow always returns
+// the canonical one, whatever order it met or discharged the edges in
+// (TestRandomContractionAgainstEdmondsKarp).
 func buildNetwork(an *dep.Analysis, scc *graph.SCCResult, cg *graph.Digraph, compWeight []int64, arch *costmodel.Arch) *netModel {
 	nc := len(compWeight)
 	const src, snk = 0, 1
@@ -305,32 +312,43 @@ func topoByProgramOrder(cg *graph.Digraph, scc *graph.SCCResult) []int {
 			indeg[v]++
 		}
 	}
-	avail := make([]bool, nc)
+	// Available components, earliest program position first. Keys are
+	// distinct (a unit belongs to one component), so the order is total.
+	avail := &compHeap{key: key}
 	for c := 0; c < nc; c++ {
-		avail[c] = indeg[c] == 0
+		if indeg[c] == 0 {
+			avail.comps = append(avail.comps, c)
+		}
 	}
+	heap.Init(avail)
 	order := make([]int, 0, nc)
-	for len(order) < nc {
-		best := -1
-		for c := 0; c < nc; c++ {
-			if avail[c] && (best < 0 || key[c] < key[best]) {
-				best = c
-			}
-		}
-		if best < 0 {
-			break // cycle: cannot happen on a condensation
-		}
-		avail[best] = false
-		indeg[best] = -1
+	for avail.Len() > 0 { // stops short only on a cycle, which a condensation has none of
+		best := heap.Pop(avail).(int)
 		order = append(order, best)
 		for _, v := range cg.Succs(best) {
 			indeg[v]--
 			if indeg[v] == 0 {
-				avail[v] = true
+				heap.Push(avail, v)
 			}
 		}
 	}
 	return order
+}
+
+// compHeap is a min-heap of components by key.
+type compHeap struct {
+	comps []int
+	key   []int
+}
+
+func (h *compHeap) Len() int           { return len(h.comps) }
+func (h *compHeap) Less(i, j int) bool { return h.key[h.comps[i]] < h.key[h.comps[j]] }
+func (h *compHeap) Swap(i, j int)      { h.comps[i], h.comps[j] = h.comps[j], h.comps[i] }
+func (h *compHeap) Push(c any)         { h.comps = append(h.comps, c.(int)) }
+func (h *compHeap) Pop() any {
+	c := h.comps[len(h.comps)-1]
+	h.comps = h.comps[:len(h.comps)-1]
+	return c
 }
 
 // assignStages runs the D-1 successive balanced min cuts (paper sections
@@ -354,8 +372,11 @@ func (a *Analysis) assignStages(opts Options) ([]int, []*balance.Result, error) 
 		stageOfComp[c] = D
 	}
 	assigned := make([]bool, nc)
-	var results []*balance.Result
+	results := make([]*balance.Result, 0, D-1)
 	var collapsedW int64
+	// Pin lists, reused from cut to cut.
+	var srcPins, snkPins []int
+	pinnedSrc := make([]bool, nc)
 
 	for i := 1; i < D; i++ {
 		remaining := totalWeight - collapsedW
@@ -368,9 +389,9 @@ func (a *Analysis) assignStages(opts Options) ([]int, []*balance.Result, error) 
 		// Pin previously assigned components plus a topological prefix of
 		// the remainder into the source, and a topological suffix into the
 		// sink, so the min cut has real flow to work against.
-		var srcPins, snkPins []int
+		srcPins, snkPins = srcPins[:0], snkPins[:0]
 		pinnedW := int64(0)
-		pinnedSrc := make([]bool, nc)
+		clear(pinnedSrc)
 		for c := 0; c < nc; c++ {
 			if assigned[c] {
 				srcPins = append(srcPins, m.compNode(c))

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/dep"
-	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/ssa"
 )
@@ -22,24 +20,10 @@ import (
 //   - replaces inner loops owned by other stages with a switch on the
 //     loop's control object over its exit landing pads (paper figure 17).
 func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
-	an := st.an
+	a, an := st.a, st.an
 	D := st.opts.Stages
-	f := an.F.Clone()
+	f := st.stageShell(k)
 	nOrig := f.NumRegs
-
-	// Post-dominators of the summarized CFG, for skip targets.
-	pdom := graph.Dominators(an.SumCFG.Reverse(), an.ExitNode)
-
-	// Instruction-level stage lookup by position (clone blocks mirror the
-	// original, so index instructions positionally).
-	stageOfInstr := func(b, i int) int {
-		orig := an.F.Blocks[b].Instrs[i]
-		u, ok := an.UnitOf[orig]
-		if !ok || u < 0 {
-			return 0 // structural (jmp/ret): every stage keeps its own
-		}
-		return st.stageOf[u]
-	}
 
 	// Incoming and outgoing cuts.
 	var recvCut, sendCut *cutInfo
@@ -77,43 +61,19 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 		return recvRegs[s], nil
 	}
 
-	// 1. Filter instructions: keep stage-k instructions plus structural
-	// terminators; remember kept original-position instructions for the
-	// later rename.
-	type keptInstr struct{ in *ir.Instr }
-	var kept []keptInstr
-	for _, b := range f.Blocks {
-		var out []*ir.Instr
-		for i, in := range b.Instrs {
-			s := stageOfInstr(b.ID, i)
-			if in.Op.IsTerminator() {
-				out = append(out, in) // rewired below
-				if s == k || s == 0 {
-					kept = append(kept, keptInstr{in})
-				}
-				continue
-			}
-			if s == k {
-				out = append(out, in)
-				kept = append(kept, keptInstr{in})
-			}
-		}
-		b.Instrs = out
-	}
+	// 1. stageShell kept stage k's instructions plus every terminator.
 
-	// 2. Rewire terminators.
+	// 2. Rewire the terminators that are other stages' branches.
 	for _, b := range f.Blocks {
-		origBlk := an.F.Blocks[b.ID]
-		origTerm := origBlk.Term()
-		if origTerm == nil {
+		if an.F.Blocks[b.ID].Term() == nil {
 			continue
 		}
-		u, isUnit := an.UnitOf[origTerm]
-		if !isUnit || u < 0 {
+		units := a.unitAt[b.ID]
+		u := units[len(units)-1]
+		if u < 0 {
 			continue // jmp/ret stay
 		}
-		unit := an.Units[u]
-		if unit.IsLoop {
+		if an.Units[u].IsLoop {
 			continue // loops handled as whole regions below
 		}
 		us := st.stageOf[u]
@@ -130,7 +90,7 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 			continue
 		}
 		// No stage-k code depends on this branch: skip to the join.
-		target, err := st.skipTarget(u, pdom)
+		target, err := st.skipTarget(u)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +105,7 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 		if !unit.IsLoop || st.stageOf[unit.ID] == k {
 			continue
 		}
-		header, err := st.loopHeader(unit)
+		header, err := st.nodeEntryBlock(unit.SumNode)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +118,7 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 			}
 			st.replaceWithCoSwitch(term, unit.ID, co)
 		} else {
-			target, err := st.skipTarget(unit.ID, pdom)
+			target, err := st.skipTarget(unit.ID)
 			if err != nil {
 				return nil, err
 			}
@@ -173,21 +133,21 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 		}
 	}
 
-	// 4. Rename upstream value uses to received slot registers.
-	for _, ki := range kept {
-		in := ki.in
-		for idx, r := range in.Uses() {
-			if r >= nOrig || an.DataDef[r] < 0 {
-				continue
+	// 4. Rename upstream value uses to received slot registers. Everything
+	// left in the shell is stage k's own or a terminator; a rewired
+	// terminator reads at most a slot register, which is no original value.
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for idx, r := range in.Uses() {
+				if r >= nOrig || an.DataDef[r] < 0 || st.stageOf[an.DataDef[r]] >= k {
+					continue
+				}
+				nr, err := inReg(object{reg: r})
+				if err != nil {
+					return nil, err
+				}
+				in.Args[idx] = nr
 			}
-			if st.stageOf[an.DataDef[r]] >= k {
-				continue
-			}
-			nr, err := inReg(object{reg: r})
-			if err != nil {
-				return nil, err
-			}
-			in.Args[idx] = nr
 		}
 	}
 
@@ -198,20 +158,9 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 		if err := st.insertSlotWrites(f, k, sendCut, sendRegs, recvCut, recvRegs); err != nil {
 			return nil, err
 		}
-		// CanonicalizeExit guaranteed a unique ret block in the original;
-		// find it in the clone (same IDs).
-		exitID := -1
-		for _, b := range an.F.Blocks {
-			if t := b.Term(); t != nil && t.Op == ir.OpRet {
-				exitID = b.ID
-			}
-		}
-		if exitID < 0 {
-			return nil, fmt.Errorf("stage %d: no exit block", k)
-		}
-		exit := f.Blocks[exitID]
+		// Insert the send before the ret of the unique exit block.
+		exit := f.Blocks[a.exitBlock]
 		send := &ir.Instr{Op: ir.OpSendLS, Dst: ir.NoReg, Args: sendRegs, Tx: true}
-		// Insert before the ret.
 		n := len(exit.Instrs)
 		exit.Instrs = append(exit.Instrs, nil)
 		copy(exit.Instrs[n:], exit.Instrs[n-1:])
@@ -226,11 +175,78 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 	// 6. Lower remaining phis and clean up.
 	ssa.Destruct(f)
 	cleanupFunc(f)
-	f.Name = fmt.Sprintf("%s.stage%d", an.F.Name, k)
 	if err := f.Verify(ir.VerifyMutable); err != nil {
 		return nil, fmt.Errorf("stage %d: invalid realization: %w\n%s", k, err, f)
 	}
 	return f, nil
+}
+
+// stageShell starts stage k's function: the analyzed function's blocks (same
+// IDs, names and loop bounds), each holding copies of just the instructions
+// the stage keeps — the ones assigned to it and every terminator, which
+// realizeStage then rewires — and the source names of the registers those
+// define. Nothing the stage drops is copied first, and the copies come out
+// of one allocation per kind (blocks, instructions, operand lists).
+func (st *partitionState) stageShell(k int) *ir.Func {
+	src := st.an.F
+	keeps := func(b, i int, in *ir.Instr) bool {
+		u := st.a.unitAt[b][i]
+		return in.Op.IsTerminator() || (u >= 0 && st.stageOf[u] == k)
+	}
+	nKept, nInts := 0, 0
+	for _, ob := range src.Blocks {
+		for i, in := range ob.Instrs {
+			if keeps(ob.ID, i, in) {
+				nKept++
+				nInts += len(in.Args) + len(in.Dsts) + len(in.PhiPreds) + len(in.Targets)
+			}
+		}
+	}
+	f := &ir.Func{
+		Name:    fmt.Sprintf("%s.stage%d", src.Name, k),
+		Entry:   src.Entry,
+		NumRegs: src.NumRegs,
+		RegName: make(map[int]string),
+		Blocks:  make([]*ir.Block, len(src.Blocks)),
+	}
+	blocks := make([]ir.Block, len(src.Blocks))
+	instrs := make([]ir.Instr, nKept)
+	ptrs := make([]*ir.Instr, nKept)
+	ints := make([]int, nInts)
+	// Capacity-limited copies: growing one list reallocates it instead of
+	// writing over its neighbour in the slab.
+	own := func(list []int) []int {
+		if len(list) == 0 {
+			return nil
+		}
+		n := copy(ints, list)
+		list, ints = ints[:n:n], ints[n:]
+		return list
+	}
+	for bi, ob := range src.Blocks {
+		nb := &blocks[bi]
+		nb.ID, nb.Name, nb.LoopBound = ob.ID, ob.Name, ob.LoopBound
+		n := 0
+		for i, in := range ob.Instrs {
+			if !keeps(ob.ID, i, in) {
+				continue
+			}
+			c := &instrs[n]
+			*c = *in
+			c.Args, c.Dsts, c.PhiPreds, c.Targets = own(in.Args), own(in.Dsts), own(in.PhiPreds), own(in.Targets)
+			c.Cases = append([]int64(nil), in.Cases...)
+			ptrs[n] = c
+			for _, d := range in.Defines() {
+				if name, ok := src.RegName[d]; ok {
+					f.RegName[d] = name
+				}
+			}
+			n++
+		}
+		nb.Instrs, instrs, ptrs = ptrs[:n:n], instrs[n:], ptrs[n:]
+		f.Blocks[bi] = nb
+	}
+	return f
 }
 
 // coNeededBy reports whether stage k contains code (transitively)
@@ -263,9 +279,9 @@ func (st *partitionState) replaceWithCoSwitch(t *ir.Instr, u, co int) {
 // skipTarget returns the block to jump to when stage k has nothing inside
 // the region controlled by branch unit u: the entry block of the immediate
 // post-dominator of u's summarized node.
-func (st *partitionState) skipTarget(u int, pdom *graph.DomTree) (int, error) {
+func (st *partitionState) skipTarget(u int) (int, error) {
 	node := st.an.Units[u].SumNode
-	ip := pdom.Idom[node]
+	ip := st.an.PostDom.Idom[node]
 	if ip < 0 {
 		return 0, fmt.Errorf("no post-dominator for summarized node %d", node)
 	}
@@ -274,35 +290,12 @@ func (st *partitionState) skipTarget(u int, pdom *graph.DomTree) (int, error) {
 
 // nodeEntryBlock returns the unique entry block of a summarized node (the
 // block with a predecessor outside the node; for single-block nodes, the
-// block itself).
+// block itself), from the table Analyze built.
 func (st *partitionState) nodeEntryBlock(node int) (int, error) {
-	var members []int
-	for _, b := range st.an.F.Blocks {
-		if st.an.BlockComp[b.ID] == node {
-			members = append(members, b.ID)
-		}
-	}
-	if len(members) == 1 {
-		return members[0], nil
-	}
-	cfg := st.an.F.CFG()
-	inNode := make(map[int]bool, len(members))
-	for _, m := range members {
-		inNode[m] = true
-	}
-	for _, m := range members {
-		for _, p := range cfg.Preds(m) {
-			if !inNode[p] {
-				return m, nil
-			}
-		}
+	if b := st.a.nodeEntry[node]; b >= 0 {
+		return b, nil
 	}
 	return 0, fmt.Errorf("summarized node %d has no external entry", node)
-}
-
-// loopHeader returns the entry block of a loop unit.
-func (st *partitionState) loopHeader(unit *dep.Unit) (int, error) {
-	return st.nodeEntryBlock(unit.SumNode)
 }
 
 // insertSlotWrites places the unified-transmission slot assignments for the
@@ -341,7 +334,7 @@ func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, send
 		defUnit := an.DataDef[o.reg]
 		if st.stageOf[defUnit] == k {
 			// Copy right after the defining instruction in the clone.
-			if err := insertCopyAfterDef(f, an, o.reg, dst); err != nil {
+			if err := insertCopyAfterDef(f, st.a.ps.defAt[o.reg].block, o.reg, dst); err != nil {
 				return fmt.Errorf("stage %d: %w", k, err)
 			}
 			continue
@@ -370,52 +363,42 @@ func slotIn(recvCut *cutInfo, recvRegs []int, o object) (int, error) {
 	return recvRegs[s], nil
 }
 
-// insertCopyAfterDef finds register r's defining instruction in the clone
-// (by original position) and inserts `dst = copy r` right after it (after
-// the phi cluster when the definition is a phi).
-func insertCopyAfterDef(f *ir.Func, an *dep.Analysis, r, dst int) error {
-	for _, ob := range an.F.Blocks {
-		for oi, oin := range ob.Instrs {
-			defines := false
-			for _, d := range oin.Defines() {
-				if d == r {
-					defines = true
-				}
+// insertCopyAfterDef finds the instruction defining register r in the stage
+// function — in defBlock, where the analysis saw r defined, which the stage
+// kept if it owns r — and inserts `dst = copy r` right after it
+// (after the phi cluster when the definition is a phi).
+func insertCopyAfterDef(f *ir.Func, defBlock, r, dst int) error {
+	if defBlock < 0 {
+		return fmt.Errorf("register r%d has no definition", r)
+	}
+	blk := f.Blocks[defBlock]
+	for ci, cin := range blk.Instrs {
+		if !defines(cin, r) {
+			continue
+		}
+		at := ci + 1
+		if cin.Op == ir.OpPhi {
+			for at < len(blk.Instrs) && blk.Instrs[at].Op == ir.OpPhi {
+				at++
 			}
-			if !defines {
-				continue
-			}
-			// Locate the same instruction in the clone: the clone block
-			// holds a filtered subset, so search by identity is impossible;
-			// find the cloned instruction defining r instead.
-			blk := f.Blocks[ob.ID]
-			for ci, cin := range blk.Instrs {
-				cd := false
-				for _, d := range cin.Defines() {
-					if d == r {
-						cd = true
-					}
-				}
-				if !cd {
-					continue
-				}
-				at := ci + 1
-				if cin.Op == ir.OpPhi {
-					for at < len(blk.Instrs) && blk.Instrs[at].Op == ir.OpPhi {
-						at++
-					}
-				}
-				cp := &ir.Instr{Op: ir.OpCopy, Dst: dst, Args: []int{r}, Tx: true}
-				blk.Instrs = append(blk.Instrs, nil)
-				copy(blk.Instrs[at+1:], blk.Instrs[at:])
-				blk.Instrs[at] = cp
-				return nil
-			}
-			_ = oi
-			return fmt.Errorf("register r%d defined at b%d in the original but missing from the stage clone", r, ob.ID)
+		}
+		cp := &ir.Instr{Op: ir.OpCopy, Dst: dst, Args: []int{r}, Tx: true}
+		blk.Instrs = append(blk.Instrs, nil)
+		copy(blk.Instrs[at+1:], blk.Instrs[at:])
+		blk.Instrs[at] = cp
+		return nil
+	}
+	return fmt.Errorf("register r%d defined at b%d in the original but missing from the stage clone", r, blk.ID)
+}
+
+// defines reports whether in defines register r.
+func defines(in *ir.Instr, r int) bool {
+	for _, d := range in.Defines() {
+		if d == r {
+			return true
 		}
 	}
-	return fmt.Errorf("register r%d has no definition", r)
+	return false
 }
 
 // insertAfterPhis inserts an instruction after the phi cluster at the top

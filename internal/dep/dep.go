@@ -49,6 +49,8 @@ type Analysis struct {
 	BlockComp []int // block ID -> summarized node
 	SumSuccs  [][]int
 	ExitNode  int
+	// PostDom is the post-dominator tree of SumCFG, rooted at ExitNode.
+	PostDom *graph.DomTree
 
 	// DataDef[r] is the unit defining SSA register r (or -1); DataUses[r]
 	// lists the units using r (deduplicated, excluding the def unit's own
@@ -239,6 +241,7 @@ func (a *Analysis) buildControlDeps() error {
 	f := a.F
 	// Post-dominators of the summarized CFG.
 	pdom := graph.Dominators(a.SumCFG.Reverse(), a.ExitNode)
+	a.PostDom = pdom
 
 	// Control dependence (Ferrante-Ottenstein-Warren on the summarized
 	// graph): for edge u->v where v does not post-dominate u, every node on

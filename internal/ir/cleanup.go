@@ -4,9 +4,27 @@ package ir
 // the remaining blocks, remaps branch targets and phi predecessor lists, and
 // drops phi operands flowing in from deleted blocks.
 func RemoveUnreachable(f *Func) {
-	reach := f.CFG().ReachableFrom(f.Entry)
+	// Depth-first over terminator targets; no graph is built to ask this.
+	reach := make([]bool, len(f.Blocks))
+	reach[f.Entry] = true
+	nReach := 1
+	stack := []int{f.Entry}
+	for len(stack) > 0 {
+		b := f.Blocks[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs() {
+			if !reach[s] {
+				reach[s] = true
+				nReach++
+				stack = append(stack, s)
+			}
+		}
+	}
+	if nReach == len(f.Blocks) {
+		return
+	}
 	remap := make([]int, len(f.Blocks))
-	var kept []*Block
+	kept := make([]*Block, 0, nReach)
 	for _, b := range f.Blocks {
 		if reach[b.ID] {
 			remap[b.ID] = len(kept)
@@ -14,9 +32,6 @@ func RemoveUnreachable(f *Func) {
 		} else {
 			remap[b.ID] = -1
 		}
-	}
-	if len(kept) == len(f.Blocks) {
-		return
 	}
 	for _, b := range kept {
 		b.ID = remap[b.ID]

@@ -4,15 +4,26 @@
 // transformation (paper section 3.3, adapted from Yang–Wong ICCAD 1994).
 //
 // Only the first phase of push-relabel runs (a maximum preflow), which is
-// sufficient to determine a minimum cut: nodes whose height reaches the
-// live node count can never push to the sink again and are deactivated.
-// The cut is recovered by backward residual reachability from the sink.
+// sufficient to determine a minimum cut: a node whose label reaches the live
+// node count can never push to the sink again and is deactivated. The cut is
+// recovered by backward residual reachability from the sink, so it is the
+// canonical one (the largest source side of any minimum cut) and depends on
+// neither the discharge order nor the order edges were added in.
 //
-// Contraction merges nodes into the source or sink via a union-find; after
-// a contraction the algorithm restarts incrementally with the previous
-// preflow, per the paper: source out-edges are re-saturated, the source
-// label is set to the new node count, and other labels are either kept
-// (collapse into source) or reset to zero (collapse into sink).
+// Every MaxFlow call starts with a global relabel — a backward breadth-first
+// search from the sink group that sets each label to the node's exact
+// residual distance, and lifts whatever cannot reach the sink to the horizon
+// at once — and discharge applies the gap heuristic: when a relabel empties a
+// label value, every node above it is cut off from the sink and lifted too.
+// Trapped excess therefore never climbs to the horizon one relabel at a time.
+//
+// Contraction merges nodes into the source or the sink. Nothing ever merges
+// into any other node, so the representatives are a flat array (Find is one
+// load) and only the two groups keep member lists. After a contraction the
+// algorithm restarts incrementally, per the paper, from the previous
+// preflow: source out-edges are re-saturated and the next MaxFlow resumes.
+// What is carried across a contraction is the preflow, not the labels — the
+// global relabel recomputes those, exactly, for the contracted graph.
 package maxflow
 
 import (
@@ -38,51 +49,82 @@ type Network struct {
 	Source int
 	Sink   int
 
-	head  []int   // edge -> head node
-	cap   []int64 // edge -> capacity
-	flow  []int64 // edge -> current flow (flow[e] = -flow[e^1])
-	first [][]int // node -> incident edge ids (both directions)
+	// Topology, shared by clones: edge -> head node, edge -> capacity, and
+	// the incident edge ids of node u (both directions, in edge order) at
+	// adj[adjStart[u]:adjStart[u+1]]. ident[u] = u, so that ident[u:u+1] is
+	// the member list of a node nothing was merged into. The index is built
+	// from head when it is first needed, and again if edges were added since.
+	head     []int
+	cap      []int64
+	adjStart []int
+	adj      []int
+	ident    []int
 
-	parent []int // union-find
-	live   int   // number of representative nodes
-
-	height []int
-	excess []int64
-
-	ran bool
+	// Preflow state, private to each clone. flow[e] = -flow[e^1]. rep[u] is
+	// u itself, Source or Sink. members holds the two groups: the source's
+	// nSrc nodes from the front, the sink's nSnk from the back (together
+	// they never exceed n). The first saturated source members have had
+	// their out-edges saturated; the rest wait for the next MaxFlow. The
+	// sink's excess is the net flow into its group: the preflow's value.
+	flow      []int64
+	rep       []int
+	members   []int
+	nSrc      int
+	nSnk      int
+	saturated int
+	live      int // number of representative nodes
+	height    []int
+	excess    []int64
 
 	// infEdges counts edges with capacity >= Inf; AddEdge guards it
 	// against MaxInfEdges so capacity sums cannot overflow.
 	infEdges int
 
 	// frozen marks a network whose topology is shared with clones; adding
-	// edges to it would corrupt the shared adjacency lists.
+	// edges to it would corrupt the shared adjacency.
 	frozen bool
 
-	// Reusable scratch for MaxFlow (the FIFO active queue) and SourceSide
-	// (the residual reachability walk). Lazily sized; contents are dead
-	// between calls.
-	scratchInQ   []bool
-	scratchQueue []int
-	scratchReach []bool
-	scratchStack []int
+	// Scratch, dead between calls: MaxFlow's FIFO of active nodes (first
+	// the global relabel's search order), its queued marks and its nodes
+	// per label; SourceSide's residual walk.
+	queue []int
+	inQ   []bool
+	count []int
+	reach []bool
+	stack []int
+}
+
+// alloc returns a network of n nodes with its per-clone state and scratch
+// carved out of one slab per element type, flow sized for m edges.
+func alloc(n, m, source, sink int) *Network {
+	ints := make([]int, 6*n+1)
+	i64s := make([]int64, m+n)
+	bools := make([]bool, 2*n)
+	return &Network{
+		n:       n,
+		Source:  source,
+		Sink:    sink,
+		flow:    i64s[:m:m],
+		excess:  i64s[m:],
+		rep:     ints[:n:n],
+		height:  ints[n : 2*n : 2*n],
+		members: ints[2*n : 3*n : 3*n],
+		queue:   ints[3*n : 3*n : 4*n],
+		stack:   ints[4*n : 4*n : 5*n],
+		count:   ints[5*n:],
+		inQ:     bools[:n:n],
+		reach:   bools[n:],
+	}
 }
 
 // New creates a network with n nodes.
 func New(n, source, sink int) *Network {
-	nw := &Network{
-		n:      n,
-		Source: source,
-		Sink:   sink,
-		first:  make([][]int, n),
-		parent: make([]int, n),
-		live:   n,
-		height: make([]int, n),
-		excess: make([]int64, n),
+	nw := alloc(n, 0, source, sink)
+	for i := range nw.rep {
+		nw.rep[i] = i
 	}
-	for i := range nw.parent {
-		nw.parent[i] = i
-	}
+	nw.members[0], nw.members[n-1] = source, sink
+	nw.nSrc, nw.nSnk, nw.live = 1, 1, n
 	return nw
 }
 
@@ -93,38 +135,58 @@ func (nw *Network) Len() int { return nw.n }
 // the network across goroutines: from then on the topology is immutable,
 // so any number of goroutines may Clone it concurrently without
 // synchronization.
-func (nw *Network) Freeze() { nw.frozen = true }
+func (nw *Network) Freeze() {
+	nw.index()
+	nw.frozen = true
+}
+
+// index brings the incident-edge lists up to date with the edges added.
+func (nw *Network) index() {
+	if nw.adjStart != nil && len(nw.adj) == len(nw.head) {
+		return
+	}
+	start := make([]int, nw.n+1)
+	for e := range nw.head {
+		start[nw.head[e^1]+1]++ // the tail of e is the head of its pair
+	}
+	for u := 0; u < nw.n; u++ {
+		start[u+1] += start[u]
+	}
+	adj := make([]int, len(nw.head))
+	next := append([]int(nil), start[:nw.n]...)
+	for e := range nw.head {
+		u := nw.head[e^1]
+		adj[next[u]] = e
+		next[u]++
+	}
+	ident := make([]int, nw.n)
+	for u := range ident {
+		ident[u] = u
+	}
+	nw.adjStart, nw.adj, nw.ident = start, adj, ident
+}
 
 // Clone returns an independent network sharing the immutable topology
-// (edge endpoints, capacities, adjacency lists) with nw while carrying its
-// own mutable flow/preflow state (flow, contractions, labels, excess).
-// Both networks are frozen against AddEdge afterwards, since the shared
-// adjacency slices could otherwise alias. This is how the analysis phase
-// reuses one flow-network skeleton across many concurrent cut searches:
-// build the network once, Freeze it, Clone it per cut, contract and run
-// the clone. The conditional below writes only on the first Clone of an
-// unfrozen network — concurrent Clone calls are race-free provided the
-// network was frozen (or cloned once) beforehand.
+// (edge endpoints, capacities, adjacency) with nw while carrying its own
+// mutable preflow state (flow, contractions, excess). Both networks are
+// frozen against AddEdge afterwards, since the shared adjacency could
+// otherwise alias. This is how the analysis phase reuses one flow-network
+// skeleton across many concurrent cut searches: build the network once,
+// Freeze it, Clone it per cut, contract and run the clone. Clone writes to
+// nw only if it was not frozen yet — concurrent Clone calls are race-free
+// provided the network was frozen (or cloned once) beforehand.
 func (nw *Network) Clone() *Network {
 	if !nw.frozen {
-		nw.frozen = true
+		nw.Freeze()
 	}
-	cl := &Network{
-		n:        nw.n,
-		Source:   nw.Source,
-		Sink:     nw.Sink,
-		head:     nw.head,
-		cap:      nw.cap,
-		first:    nw.first,
-		flow:     append([]int64(nil), nw.flow...),
-		parent:   append([]int(nil), nw.parent...),
-		live:     nw.live,
-		height:   append([]int(nil), nw.height...),
-		excess:   append([]int64(nil), nw.excess...),
-		ran:      nw.ran,
-		infEdges: nw.infEdges,
-		frozen:   true,
-	}
+	cl := alloc(nw.n, len(nw.head), nw.Source, nw.Sink)
+	cl.head, cl.cap, cl.adjStart, cl.adj, cl.ident = nw.head, nw.cap, nw.adjStart, nw.adj, nw.ident
+	copy(cl.flow, nw.flow)
+	copy(cl.excess, nw.excess)
+	copy(cl.rep, nw.rep)
+	copy(cl.members, nw.members)
+	cl.nSrc, cl.nSnk, cl.saturated, cl.live = nw.nSrc, nw.nSnk, nw.saturated, nw.live
+	cl.infEdges, cl.frozen = nw.infEdges, true
 	return cl
 }
 
@@ -147,8 +209,6 @@ func (nw *Network) AddEdge(u, v int, capacity int64) int {
 	nw.head = append(nw.head, v, u)
 	nw.cap = append(nw.cap, capacity, 0)
 	nw.flow = append(nw.flow, 0, 0)
-	nw.first[u] = append(nw.first[u], id)
-	nw.first[v] = append(nw.first[v], id^1)
 	return id
 }
 
@@ -163,203 +223,208 @@ func (nw *Network) ForEachEdge(fn func(id, tail, head int, capacity int64)) {
 	}
 }
 
+// ForEachIncident calls fn for every edge id, forward and reverse, whose
+// tail was contracted into representative u (u itself included). This is
+// the adjacency every clone shares: a caller that needs the neighbours of a
+// group, such as the balanced-cut search following infinite edges, reads
+// them here instead of building lists of its own.
+func (nw *Network) ForEachIncident(u int, fn func(e int)) {
+	nw.index()
+	for _, m := range nw.group(u) {
+		for _, e := range nw.adj[nw.adjStart[m]:nw.adjStart[m+1]] {
+			fn(e)
+		}
+	}
+}
+
 // EdgeCap returns the capacity of edge e.
 func (nw *Network) EdgeCap(e int) int64 { return nw.cap[e] }
 
 // EdgeEnds returns the tail and head of edge e.
 func (nw *Network) EdgeEnds(e int) (tail, head int) { return nw.head[e^1], nw.head[e] }
 
-// Find returns the representative of u after contractions.
-func (nw *Network) Find(u int) int {
-	for nw.parent[u] != u {
-		nw.parent[u] = nw.parent[nw.parent[u]]
-		u = nw.parent[u]
+// Find returns the representative of u after contractions: u itself, the
+// source or the sink.
+func (nw *Network) Find(u int) int { return nw.rep[u] }
+
+// group returns the nodes representative u stands for.
+func (nw *Network) group(u int) []int {
+	switch u {
+	case nw.Source:
+		return nw.members[:nw.nSrc]
+	case nw.Sink:
+		return nw.members[nw.n-nw.nSnk:]
 	}
-	return u
+	return nw.ident[u : u+1]
 }
 
-func (nw *Network) residual(e int) int64 { return nw.cap[e] - nw.flow[e] }
-
-// CollapseIntoSource merges the given nodes into the source.
+// CollapseIntoSource merges the given nodes into the source. Their out-edges
+// are saturated by the next MaxFlow, which resumes from the current preflow.
 func (nw *Network) CollapseIntoSource(nodes []int) {
-	s := nw.Find(nw.Source)
-	t := nw.Find(nw.Sink)
 	for _, u := range nodes {
-		ru := nw.Find(u)
-		if ru == s || ru == t {
+		if nw.rep[u] != u || u == nw.Source || u == nw.Sink {
 			continue
 		}
-		nw.parent[ru] = s
-		nw.excess[s] += nw.excess[ru]
-		nw.excess[ru] = 0
+		nw.rep[u] = nw.Source
+		nw.members[nw.nSrc] = u
+		nw.nSrc++
+		nw.excess[u] = 0
 		nw.live--
 	}
-	nw.prepareIncremental(true)
 }
 
 // CollapseIntoSink merges the given nodes into the sink.
 func (nw *Network) CollapseIntoSink(nodes []int) {
-	s := nw.Find(nw.Source)
-	t := nw.Find(nw.Sink)
 	for _, u := range nodes {
-		ru := nw.Find(u)
-		if ru == t || ru == s {
+		if nw.rep[u] != u || u == nw.Source || u == nw.Sink {
 			continue
 		}
-		nw.parent[ru] = t
-		nw.excess[t] += nw.excess[ru]
-		nw.excess[ru] = 0
+		nw.rep[u] = nw.Sink
+		nw.nSnk++
+		nw.members[nw.n-nw.nSnk] = u
+		nw.excess[nw.Sink] += nw.excess[u]
+		nw.excess[u] = 0
 		nw.live--
 	}
-	nw.prepareIncremental(false)
-}
-
-// prepareIncremental implements the paper's warm-restart state: saturate
-// source out-edges, set the source label to the live node count, and keep
-// (collapse into source) or reset (collapse into sink) the other labels.
-func (nw *Network) prepareIncremental(intoSource bool) {
-	if !nw.ran {
-		return // the first MaxFlow call initializes from scratch
-	}
-	if !intoSource {
-		for u := 0; u < nw.n; u++ {
-			nw.height[u] = 0
-		}
-	}
-	nw.height[nw.Find(nw.Source)] = nw.live
-	nw.saturateSource()
 }
 
 // saturateSource pushes full residual capacity on every edge leaving the
-// source group.
+// source group, from the members merged since the last call. Edges
+// saturated earlier stay saturated: nothing below the horizon pushes back
+// into the source.
 func (nw *Network) saturateSource() {
-	s := nw.Find(nw.Source)
-	t := nw.Find(nw.Sink)
-	for u := 0; u < nw.n; u++ {
-		if nw.Find(u) != s {
-			continue
-		}
-		for _, e := range nw.first[u] {
-			v := nw.Find(nw.head[e])
+	s := nw.Source
+	for _, m := range nw.members[nw.saturated:nw.nSrc] {
+		for _, e := range nw.adj[nw.adjStart[m]:nw.adjStart[m+1]] {
+			v := nw.rep[nw.head[e]]
 			if v == s {
 				continue
 			}
-			if r := nw.residual(e); r > 0 {
+			if r := nw.cap[e] - nw.flow[e]; r > 0 {
 				nw.flow[e] += r
 				nw.flow[e^1] -= r
-				if v != t {
-					nw.excess[v] += r
-				}
+				nw.excess[v] += r
 			}
 		}
 	}
+	nw.saturated = nw.nSrc
+}
+
+// globalRelabel sets every label to the node's exact distance to the sink
+// group in the residual graph, and to the horizon (the live node count) for
+// the source and for whatever cannot reach the sink. It leaves the nodes
+// per label in count and the search order, sink first, in queue.
+func (nw *Network) globalRelabel() {
+	s, t, live := nw.Source, nw.Sink, nw.live
+	for u := range nw.height {
+		nw.height[u] = live
+	}
+	clear(nw.count)
+	nw.height[t] = 0
+	queue := append(nw.queue[:0], t)
+	for qh := 0; qh < len(queue); qh++ {
+		v := queue[qh]
+		hu := nw.height[v] + 1
+		for _, m := range nw.group(v) {
+			// u reaches v when the pair of an edge leaving v has residual.
+			for _, e := range nw.adj[nw.adjStart[m]:nw.adjStart[m+1]] {
+				u := nw.rep[nw.head[e]]
+				if nw.height[u] != live || u == s || nw.cap[e^1]-nw.flow[e^1] <= 0 {
+					continue
+				}
+				nw.height[u] = hu
+				nw.count[hu]++
+				queue = append(queue, u)
+			}
+		}
+	}
+	nw.queue = queue
 }
 
 // MaxFlow runs (or incrementally resumes) push-relabel and returns the
-// value of the current maximum preflow (= the max-flow value), measured as
-// net flow into the sink group.
+// value of the current maximum preflow (= the max-flow value): the net flow
+// into the sink group.
 func (nw *Network) MaxFlow() int64 {
-	s := nw.Find(nw.Source)
-	t := nw.Find(nw.Sink)
-	if !nw.ran {
-		nw.ran = true
-		nw.height[s] = nw.live
-		nw.saturateSource()
-	}
+	nw.index()
+	nw.saturateSource()
+	nw.globalRelabel()
 
-	// FIFO queue of active nodes (excess > 0, height below the horizon).
-	// The queue buffers live on the network and are reused across the
-	// incremental re-runs of the balanced-cut search: every enqueued node
-	// is dequeued (clearing its inQueue bit), so the buffers need no
+	// FIFO queue of active nodes (excess > 0, label below the horizon),
+	// nearest the sink first: the search order, filtered in place. Every
+	// enqueued node is dequeued, clearing its mark, so the marks need no
 	// clearing between calls.
-	if nw.scratchInQ == nil {
-		nw.scratchInQ = make([]bool, nw.n)
-	}
-	inQueue := nw.scratchInQ
-	queue := nw.scratchQueue[:0]
-	enqueue := func(u int) {
-		if !inQueue[u] && u != s && u != t {
-			inQueue[u] = true
+	queue := nw.queue[:0]
+	for _, u := range nw.queue[1:] {
+		if nw.excess[u] > 0 {
+			nw.inQ[u] = true
 			queue = append(queue, u)
 		}
 	}
-	for u := 0; u < nw.n; u++ {
-		if nw.Find(u) == u && nw.excess[u] > 0 && nw.height[u] < nw.live {
-			enqueue(u)
-		}
+	nw.queue = queue
+	for qh := 0; qh < len(nw.queue); qh++ {
+		u := nw.queue[qh]
+		nw.inQ[u] = false
+		nw.discharge(u)
 	}
-
-	for qh := 0; qh < len(queue); qh++ {
-		u := queue[qh]
-		inQueue[u] = false
-		if nw.Find(u) != u {
-			continue
-		}
-		nw.discharge(u, enqueue)
-	}
-	nw.scratchQueue = queue[:0]
-
-	// Net flow into the sink group.
-	var value int64
-	for e := 0; e < len(nw.head); e += 2 {
-		from := nw.Find(nw.head[e^1])
-		to := nw.Find(nw.head[e])
-		if from != t && to == t {
-			value += nw.flow[e]
-		} else if from == t && to != t {
-			value -= nw.flow[e]
-		}
-	}
-	return value
+	nw.queue = nw.queue[:0]
+	return nw.excess[nw.Sink]
 }
 
 // discharge pushes excess out of u until it is exhausted or u rises to the
-// horizon (height >= live), at which point u is deactivated: its remaining
+// horizon (label >= live), at which point u is deactivated: its remaining
 // excess can only flow back to the source and is irrelevant to the cut.
-func (nw *Network) discharge(u int, enqueue func(int)) {
-	s := nw.Find(nw.Source)
-	t := nw.Find(nw.Sink)
-	for nw.excess[u] > 0 && nw.height[u] < nw.live {
-		pushed := false
-		for _, e := range nw.first[u] {
-			v := nw.Find(nw.head[e])
-			if v == u || nw.residual(e) <= 0 || nw.height[u] != nw.height[v]+1 {
+func (nw *Network) discharge(u int) {
+	s, t, live := nw.Source, nw.Sink, nw.live
+	edges := nw.adj[nw.adjStart[u]:nw.adjStart[u+1]]
+	for nw.excess[u] > 0 && nw.height[u] < live {
+		hu := nw.height[u]
+		lowest := live // the lowest residual neighbour a push did not use up
+		for _, e := range edges {
+			r := nw.cap[e] - nw.flow[e]
+			if r <= 0 {
 				continue
 			}
-			amt := nw.excess[u]
-			if r := nw.residual(e); r < amt {
-				amt = r
+			v := nw.rep[nw.head[e]]
+			if v == u {
+				continue
 			}
+			if hv := nw.height[v]; hu != hv+1 {
+				lowest = min(lowest, hv)
+				continue
+			}
+			amt := min(nw.excess[u], r)
 			nw.flow[e] += amt
 			nw.flow[e^1] -= amt
 			nw.excess[u] -= amt
-			if v != s && v != t {
-				nw.excess[v] += amt
-				if nw.height[v] < nw.live {
-					enqueue(v)
-				}
+			nw.excess[v] += amt
+			if v != s && v != t && !nw.inQ[v] {
+				nw.inQ[v] = true
+				nw.queue = append(nw.queue, v)
 			}
-			pushed = true
 			if nw.excess[u] == 0 {
 				return
 			}
 		}
-		if !pushed {
-			// Relabel to one above the lowest residual neighbor.
-			minH := math.MaxInt
-			for _, e := range nw.first[u] {
-				v := nw.Find(nw.head[e])
-				if v == u || nw.residual(e) <= 0 {
-					continue
-				}
-				if nw.height[v] < minH {
-					minH = nw.height[v]
-				}
-			}
-			if minH == math.MaxInt {
-				return // isolated: nothing to do
-			}
-			nw.height[u] = minH + 1
+		// Every admissible edge is saturated: relabel to one above the
+		// lowest residual neighbour. If that leaves u's old label empty,
+		// nothing above it can reach the sink any more (the gap heuristic).
+		nw.count[hu]--
+		if nw.count[hu] == 0 {
+			nw.liftAbove(hu)
+		}
+		if nw.height[u] = min(lowest+1, live); nw.height[u] < live {
+			nw.count[nw.height[u]]++
+		}
+	}
+}
+
+// liftAbove raises every node labelled above the emptied label h to the
+// horizon.
+func (nw *Network) liftAbove(h int) {
+	for v, hv := range nw.height {
+		if hv > h && hv < nw.live {
+			nw.count[hv]--
+			nw.height[v] = nw.live
 		}
 	}
 }
@@ -369,62 +434,30 @@ func (nw *Network) discharge(u int, enqueue func(int)) {
 // graph. Indexed by original node id (contracted members inherit their
 // representative's side).
 func (nw *Network) SourceSide() []bool {
-	t := nw.Find(nw.Sink)
-	if nw.scratchReach == nil {
-		nw.scratchReach = make([]bool, nw.n)
-	}
-	canReach := nw.scratchReach
-	for i := range canReach {
-		canReach[i] = false
-	}
-	stack := nw.scratchStack[:0]
-	push := func(u int) {
-		if !canReach[u] {
-			canReach[u] = true
-			stack = append(stack, u)
-		}
-	}
-	push(t)
+	clear(nw.reach)
+	nw.reach[nw.Sink] = true
+	stack := append(nw.stack[:0], nw.Sink)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		// Walk residual edges BACKWARD: u can reach v if residual(u->v)>0.
-		// Incident list of v contains e with tail v and head u; the pair
-		// e^1 is the edge (u -> v).
-		for _, e := range nw.groupEdges(v) {
-			u := nw.Find(nw.head[e])
-			if u == v {
-				continue
-			}
-			if nw.residual(e^1) > 0 {
-				push(u)
+		for _, m := range nw.group(v) {
+			// Walk residual edges BACKWARD: u can reach v if
+			// residual(u->v) > 0, and the pair of an edge v -> u is u -> v.
+			for _, e := range nw.adj[nw.adjStart[m]:nw.adjStart[m+1]] {
+				u := nw.rep[nw.head[e]]
+				if !nw.reach[u] && nw.cap[e^1]-nw.flow[e^1] > 0 {
+					nw.reach[u] = true
+					stack = append(stack, u)
+				}
 			}
 		}
 	}
-	nw.scratchStack = stack[:0]
+	nw.stack = stack
 	out := make([]bool, nw.n)
-	for u := 0; u < nw.n; u++ {
-		out[u] = !canReach[nw.Find(u)]
+	for u := range out {
+		out[u] = !nw.reach[nw.rep[u]]
 	}
 	return out
-}
-
-// groupEdges returns the incident edges of representative u including those
-// of nodes contracted into it. Only the source and sink groups ever have
-// members, so plain nodes stay O(degree).
-func (nw *Network) groupEdges(u int) []int {
-	s := nw.Find(nw.Source)
-	t := nw.Find(nw.Sink)
-	if u != s && u != t {
-		return nw.first[u]
-	}
-	var edges []int
-	for v := 0; v < nw.n; v++ {
-		if nw.Find(v) == u {
-			edges = append(edges, nw.first[v]...)
-		}
-	}
-	return edges
 }
 
 // CutValue returns the total capacity of edges crossing from the given

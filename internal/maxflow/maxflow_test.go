@@ -1,6 +1,7 @@
 package maxflow
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -309,6 +310,197 @@ func TestRandomIncrementalCollapse(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d step %d: incremental = %d, brute = %d", trial, step, got, want)
 			}
+		}
+	}
+}
+
+// ekMinCut is the test's reference: Edmonds–Karp on the graph contracted by
+// group (0 = source group, 1 = sink group, -1 = free), returning the flow
+// value and the canonical source side — the complement of what still reaches
+// the sink in the final residual graph — indexed by original node.
+func ekMinCut(n int, edges [][3]int64, group []int) (int64, []bool) {
+	remap := make([]int, n)
+	k := 2
+	for v := 0; v < n; v++ {
+		if group[v] >= 0 {
+			remap[v] = group[v]
+		} else {
+			remap[v] = k
+			k++
+		}
+	}
+	res := make([][]int64, k)
+	for i := range res {
+		res[i] = make([]int64, k)
+	}
+	for _, e := range edges {
+		if u, v := remap[e[0]], remap[e[1]]; u != v {
+			res[u][v] += e[2]
+		}
+	}
+	var value int64
+	for {
+		// Shortest augmenting path 0 -> 1.
+		prev := make([]int, k)
+		for i := range prev {
+			prev[i] = -1
+		}
+		prev[0] = 0
+		queue := []int{0}
+		for len(queue) > 0 && prev[1] < 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for v := 0; v < k; v++ {
+				if prev[v] < 0 && res[u][v] > 0 {
+					prev[v] = u
+					queue = append(queue, v)
+				}
+			}
+		}
+		if prev[1] < 0 {
+			break
+		}
+		amt := int64(math.MaxInt64)
+		for v := 1; v != 0; v = prev[v] {
+			amt = min(amt, res[prev[v]][v])
+		}
+		for v := 1; v != 0; v = prev[v] {
+			res[prev[v]][v] -= amt
+			res[v][prev[v]] += amt
+		}
+		value += amt
+	}
+	reaches := make([]bool, k)
+	reaches[1] = true
+	stack := []int{1}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for u := 0; u < k; u++ {
+			if !reaches[u] && res[u][v] > 0 {
+				reaches[u] = true
+				stack = append(stack, u)
+			}
+		}
+	}
+	side := make([]bool, n)
+	for v := range side {
+		side[v] = !reaches[remap[v]]
+	}
+	return value, side
+}
+
+// TestRandomContractionAgainstEdmondsKarp is the proof obligation for
+// changing the discharge schedule: on random networks with infinite and
+// zero-capacity edges, under random CollapseIntoSource/CollapseIntoSink
+// sequences, every MaxFlow must return the reference's value AND the
+// reference's source side (the canonical cut, so it cannot depend on the
+// schedule); both must be unchanged when the edges are inserted in a
+// shuffled order; and a warm restart must equal a fresh run on the same
+// contraction.
+func TestRandomContractionAgainstEdmondsKarp(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	build := func(n int, edges [][3]int64) *Network {
+		nw := New(n, 0, n-1)
+		for _, e := range edges {
+			nw.AddEdge(int(e[0]), int(e[1]), e[2])
+		}
+		return nw
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 4 + rng.Intn(9) // 4..12 nodes
+		if trial%10 == 0 {
+			n = 20 + rng.Intn(21) // and some large enough for labels to spread out
+		}
+		var edges [][3]int64
+		for i, m := 0, 3+rng.Intn(3*n); i < m; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			c := int64(1 + rng.Intn(9))
+			switch rng.Intn(6) {
+			case 0:
+				c = Inf
+			case 1:
+				c = 0
+			}
+			edges = append(edges, [3]int64{int64(u), int64(v), c})
+		}
+		shuffled := append([][3]int64(nil), edges...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		group := make([]int, n)
+		for v := range group {
+			group[v] = -1
+		}
+		group[0], group[n-1] = 0, 1
+		type step struct {
+			nodes      []int
+			intoSource bool
+		}
+		var steps []step
+		apply := func(nw *Network, s step) {
+			if s.intoSource {
+				nw.CollapseIntoSource(s.nodes)
+			} else {
+				nw.CollapseIntoSink(s.nodes)
+			}
+		}
+		check := func(label string, nw *Network, wantValue int64, wantSide []bool) {
+			t.Helper()
+			if got := nw.MaxFlow(); got != wantValue {
+				t.Fatalf("trial %d after %d collapses, %s: MaxFlow = %d, Edmonds–Karp = %d (edges %v, groups %v)", trial, len(steps), label, got, wantValue, edges, group)
+			}
+			side := nw.SourceSide()
+			for v := range side {
+				if side[v] != wantSide[v] {
+					t.Fatalf("trial %d after %d collapses, %s: SourceSide = %v, canonical = %v (edges %v, groups %v)", trial, len(steps), label, side, wantSide, edges, group)
+				}
+			}
+		}
+
+		warm, warmShuffled := build(n, edges), build(n, shuffled)
+		for {
+			wantValue, wantSide := ekMinCut(n, edges, group)
+			check("warm", warm, wantValue, wantSide)
+			check("warm, shuffled edges", warmShuffled, wantValue, wantSide)
+			fresh := build(n, shuffled)
+			for _, s := range steps {
+				apply(fresh, s)
+			}
+			check("fresh", fresh, wantValue, wantSide)
+			check("clone of warm", warm.Clone(), wantValue, wantSide)
+
+			// Next collapse: one to three free nodes (repeats and already
+			// contracted nodes included, as the balanced-cut search passes
+			// them), all to one side.
+			var free []int
+			for v, g := range group {
+				if g < 0 {
+					free = append(free, v)
+				}
+			}
+			if len(free) == 0 || len(steps) == 5 {
+				break
+			}
+			s := step{intoSource: rng.Intn(2) == 0}
+			to := 1
+			if s.intoSource {
+				to = 0
+			}
+			for i, k := 0, 1+rng.Intn(3); i < k; i++ {
+				s.nodes = append(s.nodes, free[rng.Intn(len(free))])
+			}
+			s.nodes = append(s.nodes, rng.Intn(n)) // maybe a terminal or contracted already: ignored
+			for _, v := range s.nodes {
+				if group[v] < 0 {
+					group[v] = to
+				}
+			}
+			steps = append(steps, s)
+			apply(warm, s)
+			apply(warmShuffled, s)
 		}
 	}
 }
