@@ -63,6 +63,13 @@ go test -race -count=2 -run '^TestCutSweepGolden$' .
 go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 
+echo "== route-table gate: go test -race -count=2 ./internal/netbench"
+# The flat stride tables against the bit-at-a-time trie they replaced
+# (TestRouteTableMatchesTrie), and the one shared build of the demo FIBs
+# read by eight worlds at once (TestNewWorldSharesFIBs): twice, under the
+# race detector.
+go test -race -count=2 ./internal/netbench
+
 echo "== ring gate: microbench smoke + ring oracle matrix"
 # A short microbench smoke proving BenchmarkRingChanVsSPSC still runs (it is
 # the evidence behind fusion.go's ringSyncNsSPSC; the numbers are recorded
@@ -75,7 +82,7 @@ echo "== ring gate: microbench smoke + ring oracle matrix"
 go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
 go test -race -count=2 -run 'TestRing' ./internal/runtime
 
-echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCoarsen, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode, FuzzTCPFramer"
+echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCoarsen, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode, FuzzTCPFramer, FuzzRouteTable"
 # Differential fuzzing of the streaming runtime against the sequential
 # oracle (the checked-in corpus under internal/runtime/testdata/fuzz seeds
 # the mutator), of the partitioner's coarsening (random program, depth and
@@ -84,13 +91,16 @@ echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCoarsen, FuzzExecVsInter
 # on random programs and packets (sequential and partitioned, one iteration
 # per call and in batches of a fuzzed width and split, errors included), and
 # the three parsers of bytes the ingest front end did not write: source spec
-# strings, capture files, and the TCP source's length-prefixed frame stream.
+# strings, capture files, and the TCP source's length-prefixed frame stream;
+# and of the flat route tables against the trie oracle on fuzzed prefix and
+# probe lists.
 go test ./internal/runtime -run '^$' -fuzz=FuzzServeVsOracle -fuzztime=10s
 go test ./internal/core -run '^$' -fuzz=FuzzCoarsen -fuzztime=10s
 go test ./internal/exec -run '^$' -fuzz=FuzzExecVsInterp -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzOpenSpec -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzPcapDecode -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzTCPFramer -fuzztime=10s
+go test ./internal/netbench -run '^$' -fuzz=FuzzRouteTable -fuzztime=10s
 
 echo "== ingest gate: loopback UDP serve + pcap replay byte-identity"
 # The network-facing front end, end to end: a race-enabled serve over a
@@ -142,6 +152,8 @@ for d in maxflow balance core; do
     echo "internal/$d code lines: $(cat $(ls internal/$d/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  ($before before the partitioner halving, ISSUE 24)"
 done
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
+# shellcheck disable=SC2046
+echo "internal/netbench code lines: $(cat $(ls internal/netbench/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (950 before the flat route tables, ISSUE 25)"
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 echo "options (func With*):      $(grep -c '^func With' options.go)  (23 before; WithSink is the 24th)"

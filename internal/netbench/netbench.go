@@ -2,6 +2,7 @@ package netbench
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -26,12 +27,15 @@ func (p *PPS) Compile() (*ir.Program, error) {
 	return prog, nil
 }
 
+// demoFIBs is the one build of the demo FIBs that every world reads.
+// Nothing inserts into it, so any number of goroutines may look up in it.
+var demoFIBs = sync.OnceValues(func() (*RouteTable4, *RouteTable6) { return DemoFIB4(), DemoFIB6() })
+
 // NewWorld builds an interpreter world for the given traffic, wired to the
-// demo FIBs.
+// demo FIBs (built once, shared read-only by every world).
 func NewWorld(packets [][]byte) *interp.World {
 	w := interp.NewWorld(packets)
-	fib4 := DemoFIB4()
-	fib6 := DemoFIB6()
+	fib4, fib6 := demoFIBs()
 	w.RT4 = func(addr int64) int64 { return fib4.Lookup(uint32(uint64(addr))) }
 	w.RT6 = func(hi, lo int64) int64 { return fib6.Lookup(uint64(hi), uint64(lo)) }
 	return w

@@ -1,6 +1,11 @@
 package netbench
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -78,6 +83,74 @@ func TestRouteTable6LPM(t *testing.T) {
 	rt.Insert(0x2001_0db8_0001_0000, 0x8000_0000_0000_0000, 65, 7)
 	if got := rt.Lookup(0x2001_0db8_0001_0000, 0x8000_0000_0000_0001); got != 7 {
 		t.Errorf("65-bit match = %d, want 7", got)
+	}
+}
+
+// TestDemoFIBRouteErrorPanics: a demo route Insert refuses panics while
+// the table is built instead of silently going missing from it.
+func TestDemoFIBRouteErrorPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "bad prefix length 33") {
+			t.Errorf("recovered %v, want a panic naming the refused length", r)
+		}
+	}()
+	mustInstall(NewRouteTable4().Insert(10<<24, 33, 1))
+}
+
+// TestNewWorldSharesFIBs looks up through World.RT4/RT6 from eight
+// goroutines at once, each with its own world over the one shared build of
+// the demo FIBs, 10⁵ lookups apiece checked against the oracle — the
+// concurrent reads are what -race checks — and holds NewWorld to a handful
+// of allocations, which building the FIBs per world (232) would exceed.
+func TestNewWorldSharesFIBs(t *testing.T) {
+	o4, o6 := demoOracles(t)
+	// Half the probes are generator addresses, so they reach the demo FIBs'
+	// deep nodes; half are uniform.
+	var gen4 []uint32
+	var gen6 []key
+	for k := 0; k < 1<<12; k++ {
+		ip := MinIPv4Packet(k, 64)[FrameHdrLen:]
+		gen4 = append(gen4, binary.BigEndian.Uint32(ip[12:]), binary.BigEndian.Uint32(ip[16:]))
+		ip = MinIPv6Packet(k, 64)[FrameHdrLen:]
+		for _, off := range []int{8, 24} {
+			gen6 = append(gen6, key{binary.BigEndian.Uint64(ip[off:]), binary.BigEndian.Uint64(ip[off+8:])})
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			w := NewWorld(nil)
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < 50000; i++ {
+				a4, a6 := r.Uint32(), key{r.Uint64(), r.Uint64()}
+				if i%2 == 0 {
+					a4, a6 = gen4[r.Intn(len(gen4))], gen6[r.Intn(len(gen6))]
+				}
+				if got, want := w.RT4(int64(a4)), o4.Lookup(a4); got != want {
+					t.Errorf("RT4(%08x) = %d, oracle %d", a4, got, want)
+					return
+				}
+				if got, want := w.RT6(int64(a6.hi), int64(a6.lo)), o6.Lookup(a6.hi, a6.lo); got != want {
+					t.Errorf("RT6(%v) = %d, oracle %d", a6, got, want)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	if n := testing.AllocsPerRun(100, func() { NewWorld(nil) }); n > 8 {
+		t.Errorf("NewWorld makes %.0f allocations, want at most 8", n)
+	}
+}
+
+// BenchmarkNewWorld is what every serve, test and oracle run pays for its
+// world.
+func BenchmarkNewWorld(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewWorld(nil)
 	}
 }
 
