@@ -16,8 +16,10 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/netbench"
 	"repro/internal/npsim"
+	"repro/internal/ppc"
 )
 
 // reportSeries attaches a sweep's per-degree metric to the benchmark.
@@ -292,6 +294,39 @@ func BenchmarkPartitionSweep(b *testing.B) {
 		b.Run(name, sweep(analyses[i:i+1]))
 	}
 	b.Run("all", sweep(analyses))
+}
+
+// BenchmarkCompileAnalyze measures the front half of the compiler the way
+// benchmark/'s set-up pays for it: one pass is the six PPS of the two
+// applications, compiled from source (compile) or analyzed from the compiled
+// programs (analyze). One op is one pass, so allocs/op is allocations per
+// pass; ms/pass is the wall time of one.
+func BenchmarkCompileAnalyze(b *testing.B) {
+	var srcs []string
+	var progs []*ir.Program
+	for _, name := range sweepPPS {
+		p, _ := netbench.ByName(name)
+		prog, err := p.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs, progs = append(srcs, p.Source), append(progs, prog)
+	}
+	pass := func(step func(i int) error) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				for i := range srcs {
+					if err := step(i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/pass")
+		}
+	}
+	b.Run("compile", pass(func(i int) error { _, err := ppc.Compile(srcs[i]); return err }))
+	b.Run("analyze", pass(func(i int) error { _, err := core.Analyze(progs[i], nil); return err }))
 }
 
 // BenchmarkExploreParallel measures the budget exploration with the degree

@@ -63,6 +63,14 @@ go test -race -count=2 -run '^TestCutSweepGolden$' .
 go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 
+echo "== front-end gate: compile/analysis/network oracle + allocation budget under -race -count=2"
+# The front half's byte-identity oracle: TestFrontEndGolden digests the IR
+# ppc.Compile prints, the dependence analysis and the frozen flow network
+# core.Analyze builds, for the six PPS and 200 random programs, against
+# internal/core/testdata/front_end.golden. TestCompileAnalyzeAllocBudget
+# holds one compile+analyze pass of the six PPS under its allocation ceiling.
+go test -race -count=2 -run '^(TestFrontEndGolden|TestCompileAnalyzeAllocBudget)$' ./internal/core
+
 echo "== route-table gate: go test -race -count=2 ./internal/netbench"
 # The flat stride tables against the bit-at-a-time trie they replaced
 # (TestRouteTableMatchesTrie), and the one shared build of the demo FIBs
@@ -82,7 +90,7 @@ echo "== ring gate: microbench smoke + ring oracle matrix"
 go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
 go test -race -count=2 -run 'TestRing' ./internal/runtime
 
-echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCoarsen, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode, FuzzTCPFramer, FuzzRouteTable"
+echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCoarsen, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode, FuzzTCPFramer, FuzzRouteTable, FuzzParse, FuzzLexer"
 # Differential fuzzing of the streaming runtime against the sequential
 # oracle (the checked-in corpus under internal/runtime/testdata/fuzz seeds
 # the mutator), of the partitioner's coarsening (random program, depth and
@@ -92,8 +100,10 @@ echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCoarsen, FuzzExecVsInter
 # per call and in batches of a fuzzed width and split, errors included), and
 # the three parsers of bytes the ingest front end did not write: source spec
 # strings, capture files, and the TCP source's length-prefixed frame stream;
-# and of the flat route tables against the trie oracle on fuzzed prefix and
-# probe lists.
+# of the flat route tables against the trie oracle on fuzzed prefix and
+# probe lists; and of the PPC front end: arbitrary source must parse or fail
+# with a positioned error (FuzzParse), and lex to the same tokens or error as
+# the map-based oracle lexer (FuzzLexer).
 go test ./internal/runtime -run '^$' -fuzz=FuzzServeVsOracle -fuzztime=10s
 go test ./internal/core -run '^$' -fuzz=FuzzCoarsen -fuzztime=10s
 go test ./internal/exec -run '^$' -fuzz=FuzzExecVsInterp -fuzztime=10s
@@ -101,6 +111,8 @@ go test ./internal/ingest -run '^$' -fuzz=FuzzOpenSpec -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzPcapDecode -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzTCPFramer -fuzztime=10s
 go test ./internal/netbench -run '^$' -fuzz=FuzzRouteTable -fuzztime=10s
+go test ./internal/ppc -run '^$' -fuzz=FuzzParse -fuzztime=10s
+go test ./internal/ppc -run '^$' -fuzz=FuzzLexer -fuzztime=10s
 
 echo "== ingest gate: loopback UDP serve + pcap replay byte-identity"
 # The network-facing front end, end to end: a race-enabled serve over a
@@ -151,6 +163,9 @@ for d in maxflow balance core; do
     # shellcheck disable=SC2046
     echo "internal/$d code lines: $(cat $(ls internal/$d/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  ($before before the partitioner halving, ISSUE 24)"
 done
+# shellcheck disable=SC2046
+echo "front end (internal/{ppc,dep,graph,maxflow,core}) code lines: $(cat $(ls internal/ppc/*.go internal/dep/*.go internal/graph/*.go internal/maxflow/*.go internal/core/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (5074 before the dense front-end tables)"
+echo "front end allocations per six-PPS compile+analyze pass: $(go test -count=1 -run '^TestCompileAnalyzeAllocBudget$' -v ./internal/core | sed -n 's/.*six PPS: \([0-9]*\) allocations.*/\1/p')  (68243 before)"
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 # shellcheck disable=SC2046
 echo "internal/netbench code lines: $(cat $(ls internal/netbench/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (950 before the flat route tables, ISSUE 25)"

@@ -15,6 +15,17 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// NewSets returns k sets with capacity for n bits each, all clear, carved
+// from one allocation.
+func NewSets(k, n int) []Set {
+	w := (n + 63) / 64
+	words, sets := make([]uint64, k*w), make([]Set, k)
+	for i := range sets {
+		sets[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return sets
+}
+
 // Len returns the capacity in bits.
 func (s *Set) Len() int { return s.n }
 

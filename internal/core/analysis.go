@@ -41,21 +41,20 @@ type Analysis struct {
 	net *netModel
 
 	// ps holds block reachability and instruction positions for the
-	// interference relation; closures maps each branch unit to its
-	// transitive control dependents.
+	// interference relation; closures[b] lists branch unit b's transitive
+	// control dependents (empty for other units).
 	ps       *positions
-	closures map[int][]int
+	closures [][]int
 
 	// What realization needs of the analyzed function alone, the same for
 	// every cut and every stage: each summarized node's entry block (-1 when
-	// it has none), the unique exit block, the unit of the instruction at
-	// each position (-1 for a structural jmp/ret), and each branch or loop
-	// unit's distinct external successor blocks, which control-object values
-	// index. (The post-dominator tree skip targets come from is an.PostDom;
-	// where each register is defined is ps.defAt.)
+	// it has none), the unique exit block, and each branch or loop unit's
+	// distinct external successor blocks, which control-object values index.
+	// (The unit of the instruction at each position is an.UnitAt, the
+	// post-dominator tree skip targets come from is an.PostDom, and where
+	// each register is defined is ps.defAt.)
 	nodeEntry []int
 	exitBlock int
-	unitAt    [][]int
 	targets   [][]int
 
 	// seq is the worst-case path cost of the unpartitioned program. The
@@ -134,18 +133,6 @@ func (a *Analysis) indexForRealize(cfg *graph.Digraph) {
 		}
 	}
 
-	a.unitAt = make([][]int, len(f.Blocks))
-	for _, b := range f.Blocks {
-		a.unitAt[b.ID] = make([]int, len(b.Instrs))
-		for i, in := range b.Instrs {
-			u, ok := an.UnitOf[in]
-			if !ok {
-				u = -1
-			}
-			a.unitAt[b.ID][i] = u
-		}
-	}
-
 	a.targets = make([][]int, len(an.Units))
 	for _, u := range an.Units {
 		if last := u.Instrs[len(u.Instrs)-1]; u.IsLoop || last.Op == ir.OpBr || last.Op == ir.OpSwitch {
@@ -179,26 +166,29 @@ func (a *Analysis) resolveOptions(options Options) (Options, error) {
 // branch unit: everything directly control-dependent on it plus everything
 // dependent on branches inside its region. Precomputing (rather than
 // memoizing lazily, as partitionState once did) keeps the Analysis free of
-// mutable state, so concurrent Partition calls need no locking.
-func ctrlClosures(an *dep.Analysis) map[int][]int {
-	out := make(map[int][]int, len(an.Ctrl))
-	seen := make([]int, len(an.Units)) // seen[w] == stamp: w is in this closure
-	var queue []int
-	stamp := 0
+// mutable state, so concurrent Partition calls need no locking. The
+// closures are windows of one slice, cut once it has stopped growing.
+func ctrlClosures(an *dep.Analysis) [][]int {
+	out := make([][]int, len(an.Units))
+	end := make([]int, len(an.Units))
+	seen := make([]int, len(an.Units)) // seen[w] == u+1: w is in u's closure
+	var flat, queue []int
 	for u := range an.Ctrl {
-		stamp++
 		queue = append(queue[:0], an.Ctrl[u]...)
-		var c []int
 		for qh := 0; qh < len(queue); qh++ {
 			w := queue[qh]
-			if seen[w] == stamp {
+			if seen[w] == u+1 {
 				continue
 			}
-			seen[w] = stamp
-			c = append(c, w)
+			seen[w] = u + 1
+			flat = append(flat, w)
 			queue = append(queue, an.Ctrl[w]...)
 		}
-		out[u] = c
+		end[u] = len(flat)
+	}
+	start := 0
+	for u, e := range end {
+		out[u], start = flat[start:e:e], e
 	}
 	return out
 }

@@ -58,67 +58,55 @@ type useAt struct {
 
 func newPositions(an *dep.Analysis, cfg *graph.Digraph) *positions {
 	f := an.F
-	n := len(f.Blocks)
-	p := &positions{f: f, reach1: make([][]bool, n)}
-	for b := 0; b < n; b++ {
-		r := make([]bool, n)
-		// BFS from the successors of b (nonempty paths only).
-		var stack []int
-		for _, s := range cfg.Succs(b) {
-			if !r[s] {
-				r[s] = true
-				stack = append(stack, s)
-			}
-		}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, s := range cfg.Succs(u) {
-				if !r[s] {
-					r[s] = true
-					stack = append(stack, s)
-				}
-			}
-		}
-		p.reach1[b] = r
-	}
-
-	of := make(map[*ir.Instr]pos)
-	p.defAt = make([]pos, f.NumRegs)
+	p := &positions{f: f, reach1: cfg.Reach(), defAt: make([]pos, f.NumRegs)}
 	for r := range p.defAt {
 		p.defAt[r].block = -1
 	}
+	// Unit instructions sit in block order, so one walk of the blocks lays
+	// out every unit's positions; the lists are windows of one slab.
+	p.unitPos = make([][]pos, len(an.Units))
+	nInstrs := 0
+	for _, u := range an.Units {
+		nInstrs += len(u.Instrs)
+	}
+	slab := make([]pos, nInstrs)
+	for _, u := range an.Units {
+		p.unitPos[u.ID], slab = slab[:0:len(u.Instrs)], slab[len(u.Instrs):]
+	}
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
-			of[in] = pos{block: b.ID, idx: i}
 			for _, d := range in.Defines() {
-				p.defAt[d] = of[in]
+				p.defAt[d] = pos{block: b.ID, idx: i}
+			}
+			if u := an.UnitAt[b.ID][i]; u >= 0 {
+				p.unitPos[u] = append(p.unitPos[u], pos{block: b.ID, idx: i})
 			}
 		}
 	}
-	p.unitPos = make([][]pos, len(an.Units))
-	for _, u := range an.Units {
-		for _, in := range u.Instrs {
-			p.unitPos[u.ID] = append(p.unitPos[u.ID], of[in])
-		}
-	}
 	p.usesOf = make([][]useAt, f.NumRegs)
+	var uses []useAt
+	end := make([]int, f.NumRegs)
 	for r, useUnits := range an.DataUses {
 		for _, u := range useUnits {
-			for _, in := range an.Units[u].Instrs {
-				for k, a := range in.Args {
+			for k, in := range an.Units[u].Instrs {
+				for ai, a := range in.Args {
 					if a != r {
 						continue
 					}
 					if in.Op != ir.OpPhi {
-						p.usesOf[r] = append(p.usesOf[r], useAt{u, of[in]})
+						uses = append(uses, useAt{u, p.unitPos[u][k]})
 						break // one consuming point per instruction
 					}
-					pred := in.PhiPreds[k]
-					p.usesOf[r] = append(p.usesOf[r], useAt{u, pos{block: pred, idx: len(f.Blocks[pred].Instrs)}})
+					pred := in.PhiPreds[ai]
+					uses = append(uses, useAt{u, pos{block: pred, idx: len(f.Blocks[pred].Instrs)}})
 				}
 			}
 		}
+		end[r] = len(uses)
+	}
+	start := 0
+	for r, e := range end {
+		p.usesOf[r], start = uses[start:e:e], e
 	}
 	return p
 }
@@ -182,7 +170,6 @@ func (st *partitionState) buildCut(j int, ps *positions, prev *cutInfo) *cutInfo
 			branches = append(branches, b)
 		}
 	}
-	sort.Ints(branches)
 	for _, b := range branches {
 		ci.objects = append(ci.objects, object{isCtrl: true, branch: b})
 	}

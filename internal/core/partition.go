@@ -3,7 +3,6 @@ package core
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"repro/internal/balance"
 	"repro/internal/costmodel"
@@ -158,99 +157,105 @@ func buildNetwork(an *dep.Analysis, scc *graph.SCCResult, cg *graph.Digraph, com
 	nc := len(compWeight)
 	const src, snk = 0, 1
 	compNode := func(c int) int { return 2 + c }
-	nNodes := 2 + nc
-
-	varNode := make(map[int]int)  // SSA reg -> node
-	ctrlNode := make(map[int]int) // branch unit -> node
+	crosses := func(def int, uses []int) bool {
+		for _, use := range uses {
+			if scc.Comp[use] != scc.Comp[def] {
+				return true
+			}
+		}
+		return false
+	}
+	// Object nodes follow the component nodes: extVars[i] is node 2+nc+i,
+	// extBranches[j] node 2+nc+len(extVars)+j.
 	var extVars, extBranches []int
 	for r, def := range an.DataDef {
-		if def < 0 {
-			continue
-		}
-		for _, use := range an.DataUses[r] {
-			if scc.Comp[use] != scc.Comp[def] {
-				varNode[r] = nNodes
-				extVars = append(extVars, r)
-				nNodes++
-				break
-			}
+		if def >= 0 && crosses(def, an.DataUses[r]) {
+			extVars = append(extVars, r)
 		}
 	}
-	branches := make([]int, 0, len(an.Ctrl))
-	for b := range an.Ctrl {
-		branches = append(branches, b)
+	for b, deps := range an.Ctrl {
+		if crosses(b, deps) {
+			extBranches = append(extBranches, b)
+		}
 	}
-	sort.Ints(branches)
-	for _, b := range branches {
-		for _, d := range an.Ctrl[b] {
-			if scc.Comp[d] != scc.Comp[b] {
-				ctrlNode[b] = nNodes
-				extBranches = append(extBranches, b)
-				nNodes++
-				break
-			}
+	nNodes := 2 + nc + len(extVars) + len(extBranches)
+
+	// mark[x] == stamp: node (or component) x is already wired to the object
+	// (or tail component) at hand.
+	mark := make([]int, nNodes)
+	stamp := 0
+	// Ordering dependences cost nothing to cut but must stay directed; two
+	// components get one edge, from their first Order entry, which the stamp
+	// finds with the entries grouped (counting sort, stable) by tail.
+	tail := func(i int) int { return scc.Comp[an.Order[i][0]] }
+	next := make([]int, nc+1)
+	for i := range an.Order {
+		next[tail(i)+1]++
+	}
+	for c := 0; c < nc; c++ {
+		next[c+1] += next[c]
+	}
+	byTail, firstOrder := make([]int, len(an.Order)), make([]bool, len(an.Order))
+	for i := range an.Order {
+		byTail[next[tail(i)]] = i
+		next[tail(i)]++
+	}
+	for k, i := range byTail {
+		if k == 0 || tail(i) != tail(byTail[k-1]) {
+			stamp++
+		}
+		if b := scc.Comp[an.Order[i][1]]; b != tail(i) && mark[b] != stamp {
+			mark[b], firstOrder[i] = stamp, true
 		}
 	}
 
+	object := func(add func(u, v int, c int64), on, d int, cost int64, users []int) {
+		stamp++
+		add(d, on, cost)
+		add(on, d, maxflow.Inf)
+		for _, use := range users {
+			if uc := compNode(scc.Comp[use]); uc != d && mark[uc] != stamp {
+				mark[uc] = stamp
+				add(on, uc, maxflow.Inf)
+				add(uc, d, maxflow.Inf)
+			}
+		}
+	}
+	edges := func(add func(u, v int, c int64)) {
+		for i, r := range extVars {
+			object(add, 2+nc+i, compNode(scc.Comp[an.DataDef[r]]), arch.VCost, an.DataUses[r])
+		}
+		for j, b := range extBranches {
+			object(add, 2+nc+len(extVars)+j, compNode(scc.Comp[b]), arch.CCost, an.Ctrl[b])
+		}
+		for i, o := range an.Order {
+			if firstOrder[i] {
+				add(compNode(scc.Comp[o[1]]), compNode(scc.Comp[o[0]]), maxflow.Inf)
+			}
+		}
+		// Anchor edges (paper step 1.6.1): zero-cost edges from the source
+		// to entry components and from terminal components to the sink.
+		// They give the balanced-cut search frontier candidates even before
+		// any component is pinned; cutting them transmits nothing.
+		for c := 0; c < nc; c++ {
+			if len(cg.Preds(c)) == 0 {
+				add(src, compNode(c), 0)
+			}
+			if len(cg.Succs(c)) == 0 {
+				add(compNode(c), snk, 0)
+			}
+		}
+	}
+	// Count the edges, then add them into storage allocated once.
+	m := 0
+	edges(func(int, int, int64) { m++ })
 	nw := maxflow.New(nNodes, src, snk)
+	nw.Grow(m)
+	edges(func(u, v int, c int64) { nw.AddEdge(u, v, c) })
+
 	weight := make([]int64, nNodes)
 	for c := 0; c < nc; c++ {
 		weight[compNode(c)] = compWeight[c]
-	}
-
-	for _, r := range extVars {
-		on := varNode[r]
-		d := compNode(scc.Comp[an.DataDef[r]])
-		nw.AddEdge(d, on, arch.VCost)
-		nw.AddEdge(on, d, maxflow.Inf)
-		seen := map[int]bool{}
-		for _, use := range an.DataUses[r] {
-			uc := compNode(scc.Comp[use])
-			if uc == d || seen[uc] {
-				continue
-			}
-			seen[uc] = true
-			nw.AddEdge(on, uc, maxflow.Inf)
-			nw.AddEdge(uc, d, maxflow.Inf)
-		}
-	}
-	for _, b := range extBranches {
-		on := ctrlNode[b]
-		d := compNode(scc.Comp[b])
-		nw.AddEdge(d, on, arch.CCost)
-		nw.AddEdge(on, d, maxflow.Inf)
-		seen := map[int]bool{}
-		for _, depu := range an.Ctrl[b] {
-			uc := compNode(scc.Comp[depu])
-			if uc == d || seen[uc] {
-				continue
-			}
-			seen[uc] = true
-			nw.AddEdge(on, uc, maxflow.Inf)
-			nw.AddEdge(uc, d, maxflow.Inf)
-		}
-	}
-	// Ordering dependences cost nothing to cut but must stay directed.
-	orderSeen := map[[2]int]bool{}
-	for _, o := range an.Order {
-		a, b := scc.Comp[o[0]], scc.Comp[o[1]]
-		if a == b || orderSeen[[2]int{a, b}] {
-			continue
-		}
-		orderSeen[[2]int{a, b}] = true
-		nw.AddEdge(compNode(b), compNode(a), maxflow.Inf)
-	}
-	// Anchor edges (paper step 1.6.1): zero-cost edges from the source to
-	// entry components and from terminal components to the sink. They give
-	// the balanced-cut search frontier candidates even before any
-	// component is pinned; cutting them transmits nothing.
-	for c := 0; c < nc; c++ {
-		if len(cg.Preds(c)) == 0 {
-			nw.AddEdge(src, compNode(c), 0)
-		}
-		if len(cg.Succs(c)) == 0 {
-			nw.AddEdge(compNode(c), snk, 0)
-		}
 	}
 	// Freeze the finished skeleton: it is about to be shared by every cut
 	// search of every concurrent Partition call, and Clone on a frozen
@@ -261,30 +266,13 @@ func buildNetwork(an *dep.Analysis, scc *graph.SCCResult, cg *graph.Digraph, com
 
 // compDAG condenses the unit dependence graph to components.
 func compDAG(an *dep.Analysis, scc *graph.SCCResult) *graph.Digraph {
-	nc := scc.NumComps()
-	cg := graph.New(nc)
-	add := func(u, v int) {
-		a, b := scc.Comp[u], scc.Comp[v]
-		if a != b {
-			cg.AddEdge(a, b)
-		}
-	}
-	for r, def := range an.DataDef {
-		if def < 0 {
-			continue
-		}
-		for _, use := range an.DataUses[r] {
-			add(def, use)
-		}
-	}
-	for b, deps := range an.Ctrl {
-		for _, d := range deps {
-			add(b, d)
-		}
-	}
-	for _, o := range an.Order {
-		add(o[0], o[1])
-	}
+	cg := graph.Build(scc.NumComps(), func(add func(u, v int)) {
+		an.Deps(func(u, v int) {
+			if a, b := scc.Comp[u], scc.Comp[v]; a != b {
+				add(a, b)
+			}
+		})
+	})
 	cg.Dedup()
 	return cg
 }
@@ -322,13 +310,18 @@ func topoByProgramOrder(cg *graph.Digraph, scc *graph.SCCResult) []int {
 	}
 	heap.Init(avail)
 	order := make([]int, 0, nc)
-	for avail.Len() > 0 { // stops short only on a cycle, which a condensation has none of
-		best := heap.Pop(avail).(int)
+	// Pop and push in place: heap.Pop and heap.Push would box every int.
+	for n := avail.Len(); n > 0; n = avail.Len() { // stops short only on a cycle, which a condensation has none of
+		best := avail.comps[0]
+		avail.comps[0] = avail.comps[n-1]
+		avail.comps = avail.comps[:n-1]
+		heap.Fix(avail, 0)
 		order = append(order, best)
 		for _, v := range cg.Succs(best) {
 			indeg[v]--
 			if indeg[v] == 0 {
-				heap.Push(avail, v)
+				avail.comps = append(avail.comps, v)
+				heap.Fix(avail, len(avail.comps)-1)
 			}
 		}
 	}

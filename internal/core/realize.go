@@ -68,7 +68,7 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 		if an.F.Blocks[b.ID].Term() == nil {
 			continue
 		}
-		units := a.unitAt[b.ID]
+		units := an.UnitAt[b.ID]
 		u := units[len(units)-1]
 		if u < 0 {
 			continue // jmp/ret stay
@@ -190,7 +190,7 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 func (st *partitionState) stageShell(k int) *ir.Func {
 	src := st.an.F
 	keeps := func(b, i int, in *ir.Instr) bool {
-		u := st.a.unitAt[b][i]
+		u := st.an.UnitAt[b][i]
 		return in.Op.IsTerminator() || (u >= 0 && st.stageOf[u] == k)
 	}
 	nKept, nInts := 0, 0

@@ -21,19 +21,19 @@ type Liveness struct {
 // the top of its block.
 func ComputeLiveness(f *ir.Func) *Liveness {
 	n := len(f.Blocks)
-	lv := &Liveness{In: make([]*bitset.Set, n), Out: make([]*bitset.Set, n)}
-	for i := 0; i < n; i++ {
-		lv.In[i] = bitset.New(f.NumRegs)
-		lv.Out[i] = bitset.New(f.NumRegs)
+	// Every set comes out of one allocation: five per block, then the two
+	// scratch sets of the fixpoint loop.
+	sets, ptrs := bitset.NewSets(5*n+2, f.NumRegs), make([]*bitset.Set, 5*n)
+	for i := range ptrs {
+		ptrs[i] = &sets[i]
 	}
+	lv := &Liveness{In: ptrs[:n:n], Out: ptrs[n : 2*n : 2*n]}
 
 	// Per-block gen (upward-exposed uses) and kill (defs) sets, excluding
 	// phi operands (handled edge-wise below).
-	gen := make([]*bitset.Set, n)
-	kill := make([]*bitset.Set, n)
+	gen, kill := ptrs[2*n:3*n], ptrs[3*n:4*n]
 	for _, b := range f.Blocks {
-		g := bitset.New(f.NumRegs)
-		k := bitset.New(f.NumRegs)
+		g, k := gen[b.ID], kill[b.ID]
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpPhi {
 				// The phi def kills; operands belong to predecessors.
@@ -51,16 +51,11 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 				k.Set(d)
 			}
 		}
-		gen[b.ID] = g
-		kill[b.ID] = k
 	}
 
 	// phiUses[p] = registers used by phis in successors of p, via the edge
 	// from p.
-	phiUses := make([]*bitset.Set, n)
-	for i := 0; i < n; i++ {
-		phiUses[i] = bitset.New(f.NumRegs)
-	}
+	phiUses := ptrs[4*n:]
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpPhi {
@@ -77,8 +72,7 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 	// Two scratch sets serve every transfer-function evaluation: a changed
 	// block swaps its stored sets with the scratch pair instead of
 	// allocating fresh ones, so the fixpoint loop allocates nothing.
-	scratchOut := bitset.New(f.NumRegs)
-	scratchIn := bitset.New(f.NumRegs)
+	scratchOut, scratchIn := &sets[5*n], &sets[5*n+1]
 	changed := true
 	for changed {
 		changed = false

@@ -40,14 +40,13 @@ type Analysis struct {
 	Arch  *costmodel.Arch
 	Units []*Unit
 
-	// UnitOf maps each instruction to its unit ID (terminators of
-	// straight-line blocks that are unconditional map to -1).
-	UnitOf map[*ir.Instr]int
+	// UnitAt[b][i] is the unit ID of block b's i'th instruction (-1 for the
+	// unconditional terminators of straight-line blocks).
+	UnitAt [][]int
 
 	// Summarized CFG over block-SCC components.
 	SumCFG    *graph.Digraph
 	BlockComp []int // block ID -> summarized node
-	SumSuccs  [][]int
 	ExitNode  int
 	// PostDom is the post-dominator tree of SumCFG, rooted at ExitNode.
 	PostDom *graph.DomTree
@@ -59,8 +58,8 @@ type Analysis struct {
 	DataUses [][]int
 
 	// Ctrl[b] lists the units control-dependent on branch unit b
-	// (including phi-decider dependences).
-	Ctrl map[int][]int
+	// (including phi-decider dependences); it is empty for other units.
+	Ctrl [][]int
 
 	// Order lists intra-iteration ordering dependences (from, to).
 	Order [][2]int
@@ -75,7 +74,7 @@ type Analysis struct {
 // able to terminate).
 func Analyze(prog *ir.Program, arch *costmodel.Arch) (*Analysis, error) {
 	f := prog.Func
-	a := &Analysis{F: f, Arch: arch, UnitOf: make(map[*ir.Instr]int)}
+	a := &Analysis{F: f, Arch: arch}
 
 	if err := a.summarizeCFG(); err != nil {
 		return nil, err
@@ -113,6 +112,7 @@ func (a *Analysis) summarizeCFG() error {
 			return fmt.Errorf("%s: an inner loop or region (summarized node %d) never reaches the PPS iteration end", f.Name, n)
 		}
 	}
+	a.PostDom = graph.Dominators(rev, a.ExitNode)
 	return nil
 }
 
@@ -131,53 +131,72 @@ func (a *Analysis) isLoopNode(c int, members []int) bool {
 	return false
 }
 
-// buildUnits creates placement units.
+// buildUnits creates placement units. Their instruction lists and UnitAt's
+// rows are carved from one allocation each; one-block lists share ids.
 func (a *Analysis) buildUnits() {
 	f := a.F
-	// Group blocks by summarized node.
-	nodeBlocks := make([][]int, a.SumCFG.Len())
+	nodeBlocks := make([][]int, a.SumCFG.Len()) // blocks by summarized node
+	ids := make([]int, len(f.Blocks))
+	nInstrs := 0
 	for _, b := range f.Blocks {
 		c := a.BlockComp[b.ID]
-		nodeBlocks[c] = append(nodeBlocks[c], b.ID)
+		ids[b.ID] = b.ID
+		if nodeBlocks[c] == nil {
+			nodeBlocks[c] = ids[b.ID : b.ID+1 : b.ID+1]
+		} else {
+			nodeBlocks[c] = append(nodeBlocks[c], b.ID)
+		}
+		nInstrs += len(b.Instrs)
 	}
+	instrs, at := make([]*ir.Instr, 0, nInstrs), make([]int, nInstrs)
+	a.UnitAt = make([][]int, len(f.Blocks))
+	for _, b := range f.Blocks {
+		a.UnitAt[b.ID], at = at[:len(b.Instrs):len(b.Instrs)], at[len(b.Instrs):]
+	}
+	var units []Unit
 	for c, blocks := range nodeBlocks {
 		if len(blocks) == 0 {
 			continue
 		}
 		if a.isLoopNode(c, blocks) {
-			u := &Unit{ID: len(a.Units), IsLoop: true, Blocks: blocks, SumNode: c}
+			u := Unit{ID: len(units), IsLoop: true, Blocks: blocks, SumNode: c}
+			start := len(instrs)
 			for _, bid := range blocks {
-				for _, in := range f.Blocks[bid].Instrs {
-					u.Instrs = append(u.Instrs, in)
-					a.UnitOf[in] = u.ID
+				for i, in := range f.Blocks[bid].Instrs {
+					instrs = append(instrs, in)
+					a.UnitAt[bid][i] = u.ID
 					u.Weight += int64(a.Arch.InstrWeight(in))
 				}
 			}
+			u.Instrs = instrs[start:len(instrs):len(instrs)]
 			// Scale by the worst-case trip count so balancing sees the
 			// dynamic cost of the loop (the paper's weight function is
 			// explicitly flexible; see DESIGN.md).
 			u.Weight *= int64(a.loopBound(blocks))
-			a.Units = append(a.Units, u)
+			units = append(units, u)
 			continue
 		}
 		bid := blocks[0]
-		blk := f.Blocks[bid]
-		for _, in := range blk.Instrs {
+		for i, in := range f.Blocks[bid].Instrs {
 			switch in.Op {
 			case ir.OpJmp, ir.OpRet:
-				a.UnitOf[in] = -1 // structural; every stage clone has its own
+				a.UnitAt[bid][i] = -1 // structural; every stage clone has its own
 				continue
 			}
-			u := &Unit{
-				ID:      len(a.Units),
-				Instrs:  []*ir.Instr{in},
-				Blocks:  []int{bid},
+			instrs = append(instrs, in)
+			a.UnitAt[bid][i] = len(units)
+			units = append(units, Unit{
+				ID:      len(units),
+				Instrs:  instrs[len(instrs)-1 : len(instrs) : len(instrs)],
+				Blocks:  blocks,
 				SumNode: c,
 				Weight:  int64(a.Arch.InstrWeight(in)),
-			}
-			a.UnitOf[in] = u.ID
-			a.Units = append(a.Units, u)
+			})
 		}
+	}
+	a.Units = make([]*Unit, len(units))
+	for i := range units {
+		a.Units[i] = &units[i]
 	}
 }
 
@@ -196,159 +215,148 @@ func (a *Analysis) loopBound(blocks []int) int {
 	return bound
 }
 
+// lists returns n lists carved from one allocation: list k holds the values
+// pairs reports for key k, in the order it first reports them, without
+// repeats; values lie below vals. pairs is called twice, to size the lists
+// and to fill them.
+func lists(n, vals int, pairs func(add func(k, v int))) [][]int {
+	start := make([]int, n+1)
+	pairs(func(k, _ int) { start[k+1]++ })
+	for k := 0; k < n; k++ {
+		start[k+1] += start[k]
+	}
+	slab, out := make([]int, start[n]), make([][]int, n)
+	for k := range out {
+		out[k] = slab[start[k]:start[k]:start[k+1]]
+	}
+	pairs(func(k, v int) { out[k] = append(out[k], v) })
+	mark := make([]int, vals) // mark[v] == k+1: v is already in list k
+	for k, l := range out {
+		kept := l[:0]
+		for _, v := range l {
+			if mark[v] != k+1 {
+				mark[v] = k + 1
+				kept = append(kept, v)
+			}
+		}
+		out[k] = kept
+	}
+	return out
+}
+
 // buildDataDeps records SSA def/use units per register.
 func (a *Analysis) buildDataDeps() {
 	f := a.F
 	a.DataDef = make([]int, f.NumRegs)
-	a.DataUses = make([][]int, f.NumRegs)
 	for i := range a.DataDef {
 		a.DataDef[i] = -1
 	}
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			u := a.UnitOf[in]
+		for i, in := range b.Instrs {
 			for _, d := range in.Defines() {
-				a.DataDef[d] = u
+				a.DataDef[d] = a.UnitAt[b.ID][i]
 			}
 		}
 	}
-	seen := make(map[[2]int]bool)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			u := a.UnitOf[in]
-			for _, r := range in.Uses() {
-				if u == -1 {
-					// Unconditional terminators use no registers; Br and
-					// Switch are units. Nothing to record.
-					continue
-				}
-				if a.DataDef[r] == u {
-					continue // internal to the unit
-				}
-				key := [2]int{r, u}
-				if !seen[key] {
-					seen[key] = true
-					a.DataUses[r] = append(a.DataUses[r], u)
+	a.DataUses = lists(f.NumRegs, len(a.Units), func(add func(r, u int)) {
+		for _, b := range f.Blocks {
+			for i, in := range b.Instrs {
+				// Unconditional terminators (unit -1) use no registers; Br
+				// and Switch are units. A unit's own uses stay internal.
+				if u := a.UnitAt[b.ID][i]; u >= 0 {
+					for _, r := range in.Uses() {
+						if a.DataDef[r] != u {
+							add(r, u)
+						}
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // buildControlDeps computes control dependence on the summarized CFG and
 // phi-decider dependences, recording them per branch unit.
 func (a *Analysis) buildControlDeps() error {
-	f := a.F
-	// Post-dominators of the summarized CFG.
-	pdom := graph.Dominators(a.SumCFG.Reverse(), a.ExitNode)
-	a.PostDom = pdom
-
+	f, pdom, nn := a.F, a.PostDom, a.SumCFG.Len()
 	// Control dependence (Ferrante-Ottenstein-Warren on the summarized
 	// graph): for edge u->v where v does not post-dominate u, every node on
 	// the post-dominator path from v up to (excluding) ipdom(u) is control
-	// dependent on u.
-	ctrlOf := make([][]int, a.SumCFG.Len()) // node -> controlling branch nodes
-	addCD := func(w, u int) {
-		for _, x := range ctrlOf[w] {
-			if x == u {
-				return
-			}
-		}
-		ctrlOf[w] = append(ctrlOf[w], u)
-	}
-	for u := 0; u < a.SumCFG.Len(); u++ {
-		succs := a.SumCFG.Succs(u)
-		if len(succs) < 2 {
-			continue
-		}
-		for _, v := range succs {
-			runner := v
-			for runner != pdom.Idom[u] && runner != u {
-				addCD(runner, u)
-				next := pdom.Idom[runner]
-				if next < 0 || next == runner {
-					break
-				}
-				runner = next
-			}
-			// A node can control itself via a cycle (loop exits); the
-			// summarized graph is acyclic so runner == u cannot occur, but
-			// the guard keeps the walk safe.
-		}
-	}
-
-	// branchUnit maps a summarized node with >=2 successors to the unit
-	// that decides its exit: the loop unit itself, or the unit of the
-	// block's conditional terminator.
-	a.Ctrl = make(map[int][]int)
-	branchUnitOf := func(node int) (int, error) {
-		// Find a unit whose SumNode is node and which owns the decision.
-		for _, u := range a.Units {
-			if u.SumNode != node {
+	// dependent on u. ctrlOf maps each node to its controlling branch nodes.
+	ctrlOf := lists(nn, nn, func(add func(w, u int)) {
+		for u := 0; u < nn; u++ {
+			succs := a.SumCFG.Succs(u)
+			if len(succs) < 2 {
 				continue
 			}
-			if u.IsLoop {
-				return u.ID, nil
-			}
-			in := u.Instrs[0]
-			if in.Op == ir.OpBr || in.Op == ir.OpSwitch {
-				return u.ID, nil
+			for _, v := range succs {
+				runner := v
+				// A node can control itself via a cycle (loop exits); the
+				// summarized graph is acyclic so runner == u cannot occur,
+				// but the guard keeps the walk safe.
+				for runner != pdom.Idom[u] && runner != u {
+					add(runner, u)
+					next := pdom.Idom[runner]
+					if next < 0 || next == runner {
+						break
+					}
+					runner = next
+				}
 			}
 		}
-		return -1, fmt.Errorf("%s: summarized node %d branches but has no deciding unit", a.F.Name, node)
-	}
+	})
 
-	addCtrl := func(b, dep int) {
-		if b == dep {
-			return
-		}
-		for _, x := range a.Ctrl[b] {
-			if x == dep {
-				return
-			}
-		}
-		a.Ctrl[b] = append(a.Ctrl[b], dep)
+	// decider[n] is the unit that decides branching node n's exit: the loop
+	// unit itself, or the unit of the block's conditional terminator.
+	decider := make([]int, nn)
+	for n := range decider {
+		decider[n] = -1
 	}
-
 	for _, u := range a.Units {
-		for _, ctrlNode := range ctrlOf[u.SumNode] {
-			b, err := branchUnitOf(ctrlNode)
-			if err != nil {
-				return err
-			}
-			addCtrl(b, u.ID)
+		if in := u.Instrs[0]; decider[u.SumNode] < 0 && (u.IsLoop || in.Op == ir.OpBr || in.Op == ir.OpSwitch) {
+			decider[u.SumNode] = u.ID
+		}
+	}
+	for n := 0; n < nn; n++ {
+		if len(a.SumCFG.Succs(n)) >= 2 && decider[n] < 0 {
+			return fmt.Errorf("%s: summarized node %d branches but has no deciding unit", f.Name, n)
 		}
 	}
 
-	// Phi deciders: a phi's stage must be able to tell which predecessor
-	// executed, so it depends on every branch that distinguishes its
-	// predecessors (conservatively: the controllers of each predecessor's
-	// summarized node, plus the predecessor node itself when it branches).
-	for _, blk := range f.Blocks {
-		for _, in := range blk.Instrs {
-			if in.Op != ir.OpPhi {
-				break
+	a.Ctrl = lists(len(a.Units), len(a.Units), func(add func(b, dep int)) {
+		addNode := func(n, dep int) {
+			if b := decider[n]; b != dep {
+				add(b, dep)
 			}
-			phiUnit := a.UnitOf[in]
-			for _, p := range in.PhiPreds {
-				pn := a.BlockComp[p]
-				if len(a.SumCFG.Succs(pn)) >= 2 {
-					b, err := branchUnitOf(pn)
-					if err != nil {
-						return err
-					}
-					addCtrl(b, phiUnit)
+		}
+		for _, u := range a.Units {
+			for _, ctrlNode := range ctrlOf[u.SumNode] {
+				addNode(ctrlNode, u.ID)
+			}
+		}
+		// Phi deciders: a phi's stage must be able to tell which
+		// predecessor executed, so it depends on every branch that
+		// distinguishes its predecessors (conservatively: the controllers of
+		// each predecessor's summarized node, plus the predecessor node
+		// itself when it branches).
+		for _, blk := range f.Blocks {
+			for i, in := range blk.Instrs {
+				if in.Op != ir.OpPhi {
+					break
 				}
-				for _, ctrlNode := range ctrlOf[pn] {
-					b, err := branchUnitOf(ctrlNode)
-					if err != nil {
-						return err
+				phiUnit := a.UnitAt[blk.ID][i]
+				for _, p := range in.PhiPreds {
+					pn := a.BlockComp[p]
+					if len(a.SumCFG.Succs(pn)) >= 2 {
+						addNode(pn, phiUnit)
 					}
-					addCtrl(b, phiUnit)
+					for _, ctrlNode := range ctrlOf[pn] {
+						addNode(ctrlNode, phiUnit)
+					}
 				}
 			}
 		}
-	}
+	})
 	return nil
 }
 
@@ -379,9 +387,9 @@ func (a *Analysis) buildOrderAndCarriedDeps() {
 	persistent := make(map[string]bool)
 	// Record accesses in deterministic program order (block ID, index).
 	for _, b := range a.F.Blocks {
-		for _, in := range b.Instrs {
-			u, ok := a.UnitOf[in]
-			if !ok || u < 0 {
+		for i, in := range b.Instrs {
+			u := a.UnitAt[b.ID][i]
+			if u < 0 {
 				continue
 			}
 			for _, e := range effectsOf(in) {
@@ -394,10 +402,7 @@ func (a *Analysis) buildOrderAndCarriedDeps() {
 	}
 
 	// Reachability between summarized nodes orders units.
-	reach := make([][]bool, a.SumCFG.Len())
-	for n := range reach {
-		reach[n] = a.SumCFG.ReachableFrom(n)
-	}
+	reach := a.SumCFG.Reach()
 	unitBefore := func(x, y int) bool {
 		ux, uy := a.Units[x], a.Units[y]
 		if ux.SumNode == uy.SumNode {
@@ -405,13 +410,12 @@ func (a *Analysis) buildOrderAndCarriedDeps() {
 				return false // same unit; cannot happen for x != y
 			}
 			// Same straight-line block: compare instruction positions.
-			blk := a.F.Blocks[ux.Blocks[0]]
 			xi, yi := -1, -1
-			for i, in := range blk.Instrs {
-				if a.UnitOf[in] == x {
+			for i, u := range a.UnitAt[ux.Blocks[0]] {
+				if u == x {
 					xi = i
 				}
-				if a.UnitOf[in] == y {
+				if u == y {
 					yi = i
 				}
 			}
@@ -468,30 +472,35 @@ func (a *Analysis) buildOrderAndCarriedDeps() {
 	}
 }
 
-// UnitGraph builds the full dependence digraph over units (data, control,
-// order, and both directions of loop-carried pairs).
-func (a *Analysis) UnitGraph() *graph.Digraph {
-	g := graph.New(len(a.Units))
+// Deps calls add for every dependence between units: data, control, order,
+// and both directions of each loop-carried pair.
+func (a *Analysis) Deps(add func(u, v int)) {
 	for r, def := range a.DataDef {
 		if def < 0 {
 			continue
 		}
 		for _, use := range a.DataUses[r] {
-			g.AddEdge(def, use)
+			add(def, use)
 		}
 	}
 	for b, deps := range a.Ctrl {
 		for _, d := range deps {
-			g.AddEdge(b, d)
+			add(b, d)
 		}
 	}
 	for _, o := range a.Order {
-		g.AddEdge(o[0], o[1])
+		add(o[0], o[1])
 	}
 	for _, c := range a.Carried {
-		g.AddEdge(c[0], c[1])
-		g.AddEdge(c[1], c[0])
+		add(c[0], c[1])
+		add(c[1], c[0])
 	}
+}
+
+// UnitGraph builds the full dependence digraph over units (Deps, without
+// parallel edges).
+func (a *Analysis) UnitGraph() *graph.Digraph {
+	g := graph.Build(len(a.Units), a.Deps)
 	g.Dedup()
 	return g
 }

@@ -90,7 +90,7 @@ func (t *DomTree) Dominates(a, b int) bool {
 func (t *DomTree) Frontier(g *Digraph) [][]int {
 	n := g.Len()
 	df := make([][]int, n)
-	inDF := make([]map[int]bool, n)
+	mark := make([]int, n) // mark[a] == b+1: b is already in DF(a)
 	for b := 0; b < n; b++ {
 		if t.order[b] < 0 || len(g.preds[b]) < 2 {
 			continue
@@ -101,11 +101,8 @@ func (t *DomTree) Frontier(g *Digraph) [][]int {
 			}
 			runner := p
 			for runner != t.Idom[b] {
-				if inDF[runner] == nil {
-					inDF[runner] = make(map[int]bool)
-				}
-				if !inDF[runner][b] {
-					inDF[runner][b] = true
+				if mark[runner] != b+1 {
+					mark[runner] = b + 1
 					df[runner] = append(df[runner], b)
 				}
 				runner = t.Idom[runner]

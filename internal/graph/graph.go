@@ -17,10 +17,30 @@ type Digraph struct {
 
 // New returns an empty digraph with n nodes and no edges.
 func New(n int) *Digraph {
-	return &Digraph{
-		succs: make([][]int, n),
-		preds: make([][]int, n),
+	adj := make([][]int, 2*n)
+	return &Digraph{succs: adj[:n:n], preds: adj[n:]}
+}
+
+// Build returns the digraph over n nodes with the edges edges reports, in
+// the order it reports them. It calls edges twice: once to count each
+// node's edges, then to add them to lists carved from one allocation.
+func Build(n int, edges func(add func(u, v int))) *Digraph {
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	edges(func(u, v int) { deg[u]++; deg[n+v]++ })
+	g := New(n)
+	m := 0
+	for _, d := range deg {
+		m += d
 	}
+	slab := make([]int, m)
+	for side, adj := range [][][]int{g.succs, g.preds} {
+		for v := range adj {
+			d := deg[side*n+v]
+			adj[v], slab = slab[:0:d], slab[d:]
+		}
+	}
+	edges(g.AddEdge)
+	return g
 }
 
 // Len returns the number of nodes.
@@ -51,36 +71,35 @@ func (g *Digraph) HasEdge(u, v int) bool {
 	return false
 }
 
-// Dedup removes duplicate parallel edges in place.
+// Dedup removes duplicate parallel edges in place, keeping each list's
+// first occurrences in order.
 func (g *Digraph) Dedup() {
-	g.succs = dedupAdj(g.succs)
-	g.preds = dedupAdj(g.preds)
-}
-
-func dedupAdj(adj [][]int) [][]int {
-	for u, list := range adj {
-		seen := make(map[int]bool, len(list))
-		out := list[:0]
-		for _, v := range list {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
+	mark := make([]int, g.Len()) // mark[v] == stamp: v is in the list at hand
+	stamp := 0
+	for _, adj := range [][][]int{g.succs, g.preds} {
+		for u, list := range adj {
+			stamp++
+			out := list[:0]
+			for _, v := range list {
+				if mark[v] != stamp {
+					mark[v] = stamp
+					out = append(out, v)
+				}
 			}
+			adj[u] = out
 		}
-		adj[u] = out
 	}
-	return adj
 }
 
 // Reverse returns a new digraph with every edge direction flipped.
 func (g *Digraph) Reverse() *Digraph {
-	r := New(g.Len())
-	for u := range g.succs {
-		for _, v := range g.succs[u] {
-			r.AddEdge(v, u)
+	return Build(g.Len(), func(add func(u, v int)) {
+		for u := range g.succs {
+			for _, v := range g.succs[u] {
+				add(v, u)
+			}
 		}
-	}
-	return r
+	})
 }
 
 // ReachableFrom returns the set of nodes reachable from start (including
@@ -100,6 +119,30 @@ func (g *Digraph) ReachableFrom(start int) []bool {
 		}
 	}
 	return seen
+}
+
+// Reach returns reach[u][v]: a path of at least one edge leads from u to v
+// (so u reaches itself only around a cycle). The rows share one allocation.
+func (g *Digraph) Reach() [][]bool {
+	n := g.Len()
+	cells := make([]bool, n*n)
+	rows := make([][]bool, n)
+	var stack []int
+	for u := range rows {
+		r := cells[u*n : (u+1)*n : (u+1)*n]
+		for stack = append(stack[:0], u); len(stack) > 0; {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range g.succs[w] {
+				if !r[v] {
+					r[v] = true
+					stack = append(stack, v)
+				}
+			}
+		}
+		rows[u] = r
+	}
+	return rows
 }
 
 // Topo returns a topological order of the graph's nodes (sources first).

@@ -23,28 +23,29 @@ func (r *SCCResult) IsTrivial(c int) bool { return len(r.Members[c]) == 1 }
 func SCC(g *Digraph) *SCCResult {
 	n := g.Len()
 	const unvisited = -1
-	index := make([]int, n)
-	lowlink := make([]int, n)
+	ints := make([]int, 3*n)
+	index, lowlink, comp := ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
 	onStack := make([]bool, n)
-	comp := make([]int, n)
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = unvisited
 	}
-	var (
-		stack   []int // Tarjan stack
-		members [][]int
-		counter int
-	)
 	type frame struct {
 		node int
 		next int // index into succ list
 	}
+	var (
+		stack   = make([]int, 0, n) // Tarjan stack
+		flat    = make([]int, 0, n) // every component's members, back to back
+		members [][]int
+		work    []frame
+		counter int
+	)
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		work := []frame{{node: root}}
+		work = append(work[:0], frame{node: root})
 		index[root] = counter
 		lowlink[root] = counter
 		counter++
@@ -83,18 +84,18 @@ func SCC(g *Digraph) *SCCResult {
 				}
 			}
 			if lowlink[u] == index[u] {
-				var ms []int
+				start := len(flat)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
 					comp[w] = len(members)
-					ms = append(ms, w)
+					flat = append(flat, w)
 					if w == u {
 						break
 					}
 				}
-				members = append(members, ms)
+				members = append(members, flat[start:len(flat):len(flat)])
 			}
 		}
 	}
@@ -105,21 +106,15 @@ func SCC(g *Digraph) *SCCResult {
 // result: one node per component, with deduplicated edges between distinct
 // components.
 func Condense(g *Digraph, r *SCCResult) *Digraph {
-	c := New(r.NumComps())
-	seen := make(map[[2]int]bool)
-	for u := 0; u < g.Len(); u++ {
-		cu := r.Comp[u]
-		for _, v := range g.succs[u] {
-			cv := r.Comp[v]
-			if cu == cv {
-				continue
-			}
-			key := [2]int{cu, cv}
-			if !seen[key] {
-				seen[key] = true
-				c.AddEdge(cu, cv)
+	c := Build(r.NumComps(), func(add func(u, v int)) {
+		for u := 0; u < g.Len(); u++ {
+			for _, v := range g.succs[u] {
+				if cu, cv := r.Comp[u], r.Comp[v]; cu != cv {
+					add(cu, cv)
+				}
 			}
 		}
-	}
+	})
+	c.Dedup()
 	return c
 }

@@ -4,12 +4,13 @@ import "repro/internal/graph"
 
 // CFG builds the control-flow digraph of f over block IDs.
 func (f *Func) CFG() *graph.Digraph {
-	g := graph.New(len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			g.AddEdge(b.ID, s)
+	g := graph.Build(len(f.Blocks), func(add func(u, v int)) {
+		for _, b := range f.Blocks {
+			for _, s := range b.Succs() {
+				add(b.ID, s)
+			}
 		}
-	}
+	})
 	g.Dedup()
 	return g
 }

@@ -78,17 +78,6 @@ func (in *Instr) SetDef(i, r int) {
 	in.Dst = r
 }
 
-// Clone returns a deep copy of the instruction.
-func (in *Instr) Clone() *Instr {
-	c := *in
-	c.Args = append([]int(nil), in.Args...)
-	c.Dsts = append([]int(nil), in.Dsts...)
-	c.PhiPreds = append([]int(nil), in.PhiPreds...)
-	c.Targets = append([]int(nil), in.Targets...)
-	c.Cases = append([]int64(nil), in.Cases...)
-	return &c
-}
-
 // Block is a basic block. ID indexes Func.Blocks.
 type Block struct {
 	ID     int
@@ -171,7 +160,9 @@ func (f *Func) NamedReg(name string) int {
 	return r
 }
 
-// Clone returns a deep copy of the function.
+// Clone returns a deep copy of the function. The copies come out of one
+// allocation per kind (blocks, instructions, instruction lists, register
+// lists), each list a window of its slab that an append moves out of.
 func (f *Func) Clone() *Func {
 	c := &Func{
 		Name:    f.Name,
@@ -182,12 +173,35 @@ func (f *Func) Clone() *Func {
 	for r, n := range f.RegName {
 		c.RegName[r] = n
 	}
+	nInstrs, nInts := 0, 0
+	for _, b := range f.Blocks {
+		nInstrs += len(b.Instrs)
+		for _, in := range b.Instrs {
+			nInts += len(in.Args) + len(in.Dsts) + len(in.PhiPreds) + len(in.Targets)
+		}
+	}
+	blocks, instrs, ptrs, ints := make([]Block, len(f.Blocks)), make([]Instr, nInstrs), make([]*Instr, nInstrs), make([]int, nInts)
+	take := func(s []int) []int {
+		if len(s) == 0 {
+			return nil
+		}
+		n := copy(ints, s)
+		out := ints[:n:n]
+		ints = ints[n:]
+		return out
+	}
 	c.Blocks = make([]*Block, len(f.Blocks))
 	for i, b := range f.Blocks {
-		nb := &Block{ID: b.ID, Name: b.Name, LoopBound: b.LoopBound}
-		nb.Instrs = make([]*Instr, len(b.Instrs))
+		nb := &blocks[i]
+		*nb = Block{ID: b.ID, Name: b.Name, LoopBound: b.LoopBound}
+		nb.Instrs, ptrs = ptrs[:len(b.Instrs):len(b.Instrs)], ptrs[len(b.Instrs):]
 		for j, in := range b.Instrs {
-			nb.Instrs[j] = in.Clone()
+			ni := &instrs[0]
+			instrs = instrs[1:]
+			*ni = *in
+			ni.Args, ni.Dsts, ni.PhiPreds, ni.Targets = take(in.Args), take(in.Dsts), take(in.PhiPreds), take(in.Targets)
+			ni.Cases = append([]int64(nil), in.Cases...)
+			nb.Instrs[j] = ni
 		}
 		c.Blocks[i] = nb
 	}

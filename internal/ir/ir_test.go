@@ -289,24 +289,31 @@ func TestSetDefVariants(t *testing.T) {
 }
 
 func TestCloneCopiesAllFields(t *testing.T) {
-	in := &Instr{
+	sw := &Instr{
 		Op: OpSwitch, Dst: NoReg, Args: []int{1},
 		Cases: []int64{10, 20}, Targets: []int{2, 3, 4}, Tx: true,
 	}
-	c := in.Clone()
+	recv := &Instr{Op: OpRecvLS, Dst: NoReg, Dsts: []int{5, 6}}
+	f := &Func{Name: "c", Blocks: []*Block{{Instrs: []*Instr{recv, sw}}}}
+	cl := f.Clone().Blocks[0].Instrs
+	rc, c := cl[0], cl[1]
 	c.Cases[0] = 99
 	c.Targets[0] = 99
-	if in.Cases[0] == 99 || in.Targets[0] == 99 {
+	if sw.Cases[0] == 99 || sw.Targets[0] == 99 {
 		t.Error("Clone shares Cases/Targets")
 	}
 	if !c.Tx {
 		t.Error("Clone dropped the Tx flag")
 	}
-	recv := &Instr{Op: OpRecvLS, Dst: NoReg, Dsts: []int{5, 6}}
-	rc := recv.Clone()
 	rc.Dsts[0] = 77
 	if recv.Dsts[0] == 77 {
 		t.Error("Clone shares Dsts")
+	}
+	// The copies' lists are windows of one slab: growing one must not write
+	// over the next instruction's.
+	rc.Dsts = append(rc.Dsts, 8)
+	if c.Args[0] != 1 {
+		t.Error("growing a cloned list overwrote its neighbour in the slab")
 	}
 }
 

@@ -29,6 +29,7 @@ package maxflow
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Inf is the capacity used for uncuttable edges. The divisor fixes the
@@ -145,21 +146,21 @@ func (nw *Network) index() {
 	if nw.adjStart != nil && len(nw.adj) == len(nw.head) {
 		return
 	}
-	start := make([]int, nw.n+1)
+	n, m := nw.n, len(nw.head)
+	ints := make([]int, 3*n+1+m) // start, next (scratch), ident, adj
+	start, next, ident, adj := ints[:n+1:n+1], ints[n+1:2*n+1], ints[2*n+1:3*n+1:3*n+1], ints[3*n+1:]
 	for e := range nw.head {
 		start[nw.head[e^1]+1]++ // the tail of e is the head of its pair
 	}
-	for u := 0; u < nw.n; u++ {
+	for u := 0; u < n; u++ {
 		start[u+1] += start[u]
 	}
-	adj := make([]int, len(nw.head))
-	next := append([]int(nil), start[:nw.n]...)
+	copy(next, start[:n])
 	for e := range nw.head {
 		u := nw.head[e^1]
 		adj[next[u]] = e
 		next[u]++
 	}
-	ident := make([]int, nw.n)
 	for u := range ident {
 		ident[u] = u
 	}
@@ -210,6 +211,13 @@ func (nw *Network) AddEdge(u, v int, capacity int64) int {
 	nw.cap = append(nw.cap, capacity, 0)
 	nw.flow = append(nw.flow, 0, 0)
 	return id
+}
+
+// Grow makes room for m more edges, so that adding them allocates nothing.
+func (nw *Network) Grow(m int) {
+	nw.head = slices.Grow(nw.head, 2*m)
+	nw.cap = slices.Grow(nw.cap, 2*m)
+	nw.flow = slices.Grow(nw.flow, 2*m)
 }
 
 // InfEdges returns the number of infinite-capacity edges in the network

@@ -124,39 +124,44 @@ func (lx *lexer) next() (Token, error) {
 		return Token{Kind: INT, Pos: pos, Val: v, Text: text}, nil
 	}
 
-	// Operators and punctuation (longest match first).
-	two := ""
-	if lx.off+1 < len(lx.src) {
-		two = lx.src[lx.off : lx.off+2]
+	// Operators and punctuation (longest match first; the second character
+	// of a two-character operator is an operator of its own).
+	if lx.off+1 < len(lx.src) && oneKinds[lx.src[lx.off+1]] != EOF {
+		two := lx.src[lx.off : lx.off+2]
+		if k, ok := twoKinds[two]; ok {
+			lx.nextByte()
+			lx.nextByte()
+			return Token{Kind: k, Pos: pos, Text: two}, nil
+		}
 	}
-	twoKinds := map[string]Kind{
+	if k := oneKinds[c]; k != EOF {
+		lx.nextByte()
+		return Token{Kind: k, Pos: pos, Text: lx.src[lx.off-1 : lx.off]}, nil
+	}
+	return Token{}, errf(pos, "unexpected character %q", string(c))
+}
+
+// The operators and punctuation, built once: two-character ones by
+// spelling, one-character ones by byte (EOF where the byte is none).
+var (
+	twoKinds = map[string]Kind{
 		"||": OrOr, "&&": AndAnd, "==": EqEq, "!=": NotEq, "<=": Le,
 		">=": Ge, "<<": Shl, ">>": Shr, "+=": PlusAssign, "-=": MinusAssign,
 		"*=": StarAssign, "/=": SlashAssign, "%=": PercentAssign,
 	}
-	if k, ok := twoKinds[two]; ok {
-		lx.nextByte()
-		lx.nextByte()
-		return Token{Kind: k, Pos: pos, Text: two}, nil
-	}
-	oneKinds := map[byte]Kind{
+	oneKinds = [256]Kind{
 		'(': LParen, ')': RParen, '{': LBrace, '}': RBrace, '[': LBrack,
 		']': RBrack, ';': Semi, ',': Comma, ':': Colon, '?': Question,
 		'=': Assign, '|': Pipe, '^': Caret, '&': Amp, '<': Lt, '>': Gt,
 		'+': Plus, '-': Minus, '*': Star, '/': Slash, '%': Percent,
 		'!': Bang, '~': Tilde,
 	}
-	if k, ok := oneKinds[c]; ok {
-		lx.nextByte()
-		return Token{Kind: k, Pos: pos, Text: string(c)}, nil
-	}
-	return Token{}, errf(pos, "unexpected character %q", string(c))
-}
+)
 
 // lexAll tokenizes the entire source.
 func lexAll(src string) ([]Token, error) {
 	lx := newLexer(src)
-	var toks []Token
+	toks := make([]Token, 0, len(src)/4)
 	for {
 		t, err := lx.next()
 		if err != nil {

@@ -184,10 +184,12 @@ type Ring[T any] struct {
 	head       atomic.Uint64 // next slot to pop; consumer writes, producer reads
 	cachedTail uint64        // consumer's view of tail
 	consSpin   int32         // consumer's adaptive spin budget
+	consTimer  *time.Timer   // consumer's park backstop, made at its first park
 	_          [cacheLine]byte
 	tail       atomic.Uint64 // next slot to push; producer writes, consumer reads
 	cachedHead uint64        // producer's view of head
 	prodSpin   int32         // producer's adaptive spin budget
+	prodTimer  *time.Timer   // producer's park backstop, made at its first park
 	_          [cacheLine]byte
 	closed     atomic.Bool
 	_          [cacheLine]byte
@@ -370,12 +372,6 @@ func (r *Ring[T]) Pop(done <-chan struct{}, w *WaitCounters) (v T, ok, canceled 
 	spin := int(r.consSpin)
 	phase := 0 // 0: spinning, 1: yielding, 2: parked at least once
 	yields := 0
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		if v, ok = r.TryPop(); ok {
 			r.waitDone(phase, start, w, true)
@@ -400,7 +396,7 @@ func (r *Ring[T]) Pop(done <-chan struct{}, w *WaitCounters) (v T, ok, canceled 
 			runtime.Gosched()
 		default:
 			phase = 2
-			if !r.park(&r.notEmpty, done, &timer, parkBackstop, w, func() bool {
+			if !r.park(&r.notEmpty, done, &r.consTimer, parkBackstop, w, func() bool {
 				return r.head.Load() != r.tail.Load() || r.closed.Load()
 			}) {
 				r.waitDone(phase, start, w, true)
@@ -422,12 +418,6 @@ func (r *Ring[T]) waitProducer(done <-chan struct{}, d time.Duration, w *WaitCou
 	spin := int(r.prodSpin)
 	phase := 0
 	yields := 0
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		if try() {
 			r.prodWaitDone(phase, start, w)
@@ -455,7 +445,7 @@ func (r *Ring[T]) waitProducer(done <-chan struct{}, d time.Duration, w *WaitCou
 					return false, false
 				}
 			}
-			if !r.park(&r.notFull, done, &timer, wait, w, func() bool {
+			if !r.park(&r.notFull, done, &r.prodTimer, wait, w, func() bool {
 				return r.tail.Load()-r.head.Load() < r.cap
 			}) {
 				r.prodWaitDone(phase, start, w)
@@ -509,6 +499,12 @@ func (r *Ring[T]) prodWaitDone(phase int, start time.Time, w *WaitCounters) {
 // the handshake that makes lost wakeups impossible; a backstop expiry that
 // finds ready true with the announcement never taken is counted in w as the
 // lost wakeup that argument rules out.
+//
+// timer is the parking side's own backstop, kept across parks so a park
+// allocates nothing. Every park leaves it stopped with its channel empty:
+// under the pre-1.23 timer rules go.mod selects, a tick that fired while the
+// park ended another way waits in the channel until read, and would end the
+// next park early if it were not drained here.
 func (r *Ring[T]) park(n *notifier, done <-chan struct{}, timer **time.Timer, d time.Duration, w *WaitCounters, ready func() bool) bool {
 	n.waiting.Store(1)
 	if ready() {
@@ -522,18 +518,30 @@ func (r *Ring[T]) park(n *notifier, done <-chan struct{}, timer **time.Timer, d 
 		}
 		return true
 	}
-	if *timer == nil {
-		*timer = time.NewTimer(d)
+	t := *timer
+	if t == nil {
+		t = time.NewTimer(d)
+		*timer = t
 	} else {
-		(*timer).Reset(d)
+		t.Reset(d)
+	}
+	disarm := func() {
+		if !t.Stop() {
+			select {
+			case <-t.C:
+			default:
+			}
+		}
 	}
 	select {
 	case <-n.wake:
+		disarm()
 		return true
 	case <-done:
+		disarm()
 		n.waiting.Store(0)
 		return false
-	case <-(*timer).C:
+	case <-t.C:
 		if d == parkBackstop && ready() {
 			// What the waiter wanted is there, yet the backstop is what ended
 			// the park. A peer preempted between its publish and its post

@@ -262,6 +262,40 @@ func TestPingPongStress(t *testing.T) {
 	}
 }
 
+// TestParkAllocatesNothing bounces one entry at a time between two goroutines
+// through capacity-1 rings that park at once (no spin, no yield). Each round
+// makes both consumers park, and the producer too when its second push finds
+// the ring full, yet no round allocates: each side keeps its backstop timer
+// from park to park.
+func TestParkAllocatesNothing(t *testing.T) {
+	fwd, bwd := New[int](1, WaitStrategy{}), New[int](1, WaitStrategy{})
+	var wc WaitCounters
+	go func() {
+		for {
+			if _, ok, _ := fwd.Pop(nil, &wc); !ok {
+				return
+			}
+			if _, ok, _ := fwd.Pop(nil, &wc); !ok {
+				return
+			}
+			bwd.Push(0, nil, &wc)
+		}
+	}()
+	const rounds = 200
+	allocs := testing.AllocsPerRun(rounds, func() {
+		fwd.Push(1, nil, &wc)
+		fwd.Push(2, nil, &wc)
+		bwd.Pop(nil, &wc)
+	})
+	fwd.Close()
+	if allocs != 0 {
+		t.Errorf("%.2f allocations per park→wake round, want 0", allocs)
+	}
+	if parks := wc.Parks.Load(); parks < rounds {
+		t.Errorf("%d parks in %d rounds: the rounds did not park", parks, rounds)
+	}
+}
+
 // TestWaitCountersSplit forces one wait of each flavor and checks the
 // accounting lands in the right column.
 func TestWaitCountersSplit(t *testing.T) {

@@ -33,26 +33,28 @@ func Build(f *ir.Func) {
 	}
 
 	// Insert phi nodes at the iterated dominance frontier of each
-	// register's definition sites, pruned by liveness.
-	phiFor := make(map[int]map[int]*ir.Instr) // block ID -> orig reg -> phi
+	// register's definition sites, pruned by liveness. onWork[b] and
+	// placed[b] equal v+1 while v is at hand.
+	origOf := make(map[*ir.Instr]int) // phi -> the original register it merges
+	hasPhi := make([]bool, len(f.Blocks))
+	onWork, placed := make([]int, len(f.Blocks)), make([]int, len(f.Blocks))
+	var work []int
 	for v := 0; v < nOrig; v++ {
 		if len(defBlocks[v]) == 0 {
 			continue
 		}
-		work := append([]int(nil), defBlocks[v]...)
-		onWork := make(map[int]bool, len(work))
+		work = append(work[:0], defBlocks[v]...)
 		for _, b := range work {
-			onWork[b] = true
+			onWork[b] = v + 1
 		}
-		placed := make(map[int]bool)
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, j := range df[b] {
-				if placed[j] || !live.In[j].Has(v) {
+				if placed[j] == v+1 || !live.In[j].Has(v) {
 					continue
 				}
-				placed[j] = true
+				placed[j] = v + 1
 				preds := cfg.Preds(j)
 				phi := &ir.Instr{
 					Op:       ir.OpPhi,
@@ -65,12 +67,9 @@ func Build(f *ir.Func) {
 				}
 				blk := f.Blocks[j]
 				blk.Instrs = append([]*ir.Instr{phi}, blk.Instrs...)
-				if phiFor[j] == nil {
-					phiFor[j] = make(map[int]*ir.Instr)
-				}
-				phiFor[j][v] = phi
-				if !onWork[j] {
-					onWork[j] = true
+				origOf[phi], hasPhi[j] = v, true
+				if onWork[j] != v+1 {
+					onWork[j] = v + 1
 					work = append(work, j)
 				}
 			}
@@ -89,14 +88,6 @@ func Build(f *ir.Func) {
 	}
 
 	stacks := make([][]int, nOrig)
-	// origOf maps a phi instruction to the original register it merges,
-	// needed when filling phi operands from predecessors.
-	origOf := make(map[*ir.Instr]int)
-	for _, m := range phiFor {
-		for v, phi := range m {
-			origOf[phi] = v
-		}
-	}
 
 	var undefReg = -1 // lazily created "undefined" zero constant
 	getUndef := func() int {
@@ -119,10 +110,13 @@ func Build(f *ir.Func) {
 		return s[len(s)-1]
 	}
 
+	// pushed holds the original registers each block on the rename path
+	// pushed, one segment per block, the deepest last.
+	var pushed []int
 	var rename func(b int)
 	rename = func(b int) {
 		blk := f.Blocks[b]
-		var pushed []int
+		base := len(pushed)
 		for _, in := range blk.Instrs {
 			if in.Op != ir.OpPhi {
 				args := in.Uses()
@@ -147,7 +141,7 @@ func Build(f *ir.Func) {
 		}
 		// Fill phi operands in CFG successors.
 		for _, s := range cfg.Succs(b) {
-			if phiFor[s] == nil {
+			if !hasPhi[s] {
 				continue
 			}
 			for _, phi := range f.Blocks[s].Instrs {
@@ -168,9 +162,10 @@ func Build(f *ir.Func) {
 		for _, c := range children[b] {
 			rename(c)
 		}
-		for _, v := range pushed {
+		for _, v := range pushed[base:] {
 			stacks[v] = stacks[v][:len(stacks[v])-1]
 		}
+		pushed = pushed[:base]
 	}
 	rename(f.Entry)
 }
