@@ -48,19 +48,23 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
-echo "== partitioner gate: cut-sweep oracle + max-flow differential under -race -count=2; pipebench figures vs golden"
+echo "== partitioner gate: cut-sweep oracle, max-flow differential, concurrent cuts and allocation budget under -race -count=2; pipebench figures vs golden"
 # The partitioner's byte-identity oracles. TestCutSweepGolden digests every
 # stage program and report of the six PPS at D=1..10 (and two coarsenings);
 # TestRandomContractionAgainstEdmondsKarp holds push-relabel's value and its
 # cut to an in-test reference under random contractions — the reason the
-# discharge schedule is free to change. Both twice under the race detector
-# (Partition is called concurrently on one Analysis). Then every figure
+# discharge schedule is free to change — fresh, warm and refilled in place.
+# Both twice under the race detector (Partition is called concurrently on
+# one Analysis), and so are the concurrent-cut tests, which give every
+# concurrent Partition its own workspace, and the per-Partition allocation
+# and byte ceilings. Then every figure
 # pipebench prints against testdata/pipebench_all.golden: ROADMAP's "stays
 # byte-identical unless the PR says which figure moves", enforced. A PR that
 # moves a figure regenerates the file and names the figure:
 #   go run ./cmd/pipebench -experiment all > testdata/pipebench_all.golden
 go test -race -count=2 -run '^TestCutSweepGolden$' .
 go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
+go test -race -count=2 -run '^(TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget)$' ./internal/core
 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 
 echo "== front-end gate: compile/analysis/network oracle + allocation budget under -race -count=2"
@@ -166,6 +170,9 @@ done
 # shellcheck disable=SC2046
 echo "front end (internal/{ppc,dep,graph,maxflow,core}) code lines: $(cat $(ls internal/ppc/*.go internal/dep/*.go internal/graph/*.go internal/maxflow/*.go internal/core/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (5074 before the dense front-end tables)"
 echo "front end allocations per six-PPS compile+analyze pass: $(go test -count=1 -run '^TestCompileAnalyzeAllocBudget$' -v ./internal/core | sed -n 's/.*six PPS: \([0-9]*\) allocations.*/\1/p')  (68243 before)"
+echo "partitioner bytes per six-PPS sweep: $(go test -count=1 -run '^$' -bench '^BenchmarkPartitionSweep$/^all$' -benchmem . | awk '/^BenchmarkPartitionSweep\/all/ { for (i = 2; i < NF; i++) if ($(i+1) == "B/op") printf "%.1f MB", $i / 1e6 }')  (31.2 MB before the per-call workspace)"
+# shellcheck disable=SC2046
+echo "internal/obsv code lines: $(cat $(ls internal/obsv/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (585 before the per-stage span logs)"
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 # shellcheck disable=SC2046
 echo "internal/netbench code lines: $(cat $(ls internal/netbench/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (950 before the flat route tables, ISSUE 25)"

@@ -42,9 +42,17 @@ var debugLog func(iter int, wx, cost, lo, hi int64)
 // minProgress is the weight already committed to the source side by earlier
 // cuts: best-effort results must exceed it whenever any finite cut does,
 // so an infeasible band never produces an empty pipeline stage.
-func MinCut(nw *maxflow.Network, weight []int64, lo, hi, minProgress int64) *Result {
+//
+// scratch is the search's working storage, 2·nw.Len() entries whatever they
+// hold (a shorter one, nil included, is replaced): a caller making many cuts
+// hands each the same slice. Nothing returned points into it.
+func MinCut(nw *maxflow.Network, weight []int64, lo, hi, minProgress int64, scratch []int64) *Result {
 	n := nw.Len()
-	s := &search{nw: nw, weight: weight, mark: make([]bool, n), gain: make([]int64, n)}
+	if len(scratch) < 2*n {
+		scratch = make([]int64, 2*n)
+	}
+	s := &search{nw: nw, weight: weight, gain: scratch[:n], mark: scratch[n : 2*n]}
+	clear(s.mark)
 	var best *Result
 
 	better := func(a, b *Result) bool {
@@ -140,12 +148,13 @@ func distanceToBand(w, lo, hi int64) int64 {
 }
 
 // search is one MinCut call's scratch, reused across its iterations: node
-// marks (all false between uses), the closure's queue, and the frontier's
-// candidates with their gains.
+// marks (mark[u] == stamp: u is marked by the walk at hand), the closure's
+// queue, and the frontier's candidates with their gains.
 type search struct {
 	nw     *maxflow.Network
 	weight []int64
-	mark   []bool
+	mark   []int64
+	stamp  int64
 	queue  []int
 	gain   []int64
 	cands  []int
@@ -159,6 +168,7 @@ type search struct {
 func (s *search) frontierCandidates(side []bool, fromSource bool) []int {
 	nw, gain, weight := s.nw, s.gain, s.weight
 	out := s.cands[:0]
+	s.stamp++
 	nw.ForEachEdge(func(_, tail, head int, capacity int64) {
 		if !side[tail] || side[head] {
 			return
@@ -171,8 +181,8 @@ func (s *search) frontierCandidates(side []bool, fromSource bool) []int {
 		if r == nw.Source || r == nw.Sink {
 			return
 		}
-		if !s.mark[r] {
-			s.mark[r] = true
+		if s.mark[r] != s.stamp {
+			s.mark[r] = s.stamp
 			gain[r] = 0
 			out = append(out, r)
 		}
@@ -188,9 +198,6 @@ func (s *search) frontierCandidates(side []bool, fromSource bool) []int {
 				break
 			}
 		}
-	}
-	for _, r := range out {
-		s.mark[r] = false
 	}
 	s.cands = out
 	return out
@@ -222,8 +229,9 @@ func (s *search) closureOfFrontier(side []bool, toSink bool) []int {
 // A group's constraints are those of all its members.
 func (s *search) closure(v int, forward bool, forbidden int) ([]int, bool) {
 	nw := s.nw
+	s.stamp++
 	queue := append(s.queue[:0], v)
-	s.mark[v] = true
+	s.mark[v] = s.stamp
 	ok := true
 	for qh := 0; qh < len(queue); qh++ {
 		u := queue[qh]
@@ -238,14 +246,11 @@ func (s *search) closure(v int, forward bool, forbidden int) ([]int, bool) {
 				return
 			}
 			_, w := nw.EdgeEnds(e)
-			if rw := nw.Find(w); !s.mark[rw] {
-				s.mark[rw] = true
+			if rw := nw.Find(w); s.mark[rw] != s.stamp {
+				s.mark[rw] = s.stamp
 				queue = append(queue, rw)
 			}
 		})
-	}
-	for _, u := range queue {
-		s.mark[u] = false
 	}
 	s.queue = queue
 	return queue, ok

@@ -38,7 +38,7 @@ func TestChainPicksCheapestInBand(t *testing.T) {
 	// (nodes 1,2 upstream), i.e. the cut of capacity 9 — even though
 	// cheaper cuts exist outside the band.
 	nw, weight := chain([]int64{5, 1, 9, 1, 5})
-	res := MinCut(nw, weight, 2, 2, 0)
+	res := MinCut(nw, weight, 2, 2, 0, nil)
 	if !res.Feasible {
 		t.Fatalf("no feasible cut found: %+v", res)
 	}
@@ -53,7 +53,7 @@ func TestChainPicksCheapestInBand(t *testing.T) {
 func TestChainWideBandPrefersCheap(t *testing.T) {
 	// With a wide band the heuristic should keep the globally cheapest cut.
 	nw, weight := chain([]int64{5, 1, 9, 1, 5})
-	res := MinCut(nw, weight, 1, 4, 0)
+	res := MinCut(nw, weight, 1, 4, 0, nil)
 	if !res.Feasible {
 		t.Fatalf("no feasible cut: %+v", res)
 	}
@@ -69,7 +69,7 @@ func TestTooLightGrowsSourceSide(t *testing.T) {
 	// Cheapest cut is right at the source (cap 1), weight 0. Band [2,3]
 	// forces the algorithm to collapse forward.
 	nw, weight := chain([]int64{1, 4, 6, 8, 10})
-	res := MinCut(nw, weight, 2, 3, 0)
+	res := MinCut(nw, weight, 2, 3, 0, nil)
 	if !res.Feasible {
 		t.Fatalf("no feasible cut: %+v", res)
 	}
@@ -82,7 +82,7 @@ func TestTooHeavyShrinksSourceSide(t *testing.T) {
 	// Cheapest cut is right before the sink (cap 1), weight 4. Band [1,2]
 	// forces collapsing nodes into the sink.
 	nw, weight := chain([]int64{10, 8, 6, 4, 1})
-	res := MinCut(nw, weight, 1, 2, 0)
+	res := MinCut(nw, weight, 1, 2, 0, nil)
 	if !res.Feasible {
 		t.Fatalf("no feasible cut: %+v", res)
 	}
@@ -99,7 +99,7 @@ func TestInfeasibleBandReturnsBestEffort(t *testing.T) {
 	nw.AddEdge(0, 1, 3)
 	nw.AddEdge(1, 2, 3)
 	weight := []int64{0, 10, 0}
-	res := MinCut(nw, weight, 4, 6, 0)
+	res := MinCut(nw, weight, 4, 6, 0, nil)
 	if res.Feasible {
 		t.Fatalf("impossible band reported feasible: %+v", res)
 	}
@@ -118,7 +118,7 @@ func TestDirectionEdgesRespected(t *testing.T) {
 	nw.AddEdge(b, a, maxflow.Inf) // direction: b in X => a in X
 	nw.AddEdge(b, 3, 2)
 	weight := []int64{0, 1, 1, 0}
-	res := MinCut(nw, weight, 1, 1, 0)
+	res := MinCut(nw, weight, 1, 1, 0, nil)
 	if !res.Feasible {
 		t.Fatalf("no feasible cut: %+v", res)
 	}
@@ -153,7 +153,7 @@ func TestRandomBandsAreHonored(t *testing.T) {
 		if lo < 0 {
 			lo = 0
 		}
-		res := MinCut(nw, weight, lo, hi, 0)
+		res := MinCut(nw, weight, lo, hi, 0, nil)
 		if res.Feasible {
 			if res.Weight < lo || res.Weight > hi {
 				t.Fatalf("trial %d: feasible result outside band: %+v lo=%d hi=%d", trial, res, lo, hi)
@@ -179,7 +179,7 @@ func TestMinProgressAvoidsEmptyStage(t *testing.T) {
 	nw.AddEdge(3, 4, 2)
 	nw.AddEdge(4, 5, 0) // anchor
 	weight := []int64{0, 12, 1, 1, 1, 0}
-	res := MinCut(nw, weight, 5, 5, 0)
+	res := MinCut(nw, weight, 5, 5, 0, nil)
 	if res.Feasible {
 		t.Fatalf("unsatisfiable band reported feasible: %+v", res)
 	}
@@ -200,7 +200,7 @@ func TestMinProgressRespectsPriorStages(t *testing.T) {
 	weight := []int64{0, 3, 4, 4, 4, 0}
 	// Pretend stages so far weigh 3 (node 1 pinned).
 	nw.CollapseIntoSource([]int{1})
-	res := MinCut(nw, weight, 30, 30, 3)
+	res := MinCut(nw, weight, 30, 30, 3, nil)
 	if res.Weight <= 3 {
 		t.Errorf("best-effort made no progress past the pinned weight: %+v", res)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/costmodel"
 	"repro/internal/dep"
@@ -20,10 +21,12 @@ import (
 // All of this is identical at every pipelining degree, transmission mode,
 // balance variance and ring kind, so the compiler driver builds it once per
 // program (Analyze) and then cuts many candidate configurations from it
-// (Partition). After Analyze returns, the Analysis is never mutated: any
-// number of Partition calls may run concurrently against one Analysis; the
-// per-candidate phase clones only the mutable flow/preflow state of the
-// network skeleton and the stage function bodies.
+// (Partition). After Analyze returns, the analysis itself is never mutated:
+// any number of Partition calls may run concurrently against one Analysis;
+// the per-candidate phase clones only the mutable flow/preflow state of the
+// network skeleton and the stage function bodies, in a workspace of its own.
+// The one thing the calls share that changes is the sync.Pool their idle
+// workspaces wait in.
 type Analysis struct {
 	arch *costmodel.Arch
 	prog *ir.Program // analyzed private clone; realized stages share its Arrays
@@ -61,6 +64,12 @@ type Analysis struct {
 	// channel kind cannot affect it: channel costs apply only to the
 	// OpSendLS/OpRecvLS instructions that realization inserts later.
 	seq PathCost
+
+	// idle holds the workspaces of finished Partition and Coarsen calls for
+	// the next ones; the GC empties it. It is allocated apart from the
+	// Analysis: sync keeps every pool it has seen in a list for two GC
+	// cycles, and an embedded one would pin the Analysis that long.
+	idle *sync.Pool
 }
 
 // Analyze runs the degree-independent analysis phase on a PPS program
@@ -81,7 +90,7 @@ func Analyze(orig *ir.Program, arch *costmodel.Arch) (*Analysis, error) {
 		return nil, err
 	}
 
-	a := &Analysis{arch: arch, prog: prog, an: an}
+	a := &Analysis{arch: arch, prog: prog, an: an, idle: &sync.Pool{New: func() any { return new(workspace) }}}
 	a.ug = an.UnitGraph()
 	a.scc = graph.SCC(a.ug)
 	nc := a.scc.NumComps()

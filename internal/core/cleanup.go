@@ -9,33 +9,37 @@ import (
 // cleanupFunc simplifies a realized stage function to a fixed point:
 // unreachable-block removal, jump threading through empty blocks, trivial
 // branch elimination, straight-line block merging, and dead pure-code
-// elimination. It operates on mutable (phi-free) IR.
-func cleanupFunc(f *ir.Func) {
+// elimination. It operates on mutable (phi-free) IR; every pass takes its
+// arrays from ws.
+func cleanupFunc(f *ir.Func, ws *workspace) {
 	for changed := true; changed; {
 		changed = false
-		ir.RemoveUnreachable(f)
-		if threadJumps(f) {
+		ws.ints = ir.RemoveUnreachable(f, ws.ints)
+		if threadJumps(f, ws) {
 			changed = true
 		}
 		if collapseTrivialBranches(f) {
 			changed = true
 		}
-		if mergeStraightLine(f) {
+		if mergeStraightLine(f, ws) {
 			changed = true
 		}
-		if removeDeadCode(f) {
+		if removeDeadCode(f, ws) {
 			changed = true
 		}
 	}
-	ir.RemoveUnreachable(f)
+	ws.ints = ir.RemoveUnreachable(f, ws.ints)
 }
 
 // threadJumps retargets edges that point at blocks containing only an
 // unconditional jump.
-func threadJumps(f *ir.Func) bool {
+func threadJumps(f *ir.Func, ws *workspace) bool {
 	// forward[b] = ultimate destination of the empty-jump chain starting
-	// at b (with cycle protection).
-	forward := make([]int, len(f.Blocks))
+	// at b (with cycle protection); visit[b] == stamp marks b as seen by
+	// the current resolve.
+	n := len(f.Blocks)
+	buf := scratch(&ws.ints, 2*n)
+	forward, visit := buf[:n], buf[n:]
 	for i := range forward {
 		forward[i] = i
 	}
@@ -50,8 +54,6 @@ func threadJumps(f *ir.Func) bool {
 			forward[b.ID] = t
 		}
 	}
-	// visit[b] == stamp marks b as seen by the current resolve.
-	visit := make([]int, len(f.Blocks))
 	stamp := 0
 	resolve := func(b int) int {
 		stamp++
@@ -109,9 +111,9 @@ func collapseTrivialBranches(f *ir.Func) bool {
 
 // mergeStraightLine merges a block into its unique successor when that
 // successor has no other predecessors.
-func mergeStraightLine(f *ir.Func) bool {
+func mergeStraightLine(f *ir.Func, ws *workspace) bool {
 	// preds[b] counts the distinct blocks branching to b; no graph is built.
-	preds := make([]int, len(f.Blocks))
+	preds := scratch(&ws.ints, len(f.Blocks))
 	for _, b := range f.Blocks {
 		succs := b.Succs()
 		for i, s := range succs {
@@ -141,8 +143,8 @@ func mergeStraightLine(f *ir.Func) bool {
 
 // removeDeadCode drops pure instructions whose destination register is
 // never read anywhere in the function.
-func removeDeadCode(f *ir.Func) bool {
-	used := make([]bool, f.NumRegs)
+func removeDeadCode(f *ir.Func, ws *workspace) bool {
+	used := scratch(&ws.bools, f.NumRegs)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, u := range in.Uses() {

@@ -20,7 +20,7 @@ func TestThreadJumpsThroughEmptyBlocks(t *testing.T) {
 	bl.SetBlock(final)
 	bl.Ret()
 
-	cleanupFunc(f)
+	cleanupFunc(f, new(workspace))
 	// Everything should collapse into a single block ending in ret.
 	if len(f.Blocks) != 1 {
 		t.Fatalf("after cleanup %d blocks remain:\n%s", len(f.Blocks), f)
@@ -39,7 +39,7 @@ func TestCollapseTrivialBranch(t *testing.T) {
 	bl.SetBlock(same)
 	bl.Ret()
 
-	cleanupFunc(f)
+	cleanupFunc(f, new(workspace))
 	for _, b := range f.Blocks {
 		if term := b.Term(); term != nil && term.Op == ir.OpBr {
 			t.Error("trivial branch survived cleanup")
@@ -56,7 +56,7 @@ func TestTrivialSwitchCollapses(t *testing.T) {
 	bl.SetBlock(tgt)
 	bl.Ret()
 
-	cleanupFunc(f)
+	cleanupFunc(f, new(workspace))
 	for _, b := range f.Blocks {
 		if term := b.Term(); term != nil && term.Op == ir.OpSwitch {
 			t.Error("trivial switch survived cleanup")
@@ -77,7 +77,7 @@ func TestCleanupKeepsEffectfulDeadResults(t *testing.T) {
 	bl := ir.NewBuilder(f)
 	_ = bl.Call("pkt_rx") // result unused but the call has effects
 	bl.Ret()
-	cleanupFunc(f)
+	cleanupFunc(f, new(workspace))
 	found := false
 	for _, in := range f.Blocks[0].Instrs {
 		if in.Op == ir.OpCall {
@@ -99,7 +99,7 @@ func TestCleanupKeepsTransmissionCode(t *testing.T) {
 	)
 	bl.SetBlock(f.Blocks[0])
 	bl.Ret()
-	cleanupFunc(f)
+	cleanupFunc(f, new(workspace))
 	ops := map[ir.Op]bool{}
 	for _, in := range f.Blocks[0].Instrs {
 		ops[in.Op] = true
@@ -117,7 +117,7 @@ func TestCleanupRemovesUnreachableRegions(t *testing.T) {
 	bl.SetBlock(dead)
 	bl.CallVoid("trace", bl.Const(1))
 	bl.Ret()
-	cleanupFunc(f)
+	cleanupFunc(f, new(workspace))
 	if len(f.Blocks) != 1 {
 		t.Errorf("unreachable block survived: %d blocks", len(f.Blocks))
 	}
@@ -146,7 +146,7 @@ func TestCleanupFixpointLadder(t *testing.T) {
 	bl.CallVoid("trace", c)
 	bl.Ret()
 
-	cleanupFunc(f)
+	cleanupFunc(f, new(workspace))
 	if len(f.Blocks) != 1 {
 		t.Errorf("ladder did not collapse: %d blocks remain\n%s", len(f.Blocks), f)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/ir"
@@ -41,70 +43,69 @@ func instrCost(in *ir.Instr, arch *costmodel.Arch, ch costmodel.ChannelKind) (in
 // path through the summarized CFG (inner loop nodes weighted by bound times
 // their total body cost).
 func FuncCost(f *ir.Func, arch *costmodel.Arch, ch costmodel.ChannelKind) PathCost {
+	return new(workspace).funcCost(f, arch, ch)
+}
+
+// nodeCost is a cost with its transmission share.
+type nodeCost struct{ total, tx int64 }
+
+// compCost is what funcCost keeps per CFG component: its own cost, its
+// loop bound and whether it is a loop, and the costliest path reaching it.
+type compCost struct {
+	own, best     nodeCost
+	bound         int64
+	loop, reached bool
+}
+
+// funcCost is FuncCost keeping its per-component records in ws.
+func (ws *workspace) funcCost(f *ir.Func, arch *costmodel.Arch, ch costmodel.ChannelKind) PathCost {
 	cfg := f.CFG()
 	scc := graph.SCC(cfg)
 	cond := graph.Condense(cfg, scc)
-
-	type nodeCost struct{ total, tx int64 }
-	costs := make([]nodeCost, cond.Len())
-	bounds := make([]int64, cond.Len())
-	isLoop := make([]bool, cond.Len())
+	cs := scratch(&ws.comps, cond.Len())
 	var static int64
 	for _, b := range f.Blocks {
-		c := scc.Comp[b.ID]
-		if len(scc.Members[c]) > 1 {
-			isLoop[c] = true
-		}
-		for _, s := range b.Succs() {
-			if s == b.ID {
-				isLoop[c] = true
-			}
-		}
-		if int64(b.LoopBound) > bounds[c] {
-			bounds[c] = int64(b.LoopBound)
-		}
+		c := &cs[scc.Comp[b.ID]]
+		c.loop = c.loop || len(scc.Members[scc.Comp[b.ID]]) > 1 || slices.Contains(b.Succs(), b.ID)
+		c.bound = max(c.bound, int64(b.LoopBound))
 		for _, in := range b.Instrs {
 			w, tx := instrCost(in, arch, ch)
-			costs[c].total += w
-			costs[c].tx += tx
+			c.own.total += w
+			c.own.tx += tx
 			static += w
 		}
 	}
-	for c := range costs {
-		if isLoop[c] {
-			bound := bounds[c]
+	const minus = int64(-1) << 60
+	for i := range cs {
+		c := &cs[i]
+		c.best.total = minus
+		if c.loop {
+			bound := c.bound
 			if bound == 0 {
 				bound = int64(arch.DefaultLoopBound)
 			}
-			costs[c].total *= bound
-			costs[c].tx *= bound
+			c.own.total *= bound
+			c.own.tx *= bound
 		}
 	}
 
 	// Longest path over the condensation DAG from the entry component.
 	order, _ := cond.Topo()
-	const minus = int64(-1) << 60
-	best := make([]nodeCost, cond.Len())
-	reached := make([]bool, cond.Len())
-	entry := scc.Comp[f.Entry]
-	for i := range best {
-		best[i] = nodeCost{total: minus}
-	}
-	best[entry] = costs[entry]
-	reached[entry] = true
+	entry := &cs[scc.Comp[f.Entry]]
+	entry.best, entry.reached = entry.own, true
 	var final nodeCost
 	for _, n := range order {
-		if !reached[n] {
+		c := &cs[n]
+		if !c.reached {
 			continue
 		}
-		if best[n].total > final.total {
-			final = best[n]
+		if c.best.total > final.total {
+			final = c.best
 		}
 		for _, s := range cond.Succs(n) {
-			cand := nodeCost{total: best[n].total + costs[s].total, tx: best[n].tx + costs[s].tx}
-			if cand.total > best[s].total {
-				best[s] = cand
-				reached[s] = true
+			cand := nodeCost{total: c.best.total + cs[s].own.total, tx: c.best.tx + cs[s].own.tx}
+			if cand.total > cs[s].best.total {
+				cs[s].best, cs[s].reached = cand, true
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/dep"
@@ -18,12 +20,34 @@ type object struct {
 
 // cutInfo describes one cut: its live set, interference, and slot packing.
 type cutInfo struct {
-	index    int // 1-based: cut index j separates stages <= j from > j
-	objects  []object
-	slotOf   map[object]int
+	index    int      // 1-based: cut index j separates stages <= j from > j
+	objects  []object // values by register, then control objects by branch unit
+	slots    []int    // slots[i] is objects[i]'s slot
 	numSlots int
 	// interferences counts interfering pairs (reported for the ablation).
 	interferences int
+}
+
+// slotOf returns the slot object o occupies at the cut, ok false when o
+// does not cross it.
+func (ci *cutInfo) slotOf(o object) (slot int, ok bool) {
+	i, ok := slices.BinarySearchFunc(ci.objects, o, compareObjects)
+	if !ok {
+		return 0, false
+	}
+	return ci.slots[i], true
+}
+
+// compareObjects orders objects as a cut lists them: values by register,
+// then control objects by branch unit.
+func compareObjects(a, b object) int {
+	if a.isCtrl != b.isCtrl {
+		if a.isCtrl {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Or(cmp.Compare(a.reg, b.reg), cmp.Compare(a.branch, b.branch))
 }
 
 // pos is an instruction position: block ID and index within the block.
@@ -129,49 +153,21 @@ func (ps *positions) reaches(p, q pos) bool {
 // constrain packing here.
 func (st *partitionState) buildCut(j int, ps *positions, prev *cutInfo) *cutInfo {
 	an := st.an
-	ci := &cutInfo{index: j, slotOf: make(map[object]int)}
+	ci := &cutInfo{index: j}
 
-	// Values crossing the cut.
-	var values []int
+	// Values crossing the cut, by register, then control objects by branch
+	// unit. Transitive dependents count for a control object, since a
+	// downstream stage navigates nested regions through the outer branch's
+	// decision.
 	for r, def := range an.DataDef {
-		if def < 0 || st.stageOf[def] > j {
-			continue
-		}
-		crosses := false
-		for _, use := range an.DataUses[r] {
-			if st.stageOf[use] > j {
-				crosses = true
-			}
-		}
-		if crosses {
-			values = append(values, r)
+		if def >= 0 && st.stageOf[def] <= j && slices.ContainsFunc(an.DataUses[r], func(use int) bool { return st.stageOf[use] > j }) {
+			ci.objects = append(ci.objects, object{reg: r})
 		}
 	}
-	sort.Ints(values)
-	for _, r := range values {
-		ci.objects = append(ci.objects, object{reg: r})
-	}
-
-	// Control objects crossing the cut: transitive dependents count, since
-	// a downstream stage navigates nested regions through the outer
-	// branch's decision.
-	var branches []int
 	for b := range an.Ctrl {
-		if st.stageOf[b] > j {
-			continue
+		if st.stageOf[b] <= j && slices.ContainsFunc(st.ctrlClosure(b), func(d int) bool { return st.stageOf[d] > j }) {
+			ci.objects = append(ci.objects, object{isCtrl: true, branch: b})
 		}
-		crosses := false
-		for _, d := range st.ctrlClosure(b) {
-			if st.stageOf[d] > j {
-				crosses = true
-			}
-		}
-		if crosses {
-			branches = append(branches, b)
-		}
-	}
-	for _, b := range branches {
-		ci.objects = append(ci.objects, object{isCtrl: true, branch: b})
 	}
 
 	st.packCut(ci, ps, prev)
@@ -297,7 +293,9 @@ func interferes(u, v reach, ps *positions, prev *cutInfo) bool {
 		if prev == nil {
 			return true // defensive: should not happen
 		}
-		return prev.slotOf[u.o] != prev.slotOf[v.o]
+		su, _ := prev.slotOf(u.o)
+		sv, _ := prev.slotOf(v.o)
+		return su != sv
 	}
 	if u.relayed {
 		return clobbersRelayed(u, v, ps)
@@ -382,12 +380,15 @@ func naiveInterferes(u, v reach, ps *positions) bool {
 // packCut colors the interference graph, assigning each object a slot.
 func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 	n := len(ci.objects)
-	adj := make([]bool, n*n) // adj[i*n+k]: objects i and k interfere
-	rs := make([]reach, n)
-	// Every object's definition and use points share one buffer, handed
-	// from cut to cut; a reach keeps capacity-limited windows of it, which
-	// stay valid when it grows, and is dead when this cut is packed.
-	buf := st.posBuf[:0]
+	ints, marks := scratch(&st.ws.ints, 3*n), scratch(&st.ws.bools, n*n+n+1)
+	degree, order, color := ints[:n], ints[n:2*n], ints[2*n:]
+	adj, used := marks[:n*n], marks[n*n:] // adj[i*n+k]: objects i and k interfere; a neighbour's color is below n
+	rs := scratch(&st.ws.reach, n)
+	// Every object's definition and use points share the workspace's
+	// buffer, handed from cut to cut; a reach keeps capacity-limited windows
+	// of it, which stay valid when it grows, and is dead when this cut is
+	// packed.
+	buf := st.ws.pos[:0]
 	for i, o := range ci.objects {
 		d0 := len(buf)
 		buf = st.defPositions(buf, o, ps)
@@ -395,8 +396,7 @@ func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 		buf = st.usePositions(buf, o, ci.index, ps)
 		rs[i] = reach{o: o, relayed: st.defStage(o) < ci.index, defs: buf[d0:u0:u0], uses: buf[u0:len(buf):len(buf)]}
 	}
-	st.posBuf = buf
-	degree := make([]int, n)
+	st.ws.pos = buf
 	for i := 0; i < n; i++ {
 		for k := i + 1; k < n; k++ {
 			u, v := rs[i], rs[k]
@@ -428,17 +428,10 @@ func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 	}
 
 	// Greedy coloring, highest degree first.
-	order := make([]int, n)
 	for i := range order {
-		order[i] = i
+		order[i], color[i] = i, -1
 	}
-	sort.SliceStable(order, func(a, b int) bool { return degree[order[a]] > degree[order[b]] })
-
-	color := make([]int, n)
-	for i := range color {
-		color[i] = -1
-	}
-	used := make([]bool, n+1) // a neighbour's color is below n
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(degree[b], degree[a]) })
 	for _, i := range order {
 		clear(used)
 		for k := 0; k < n; k++ {
@@ -455,7 +448,5 @@ func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 			ci.numSlots = c + 1
 		}
 	}
-	for i, o := range ci.objects {
-		ci.slotOf[o] = color[i]
-	}
+	ci.slots = slices.Clone(color)
 }

@@ -20,11 +20,12 @@ func preparePS(t *testing.T, src string, stages int) (*partitionState, *position
 	if err != nil {
 		t.Fatal(err)
 	}
-	stageOf, _, err := a.assignStages(opts)
+	ws := new(workspace)
+	stageOf, _, err := a.assignStages(opts, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf}
+	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws}
 	return st, a.ps
 }
 

@@ -105,8 +105,35 @@ type partitionState struct {
 	stageOf []int
 	// cutInfos[j] describes cut j+1 (between stage j+1 and j+2).
 	cuts []*cutInfo
-	// posBuf is packCut's position buffer, reused from cut to cut.
-	posBuf []pos
+	ws   *workspace
+}
+
+// workspace is the scratch one Partition or Coarsen call reuses from cut to
+// cut and from stage to stage: the network each cut search refills, the
+// search's marks, packCut's positions and interference graph, and the
+// arrays of the pin lists, the cleanup passes and stage costing. A call
+// takes one from its Analysis's pool and puts it back when it returns, so
+// concurrent calls never share one, and nothing a call returns points into
+// it. Every use overwrites what it reads: no content carries from one call,
+// cut or stage to the next.
+type workspace struct {
+	nw     *maxflow.Network
+	search []int64
+	pos    []pos
+	reach  []reach
+	comps  []compCost
+	ints   []int
+	bools  []bool
+}
+
+// scratch returns (*buf)[:n] zeroed, first replacing *buf if it is shorter.
+func scratch[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	s := (*buf)[:n]
+	clear(s)
+	return s
 }
 
 // ctrlClosure returns the transitive control dependents of branch unit u:
@@ -119,21 +146,16 @@ func (st *partitionState) ctrlClosure(u int) []int {
 }
 
 // netModel is the flow-network model of one program. The skeleton is built
-// once per analysis; each cut search clones it (sharing the immutable
-// topology, duplicating the mutable preflow state) so that per-cut seeding
-// never conflicts with earlier contractions.
+// once per analysis; each cut search refills a clone of it (sharing the
+// immutable topology, copying the mutable preflow state) so that per-cut
+// seeding never conflicts with earlier contractions. The weights are only
+// read.
 type netModel struct {
 	nw       *maxflow.Network
 	weight   []int64
 	nc       int
 	nNodes   int
 	compNode func(c int) int
-}
-
-// clone returns a netModel over a fresh mutable copy of the network. The
-// weight slice is shared: the cut search only reads it.
-func (m *netModel) clone() *netModel {
-	return &netModel{nw: m.nw.Clone(), weight: m.weight, nc: m.nc, nNodes: m.nNodes, compNode: m.compNode}
 }
 
 // buildNetwork constructs the flow network of paper step 1.6 over the
@@ -347,11 +369,11 @@ func (h *compHeap) Pop() any {
 // assignStages runs the D-1 successive balanced min cuts (paper sections
 // 3.2-3.3) over the precomputed dependence structure, returning the
 // per-unit stage assignment. Each cut is found on a clone of the analysis's
-// flow-network skeleton seeded with the previously assigned stages
-// (collapsed into the source), a topological prefix of the remaining
-// components (source side) and a topological suffix (sink side); the
-// balanced min-cut heuristic then refines the boundary.
-func (a *Analysis) assignStages(opts Options) ([]int, []*balance.Result, error) {
+// flow-network skeleton — ws's network, refilled — seeded with the
+// previously assigned stages (collapsed into the source), a topological
+// prefix of the remaining components (source side) and a topological suffix
+// (sink side); the balanced min-cut heuristic then refines the boundary.
+func (a *Analysis) assignStages(opts Options, ws *workspace) ([]int, []*balance.Result, error) {
 	units := a.an.Units
 	scc := a.scc
 	nc := scc.NumComps()
@@ -367,9 +389,11 @@ func (a *Analysis) assignStages(opts Options) ([]int, []*balance.Result, error) 
 	assigned := make([]bool, nc)
 	results := make([]*balance.Result, 0, D-1)
 	var collapsedW int64
-	// Pin lists, reused from cut to cut.
-	var srcPins, snkPins []int
-	pinnedSrc := make([]bool, nc)
+	// Pin lists, at most nc a side, reused from cut to cut.
+	pins := scratch(&ws.ints, 2*nc)
+	srcPins, snkPins := pins[:0:nc], pins[nc:nc]
+	pinnedSrc := scratch(&ws.bools, nc)
+	net, search := a.net, scratch(&ws.search, 2*a.net.nNodes)
 
 	for i := 1; i < D; i++ {
 		remaining := totalWeight - collapsedW
@@ -377,7 +401,7 @@ func (a *Analysis) assignStages(opts Options) ([]int, []*balance.Result, error) 
 		tol := int64(opts.Epsilon * float64(slice))
 		lo, hi := collapsedW+slice-tol, collapsedW+slice+tol
 
-		m := a.net.clone()
+		ws.nw = net.nw.CloneInto(ws.nw)
 
 		// Pin previously assigned components plus a topological prefix of
 		// the remainder into the source, and a topological suffix into the
@@ -387,7 +411,7 @@ func (a *Analysis) assignStages(opts Options) ([]int, []*balance.Result, error) 
 		clear(pinnedSrc)
 		for c := 0; c < nc; c++ {
 			if assigned[c] {
-				srcPins = append(srcPins, m.compNode(c))
+				srcPins = append(srcPins, net.compNode(c))
 				pinnedSrc[c] = true
 				pinnedW += compWeight[c]
 			}
@@ -400,7 +424,7 @@ func (a *Analysis) assignStages(opts Options) ([]int, []*balance.Result, error) 
 				break
 			}
 			if !pinnedSrc[c] {
-				srcPins = append(srcPins, m.compNode(c))
+				srcPins = append(srcPins, net.compNode(c))
 				pinnedSrc[c] = true
 				pinnedW += compWeight[c]
 			}
@@ -414,13 +438,13 @@ func (a *Analysis) assignStages(opts Options) ([]int, []*balance.Result, error) 
 			if pinnedSrc[c] {
 				break // seeds met in the middle; leave the rest free
 			}
-			snkPins = append(snkPins, m.compNode(c))
+			snkPins = append(snkPins, net.compNode(c))
 			sinkW += compWeight[c]
 		}
-		m.nw.CollapseIntoSource(srcPins)
-		m.nw.CollapseIntoSink(snkPins)
+		ws.nw.CollapseIntoSource(srcPins)
+		ws.nw.CollapseIntoSink(snkPins)
 
-		res := balance.MinCut(m.nw, m.weight, lo, hi, collapsedW)
+		res := balance.MinCut(ws.nw, net.weight, lo, hi, collapsedW, search)
 		if res.Cost >= maxflow.Inf/2 {
 			return nil, nil, fmt.Errorf("cut %d: %w at degree %d (cost %d)", i, errs.ErrUnbalanced, D, res.Cost)
 		}
@@ -430,7 +454,7 @@ func (a *Analysis) assignStages(opts Options) ([]int, []*balance.Result, error) 
 			if assigned[c] {
 				continue
 			}
-			if res.SourceSide[m.compNode(c)] {
+			if res.SourceSide[net.compNode(c)] {
 				stageOfComp[c] = i
 				assigned[c] = true
 				collapsedW += compWeight[c]

@@ -52,9 +52,12 @@ type Result struct {
 	Stages []*ir.Program
 	Report *Report
 
-	// cut is the D-way stage assignment the programs were realized from,
-	// kept so Coarsen can realize the same assignment with fewer cuts.
-	cut *partitionState
+	// The D-way stage assignment the programs were realized from, kept so
+	// Coarsen can realize the same assignment with fewer cuts: no cut's live
+	// set and no scratch of the call that made it.
+	a       *Analysis
+	opts    Options
+	stageOf []int
 }
 
 // Partition applies the automatic pipelining transformation to a PPS
@@ -90,14 +93,16 @@ func (a *Analysis) Partition(options Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	stageOf, balanceResults, err := a.assignStages(opts)
+	ws := a.idle.Get().(*workspace)
+	defer a.idle.Put(ws)
+	stageOf, balanceResults, err := a.assignStages(opts, ws)
 	if err != nil {
 		return nil, err
 	}
 
-	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf}
+	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws}
 	rep := &Report{Seq: a.seq}
-	res := &Result{Report: rep, cut: st}
+	res := &Result{Report: rep, a: a, opts: opts, stageOf: stageOf}
 	if res.Stages, rep.Stages, err = st.realize(); err != nil {
 		return nil, err
 	}
@@ -170,7 +175,7 @@ func (st *partitionState) realize() ([]*ir.Program, []StageReport, error) {
 		}
 		reports = append(reports, StageReport{
 			Stage:  k,
-			Cost:   FuncCost(sf, opts.Arch, opts.Channel),
+			Cost:   st.ws.funcCost(sf, opts.Arch, opts.Channel),
 			Blocks: len(sf.Blocks),
 			Instrs: nInstr,
 		})
@@ -200,20 +205,21 @@ type Unit struct {
 // runtime) with the trace of the unpartitioned program. Coarsen mutates
 // neither the Result nor its Analysis and may be called concurrently.
 func (r *Result) Coarsen(keep []bool) ([]Unit, error) {
-	fine := r.cut
 	// unitOf[s] is the 1-based unit of cut stage s.
-	unitOf := make([]int, fine.opts.Stages+1)
+	unitOf := make([]int, r.opts.Stages+1)
 	var units []Unit
-	for s := 1; s <= fine.opts.Stages; s++ {
+	for s := 1; s <= r.opts.Stages; s++ {
 		if s == 1 || s-2 >= len(keep) || keep[s-2] {
 			units = append(units, Unit{First: s})
 		}
 		units[len(units)-1].Last = s
 		unitOf[s] = len(units)
 	}
-	st := &partitionState{opts: fine.opts, a: fine.a, an: fine.an, stageOf: make([]int, len(fine.stageOf))}
+	ws := r.a.idle.Get().(*workspace)
+	defer r.a.idle.Put(ws)
+	st := &partitionState{opts: r.opts, a: r.a, an: r.a.an, stageOf: make([]int, len(r.stageOf)), ws: ws}
 	st.opts.Stages = len(units)
-	for u, s := range fine.stageOf {
+	for u, s := range r.stageOf {
 		st.stageOf[u] = unitOf[s]
 	}
 	progs, reports, err := st.realize()

@@ -54,7 +54,7 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 		if recvCut == nil {
 			return 0, fmt.Errorf("stage %d: object %+v has no incoming cut", k, o)
 		}
-		s, ok := recvCut.slotOf[o]
+		s, ok := recvCut.slotOf(o)
 		if !ok {
 			return 0, fmt.Errorf("stage %d: object %+v missing from cut %d live set", k, o, recvCut.index)
 		}
@@ -174,7 +174,7 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 
 	// 6. Lower remaining phis and clean up.
 	ssa.Destruct(f)
-	cleanupFunc(f)
+	cleanupFunc(f, st.ws)
 	if err := f.Verify(ir.VerifyMutable); err != nil {
 		return nil, fmt.Errorf("stage %d: invalid realization: %w\n%s", k, err, f)
 	}
@@ -312,9 +312,8 @@ func (st *partitionState) nodeEntryBlock(node int) (int, error) {
 func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, sendRegs []int, recvCut *cutInfo, recvRegs []int) error {
 	an := st.an
 	var relays []*ir.Instr
-	for _, o := range cut.objects {
-		slot := cut.slotOf[o]
-		dst := sendRegs[slot]
+	for i, o := range cut.objects {
+		dst := sendRegs[cut.slots[i]]
 		if o.isCtrl {
 			if st.stageOf[o.branch] == k {
 				for i, tgt := range st.ctrlTargets(o.branch) {
@@ -356,7 +355,7 @@ func slotIn(recvCut *cutInfo, recvRegs []int, o object) (int, error) {
 	if recvCut == nil {
 		return 0, fmt.Errorf("relayed object %+v with no incoming cut", o)
 	}
-	s, ok := recvCut.slotOf[o]
+	s, ok := recvCut.slotOf(o)
 	if !ok {
 		return 0, fmt.Errorf("relayed object %+v missing from incoming live set", o)
 	}

@@ -74,7 +74,6 @@ type Network struct {
 	nSnk      int
 	saturated int
 	live      int // number of representative nodes
-	height    []int
 	excess    []int64
 
 	// infEdges counts edges with capacity >= Inf; AddEdge guards it
@@ -85,14 +84,17 @@ type Network struct {
 	// edges to it would corrupt the shared adjacency.
 	frozen bool
 
-	// Scratch, dead between calls: MaxFlow's FIFO of active nodes (first
-	// the global relabel's search order), its queued marks and its nodes
-	// per label; SourceSide's residual walk.
-	queue []int
-	inQ   []bool
-	count []int
-	reach []bool
-	stack []int
+	// Scratch, dead between calls: MaxFlow's labels (the global relabel
+	// sets every one), its FIFO of active nodes (first the global relabel's
+	// search order), its queued marks (all false once it returns) and its
+	// nodes per label; SourceSide's residual walk. CloneInto leaves these as
+	// they were.
+	height []int
+	queue  []int
+	inQ    []bool
+	count  []int
+	reach  []bool
+	stack  []int
 }
 
 // alloc returns a network of n nodes with its per-clone state and scratch
@@ -176,11 +178,24 @@ func (nw *Network) index() {
 // Freeze it, Clone it per cut, contract and run the clone. Clone writes to
 // nw only if it was not frozen yet — concurrent Clone calls are race-free
 // provided the network was frozen (or cloned once) beforehand.
-func (nw *Network) Clone() *Network {
+func (nw *Network) Clone() *Network { return nw.CloneInto(nil) }
+
+// CloneInto is Clone into dst's storage: when dst (an earlier clone its
+// owner is done with, say) has nw's node and edge counts, its state slabs
+// are refilled from nw in place and dst is returned, so a search making
+// many cuts of one skeleton allocates its network once. Otherwise — dst nil
+// or of another size — it allocates, exactly as Clone. The result is the
+// network Clone would return either way; only scratch that is dead between
+// calls keeps dst's old contents.
+func (nw *Network) CloneInto(dst *Network) *Network {
 	if !nw.frozen {
 		nw.Freeze()
 	}
-	cl := alloc(nw.n, len(nw.head), nw.Source, nw.Sink)
+	cl := dst
+	if cl == nil || cl.n != nw.n || len(cl.flow) != len(nw.head) {
+		cl = alloc(nw.n, len(nw.head), nw.Source, nw.Sink)
+	}
+	cl.Source, cl.Sink = nw.Source, nw.Sink
 	cl.head, cl.cap, cl.adjStart, cl.adj, cl.ident = nw.head, nw.cap, nw.adjStart, nw.adj, nw.ident
 	copy(cl.flow, nw.flow)
 	copy(cl.excess, nw.excess)

@@ -3,6 +3,7 @@ package maxflow
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -396,8 +397,9 @@ func ekMinCut(n int, edges [][3]int64, group []int) (int64, []bool) {
 // sequences, every MaxFlow must return the reference's value AND the
 // reference's source side (the canonical cut, so it cannot depend on the
 // schedule); both must be unchanged when the edges are inserted in a
-// shuffled order; and a warm restart must equal a fresh run on the same
-// contraction.
+// shuffled order; a warm restart must equal a fresh run on the same
+// contraction; and so must a clone refilled by CloneInto over a network an
+// earlier contraction and MaxFlow left dirty, in the same storage.
 func TestRandomContractionAgainstEdmondsKarp(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	build := func(n int, edges [][3]int64) *Network {
@@ -461,6 +463,15 @@ func TestRandomContractionAgainstEdmondsKarp(t *testing.T) {
 		}
 
 		warm, warmShuffled := build(n, edges), build(n, shuffled)
+		// The skeleton every refill copies, and the network refilled: first
+		// dirtied by a contraction of its own and a MaxFlow.
+		skeleton := build(n, shuffled)
+		dirty := skeleton.Clone()
+		dirty.CollapseIntoSink([]int{trial % n})
+		dirty.MaxFlow()
+		if other := New(n+1, 0, n); skeleton.CloneInto(other) == other {
+			t.Fatalf("trial %d: CloneInto refilled a network of another size", trial)
+		}
 		for {
 			wantValue, wantSide := ekMinCut(n, edges, group)
 			check("warm", warm, wantValue, wantSide)
@@ -471,6 +482,19 @@ func TestRandomContractionAgainstEdmondsKarp(t *testing.T) {
 			}
 			check("fresh", fresh, wantValue, wantSide)
 			check("clone of warm", warm.Clone(), wantValue, wantSide)
+			fresh = skeleton.Clone()
+			if refilled := skeleton.CloneInto(dirty); refilled != dirty {
+				t.Fatalf("trial %d: CloneInto allocated a network for a same-size destination", trial)
+			}
+			for _, s := range steps {
+				apply(fresh, s)
+				apply(dirty, s)
+			}
+			check("fresh clone", fresh, wantValue, wantSide)
+			check("refilled clone", dirty, wantValue, wantSide)
+			if fresh.excess[fresh.Sink] != dirty.excess[dirty.Sink] || !slices.Equal(fresh.SourceSide(), dirty.SourceSide()) {
+				t.Fatalf("trial %d after %d collapses: the refilled clone differs from a fresh one", trial, len(steps))
+			}
 
 			// Next collapse: one to three free nodes (repeats and already
 			// contracted nodes included, as the balanced-cut search passes

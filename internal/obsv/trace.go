@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -76,16 +77,40 @@ type Span struct {
 // a 4-stage pipeline.
 const defaultTracerCap = 1 << 16
 
+// Span logs: one per stage number (a span whose Stage lies outside
+// 1..maxLogs-1 goes to log 0), stored in chunks of 64 spans, then 128, 256,
+// 512 and from then on maxChunk.
+const (
+	maxLogs    = 65 // stages 1..64, the deepest cut the partitioner makes
+	firstChunk = 64
+	maxChunk   = firstChunk << 4
+)
+
 // Tracer accumulates spans from the stage goroutines. All methods are
-// safe on a nil receiver (the disabled path) and safe for concurrent use;
-// recording is a mutex-guarded append, so enable tracing for diagnosis
-// runs, not for peak-throughput measurement.
+// safe on a nil receiver (the disabled path) and safe for concurrent use.
+// Each stage records into a log of its own, a list of chunks under the
+// log's own lock, so stages never contend on one lock (replicas of a
+// sharded stage share their stage's log) and a recorded span is never
+// copied until Spans merges the logs. A log reserves room under the cap
+// ahead of its spans, up to maxChunk at a time; when the cap runs out, the
+// room other logs reserved and did not use is taken back before a span is
+// dropped.
 type Tracer struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // guards origin and kept
 	origin  time.Time
-	spans   []Span
-	max     int
-	dropped int64
+	kept    int64 // room the logs have reserved, at most max
+	max     int64
+	logs    [maxLogs]spanLog
+	full    atomic.Bool // the cap ran out with no log holding unused room
+	dropped atomic.Int64
+}
+
+// spanLog is one stage's spans: full chunks, then the one being filled,
+// and the room under the cap it has reserved and not yet used.
+type spanLog struct {
+	mu     sync.Mutex
+	room   int64
+	chunks [][]Span
 }
 
 // NewTracer returns a tracer retaining at most max spans (<= 0 selects
@@ -95,7 +120,7 @@ func NewTracer(max int) *Tracer {
 	if max <= 0 {
 		max = defaultTracerCap
 	}
-	return &Tracer{max: max}
+	return &Tracer{max: int64(max)}
 }
 
 // Reset clears recorded spans and stamps the trace origin; the runtime
@@ -104,11 +129,17 @@ func (t *Tracer) Reset(origin time.Time) {
 	if t == nil {
 		return
 	}
+	for i := range t.logs {
+		l := &t.logs[i]
+		l.mu.Lock()
+		l.chunks, l.room = nil, 0
+		l.mu.Unlock()
+	}
 	t.mu.Lock()
-	t.origin = origin
-	t.spans = t.spans[:0]
-	t.dropped = 0
+	t.origin, t.kept = origin, 0
 	t.mu.Unlock()
+	t.full.Store(false)
+	t.dropped.Store(0)
 }
 
 // Origin returns the trace origin set by Reset.
@@ -121,18 +152,62 @@ func (t *Tracer) Origin() time.Time {
 	return t.origin
 }
 
-// Record appends one span; past the capacity it only counts the drop.
+// Record appends one span to its stage's log; past the capacity it only
+// counts the drop.
 func (t *Tracer) Record(s Span) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	if len(t.spans) < t.max {
-		t.spans = append(t.spans, s)
-	} else {
-		t.dropped++
+	l := &t.logs[0]
+	if s.Stage > 0 && s.Stage < maxLogs {
+		l = &t.logs[s.Stage]
 	}
-	t.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.room == 0 && !t.full.Load() {
+		if l.room = t.reserve(maxChunk); l.room == 0 {
+			l.mu.Unlock()
+			t.reclaim()
+			l.mu.Lock()
+			if l.room == 0 {
+				l.room = t.reserve(1)
+			}
+			t.full.Store(l.room == 0)
+		}
+	}
+	if l.room == 0 {
+		t.dropped.Add(1)
+		return
+	}
+	l.room--
+	n := len(l.chunks)
+	if n == 0 || len(l.chunks[n-1]) == cap(l.chunks[n-1]) {
+		l.chunks, n = append(l.chunks, make([]Span, 0, firstChunk<<min(n, 4))), n+1
+	}
+	l.chunks[n-1] = append(l.chunks[n-1], s)
+}
+
+// reserve takes up to want spans' room from the cap and returns how much it
+// got.
+func (t *Tracer) reserve(want int64) int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := max(min(want, t.max-t.kept), 0)
+	t.kept += n
+	return n
+}
+
+// reclaim returns to the cap the room every log reserved and did not use.
+func (t *Tracer) reclaim() {
+	for i := range t.logs {
+		l := &t.logs[i]
+		l.mu.Lock()
+		t.mu.Lock()
+		t.kept -= l.room
+		t.mu.Unlock()
+		l.room = 0
+		l.mu.Unlock()
+	}
 }
 
 // Dropped reports how many spans the capacity bound discarded.
@@ -140,22 +215,26 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	return t.dropped.Load()
 }
 
 // Spans returns a copy of the recorded spans in deterministic order:
-// by start offset, then stage, then phase. (The raw append order is a
-// goroutine interleaving and not reproducible; the sort is.)
+// by start offset, then stage, then phase. (The raw order is a goroutine
+// interleaving and not reproducible; the sort is.) It may be called while
+// spans are being recorded.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	t.mu.Unlock()
+	out := []Span{}
+	for i := range t.logs {
+		l := &t.logs[i]
+		l.mu.Lock()
+		for _, c := range l.chunks {
+			out = append(out, c...)
+		}
+		l.mu.Unlock()
+	}
 	sortSpans(out)
 	return out
 }
@@ -273,8 +352,9 @@ func ReadChromeTrace(r io.Reader) ([]Span, error) {
 // Timeline renders spans as a compact per-stage text timeline, width
 // columns wide: each row is one stage, each cell the dominant phase in
 // that time bucket — '#' executing, 'w' ring-wait, 't' transmit blocked,
-// '.' idle. It reads well in a terminal where a trace viewer is not at
-// hand; the worked example in DESIGN.md §6.7 interprets one.
+// '.' idle. Spans of no known phase, stage or duration are skipped. It
+// reads well in a terminal where a trace viewer is not at hand; the worked
+// example in DESIGN.md §6.7 interprets one.
 func Timeline(spans []Span, width int) string {
 	if width <= 0 {
 		width = 72
@@ -306,7 +386,7 @@ func Timeline(spans []Span, width int) string {
 		bucket = 1
 	}
 	for _, s := range spans {
-		if s.Stage < 1 || s.Stage > maxStage || s.Dur < 0 {
+		if s.Stage < 1 || s.Stage > maxStage || s.Dur < 0 || s.Phase > PhaseTx {
 			continue
 		}
 		for t := s.Start; t < s.Start+s.Dur; {
@@ -348,10 +428,14 @@ func Timeline(spans []Span, width int) string {
 }
 
 // PhaseTotals sums span durations per (stage, phase) — the aggregate the
-// profile experiment and the periodic log lines report.
+// profile experiment and the periodic log lines report. Spans of no known
+// phase are skipped.
 func PhaseTotals(spans []Span) map[int][3]time.Duration {
 	totals := make(map[int][3]time.Duration)
 	for _, s := range spans {
+		if s.Phase > PhaseTx {
+			continue
+		}
 		t := totals[s.Stage]
 		t[s.Phase] += s.Dur
 		totals[s.Stage] = t

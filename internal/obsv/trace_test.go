@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden trace fixture")
@@ -112,6 +114,40 @@ func TestTracerCapAndReset(t *testing.T) {
 	}
 }
 
+// TestTracerRecordAllocation: recording N spans allocates about what it
+// keeps. A single growing slice would re-copy itself at every growth step
+// (several times N spans in all); the per-stage chunk logs copy nothing and
+// waste at most one partly filled chunk per stage.
+func TestTracerRecordAllocation(t *testing.T) {
+	const n = 100_000
+	tr := NewTracer(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		tr.Record(Span{Stage: 1 + i%4, Iter: int64(i), N: 32, Phase: Phase(i % 3)})
+	}
+	runtime.ReadMemStats(&after)
+	limit := 1.1 * n * float64(unsafe.Sizeof(Span{}))
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got > limit {
+		t.Errorf("recording %d spans allocated %.0f bytes, over the %.0f-byte budget", n, got, limit)
+	}
+	if got := len(tr.Spans()); got != n || tr.Dropped() != 0 {
+		t.Errorf("retained %d spans and dropped %d, want %d and 0", got, tr.Dropped(), n)
+	}
+}
+
+// TestTracerCapAcrossStages: the cap bounds the spans of all stages
+// together, and every span past it is counted.
+func TestTracerCapAcrossStages(t *testing.T) {
+	tr := NewTracer(100)
+	for i := 0; i < 1000; i++ {
+		tr.Record(Span{Stage: i % 7, Iter: int64(i)}) // stage 0: out of range, shares log 0
+	}
+	if got := len(tr.Spans()); got > 100 || int64(got)+tr.Dropped() != 1000 {
+		t.Errorf("retained %d spans and dropped %d of 1000 under a cap of 100", got, tr.Dropped())
+	}
+}
+
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	tr.Record(Span{Stage: 1})
@@ -141,6 +177,20 @@ func TestTimeline(t *testing.T) {
 	}
 	if got := Timeline(nil, 40); got != "(no spans)\n" {
 		t.Errorf("empty timeline = %q", got)
+	}
+}
+
+// TestUnknownPhaseSkipped: Span is exported, so a hand-built span may carry
+// a phase the exporters do not know; Timeline and PhaseTotals skip it
+// instead of indexing past their per-phase arrays.
+func TestUnknownPhaseSkipped(t *testing.T) {
+	// Within the fixture's 19 ms, so only its phase can change the output.
+	spans := append(fixtureSpans(), Span{Stage: 1, Phase: 7, Start: 0, Dur: 19 * time.Millisecond})
+	if got, want := Timeline(spans, 19), Timeline(fixtureSpans(), 19); got != want {
+		t.Errorf("timeline with an unknown-phase span:\n%s\nwithout:\n%s", got, want)
+	}
+	if got, want := PhaseTotals(spans), PhaseTotals(fixtureSpans()); !reflect.DeepEqual(got, want) {
+		t.Errorf("phase totals with an unknown-phase span = %v, want %v", got, want)
 	}
 }
 

@@ -119,6 +119,82 @@ func TestSnapshotMidServe(t *testing.T) {
 	}
 }
 
+// TestTracerSpansMidServe reads the tracer from other goroutines while a
+// sharded serve records into it — the replicas of a stage share their
+// stage's span log. Under -race this is the proof that Spans is safe
+// mid-serve; the functional half is that a read never loses a span an
+// earlier read saw, and the final read covers every iteration once per
+// stage.
+func TestTracerSpansMidServe(t *testing.T) {
+	_, stages := partitionIPv4(t, 3)
+	traffic := ipv4Traffic(64)
+	const total = 3000
+	var n atomic.Int64
+	src := runtime.SourceFunc(func() ([]byte, bool) {
+		i := n.Add(1)
+		if i > total {
+			return nil, false
+		}
+		if i%256 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		return traffic[int(i)%len(traffic)], true
+	})
+	tr := obsv.NewTracer(0)
+	cfg := runtime.DefaultConfig()
+	cfg.Batch = 4
+	cfg.Shards = 2
+	cfg.Obs = &obsv.Observer{Tracer: tr}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := 0
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got := len(tr.Spans())
+				if got < last {
+					t.Errorf("a mid-serve read holds %d spans, an earlier one %d", got, last)
+					return
+				}
+				last = got
+				reads.Add(1)
+			}
+		}()
+	}
+	m, err := runtime.Serve(context.Background(), stages, netbench.NewWorld(nil), src, cfg)
+	close(stop)
+	readers.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Packets != total || reads.Load() == 0 {
+		t.Fatalf("served %d packets with %d mid-serve reads, want %d and some", m.Packets, reads.Load(), total)
+	}
+	execIters := map[int]int64{}
+	for _, s := range tr.Spans() {
+		if s.Phase == obsv.PhaseExec {
+			execIters[s.Stage] += int64(s.N)
+		}
+	}
+	for stage := 1; stage <= 3; stage++ {
+		if execIters[stage] != total {
+			t.Errorf("stage %d exec spans cover %d iterations, want %d", stage, execIters[stage], total)
+		}
+	}
+	if tr.Dropped() != 0 {
+		t.Errorf("%d spans dropped under the default cap", tr.Dropped())
+	}
+}
+
 // TestServeTracing checks the span stream's structural invariants on a
 // deterministic run: spans only from real stages, exec and wait spans
 // covering every delivered iteration exactly once per stage (the head's

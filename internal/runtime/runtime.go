@@ -555,15 +555,10 @@ func (e *engine) recycleBatch(b []*token) {
 	e.putBatch(b)
 }
 
-// span records one phase interval when tracing is enabled.
+// span records one phase interval into the stage's span log when tracing
+// is enabled (a nil tracer drops it).
 func (e *engine) span(stage int, iter int64, n int, phase obsv.Phase, start time.Time, dur time.Duration) {
-	if e.tr == nil {
-		return
-	}
-	e.tr.Record(obsv.Span{
-		Stage: stage, Iter: iter, N: n, Phase: phase,
-		Start: start.Sub(e.live.start), Dur: dur,
-	})
+	e.tr.Record(obsv.Span{Stage: stage, Iter: iter, N: n, Phase: phase, Start: start.Sub(e.live.start), Dur: dur})
 }
 
 // admit runs what precedes one iteration's body at lc's stage under a fault

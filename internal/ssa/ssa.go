@@ -14,7 +14,7 @@ import (
 // Build converts f (mutable form) into pruned SSA form in place.
 // Unreachable blocks are removed first.
 func Build(f *ir.Func) {
-	ir.RemoveUnreachable(f)
+	ir.RemoveUnreachable(f, nil)
 	cfg := f.CFG()
 	dom := graph.Dominators(cfg, f.Entry)
 	df := dom.Frontier(cfg)

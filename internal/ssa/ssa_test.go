@@ -219,10 +219,10 @@ func TestBuildIdempotentOnStraightLine(t *testing.T) {
 
 func TestRemoveUnreachableKeepsSemantics(t *testing.T) {
 	src := `pps P { loop { continue; trace(99); } }`
-	tracesMatch(t, src, func(f *ir.Func) { ir.RemoveUnreachable(f) }, nil, 2)
+	tracesMatch(t, src, func(f *ir.Func) { ir.RemoveUnreachable(f, nil) }, nil, 2)
 	prog, _ := ppc.Compile(src)
 	n := len(prog.Func.Blocks)
-	ir.RemoveUnreachable(prog.Func)
+	ir.RemoveUnreachable(prog.Func, nil)
 	if len(prog.Func.Blocks) >= n {
 		t.Error("RemoveUnreachable did not drop the dead block")
 	}
