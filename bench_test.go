@@ -8,6 +8,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -294,6 +295,64 @@ func BenchmarkPartitionSweep(b *testing.B) {
 		b.Run(name, sweep(analyses[i:i+1]))
 	}
 	b.Run("all", sweep(analyses))
+}
+
+// BenchmarkVerifySweep measures the check benchmark/'s cut-sweep workload
+// times for its pkt_per_s: every cut of the six PPS at D=1..10 (made once,
+// outside the timer) run on interp.RunPipeline over 64 packets and compared
+// with the unpartitioned program's trace. One op is the sixty checks of one
+// sweep; ns/pkt and B/pkt are per packet checked.
+func BenchmarkVerifySweep(b *testing.B) {
+	const packets = 64
+	type check struct {
+		stages []*ir.Program
+		pkts   [][]byte
+		want   []interp.Event
+	}
+	var checks []check
+	for _, name := range sweepPPS {
+		p, _ := netbench.ByName(name)
+		prog, err := p.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := core.Analyze(prog, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pkts := p.Traffic(packets)
+		want, err := interp.RunSequential(prog.Clone(), netbench.NewWorld(pkts), packets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range experiments.Degrees {
+			res, err := a.Partition(core.Options{Stages: d})
+			if err != nil {
+				b.Fatal(err)
+			}
+			checks = append(checks, check{res.Stages, pkts, want})
+		}
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for range b.N {
+		for _, c := range checks {
+			got, err := interp.RunPipeline(c.stages, netbench.NewWorld(c.pkts), packets)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if diff := interp.TraceEqual(c.want, got); diff != "" {
+				b.Fatal(diff)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(checks) * packets)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/pkt")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/pkt")
 }
 
 // BenchmarkCompileAnalyze measures the front half of the compiler the way

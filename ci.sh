@@ -48,9 +48,12 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
-echo "== partitioner gate: cut-sweep oracle, max-flow differential, concurrent cuts and allocation budget under -race -count=2; pipebench figures vs golden"
+echo "== partitioner gate: cut-sweep oracle, max-flow differential, concurrent cuts, allocation budget and dense stage registers under -race -count=2; pipebench figures vs golden"
 # The partitioner's byte-identity oracles. TestCutSweepGolden digests every
-# stage program and report of the six PPS at D=1..10 (and two coarsenings);
+# stage program and report of the six PPS at D=1..10 (and two coarsenings),
+# and each program renumbered canonically (canon=, which a change that only
+# renames registers leaves alone); TestStageRegistersDense holds every
+# realized stage to a register file of exactly the registers it mentions;
 # TestRandomContractionAgainstEdmondsKarp holds push-relabel's value and its
 # cut to an in-test reference under random contractions — the reason the
 # discharge schedule is free to change — fresh, warm and refilled in place.
@@ -64,7 +67,7 @@ echo "== partitioner gate: cut-sweep oracle, max-flow differential, concurrent c
 #   go run ./cmd/pipebench -experiment all > testdata/pipebench_all.golden
 go test -race -count=2 -run '^TestCutSweepGolden$' .
 go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
-go test -race -count=2 -run '^(TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget)$' ./internal/core
+go test -race -count=2 -run '^(TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense)$' ./internal/core
 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 
 echo "== front-end gate: compile/analysis/network oracle + allocation budget under -race -count=2"
@@ -170,6 +173,7 @@ done
 # shellcheck disable=SC2046
 echo "front end (internal/{ppc,dep,graph,maxflow,core}) code lines: $(cat $(ls internal/ppc/*.go internal/dep/*.go internal/graph/*.go internal/maxflow/*.go internal/core/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (5074 before the dense front-end tables)"
 echo "front end allocations per six-PPS compile+analyze pass: $(go test -count=1 -run '^TestCompileAnalyzeAllocBudget$' -v ./internal/core | sed -n 's/.*six PPS: \([0-9]*\) allocations.*/\1/p')  (68243 before)"
+echo "stage registers per six-PPS sweep: $(go test -count=1 -run '^TestStageRegistersDense$' -v ./internal/core | sed -n 's/.*six-PPS sweep: \([0-9]*\) stage registers.*/\1/p')  (170,006 before the dense register files)"
 echo "partitioner bytes per six-PPS sweep: $(go test -count=1 -run '^$' -bench '^BenchmarkPartitionSweep$/^all$' -benchmem . | awk '/^BenchmarkPartitionSweep\/all/ { for (i = 2; i < NF; i++) if ($(i+1) == "B/op") printf "%.1f MB", $i / 1e6 }')  (31.2 MB before the per-call workspace)"
 # shellcheck disable=SC2046
 echo "internal/obsv code lines: $(cat $(ls internal/obsv/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (585 before the per-stage span logs)"

@@ -59,6 +59,7 @@ type Analysis struct {
 	nodeEntry []int
 	exitBlock int
 	targets   [][]int
+	regName   []string // an.F.RegName indexed by register ("" unnamed)
 
 	// seq is the worst-case path cost of the unpartitioned program. The
 	// channel kind cannot affect it: channel costs apply only to the
@@ -147,6 +148,11 @@ func (a *Analysis) indexForRealize(cfg *graph.Digraph) {
 		if last := u.Instrs[len(u.Instrs)-1]; u.IsLoop || last.Op == ir.OpBr || last.Op == ir.OpSwitch {
 			a.targets[u.ID] = unitTargets(f, u)
 		}
+	}
+
+	a.regName = make([]string, f.NumRegs)
+	for r, s := range f.RegName {
+		a.regName[r] = s
 	}
 }
 

@@ -115,7 +115,8 @@ type partitionState struct {
 // takes one from its Analysis's pool and puts it back when it returns, so
 // concurrent calls never share one, and nothing a call returns points into
 // it. Every use overwrites what it reads: no content carries from one call,
-// cut or stage to the next.
+// cut or stage to the next. regs and names serve renumberRegs and the phi
+// temporaries ssa.Destruct names before it.
 type workspace struct {
 	nw     *maxflow.Network
 	search []int64
@@ -124,6 +125,8 @@ type workspace struct {
 	comps  []compCost
 	ints   []int
 	bools  []bool
+	regs   []int32
+	names  map[int]string
 }
 
 // scratch returns (*buf)[:n] zeroed, first replacing *buf if it is shorter.

@@ -158,7 +158,6 @@ func (st *partitionState) realize() ([]*ir.Program, []StageReport, error) {
 		st.cuts = append(st.cuts, prev)
 	}
 	stages := make([]*ir.Program, 0, opts.Stages)
-	reports := make([]StageReport, 0, opts.Stages)
 	for k := 1; k <= opts.Stages; k++ {
 		sf, err := st.realizeStage(k)
 		if err != nil {
@@ -169,19 +168,23 @@ func (st *partitionState) realize() ([]*ir.Program, []StageReport, error) {
 			Arrays: a.prog.Arrays,
 			Func:   sf,
 		})
+	}
+	// Validated before they are costed: funcCost walks each stage's CFG.
+	if err := ValidateStages(stages); err != nil {
+		return nil, nil, fmt.Errorf("internal error: %w", err)
+	}
+	reports := make([]StageReport, 0, opts.Stages)
+	for k, sp := range stages {
 		nInstr := 0
-		for _, b := range sf.Blocks {
+		for _, b := range sp.Func.Blocks {
 			nInstr += len(b.Instrs)
 		}
 		reports = append(reports, StageReport{
-			Stage:  k,
-			Cost:   st.ws.funcCost(sf, opts.Arch, opts.Channel),
-			Blocks: len(sf.Blocks),
+			Stage:  k + 1,
+			Cost:   st.ws.funcCost(sp.Func, opts.Arch, opts.Channel),
+			Blocks: len(sp.Func.Blocks),
 			Instrs: nInstr,
 		})
-	}
-	if err := ValidateStages(stages); err != nil {
-		return nil, nil, fmt.Errorf("internal error: %w", err)
 	}
 	return stages, reports, nil
 }

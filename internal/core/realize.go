@@ -172,21 +172,21 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 		entry.Instrs = append([]*ir.Instr{recv}, entry.Instrs...)
 	}
 
-	// 6. Lower remaining phis and clean up.
+	// 6. Lower remaining phis, each phi's temporary named after it, clean
+	// up, and give the stage its own registers.
+	f.RegName = st.ws.phiNames(f, st.a.regName)
 	ssa.Destruct(f)
 	cleanupFunc(f, st.ws)
-	if err := f.Verify(ir.VerifyMutable); err != nil {
-		return nil, fmt.Errorf("stage %d: invalid realization: %w\n%s", k, err, f)
-	}
+	renumberRegs(f, st.a.regName, st.ws)
 	return f, nil
 }
 
 // stageShell starts stage k's function: the analyzed function's blocks (same
 // IDs, names and loop bounds), each holding copies of just the instructions
 // the stage keeps — the ones assigned to it and every terminator, which
-// realizeStage then rewires — and the source names of the registers those
-// define. Nothing the stage drops is copied first, and the copies come out
-// of one allocation per kind (blocks, instructions, operand lists).
+// realizeStage then rewires. Nothing the stage drops is copied first, and
+// the copies come out of one allocation per kind (blocks, instructions,
+// operand lists). The register names come last, from renumberRegs.
 func (st *partitionState) stageShell(k int) *ir.Func {
 	src := st.an.F
 	keeps := func(b, i int, in *ir.Instr) bool {
@@ -206,7 +206,6 @@ func (st *partitionState) stageShell(k int) *ir.Func {
 		Name:    fmt.Sprintf("%s.stage%d", src.Name, k),
 		Entry:   src.Entry,
 		NumRegs: src.NumRegs,
-		RegName: make(map[int]string),
 		Blocks:  make([]*ir.Block, len(src.Blocks)),
 	}
 	blocks := make([]ir.Block, len(src.Blocks))
@@ -236,17 +235,95 @@ func (st *partitionState) stageShell(k int) *ir.Func {
 			c.Args, c.Dsts, c.PhiPreds, c.Targets = own(in.Args), own(in.Dsts), own(in.PhiPreds), own(in.Targets)
 			c.Cases = append([]int64(nil), in.Cases...)
 			ptrs[n] = c
-			for _, d := range in.Defines() {
-				if name, ok := src.RegName[d]; ok {
-					f.RegName[d] = name
-				}
-			}
 			n++
 		}
 		nb.Instrs, instrs, ptrs = ptrs[:n:n], instrs[n:], ptrs[n:]
 		f.Blocks[bi] = nb
 	}
 	return f
+}
+
+// renumberRegs makes f's registers dense: it renames them in order of first
+// mention (block by block; in an instruction, what it defines before what it
+// reads) and sets NumRegs to their count. A stage is then a self-contained
+// program with a register file of its own, not a window onto the original
+// function's: everything that sizes a frame by NumRegs — the interpreter's
+// per-iteration clear, exec's lowering tables — pays for the registers the
+// stage touches. f.RegName is then built once, under the new numbers: a
+// register of the analyzed function keeps its name in orig (indexed by
+// register), a register realization added the one f.RegName gives it on
+// entry.
+func renumberRegs(f *ir.Func, orig []string, ws *workspace) {
+	n := f.NumRegs
+	if cap(ws.regs) < 2*n {
+		// The stages of one call differ by a few slot and phi registers:
+		// headroom lets the next stage's tables fit in this one's.
+		ws.regs = make([]int32, 2*(n+n/8))
+	}
+	to, order := ws.regs[:n], ws.regs[n:2*n] // to: old -> new + 1, 0 unseen; order: new -> old
+	clear(to)
+	k := int32(0)
+	rename := func(r int) int {
+		if to[r] == 0 {
+			order[k] = int32(r)
+			k++
+			to[r] = k
+		}
+		return int(to[r]) - 1
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Dst != ir.NoReg {
+				in.Dst = rename(in.Dst)
+			}
+			for i, d := range in.Dsts {
+				in.Dsts[i] = rename(d)
+			}
+			for i, a := range in.Args {
+				in.Args[i] = rename(a)
+			}
+		}
+	}
+	order = order[:k]
+	nameOf := func(r int32) string {
+		if int(r) < len(orig) {
+			return orig[r]
+		}
+		return f.RegName[int(r)]
+	}
+	named := 0 // counted first, so the map is allocated once
+	for _, r := range order {
+		if nameOf(r) != "" {
+			named++
+		}
+	}
+	names := make(map[int]string, named)
+	for v, r := range order {
+		if s := nameOf(r); s != "" {
+			names[v] = s
+		}
+	}
+	f.RegName, f.NumRegs = names, int(k)
+}
+
+// phiNames returns the workspace's name table holding the name in orig of
+// every phi f defines, for ssa.Destruct to name each phi's temporary after.
+func (ws *workspace) phiNames(f *ir.Func, orig []string) map[int]string {
+	if ws.names == nil {
+		ws.names = make(map[int]string)
+	}
+	clear(ws.names)
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op != ir.OpPhi {
+				break
+			}
+			if s := orig[in.Dst]; s != "" {
+				ws.names[in.Dst] = s
+			}
+		}
+	}
+	return ws.names
 }
 
 // coNeededBy reports whether stage k contains code (transitively)

@@ -486,29 +486,12 @@ func RunSequential(prog *ir.Program, world *interp.World, iters int) ([]interp.E
 // on the compiled backend, run to completion per iteration (the same
 // trace-order-preserving discipline as interp.RunPipeline).
 func RunPipeline(stages []*ir.Program, world *interp.World, iters int) ([]interp.Event, error) {
-	if len(stages) == 0 {
-		return nil, errs.ErrNoStages
+	if err := interp.CheckPipeline(stages, world); err != nil {
+		return nil, err
 	}
-	for i, s := range stages {
-		if s == nil {
-			return nil, fmt.Errorf("stage %d: %w", i, errs.ErrNilStage)
-		}
-	}
-	if world == nil {
-		return nil, errs.ErrNilWorld
-	}
-	runners := NewStageRunners(stages, world)
-	ctx := interp.NewIterCtx()
-	for i := 0; i < iters; i++ {
-		var slots []int64
-		for k, r := range runners {
-			out, err := r.RunIteration(ctx, slots)
-			if err != nil {
-				return nil, fmt.Errorf("iteration %d, stage %d: %w", i, k, err)
-			}
-			slots = out
-		}
-		ctx.Reset()
+	c := interp.Chain[*Runner]{Stages: NewStageRunners(stages, world)}
+	if err := c.Run(iters); err != nil {
+		return nil, err
 	}
 	return world.Trace, nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/costmodel"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -21,41 +19,32 @@ type StageDemand struct {
 // MeasureDynamic functionally executes the pipeline on the given world and
 // returns the per-stage demands. All stages share persistent state.
 func MeasureDynamic(stages []*ir.Program, world *interp.World, iters int, arch *costmodel.Arch, ch costmodel.ChannelKind) ([]StageDemand, error) {
-	if len(stages) == 0 {
-		return nil, fmt.Errorf("empty pipeline")
-	}
-	runners := make([]*interp.Runner, len(stages))
-	first := interp.NewRunner(stages[0], world)
-	runners[0] = first
-	for k := 1; k < len(stages); k++ {
-		runners[k] = interp.NewRunner(stages[k], world)
-		runners[k].SharePersistent(first)
+	if err := interp.CheckPipeline(stages, world); err != nil {
+		return nil, err
 	}
 	demands := make([]StageDemand, len(stages))
 	sums := make([]int64, len(stages))
-	for i := 0; i < iters; i++ {
-		ctx := interp.NewIterCtx()
-		var slots []int64
-		for k, r := range runners {
-			var tot, tx int64
-			r.OnInstr = func(in *ir.Instr) {
-				w := int64(arch.InstrWeightOn(in, ch))
-				tot += w
-				if in.Tx {
-					tx += w
-				}
-			}
-			out, err := r.RunIteration(ctx, slots)
-			if err != nil {
-				return nil, fmt.Errorf("iteration %d stage %d: %w", i, k, err)
-			}
-			slots = out
-			if tot > demands[k].MaxTotal {
-				demands[k].MaxTotal = tot
-				demands[k].MaxTx = tx
-			}
-			sums[k] += tot
+	var tot, tx int64
+	c := interp.Chain[*interp.Runner]{Stages: interp.NewStageRunners(stages, world), After: func(_, k int) {
+		if tot > demands[k].MaxTotal {
+			demands[k].MaxTotal = tot
+			demands[k].MaxTx = tx
 		}
+		sums[k] += tot
+		tot, tx = 0, 0
+	}}
+	meter := func(in *ir.Instr) {
+		w := int64(arch.InstrWeightOn(in, ch))
+		tot += w
+		if in.Tx {
+			tx += w
+		}
+	}
+	for _, r := range c.Stages {
+		r.OnInstr = meter
+	}
+	if err := c.Run(iters); err != nil {
+		return nil, err
 	}
 	for k := range demands {
 		demands[k].MeanTot = float64(sums[k]) / float64(iters)

@@ -24,17 +24,19 @@ type Runner struct {
 
 	// RxFromCtx restricts pkt_rx to the iteration context's pre-pulled
 	// packet: with it set, a pkt_rx that finds no pending packet reports
-	// stream exhaustion instead of consuming from the shared World. The
-	// streaming runtime sets it on every stage runner so concurrent stages
-	// never race on the World's packet cursor.
+	// stream exhaustion instead of consuming from the shared World. It is
+	// the discipline the streaming runtime imposes on its stage runners
+	// (internal/exec's), so the interpreter can stand in for them as the
+	// oracle of the differential tests.
 	RxFromCtx bool
 
 	persistent *Store
 
 	// regs and phiVals are per-runner scratch buffers reused across
-	// iterations (a Runner executes one iteration at a time). They make
-	// RunIteration allocation-free on the hot path, which the host
-	// streaming runtime depends on for throughput.
+	// iterations (a Runner executes one iteration at a time), so a Chain —
+	// the oracle, the cut-sweep check, the simulators — allocates no frame
+	// per packet. regs is cleared every iteration, NumRegs long; a realized
+	// stage numbers its registers densely, so that is what it touches.
 	regs    []int64
 	phiVals []int64
 }
@@ -129,11 +131,6 @@ func NewRunner(prog *ir.Program, world *World) *Runner {
 func NewRunnerShared(prog *ir.Program, world *World, store *Store) *Runner {
 	return &Runner{Prog: prog, World: world, persistent: store}
 }
-
-// SharePersistent makes r use the same persistent storage as other. Pipeline
-// stages of one original program share the program's flow state (the
-// partitioner guarantees each persistent array is touched by one stage only).
-func (r *Runner) SharePersistent(other *Runner) { r.persistent = other.persistent }
 
 // PersistentStore returns the runner's persistent-array store, so a
 // different execution backend can be wired against the same flow state.
@@ -526,29 +523,78 @@ func RunSequential(prog *ir.Program, world *World, iters int) ([]Event, error) {
 // order and is therefore the correctness oracle for partitioning). All
 // stages share the world and one pre-populated persistent store.
 func RunPipeline(stages []*ir.Program, world *World, iters int) ([]Event, error) {
+	if err := CheckPipeline(stages, world); err != nil {
+		return nil, err
+	}
+	c := Chain[*Runner]{Stages: NewStageRunners(stages, world)}
+	if err := c.Run(iters); err != nil {
+		return nil, err
+	}
+	return world.Trace, nil
+}
+
+// CheckPipeline rejects what no sequential runner can run: no stages, a nil
+// stage, a nil world.
+func CheckPipeline(stages []*ir.Program, world *World) error {
 	if len(stages) == 0 {
-		return nil, errs.ErrNoStages
+		return errs.ErrNoStages
 	}
 	for i, s := range stages {
 		if s == nil {
-			return nil, fmt.Errorf("stage %d: %w", i, errs.ErrNilStage)
+			return fmt.Errorf("stage %d: %w", i, errs.ErrNilStage)
 		}
 	}
 	if world == nil {
-		return nil, errs.ErrNilWorld
+		return errs.ErrNilWorld
 	}
-	runners := NewStageRunners(stages, world)
-	ctx := NewIterCtx()
-	for i := 0; i < iters; i++ {
-		var slots []int64
-		for k, r := range runners {
-			out, err := r.RunIteration(ctx, slots)
+	return nil
+}
+
+// Stage is one pipeline stage as a Chain runs it: a Runner of either
+// backend. RunIterationInto returns the outgoing live set in dst when dst
+// has room for it, else in a fresh slice — never in recv.
+type Stage interface {
+	RunIterationInto(ctx *IterCtx, recv, dst []int64) ([]int64, error)
+}
+
+// Chain runs pipeline stages back to back: each iteration to completion
+// through every stage before the next starts, the order that reproduces the
+// sequential trace. Every sequential runner of stages — RunPipeline here and
+// in internal/exec, the facade's Pipeline.Run, the npsim simulators,
+// experiments.MeasureDynamic — is a Chain. The live set passes between two
+// buffers the chain owns, and one IterCtx is Reset after every iteration, so
+// the steady state allocates nothing the stages do not.
+type Chain[S Stage] struct {
+	Stages []S
+	// After, when set, is called once stage k has run iteration i (counted
+	// from the chain's first).
+	After func(i, k int)
+
+	ctx  IterCtx
+	live [2][]int64
+	n    int
+}
+
+// Run runs the next iters iterations.
+func (c *Chain[S]) Run(iters int) error {
+	for range iters {
+		var recv []int64
+		for k, s := range c.Stages {
+			buf := &c.live[k&1]
+			out, err := s.RunIterationInto(&c.ctx, recv, *buf)
 			if err != nil {
-				return nil, fmt.Errorf("iteration %d, stage %d: %w", i, k, err)
+				return fmt.Errorf("iteration %d, stage %d: %w", c.n, k, err)
 			}
-			slots = out
+			if cap(out) > cap(*buf) {
+				*buf = out // outgrew the buffer: keep the larger one
+			}
+			if c.After != nil {
+				c.After(c.n, k)
+			}
+			recv = out
 		}
-		ctx.Reset()
+		c.ctx.Reset()
+		c.n++
 	}
-	return world.Trace, nil
+	return nil
 }

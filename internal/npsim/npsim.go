@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"repro/internal/costmodel"
-	"repro/internal/errs"
 	"repro/internal/interp"
 	"repro/internal/ir"
 )
@@ -41,18 +40,21 @@ type Config struct {
 	ArrivalInterval int64
 }
 
-// validate checks the stage list and world shared by both simulators.
-func validate(stages []*ir.Program, world *interp.World) error {
-	if len(stages) == 0 {
-		return fmt.Errorf("npsim: %w", errs.ErrNoStages)
+// run functionally executes iters iterations of the pipeline on one
+// interp.Chain, all stages sharing persistent state: onInstr meters every
+// instruction a stage executes (one stage runs at a time), and after(i, k)
+// is called once stage k has run iteration i. Both simulators measure
+// their demand this way.
+func run(stages []*ir.Program, world *interp.World, iters int, onInstr func(in *ir.Instr), after func(i, k int)) error {
+	if err := interp.CheckPipeline(stages, world); err != nil {
+		return fmt.Errorf("npsim: %w", err)
 	}
-	for i, s := range stages {
-		if s == nil {
-			return fmt.Errorf("npsim: stage %d: %w", i, errs.ErrNilStage)
-		}
+	c := interp.Chain[*interp.Runner]{Stages: interp.NewStageRunners(stages, world), After: after}
+	for _, r := range c.Stages {
+		r.OnInstr = onInstr
 	}
-	if world == nil {
-		return fmt.Errorf("npsim: %w", errs.ErrNilWorld)
+	if err := c.Run(iters); err != nil {
+		return fmt.Errorf("npsim: %w", err)
 	}
 	return nil
 }
@@ -90,9 +92,6 @@ type Result struct {
 // both behaviour and timing. Stages share persistent state (as on hardware,
 // where flow state lives in shared SRAM but is touched by one stage only).
 func Simulate(stages []*ir.Program, world *interp.World, iters int, cfg Config) (*Result, error) {
-	if err := validate(stages, world); err != nil {
-		return nil, err
-	}
 	if cfg.Arch == nil {
 		cfg.Arch = costmodel.Default()
 	}
@@ -102,35 +101,17 @@ func Simulate(stages []*ir.Program, world *interp.World, iters int, cfg Config) 
 	D := len(stages)
 
 	// Functional execution with service metering.
-	runners := make([]*interp.Runner, D)
-	shared := interp.NewRunner(stages[0], world)
-	for k := range stages {
-		if k == 0 {
-			runners[0] = shared
-		} else {
-			runners[k] = interp.NewRunner(stages[k], world)
-			runners[k].SharePersistent(shared)
-		}
-	}
 	service := make([][]int64, D)
 	for k := range service {
 		service[k] = make([]int64, iters)
 	}
-	for i := 0; i < iters; i++ {
-		ctx := interp.NewIterCtx()
-		var slots []int64
-		for k, r := range runners {
-			var demand int64
-			r.OnInstr = func(in *ir.Instr) {
-				demand += int64(cfg.Arch.InstrWeightOn(in, cfg.Channel))
-			}
-			out, err := r.RunIteration(ctx, slots)
-			if err != nil {
-				return nil, fmt.Errorf("npsim: iteration %d stage %d: %w", i, k, err)
-			}
-			slots = out
-			service[k][i] = demand
-		}
+	var demand int64
+	if err := run(stages, world, iters, func(in *ir.Instr) {
+		demand += int64(cfg.Arch.InstrWeightOn(in, cfg.Channel))
+	}, func(i, k int) {
+		service[k][i], demand = demand, 0
+	}); err != nil {
+		return nil, err
 	}
 
 	// Blocking tandem-queue timing.

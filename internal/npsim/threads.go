@@ -48,9 +48,6 @@ type ThreadSimResult struct {
 // number of iterations in flight between adjacent engines; ThreadsPerPE
 // bounds the iterations in flight inside one engine.
 func SimulateThreads(stages []*ir.Program, world *interp.World, iters int, cfg Config) (*ThreadSimResult, error) {
-	if err := validate(stages, world); err != nil {
-		return nil, err
-	}
 	if cfg.Arch == nil {
 		cfg.Arch = costmodel.Default()
 	}
@@ -68,38 +65,19 @@ func SimulateThreads(stages []*ir.Program, world *interp.World, iters int, cfg C
 	issueArch := *cfg.Arch
 	issueArch.Mode = costmodel.WeightInstrs
 
-	runners := make([]*interp.Runner, D)
-	first := interp.NewRunner(stages[0], world)
-	runners[0] = first
-	for k := 1; k < D; k++ {
-		runners[k] = interp.NewRunner(stages[k], world)
-		runners[k].SharePersistent(first)
-	}
 	tapes := make([][][]tapeEntry, D) // [stage][iter][]entry
 	for k := range tapes {
 		tapes[k] = make([][]tapeEntry, iters)
 	}
-	for i := 0; i < iters; i++ {
-		ctx := interp.NewIterCtx()
-		var slots []int64
-		for k, r := range runners {
-			var tape []tapeEntry
-			r.OnInstr = func(in *ir.Instr) {
-				issue := int64(issueArch.InstrWeightOn(in, cfg.Channel))
-				lat := int64(latencyArch.InstrWeightOn(in, cfg.Channel))
-				park := lat - issue
-				if park < 0 {
-					park = 0
-				}
-				tape = append(tape, tapeEntry{issue: issue, park: park})
-			}
-			out, err := r.RunIteration(ctx, slots)
-			if err != nil {
-				return nil, fmt.Errorf("npsim: iteration %d stage %d: %w", i, k, err)
-			}
-			slots = out
-			tapes[k][i] = tape
-		}
+	var tape []tapeEntry
+	if err := run(stages, world, iters, func(in *ir.Instr) {
+		issue := int64(issueArch.InstrWeightOn(in, cfg.Channel))
+		lat := int64(latencyArch.InstrWeightOn(in, cfg.Channel))
+		tape = append(tape, tapeEntry{issue: issue, park: max(lat-issue, 0)})
+	}, func(i, k int) {
+		tapes[k][i], tape = tape, nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Timing: cycle-driven engines with explicit threads.

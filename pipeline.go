@@ -94,21 +94,14 @@ func (p *Pipeline) Run(ctx context.Context, world *World, opts ...Option) ([]Eve
 	if iters == 0 {
 		iters = len(world.Packets)
 	}
-	runners := interp.NewStageRunners(p.stages, world)
-	ictx := interp.NewIterCtx()
-	for i := 0; i < iters; i++ {
+	c := interp.Chain[*interp.Runner]{Stages: interp.NewStageRunners(p.stages, world)}
+	for range iters {
 		if err := ctx.Err(); err != nil {
 			return world.Trace, err
 		}
-		var slots []int64
-		for k, r := range runners {
-			out, err := r.RunIteration(ictx, slots)
-			if err != nil {
-				return nil, fmt.Errorf("iteration %d, stage %d: %w", i, k, err)
-			}
-			slots = out
+		if err := c.Run(1); err != nil {
+			return nil, err
 		}
-		ictx.Reset()
 	}
 	return world.Trace, nil
 }
