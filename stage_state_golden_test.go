@@ -1,0 +1,181 @@
+package repro_test
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/errs"
+	"repro/internal/exec"
+	"repro/internal/experiments"
+	"repro/internal/ir"
+	"repro/internal/netbench"
+	"repro/internal/ppc"
+	"repro/internal/randprog"
+	"repro/internal/runtime"
+)
+
+// verdict renders a validator's answer: nil, or the sentinel it wraps (if
+// any) and its message.
+func verdict(err error) string {
+	if err == nil {
+		return "nil"
+	}
+	for _, s := range []struct {
+		name string
+		err  error
+	}{{"ErrNoStages", errs.ErrNoStages}, {"ErrNilStage", errs.ErrNilStage}, {"ErrNotServable", errs.ErrNotServable}} {
+		if errors.Is(err, s.err) {
+			return fmt.Sprintf("%s(%q)", s.name, err.Error())
+		}
+	}
+	return fmt.Sprintf("error(%q)", err.Error())
+}
+
+// stageState renders what every consumer of a stage list decides about each
+// stage's state: exec's batching verdict (Lowered.Serial and Carried), the
+// replica width the serve runtime gives it at P=2 without and with a shard
+// key ("-" when the list is not servable), and the verdicts of
+// runtime.Validate and core.ValidateStages on the whole list. covers is
+// NewCoarseLayout's (nil: one cut stage each).
+func stageState(stages []*ir.Program, covers []int) string {
+	var b strings.Builder
+	var plain, keyed []int
+	if l, err := runtime.NewCoarseLayout(stages, covers, runtime.Config{Shards: 2}); err == nil {
+		plain = l.Replicas()
+		if lk, err := l.With(runtime.Config{Shards: 2, ShardKey: netbench.FlowKey}); err == nil {
+			keyed = lk.Replicas()
+		}
+	}
+	for k, r := range exec.NewStageRunners(stages, nil) {
+		lo := r.Lowered()
+		state := "par"
+		if lo.Serial {
+			state = "serial(" + lo.Carried + ")"
+		}
+		reps := "-"
+		if plain != nil && keyed != nil {
+			reps = fmt.Sprintf("%d/%d", plain[k], keyed[k])
+		}
+		fmt.Fprintf(&b, " [%s %s]", state, reps)
+	}
+	fmt.Fprintf(&b, " runtime=%s core=%s", verdict(runtime.Validate(stages)), verdict(core.ValidateStages(stages)))
+	return b.String()
+}
+
+// TestStageStateGolden is the oracle of every per-stage state decision: one
+// line per stage list — the six netbench PPS at D=1..10, their coarsenings
+// with every second cut un-made at D=4 and D=8, 200 random programs at
+// D=1..4, and the hand-built lists of TestValidateRejectsUnservable — each
+// holding stageState's rendering. A change to how a stage's state is
+// decided must leave every line alone; regenerate with
+// go test . -run TestStageStateGolden -update.
+func TestStageStateGolden(t *testing.T) {
+	var b strings.Builder
+	for _, name := range sweepPPS {
+		pps, ok := netbench.ByName(name)
+		if !ok {
+			t.Fatalf("unknown PPS %q", name)
+		}
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.Analyze(prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range experiments.Degrees {
+			res, err := a.Partition(core.Options{Stages: d})
+			if err != nil {
+				t.Fatalf("%s D=%d: %v", name, d, err)
+			}
+			fmt.Fprintf(&b, "%s d=%d%s\n", name, d, stageState(res.Stages, nil))
+			if d != 4 && d != 8 {
+				continue
+			}
+			keep := make([]bool, d-1)
+			for j := range keep {
+				keep[j] = j%2 == 0
+			}
+			units, err := res.Coarsen(keep)
+			if err != nil {
+				t.Fatalf("%s D=%d coarsen: %v", name, d, err)
+			}
+			progs, covers := make([]*ir.Program, len(units)), make([]int, len(units))
+			for i, u := range units {
+				progs[i], covers[i] = u.Prog, u.Last-u.First+1
+			}
+			fmt.Fprintf(&b, "%s d=%d coarsen%s\n", name, d, stageState(progs, covers))
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		prog, err := ppc.Compile(randprog.Generate(seed, randprog.DefaultConfig()))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		a, err := core.Analyze(prog, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for d := 1; d <= 4; d++ {
+			res, err := a.Partition(core.Options{Stages: d})
+			if err != nil {
+				fmt.Fprintf(&b, "rand%d d=%d partition=%s\n", seed, d, verdict(err))
+				continue
+			}
+			fmt.Fprintf(&b, "rand%d d=%d%s\n", seed, d, stageState(res.Stages, nil))
+		}
+	}
+	stage := func(body string) *ir.Program {
+		prog, err := ppc.Compile(`pps S { persistent var tab[16]; loop { ` + body + ` } }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Partition(prog, core.Options{Stages: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stages[0]
+	}
+	stores := stage(`var n = pkt_rx(); tab[n & 15] = n;`)
+	reads := stage(`var n = pkt_rx(); trace(tab[n & 15]);`)
+	loads := stage(`trace(tab[3]);`)
+	for _, c := range []struct {
+		name   string
+		stages []*ir.Program
+	}{
+		{"stores+loads", []*ir.Program{stores, loads}},
+		{"loads+stores", []*ir.Program{loads, stores}},
+		{"reads+loads", []*ir.Program{reads, loads}},
+	} {
+		fmt.Fprintf(&b, "hand %s%s\n", c.name, stageState(c.stages, nil))
+	}
+
+	got := b.String()
+	path := filepath.Join("testdata", "stage_state.golden")
+	if *updatePlans {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Errorf("line %d drifted from %s:\n got  %s\n want %s", i+1, path, gl[i], wl[min(i, len(wl)-1)])
+			}
+		}
+		if len(gl) != len(wl) {
+			t.Errorf("%d lines, golden has %d", len(gl), len(wl))
+		}
+	}
+}
