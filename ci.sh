@@ -48,7 +48,7 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
-echo "== partitioner gate: cut-sweep oracle, max-flow differential, concurrent cuts, allocation budget and dense stage registers under -race -count=2; pipebench figures vs golden"
+echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow differential, concurrent cuts, allocation budget, dense stage registers, queue confinement and the intrinsic table under -race -count=2; pipebench figures vs golden"
 # The partitioner's byte-identity oracles. TestCutSweepGolden digests every
 # stage program and report of the six PPS at D=1..10 (and two coarsenings),
 # and each program renumbered canonically (canon=, which a change that only
@@ -57,7 +57,13 @@ echo "== partitioner gate: cut-sweep oracle, max-flow differential, concurrent c
 # TestRandomContractionAgainstEdmondsKarp holds push-relabel's value and its
 # cut to an in-test reference under random contractions — the reason the
 # discharge schedule is free to change — fresh, warm and refilled in place.
-# Both twice under the race detector (Partition is called concurrently on
+# TestStageStateGolden records what each stage's state is taken to be — exec's
+# Serial/Carried, the replica width at P=2 with and without a shard key, and
+# both validators' verdicts — for the six PPS, their coarsenings, 200 random
+# programs and hand-built lists; TestValidateStagesConfinesQueues holds
+# core.ValidateStages to the queue half of costmodel.CheckConfined, and
+# TestIntrinsicTableIsTheOneList both backends to costmodel.Intrinsics.
+# Each twice under the race detector (Partition is called concurrently on
 # one Analysis), and so are the concurrent-cut tests, which give every
 # concurrent Partition its own workspace, and the per-Partition allocation
 # and byte ceilings. Then every figure
@@ -65,9 +71,10 @@ echo "== partitioner gate: cut-sweep oracle, max-flow differential, concurrent c
 # byte-identical unless the PR says which figure moves", enforced. A PR that
 # moves a figure regenerates the file and names the figure:
 #   go run ./cmd/pipebench -experiment all > testdata/pipebench_all.golden
-go test -race -count=2 -run '^TestCutSweepGolden$' .
+go test -race -count=2 -run '^(TestCutSweepGolden|TestStageStateGolden)$' .
 go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
-go test -race -count=2 -run '^(TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense)$' ./internal/core
+go test -race -count=2 -run '^(TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense|TestValidateStagesConfinesQueues)$' ./internal/core
+go test -race -count=2 -run '^TestIntrinsicTableIsTheOneList$' ./internal/exec
 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 
 echo "== front-end gate: compile/analysis/network oracle + allocation budget under -race -count=2"
@@ -178,6 +185,15 @@ echo "partitioner bytes per six-PPS sweep: $(go test -count=1 -run '^$' -bench '
 # shellcheck disable=SC2046
 echo "internal/obsv code lines: $(cat $(ls internal/obsv/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (585 before the per-stage span logs)"
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
+# code FILE FROM TO: code lines from the line matching FROM through the
+# closing brace of the declaration that opens at the line matching TO.
+code() { awk -v a="$2" -v b="$3" '$0 ~ a { on = 1 } on { print } on && $0 ~ b { end = 1 } end && /^}/ { exit }' "$1" | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//'; }
+state_lines=$(( $(code internal/costmodel/costmodel.go '^type Use struct' '^func CheckConfined') \
+    + $(code internal/core/validate.go '^func ValidateStages' '^func ValidateStages') \
+    + $(code internal/runtime/runtime.go '^func Validate\(' '^func Validate\(') \
+    + $(code internal/runtime/shard.go '^type stateClass' '^func classifyStage\(') \
+    + $(code internal/exec/lower.go '^func \(lw \*lowerer\) effects' '^func \(lw \*lowerer\) effects') ))
+echo "stage-state analysis code lines (costmodel Use..CheckConfined, core.ValidateStages, runtime.Validate, shard classification, exec effects): $state_lines  (335 before)"
 # shellcheck disable=SC2046
 echo "internal/netbench code lines: $(cat $(ls internal/netbench/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (950 before the flat route tables, ISSUE 25)"
 # shellcheck disable=SC2046

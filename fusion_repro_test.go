@@ -231,6 +231,69 @@ func TestServeSharedReadOnlyTable(t *testing.T) {
 	}
 }
 
+// sharedQueueSrc reads queue lengths early and late in the loop body and
+// nothing puts to or gets from a queue: the read-only queue is constant
+// state, so the partitioner may put the two reads in different stages.
+const sharedQueueSrc = `pps SharedQueue {
+	loop {
+		var n = pkt_rx();
+		if (n < 0) { continue; }
+		var b0 = pkt_byte(0);
+		var a = q_len(b0 & 3);
+		var h = hash_crc(b0 * 31 + a + n);
+		var hop = rt_lookup(h & 0xFF);
+		var c = csum_fold(h + hop);
+		meta_set(0, c & 0xFFFF);
+		var z = q_len(c & 3);
+		trace((hop + c + z) & 0xFF);
+		pkt_send(hop & 1);
+	}
+}`
+
+// TestServeSharedReadOnlyQueue: a queue no stage writes is, like a table no
+// stage stores to, constant state any stage may read. A cut between its
+// reads passes core.ValidateStages (inside Partition) and the serve runtime's
+// Validate, and is served — ringed and fused, unsharded and sharded —
+// byte-identical to the unpartitioned program.
+func TestServeSharedReadOnlyQueue(t *testing.T) {
+	prog := repro.MustCompile(sharedQueueSrc)
+	const n = 256
+	packets := testPackets(n)
+	seq, err := interp.RunSequential(prog.Clone(), repro.NewWorld(packets), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := false
+	for d := 2; d <= 4; d++ {
+		pipe, err := repro.Partition(prog, repro.WithStages(d), repro.WithBatch(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers := 0
+		for _, st := range pipe.Stages() {
+			if strings.Contains(st.Func.String(), "q_len") {
+				readers++
+			}
+		}
+		split = split || readers > 1
+		for _, shards := range []int{1, 2} {
+			for mode, name := range []string{repro.FusionAuto: "auto", repro.FusionOff: "ringed"} {
+				m, err := pipe.Serve(context.Background(), repro.PacketSource(packets),
+					repro.WithShards(shards), repro.WithFusion(repro.FusionMode(mode)))
+				if err != nil {
+					t.Fatalf("D=%d P=%d %s: %v", d, shards, name, err)
+				}
+				if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+					t.Errorf("D=%d P=%d %s: trace diverges from oracle: %s", d, shards, name, diff)
+				}
+			}
+		}
+	}
+	if !split {
+		t.Fatal("no depth puts the queue reads in different stages; the case needs a cut between them")
+	}
+}
+
 // TestServeWithFaultsKeepsEveryCut: a fault plan names stages, so a serve
 // that carries one fuses nothing — on a core budget where FusionAuto would
 // otherwise fuse the whole cut — says so in every verdict, and still

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/costmodel"
 	"repro/internal/ir"
 )
 
@@ -14,9 +15,10 @@ import (
 //   - stage k>1 starts with exactly one OpRecvLS, stage k<D ends with
 //     exactly one OpSendLS, widths of consecutive send/recv match;
 //   - the first stage never receives and the last never sends;
-//   - a persistent array that any stage WRITES is accessed only by that
-//     stage (the PPS-loop-carried rule; read-only flow state lives in
-//     shared SRAM and may be read from any engine);
+//   - state some stage writes — a persistent array it stores to, a queue —
+//     is used by that stage only (costmodel.CheckConfined: the
+//     PPS-loop-carried rule; read-only flow state lives in shared SRAM and
+//     may be read from any engine);
 //   - transmission instructions are flagged (Tx) so cost accounting can
 //     separate them.
 //
@@ -29,15 +31,6 @@ func ValidateStages(stages []*ir.Program) error {
 	}
 	sendW := make([]int, D)
 	recvW := make([]int, D)
-	persistentLoads := make(map[string]map[int]bool)
-	persistentStores := make(map[string]map[int]bool)
-	record := func(m map[string]map[int]bool, name string, k int) {
-		if m[name] == nil {
-			m[name] = make(map[int]bool)
-		}
-		m[name][k] = true
-	}
-
 	for k, sp := range stages {
 		f := sp.Func
 		if err := f.Verify(ir.VerifyMutable); err != nil {
@@ -64,14 +57,6 @@ func ValidateStages(stages []*ir.Program) error {
 					if b.ID != f.Entry || i != 0 {
 						return fmt.Errorf("validate: stage %d: receive not at the entry", k+1)
 					}
-				case ir.OpLoad:
-					if in.Arr != nil && in.Arr.Persistent {
-						record(persistentLoads, in.Arr.Name, k)
-					}
-				case ir.OpStore:
-					if in.Arr != nil && in.Arr.Persistent {
-						record(persistentStores, in.Arr.Name, k)
-					}
 				}
 			}
 		}
@@ -91,20 +76,8 @@ func ValidateStages(stages []*ir.Program) error {
 			return fmt.Errorf("validate: cut %d width mismatch: send %d, recv %d", k+1, sendW[k], recvW[k+1])
 		}
 	}
-	for name, stores := range persistentStores {
-		if len(stores) > 1 {
-			return fmt.Errorf("validate: persistent array %q written by %d stages", name, len(stores))
-		}
-		var home int
-		for k := range stores {
-			home = k
-		}
-		for k := range persistentLoads[name] {
-			if k != home {
-				return fmt.Errorf("validate: persistent array %q written by stage %d but read by stage %d",
-					name, home+1, k+1)
-			}
-		}
+	if err := costmodel.CheckConfined(stages); err != nil {
+		return fmt.Errorf("validate: %w", err)
 	}
 	return nil
 }

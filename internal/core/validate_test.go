@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	. "repro/internal/core"
@@ -94,5 +95,29 @@ func TestValidateStagesRejections(t *testing.T) {
 	// A healthy single stage passes.
 	if err := ValidateStages([]*ir.Program{plain}); err != nil {
 		t.Errorf("trivial pipeline rejected: %v", err)
+	}
+}
+
+// TestValidateStagesConfinesQueues: a queue written in one stage and used in
+// another splits loop-carried state across a cut, as a shared persistent
+// array would, and ValidateStages rejects it naming the channel.
+func TestValidateStagesConfinesQueues(t *testing.T) {
+	put := ir.NewFunc("put")
+	bl := ir.NewBuilder(put)
+	n := bl.Call("pkt_rx")
+	bl.CallVoid("q_put", bl.Const(0), n)
+	bl.Cur.Instrs = append(bl.Cur.Instrs, &ir.Instr{Op: ir.OpSendLS, Dst: ir.NoReg, Args: []int{n}, Tx: true})
+	bl.Ret()
+
+	get := ir.NewFunc("get")
+	r := get.NewReg()
+	get.Blocks[0].Instrs = append(get.Blocks[0].Instrs, &ir.Instr{Op: ir.OpRecvLS, Dst: ir.NoReg, Dsts: []int{r}, Tx: true})
+	bl = ir.NewBuilder(get)
+	bl.CallVoid("trace", bl.Call("q_get", bl.Const(0)))
+	bl.Ret()
+
+	err := ValidateStages([]*ir.Program{{Name: "put", Func: put}, {Name: "get", Func: get}})
+	if err == nil || !strings.Contains(err.Error(), `"queue"`) {
+		t.Fatalf("q_put in stage 1 and q_get in stage 2: err = %v, want a rejection naming the queue channel", err)
 	}
 }

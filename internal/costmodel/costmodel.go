@@ -9,7 +9,12 @@
 // single place they live.
 package costmodel
 
-import "repro/internal/ir"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/ir"
+)
 
 // Effect describes one side effect of an intrinsic on a named channel.
 // Two intrinsic calls conflict (must stay ordered within an iteration) when
@@ -88,6 +93,101 @@ var Intrinsics = map[string]*Intrinsic{
 	// "tx" ordering channel with pkt_send/pkt_drop so that the program's
 	// observable event stream keeps its order under pipelining.
 	"trace": {Name: "trace", NArgs: 1, HasResult: false, Weight: 1, Latency: 1, Effects: []Effect{txW}},
+}
+
+// Use is what one instruction does to the state a stage may carry from one
+// packet to the next, and to the packet and the event stream, as the
+// intrinsic table and the array descriptor tell it. Every analysis that
+// decides a stage's state — validation, shard classification, exec's
+// batching — reads it, so a new intrinsic is classified by its table entry
+// alone.
+type Use struct {
+	Arr   *ir.Array // the persistent array a load or store touches
+	Chan  string    // the persistent channel a call touches ("" if none)
+	Write bool      // it stores to Arr or writes Chan
+	Rx    bool      // it receives the packet: writes the packet and returns a value (its length)
+	PktW  bool      // it may change the packet buffer
+	Tx    bool      // it writes the tx channel: an observable event
+	// For a call with a result: PktVal says the call touches the packet and
+	// nothing else, so the result is derived from the packet; Mix says it is
+	// pure, so the result is derived from its arguments alone.
+	PktVal, Mix bool
+}
+
+// UseOf reads one instruction's Use.
+func UseOf(in *ir.Instr) Use {
+	switch in.Op {
+	case ir.OpLoad, ir.OpStore:
+		if in.Arr != nil && in.Arr.Persistent {
+			return Use{Arr: in.Arr, Write: in.Op == ir.OpStore}
+		}
+	case ir.OpCall:
+		intr := Intrinsics[in.Call]
+		if intr == nil {
+			return Use{}
+		}
+		u := Use{PktVal: intr.HasResult && !intr.Pure(), Mix: intr.HasResult && intr.Pure()}
+		for _, e := range intr.Effects {
+			switch {
+			case e.Persistent:
+				u.Chan, u.Write = e.Channel, u.Write || e.Write
+			case e.Channel == pktW.Channel:
+				u.PktW = u.PktW || e.Write
+			case e.Channel == txW.Channel:
+				u.Tx = u.Tx || e.Write
+			}
+			u.PktVal = u.PktVal && e.Channel == pktW.Channel
+		}
+		u.Rx = u.PktW && intr.HasResult
+		return u
+	}
+	return Use{}
+}
+
+// CheckConfined enforces the paper's first partitioning rule on a stage
+// list: state one packet leaves for the next lives in one stage. A
+// persistent array that some stage stores to, and a persistent channel that
+// some stage writes, is used by that stage only; state no stage writes is
+// constant, and any stage may read it.
+func CheckConfined(stages []*ir.Program) error {
+	type state struct {
+		id, first, writer int    // array ID (-1: a channel); the first stage using it; the stage writing it (-1: none yet)
+		ch                string // channel name ("" for an array)
+	}
+	var seen []state
+	for k, s := range stages {
+		for _, b := range s.Func.Blocks {
+			for _, in := range b.Instrs {
+				u, id := UseOf(in), -1
+				if u.Arr != nil {
+					id = u.Arr.ID
+				} else if u.Chan == "" {
+					continue
+				}
+				i := slices.IndexFunc(seen, func(st state) bool { return st.id == id && st.ch == u.Chan })
+				if i < 0 {
+					i, seen = len(seen), append(seen, state{id: id, first: k, writer: -1, ch: u.Chan})
+				}
+				st, writer, other := &seen[i], -1, k
+				switch {
+				case u.Write && st.first != k:
+					writer, other = k, st.first
+				case u.Write:
+					st.writer = k
+				case st.writer != k:
+					writer = st.writer
+				}
+				switch {
+				case writer < 0:
+				case u.Arr != nil:
+					return fmt.Errorf("persistent array %s stored to by stage %d and used by stage %d", u.Arr.Name, writer+1, other+1)
+				default:
+					return fmt.Errorf("persistent channel %q written by stage %d and used by stage %d", u.Chan, writer+1, other+1)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // ChannelKind selects the physical inter-stage communication channel.

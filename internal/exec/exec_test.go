@@ -3,11 +3,15 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/exec"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/netbench"
 	"repro/internal/ppc"
 	"repro/internal/randprog"
@@ -377,5 +381,59 @@ func benchChain(b *testing.B, name string, degrees ...int) {
 				}
 			})
 		}
+	}
+}
+
+// TestIntrinsicTableIsTheOneList: both backends implement exactly the
+// intrinsics costmodel.Intrinsics lists — the table every analysis of a
+// stage's state reads. A one-call program of each entry, at its arity and
+// with a result register as HasResult says, runs on both with the same
+// trace; a name missing from the table fails on both with the same error.
+func TestIntrinsicTableIsTheOneList(t *testing.T) {
+	oneCall := func(name string, nargs int, result bool) *ir.Program {
+		f := ir.NewFunc(name)
+		bl := ir.NewBuilder(f)
+		args := make([]int, nargs)
+		for i := range args {
+			args[i] = bl.Const(int64(i + 1))
+		}
+		if result {
+			bl.Call(name, args...)
+		} else {
+			bl.CallVoid(name, args...)
+		}
+		bl.Ret()
+		return &ir.Program{Name: name, Func: f}
+	}
+	run := func(prog *ir.Program) (want, got []interp.Event, ierr, xerr error) {
+		base := netbench.NewWorld([][]byte{{0x45, 0, 0, 20, 1, 2, 3, 4}})
+		want, ierr = interp.RunSequential(prog.Clone(), base.Clone(), 1)
+		got, xerr = exec.RunSequential(prog, base.Clone(), 1)
+		return want, got, ierr, xerr
+	}
+	names := make([]string, 0, len(costmodel.Intrinsics))
+	for name := range costmodel.Intrinsics {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		intr := costmodel.Intrinsics[name]
+		want, got, ierr, xerr := run(oneCall(name, intr.NArgs, intr.HasResult))
+		if ierr != nil || xerr != nil {
+			t.Errorf("%s: interp err = %v, exec err = %v", name, ierr, xerr)
+			continue
+		}
+		if diff := interp.TraceEqual(want, got); diff != "" {
+			t.Errorf("%s: %s", name, diff)
+		}
+	}
+	const missing = "pkt_frobnicate"
+	if _, ok := costmodel.Intrinsics[missing]; ok {
+		t.Fatalf("%s is in the table", missing)
+	}
+	_, _, ierr, xerr := run(oneCall(missing, 1, true))
+	wantErr := fmt.Sprintf("unknown intrinsic %q", missing)
+	if ierr == nil || xerr == nil || !strings.Contains(ierr.Error(), wantErr) || ierr.Error() != xerr.Error() {
+		t.Errorf("%s: interp err = %v, exec err = %v, want both %q", missing, ierr, xerr, wantErr)
 	}
 }

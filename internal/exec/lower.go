@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/ir"
 )
@@ -673,11 +674,8 @@ func (lw *lowerer) push(op lop) {
 	for _, d := range op.in.Dsts {
 		wrote(d)
 	}
-	if op.in.Op == ir.OpCall {
-		switch op.in.Call {
-		case "pkt_rx", "pkt_setbyte", "pkt_setword":
-			lw.pktW = stamp
-		}
+	if costmodel.UseOf(op.in).PktW {
+		lw.pktW = stamp
 	}
 }
 
@@ -827,24 +825,22 @@ func (lw *lowerer) assignFrame() {
 // effects records what a surviving op does that orders iterations. The
 // partitioner pins a PPS-loop-carried dependence's whole SCC to one stage,
 // so a stage that never stores to a persistent array and never touches a
-// queue carries nothing from one iteration to the next: an array it only
-// loads is a constant table, because no other stage touches it at all.
+// persistent channel (a queue) carries nothing from one iteration to the
+// next: an array it only loads is a constant table, because no other stage
+// stores to it either.
 func (lw *lowerer) effects(op *lop) {
-	in := op.in
-	if in == nil || lw.stats.Serial {
+	if op.in == nil {
 		return
 	}
+	u := costmodel.UseOf(op.in)
 	switch {
-	case in.Op == ir.OpStore && in.Arr != nil && in.Arr.Persistent:
-		lw.stats.Serial, lw.stats.Carried = true, "persistent array "+in.Arr.Name
-	case in.Op != ir.OpCall:
-	case in.Call == "q_put" || in.Call == "q_get" || in.Call == "q_len":
-		lw.stats.Serial, lw.stats.Carried = true, "queue"
-	case in.Call == "pkt_rx":
-		lw.rx = true
-	case in.Call == "trace" || in.Call == "pkt_send" || in.Call == "pkt_drop":
-		lw.emits = true
+	case lw.stats.Serial:
+	case u.Arr != nil && u.Write:
+		lw.stats.Serial, lw.stats.Carried = true, "persistent array "+u.Arr.Name
+	case u.Chan != "":
+		lw.stats.Serial, lw.stats.Carried = true, u.Chan
 	}
+	lw.rx, lw.emits = lw.rx || u.Rx, lw.emits || u.Tx
 }
 
 func (lw *lowerer) ref(r int) {

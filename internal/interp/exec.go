@@ -58,13 +58,7 @@ type Store struct {
 // store, so no locking is needed.
 func NewStore(progs ...*ir.Program) *Store {
 	s := &Store{}
-	for _, p := range progs {
-		for _, a := range p.Arrays {
-			if a.Persistent {
-				s.Get(a)
-			}
-		}
-	}
+	s.Materialize(progs...)
 	return s
 }
 

@@ -242,14 +242,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate checks the servability contract of a stage list: stages exist
-// and are non-nil; exactly one pkt_rx site exists across the pipeline (it
-// is the pacing point — one packet enters per iteration); every persistent
-// channel (queues) is confined to a single stage; and a persistent array
-// that some stage stores to is accessed by that stage only, which is what
-// lets stage goroutines touch them without locks (an array no stage stores
-// to is a constant table, read from any stage — core.ValidateStages' rule).
-// The partitioner guarantees the confinement for its own output; Validate
-// re-checks it so hand-built stage lists fail loudly instead of racing.
+// and are non-nil; state some stage writes — a persistent array it stores
+// to, a queue — is used by that stage only, which is what lets stage
+// goroutines touch it without locks (state no stage writes is constant and
+// read from any stage: costmodel.CheckConfined, core.ValidateStages' rule
+// too); and exactly one pkt_rx site exists across the pipeline (it is the
+// pacing point — one packet enters per iteration). The partitioner
+// guarantees the confinement for its own output; Validate re-checks it so
+// hand-built stage lists fail loudly instead of racing.
 func Validate(stages []*ir.Program) error {
 	if len(stages) == 0 {
 		return errs.ErrNoStages
@@ -259,50 +259,15 @@ func Validate(stages []*ir.Program) error {
 			return fmt.Errorf("stage %d: %w", i+1, errs.ErrNilStage)
 		}
 	}
-	rxSites := 0
-	chanStage := map[string]int{} // persistent intrinsic channel -> stage
-	arrFirst := map[int]int{}     // persistent array ID -> first stage accessing it
-	arrStore := map[int]int{}     // persistent array ID -> the stage storing to it
-	shared := func(a *ir.Array, writer, other int) error {
-		return fmt.Errorf("%w: persistent array %s stored to by stage %d and used by stage %d",
-			errs.ErrNotServable, a.Name, writer+1, other+1)
+	if err := costmodel.CheckConfined(stages); err != nil {
+		return fmt.Errorf("%w: %v", errs.ErrNotServable, err)
 	}
-	for k, s := range stages {
+	rxSites := 0
+	for _, s := range stages {
 		for _, b := range s.Func.Blocks {
 			for _, in := range b.Instrs {
-				switch in.Op {
-				case ir.OpCall:
-					if in.Call == "pkt_rx" {
-						rxSites++
-					}
-					if intr, ok := costmodel.Intrinsics[in.Call]; ok {
-						for _, ef := range intr.Effects {
-							if !ef.Persistent {
-								continue
-							}
-							if prev, ok := chanStage[ef.Channel]; ok && prev != k {
-								return fmt.Errorf("%w: persistent channel %q used by stages %d and %d",
-									errs.ErrNotServable, ef.Channel, prev+1, k+1)
-							}
-							chanStage[ef.Channel] = k
-						}
-					}
-				case ir.OpLoad, ir.OpStore:
-					if in.Arr == nil || !in.Arr.Persistent {
-						continue
-					}
-					first, seen := arrFirst[in.Arr.ID]
-					if !seen {
-						arrFirst[in.Arr.ID], first = k, k
-					}
-					if in.Op == ir.OpStore {
-						if first != k {
-							return shared(in.Arr, k, first)
-						}
-						arrStore[in.Arr.ID] = k
-					} else if w, ok := arrStore[in.Arr.ID]; ok && w != k {
-						return shared(in.Arr, w, k)
-					}
+				if costmodel.UseOf(in).Rx {
+					rxSites++
 				}
 			}
 		}

@@ -36,6 +36,8 @@ package runtime
 // byte-identical even for stateful pipelines like the QM and Scheduler PPSes.
 
 import (
+	"slices"
+
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 )
@@ -117,13 +119,6 @@ const (
 	regOther
 )
 
-// pktCalls yield packet-derived results; mixCalls are pure mixers whose
-// class is the join of their argument classes.
-var (
-	pktCalls = map[string]bool{"pkt_rx": true, "pkt_len": true, "pkt_byte": true, "pkt_word": true}
-	mixCalls = map[string]bool{"csum_fold": true, "hash_crc": true}
-)
-
 // classifyStages derives each stage's shardability from its IR. Register
 // classes propagate across cuts through the live-set transmissions: stage
 // k's OpSendLS argument classes seed stage k+1's OpRecvLS destinations, so
@@ -145,27 +140,11 @@ func classifyStages(stages []*ir.Program) []stageShape {
 
 // classifyRegs runs the packet-derivation fixpoint over one stage and
 // returns the register classes plus the classes of the slots it sends to
-// the next stage.
+// the next stage. A call's result is packet-derived when the call touches
+// the packet and nothing else, the join of its arguments when it is pure,
+// and regOther otherwise, as a load's is (costmodel.Use's PktVal and Mix).
 func classifyRegs(prog *ir.Program, inSlots []uint8) ([]uint8, []uint8) {
-	maxReg := 0
-	for _, b := range prog.Func.Blocks {
-		for _, in := range b.Instrs {
-			if in.Dst > maxReg {
-				maxReg = in.Dst
-			}
-			for _, a := range in.Args {
-				if a > maxReg {
-					maxReg = a
-				}
-			}
-			for _, d := range in.Dsts {
-				if d > maxReg {
-					maxReg = d
-				}
-			}
-		}
-	}
-	cls := make([]uint8, maxReg+2)
+	cls := make([]uint8, prog.Func.NumRegs)
 	join := func(reg int, c uint8) bool {
 		if reg < 0 || c <= cls[reg] {
 			return false
@@ -191,16 +170,11 @@ func classifyRegs(prog *ir.Program, inSlots []uint8) ([]uint8, []uint8) {
 					changed = join(in.Dst, regConst) || changed
 				case in.Op == ir.OpCopy, in.Op == ir.OpPhi, in.Op.IsBinary(), in.Op.IsUnary():
 					changed = join(in.Dst, argJoin(in.Args)) || changed
-				case in.Op == ir.OpLoad:
-					changed = join(in.Dst, regOther) || changed
-				case in.Op == ir.OpCall:
-					if in.Dst == ir.NoReg {
-						continue
-					}
-					switch {
-					case pktCalls[in.Call]:
+				case in.Op == ir.OpLoad, in.Op == ir.OpCall:
+					switch u := costmodel.UseOf(in); {
+					case u.PktVal:
 						changed = join(in.Dst, regPkt) || changed
-					case mixCalls[in.Call]:
+					case u.Mix:
 						changed = join(in.Dst, argJoin(in.Args)) || changed
 					default:
 						changed = join(in.Dst, regOther) || changed
@@ -236,60 +210,37 @@ func classifyRegs(prog *ir.Program, inSlots []uint8) ([]uint8, []uint8) {
 	return cls, outSlots
 }
 
-// classifyStage folds one stage's instruction stream over the register
-// classes into its shape.
+// classifyStage folds one stage's uses of persistent state over the
+// register classes into its shape. A persistent channel (a queue) is shared
+// ordered state, inherently cross-flow.
 func classifyStage(prog *ir.Program, cls []uint8) stageShape {
-	written := map[int]*ir.Array{}
-	indexOK := map[int]bool{} // array ID -> all access indices packet-derived so far
-	crossFlow := false
-	note := func(a *ir.Array, idxReg int) {
-		if _, seen := indexOK[a.ID]; !seen {
-			indexOK[a.ID] = true
-		}
-		if cls[idxReg] != regPkt {
-			indexOK[a.ID] = false
-		}
-	}
+	var written []*ir.Array
+	indexOK := map[int]bool{} // array ID -> every access index so far packet-derived
 	for _, b := range prog.Func.Blocks {
 		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpCall:
-				if intr, ok := costmodel.Intrinsics[in.Call]; ok {
-					for _, ef := range intr.Effects {
-						if ef.Persistent {
-							// Queues and any future persistent channel are
-							// inherently cross-flow: shared ordered state.
-							crossFlow = true
-						}
-					}
-				}
-			case ir.OpLoad:
-				if in.Arr != nil && in.Arr.Persistent {
-					note(in.Arr, in.Args[0])
-				}
-			case ir.OpStore:
-				if in.Arr != nil && in.Arr.Persistent {
-					note(in.Arr, in.Args[0])
-					written[in.Arr.ID] = in.Arr
-				}
+			u := costmodel.UseOf(in)
+			switch {
+			case u.Chan != "":
+				return stageShape{class: classCrossFlow}
+			case u.Arr == nil:
+				continue
+			}
+			ok, seen := indexOK[u.Arr.ID]
+			indexOK[u.Arr.ID] = (ok || !seen) && cls[in.Args[0]] == regPkt
+			if u.Write && !slices.ContainsFunc(written, func(a *ir.Array) bool { return a.ID == u.Arr.ID }) {
+				written = append(written, u.Arr)
 			}
 		}
 	}
-	shape := stageShape{class: classStateless}
-	for id, a := range written {
-		if !indexOK[id] {
-			crossFlow = true
-			continue
+	for _, a := range written {
+		if !indexOK[a.ID] {
+			return stageShape{class: classCrossFlow}
 		}
-		shape.flowArrs = append(shape.flowArrs, a)
 	}
-	if crossFlow {
-		return stageShape{class: classCrossFlow}
+	if len(written) > 0 {
+		return stageShape{class: classFlowKeyed, flowArrs: written}
 	}
-	if len(shape.flowArrs) > 0 {
-		shape.class = classFlowKeyed
-	}
-	return shape
+	return stageShape{class: classStateless}
 }
 
 // shardPlan is the realized topology of one sharded serve: per-stage
