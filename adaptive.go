@@ -273,7 +273,7 @@ func (p *Pipeline) serveAdaptive(ctx context.Context, src Source, cfg config) (m
 	// folded into which, the replica widths and the shard width are the last
 	// completed round's, as are the ingest counters (the source keeps them
 	// for the whole stream); the trace is the spanning sink's, above.
-	agg := &Metrics{Faults: &runtime.FaultReport{}, Stages: make([]StageStats, len(p.stages))}
+	agg := &Metrics{Snapshot: runtime.Snapshot{Stages: make([]StageStats, len(p.stages))}, Faults: &runtime.FaultReport{}}
 	finish := func() (*Metrics, error) {
 		agg.Elapsed = time.Since(start)
 		return agg, nil

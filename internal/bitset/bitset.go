@@ -32,9 +32,6 @@ func (s *Set) Len() int { return s.n }
 // Set sets bit i.
 func (s *Set) Set(i int) { s.words[i/64] |= 1 << (uint(i) % 64) }
 
-// Clear clears bit i.
-func (s *Set) Clear(i int) { s.words[i/64] &^= 1 << (uint(i) % 64) }
-
 // Has reports whether bit i is set.
 func (s *Set) Has(i int) bool { return s.words[i/64]&(1<<(uint(i)%64)) != 0 }
 
@@ -75,23 +72,6 @@ func (s *Set) Diff(o *Set) {
 	for i, w := range o.words {
 		s.words[i] &^= w
 	}
-}
-
-// Intersect sets s = s ∩ o.
-func (s *Set) Intersect(o *Set) {
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
-}
-
-// Intersects reports whether s and o share any set bit.
-func (s *Set) Intersects(o *Set) bool {
-	for i, w := range o.words {
-		if s.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Count returns the number of set bits.

@@ -21,24 +21,6 @@ type PathCost struct {
 // Proc returns the packet-processing share of the worst-case path.
 func (c PathCost) Proc() int64 { return c.Total - c.Tx }
 
-// instrCost returns (weight, txWeight) for one instruction under the given
-// channel kind.
-func instrCost(in *ir.Instr, arch *costmodel.Arch, ch costmodel.ChannelKind) (int64, int64) {
-	var w int64
-	switch in.Op {
-	case ir.OpSendLS:
-		w = int64(arch.TxWeight(ch, len(in.Args)))
-	case ir.OpRecvLS:
-		w = int64(arch.TxWeight(ch, len(in.Dsts)))
-	default:
-		w = int64(arch.InstrWeight(in))
-	}
-	if in.Tx {
-		return w, w
-	}
-	return w, 0
-}
-
 // FuncCost computes the worst-case path cost of a function: the longest
 // path through the summarized CFG (inner loop nodes weighted by bound times
 // their total body cost).
@@ -69,9 +51,11 @@ func (ws *workspace) funcCost(f *ir.Func, arch *costmodel.Arch, ch costmodel.Cha
 		c.loop = c.loop || len(scc.Members[scc.Comp[b.ID]]) > 1 || slices.Contains(b.Succs(), b.ID)
 		c.bound = max(c.bound, int64(b.LoopBound))
 		for _, in := range b.Instrs {
-			w, tx := instrCost(in, arch, ch)
+			w := int64(arch.InstrWeight(in, ch))
 			c.own.total += w
-			c.own.tx += tx
+			if in.Tx {
+				c.own.tx += w
+			}
 			static += w
 		}
 	}

@@ -93,65 +93,38 @@ func (a *Analysis) Explore(opts ExploreOptions) (*ExploreResult, error) {
 		opts.MaxPEs = 10
 	}
 
-	candidate := func(d int) (*Result, CandidateCost, error) {
-		o := opts.Base
-		o.Stages = d
-		res, err := a.Partition(o)
-		if err != nil {
-			return nil, CandidateCost{}, fmt.Errorf("explore degree %d: %w", d, err)
-		}
-		longest := res.Report.Stages[res.Report.LongestStage-1].Cost.Total
-		feasible := true
-		for _, c := range res.Report.Cuts {
-			if !c.Feasible {
-				feasible = false
-			}
-		}
-		return res, CandidateCost{Degree: d, LongestStage: longest, Feasible: feasible}, nil
-	}
-
-	ex := &ExploreResult{}
 	results := make([]*Result, opts.MaxPEs)
 	costs := make([]CandidateCost, opts.MaxPEs)
-
-	if parallel.Workers(opts.Workers, opts.MaxPEs) == 1 {
-		// Sequential: evaluate ascending degrees, stopping at the first
-		// one that meets the budget (the seed driver's behaviour).
-		for d := 1; d <= opts.MaxPEs; d++ {
-			res, cc, err := candidate(d)
-			if err != nil {
-				return nil, err
-			}
-			results[d-1], costs[d-1] = res, cc
-			ex.Candidates = append(ex.Candidates, cc)
-			if cc.LongestStage <= opts.Budget {
-				ex.Degree = d
-				ex.Met = true
-				ex.Result = res
-				return ex, nil
-			}
-		}
-	} else {
-		// Parallel: evaluate every degree concurrently, then select the
-		// smallest fitting one and truncate the candidate log so the
-		// observable result matches the sequential search exactly.
-		err := parallel.ForEach(opts.MaxPEs, opts.Workers, func(i int) error {
-			res, cc, err := candidate(i + 1)
-			if err != nil {
-				return err
-			}
-			results[i], costs[i] = res, cc
-			return nil
-		})
+	candidate := func(i int) error {
+		o := opts.Base
+		o.Stages = i + 1
+		res, err := a.Partition(o)
 		if err != nil {
+			return fmt.Errorf("explore degree %d: %w", i+1, err)
+		}
+		feasible := true
+		for _, c := range res.Report.Cuts {
+			feasible = feasible && c.Feasible
+		}
+		longest := res.Report.Stages[res.Report.LongestStage-1].Cost.Total
+		results[i], costs[i] = res, CandidateCost{Degree: i + 1, LongestStage: longest, Feasible: feasible}
+		return nil
+	}
+
+	// Cut ascending degrees one chunk of Workers at a time and stop after the
+	// first chunk that holds a fit: one worker is the smallest-degree-first
+	// search, more cut at most one chunk past the fit.
+	ex := &ExploreResult{}
+	chunk := parallel.Workers(opts.Workers, opts.MaxPEs)
+	for lo := 0; lo < opts.MaxPEs; lo += chunk {
+		hi := min(lo+chunk, opts.MaxPEs)
+		if err := parallel.ForEach(hi-lo, chunk, func(i int) error { return candidate(lo + i) }); err != nil {
 			return nil, err
 		}
-		for d := 1; d <= opts.MaxPEs; d++ {
-			ex.Candidates = append(ex.Candidates, costs[d-1])
-			if costs[d-1].LongestStage <= opts.Budget {
-				ex.Degree = d
-				ex.Met = true
-				ex.Result = results[d-1]
+		for i := lo; i < hi; i++ {
+			ex.Candidates = append(ex.Candidates, costs[i])
+			if costs[i].LongestStage <= opts.Budget {
+				ex.Degree, ex.Met, ex.Result = i+1, true, results[i]
 				return ex, nil
 			}
 		}

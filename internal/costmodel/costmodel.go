@@ -287,9 +287,11 @@ func Default() *Arch {
 
 // InstrWeight returns the weight of one IR instruction under the
 // architecture's weight mode: instruction count (the paper's default) or
-// unhidden IO latency (the paper's future-work extension). Transmission
-// pseudo-ops are weighted by TxWeight instead, once slot counts are known.
-func (a *Arch) InstrWeight(in *ir.Instr) int {
+// unhidden IO latency (the paper's future-work extension). The live-set
+// transmission pseudo-ops weigh TxWeight of their slot count over channel
+// ch. It is the one weight function: balancing, path costs and the
+// simulators all read it.
+func (a *Arch) InstrWeight(in *ir.Instr, ch ChannelKind) int {
 	switch in.Op {
 	case ir.OpPhi:
 		// A phi materializes as (at most) one copy per path after
@@ -314,31 +316,13 @@ func (a *Arch) InstrWeight(in *ir.Instr) int {
 			return intr.Weight
 		}
 		return 1
-	case ir.OpSendLS, ir.OpRecvLS:
-		// Weighted explicitly via TxWeight when slots are known; if such
-		// an instruction is weighed directly, use the slot count.
-		n := len(in.Args)
-		if in.Op == ir.OpRecvLS {
-			n = len(in.Dsts)
-		}
-		return a.TxWeight(NNRing, n)
-	case ir.OpJmp, ir.OpRet:
-		return 1
-	default:
-		return 1
-	}
-}
-
-// InstrWeightOn is InstrWeight with an explicit inter-stage channel kind
-// for the transmission pseudo-ops.
-func (a *Arch) InstrWeightOn(in *ir.Instr, ch ChannelKind) int {
-	switch in.Op {
 	case ir.OpSendLS:
 		return a.TxWeight(ch, len(in.Args))
 	case ir.OpRecvLS:
 		return a.TxWeight(ch, len(in.Dsts))
+	default:
+		return 1
 	}
-	return a.InstrWeight(in)
 }
 
 // TxWeight returns the instruction cost of sending (or receiving) a unified
@@ -352,18 +336,4 @@ func (a *Arch) TxWeight(kind ChannelKind, nWords int) int {
 		return 0
 	}
 	return c.Overhead + c.PerWord*nWords
-}
-
-// FuncWeight sums the weights of every instruction in f, scaling inner-loop
-// bodies is NOT done here: this is the flat static instruction count used
-// for balancing (the paper balances static instruction counts; worst-case
-// path length for performance reporting is computed by the core package).
-func (a *Arch) FuncWeight(f *ir.Func) int64 {
-	var w int64
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			w += int64(a.InstrWeight(in))
-		}
-	}
-	return w
 }

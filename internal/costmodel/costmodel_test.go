@@ -52,8 +52,8 @@ func TestInstrWeightMemory(t *testing.T) {
 	a := Default()
 	local := &ir.Array{Name: "l", Size: 4}
 	persistent := &ir.Array{Name: "p", Size: 4, Persistent: true}
-	lw := a.InstrWeight(&ir.Instr{Op: ir.OpLoad, Dst: 0, Args: []int{1}, Arr: local})
-	pw := a.InstrWeight(&ir.Instr{Op: ir.OpLoad, Dst: 0, Args: []int{1}, Arr: persistent})
+	lw := a.InstrWeight(&ir.Instr{Op: ir.OpLoad, Dst: 0, Args: []int{1}, Arr: local}, NNRing)
+	pw := a.InstrWeight(&ir.Instr{Op: ir.OpLoad, Dst: 0, Args: []int{1}, Arr: persistent}, NNRing)
 	if lw >= pw {
 		t.Errorf("local load weight %d should be below persistent load weight %d", lw, pw)
 	}
@@ -61,12 +61,12 @@ func TestInstrWeightMemory(t *testing.T) {
 
 func TestInstrWeightCall(t *testing.T) {
 	a := Default()
-	w := a.InstrWeight(&ir.Instr{Op: ir.OpCall, Dst: 0, Call: "rt_lookup"})
+	w := a.InstrWeight(&ir.Instr{Op: ir.OpCall, Dst: 0, Call: "rt_lookup"}, NNRing)
 	if w != Intrinsics["rt_lookup"].Weight {
 		t.Errorf("call weight = %d, want %d", w, Intrinsics["rt_lookup"].Weight)
 	}
 	// Unknown intrinsics default to 1 rather than crashing.
-	if got := a.InstrWeight(&ir.Instr{Op: ir.OpCall, Dst: 0, Call: "nope"}); got != 1 {
+	if got := a.InstrWeight(&ir.Instr{Op: ir.OpCall, Dst: 0, Call: "nope"}, NNRing); got != 1 {
 		t.Errorf("unknown call weight = %d, want 1", got)
 	}
 }
@@ -86,17 +86,24 @@ func TestTxWeight(t *testing.T) {
 	}
 }
 
-func TestFuncWeight(t *testing.T) {
+// TestInstrWeightChannel: a live-set transmission weighs TxWeight of its
+// slot count over the channel it is asked about — sends count Args,
+// receives Dsts — and no other instruction depends on the channel.
+func TestInstrWeightChannel(t *testing.T) {
 	a := Default()
-	f := ir.NewFunc("w")
-	bl := ir.NewBuilder(f)
-	x := bl.Const(1)
-	y := bl.Const(2)
-	bl.Bin(ir.OpAdd, x, y)
-	bl.Ret()
-	// const + const + add + ret = 4 weight-1 instructions.
-	if got := a.FuncWeight(f); got != 4 {
-		t.Errorf("FuncWeight = %d, want 4", got)
+	send := &ir.Instr{Op: ir.OpSendLS, Args: []int{1, 2, 3}}
+	recv := &ir.Instr{Op: ir.OpRecvLS, Dsts: []int{1, 2}}
+	add := &ir.Instr{Op: ir.OpAdd, Dst: 0, Args: []int{1, 2}}
+	for _, ch := range []ChannelKind{NNRing, ScratchRing} {
+		if got, want := a.InstrWeight(send, ch), a.TxWeight(ch, 3); got != want {
+			t.Errorf("%s: sendls weight = %d, want %d", ch, got, want)
+		}
+		if got, want := a.InstrWeight(recv, ch), a.TxWeight(ch, 2); got != want {
+			t.Errorf("%s: recvls weight = %d, want %d", ch, got, want)
+		}
+		if got := a.InstrWeight(add, ch); got != 1 {
+			t.Errorf("%s: add weight = %d, want 1", ch, got)
+		}
 	}
 }
 

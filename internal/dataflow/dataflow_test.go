@@ -117,28 +117,3 @@ func TestLivenessPhiEdgeSemantics(t *testing.T) {
 		}
 	}
 }
-
-func TestLiveAcross(t *testing.T) {
-	f := compile(t, `pps P { loop {
-		var n = pkt_rx();
-		var x = 0;
-		if (n > 0) { x = 1; } else { x = 2; }
-		trace(x);
-	} }`, true)
-	lv := ComputeLiveness(f)
-	cfg := f.CFG()
-	// For each phi operand, LiveAcross must hold on its edge.
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op != ir.OpPhi {
-				continue
-			}
-			for i, p := range in.PhiPreds {
-				if !lv.LiveAcross(f, p, b.ID, in.Args[i]) {
-					t.Errorf("LiveAcross(b%d->b%d, r%d) = false for phi operand", p, b.ID, in.Args[i])
-				}
-			}
-		}
-	}
-	_ = cfg
-}

@@ -97,22 +97,3 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 	}
 	return lv
 }
-
-// LiveAcross reports whether register r is live on the CFG edge from -> to:
-// r is live-in at `to` (or used by a phi in `to` along this edge).
-func (lv *Liveness) LiveAcross(f *ir.Func, from, to, r int) bool {
-	if lv.In[to].Has(r) {
-		return true
-	}
-	for _, in := range f.Blocks[to].Instrs {
-		if in.Op != ir.OpPhi {
-			break
-		}
-		for i, p := range in.PhiPreds {
-			if p == from && in.Args[i] == r {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -165,7 +165,7 @@ func (a *Analysis) buildUnits() {
 				for i, in := range f.Blocks[bid].Instrs {
 					instrs = append(instrs, in)
 					a.UnitAt[bid][i] = u.ID
-					u.Weight += int64(a.Arch.InstrWeight(in))
+					u.Weight += int64(a.Arch.InstrWeight(in, costmodel.NNRing))
 				}
 			}
 			u.Instrs = instrs[start:len(instrs):len(instrs)]
@@ -190,7 +190,7 @@ func (a *Analysis) buildUnits() {
 				Instrs:  instrs[len(instrs)-1 : len(instrs) : len(instrs)],
 				Blocks:  blocks,
 				SumNode: c,
-				Weight:  int64(a.Arch.InstrWeight(in)),
+				Weight:  int64(a.Arch.InstrWeight(in, costmodel.NNRing)),
 			})
 		}
 	}

@@ -56,18 +56,6 @@ type cell struct {
 	slots    int
 }
 
-// sweep measures one PPS across all degrees. The metric follows the paper:
-// the dynamic instruction count of the longest stage when processing a
-// minimum-size packet of the given traffic, worst case over the stream.
-// Every partition is simultaneously verified against the sequential trace.
-func sweep(p netbench.PPS, iters, workers int) (Series, error) {
-	out, err := sweepAll([]netbench.PPS{p}, iters, workers)
-	if err != nil {
-		return Series{}, err
-	}
-	return out[0], nil
-}
-
 // Fig19SpeedupIPv4 reproduces figure 19: speedup of the IPv4 forwarding
 // PPSes versus pipelining degree. workers bounds the goroutines measuring
 // (PPS × degree) pairs: 0 selects one per CPU, 1 runs sequentially; the
@@ -93,13 +81,16 @@ func Fig22OverheadIP(verifyIters, workers int) ([]Series, error) {
 	return Fig20SpeedupIP(verifyIters, workers)
 }
 
-// sweepAll measures every (PPS × degree) pair of the benchmark set. Each
-// PPS is compiled and analyzed once (phase 1, fanned out per PPS); the
-// pairs then share that analysis and fan out across workers (phase 2), each
-// pair cutting its own configuration, executing it on a private world and
-// verifying it against the PPS's sequential trace. Results land in
-// (PPS, degree) slots, so the series — and, via index-ordered error
-// selection, the first error — are those of a sequential nested loop.
+// sweepAll measures every (PPS × degree) pair of the benchmark set. The
+// metric follows the paper: the dynamic instruction count of the longest
+// stage when processing a minimum-size packet of the given traffic, worst
+// case over the stream. Each PPS is compiled and analyzed once (phase 1,
+// fanned out per PPS); the pairs then share that analysis and fan out
+// across workers (phase 2), each pair cutting its own configuration,
+// executing it on a private world and verifying it against the PPS's
+// sequential trace. Results land in (PPS, degree) slots, so the series —
+// and, via index-ordered error selection, the first error — are those of a
+// sequential nested loop.
 func sweepAll(ppses []netbench.PPS, verifyIters, workers int) ([]Series, error) {
 	iters := verifyIters
 	if iters <= 0 {
@@ -379,7 +370,7 @@ func AblationWeightMode(name string, degree, workers int) ([]WeightModePoint, er
 			var lat int64
 			for _, b := range sp.Func.Blocks {
 				for _, in := range b.Instrs {
-					lat += int64(latencyArch.InstrWeight(in))
+					lat += int64(latencyArch.InstrWeight(in, costmodel.NNRing))
 				}
 			}
 			totLat += lat

@@ -59,10 +59,11 @@ func TestSweepShapesOnePPS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	s, err := sweep(netbench.IPv4Forwarding()[1], 30, 0) // the IPv4 PPS
+	out, err := sweepAll(netbench.IPv4Forwarding()[1:2], 30, 0) // the IPv4 PPS
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := out[0]
 	if len(s.Speedup) != len(Degrees) {
 		t.Fatalf("series length %d", len(s.Speedup))
 	}

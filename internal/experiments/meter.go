@@ -34,7 +34,7 @@ func MeasureDynamic(stages []*ir.Program, world *interp.World, iters int, arch *
 		tot, tx = 0, 0
 	}}
 	meter := func(in *ir.Instr) {
-		w := int64(arch.InstrWeightOn(in, ch))
+		w := int64(arch.InstrWeight(in, ch))
 		tot += w
 		if in.Tx {
 			tx += w

@@ -127,7 +127,7 @@ func TestSCCSelfLoop(t *testing.T) {
 	if r.NumComps() != 2 {
 		t.Fatalf("NumComps = %d, want 2", r.NumComps())
 	}
-	if !r.IsTrivial(r.Comp[0]) {
+	if len(r.Members[r.Comp[0]]) != 1 {
 		t.Error("self-loop node should still be a singleton component")
 	}
 }

@@ -13,11 +13,6 @@ type SCCResult struct {
 // NumComps returns the number of strongly connected components.
 func (r *SCCResult) NumComps() int { return len(r.Members) }
 
-// IsTrivial reports whether component c is a single node with no self loop
-// in the graph g it was computed from. Callers that need self-loop
-// information should check g.HasEdge on the sole member.
-func (r *SCCResult) IsTrivial(c int) bool { return len(r.Members[c]) == 1 }
-
 // SCC computes strongly connected components using Tarjan's algorithm
 // (iterative, so deep graphs cannot overflow the goroutine stack).
 func SCC(g *Digraph) *SCCResult {

@@ -119,17 +119,6 @@ func NewRunner(prog *ir.Program, world *World) *Runner {
 	return &Runner{Prog: prog, World: world, persistent: NewStore(prog)}
 }
 
-// NewRunnerShared creates a runner bound to an existing persistent store —
-// the building block the sharded serve runtime uses to give each pipeline
-// replica either the shared store or a flow-partitioned fork of it.
-func NewRunnerShared(prog *ir.Program, world *World, store *Store) *Runner {
-	return &Runner{Prog: prog, World: world, persistent: store}
-}
-
-// PersistentStore returns the runner's persistent-array store, so a
-// different execution backend can be wired against the same flow state.
-func (r *Runner) PersistentStore() *Store { return r.persistent }
-
 // NewStageRunners builds one Runner per pipeline stage, all sharing one
 // fully pre-populated persistent store (see NewStore).
 func NewStageRunners(stages []*ir.Program, world *World) []*Runner {

@@ -79,12 +79,3 @@ func (f *Func) Postorder() []*Block {
 	}
 	return order
 }
-
-// ReversePostorder returns reachable blocks in reverse postorder.
-func (f *Func) ReversePostorder() []*Block {
-	po := f.Postorder()
-	for i, j := 0, len(po)-1; i < j; i, j = i+1, j-1 {
-		po[i], po[j] = po[j], po[i]
-	}
-	return po
-}

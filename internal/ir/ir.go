@@ -103,14 +103,6 @@ func (b *Block) Term() *Instr {
 	return last
 }
 
-// Body returns the block's instructions excluding the terminator.
-func (b *Block) Body() []*Instr {
-	if b.Term() != nil {
-		return b.Instrs[:len(b.Instrs)-1]
-	}
-	return b.Instrs
-}
-
 // Succs returns the successor block IDs.
 func (b *Block) Succs() []int {
 	t := b.Term()

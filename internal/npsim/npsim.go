@@ -107,7 +107,7 @@ func Simulate(stages []*ir.Program, world *interp.World, iters int, cfg Config) 
 	}
 	var demand int64
 	if err := run(stages, world, iters, func(in *ir.Instr) {
-		demand += int64(cfg.Arch.InstrWeightOn(in, cfg.Channel))
+		demand += int64(cfg.Arch.InstrWeight(in, cfg.Channel))
 	}, func(i, k int) {
 		service[k][i], demand = demand, 0
 	}); err != nil {

@@ -20,13 +20,12 @@ import (
 // The model is deterministic: per-iteration instruction tapes are recorded
 // by functional execution first, then replayed under the timing model.
 type threadState struct {
-	iter     int   // iteration being processed (-1 idle)
-	pc       int   // index into the iteration's tape
-	readyAt  int64 // cycle the thread may issue next
-	finished bool
+	iter    int   // iteration being processed (-1 idle)
+	pc      int   // index into the iteration's tape
+	readyAt int64 // cycle the thread may issue next
 }
 
-// instrCostTape is one stage-iteration's recorded instruction stream.
+// tapeEntry is one instruction of a stage-iteration's recorded stream.
 type tapeEntry struct {
 	issue int64 // issue occupancy in cycles (instruction count weight)
 	park  int64 // extra latency the issuing thread waits out (not the PE)
@@ -71,8 +70,8 @@ func SimulateThreads(stages []*ir.Program, world *interp.World, iters int, cfg C
 	}
 	var tape []tapeEntry
 	if err := run(stages, world, iters, func(in *ir.Instr) {
-		issue := int64(issueArch.InstrWeightOn(in, cfg.Channel))
-		lat := int64(latencyArch.InstrWeightOn(in, cfg.Channel))
+		issue := int64(issueArch.InstrWeight(in, cfg.Channel))
+		lat := int64(latencyArch.InstrWeight(in, cfg.Channel))
 		tape = append(tape, tapeEntry{issue: issue, park: max(lat-issue, 0)})
 	}, func(i, k int) {
 		tapes[k][i], tape = tape, nil

@@ -7,10 +7,10 @@
 //     body, and transmitting downstream — exportable as Chrome
 //     `trace_event` JSON (chrome://tracing, Perfetto) or a compact text
 //     timeline for terminals.
-//   - Registry is a process-local metrics registry (counters, gauges,
-//     computed gauges, histograms) the runtime mirrors its per-stage
-//     counters into; it renders deterministically, publishes to expvar,
-//     and serves snapshots over HTTP.
+//   - Registry is a process-local metrics registry of computed gauges and
+//     histograms: the runtime mirrors its per-stage counters into it as
+//     gauges read at snapshot time; it renders deterministically, publishes
+//     to expvar, and serves snapshots over HTTP.
 //   - Observer bundles both with a periodic log line, and is what the
 //     runtime actually threads through its hot loop.
 //

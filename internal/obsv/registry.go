@@ -12,45 +12,6 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric. The zero value is ready;
-// all methods are atomic and nil-safe, so a counter can be bumped from a
-// hot loop while an HTTP handler snapshots it.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) {
-	if c != nil {
-		c.v.Add(d)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a set-to-current-value metric (ring occupancy, queue depth).
-// The zero value is ready; methods are atomic and nil-safe.
-type Gauge struct{ v atomic.Int64 }
-
-// Set records the current value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Value returns the last value set.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram counts observations into fixed buckets (upper-bound
 // inclusive, with an implicit +Inf overflow bucket). Observation is a
 // linear scan over the bounds — keep bucket lists short on hot paths.
@@ -92,15 +53,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Mean returns the mean observed value, or 0 before any observation.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
 // HistogramSnapshot is one histogram's state at snapshot time.
 type HistogramSnapshot struct {
 	// Bounds are the ascending bucket upper bounds; Counts has one entry
@@ -111,28 +63,24 @@ type HistogramSnapshot struct {
 	Count  int64   `json:"count"`
 }
 
-// Registry is a named collection of metrics. Metric constructors
-// get-or-create (so wiring code needs no "already registered" dance), a
-// name maps to exactly one kind, and snapshots render deterministically
-// in name order. All methods are safe for concurrent use.
+// Registry is a named collection of computed gauges and histograms.
+// Registration is get-or-create (so wiring code needs no "already
+// registered" dance), a name maps to exactly one kind, and snapshots render
+// deterministically in name order. All methods are safe for concurrent use.
 type Registry struct {
-	mu     sync.Mutex
-	order  []string
-	kinds  map[string]string // name -> counter|gauge|func|histogram
-	ctrs   map[string]*Counter
-	gauges map[string]*Gauge
-	funcs  map[string]func() int64
-	hists  map[string]*Histogram
+	mu    sync.Mutex
+	order []string
+	kinds map[string]string // name -> func|histogram
+	funcs map[string]func() int64
+	hists map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		kinds:  map[string]string{},
-		ctrs:   map[string]*Counter{},
-		gauges: map[string]*Gauge{},
-		funcs:  map[string]func() int64{},
-		hists:  map[string]*Histogram{},
+		kinds: map[string]string{},
+		funcs: map[string]func() int64{},
+		hists: map[string]*Histogram{},
 	}
 }
 
@@ -147,34 +95,6 @@ func (r *Registry) register(name, kind string) {
 	}
 	r.kinds[name] = kind
 	r.order = append(r.order, name)
-}
-
-// Counter returns the counter registered under name, creating it on
-// first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, "counter")
-	c, ok := r.ctrs[name]
-	if !ok {
-		c = &Counter{}
-		r.ctrs[name] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first
-// use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, "gauge")
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Func registers a computed gauge: fn is evaluated at snapshot time, so
@@ -207,18 +127,14 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 }
 
 // Snapshot captures every metric's current value, keyed by name:
-// counters, gauges and funcs as int64, histograms as
-// *HistogramSnapshot. The map is a point-in-time copy, safe to marshal.
+// computed gauges as int64, histograms as *HistogramSnapshot. The map is a
+// point-in-time copy, safe to marshal.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]any, len(r.order))
 	for _, name := range r.order {
 		switch r.kinds[name] {
-		case "counter":
-			out[name] = r.ctrs[name].Value()
-		case "gauge":
-			out[name] = r.gauges[name].Value()
 		case "func":
 			out[name] = r.funcs[name]()
 		case "histogram":

@@ -255,15 +255,6 @@ func sortSpans(s []Span) {
 	})
 }
 
-// WriteChromeTrace renders the recorded spans as Chrome trace_event JSON
-// (the "JSON array format" chrome://tracing and Perfetto load): one
-// complete event ("ph":"X") per span, stages mapped to threads so the
-// viewer draws one swimlane per stage. Timestamps are microseconds from
-// the trace origin. The output is deterministic for a given span set.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTrace(w, t.Spans())
-}
-
 // chromeEvent is the wire form of one trace_event entry.
 type chromeEvent struct {
 	Name string          `json:"name"`
@@ -282,9 +273,12 @@ type chromeEventArgs struct {
 	N    int   `json:"n"`
 }
 
-// WriteChromeTrace renders spans as Chrome trace_event JSON; see
-// (*Tracer).WriteChromeTrace. Spans are emitted in the order given —
-// pass Tracer.Spans() (already deterministic) or pre-sorted data.
+// WriteChromeTrace renders spans as Chrome trace_event JSON (the "JSON
+// array format" chrome://tracing and Perfetto load): one complete event
+// ("ph":"X") per span, stages mapped to threads so the viewer draws one
+// swimlane per stage. Timestamps are microseconds from the trace origin.
+// Spans are emitted in the order given — pass Tracer.Spans() (already
+// deterministic) or pre-sorted data.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("[\n"); err != nil {

@@ -162,20 +162,13 @@ func (s *StageStats) NsPerIteration() float64 {
 	return float64(s.Busy.Nanoseconds()) / float64(s.In)
 }
 
-// Metrics is the snapshot Serve returns: end-to-end throughput, per-stage
-// counters and — under the default sink — the observable trace.
+// Metrics is what Serve returns: the run's final Snapshot — packets,
+// elapsed time, shard width, per-stage counters and ingest counters, taken
+// after the last unit joined — plus what only exists once the run is over:
+// the observable trace (under the default sink), the sink's flush count and
+// the fault ledger.
 type Metrics struct {
-	// Packets is the number of iterations that retired at the sink stage.
-	Packets int64
-	// Elapsed is the wall-clock duration of the serve run.
-	Elapsed time.Duration
-	// Shards is the effective shard width the run executed with: 1 for an
-	// unsharded serve (or a pipeline with no shardable stage), otherwise
-	// the configured Config.Shards.
-	Shards int
-	// Stages holds one entry per pipeline stage (counters aggregated
-	// across the stage's replicas when sharded; see StageStats.Replicas).
-	Stages []StageStats
+	Snapshot
 	// Trace is the observable event stream in iteration order —
 	// byte-identical to the sequential oracle. The trace sink fills it: the
 	// default sink of a serve given none. Under any other Sink it is nil.
@@ -187,18 +180,6 @@ type Metrics struct {
 	// and quarantined packets, with per-packet records. On a clean run every
 	// counter except Delivered is zero.
 	Faults *FaultReport
-	// Ingest is the feeding source's boundary counters, frozen after the
-	// final join, when the run was fed through the ingest front end
-	// (Config.Ingest non-nil); nil for in-process sources.
-	Ingest *IngestStats
-}
-
-// PacketsPerSecond is the end-to-end throughput of the run.
-func (m *Metrics) PacketsPerSecond() float64 {
-	if m.Elapsed <= 0 {
-		return 0
-	}
-	return float64(m.Packets) / m.Elapsed.Seconds()
 }
 
 // String renders a compact human-readable summary.

@@ -250,7 +250,7 @@ func TestServeTracing(t *testing.T) {
 
 	// The export must round-trip through the trace_event JSON form.
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := obsv.WriteChromeTrace(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
 	back, err := obsv.ReadChromeTrace(&buf)

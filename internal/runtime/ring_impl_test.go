@@ -92,7 +92,11 @@ func TestRingImplOracleMatrix(t *testing.T) {
 // actually populated under backpressure: with single-entry rings and a
 // deep pipeline, blocked waits must happen, and every blocked wait must
 // land in exactly one of the two phases (SpinWait + ParkWait is the whole
-// handoff wait, split the other way as TxWait + RxWait).
+// handoff wait, split the other way as TxWait + RxWait). Spin time always
+// comes with a counted spin. Park time comes with a counted park except at
+// the last stage, which pushes to the Sink: it books its time inside
+// Sink.Push as parked without parking (StageStats.TxWait), so it may show
+// park time and no park.
 func TestRingSPSCWaitCountersAccount(t *testing.T) {
 	const n = 200
 	pps, _ := netbench.ByName("IPv4")
@@ -120,7 +124,8 @@ func TestRingSPSCWaitCountersAccount(t *testing.T) {
 		if s.LostWakeups != 0 {
 			t.Errorf("stage %d: %d lost wakeups (the park backstop rescued a handshake)", s.Stage, s.LostWakeups)
 		}
-		if (s.Spins == 0 && s.SpinWait > 0) || (s.Parks == 0 && s.ParkWait > 0) {
+		toSink := s.Stage == len(m.Stages)
+		if (s.Spins == 0 && s.SpinWait > 0) || (!toSink && s.Parks == 0 && s.ParkWait > 0) {
 			t.Errorf("stage %d: wait time without a counted wait (spins=%d spin=%v parks=%d park=%v)",
 				s.Stage, s.Spins, s.SpinWait, s.Parks, s.ParkWait)
 		}

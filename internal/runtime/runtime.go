@@ -1126,31 +1126,18 @@ func (e *engine) run(ctx context.Context) {
 	}
 }
 
-// finish closes the sink, freezes the final Metrics from the probes and
-// reconciles the fault ledger (all strictly after the unit goroutines
-// joined); a serve that made its own trace sink hands its events over as
+// finish closes the sink, takes the final Snapshot of the probes as the
+// Metrics and reconciles the fault ledger (all strictly after the unit
+// goroutines joined); a serve that made its own trace sink hands its events over as
 // Metrics.Trace and, on a clean completion, publishes them to the world. A
 // serve that failed — a stage error, a sink error — still reports what it did.
 func (e *engine) finish(ctx context.Context, world *interp.World) (*Metrics, error) {
 	flushed, cerr := e.sink.Close()
-	m := &Metrics{
-		Packets: e.live.packets.Load(),
-		Elapsed: time.Duration(e.live.elapsedNs.Load()),
-		Shards:  e.plan.width(),
-		Stages:  make([]StageStats, e.live.degree()),
-		Flushed: flushed,
-	}
+	m := &Metrics{Snapshot: *e.live.Snapshot(), Flushed: flushed}
 	if e.trace != nil {
 		m.Trace = e.trace.Events()
 	}
-	for k := range m.Stages {
-		m.Stages[k] = e.live.stageStats(k)
-	}
 	m.Faults = e.faultReport(m)
-	if e.cfg.Ingest != nil {
-		v := e.cfg.Ingest()
-		m.Ingest = &v
-	}
 	err := e.firstErr
 	if err == nil {
 		err = ctx.Err()

@@ -173,10 +173,9 @@ func (l *Live) Snapshot() *Snapshot {
 	return s
 }
 
-// Snapshot is a point-in-time view of a serve run's counters — the live
-// analogue of Metrics, minus the trace and fault records (which are only
-// merged at the final join). Unlike Metrics, a Snapshot may be taken
-// while the run is still moving.
+// Snapshot is a point-in-time view of a serve run's counters. It may be
+// taken while the run is still moving; the one taken after the final join
+// is the Snapshot that Metrics embeds.
 type Snapshot struct {
 	// Running reports whether the serve was still in flight when the
 	// snapshot was taken.

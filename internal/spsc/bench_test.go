@@ -4,57 +4,42 @@ import (
 	"testing"
 )
 
-// BenchmarkRingChanVsSPSC sets the two ring implementations the serve
-// runtime can realize a cut with against each other, in the shapes that
-// matter on the hot path: a single-entry handoff and a 32-entry batched
-// handoff, each uncontended (one goroutine, the fast path) and ping-pong
-// (two goroutines bouncing through a ring pair — the stage-boundary
-// shape, where a blocked channel side pays the scheduler park/unpark this
-// package exists to avoid). The measured per-entry figures are recorded
-// in EXPERIMENTS.md and are where fusion.go's ring-tax constants come
-// from.
+// BenchmarkRingChanVsSPSC sets this ring against a buffered Go channel in
+// the shapes that matter on the hot path: a one-int entry, and an entry
+// that is a whole 32-element batch — what the serve runtime's rings carry,
+// one batch of tokens per entry — each uncontended (one goroutine, the fast
+// path) and ping-pong (two goroutines bouncing through a ring pair — the
+// stage-boundary shape, where a blocked channel side pays the scheduler
+// park/unpark this package exists to avoid). The measured figures are
+// recorded in EXPERIMENTS.md and are where fusion.go's ring-tax constant
+// comes from.
 func BenchmarkRingChanVsSPSC(b *testing.B) {
-	b.Run("chan/uncontended-1", func(b *testing.B) {
-		ch := make(chan int, 8)
+	benchEntry(b, "1", 0)
+	benchEntry(b, "32", make([]int, 32))
+}
+
+// benchEntry runs the four BenchmarkRingChanVsSPSC shapes with v as the
+// entry every handoff moves.
+func benchEntry[T any](b *testing.B, size string, v T) {
+	b.Run("chan/uncontended-"+size, func(b *testing.B) {
+		ch := make(chan T, 8)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ch <- i
+			ch <- v
 			<-ch
 		}
 	})
-	b.Run("spsc/uncontended-1", func(b *testing.B) {
-		r := New[int](8, DefaultStrategy())
+	b.Run("spsc/uncontended-"+size, func(b *testing.B) {
+		r := New[T](8, DefaultStrategy())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r.TryPush(i)
+			r.TryPush(v)
 			r.TryPop()
 		}
 	})
-	b.Run("chan/uncontended-32", func(b *testing.B) {
-		ch := make(chan int, 64)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < 32; j++ {
-				ch <- j
-			}
-			for j := 0; j < 32; j++ {
-				<-ch
-			}
-		}
-	})
-	b.Run("spsc/uncontended-32", func(b *testing.B) {
-		r := New[int](64, DefaultStrategy())
-		in := make([]int, 32)
-		out := make([]int, 32)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.PushN(in)
-			r.PopN(out)
-		}
-	})
-	b.Run("chan/pingpong-1", func(b *testing.B) {
-		fwd := make(chan int, 8)
-		bwd := make(chan int, 8)
+	b.Run("chan/pingpong-"+size, func(b *testing.B) {
+		fwd := make(chan T, 8)
+		bwd := make(chan T, 8)
 		go func() {
 			for v := range fwd {
 				bwd <- v
@@ -63,14 +48,14 @@ func BenchmarkRingChanVsSPSC(b *testing.B) {
 		}()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			fwd <- i
+			fwd <- v
 			<-bwd
 		}
 		close(fwd)
 	})
-	b.Run("spsc/pingpong-1", func(b *testing.B) {
-		fwd := New[int](8, DefaultStrategy())
-		bwd := New[int](8, DefaultStrategy())
+	b.Run("spsc/pingpong-"+size, func(b *testing.B) {
+		fwd := New[T](8, DefaultStrategy())
+		bwd := New[T](8, DefaultStrategy())
 		go func() {
 			for {
 				v, ok, _ := fwd.Pop(nil, nil)
@@ -83,70 +68,8 @@ func BenchmarkRingChanVsSPSC(b *testing.B) {
 		}()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			fwd.Push(i, nil, nil)
+			fwd.Push(v, nil, nil)
 			bwd.Pop(nil, nil)
-		}
-		fwd.Close()
-	})
-	b.Run("chan/pingpong-32", func(b *testing.B) {
-		fwd := make(chan int, 64)
-		bwd := make(chan int, 64)
-		go func() {
-			for v := range fwd {
-				bwd <- v
-			}
-			close(bwd)
-		}()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < 32; j++ {
-				fwd <- j
-			}
-			for j := 0; j < 32; j++ {
-				<-bwd
-			}
-		}
-		close(fwd)
-	})
-	b.Run("spsc/pingpong-32", func(b *testing.B) {
-		// Blocking Pop claims the first entry of each batch (the wait),
-		// PopN/PushN move the rest with one atomic pair — the same shape
-		// the serve runtime's batched handoff has. The rings are sized so
-		// a whole batch always fits, keeping PushN single-shot.
-		fwd := New[int](64, DefaultStrategy())
-		bwd := New[int](64, DefaultStrategy())
-		go func() {
-			buf := make([]int, 32)
-			for {
-				v, ok, _ := fwd.Pop(nil, nil)
-				if !ok {
-					bwd.Close()
-					return
-				}
-				buf[0] = v
-				n := 1 + fwd.PopN(buf[1:32])
-				for sent := bwd.PushN(buf[:n]); sent < n; sent++ {
-					bwd.Push(buf[sent], nil, nil)
-				}
-			}
-		}()
-		in := make([]int, 32)
-		out := make([]int, 32)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for sent := fwd.PushN(in); sent < 32; sent++ {
-				fwd.Push(in[sent], nil, nil)
-			}
-			got := 0
-			for got < 32 {
-				v, ok, _ := bwd.Pop(nil, nil)
-				if !ok {
-					b.Fatal("echo ring closed early")
-				}
-				out[got] = v
-				got++
-				got += bwd.PopN(out[got:32])
-			}
 		}
 		fwd.Close()
 	})

@@ -6,8 +6,8 @@
 // a release store of its tail cursor, the consumer claims with a release
 // store of its head cursor, and each side caches the other's cursor so
 // the shared line is only re-read when the cached view says the ring is
-// full (or empty). PushN/PopN amortize further: one acquire/publish pair
-// covers a whole run of entries.
+// full (or empty). The serve runtime amortizes further by making each entry
+// a whole batch: one publish moves every packet in it.
 //
 // The slot buffer is rounded up to a power of two so slot indexing is a
 // mask, but the ring enforces the *requested* capacity exactly: a ring
@@ -111,9 +111,8 @@ func (w *WaitCounters) Spun(d time.Duration) {
 	w.SpinNs.Add(int64(d))
 }
 
-// Parked records a wait of duration d that escalated to a park — or, for
-// a channel-backed ring, any blocked wait at all (channels park in the
-// scheduler immediately). Safe on a nil receiver.
+// Parked records a wait of duration d that escalated to a park. Safe on a
+// nil receiver.
 func (w *WaitCounters) Parked(d time.Duration) {
 	if w == nil {
 		return
@@ -169,11 +168,10 @@ const parkBackstop = time.Millisecond
 // peer that published but has not yet posted, before counting a lost wakeup.
 const lateTurns = 16
 
-// Ring is the lock-free SPSC ring. All producer-side methods (TryPush,
-// Push, PushN, PushTimeout, Close) must be called from one goroutine at a
-// time, and all consumer-side methods (TryPop, Pop, PopN) from one
-// goroutine at a time; the two sides need no coordination with each
-// other. The zero value is not usable — construct with New.
+// Ring is the lock-free SPSC ring. The producer-side methods must be called
+// from one goroutine at a time, and the consumer-side methods from one
+// goroutine at a time; the two sides need no coordination with each other.
+// The zero value is not usable — construct with New.
 type Ring[T any] struct {
 	slots []T
 	mask  uint64
@@ -225,11 +223,6 @@ func New[T any](capacity int, ws WaitStrategy) *Ring[T] {
 	return r
 }
 
-// Cap is the ring's capacity: the exact number of entries it holds
-// before reporting full (the capacity passed to New, not the rounded
-// buffer size).
-func (r *Ring[T]) Cap() int { return int(r.cap) }
-
 // Len is the number of entries currently queued. Either side (or a
 // snapshotting observer) may call it; the value is naturally racy while
 // the ring is moving.
@@ -267,34 +260,6 @@ func (r *Ring[T]) TryPush(v T) bool {
 	return true
 }
 
-// PushN publishes as many of vs as fit, in order, with a single
-// acquire/publish pair: one head refresh at most, one tail store for the
-// whole run. It returns how many entries were accepted. Producer side
-// only.
-func (r *Ring[T]) PushN(vs []T) int {
-	if r.closed.Load() {
-		panic("spsc: Push after Close")
-	}
-	t := r.tail.Load()
-	free := r.cap - (t - r.cachedHead)
-	if uint64(len(vs)) > free {
-		r.cachedHead = r.head.Load()
-		free = r.cap - (t - r.cachedHead)
-	}
-	n := len(vs)
-	if uint64(n) > free {
-		n = int(free)
-	}
-	for i := 0; i < n; i++ {
-		r.slots[(t+uint64(i))&r.mask] = vs[i]
-	}
-	if n > 0 {
-		r.tail.Store(t + uint64(n))
-		r.notEmpty.post()
-	}
-	return n
-}
-
 // TryPop claims the oldest entry without blocking; ok is false when the
 // ring is empty (closed or not — pair with Closed for the drain
 // protocol, or use Pop which folds it in). Consumer side only.
@@ -312,32 +277,6 @@ func (r *Ring[T]) TryPop() (v T, ok bool) {
 	r.head.Store(h + 1)
 	r.notFull.post()
 	return v, true
-}
-
-// PopN claims up to len(dst) entries with a single acquire/publish pair,
-// returning how many were moved into dst. Consumer side only.
-func (r *Ring[T]) PopN(dst []T) int {
-	h := r.head.Load()
-	avail := r.cachedTail - h
-	if avail == 0 || uint64(len(dst)) > avail {
-		r.cachedTail = r.tail.Load()
-		avail = r.cachedTail - h
-	}
-	n := len(dst)
-	if uint64(n) > avail {
-		n = int(avail)
-	}
-	var zero T
-	for i := 0; i < n; i++ {
-		idx := (h + uint64(i)) & r.mask
-		dst[i] = r.slots[idx]
-		r.slots[idx] = zero
-	}
-	if n > 0 {
-		r.head.Store(h + uint64(n))
-		r.notFull.post()
-	}
-	return n
 }
 
 // Push blocks until v is published or done fires (returns false). The
@@ -370,36 +309,32 @@ func (r *Ring[T]) Pop(done <-chan struct{}, w *WaitCounters) (v T, ok, canceled 
 	}
 	start := time.Now()
 	spin := int(r.consSpin)
-	phase := 0 // 0: spinning, 1: yielding, 2: parked at least once
+	parked := false
 	yields := 0
 	for {
 		if v, ok = r.TryPop(); ok {
-			r.waitDone(phase, start, w, true)
+			r.settle(&r.consSpin, parked, start, w)
 			return v, true, false
 		}
 		if r.closed.Load() {
 			// Close is sequenced after the final publish, so one more
 			// claim attempt observes everything the producer sent.
-			if v, ok = r.TryPop(); ok {
-				r.waitDone(phase, start, w, true)
-				return v, true, false
-			}
-			r.waitDone(phase, start, w, true)
-			return v, false, false
+			v, ok = r.TryPop()
+			r.settle(&r.consSpin, parked, start, w)
+			return v, ok, false
 		}
 		switch {
 		case spin > 0:
 			spin--
-		case phase == 0 && yields < r.ws.Yield:
-			phase = 0
+		case !parked && yields < r.ws.Yield:
 			yields++
 			runtime.Gosched()
 		default:
-			phase = 2
+			parked = true
 			if !r.park(&r.notEmpty, done, &r.consTimer, parkBackstop, w, func() bool {
 				return r.head.Load() != r.tail.Load() || r.closed.Load()
 			}) {
-				r.waitDone(phase, start, w, true)
+				r.settle(&r.consSpin, parked, start, w)
 				return v, false, true
 			}
 		}
@@ -416,81 +351,59 @@ func (r *Ring[T]) waitProducer(done <-chan struct{}, d time.Duration, w *WaitCou
 		deadline = start.Add(d)
 	}
 	spin := int(r.prodSpin)
-	phase := 0
+	parked := false
 	yields := 0
 	for {
 		if try() {
-			r.prodWaitDone(phase, start, w)
+			r.settle(&r.prodSpin, parked, start, w)
 			return true, false
 		}
 		if d > 0 && time.Since(start) >= d {
-			r.prodWaitDone(phase, start, w)
+			r.settle(&r.prodSpin, parked, start, w)
 			return false, false
 		}
 		switch {
 		case spin > 0:
 			spin--
-		case phase == 0 && yields < r.ws.Yield:
+		case !parked && yields < r.ws.Yield:
 			yields++
 			runtime.Gosched()
 		default:
-			phase = 2
+			parked = true
 			wait := parkBackstop
 			if d > 0 {
 				if left := time.Until(deadline); left < wait {
 					wait = left
 				}
 				if wait <= 0 {
-					r.prodWaitDone(phase, start, w)
+					r.settle(&r.prodSpin, parked, start, w)
 					return false, false
 				}
 			}
 			if !r.park(&r.notFull, done, &r.prodTimer, wait, w, func() bool {
 				return r.tail.Load()-r.head.Load() < r.cap
 			}) {
-				r.prodWaitDone(phase, start, w)
+				r.settle(&r.prodSpin, parked, start, w)
 				return false, true
 			}
 		}
 	}
 }
 
-// waitDone settles the consumer-side wait accounting.
-func (r *Ring[T]) waitDone(phase int, start time.Time, w *WaitCounters, adapt bool) {
+// settle books one blocked wait in w and adapts the waiting side's spin
+// budget: a wait that parked halves it, one that resolved while spinning
+// regrows it toward Strategy.Spin.
+func (r *Ring[T]) settle(budget *int32, parked bool, start time.Time, w *WaitCounters) {
 	d := time.Since(start)
-	if phase == 2 {
+	if parked {
 		w.Parked(d)
-		if adapt && r.consSpin > 1 {
-			r.consSpin /= 2
+		if *budget > 1 {
+			*budget /= 2
 		}
-	} else {
-		w.Spun(d)
-		if adapt && int(r.consSpin) < r.ws.Spin {
-			r.consSpin = r.consSpin*2 + 1
-			if int(r.consSpin) > r.ws.Spin {
-				r.consSpin = int32(r.ws.Spin)
-			}
-		}
+		return
 	}
-}
-
-// prodWaitDone settles the producer-side wait accounting.
-func (r *Ring[T]) prodWaitDone(phase int, start time.Time, w *WaitCounters) {
-	d := time.Since(start)
-	if phase == 2 {
-		w.Parked(d)
-		if r.prodSpin > 1 {
-			r.prodSpin /= 2
-		}
-	} else {
-		w.Spun(d)
-		if int(r.prodSpin) < r.ws.Spin {
-			r.prodSpin = r.prodSpin*2 + 1
-			if int(r.prodSpin) > r.ws.Spin {
-				r.prodSpin = int32(r.ws.Spin)
-			}
-		}
-	}
+	w.Spun(d)
+	*budget = min(*budget*2+1, int32(r.ws.Spin))
 }
 
 // park blocks on n until posted, done fires (returns false), or d elapses —

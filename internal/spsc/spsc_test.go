@@ -9,15 +9,11 @@ import (
 )
 
 func TestCapacityExact(t *testing.T) {
-	// Cap reports the requested capacity (the buffer rounds up to a power
-	// of two internally, but the full threshold is exact), and a ring of
-	// capacity N accepts exactly N pushes before refusing — including
-	// capacities that are not powers of two.
+	// The buffer rounds up to a power of two internally, but the full
+	// threshold is exact: a ring of capacity N accepts exactly N pushes
+	// before refusing — including capacities that are not powers of two.
 	for _, ask := range []int{1, 2, 3, 4, 5, 8, 9, 64, 100} {
 		r := New[int](ask, WaitStrategy{})
-		if got := r.Cap(); got != ask {
-			t.Errorf("New(%d).Cap() = %d, want %d", ask, got, ask)
-		}
 		for i := 0; i < ask; i++ {
 			if !r.TryPush(i) {
 				t.Fatalf("New(%d): TryPush %d refused with %d queued", ask, i, r.Len())
@@ -65,33 +61,6 @@ func TestTryPushTryPopFIFO(t *testing.T) {
 	}
 }
 
-func TestPushNPopNBatched(t *testing.T) {
-	r := New[int](8, WaitStrategy{})
-	in := []int{1, 2, 3, 4, 5, 6}
-	if n := r.PushN(in); n != 6 {
-		t.Fatalf("PushN accepted %d, want 6", n)
-	}
-	// Only 2 slots free: a 4-entry push is truncated.
-	if n := r.PushN([]int{7, 8, 9, 10}); n != 2 {
-		t.Fatalf("PushN on a near-full ring accepted %d, want 2", n)
-	}
-	dst := make([]int, 5)
-	if n := r.PopN(dst); n != 5 {
-		t.Fatalf("PopN claimed %d, want 5", n)
-	}
-	for i, want := range []int{1, 2, 3, 4, 5} {
-		if dst[i] != want {
-			t.Fatalf("PopN[%d] = %d, want %d", i, dst[i], want)
-		}
-	}
-	if n := r.PopN(dst); n != 3 {
-		t.Fatalf("second PopN claimed %d, want 3", n)
-	}
-	if n := r.PopN(dst); n != 0 {
-		t.Fatalf("PopN on an empty ring claimed %d", n)
-	}
-}
-
 func TestPopReleasesSlotReference(t *testing.T) {
 	r := New[*int](2, WaitStrategy{})
 	v := new(int)
@@ -99,12 +68,6 @@ func TestPopReleasesSlotReference(t *testing.T) {
 	r.TryPop()
 	if r.slots[0] != nil {
 		t.Fatal("TryPop left the slot's pointer live")
-	}
-	r.PushN([]*int{v, v})
-	dst := make([]*int, 2)
-	r.PopN(dst)
-	if r.slots[0] != nil || r.slots[1] != nil {
-		t.Fatal("PopN left a slot's pointer live")
 	}
 }
 
@@ -426,10 +389,10 @@ func TestDefaultStrategySingleCore(t *testing.T) {
 
 // TestRandomizedProducerConsumerCloser drives seeded random schedules through
 // the ring: the producer publishes 0..n-1 through a random mix of TryPush,
-// Push, PushTimeout and PushN, pausing at random, and closes after the last
-// one — n itself is drawn from the seed, so the close lands at a random
-// point of the consumer's schedule; the consumer claims through a random mix
-// of Pop, TryPop and PopN. Whatever the interleaving, at capacities 1, 2 and
+// Push and PushTimeout, pausing at random, and closes after the last one —
+// n itself is drawn from the seed, so the close lands at a random point of
+// the consumer's schedule; the consumer claims through a random mix of Pop
+// and TryPop. Whatever the interleaving, at capacities 1, 2 and
 // 8 and whether waits spin first or park at once, the consumer must see
 // exactly 0..n-1 in order, be told the stream ended only once the ring is
 // closed and drained, and no park on either side may have needed the
@@ -458,10 +421,9 @@ func TestRandomizedProducerConsumerCloser(t *testing.T) {
 			var tx, rx WaitCounters
 			go func() {
 				rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-				vs := make([]int, 2*capacity)
 				for next := 0; next < n; {
 					pause(rng)
-					switch rng.Intn(4) {
+					switch rng.Intn(3) {
 					case 0:
 						if r.TryPush(next) {
 							next++
@@ -473,12 +435,6 @@ func TestRandomizedProducerConsumerCloser(t *testing.T) {
 						if ok, _ := r.PushTimeout(next, nil, time.Duration(rng.Intn(300))*time.Microsecond, &tx); ok {
 							next++
 						}
-					case 3:
-						m := min(1+rng.Intn(len(vs)), n-next)
-						for i := range vs[:m] {
-							vs[i] = next + i
-						}
-						next += r.PushN(vs[:m])
 					}
 				}
 				pause(rng)
@@ -486,7 +442,6 @@ func TestRandomizedProducerConsumerCloser(t *testing.T) {
 			}()
 
 			rng := rand.New(rand.NewSource(seed ^ 0xc0de))
-			dst := make([]int, 2*capacity)
 			want := 0
 			check := func(v int) {
 				if v != want {
@@ -496,7 +451,7 @@ func TestRandomizedProducerConsumerCloser(t *testing.T) {
 			}
 			for ended := false; !ended; {
 				pause(rng)
-				switch rng.Intn(3) {
+				switch rng.Intn(2) {
 				case 0:
 					v, ok, canceled := r.Pop(nil, &rx)
 					switch {
@@ -509,10 +464,6 @@ func TestRandomizedProducerConsumerCloser(t *testing.T) {
 					}
 				case 1:
 					if v, ok := r.TryPop(); ok {
-						check(v)
-					}
-				case 2:
-					for _, v := range dst[:r.PopN(dst[:1+rng.Intn(len(dst))])] {
 						check(v)
 					}
 				}

@@ -99,9 +99,9 @@ type SimResult = npsim.Result
 // ThreadSimResult reports thread-level simulated timing.
 type ThreadSimResult = npsim.ThreadSimResult
 
-// Metrics is the serve-path snapshot: measured throughput, per-stage
-// counters, and — unless WithSink sent it elsewhere — the observable trace
-// in sequential order.
+// Metrics is what a serve returns: its final Snapshot (throughput,
+// per-stage counters), the fault ledger and — unless WithSink sent it
+// elsewhere — the observable trace in sequential order.
 type Metrics = runtime.Metrics
 
 // StageStats are one stage's serve-path counters.
@@ -137,8 +137,8 @@ const (
 	PhaseTx   = obsv.PhaseTx
 )
 
-// Registry is a process-local metrics registry: named counters, gauges,
-// and histograms with a point-in-time Snapshot, a JSON form, and an
+// Registry is a process-local metrics registry: named computed gauges and
+// histograms with a point-in-time Snapshot, a JSON form, and an
 // http.Handler for scraping.
 type Registry = obsv.Registry
 
