@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro"
@@ -436,10 +435,7 @@ func BenchmarkInterpreter(b *testing.B) {
 //
 // and -count gives the spread; EXPERIMENTS.md ("Host throughput") records
 // the table. At D=1 there is no cut, so the two modes are one realization
-// measured twice — the sweep's own noise floor. D4/autotune is the same cut
-// served under WithAutotune's defaults: its pkt/s is over the whole stream,
-// search included — the adaptive loop's regret against the best static row —
-// and the shape it committed to is the name of its batch metric. D1/discard
+// measured twice — the sweep's own noise floor. D1/discard
 // and D1/hash are D1/ringed with the trace sent elsewhere (WithSink): what
 // the in-memory trace costs is the distance to them. Their prefix check is the
 // sink's: the event count, and for the hash the oracle's digest.
@@ -471,9 +467,6 @@ func BenchmarkServe(b *testing.B) {
 		if d == 1 {
 			rows = append(rows, row{"discard", repro.WithFusion(repro.FusionOff), repro.DiscardSink},
 				row{"hash", repro.WithFusion(repro.FusionOff), func() repro.Sink { return &repro.HashSink{} }})
-		}
-		if d == 4 {
-			rows = append(rows, row{name: "autotune", opt: repro.WithAutotune(repro.Autotune{})})
 		}
 		for _, r := range rows {
 			serve := func(src repro.Source) (*repro.Metrics, repro.Sink, error) {
@@ -514,9 +507,6 @@ func BenchmarkServe(b *testing.B) {
 				plan := pipe.Plan()
 				b.ReportMetric(m.PacketsPerSecond(), "pkt/s")
 				b.ReportMetric(float64(len(plan.FusedCuts)), "fused_cuts")
-				if r.name == "autotune" {
-					b.ReportMetric(float64(plan.Batch), "batch@"+strings.ReplaceAll(plan.Units(), " ", ""))
-				}
 			})
 		}
 	}

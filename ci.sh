@@ -154,8 +154,8 @@ else
     SOAK_PACKETS=10000000 go test -count=1 -run '^TestSoakDiscardSink$' -v .
 fi
 
-echo "== doc gate: the docs name nothing the streaming egress deleted"
-if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf' README.md DESIGN.md EXPERIMENTS.md; then
+echo "== doc gate: the docs name no deleted machinery"
+if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive' README.md DESIGN.md EXPERIMENTS.md; then
     echo "doc gate: the lines above name deleted machinery" >&2 && exit 1
 fi
 
@@ -163,12 +163,12 @@ echo "== size ledger (printed, not gated)"
 # The design-size numbers ROADMAP item 4 tracks, so each PR's reduction is
 # a recorded figure: non-test, non-blank, non-comment Go lines of the serve
 # runtime and the facade files that configure it, the option count, and the
-# sentinel count. The one throughput model, the adaptive stack (the loop,
-# the tuner and the whole cost model), the compiled backend and the ingest
-# front end are each listed on their own line.
+# sentinel count. The cost model (the one throughput model and the fusion
+# valuator), the compiled backend and the ingest front end are each listed on
+# their own line.
 # shellcheck disable=SC2046
-echo "non-test Go code lines outside benchmark/: $(cat $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*') | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (17,173 before the dead-code sweep)"
-size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go adaptive.go fusion.go"
+echo "non-test Go code lines outside benchmark/: $(cat $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*') | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (16,898 before the adaptive loop's removal)"
+size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go fusion.go"
 # shellcheck disable=SC2086
 echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2628 before the streaming egress, ISSUE 23)"
 # shellcheck disable=SC2046
@@ -176,7 +176,7 @@ echo "  internal/runtime alone:  $(cat $(ls internal/runtime/*.go | grep -v _tes
 echo "  internal/runtime/fault:  $(grep -v '^[[:space:]]*$' internal/runtime/fault/fault.go | grep -vc '^[[:space:]]*//')  (247 before)"
 echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')"
 # shellcheck disable=SC2046
-echo "adaptive stack code lines: $(cat adaptive.go $(ls internal/tuner/*.go internal/costmodel/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (670 before, ISSUE 22)"
+echo "internal/costmodel code lines: $(cat $(ls internal/costmodel/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 for d in maxflow balance core; do
     case $d in maxflow) before=325 ;; balance) before=175 ;; core) before=1846 ;; esac
     # shellcheck disable=SC2046
@@ -203,9 +203,8 @@ echo "stage-state analysis code lines (costmodel Use..CheckConfined, core.Valida
 echo "internal/netbench code lines: $(cat $(ls internal/netbench/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (950 before the flat route tables, ISSUE 25)"
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
-echo "options (func With*):      $(grep -c '^func With' options.go)  (23 before; WithSink is the 24th)"
+echo "options (func With*):      $(grep -c '^func With' options.go)  (24 before the adaptive loop's removal)"
 echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)  (16 before)"
-echo "Autotune fields:           $(sed -n '/^type Autotune struct/,/^}/p' adaptive.go | grep -c '^	[A-Z]')  (6 before, ISSUE 22)"
 # The second measurement stack and the prose about it, the two things
 # ROADMAP item 4 asked to shrink.
 bench_files="$(find internal/experiments cmd/pipebench examples -name '*.go' ! -name '*_test.go')"

@@ -29,14 +29,14 @@ func Example_sentinelErrors() {
 		repro.PacketSource([][]byte{{1}}), repro.WithThreads(8))
 	fmt.Println("out of scope:", errors.Is(err, repro.ErrConflictingOptions))
 
-	// A malformed adaptive objective.
+	// A negative batch, caught when Serve assembles its configuration.
 	_, err = pipe.Serve(context.Background(),
-		repro.PacketSource([][]byte{{1}}), repro.WithObjective(repro.ThroughputUnderP99(0)))
-	fmt.Println("bad objective:", errors.Is(err, repro.ErrBadOption))
+		repro.PacketSource([][]byte{{1}}), repro.WithBatch(-1))
+	fmt.Println("bad batch:", errors.Is(err, repro.ErrBadOption))
 	// Output:
 	// bad degree: true
 	// out of scope: true
-	// bad objective: true
+	// bad batch: true
 }
 
 // ExamplePartition pipelines the paper's figure-2 program (MyPPS2) two

@@ -20,8 +20,7 @@ func SetFusionCoresForTest(cores int) (restore func()) {
 
 // WithFuseMaskForTest serves exactly the cuts mask names un-made (bit k: the
 // cut between stages k+1 and k+2) where replica widths align, in place of the
-// valuator's verdict, so a test can put any coarsening through Serve — the
-// path the adaptive loop's candidates take.
+// valuator's verdict, so a test can put any coarsening through Serve.
 func WithFuseMaskForTest(mask uint64) Option {
 	return Option{"WithFuseMaskForTest", inServe, func(c *config) { c.fuse = &mask }}
 }

@@ -8,11 +8,10 @@ package repro
 // core.Result.Coarsen realizes the same stage assignment with one program
 // per run of fused stages — and the runtime serves those programs, a ring at
 // every boundary that is left. The set of un-made cuts, a bit mask, is the
-// one address of a served shape: the static path serves the valuator's
-// verdict, the adaptive loop the prefixes of the valuator's merge order.
-// WithFusion selects the mode: FusionAuto (default) applies the verdict,
-// FusionOff keeps every cut. The throughput model every realization is
-// priced with is costmodel.Predict.
+// one address of a served shape: Serve serves the valuator's verdict, a test
+// any mask it grants (WithFuseMaskForTest). WithFusion selects the mode:
+// FusionAuto (default) applies the verdict, FusionOff keeps every cut. The
+// throughput model every realization is priced with is costmodel.Predict.
 
 import (
 	"fmt"
@@ -35,9 +34,8 @@ import (
 // round trip divided by the two entries each round trip moves — not the
 // far cheaper uncontended cost (~22ns per entry), which a saturated
 // boundary never sees. The estimate only has to order realizations
-// plausibly — under WithAutotune, measurements make the actual choice; on
-// the static path it errs toward fusing cuts that cannot plausibly pay for
-// a ring.
+// plausibly; it errs toward fusing cuts that cannot plausibly pay for a
+// ring.
 const ringSyncNsSPSC = 270.0
 
 // fusionCores reports the core budget predictions plan for. A function
@@ -94,7 +92,7 @@ func (p *Pipeline) shape(fuse uint64) *served {
 // verdict and the arithmetic behind it. FusionOff asks nothing and records
 // nothing; a fault plan names stages, so every cut it could aim at is kept
 // and the verdicts say so.
-func (p *Pipeline) valuate(cfg config, plan *Plan, nsPerWeight float64) (fp costmodel.FusionPlan) {
+func (p *Pipeline) valuate(cfg config, plan *Plan) (fp costmodel.FusionPlan) {
 	if cfg.fusion != FusionAuto {
 		return fp
 	}
@@ -108,10 +106,10 @@ func (p *Pipeline) valuate(cfg config, plan *Plan, nsPerWeight float64) (fp cost
 	// priced as the cut report's slot count on the cut's ring.
 	costs, cutNs := make([]float64, plan.Degree), make([]float64, plan.Degree-1)
 	for i, w := range plan.StageWeights {
-		costs[i] = float64(w) * nsPerWeight
+		costs[i] = float64(w)
 	}
 	for k, c := range p.report.Cuts {
-		cutNs[k] = 2 * float64(p.arch.TxWeight(cfg.explore.Base.Channel, c.Slots)) * nsPerWeight
+		cutNs[k] = 2 * float64(p.arch.TxWeight(cfg.explore.Base.Channel, c.Slots))
 	}
 	return costmodel.PlanFusion(costs, cutNs, plan.Replicas, ringSyncNsSPSC/float64(plan.Batch), fusionCores())
 }
@@ -125,29 +123,53 @@ func fuseMask(order []costmodel.Merge) (mask uint64) {
 	return mask
 }
 
+// Plan describes a Pipeline's realization — which configuration is (or would
+// be) serving and what the cost model says of it. It is always a coarsening
+// of the pipeline's own cut, so every per-stage field is in Pipeline.Stages'
+// numbering. Returned by Pipeline.Plan.
+type Plan struct {
+	// Degree is the cut's degree D (Pipeline.Degree; Units and FusedCuts say
+	// how many programs serve it). Batch and Shards are the realized
+	// configuration; Shards is the effective width (1 when no stage can
+	// replicate, whatever was asked).
+	Degree, Batch, Shards int
+	// Replicas is each stage's replica width: 1, or Shards.
+	Replicas []int
+	// StageWeights is the per-stage worst-case path cost in weight units.
+	StageWeights []int64
+	// FusedCuts lists the 1-based cuts un-made by stage fusion — stages k
+	// and k+1 around cut k are served as one re-realized program, with no
+	// transmission between them, instead of two programs on an SPSC ring
+	// (Units renders the result). Empty when every cut keeps its ring
+	// (including under FusionOff and under a fault plan).
+	FusedCuts []int
+	// FusionWhy records the fusion valuator's per-cut verdicts in cut
+	// order: the two-bound arithmetic behind each fuse/keep call. Empty
+	// when the pipeline has one stage or fusion is off.
+	FusionWhy []string
+	// PredictedNsPerPkt is the cost model's price for exactly this
+	// realization (costmodel.Predict over the served programs' own path
+	// costs, their replica widths and the retained handoffs), in datasheet
+	// weight units taken as nanoseconds.
+	PredictedNsPerPkt float64
+}
+
 // realize decides how the pipeline's cut is served under cfg: it lays the
 // cut out ringed for the replica widths, takes the mask to serve — the
-// valuator's verdict, or cfg.fuse when the adaptive loop or a test names one,
-// granted where the valuator could have: between stages of equal replica
-// width (a fused unit is one program per lane; a scatter or fan-in keeps its
-// junction machinery), never under FusionOff or a fault plan — lays the
+// valuator's verdict, or cfg.fuse when a test names one, granted where the
+// valuator could have: between stages of equal replica width (a fused unit
+// is one program per lane; a scatter or fan-in keeps its junction
+// machinery), never under FusionOff or a fault plan — lays the
 // coarsened units out under the same configuration, and reports what that
 // layout says — effective shard width, per-stage replicas, the fused cuts —
 // with the predictor's price for the programs actually served: each unit's
 // own worst-case path cost, not the sum of its members'. Costs are model
-// weights times nsPerWeight (1 on the static path: datasheet weights taken as
-// nanoseconds). When no layout exists — a cut that is not servable, a
-// configuration Serve would refuse — the error says why and the Plan still
-// describes the requested shape.
-func (p *Pipeline) realize(cfg config, nsPerWeight float64) (*Plan, *runtime.Layout, error) {
+// weights, taken as nanoseconds. When no layout exists — a cut that is not
+// servable, a configuration Serve would refuse — the error says why and the
+// Plan still describes the requested shape.
+func (p *Pipeline) realize(cfg config) (*Plan, *runtime.Layout, error) {
 	rc := cfg.serve
-	plan := &Plan{
-		Degree:    len(p.stages),
-		Batch:     max(1, rc.Batch),
-		Shards:    max(1, rc.Shards),
-		Objective: cfg.objective.String(),
-		Why:       "static cut under datasheet weights; no adaptive serve has run",
-	}
+	plan := &Plan{Degree: len(p.stages), Batch: max(1, rc.Batch), Shards: max(1, rc.Shards)}
 	for _, s := range p.report.Stages {
 		plan.StageWeights = append(plan.StageWeights, s.Cost.Total)
 	}
@@ -160,7 +182,7 @@ func (p *Pipeline) realize(cfg config, nsPerWeight float64) (*Plan, *runtime.Lay
 		return plan, nil, err
 	}
 	plan.Shards, plan.Replicas = lay.Width(), lay.Replicas()
-	fp := p.valuate(cfg, plan, nsPerWeight)
+	fp := p.valuate(cfg, plan)
 	plan.FusionWhy = fp.Why
 	fuse := fuseMask(fp.Order[:fp.Fused])
 	if cfg.fuse != nil {
@@ -187,7 +209,7 @@ func (p *Pipeline) realize(cfg config, nsPerWeight float64) (*Plan, *runtime.Lay
 	widths := lay.Replicas()
 	unitNs := make([]float64, len(sv.units))
 	for i, u := range sv.units {
-		unitNs[i] = float64(u.Cost.Total) * nsPerWeight
+		unitNs[i] = float64(u.Cost.Total)
 		for s := u.First; s <= u.Last; s++ {
 			plan.Replicas[s-1] = widths[i]
 			if s > u.First {

@@ -82,7 +82,7 @@ func TestServeFusionOffMatchesAuto(t *testing.T) {
 // TestServeEveryFuseMaskMatchesOracle is the realization-independence
 // matrix at the facade: every benchmark PPS × D=1..5 × every fuse mask × P ∈ {1, 2, 4},
 // each point served through Pipeline.Serve with the mask given explicitly
-// (WithFuseMaskForTest: the adaptive loop's path), so realize grants it where
+// (WithFuseMaskForTest), so realize grants it where
 // replica widths align, coarsens the cut and lays the units out — and
 // compared byte for byte with the interpreter on the unpartitioned program.
 // One Pipeline per depth serves every mask and width, so the shape cache is

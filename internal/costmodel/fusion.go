@@ -47,8 +47,8 @@ type FusionPlan struct {
 // against both bounds — and a single unit, however many stages it fuses,
 // pays none. Replication divides only the pipe bound: P replicas of a unit
 // retire P packets per unit time, but every packet's work still lands on
-// the shared cores. The fusion valuator below, the adaptive loop's
-// candidate prior and Plan.PredictedNsPerPkt are all this function.
+// the shared cores. The fusion valuator below and Plan.PredictedNsPerPkt are
+// both this function.
 func Predict(unitNs []float64, widths []int, syncNs float64, cores int) float64 {
 	var total, bottleneck float64
 	for i, u := range unitNs {

@@ -79,10 +79,10 @@ func randomCut(rng *rand.Rand) (stages, cuts []float64, widths []int, sync float
 	return stages, cuts, widths, float64(1 + rng.Intn(600)), 1 + rng.Intn(8)
 }
 
-// TestPlanFusionOrder: the merge order is the search space the adaptive loop
-// walks, so it must name every cut between stages of equal width exactly once
-// and no shard junction, each step priced at what Predict says of the shape
-// it reaches; and the verdict is the order's improving prefix — every price
+// TestPlanFusionOrder: the merge order is what realize grants a given fuse
+// mask against, so it must name every cut between stages of equal width
+// exactly once and no shard junction, each step priced at what Predict says
+// of the shape it reaches; and the verdict is the order's improving prefix — every price
 // in it below the one before, the next one (if any) not.
 func TestPlanFusionOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))

@@ -42,9 +42,10 @@ var (
 
 	// ErrNotServable is returned when the streaming runtime cannot host a
 	// pipeline: the stages must contain exactly one pkt_rx site (it paces
-	// the packet stream), each queue must be confined to a single stage, and
-	// a persistent array that some stage stores to must be accessed by that
-	// stage only.
+	// the packet stream), state some stage writes — a persistent array it
+	// stores to, a queue — must be used by that stage only, and state no
+	// stage writes is constant, readable from any stage
+	// (costmodel.CheckConfined).
 	ErrNotServable = errors.New("pipeline not servable")
 
 	// ErrConflictingOptions is returned when individually valid options

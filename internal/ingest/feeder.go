@@ -36,8 +36,8 @@ func NewFeeder(src Source, batch int) *Feeder {
 }
 
 // BindContext sets the context Pull runs under. The runtime calls this
-// (via the ContextBinder interface) with the serve context before the
-// first Next, so canceling the serve unblocks a socket read.
+// with the serve's internal context before the first Next, so canceling the
+// serve — or a stage error tearing it down — unblocks a socket read.
 func (f *Feeder) BindContext(ctx context.Context) { f.ctx = ctx }
 
 // Next returns the next packet, pulling a fresh batch from the source

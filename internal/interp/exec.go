@@ -58,7 +58,13 @@ type Store struct {
 // store, so no locking is needed.
 func NewStore(progs ...*ir.Program) *Store {
 	s := &Store{}
-	s.Materialize(progs...)
+	for _, p := range progs {
+		for _, a := range p.Arrays {
+			if a.Persistent {
+				s.Get(a)
+			}
+		}
+	}
 	return s
 }
 
@@ -77,24 +83,6 @@ func (s *Store) Get(a *ir.Array) []int64 {
 		s.arrays[a.ID] = st
 	}
 	return st
-}
-
-// Materialize pre-populates the store with every persistent array of the
-// given programs that it does not hold yet. The adaptive serve path uses it
-// when re-cutting a live pipeline: the new stage programs reference cloned
-// array descriptors, and materializing them against the serving store before
-// the swap keeps the hot path read-only (same invariant NewStore provides).
-// Arrays already materialized keep their current contents: descriptors with
-// the same compiler-assigned ID alias the same storage, which is exactly the
-// state-handover a re-cut needs.
-func (s *Store) Materialize(progs ...*ir.Program) {
-	for _, p := range progs {
-		for _, a := range p.Arrays {
-			if a.Persistent {
-				s.Get(a)
-			}
-		}
-	}
 }
 
 // Fork returns a store that shares every array of s except those listed,

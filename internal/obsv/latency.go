@@ -24,12 +24,11 @@ type BatchLatency struct {
 // interval from the first moment any stage started working on it to the
 // last moment any stage finished with it — which upper-bounds every member
 // packet's sojourn time, so a percentile over batch latencies is a sound
-// (conservative) stand-in for the per-packet percentile the serve
-// objective bounds. Spans with a negative Iter (waits that ended in ring
-// close) carry no batch identity and are skipped. The result is ordered by
-// batch key; batches only make sense to compare when the batch geometry
-// was stable over the traced window (one Serve round — the adaptive loop
-// traces each probe round separately).
+// (conservative) stand-in for a per-packet percentile. Spans with a negative
+// Iter (waits that ended in ring close) carry no batch identity and are
+// skipped. The result is ordered by batch key; batches only make sense to
+// compare when the batch geometry was stable over the traced window (one
+// Serve call).
 func BatchLatencies(spans []Span) []BatchLatency {
 	type window struct {
 		first, last time.Duration
@@ -62,29 +61,4 @@ func BatchLatencies(spans []Span) []BatchLatency {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Iter < out[j].Iter })
 	return out
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100, nearest-rank) of
-// the batch latencies, or 0 when there are none. The input is not
-// modified.
-func Percentile(lats []BatchLatency, p float64) time.Duration {
-	if len(lats) == 0 || p <= 0 {
-		return 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	ds := make([]time.Duration, len(lats))
-	for i, l := range lats {
-		ds[i] = l.Latency
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	rank := int(float64(len(ds))*p/100+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(ds) {
-		rank = len(ds) - 1
-	}
-	return ds[rank]
 }

@@ -33,22 +33,3 @@ func TestBatchLatencies(t *testing.T) {
 		t.Errorf("batch 0 N = %d, want 4", lats[0].N)
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	var lats []BatchLatency
-	for i := 1; i <= 100; i++ {
-		lats = append(lats, BatchLatency{Iter: int64(i), Latency: ms(int64(i))})
-	}
-	if got := Percentile(lats, 99); got != ms(99) {
-		t.Errorf("p99 = %v, want 99ms", got)
-	}
-	if got := Percentile(lats, 50); got != ms(50) {
-		t.Errorf("p50 = %v, want 50ms", got)
-	}
-	if got := Percentile(lats, 100); got != ms(100) {
-		t.Errorf("p100 = %v, want 100ms", got)
-	}
-	if got := Percentile(nil, 99); got != 0 {
-		t.Errorf("empty p99 = %v, want 0", got)
-	}
-}

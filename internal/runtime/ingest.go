@@ -22,12 +22,12 @@ type IngestStats struct {
 	DecodeErrors int64
 }
 
-// ContextBinder is implemented by Sources whose Next blocks in real I/O
+// contextBinder is implemented by Sources whose Next blocks in real I/O
 // (sockets, paced replay). Serve calls BindContext with the run's
 // internal context before the first Next, so canceling the serve — or an
 // internal error tearing the run down — unblocks a pending read instead
 // of leaving the head goroutine stuck in a syscall.
-type ContextBinder interface {
+type contextBinder interface {
 	BindContext(ctx context.Context)
 }
 

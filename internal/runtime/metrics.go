@@ -19,10 +19,7 @@ type StageStats struct {
 	// FusedInto is non-zero when the cut between this stage and its
 	// predecessor was not realized: the stage runs inside the program that
 	// begins at stage FusedInto, which books the work of every stage it
-	// covers; every counter here is zero and Replicas is that program's. (An
-	// adaptive serve sums its rounds: there the counters are what the stage
-	// booked in rounds that served it on its own, and FusedInto is the last
-	// round's.)
+	// covers; every counter here is zero and Replicas is that program's.
 	FusedInto int
 	// In and Out count iterations received from upstream and forwarded
 	// downstream. For the head stage, In counts packets pulled from the
@@ -70,9 +67,9 @@ type StageStats struct {
 	occSum, occSamples int64
 }
 
-// Add folds o's counters into s: another replica of the same stage, the
-// dispatcher in front of stage 1, or the same stage in another round of one
-// adaptive serve. Stage, FusedInto and Replicas are the caller's.
+// Add folds o's counters into s: another replica of the same stage, or the
+// dispatcher in front of stage 1 (the sink unit behind the last). Stage,
+// FusedInto and Replicas are the caller's.
 func (s *StageStats) Add(o StageStats) {
 	s.In += o.In
 	s.Out += o.Out

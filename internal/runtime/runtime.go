@@ -132,15 +132,6 @@ type Config struct {
 	// panics (nil: none). Nothing outside tests sets it.
 	Faults *fault.Plan
 
-	// Store, when non-nil, supplies the persistent-array storage the stage
-	// runners execute against instead of a freshly initialized one. The
-	// adaptive serve path passes the same store to every round so
-	// persistent state (route tables, counters, flow tables) survives
-	// re-cuts and configuration swaps; arrays the current stage programs
-	// reference are materialized into it before the goroutines start.
-	// nil keeps the classic semantics: fresh state per Serve call.
-	Store *interp.Store
-
 	// Sink receives the served stream (see Sink): the events of every retired
 	// iteration, in source order, pushed by one goroutine, and one Close when
 	// the serve ends. nil selects a TraceSink of the serve's own, whose events
@@ -906,9 +897,9 @@ func NewCoarseLayout(stages []*ir.Program, covers []int, cfg Config) (*Layout, e
 func (l *Layout) degree() int { return l.first[len(l.stages)] - 1 }
 
 // With lays the same stages out under another configuration, reusing their
-// classification: the per-candidate step of a search over serve shapes. It
-// fails with the typed error Serve would report for cfg — a bad value, a
-// fault plan naming a stage past the last.
+// classification: one cached shape serves every (batch, shards) a serve asks
+// for. It fails with the typed error Serve would report for cfg — a bad
+// value, a fault plan naming a stage past the last.
 func (l *Layout) With(cfg Config) (*Layout, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -930,20 +921,6 @@ func (l *Layout) Replicas() []int { return slices.Clone(l.plan.reps) }
 // Width is the effective shard width: the configured one when any stage
 // replicates, 1 otherwise (a fully cross-flow pipeline).
 func (l *Layout) Width() int { return l.plan.width() }
-
-// Forks reports whether some replica runs on a private fork of flow-keyed
-// persistent arrays. A fork is re-seeded from the base store when a serve
-// starts and its writes end with that serve, so a caller carrying state
-// across serves through Config.Store (the adaptive loop) must not use a
-// forking layout.
-func (l *Layout) Forks() bool {
-	for s, sh := range l.shapes {
-		if l.plan.reps[s] > 1 && len(sh.flowArrs) > 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // Serve runs the layout: build, run, finish. See the package-level Serve.
 // The configured Sink is closed exactly once, also by a serve that could not
@@ -975,7 +952,7 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		cfg:      cfg,
 		src:      src,
 		plan:     plan,
-		runners:  newShardRunners(l.stages, world, plan, l.shapes, cfg.Store),
+		runners:  newShardRunners(l.stages, world, plan, l.shapes),
 		rings:    make([][]*tokRing, D),
 		seqs:     make([]*seqStream, plan.nSeqs),
 		inj:      fault.NewInjector(cfg.Faults, l.degree()),
@@ -1089,7 +1066,7 @@ func (e *engine) newUnit(s, j int) *unit {
 func (e *engine) run(ctx context.Context) {
 	e.ictx, e.cancel = context.WithCancel(ctx)
 	defer e.cancel()
-	if b, ok := e.src.(ContextBinder); ok {
+	if b, ok := e.src.(contextBinder); ok {
 		// I/O-backed sources block in reads; binding the run's internal
 		// context lets cancelation (external or error teardown) unblock
 		// them instead of stranding the source goroutine in a syscall.
@@ -1146,7 +1123,7 @@ func (e *engine) finish(ctx context.Context, world *interp.World) (*Metrics, err
 		err = fmt.Errorf("sink: close: %w", cerr)
 	}
 	if err == nil && e.trace != nil {
-		AdoptTrace(world, m.Trace)
+		adoptTrace(world, m.Trace)
 	}
 	return m, err
 }
@@ -1156,18 +1133,11 @@ func (e *engine) finish(ctx context.Context, world *interp.World) (*Metrics, err
 // replicas share one fully-materialized persistent store — except the
 // flow-keyed arrays of replicated stages, which each replica forks so its
 // partition of the table is private (shard.go explains when that is sound).
-// A caller-supplied store (Config.Store) is used in place of a fresh one so
-// state survives across Serve rounds; the current stage programs' arrays
-// are materialized into it up front, preserving the read-only-on-hot-path
-// invariant. Every runner is confined to the iteration context's pre-pulled
-// packet (RxFromCtx), so concurrent replicas never race on the World's
-// packet cursor.
-func newShardRunners(stages []*ir.Program, world *interp.World, plan *shardPlan, shapes []stageShape, base *interp.Store) [][]*exec.Runner {
-	if base == nil {
-		base = interp.NewStore(stages...)
-	} else {
-		base.Materialize(stages...)
-	}
+// Every runner is confined to the iteration context's pre-pulled packet
+// (RxFromCtx), so concurrent replicas never race on the World's packet
+// cursor.
+func newShardRunners(stages []*ir.Program, world *interp.World, plan *shardPlan, shapes []stageShape) [][]*exec.Runner {
+	base := interp.NewStore(stages...)
 	out := make([][]*exec.Runner, len(stages))
 	for s, prog := range stages {
 		out[s] = make([]*exec.Runner, plan.reps[s])

@@ -298,8 +298,8 @@ pps TraceOnly {
 // leave little more than the returned trace on the heap. The engine — the
 // chunked second copy of the trace, the tokens, the runners — used to stay
 // reachable for two more GC cycles through sync's pool registry, because
-// the pools were embedded in it; the adaptive loop calls Serve once per
-// round, so that was a full extra trace resident per round. The collector
+// the pools were embedded in it, so a caller serving again soon after held a
+// full extra trace resident. The collector
 // is held off while Serve runs so the pools are certainly still registered
 // when it returns, whatever the host's GC pacing.
 func TestServeReleasesEngine(t *testing.T) {
@@ -339,8 +339,8 @@ func TestServeReleasesEngine(t *testing.T) {
 // TestPacedSourceNotBookedAsExec: time the head spends blocked on the
 // Source is its wait, not stage 1's work. With a source that sleeps before
 // every packet, stage 1's busy time per packet must stay far below the
-// inter-arrival gap (it used to include it, feeding idle arrival gaps to
-// the autotuner's calibration as stage-1 cost), the gap must show up as
+// inter-arrival gap (it used to include it, booking idle arrival gaps as
+// stage-1 cost), the gap must show up as
 // stage-1 wait spans instead, and RxWait must stay a pure ring-wait
 // column.
 func TestPacedSourceNotBookedAsExec(t *testing.T) {

@@ -114,12 +114,12 @@ func (s *TraceSink) Close() (int64, error) {
 // Events returns the trace; nil until Close.
 func (s *TraceSink) Events() []interp.Event { return s.trace }
 
-// AdoptTrace publishes a served trace on the world, the oracle paths'
+// adoptTrace publishes a served trace on the world, the oracle paths'
 // convention. An empty world trace (the common case) adopts the slice instead
 // of copying it — at streaming scale the trace is the largest allocation of
 // the run; the full slice expression pins capacity so a later append to either
 // alias reallocates rather than clobbering the other.
-func AdoptTrace(world *interp.World, trace []interp.Event) {
+func adoptTrace(world *interp.World, trace []interp.Event) {
 	if len(world.Trace) == 0 {
 		world.Trace = trace[:len(trace):len(trace)]
 	} else {

@@ -39,10 +39,9 @@ var (
 var (
 	// ErrBadOption is returned when an option carries a value outside its
 	// accepted range — a degree outside 1..MaxStages, a negative ring
-	// capacity or batch, an unknown overload policy or fusion mode, a
-	// non-positive p99 bound, Explore without a positive WithBudget. The
-	// message names the option (or the configuration field it sets) and the
-	// offending value.
+	// capacity or batch, an unknown overload policy or fusion mode, Explore
+	// without a positive WithBudget. The message names the option (or the
+	// configuration field it sets) and the offending value.
 	ErrBadOption = errs.ErrBadOption
 	// ErrBadSource is returned when OpenSource is given a malformed spec
 	// (unknown scheme, bad address or parameter) or a pcap file that
@@ -68,8 +67,9 @@ var (
 	// ErrNilSource is returned when Serve runs without a packet source.
 	ErrNilSource = errs.ErrNilSource
 	// ErrNotServable is returned when the stage list violates the
-	// streaming runtime's contract (exactly one pkt_rx site; each queue, and
-	// each persistent array some stage stores to, confined to one stage).
+	// streaming runtime's contract: exactly one pkt_rx site, and the state
+	// some stage writes (a persistent array, a queue) used by that stage
+	// only; state no stage writes may be read from any stage.
 	ErrNotServable = errs.ErrNotServable
 )
 
@@ -97,23 +97,20 @@ type config struct {
 	// explore holds the exploration options (budget, PEs, workers) and, in
 	// Base, the partitioning ones (degree, ε, arch, ring kind, tx mode).
 	explore core.ExploreOptions
-	// serve is the runtime's configuration. Some of its fields are not set by
-	// options: the adaptive loop installs the Store its rounds share and lends
-	// them its one Sink, and Pipeline.Serve installs OnLive and — around a
-	// WithSource feeder — Ingest.
+	// serve is the runtime's configuration. Two of its fields are not set by
+	// options: Pipeline.Serve installs OnLive and — around a WithSource
+	// feeder — Ingest.
 	serve runtime.Config
 	// simulation
 	threads int
 	arrival int64
 	iters   int
 	// serving, facade side
-	world     *World
-	objective Objective
-	autotune  *Autotune
-	fusion    FusionMode
+	world  *World
+	fusion FusionMode
 	// fuse, when set, is the fuse mask to serve in place of the valuator's
-	// verdict (realize, fusion.go): the adaptive loop's candidates and the
-	// tests' WithFuseMaskForTest write it, no public option does.
+	// verdict (realize, fusion.go): the tests' WithFuseMaskForTest writes it,
+	// no public option does.
 	fuse   *uint64
 	source ingest.Source
 }
@@ -152,8 +149,6 @@ const (
 //	WithObserver                      yes                -       -        yes
 //	WithShards                        yes                -       -        yes
 //	WithShardKey                      yes                -       -        yes
-//	WithObjective                     yes                -       -        yes
-//	WithAutotune                      yes                -       -        yes
 //	WithFusion                        yes                -       -        yes
 //	WithSource                        yes                -       -        yes
 //	WithSink                          yes                -       -        yes
@@ -173,8 +168,8 @@ type Option struct {
 }
 
 // WithStages sets the pipelining degree D the program is cut at. For Serve
-// that is an upper bound: fusion and WithAutotune serve coarsenings of the
-// D-way cut — never a deeper or a different one.
+// that is an upper bound: fusion serves coarsenings of the D-way cut — never
+// a deeper or a different one.
 func WithStages(d int) Option {
 	return Option{"WithStages", 0, func(c *config) { c.explore.Base.Stages = d }}
 }
@@ -302,26 +297,6 @@ func WithShardKey(fn func(pkt []byte) uint64) Option {
 	return Option{"WithShardKey", inServe, func(c *config) { c.serve.ShardKey = fn }}
 }
 
-// WithObjective declares what a served pipeline optimizes — see Objective
-// (MaxThroughput, ThroughputUnderP99). On its own it only annotates the
-// plan; combined with WithAutotune it steers the adaptive search.
-func WithObjective(o Objective) Option {
-	return Option{"WithObjective", inServe, func(c *config) { c.objective = o }}
-}
-
-// WithAutotune turns Serve into the closed adaptive loop: serve a probe
-// window, scale the cost model to the host time it measured, probe the most
-// promising (shape, batch, shards) candidates with real traffic, then commit
-// to the measured winner for the rest of the stream — all at batch
-// boundaries, with the served trace byte-identical to the sequential oracle
-// throughout. The shapes searched are the coarsenings of the pipeline's own
-// cut, fully ringed to fully fused, so WithStages(D) is the upper bound of
-// the search; on every host measured so far the winner is shallower than any
-// D > 1 given. The zero Autotune selects defaults.
-func WithAutotune(t Autotune) Option {
-	return Option{"WithAutotune", inServe, func(c *config) { c.autotune = &t }}
-}
-
 // FusionMode selects how Serve realizes pipeline cuts whose inter-stage
 // ring cannot pay for itself; see WithFusion.
 type FusionMode int
@@ -387,8 +362,7 @@ func WithSink(s Sink) Option {
 // regardless of which call delivered it. Each layer validates what it owns
 // — core.ExploreOptions (with the partition Options inside it),
 // runtime.Config, fault.Plan — on the value the options wrote; only the
-// checks no layer owns live here: the simulator knobs, the adaptive
-// settings and the fusion mode.
+// checks no layer owns live here: the simulator knobs and the fusion mode.
 func (c *config) validate() error {
 	if err := c.explore.Validate(); err != nil {
 		return fmt.Errorf("repro: %w", err)
@@ -407,12 +381,6 @@ func (c *config) validate() error {
 	}
 	if c.iters < 0 {
 		return fmt.Errorf("repro: %w: WithIterations %d", ErrBadOption, c.iters)
-	}
-	if err := c.objective.validate(); err != nil {
-		return err
-	}
-	if err := c.autotune.validate(); err != nil {
-		return err
 	}
 	if c.fusion < FusionAuto || c.fusion > FusionOff {
 		return fmt.Errorf("repro: %w: WithFusion mode %d", ErrBadOption, int(c.fusion))

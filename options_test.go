@@ -153,8 +153,7 @@ func TestOptionMatrix(t *testing.T) {
 		repro.WithThreads(0), repro.WithArrivalInterval(0), repro.WithRing(repro.NNRing, 0),
 		repro.WithBatch(0), repro.WithWorld(nil), repro.WithOverload(0), repro.WithWatermark(0),
 		repro.WithDeadline(0), repro.WithObserver(nil),
-		repro.WithShards(0), repro.WithShardKey(nil), repro.WithObjective(repro.MaxThroughput()),
-		repro.WithAutotune(repro.Autotune{}), repro.WithFusion(0), repro.WithSource(nil), repro.WithSink(nil),
+		repro.WithShards(0), repro.WithShardKey(nil), repro.WithFusion(0), repro.WithSource(nil), repro.WithSink(nil),
 	}
 	cell := map[bool]string{true: "yes", false: "-"}
 	want := map[string]string{}

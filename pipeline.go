@@ -58,18 +58,17 @@ func (p *Pipeline) Degree() int { return len(p.stages) }
 // live sets, speedup and overhead metrics).
 func (p *Pipeline) Report() *Report { return p.report }
 
-// Plan returns the pipeline's live realization: the configuration serving
-// (or, before any adaptive serve, the static cut), the cost model behind
-// it, and the rationale for choosing it. After a WithAutotune serve
-// commits to a winner, Plan reflects that winner — safe to call from any
-// goroutine, including while a serve is in flight. The static plan is
-// worked out on first use: a partition that is never served or asked for
-// its plan pays for no layout and no coarsened realization.
+// Plan returns the pipeline's realization: the configuration the most
+// recent Serve ran (before any, the one the Pipeline's own options describe),
+// the fusion verdicts behind it and the cost model's price for it — safe to
+// call from any goroutine, including while a serve is in flight. The plan is
+// worked out on first use: a partition that is never served or asked for its
+// plan pays for no layout and no coarsened realization.
 func (p *Pipeline) Plan() *Plan {
 	if plan := p.plan.Load(); plan != nil {
 		return plan
 	}
-	plan, _, _ := p.realize(p.cfg, 1.0)
+	plan, _, _ := p.realize(p.cfg)
 	p.plan.CompareAndSwap(nil, plan)
 	return p.plan.Load()
 }
@@ -159,20 +158,16 @@ func (p *Pipeline) simRun(ctx context.Context, world *World, opts []Option) (con
 // returned Metrics.Ingest.
 // With WithShards(P), stages free of cross-flow state run as P parallel
 // replicas behind a flow-hash dispatcher (WithShardKey selects the key)
-// and the output is deterministically re-merged. With WithAutotune, Serve
-// becomes the closed adaptive loop (see adaptive.go): it scales the cost
-// model to measured stage times, probes the best-priced coarsenings of its
-// own cut (× batch × shards) with real traffic, and commits to the
-// measured winner — the served trace stays byte-identical to the
-// sequential oracle throughout, and Plan reports what was chosen and why.
+// and the output is deterministically re-merged. Cuts the cost model finds
+// not worth their ring are un-made first (WithFusion), and Plan reports the
+// shape that was served and why.
 // The pipeline's output — every retired iteration's events, in exact
 // sequential-oracle order — leaves through one Sink as the serve runs
 // (WithSink: discard, a digest, a pcap file, or your own); by default it is
 // kept in memory and returned as Metrics.Trace. The returned Metrics carry
 // measured throughput and per-stage counters (aggregated across replicas
-// when sharded; summed over the rounds of an adaptive serve, with FusedInto
-// and Replicas as the committed round had them). A serve its sink ended
-// returns the sink's error wrapped, with the Metrics of what it delivered.
+// when sharded). A serve its sink ended returns the sink's error wrapped,
+// with the Metrics of what it delivered.
 func (p *Pipeline) Serve(ctx context.Context, src Source, opts ...Option) (*Metrics, error) {
 	cfg, err := p.cfg.within("Serve", inServe, opts)
 	if err != nil {
@@ -203,7 +198,18 @@ func (p *Pipeline) Serve(ctx context.Context, src Source, opts ...Option) (*Metr
 		src = feeder
 	}
 	cfg.serve.OnLive = func(l *runtime.Live) { p.live.Store(l) }
-	m, err := p.serveWith(ctx, src, cfg)
+	if cfg.world == nil {
+		cfg.world = NewWorld(nil)
+	}
+	// Realize the cut under the serve-time shape — cuts whose ring tax exceeds
+	// their pipeline gain are un-made (WithFusion(FusionOff) keeps every cut) —
+	// publish the plan, and execute its layout.
+	plan, lay, err := p.realize(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.plan.Store(plan)
+	m, err := lay.Serve(ctx, cfg.world, src)
 	if feeder != nil && err == nil {
 		// The runtime treats a dead source as clean end-of-stream (it
 		// cannot tell a drained pcap from a failed socket); the feeder
@@ -219,32 +225,6 @@ func (p *Pipeline) Serve(ctx context.Context, src Source, opts ...Option) (*Metr
 // an unbatched pipeline pulls a few packets per source round-trip so a
 // socket read syscall is never amortized over a single packet.
 const ingestPullMin = 32
-
-// serveWith dispatches an assembled serve configuration to the static or
-// adaptive path.
-func (p *Pipeline) serveWith(ctx context.Context, src Source, cfg config) (*Metrics, error) {
-	if cfg.world == nil {
-		cfg.world = NewWorld(nil)
-	}
-	if cfg.autotune != nil {
-		if src == nil {
-			return nil, ErrNilSource
-		}
-		if len(p.stages) == 0 {
-			return nil, ErrNoStages
-		}
-		return p.serveAdaptive(ctx, src, cfg)
-	}
-	// Static path: realize the cut under the serve-time shape — cuts whose
-	// ring tax exceeds their pipeline gain are un-made (WithFusion(FusionOff)
-	// keeps every cut) — publish the plan, and execute its layout.
-	plan, lay, err := p.realize(cfg, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	p.plan.Store(plan)
-	return lay.Serve(ctx, cfg.world, src)
-}
 
 // Snapshot captures the counters of the pipeline's most recent Serve run
 // at this instant: safe to call at any time from any goroutine, including

@@ -27,11 +27,9 @@
 // uniform functional options (WithStages, WithTxMode, WithRing, ...)
 // validated centrally against typed errors (ErrBadOption, ErrUnbalanced,
 // ...); each entry point accepts exactly the options that mean something
-// to it (the matrix on Option) and rejects the rest. A served pipeline
-// can also tune itself: WithAutotune turns Serve into a closed loop that
-// scales the cost model to measured stage times, probes the candidate
-// configurations it ranks first with real traffic, and commits to the
-// measured best (see WithObjective and Pipeline.Plan).
+// to it (the matrix on Option) and rejects the rest. Serve realizes the
+// cut once, statically: cuts the cost model finds not worth their ring are
+// un-made (WithFusion), and Pipeline.Plan says what was served and why.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured results.

@@ -149,59 +149,6 @@ func TestServePcapSinkRoundTrip(t *testing.T) {
 	}
 }
 
-// countingSink wraps a sink and counts the Close calls that reach it.
-type countingSink struct {
-	repro.Sink
-	closed int
-}
-
-func (c *countingSink) Close() (int64, error) {
-	c.closed++
-	return c.Sink.Close()
-}
-
-// TestAdaptiveServeOneSinkSpansRounds: under WithAutotune every round pushes
-// into the one sink the serve was given and only the serve closes it, once;
-// the stream it saw across probe rounds, search and commit is the oracle's.
-// With no sink given the spanning sink is the trace, and Metrics.Trace and
-// the world hold it once.
-func TestAdaptiveServeOneSinkSpansRounds(t *testing.T) {
-	prog := repro.MustCompile(adaptSrc)
-	const n = 9000
-	packets := testPackets(n)
-	seq := seqTrace(t, prog, packets, n)
-	wantSum, wantN := digest(seq)
-	pipe, err := repro.Partition(prog, repro.WithStages(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := repro.WithAutotune(repro.Autotune{ProbePackets: 500})
-	hash := &repro.HashSink{}
-	sink := &countingSink{Sink: hash}
-	m, err := pipe.Serve(context.Background(), repro.PacketSource(packets), at, repro.WithSink(sink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum, events := hash.Digest(); sum != wantSum || events != wantN || sink.closed != 1 || m.Flushed != wantN || m.Trace != nil {
-		t.Errorf("digest %016x over %d events, closed %d times, flushed %d, trace kept %v; oracle %016x over %d",
-			sum, events, sink.closed, m.Flushed, m.Trace != nil, wantSum, wantN)
-	}
-	world := repro.NewWorld(nil)
-	m, err = pipe.Serve(context.Background(), repro.PacketSource(packets), at, repro.WithWorld(world))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
-		t.Errorf("trace across rounds diverges from the oracle: %s", diff)
-	}
-	if diff := repro.TraceEqual(seq, world.Trace); diff != "" {
-		t.Errorf("world trace diverges: %s", diff)
-	}
-	if m.Flushed != int64(len(seq)) {
-		t.Errorf("flushed %d of %d events", m.Flushed, len(seq))
-	}
-}
-
 // heapMarks is a generator source that reads the heap in use — after a
 // collection, so garbage does not count — when a tenth of the stream has been
 // pulled and again when it ends: the pipeline is still up at both marks. The
