@@ -7,9 +7,11 @@ package repro
 // valuator (costmodel.PlanFusion) finds not worth its ring is un-made —
 // core.Result.Coarsen realizes the same stage assignment with one program
 // per run of fused stages — and the runtime serves those programs, a ring at
-// every boundary that is left. The set of un-made cuts, a bit mask, is the
-// one address of a served shape: Serve serves the valuator's verdict, a test
-// any mask it grants (WithFuseMaskForTest). WithFusion selects the mode:
+// every boundary that is left. The set of un-made cuts, a bit mask (bit k:
+// cut k+1), is the one address of a served shape: the valuator returns one,
+// Coarsen and runtime.NewCoarseLayout take one, the shape cache is keyed by
+// one, and Serve serves the valuator's, or any mask a test names
+// (WithFuseMaskForTest) where it is granted. WithFusion selects the mode:
 // FusionAuto (default) applies the verdict, FusionOff keeps every cut. The
 // throughput model every realization is priced with is costmodel.Predict.
 
@@ -70,37 +72,36 @@ func (p *Pipeline) shape(fuse uint64) *served {
 			sv.units = append(sv.units, core.Unit{First: i + 1, Last: i + 1, Prog: prog, Cost: p.report.Stages[i].Cost})
 		}
 	} else {
-		keep := make([]bool, len(p.stages)-1)
-		for k := range keep {
-			keep[k] = fuse>>k&1 == 0
-		}
-		sv.units, sv.err = p.res.Coarsen(keep)
+		sv.units, sv.err = p.res.Coarsen(fuse)
 	}
 	if sv.err == nil {
-		progs, covers := make([]*ir.Program, len(sv.units)), make([]int, len(sv.units))
+		progs := make([]*ir.Program, len(sv.units))
 		for i, u := range sv.units {
-			progs[i], covers[i] = u.Prog, u.Last-u.First+1
+			progs[i] = u.Prog
 		}
-		sv.base, sv.err = runtime.NewCoarseLayout(progs, covers, runtime.Config{})
+		sv.base, sv.err = runtime.NewCoarseLayout(progs, fuse, runtime.Config{})
 	}
 	p.shapes[fuse] = sv
 	return sv
 }
 
-// valuate asks the valuator (costmodel.PlanFusion) about the cuts of the
-// ringed layout plan describes: the order it would un-make them in, its
-// verdict and the arithmetic behind it. FusionOff asks nothing and records
-// nothing; a fault plan names stages, so every cut it could aim at is kept
-// and the verdicts say so.
-func (p *Pipeline) valuate(cfg config, plan *Plan) (fp costmodel.FusionPlan) {
+// valuate decides which cuts of the ringed layout plan describes to un-make,
+// as a fuse mask, and says why per cut: the valuator's verdict
+// (costmodel.PlanFusion), or cfg.fuse when a test names one, granted where
+// the valuator could have fused — between stages of equal replica width (a
+// fused unit is one program per lane; a scatter or fan-in keeps its
+// junction machinery). FusionOff asks nothing and fuses nothing; a fault
+// plan names stages, so every cut it could aim at is kept and the verdicts
+// say so.
+func (p *Pipeline) valuate(cfg config, plan *Plan) (fuse uint64, why []string) {
 	if cfg.fusion != FusionAuto {
-		return fp
+		return 0, nil
 	}
 	if cfg.serve.Faults != nil {
 		for k := 1; k < plan.Degree; k++ {
-			fp.Why = append(fp.Why, fmt.Sprintf("keep cut %d: kept: the fault plan names stages", k))
+			why = append(why, fmt.Sprintf("keep cut %d: kept: the fault plan names stages", k))
 		}
-		return fp
+		return 0, why
 	}
 	// A merge does not pay for the cut it swallows: its send and its receive,
 	// priced as the cut report's slot count on the cut's ring.
@@ -111,16 +112,24 @@ func (p *Pipeline) valuate(cfg config, plan *Plan) (fp costmodel.FusionPlan) {
 	for k, c := range p.report.Cuts {
 		cutNs[k] = 2 * float64(p.arch.TxWeight(cfg.explore.Base.Channel, c.Slots))
 	}
-	return costmodel.PlanFusion(costs, cutNs, plan.Replicas, ringSyncNsSPSC/float64(plan.Batch), fusionCores())
-}
-
-// fuseMask is the shape address of a run of merges: bit k set un-makes the
-// cut between stages k+1 and k+2.
-func fuseMask(order []costmodel.Merge) (mask uint64) {
-	for _, m := range order {
-		mask |= 1 << m.Cut
+	fp := costmodel.PlanFusion(costs, cutNs, plan.Replicas, ringSyncNsSPSC/float64(plan.Batch), fusionCores())
+	if cfg.fuse == nil {
+		return fp.Fuse, fp.Why
 	}
-	return mask
+	for k, w := range fp.Why {
+		given := *cfg.fuse>>k&1 == 1 && plan.Replicas[k] == plan.Replicas[k+1]
+		switch {
+		case given == (fp.Fuse>>k&1 == 1):
+		case given:
+			fp.Why[k] = fmt.Sprintf("fuse cut %d: given, against the valuator (%s)", k+1, w)
+		default:
+			fp.Why[k] = fmt.Sprintf("keep cut %d: given, against the valuator (%s)", k+1, w)
+		}
+		if given {
+			fuse |= 1 << k
+		}
+	}
+	return fuse, fp.Why
 }
 
 // Plan describes a Pipeline's realization — which configuration is (or would
@@ -155,18 +164,14 @@ type Plan struct {
 }
 
 // realize decides how the pipeline's cut is served under cfg: it lays the
-// cut out ringed for the replica widths, takes the mask to serve — the
-// valuator's verdict, or cfg.fuse when a test names one, granted where the
-// valuator could have: between stages of equal replica width (a fused unit
-// is one program per lane; a scatter or fan-in keeps its junction
-// machinery), never under FusionOff or a fault plan — lays the
-// coarsened units out under the same configuration, and reports what that
-// layout says — effective shard width, per-stage replicas, the fused cuts —
-// with the predictor's price for the programs actually served: each unit's
-// own worst-case path cost, not the sum of its members'. Costs are model
-// weights, taken as nanoseconds. When no layout exists — a cut that is not
-// servable, a configuration Serve would refuse — the error says why and the
-// Plan still describes the requested shape.
+// cut out ringed for the replica widths, takes the fuse mask valuate grants,
+// lays the coarsened units out under the same configuration, and reports
+// what that layout says — effective shard width, per-stage replicas, the
+// fused cuts — with the predictor's price for the programs actually served:
+// each unit's own worst-case path cost, not the sum of its members'. Costs
+// are model weights, taken as nanoseconds. When no layout exists — a cut
+// that is not servable, a configuration Serve would refuse — the error says
+// why and the Plan still describes the requested shape.
 func (p *Pipeline) realize(cfg config) (*Plan, *runtime.Layout, error) {
 	rc := cfg.serve
 	plan := &Plan{Degree: len(p.stages), Batch: max(1, rc.Batch), Shards: max(1, rc.Shards)}
@@ -182,22 +187,8 @@ func (p *Pipeline) realize(cfg config) (*Plan, *runtime.Layout, error) {
 		return plan, nil, err
 	}
 	plan.Shards, plan.Replicas = lay.Width(), lay.Replicas()
-	fp := p.valuate(cfg, plan)
-	plan.FusionWhy = fp.Why
-	fuse := fuseMask(fp.Order[:fp.Fused])
-	if cfg.fuse != nil {
-		verdict := fuse
-		fuse = *cfg.fuse & fuseMask(fp.Order)
-		for k, why := range plan.FusionWhy {
-			switch {
-			case fuse>>k&1 == verdict>>k&1:
-			case fuse>>k&1 == 1:
-				plan.FusionWhy[k] = fmt.Sprintf("fuse cut %d: given, against the valuator (%s)", k+1, why)
-			default:
-				plan.FusionWhy[k] = fmt.Sprintf("keep cut %d: given, against the valuator (%s)", k+1, why)
-			}
-		}
-	}
+	fuse, why := p.valuate(cfg, plan)
+	plan.FusionWhy = why
 	if fuse != 0 {
 		if sv = p.shape(fuse); sv.err != nil {
 			return plan, nil, sv.err

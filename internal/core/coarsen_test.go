@@ -20,16 +20,6 @@ func benchPPS() []netbench.PPS {
 	return append(netbench.IPv4Forwarding(), netbench.IPForwarding()...)
 }
 
-// maskOf expands the low d-1 bits of bits into a keep mask: bit j set keeps
-// cut j+1.
-func maskOf(bits, d int) []bool {
-	keep := make([]bool, d-1)
-	for j := range keep {
-		keep[j] = bits>>j&1 == 1
-	}
-	return keep
-}
-
 func unitProgs(units []Unit) []*ir.Program {
 	progs := make([]*ir.Program, len(units))
 	for i, u := range units {
@@ -62,7 +52,7 @@ func TestCoarsenEndpoints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s D=%d: %v", pps.Name, d, err)
 			}
-			all, err := res.Coarsen(maskOf(1<<(d-1)-1, d))
+			all, err := res.Coarsen(0)
 			if err != nil {
 				t.Fatalf("%s D=%d keep all: %v", pps.Name, d, err)
 			}
@@ -80,7 +70,7 @@ func TestCoarsenEndpoints(t *testing.T) {
 					t.Errorf("%s D=%d keep all: unit %d cost %+v, stage cost %+v", pps.Name, d, i+1, u.Cost, res.Report.Stages[i].Cost)
 				}
 			}
-			none, err := res.Coarsen(make([]bool, d-1))
+			none, err := res.Coarsen(1<<(d-1) - 1)
 			if err != nil {
 				t.Fatalf("%s D=%d keep none: %v", pps.Name, d, err)
 			}
@@ -98,7 +88,7 @@ func TestCoarsenEndpoints(t *testing.T) {
 }
 
 // TestCoarsenEveryMaskIsSequential: for every benchmark PPS, depth 2..5 and
-// keep mask, the coarsened units cover the stages contiguously and run, as a
+// fuse mask, the coarsened units cover the stages contiguously and run, as a
 // pipeline, to the trace of the unpartitioned program.
 func TestCoarsenEveryMaskIsSequential(t *testing.T) {
 	const n = 48
@@ -121,9 +111,9 @@ func TestCoarsenEveryMaskIsSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s D=%d: %v", pps.Name, d, err)
 			}
-			for bits := 0; bits < 1<<(d-1); bits++ {
-				name := fmt.Sprintf("%s D=%d keep=%0*b", pps.Name, d, d-1, bits)
-				units, err := res.Coarsen(maskOf(bits, d))
+			for fuse := uint64(0); fuse < 1<<(d-1); fuse++ {
+				name := fmt.Sprintf("%s D=%d fuse=%0*b", pps.Name, d, d-1, fuse)
+				units, err := res.Coarsen(fuse)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -150,7 +140,7 @@ func TestCoarsenEveryMaskIsSequential(t *testing.T) {
 }
 
 // FuzzCoarsen: a random program cut at a random depth and coarsened by a
-// random keep mask still runs to the sequential trace.
+// random fuse mask still runs to the sequential trace.
 func FuzzCoarsen(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(2+seed%4), uint8(seed*5))
@@ -178,7 +168,7 @@ func FuzzCoarsen(f *testing.F) {
 		if err != nil {
 			t.Skipf("seed %d D=%d: %v", seed, d, err)
 		}
-		units, err := res.Coarsen(maskOf(int(mask), d))
+		units, err := res.Coarsen(uint64(mask))
 		if err != nil {
 			t.Fatalf("seed %d D=%d mask %b: %v\n%s", seed, d, mask, err, src)
 		}

@@ -198,21 +198,21 @@ type Unit struct {
 	Cost        PathCost
 }
 
-// Coarsen realizes the result's stage assignment with only the cuts keep
-// names: keep[j] false un-makes cut j+1, so each maximal run of stages
-// joined by un-made cuts becomes one program — no transmission, relay copy
-// or control-object switch is generated for a cut that is not there. Entries
-// past the last cut are ignored and missing ones keep their cut. Keeping
-// every cut reproduces Stages; keeping none is the D=1 realization. The
-// units run as a pipeline of their own (interp.RunPipeline, the serve
-// runtime) with the trace of the unpartitioned program. Coarsen mutates
-// neither the Result nor its Analysis and may be called concurrently.
-func (r *Result) Coarsen(keep []bool) ([]Unit, error) {
+// Coarsen realizes the result's stage assignment with the cuts fuse names
+// un-made: bit k set un-makes cut k+1 (between stages k+1 and k+2), so each
+// maximal run of stages joined by un-made cuts becomes one program — no
+// transmission, relay copy or control-object switch is generated for a cut
+// that is not there. Bits past the last cut are ignored. Fuse mask 0
+// reproduces Stages; all ones is the D=1 realization. The units run as a
+// pipeline of their own (interp.RunPipeline, the serve runtime) with the
+// trace of the unpartitioned program. Coarsen mutates neither the Result nor
+// its Analysis and may be called concurrently.
+func (r *Result) Coarsen(fuse uint64) ([]Unit, error) {
 	// unitOf[s] is the 1-based unit of cut stage s.
 	unitOf := make([]int, r.opts.Stages+1)
 	var units []Unit
 	for s := 1; s <= r.opts.Stages; s++ {
-		if s == 1 || s-2 >= len(keep) || keep[s-2] {
+		if s == 1 || fuse>>(s-2)&1 == 0 {
 			units = append(units, Unit{First: s})
 		}
 		units[len(units)-1].Last = s

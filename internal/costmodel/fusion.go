@@ -5,26 +5,13 @@ import (
 	"slices"
 )
 
-// Merge is one step of the valuator's greedy descent.
-type Merge struct {
-	// Cut is the 0-based cut the step un-makes (between stages Cut+1 and
-	// Cut+2).
-	Cut int
-	// Price is Predict for the realization after the step.
-	Price float64
-}
-
 // FusionPlan is the valuator's opinion of every cut of a D-stage pipeline
-// under a given core budget: the order in which it would un-make them, and
-// how far down that order the prediction keeps falling.
+// under a given core budget: which cuts to un-make, and why each is fused or
+// kept.
 type FusionPlan struct {
-	// Order lists every cut between stages of equal replica width, in the
-	// order the greedy descent un-makes them: its prefixes are the shapes
-	// from fully ringed (none) to one unit per run of equal width (all).
-	Order []Merge
-	// Fused is the verdict: the length of the prefix of Order in which every
-	// merge lowered the prediction. The realizer un-makes Order[:Fused].
-	Fused int
+	// Fuse is the verdict as a fuse mask, the address of a served shape: bit
+	// k set un-makes cut k+1 (between stages k+1 and k+2).
+	Fuse uint64
 	// Why records the verdict's arithmetic per cut, in cut order: the
 	// two-bound comparison that fused or kept it. The repro layer surfaces
 	// these verbatim in Pipeline.Plan().
@@ -77,12 +64,11 @@ func Predict(unitNs []float64, widths []int, syncNs float64, cores int) float64 
 // parallelism and the cpu bound, which every merge lowers, decides. A cut
 // between stages of different width is a shard junction and is never merged.
 // The planner is greedy: starting from the fully split pipeline, it
-// repeatedly merges the adjacent-unit pair whose merge predicts lowest, down
-// to one unit per run of equal width, and records that order; the verdict is
-// the prefix before the first merge that does not lower the prediction. On
-// one core both bounds strictly fall with every merge, so everything fuses;
-// with generous cores and per-stage work far above sync, no merge helps and
-// every cut survives.
+// repeatedly merges the adjacent-unit pair whose merge predicts lowest, and
+// stops at the first step where no merge lowers the prediction; the cuts it
+// merged across are the verdict's fuse mask. On one core both bounds
+// strictly fall with every merge, so everything fuses; with generous cores
+// and per-stage work far above sync, no merge helps and every cut survives.
 //
 // stageNs entries must be non-negative; cores < 1 is treated as 1.
 // A single-stage pipeline yields an empty plan.
@@ -128,7 +114,6 @@ func PlanFusion(stageNs, cutNs []float64, widths []int, ringSyncNs float64, core
 	}
 
 	plan.Why = make([]string, d-1)
-	improving := true
 	for {
 		cur := Predict(units, lanes, ringSyncNs, cores)
 		bestGain, bestAt := 0.0, -1
@@ -137,14 +122,13 @@ func PlanFusion(stageNs, cutNs []float64, widths []int, ringSyncNs float64, core
 			if lanes[i] != lanes[i+1] {
 				continue
 			}
-			if c := merged(i); bestAt < 0 || cur-c > bestGain {
+			if c := merged(i); cur-c > bestGain {
 				bestGain, bestAt, bestCost = cur-c, i, c
 			}
 		}
-		if improving && (bestAt < 0 || bestGain <= 0) {
-			// The verdict ends here. What each surviving ring buys: the price
-			// of the realization without it.
-			improving, plan.Fused = false, len(plan.Order)
+		if bestAt < 0 {
+			// No merge lowers the prediction: the verdict. What each surviving
+			// ring buys: the price of the realization without it.
 			for i := 0; i+1 < len(units); i++ {
 				cut := cutAfter[i]
 				if lanes[i] != lanes[i+1] {
@@ -155,17 +139,13 @@ func PlanFusion(stageNs, cutNs []float64, widths []int, ringSyncNs float64, core
 					"keep cut %d: its ring tax %.0f buys pipeline parallelism (predicted %.0f ns/pkt with it, %.0f fused, on %s)",
 					cut+1, ringSyncNs, cur, merged(i), host)
 			}
-		}
-		if bestAt < 0 {
 			return plan
 		}
 		cut := cutAfter[bestAt]
-		if improving {
-			plan.Why[cut] = fmt.Sprintf(
-				"fuse cut %d: ring tax %.0f exceeds its pipeline gain (predicted %.0f -> %.0f ns/pkt on %s)",
-				cut+1, ringSyncNs, cur, bestCost, host)
-		}
-		plan.Order = append(plan.Order, Merge{Cut: cut, Price: bestCost})
+		plan.Fuse |= 1 << cut
+		plan.Why[cut] = fmt.Sprintf(
+			"fuse cut %d: ring tax %.0f exceeds its pipeline gain (predicted %.0f -> %.0f ns/pkt on %s)",
+			cut+1, ringSyncNs, cur, bestCost, host)
 		units[bestAt] += units[bestAt+1] - saved(cut)
 		units = slices.Delete(units, bestAt+1, bestAt+2)
 		lanes = slices.Delete(lanes, bestAt+1, bestAt+2)

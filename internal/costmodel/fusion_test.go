@@ -1,18 +1,19 @@
 package costmodel
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 )
 
-// verdict unpacks a plan over d stages: which cuts its verdict un-makes, and
-// how many units that leaves.
+// verdict unpacks a plan over d stages: which cuts its fuse mask un-makes,
+// and how many units that leaves.
 func verdict(p FusionPlan, d int) (fuse []bool, units int) {
 	fuse = make([]bool, max(d-1, 0))
-	for _, m := range p.Order[:p.Fused] {
-		fuse[m.Cut] = true
+	for k := range fuse {
+		fuse[k] = p.Fuse>>k&1 == 1
 	}
-	return fuse, d - p.Fused
+	return fuse, d - bits.OnesCount64(p.Fuse)
 }
 
 // TestPlanFusionSingleCoreFusesEverything: with one core there is no
@@ -75,7 +76,7 @@ func TestPlanFusionFoldsTinyStageIntoNeighbor(t *testing.T) {
 // panic and must return a sane empty/clamped plan.
 func TestPlanFusionDegenerateInputs(t *testing.T) {
 	for _, stages := range [][]float64{{100}, nil} {
-		if p := PlanFusion(stages, nil, nil, 1500, 0); len(p.Order) != 0 || p.Fused != 0 || len(p.Why) != 0 {
+		if p := PlanFusion(stages, nil, nil, 1500, 0); p.Fuse != 0 || len(p.Why) != 0 {
 			t.Fatalf("%d-stage plan not empty: %+v", len(stages), p)
 		}
 	}
@@ -130,11 +131,11 @@ func TestPlanFusionCountsLanesAgainstCores(t *testing.T) {
 // of those 600 are the cut's own send and receive (280 against 308).
 func TestPlanFusionDropsTheFusedCutsTransmission(t *testing.T) {
 	stages, sync := []float64{300, 300}, 8.0
-	if p := PlanFusion(stages, nil, nil, sync, 2); p.Fused != 0 {
+	if p := PlanFusion(stages, nil, nil, sync, 2); p.Fuse != 0 {
 		t.Fatalf("fused without a transmission share: %v", p.Why)
 	}
 	p := PlanFusion(stages, []float64{320}, nil, sync, 2)
-	if p.Fused != 1 || !strings.Contains(p.Why[0], "308 -> 280") {
+	if p.Fuse != 1 || !strings.Contains(p.Why[0], "308 -> 280") {
 		t.Fatalf("cut share 320 not dropped from the merge: %v", p.Why)
 	}
 }

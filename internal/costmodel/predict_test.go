@@ -2,7 +2,6 @@ package costmodel
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -77,53 +76,6 @@ func randomCut(rng *rand.Rand) (stages, cuts []float64, widths []int, sync float
 		cuts[k] = float64(rng.Intn(int(min(stages[k], stages[k+1]))/2 + 1))
 	}
 	return stages, cuts, widths, float64(1 + rng.Intn(600)), 1 + rng.Intn(8)
-}
-
-// TestPlanFusionOrder: the merge order is what realize grants a given fuse
-// mask against, so it must name every cut between stages of equal width
-// exactly once and no shard junction, each step priced at what Predict says
-// of the shape it reaches; and the verdict is the order's improving prefix — every price
-// in it below the one before, the next one (if any) not.
-func TestPlanFusionOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 300; trial++ {
-		stages, cuts, widths, sync, cores := randomCut(rng)
-		plan := PlanFusion(stages, cuts, widths, sync, cores)
-		seen := map[int]bool{}
-		for _, m := range plan.Order {
-			if m.Cut < 0 || m.Cut >= len(cuts) || seen[m.Cut] || widths[m.Cut] != widths[m.Cut+1] {
-				t.Fatalf("%v widths %v: order %v repeats a cut or crosses a junction", stages, widths, plan.Order)
-			}
-			seen[m.Cut] = true
-		}
-		for k := range cuts {
-			if widths[k] == widths[k+1] && !seen[k] {
-				t.Errorf("%v widths %v: aligned cut %d missing from order %v", stages, widths, k+1, plan.Order)
-			}
-		}
-		price := Predict(stages, widths, sync, cores)
-		for i, m := range plan.Order {
-			if improves := m.Price < price; i < plan.Fused && !improves || i == plan.Fused && improves {
-				t.Errorf("%v widths %v sync %v cores %d: verdict %d, but step %d prices %v after %v (order %v)",
-					stages, widths, sync, cores, plan.Fused, i, m.Price, price, plan.Order)
-			}
-			price = m.Price
-		}
-		// The last price is Predict of one unit per run of equal width.
-		var units []float64
-		var lanes []int
-		for i, s := range stages {
-			if i > 0 && widths[i] == widths[i-1] {
-				units[len(units)-1] += s - cuts[i-1]
-				continue
-			}
-			units, lanes = append(units, s), append(lanes, widths[i])
-		}
-		if n := len(plan.Order); n > 0 && math.Abs(plan.Order[n-1].Price-Predict(units, lanes, sync, cores)) > 1e-6 {
-			t.Errorf("%v widths %v: order ends at %v, the fully merged shape predicts %v",
-				stages, widths, plan.Order[n-1].Price, Predict(units, lanes, sync, cores))
-		}
-	}
 }
 
 // TestPlanFusionIsLocalOptimumOfPredict: the valuator and the predictor are

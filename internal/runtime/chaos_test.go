@@ -627,7 +627,7 @@ func TestChaosFusedStageAttribution(t *testing.T) {
 			{Kind: fault.Stall, Stage: 2, At: 9, Sleep: 20 * time.Millisecond},
 			{Kind: fault.Panic, Stage: 3, At: 12}, // folded into stage 2's program
 		}}
-		l, err := runtime.CoarseLayout(res, []bool{false, true, true}, true, cfg)
+		l, err := runtime.CoarseLayout(res, 0b110, true, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

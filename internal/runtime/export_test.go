@@ -5,29 +5,31 @@ import (
 	"repro/internal/ir"
 )
 
-// CoarseLayout lays res out under cfg with the cuts fuse names un-made
-// (fuse[k] joins stages k+1 and k+2 into one program; short masks keep the
-// rest). With aligned set a cut is un-made only between stages the ringed
+// CoarseLayout lays res out under cfg with the cuts fuse names un-made (bit
+// k joins stages k+1 and k+2 into one program; bits past the last cut are
+// ignored). With aligned set a cut is un-made only between stages the ringed
 // layout replicates equally wide — the rule the repro facade grants fusion
 // by, so a scatter or fan-in keeps its junction; without it the mask is
 // taken as is and a merged program replicates as its own state allows.
-func CoarseLayout(res *core.Result, fuse []bool, aligned bool, cfg Config) (*Layout, error) {
+func CoarseLayout(res *core.Result, fuse uint64, aligned bool, cfg Config) (*Layout, error) {
 	ringed, err := NewLayout(res.Stages, cfg)
 	if err != nil {
 		return nil, err
 	}
 	reps := ringed.Replicas()
-	keep := make([]bool, len(res.Stages)-1)
-	for k := range keep {
-		keep[k] = k >= len(fuse) || !fuse[k] || (aligned && reps[k] != reps[k+1])
+	fuse &= 1<<(len(reps)-1) - 1
+	for k := 0; aligned && k+1 < len(reps); k++ {
+		if reps[k] != reps[k+1] {
+			fuse &^= 1 << k
+		}
 	}
-	units, err := res.Coarsen(keep)
+	units, err := res.Coarsen(fuse)
 	if err != nil {
 		return nil, err
 	}
-	progs, covers := make([]*ir.Program, len(units)), make([]int, len(units))
+	progs := make([]*ir.Program, len(units))
 	for i, u := range units {
-		progs[i], covers[i] = u.Prog, u.Last-u.First+1
+		progs[i] = u.Prog
 	}
-	return NewCoarseLayout(progs, covers, cfg)
+	return NewCoarseLayout(progs, fuse, cfg)
 }

@@ -64,12 +64,8 @@ func FuzzServeVsOracle(f *testing.F) {
 			if runtime.Validate(res.Stages) != nil {
 				continue // not servable (e.g. no pkt_rx pacing point)
 			}
-			seededMask := make([]bool, d-1)
-			for k := range seededMask {
-				seededMask[k] = fuseBits>>uint(k)&1 == 1
-			}
 			for _, batch := range []int{1, 2} {
-				for fi, fuse := range [][]bool{nil, seededMask} {
+				for fi, fuse := range []uint64{0, fuseBits} {
 					tag := []string{"ringed", "fused"}[fi]
 					cfg := runtime.DefaultConfig()
 					cfg.Batch = batch

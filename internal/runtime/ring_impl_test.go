@@ -47,11 +47,7 @@ func TestRingImplOracleMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s D=%d: %v", pps.Name, d, err)
 		}
-		fuseAll := make([]bool, d-1)
-		for k := range fuseAll {
-			fuseAll[k] = true
-		}
-		for fi, fuse := range [][]bool{nil, fuseAll} {
+		for fi, fuse := range []uint64{0, ^uint64(0)} {
 			tag := []string{"ringed", "fused"}[fi]
 			for _, p := range []int{1, 4} {
 				name := fmt.Sprintf("%s/%s/P=%d", pps.Name, tag, p)

@@ -17,9 +17,8 @@
 // The runtime serves exactly the stages it is given, every cut between them
 // on a ring. A cut that should not cost a ring is not served here at all:
 // the partitioner realizes the stages around it as one program
-// (core.Result.Coarsen) and NewCoarseLayout says which cut stages each
-// program stands for, so counters, spans and fault records keep the cut's
-// stage numbers.
+// (core.Result.Coarsen) and NewCoarseLayout takes the same fuse mask, so
+// counters, spans and fault records keep the cut's stage numbers.
 //
 // Correctness model: every iteration owns an interp.IterCtx that flows
 // down the pipeline inside a token. The source in-port pulls one packet
@@ -65,6 +64,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math/bits"
 	"runtime/pprof"
 	"slices"
 	"sort"
@@ -861,34 +861,34 @@ type Layout struct {
 
 // NewLayout validates stages, classifies them, and lays them out under cfg.
 func NewLayout(stages []*ir.Program, cfg Config) (*Layout, error) {
-	return NewCoarseLayout(stages, nil, cfg)
+	return NewCoarseLayout(stages, 0, cfg)
 }
 
-// NewCoarseLayout is NewLayout for the programs of a coarsened cut
-// (core.Result.Coarsen): covers[i] is the number of consecutive cut stages
-// program i realizes (nil: one each). The programs are served as they come —
-// one unit per program replica, a ring at every boundary between them — but
-// everything reported per stage keeps the cut's numbering: Metrics.Stages and
-// Snapshot.Stages have one entry per cut stage, a program books its counters,
-// spans and fault records under the first stage it covers, and the entries
-// of the stages folded into it stay zero and name that stage in FusedInto. A
-// fault plan names cut stages too, and fires only at a stage that begins a
-// program.
-func NewCoarseLayout(stages []*ir.Program, covers []int, cfg Config) (*Layout, error) {
+// NewCoarseLayout is NewLayout for the programs of a cut coarsened by the
+// fuse mask fuse (core.Result.Coarsen's: bit k set un-makes cut k+1, so the
+// programs stand for one cut stage each plus one per set bit). The programs
+// are served as they come — one unit per program replica, a ring at every
+// boundary between them — but everything reported per stage keeps the cut's
+// numbering: Metrics.Stages and Snapshot.Stages have one entry per cut stage,
+// a program books its counters, spans and fault records under the first
+// stage it covers, and the entries of the stages folded into it stay zero
+// and name that stage in FusedInto. A fault plan names cut stages too, and
+// fires only at a stage that begins a program.
+func NewCoarseLayout(stages []*ir.Program, fuse uint64, cfg Config) (*Layout, error) {
 	if err := Validate(stages); err != nil {
 		return nil, err
 	}
-	if covers != nil && (len(covers) != len(stages) || slices.Min(covers) < 1) {
-		return nil, fmt.Errorf("%w: cover counts %v for %d stages", errs.ErrBadOption, covers, len(stages))
+	d := len(stages) + bits.OnesCount64(fuse)
+	if fuse>>(d-1) != 0 {
+		return nil, fmt.Errorf("%w: fuse mask %b for %d programs", errs.ErrBadOption, fuse, len(stages))
 	}
-	first := make([]int, len(stages)+1)
-	first[0] = 1
-	for i := range stages {
-		first[i+1] = first[i] + 1
-		if covers != nil {
-			first[i+1] = first[i] + covers[i]
+	first := []int{1}
+	for s := 2; s <= d; s++ {
+		if fuse>>(s-2)&1 == 0 {
+			first = append(first, s)
 		}
 	}
+	first = append(first, d+1)
 	return (&Layout{stages: stages, first: first, shapes: classifyStages(stages)}).With(cfg)
 }
 

@@ -204,24 +204,24 @@ func TestBuildUnits(t *testing.T) {
 		name string
 		app  string
 		d, p int
-		fuse []bool
+		fuse uint64
 		want []string
 	}{
 		{name: "D=1", app: "IPv4", d: 1, want: []string{"source[1]sink"}},
 		{name: "D=3 ringed", app: "IPv4", d: 3,
 			want: []string{"source[1]ring", "ring[2]ring", "ring[3]sink"}},
-		{name: "D=3 fully fused", app: "IPv4", d: 3, fuse: []bool{true, true},
+		{name: "D=3 fully fused", app: "IPv4", d: 3, fuse: 0b11,
 			want: []string{"source[1-3]sink"}},
-		{name: "D=3 head unit fused", app: "IPv4", d: 3, fuse: []bool{true, false},
+		{name: "D=3 head unit fused", app: "IPv4", d: 3, fuse: 0b01,
 			want: []string{"source[1-2]ring", "ring[3]sink"}},
 		{name: "dispatcher + sharded sink", app: "IPv4", d: 2, p: 4,
 			want: cat([]string{"source[]scatter"}, x4("ring[1]ring"), x4("ring[2]ring"), []string{"merge[]sink"}),
 		},
-		{name: "dispatcher + sharded sink, fused lanes", app: "IPv4", d: 2, p: 4, fuse: []bool{true},
+		{name: "dispatcher + sharded sink, fused lanes", app: "IPv4", d: 2, p: 4, fuse: 0b1,
 			want: cat([]string{"source[]scatter"}, x4("ring[1-2]ring"), []string{"merge[]sink"}),
 		},
-		// Every QM cut is a junction, so the all-true fuse request fuses nothing.
-		{name: "mid-pipeline scatter + fan-in", app: "QM", d: 4, p: 4, fuse: []bool{true, true, true},
+		// Every QM cut is a junction, so the all-ones fuse request fuses nothing.
+		{name: "mid-pipeline scatter + fan-in", app: "QM", d: 4, p: 4, fuse: 0b111,
 			want: cat([]string{"source[]scatter"}, x4("ring[1]ring"), []string{"merge[2]scatter"},
 				x4("ring[3]ring"), []string{"merge[4]sink"}),
 		},
@@ -306,19 +306,15 @@ func TestCoarsenedWidthsMatchMembers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s D=%d: %v", pps.Name, d, err)
 				}
-				for bits := 1; bits < 1<<(d-1); bits++ {
-					fuse := make([]bool, d-1)
-					for k := range fuse {
-						fuse[k] = bits>>k&1 == 1
-					}
+				for fuse := uint64(1); fuse < 1<<(d-1); fuse++ {
 					l, err := CoarseLayout(res, fuse, true, cfg)
 					if err != nil {
-						t.Fatalf("%s D=%d fuse %v: %v", pps.Name, d, fuse, err)
+						t.Fatalf("%s D=%d fuse %b: %v", pps.Name, d, fuse, err)
 					}
 					for i, w := range l.Replicas() {
 						for s := l.first[i]; s < l.first[i+1]; s++ {
 							if m := ringed.Replicas()[s-1]; m != w {
-								t.Errorf("%s D=%d key=%v fuse %v: program %d replicates x%d, its stage %d x%d",
+								t.Errorf("%s D=%d key=%v fuse %b: program %d replicates x%d, its stage %d x%d",
 									pps.Name, d, key != nil, fuse, i+1, w, s, m)
 							}
 						}

@@ -40,12 +40,12 @@ func verdict(err error) string {
 // stage's state: exec's batching verdict (Lowered.Serial and Carried), the
 // replica width the serve runtime gives it at P=2 without and with a shard
 // key ("-" when the list is not servable), and the verdicts of
-// runtime.Validate and core.ValidateStages on the whole list. covers is
-// NewCoarseLayout's (nil: one cut stage each).
-func stageState(stages []*ir.Program, covers []int) string {
+// runtime.Validate and core.ValidateStages on the whole list. fuse is the
+// fuse mask the stages were coarsened by (NewCoarseLayout's).
+func stageState(stages []*ir.Program, fuse uint64) string {
 	var b strings.Builder
 	var plain, keyed []int
-	if l, err := runtime.NewCoarseLayout(stages, covers, runtime.Config{Shards: 2}); err == nil {
+	if l, err := runtime.NewCoarseLayout(stages, fuse, runtime.Config{Shards: 2}); err == nil {
 		plain = l.Replicas()
 		if lk, err := l.With(runtime.Config{Shards: 2, ShardKey: netbench.FlowKey}); err == nil {
 			keyed = lk.Replicas()
@@ -94,23 +94,19 @@ func TestStageStateGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s D=%d: %v", name, d, err)
 			}
-			fmt.Fprintf(&b, "%s d=%d%s\n", name, d, stageState(res.Stages, nil))
+			fmt.Fprintf(&b, "%s d=%d%s\n", name, d, stageState(res.Stages, 0))
 			if d != 4 && d != 8 {
 				continue
 			}
-			keep := make([]bool, d-1)
-			for j := range keep {
-				keep[j] = j%2 == 0
-			}
-			units, err := res.Coarsen(keep)
+			units, err := res.Coarsen(everySecondCut)
 			if err != nil {
 				t.Fatalf("%s D=%d coarsen: %v", name, d, err)
 			}
-			progs, covers := make([]*ir.Program, len(units)), make([]int, len(units))
+			progs := make([]*ir.Program, len(units))
 			for i, u := range units {
-				progs[i], covers[i] = u.Prog, u.Last-u.First+1
+				progs[i] = u.Prog
 			}
-			fmt.Fprintf(&b, "%s d=%d coarsen%s\n", name, d, stageState(progs, covers))
+			fmt.Fprintf(&b, "%s d=%d coarsen%s\n", name, d, stageState(progs, everySecondCut&(1<<(d-1)-1)))
 		}
 	}
 	for seed := int64(0); seed < 200; seed++ {
@@ -128,7 +124,7 @@ func TestStageStateGolden(t *testing.T) {
 				fmt.Fprintf(&b, "rand%d d=%d partition=%s\n", seed, d, verdict(err))
 				continue
 			}
-			fmt.Fprintf(&b, "rand%d d=%d%s\n", seed, d, stageState(res.Stages, nil))
+			fmt.Fprintf(&b, "rand%d d=%d%s\n", seed, d, stageState(res.Stages, 0))
 		}
 	}
 	stage := func(body string) *ir.Program {
@@ -153,7 +149,7 @@ func TestStageStateGolden(t *testing.T) {
 		{"loads+stores", []*ir.Program{loads, stores}},
 		{"reads+loads", []*ir.Program{reads, loads}},
 	} {
-		fmt.Fprintf(&b, "hand %s%s\n", c.name, stageState(c.stages, nil))
+		fmt.Fprintf(&b, "hand %s%s\n", c.name, stageState(c.stages, 0))
 	}
 
 	got := b.String()
