@@ -164,9 +164,11 @@ func (n *notifier) post() {
 // pipeline, and every time it is, WaitCounters.LostWakeups says so.
 const parkBackstop = time.Millisecond
 
-// lateTurns bounds the runtime.Gosched rounds a backstop expiry grants a
-// peer that published but has not yet posted, before counting a lost wakeup.
-const lateTurns = 16
+// lateGrace bounds how long a backstop expiry waits for the wake of a peer
+// that published but has not yet posted — one descheduled by the host
+// between the two — before counting a lost wakeup. The late post ends the
+// wait as soon as it runs, so only a wakeup that is really lost waits it out.
+const lateGrace = 20 * time.Millisecond
 
 // Ring is the lock-free SPSC ring. The producer-side methods must be called
 // from one goroutine at a time, and the consumer-side methods from one
@@ -458,10 +460,19 @@ func (r *Ring[T]) park(n *notifier, done <-chan struct{}, timer **time.Timer, d 
 		if d == parkBackstop && ready() {
 			// What the waiter wanted is there, yet the backstop is what ended
 			// the park. A peer preempted between its publish and its post
-			// still holds the wake, so it gets a few scheduler turns to take
-			// the announcement before the wakeup is called lost.
-			for i := 0; i < lateTurns && n.waiting.Load() == 1; i++ {
-				runtime.Gosched()
+			// still holds the wake: its post takes the announcement and sends
+			// the token, so the waiter waits up to lateGrace for it before the
+			// wakeup is called lost.
+			t.Reset(lateGrace)
+			select {
+			case <-n.wake:
+				disarm()
+				return true
+			case <-done:
+				disarm()
+				n.waiting.Store(0)
+				return false
+			case <-t.C:
 			}
 			if n.waiting.Swap(0) == 1 {
 				w.lostWakeup()
