@@ -155,17 +155,17 @@ else
 fi
 
 echo "== doc gate: the docs name no deleted machinery"
-if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*' README.md DESIGN.md EXPERIMENTS.md; then
+if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval' README.md DESIGN.md EXPERIMENTS.md; then
     echo "doc gate: the lines above name deleted machinery" >&2 && exit 1
 fi
 
 echo "== size ledger (printed, not gated)"
 # The design-size numbers ROADMAP item 4 tracks, so each PR's reduction is
 # a recorded figure: non-test, non-blank, non-comment Go lines of the serve
-# runtime and the facade files that configure it, the option count, and the
-# sentinel count. The cost model (the one throughput model and the fusion
-# valuator), the compiled backend and the ingest front end are each listed on
-# their own line.
+# runtime and the facade files that configure it, the option count, the
+# runtime.Config field count, and the sentinel count. The cost model (the one
+# throughput model and the fusion valuator), the compiled backend and the
+# ingest front end are each listed on their own line.
 # shellcheck disable=SC2046
 echo "non-test Go code lines outside benchmark/: $(cat $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*') | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (16,898 before the adaptive loop's removal)"
 size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go fusion.go"
@@ -203,7 +203,8 @@ echo "stage-state analysis code lines (costmodel Use..CheckConfined, core.Valida
 echo "internal/netbench code lines: $(cat $(ls internal/netbench/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (950 before the flat route tables, ISSUE 25)"
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
-echo "options (func With*):      $(grep -c '^func With' options.go)  (24 before the adaptive loop's removal)"
+echo "options (func With*):      $(grep -c '^func With' options.go)  (22 before the knob constants)"
+echo "runtime.Config fields:     $(awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } on && /^\t[A-Z]/' internal/runtime/runtime.go | wc -l)  (13 before)"
 echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)  (16 before)"
 # The second measurement stack and the prose about it, the two things
 # ROADMAP item 4 asked to shrink.

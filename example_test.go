@@ -26,7 +26,7 @@ func Example_sentinelErrors() {
 	// An option applied outside its scope (the matrix on Option).
 	pipe, _ := repro.Partition(prog, repro.WithStages(2))
 	_, err = pipe.Serve(context.Background(),
-		repro.PacketSource([][]byte{{1}}), repro.WithThreads(8))
+		repro.PacketSource([][]byte{{1}}), repro.WithIterations(8))
 	fmt.Println("out of scope:", errors.Is(err, repro.ErrConflictingOptions))
 
 	// A negative batch, caught when Serve assembles its configuration.

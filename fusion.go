@@ -173,7 +173,7 @@ type Plan struct {
 // that is not servable, a configuration Serve would refuse — the error says
 // why and the Plan still describes the requested shape.
 func (p *Pipeline) realize(cfg config) (*Plan, *runtime.Layout, error) {
-	rc := cfg.serve
+	rc := cfg.serveConfig()
 	plan := &Plan{Degree: len(p.stages), Batch: max(1, rc.Batch), Shards: max(1, rc.Shards)}
 	for _, s := range p.report.Stages {
 		plan.StageWeights = append(plan.StageWeights, s.Cost.Total)

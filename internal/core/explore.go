@@ -15,8 +15,6 @@ type ExploreOptions struct {
 	// performance budgets (cycles per packet)" that must be statically
 	// guaranteed).
 	Budget int64
-	// MaxPEs bounds the processing engines available (default 10).
-	MaxPEs int
 	// Workers bounds the goroutines evaluating candidate degrees:
 	// 0 selects one per CPU (runtime.GOMAXPROCS(0)), 1 runs sequentially.
 	// The selected result is identical for every worker count.
@@ -25,15 +23,16 @@ type ExploreOptions struct {
 	Base Options
 }
 
+// explorePEs is the number of processing engines Explore searches: degrees
+// 1..explorePEs.
+const explorePEs = 10
+
 // Validate rejects out-of-range exploration options as errs.ErrBadOption.
-// A zero Budget or MaxPEs means "unset" here (a configuration may be
-// assembled before anyone calls Explore, which itself requires a budget).
+// A zero Budget means "unset" here (a configuration may be assembled before
+// anyone calls Explore, which itself requires a budget).
 func (o *ExploreOptions) Validate() error {
 	if o.Budget < 0 {
 		return fmt.Errorf("explore: %w: Budget %d", errs.ErrBadOption, o.Budget)
-	}
-	if o.MaxPEs < 0 {
-		return fmt.Errorf("explore: %w: MaxPEs %d", errs.ErrBadOption, o.MaxPEs)
 	}
 	return o.Base.Validate()
 }
@@ -89,12 +88,8 @@ func (a *Analysis) Explore(opts ExploreOptions) (*ExploreResult, error) {
 	if opts.Budget == 0 {
 		return nil, fmt.Errorf("explore: %w: Budget unset (Explore needs a positive per-packet budget)", errs.ErrBadOption)
 	}
-	if opts.MaxPEs == 0 {
-		opts.MaxPEs = 10
-	}
-
-	results := make([]*Result, opts.MaxPEs)
-	costs := make([]CandidateCost, opts.MaxPEs)
+	results := make([]*Result, explorePEs)
+	costs := make([]CandidateCost, explorePEs)
 	candidate := func(i int) error {
 		o := opts.Base
 		o.Stages = i + 1
@@ -115,9 +110,9 @@ func (a *Analysis) Explore(opts ExploreOptions) (*ExploreResult, error) {
 	// first chunk that holds a fit: one worker is the smallest-degree-first
 	// search, more cut at most one chunk past the fit.
 	ex := &ExploreResult{}
-	chunk := parallel.Workers(opts.Workers, opts.MaxPEs)
-	for lo := 0; lo < opts.MaxPEs; lo += chunk {
-		hi := min(lo+chunk, opts.MaxPEs)
+	chunk := parallel.Workers(opts.Workers, explorePEs)
+	for lo := 0; lo < explorePEs; lo += chunk {
+		hi := min(lo+chunk, explorePEs)
 		if err := parallel.ForEach(hi-lo, chunk, func(i int) error { return candidate(lo + i) }); err != nil {
 			return nil, err
 		}
@@ -133,7 +128,7 @@ func (a *Analysis) Explore(opts ExploreOptions) (*ExploreResult, error) {
 	// Budget unmet anywhere: best effort — the cheapest longest stage,
 	// smallest degree on ties.
 	best := 0
-	for i := 1; i < opts.MaxPEs; i++ {
+	for i := 1; i < explorePEs; i++ {
 		if costs[i].LongestStage < costs[best].LongestStage {
 			best = i
 		}

@@ -61,14 +61,14 @@ func TestExploreImpossibleBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Explore(prog, ExploreOptions{Budget: 5, MaxPEs: 6})
+	ex, err := Explore(prog, ExploreOptions{Budget: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex.Met {
 		t.Error("a 5-instruction budget on the Scheduler cannot be met")
 	}
-	if ex.Result == nil || len(ex.Candidates) != 6 {
+	if ex.Result == nil || len(ex.Candidates) != ExplorePEs {
 		t.Errorf("best-effort result or candidate log missing: %+v", ex.Candidates)
 	}
 }

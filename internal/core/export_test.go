@@ -6,6 +6,10 @@ import (
 	"sort"
 )
 
+// ExplorePEs is the number of degrees Explore searches, for the external
+// test package.
+const ExplorePEs = explorePEs
+
 // AnalysisInfEdges exposes the flow-network skeleton's infinite-edge count
 // to the external test package (which can import netbench; this package
 // cannot, as netbench depends on core).

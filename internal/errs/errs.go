@@ -50,8 +50,8 @@ var (
 
 	// ErrConflictingOptions is returned when individually valid options
 	// contradict each other or are applied to an entry point outside their
-	// scope (an overload watermark under the blocking policy, WithThreads
-	// passed to Serve).
+	// scope (a batch larger than the ring under the shed policy,
+	// WithIterations passed to Serve).
 	ErrConflictingOptions = errors.New("conflicting options")
 
 	// ErrStagePanic is returned when a panic is recovered inside a stage

@@ -34,10 +34,6 @@ type Config struct {
 	Channel costmodel.ChannelKind
 	// Arch is the instruction cost model.
 	Arch *costmodel.Arch
-	// ArrivalInterval is the gap in cycles between packet arrivals at the
-	// first stage; 0 means packets are always available (the simulator
-	// then measures saturated pipeline throughput).
-	ArrivalInterval int64
 }
 
 // run functionally executes iters iterations of the pipeline on one
@@ -91,6 +87,8 @@ type Result struct {
 // Simulate runs iters iterations of the pipeline against world, measuring
 // both behaviour and timing. Stages share persistent state (as on hardware,
 // where flow state lives in shared SRAM but is touched by one stage only).
+// Packets are always available at the first stage, so the timing is the
+// saturated pipeline's; zero iterations time nothing.
 func Simulate(stages []*ir.Program, world *interp.World, iters int, cfg Config) (*Result, error) {
 	if cfg.Arch == nil {
 		cfg.Arch = costmodel.Default()
@@ -113,6 +111,15 @@ func Simulate(stages []*ir.Program, world *interp.World, iters int, cfg Config) 
 	}); err != nil {
 		return nil, err
 	}
+	res := &Result{
+		Iterations:   iters,
+		StageBusy:    make([]float64, D),
+		StageService: make([]float64, D),
+		Trace:        world.Trace,
+	}
+	if iters == 0 {
+		return res, nil
+	}
 
 	// Blocking tandem-queue timing.
 	start := make([][]int64, D)
@@ -124,9 +131,7 @@ func Simulate(stages []*ir.Program, world *interp.World, iters int, cfg Config) 
 	for i := 0; i < iters; i++ {
 		for k := 0; k < D; k++ {
 			var t int64
-			if k == 0 {
-				t = cfg.ArrivalInterval * int64(i)
-			} else {
+			if k > 0 {
 				t = finish[k-1][i] // live set available
 			}
 			if i > 0 && finish[k][i-1] > t {
@@ -144,13 +149,7 @@ func Simulate(stages []*ir.Program, world *interp.World, iters int, cfg Config) 
 		}
 	}
 
-	res := &Result{
-		Iterations:   iters,
-		Makespan:     finish[D-1][iters-1],
-		StageBusy:    make([]float64, D),
-		StageService: make([]float64, D),
-		Trace:        world.Trace,
-	}
+	res.Makespan = finish[D-1][iters-1]
 	for k := 0; k < D; k++ {
 		var busy, total int64
 		for i := 0; i < iters; i++ {

@@ -1,6 +1,7 @@
 package npsim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -99,20 +100,6 @@ func TestScratchRingSlowerThanNN(t *testing.T) {
 	}
 }
 
-func TestArrivalIntervalLimitsThroughput(t *testing.T) {
-	iters := 100
-	res := partition(t, simSrc, 2)
-	cfg := DefaultConfig()
-	cfg.ArrivalInterval = 500 // far slower than the pipeline
-	s, err := Simulate(res.Stages, interp.NewWorld(packets(iters)), iters, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.CyclesPerPacket < 450 || s.CyclesPerPacket > 550 {
-		t.Errorf("cycles/packet = %.1f, want about the 500-cycle arrival interval", s.CyclesPerPacket)
-	}
-}
-
 func TestBackpressureWithTinyRings(t *testing.T) {
 	iters := 100
 	res := partition(t, simSrc, 3)
@@ -157,6 +144,30 @@ func TestStageMetrics(t *testing.T) {
 	}
 	if s.Makespan <= 0 || s.Throughput <= 0 {
 		t.Error("missing aggregate metrics")
+	}
+}
+
+// TestZeroIterations: both simulators time nothing at zero iterations and
+// return an empty result carrying the world's trace, instead of indexing the
+// last iteration.
+func TestZeroIterations(t *testing.T) {
+	res := partition(t, simSrc, 2)
+	w := interp.NewWorld(packets(4))
+	s, err := Simulate(res.Stages, w, 0, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Iterations != 0 || s.Makespan != 0 || s.CyclesPerPacket != 0 || len(s.Trace) != len(w.Trace) ||
+		!slices.Equal(s.StageBusy, []float64{0, 0}) || !slices.Equal(s.StageService, []float64{0, 0}) {
+		t.Errorf("Simulate at zero iterations: %+v", s)
+	}
+	th, err := SimulateThreads(res.Stages, w, 0, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th.Iterations != 0 || th.Makespan != 0 || th.CyclesPerPacket != 0 || len(th.Trace) != len(w.Trace) ||
+		!slices.Equal(th.IssueBusy, []float64{0, 0}) || !slices.Equal(th.AvgThreadsBusy, []float64{0, 0}) {
+		t.Errorf("SimulateThreads at zero iterations: %+v", th)
 	}
 }
 

@@ -78,6 +78,15 @@ func SimulateThreads(stages []*ir.Program, world *interp.World, iters int, cfg C
 	}); err != nil {
 		return nil, err
 	}
+	res := &ThreadSimResult{
+		Iterations:     iters,
+		IssueBusy:      make([]float64, D),
+		AvgThreadsBusy: make([]float64, D),
+		Trace:          world.Trace,
+	}
+	if iters == 0 {
+		return res, nil
+	}
 
 	// Timing: cycle-driven engines with explicit threads.
 	type peState struct {
@@ -116,13 +125,9 @@ func SimulateThreads(stages []*ir.Program, world *interp.World, iters int, cfg C
 					continue
 				}
 				i := pe.nextIter
-				// Input available? Stage 0: arrival schedule; else the
-				// upstream stage must have finished iteration i.
-				if k == 0 {
-					if cfg.ArrivalInterval*int64(i) > cycle {
-						continue
-					}
-				} else if doneAt[k-1][i] < 0 || doneAt[k-1][i] > cycle {
+				// Input available? Stage 0: always (saturated arrivals);
+				// else the upstream stage must have finished iteration i.
+				if k > 0 && (doneAt[k-1][i] < 0 || doneAt[k-1][i] > cycle) {
 					continue
 				}
 				// Ring slot backpressure: at most RingCapacity finished-
@@ -190,13 +195,7 @@ func SimulateThreads(stages []*ir.Program, world *interp.World, iters int, cfg C
 		return nil, fmt.Errorf("npsim: thread simulation did not converge")
 	}
 
-	res := &ThreadSimResult{
-		Iterations:     iters,
-		Makespan:       doneAt[D-1][iters-1],
-		IssueBusy:      make([]float64, D),
-		AvgThreadsBusy: make([]float64, D),
-		Trace:          world.Trace,
-	}
+	res.Makespan = doneAt[D-1][iters-1]
 	for k := range pes {
 		if res.Makespan > 0 {
 			res.IssueBusy[k] = float64(pes[k].issueBusy) / float64(res.Makespan)
@@ -207,7 +206,7 @@ func SimulateThreads(stages []*ir.Program, world *interp.World, iters int, cfg C
 	if half >= 1 && iters-1 > half {
 		span := doneAt[D-1][iters-1] - doneAt[D-1][half]
 		res.CyclesPerPacket = float64(span) / float64(iters-1-half)
-	} else if iters > 0 {
+	} else {
 		res.CyclesPerPacket = float64(res.Makespan) / float64(iters)
 	}
 	return res, nil

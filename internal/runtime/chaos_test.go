@@ -148,7 +148,7 @@ func TestChaosStallsAndDelaysAreLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Faults = &fault.Plan{Injections: []fault.Injection{
 		{Kind: fault.Stall, Stage: 1, Every: 8, Count: 2, Sleep: time.Millisecond},
 		{Kind: fault.Stall, Stage: 3, At: 11, Sleep: 2 * time.Millisecond},
@@ -175,7 +175,7 @@ func TestChaosDeadlineQuarantines(t *testing.T) {
 	_, stages := partitionIPv4(t, 2)
 	traffic := ipv4Traffic(n)
 	segs := stageSegments(t, stages, traffic)
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.StageDeadline = 2 * time.Millisecond
 	cfg.Faults = &fault.Plan{Injections: []fault.Injection{
 		{Kind: fault.Stall, Stage: 2, At: 5, Sleep: 20 * time.Millisecond},
@@ -206,7 +206,7 @@ func TestChaosPanicOncePerStage(t *testing.T) {
 	_, stages := partitionIPv4(t, d)
 	traffic := ipv4Traffic(n)
 	segs := stageSegments(t, stages, traffic)
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	plan := &fault.Plan{}
 	for s := 1; s <= d; s++ {
 		plan.Injections = append(plan.Injections,
@@ -272,7 +272,6 @@ func TestChaosSaturatedRingSheds(t *testing.T) {
 		RingCapacity: 2,
 		Batch:        1,
 		Overload:     runtime.OverloadShed,
-		Watermark:    2,
 		Faults: &fault.Plan{Injections: []fault.Injection{
 			{Kind: fault.Stall, Stage: 3, At: 0, UntilOverload: n - 3},
 		}},
@@ -311,7 +310,7 @@ func TestChaosShardedLedgerBalances(t *testing.T) {
 	_, stages := partitionIPv4(t, 4)
 	traffic := ipv4Traffic(n)
 	segs := stageSegments(t, stages, traffic)
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Shards = 4
 	// The deadline is wall-clock: generous enough that none of the seventeen
 	// goroutines blows it by being descheduled under -race on a small host.
@@ -423,7 +422,7 @@ func TestServeShardedShedsAtDispatch(t *testing.T) {
 			traffic := pps.Traffic(n)
 			l, err := runtime.NewLayout(res.Stages, runtime.Config{
 				Shards: tc.p, Batch: 2, RingCapacity: 2,
-				Overload: runtime.OverloadShed, Watermark: 1,
+				Overload: runtime.OverloadShed,
 				Faults: &fault.Plan{Injections: []fault.Injection{
 					{Kind: fault.Stall, Stage: tc.d, At: 0, UntilOverload: quota},
 				}},
@@ -580,7 +579,7 @@ func TestChaosSeededPlansAccount(t *testing.T) {
 			Faults:       seededPlan(seed, 4, n),
 		}
 		if seed%2 == 1 {
-			cfg.Overload, cfg.Watermark = runtime.OverloadShed, 1
+			cfg.Overload = runtime.OverloadShed
 		}
 		if seed%3 == 0 {
 			cfg.StageDeadline = 500 * time.Microsecond
@@ -620,7 +619,7 @@ func TestChaosFusedStageAttribution(t *testing.T) {
 	traffic := ipv4Traffic(n)
 	segs := stageSegments(t, res.Stages, traffic)
 	t.Run("unit_head", func(t *testing.T) {
-		cfg := runtime.DefaultConfig()
+		cfg := runtime.Config{}
 		cfg.StageDeadline = 2 * time.Millisecond
 		cfg.Faults = &fault.Plan{Injections: []fault.Injection{
 			{Kind: fault.Panic, Stage: 2, At: 4},

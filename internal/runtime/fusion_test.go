@@ -61,7 +61,7 @@ func TestFusionEquivalenceMatrix(t *testing.T) {
 				for _, shape := range fuseShapes {
 					name := fmt.Sprintf("%s/D=%d/P=%d/fuse=%s", pps.Name, d, shards, shape.name)
 					world := netbench.NewWorld(nil)
-					cfg := runtime.DefaultConfig()
+					cfg := runtime.Config{}
 					cfg.Batch = 4
 					cfg.Shards = shards
 					l, err := runtime.CoarseLayout(res, shape.fuse, true, cfg)
@@ -114,7 +114,7 @@ func TestFusionFullPipelineIsSequentialShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Batch = 8
 	l, err := runtime.CoarseLayout(res, 0b111, true, cfg)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestFusionMaskOversizedAndMisaligned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := runtime.DefaultConfig()
+		cfg := runtime.Config{}
 		cfg.Shards = 4
 		if _, err := runtime.NewCoarseLayout(res.Stages, 1<<tc.d, cfg); !errors.Is(err, errs.ErrBadOption) {
 			t.Errorf("%s: a fuse mask past the last cut: err = %v, want ErrBadOption", tc.app, err)

@@ -67,7 +67,7 @@ func FuzzServeVsOracle(f *testing.F) {
 			for _, batch := range []int{1, 2} {
 				for fi, fuse := range []uint64{0, fuseBits} {
 					tag := []string{"ringed", "fused"}[fi]
-					cfg := runtime.DefaultConfig()
+					cfg := runtime.Config{}
 					cfg.Batch = batch
 					cfg.Shards = shards
 					l, err := runtime.CoarseLayout(res, fuse, false, cfg)

@@ -25,7 +25,7 @@ func TestFaultReportGolden(t *testing.T) {
 	_, stages := partitionIPv4(t, 2)
 	traffic := ipv4Traffic(n)
 	t.Run("quarantine", func(t *testing.T) {
-		cfg := runtime.DefaultConfig()
+		cfg := runtime.Config{}
 		cfg.StageDeadline = 2 * time.Millisecond
 		cfg.Faults = &fault.Plan{Injections: []fault.Injection{
 			{Kind: fault.Panic, Stage: 1, Every: 6},

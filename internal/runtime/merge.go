@@ -218,7 +218,7 @@ func (sc *scatterer) offer(j int) bool {
 // waits on lane j the ring's own way (spin, yield, park) for at most one
 // overloadTick, booked as transmit-side wait. Under the blocking policy the
 // rounds go on until the batch has left; under shed the lane is marked held
-// after Watermark of them. False means the run was canceled.
+// after watermark of them. False means the run was canceled.
 func (sc *scatterer) deliver(e *engine, j int) bool {
 	sc.sq.flush()
 	if sc.offer(j) {
@@ -226,7 +226,7 @@ func (sc *scatterer) deliver(e *engine, j int) bool {
 	}
 	p := sc.lc.probe
 	p.stalls.Add(1)
-	for tick := 0; e.cfg.Overload == OverloadBlock || tick < e.cfg.Watermark; tick++ {
+	for tick := 0; e.cfg.Overload == OverloadBlock || tick < watermark; tick++ {
 		for i := range sc.pend {
 			if i != j && len(sc.pend[i]) > 0 {
 				sc.offer(i)

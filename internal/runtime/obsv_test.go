@@ -28,7 +28,7 @@ func TestSnapshotMidServe(t *testing.T) {
 
 	var liveMu sync.Mutex
 	var live *runtime.Live
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Batch = 4
 	cfg.OnLive = func(l *runtime.Live) {
 		liveMu.Lock()
@@ -141,7 +141,7 @@ func TestTracerSpansMidServe(t *testing.T) {
 		return traffic[int(i)%len(traffic)], true
 	})
 	tr := obsv.NewTracer(0)
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Batch = 4
 	cfg.Shards = 2
 	cfg.Obs = &obsv.Observer{Tracer: tr}
@@ -207,7 +207,7 @@ func TestServeTracing(t *testing.T) {
 	traffic := ipv4Traffic(n)
 
 	tr := obsv.NewTracer(0)
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Batch = 8
 	cfg.Obs = &obsv.Observer{Tracer: tr}
 	m := chaosServe(t, stages, traffic, cfg)
@@ -273,7 +273,7 @@ func TestServeRegistryMirror(t *testing.T) {
 	traffic := ipv4Traffic(n)
 
 	reg := obsv.NewRegistry()
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Batch = 8
 	cfg.Obs = &obsv.Observer{Registry: reg}
 	m := chaosServe(t, stages, traffic, cfg)
@@ -319,7 +319,7 @@ func TestServePeriodicLog(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
 	done := false
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Obs = &obsv.Observer{
 		LogEvery: 2 * time.Millisecond,
 		Logf: func(format string, args ...any) {
@@ -367,9 +367,9 @@ func TestServeObservedOracleEquivalence(t *testing.T) {
 	_, stages := partitionIPv4(t, 4)
 	traffic := ipv4Traffic(96)
 
-	plain := chaosServe(t, stages, traffic, runtime.DefaultConfig())
+	plain := chaosServe(t, stages, traffic, runtime.Config{})
 
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Batch = 4
 	cfg.Obs = &obsv.Observer{Tracer: obsv.NewTracer(0), Registry: obsv.NewRegistry()}
 	observed := chaosServe(t, stages, traffic, cfg)
@@ -385,7 +385,7 @@ func TestServeObservedOracleEquivalence(t *testing.T) {
 // TestBadObserverRejected checks the validation path.
 func TestBadObserverRejected(t *testing.T) {
 	_, stages := partitionIPv4(t, 2)
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Obs = &obsv.Observer{LogEvery: -time.Second}
 	_, err := runtime.Serve(context.Background(), stages, netbench.NewWorld(nil),
 		runtime.Packets(ipv4Traffic(4)), cfg)

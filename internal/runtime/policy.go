@@ -3,7 +3,7 @@ package runtime
 import "repro/internal/costmodel"
 
 // OverloadPolicy decides what a stage does when its outgoing ring stays
-// saturated past the configured watermark.
+// saturated past the watermark.
 type OverloadPolicy uint8
 
 const (
@@ -28,9 +28,9 @@ func (p OverloadPolicy) String() string {
 	return "?"
 }
 
-// DefaultRingCapacity is the per-ring entry count selected when the
-// configuration leaves RingCapacity at 0: nearest-neighbor rings are small
-// on-chip buffers, scratch rings are deeper.
+// DefaultRingCapacity is a ring kind's default per-ring entry count:
+// nearest-neighbor rings are small on-chip buffers, scratch rings are deeper.
+// A Config's RingCapacity of 0 selects the nearest-neighbor one.
 func DefaultRingCapacity(ch costmodel.ChannelKind) int {
 	if ch == costmodel.ScratchRing {
 		return 64

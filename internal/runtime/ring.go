@@ -175,7 +175,7 @@ func tryPush(out *tokRing, b []*token, p *stageProbe) bool {
 // full. Under OverloadBlock — and inside a sharded segment whatever the
 // policy: a token the scatter recorded must reach the fan-in — it waits for
 // space (backpressure); under OverloadShed it re-probes the saturated ring
-// for Watermark ticks and then drops the batch. It returns false when the
+// for watermark ticks and then drops the batch. It returns false when the
 // run was canceled mid-wait.
 func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 	p := lc.probe
@@ -184,7 +184,7 @@ func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 	}
 	p.stalls.Add(1)
 	if e.cfg.Overload == OverloadShed && !lc.tomb {
-		for probe := 0; probe < e.cfg.Watermark; probe++ {
+		for probe := 0; probe < watermark; probe++ {
 			sent, canceled := out.PushTimeout(b, e.ictx.Done(), overloadTick, &p.txWait)
 			if sent {
 				p.out.Add(int64(len(b)))

@@ -52,7 +52,7 @@ func TestRingImplOracleMatrix(t *testing.T) {
 			for _, p := range []int{1, 4} {
 				name := fmt.Sprintf("%s/%s/P=%d", pps.Name, tag, p)
 				world := netbench.NewWorld(nil)
-				cfg := runtime.DefaultConfig()
+				cfg := runtime.Config{}
 				cfg.Shards = p
 				l, err := runtime.CoarseLayout(res, fuse, true, cfg)
 				if err != nil {

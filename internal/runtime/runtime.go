@@ -84,12 +84,9 @@ import (
 
 // Config shapes the streaming executor.
 type Config struct {
-	// Channel is the ring kind the pipeline was partitioned for; it picks
-	// the default ring capacity (nearest-neighbor rings are small on-chip
-	// buffers, scratch rings are deeper).
-	Channel costmodel.ChannelKind
-	// RingCapacity overrides the per-ring entry count (batches, not
-	// packets). 0 selects the Channel default: 8 for NN, 64 for scratch.
+	// RingCapacity is the per-ring entry count (batches, not packets). 0
+	// selects the nearest-neighbor ring's 8; DefaultRingCapacity gives each
+	// ring kind's depth.
 	RingCapacity int
 	// Batch is the number of iterations carried per ring entry; batching
 	// amortizes ring synchronization over several packets, and it is the
@@ -115,11 +112,6 @@ type Config struct {
 	// saturated past the watermark: block (default, lossless) or shed. See
 	// OverloadPolicy.
 	Overload OverloadPolicy
-	// Watermark is how long a ring must stay saturated before the shed
-	// policy engages, counted in failed re-probe ticks of 200µs each. 0
-	// selects the default (4 ticks). Setting it under OverloadBlock is a
-	// configuration conflict: the blocking policy never consults it.
-	Watermark int
 	// StageDeadline, when positive, bounds one iteration's execution at
 	// one served stage (injected stalls included); a blown deadline
 	// quarantines the packet with errs.ErrStageDeadline. The check is
@@ -156,16 +148,13 @@ type Config struct {
 	OnLive func(*Live)
 }
 
-// DefaultConfig returns the nearest-neighbor-ring configuration.
-func DefaultConfig() Config { return Config{Channel: costmodel.NNRing} }
-
 // overloadTick is the re-probe interval of a saturated ring under the shed
-// policy; Watermark counts these.
+// policy; watermark counts these.
 const overloadTick = 200 * time.Microsecond
 
-// defaultWatermark is the saturation tolerance when the shed policy is
-// selected without an explicit watermark.
-const defaultWatermark = 4
+// watermark is how long a ring must stay saturated before the shed policy
+// engages, in failed re-probe ticks: 4 ticks, 800µs.
+const watermark = 4
 
 // Validate checks every serve-side value and conflict rule of the
 // configuration: an out-of-range field is errs.ErrBadOption naming the field
@@ -187,27 +176,17 @@ func (c Config) Validate() error {
 	if c.Overload > OverloadShed {
 		return fmt.Errorf("%w: Overload policy %d", errs.ErrBadOption, c.Overload)
 	}
-	if c.Watermark < 0 {
-		return fmt.Errorf("%w: Watermark %d", errs.ErrBadOption, c.Watermark)
-	}
 	if c.StageDeadline < 0 {
 		return fmt.Errorf("%w: StageDeadline %v", errs.ErrBadOption, c.StageDeadline)
 	}
 	if err := c.Obs.Validate(); err != nil {
 		return fmt.Errorf("%w: Obs: %v", errs.ErrBadOption, err)
 	}
-	if c.Watermark > 0 && c.Overload == OverloadBlock {
-		return fmt.Errorf("%w: overload watermark %d set, but the blocking policy never sheds",
-			errs.ErrConflictingOptions, c.Watermark)
-	}
 	if c.Overload != OverloadBlock {
 		// Under the shed policy the batch is the shed unit; a batch
 		// bigger than the whole ring would let one overload event drop
 		// more than a ring's worth of packets at once.
-		ringCap := c.RingCapacity
-		if ringCap == 0 {
-			ringCap = DefaultRingCapacity(c.Channel)
-		}
+		ringCap := c.withDefaults().RingCapacity
 		if c.Batch > ringCap {
 			return fmt.Errorf("%w: batch %d exceeds ring capacity %d under the %v policy",
 				errs.ErrConflictingOptions, c.Batch, ringCap, c.Overload)
@@ -218,16 +197,13 @@ func (c Config) Validate() error {
 
 func (c Config) withDefaults() Config {
 	if c.RingCapacity == 0 {
-		c.RingCapacity = DefaultRingCapacity(c.Channel)
+		c.RingCapacity = DefaultRingCapacity(costmodel.NNRing)
 	}
 	if c.Batch == 0 {
 		c.Batch = 1
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
-	}
-	if c.Watermark == 0 && c.Overload != OverloadBlock {
-		c.Watermark = defaultWatermark
 	}
 	return c
 }

@@ -60,7 +60,7 @@ func TestServeMatchesOracle(t *testing.T) {
 			for _, batch := range []int{1, 8} {
 				name := fmt.Sprintf("%s/D=%d/batch=%d", pps.Name, d, batch)
 				world := netbench.NewWorld(nil)
-				cfg := runtime.DefaultConfig()
+				cfg := runtime.Config{}
 				cfg.Batch = batch
 				m, err := runtime.Serve(context.Background(), res.Stages, world, runtime.Packets(traffic), cfg)
 				if err != nil {
@@ -146,7 +146,7 @@ func TestServeCancelDrainsCleanly(t *testing.T) {
 		}
 		return netbench.IPv4Stream(1)[0], true // endless stream
 	})
-	m, err := runtime.Serve(ctx, res.Stages, netbench.NewWorld(nil), src, runtime.DefaultConfig())
+	m, err := runtime.Serve(ctx, res.Stages, netbench.NewWorld(nil), src, runtime.Config{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -263,7 +263,7 @@ func TestServeSourceExhaustionDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	traffic := pps.Traffic(5)
-	cfg := runtime.DefaultConfig()
+	cfg := runtime.Config{}
 	cfg.Batch = 32 // much larger than the stream
 	m, err := runtime.Serve(context.Background(), res.Stages, netbench.NewWorld(nil), runtime.Packets(traffic), cfg)
 	if err != nil {

@@ -369,7 +369,7 @@ func TestServeShardedFlowKeyedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, withKey := range []bool{true, false} {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		cfg.Shards = 4
 		if withKey {
 			cfg.ShardKey = func(p []byte) uint64 { return uint64(p[0]) }

@@ -48,7 +48,7 @@ func TestShardedServeMatchesOracle(t *testing.T) {
 				for _, batch := range []int{1, 8} {
 					name := fmt.Sprintf("%s/D=%d/P=%d/batch=%d", pps.Name, d, p, batch)
 					world := netbench.NewWorld(nil)
-					cfg := runtime.DefaultConfig()
+					cfg := runtime.Config{}
 					cfg.Batch = batch
 					cfg.Shards = p
 					m, err := runtime.Serve(context.Background(), res.Stages, world, runtime.Packets(traffic), cfg)
@@ -129,7 +129,7 @@ func TestShardedPerFlowOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{1, 2, 4} {
-		cfg := runtime.DefaultConfig()
+		cfg := runtime.Config{}
 		cfg.Shards = p
 		cfg.ShardKey = func(pkt []byte) uint64 { return uint64(pkt[0]) }
 		m, err := runtime.Serve(context.Background(), res.Stages, interp.NewWorld(nil),

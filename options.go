@@ -48,10 +48,9 @@ var (
 	// cannot be parsed.
 	ErrBadSource = errs.ErrBadSource
 	// ErrConflictingOptions is returned when individually valid options
-	// contradict each other (a watermark under the blocking policy, a batch
-	// larger than the ring under the shed policy) — or when an option is
-	// passed to an entry point outside its scope (WithThreads on Serve); see
-	// the option matrix on Option.
+	// contradict each other (a batch larger than the ring under the shed
+	// policy) — or when an option is passed to an entry point outside its
+	// scope (WithIterations on Serve); see the option matrix on Option.
 	ErrConflictingOptions = errs.ErrConflictingOptions
 )
 
@@ -94,17 +93,16 @@ const MaxShards = runtime.MaxShards
 // layers' own option values, which the With* constructors write directly,
 // plus the knobs only the facade reads. Zero values mean "use the default".
 type config struct {
-	// explore holds the exploration options (budget, PEs, workers) and, in
-	// Base, the partitioning ones (degree, ε, arch, ring kind, tx mode).
+	// explore holds the exploration options (budget, workers) and, in Base,
+	// the partitioning ones (degree, ε, arch, ring kind, tx mode).
 	explore core.ExploreOptions
 	// serve is the runtime's configuration. Two of its fields are not set by
 	// options: Pipeline.Serve installs OnLive and — around a WithSource
-	// feeder — Ingest.
+	// feeder — Ingest. Its RingCapacity is WithRing's explicit depth;
+	// serveConfig resolves a zero one from the ring kind.
 	serve runtime.Config
-	// simulation
-	threads int
-	arrival int64
-	iters   int
+	// iters overrides the iteration count of Run and Simulate.
+	iters int
 	// serving, facade side
 	world  *World
 	fusion FusionMode
@@ -135,16 +133,12 @@ const (
 //	WithArch                          yes                -      yes        -
 //	WithTxMode                        yes                -       -         -
 //	WithBudget                        yes                -       -         -
-//	WithMaxPEs                        yes                -       -         -
 //	WithWorkers                       yes                -       -         -
 //	WithIterations                    yes               yes     yes        -
-//	WithThreads                       yes                -      yes        -
-//	WithArrivalInterval               yes                -      yes        -
 //	WithRing                          yes                -      yes       yes
 //	WithBatch                         yes                -       -        yes
 //	WithWorld                         yes                -       -        yes
 //	WithOverload                      yes                -       -        yes
-//	WithWatermark                     yes                -       -        yes
 //	WithDeadline                      yes                -       -        yes
 //	WithObserver                      yes                -       -        yes
 //	WithShards                        yes                -       -        yes
@@ -193,7 +187,7 @@ func WithTxMode(m TxMode) Option {
 // keeps the kind's default depth (8 entries for NN rings, 64 for scratch).
 func WithRing(kind ChannelKind, capacity int) Option {
 	return Option{"WithRing", inSimulate | inServe, func(c *config) {
-		c.explore.Base.Channel, c.serve.Channel, c.serve.RingCapacity = kind, kind, capacity
+		c.explore.Base.Channel, c.serve.RingCapacity = kind, capacity
 	}}
 }
 
@@ -202,26 +196,10 @@ func WithBudget(b int64) Option {
 	return Option{"WithBudget", 0, func(c *config) { c.explore.Budget = b }}
 }
 
-// WithMaxPEs bounds the processing engines Explore may use (default 10).
-func WithMaxPEs(n int) Option {
-	return Option{"WithMaxPEs", 0, func(c *config) { c.explore.MaxPEs = n }}
-}
-
 // WithWorkers bounds the goroutines fanning out independent candidate
 // configurations: 0 selects one per CPU, 1 runs sequentially.
 func WithWorkers(n int) Option {
 	return Option{"WithWorkers", 0, func(c *config) { c.explore.Workers = n }}
-}
-
-// WithThreads sets the simulated hardware threads per engine (default 8).
-func WithThreads(n int) Option {
-	return Option{"WithThreads", inSimulate, func(c *config) { c.threads = n }}
-}
-
-// WithArrivalInterval sets the simulated gap in cycles between packet
-// arrivals; 0 means saturated arrivals.
-func WithArrivalInterval(cycles int64) Option {
-	return Option{"WithArrivalInterval", inSimulate, func(c *config) { c.arrival = cycles }}
 }
 
 // WithIterations overrides the iteration count of Run and Simulate, which
@@ -244,21 +222,13 @@ func WithWorld(w *World) Option { return Option{"WithWorld", inServe, func(c *co
 
 // WithOverload selects the serve-path overload policy: OverloadBlock
 // (default — lossless backpressure) or OverloadShed (drop batches when a
-// ring stays saturated past the watermark). The policy acts at rings, so
-// between served stages: a cut un-made by fusion (WithFusion) has no ring to
-// saturate. Inside a run of replicated stages (WithShards) the rings block
-// and the drop happens at the dispatch into the run, before a packet is
-// given its place in the merge order.
+// ring stays saturated past the watermark, a fixed four re-probe ticks of
+// 200µs). The policy acts at rings, so between served stages: a cut un-made
+// by fusion (WithFusion) has no ring to saturate. Inside a run of replicated
+// stages (WithShards) the rings block and the drop happens at the dispatch
+// into the run, before a packet is given its place in the merge order.
 func WithOverload(p OverloadPolicy) Option {
 	return Option{"WithOverload", inServe, func(c *config) { c.serve.Overload = p }}
-}
-
-// WithWatermark sets how long a ring must stay saturated before the
-// overload policy engages, in 200µs re-probe ticks (default 4). Only
-// meaningful under OverloadShed; combining it with the blocking policy is
-// rejected as ErrConflictingOptions.
-func WithWatermark(ticks int) Option {
-	return Option{"WithWatermark", inServe, func(c *config) { c.serve.Watermark = ticks }}
 }
 
 // WithDeadline bounds one iteration's execution at one served stage — a
@@ -362,22 +332,16 @@ func WithSink(s Sink) Option {
 // regardless of which call delivered it. Each layer validates what it owns
 // — core.ExploreOptions (with the partition Options inside it),
 // runtime.Config, fault.Plan — on the value the options wrote; only the
-// checks no layer owns live here: the simulator knobs and the fusion mode.
+// checks no layer owns live here: the iteration count and the fusion mode.
 func (c *config) validate() error {
 	if err := c.explore.Validate(); err != nil {
 		return fmt.Errorf("repro: %w", err)
 	}
-	if err := c.serve.Validate(); err != nil {
+	if err := c.serveConfig().Validate(); err != nil {
 		return fmt.Errorf("repro: %w", err)
 	}
 	if err := c.serve.Faults.Validate(MaxStages); err != nil {
 		return fmt.Errorf("repro: %w", err)
-	}
-	if c.threads < 0 {
-		return fmt.Errorf("repro: %w: WithThreads %d", ErrBadOption, c.threads)
-	}
-	if c.arrival < 0 {
-		return fmt.Errorf("repro: %w: WithArrivalInterval %d", ErrBadOption, c.arrival)
 	}
 	if c.iters < 0 {
 		return fmt.Errorf("repro: %w: WithIterations %d", ErrBadOption, c.iters)
@@ -416,6 +380,20 @@ func (c config) within(entry string, at scope, opts []Option) (config, error) {
 	return c.with(opts)
 }
 
+// serveConfig is the runtime configuration the options wrote, its ring depth
+// resolved: WithRing's capacity, or the default of the ring kind the pipeline
+// was partitioned for.
+func (c *config) serveConfig() runtime.Config {
+	rc := c.serve
+	if rc.RingCapacity == 0 {
+		rc.RingCapacity = runtime.DefaultRingCapacity(c.explore.Base.Channel)
+	}
+	return rc
+}
+
+// simConfig is the IXP simulators' configuration: eight threads per engine
+// and saturated arrivals, the options' ring kind and cost model, and
+// WithRing's capacity when one was given.
 func (c *config) simConfig() npsim.Config {
 	sim := npsim.DefaultConfig()
 	sim.Channel = c.explore.Base.Channel
@@ -425,10 +403,6 @@ func (c *config) simConfig() npsim.Config {
 	if c.serve.RingCapacity > 0 {
 		sim.RingCapacity = c.serve.RingCapacity
 	}
-	if c.threads > 0 {
-		sim.ThreadsPerPE = c.threads
-	}
-	sim.ArrivalInterval = c.arrival
 	return sim
 }
 

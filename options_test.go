@@ -79,23 +79,20 @@ func TestOptionsRejectInvalid(t *testing.T) {
 	}{
 		{"negative degree", []repro.Option{repro.WithStages(-1)}, repro.ErrBadOption, "Stages -1"},
 		{"huge degree", []repro.Option{repro.WithStages(repro.MaxStages + 1)}, repro.ErrBadOption, "Stages 65"},
-		{"negative max PEs", []repro.Option{repro.WithMaxPEs(-1)}, repro.ErrBadOption, "MaxPEs -1"},
 		{"epsilon above one", []repro.Option{repro.WithEpsilon(1.5)}, repro.ErrBadOption, "Epsilon 1.5"},
 		{"negative epsilon", []repro.Option{repro.WithEpsilon(-0.5)}, repro.ErrBadOption, "Epsilon -0.5"},
 		{"negative budget", []repro.Option{repro.WithBudget(-5)}, repro.ErrBadOption, "Budget -5"},
 		{"negative ring", []repro.Option{repro.WithRing(repro.NNRing, -2)}, repro.ErrBadOption, "RingCapacity -2"},
 		{"negative batch", []repro.Option{repro.WithBatch(-1)}, repro.ErrBadOption, "Batch -1"},
-		{"negative threads", []repro.Option{repro.WithThreads(-1)}, repro.ErrBadOption, "WithThreads -1"},
-		{"negative arrival", []repro.Option{repro.WithArrivalInterval(-10)}, repro.ErrBadOption, "WithArrivalInterval -10"},
 		{"negative iterations", []repro.Option{repro.WithIterations(-1)}, repro.ErrBadOption, "WithIterations -1"},
 		{"unknown policy", []repro.Option{repro.WithOverload(repro.OverloadPolicy(9))}, repro.ErrBadOption, "Overload policy 9"},
-		{"negative watermark", []repro.Option{repro.WithWatermark(-1)}, repro.ErrBadOption, "Watermark -1"},
 		{"negative deadline", []repro.Option{repro.WithDeadline(-time.Second)}, repro.ErrBadOption, "StageDeadline -1s"},
-		{"watermark without shedding policy",
-			[]repro.Option{repro.WithWatermark(2)}, repro.ErrConflictingOptions, "watermark 2"},
 		{"batch exceeds ring under shed",
 			[]repro.Option{repro.WithOverload(repro.OverloadShed), repro.WithBatch(20)},
-			repro.ErrConflictingOptions, "batch 20"},
+			repro.ErrConflictingOptions, "batch 20 exceeds ring capacity 8"},
+		{"batch exceeds scratch ring under shed",
+			[]repro.Option{repro.WithRing(repro.ScratchRing, 0), repro.WithOverload(repro.OverloadShed), repro.WithBatch(65)},
+			repro.ErrConflictingOptions, "batch 65 exceeds ring capacity 64"},
 		{"fault plan stage zero",
 			[]repro.Option{repro.WithFaultsForTest(&fault.Plan{Injections: []fault.Injection{
 				{Kind: fault.Stall, Stage: 0},
@@ -129,15 +126,20 @@ func TestOptionsRejectInvalid(t *testing.T) {
 	}
 	ctx := context.Background()
 	src := repro.PacketSource(testPackets(1))
-	if _, err := pipe.Serve(ctx, src, repro.WithWatermark(-1)); !errors.Is(err, repro.ErrBadOption) {
-		t.Errorf("Serve(WithWatermark(-1)) err = %v, want ErrBadOption", err)
+	if _, err := pipe.Serve(ctx, src, repro.WithDeadline(-time.Second)); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("Serve(WithDeadline(-1s)) err = %v, want ErrBadOption", err)
 	}
 	if _, err := pipe.Serve(ctx, src, repro.WithOverload(repro.OverloadShed),
 		repro.WithBatch(64)); !errors.Is(err, repro.ErrConflictingOptions) {
 		t.Errorf("Serve(batch > ring, shed) err = %v, want ErrConflictingOptions", err)
 	}
-	if _, err := pipe.Simulate(ctx, repro.NewWorld(nil), repro.WithThreads(-2)); !errors.Is(err, repro.ErrBadOption) {
-		t.Errorf("Simulate(WithThreads(-2)) err = %v, want ErrBadOption", err)
+	// A scratch ring's default depth is 64 entries, so the same batch fits.
+	if _, err := pipe.Serve(ctx, repro.PacketSource(testPackets(1)), repro.WithRing(repro.ScratchRing, 0),
+		repro.WithOverload(repro.OverloadShed), repro.WithBatch(64)); err != nil {
+		t.Errorf("Serve(batch = scratch ring, shed) err = %v", err)
+	}
+	if _, err := pipe.Simulate(ctx, repro.NewWorld(nil), repro.WithIterations(-2)); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("Simulate(WithIterations(-2)) err = %v, want ErrBadOption", err)
 	}
 }
 
@@ -149,10 +151,8 @@ func TestOptionsRejectInvalid(t *testing.T) {
 func TestOptionMatrix(t *testing.T) {
 	all := []repro.Option{
 		repro.WithStages(0), repro.WithEpsilon(0), repro.WithArch(nil), repro.WithTxMode(0),
-		repro.WithBudget(0), repro.WithMaxPEs(0), repro.WithWorkers(0), repro.WithIterations(0),
-		repro.WithThreads(0), repro.WithArrivalInterval(0), repro.WithRing(repro.NNRing, 0),
-		repro.WithBatch(0), repro.WithWorld(nil), repro.WithOverload(0), repro.WithWatermark(0),
-		repro.WithDeadline(0), repro.WithObserver(nil),
+		repro.WithBudget(0), repro.WithWorkers(0), repro.WithIterations(0), repro.WithRing(repro.NNRing, 0),
+		repro.WithBatch(0), repro.WithWorld(nil), repro.WithOverload(0), repro.WithDeadline(0), repro.WithObserver(nil),
 		repro.WithShards(0), repro.WithShardKey(nil), repro.WithFusion(0), repro.WithSource(nil), repro.WithSink(nil),
 	}
 	cell := map[bool]string{true: "yes", false: "-"}

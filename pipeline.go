@@ -106,8 +106,9 @@ func (p *Pipeline) Run(ctx context.Context, world *World, opts ...Option) ([]Eve
 }
 
 // Simulate runs the pipeline on the cycle-approximate IXP-style simulator
-// (one engine per stage, hardware rings between neighbors), measuring
-// predicted throughput alongside behaviour. It simulates one iteration per
+// (one engine of eight threads per stage, hardware rings between neighbors,
+// packets always waiting at the first stage), measuring predicted saturated
+// throughput alongside behaviour. It simulates one iteration per
 // input packet of world (override with WithIterations); the simulation
 // itself is bounded and not interruptible, so ctx is only checked on entry.
 func (p *Pipeline) Simulate(ctx context.Context, world *World, opts ...Option) (*SimResult, error) {

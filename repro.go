@@ -346,7 +346,7 @@ type CandidateCost = core.CandidateCost
 // Explore selects the smallest pipelining degree whose statically
 // guaranteed worst-case stage cost meets a per-packet budget (WithBudget,
 // required) — the compiler-driver behaviour the paper sketches in §2.2.
-// WithMaxPEs bounds the search and WithWorkers fans candidates out.
+// It searches 1..10 processing engines; WithWorkers fans candidates out.
 func (a *Analysis) Explore(opts ...Option) (*Exploration, error) {
 	cfg, err := a.cfg.with(opts)
 	if err != nil {

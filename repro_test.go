@@ -221,7 +221,7 @@ func TestOptionScopes(t *testing.T) {
 
 	// Partition accepts execution options as inherited defaults.
 	pipe, err := repro.Partition(prog, repro.WithStages(3),
-		repro.WithBatch(4), repro.WithThreads(4), repro.WithIterations(3))
+		repro.WithBatch(4), repro.WithIterations(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +229,8 @@ func TestOptionScopes(t *testing.T) {
 	world := repro.NewWorld(packets)
 	src := repro.PacketSource(packets)
 
-	if _, err := pipe.Serve(ctx, src, repro.WithThreads(4)); !errors.Is(err, repro.ErrConflictingOptions) {
-		t.Errorf("Serve(WithThreads) err = %v, want ErrConflictingOptions", err)
+	if _, err := pipe.Serve(ctx, src, repro.WithIterations(4)); !errors.Is(err, repro.ErrConflictingOptions) {
+		t.Errorf("Serve(WithIterations) err = %v, want ErrConflictingOptions", err)
 	}
 	if _, err := pipe.Run(ctx, world, repro.WithBatch(8)); !errors.Is(err, repro.ErrConflictingOptions) {
 		t.Errorf("Run(WithBatch) err = %v, want ErrConflictingOptions", err)
