@@ -38,7 +38,7 @@ func BenchmarkFig19SpeedupIPv4Forwarding(b *testing.B) {
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = experiments.Fig19SpeedupIPv4(0, 0)
+		series, err = experiments.Fig19SpeedupIPv4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func BenchmarkFig20SpeedupIPForwarding(b *testing.B) {
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = experiments.Fig20SpeedupIP(0, 0)
+		series, err = experiments.Fig20SpeedupIP()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,12 +61,13 @@ func BenchmarkFig20SpeedupIPForwarding(b *testing.B) {
 }
 
 // BenchmarkFig21OverheadIPv4Forwarding regenerates figure 21: the live-set
-// transmission overhead ratio in the longest stage.
+// transmission overhead ratio in the longest stage, the overhead columns of
+// figure 19's sweep.
 func BenchmarkFig21OverheadIPv4Forwarding(b *testing.B) {
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = experiments.Fig21OverheadIPv4(0, 0)
+		series, err = experiments.Fig19SpeedupIPv4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,12 +75,13 @@ func BenchmarkFig21OverheadIPv4Forwarding(b *testing.B) {
 	reportSeries(b, series, func(s experiments.Series, i int) float64 { return s.Overhead[i] }, "overhead")
 }
 
-// BenchmarkFig22OverheadIPForwarding regenerates figure 22.
+// BenchmarkFig22OverheadIPForwarding regenerates figure 22 from figure 20's
+// sweep.
 func BenchmarkFig22OverheadIPForwarding(b *testing.B) {
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = experiments.Fig22OverheadIP(0, 0)
+		series, err = experiments.Fig20SpeedupIP()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +95,7 @@ func BenchmarkAblationTransmissionModes(b *testing.B) {
 	var abl []experiments.TxAblation
 	for i := 0; i < b.N; i++ {
 		var err error
-		abl, err = experiments.AblationTransmission("IP(v4)", 4, 0)
+		abl, err = experiments.AblationTransmission("IP(v4)", 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +112,7 @@ func BenchmarkAblationBalanceVariance(b *testing.B) {
 	var pts []experiments.EpsilonPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiments.AblationEpsilon("IPv4", 6, []float64{1.0 / 64, 1.0 / 16, 1.0 / 4, 0.5}, 0)
+		pts, err = experiments.AblationEpsilon("IPv4", 6, []float64{1.0 / 64, 1.0 / 16, 1.0 / 4, 0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +129,7 @@ func BenchmarkAblationChannelKind(b *testing.B) {
 	var pts []experiments.ChannelPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiments.AblationChannel("IPv4", 6, 0)
+		pts, err = experiments.AblationChannel("IPv4", 6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +146,7 @@ func BenchmarkAblationWeightMode(b *testing.B) {
 	var pts []experiments.WeightModePoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiments.AblationWeightMode("IPv4", 6, 0)
+		pts, err = experiments.AblationWeightMode("IPv4", 6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +205,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 	var pts []experiments.ThroughputPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiments.SimThroughput("IPv4", []int{1, 2, 4, 8}, 200, 0)
+		pts, err = experiments.SimThroughput("IPv4", []int{1, 2, 4, 8}, 200)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -388,8 +390,8 @@ func BenchmarkCompileAnalyze(b *testing.B) {
 }
 
 // BenchmarkExploreParallel measures the budget exploration with the degree
-// fan-out enabled (one worker per CPU; on a single-core machine this
-// coincides with the sequential path).
+// fan-out over GOMAXPROCS cores (at GOMAXPROCS=1 this is the sequential
+// path).
 func BenchmarkExploreParallel(b *testing.B) {
 	p, _ := netbench.ByName("IPv4")
 	prog, err := p.Compile()
@@ -399,7 +401,7 @@ func BenchmarkExploreParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Explore(prog, core.ExploreOptions{Budget: 200, Workers: 0}); err != nil {
+		if _, err := core.Explore(prog, core.ExploreOptions{Budget: 200}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,14 +68,17 @@ echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow different
 # concurrent Partition its own workspace, and the per-Partition allocation
 # and byte ceilings. Then every figure
 # pipebench prints against testdata/pipebench_all.golden: ROADMAP's "stays
-# byte-identical unless the PR says which figure moves", enforced. A PR that
-# moves a figure regenerates the file and names the figure:
+# byte-identical unless the PR says which figure moves", enforced — at the
+# host's core count and again at GOMAXPROCS=1, the sequential run, so the
+# tables are held byte-identical at any fan-out. A PR that moves a figure
+# regenerates the file and names the figure:
 #   go run ./cmd/pipebench -experiment all > testdata/pipebench_all.golden
 go test -race -count=2 -run '^(TestCutSweepGolden|TestStageStateGolden)$' .
 go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
 go test -race -count=2 -run '^(TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense|TestValidateStagesConfinesQueues)$' ./internal/core
 go test -race -count=2 -run '^TestIntrinsicTableIsTheOneList$' ./internal/exec
 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
+GOMAXPROCS=1 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 
 echo "== front-end gate: compile/analysis/network oracle + allocation budget under -race -count=2"
 # The front half's byte-identity oracle: TestFrontEndGolden digests the IR
@@ -155,7 +158,7 @@ else
 fi
 
 echo "== doc gate: the docs name no deleted machinery"
-if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval' README.md DESIGN.md EXPERIMENTS.md; then
+if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim' README.md DESIGN.md EXPERIMENTS.md; then
     echo "doc gate: the lines above name deleted machinery" >&2 && exit 1
 fi
 
@@ -203,7 +206,7 @@ echo "stage-state analysis code lines (costmodel Use..CheckConfined, core.Valida
 echo "internal/netbench code lines: $(cat $(ls internal/netbench/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (950 before the flat route tables, ISSUE 25)"
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
-echo "options (func With*):      $(grep -c '^func With' options.go)  (22 before the knob constants)"
+echo "options (func With*):      $(grep -c '^func With' options.go)  (18 before the core count)"
 echo "runtime.Config fields:     $(awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } on && /^\t[A-Z]/' internal/runtime/runtime.go | wc -l)  (13 before)"
 echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)  (16 before)"
 # The second measurement stack and the prose about it, the two things

@@ -6,12 +6,13 @@
 // Usage:
 //
 //	pipebench [-experiment all|fig19|fig20|fig21|fig22|headline|ablations|sim]
-//	          [-j N] [-cpuprofile FILE] [-memprofile FILE]
+//	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // Every PPS is analyzed once and the independent (PPS × degree) and
-// ablation configurations are measured on -j worker goroutines (0, the
-// default, selects one per CPU; 1 reproduces the sequential seed driver).
-// The printed tables are byte-identical for every -j value.
+// ablation configurations are measured on GOMAXPROCS goroutines;
+// GOMAXPROCS=1 gives the sequential run. The printed tables are
+// byte-identical at any core count. Figures 21 and 22 and the headline are
+// read from the series figures 19 and 20 measure, each sweep run once.
 //
 // Host throughput is not measured here: the serve sweep is BenchmarkServe
 // (go test -run '^$' -bench '^BenchmarkServe$' -count=10 .) and the
@@ -24,7 +25,9 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/experiments"
 )
@@ -33,7 +36,6 @@ func main() { os.Exit(realMain()) }
 
 func realMain() int {
 	which := flag.String("experiment", "all", "which experiment to run")
-	jobs := flag.Int("j", 0, "worker goroutines for independent configurations (0 = one per CPU, 1 = sequential)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile of the run to this file")
 	flag.Parse()
@@ -85,47 +87,36 @@ func realMain() int {
 		}
 	}
 
-	run("fig19", func() error {
-		s, err := experiments.Fig19SpeedupIPv4(0, *jobs)
-		if err != nil {
-			return err
+	fig19 := sync.OnceValues(experiments.Fig19SpeedupIPv4)
+	fig20 := sync.OnceValues(experiments.Fig20SpeedupIP)
+	table := func(sweep func() ([]experiments.Series, error), render func(string, []experiments.Series) string, title string) func() error {
+		return func() error {
+			s, err := sweep()
+			if err != nil {
+				return err
+			}
+			fmt.Println(render(title, s))
+			return nil
 		}
-		fmt.Println(experiments.SpeedupTable(
-			"Figure 19: speedup of the IPv4 forwarding PPSes vs pipelining degree", s))
-		return nil
-	})
-	run("fig20", func() error {
-		s, err := experiments.Fig20SpeedupIP(0, *jobs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.SpeedupTable(
-			"Figure 20: speedup of the IP forwarding PPSes vs pipelining degree", s))
-		return nil
-	})
-	run("fig21", func() error {
-		s, err := experiments.Fig21OverheadIPv4(0, *jobs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.OverheadTable(
-			"Figure 21: live-set transmission overhead, IPv4 forwarding PPSes", s))
-		return nil
-	})
-	run("fig22", func() error {
-		s, err := experiments.Fig22OverheadIP(0, *jobs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.OverheadTable(
-			"Figure 22: live-set transmission overhead, IP forwarding PPSes", s))
-		return nil
-	})
+	}
+	run("fig19", table(fig19, experiments.SpeedupTable,
+		"Figure 19: speedup of the IPv4 forwarding PPSes vs pipelining degree"))
+	run("fig20", table(fig20, experiments.SpeedupTable,
+		"Figure 20: speedup of the IP forwarding PPSes vs pipelining degree"))
+	run("fig21", table(fig19, experiments.OverheadTable,
+		"Figure 21: live-set transmission overhead, IPv4 forwarding PPSes"))
+	run("fig22", table(fig20, experiments.OverheadTable,
+		"Figure 22: live-set transmission overhead, IP forwarding PPSes"))
 	run("headline", func() error {
-		h, err := experiments.HeadlineClaim(*jobs)
+		s19, err := fig19()
 		if err != nil {
 			return err
 		}
+		s20, err := fig20()
+		if err != nil {
+			return err
+		}
+		h := experiments.HeadlineClaim(slices.Concat(s19, s20))
 		fmt.Println("Headline claim (abstract): speedup at 9 pipeline stages")
 		for _, k := range experiments.SortedKeys(h) {
 			fmt.Printf("  %-8s %.2fx\n", k, h[k])
@@ -135,7 +126,7 @@ func realMain() int {
 	})
 	run("ablations", func() error {
 		fmt.Println("Ablation: transmission strategy (IP PPS, 4 stages)")
-		tx, err := experiments.AblationTransmission("IP(v4)", 4, *jobs)
+		tx, err := experiments.AblationTransmission("IP(v4)", 4)
 		if err != nil {
 			return err
 		}
@@ -147,7 +138,7 @@ func realMain() int {
 
 		fmt.Println("Ablation: balance variance ε (IPv4 PPS, 6 stages)")
 		eps, err := experiments.AblationEpsilon("IPv4", 6,
-			[]float64{1.0 / 64, 1.0 / 16, 1.0 / 4, 0.5}, *jobs)
+			[]float64{1.0 / 64, 1.0 / 16, 1.0 / 4, 0.5})
 		if err != nil {
 			return err
 		}
@@ -158,7 +149,7 @@ func realMain() int {
 		fmt.Println()
 
 		fmt.Println("Ablation: balance weight function (IPv4 PPS, 6 stages; paper §6 future work)")
-		wm, err := experiments.AblationWeightMode("IPv4", 6, *jobs)
+		wm, err := experiments.AblationWeightMode("IPv4", 6)
 		if err != nil {
 			return err
 		}
@@ -169,7 +160,7 @@ func realMain() int {
 		fmt.Println()
 
 		fmt.Println("Ablation: inter-stage ring kind (IPv4 PPS, 6 stages)")
-		ch, err := experiments.AblationChannel("IPv4", 6, *jobs)
+		ch, err := experiments.AblationChannel("IPv4", 6)
 		if err != nil {
 			return err
 		}
@@ -181,7 +172,7 @@ func realMain() int {
 	})
 	run("sim", func() error {
 		fmt.Println("Simulator throughput (IPv4 PPS, saturated arrivals)")
-		pts, err := experiments.SimThroughput("IPv4", []int{1, 2, 4, 6, 8, 10}, 300, *jobs)
+		pts, err := experiments.SimThroughput("IPv4", []int{1, 2, 4, 6, 8, 10}, 300)
 		if err != nil {
 			return err
 		}
@@ -192,7 +183,7 @@ func realMain() int {
 		fmt.Println()
 
 		fmt.Println("Thread-level simulator: latency hiding (IPv4 PPS, 4 stages)")
-		tp, err := experiments.ThreadLatencyHiding("IPv4", 4, 200, *jobs)
+		tp, err := experiments.ThreadLatencyHiding("IPv4", 4, 200)
 		if err != nil {
 			return err
 		}

@@ -10,11 +10,10 @@
 //	-eps F       balance variance ε (default 1/16)
 //	-tx MODE     packed | naive-unified | naive-interference
 //	-ring KIND   nn | scratch
-//	-budget N    explore: smallest degree meeting an N-instruction budget
-//	-j N         worker goroutines for the -budget exploration: candidate
-//	             degrees share one analysis and are cut concurrently
-//	             (0 = one per CPU, 1 = sequential; the selected result is
-//	             identical either way)
+//	-budget N    explore: smallest degree meeting an N-instruction budget;
+//	             candidate degrees share one analysis and are cut on
+//	             GOMAXPROCS goroutines (GOMAXPROCS=1 gives the sequential
+//	             search; the selected result is identical either way)
 //	-ast         print the canonically formatted source and exit
 //	-dump        print the realized stage IR and, under each stage, what exec lowers it to
 //	-verify N    run N iterations of zero-filled 48-byte packets through
@@ -106,7 +105,6 @@ func main() {
 	txMode := flag.String("tx", "packed", "transmission mode: packed|naive-unified|naive-interference")
 	ring := flag.String("ring", "nn", "inter-stage ring: nn|scratch")
 	budget := flag.Int64("budget", 0, "explore: pick the smallest degree meeting this per-packet instruction budget (overrides -d)")
-	jobs := flag.Int("j", 0, "worker goroutines for -budget exploration (0 = one per CPU, 1 = sequential)")
 	dump := flag.Bool("dump", false, "dump realized stage IR")
 	ast := flag.Bool("ast", false, "print the canonically formatted source and exit")
 	verify := flag.Int("verify", 0, "verify behaviour over N iterations")
@@ -167,7 +165,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		ex, err := a.Explore(repro.WithBudget(*budget), repro.WithWorkers(*jobs))
+		ex, err := a.Explore(repro.WithBudget(*budget))
 		if err != nil {
 			fatal(err)
 		}

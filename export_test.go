@@ -9,15 +9,6 @@ func WithFaultsForTest(p *fault.Plan) Option {
 	return Option{"WithFaultsForTest", inServe, func(c *config) { c.serve.Faults = p }}
 }
 
-// Test-only seams. SetFusionCoresForTest pins the core budget the fusion
-// valuator plans for, so golden Plan fixtures are host-independent; the
-// returned func restores the real GOMAXPROCS-backed seam.
-func SetFusionCoresForTest(cores int) (restore func()) {
-	prev := fusionCores
-	fusionCores = func() int { return cores }
-	return func() { fusionCores = prev }
-}
-
 // WithFuseMaskForTest serves exactly the cuts mask names un-made (bit k: the
 // cut between stages k+1 and k+2) where replica widths align, in place of the
 // valuator's verdict, so a test can put any coarsening through Serve.

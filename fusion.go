@@ -40,11 +40,6 @@ import (
 // ring.
 const ringSyncNsSPSC = 270.0
 
-// fusionCores reports the core budget predictions plan for. A function
-// variable so tests (golden Plan fixtures) can pin a host-independent core
-// count.
-var fusionCores = func() int { return stdruntime.GOMAXPROCS(0) }
-
 // served is the cut realized with a set of its cuts un-made: the units (one
 // program per maximal run of fused stages, with the cut stages it stands for
 // and its path cost) and their layout under the default configuration, from
@@ -87,7 +82,8 @@ func (p *Pipeline) shape(fuse uint64) *served {
 
 // valuate decides which cuts of the ringed layout plan describes to un-make,
 // as a fuse mask, and says why per cut: the valuator's verdict
-// (costmodel.PlanFusion), or cfg.fuse when a test names one, granted where
+// (costmodel.PlanFusion, planning for the GOMAXPROCS cores Serve runs on),
+// or cfg.fuse when a test names one, granted where
 // the valuator could have fused — between stages of equal replica width (a
 // fused unit is one program per lane; a scatter or fan-in keeps its
 // junction machinery). FusionOff asks nothing and fuses nothing; a fault
@@ -112,7 +108,7 @@ func (p *Pipeline) valuate(cfg config, plan *Plan) (fuse uint64, why []string) {
 	for k, c := range p.report.Cuts {
 		cutNs[k] = 2 * float64(p.arch.TxWeight(cfg.explore.Base.Channel, c.Slots))
 	}
-	fp := costmodel.PlanFusion(costs, cutNs, plan.Replicas, ringSyncNsSPSC/float64(plan.Batch), fusionCores())
+	fp := costmodel.PlanFusion(costs, cutNs, plan.Replicas, ringSyncNsSPSC/float64(plan.Batch), stdruntime.GOMAXPROCS(0))
 	if cfg.fuse == nil {
 		return fp.Fuse, fp.Why
 	}
@@ -208,7 +204,7 @@ func (p *Pipeline) realize(cfg config) (*Plan, *runtime.Layout, error) {
 			}
 		}
 	}
-	plan.PredictedNsPerPkt = costmodel.Predict(unitNs, widths, ringSyncNsSPSC/float64(plan.Batch), fusionCores())
+	plan.PredictedNsPerPkt = costmodel.Predict(unitNs, widths, ringSyncNsSPSC/float64(plan.Batch), stdruntime.GOMAXPROCS(0))
 	return plan, lay, nil
 }
 

@@ -39,8 +39,7 @@ func TestWithFusionValidates(t *testing.T) {
 // (FusionOff) must both serve a trace byte-identical to the sequential
 // oracle, and the published Plan must tell them apart.
 func TestServeFusionOffMatchesAuto(t *testing.T) {
-	restore := repro.SetFusionCoresForTest(1)
-	defer restore()
+	setCores(t, 1)
 	prog, err := repro.Compile(facadeSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +298,7 @@ func TestServeSharedReadOnlyQueue(t *testing.T) {
 // otherwise fuse the whole cut — says so in every verdict, and still
 // attributes a stage-3 fault to stage 3.
 func TestServeWithFaultsKeepsEveryCut(t *testing.T) {
-	defer repro.SetFusionCoresForTest(1)()
+	setCores(t, 1)
 	pps, _ := netbench.ByName("IPv4")
 	prog, err := pps.Compile()
 	if err != nil {
@@ -348,7 +347,7 @@ func TestServeWithFaultsKeepsEveryCut(t *testing.T) {
 // every cut — all of them reach for the same not-yet-realized shape — and
 // each must come back with the oracle's trace.
 func TestServeConcurrentlySharesShapes(t *testing.T) {
-	defer repro.SetFusionCoresForTest(1)()
+	setCores(t, 1)
 	prog := repro.MustCompile(facadeSrc)
 	const n = 64
 	packets := testPackets(n)

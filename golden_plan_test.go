@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,11 +14,19 @@ import (
 
 var updatePlans = flag.Bool("update", false, "rewrite the golden Plan fixtures")
 
+// setCores sets GOMAXPROCS — the core count the fusion valuator plans for
+// and Serve runs on — to cores until t ends, so a plan does not depend on
+// the host.
+func setCores(t *testing.T, cores int) {
+	prev := runtime.GOMAXPROCS(cores)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // renderPlan serializes the fusion-relevant face of a Plan: the realized
 // shape, the per-stage weights the valuator saw, which cuts it fused, the
 // units served with the price of exactly those programs, and the stated
 // per-cut rationale. Everything here is a pure function of the
-// program, the options, and the pinned core budget — no measured times —
+// program, the options, and the pinned core count — no measured times —
 // so the rendering must be byte-stable across runs and machines.
 func renderPlan(p *repro.Plan) string {
 	var b strings.Builder
@@ -33,7 +42,7 @@ func renderPlan(p *repro.Plan) string {
 
 // TestPlanFusionGolden locks down which cuts the fusion valuator fuses —
 // and the exact arithmetic it states for each — for a fixed program under
-// pinned core budgets. One core must fuse everything (rings are pure tax
+// pinned core counts. One core must fuse everything (rings are pure tax
 // with no parallelism to buy), and so must as many cores as there are
 // lanes; a generous core budget must justify every verdict it makes in the
 // rationale; FusionOff must record nothing.
@@ -59,8 +68,7 @@ func TestPlanFusionGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			restore := repro.SetFusionCoresForTest(tc.cores)
-			defer restore()
+			setCores(t, tc.cores)
 			pipe, err := repro.Partition(prog, tc.opts...)
 			if err != nil {
 				t.Fatal(err)

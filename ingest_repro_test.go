@@ -311,7 +311,7 @@ func TestFlowsCaptureFixture(t *testing.T) {
 // not depend on the host) — and requires the served trace byte-identical
 // to the sequential oracle over the decoded capture.
 func TestServeFlowsCaptureReplay(t *testing.T) {
-	defer repro.SetFusionCoresForTest(1)()
+	setCores(t, 1)
 	pps, _ := netbench.ByName("IPv4")
 	prog, err := pps.Compile()
 	if err != nil {

@@ -4,6 +4,7 @@
 package core_test
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -136,22 +137,24 @@ func TestConcurrentPartitionRandprog(t *testing.T) {
 
 // TestExploreWorkerCountInvariant: the budget exploration must select the
 // same degree, render the same report and log the same candidates whether
-// it runs sequentially or fanned out.
+// it runs sequentially (GOMAXPROCS=1) or fanned out over four cores.
 func TestExploreWorkerCountInvariant(t *testing.T) {
 	p, _ := netbench.ByName("IPv4")
 	prog, err := p.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	explore := func(procs int, budget int64) *core.ExploreResult {
+		runtime.GOMAXPROCS(procs)
+		ex, err := core.Explore(prog, core.ExploreOptions{Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex
+	}
 	for _, budget := range []int64{1, 200, 1 << 40} {
-		seq, err := core.Explore(prog, core.ExploreOptions{Budget: budget, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := core.Explore(prog, core.ExploreOptions{Budget: budget, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq, par := explore(1, budget), explore(4, budget)
 		if seq.Degree != par.Degree || seq.Met != par.Met {
 			t.Fatalf("budget %d: sequential (D=%d met=%v) != parallel (D=%d met=%v)",
 				budget, seq.Degree, seq.Met, par.Degree, par.Met)

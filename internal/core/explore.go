@@ -15,10 +15,6 @@ type ExploreOptions struct {
 	// performance budgets (cycles per packet)" that must be statically
 	// guaranteed).
 	Budget int64
-	// Workers bounds the goroutines evaluating candidate degrees:
-	// 0 selects one per CPU (runtime.GOMAXPROCS(0)), 1 runs sequentially.
-	// The selected result is identical for every worker count.
-	Workers int
 	// Base carries the remaining partitioning options.
 	Base Options
 }
@@ -68,7 +64,7 @@ type CandidateCost struct {
 // scope, as in the paper.
 //
 // The program is analyzed once; candidate degrees share the analysis and
-// are evaluated on opts.Workers goroutines.
+// are evaluated on up to GOMAXPROCS goroutines.
 func Explore(prog *ir.Program, opts ExploreOptions) (*ExploreResult, error) {
 	a, err := Analyze(prog, opts.Base.Arch)
 	if err != nil {
@@ -78,7 +74,7 @@ func Explore(prog *ir.Program, opts ExploreOptions) (*ExploreResult, error) {
 }
 
 // Explore runs the degree exploration against an existing analysis. The
-// outcome is deterministic: whatever the worker count, the selected degree,
+// outcome is deterministic: whatever the core count, the selected degree,
 // its Result, and the Candidates log are identical to a sequential
 // smallest-degree-first search.
 func (a *Analysis) Explore(opts ExploreOptions) (*ExploreResult, error) {
@@ -106,14 +102,14 @@ func (a *Analysis) Explore(opts ExploreOptions) (*ExploreResult, error) {
 		return nil
 	}
 
-	// Cut ascending degrees one chunk of Workers at a time and stop after the
-	// first chunk that holds a fit: one worker is the smallest-degree-first
+	// Cut ascending degrees one chunk of cores at a time and stop after the
+	// first chunk that holds a fit: one core is the smallest-degree-first
 	// search, more cut at most one chunk past the fit.
 	ex := &ExploreResult{}
-	chunk := parallel.Workers(opts.Workers, explorePEs)
+	chunk := parallel.Workers(explorePEs)
 	for lo := 0; lo < explorePEs; lo += chunk {
 		hi := min(lo+chunk, explorePEs)
-		if err := parallel.ForEach(hi-lo, chunk, func(i int) error { return candidate(lo + i) }); err != nil {
+		if err := parallel.ForEach(hi-lo, func(i int) error { return candidate(lo + i) }); err != nil {
 			return nil, err
 		}
 		for i := lo; i < hi; i++ {

@@ -30,8 +30,6 @@ type Series struct {
 	Degrees  []int
 	Speedup  []float64 // sequential worst path / longest stage worst path
 	Overhead []float64 // tx/proc instruction ratio in the longest stage
-	Slots    []int     // total transmission slots across all cuts
-	Verified []bool    // pipelined trace matched the sequential trace
 }
 
 // MeasureIters is the traffic length used for dynamic measurements: long
@@ -53,32 +51,21 @@ type sweepBase struct {
 type cell struct {
 	speedup  float64
 	overhead float64
-	slots    int
 }
 
 // Fig19SpeedupIPv4 reproduces figure 19: speedup of the IPv4 forwarding
-// PPSes versus pipelining degree. workers bounds the goroutines measuring
-// (PPS × degree) pairs: 0 selects one per CPU, 1 runs sequentially; the
-// series are identical for every worker count.
-func Fig19SpeedupIPv4(verifyIters, workers int) ([]Series, error) {
-	return sweepAll(netbench.IPv4Forwarding(), verifyIters, workers)
+// PPSes versus pipelining degree. The overhead columns of the same series
+// are figure 21. The (PPS × degree) pairs fan out over GOMAXPROCS
+// goroutines; the series are identical at any core count.
+func Fig19SpeedupIPv4() ([]Series, error) {
+	return sweepAll(netbench.IPv4Forwarding())
 }
 
 // Fig20SpeedupIP reproduces figure 20: speedup of the IP forwarding PPSes
-// (IPv4 and IPv6 traffic measured separately for the IP PPS).
-func Fig20SpeedupIP(verifyIters, workers int) ([]Series, error) {
-	return sweepAll(netbench.IPForwarding(), verifyIters, workers)
-}
-
-// Fig21OverheadIPv4 and Fig22OverheadIP share the same sweeps; the
-// overhead columns of the series carry figures 21/22.
-func Fig21OverheadIPv4(verifyIters, workers int) ([]Series, error) {
-	return Fig19SpeedupIPv4(verifyIters, workers)
-}
-
-// Fig22OverheadIP reproduces figure 22.
-func Fig22OverheadIP(verifyIters, workers int) ([]Series, error) {
-	return Fig20SpeedupIP(verifyIters, workers)
+// (IPv4 and IPv6 traffic measured separately for the IP PPS). The overhead
+// columns of the same series are figure 22.
+func Fig20SpeedupIP() ([]Series, error) {
+	return sweepAll(netbench.IPForwarding())
 }
 
 // sweepAll measures every (PPS × degree) pair of the benchmark set. The
@@ -86,20 +73,16 @@ func Fig22OverheadIP(verifyIters, workers int) ([]Series, error) {
 // stage when processing a minimum-size packet of the given traffic, worst
 // case over the stream. Each PPS is compiled and analyzed once (phase 1,
 // fanned out per PPS); the pairs then share that analysis and fan out
-// across workers (phase 2), each pair cutting its own configuration,
+// across cores (phase 2), each pair cutting its own configuration,
 // executing it on a private world and verifying it against the PPS's
 // sequential trace. Results land in (PPS, degree) slots, so the series —
 // and, via index-ordered error selection, the first error — are those of a
 // sequential nested loop.
-func sweepAll(ppses []netbench.PPS, verifyIters, workers int) ([]Series, error) {
-	iters := verifyIters
-	if iters <= 0 {
-		iters = MeasureIters
-	}
+func sweepAll(ppses []netbench.PPS) ([]Series, error) {
 	arch := costmodel.Default()
 
 	bases := make([]*sweepBase, len(ppses))
-	err := parallel.ForEach(len(ppses), workers, func(i int) error {
+	err := parallel.ForEach(len(ppses), func(i int) error {
 		p := ppses[i]
 		prog, err := p.Compile()
 		if err != nil {
@@ -109,8 +92,8 @@ func sweepAll(ppses []netbench.PPS, verifyIters, workers int) ([]Series, error) 
 		if err != nil {
 			return fmt.Errorf("%s: analyze: %w", p.Name, err)
 		}
-		seqWorld := netbench.NewWorld(p.Traffic(iters))
-		seqD, err := MeasureDynamic([]*ir.Program{prog.Clone()}, seqWorld, iters, arch, costmodel.NNRing)
+		seqWorld := netbench.NewWorld(p.Traffic(MeasureIters))
+		seqD, err := MeasureDynamic([]*ir.Program{prog.Clone()}, seqWorld, MeasureIters, arch, costmodel.NNRing)
 		if err != nil {
 			return fmt.Errorf("%s: sequential: %w", p.Name, err)
 		}
@@ -122,15 +105,15 @@ func sweepAll(ppses []netbench.PPS, verifyIters, workers int) ([]Series, error) 
 	}
 
 	cells := make([]cell, len(ppses)*len(Degrees))
-	err = parallel.ForEach(len(cells), workers, func(t int) error {
+	err = parallel.ForEach(len(cells), func(t int) error {
 		b := bases[t/len(Degrees)]
 		d := Degrees[t%len(Degrees)]
 		res, err := b.analysis.Partition(core.Options{Stages: d})
 		if err != nil {
 			return fmt.Errorf("%s D=%d: %w", b.p.Name, d, err)
 		}
-		pipeWorld := netbench.NewWorld(b.p.Traffic(iters))
-		demands, err := MeasureDynamic(res.Stages, pipeWorld, iters, arch, costmodel.NNRing)
+		pipeWorld := netbench.NewWorld(b.p.Traffic(MeasureIters))
+		demands, err := MeasureDynamic(res.Stages, pipeWorld, MeasureIters, arch, costmodel.NNRing)
 		if err != nil {
 			return fmt.Errorf("%s D=%d: pipeline: %w", b.p.Name, d, err)
 		}
@@ -139,9 +122,6 @@ func sweepAll(ppses []netbench.PPS, verifyIters, workers int) ([]Series, error) 
 		}
 		c := &cells[t]
 		c.speedup, c.overhead, _ = DynamicSpeedup(b.seqD, demands)
-		for _, cr := range res.Report.Cuts {
-			c.slots += cr.Slots
-		}
 		return nil
 	})
 	if err != nil {
@@ -156,8 +136,6 @@ func sweepAll(ppses []netbench.PPS, verifyIters, workers int) ([]Series, error) 
 			s.Degrees = append(s.Degrees, d)
 			s.Speedup = append(s.Speedup, c.speedup)
 			s.Overhead = append(s.Overhead, c.overhead)
-			s.Slots = append(s.Slots, c.slots)
-			s.Verified = append(s.Verified, true)
 		}
 		out[i] = s
 	}
@@ -222,15 +200,15 @@ func analyzeByName(name string) (*core.Analysis, error) {
 
 // AblationTransmission compares packed, naive-unified and
 // naive-interference transmission for the given PPS. The modes share one
-// analysis and fan out across workers (0 = one per CPU, 1 = sequential).
-func AblationTransmission(name string, degree, workers int) ([]TxAblation, error) {
+// analysis and fan out across cores.
+func AblationTransmission(name string, degree int) ([]TxAblation, error) {
 	a, err := analyzeByName(name)
 	if err != nil {
 		return nil, err
 	}
 	modes := []core.TxMode{core.TxPacked, core.TxNaiveInterference, core.TxNaiveUnified}
 	out := make([]TxAblation, len(modes))
-	err = parallel.ForEach(len(modes), workers, func(i int) error {
+	err = parallel.ForEach(len(modes), func(i int) error {
 		res, err := a.Partition(core.Options{Stages: degree, Tx: modes[i]})
 		if err != nil {
 			return err
@@ -258,14 +236,14 @@ type EpsilonPoint struct {
 }
 
 // AblationEpsilon sweeps the balance variance for one PPS and degree,
-// fanning the ε values out across workers over a shared analysis.
-func AblationEpsilon(name string, degree int, epsilons []float64, workers int) ([]EpsilonPoint, error) {
+// fanning the ε values out across cores over a shared analysis.
+func AblationEpsilon(name string, degree int, epsilons []float64) ([]EpsilonPoint, error) {
 	a, err := analyzeByName(name)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]EpsilonPoint, len(epsilons))
-	err = parallel.ForEach(len(epsilons), workers, func(i int) error {
+	err = parallel.ForEach(len(epsilons), func(i int) error {
 		eps := epsilons[i]
 		res, err := a.Partition(core.Options{Stages: degree, Epsilon: eps})
 		if err != nil {
@@ -303,15 +281,15 @@ type ChannelPoint struct {
 }
 
 // AblationChannel compares NN and scratch rings for one PPS and degree,
-// fanning the ring kinds out across workers over a shared analysis.
-func AblationChannel(name string, degree, workers int) ([]ChannelPoint, error) {
+// fanning the ring kinds out across cores over a shared analysis.
+func AblationChannel(name string, degree int) ([]ChannelPoint, error) {
 	a, err := analyzeByName(name)
 	if err != nil {
 		return nil, err
 	}
 	kinds := []costmodel.ChannelKind{costmodel.NNRing, costmodel.ScratchRing}
 	out := make([]ChannelPoint, len(kinds))
-	err = parallel.ForEach(len(kinds), workers, func(i int) error {
+	err = parallel.ForEach(len(kinds), func(i int) error {
 		res, err := a.Partition(core.Options{Stages: degree, Channel: kinds[i]})
 		if err != nil {
 			return err
@@ -340,8 +318,8 @@ type WeightModePoint struct {
 // measures the distribution of IO latency over the stages. The weight
 // function is baked into the flow-network capacities, so unlike the other
 // ablations each mode runs its own analysis; the two configurations still
-// fan out across workers.
-func AblationWeightMode(name string, degree, workers int) ([]WeightModePoint, error) {
+// fan out across cores.
+func AblationWeightMode(name string, degree int) ([]WeightModePoint, error) {
 	p, ok := netbench.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown PPS %q", name)
@@ -355,7 +333,7 @@ func AblationWeightMode(name string, degree, workers int) ([]WeightModePoint, er
 
 	modes := []costmodel.WeightMode{costmodel.WeightInstrs, costmodel.WeightLatency}
 	out := make([]WeightModePoint, len(modes))
-	err = parallel.ForEach(len(modes), workers, func(i int) error {
+	err = parallel.ForEach(len(modes), func(i int) error {
 		mode := modes[i]
 		arch := costmodel.Default()
 		arch.Mode = mode
@@ -414,9 +392,9 @@ type ThroughputPoint struct {
 
 // SimThroughput runs the cycle simulator across degrees for one PPS — the
 // dynamic counterpart of figures 19/20. The degrees share one analysis and
-// fan out across workers; the dynamic speedup is normalized against the
+// fan out across cores; the dynamic speedup is normalized against the
 // first degree after all points land, so the curve is order-independent.
-func SimThroughput(name string, degrees []int, iters, workers int) ([]ThroughputPoint, error) {
+func SimThroughput(name string, degrees []int, iters int) ([]ThroughputPoint, error) {
 	p, ok := netbench.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown PPS %q", name)
@@ -429,7 +407,7 @@ func SimThroughput(name string, degrees []int, iters, workers int) ([]Throughput
 		return nil, err
 	}
 	out := make([]ThroughputPoint, len(degrees))
-	err = parallel.ForEach(len(degrees), workers, func(i int) error {
+	err = parallel.ForEach(len(degrees), func(i int) error {
 		d := degrees[i]
 		res, err := a.Partition(core.Options{Stages: d})
 		if err != nil {
@@ -464,9 +442,9 @@ type ThreadPoint struct {
 // ThreadLatencyHiding sweeps hardware-thread counts on the fine-grained
 // simulator, demonstrating the premise behind the paper's instruction-count
 // weight function: memory latency is hidden by multithreading. The thread
-// configurations share one partition and fan out across workers, each
+// configurations share one partition and fan out across cores, each
 // simulating on a private world.
-func ThreadLatencyHiding(name string, degree, iters, workers int) ([]ThreadPoint, error) {
+func ThreadLatencyHiding(name string, degree, iters int) ([]ThreadPoint, error) {
 	p, ok := netbench.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown PPS %q", name)
@@ -481,7 +459,7 @@ func ThreadLatencyHiding(name string, degree, iters, workers int) ([]ThreadPoint
 	}
 	threadCounts := []int{1, 2, 4, 8}
 	out := make([]ThreadPoint, len(threadCounts))
-	err = parallel.ForEach(len(threadCounts), workers, func(i int) error {
+	err = parallel.ForEach(len(threadCounts), func(i int) error {
 		cfg := npsim.DefaultConfig()
 		cfg.ThreadsPerPE = threadCounts[i]
 		sim, err := npsim.SimulateThreads(res.Stages, netbench.NewWorld(p.Traffic(iters)), iters, cfg)
@@ -503,43 +481,21 @@ func ThreadLatencyHiding(name string, degree, iters, workers int) ([]ThreadPoint
 
 // HeadlineClaim checks the abstract's claim: >4x speedup at nine stages
 // for the IPv4 PPS and for the IP PPS under both traffics, using the
-// paper's dynamic instructions-per-minimum-size-packet metric. The three
-// PPSes fan out across workers.
-func HeadlineClaim(workers int) (map[string]float64, error) {
-	names := []string{"IPv4", "IP(v4)", "IP(v6)"}
-	speedups := make([]float64, len(names))
-	arch := costmodel.Default()
-	err := parallel.ForEach(len(names), workers, func(i int) error {
-		p, _ := netbench.ByName(names[i])
-		prog, err := p.Compile()
-		if err != nil {
-			return err
+// paper's dynamic instructions-per-minimum-size-packet metric. It reads the
+// D=9 column of the figure 19/20 series, which measure exactly that.
+func HeadlineClaim(series []Series) map[string]float64 {
+	out := make(map[string]float64, 3)
+	for _, s := range series {
+		switch s.PPS {
+		case "IPv4", "IP(v4)", "IP(v6)":
+			for i, d := range s.Degrees {
+				if d == 9 {
+					out[s.PPS] = s.Speedup[i]
+				}
+			}
 		}
-		seqD, err := MeasureDynamic([]*ir.Program{prog.Clone()},
-			netbench.NewWorld(p.Traffic(MeasureIters)), MeasureIters, arch, costmodel.NNRing)
-		if err != nil {
-			return err
-		}
-		res, err := core.Partition(prog, core.Options{Stages: 9})
-		if err != nil {
-			return err
-		}
-		demands, err := MeasureDynamic(res.Stages,
-			netbench.NewWorld(p.Traffic(MeasureIters)), MeasureIters, arch, costmodel.NNRing)
-		if err != nil {
-			return err
-		}
-		speedups[i], _, _ = DynamicSpeedup(seqD[0], demands)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	out := make(map[string]float64, len(names))
-	for i, name := range names {
-		out[name] = speedups[i]
-	}
-	return out, nil
+	return out
 }
 
 // SortedKeys is a small helper for deterministic map rendering.

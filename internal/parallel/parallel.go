@@ -3,7 +3,10 @@
 // budget exploration, (PPS × degree) pairs in the experiment sweeps, and
 // ablation configs. Results are always delivered in task-index order and
 // the error reported is the one of the lowest-indexed failing task, so the
-// outcome is deterministic regardless of the worker count or scheduling.
+// outcome is deterministic regardless of the core count or scheduling.
+//
+// The width is read, not set: it is runtime.GOMAXPROCS(0), the number of
+// cores that can execute at once. GOMAXPROCS=1 gives the sequential run.
 package parallel
 
 import (
@@ -12,35 +15,22 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a worker-count setting against a task count: n <= 0
-// means one worker per available CPU (runtime.GOMAXPROCS(0)); the result
-// never exceeds tasks and is at least 1.
-func Workers(n, tasks int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > tasks {
-		n = tasks
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+// Workers is the goroutine count ForEach uses for a number of tasks:
+// min(GOMAXPROCS, tasks), and at least 1.
+func Workers(tasks int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), tasks))
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// (workers <= 0 selects GOMAXPROCS(0); workers == 1 runs sequentially on
-// the calling goroutine, in index order, stopping at the first error).
+// ForEach runs fn(i) for every i in [0, n) on Workers(n) goroutines; with
+// one it runs sequentially on the calling goroutine, in index order,
+// stopping at the first error.
 //
 // In the parallel case every task is attempted even after a failure, and
 // the returned error is that of the lowest-indexed failing task — the same
 // error a sequential run would surface — so callers observe deterministic
 // first-error propagation under any scheduling.
-func ForEach(n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if w := Workers(workers, n); w > 1 {
+func ForEach(n int, fn func(i int) error) error {
+	if w := Workers(n); w > 1 {
 		return forEachParallel(n, w, fn)
 	}
 	for i := 0; i < n; i++ {

@@ -8,69 +8,71 @@ import (
 	"testing"
 )
 
+// withProcs sets GOMAXPROCS to procs until the test ends.
+func withProcs(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestWorkersResolution(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	cases := []struct{ n, tasks, want int }{
-		{0, 100, min(procs, 100)},
-		{-3, 100, min(procs, 100)},
+	cases := []struct{ procs, tasks, want int }{
 		{1, 100, 1},
+		{4, 100, 4},
 		{8, 3, 3},
 		{8, 0, 1},
+		{8, -2, 1},
 	}
 	for _, c := range cases {
-		if got := Workers(c.n, c.tasks); got != c.want {
-			t.Errorf("Workers(%d, %d) = %d, want %d", c.n, c.tasks, got, c.want)
+		withProcs(t, c.procs)
+		if got := Workers(c.tasks); got != c.want {
+			t.Errorf("GOMAXPROCS=%d: Workers(%d) = %d, want %d", c.procs, c.tasks, got, c.want)
 		}
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestForEachRunsEveryTask(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 0} {
+	for _, procs := range []int{1, 2, 7} {
+		withProcs(t, procs)
 		const n = 100
 		var hits [n]atomic.Int32
-		err := ForEach(n, workers, func(i int) error {
+		err := ForEach(n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		for i := range hits {
 			if hits[i].Load() != 1 {
-				t.Fatalf("workers=%d: task %d ran %d times", workers, i, hits[i].Load())
+				t.Fatalf("GOMAXPROCS=%d: task %d ran %d times", procs, i, hits[i].Load())
 			}
 		}
 	}
 }
 
-// TestForEachFirstError: whatever the worker count and scheduling, the
+// TestForEachFirstError: whatever the core count and scheduling, the
 // error surfaced is the lowest-indexed one — the error a sequential run
 // reports.
 func TestForEachFirstError(t *testing.T) {
-	for _, workers := range []int{1, 3, 0} {
-		err := ForEach(50, workers, func(i int) error {
+	for _, procs := range []int{1, 3, 8} {
+		withProcs(t, procs)
+		err := ForEach(50, func(i int) error {
 			if i == 7 || i == 31 {
 				return fmt.Errorf("task %d failed", i)
 			}
 			return nil
 		})
 		if err == nil || err.Error() != "task 7 failed" {
-			t.Errorf("workers=%d: err = %v, want task 7's error", workers, err)
+			t.Errorf("GOMAXPROCS=%d: err = %v, want task 7's error", procs, err)
 		}
 	}
 }
 
 func TestForEachSequentialStopsEarly(t *testing.T) {
+	withProcs(t, 1)
 	ran := 0
 	sentinel := errors.New("stop")
-	err := ForEach(10, 1, func(i int) error {
+	err := ForEach(10, func(i int) error {
 		ran++
 		if i == 2 {
 			return sentinel
@@ -86,7 +88,8 @@ func TestForEachSequentialStopsEarly(t *testing.T) {
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	withProcs(t, 4)
+	if err := ForEach(0, func(int) error { return errors.New("never") }); err != nil {
 		t.Error("zero tasks must not invoke fn")
 	}
 }

@@ -93,7 +93,7 @@ const MaxShards = runtime.MaxShards
 // layers' own option values, which the With* constructors write directly,
 // plus the knobs only the facade reads. Zero values mean "use the default".
 type config struct {
-	// explore holds the exploration options (budget, workers) and, in Base,
+	// explore holds the exploration options (the budget) and, in Base,
 	// the partitioning ones (degree, ε, arch, ring kind, tx mode).
 	explore core.ExploreOptions
 	// serve is the runtime's configuration. Two of its fields are not set by
@@ -133,7 +133,6 @@ const (
 //	WithArch                          yes                -      yes        -
 //	WithTxMode                        yes                -       -         -
 //	WithBudget                        yes                -       -         -
-//	WithWorkers                       yes                -       -         -
 //	WithIterations                    yes               yes     yes        -
 //	WithRing                          yes                -      yes       yes
 //	WithBatch                         yes                -       -        yes
@@ -194,12 +193,6 @@ func WithRing(kind ChannelKind, capacity int) Option {
 // WithBudget sets the per-packet worst-case budget Explore must meet.
 func WithBudget(b int64) Option {
 	return Option{"WithBudget", 0, func(c *config) { c.explore.Budget = b }}
-}
-
-// WithWorkers bounds the goroutines fanning out independent candidate
-// configurations: 0 selects one per CPU, 1 runs sequentially.
-func WithWorkers(n int) Option {
-	return Option{"WithWorkers", 0, func(c *config) { c.explore.Workers = n }}
 }
 
 // WithIterations overrides the iteration count of Run and Simulate, which
@@ -380,29 +373,34 @@ func (c config) within(entry string, at scope, opts []Option) (config, error) {
 	return c.with(opts)
 }
 
-// serveConfig is the runtime configuration the options wrote, its ring depth
-// resolved: WithRing's capacity, or the default of the ring kind the pipeline
+// ringCapacity is the one resolved ring depth Serve and the simulators
+// share: WithRing's capacity, or the default of the ring kind the pipeline
 // was partitioned for.
+func (c *config) ringCapacity() int {
+	if c.serve.RingCapacity == 0 {
+		return runtime.DefaultRingCapacity(c.explore.Base.Channel)
+	}
+	return c.serve.RingCapacity
+}
+
+// serveConfig is the runtime configuration the options wrote, its ring depth
+// resolved.
 func (c *config) serveConfig() runtime.Config {
 	rc := c.serve
-	if rc.RingCapacity == 0 {
-		rc.RingCapacity = runtime.DefaultRingCapacity(c.explore.Base.Channel)
-	}
+	rc.RingCapacity = c.ringCapacity()
 	return rc
 }
 
 // simConfig is the IXP simulators' configuration: eight threads per engine
-// and saturated arrivals, the options' ring kind and cost model, and
-// WithRing's capacity when one was given.
+// and saturated arrivals, the options' ring kind and cost model, and the
+// ring depth Serve uses.
 func (c *config) simConfig() npsim.Config {
 	sim := npsim.DefaultConfig()
 	sim.Channel = c.explore.Base.Channel
 	if c.explore.Base.Arch != nil {
 		sim.Arch = c.explore.Base.Arch
 	}
-	if c.serve.RingCapacity > 0 {
-		sim.RingCapacity = c.serve.RingCapacity
-	}
+	sim.RingCapacity = c.ringCapacity()
 	return sim
 }
 

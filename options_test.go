@@ -151,7 +151,7 @@ func TestOptionsRejectInvalid(t *testing.T) {
 func TestOptionMatrix(t *testing.T) {
 	all := []repro.Option{
 		repro.WithStages(0), repro.WithEpsilon(0), repro.WithArch(nil), repro.WithTxMode(0),
-		repro.WithBudget(0), repro.WithWorkers(0), repro.WithIterations(0), repro.WithRing(repro.NNRing, 0),
+		repro.WithBudget(0), repro.WithIterations(0), repro.WithRing(repro.NNRing, 0),
 		repro.WithBatch(0), repro.WithWorld(nil), repro.WithOverload(0), repro.WithDeadline(0), repro.WithObserver(nil),
 		repro.WithShards(0), repro.WithShardKey(nil), repro.WithFusion(0), repro.WithSource(nil), repro.WithSink(nil),
 	}

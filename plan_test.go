@@ -114,7 +114,7 @@ func checkPlanCoherent(t *testing.T, plan *repro.Plan) {
 // Plan publishes are the ones the served Metrics count — ringed, fused, at
 // a shard junction, and when nothing can replicate.
 func TestPlanIsTheServedRealization(t *testing.T) {
-	defer repro.SetFusionCoresForTest(1)() // the valuator wants every cut fused
+	setCores(t, 1) // the valuator wants every cut fused
 	const n = 512
 	packets := testPackets(n)
 	for _, tc := range []struct {
@@ -169,7 +169,7 @@ func TestPlanIsTheServedRealization(t *testing.T) {
 // pays for transmissions the unit does not make) and the valuator's trial
 // figure, which only drops the sends and receives.
 func TestPlanPredictedNsPerPkt(t *testing.T) {
-	defer repro.SetFusionCoresForTest(1)()
+	setCores(t, 1)
 	prog := repro.MustCompile(facadeSrc)
 	pipe, err := repro.Partition(prog, repro.WithStages(4))
 	if err != nil {
@@ -206,7 +206,7 @@ func TestPlanPredictedNsPerPkt(t *testing.T) {
 // are the same program, so Plan must price them equally (and below the
 // ringed realization, which pays for its transmissions and its handoffs).
 func TestSameUnitSamePrice(t *testing.T) {
-	defer repro.SetFusionCoresForTest(1)()
+	setCores(t, 1)
 	prog := repro.MustCompile(facadeSrc)
 	price := func(opts ...repro.Option) float64 {
 		pipe, err := repro.Partition(prog, opts...)

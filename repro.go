@@ -346,7 +346,8 @@ type CandidateCost = core.CandidateCost
 // Explore selects the smallest pipelining degree whose statically
 // guaranteed worst-case stage cost meets a per-packet budget (WithBudget,
 // required) — the compiler-driver behaviour the paper sketches in §2.2.
-// It searches 1..10 processing engines; WithWorkers fans candidates out.
+// It searches 1..10 processing engines, fanning candidates out over
+// GOMAXPROCS goroutines; the selection is the same at any core count.
 func (a *Analysis) Explore(opts ...Option) (*Exploration, error) {
 	cfg, err := a.cfg.with(opts)
 	if err != nil {
