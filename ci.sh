@@ -158,7 +158,7 @@ else
 fi
 
 echo "== doc gate: the docs name no deleted machinery"
-if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim' README.md DESIGN.md EXPERIMENTS.md; then
+if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate' README.md DESIGN.md EXPERIMENTS.md; then
     echo "doc gate: the lines above name deleted machinery" >&2 && exit 1
 fi
 
@@ -206,9 +206,9 @@ echo "stage-state analysis code lines (costmodel Use..CheckConfined, core.Valida
 echo "internal/netbench code lines: $(cat $(ls internal/netbench/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (950 before the flat route tables, ISSUE 25)"
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
-echo "options (func With*):      $(grep -c '^func With' options.go)  (18 before the core count)"
-echo "runtime.Config fields:     $(awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } on && /^\t[A-Z]/' internal/runtime/runtime.go | wc -l)  (13 before)"
-echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)  (16 before)"
+echo "options (func With*):      $(grep -c '^func With' options.go)  (17 before the facade pruning)"
+echo "runtime.Config fields:     $(awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } on && /^\t[A-Z]/' internal/runtime/runtime.go | wc -l)  (11 before the facade pruning)"
+echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)  (13 before)"
 # The second measurement stack and the prose about it, the two things
 # ROADMAP item 4 asked to shrink.
 bench_files="$(find internal/experiments cmd/pipebench examples -name '*.go' ! -name '*_test.go')"

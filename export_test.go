@@ -18,6 +18,6 @@ func WithFuseMaskForTest(mask uint64) Option {
 
 // DescribeOptionForTest reports what an Option says about itself: its name
 // and which entry points past the analysis phase accept it.
-func DescribeOptionForTest(o Option) (name string, run, simulate, serve bool) {
-	return o.name, o.scope&inRun != 0, o.scope&inSimulate != 0, o.scope&inServe != 0
+func DescribeOptionForTest(o Option) (name string, run, serve bool) {
+	return o.name, o.scope&inRun != 0, o.scope&inServe != 0
 }

@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	. "repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/errs"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/ppc"
@@ -365,6 +368,30 @@ func TestInputProgramNotModified(t *testing.T) {
 	}
 	if prog.Func.String() != before {
 		t.Error("Partition modified its input program")
+	}
+}
+
+// TestPartitionRejectsOtherArch: an analysis bakes its cost model into the
+// unit weights and flow capacities, so a cut asked for under a different
+// model is refused with errs.ErrArchMismatch instead of being priced by two
+// models at once; the analysis's own model, or none, is accepted.
+func TestPartitionRejectsOtherArch(t *testing.T) {
+	prog, err := ppc.Compile(paperExample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := costmodel.Default()
+	a, err := Analyze(prog, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Partition(Options{Stages: 2, Arch: costmodel.Default()}); !errors.Is(err, errs.ErrArchMismatch) {
+		t.Errorf("Partition(other arch) err = %v, want ErrArchMismatch", err)
+	}
+	for _, same := range []*costmodel.Arch{arch, nil} {
+		if _, err := a.Partition(Options{Stages: 2, Arch: same}); err != nil {
+			t.Errorf("Partition(arch %p) err = %v, want success", same, err)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package errs defines the sentinel errors shared by the compiler core,
-// the simulators, and the host runtime. Every user-facing entry point
+// the interpreters, and the host runtime. Every user-facing entry point
 // validates its inputs against these (wrapped with context via %w) instead
 // of panicking or returning ad-hoc fmt.Errorf strings, so callers can
 // errors.Is-match failures across the whole API surface. The root repro
-// package re-exports them, grouped by lifecycle.
+// package re-exports, grouped by lifecycle, the ones its entry points can
+// return.
 package errs
 
 import "errors"
@@ -28,7 +29,7 @@ var (
 	ErrArchMismatch = errors.New("cost model differs from analysis")
 
 	// ErrNoStages is returned when an empty pipeline is executed where
-	// stage programs were required (Run, Simulate, Serve).
+	// stage programs were required (Run, Serve).
 	ErrNoStages = errors.New("empty pipeline")
 
 	// ErrNilStage is returned when a stage list contains a nil entry.
@@ -58,10 +59,6 @@ var (
 	// body; the offending packet is quarantined and the pipeline keeps
 	// serving.
 	ErrStagePanic = errors.New("stage panic")
-
-	// ErrStageDeadline is returned when an iteration exceeds the per-stage
-	// deadline; the packet is quarantined.
-	ErrStageDeadline = errors.New("stage deadline exceeded")
 
 	// ErrBadSource is returned when an ingest source spec is malformed
 	// (unknown scheme, bad address or parameter) or a pcap file cannot be

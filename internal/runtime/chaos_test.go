@@ -23,15 +23,15 @@ import (
 // source is delivered, shed, or quarantined — and the packets that survive
 // still produce a trace byte-identical to the sequential oracle. The seam
 // (Config.Faults) only stalls and panics, so every loss goes through a
-// mechanism a production run can hit: a panic quarantines, a stall blows the
-// stage deadline or saturates a ring into shed.
+// mechanism a production run can hit: a panic quarantines, a stall saturates
+// a ring into shed — or, saturating nothing, loses nothing.
 //
-// Determinism discipline: quarantining faults (a panic, a stall past the
-// deadline) are keyed on iteration indices, so their outcomes are exact at
-// any interleaving. Overload faults are made exact with a gate — a stalled
-// consumer that provably consumes nothing until the producer has finished
-// shedding — plus a head paced on the run's own counters, so ring occupancy
-// is a function of the schedule, not the scheduler or the clock.
+// Determinism discipline: quarantining faults (panics) are keyed on
+// iteration indices, so their outcomes are exact at any interleaving.
+// Overload faults are made exact with a gate — a stalled consumer that
+// provably consumes nothing until the producer has finished shedding — plus
+// a head paced on the run's own counters, so ring occupancy is a function of
+// the schedule, not the scheduler or the clock.
 
 // partitionIPv4 compiles the IPv4 benchmark and partitions it at degree d.
 func partitionIPv4(t *testing.T, d int) (*ir.Program, []*ir.Program) {
@@ -138,7 +138,7 @@ func chaosServe(t *testing.T, stages []*ir.Program, traffic [][]byte, cfg runtim
 
 // TestChaosStallsAndDelaysAreLossless: stalls slow the pipeline — a stalled
 // stage delays its ring puts and backs up the ring into it — but under the
-// blocking policy with no deadline they never lose packets: the trace stays
+// blocking policy they never lose packets: the trace stays
 // byte-identical to the clean oracle and every fault counter stays zero.
 func TestChaosStallsAndDelaysAreLossless(t *testing.T) {
 	const n = 32
@@ -164,37 +164,6 @@ func TestChaosStallsAndDelaysAreLossless(t *testing.T) {
 	rep := m.Faults
 	if rep.Shed+rep.Quarantined != 0 {
 		t.Fatalf("lossless schedule lost packets: %s", rep)
-	}
-	checkAccounting(t, m)
-}
-
-// TestChaosDeadlineQuarantines: a stall that blows the per-stage deadline
-// quarantines exactly the stalled packet, before the stage body runs.
-func TestChaosDeadlineQuarantines(t *testing.T) {
-	const n = 12
-	_, stages := partitionIPv4(t, 2)
-	traffic := ipv4Traffic(n)
-	segs := stageSegments(t, stages, traffic)
-	cfg := runtime.Config{}
-	cfg.StageDeadline = 2 * time.Millisecond
-	cfg.Faults = &fault.Plan{Injections: []fault.Injection{
-		{Kind: fault.Stall, Stage: 2, At: 5, Sleep: 20 * time.Millisecond},
-	}}
-	m := chaosServe(t, stages, traffic, cfg)
-	rep := m.Faults
-	if rep.Quarantined != 1 || rep.Delivered != n-1 {
-		t.Fatalf("quarantined %d delivered %d, want 1 and %d\n%s", rep.Quarantined, rep.Delivered, n-1, rep)
-	}
-	if len(rep.Records) != 1 {
-		t.Fatalf("got %d records, want 1\n%s", len(rep.Records), rep)
-	}
-	rec := rep.Records[0]
-	if rec.Iter != 5 || rec.Stage != 2 || rec.Disposition != "quarantined" ||
-		!strings.Contains(rec.Reason, "deadline") {
-		t.Fatalf("unexpected record: %+v", rec)
-	}
-	if diff := interp.TraceEqual(expectedTrace(segs, rep), m.Trace); diff != "" {
-		t.Fatalf("surviving packets diverge from oracle: %s", diff)
 	}
 	checkAccounting(t, m)
 }
@@ -302,9 +271,9 @@ func TestChaosSaturatedRingSheds(t *testing.T) {
 // deterministic fault schedule and asserts the ledger still balances when
 // the counters are aggregated across shards: a panic cadence at stage 1
 // quarantines every k-th packet on whichever replica it was dispatched to,
-// a one-off panic and a stall past the deadline each quarantine on exactly
-// one replica, and Delivered + Shed + Quarantined equals the dispatcher's
-// pull count.
+// a one-off panic quarantines on exactly one replica, a long stall on one
+// replica holds its packet without losing it — the merge waits for it — and
+// Delivered + Shed + Quarantined equals the dispatcher's pull count.
 func TestChaosShardedLedgerBalances(t *testing.T) {
 	const n, k = 24, 6
 	_, stages := partitionIPv4(t, 4)
@@ -312,9 +281,6 @@ func TestChaosShardedLedgerBalances(t *testing.T) {
 	segs := stageSegments(t, stages, traffic)
 	cfg := runtime.Config{}
 	cfg.Shards = 4
-	// The deadline is wall-clock: generous enough that none of the seventeen
-	// goroutines blows it by being descheduled under -race on a small host.
-	cfg.StageDeadline = 100 * time.Millisecond
 	cfg.Faults = &fault.Plan{Injections: []fault.Injection{
 		{Kind: fault.Panic, Stage: 1, Every: k},
 		{Kind: fault.Panic, Stage: 2, At: 3},
@@ -325,23 +291,20 @@ func TestChaosShardedLedgerBalances(t *testing.T) {
 		t.Fatalf("ran at width %d, want 4", m.Shards)
 	}
 	rep := m.Faults
-	wantQ := int64(n/k + 2)
+	wantQ := int64(n/k + 1)
 	if rep.Quarantined != wantQ || rep.Delivered != n-wantQ || int64(len(rep.Records)) != wantQ {
 		t.Fatalf("quarantined %d delivered %d, want %d and %d\n%s",
 			rep.Quarantined, rep.Delivered, wantQ, n-wantQ, rep)
 	}
 	for _, rec := range rep.Records {
 		var stage int
-		why := "injected panic"
 		switch {
 		case (rec.Iter+1)%k == 0:
 			stage = 1
 		case rec.Iter == 3:
 			stage = 2
-		case rec.Iter == 10:
-			stage, why = 3, "deadline"
 		}
-		if rec.Stage != stage || rec.Disposition != "quarantined" || !strings.Contains(rec.Reason, why) {
+		if rec.Stage != stage || rec.Disposition != "quarantined" || !strings.Contains(rec.Reason, "injected panic") {
 			t.Fatalf("unexpected record: %+v", rec)
 		}
 	}
@@ -565,9 +528,8 @@ func seededPlan(seed int64, stages int, horizon int64) *fault.Plan {
 }
 
 // TestChaosSeededPlansAccount is the randomized half of the harness: seeded
-// random fault plans across both policies, with and without a stage deadline
-// (500µs, so some of the stalls blow it and some do not), must terminate,
-// never error, and account for 100% of the packets the source supplied.
+// random fault plans across both policies must terminate, never error, and
+// account for 100% of the packets the source supplied.
 func TestChaosSeededPlansAccount(t *testing.T) {
 	const n = 40
 	_, stages := partitionIPv4(t, 4)
@@ -580,9 +542,6 @@ func TestChaosSeededPlansAccount(t *testing.T) {
 		}
 		if seed%2 == 1 {
 			cfg.Overload = runtime.OverloadShed
-		}
-		if seed%3 == 0 {
-			cfg.StageDeadline = 500 * time.Microsecond
 		}
 		m, err := runtime.Serve(context.Background(), stages, netbench.NewWorld(nil),
 			runtime.Packets(traffic), cfg)
@@ -598,11 +557,12 @@ func TestChaosSeededPlansAccount(t *testing.T) {
 
 // TestChaosFusedStageAttribution: fault attribution keeps the cut's stage
 // numbers when cuts are un-made. A coarsened layout serves stages 2, 3 and 4
-// as one program behind stage 1's ring; a panic and a stall past the deadline
-// keyed to stage 2 — where that program begins — must quarantine exactly
-// their packets under stage 2, an injection keyed to stage 3 has no seam to
-// fire at, the per-stage report stays four entries long with stages 3 and 4
-// naming the stage they run inside, and the ledger balances to the packet.
+// as one program behind stage 1's ring; a panic keyed to stage 2 — where that
+// program begins — must quarantine exactly its packet under stage 2, a stall
+// there delays its packet without losing it, an injection keyed to stage 3
+// has no seam to fire at, the per-stage report stays four entries long with
+// stages 3 and 4 naming the stage they run inside, and the ledger balances to
+// the packet.
 // (Through the facade a fault plan keeps every cut, so an injection never
 // meets a folded stage there: repro's TestServeWithFaultsKeepsEveryCut.)
 func TestChaosFusedStageAttribution(t *testing.T) {
@@ -620,7 +580,6 @@ func TestChaosFusedStageAttribution(t *testing.T) {
 	segs := stageSegments(t, res.Stages, traffic)
 	t.Run("unit_head", func(t *testing.T) {
 		cfg := runtime.Config{}
-		cfg.StageDeadline = 2 * time.Millisecond
 		cfg.Faults = &fault.Plan{Injections: []fault.Injection{
 			{Kind: fault.Panic, Stage: 2, At: 4},
 			{Kind: fault.Stall, Stage: 2, At: 9, Sleep: 20 * time.Millisecond},
@@ -635,13 +594,11 @@ func TestChaosFusedStageAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep := m.Faults
-		if rep.Quarantined != 2 || rep.Delivered != n-2 || len(rep.Records) != 2 {
-			t.Fatalf("quarantined %d delivered %d, want 2 and %d\n%s", rep.Quarantined, rep.Delivered, n-2, rep)
+		if rep.Quarantined != 1 || rep.Delivered != n-1 || len(rep.Records) != 1 {
+			t.Fatalf("quarantined %d delivered %d, want 1 and %d\n%s", rep.Quarantined, rep.Delivered, n-1, rep)
 		}
-		for _, rec := range rep.Records {
-			if rec.Stage != 2 || rec.Disposition != "quarantined" {
-				t.Fatalf("coarsened unit misattributed the fault: %+v", rec)
-			}
+		if rec := rep.Records[0]; rec.Iter != 4 || rec.Stage != 2 || rec.Disposition != "quarantined" {
+			t.Fatalf("coarsened unit misattributed the fault: %+v", rec)
 		}
 		if len(m.Stages) != 4 {
 			t.Fatalf("%d stage entries, want the cut's 4", len(m.Stages))
@@ -652,8 +609,8 @@ func TestChaosFusedStageAttribution(t *testing.T) {
 				t.Errorf("stage entry %d: %+v, want FusedInto %d", k+1, st, want)
 			}
 		}
-		if st := m.Stages[1]; st.In != n || st.Out != n-2 || st.Quarantined != 2 {
-			t.Errorf("stage 2 booked in %d out %d quarantined %d, want %d, %d, 2", st.In, st.Out, st.Quarantined, n, n-2)
+		if st := m.Stages[1]; st.In != n || st.Out != n-1 || st.Quarantined != 1 {
+			t.Errorf("stage 2 booked in %d out %d quarantined %d, want %d, %d, 1", st.In, st.Out, st.Quarantined, n, n-1)
 		}
 		if diff := interp.TraceEqual(expectedTrace(segs, rep), m.Trace); diff != "" {
 			t.Fatalf("surviving packets diverge from oracle: %s", diff)

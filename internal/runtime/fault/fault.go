@@ -1,8 +1,8 @@
 // Package fault is the serve runtime's test seam: a declarative schedule
 // that stalls a stage, or panics inside it, when a given iteration arrives.
-// It provokes the losses a production run can raise — a stalled stage blows
-// the per-stage deadline or saturates a ring into shed, a panic quarantines —
-// and nothing else. Only internal/runtime imports it outside tests (ci.sh
+// It provokes the losses a production run can raise — a stalled stage
+// saturates a ring into shed, a panic quarantines — and nothing else; a
+// stall that saturates nothing loses nothing. Only internal/runtime imports it outside tests (ci.sh
 // gates that), through Config.Faults.
 //
 // A Plan is keyed entirely on (stage, iteration index), so the same plan

@@ -15,18 +15,17 @@ var update = flag.Bool("update", false, "rewrite the golden FaultReport fixtures
 
 // TestFaultReportGolden locks down the rendered FaultReport for a fixed
 // fault schedule: a panic cadence at stage 1, a one-off panic at stage 2, and
-// a stall that blows the stage deadline. The schedule is fully deterministic
-// — quarantining faults are keyed on iteration indices and the record reasons
-// embed no measured times — so the rendering must be byte-stable across runs,
-// machines, and schedulers. Regenerate with: go test ./internal/runtime
-// -run TestFaultReportGolden -update
+// a stall at stage 2, which delays its packet and loses nothing. The schedule
+// is fully deterministic — quarantining faults are keyed on iteration indices
+// and the record reasons embed no measured times — so the rendering must be
+// byte-stable across runs, machines, and schedulers. Regenerate with:
+// go test ./internal/runtime -run TestFaultReportGolden -update
 func TestFaultReportGolden(t *testing.T) {
 	const n = 24
 	_, stages := partitionIPv4(t, 2)
 	traffic := ipv4Traffic(n)
 	t.Run("quarantine", func(t *testing.T) {
 		cfg := runtime.Config{}
-		cfg.StageDeadline = 2 * time.Millisecond
 		cfg.Faults = &fault.Plan{Injections: []fault.Injection{
 			{Kind: fault.Panic, Stage: 1, Every: 6},
 			{Kind: fault.Panic, Stage: 2, At: 2},

@@ -23,10 +23,10 @@ type IngestStats struct {
 }
 
 // contextBinder is implemented by Sources whose Next blocks in real I/O
-// (sockets, paced replay). Serve calls BindContext with the run's
-// internal context before the first Next, so canceling the serve — or an
-// internal error tearing the run down — unblocks a pending read instead
-// of leaving the head goroutine stuck in a syscall.
+// (sockets, paced replay). Serve calls BindContext with the head's
+// context before the first Next, so canceling the serve — or an internal
+// error tearing the run down — unblocks a pending read instead of leaving
+// the head goroutine stuck in a syscall.
 type contextBinder interface {
 	BindContext(ctx context.Context)
 }

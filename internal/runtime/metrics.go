@@ -30,7 +30,7 @@ type StageStats struct {
 	Stalls int64
 	// Shed counts packets this stage dropped under the OverloadShed
 	// policy; Quarantined counts packets it removed from the pipeline after
-	// a panic or a blown deadline.
+	// a panic.
 	Shed, Quarantined int64
 	// Busy is the time spent executing iterations (the ns/stage counter),
 	// excluding ring waits and, at the head, the time blocked on the
@@ -105,14 +105,15 @@ type FaultRecord struct {
 	// Disposition is "shed" or "quarantined".
 	Disposition string
 	// Reason is a human-readable cause; for quarantines it embeds the
-	// sentinel error text (errs.ErrStagePanic, errs.ErrStageDeadline).
+	// sentinel error text (errs.ErrStagePanic).
 	Reason string
 }
 
 // FaultReport is the serve run's loss accounting: every packet pulled from
 // the source is either delivered at the sink, shed under overload, or
 // quarantined by the recovery machinery — Delivered + Shed + Quarantined
-// equals the head stage's In count on every drained run.
+// equals the head stage's In count on every run no fatal error ended, a
+// canceled one included (a cancel stops the head and drains the rest).
 type FaultReport struct {
 	Delivered   int64
 	Shed        int64
@@ -124,9 +125,8 @@ type FaultReport struct {
 }
 
 // Accounted is Delivered + Shed + Quarantined: the packets whose fate is
-// known. On a fully drained run it equals the packets pulled from the
-// source; after a mid-stream cancel, in-flight packets are discarded
-// unaccounted.
+// known. It equals the packets pulled from the source unless a fatal error
+// tore the run down, which discards what was in flight.
 func (r *FaultReport) Accounted() int64 { return r.Delivered + r.Shed + r.Quarantined }
 
 // String renders the report deterministically — counters first, then the

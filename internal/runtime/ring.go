@@ -6,7 +6,8 @@ package runtime
 // internal/spsc, held directly: exactly one producer and one consumer per
 // ring, producer-side Close as the end-of-stream signal, drain-then-exit on
 // close (spsc.Ring.Pop folds the closed-and-drained re-check in), and
-// cancellation via the run's done channel on every blocking operation. A
+// teardown on a fatal error via the run's done channel on every blocking
+// operation; a canceled serve stops at the head and drains. A
 // unit receives through an inPort and sends through an outPort; the ports
 // own the counters and spans of their side, so the unit loop itself is
 // topology-blind.
@@ -52,8 +53,8 @@ type inPort struct {
 }
 
 // recv returns the unit's next batch. more is false when the stream ended
-// (source drained, ring closed and drained) or the run was canceled: the
-// unit processes the batch it was handed, if any, and exits.
+// (source drained or canceled, ring closed and drained) or the run failed:
+// the unit processes the batch it was handed, if any, and exits.
 func (in *inPort) recv(e *engine) (b []*token, more bool) {
 	switch in.kind {
 	case portSource:
@@ -69,7 +70,7 @@ func (in *inPort) recv(e *engine) (b []*token, more bool) {
 
 // popRing blocks for the next batch on r, booking the blocked time to p's
 // receive-side wait columns and sampling the occupancy left behind. ok is
-// false when the ring is closed and drained or the run was canceled.
+// false when the ring is closed and drained or the run failed.
 func (e *engine) popRing(r *tokRing, p *stageProbe) (b []*token, ok bool) {
 	if b, ok, _ = r.Pop(e.ictx.Done(), &p.rxWait); ok {
 		p.occSum.Add(int64(r.Len()))
@@ -87,7 +88,7 @@ func (e *engine) popRing(r *tokRing, p *stageProbe) (b []*token, ok bool) {
 // rewrite the packet bytes.
 func (e *engine) pull(in *inPort) (b []*token, more bool) {
 	select {
-	case <-e.ictx.Done():
+	case <-e.stop.Done():
 		return nil, false
 	default:
 	}

@@ -110,18 +110,11 @@ type Config struct {
 
 	// Overload selects what a producer does when its outgoing ring stays
 	// saturated past the watermark: block (default, lossless) or shed. See
-	// OverloadPolicy.
+	// OverloadPolicy. Shed and a stage panic are the serve's only losses.
 	Overload OverloadPolicy
-	// StageDeadline, when positive, bounds one iteration's execution at
-	// one served stage (injected stalls included); a blown deadline
-	// quarantines the packet with errs.ErrStageDeadline. The check is
-	// cooperative — a stall that already exceeded the deadline quarantines
-	// before the stage body runs, so persistent state stays untouched. Like
-	// shed it acts where a ring is: a program that realizes several cut
-	// stages (NewCoarseLayout) is one served stage with one deadline.
-	StageDeadline time.Duration
-	// Faults is the test seam: a deterministic schedule of stage stalls and
-	// panics (nil: none). Nothing outside tests sets it.
+	// Faults is the test seam: a deterministic schedule of stage stalls
+	// (lossless unless shed drops behind them) and panics (nil: none).
+	// Nothing outside tests sets it.
 	Faults *fault.Plan
 
 	// Sink receives the served stream (see Sink): the events of every retired
@@ -175,9 +168,6 @@ func (c Config) Validate() error {
 	}
 	if c.Overload > OverloadShed {
 		return fmt.Errorf("%w: Overload policy %d", errs.ErrBadOption, c.Overload)
-	}
-	if c.StageDeadline < 0 {
-		return fmt.Errorf("%w: StageDeadline %v", errs.ErrBadOption, c.StageDeadline)
 	}
 	if err := c.Obs.Validate(); err != nil {
 		return fmt.Errorf("%w: Obs: %v", errs.ErrBadOption, err)
@@ -285,12 +275,10 @@ type laneCtx struct {
 	recIdx int
 	tomb   bool // replicated: a fan-in follows, so quarantines become tombstones and full rings block
 
-	// The group being executed: one Iteration per admitted token, each
-	// one's position in the batch, and when the group — under a per-stage
-	// deadline a single token — began.
+	// The batch being executed: one Iteration per admitted token, and each
+	// one's position in the batch.
 	its  []exec.Iteration
 	live []int
-	t0   time.Time
 }
 
 // unit is one serve goroutine — the single shape every pipeline stage of
@@ -310,8 +298,14 @@ type unit struct {
 
 // engine is the per-Serve state shared by the unit goroutines.
 type engine struct {
+	// ictx is the run's own context, canceled only by a fatal error (fail):
+	// every blocking wait past the head watches it. stop is the head's — the
+	// caller's ctx, also canceled by fail: once it is done the head pulls no
+	// more, injected stalls end, and what is in flight drains to the sink.
 	ictx     context.Context
 	cancel   context.CancelFunc
+	stop     context.Context
+	halt     context.CancelFunc
 	cfg      Config
 	src      Source
 	owned    bool // src hands its packets over (packetOwner)
@@ -380,6 +374,7 @@ func newPools(batch int) (tok, bat *sync.Pool) {
 func (e *engine) fail(err error) {
 	e.errOnce.Do(func() {
 		e.firstErr = err
+		e.halt()
 		e.cancel()
 	})
 }
@@ -494,8 +489,7 @@ func (e *engine) span(stage int, iter int64, n int, phase obsv.Phase, start time
 }
 
 // admit runs what precedes one iteration's body at lc's stage under a fault
-// plan — the injected stall or panic, and the check that a stall alone did
-// not blow the per-stage deadline — under its own recover, so an injected
+// plan — the injected stall or panic — under its own recover, so an injected
 // panic quarantines exactly the token it was aimed at. A nil error admits the
 // token to the body; anything else is the reason to quarantine it, with
 // persistent state untouched.
@@ -508,10 +502,7 @@ func (e *engine) admit(lc *laneCtx, t *token) (err error) {
 			err = fmt.Errorf("%w: %v", errs.ErrStagePanic, r)
 		}
 	}()
-	lc.inj.BeforeStage(e.ictx, lc.num, t.iter)
-	if d := e.cfg.StageDeadline; d > 0 && time.Since(lc.t0) > d {
-		return fmt.Errorf("%w: stage %d stalled past the %v deadline", errs.ErrStageDeadline, lc.num, d)
-	}
+	lc.inj.BeforeStage(e.stop, lc.num, t.iter)
 	return nil
 }
 
@@ -611,22 +602,13 @@ func (e *engine) runUnit(u *unit) {
 	}
 }
 
-// execBatch runs one batch through the unit's stage, booking its busy time.
-// The batch runs as one group — every token admitted, then one RunBatch over
-// the admitted ones — unless a per-stage deadline is configured: the
-// deadline bounds one packet's time in the stage, so the groups are then
-// single tokens. ok is false when a fatal error aborted the run.
+// execBatch runs one batch through the unit's stage as one group — every
+// token admitted, then one RunBatch over the admitted ones — booking its busy
+// time. ok is false when a fatal error aborted the run.
 func (e *engine) execBatch(lc *laneCtx, b []*token) (keep []*token, ok bool) {
 	firstIter, n := b[0].iter, len(b)
 	t0 := time.Now()
-	step := n
-	if e.cfg.StageDeadline > 0 {
-		step = 1
-	}
-	keep, ok = b[:0], true
-	for lo := 0; lo < n && ok; lo += step {
-		keep, ok = e.execGroup(lc, b[lo:min(lo+step, n)], keep)
-	}
+	keep, ok = e.execGroup(lc, b)
 	busy := time.Since(t0)
 	lc.probe.busyNs.Add(int64(busy))
 	if ok && e.timed {
@@ -636,21 +618,17 @@ func (e *engine) execBatch(lc *laneCtx, b []*token) (keep []*token, ok bool) {
 	return keep, ok
 }
 
-// execGroup runs the tokens of g through lc's stage and appends the ones
-// that go on to keep (which trails g in the same array). Tombstoned tokens
-// pass through without executing; a token that fails its
-// admission, or whose group blew the deadline or panicked, is quarantined:
-// compacted out, or kept as a tombstone when a fan-in is downstream. The
-// body reads each token's live set from slots and writes the outgoing one
-// into spare, then the buffers ping-pong: the two are always distinct
-// arrays, so OpSendLS/OpRecvLS execution order inside the stage body cannot
-// alias them, and after warmup both have capacity for the widest cut and no
-// handoff allocates.
-func (e *engine) execGroup(lc *laneCtx, g, keep []*token) ([]*token, bool) {
-	deadline := e.cfg.StageDeadline
-	if deadline > 0 {
-		lc.t0 = time.Now()
-	}
+// execGroup runs the tokens of g through lc's stage and returns the ones
+// that go on, compacted in place in g. Tombstoned tokens pass through
+// without executing; a token that fails its admission, or whose group
+// panicked, is quarantined: compacted out, or kept as a tombstone when a
+// fan-in is downstream. The body reads each token's live set from slots and
+// writes the outgoing one into spare, then the buffers ping-pong: the two
+// are always distinct arrays, so OpSendLS/OpRecvLS execution order inside
+// the stage body cannot alias them, and after warmup both have capacity for
+// the widest cut and no handoff allocates.
+func (e *engine) execGroup(lc *laneCtx, g []*token) ([]*token, bool) {
+	keep := g[:0]
 	lc.its, lc.live = lc.its[:0], lc.live[:0]
 	for _, t := range g {
 		if t.dead {
@@ -679,10 +657,6 @@ func (e *engine) execGroup(lc *laneCtx, g, keep []*token) ([]*token, bool) {
 	}
 	if fault != nil {
 		lc.probe.bodyPanics.Add(1)
-	} else if deadline > 0 && time.Since(lc.t0) > deadline {
-		fault = fmt.Errorf("%w: stage %d exceeded the %v deadline", errs.ErrStageDeadline, lc.num, deadline)
-	}
-	if fault != nil {
 		// Quarantine the group: drop its tokens from keep, back to front.
 		for i := len(lc.live) - 1; i >= 0; i-- {
 			if k := lc.live[i]; !e.quarantine(lc, keep[k], fault) {
@@ -793,9 +767,10 @@ func (e *engine) logLoop(stop <-chan struct{}) {
 // Serve runs the partitioned stages concurrently — one goroutine per
 // unit replica, bounded rings between neighbors — against the packet
 // stream of src, with world supplying route tables and persistent state.
-// It returns when the source is exhausted and the pipeline has drained,
-// or when ctx is canceled (in-flight iterations are then discarded; the
-// returned error is the context's).
+// It returns when the source is exhausted and the pipeline has drained.
+// Canceling ctx ends the source: the head pulls no more, the iterations
+// already in flight drain to the sink, so the fault ledger balances, and
+// the returned error is the context's.
 //
 // With cfg.Shards = P > 1, stages without cross-flow state run as P
 // replicas fed by a flow-hash dispatcher; stages with cross-flow state
@@ -1040,13 +1015,15 @@ func (e *engine) newUnit(s, j int) *unit {
 // run starts the clock, attaches the instruments, runs every unit to
 // completion on its own goroutine, and freezes the elapsed time.
 func (e *engine) run(ctx context.Context) {
-	e.ictx, e.cancel = context.WithCancel(ctx)
+	e.ictx, e.cancel = context.WithCancel(context.WithoutCancel(ctx))
 	defer e.cancel()
+	e.stop, e.halt = context.WithCancel(ctx)
+	defer e.halt()
 	if b, ok := e.src.(contextBinder); ok {
-		// I/O-backed sources block in reads; binding the run's internal
-		// context lets cancelation (external or error teardown) unblock
-		// them instead of stranding the source goroutine in a syscall.
-		b.BindContext(e.ictx)
+		// I/O-backed sources block in reads; binding the head's context
+		// lets cancelation (external or error teardown) unblock them
+		// instead of stranding the source goroutine in a syscall.
+		b.BindContext(e.stop)
 	}
 	e.live.start = time.Now()
 	e.wireObservability(e.live.degree())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	gort "runtime"
 	"runtime/debug"
 	"strings"
@@ -161,6 +162,56 @@ func TestServeCancelDrainsCleanly(t *testing.T) {
 	if g := gort.NumGoroutine(); g > before {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("goroutine leak after cancel: %d > %d\n%s", g, before, buf[:gort.Stack(buf, true)])
+	}
+}
+
+// TestServeCancelLedgerBalances cancels serves at seeded random pulls — the
+// source itself cancels, so the cancel lands wherever the pipeline happens to
+// be — and holds each run's ledger to the packet: every packet the head
+// pulled is delivered, shed or quarantined, at P = 1 and 2, with every cut on
+// a ring and with cuts 1 and 3 un-made.
+func TestServeCancelLedgerBalances(t *testing.T) {
+	const seeds = 20
+	pps, _ := netbench.ByName("IPv4")
+	prog, err := pps.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Partition(prog, core.Options{Stages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic := pps.Traffic(64)
+	for _, p := range []int{1, 2} {
+		for _, fuse := range []uint64{0, 0b101} {
+			t.Run(fmt.Sprintf("P=%d/fuse=%03b", p, fuse), func(t *testing.T) {
+				l, err := runtime.CoarseLayout(res, fuse, true, runtime.Config{Shards: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for seed := int64(0); seed < seeds; seed++ {
+					cancelAt := 1 + rand.New(rand.NewSource(seed)).Intn(400)
+					ctx, cancel := context.WithCancel(context.Background())
+					pulls := 0
+					src := runtime.SourceFunc(func() ([]byte, bool) {
+						pulls++
+						if pulls == cancelAt {
+							cancel()
+						}
+						return traffic[pulls%len(traffic)], true // endless stream
+					})
+					m, err := l.Serve(ctx, netbench.NewWorld(nil), src)
+					cancel()
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("seed %d: err = %v, want context.Canceled", seed, err)
+					}
+					checkAccounting(t, m)
+					if t.Failed() {
+						t.Fatalf("seed %d: cancel at pull %d unbalanced the ledger\n%s", seed, cancelAt, m.Faults)
+					}
+				}
+			})
+		}
 	}
 }
 

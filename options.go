@@ -2,12 +2,10 @@ package repro
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/ingest"
-	"repro/internal/npsim"
 	"repro/internal/runtime"
 )
 
@@ -30,9 +28,6 @@ var (
 	// ErrUnbalanced is returned when no finite balanced cut exists at the
 	// requested degree and variance.
 	ErrUnbalanced = errs.ErrUnbalanced
-	// ErrArchMismatch is returned when options carry a different cost
-	// model than the analysis they are applied to.
-	ErrArchMismatch = errs.ErrArchMismatch
 )
 
 // Configuration — assembling options into a runnable setup.
@@ -78,9 +73,6 @@ var (
 	// ErrStagePanic is returned when a panic recovered inside a stage body
 	// quarantines the offending packet.
 	ErrStagePanic = errs.ErrStagePanic
-	// ErrStageDeadline is returned when an iteration exceeds the per-stage
-	// deadline.
-	ErrStageDeadline = errs.ErrStageDeadline
 )
 
 // MaxStages bounds the accepted pipelining degree.
@@ -94,14 +86,14 @@ const MaxShards = runtime.MaxShards
 // plus the knobs only the facade reads. Zero values mean "use the default".
 type config struct {
 	// explore holds the exploration options (the budget) and, in Base,
-	// the partitioning ones (degree, ε, arch, ring kind, tx mode).
+	// the partitioning ones (degree, ε, ring kind, tx mode).
 	explore core.ExploreOptions
 	// serve is the runtime's configuration. Two of its fields are not set by
 	// options: Pipeline.Serve installs OnLive and — around a WithSource
 	// feeder — Ingest. Its RingCapacity is WithRing's explicit depth;
 	// serveConfig resolves a zero one from the ring kind.
 	serve runtime.Config
-	// iters overrides the iteration count of Run and Simulate.
+	// iters overrides the iteration count of Run.
 	iters int
 	// serving, facade side
 	world  *World
@@ -114,12 +106,11 @@ type config struct {
 }
 
 // scope is the set of entry points, past the analysis phase, that accept
-// an option: the Run, Simulate and Serve columns of the matrix on Option.
+// an option: the Run and Serve columns of the matrix on Option.
 type scope uint8
 
 const (
 	inRun scope = 1 << iota
-	inSimulate
 	inServe
 )
 
@@ -127,24 +118,22 @@ const (
 // it is accepted where it means something and rejected
 // (ErrConflictingOptions) where it does not.
 //
-//	Option                  Partition/Analyze/Explore   Run   Simulate   Serve
-//	WithStages                        yes                -       -         -
-//	WithEpsilon                       yes                -       -         -
-//	WithArch                          yes                -      yes        -
-//	WithTxMode                        yes                -       -         -
-//	WithBudget                        yes                -       -         -
-//	WithIterations                    yes               yes     yes        -
-//	WithRing                          yes                -      yes       yes
-//	WithBatch                         yes                -       -        yes
-//	WithWorld                         yes                -       -        yes
-//	WithOverload                      yes                -       -        yes
-//	WithDeadline                      yes                -       -        yes
-//	WithObserver                      yes                -       -        yes
-//	WithShards                        yes                -       -        yes
-//	WithShardKey                      yes                -       -        yes
-//	WithFusion                        yes                -       -        yes
-//	WithSource                        yes                -       -        yes
-//	WithSink                          yes                -       -        yes
+//	Option                  Partition/Analyze/Explore   Run   Serve
+//	WithStages                        yes                -      -
+//	WithEpsilon                       yes                -      -
+//	WithTxMode                        yes                -      -
+//	WithBudget                        yes                -      -
+//	WithIterations                    yes               yes     -
+//	WithRing                          yes                -     yes
+//	WithBatch                         yes                -     yes
+//	WithWorld                         yes                -     yes
+//	WithOverload                      yes                -     yes
+//	WithObserver                      yes                -     yes
+//	WithShards                        yes                -     yes
+//	WithShardKey                      yes                -     yes
+//	WithFusion                        yes                -     yes
+//	WithSource                        yes                -     yes
+//	WithSink                          yes                -     yes
 //
 // The table is documentation; the constructors below are the one list, and
 // TestOptionMatrix holds the two together. The first column is the
@@ -172,20 +161,16 @@ func WithEpsilon(eps float64) Option {
 	return Option{"WithEpsilon", 0, func(c *config) { c.explore.Base.Epsilon = eps }}
 }
 
-// WithArch selects the architecture cost model (default DefaultArch).
-func WithArch(a *Arch) Option {
-	return Option{"WithArch", inSimulate, func(c *config) { c.explore.Base.Arch = a }}
-}
-
 // WithTxMode selects the live-set transmission strategy (default TxPacked).
 func WithTxMode(m TxMode) Option {
 	return Option{"WithTxMode", 0, func(c *config) { c.explore.Base.Tx = m }}
 }
 
-// WithRing selects the inter-stage ring kind and its capacity; capacity 0
+// WithRing selects the inter-stage ring kind — the partition prices its
+// transmissions for it — and the capacity Serve's rings have; capacity 0
 // keeps the kind's default depth (8 entries for NN rings, 64 for scratch).
 func WithRing(kind ChannelKind, capacity int) Option {
-	return Option{"WithRing", inSimulate | inServe, func(c *config) {
+	return Option{"WithRing", inServe, func(c *config) {
 		c.explore.Base.Channel, c.serve.RingCapacity = kind, capacity
 	}}
 }
@@ -195,10 +180,10 @@ func WithBudget(b int64) Option {
 	return Option{"WithBudget", 0, func(c *config) { c.explore.Budget = b }}
 }
 
-// WithIterations overrides the iteration count of Run and Simulate, which
-// default to one iteration per input packet.
+// WithIterations overrides the iteration count of Run, which defaults to
+// one iteration per input packet.
 func WithIterations(n int) Option {
-	return Option{"WithIterations", inRun | inSimulate, func(c *config) { c.iters = n }}
+	return Option{"WithIterations", inRun, func(c *config) { c.iters = n }}
 }
 
 // WithBatch sets the iterations carried per serve-path ring entry
@@ -222,13 +207,6 @@ func WithWorld(w *World) Option { return Option{"WithWorld", inServe, func(c *co
 // into the run, before a packet is given its place in the merge order.
 func WithOverload(p OverloadPolicy) Option {
 	return Option{"WithOverload", inServe, func(c *config) { c.serve.Overload = p }}
-}
-
-// WithDeadline bounds one iteration's execution at one served stage — a
-// fused unit (WithFusion) is one; a blown deadline quarantines the packet
-// (errs.ErrStageDeadline) instead of stalling the pipeline.
-func WithDeadline(d time.Duration) Option {
-	return Option{"WithDeadline", inServe, func(c *config) { c.serve.StageDeadline = d }}
 }
 
 // WithObserver attaches the observability layer to Serve: span tracing
@@ -286,9 +264,8 @@ const (
 // keep the partition's numbering: a fused unit books its counters, spans
 // and fault records under the first stage it covers, and the entries of
 // the stages fused into it are zero and name that stage
-// (StageStats.FusedInto). What acts per stage — WithDeadline, shed under
-// WithOverload — acts per served stage: a fused unit is one stage with one
-// deadline and one outgoing ring. A scatter or fan-in
+// (StageStats.FusedInto). Shed under WithOverload acts per served stage: a
+// fused unit is one stage with one outgoing ring. A scatter or fan-in
 // junction (sharded serving) always keeps its ring machinery — fusion
 // applies only to cuts whose two sides run at the same replica width.
 func WithFusion(m FusionMode) Option {
@@ -373,35 +350,15 @@ func (c config) within(entry string, at scope, opts []Option) (config, error) {
 	return c.with(opts)
 }
 
-// ringCapacity is the one resolved ring depth Serve and the simulators
-// share: WithRing's capacity, or the default of the ring kind the pipeline
-// was partitioned for.
-func (c *config) ringCapacity() int {
-	if c.serve.RingCapacity == 0 {
-		return runtime.DefaultRingCapacity(c.explore.Base.Channel)
-	}
-	return c.serve.RingCapacity
-}
-
 // serveConfig is the runtime configuration the options wrote, its ring depth
-// resolved.
+// resolved: WithRing's capacity, or the default of the ring kind the pipeline
+// was partitioned for.
 func (c *config) serveConfig() runtime.Config {
 	rc := c.serve
-	rc.RingCapacity = c.ringCapacity()
-	return rc
-}
-
-// simConfig is the IXP simulators' configuration: eight threads per engine
-// and saturated arrivals, the options' ring kind and cost model, and the
-// ring depth Serve uses.
-func (c *config) simConfig() npsim.Config {
-	sim := npsim.DefaultConfig()
-	sim.Channel = c.explore.Base.Channel
-	if c.explore.Base.Arch != nil {
-		sim.Arch = c.explore.Base.Arch
+	if rc.RingCapacity == 0 {
+		rc.RingCapacity = runtime.DefaultRingCapacity(c.explore.Base.Channel)
 	}
-	sim.RingCapacity = c.ringCapacity()
-	return sim
+	return rc
 }
 
 // OverloadPolicy decides what a saturated ring does to the packets that

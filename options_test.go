@@ -23,7 +23,10 @@ import (
 // counterpart. TestSentinelsComplete asserts the pairing is identity (the
 // facade re-exports, never re-declares) and that the table itself is
 // exhaustive, so adding a sentinel to internal/errs without re-exporting
-// and covering it here fails the build or the test.
+// and covering it here fails the build or the test. The one sentinel the
+// facade does not re-export is errs.ErrArchMismatch: no facade option
+// carries a cost model, so only core's own API can return it
+// (internal/core's TestPartitionRejectsOtherArch).
 var sentinelTable = []struct {
 	name     string
 	exported error
@@ -32,7 +35,6 @@ var sentinelTable = []struct {
 	{"ErrNilProgram", repro.ErrNilProgram, errs.ErrNilProgram},
 	{"ErrBadOption", repro.ErrBadOption, errs.ErrBadOption},
 	{"ErrUnbalanced", repro.ErrUnbalanced, errs.ErrUnbalanced},
-	{"ErrArchMismatch", repro.ErrArchMismatch, errs.ErrArchMismatch},
 	{"ErrNoStages", repro.ErrNoStages, errs.ErrNoStages},
 	{"ErrNilStage", repro.ErrNilStage, errs.ErrNilStage},
 	{"ErrNilWorld", repro.ErrNilWorld, errs.ErrNilWorld},
@@ -41,7 +43,6 @@ var sentinelTable = []struct {
 	{"ErrConflictingOptions", repro.ErrConflictingOptions, errs.ErrConflictingOptions},
 	{"ErrBadSource", repro.ErrBadSource, errs.ErrBadSource},
 	{"ErrStagePanic", repro.ErrStagePanic, errs.ErrStagePanic},
-	{"ErrStageDeadline", repro.ErrStageDeadline, errs.ErrStageDeadline},
 }
 
 func TestSentinelsComplete(t *testing.T) {
@@ -53,13 +54,14 @@ func TestSentinelsComplete(t *testing.T) {
 			t.Errorf("%s: empty message", s.name)
 		}
 	}
-	// The table is exhaustive: one row per errors.New in internal/errs.
+	// The table is exhaustive: one row per errors.New in internal/errs,
+	// ErrArchMismatch aside.
 	src, err := os.ReadFile("internal/errs/errs.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(src), "= errors.New("); n != len(sentinelTable) {
-		t.Errorf("internal/errs declares %d sentinels, the table covers %d", n, len(sentinelTable))
+	if n := strings.Count(string(src), "= errors.New("); n != len(sentinelTable)+1 {
+		t.Errorf("internal/errs declares %d sentinels, the table covers %d and ErrArchMismatch", n, len(sentinelTable))
 	}
 }
 
@@ -86,7 +88,6 @@ func TestOptionsRejectInvalid(t *testing.T) {
 		{"negative batch", []repro.Option{repro.WithBatch(-1)}, repro.ErrBadOption, "Batch -1"},
 		{"negative iterations", []repro.Option{repro.WithIterations(-1)}, repro.ErrBadOption, "WithIterations -1"},
 		{"unknown policy", []repro.Option{repro.WithOverload(repro.OverloadPolicy(9))}, repro.ErrBadOption, "Overload policy 9"},
-		{"negative deadline", []repro.Option{repro.WithDeadline(-time.Second)}, repro.ErrBadOption, "StageDeadline -1s"},
 		{"batch exceeds ring under shed",
 			[]repro.Option{repro.WithOverload(repro.OverloadShed), repro.WithBatch(20)},
 			repro.ErrConflictingOptions, "batch 20 exceeds ring capacity 8"},
@@ -126,8 +127,8 @@ func TestOptionsRejectInvalid(t *testing.T) {
 	}
 	ctx := context.Background()
 	src := repro.PacketSource(testPackets(1))
-	if _, err := pipe.Serve(ctx, src, repro.WithDeadline(-time.Second)); !errors.Is(err, repro.ErrBadOption) {
-		t.Errorf("Serve(WithDeadline(-1s)) err = %v, want ErrBadOption", err)
+	if _, err := pipe.Serve(ctx, src, repro.WithShards(-1)); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("Serve(WithShards(-1)) err = %v, want ErrBadOption", err)
 	}
 	if _, err := pipe.Serve(ctx, src, repro.WithOverload(repro.OverloadShed),
 		repro.WithBatch(64)); !errors.Is(err, repro.ErrConflictingOptions) {
@@ -138,8 +139,8 @@ func TestOptionsRejectInvalid(t *testing.T) {
 		repro.WithOverload(repro.OverloadShed), repro.WithBatch(64)); err != nil {
 		t.Errorf("Serve(batch = scratch ring, shed) err = %v", err)
 	}
-	if _, err := pipe.Simulate(ctx, repro.NewWorld(nil), repro.WithIterations(-2)); !errors.Is(err, repro.ErrBadOption) {
-		t.Errorf("Simulate(WithIterations(-2)) err = %v, want ErrBadOption", err)
+	if _, err := pipe.Run(ctx, repro.NewWorld(nil), repro.WithIterations(-2)); !errors.Is(err, repro.ErrBadOption) {
+		t.Errorf("Run(WithIterations(-2)) err = %v, want ErrBadOption", err)
 	}
 }
 
@@ -150,16 +151,16 @@ func TestOptionsRejectInvalid(t *testing.T) {
 // the entry points enforce (TestOptionScopes).
 func TestOptionMatrix(t *testing.T) {
 	all := []repro.Option{
-		repro.WithStages(0), repro.WithEpsilon(0), repro.WithArch(nil), repro.WithTxMode(0),
+		repro.WithStages(0), repro.WithEpsilon(0), repro.WithTxMode(0),
 		repro.WithBudget(0), repro.WithIterations(0), repro.WithRing(repro.NNRing, 0),
-		repro.WithBatch(0), repro.WithWorld(nil), repro.WithOverload(0), repro.WithDeadline(0), repro.WithObserver(nil),
+		repro.WithBatch(0), repro.WithWorld(nil), repro.WithOverload(0), repro.WithObserver(nil),
 		repro.WithShards(0), repro.WithShardKey(nil), repro.WithFusion(0), repro.WithSource(nil), repro.WithSink(nil),
 	}
 	cell := map[bool]string{true: "yes", false: "-"}
 	want := map[string]string{}
 	for _, o := range all {
-		name, run, sim, serve := repro.DescribeOptionForTest(o)
-		want[name] = fmt.Sprint("yes ", cell[run], " ", cell[sim], " ", cell[serve])
+		name, run, serve := repro.DescribeOptionForTest(o)
+		want[name] = fmt.Sprint("yes ", cell[run], " ", cell[serve])
 	}
 
 	file, err := parser.ParseFile(token.NewFileSet(), "options.go", nil, parser.ParseComments)
@@ -192,7 +193,7 @@ func TestOptionMatrix(t *testing.T) {
 	rows := 0
 	for _, line := range strings.Split(doc, "\n") {
 		f := strings.Fields(strings.ReplaceAll(line, "–", "-"))
-		if len(f) != 5 || !strings.HasPrefix(f[0], "With") {
+		if len(f) != 4 || !strings.HasPrefix(f[0], "With") {
 			continue
 		}
 		rows++
@@ -267,16 +268,11 @@ func TestStructuralSentinels(t *testing.T) {
 		t.Errorf("Serve(nil source) err = %v, want ErrNilSource", err)
 	}
 
-	// A cost model differing from the one the analysis was built with.
+	// Explore requires a positive per-packet budget.
 	a, err := repro.Analyze(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Partition(repro.WithStages(2), repro.WithArch(repro.DefaultArch())); !errors.Is(err, repro.ErrArchMismatch) {
-		t.Errorf("Partition(other arch) err = %v, want ErrArchMismatch", err)
-	}
-
-	// Explore requires a positive per-packet budget.
 	if _, err := a.Explore(); !errors.Is(err, repro.ErrBadOption) || !strings.Contains(err.Error(), "Budget") {
 		t.Errorf("Explore() without budget err = %v, want ErrBadOption naming Budget", err)
 	}
@@ -299,9 +295,9 @@ func TestStructuralSentinels(t *testing.T) {
 	}
 }
 
-// TestFaultSentinelsSurfaceInReport drives the two per-packet fault sentinels
-// (panic, deadline) through the facade, reaching the runtime's fault seam by
-// WithFaultsForTest: a served chaos schedule must quarantine each offending
+// TestFaultSentinelsSurfaceInReport drives the per-packet fault sentinel
+// (panic) through the facade, reaching the runtime's fault seam by
+// WithFaultsForTest: a served chaos schedule must quarantine the offending
 // packet and embed the sentinel's message in its fault record, while Serve
 // itself still returns success.
 func TestFaultSentinelsSurfaceInReport(t *testing.T) {
@@ -311,10 +307,8 @@ func TestFaultSentinelsSurfaceInReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := pipe.Serve(context.Background(), repro.PacketSource(testPackets(n)),
-		repro.WithDeadline(2*time.Millisecond),
 		repro.WithFaultsForTest(&fault.Plan{Injections: []fault.Injection{
 			{Kind: fault.Panic, Stage: 2, At: 2},
-			{Kind: fault.Stall, Stage: 2, At: 6, Sleep: 20 * time.Millisecond},
 		}}))
 	if err != nil {
 		t.Fatal(err)
@@ -323,25 +317,13 @@ func TestFaultSentinelsSurfaceInReport(t *testing.T) {
 	if rep == nil {
 		t.Fatal("serve metrics carry no fault report")
 	}
-	if rep.Quarantined != 2 || rep.Delivered != n-2 {
-		t.Fatalf("quarantined %d delivered %d, want 2 and %d\n%s", rep.Quarantined, rep.Delivered, n-2, rep)
+	if rep.Quarantined != 1 || rep.Delivered != n-1 {
+		t.Fatalf("quarantined %d delivered %d, want 1 and %d\n%s", rep.Quarantined, rep.Delivered, n-1, rep)
 	}
-	wantReasons := map[int64]error{
-		2: repro.ErrStagePanic,
-		6: repro.ErrStageDeadline,
+	if len(rep.Records) != 1 {
+		t.Fatalf("%d fault records, want 1\n%s", len(rep.Records), rep)
 	}
-	for _, rec := range rep.Records {
-		want, ok := wantReasons[rec.Iter]
-		if !ok {
-			t.Errorf("unexpected fault record: %+v", rec)
-			continue
-		}
-		if !strings.Contains(rec.Reason, want.Error()) {
-			t.Errorf("iteration %d: reason %q does not mention %q", rec.Iter, rec.Reason, want.Error())
-		}
-		delete(wantReasons, rec.Iter)
-	}
-	for iter, want := range wantReasons {
-		t.Errorf("no fault record for iteration %d (%v)", iter, want)
+	if rec := rep.Records[0]; rec.Iter != 2 || !strings.Contains(rec.Reason, repro.ErrStagePanic.Error()) {
+		t.Errorf("fault record %+v, want iteration 2 naming %q", rec, repro.ErrStagePanic)
 	}
 }

@@ -7,16 +7,15 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/ingest"
 	"repro/internal/interp"
-	"repro/internal/npsim"
 	"repro/internal/runtime"
 )
 
 // Pipeline is the executable product of Partition: the realized stage
 // programs plus the static report, with one method per way to run them —
-// the sequential oracle (Run), the cycle-approximate IXP simulators
-// (Simulate, SimulateThreads), and the concurrent host runtime (Serve).
+// the sequential oracle (Run) and the concurrent host runtime (Serve).
 // A Pipeline is immutable and safe for concurrent use; each execution
 // method builds its own run state. The mutable state is two atomically
 // published handles — the counters of the most recent Serve run (Snapshot)
@@ -26,7 +25,7 @@ type Pipeline struct {
 	report *Report
 	res    *core.Result // the cut itself; Coarsen seam of fusion
 	cfg    config
-	arch   *Arch // the cost model the cut was made under; prices a cut's transmission
+	arch   *costmodel.Arch // the cost model the cut was made under; prices a cut's transmission
 	// shapes caches, per set of fused cuts, the cut realized without them,
 	// validated and classified once (shape, fusion.go).
 	mu     sync.Mutex
@@ -38,17 +37,16 @@ type Pipeline struct {
 // newPipeline wraps a core result with the configuration it was cut under,
 // so execution defaults (ring kind, capacities) follow the partition, and
 // with the analysis's cost model.
-func newPipeline(res *core.Result, cfg config, arch *Arch) *Pipeline {
+func newPipeline(res *core.Result, cfg config, arch *costmodel.Arch) *Pipeline {
 	return &Pipeline{stages: res.Stages, report: res.Report, res: res, cfg: cfg, arch: arch,
 		shapes: map[uint64]*served{}}
 }
 
 // Stages returns the realized per-stage programs, connected by live-set
-// transmissions (OpSendLS/OpRecvLS): the D-way cut, which Run and the
-// simulators execute. Serve runs them too unless Plan().FusedCuts names cuts
-// it un-made, in which case each run of fused stages is served as one
-// re-realized program. The slice and its programs must be treated as
-// read-only.
+// transmissions (OpSendLS/OpRecvLS): the D-way cut, which Run executes.
+// Serve runs them too unless Plan().FusedCuts names cuts it un-made, in
+// which case each run of fused stages is served as one re-realized program.
+// The slice and its programs must be treated as read-only.
 func (p *Pipeline) Stages() []*Program { return p.stages }
 
 // Degree returns the pipelining degree D.
@@ -103,49 +101,6 @@ func (p *Pipeline) Run(ctx context.Context, world *World, opts ...Option) ([]Eve
 		}
 	}
 	return world.Trace, nil
-}
-
-// Simulate runs the pipeline on the cycle-approximate IXP-style simulator
-// (one engine of eight threads per stage, hardware rings between neighbors,
-// packets always waiting at the first stage), measuring predicted saturated
-// throughput alongside behaviour. It simulates one iteration per
-// input packet of world (override with WithIterations); the simulation
-// itself is bounded and not interruptible, so ctx is only checked on entry.
-func (p *Pipeline) Simulate(ctx context.Context, world *World, opts ...Option) (*SimResult, error) {
-	cfg, iters, err := p.simRun(ctx, world, opts)
-	if err != nil {
-		return nil, err
-	}
-	return npsim.Simulate(p.stages, world, iters, cfg.simConfig())
-}
-
-// SimulateThreads runs the fine-grained thread-level simulator: every
-// hardware thread of every engine is modeled explicitly, so memory latency
-// hiding is directly observable. Iteration semantics match Simulate.
-func (p *Pipeline) SimulateThreads(ctx context.Context, world *World, opts ...Option) (*ThreadSimResult, error) {
-	cfg, iters, err := p.simRun(ctx, world, opts)
-	if err != nil {
-		return nil, err
-	}
-	return npsim.SimulateThreads(p.stages, world, iters, cfg.simConfig())
-}
-
-func (p *Pipeline) simRun(ctx context.Context, world *World, opts []Option) (config, int, error) {
-	cfg, err := p.cfg.within("Simulate", inSimulate, opts)
-	if err != nil {
-		return config{}, 0, err
-	}
-	if err := ctx.Err(); err != nil {
-		return config{}, 0, err
-	}
-	if world == nil {
-		return config{}, 0, ErrNilWorld
-	}
-	iters := cfg.iters
-	if iters == 0 {
-		iters = len(world.Packets)
-	}
-	return cfg, iters, nil
 }
 
 // Serve runs the pipeline on the host-native streaming runtime: one

@@ -5,9 +5,9 @@
 // stages, selecting balanced minimum-cost cuts on a flow-network model of
 // the program and realizing each stage with minimal, packed, unified
 // live-set transmission — plus the machinery to run the result: a
-// sequential oracle, two cycle-approximate IXP simulators, and a
-// host-native streaming runtime that serves real packet streams with one
-// goroutine per stage.
+// sequential oracle and a host-native streaming runtime that serves real
+// packet streams with one goroutine per stage. The paper's IXP timing comes
+// from the cycle-approximate simulators behind go run ./cmd/pipebench.
 //
 // The typical flow:
 //
@@ -15,11 +15,10 @@
 //	pipe, err := repro.Partition(prog, repro.WithStages(4))
 //	metrics, err := pipe.Serve(ctx, repro.PacketSource(packets))
 //
-// Partition returns a *Pipeline handle. Its methods cover the three ways
+// Partition returns a *Pipeline handle. Its methods cover the two ways
 // to execute a partitioned program:
 //
 //	pipe.Run(ctx, world)        // sequential oracle (trace correctness)
-//	pipe.Simulate(ctx, world)   // cycle-approximate IXP model (predicted timing)
 //	pipe.Serve(ctx, source)     // concurrent host runtime (measured throughput)
 //
 // Callers evaluating many configurations of one program should Analyze
@@ -46,7 +45,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/netbench"
-	"repro/internal/npsim"
 	"repro/internal/obsv"
 	"repro/internal/ppc"
 	"repro/internal/runtime"
@@ -72,9 +70,6 @@ const (
 	TxNaiveInterference = core.TxNaiveInterference
 )
 
-// Arch is the architecture cost model.
-type Arch = costmodel.Arch
-
 // ChannelKind selects the inter-stage ring type.
 type ChannelKind = costmodel.ChannelKind
 
@@ -90,12 +85,6 @@ type World = interp.World
 
 // Event is one observable action (trace, send, drop).
 type Event = interp.Event
-
-// SimResult reports simulated pipeline timing.
-type SimResult = npsim.Result
-
-// ThreadSimResult reports thread-level simulated timing.
-type ThreadSimResult = npsim.ThreadSimResult
 
 // Metrics is what a serve returns: its final Snapshot (throughput,
 // per-stage counters), the fault ledger and — unless WithSink sent it
@@ -256,9 +245,6 @@ func Compile(src string) (*Program, error) { return ppc.Compile(src) }
 // MustCompile is Compile for known-good sources; it panics on error.
 func MustCompile(src string) *Program { return ppc.MustCompile(src) }
 
-// DefaultArch returns the IXP2800-flavored cost model.
-func DefaultArch() *Arch { return costmodel.Default() }
-
 // NewWorld builds an execution environment over an input packet stream.
 func NewWorld(packets [][]byte) *World { return interp.NewWorld(packets) }
 
@@ -292,22 +278,20 @@ type Analysis struct {
 }
 
 // Analyze runs the degree-independent analysis phase (SSA, dependence
-// graph, SCC condensation, flow-network skeleton) on a compiled PPS. Only
-// WithArch matters here; per-cut options are given to Partition.
+// graph, SCC condensation, flow-network skeleton) on a compiled PPS under
+// the IXP2800-flavored cost model. Options given here are recorded as the
+// defaults of every cut; per-cut options are given to Partition.
 func Analyze(prog *Program, opts ...Option) (*Analysis, error) {
 	cfg, err := config{}.with(opts)
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.Analyze(prog, cfg.explore.Base.Arch)
+	a, err := core.Analyze(prog, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Analysis{a: a, cfg: cfg}, nil
 }
-
-// Arch returns the cost model the analysis is bound to.
-func (a *Analysis) Arch() *Arch { return a.a.Arch() }
 
 // Seq returns the worst-case path cost of the unpartitioned program.
 func (a *Analysis) Seq() PathCost { return a.a.Seq() }

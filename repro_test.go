@@ -167,9 +167,6 @@ func TestNilInputs(t *testing.T) {
 	if _, err := pipe.Run(ctx, nil); !errors.Is(err, repro.ErrNilWorld) {
 		t.Errorf("Run(nil world) err = %v, want ErrNilWorld", err)
 	}
-	if _, err := pipe.Simulate(ctx, nil); !errors.Is(err, repro.ErrNilWorld) {
-		t.Errorf("Simulate(nil world) err = %v, want ErrNilWorld", err)
-	}
 	if _, err := pipe.Serve(ctx, nil); !errors.Is(err, repro.ErrNilSource) {
 		t.Errorf("Serve(nil source) err = %v, want ErrNilSource", err)
 	}
@@ -235,11 +232,11 @@ func TestOptionScopes(t *testing.T) {
 	if _, err := pipe.Run(ctx, world, repro.WithBatch(8)); !errors.Is(err, repro.ErrConflictingOptions) {
 		t.Errorf("Run(WithBatch) err = %v, want ErrConflictingOptions", err)
 	}
-	if _, err := pipe.Simulate(ctx, world, repro.WithShards(2)); !errors.Is(err, repro.ErrConflictingOptions) {
-		t.Errorf("Simulate(WithShards) err = %v, want ErrConflictingOptions", err)
+	if _, err := pipe.Run(ctx, world, repro.WithRing(repro.ScratchRing, 0)); !errors.Is(err, repro.ErrConflictingOptions) {
+		t.Errorf("Run(WithRing) err = %v, want ErrConflictingOptions", err)
 	}
-	if _, err := pipe.Simulate(ctx, world, repro.WithStages(2)); !errors.Is(err, repro.ErrConflictingOptions) {
-		t.Errorf("Simulate(WithStages) err = %v, want ErrConflictingOptions", err)
+	if _, err := pipe.Serve(ctx, src, repro.WithStages(2)); !errors.Is(err, repro.ErrConflictingOptions) {
+		t.Errorf("Serve(WithStages) err = %v, want ErrConflictingOptions", err)
 	}
 
 	// In-scope calls still work, inheriting the Partition-time defaults.
@@ -251,22 +248,6 @@ func TestOptionScopes(t *testing.T) {
 	}
 }
 
-func TestFacadeSimulator(t *testing.T) {
-	prog := repro.MustCompile(facadeSrc)
-	pipe, err := repro.Partition(prog,
-		repro.WithStages(2), repro.WithRing(repro.ScratchRing, 0), repro.WithTxMode(repro.TxPacked))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := pipe.Simulate(context.Background(), repro.NewWorld([][]byte{{1}, {2}, {3}, {4}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Makespan <= 0 || len(sim.Trace) == 0 {
-		t.Error("simulator produced no results")
-	}
-}
-
 func TestMustCompilePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -274,11 +255,4 @@ func TestMustCompilePanics(t *testing.T) {
 		}
 	}()
 	repro.MustCompile("not a program")
-}
-
-func TestDefaultArch(t *testing.T) {
-	a := repro.DefaultArch()
-	if a.VCost <= 0 || a.CCost <= 0 {
-		t.Error("cost model incomplete")
-	}
 }

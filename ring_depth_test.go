@@ -2,10 +2,10 @@ package repro
 
 import "testing"
 
-// TestSimulateRingDepthIsServes: Serve and the simulators read one resolved
-// ring depth, so a scratch-ring pipeline with no explicit capacity simulates
-// the 64-entry rings it serves on, and an explicit capacity reaches both.
-func TestSimulateRingDepthIsServes(t *testing.T) {
+// TestServeRingDepth: Serve resolves one ring depth from the partition's
+// ring kind, so a scratch-ring pipeline with no explicit capacity serves on
+// 64-entry rings, and an explicit capacity wins.
+func TestServeRingDepth(t *testing.T) {
 	prog := MustCompile(`pps P { loop {
 		var n = pkt_rx();
 		var m = n + 1;
@@ -24,10 +24,8 @@ func TestSimulateRingDepthIsServes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serve, sim := pipe.cfg.serveConfig().RingCapacity, pipe.cfg.simConfig().RingCapacity
-		if serve != tc.want || sim != tc.want {
-			t.Errorf("WithRing(%v, %d): serve depth %d, simulate depth %d, want %d",
-				tc.kind, tc.capacity, serve, sim, tc.want)
+		if got := pipe.cfg.serveConfig().RingCapacity; got != tc.want {
+			t.Errorf("WithRing(%v, %d): serve depth %d, want %d", tc.kind, tc.capacity, got, tc.want)
 		}
 	}
 }
