@@ -149,7 +149,7 @@ type Plan struct {
 	// (including under FusionOff and under a fault plan).
 	FusedCuts []int
 	// FusionWhy records the fusion valuator's per-cut verdicts in cut
-	// order: the two-bound arithmetic behind each fuse/keep call. Empty
+	// order: each call's price against the mask with that cut flipped. Empty
 	// when the pipeline has one stage or fusion is off.
 	FusionWhy []string
 	// PredictedNsPerPkt is the cost model's price for exactly this

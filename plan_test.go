@@ -187,7 +187,8 @@ func TestPlanPredictedNsPerPkt(t *testing.T) {
 	for _, w := range plan.StageWeights {
 		sum += w
 	}
-	// The valuator's figure for the fully fused cut is where its descent ends.
+	// Each verdict's figure after "->" is the valuator's price of its mask,
+	// here the fully fused cut.
 	trial := math.Inf(1)
 	for _, why := range plan.FusionWhy {
 		var after float64
