@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -165,6 +166,57 @@ func checkServedMask(t *testing.T, pipe *repro.Pipeline, mask uint64, shards int
 		case first == k && (st.FusedInto != 0 || st.In != n || st.Out != n):
 			t.Errorf("%s: served stage %d: in=%d out=%d fused into %d, want %d, %d, 0", name, k, st.In, st.Out, st.FusedInto, n, n)
 		}
+	}
+}
+
+// TestServeShardedJunctionsCarryLiveSets serves the two PPS whose cross-flow
+// stages stay unsharded, QM and Scheduler, at D=4 with every cut ringed on
+// two lanes, at batches of 33 and 64: between the two, a scatter opens a
+// sharded segment and a fan-in closes one with a live set crossing each, in
+// batches that span two 32-lane exec groups. The pipelines are built as
+// TestServeEveryFuseMaskMatchesOracle builds its own, and each point is held
+// to the interpreter on the unpartitioned program by checkServedMask.
+func TestServeShardedJunctionsCarryLiveSets(t *testing.T) {
+	const n, d = 3*64 + 7, 4
+	scatter, merge := false, false // a junction between two stages, across the test
+	for _, name := range []string{"QM", "Scheduler"} {
+		pps, ok := netbench.ByName(name)
+		if !ok {
+			t.Fatalf("%s benchmark missing", name)
+		}
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		an, err := repro.Analyze(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		traffic := pps.Traffic(n)
+		seq, err := interp.RunSequential(prog, netbench.NewWorld(traffic), n)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", name, err)
+		}
+		for _, batch := range []int{33, 64} {
+			t.Run(fmt.Sprintf("%s/batch=%d", name, batch), func(t *testing.T) {
+				pipe, err := an.Partition(repro.WithStages(d), repro.WithBatch(batch), repro.WithShardKey(repro.FlowKey))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkServedMask(t, pipe, 0, 2, traffic, seq)
+				reps := pipe.Plan().Replicas
+				if !slices.ContainsFunc(reps, func(r int) bool { return r != reps[0] }) {
+					t.Fatalf("replica widths %v: no junction between two stages", reps)
+				}
+				for k := 1; k < len(reps); k++ {
+					scatter = scatter || reps[k-1] < reps[k]
+					merge = merge || reps[k-1] > reps[k]
+				}
+			})
+		}
+	}
+	if !scatter || !merge {
+		t.Errorf("scatter between stages %v, fan-in between stages %v: want both", scatter, merge)
 	}
 }
 

@@ -21,13 +21,16 @@ import (
 )
 
 // TestRingImplOracleMatrix is the ring check: allApps × {ringed, fused} ×
-// P in {1, 4}, each point's merged trace byte-identical to the sequential
-// oracle and its fault ledger balanced. The matrix is deliberately -race and -count=2 safe: every
-// serve is self-contained (fresh world, fresh config), so the CI ring
-// gate runs it under both to shake out ordering bugs in the ring's
-// publish/claim protocol that a single quiet pass would miss.
+// P in {1, 4} at the default batch, plus the ringed layout at batches of 33
+// and 64 — a batch wider than one 32-lane exec group, the second group
+// ragged or full — each point's merged trace byte-identical to the
+// sequential oracle and its fault ledger balanced. The matrix is
+// deliberately -race and -count=2 safe: every serve is self-contained
+// (fresh world, fresh config), so the CI ring gate runs it under both to
+// shake out ordering bugs in the ring's publish/claim protocol that a
+// single quiet pass would miss.
 func TestRingImplOracleMatrix(t *testing.T) {
-	const n = 32
+	const n, wide = 32, 3*64 + 7
 	for _, pps := range allApps() {
 		prog, err := pps.Compile()
 		if err != nil {
@@ -37,24 +40,31 @@ func TestRingImplOracleMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pps.Name, err)
 		}
-		traffic := pps.Traffic(n)
-		seq, err := interp.RunSequential(prog, netbench.NewWorld(traffic), n)
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", pps.Name, err)
-		}
 		const d = 4
 		res, err := a.Partition(core.Options{Stages: d})
 		if err != nil {
 			t.Fatalf("%s D=%d: %v", pps.Name, d, err)
 		}
-		for fi, fuse := range []uint64{0, ^uint64(0)} {
-			tag := []string{"ringed", "fused"}[fi]
+		for _, pt := range []struct {
+			tag   string
+			fuse  uint64
+			batch int
+		}{{"ringed", 0, 0}, {"fused", ^uint64(0), 0}, {"ringed/batch=33", 0, 33}, {"ringed/batch=64", 0, 64}} {
+			packets := n
+			if pt.batch > 0 {
+				packets = wide
+			}
+			traffic := pps.Traffic(packets)
+			seq, err := interp.RunSequential(prog, netbench.NewWorld(traffic), packets)
+			if err != nil {
+				t.Fatalf("%s: sequential: %v", pps.Name, err)
+			}
 			for _, p := range []int{1, 4} {
-				name := fmt.Sprintf("%s/%s/P=%d", pps.Name, tag, p)
+				name := fmt.Sprintf("%s/%s/P=%d", pps.Name, pt.tag, p)
 				world := netbench.NewWorld(nil)
-				cfg := runtime.Config{}
+				cfg := runtime.Config{Batch: pt.batch}
 				cfg.Shards = p
-				l, err := runtime.CoarseLayout(res, fuse, true, cfg)
+				l, err := runtime.CoarseLayout(res, pt.fuse, true, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -62,8 +72,8 @@ func TestRingImplOracleMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if m.Packets != n {
-					t.Errorf("%s: served %d packets, want %d", name, m.Packets, n)
+				if m.Packets != int64(packets) {
+					t.Errorf("%s: served %d packets, want %d", name, m.Packets, packets)
 				}
 				if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
 					t.Errorf("%s: trace diverges from oracle: %s", name, diff)
