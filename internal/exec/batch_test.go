@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -61,8 +62,8 @@ func (tc *batchCase) oracle() []iterOutcome {
 	return out
 }
 
-// check runs the iterations through RunBatch in batches of width and holds
-// every batch to the oracle.
+// check runs the iterations through RunBatch in batches of width, their
+// live sets in blocks, and holds every batch to the oracle.
 func (tc *batchCase) check(t *testing.T, width int) {
 	t.Helper()
 	want := tc.oracle()
@@ -74,10 +75,12 @@ func (tc *batchCase) check(t *testing.T, width int) {
 	for lo := 0; lo < len(tc.packets); lo += width {
 		hi := min(lo+width, len(tc.packets))
 		its := make([]exec.Iteration, hi-lo)
+		in, out := exec.NewBlocks(0, hi-lo)
 		for l := range its {
-			its[l] = exec.Iteration{Ctx: newCtx(tc.packets[lo+l]), Recv: tc.recvOf(lo + l)}
+			its[l] = exec.Iteration{Ctx: newCtx(tc.packets[lo+l])}
+			in.SetRow(l, tc.recvOf(lo+l))
 		}
-		err := r.RunBatch(its)
+		err := r.RunBatch(its, in, out)
 		first := ""
 		for l, it := range its {
 			w := want[lo+l]
@@ -87,8 +90,8 @@ func (tc *batchCase) check(t *testing.T, width int) {
 			if diff := interp.TraceEqual(w.events, it.Ctx.Events); diff != "" {
 				t.Fatalf("%s width %d iteration %d: %s", tc.prog.Name, width, lo+l, diff)
 			}
-			if w.err == "" && fmt.Sprint(w.sent) != fmt.Sprint(it.Sent) {
-				t.Fatalf("%s width %d iteration %d: sent %v, want %v", tc.prog.Name, width, lo+l, it.Sent, w.sent)
+			if sent, _ := out.Row(l, nil); w.err == "" && fmt.Sprint(w.sent) != fmt.Sprint(sent) {
+				t.Fatalf("%s width %d iteration %d: sent %v, want %v", tc.prog.Name, width, lo+l, sent, w.sent)
 			}
 		}
 		if errText(err) != first {
@@ -289,21 +292,24 @@ func divergencePrograms() []batchCase {
 		}),
 	})
 
-	// A stage that receives one slot and sends two; one lane is handed the
-	// wrong width.
-	recv := make([][]int64, 32)
+	// A stage that receives one slot and sends two. One lane's upstream sent
+	// nothing; then every lane is handed the wrong width (a block has one
+	// width for all its rows).
+	recv, wide := make([][]int64, 32), make([][]int64, 32)
 	for i := range recv {
-		recv[i] = []int64{int64(i) * 3}
+		recv[i], wide[i] = []int64{int64(i) * 3}, []int64{1, int64(i)}
 	}
-	recv[11] = []int64{1, 2}
-	cases = append(cases, batchCase{packets: mixed(), recv: recv, prog: build("errors/recvls", func(bl *ir.Builder) {
+	recv[11] = nil
+	recvls := build("errors/recvls", func(bl *ir.Builder) {
 		r0 := bl.Func.NewReg()
 		bl.Cur.Instrs = append(bl.Cur.Instrs, &ir.Instr{Op: ir.OpRecvLS, Dst: ir.NoReg, Dsts: []int{r0}})
 		bl.CallVoid("trace", r0)
 		r1 := bl.Bin(ir.OpAdd, r0, bl.Const(1))
 		bl.Cur.Instrs = append(bl.Cur.Instrs, &ir.Instr{Op: ir.OpSendLS, Dst: ir.NoReg, Args: []int{r0, r1}})
 		bl.Ret()
-	})})
+	})
+	cases = append(cases, batchCase{packets: mixed(), recv: recv, prog: recvls},
+		batchCase{packets: mixed(), recv: wide, prog: recvls})
 
 	// State carried from one iteration to the next: a persistent counter
 	// (a batch of 32 must trace 1…32 in lane order) and a queue whose gets
@@ -385,7 +391,7 @@ func TestBatchSerialWhenEventsAreNotDeferred(t *testing.T) {
 	for l := range its {
 		its[l].Ctx = interp.NewIterCtx() // pkt_rx from the World's cursor, too
 	}
-	if err := r.RunBatch(its); err != nil {
+	if err := r.RunBatch(its, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if diff := interp.TraceEqual(want.trace, w.Trace); diff != "" {
@@ -424,7 +430,7 @@ func TestBatchPacketPathAllocates(t *testing.T) {
 					its[l].Ctx.Pending, its[l].Ctx.HasPending = traffic[next%len(traffic)], true
 					next++
 				}
-				if err := r.RunBatch(its); err != nil {
+				if err := r.RunBatch(its, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -434,5 +440,135 @@ func TestBatchPacketPathAllocates(t *testing.T) {
 		if perPacket > 0.1 {
 			t.Errorf("width %d: %.3f allocations per packet, want at most 0.1", width, perPacket)
 		}
+	}
+}
+
+// TestBlockAdapterParity holds RunBatch on blocks to RunIterationInto, the
+// one-lane adapter, run lane by lane: every stage of every netbench PPS at
+// D=2..5, batches of 1, 7, 32 and 33 taken through the stages stage-major,
+// must send the same live sets and record the same events, and a batch must
+// fail with the error of its first failing lane. Beside the whole stream,
+// one batch per stage that receives a live set loses one lane's: its
+// upstream sent nothing, and recvls must say so the same way both ways.
+func TestBlockAdapterParity(t *testing.T) {
+	const n = 70
+	for _, pps := range append(netbench.IPv4Forwarding(), netbench.IPForwarding()...) {
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", pps.Name, err)
+		}
+		traffic := pps.Traffic(n)
+		for d := 2; d <= 5; d++ {
+			res, err := core.Partition(prog, core.Options{Stages: d})
+			if err != nil {
+				t.Fatalf("%s D=%d: %v", pps.Name, d, err)
+			}
+			for _, width := range []int{1, 7, exec.Lanes, exec.Lanes + 1} {
+				tag := fmt.Sprintf("%s D=%d width %d", pps.Name, d, width)
+				chainParity(t, tag, res.Stages, traffic, width, -1)
+				for k := 1; k < d; k++ {
+					chainParity(t, fmt.Sprintf("%s, stage %d's lane %d sent nothing", tag, k, width/2),
+						res.Stages, traffic[:width], width, k)
+				}
+			}
+		}
+	}
+}
+
+// chainParity runs packets through stages a batch of width at a time, each
+// batch through every stage before the next, on two sets of runners: lane by
+// lane through RunIterationInto and a batch at a time through RunBatch on
+// blocks. When hole is a stage, lane width/2 of the first batch arrives there
+// with no live set, and the run ends after that stage.
+func chainParity(t *testing.T, tag string, stages []*ir.Program, packets [][]byte, width, hole int) {
+	t.Helper()
+	lanes, blocks := exec.NewStageRunners(cloneStages(stages), netbench.NewWorld(nil)),
+		exec.NewStageRunners(cloneStages(stages), netbench.NewWorld(nil))
+	for k := range stages {
+		lanes[k].RxFromCtx, blocks[k].RxFromCtx = true, true
+	}
+	in, out := exec.NewBlocks(0, width)
+	for lo := 0; lo < len(packets); lo += width {
+		batch := packets[lo:min(lo+width, len(packets))]
+		a, b := streamCtxs(batch, len(batch)), streamCtxs(batch, len(batch))
+		its := make([]exec.Iteration, len(batch))
+		for l := range its {
+			its[l].Ctx = b[l]
+		}
+		recv := make([][]int64, len(batch))
+		in.Reset()
+		for k := range stages {
+			if k == hole {
+				recv[width/2] = nil
+				in.SetRow(width/2, nil)
+			}
+			first, failed := "", len(batch)
+			for l, ctx := range a {
+				sent, err := lanes[k].RunIterationInto(ctx, recv[l], nil)
+				if err != nil && failed == len(batch) {
+					first, failed = err.Error(), l
+				}
+				recv[l] = sent
+			}
+			err := blocks[k].RunBatch(its, in, out)
+			if errText(err) != first {
+				t.Fatalf("%s, batch at %d, stage %d: RunBatch error %q, lane by lane %q", tag, lo, k+1, errText(err), first)
+			}
+			for l := 0; l < len(batch) && l <= failed; l++ {
+				if diff := interp.TraceEqual(a[l].Events, b[l].Events); diff != "" {
+					t.Fatalf("%s, batch at %d, stage %d, lane %d: %s", tag, lo, k+1, l, diff)
+				}
+				if sent, _ := out.Row(l, nil); l < failed && fmt.Sprint(sent) != fmt.Sprint(recv[l]) {
+					t.Fatalf("%s, batch at %d, stage %d, lane %d: sent %v, lane by lane %v", tag, lo, k+1, l, sent, recv[l])
+				}
+			}
+			if err != nil {
+				return
+			}
+			in, out = out, in
+		}
+	}
+	if hole >= 0 {
+		t.Fatalf("%s: no lane failed", tag)
+	}
+}
+
+// TestBlockHoldsOneWidth: a block's rows share one width, so a batch whose
+// lanes leave through OpSendLS instructions of different widths fails the
+// later lanes with an error instead of mislabelling what the others sent.
+// One lane at a time, each is fine.
+func TestBlockHoldsOneWidth(t *testing.T) {
+	prog := build("widths", func(bl *ir.Builder) {
+		f := bl.Func
+		one, two := f.NewBlock("one"), f.NewBlock("two")
+		bl.Call("pkt_rx")
+		v := bl.Call("pkt_byte", bl.Const(0))
+		bl.Br(bl.Bin(ir.OpAnd, v, bl.Const(1)), one, two)
+		for _, arm := range []struct {
+			b     *ir.Block
+			slots int
+		}{{one, 1}, {two, 2}} {
+			bl.SetBlock(arm.b)
+			args := make([]int, arm.slots)
+			for i := range args {
+				args[i] = v
+			}
+			bl.Cur.Instrs = append(bl.Cur.Instrs, &ir.Instr{Op: ir.OpSendLS, Dst: ir.NoReg, Args: args})
+			bl.Ret()
+		}
+	})
+	packets := bytePackets(1, 2)
+	r := exec.NewRunner(prog, interp.NewWorld(nil))
+	r.RxFromCtx = true
+	for i, p := range packets {
+		if sent, err := r.RunIterationInto(newCtx(p), nil, nil); err != nil || len(sent) != i+1 {
+			t.Fatalf("lane %d alone: sent %v, %v", i, sent, err)
+		}
+	}
+	its := []exec.Iteration{{Ctx: newCtx(packets[0])}, {Ctx: newCtx(packets[1])}}
+	in, out := exec.NewBlocks(0, len(its))
+	want := "widths: sendls of 2 slots into a batch that sent 1"
+	if err := r.RunBatch(its, in, out); errText(err) != want {
+		t.Fatalf("batch error %q, want %q", errText(err), want)
 	}
 }

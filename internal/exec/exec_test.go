@@ -319,8 +319,8 @@ func BenchmarkCompiledSequentialIPv4(b *testing.B) {
 // BenchmarkCompiledChainIPv4 runs the realized IPv4 stages back to back on
 // one goroutine the way the serve runtime drives them — RxFromCtx,
 // pre-pulled packets, deferred events, a batch per RunBatch with the live
-// sets handed over through the iterations' Dst buffers — so ns/op is the
-// exec layer's share of a served packet at that batch width. IPv4 is
+// sets handed over in the batch's two blocks, swapped after every stage —
+// so ns/op is the exec layer's share of a served packet at that batch width. IPv4 is
 // lane-parallel at every degree; beside it stands BenchmarkNativeIPv4, the
 // hand-written floor.
 func BenchmarkCompiledChainIPv4(b *testing.B) { benchChain(b, "IPv4", 1, 4) }
@@ -355,25 +355,19 @@ func benchChain(b *testing.B, name string, degrees ...int) {
 					its[l].Ctx = interp.NewIterCtx()
 					its[l].Ctx.DeferEvents = true
 				}
+				in, out := exec.NewBlocks(0, width)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i += width {
 					for l := range its {
-						it := &its[l]
-						it.Ctx.Pending, it.Ctx.HasPending = traffic[(i+l)%len(traffic)], true
-						it.Recv = it.Recv[:0]
+						its[l].Ctx.Pending, its[l].Ctx.HasPending = traffic[(i+l)%len(traffic)], true
 					}
+					in.Reset()
 					for _, r := range runners {
-						if err := r.RunBatch(its); err != nil {
+						if err := r.RunBatch(its, in, out); err != nil {
 							b.Fatal(err)
 						}
-						for l := range its {
-							if it := &its[l]; it.Sent != nil {
-								it.Dst, it.Recv = it.Recv, it.Sent
-							} else {
-								it.Recv = it.Recv[:0]
-							}
-						}
+						in, out = out, in
 					}
 					for l := range its {
 						its[l].Ctx.Reset()

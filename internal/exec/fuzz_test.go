@@ -161,17 +161,16 @@ func execStream(stages []*ir.Program, packets [][]byte, iters, width, first int)
 	var err error
 	for lo, n := 0, first; lo < iters && err == nil; lo, n = lo+n, width {
 		its := make([]exec.Iteration, min(n, iters-lo))
+		in, out := exec.NewBlocks(0, len(its))
 		for l := range its {
 			its[l].Ctx = ctxs[lo+l]
 		}
 		for _, r := range runners {
 			r.RxFromCtx = true
-			if err = r.RunBatch(its); err != nil {
+			if err = r.RunBatch(its, in, out); err != nil {
 				break
 			}
-			for l := range its {
-				its[l].Recv = its[l].Sent
-			}
+			in, out = out, in
 		}
 	}
 	out := make([][]interp.Event, iters)

@@ -143,6 +143,7 @@ type lowerer struct {
 	ops    []lop
 	order  []int32 // emitted blocks: in lowering order, then renumbered in reverse post-order
 	work   []int32
+	edges  [][2]int32 // the CFG edges reachable from the entry, as analyze walks them
 	dom    *graph.DomTree
 
 	chain   int32 // id of the chain being lowered
@@ -267,9 +268,8 @@ func (lw *lowerer) analyze() {
 		}
 	}
 
-	g := graph.New(len(f.Blocks))
 	lw.blocks[f.Entry].reach, lw.blocks[f.Entry].npreds = true, 1
-	work := append(lw.work[:0], int32(f.Entry))
+	work, edges := append(lw.work[:0], int32(f.Entry)), lw.edges[:0]
 	for len(work) > 0 {
 		u := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -278,7 +278,7 @@ func (lw *lowerer) analyze() {
 			continue
 		}
 		for _, t := range f.Blocks[u].Instrs[ti].Targets {
-			g.AddEdge(int(u), t)
+			edges = append(edges, [2]int32{u, int32(t)})
 			tb := &lw.blocks[t]
 			tb.npreds++
 			if !tb.reach {
@@ -287,8 +287,12 @@ func (lw *lowerer) analyze() {
 			}
 		}
 	}
-	lw.work = work
-	lw.dom = graph.Dominators(g, f.Entry)
+	lw.work, lw.edges = work, edges
+	lw.dom = graph.Dominators(graph.Build(len(f.Blocks), func(add func(u, v int)) {
+		for _, e := range edges {
+			add(int(e[0]), int(e[1]))
+		}
+	}), f.Entry)
 
 	for bi, b := range f.Blocks {
 		if !lw.blocks[bi].reach {

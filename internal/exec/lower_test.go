@@ -610,21 +610,19 @@ func TestLoweringShape(t *testing.T) {
 			its[l].Ctx = interp.NewIterCtx()
 			its[l].Ctx.DeferEvents = true
 		}
+		in, out := exec.NewBlocks(0, len(its))
 		total := 0
 		for ; len(traffic) >= len(its); traffic = traffic[len(its):] {
 			for l := range its {
 				its[l].Ctx.Pending, its[l].Ctx.HasPending = traffic[l], true
-				its[l].Recv = nil
 			}
 			for k, r := range runners {
 				before := r.Dispatched()
-				if err := r.RunBatch(its); err != nil {
+				if err := r.RunBatch(its, in, out); err != nil {
 					t.Fatalf("%s D=%d stage %d: %v", tc.pps, tc.degree, k+1, err)
 				}
 				total += r.Dispatched() - before
-				for l := range its {
-					its[l].Recv = its[l].Sent
-				}
+				in, out = out, in
 			}
 			for l := range its {
 				its[l].Ctx.Reset()

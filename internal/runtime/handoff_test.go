@@ -33,8 +33,7 @@ func sendWords(prog *ir.Program) int {
 // bytes — those travel by pointer in the IterCtx), the live set is small
 // enough that a handoff is a few word moves, and with a warm destination
 // buffer the transmitting stage writes in place instead of allocating —
-// the buffer the runtime's token ping-pong hands it is the buffer that
-// comes back.
+// the buffer handed in is the buffer that comes back.
 func TestHandoffBytesPerPacket(t *testing.T) {
 	pps, ok := netbench.ByName("IPv4")
 	if !ok {
@@ -85,9 +84,9 @@ func TestHandoffBytesPerPacket(t *testing.T) {
 			if len(out) > 0 && &out[0] != &dst[:1][0] {
 				t.Fatalf("cut %d: warm handoff allocated a fresh buffer instead of writing the caller's", k+1)
 			}
-			// Ping-pong exactly as the serve runtime's execGroup does: the
-			// buffer just filled becomes the input, the consumed one the
-			// next destination.
+			// Ping-pong as the serve runtime's batch blocks do: the buffer
+			// just filled becomes the input, the consumed one the next
+			// destination.
 			slots, spare = out, slots
 		}
 		slots, spare = slots[:0], spare[:0]
@@ -96,21 +95,15 @@ func TestHandoffBytesPerPacket(t *testing.T) {
 }
 
 // TestTokenHandoffLayout pins the token's cache-line discipline: the
-// fields touched on every handoff — the iteration context pointer, the
-// live-set buffer, its ping-pong spare, and the sequence number — must
-// all live in the token's first 64 bytes, so one line load brings in the
-// whole handoff state.
+// fields touched on every handoff — the iteration context pointer and the
+// sequence number — must live in the token's first 64 bytes, so one line
+// load brings in the whole handoff state. (The live set is not in the
+// token: it rides in its batch's block.)
 func TestTokenHandoffLayout(t *testing.T) {
 	var tok token
 	const line = 64
 	if off := unsafe.Offsetof(tok.ctx); off+unsafe.Sizeof(tok.ctx) > line {
 		t.Errorf("token.ctx ends at byte %d, past the first cache line", off+unsafe.Sizeof(tok.ctx))
-	}
-	if off := unsafe.Offsetof(tok.slots); off+unsafe.Sizeof(tok.slots) > line {
-		t.Errorf("token.slots ends at byte %d, past the first cache line", off+unsafe.Sizeof(tok.slots))
-	}
-	if off := unsafe.Offsetof(tok.spare); off+unsafe.Sizeof(tok.spare) > line {
-		t.Errorf("token.spare ends at byte %d, past the first cache line", off+unsafe.Sizeof(tok.spare))
 	}
 	if off := unsafe.Offsetof(tok.iter); off+unsafe.Sizeof(tok.iter) > line {
 		t.Errorf("token.iter ends at byte %d, past the first cache line", off+unsafe.Sizeof(tok.iter))

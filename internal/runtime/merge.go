@@ -153,28 +153,29 @@ func (s *seqStream) ready() bool {
 type scatterer struct {
 	rings []*tokRing
 	sq    *seqStream
-	pend  [][]*token // per-lane batch: being filled, or held
-	held  []bool     // pend[j] was refused past the watermark; lane j sheds until it leaves
+	pend  []*batch // per-lane batch: being filled, or held
+	held  []bool   // pend[j] was refused past the watermark; lane j sheds until it leaves
 	fill  int
 	lc    *laneCtx // the sending lane: the dispatcher's, or the scattering stage's
 }
 
 func newScatterer(rings []*tokRing, sq *seqStream, fill int, lc *laneCtx) *scatterer {
-	return &scatterer{rings: rings, sq: sq, pend: make([][]*token, len(rings)),
+	return &scatterer{rings: rings, sq: sq, pend: make([]*batch, len(rings)),
 		held: make([]bool, len(rings)), fill: fill, lc: lc}
 }
 
-// send records b's tokens and appends them to their lanes, delivering lane
-// batches as they fill (or all of them, at a scatter). A held lane is offered
-// its batch once per call, so it leaves as soon as there is room even if the
-// lane's flows have gone quiet. Returns false when the run was canceled.
-func (sc *scatterer) send(e *engine, b []*token) bool {
+// send records b's tokens and appends them to their lanes, each with its
+// row, delivering lane batches as they fill (or all of them, at a scatter).
+// A held lane is offered its batch once per call, so it leaves as soon as
+// there is room even if the lane's flows have gone quiet. Returns false when
+// the run was canceled.
+func (sc *scatterer) send(e *engine, b *batch) bool {
 	for j, h := range sc.held {
 		if h {
 			sc.offer(j)
 		}
 	}
-	for _, t := range b {
+	for r, t := range b.toks {
 		j := int(t.shard)
 		if sc.held[j] {
 			e.shed(sc.lc, t, "lane saturated past watermark")
@@ -184,8 +185,12 @@ func (sc *scatterer) send(e *engine, b []*token) bool {
 		if sc.pend[j] == nil {
 			sc.pend[j] = e.getBatch()
 		}
-		sc.pend[j] = append(sc.pend[j], t)
-		if sc.fill > 0 && len(sc.pend[j]) >= sc.fill && !sc.deliver(e, j) {
+		p := sc.pend[j]
+		if b.in != nil {
+			p.in.MoveRow(len(p.toks), b.in, r)
+		}
+		p.toks = append(p.toks, t)
+		if sc.fill > 0 && len(p.toks) >= sc.fill && !sc.deliver(e, j) {
 			return false
 		}
 	}
@@ -194,7 +199,7 @@ func (sc *scatterer) send(e *engine, b []*token) bool {
 		return true
 	}
 	for j := range sc.pend {
-		if len(sc.pend[j]) > 0 && !sc.held[j] && !sc.deliver(e, j) {
+		if sc.pend[j].size() > 0 && !sc.held[j] && !sc.deliver(e, j) {
 			return false
 		}
 	}
@@ -224,17 +229,17 @@ func (sc *scatterer) deliver(e *engine, j int) bool {
 	if sc.offer(j) {
 		return true
 	}
-	p := sc.lc.probe
+	p, n := sc.lc.probe, int64(len(sc.pend[j].toks))
 	p.stalls.Add(1)
 	for tick := 0; e.cfg.Overload == OverloadBlock || tick < watermark; tick++ {
 		for i := range sc.pend {
-			if i != j && len(sc.pend[i]) > 0 {
+			if i != j && sc.pend[i].size() > 0 {
 				sc.offer(i)
 			}
 		}
 		sent, canceled := sc.rings[j].PushTimeout(sc.pend[j], e.ictx.Done(), overloadTick, &p.txWait)
 		if sent {
-			p.out.Add(int64(len(sc.pend[j])))
+			p.out.Add(n)
 			sc.pend[j], sc.held[j] = nil, false
 			return true
 		}
@@ -251,7 +256,7 @@ func (sc *scatterer) deliver(e *engine, j int) bool {
 // cancellation) — then ends every lane and the sequence.
 func (sc *scatterer) close(e *engine) {
 	for j := 0; j < len(sc.pend); {
-		if len(sc.pend[j]) == 0 {
+		if sc.pend[j].size() == 0 {
 			j++
 		} else if !sc.deliver(e, j) {
 			break
@@ -265,13 +270,14 @@ func (sc *scatterer) close(e *engine) {
 
 // merger is the consumer side of a P->1 junction: the single downstream
 // replica reassembles the global token order by popping exactly the lane
-// the sequence stream names next. Tombstoned (dead) tokens are recycled
-// here — they existed only to keep the sequence gap-free.
+// the sequence stream names next, and each token's row with it. Tombstoned
+// (dead) tokens are recycled here — they existed only to keep the sequence
+// gap-free.
 type merger struct {
 	e     *engine
 	rings []*tokRing
 	sq    *seqStream
-	cur   [][]*token
+	cur   []*batch
 	pos   []int
 	probe *stageProbe
 }
@@ -281,7 +287,7 @@ func (e *engine) newMerger(cut int, lc *laneCtx) *merger {
 		e:     e,
 		rings: e.rings[cut],
 		sq:    e.seqs[e.plan.seqAt[cut+1]],
-		cur:   make([][]*token, len(e.rings[cut])),
+		cur:   make([]*batch, len(e.rings[cut])),
 		pos:   make([]int, len(e.rings[cut])),
 		probe: lc.probe,
 	}
@@ -290,45 +296,49 @@ func (e *engine) newMerger(cut int, lc *laneCtx) *merger {
 // nextBatch assembles up to n live tokens in global order, fewer when the
 // sequence runs dry with some in hand. more is false when the stream ended
 // (or the run was canceled): process the partial batch, then return.
-func (mg *merger) nextBatch(n int) (b []*token, more bool) {
+func (mg *merger) nextBatch(n int) (b *batch, more bool) {
 	b = mg.e.getBatch()
-	for len(b) < n {
-		if len(b) > 0 && !mg.sq.ready() {
+	for len(b.toks) < n {
+		if len(b.toks) > 0 && !mg.sq.ready() {
 			return b, true // nothing more was dispatched: do not sit on retired work
 		}
 		lane, ok := mg.sq.next(mg.e.ictx.Done())
 		if !ok {
 			return b, false
 		}
-		t := mg.pop(lane)
-		if t == nil {
+		src, r := mg.pop(lane)
+		if src == nil {
 			return b, false
 		}
+		t := src.toks[r]
 		if t.dead {
 			mg.e.putToken(t)
 			continue
 		}
-		b = append(b, t)
+		if b.in != nil {
+			b.in.MoveRow(len(b.toks), src.in, r)
+		}
+		b.toks = append(b.toks, t)
 	}
 	return b, true
 }
 
 // pop takes the next token from lane, pulling a fresh batch from the lane
-// ring when the current one is spent. nil means canceled (or a producer
-// died and closed the ring early).
-func (mg *merger) pop(lane int) *token {
-	for mg.cur[lane] == nil || mg.pos[lane] >= len(mg.cur[lane]) {
+// ring when the current one is spent, and returns the batch and the token's
+// row in it. A nil batch means canceled (or a producer died and closed the
+// ring early).
+func (mg *merger) pop(lane int) (*batch, int) {
+	for mg.cur[lane] == nil || mg.pos[lane] >= len(mg.cur[lane].toks) {
 		if mg.cur[lane] != nil {
 			mg.e.putBatch(mg.cur[lane])
 			mg.cur[lane] = nil
 		}
 		b, ok := mg.e.popRing(mg.rings[lane], mg.probe)
 		if !ok {
-			return nil
+			return nil, 0
 		}
 		mg.cur[lane], mg.pos[lane] = b, 0
 	}
-	t := mg.cur[lane][mg.pos[lane]]
 	mg.pos[lane]++
-	return t
+	return mg.cur[lane], mg.pos[lane] - 1
 }

@@ -20,13 +20,13 @@ import (
 )
 
 // tokRing is the one conduit type: a ring of token batches.
-type tokRing = spsc.Ring[[]*token]
+type tokRing = spsc.Ring[*batch]
 
 // newRings builds n conduits of the configured capacity.
 func (e *engine) newRings(n int) []*tokRing {
 	rs := make([]*tokRing, n)
 	for j := range rs {
-		rs[j] = spsc.New[[]*token](e.cfg.RingCapacity, spsc.DefaultStrategy())
+		rs[j] = spsc.New[*batch](e.cfg.RingCapacity, spsc.DefaultStrategy())
 	}
 	return rs
 }
@@ -55,7 +55,7 @@ type inPort struct {
 // recv returns the unit's next batch. more is false when the stream ended
 // (source drained or canceled, ring closed and drained) or the run failed:
 // the unit processes the batch it was handed, if any, and exits.
-func (in *inPort) recv(e *engine) (b []*token, more bool) {
+func (in *inPort) recv(e *engine) (b *batch, more bool) {
 	switch in.kind {
 	case portSource:
 		return e.pull(in)
@@ -64,14 +64,14 @@ func (in *inPort) recv(e *engine) (b []*token, more bool) {
 	default:
 		b, more = e.popRing(in.ring, in.lc.probe)
 	}
-	in.lc.probe.in.Add(int64(len(b)))
+	in.lc.probe.in.Add(int64(b.size()))
 	return b, more
 }
 
 // popRing blocks for the next batch on r, booking the blocked time to p's
 // receive-side wait columns and sampling the occupancy left behind. ok is
 // false when the ring is closed and drained or the run failed.
-func (e *engine) popRing(r *tokRing, p *stageProbe) (b []*token, ok bool) {
+func (e *engine) popRing(r *tokRing, p *stageProbe) (b *batch, ok bool) {
 	if b, ok, _ = r.Pop(e.ictx.Done(), &p.rxWait); ok {
 		p.occSum.Add(int64(r.Len()))
 		p.occSamples.Add(1)
@@ -86,7 +86,7 @@ func (e *engine) popRing(r *tokRing, p *stageProbe) (b []*token, ok bool) {
 // the FaultReport ledger is reconciled against. Under sharding the token's
 // lane is stamped from the flow hash now, before any stage body can
 // rewrite the packet bytes.
-func (e *engine) pull(in *inPort) (b []*token, more bool) {
+func (e *engine) pull(in *inPort) (b *batch, more bool) {
 	select {
 	case <-e.stop.Done():
 		return nil, false
@@ -94,23 +94,25 @@ func (e *engine) pull(in *inPort) (b []*token, more bool) {
 	}
 	p := in.lc.probe
 	sharded := e.plan.sharded()
-	b = e.getBatch()
-	for len(b) < e.cfg.Batch {
+	b, more = e.takeBatch(), true
+	n := 0
+	for ; n < e.cfg.Batch; n++ {
 		pkt, ok := e.src.Next()
 		if !ok {
-			return b, false
+			more = false
+			break
 		}
 		p.in.Add(1)
-		t := e.takeToken()
+		t := e.tokenAt(b, n)
 		t.iter = in.iter
 		in.iter++
 		t.ctx.Pending, t.ctx.HasPending, t.ctx.PendingOwned = pkt, true, e.owned
 		if sharded {
 			t.shard = int32(shardOf(e.shardKey(pkt), e.plan.p))
 		}
-		b = append(b, t)
 	}
-	return b, true
+	e.trim(b, n)
+	return b, more
 }
 
 // outPort is a unit's outbound side. lc is the sending lane — the unit's
@@ -129,7 +131,7 @@ type outPort struct {
 // the probe, not as a span (a batch's residence window still closes at its
 // last stage's exec), and the dispatcher's pulled batches are re-split by
 // lane — their keys name no downstream batch — so neither records one.
-func (o *outPort) send(e *engine, b []*token, span bool) bool {
+func (o *outPort) send(e *engine, b *batch, span bool) bool {
 	if o.kind == portSink {
 		return e.retire(b, o.lc)
 	}
@@ -137,14 +139,14 @@ func (o *outPort) send(e *engine, b []*token, span bool) bool {
 		return o.deliver(e, b)
 	}
 	// Capture before sending: a shed batch is recycled inside.
-	iter, n := b[0].iter, len(b)
+	iter, n := b.toks[0].iter, len(b.toks)
 	start := time.Now()
 	ok := o.deliver(e, b)
 	e.span(o.lc.num, iter, n, obsv.PhaseTx, start, time.Since(start))
 	return ok
 }
 
-func (o *outPort) deliver(e *engine, b []*token) bool {
+func (o *outPort) deliver(e *engine, b *batch) bool {
 	if o.kind == portScatter {
 		return o.sc.send(e, b)
 	}
@@ -164,9 +166,10 @@ func (o *outPort) close(e *engine) {
 
 // tryPush is the non-blocking ring put; on success the batch (and its
 // accounting) belongs to the consumer.
-func tryPush(out *tokRing, b []*token, p *stageProbe) bool {
+func tryPush(out *tokRing, b *batch, p *stageProbe) bool {
+	n := int64(len(b.toks)) // the consumer owns b once it is in the ring
 	if out.TryPush(b) {
-		p.out.Add(int64(len(b)))
+		p.out.Add(n)
 		return true
 	}
 	return false
@@ -178,8 +181,8 @@ func tryPush(out *tokRing, b []*token, p *stageProbe) bool {
 // space (backpressure); under OverloadShed it re-probes the saturated ring
 // for watermark ticks and then drops the batch. It returns false when the
 // run was canceled mid-wait.
-func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
-	p := lc.probe
+func (e *engine) sendRing(out *tokRing, b *batch, lc *laneCtx) bool {
+	p, n := lc.probe, int64(len(b.toks))
 	if tryPush(out, b, p) {
 		return true
 	}
@@ -188,14 +191,14 @@ func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 		for probe := 0; probe < watermark; probe++ {
 			sent, canceled := out.PushTimeout(b, e.ictx.Done(), overloadTick, &p.txWait)
 			if sent {
-				p.out.Add(int64(len(b)))
+				p.out.Add(n)
 				return true
 			}
 			if canceled {
 				return false
 			}
 		}
-		for _, t := range b {
+		for _, t := range b.toks {
 			e.shed(lc, t, "ring saturated past watermark")
 		}
 		e.putBatch(b)
@@ -204,7 +207,7 @@ func (e *engine) sendRing(out *tokRing, b []*token, lc *laneCtx) bool {
 	if !out.Push(b, e.ictx.Done(), &p.txWait) {
 		return false
 	}
-	p.out.Add(int64(len(b)))
+	p.out.Add(n)
 	return true
 }
 

@@ -22,8 +22,6 @@ func dirtyToken(t *token) {
 	t.ctx.Pending, t.ctx.HasPending = []byte{0xbe, 0xef}, true
 	t.ctx.DeferEvents = true
 	t.ctx.Events = append(t.ctx.Events, interp.Event{Kind: interp.EvTrace, Val: 99})
-	t.slots = []int64{1, 2, 3}
-	t.spare = []int64{4, 5}
 	t.iter = 17
 	t.shard = 3
 	t.dead = true
@@ -50,16 +48,6 @@ func checkPristine(t *testing.T, tok *token) {
 	if len(ctx.Events) != 0 {
 		t.Errorf("recycled token leaks deferred events: %v", ctx.Events)
 	}
-	// The live-set buffers keep their capacity across recycles — that
-	// backing memory is the zero-copy handoff's working set — but their
-	// visible length must be zero: OpRecvLS reads only the length OpSendLS
-	// wrote this iteration, so truncated buffers can never leak a value.
-	if len(tok.slots) != 0 {
-		t.Errorf("recycled token leaks live-set slots: %v", tok.slots)
-	}
-	if len(tok.spare) != 0 {
-		t.Errorf("recycled token leaks spare live-set buffer: %v", tok.spare)
-	}
 	if tok.iter != 0 {
 		t.Errorf("recycled token leaks control state: iter=%d", tok.iter)
 	}
@@ -79,23 +67,36 @@ func TestTokenResetClearsIterationState(t *testing.T) {
 
 // TestBatchRecycleNeverLeaks drives the batch-granular fast path: whole
 // retired batches handed back through recycleBatch must come out of
-// takeToken pristine and in deferred-events mode, exactly like the
-// per-token pool path they replace on the serve hot loop.
+// takeBatch with every row of their blocks empty, and their tokens out of
+// tokenAt pristine and in deferred-events mode, exactly like the per-token
+// pool path they replace on the serve hot loop. The rounds fill batches of
+// varying size, so recycled tokens are reused, topped up and trimmed.
 func TestBatchRecycleNeverLeaks(t *testing.T) {
-	e := &engine{free: spsc.New[[]*token](2, spsc.DefaultStrategy())}
-	e.tokPool, e.batchPool = newPools(8)
+	const rows = 8
+	e := &engine{free: spsc.New[*batch](2, spsc.DefaultStrategy())}
+	e.tokPool, e.batchPool = newPools(rows, 3)
 	for round := 0; round < 50; round++ {
-		b := e.getBatch()
-		for i := 0; i < 4; i++ {
-			tok := e.takeToken()
+		b := e.takeBatch()
+		for r := 0; r < rows; r++ {
+			if vals, sent := b.in.Row(r, nil); sent {
+				t.Fatalf("round %d: recycled batch leaks row %d's live set %v", round, r, vals)
+			}
+		}
+		n := 1 + round%rows
+		for i := 0; i < n; i++ {
+			tok := e.tokenAt(b, i)
 			if !tok.ctx.DeferEvents {
-				t.Fatal("takeToken must hand out tokens in deferred-events mode")
+				t.Fatal("tokenAt must hand out tokens in deferred-events mode")
 			}
 			tok.ctx.DeferEvents = false // neutralize for checkPristine's event check
 			checkPristine(t, tok)
 			tok.ctx.DeferEvents = true
 			dirtyToken(tok)
-			b = append(b, tok)
+			b.in.SetRow(i, []int64{1, 2, int64(i)})
+		}
+		e.trim(b, n)
+		if len(b.toks) != n {
+			t.Fatalf("round %d: a batch filled with %d tokens holds %d", round, n, len(b.toks))
 		}
 		e.recycleBatch(b)
 	}
@@ -108,7 +109,7 @@ func TestBatchRecycleNeverLeaks(t *testing.T) {
 // a fresh token; both must be indistinguishable.
 func TestTokenPoolRecycleNeverLeaks(t *testing.T) {
 	e := &engine{}
-	e.tokPool, _ = newPools(1)
+	e.tokPool, _ = newPools(1, 0)
 	for round := 0; round < 100; round++ {
 		tok := e.getToken()
 		if !tok.ctx.DeferEvents {
