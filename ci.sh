@@ -7,8 +7,8 @@
 # The race detector matters here twice over: the partition engine shares one
 # immutable core.Analysis across worker goroutines (degree exploration,
 # experiment sweeps, ablations), and the streaming runtime in
-# internal/runtime hands live-set tokens between one goroutine per pipeline
-# stage — its oracle-equivalence tests are only meaningful under -race.
+# internal/runtime hands batches of tokens and their live sets between one
+# goroutine per pipeline stage — its oracle-equivalence tests are only meaningful under -race.
 set -eu
 cd "$(dirname "$0")"
 
@@ -108,6 +108,9 @@ echo "== ring gate: microbench smoke + ring oracle matrix"
 # in twenty, and a flake that rare needs the repetitions to show.
 go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
 go test -race -count=2 -run 'TestRing' ./internal/runtime
+# The sharded junctions where a batch's live-set block crosses a scatter and
+# a fan-in, row by row with its tokens, also twice under the race detector.
+go test -race -count=2 -run '^(TestServeEveryFuseMaskMatchesOracle|TestServeSharedReadOnlyQueue)$' .
 go test -count=50 -run '^TestRingSPSCWaitCountersAccount$' ./internal/runtime
 
 echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCoarsen, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode, FuzzTCPFramer, FuzzRouteTable, FuzzParse, FuzzLexer"
@@ -158,7 +161,7 @@ else
 fi
 
 echo "== doc gate: the docs name no deleted machinery"
-if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent' README.md DESIGN.md EXPERIMENTS.md; then
+if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns' README.md DESIGN.md EXPERIMENTS.md; then
     echo "doc gate: the lines above name deleted machinery" >&2 && exit 1
 fi
 
