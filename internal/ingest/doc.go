@@ -19,14 +19,13 @@
 // UDP) — copy out what must outlive its neighbours.
 //
 // Backpressure composes end to end. The runtime's head stage pulls one
-// batch at a time; when the first inter-stage ring is full under the
-// blocking overload policy, the head stops pulling, the Feeder stops
-// calling Pull, and a socket source simply stops draining its socket —
-// the kernel receive buffer becomes the final watermark, and beyond it
-// the kernel (not this package) drops. The Stats counters every source
-// carries (rx packets/bytes, drops, decode errors) surface through the
-// runtime's metrics registry and Pipeline.Snapshot so an operator can see
-// that boundary.
+// batch at a time; when the first inter-stage ring is full, the head stops
+// pulling, the Feeder stops calling Pull, and a socket source simply stops
+// draining its socket — the kernel receive buffer becomes the final
+// buffer, and beyond it the kernel drops (counted on Linux for UDP, see
+// UDPSource). The Stats counters every source carries (rx packets/bytes,
+// drops, decode errors) surface through the runtime's metrics registry and
+// Pipeline.Snapshot so an operator can see that boundary.
 //
 // Decode stays out here, in front of the partitioned region: sources
 // validate framing (a minimum POS frame, a sane pcap record) and count

@@ -53,9 +53,8 @@ type View struct {
 	RxPackets int64
 	// RxBytes counts the payload bytes of accepted packets.
 	RxBytes int64
-	// Drops counts packets the source itself discarded (an overfull
-	// internal queue). Kernel socket-buffer drops are invisible here —
-	// they happen before the source ever sees the packet.
+	// Drops counts packets lost before Pull could take them: on Linux the
+	// UDP source's kernel receive-queue overflows (see UDPSource).
 	Drops int64
 	// DecodeErrors counts frames rejected at the boundary: runt frames,
 	// truncated pcap records, oversized TCP frames.

@@ -33,10 +33,9 @@ const udpChunk = 64 << 10
 // UDPSource receives one packet per datagram from a bound UDP socket.
 // Datagrams shorter than a POS frame header are counted as decode errors
 // and dropped at the boundary; everything else enters the pipeline
-// as-is. When the pipeline stops pulling (first ring full under the
-// blocking policy), the socket stops being drained and the kernel
-// receive buffer absorbs — then drops — the excess; those drops never
-// appear in Stats.
+// as-is. When the pipeline stops pulling (first ring full), the socket
+// stops being drained and the kernel receive buffer absorbs — then drops —
+// the excess; on Linux those drops are counted in Stats.Drops (see rxq).
 //
 // Packets are sub-slices of shared receive chunks, each with its capacity
 // cut to its length: a packet the caller retains keeps its chunk (udpChunk
@@ -50,7 +49,7 @@ type UDPSource struct {
 	// Pull-side state; Pull is single-consumer.
 	chunk []byte // chunk[used:] is free
 	used  int
-	drain drainer
+	rx    rxq
 }
 
 // OpenUDP binds addr (":9000", "127.0.0.1:9000") and returns a listening
@@ -69,7 +68,12 @@ func OpenUDP(addr string) (*UDPSource, error) {
 		conn.Close()
 		return nil, fmt.Errorf("udp://%s: %w", addr, err)
 	}
-	return &UDPSource{conn: conn, raw: raw}, nil
+	u := &UDPSource{conn: conn, raw: raw}
+	if err := u.rx.init(raw, &u.stats); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("udp://%s: %w", addr, err)
+	}
+	return u, nil
 }
 
 // LocalAddr returns the bound address (useful when listening on port 0).
@@ -77,7 +81,7 @@ func (u *UDPSource) LocalAddr() net.Addr { return u.conn.LocalAddr() }
 
 // Pull blocks until at least one datagram arrives, then drains whatever
 // else is already queued without blocking (a non-blocking read where the
-// platform has one — see drainer — else nothing), one packet per dst slot.
+// platform has one — see rxq — else nothing), one packet per dst slot.
 func (u *UDPSource) Pull(ctx context.Context, dst [][]byte) (int, error) {
 	n, armed := 0, false
 	for n < len(dst) {
@@ -89,7 +93,7 @@ func (u *UDPSource) Pull(ctx context.Context, dst [][]byte) (int, error) {
 		if n > 0 {
 			// Already have packets: only take what is immediately ready.
 			var ok bool
-			if sz, ok = u.drain.read(u.raw, buf); !ok {
+			if sz, ok = u.rx.poll(u.raw, buf); !ok {
 				break
 			}
 		} else {
@@ -102,7 +106,7 @@ func (u *UDPSource) Pull(ctx context.Context, dst [][]byte) (int, error) {
 				armed = true
 			}
 			var err error
-			if sz, err = u.conn.Read(buf); err != nil {
+			if sz, err = u.rx.wait(u.conn, buf); err != nil {
 				if ctx.Err() != nil {
 					return 0, ctx.Err()
 				}

@@ -2,10 +2,18 @@
 
 package ingest
 
-import "syscall"
+import (
+	"net"
+	"syscall"
+)
 
-// drainer is UDPSource's non-blocking receive; off Unix it has no portable
-// form, so Pull returns the one datagram it blocked for.
-type drainer struct{}
+// rxq is UDPSource's receive path off Unix: a blocking read only, so Pull
+// returns the one datagram it blocked for, and kernel receive-queue drops
+// are not reported (Stats.Drops stays 0).
+type rxq struct{}
 
-func (*drainer) read(syscall.RawConn, []byte) (int, bool) { return 0, false }
+func (*rxq) init(syscall.RawConn, *Stats) error { return nil }
+
+func (*rxq) wait(conn *net.UDPConn, buf []byte) (int, error) { return conn.Read(buf) }
+
+func (*rxq) poll(syscall.RawConn, []byte) (int, bool) { return 0, false }

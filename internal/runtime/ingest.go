@@ -13,9 +13,8 @@ type IngestStats struct {
 	// RxPackets and RxBytes count packets (and their payload bytes)
 	// accepted at the source boundary and handed to the pipeline.
 	RxPackets, RxBytes int64
-	// Drops counts packets the source discarded itself (an overfull
-	// internal queue). Kernel socket-buffer drops happen upstream of
-	// the process and are not visible here.
+	// Drops counts packets lost at the source: on Linux the UDP source's
+	// kernel receive-queue overflows; no other source drops.
 	Drops int64
 	// DecodeErrors counts frames rejected at the boundary: runt frames,
 	// truncated capture records, oversized stream frames.
