@@ -16,8 +16,8 @@ var (
 
 	// ErrBadOption is returned when an option or configuration field holds
 	// a value outside its accepted range (a negative ring capacity, a degree
-	// past MaxStages, an unknown overload policy or fusion mode). The
-	// wrapping message names the option or field and the offending value.
+	// past MaxStages, an unknown fusion mode). The wrapping message names
+	// the option or field and the offending value.
 	ErrBadOption = errors.New("bad option value")
 
 	// ErrUnbalanced is returned when no finite balanced cut exists for the
@@ -51,8 +51,8 @@ var (
 
 	// ErrConflictingOptions is returned when individually valid options
 	// contradict each other or are applied to an entry point outside their
-	// scope (a batch larger than the ring under the shed policy,
-	// WithIterations passed to Serve).
+	// scope (WithSource beside a positional source, WithIterations passed
+	// to Serve).
 	ErrConflictingOptions = errors.New("conflicting options")
 
 	// ErrStagePanic is returned when a panic is recovered inside a stage

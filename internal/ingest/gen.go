@@ -13,9 +13,8 @@ import (
 )
 
 // GenConfig parameterizes the synthetic traffic generator. The defaults
-// (DefaultGenConfig) model the arrival process the overload machinery
-// was built for: heavy-tailed flow sizes and bursty on/off arrivals
-// rather than uniform PPS.
+// (DefaultGenConfig) model a realistic arrival process: heavy-tailed flow
+// sizes and bursty on/off arrivals rather than uniform PPS.
 type GenConfig struct {
 	// Seed fixes the whole packet sequence; two generators with equal
 	// configs produce byte-identical streams.

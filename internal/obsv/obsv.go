@@ -1,6 +1,6 @@
 // Package obsv is the observability layer of the streaming runtime: it
-// answers "why is this pipeline slow (or shedding)?" with data instead of
-// guesswork. Three instruments, all optional, all nil-safe:
+// answers "why is this pipeline slow (or losing packets)?" with data
+// instead of guesswork. Three instruments, all optional, all nil-safe:
 //
 //   - Tracer records one span per (iteration batch, stage, phase) — the
 //     time a stage spent waiting on its inbound ring, executing the stage

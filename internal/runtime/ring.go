@@ -15,9 +15,20 @@ package runtime
 import (
 	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/obsv"
 	"repro/internal/spsc"
 )
+
+// DefaultRingCapacity is a ring kind's default per-ring entry count:
+// nearest-neighbor rings are small on-chip buffers, scratch rings are deeper.
+// A Config's RingCapacity of 0 selects the nearest-neighbor one.
+func DefaultRingCapacity(ch costmodel.ChannelKind) int {
+	if ch == costmodel.ScratchRing {
+		return 64
+	}
+	return 8
+}
 
 // tokRing is the one conduit type: a ring of token batches.
 type tokRing = spsc.Ring[*batch]
@@ -117,7 +128,7 @@ func (e *engine) pull(in *inPort) (b *batch, more bool) {
 
 // outPort is a unit's outbound side. lc is the sending lane — the unit's
 // stage, or the dispatcher's own lane: its probe takes the Out
-// count, the stalls, the transmit-side waits and the overload counters.
+// count, the stalls and the transmit-side waits.
 type outPort struct {
 	kind portKind
 	lc   *laneCtx
@@ -138,7 +149,7 @@ func (o *outPort) send(e *engine, b *batch, span bool) bool {
 	if !span {
 		return o.deliver(e, b)
 	}
-	// Capture before sending: a shed batch is recycled inside.
+	// Capture before sending: the batch is the consumer's once sent.
 	iter, n := b.toks[0].iter, len(b.toks)
 	start := time.Now()
 	ok := o.deliver(e, b)
@@ -175,49 +186,18 @@ func tryPush(out *tokRing, b *batch, p *stageProbe) bool {
 	return false
 }
 
-// sendRing forwards a batch on out, counting a stall when the ring is
-// full. Under OverloadBlock — and inside a sharded segment whatever the
-// policy: a token the scatter recorded must reach the fan-in — it waits for
-// space (backpressure); under OverloadShed it re-probes the saturated ring
-// for watermark ticks and then drops the batch. It returns false when the
-// run was canceled mid-wait.
+// sendRing forwards a batch on out, counting a stall when the ring is full
+// and waiting for space: a full ring is backpressure, never a loss. It
+// returns false when the run was canceled mid-wait.
 func (e *engine) sendRing(out *tokRing, b *batch, lc *laneCtx) bool {
 	p, n := lc.probe, int64(len(b.toks))
 	if tryPush(out, b, p) {
 		return true
 	}
 	p.stalls.Add(1)
-	if e.cfg.Overload == OverloadShed && !lc.tomb {
-		for probe := 0; probe < watermark; probe++ {
-			sent, canceled := out.PushTimeout(b, e.ictx.Done(), overloadTick, &p.txWait)
-			if sent {
-				p.out.Add(n)
-				return true
-			}
-			if canceled {
-				return false
-			}
-		}
-		for _, t := range b.toks {
-			e.shed(lc, t, "ring saturated past watermark")
-		}
-		e.putBatch(b)
-		return true
-	}
 	if !out.Push(b, e.ictx.Done(), &p.txWait) {
 		return false
 	}
 	p.out.Add(n)
 	return true
-}
-
-// shed drops one packet under OverloadShed — its ring, or at a scatter its
-// lane, stayed saturated past the watermark: recorded, counted and recycled.
-// The fault seam's overload gates are released before the caller moves on: a
-// schedule may hold the consumer until this very engagement is observed.
-func (e *engine) shed(lc *laneCtx, t *token, why string) {
-	e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "shed", Reason: why})
-	e.putToken(t)
-	lc.probe.shed.Add(1)
-	e.inj.NoteOverload(1)
 }

@@ -27,9 +27,7 @@ package runtime
 // stage-less sink unit, the dispatcher's mirror, which merges the lanes
 // online and is the one goroutine that pushes to the Sink. A quarantine
 // inside a segment would leave a hole in its sequence, so the token goes on
-// as a tombstone (token.dead) and the fan-in recycles it silently; a shed
-// would too, so under the shed policy a segment's rings block and the drop
-// happens where the sequence is recorded, before the entry exists (merge.go).
+// as a tombstone (token.dead) and the fan-in recycles it silently.
 // Stages classified as cross-flow run unsharded behind a fan-in, therefore
 // observe packets in exact global order and mutate their state identically
 // to the sequential oracle — which is why the merged trace stays

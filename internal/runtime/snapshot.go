@@ -20,11 +20,11 @@ import (
 // updates never false-share.
 type stageProbe struct {
 	in, out, stalls    atomic.Int64
-	shed, quarantined  atomic.Int64
+	quarantined        atomic.Int64
 	busyNs, bodyPanics atomic.Int64
 	occSum, occSamples atomic.Int64
 	txWait, rxWait     spsc.WaitCounters
-	_                  [40]byte
+	_                  [48]byte
 }
 
 // stats converts the probe's current values into the exported snapshot
@@ -36,7 +36,6 @@ func (p *stageProbe) stats(stage int) StageStats {
 		In:          p.in.Load(),
 		Out:         p.out.Load(),
 		Stalls:      p.stalls.Load(),
-		Shed:        p.shed.Load(),
 		Quarantined: p.quarantined.Load(),
 		Busy:        time.Duration(p.busyNs.Load()),
 		Spins:       p.txWait.Spins.Load() + p.rxWait.Spins.Load(),
@@ -109,9 +108,9 @@ func (l *Live) probe(s, j int) *stageProbe { return &l.probes[l.offs[s]+j] }
 // into an earlier one's program — an entry of zero counters naming that
 // stage. When a dispatcher paces the source, stage 1's In is the
 // dispatcher's pull count (every packet that left the source) and its stall
-// and shed counts fold in the dispatcher's — preserving the ledger invariant
-// Delivered + Shed + Quarantined == Stages[0].In at any shard width. The
-// sink unit mirrors it: the last stage's Out is what the sink unit retired,
+// count folds in the dispatcher's — preserving the ledger invariant
+// Delivered + Quarantined == Stages[0].In at any shard width. The sink unit
+// mirrors it: the last stage's Out is what the sink unit retired,
 // and the time it spent in the Sink is that stage's TxWait.
 func (l *Live) stageStats(k int) StageStats {
 	s := sort.SearchInts(l.first, k+2) - 1 // the served stage standing for cut stage k+1
@@ -231,8 +230,8 @@ func (s *Snapshot) Line() string {
 			continue
 		}
 		fmt.Fprintf(&b, " | s%d in=%d out=%d stall=%d occ=%.1f", st.Stage, st.In, st.Out, st.Stalls, st.MeanOccupancy())
-		if lost := st.Shed + st.Quarantined; lost > 0 {
-			fmt.Fprintf(&b, " lost=%d", lost)
+		if st.Quarantined > 0 {
+			fmt.Fprintf(&b, " lost=%d", st.Quarantined)
 		}
 		if st.LostWakeups > 0 {
 			fmt.Fprintf(&b, " lostwake=%d", st.LostWakeups)

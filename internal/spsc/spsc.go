@@ -12,9 +12,9 @@
 // The slot buffer is rounded up to a power of two so slot indexing is a
 // mask, but the ring enforces the *requested* capacity exactly: a ring
 // built for N entries reports full at N queued, never at the rounded
-// buffer size. Backpressure-coupled callers (overload policies trip when
-// a ring of capacity K saturates) depend on that exactness — rounding the
-// visible capacity would move the saturation point. The head and tail
+// buffer size. Backpressure-coupled callers (the sharded runtime's
+// sequence-queue bound counts ring capacities) depend on that exactness —
+// rounding the visible capacity would move the saturation point. The head and tail
 // cursors live on separate cache lines (as do the two park notifiers), so
 // the producer and consumer never false-share.
 //

@@ -34,8 +34,8 @@ var (
 var (
 	// ErrBadOption is returned when an option carries a value outside its
 	// accepted range — a degree outside 1..MaxStages, a negative ring
-	// capacity or batch, an unknown overload policy or fusion mode, Explore
-	// without a positive WithBudget. The message names the option (or the
+	// capacity or batch, an unknown fusion mode, Explore without a positive
+	// WithBudget. The message names the option (or the
 	// configuration field it sets) and the offending value.
 	ErrBadOption = errs.ErrBadOption
 	// ErrBadSource is returned when OpenSource is given a malformed spec
@@ -43,9 +43,9 @@ var (
 	// cannot be parsed.
 	ErrBadSource = errs.ErrBadSource
 	// ErrConflictingOptions is returned when individually valid options
-	// contradict each other (a batch larger than the ring under the shed
-	// policy) — or when an option is passed to an entry point outside its
-	// scope (WithIterations on Serve); see the option matrix on Option.
+	// contradict each other (WithSource beside a positional source) — or
+	// when an option is passed to an entry point outside its scope
+	// (WithIterations on Serve); see the option matrix on Option.
 	ErrConflictingOptions = errs.ErrConflictingOptions
 )
 
@@ -127,7 +127,6 @@ const (
 //	WithRing                          yes                -     yes
 //	WithBatch                         yes                -     yes
 //	WithWorld                         yes                -     yes
-//	WithOverload                      yes                -     yes
 //	WithObserver                      yes                -     yes
 //	WithShards                        yes                -     yes
 //	WithShardKey                      yes                -     yes
@@ -198,17 +197,6 @@ func WithBatch(n int) Option {
 // served pipeline runs in; the default is an empty NewWorld(nil).
 func WithWorld(w *World) Option { return Option{"WithWorld", inServe, func(c *config) { c.world = w }} }
 
-// WithOverload selects the serve-path overload policy: OverloadBlock
-// (default — lossless backpressure) or OverloadShed (drop batches when a
-// ring stays saturated past the watermark, a fixed four re-probe ticks of
-// 200µs). The policy acts at rings, so between served stages: a cut un-made
-// by fusion (WithFusion) has no ring to saturate. Inside a run of replicated
-// stages (WithShards) the rings block and the drop happens at the dispatch
-// into the run, before a packet is given its place in the merge order.
-func WithOverload(p OverloadPolicy) Option {
-	return Option{"WithOverload", inServe, func(c *config) { c.serve.Overload = p }}
-}
-
 // WithObserver attaches the observability layer to Serve: span tracing
 // into o.Tracer, per-stage counter mirroring into o.Registry, and
 // periodic progress lines every o.LogEvery. Nil clears it (the default);
@@ -264,10 +252,9 @@ const (
 // keep the partition's numbering: a fused unit books its counters, spans
 // and fault records under the first stage it covers, and the entries of
 // the stages fused into it are zero and name that stage
-// (StageStats.FusedInto). Shed under WithOverload acts per served stage: a
-// fused unit is one stage with one outgoing ring. A scatter or fan-in
-// junction (sharded serving) always keeps its ring machinery — fusion
-// applies only to cuts whose two sides run at the same replica width.
+// (StageStats.FusedInto). A scatter or fan-in junction (sharded serving)
+// always keeps its ring machinery — fusion applies only to cuts whose two
+// sides run at the same replica width.
 func WithFusion(m FusionMode) Option {
 	return Option{"WithFusion", inServe, func(c *config) { c.fusion = m }}
 }
@@ -361,18 +348,8 @@ func (c *config) serveConfig() runtime.Config {
 	return rc
 }
 
-// OverloadPolicy decides what a saturated ring does to the packets that
-// cannot enter it; see WithOverload.
-type OverloadPolicy = runtime.OverloadPolicy
-
-// The overload policies.
-const (
-	OverloadBlock = runtime.OverloadBlock
-	OverloadShed  = runtime.OverloadShed
-)
-
 // FaultReport is the serve run's loss accounting (Metrics.Faults).
 type FaultReport = runtime.FaultReport
 
-// FaultRecord describes the fate of one shed or quarantined packet.
+// FaultRecord describes the fate of one quarantined packet.
 type FaultRecord = runtime.FaultRecord

@@ -69,8 +69,8 @@ func TestSentinelsComplete(t *testing.T) {
 // central validator via the public entry points. An out-of-range value
 // surfaces as ErrBadOption with a message naming the option (or the
 // configuration field it sets) — a malformed fault plan reaching the seam
-// included — and a contradiction as ErrConflictingOptions, no matter which
-// entry point receives it.
+// included — no matter which entry point receives it, and an option outside
+// its entry point's scope as ErrConflictingOptions.
 func TestOptionsRejectInvalid(t *testing.T) {
 	prog := repro.MustCompile(facadeSrc)
 	cases := []struct {
@@ -87,13 +87,6 @@ func TestOptionsRejectInvalid(t *testing.T) {
 		{"negative ring", []repro.Option{repro.WithRing(repro.NNRing, -2)}, repro.ErrBadOption, "RingCapacity -2"},
 		{"negative batch", []repro.Option{repro.WithBatch(-1)}, repro.ErrBadOption, "Batch -1"},
 		{"negative iterations", []repro.Option{repro.WithIterations(-1)}, repro.ErrBadOption, "WithIterations -1"},
-		{"unknown policy", []repro.Option{repro.WithOverload(repro.OverloadPolicy(9))}, repro.ErrBadOption, "Overload policy 9"},
-		{"batch exceeds ring under shed",
-			[]repro.Option{repro.WithOverload(repro.OverloadShed), repro.WithBatch(20)},
-			repro.ErrConflictingOptions, "batch 20 exceeds ring capacity 8"},
-		{"batch exceeds scratch ring under shed",
-			[]repro.Option{repro.WithRing(repro.ScratchRing, 0), repro.WithOverload(repro.OverloadShed), repro.WithBatch(65)},
-			repro.ErrConflictingOptions, "batch 65 exceeds ring capacity 64"},
 		{"fault plan stage zero",
 			[]repro.Option{repro.WithFaultsForTest(&fault.Plan{Injections: []fault.Injection{
 				{Kind: fault.Stall, Stage: 0},
@@ -130,14 +123,9 @@ func TestOptionsRejectInvalid(t *testing.T) {
 	if _, err := pipe.Serve(ctx, src, repro.WithShards(-1)); !errors.Is(err, repro.ErrBadOption) {
 		t.Errorf("Serve(WithShards(-1)) err = %v, want ErrBadOption", err)
 	}
-	if _, err := pipe.Serve(ctx, src, repro.WithOverload(repro.OverloadShed),
-		repro.WithBatch(64)); !errors.Is(err, repro.ErrConflictingOptions) {
-		t.Errorf("Serve(batch > ring, shed) err = %v, want ErrConflictingOptions", err)
-	}
-	// A scratch ring's default depth is 64 entries, so the same batch fits.
-	if _, err := pipe.Serve(ctx, repro.PacketSource(testPackets(1)), repro.WithRing(repro.ScratchRing, 0),
-		repro.WithOverload(repro.OverloadShed), repro.WithBatch(64)); err != nil {
-		t.Errorf("Serve(batch = scratch ring, shed) err = %v", err)
+	if _, err := pipe.Serve(ctx, src, repro.WithIterations(5)); !errors.Is(err, repro.ErrConflictingOptions) ||
+		!strings.Contains(fmt.Sprint(err), "WithIterations") {
+		t.Errorf("Serve(WithIterations(5)) err = %v, want ErrConflictingOptions naming WithIterations", err)
 	}
 	if _, err := pipe.Run(ctx, repro.NewWorld(nil), repro.WithIterations(-2)); !errors.Is(err, repro.ErrBadOption) {
 		t.Errorf("Run(WithIterations(-2)) err = %v, want ErrBadOption", err)
@@ -153,7 +141,7 @@ func TestOptionMatrix(t *testing.T) {
 	all := []repro.Option{
 		repro.WithStages(0), repro.WithEpsilon(0), repro.WithTxMode(0),
 		repro.WithBudget(0), repro.WithIterations(0), repro.WithRing(repro.NNRing, 0),
-		repro.WithBatch(0), repro.WithWorld(nil), repro.WithOverload(0), repro.WithObserver(nil),
+		repro.WithBatch(0), repro.WithWorld(nil), repro.WithObserver(nil),
 		repro.WithShards(0), repro.WithShardKey(nil), repro.WithFusion(0), repro.WithSource(nil), repro.WithSink(nil),
 	}
 	cell := map[bool]string{true: "yes", false: "-"}
