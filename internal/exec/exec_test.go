@@ -323,7 +323,7 @@ func BenchmarkCompiledSequentialIPv4(b *testing.B) {
 // so ns/op is the exec layer's share of a served packet at that batch width. IPv4 is
 // lane-parallel at every degree; beside it stands BenchmarkNativeIPv4, the
 // hand-written floor.
-func BenchmarkCompiledChainIPv4(b *testing.B) { benchChain(b, "IPv4", 1, 4) }
+func BenchmarkCompiledChainIPv4(b *testing.B) { benchChain(b, "IPv4", 1, 2, 4) }
 
 // BenchmarkCompiledChainQM is the same for a pipeline whose second stage
 // keeps the queue state and therefore runs its lanes one at a time.
