@@ -543,6 +543,172 @@ func TestStepLimitParityWithEffects(t *testing.T) {
 	}
 }
 
+// sameBatched runs prog on the interpreter one packet at a time, each
+// iteration on past an error in the one before, and on the compiled backend
+// as one batch of all of them: every iteration's events must agree, and the
+// batch's error must be the first iteration's that failed.
+func sameBatched(t *testing.T, prog *ir.Program, packets [][]byte) {
+	t.Helper()
+	r := interp.NewStageRunners([]*ir.Program{prog.Clone()}, interp.NewWorld(nil))[0]
+	r.RxFromCtx = true
+	var wantErr error
+	var want [][]interp.Event
+	for _, ctx := range streamCtxs(packets, len(packets)) {
+		if _, err := r.RunIteration(ctx, nil); wantErr == nil {
+			wantErr = err
+		}
+		want = append(want, ctx.Events)
+	}
+	got, gotErr := execStream([]*ir.Program{prog}, packets, len(packets), len(packets), len(packets))
+	if errText(wantErr) != errText(gotErr) {
+		t.Fatalf("%s: errors diverge:\ninterp: %v\nexec:   %v", prog.Name, wantErr, gotErr)
+	}
+	for i, evs := range want {
+		if diff := interp.TraceEqual(evs, got[i]); diff != "" {
+			t.Fatalf("%s, iteration %d: %s", prog.Name, i, diff)
+		}
+	}
+}
+
+// TestGuardChainStepLimit runs a chain of three guards, the last exiting
+// where the first does, after a loop that spins the iteration to within a
+// few steps of MaxSteps. The four lanes of one batch leave at the first,
+// second and third guard or pass all three, and the prologue is padded so
+// that the limit lands on every instruction from the loop's last branch to
+// the end of each exit: the lanes that leave must reach the interpreter's
+// instruction whether they leave in the lane-parallel run, with their steps
+// settled at their guard, or lane by lane in the exact one.
+func TestGuardChainStepLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 10⁶ interpreter steps per lane and offset")
+	}
+	guards := func(pad, laps int) *ir.Program {
+		return build(fmt.Sprintf("guards/pad=%d", pad), func(bl *ir.Builder) {
+			f := bl.Func
+			loop, g2, g3, pass := f.NewBlock("loop"), f.NewBlock("g2"), f.NewBlock("g3"), f.NewBlock("pass")
+			g1, x1, x2 := f.NewBlock("g1"), f.NewBlock("x1"), f.NewBlock("x2")
+			i := f.NewReg()
+			bl.Call("pkt_rx")
+			x := bl.Call("pkt_byte", bl.Const(0))
+			bits := []int{bl.Bin(ir.OpAnd, x, bl.Const(1)), bl.Bin(ir.OpAnd, x, bl.Const(2)), bl.Bin(ir.OpAnd, x, bl.Const(4))}
+			for k := 0; k < pad; k++ {
+				bl.Const(int64(k))
+			}
+			bl.ConstTo(i, 0)
+			bl.Jmp(loop)
+			bl.SetBlock(loop)
+			bl.CopyTo(i, bl.Bin(ir.OpAdd, i, bl.Const(1)))
+			bl.Br(bl.Bin(ir.OpLt, i, bl.Const(int64(laps))), loop, g1)
+			for k, g := range []struct{ at, exit, next *ir.Block }{{g1, x1, g2}, {g2, x2, g3}, {g3, x1, pass}} {
+				bl.SetBlock(g.at)
+				bl.Switch(bits[k], []int64{0}, []*ir.Block{g.exit, g.next})
+			}
+			for k, b := range []*ir.Block{pass, x1, x2} {
+				bl.SetBlock(b)
+				bl.CallVoid("trace", bl.Const(int64(k)))
+				for j := 0; j < 4*k; j++ { // an exit runs longer than the pass
+					bl.Const(int64(j))
+				}
+				bl.CallVoid("trace", x)
+				bl.Ret()
+			}
+		})
+	}
+	// The prologue without padding, the laps and the longest way on from
+	// the loop (the second guard, then x2) come to MaxSteps or less than a
+	// lap short of it; padding moves the limit from past every ret to the
+	// loop's last branch.
+	blocks := guards(0, 0).Func.Blocks
+	prologue, lap, tail := len(blocks[0].Instrs), len(blocks[1].Instrs), 2+len(blocks[7].Instrs)
+	laps := (interp.MaxSteps - prologue - tail) / lap
+	packets := [][]byte{{0}, {1}, {3}, {7}}
+	for pad := 0; pad <= tail+lap; pad++ {
+		prog := guards(pad, laps)
+		if low := exec.NewRunner(prog.Clone(), interp.NewWorld(nil)).Lowered(); low.Guards != 3 {
+			t.Fatalf("%s: the three guards should be one op: %+v", prog.Name, low)
+		}
+		sameBatched(t, prog, packets)
+	}
+}
+
+// TestCopyInLoopNotForwarded reads a copy whose source has one writer, but
+// inside a loop that rewrites it every lap: the copy stays an op. Without
+// the loop the same copy is forwarded.
+func TestCopyInLoopNotForwarded(t *testing.T) {
+	packets := [][]byte{{1, 2, 3, 4}, {9, 8, 7, 6}}
+	for _, loop := range []bool{false, true} {
+		prog := build(fmt.Sprintf("copy/loop=%v", loop), func(bl *ir.Builder) {
+			f := bl.Func
+			head, exit := f.NewBlock("head"), f.NewBlock("exit")
+			i := f.NewReg()
+			bl.Call("pkt_rx")
+			bl.ConstTo(i, 0)
+			bl.Jmp(head)
+			bl.SetBlock(head)
+			s := bl.Call("pkt_byte", i)
+			d := bl.Copy(s)
+			bl.CallVoid("trace", d)
+			bl.CopyTo(i, bl.Bin(ir.OpAdd, i, bl.Const(1)))
+			if loop {
+				bl.Br(bl.Bin(ir.OpLt, i, bl.Const(3)), head, exit)
+			} else {
+				bl.Jmp(exit)
+			}
+			bl.SetBlock(exit)
+			bl.CallVoid("trace", bl.Bin(ir.OpAdd, d, s))
+			bl.Ret()
+		})
+		low := same(t, prog, packets)
+		sameBatched(t, prog, packets)
+		if forwarded := low.Forwarded == 1; forwarded == loop {
+			t.Fatalf("%s: %+v", prog.Name, low)
+		}
+	}
+}
+
+// TestGuardExitWithPhis lowers two one-case switches in a row: the chain
+// runs on through both when no edge carries phi moves, and stops at a
+// switch whose exit or default successor opens with a phi.
+func TestGuardExitWithPhis(t *testing.T) {
+	var packets [][]byte
+	for _, v := range []int64{0, 5, 6, 7, -1} {
+		packets = append(packets, word(v))
+	}
+	for phi, guards := range map[string]int{"": 2, "exit": 0, "default": 1} {
+		prog := build("guardphi/"+phi, func(bl *ir.Builder) {
+			f := bl.Func
+			a, b, x := f.NewBlock("a"), f.NewBlock("b"), f.NewBlock("x")
+			bl.Call("pkt_rx")
+			v := bl.Copy(word64(bl))
+			one, two := bl.Const(1), bl.Const(2)
+			bl.Switch(v, []int64{5}, []*ir.Block{x, a})
+			bl.SetBlock(a)
+			bl.Switch(v, []int64{6}, []*ir.Block{x, b})
+			bl.SetBlock(b)
+			bl.CallVoid("trace", v)
+			bl.Ret()
+			bl.SetBlock(x)
+			switch phi {
+			case "exit":
+				p := f.NewReg()
+				x.Instrs = append(x.Instrs, &ir.Instr{Op: ir.OpPhi, Dst: p, Args: []int{one, two}, PhiPreds: []int{0, a.ID}})
+				bl.CallVoid("trace", p)
+			case "default":
+				p := f.NewReg()
+				a.Instrs = append([]*ir.Instr{{Op: ir.OpPhi, Dst: p, Args: []int{two}, PhiPreds: []int{0}}}, a.Instrs...)
+				bl.CallVoid("trace", p)
+			}
+			bl.CallVoid("trace", bl.Bin(ir.OpSub, v, one))
+			bl.Ret()
+		})
+		low := same(t, prog, packets)
+		sameBatched(t, prog, packets)
+		if low.Guards != guards {
+			t.Fatalf("%s: want %d guards: %+v", prog.Name, guards, low)
+		}
+	}
+}
+
 // TestLoweringShape pins what the lowering makes of the stages the serve
 // workloads run, so a change that quietly stops folding, fusing, shrinking
 // the frame or running lanes together fails here rather than as a slower
@@ -550,9 +716,10 @@ func TestStepLimitParityWithEffects(t *testing.T) {
 // packet the closures dispatched (body ops plus terminators, each call
 // counted once however many lanes it serves) over netbench traffic in
 // batches of one full group. One lane at a time the three IP pipelines
-// dispatch 78.6, 152.6 and 254.4 closures per packet; the bounds sit a few
-// percent above what a group of 32 reaches today (3.1, 5.5, 8.8; the QM
-// pipeline, half of it serial, 37.1).
+// dispatch 78.6, 120.9 and 203.4 closures per packet; the bounds sit at or
+// a few percent above what a group of 32 reaches today (3.1, 4.5, 7.2; the
+// QM pipeline, half of it serial, 35.7). A downstream stage's control-object
+// switches run as one guard op and its forwarded copies as none.
 func TestLoweringShape(t *testing.T) {
 	for _, tc := range []struct {
 		pps    string
@@ -563,26 +730,26 @@ func TestLoweringShape(t *testing.T) {
 		{pps: "IPv4", degree: 1, maxDyn: 5, shape: []exec.Lowered{
 			{IRInstrs: 373, Ops: 128, Folded: 180, Fused: 77, FrameSlots: 61, Resets: 3},
 		}},
-		{pps: "IPv4", degree: 4, maxDyn: 6, shape: []exec.Lowered{
+		{pps: "IPv4", degree: 4, maxDyn: 4.5, shape: []exec.Lowered{
 			{IRInstrs: 112, Ops: 43, Folded: 49, Fused: 20, FrameSlots: 20, Resets: 10},
-			{IRInstrs: 123, Ops: 40, Folded: 58, Fused: 25, FrameSlots: 33, Resets: 5},
-			{IRInstrs: 112, Ops: 68, Folded: 35, Fused: 9, FrameSlots: 42, Resets: 10},
-			{IRInstrs: 110, Ops: 65, Folded: 38, Fused: 8, FrameSlots: 41, Resets: 2},
+			{IRInstrs: 123, Ops: 31, Folded: 58, Fused: 25, Guards: 5, Forwarded: 5, FrameSlots: 28, Resets: 5},
+			{IRInstrs: 112, Ops: 55, Folded: 35, Fused: 9, Guards: 7, Forwarded: 7, FrameSlots: 35, Resets: 10},
+			{IRInstrs: 110, Ops: 54, Folded: 38, Fused: 8, Guards: 12, FrameSlots: 41, Resets: 2},
 		}},
-		{pps: "IP(v4)", degree: 4, maxDyn: 9.5, shape: []exec.Lowered{
+		{pps: "IP(v4)", degree: 4, maxDyn: 7.5, shape: []exec.Lowered{
 			{IRInstrs: 221, Ops: 85, Folded: 98, Fused: 38, FrameSlots: 51, Resets: 20},
-			{IRInstrs: 202, Ops: 104, Folded: 76, Fused: 22, FrameSlots: 81, Resets: 11},
-			{IRInstrs: 246, Ops: 155, Folded: 80, Fused: 11, FrameSlots: 106, Resets: 17},
-			{IRInstrs: 216, Ops: 146, Folded: 65, Fused: 8, FrameSlots: 105, Resets: 10},
+			{IRInstrs: 202, Ops: 89, Folded: 76, Fused: 22, Guards: 7, Forwarded: 10, FrameSlots: 71, Resets: 11},
+			{IRInstrs: 246, Ops: 127, Folded: 80, Fused: 11, Guards: 14, Forwarded: 16, FrameSlots: 90, Resets: 17},
+			{IRInstrs: 216, Ops: 128, Folded: 65, Fused: 8, Guards: 21, FrameSlots: 105, Resets: 10},
 		}},
 		// The partitioner has isolated the queue manager's carried state in
 		// stages 2 and 4: those run their lanes one at a time, the other two
 		// stay lane-parallel.
 		{pps: "QM", degree: 4, maxDyn: 40, shape: []exec.Lowered{
 			{IRInstrs: 24, Ops: 16, Folded: 7, Fused: 1, FrameSlots: 10, Resets: 5},
-			{IRInstrs: 68, Ops: 42, Folded: 19, Fused: 7, FrameSlots: 29, Resets: 5, Serial: true, Carried: "queue"},
-			{IRInstrs: 21, Ops: 18, Folded: 3, FrameSlots: 12},
-			{IRInstrs: 33, Ops: 21, Folded: 11, Fused: 3, FrameSlots: 18, Serial: true, Carried: "persistent array dropped"},
+			{IRInstrs: 68, Ops: 40, Folded: 19, Fused: 7, Guards: 1, Forwarded: 2, FrameSlots: 27, Resets: 5, Serial: true, Carried: "queue"},
+			{IRInstrs: 21, Ops: 14, Folded: 3, Guards: 2, Forwarded: 3, FrameSlots: 9},
+			{IRInstrs: 33, Ops: 20, Folded: 11, Fused: 3, Guards: 2, FrameSlots: 18, Serial: true, Carried: "persistent array dropped"},
 		}},
 	} {
 		pps, ok := netbench.ByName(tc.pps)
@@ -629,7 +796,7 @@ func TestLoweringShape(t *testing.T) {
 			}
 		}
 		if dyn := float64(total) / 256; dyn > tc.maxDyn {
-			t.Errorf("%s D=%d: %.1f closures per packet, want at most %.0f", tc.pps, tc.degree, dyn, tc.maxDyn)
+			t.Errorf("%s D=%d: %.2f closures per packet, want at most %.1f", tc.pps, tc.degree, dyn, tc.maxDyn)
 		}
 	}
 }
