@@ -99,7 +99,7 @@ echo "== route-table gate: go test -race -count=2 ./internal/netbench"
 # race detector.
 go test -race -count=2 ./internal/netbench
 
-echo "== ring gate: microbench smoke + ring oracle matrix"
+echo "== ring gate: microbench smokes + lowering shape + ring oracle matrix"
 # A short microbench smoke proving BenchmarkRingChanVsSPSC still runs (it is
 # the evidence behind fusion.go's ringSyncNsSPSC; the numbers are recorded
 # in EXPERIMENTS.md, not gated — wall-clock on a shared box), and the
@@ -111,6 +111,13 @@ echo "== ring gate: microbench smoke + ring oracle matrix"
 # counters' accounting test runs 50 more times: it once failed about one run
 # in twenty, and a flake that rare needs the repetitions to show.
 go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
+# The same for the exec chain microbench behind EXPERIMENTS' "What a cut
+# costs the host", and twice the tests that pin what the lowering makes of
+# a realized stage: its op counts and closures per packet, its guard runs
+# against the step limit, forwarded copies and phi edges, and the closure
+# census by category.
+go test ./internal/exec -run '^$' -bench BenchmarkCompiledChainIPv4 -benchtime 50x
+go test -count=2 -run '^(TestLoweringShape|TestGuardChainStepLimit|TestCopyInLoopNotForwarded|TestGuardExitWithPhis|TestDispatchCensus)$' ./internal/exec
 go test -race -count=2 -run 'TestRing' ./internal/runtime
 # The sharded junctions where a batch's live-set block crosses a scatter and
 # a fan-in, row by row with its tokens, also twice under the race detector.
