@@ -172,7 +172,7 @@ else
 fi
 
 echo "== doc gate: the docs name no deleted machinery"
-if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns|WithOverload|OverloadShed|OverloadPolicy|UntilOverload|TestChaosSaturatedRingSheds' README.md DESIGN.md EXPERIMENTS.md; then
+if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns|WithOverload|OverloadShed|OverloadPolicy|UntilOverload|TestChaosSaturatedRingSheds|flow-keyed|classFlowKeyed|flowArrs|Store\.Fork|flow-key contract' README.md DESIGN.md EXPERIMENTS.md; then
     echo "doc gate: the lines above name deleted machinery" >&2 && exit 1
 fi
 
@@ -213,9 +213,9 @@ code() { awk -v a="$2" -v b="$3" '$0 ~ a { on = 1 } on { print } on && $0 ~ b { 
 state_lines=$(( $(code internal/costmodel/costmodel.go '^type Use struct' '^func CheckConfined') \
     + $(code internal/core/validate.go '^func ValidateStages' '^func ValidateStages') \
     + $(code internal/runtime/runtime.go '^func Validate\(' '^func Validate\(') \
-    + $(code internal/runtime/shard.go '^type stateClass' '^func classifyStage\(') \
+    + $(code internal/runtime/shard.go '^func serialStages' '^func serialStages') \
     + $(code internal/exec/lower.go '^func \(lw \*lowerer\) effects' '^func \(lw \*lowerer\) effects') ))
-echo "stage-state analysis code lines (costmodel Use..CheckConfined, core.ValidateStages, runtime.Validate, shard classification, exec effects): $state_lines  (335 before)"
+echo "stage-state analysis code lines (costmodel Use..CheckConfined, core.ValidateStages, runtime.Validate, shard state scan, exec effects): $state_lines  (335 before)"
 # shellcheck disable=SC2046
 echo "internal/netbench code lines: $(cat $(ls internal/netbench/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (950 before the flat route tables, ISSUE 25)"
 # shellcheck disable=SC2046

@@ -32,7 +32,7 @@
 //	             On a clean end the captured stream is replayed through
 //	             the degree-1 sequential oracle and the served trace must
 //	             be byte-identical
-//	-shards P    -serve replica width: stages without cross-flow state run
+//	-shards P    -serve replica width: stages that keep no state run
 //	             as P parallel replicas behind a flow-hash dispatcher; the
 //	             served trace stays byte-identical to the sequential order
 //

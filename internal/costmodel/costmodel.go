@@ -98,9 +98,9 @@ var Intrinsics = map[string]*Intrinsic{
 // Use is what one instruction does to the state a stage may carry from one
 // packet to the next, and to the packet and the event stream, as the
 // intrinsic table and the array descriptor tell it. Every analysis that
-// decides a stage's state — validation, shard classification, exec's
-// batching — reads it, so a new intrinsic is classified by its table entry
-// alone.
+// decides a stage's state — validation, and through Carries exec's
+// batching and the shard plan — reads it, so a new intrinsic is classified
+// by its table entry alone.
 type Use struct {
 	Arr   *ir.Array // the persistent array a load or store touches
 	Chan  string    // the persistent channel a call touches ("" if none)
@@ -108,10 +108,22 @@ type Use struct {
 	Rx    bool      // it receives the packet: writes the packet and returns a value (its length)
 	PktW  bool      // it may change the packet buffer
 	Tx    bool      // it writes the tx channel: an observable event
-	// For a call with a result: PktVal says the call touches the packet and
-	// nothing else, so the result is derived from the packet; Mix says it is
-	// pure, so the result is derived from its arguments alone.
-	PktVal, Mix bool
+}
+
+// Carries names the state the instruction keeps from one iteration to the
+// next, or returns "": a store to a persistent array, or any use of a
+// persistent channel (a queue). The partitioner pins a PPS-loop-carried
+// dependence's whole SCC to one stage, so a stage with no such instruction
+// carries nothing between iterations: an array it only loads is a constant
+// table, because no other stage stores to it either.
+func (u Use) Carries() string {
+	switch {
+	case u.Arr != nil && u.Write:
+		return "persistent array " + u.Arr.Name
+	case u.Chan != "":
+		return u.Chan
+	}
+	return ""
 }
 
 // UseOf reads one instruction's Use.
@@ -126,7 +138,7 @@ func UseOf(in *ir.Instr) Use {
 		if intr == nil {
 			return Use{}
 		}
-		u := Use{PktVal: intr.HasResult && !intr.Pure(), Mix: intr.HasResult && intr.Pure()}
+		var u Use
 		for _, e := range intr.Effects {
 			switch {
 			case e.Persistent:
@@ -136,7 +148,6 @@ func UseOf(in *ir.Instr) Use {
 			case e.Channel == txW.Channel:
 				u.Tx = u.Tx || e.Write
 			}
-			u.PktVal = u.PktVal && e.Channel == pktW.Channel
 		}
 		u.Rx = u.PktW && intr.HasResult
 		return u

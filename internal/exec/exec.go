@@ -299,8 +299,7 @@ func NewRunner(prog *ir.Program, world *interp.World) *Runner {
 // store must be supplied up front because compilation binds persistent
 // arrays to their storage slices at closure-build time — a store swapped in
 // afterwards would be silently ignored. The sharded serve runtime uses this
-// to compile each pipeline replica against either the shared store or a
-// flow-partitioned fork.
+// to compile every pipeline replica against the one shared store.
 func NewRunnerShared(prog *ir.Program, world *interp.World, store *interp.Store) *Runner {
 	r := newRunner(prog, world, store)
 	lw := lowerers.Get().(*lowerer)
@@ -413,7 +412,7 @@ func (m *Runner) RunBatch(its []Iteration, in, out *Block) error {
 // frame to its iteration-start image, takes the virtual predecessor's edge
 // into the entry block and dispatches — all lanes together, or one at a
 // time, in order, when something the stage touches orders its iterations:
-// carried state (the static rule in lower.go), the World's packet cursor,
+// carried state (costmodel.Use.Carries), the World's packet cursor,
 // the World's trace.
 func (m *Runner) group(its []Iteration) error {
 	n := len(its)

@@ -885,31 +885,15 @@ func (lw *lowerer) assignFrame() {
 	}
 }
 
-// effects records what a surviving op does that orders iterations. The
-// partitioner pins a PPS-loop-carried dependence's whole SCC to one stage,
-// so a stage that never stores to a persistent array and never touches a
-// persistent channel (a queue) carries nothing from one iteration to the
-// next: an array it only loads is a constant table, because no other stage
-// stores to it either.
+// effects records what a surviving op does that orders iterations: a stage
+// is serial when some op carries state (costmodel.Use.Carries).
 func (lw *lowerer) effects(op *lop) {
 	if op.in == nil {
 		return
 	}
 	u := costmodel.UseOf(op.in)
-	lw.stats.Serial = lw.stats.Serial || carries(u) != ""
+	lw.stats.Serial = lw.stats.Serial || u.Carries() != ""
 	lw.rx, lw.emits = lw.rx || u.Rx, lw.emits || u.Tx
-}
-
-// carries names the state an instruction keeps from one iteration to the
-// next, or returns "".
-func carries(u costmodel.Use) string {
-	switch {
-	case u.Arr != nil && u.Write:
-		return "persistent array " + u.Arr.Name
-	case u.Chan != "":
-		return u.Chan
-	}
-	return ""
 }
 
 // carried names a serial stage's state after the first instruction that
@@ -942,7 +926,7 @@ func (lw *lowerer) carried() string {
 			continue
 		}
 		for _, in := range f.Blocks[b].Instrs[lw.blocks[b].nPhis:lw.liveEnd(int32(b))] {
-			if name := carries(costmodel.UseOf(in)); name != "" {
+			if name := costmodel.UseOf(in).Carries(); name != "" {
 				return name
 			}
 		}

@@ -85,23 +85,6 @@ func (s *Store) Get(a *ir.Array) []int64 {
 	return st
 }
 
-// Fork returns a store that shares every array of s except those listed,
-// which are deep-copied at their current contents. The sharded serve
-// runtime forks one store per stage replica when a stage's persistent
-// arrays are flow-keyed: each replica then owns its flows' partition of
-// the table while read-only arrays stay shared.
-func (s *Store) Fork(arrs []*ir.Array) *Store {
-	f := &Store{arrays: make([][]int64, len(s.arrays))}
-	copy(f.arrays, s.arrays)
-	for _, a := range arrs {
-		st := s.Get(a)
-		cp := make([]int64, len(st))
-		copy(cp, st)
-		f.arrays[a.ID] = cp
-	}
-	return f
-}
-
 // NewRunner creates a runner with freshly initialized persistent state.
 func NewRunner(prog *ir.Program, world *World) *Runner {
 	return &Runner{Prog: prog, World: world, persistent: NewStore(prog)}

@@ -59,7 +59,7 @@ type StageStats struct {
 	// healthy run.
 	BodyPanics int64
 	// Replicas is the number of concurrent replicas the stage ran with: 1
-	// unless the serve was sharded and the stage was shardable, in which
+	// unless the serve was sharded and the stage keeps no state, in which
 	// case it is the shard width and the counters above are aggregates.
 	Replicas int
 	// occupancy sampling of the inbound ring, taken at each receive.

@@ -30,7 +30,7 @@
 // is byte-identical to the sequential oracle's: there is no cross-stage
 // reordering to normalize away.
 //
-// Sharding (Config.Shards > 1) replicates the shardable stages P ways:
+// Sharding (Config.Shards > 1) replicates the stateless stages P ways:
 // packets are dispatched to lanes by a flow hash and the global order is
 // restored at deterministic merge points, so the served trace stays
 // byte-identical to the oracle at any shard count. The topology and the
@@ -45,8 +45,7 @@
 //     a single stage (the partitioning invariant, re-checked by Validate);
 //     an array no stage stores to is read from anywhere; and the shared
 //     persistent store is fully materialized before any goroutine starts;
-//     replicated stages either carry no persistent writes or fork their
-//     flow-keyed arrays per replica (see shard.go);
+//     only a stage that keeps no state replicates (see shard.go);
 //   - route tables are read-only;
 //   - per-replica counters live in atomic probes (one writer each), so a
 //     Live.Snapshot taken mid-serve is race-free; fault records stay
@@ -93,19 +92,17 @@ type Config struct {
 	// width a stage body executes at (exec.Runner.RunBatch). 0 means 1.
 	Batch int
 
-	// Shards is the pipeline replica width P: stages without cross-flow
-	// state run P ways, fed by a flow-hash dispatcher, and the output is
-	// merged back into exact global order. 0 and 1 both mean unsharded;
-	// the accepted range is 0..MaxShards. Stages with cross-flow state
-	// (queues, schedulers) stay unsharded behind a fan-in, so the served
-	// trace is byte-identical to the oracle at any width.
+	// Shards is the pipeline replica width P: stages that keep no state
+	// between iterations run P ways, fed by a flow-hash dispatcher, and the
+	// output is merged back into exact global order. 0 and 1 both mean
+	// unsharded; the accepted range is 0..MaxShards. Stages that keep state
+	// (tables they store to, queues) stay unsharded behind a fan-in, so the
+	// served trace is byte-identical to the oracle at any width.
 	Shards int
 	// ShardKey maps a packet to its flow key for lane dispatch; nil
-	// selects DefaultShardKey (whole-packet hash — even spread, but not
-	// flow-affine). Pipelines with flow-keyed persistent tables shard
-	// those stages only when an explicit key is configured, because the
-	// partitioned tables are correct only when the lane assignment
-	// refines the table index.
+	// selects DefaultShardKey (whole-packet hash). The key only balances
+	// load: which stages replicate does not depend on it, and no key can
+	// change the served trace.
 	ShardKey func(pkt []byte) uint64
 
 	// Faults is the test seam: a deterministic schedule of stage stalls
@@ -825,8 +822,8 @@ func (e *engine) logLoop(stop <-chan struct{}) {
 // already in flight drain to the sink, so the fault ledger balances, and
 // the returned error is the context's.
 //
-// With cfg.Shards = P > 1, stages without cross-flow state run as P
-// replicas fed by a flow-hash dispatcher; stages with cross-flow state
+// With cfg.Shards = P > 1, stages that keep no state run as P
+// replicas fed by a flow-hash dispatcher; stages that keep state
 // run unsharded behind a deterministic fan-in. The observable events go to
 // cfg.Sink in exact sequential-oracle order as iterations retire; the
 // returned Metrics hold per-stage counters aggregated across replicas and,
@@ -850,20 +847,20 @@ func Serve(ctx context.Context, stages []*ir.Program, world *interp.World, src S
 
 // Layout is everything a serve decides before it allocates anything, as
 // one immutable value: the stage list checked against the servability
-// contract, the cut stage each one reports as, each stage's
-// persistent-state class, the configuration validated with its defaults
+// contract, the cut stage each one reports as, whether each stage keeps
+// state between iterations, the configuration validated with its defaults
 // filled, and the shard plan (per-stage replica widths and junctions). build
 // wires exactly what it says and the repro facade prints it as the Plan, so
 // what is reported and what runs cannot differ.
 type Layout struct {
 	stages []*ir.Program
 	first  []int // served stage -> 1-based cut stage it begins at; one past the last closes the list
-	shapes []stageShape
+	serial []bool
 	cfg    Config
 	plan   *shardPlan
 }
 
-// NewLayout validates stages, classifies them, and lays them out under cfg.
+// NewLayout validates stages, scans their state, and lays them out under cfg.
 func NewLayout(stages []*ir.Program, cfg Config) (*Layout, error) {
 	return NewCoarseLayout(stages, 0, cfg)
 }
@@ -893,7 +890,7 @@ func NewCoarseLayout(stages []*ir.Program, fuse uint64, cfg Config) (*Layout, er
 		}
 	}
 	first = append(first, d+1)
-	return (&Layout{stages: stages, first: first, shapes: classifyStages(stages)}).With(cfg)
+	return (&Layout{stages: stages, first: first, serial: serialStages(stages)}).With(cfg)
 }
 
 // degree is the number of cut stages the layout's programs stand for: the
@@ -901,7 +898,7 @@ func NewCoarseLayout(stages []*ir.Program, fuse uint64, cfg Config) (*Layout, er
 func (l *Layout) degree() int { return l.first[len(l.stages)] - 1 }
 
 // With lays the same stages out under another configuration, reusing their
-// classification: one cached shape serves every (batch, shards) a serve asks
+// state scan: one cached shape serves every (batch, shards) a serve asks
 // for. It fails with the typed error Serve would report for cfg — a bad
 // value, a fault plan naming a stage past the last.
 func (l *Layout) With(cfg Config) (*Layout, error) {
@@ -912,8 +909,8 @@ func (l *Layout) With(cfg Config) (*Layout, error) {
 	if err := cfg.Faults.Validate(l.degree()); err != nil {
 		return nil, err
 	}
-	plan := newShardPlan(l.shapes, cfg.Shards, cfg.ShardKey != nil)
-	return &Layout{stages: l.stages, first: l.first, shapes: l.shapes, cfg: cfg, plan: plan}, nil
+	plan := newShardPlan(l.serial, cfg.Shards)
+	return &Layout{stages: l.stages, first: l.first, serial: l.serial, cfg: cfg, plan: plan}, nil
 }
 
 // Stages returns the served programs, in pipeline order (read-only).
@@ -923,7 +920,7 @@ func (l *Layout) Stages() []*ir.Program { return l.stages }
 func (l *Layout) Replicas() []int { return slices.Clone(l.plan.reps) }
 
 // Width is the effective shard width: the configured one when any stage
-// replicates, 1 otherwise (a fully cross-flow pipeline).
+// replicates, 1 otherwise (every stage keeps state).
 func (l *Layout) Width() int { return l.plan.width() }
 
 // Serve runs the layout: build, run, finish. See the package-level Serve.
@@ -956,7 +953,7 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		cfg:      cfg,
 		src:      src,
 		plan:     plan,
-		runners:  newShardRunners(l.stages, world, plan, l.shapes),
+		runners:  newShardRunners(l.stages, world, plan),
 		rings:    make([][]*tokRing, D),
 		seqs:     make([]*seqStream, plan.nSeqs),
 		inj:      fault.NewInjector(cfg.Faults, l.degree()),
@@ -1142,23 +1139,17 @@ func (e *engine) finish(ctx context.Context, world *interp.World) (*Metrics, err
 }
 
 // newShardRunners builds the per-replica stage runners (internal/exec: each
-// stage program lowered once into a slot-indexed closure program). All
-// replicas share one fully-materialized persistent store — except the
-// flow-keyed arrays of replicated stages, which each replica forks so its
-// partition of the table is private (shard.go explains when that is sound).
-// Every runner is confined to the iteration context's pre-pulled packet
-// (RxFromCtx), so concurrent replicas never race on the World's packet
-// cursor.
-func newShardRunners(stages []*ir.Program, world *interp.World, plan *shardPlan, shapes []stageShape) [][]*exec.Runner {
-	base := interp.NewStore(stages...)
+// stage program lowered once into a slot-indexed closure program), all on
+// one fully-materialized persistent store: a replicated stage keeps no
+// state, so its replicas only read tables no stage writes. Every runner is
+// confined to the iteration context's pre-pulled packet (RxFromCtx), so
+// concurrent replicas never race on the World's packet cursor.
+func newShardRunners(stages []*ir.Program, world *interp.World, plan *shardPlan) [][]*exec.Runner {
+	store := interp.NewStore(stages...)
 	out := make([][]*exec.Runner, len(stages))
 	for s, prog := range stages {
 		out[s] = make([]*exec.Runner, plan.reps[s])
 		for j := range out[s] {
-			store := base
-			if plan.reps[s] > 1 && len(shapes[s].flowArrs) > 0 {
-				store = base.Fork(shapes[s].flowArrs)
-			}
 			r := exec.NewRunnerShared(prog, world, store)
 			r.RxFromCtx = true
 			out[s][j] = r

@@ -1,12 +1,12 @@
 package runtime
 
 // Sharded serving: the flow-hash partitioning layer that runs P replicas
-// of (the shardable stages of) a realized pipeline and restores the
+// of (the stateless stages of) a realized pipeline and restores the
 // sequential trace order at deterministic merge points.
 //
 // The shape of a sharded run is a shardPlan: each stage gets a replica
-// count of either 1 or P, derived from a static classification of its
-// persistent state (classifyStages). Runs of replicated stages form
+// count of either 1 or P — 1 when it keeps state between iterations
+// (serialStages), the rule exec batches by. Runs of replicated stages form
 // sharded segments; the junction between two stages is either aligned
 // (same width — a private ring per lane), a scatter (1 -> P: the single
 // upstream replica splits each batch by the tokens' shard index), or a
@@ -28,14 +28,12 @@ package runtime
 // online and is the one goroutine that pushes to the Sink. A quarantine
 // inside a segment would leave a hole in its sequence, so the token goes on
 // as a tombstone (token.dead) and the fan-in recycles it silently.
-// Stages classified as cross-flow run unsharded behind a fan-in, therefore
-// observe packets in exact global order and mutate their state identically
-// to the sequential oracle — which is why the merged trace stays
-// byte-identical even for stateful pipelines like the QM and Scheduler PPSes.
+// Serial stages run unsharded behind a fan-in, therefore observe packets in
+// exact global order and mutate their state identically to the sequential
+// oracle — which is why the merged trace stays byte-identical even for
+// stateful pipelines like the QM and Scheduler PPSes, under any shard key.
 
 import (
-	"slices"
-
 	"repro/internal/costmodel"
 	"repro/internal/ir"
 )
@@ -67,12 +65,11 @@ func shardOf(key uint64, p int) int {
 
 // DefaultShardKey is the shard key used when none is configured: an
 // FNV-1a hash of the whole packet. It spreads arbitrary traffic evenly
-// but is NOT flow-affine (two packets of one flow that differ anywhere —
+// but is not flow-affine (two packets of one flow that differ anywhere —
 // an IPv4 identification field, a TTL — may land on different replicas).
-// That is sound for pipelines without flow-keyed state, because the merge
-// restores global packet order regardless of lane assignment; pipelines
-// whose persistent state is partitioned by flow must configure a real
-// flow key (Config.ShardKey; netbench.FlowKey for the benchmark frames).
+// Any key is sound: a key only balances load, because replicated stages
+// keep no state and the merge restores global packet order regardless of
+// lane assignment.
 func DefaultShardKey(pkt []byte) uint64 {
 	k := uint64(0xcbf29ce484222325)
 	for _, b := range pkt {
@@ -81,164 +78,25 @@ func DefaultShardKey(pkt []byte) uint64 {
 	return k
 }
 
-// stateClass classifies one stage's persistent state for sharding.
-type stateClass uint8
-
-const (
-	// classStateless: no persistent writes — replicas share everything.
-	classStateless stateClass = iota
-	// classFlowKeyed: every access to every written persistent array is
-	// indexed by a packet-derived value; replicas run with forked copies
-	// of those arrays, which partitions the table by flow as long as the
-	// configured shard key refines the index (the flow-key contract).
-	classFlowKeyed
-	// classCrossFlow: persistent state whose access pattern cannot be
-	// attributed to the packet (queues, counters, schedulers); the stage
-	// must run unsharded so it observes the global packet order.
-	classCrossFlow
-)
-
-// stageShape is one stage's classification plus the persistent arrays a
-// flow-keyed replica must fork.
-type stageShape struct {
-	class    stateClass
-	flowArrs []*ir.Array
-}
-
-// Register taint classes for the packet-derivation dataflow. The lattice
-// is ordered (join = max): a value is regBot until a def is seen, regConst
-// if built only from constants, regPkt if at least one packet byte flowed
-// in (and nothing worse), regOther if anything non-packet-derived did —
-// loads, queue results, metadata, route lookups.
-const (
-	regBot uint8 = iota
-	regConst
-	regPkt
-	regOther
-)
-
-// classifyStages derives each stage's shardability from its IR. Register
-// classes propagate across cuts through the live-set transmissions: stage
-// k's OpSendLS argument classes seed stage k+1's OpRecvLS destinations, so
-// an index computed from packet bytes upstream still counts as
-// packet-derived downstream. The rules are conservative — anything not
-// provably packet-derived (phi of a loop counter, a queue read, metadata)
-// demotes to regOther, and any written persistent array with a
-// non-packet-derived access index makes the whole stage cross-flow.
-func classifyStages(stages []*ir.Program) []stageShape {
-	shapes := make([]stageShape, len(stages))
-	var inSlots []uint8 // classes of the live-set slots entering this stage
+// serialStages reports, per stage, whether it keeps state between
+// iterations (some instruction carries state: costmodel.Use.Carries) — the
+// rule exec's Lowered.Serial applies to the lowered program, here read off
+// the IR. A serial stage runs as one replica behind a fan-in and so sees
+// packets in global order; every other stage replicates on the one shared
+// store, where it only reads tables no stage writes. The plan therefore
+// never depends on the shard key.
+func serialStages(stages []*ir.Program) []bool {
+	serial := make([]bool, len(stages))
 	for s, prog := range stages {
-		cls, outSlots := classifyRegs(prog, inSlots)
-		shapes[s] = classifyStage(prog, cls)
-		inSlots = outSlots
-	}
-	return shapes
-}
-
-// classifyRegs runs the packet-derivation fixpoint over one stage and
-// returns the register classes plus the classes of the slots it sends to
-// the next stage. A call's result is packet-derived when the call touches
-// the packet and nothing else, the join of its arguments when it is pure,
-// and regOther otherwise, as a load's is (costmodel.Use's PktVal and Mix).
-func classifyRegs(prog *ir.Program, inSlots []uint8) ([]uint8, []uint8) {
-	cls := make([]uint8, prog.Func.NumRegs)
-	join := func(reg int, c uint8) bool {
-		if reg < 0 || c <= cls[reg] {
-			return false
-		}
-		cls[reg] = c
-		return true
-	}
-	argJoin := func(args []int) uint8 {
-		c := regConst
-		for _, a := range args {
-			if cls[a] > c {
-				c = cls[a]
-			}
-		}
-		return c
-	}
-	for changed := true; changed; {
-		changed = false
 		for _, b := range prog.Func.Blocks {
 			for _, in := range b.Instrs {
-				switch {
-				case in.Op == ir.OpConst:
-					changed = join(in.Dst, regConst) || changed
-				case in.Op == ir.OpCopy, in.Op == ir.OpPhi, in.Op.IsBinary(), in.Op.IsUnary():
-					changed = join(in.Dst, argJoin(in.Args)) || changed
-				case in.Op == ir.OpLoad, in.Op == ir.OpCall:
-					switch u := costmodel.UseOf(in); {
-					case u.PktVal:
-						changed = join(in.Dst, regPkt) || changed
-					case u.Mix:
-						changed = join(in.Dst, argJoin(in.Args)) || changed
-					default:
-						changed = join(in.Dst, regOther) || changed
-					}
-				case in.Op == ir.OpRecvLS:
-					for i, d := range in.Dsts {
-						c := regOther
-						if i < len(inSlots) {
-							c = inSlots[i]
-						}
-						changed = join(d, c) || changed
-					}
+				if costmodel.UseOf(in).Carries() != "" {
+					serial[s] = true
 				}
 			}
 		}
 	}
-	var outSlots []uint8
-	for _, b := range prog.Func.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op != ir.OpSendLS {
-				continue
-			}
-			if outSlots == nil {
-				outSlots = make([]uint8, len(in.Args))
-			}
-			for i, a := range in.Args {
-				if i < len(outSlots) && cls[a] > outSlots[i] {
-					outSlots[i] = cls[a]
-				}
-			}
-		}
-	}
-	return cls, outSlots
-}
-
-// classifyStage folds one stage's uses of persistent state over the
-// register classes into its shape. A persistent channel (a queue) is shared
-// ordered state, inherently cross-flow.
-func classifyStage(prog *ir.Program, cls []uint8) stageShape {
-	var written []*ir.Array
-	indexOK := map[int]bool{} // array ID -> every access index so far packet-derived
-	for _, b := range prog.Func.Blocks {
-		for _, in := range b.Instrs {
-			u := costmodel.UseOf(in)
-			switch {
-			case u.Chan != "":
-				return stageShape{class: classCrossFlow}
-			case u.Arr == nil:
-				continue
-			}
-			ok, seen := indexOK[u.Arr.ID]
-			indexOK[u.Arr.ID] = (ok || !seen) && cls[in.Args[0]] == regPkt
-			if u.Write && !slices.ContainsFunc(written, func(a *ir.Array) bool { return a.ID == u.Arr.ID }) {
-				written = append(written, u.Arr)
-			}
-		}
-	}
-	for _, a := range written {
-		if !indexOK[a.ID] {
-			return stageShape{class: classCrossFlow}
-		}
-	}
-	if len(written) > 0 {
-		return stageShape{class: classFlowKeyed, flowArrs: written}
-	}
-	return stageShape{class: classStateless}
+	return serial
 }
 
 // shardPlan is the realized topology of one sharded serve: per-stage
@@ -257,17 +115,14 @@ type shardPlan struct {
 	nSeqs int
 }
 
-// newShardPlan assigns replica counts and numbers the sharded segments.
-// Flow-keyed stages shard only when the caller configured an explicit
-// shard key (haveKey): partitioned tables are only correct when the lane
-// assignment refines the table index, which the default whole-packet hash
-// does not promise.
-func newShardPlan(shapes []stageShape, p int, haveKey bool) *shardPlan {
-	d := len(shapes)
+// newShardPlan assigns replica counts and numbers the sharded segments: a
+// serial stage runs once, every other stage p ways.
+func newShardPlan(serial []bool, p int) *shardPlan {
+	d := len(serial)
 	pl := &shardPlan{p: p, reps: make([]int, d), seqAt: make([]int, d+1)}
 	for s := range pl.reps {
 		pl.reps[s] = 1
-		if p > 1 && (shapes[s].class == classStateless || shapes[s].class == classFlowKeyed && haveKey) {
+		if p > 1 && !serial[s] {
 			pl.reps[s] = p
 		}
 	}
@@ -304,7 +159,7 @@ func (pl *shardPlan) sharded() bool {
 }
 
 // width returns the effective shard width the run executes with: p when
-// anything sharded, 1 otherwise (e.g. a fully cross-flow pipeline).
+// anything sharded, 1 otherwise (every stage keeps state).
 func (pl *shardPlan) width() int {
 	if pl.sharded() {
 		return pl.p

@@ -1,9 +1,10 @@
 package runtime
 
 // White-box coverage of the sharding layer: the flow-hash lane reduction,
-// the static state classification that decides which stages may replicate,
-// the plan topology (scatter/fan-in pairing), the sequence stream bound, and the
-// end-to-end flow-keyed serve path that depends on all three.
+// the static state scan that decides which stages may replicate, the plan
+// topology (scatter/fan-in pairing), the sequence stream bound, and the
+// end-to-end serve of a table-writing stage under keys that do and do not
+// refine its index.
 
 import (
 	"context"
@@ -14,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/netbench"
 	"repro/internal/ppc"
 )
@@ -49,9 +49,9 @@ func TestShardOfDeterministicAndInRange(t *testing.T) {
 	}
 }
 
-// classesOf compiles and partitions a netbench PPS and returns its stage
-// classification.
-func classesOf(t *testing.T, name string, d int) []stageShape {
+// serialOf compiles and partitions a netbench PPS and returns which of its
+// stages keep state.
+func serialOf(t *testing.T, name string, d int) []bool {
 	t.Helper()
 	pps, ok := netbench.ByName(name)
 	if !ok {
@@ -65,36 +65,28 @@ func classesOf(t *testing.T, name string, d int) []stageShape {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return classifyStages(res.Stages)
+	return serialStages(res.Stages)
 }
 
-// TestClassifyNetbenchStages pins the classification of the benchmark
-// pipelines: the IPv4 PPS is stateless end to end (its only shared state
+// TestClassifyNetbenchStages pins the state scan of the benchmark
+// pipelines: the IPv4 PPS keeps no state end to end (its only shared state
 // is the read-only route table), while the QM PPS at D=4 alternates
-// stateless header stages with cross-flow queue/counter stages — the shape
+// stateless header stages with serial queue/counter stages — the shape
 // that forces every junction kind at once.
 func TestClassifyNetbenchStages(t *testing.T) {
-	for _, sh := range classesOf(t, "IPv4", 4) {
-		if sh.class != classStateless {
-			t.Errorf("IPv4 stage classified %d, want stateless", sh.class)
+	for s, serial := range serialOf(t, "IPv4", 4) {
+		if serial {
+			t.Errorf("IPv4 stage %d keeps state, want stateless", s+1)
 		}
 	}
-	qm := classesOf(t, "QM", 4)
-	want := []stateClass{classStateless, classCrossFlow, classStateless, classCrossFlow}
-	if len(qm) != len(want) {
-		t.Fatalf("QM D=4 has %d stages, want %d", len(qm), len(want))
-	}
-	for s, sh := range qm {
-		if sh.class != want[s] {
-			t.Errorf("QM stage %d classified %d, want %d", s+1, sh.class, want[s])
-		}
+	if got, want := serialOf(t, "QM", 4), []bool{false, true, false, true}; !slices.Equal(got, want) {
+		t.Errorf("QM D=4 serial stages %v, want %v", got, want)
 	}
 }
 
 // flowTableSrc is a PPS whose only persistent state is a table indexed by
-// a packet byte — the flow-keyed case. The index is computed early so a
-// D=2 cut separates its computation from the store, which also exercises
-// packet-derivation propagation across the live-set transmission.
+// a packet byte. The index is computed early so a D=2 cut separates its
+// computation (a stateless stage) from the store (a serial one).
 const flowTableSrc = `
 pps FlowCount {
 	persistent var tbl[256];
@@ -109,43 +101,13 @@ pps FlowCount {
 	}
 }`
 
-// TestClassifyFlowKeyedTable: a persistent table whose every access index
-// is packet-derived classifies flow-keyed (with the table listed for
-// forking), both unpartitioned and when the index computation and the
-// store land in different stages.
-func TestClassifyFlowKeyedTable(t *testing.T) {
-	prog, err := ppc.Compile(flowTableSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := classifyStages([]*ir.Program{prog})
-	if single[0].class != classFlowKeyed || len(single[0].flowArrs) != 1 {
-		t.Fatalf("unpartitioned: class=%d arrs=%d, want flow-keyed with 1 array",
-			single[0].class, len(single[0].flowArrs))
-	}
-	res, err := core.Partition(prog.Clone(), core.Options{Stages: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	split := classifyStages(res.Stages)
-	if split[0].class != classStateless {
-		t.Errorf("stage 1 classified %d, want stateless", split[0].class)
-	}
-	if split[1].class != classFlowKeyed || len(split[1].flowArrs) != 1 {
-		t.Errorf("stage 2: class=%d arrs=%d, want flow-keyed with 1 array",
-			split[1].class, len(split[1].flowArrs))
-	}
-}
-
 // TestNewShardPlanJunctions pins the plan topology on the shapes that
 // matter: the QM alternation (dispatcher, fan-in, scatter, second fan-in),
-// a replicated last stage (the segment closes at the sink's fan-in), the
-// flow-keyed gating on an explicit key, and the degenerate all-cross-flow and
-// P=1 plans.
+// a replicated last stage (the segment closes at the sink's fan-in), and
+// the degenerate all-serial and P=1 plans.
 func TestNewShardPlanJunctions(t *testing.T) {
-	qmish := []stageShape{{class: classStateless}, {class: classCrossFlow},
-		{class: classStateless}, {class: classCrossFlow}}
-	pl := newShardPlan(qmish, 4, false)
+	qmish := []bool{false, true, false, true}
+	pl := newShardPlan(qmish, 4)
 	if got, want := pl.reps, []int{4, 1, 4, 1}; !equalInts(got, want) {
 		t.Fatalf("reps = %v, want %v", got, want)
 	}
@@ -162,20 +124,14 @@ func TestNewShardPlanJunctions(t *testing.T) {
 		t.Fatalf("lane widths wrong: %d %d %d %d", pl.lanes(0), pl.lanes(1), pl.lanes(2), pl.lanes(3))
 	}
 
-	keyed := []stageShape{{class: classStateless}, {class: classFlowKeyed}}
-	if pl := newShardPlan(keyed, 4, false); pl.reps[1] != 1 {
-		t.Errorf("flow-keyed stage replicated without an explicit shard key: reps=%v", pl.reps)
-	}
-	if pl := newShardPlan(keyed, 4, true); pl.reps[1] != 4 || !equalInts(pl.seqAt, []int{0, -1, 0}) || pl.lanes(1) != 4 {
-		t.Errorf("flow-keyed stage with key: reps=%v seqAt=%v, want [4 4] as one segment from the dispatcher to the sink's fan-in",
+	if pl := newShardPlan([]bool{false, false}, 4); !equalInts(pl.reps, []int{4, 4}) || !equalInts(pl.seqAt, []int{0, -1, 0}) || pl.lanes(1) != 4 {
+		t.Errorf("stateless pipeline: reps=%v seqAt=%v, want [4 4] as one segment from the dispatcher to the sink's fan-in",
 			pl.reps, pl.seqAt)
 	}
-
-	cross := []stageShape{{class: classCrossFlow}, {class: classCrossFlow}}
-	if pl := newShardPlan(cross, 4, true); pl.sharded() || pl.width() != 1 {
-		t.Errorf("all-cross-flow pipeline must stay width 1, got reps=%v width=%d", pl.reps, pl.width())
+	if pl := newShardPlan([]bool{true, true}, 4); pl.sharded() || pl.width() != 1 {
+		t.Errorf("all-serial pipeline must stay width 1, got reps=%v width=%d", pl.reps, pl.width())
 	}
-	if pl := newShardPlan(qmish, 1, true); pl.sharded() || pl.nSeqs != 0 {
+	if pl := newShardPlan(qmish, 1); pl.sharded() || pl.nSeqs != 0 {
 		t.Errorf("P=1 plan must be unsharded, got reps=%v", pl.reps)
 	}
 }
@@ -347,13 +303,12 @@ func flowTraffic(n, flows int) [][]byte {
 	return pkts
 }
 
-// TestServeShardedFlowKeyedTable is the end-to-end flow-partitioned-state
-// check: a pipeline whose persistent table is keyed by packet byte 0,
-// served at P=4 with a shard key the table index refines, must produce a
-// trace byte-identical to the sequential oracle — each table slot is only
-// ever touched by one replica's forked copy. Without a configured key the
-// stateful stage must fall back to a fan-in (replicas=1) and still match.
-func TestServeShardedFlowKeyedTable(t *testing.T) {
+// TestServeShardedTableStageRunsOnce: a stage that stores to a table runs
+// as one replica behind a fan-in whatever the shard key, so the served
+// trace is byte-identical to the sequential oracle under every key — one
+// that refines the table index (packet byte 0), netbench.FlowKey and packet
+// byte 1, which do not, and the default whole-packet hash.
+func TestServeShardedTableStageRunsOnce(t *testing.T) {
 	const n = 60
 	prog, err := ppc.Compile(flowTableSrc)
 	if err != nil {
@@ -368,28 +323,29 @@ func TestServeShardedFlowKeyedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, withKey := range []bool{true, false} {
-		cfg := Config{}
-		cfg.Shards = 4
-		if withKey {
-			cfg.ShardKey = func(p []byte) uint64 { return uint64(p[0]) }
-		}
-		m, err := Serve(context.Background(), res.Stages, interp.NewWorld(nil), Packets(traffic), cfg)
+	for _, tc := range []struct {
+		name string
+		key  func([]byte) uint64
+	}{
+		{"default", nil},
+		{"p[0]", func(p []byte) uint64 { return uint64(p[0]) }},
+		{"FlowKey", netbench.FlowKey},
+		{"p[1]", func(p []byte) uint64 { return uint64(p[1]) }},
+	} {
+		m, err := Serve(context.Background(), res.Stages, interp.NewWorld(nil), Packets(traffic),
+			Config{Shards: 4, ShardKey: tc.key})
 		if err != nil {
-			t.Fatalf("withKey=%v: %v", withKey, err)
+			t.Fatalf("key %s: %v", tc.name, err)
 		}
 		if m.Packets != n || m.Shards != 4 {
-			t.Fatalf("withKey=%v: served %d packets at width %d, want %d at 4", withKey, m.Packets, m.Shards, n)
+			t.Fatalf("key %s: served %d packets at width %d, want %d at 4", tc.name, m.Packets, m.Shards, n)
 		}
 		if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
-			t.Fatalf("withKey=%v: trace diverges from oracle: %s", withKey, diff)
+			t.Errorf("key %s: trace diverges from oracle: %s", tc.name, diff)
 		}
-		wantReps := 4
-		if !withKey {
-			wantReps = 1 // table stage must not replicate under the default key
-		}
-		if m.Stages[1].Replicas != wantReps {
-			t.Errorf("withKey=%v: table stage ran %d replicas, want %d", withKey, m.Stages[1].Replicas, wantReps)
+		if m.Stages[0].Replicas != 4 || m.Stages[1].Replicas != 1 {
+			t.Errorf("key %s: stages ran %d and %d replicas, want 4 and 1",
+				tc.name, m.Stages[0].Replicas, m.Stages[1].Replicas)
 		}
 	}
 }

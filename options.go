@@ -206,12 +206,12 @@ func WithObserver(o *Observer) Option {
 	return Option{"WithObserver", inServe, func(c *config) { c.serve.Obs = o }}
 }
 
-// WithShards sets the serve-path shard width P: stages without cross-flow
-// state run as P concurrent replicas, packets are dispatched to replicas
-// by a flow hash, and the output is merged back into exact source order —
-// the served trace stays byte-identical to the sequential oracle at any
-// P. Stages with cross-flow state (queues, schedulers) keep running
-// unsharded behind a deterministic fan-in. 0 and 1 both mean unsharded;
+// WithShards sets the serve-path shard width P: stages that keep no state
+// between packets run as P concurrent replicas, packets are dispatched to
+// replicas by a flow hash, and the output is merged back into exact source
+// order — the served trace stays byte-identical to the sequential oracle
+// at any P. Stages that keep state (tables they store to, queues) run once,
+// behind a deterministic fan-in. 0 and 1 both mean unsharded;
 // widths outside 0..MaxShards are rejected as ErrBadOption.
 func WithShards(p int) Option {
 	return Option{"WithShards", inServe, func(c *config) { c.serve.Shards = p }}
@@ -219,9 +219,9 @@ func WithShards(p int) Option {
 
 // WithShardKey sets the flow key the shard dispatcher hashes packets
 // with (default: a whole-packet hash — even spread, but not flow-affine).
-// Pipelines with flow-keyed persistent tables shard those stages only
-// when an explicit key is configured; FlowKey is the canonical key for
-// the benchmark's POS frames. Nil restores the default.
+// The key only balances load across replicas: it never changes which
+// stages replicate or the served trace. FlowKey keeps each flow of the
+// benchmark's POS frames on one replica. Nil restores the default.
 func WithShardKey(fn func(pkt []byte) uint64) Option {
 	return Option{"WithShardKey", inServe, func(c *config) { c.serve.ShardKey = fn }}
 }

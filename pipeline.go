@@ -112,8 +112,8 @@ func (p *Pipeline) Run(ctx context.Context, world *World, opts ...Option) ([]Eve
 // batches off the socket / capture, backpressure propagates into the
 // source, and the boundary counters appear in Snapshot().Ingest and the
 // returned Metrics.Ingest.
-// With WithShards(P), stages free of cross-flow state run as P parallel
-// replicas behind a flow-hash dispatcher (WithShardKey selects the key)
+// With WithShards(P), stages that keep no state run as P parallel
+// replicas behind a flow-hash dispatcher (WithShardKey balances the load)
 // and the output is deterministically re-merged. Cuts the cost model finds
 // not worth their ring are un-made first (WithFusion), and Plan reports the
 // shape that was served and why.

@@ -41,8 +41,13 @@ func verdict(err error) string {
 // replica width the serve runtime gives it at P=2 without and with a shard
 // key ("-" when the list is not servable), and the verdicts of
 // runtime.Validate and core.ValidateStages on the whole list. fuse is the
-// fuse mask the stages were coarsened by (NewCoarseLayout's).
-func stageState(stages []*ir.Program, fuse uint64) string {
+// fuse mask the stages were coarsened by (NewCoarseLayout's). It fails t,
+// naming the list by label, when a serial stage replicates or the shard key
+// changes a replica width. The converse does not hold and is not asserted:
+// the runtime scans the IR, exec the lowered program, so a store exec folds
+// away (rand50's csum_fold(-0)) leaves a stage [par 1/1] — run once though
+// it could replicate, which is conservative and correct.
+func stageState(t *testing.T, label string, stages []*ir.Program, fuse uint64) string {
 	var b strings.Builder
 	var plain, keyed []int
 	if l, err := runtime.NewCoarseLayout(stages, fuse, runtime.Config{Shards: 2}); err == nil {
@@ -60,6 +65,12 @@ func stageState(stages []*ir.Program, fuse uint64) string {
 		reps := "-"
 		if plain != nil && keyed != nil {
 			reps = fmt.Sprintf("%d/%d", plain[k], keyed[k])
+			if lo.Serial && max(plain[k], keyed[k]) > 1 {
+				t.Errorf("%s: serial stage %d replicates %s", label, k+1, reps)
+			}
+			if plain[k] != keyed[k] {
+				t.Errorf("%s: stage %d replicates %s: the shard key changed its width", label, k+1, reps)
+			}
 		}
 		fmt.Fprintf(&b, " [%s %s]", state, reps)
 	}
@@ -94,7 +105,8 @@ func TestStageStateGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s D=%d: %v", name, d, err)
 			}
-			fmt.Fprintf(&b, "%s d=%d%s\n", name, d, stageState(res.Stages, 0))
+			label := fmt.Sprintf("%s d=%d", name, d)
+			fmt.Fprintf(&b, "%s%s\n", label, stageState(t, label, res.Stages, 0))
 			if d != 4 && d != 8 {
 				continue
 			}
@@ -106,7 +118,8 @@ func TestStageStateGolden(t *testing.T) {
 			for i, u := range units {
 				progs[i] = u.Prog
 			}
-			fmt.Fprintf(&b, "%s d=%d coarsen%s\n", name, d, stageState(progs, everySecondCut&(1<<(d-1)-1)))
+			label += " coarsen"
+			fmt.Fprintf(&b, "%s%s\n", label, stageState(t, label, progs, everySecondCut&(1<<(d-1)-1)))
 		}
 	}
 	for seed := int64(0); seed < 200; seed++ {
@@ -124,7 +137,8 @@ func TestStageStateGolden(t *testing.T) {
 				fmt.Fprintf(&b, "rand%d d=%d partition=%s\n", seed, d, verdict(err))
 				continue
 			}
-			fmt.Fprintf(&b, "rand%d d=%d%s\n", seed, d, stageState(res.Stages, 0))
+			label := fmt.Sprintf("rand%d d=%d", seed, d)
+			fmt.Fprintf(&b, "%s%s\n", label, stageState(t, label, res.Stages, 0))
 		}
 	}
 	stage := func(body string) *ir.Program {
@@ -149,7 +163,8 @@ func TestStageStateGolden(t *testing.T) {
 		{"loads+stores", []*ir.Program{loads, stores}},
 		{"reads+loads", []*ir.Program{reads, loads}},
 	} {
-		fmt.Fprintf(&b, "hand %s%s\n", c.name, stageState(c.stages, 0))
+		label := "hand " + c.name
+		fmt.Fprintf(&b, "%s%s\n", label, stageState(t, label, c.stages, 0))
 	}
 
 	got := b.String()
