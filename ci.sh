@@ -62,7 +62,7 @@ echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow different
 # cut to an in-test reference under random contractions — the reason the
 # discharge schedule is free to change — fresh, warm and refilled in place.
 # TestStageStateGolden records what each stage's state is taken to be — exec's
-# Serial/Carried, the replica width at P=2 with and without a shard key, and
+# Serial/Carried, the replica width at P=2, and
 # both validators' verdicts — for the six PPS, their coarsenings, 200 random
 # programs and hand-built lists; TestValidateStagesConfinesQueues holds
 # core.ValidateStages to the queue half of costmodel.CheckConfined, and
@@ -120,7 +120,8 @@ go test ./internal/exec -run '^$' -bench BenchmarkCompiledChainIPv4 -benchtime 5
 go test -count=2 -run '^(TestLoweringShape|TestGuardChainStepLimit|TestCopyInLoopNotForwarded|TestGuardExitWithPhis|TestDispatchCensus)$' ./internal/exec
 go test -race -count=2 -run 'TestRing' ./internal/runtime
 # The sharded junctions where a batch's live-set block crosses a scatter and
-# a fan-in, row by row with its tokens, also twice under the race detector.
+# a fan-in — a batch crosses whole, its tokens and block together — also
+# twice under the race detector.
 go test -race -count=2 -run '^(TestServeEveryFuseMaskMatchesOracle|TestServeSharedReadOnlyQueue)$' .
 go test -count=50 -run '^TestRingSPSCWaitCountersAccount$' ./internal/runtime
 
@@ -172,7 +173,7 @@ else
 fi
 
 echo "== doc gate: the docs name no deleted machinery"
-if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns|WithOverload|OverloadShed|OverloadPolicy|UntilOverload|TestChaosSaturatedRingSheds|flow-keyed|classFlowKeyed|flowArrs|Store\.Fork|flow-key contract' README.md DESIGN.md EXPERIMENTS.md; then
+if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns|WithOverload|OverloadShed|OverloadPolicy|UntilOverload|TestChaosSaturatedRingSheds|flow-keyed|classFlowKeyed|flowArrs|Store\.Fork|flow-key contract|seqStream|scatterer|tombstone|shardOf|DefaultShardKey|PushTimeout|overloadTick|sequence side-channel|flow-hash' README.md DESIGN.md EXPERIMENTS.md; then
     echo "doc gate: the lines above name deleted machinery" >&2 && exit 1
 fi
 
@@ -189,7 +190,7 @@ size_files="$(ls internal/runtime/*.go | grep -v _test.go) options.go fusion.go"
 # shellcheck disable=SC2086
 echo "runtime+facade code lines: $(cat $size_files | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2628 before the streaming egress, ISSUE 23)"
 # shellcheck disable=SC2046
-echo "  internal/runtime alone:  $(cat $(ls internal/runtime/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2016 before)"
+echo "  internal/runtime alone:  $(cat $(ls internal/runtime/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (1675 before)"
 echo "  internal/runtime/fault:  $(grep -v '^[[:space:]]*$' internal/runtime/fault/fault.go | grep -vc '^[[:space:]]*//')  (247 before)"
 echo "costmodel/fusion.go lines:  $(grep -v '^[[:space:]]*$' internal/costmodel/fusion.go | grep -vc '^[[:space:]]*//')  (92 before the exact search replaced the greedy one)"
 # shellcheck disable=SC2046
@@ -221,7 +222,7 @@ echo "internal/netbench code lines: $(cat $(ls internal/netbench/*.go | grep -v 
 # shellcheck disable=SC2046
 echo "internal/ingest code lines: $(cat $(ls internal/ingest/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
 echo "options (func With*):      $(grep -c '^func With' options.go)  (15 before shed's removal)"
-echo "runtime.Config fields:     $(awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } on && /^\t[A-Z]/' internal/runtime/runtime.go | wc -l)  (10 before)"
+echo "runtime.Config fields:     $(awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } on && /^\t[A-Z]/' internal/runtime/runtime.go | wc -l)  (9 before)"
 echo "sentinels (internal/errs): $(grep -c '= errors.New(' internal/errs/errs.go)  (13 before)"
 # The second measurement stack and the prose about it, the two things
 # ROADMAP item 4 asked to shrink.

@@ -33,7 +33,7 @@
 //	             the degree-1 sequential oracle and the served trace must
 //	             be byte-identical
 //	-shards P    -serve replica width: stages that keep no state run
-//	             as P parallel replicas behind a flow-hash dispatcher; the
+//	             as P parallel replicas taking whole batches in turn; the
 //	             served trace stays byte-identical to the sequential order
 //
 // Observability of the -serve run (see DESIGN.md §6.7):
@@ -111,7 +111,7 @@ func main() {
 	var serve serveFlag
 	flag.Var(&serve, "serve", "stream packets through the host runtime: -serve=N for N synthetic packets, plain -serve with -source to serve until the source is exhausted")
 	source := flag.String("source", "", "network-facing packet source for -serve: udp://host:port, tcp://host:port, pcap://file[?pace=N&loop=N], gen://ipv4[?seed=N&packets=N...]")
-	shards := flag.Int("shards", 1, "-serve pipeline replica width (flow-hash sharding)")
+	shards := flag.Int("shards", 1, "-serve pipeline replica width (replicas take whole batches in turn)")
 	traceOut := flag.String("trace", "", "write the -serve span timeline to this file as Chrome trace_event JSON")
 	metricsAddr := flag.String("metrics", "", "expose the -serve metrics registry over HTTP on this address (e.g. :8080)")
 	obsLog := flag.Duration("obs-log", 0, "emit a periodic -serve progress line to stderr at this interval")
@@ -259,8 +259,7 @@ func main() {
 		}
 		serveOpts := []repro.Option{repro.WithObserver(obs)}
 		if *shards > 1 {
-			serveOpts = append(serveOpts,
-				repro.WithShards(*shards), repro.WithShardKey(repro.FlowKey))
+			serveOpts = append(serveOpts, repro.WithShards(*shards))
 		}
 		var m *repro.Metrics
 		if *source != "" {

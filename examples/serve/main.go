@@ -82,9 +82,9 @@ func main() {
 
 	// Second act: pcap replay, sharded. The checked-in capture streams
 	// through the same pipeline with the stateless stages replicated four
-	// ways behind the flow-hash dispatcher — the 5-tuple key keeps each
-	// flow on one lane, the deterministic merge keeps the served trace in
-	// exact sequential order, so the oracle comparison holds verbatim.
+	// ways, each replica taking whole batches in turn — the fan-in reads
+	// them back in the same turn, so the served trace keeps exact
+	// sequential order and the oracle comparison holds verbatim.
 	replay, err := repro.OpenSource("pcap://testdata/flows.pcap?loop=4")
 	if err != nil {
 		log.Fatal(err)
@@ -93,7 +93,7 @@ func main() {
 	sm, err := pipe.Serve(ctx, nil, repro.WithSource(rtee),
 		repro.WithWorld(netbench.NewWorld(nil)),
 		repro.WithBatch(32),
-		repro.WithShards(4), repro.WithShardKey(repro.FlowKey))
+		repro.WithShards(4))
 	if err != nil {
 		log.Fatal(err)
 	}

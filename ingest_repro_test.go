@@ -306,7 +306,7 @@ func TestFlowsCaptureFixture(t *testing.T) {
 
 // TestServeFlowsCaptureReplay streams the checked-in capture off the
 // Source path through the deepest realization the repo serves — the IPv4
-// PPS cut four ways, four shards behind the flow-hash dispatcher, every
+// PPS cut four ways, four shards taking whole batches in turn, every
 // cut fused (the valuator's verdict at one core, pinned so the shape does
 // not depend on the host) — and requires the served trace byte-identical
 // to the sequential oracle over the decoded capture.

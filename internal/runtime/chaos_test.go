@@ -332,12 +332,12 @@ const junctionSrc = `pps Junction {
 }`
 
 // TestChaosTombstoneThroughFanin quarantines a packet inside a sharded
-// segment that ends in a fan-in. The merger consumes lanes in dispatch
-// order, so the quarantined token cannot just vanish: it travels on as a
-// tombstone and is recycled at the merger. The serve must terminate with the
-// ledger balanced, and — the panic fired before any stage touched the
-// counter — the trace must be the sequential program's over the traffic
-// minus that one packet.
+// segment that ends in a fan-in. The fan-in reads the lanes in the turn the
+// batches were dealt, so the batch that lost the packet must still arrive —
+// shorter, or empty — for the rotation to stay in step. The serve must
+// terminate with the ledger balanced, and — the panic fired before any stage
+// touched the counter — the trace must be the sequential program's over the
+// traffic minus that one packet.
 func TestChaosTombstoneThroughFanin(t *testing.T) {
 	const n, at = 40, 13
 	prog, err := ppc.Compile(junctionSrc)

@@ -34,13 +34,18 @@ func ipv4Stages(t *testing.T, d int) (*ir.Program, []*ir.Program, [][]byte) {
 	return prog, res.Stages, pps.Traffic(16)
 }
 
-// TestExecBatchSkipsDeadAndDegraded hands one stage a batch in which two
-// tombstones sit between live ones: the body must run over the live tokens
-// only — one group, lanes and their rows closed up — and every token must
-// come back in its place, its live set in its row.
+// TestExecBatchSkipsDeadAndDegraded hands one stage a batch of eight in
+// which a fault plan panics tokens 2 and 5 at admission: the body must run
+// over the other six only — one group — and they must come back in order,
+// closed up, each with its live set in rows 0–5 and, after stage 2, the
+// oracle's events for its own packet.
 func TestExecBatchSkipsDeadAndDegraded(t *testing.T) {
 	_, stages, traffic := ipv4Stages(t, 2)
-	lay, err := NewLayout(stages, Config{Batch: 8})
+	plan := &fault.Plan{Injections: []fault.Injection{
+		{Kind: fault.Panic, Stage: 1, At: 2},
+		{Kind: fault.Panic, Stage: 1, At: 5},
+	}}
+	lay, err := NewLayout(stages, Config{Batch: 8, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,48 +53,50 @@ func TestExecBatchSkipsDeadAndDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ictx = context.Background()
+	e.ictx, e.stop = context.Background(), context.Background()
 	b := e.getBatch()
+	var want []*token
 	for i := 0; i < 8; i++ {
 		tok := e.getToken()
 		tok.iter = int64(i)
 		tok.ctx.Pending, tok.ctx.HasPending = traffic[i], true
 		b.toks = append(b.toks, tok)
+		if i != 2 && i != 5 {
+			want = append(want, tok)
+		}
 	}
-	b.toks[2].dead, b.toks[5].dead = true, true
-	order := append([]*token(nil), b.toks...)
 
-	if ok := e.execBatch(e.lane(0, 0), b); !ok || len(b.toks) != len(order) {
-		t.Fatalf("execBatch kept %d of %d tokens (ok=%v)", len(b.toks), len(order), ok)
+	lc := e.lane(0, 0)
+	if ok := e.execBatch(lc, b); !ok || len(b.toks) != len(want) {
+		t.Fatalf("execBatch kept %d of 8 tokens (ok=%v), want %d", len(b.toks), ok, len(want))
+	}
+	if q := lc.probe.quarantined.Load(); q != 2 {
+		t.Errorf("quarantined %d, want 2", q)
 	}
 	for i, tok := range b.toks {
-		if tok != order[i] {
-			t.Fatalf("token %d came back out of place", i)
+		if tok != want[i] {
+			t.Fatalf("row %d holds iteration %d, want %d", i, tok.iter, want[i].iter)
 		}
-		skipped := i == 2 || i == 5
-		if ran := !tok.ctx.HasPending; ran == skipped {
-			t.Errorf("token %d: body ran = %v, want %v", i, ran, !skipped)
+		if tok.ctx.HasPending {
+			t.Errorf("iteration %d: body did not run", tok.iter)
 		}
-		if _, sent := b.in.Row(i, nil); !skipped && !sent {
-			t.Errorf("token %d executed but carries no live set", i)
+		if _, sent := b.in.Row(i, nil); !sent {
+			t.Errorf("iteration %d executed but row %d carries no live set", tok.iter, i)
 		}
 	}
 
-	// The live tokens go on through stage 2 and end with the oracle's events.
+	// The six go on through stage 2 and end with the oracle's events.
 	if !e.execBatch(e.lane(1, 0), b) {
 		t.Fatal("stage 2 failed")
 	}
-	for i, tok := range b.toks {
-		if i == 2 || i == 5 {
-			continue
-		}
-		w := netbench.NewWorld([][]byte{traffic[i]})
+	for _, tok := range b.toks {
+		w := netbench.NewWorld([][]byte{traffic[tok.iter]})
 		want, err := interp.RunPipeline(stages, w, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if diff := interp.TraceEqual(want, tok.ctx.Events); diff != "" {
-			t.Errorf("token %d: %s", i, diff)
+			t.Errorf("iteration %d: %s", tok.iter, diff)
 		}
 	}
 }
@@ -117,11 +124,10 @@ func rowStages() []*ir.Program {
 }
 
 // TestRowsFollowTheirTokens quarantines every fifth iteration before stage
-// 1 and every third before stage 2, so tokens leave batches and, sharded,
-// tombstones sit between live tokens at both stages: unsharded the rows
-// after a dropped token close up, sharded the live ones are closed up for
-// the body and spread back. Every delivered iteration must trace its own
-// packet's byte, at batches of one group and of two. (A live set crossing a
+// 1 and every third before stage 2, so tokens leave batches at both stages
+// and the rows after a dropped token close up, unsharded and sharded. Every
+// delivered iteration must trace its own packet's byte, at batches of one
+// group and of two. (A live set crossing a
 // scatter or a fan-in between stages is TestServeShardedJunctionsCarryLiveSets'.)
 func TestRowsFollowTheirTokens(t *testing.T) {
 	const n = 150

@@ -138,9 +138,9 @@ func NewInjector(p *Plan, stages int) *Injector {
 // Lane returns an injector view with independent firing counters. The
 // sharded runtime hands one lane to each replica of a replicated stage,
 // preserving the single-goroutine ownership of the firing counters: a
-// budgeted trigger then counts firings per lane, and — because packets are
-// dispatched to lanes by a deterministic flow hash — the fault schedule
-// stays deterministic at any shard count. A nil receiver returns nil.
+// budgeted trigger then counts firings per lane, and — because batches are
+// dealt to lanes in a fixed turn — the fault schedule stays deterministic
+// at any shard count. A nil receiver returns nil.
 func (inj *Injector) Lane() *Injector {
 	if inj == nil {
 		return nil

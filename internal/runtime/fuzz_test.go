@@ -39,7 +39,7 @@ func FuzzServeVsOracle(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		// Shard width is derived from the seed so the corpus also exercises
-		// the flow-hash dispatch, junction wiring, and deterministic merge.
+		// the batch rotation, junction wiring, and fan-in order.
 		shards := 1 << (rng.Intn(3))
 		packets := make([][]byte, 3+rng.Intn(4))
 		for i := range packets {

@@ -1,8 +1,8 @@
 package runtime
 
 // The two ends of a unit. Every inter-goroutine batch conduit in the serve
-// engine — inter-stage cut rings, the dispatcher's head rings, scatter and
-// fan-in lane rings, the batch free ring — is a lock-free SPSC ring from
+// engine — inter-stage cut rings, the dispatcher's head rings, the lanes of
+// a scatter or a fan-in, the batch free ring — is a lock-free SPSC ring from
 // internal/spsc, held directly: exactly one producer and one consumer per
 // ring, producer-side Close as the end-of-stream signal, drain-then-exit on
 // close (spsc.Ring.Pop folds the closed-and-drained re-check in), and
@@ -46,35 +46,46 @@ func (e *engine) newRings(n int) []*tokRing {
 type portKind uint8
 
 const (
-	portSource  portKind = iota // in: the packet Source (head or dispatcher)
-	portRing                    // in/out: one SPSC ring (aligned cut, head ring, lane into a fan-in)
-	portMerge                   // in: fan-in merger over P lane rings
-	portScatter                 // out: 1 -> P scatter junction (the dispatcher's lane feed is one)
-	portSink                    // out: push to the Sink and retire
+	portSource portKind = iota // in: the packet Source (head or dispatcher)
+	portRings                  // in/out: SPSC rings taken in turn
+	portSink                   // out: push to the Sink and retire
 )
+
+// A rings port holds one ring at an aligned cut and P at a junction: the
+// single replica in front of a replicated stage sends batch k whole to
+// rings[k mod P] (a scatter), the one behind it reads batch k from the same
+// lane (a fan-in). Each lane is FIFO and every unit passes on each batch it
+// receives, so both ends count the same batches and the fan-in gets back the
+// exact order the scatter sent.
+
+// turn advances a rotation over n rings.
+func turn(next, n int) int {
+	if next++; next == n {
+		return 0
+	}
+	return next
+}
 
 // inPort is a unit's inbound side. lc is the receiving lane: its probe
 // takes the In count, the receive-side waits and the occupancy samples.
 type inPort struct {
-	kind portKind
-	lc   *laneCtx
-	ring *tokRing // portRing
-	mg   *merger  // portMerge
-	iter int64    // portSource: next iteration index to assign
+	kind  portKind
+	lc    *laneCtx
+	rings []*tokRing // portRings
+	next  int        // portRings: the ring the next batch comes from
+	iter  int64      // portSource: next iteration index to assign
 }
 
-// recv returns the unit's next batch. more is false when the stream ended
-// (source drained or canceled, ring closed and drained) or the run failed:
-// the unit processes the batch it was handed, if any, and exits.
+// recv returns the unit's next batch, nil when it has none. more is false
+// when the stream ended (source drained or canceled, ring closed and
+// drained) or the run failed: the unit passes on the batch it was handed,
+// if any, and exits.
 func (in *inPort) recv(e *engine) (b *batch, more bool) {
-	switch in.kind {
-	case portSource:
+	if in.kind == portSource {
 		return e.pull(in)
-	case portMerge:
-		b, more = in.mg.nextBatch(e.cfg.Batch)
-	default:
-		b, more = e.popRing(in.ring, in.lc.probe)
 	}
+	b, more = e.popRing(in.rings[in.next], in.lc.probe)
+	in.next = turn(in.next, len(in.rings))
 	in.lc.probe.in.Add(int64(b.size()))
 	return b, more
 }
@@ -94,9 +105,8 @@ func (e *engine) popRing(r *tokRing, p *stageProbe) (b *batch, ok bool) {
 // batch of packets from the Source, assigning each its iteration index —
 // the key every fault trigger and record is expressed in — and building
 // its token. The In counter tallies every packet pulled, which is the total
-// the FaultReport ledger is reconciled against. Under sharding the token's
-// lane is stamped from the flow hash now, before any stage body can
-// rewrite the packet bytes.
+// the FaultReport ledger is reconciled against. A pull that got no packet
+// returns no batch.
 func (e *engine) pull(in *inPort) (b *batch, more bool) {
 	select {
 	case <-e.stop.Done():
@@ -104,7 +114,6 @@ func (e *engine) pull(in *inPort) (b *batch, more bool) {
 	default:
 	}
 	p := in.lc.probe
-	sharded := e.plan.sharded()
 	b, more = e.takeBatch(), true
 	n := 0
 	for ; n < e.cfg.Batch; n++ {
@@ -118,11 +127,12 @@ func (e *engine) pull(in *inPort) (b *batch, more bool) {
 		t.iter = in.iter
 		in.iter++
 		t.ctx.Pending, t.ctx.HasPending, t.ctx.PendingOwned = pkt, true, e.owned
-		if sharded {
-			t.shard = int32(shardOf(e.shardKey(pkt), e.plan.p))
-		}
 	}
 	e.trim(b, n)
+	if n == 0 {
+		e.putBatch(b)
+		return nil, more
+	}
 	return b, more
 }
 
@@ -130,73 +140,52 @@ func (e *engine) pull(in *inPort) (b *batch, more bool) {
 // stage, or the dispatcher's own lane: its probe takes the Out
 // count, the stalls and the transmit-side waits.
 type outPort struct {
-	kind portKind
-	lc   *laneCtx
-	ring *tokRing   // portRing
-	sc   *scatterer // portScatter
+	kind  portKind
+	lc    *laneCtx
+	rings []*tokRing // portRings
+	next  int        // portRings: the ring the next batch goes to
 }
 
-// send hands a non-empty batch downstream, with the transmit-phase span
-// when span is set: a stage's unit under tracing. It returns false when the
-// run was canceled mid-wait or the sink failed. The sink's time is booked on
-// the probe, not as a span (a batch's residence window still closes at its
-// last stage's exec), and the dispatcher's pulled batches are re-split by
-// lane — their keys name no downstream batch — so neither records one.
+// send hands a batch downstream, with the transmit-phase span when span is
+// set: a stage's unit under tracing, with tokens to key the span by. It
+// returns false when the run was canceled mid-wait or the sink failed. The
+// sink's time is booked on the probe, not as a span (a batch's residence
+// window still closes at its last stage's exec).
 func (o *outPort) send(e *engine, b *batch, span bool) bool {
 	if o.kind == portSink {
 		return e.retire(b, o.lc)
 	}
+	r := o.rings[o.next]
+	o.next = turn(o.next, len(o.rings))
 	if !span {
-		return o.deliver(e, b)
+		return e.sendRing(r, b, o.lc)
 	}
 	// Capture before sending: the batch is the consumer's once sent.
 	iter, n := b.toks[0].iter, len(b.toks)
 	start := time.Now()
-	ok := o.deliver(e, b)
+	ok := e.sendRing(r, b, o.lc)
 	e.span(o.lc.num, iter, n, obsv.PhaseTx, start, time.Since(start))
 	return ok
 }
 
-func (o *outPort) deliver(e *engine, b *batch) bool {
-	if o.kind == portScatter {
-		return o.sc.send(e, b)
-	}
-	return e.sendRing(o.ring, b, o.lc)
-}
-
-// close relinquishes the port: the producer owns its ring(s), so ring
+// close relinquishes the port: the producer owns its rings, so ring
 // closure is the end-of-stream signal downstream.
-func (o *outPort) close(e *engine) {
-	switch o.kind {
-	case portRing:
-		o.ring.Close()
-	case portScatter:
-		o.sc.close(e)
+func (o *outPort) close() {
+	for _, r := range o.rings {
+		r.Close()
 	}
-}
-
-// tryPush is the non-blocking ring put; on success the batch (and its
-// accounting) belongs to the consumer.
-func tryPush(out *tokRing, b *batch, p *stageProbe) bool {
-	n := int64(len(b.toks)) // the consumer owns b once it is in the ring
-	if out.TryPush(b) {
-		p.out.Add(n)
-		return true
-	}
-	return false
 }
 
 // sendRing forwards a batch on out, counting a stall when the ring is full
 // and waiting for space: a full ring is backpressure, never a loss. It
 // returns false when the run was canceled mid-wait.
 func (e *engine) sendRing(out *tokRing, b *batch, lc *laneCtx) bool {
-	p, n := lc.probe, int64(len(b.toks))
-	if tryPush(out, b, p) {
-		return true
-	}
-	p.stalls.Add(1)
-	if !out.Push(b, e.ictx.Done(), &p.txWait) {
-		return false
+	p, n := lc.probe, int64(len(b.toks)) // the consumer owns b once it is in the ring
+	if !out.TryPush(b) {
+		p.stalls.Add(1)
+		if !out.Push(b, e.ictx.Done(), &p.txWait) {
+			return false
+		}
 	}
 	p.out.Add(n)
 	return true

@@ -6,13 +6,12 @@
 // and throughput comes from the wall clock.
 //
 // Every serve goroutine has the one shape of the paper's pipeline stage
-// (unit, below): take a batch from the in-port — the Source at the head, a
-// ring or a fan-in merger elsewhere — run it through the unit's stage, hand
-// it to the out-port — a ring, a scatter, or the Sink. D=1 is the
-// degenerate pipeline source -> stage -> sink; the sharding dispatcher is a
-// source in-port with no stage in front of its lane delivery, and its mirror,
-// the sink unit behind a replicated last stage, a fan-in with no stage in
-// front of the Sink.
+// (unit, below): take a batch from the in-port — the Source at the head,
+// rings elsewhere — run it through the unit's stage, hand it to the out-port
+// — rings, or the Sink. D=1 is the degenerate pipeline source -> stage ->
+// sink; the sharding dispatcher is a source in-port with no stage in front
+// of its lane rings, and its mirror, the sink unit behind a replicated last
+// stage, a fan-in with no stage in front of the Sink.
 //
 // The runtime serves exactly the stages it is given, every cut between them
 // on a ring. A cut that should not cost a ring is not served here at all:
@@ -30,12 +29,12 @@
 // is byte-identical to the sequential oracle's: there is no cross-stage
 // reordering to normalize away.
 //
-// Sharding (Config.Shards > 1) replicates the stateless stages P ways:
-// packets are dispatched to lanes by a flow hash and the global order is
-// restored at deterministic merge points, so the served trace stays
-// byte-identical to the oracle at any shard count. The topology and the
-// determinism argument live in shard.go; the junction machinery (scatter,
-// fan-in, sequence side-channel) in merge.go.
+// Sharding (Config.Shards > 1) replicates the stateless stages P ways: the
+// replicas take whole batches in turn, as the hardware threads of an IXP
+// engine take successive packets, and a fan-in reads the lanes in the same
+// turn, so the served trace stays byte-identical to the oracle at any shard
+// count. The topology and the determinism argument live in shard.go; the
+// rotating ports in ring.go.
 //
 // Shared state discipline (what makes the concurrency safe):
 //
@@ -93,17 +92,13 @@ type Config struct {
 	Batch int
 
 	// Shards is the pipeline replica width P: stages that keep no state
-	// between iterations run P ways, fed by a flow-hash dispatcher, and the
-	// output is merged back into exact global order. 0 and 1 both mean
-	// unsharded; the accepted range is 0..MaxShards. Stages that keep state
-	// (tables they store to, queues) stay unsharded behind a fan-in, so the
-	// served trace is byte-identical to the oracle at any width.
+	// between iterations run P ways, each replica taking whole batches in
+	// turn, and the output is read back in the same turn, in exact global
+	// order. 0 and 1 both mean unsharded; the accepted range is
+	// 0..MaxShards. Stages that keep state (tables they store to, queues)
+	// stay unsharded behind a fan-in, so the served trace is byte-identical
+	// to the oracle at any width.
 	Shards int
-	// ShardKey maps a packet to its flow key for lane dispatch; nil
-	// selects DefaultShardKey (whole-packet hash). The key only balances
-	// load: which stages replicate does not depend on it, and no key can
-	// change the served trace.
-	ShardKey func(pkt []byte) uint64
 
 	// Faults is the test seam: a deterministic schedule of stage stalls
 	// (lossless: a full ring blocks its producer) and panics (nil: none),
@@ -211,27 +206,22 @@ func Validate(stages []*ir.Program) error {
 // locals, buffered events). Its live set is not here but in its batch's
 // block, at its row (batch). iter is the packet's source-order index
 // (assigned at the head, 0-based), the key every fault-injection trigger and
-// fault record is expressed in. Under sharding, shard is the token's lane
-// (fixed at dispatch by the flow hash), and dead marks a tombstone: a
-// quarantined iteration that keeps flowing toward its fan-in so the dispatch
-// sequence stays gap-free, then is recycled there without ever reaching the
-// sink. The fields every handoff touches, ctx and iter, lead; the context
-// itself trails, in the same allocation.
+// fault record is expressed in. The fields every handoff touches, ctx and
+// iter, lead; the context itself trails, in the same allocation.
 type token struct {
-	ctx   *interp.IterCtx
-	iter  int64
-	shard int32
-	dead  bool
-	c     interp.IterCtx            // what ctx points at
-	evs   [tokenEvents]interp.Event // c's first room for events
+	ctx  *interp.IterCtx
+	iter int64
+	c    interp.IterCtx            // what ctx points at
+	evs  [tokenEvents]interp.Event // c's first room for events
 }
 
 // batch is what a ring entry carries: up to Config.Batch tokens in source
 // order and, when a stage of the layout transmits a live set, the two blocks
 // their live sets ride in, token i's at row i of in. A stage reads in and
 // writes out, then the two swap, so a cut costs column copies into memory
-// the batch owns. A token that changes batch or place — quarantine
-// compaction, a scatter, a fan-in — takes its row along (exec.Block.MoveRow).
+// the batch owns. A batch crosses every ring whole, so a token changes
+// place only when quarantine closes the batch up, and then it takes its row
+// along (exec.Block.MoveRow).
 // Blocks are sized once per serve for the widest cut, and a retired batch
 // goes back to the source whole, tokens and blocks, through the free ring.
 type batch struct {
@@ -257,22 +247,18 @@ type laneCtx struct {
 	run    *exec.Runner
 	inj    *fault.Injector
 	recIdx int
-	tomb   bool // replicated: a fan-in follows, so quarantines become tombstones
 
-	// The batch being executed: one Iteration per admitted token, and each
-	// one's position in the batch, which is its row in the blocks.
-	its  []exec.Iteration
-	live []int
+	// The batch being executed: one Iteration per admitted token.
+	its []exec.Iteration
 }
 
 // unit is one serve goroutine — the single shape every pipeline stage of
 // the paper has: take the live set from the in-port, run this unit's slice
 // of the PPS loop, put the live set on the out-port. lc is the stage replica
-// the unit executes. The head is source -> stage -> ring, an interior stage
-// ring|merge -> stage -> ring|scatter, D=1 source -> stage -> sink, and the
-// dispatcher a source in-port with no stage at all (lc nil) in front of its
-// lane feed; the sink unit is its mirror, a fan-in with no stage in front of
-// the Sink.
+// the unit executes. The head is source -> stage -> rings, an interior stage
+// rings -> stage -> rings, D=1 source -> stage -> sink, and the dispatcher a
+// source in-port with no stage at all (lc nil) in front of its lane rings;
+// the sink unit is its mirror, a fan-in with no stage in front of the Sink.
 type unit struct {
 	in     inPort
 	lc     *laneCtx
@@ -297,11 +283,9 @@ type engine struct {
 	runners  [][]*exec.Runner // stage -> replicas
 	rings    [][]*tokRing     // cut -> lane rings; the last, into the sink unit, only when one exists
 	headRing []*tokRing       // dispatcher -> stage-0 replicas (nil without a dispatcher)
-	seqs     []*seqStream     // one sequence side-channel per sharded segment
 	units    []*unit          // one goroutine each
 	inj      *fault.Injector
 	injs     []*fault.Injector // per-lane injector views; injs[0] is inj
-	shardKey func([]byte) uint64
 
 	// live holds the per-replica atomic probes every counter update lands
 	// in; recs are the per-lane fault-record buffers, each owned by its
@@ -334,7 +318,7 @@ type engine struct {
 	// on the serve hot path. One goroutine pushes to the Sink, so the ring
 	// has its one producer there and its one consumer in the source in-port;
 	// neither end ever waits on it. The pools absorb overflow and the
-	// stragglers recycled off the hot path (quarantines, tombstones).
+	// stragglers recycled off the hot path (quarantines).
 	free *tokRing
 
 	// sink is where retired iterations go; trace is the same value when the
@@ -418,9 +402,7 @@ func (e *engine) lane(s, j int) *laneCtx {
 		run:    e.runners[s][j],
 		inj:    e.injs[j],
 		recIdx: e.live.offs[s] + j,
-		tomb:   e.plan.reps[s] > 1,
 		its:    make([]exec.Iteration, 0, e.cfg.Batch),
-		live:   make([]int, 0, e.cfg.Batch),
 	}
 }
 
@@ -491,8 +473,6 @@ func (e *engine) trim(b *batch, n int) {
 func (t *token) reset() {
 	t.ctx.Reset()
 	t.iter = 0
-	t.shard = 0
-	t.dead = false
 }
 
 func (e *engine) putToken(t *token) {
@@ -553,19 +533,12 @@ func (e *engine) admit(lc *laneCtx, t *token) (err error) {
 	return nil
 }
 
-// quarantine removes t from the pipeline and records why. Inside a sharded
-// segment the token is tombstoned and forwarded instead, so the dispatch
-// sequence its fan-in follows stays gap-free (kept is true); its buffered
-// events never reach the sink either way.
-func (e *engine) quarantine(lc *laneCtx, t *token, why error) (kept bool) {
+// quarantine removes t from the pipeline and records why; its buffered
+// events never reach the sink.
+func (e *engine) quarantine(lc *laneCtx, t *token, why error) {
 	lc.probe.quarantined.Add(1)
 	e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "quarantined", Reason: why.Error()})
-	if lc.tomb {
-		t.dead = true
-		return true
-	}
 	e.putToken(t)
-	return false
 }
 
 // runBody runs the stage body over lc.its and b's blocks, one call for the
@@ -588,8 +561,13 @@ func (e *engine) runBody(lc *laneCtx, b *batch) (panicked, err error) {
 // replicated last stage — and the time it spends inside Push, working or
 // blocked, is booked on its probe as transmit-side wait. A Push error ends the
 // serve (unless the serve was ending already, and the error is only the
-// sink's way of saying so); the refused batch is not delivered.
+// sink's way of saying so); the refused batch is not delivered. A batch
+// quarantine emptied is recycled without a Push.
 func (e *engine) retire(b *batch, lc *laneCtx) bool {
+	if len(b.toks) == 0 {
+		e.recycleBatch(b)
+		return true
+	}
 	evs := e.evbuf[:0]
 	for _, t := range b.toks {
 		evs = append(evs, t.ctx.Events...)
@@ -611,15 +589,16 @@ func (e *engine) retire(b *batch, lc *laneCtx) bool {
 }
 
 // runUnit is the one loop every serve goroutine runs: receive a batch, run
-// it through the unit's stage, send what survived. The wait for the batch —
-// on the Source at the head, on a ring or the merger elsewhere — is booked
-// as the receiving stage's wait span, keyed by the batch's first iteration
-// like every other span of that batch (so a batch's reconstructed latency
-// window opens at its first pull). The dispatcher and the sink unit have no
-// stage to book to, and their batches are re-split or re-merged by lane, so
-// they record none.
+// it through the unit's stage, send what survived — and send the batch even
+// when quarantine emptied it, so every unit downstream of a scatter counts
+// the same batches the scatter sent. The wait for the batch — on the Source
+// at the head, on a ring elsewhere — is booked as the receiving stage's wait
+// span, keyed by the batch's first iteration like every other span of that
+// batch (so a batch's reconstructed latency window opens at its first pull).
+// The dispatcher and the sink unit have no stage to book to, so they record
+// none.
 func (e *engine) runUnit(u *unit) {
-	defer u.out.close(e)
+	defer u.out.close()
 	for {
 		var wStart time.Time
 		if e.timed {
@@ -636,12 +615,8 @@ func (e *engine) runUnit(u *unit) {
 				return
 			}
 		}
-		if b.size() > 0 {
-			if !u.out.send(e, b, e.timed && u.lc != nil) {
-				return
-			}
-		} else if b != nil {
-			e.putBatch(b)
+		if b != nil && !u.out.send(e, b, e.timed && u.lc != nil && len(b.toks) > 0) {
+			return
 		}
 		if !more {
 			return
@@ -666,37 +641,25 @@ func (e *engine) execBatch(lc *laneCtx, b *batch) bool {
 }
 
 // execGroup runs the tokens of b through lc's stage, leaving in b the ones
-// that go on. Tombstoned tokens pass through without executing; a token that
-// fails its admission, or whose group panicked, is quarantined: compacted
-// out, or kept as a tombstone when a fan-in is downstream. The body reads
-// the live sets from b.in and writes the outgoing ones into b.out, then the
-// two swap. Row j of the body is the j-th token that runs: when tokens that
-// do not run sit before it — the slow path, under faults and tombstones
-// only — its row is closed up for the body and spread back to its token's
-// place after it. A tombstone's row is never read again.
+// that go on. A token that fails its admission, or whose group panicked, is
+// quarantined: compacted out, its row with it. The body reads the live sets
+// from b.in and writes the outgoing ones into b.out, then the two swap.
 func (e *engine) execGroup(lc *laneCtx, b *batch) bool {
 	keep := b.toks[:0]
-	lc.its, lc.live = lc.its[:0], lc.live[:0]
+	lc.its = lc.its[:0]
 	for i, t := range b.toks {
-		if t.dead {
-			keep = append(keep, t)
-			continue
-		}
 		if err := e.admit(lc, t); err != nil {
-			if e.quarantine(lc, t, err) {
-				keep = append(keep, t)
-			}
+			e.quarantine(lc, t, err)
 			continue
 		}
-		if j := len(lc.its); j != i && b.in != nil {
+		if j := len(keep); j != i && b.in != nil {
 			b.in.MoveRow(j, b.in, i)
 		}
 		keep = append(keep, t)
-		lc.live = append(lc.live, len(keep)-1)
 		lc.its = append(lc.its, exec.Iteration{Ctx: t.ctx})
 	}
 	b.toks = keep
-	if len(lc.its) == 0 {
+	if len(keep) == 0 {
 		return true
 	}
 	fault, err := e.runBody(lc, b)
@@ -708,20 +671,11 @@ func (e *engine) execGroup(lc *laneCtx, b *batch) bool {
 	}
 	if fault != nil {
 		lc.probe.bodyPanics.Add(1)
-		// Quarantine the group: drop its tokens, back to front. What stays
-		// is tombstones, whose rows nothing reads.
-		for i := len(lc.live) - 1; i >= 0; i-- {
-			if k := lc.live[i]; !e.quarantine(lc, keep[k], fault) {
-				keep = slices.Delete(keep, k, k+1)
-			}
+		for _, t := range keep {
+			e.quarantine(lc, t, fault)
 		}
-		b.toks = keep
+		b.toks = keep[:0]
 		return true
-	}
-	if len(lc.its) != len(keep) && b.out != nil {
-		for j := len(lc.live) - 1; j >= 0; j-- {
-			b.out.MoveRow(lc.live[j], b.out, j)
-		}
 	}
 	b.in, b.out = b.out, b.in
 	return true
@@ -822,14 +776,14 @@ func (e *engine) logLoop(stop <-chan struct{}) {
 // already in flight drain to the sink, so the fault ledger balances, and
 // the returned error is the context's.
 //
-// With cfg.Shards = P > 1, stages that keep no state run as P
-// replicas fed by a flow-hash dispatcher; stages that keep state
-// run unsharded behind a deterministic fan-in. The observable events go to
-// cfg.Sink in exact sequential-oracle order as iterations retire; the
-// returned Metrics hold per-stage counters aggregated across replicas and,
-// under the default sink, the whole trace — which on normal completion is
-// also published on world.Trace, matching the convention of the oracle
-// paths.
+// With cfg.Shards = P > 1, stages that keep no state run as P replicas
+// that take whole batches in turn; stages that keep state run unsharded
+// behind a fan-in that reads the lanes in the same turn. The observable
+// events go to cfg.Sink in exact sequential-oracle order as iterations
+// retire; the returned Metrics hold per-stage counters aggregated across
+// replicas and, under the default sink, the whole trace — which on normal
+// completion is also published on world.Trace, matching the convention of
+// the oracle paths.
 //
 // Each goroutine runs under a pprof label ("stage" = its 1-based index,
 // "2+3" for a program realizing two cut stages, plus "lane" for replicas),
@@ -950,24 +904,19 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 	}
 	cfg, plan, D := l.cfg, l.plan, len(l.stages)
 	e := &engine{
-		cfg:      cfg,
-		src:      src,
-		plan:     plan,
-		runners:  newShardRunners(l.stages, world, plan),
-		rings:    make([][]*tokRing, D),
-		seqs:     make([]*seqStream, plan.nSeqs),
-		inj:      fault.NewInjector(cfg.Faults, l.degree()),
-		injs:     make([]*fault.Injector, plan.width()),
-		shardKey: cfg.ShardKey,
-		live:     newLive(plan.reps, l.first, plan.width()),
-		sink:     cfg.Sink,
+		cfg:     cfg,
+		src:     src,
+		plan:    plan,
+		runners: newShardRunners(l.stages, world, plan),
+		rings:   make([][]*tokRing, D),
+		inj:     fault.NewInjector(cfg.Faults, l.degree()),
+		injs:    make([]*fault.Injector, plan.width()),
+		live:    newLive(plan.reps, l.first, plan.width()),
+		sink:    cfg.Sink,
 	}
 	if e.sink == nil {
 		e.trace = &TraceSink{}
 		e.sink = e.trace
-	}
-	if e.shardKey == nil {
-		e.shardKey = DefaultShardKey
 	}
 	if o, ok := src.(packetOwner); ok {
 		e.owned = o.PacketsOwned()
@@ -984,9 +933,6 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 			e.rings[k] = e.newRings(plan.lanes(k))
 		}
 	}
-	for i := range e.seqs {
-		e.seqs[i] = newSeqStream()
-	}
 	if plan.reps[0] > 1 {
 		e.headRing = e.newRings(plan.reps[0])
 		e.units = append(e.units, e.dispatcher())
@@ -1000,10 +946,9 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		e.units = append(e.units, e.sinkUnit())
 	}
 	// The free ring holds every batch the serve can have: those in the rings
-	// and those in the units' hands — one in work, a merger's lane batches, a
-	// scatter's pending ones — so a retired batch never falls back to the
-	// pools.
-	held := len(e.units)*(2+plan.width()) + len(e.headRing)*cfg.RingCapacity
+	// and the one in each unit's hands, so a retired batch never falls back
+	// to the pools.
+	held := len(e.units) + len(e.headRing)*cfg.RingCapacity
 	for _, rs := range e.rings {
 		held += len(rs) * cfg.RingCapacity
 	}
@@ -1012,31 +957,42 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 }
 
 // dispatcher builds the source unit of a run whose first stage is
-// replicated: the source in-port pulls and stamps lanes, no stage
-// executes, and the lane feed — a scatter that fills a whole batch per lane —
-// delivers into the head rings. Its lane view is the extra probe past the
-// per-replica ones; it records no faults, since no stage runs here.
+// replicated: the source in-port pulls, no stage executes, and the out-port
+// deals the batches whole to the head rings in turn. Its lane view is the
+// extra probe past the per-replica ones; it records no faults, since no
+// stage runs here.
 func (e *engine) dispatcher() *unit {
 	lc := &laneCtx{num: 1, probe: e.live.disp, recIdx: -1}
 	return &unit{
 		in:     inPort{kind: portSource, lc: lc},
-		out:    outPort{kind: portScatter, lc: lc, sc: newScatterer(e.headRing, e.seqs[e.plan.seqAt[0]], e.cfg.Batch, lc)},
+		out:    outPort{kind: portRings, lc: lc, rings: e.headRing},
 		labels: pprof.Labels("stage", "dispatch"),
 	}
 }
 
 // sinkUnit builds the dispatcher's mirror behind a replicated last stage: a
-// fan-in merges the lanes back into source order, no stage executes, and the
-// out-port pushes to the Sink — so exactly one goroutine does, at any width.
-// Its probe folds into the last stage's report as the dispatcher's does into
-// the first's.
+// fan-in reads the lanes in turn, back in source order, no stage executes,
+// and the out-port pushes to the Sink — so exactly one goroutine does, at
+// any width. Its probe folds into the last stage's report as the
+// dispatcher's does into the first's.
 func (e *engine) sinkUnit() *unit {
 	lc := &laneCtx{probe: e.live.sink}
 	return &unit{
-		in:     inPort{kind: portMerge, lc: lc, mg: e.newMerger(len(e.runners)-1, lc)},
+		in:     inPort{kind: portRings, lc: lc, rings: e.rings[len(e.runners)-1]},
 		out:    outPort{kind: portSink, lc: lc},
 		labels: pprof.Labels("stage", "sink"),
 	}
+}
+
+// lanesOf is the share of the rings rs at one end of a cut that replica j
+// of a stage with reps replicas holds: every lane, taken in turn, when the
+// stage is the single replica facing a replicated neighbor (a scatter out,
+// a fan-in in); its own lane otherwise.
+func lanesOf(rs []*tokRing, reps, j int) []*tokRing {
+	if len(rs) > reps {
+		return rs
+	}
+	return rs[j : j+1]
 }
 
 // newUnit wires replica j of served stage s: its lane and the ports the
@@ -1044,27 +1000,22 @@ func (e *engine) sinkUnit() *unit {
 func (e *engine) newUnit(s, j int) *unit {
 	lc := e.lane(s, j)
 	last := e.live.first[s+1] - 1
+	reps := e.plan.reps[s]
 	u := &unit{lc: lc, labels: pprof.Labels("stage", unitLabel(lc.num, last))}
-	if e.plan.reps[s] > 1 {
+	if reps > 1 {
 		u.labels = pprof.Labels("stage", unitLabel(lc.num, last), "lane", strconv.Itoa(j))
 	}
-	switch {
-	case s == 0 && e.headRing == nil:
-		u.in = inPort{kind: portSource, lc: lc}
-	case s == 0:
-		u.in = inPort{kind: portRing, lc: lc, ring: e.headRing[j]}
-	case e.plan.reps[s-1] > e.plan.reps[s]:
-		u.in = inPort{kind: portMerge, lc: lc, mg: e.newMerger(s-1, lc)}
-	default:
-		u.in = inPort{kind: portRing, lc: lc, ring: e.rings[s-1][j]}
+	in := e.headRing
+	if s > 0 {
+		in = e.rings[s-1]
 	}
-	switch {
-	case e.rings[s] == nil:
-		u.out = outPort{kind: portSink, lc: lc}
-	case e.plan.repsAt(s+1) > e.plan.reps[s]:
-		u.out = outPort{kind: portScatter, lc: lc, sc: newScatterer(e.rings[s], e.seqs[e.plan.seqAt[s+1]], 0, lc)}
-	default:
-		u.out = outPort{kind: portRing, lc: lc, ring: e.rings[s][j]}
+	u.in = inPort{kind: portSource, lc: lc}
+	if in != nil {
+		u.in = inPort{kind: portRings, lc: lc, rings: lanesOf(in, reps, j)}
+	}
+	u.out = outPort{kind: portSink, lc: lc}
+	if out := e.rings[s]; out != nil {
+		u.out = outPort{kind: portRings, lc: lc, rings: lanesOf(out, reps, j)}
 	}
 	return u
 }

@@ -1,53 +1,21 @@
 package runtime
 
-// White-box coverage of the sharding layer: the flow-hash lane reduction,
-// the static state scan that decides which stages may replicate, the plan
-// topology (scatter/fan-in pairing), the sequence stream bound, and the
-// end-to-end serve of a table-writing stage under keys that do and do not
-// refine its index.
+// White-box coverage of the sharding layer: the static state scan that
+// decides which stages may replicate, the plan topology (scatters and
+// fan-ins), the units build wires from it, and the end-to-end serve of a
+// table-writing stage.
 
 import (
 	"context"
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/netbench"
 	"repro/internal/ppc"
 )
-
-// TestShardOfDeterministicAndInRange: the lane reduction must be a pure
-// function of (key, p) with results in [0, p) for every accepted width.
-func TestShardOfDeterministicAndInRange(t *testing.T) {
-	keys := []uint64{0, 1, 42, 1 << 31, ^uint64(0), 0xdeadbeefcafef00d}
-	for i := uint64(0); i < 1000; i++ {
-		keys = append(keys, mix64(i))
-	}
-	for _, p := range []int{1, 2, 3, 4, 7, 16, MaxShards} {
-		for _, k := range keys {
-			lane := shardOf(k, p)
-			if lane < 0 || lane >= p {
-				t.Fatalf("shardOf(%#x, %d) = %d, out of range", k, p, lane)
-			}
-			if again := shardOf(k, p); again != lane {
-				t.Fatalf("shardOf(%#x, %d) not deterministic: %d then %d", k, p, lane, again)
-			}
-		}
-	}
-	// All lanes must be reachable for a modest key population.
-	hit := make([]bool, 8)
-	for _, k := range keys {
-		hit[shardOf(k, 8)] = true
-	}
-	for lane, ok := range hit {
-		if !ok {
-			t.Errorf("lane %d unreachable across %d keys", lane, len(keys))
-		}
-	}
-}
 
 // serialOf compiles and partitions a netbench PPS and returns which of its
 // stages keep state.
@@ -111,27 +79,21 @@ func TestNewShardPlanJunctions(t *testing.T) {
 	if got, want := pl.reps, []int{4, 1, 4, 1}; !equalInts(got, want) {
 		t.Fatalf("reps = %v, want %v", got, want)
 	}
-	if !pl.sharded() || pl.nSeqs != 2 || pl.width() != 4 {
-		t.Fatalf("sharded=%v segments=%d width=%d, want true/2/4", pl.sharded(), pl.nSeqs, pl.width())
-	}
-	// Dispatcher and the fan-in into stage 2 share sequence 0, the scatter
-	// out of stage 2 and the fan-in into stage 4 sequence 1; stage 4 pushes
-	// to the sink itself.
-	if !equalInts(pl.seqAt, []int{0, 0, 1, 1, -1}) {
-		t.Fatalf("sequence pairing wrong: seqAt=%v", pl.seqAt)
+	if !pl.sharded() || pl.width() != 4 {
+		t.Fatalf("sharded=%v width=%d, want true/4", pl.sharded(), pl.width())
 	}
 	if pl.lanes(0) != 4 || pl.lanes(1) != 4 || pl.lanes(2) != 4 || pl.lanes(3) != 1 {
 		t.Fatalf("lane widths wrong: %d %d %d %d", pl.lanes(0), pl.lanes(1), pl.lanes(2), pl.lanes(3))
 	}
 
-	if pl := newShardPlan([]bool{false, false}, 4); !equalInts(pl.reps, []int{4, 4}) || !equalInts(pl.seqAt, []int{0, -1, 0}) || pl.lanes(1) != 4 {
-		t.Errorf("stateless pipeline: reps=%v seqAt=%v, want [4 4] as one segment from the dispatcher to the sink's fan-in",
-			pl.reps, pl.seqAt)
+	if pl := newShardPlan([]bool{false, false}, 4); !equalInts(pl.reps, []int{4, 4}) || pl.lanes(1) != 4 {
+		t.Errorf("stateless pipeline: reps=%v, want [4 4] as one segment from the dispatcher to the sink's fan-in",
+			pl.reps)
 	}
 	if pl := newShardPlan([]bool{true, true}, 4); pl.sharded() || pl.width() != 1 {
 		t.Errorf("all-serial pipeline must stay width 1, got reps=%v width=%d", pl.reps, pl.width())
 	}
-	if pl := newShardPlan(qmish, 1); pl.sharded() || pl.nSeqs != 0 {
+	if pl := newShardPlan(qmish, 1); pl.sharded() {
 		t.Errorf("P=1 plan must be unsharded, got reps=%v", pl.reps)
 	}
 }
@@ -147,8 +109,15 @@ func TestNewShardPlanJunctions(t *testing.T) {
 // appear exactly where the shard plan puts them. The fused rows lay out the
 // cut coarsened by their mask where replica widths align.
 func TestBuildUnits(t *testing.T) {
-	kinds := map[portKind]string{portSource: "source", portRing: "ring", portMerge: "merge",
-		portScatter: "scatter", portSink: "sink"}
+	// A rings port taking more than one ring in turn is a fan-in (in) or a
+	// scatter (out).
+	kinds := map[portKind]string{portSource: "source", portRings: "ring", portSink: "sink"}
+	render := func(k portKind, rings int, wide string) string {
+		if k == portRings && rings > 1 {
+			return wide
+		}
+		return kinds[k]
+	}
 	x4 := func(u string) []string { return []string{u, u, u, u} }
 	cat := func(parts ...[]string) (out []string) {
 		for _, p := range parts {
@@ -215,7 +184,8 @@ func TestBuildUnits(t *testing.T) {
 						stages += fmt.Sprint("-", last)
 					}
 				}
-				got = append(got, fmt.Sprintf("%s[%s]%s", kinds[u.in.kind], stages, kinds[u.out.kind]))
+				got = append(got, fmt.Sprintf("%s[%s]%s", render(u.in.kind, len(u.in.rings), "merge"), stages,
+					render(u.out.kind, len(u.out.rings), "scatter")))
 			}
 			if fmt.Sprint(l.Replicas()) != fmt.Sprint(wired) {
 				t.Errorf("layout says replicas %v, build wired replicas %v", l.Replicas(), wired)
@@ -235,8 +205,8 @@ func TestBuildUnits(t *testing.T) {
 }
 
 // TestCoarsenedWidthsMatchMembers: un-making a cut between stages of equal
-// replica width never changes that width. For every benchmark PPS, depth,
-// shard key choice and fuse mask (granted where the ringed widths align),
+// replica width never changes that width. For every benchmark PPS, depth
+// and fuse mask (granted where the ringed widths align),
 // each coarsened program replicates exactly as wide as every stage it
 // realizes did on its own — so the facade may price and report a fused unit
 // at its members' width, and the classifier sees through a merge as well as
@@ -256,23 +226,21 @@ func TestCoarsenedWidthsMatchMembers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s D=%d: %v", pps.Name, d, err)
 			}
-			for _, key := range []func([]byte) uint64{nil, netbench.FlowKey} {
-				cfg := Config{Shards: 4, ShardKey: key}
-				ringed, err := NewLayout(res.Stages, cfg)
+			cfg := Config{Shards: 4}
+			ringed, err := NewLayout(res.Stages, cfg)
+			if err != nil {
+				t.Fatalf("%s D=%d: %v", pps.Name, d, err)
+			}
+			for fuse := uint64(1); fuse < 1<<(d-1); fuse++ {
+				l, err := CoarseLayout(res, fuse, true, cfg)
 				if err != nil {
-					t.Fatalf("%s D=%d: %v", pps.Name, d, err)
+					t.Fatalf("%s D=%d fuse %b: %v", pps.Name, d, fuse, err)
 				}
-				for fuse := uint64(1); fuse < 1<<(d-1); fuse++ {
-					l, err := CoarseLayout(res, fuse, true, cfg)
-					if err != nil {
-						t.Fatalf("%s D=%d fuse %b: %v", pps.Name, d, fuse, err)
-					}
-					for i, w := range l.Replicas() {
-						for s := l.first[i]; s < l.first[i+1]; s++ {
-							if m := ringed.Replicas()[s-1]; m != w {
-								t.Errorf("%s D=%d key=%v fuse %b: program %d replicates x%d, its stage %d x%d",
-									pps.Name, d, key != nil, fuse, i+1, w, s, m)
-							}
+				for i, w := range l.Replicas() {
+					for s := l.first[i]; s < l.first[i+1]; s++ {
+						if m := ringed.Replicas()[s-1]; m != w {
+							t.Errorf("%s D=%d fuse %b: program %d replicates x%d, its stage %d x%d",
+								pps.Name, d, fuse, i+1, w, s, m)
 						}
 					}
 				}
@@ -304,10 +272,8 @@ func flowTraffic(n, flows int) [][]byte {
 }
 
 // TestServeShardedTableStageRunsOnce: a stage that stores to a table runs
-// as one replica behind a fan-in whatever the shard key, so the served
-// trace is byte-identical to the sequential oracle under every key — one
-// that refines the table index (packet byte 0), netbench.FlowKey and packet
-// byte 1, which do not, and the default whole-packet hash.
+// as one replica behind a fan-in, so the served trace is byte-identical to
+// the sequential oracle.
 func TestServeShardedTableStageRunsOnce(t *testing.T) {
 	const n = 60
 	prog, err := ppc.Compile(flowTableSrc)
@@ -323,87 +289,17 @@ func TestServeShardedTableStageRunsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		key  func([]byte) uint64
-	}{
-		{"default", nil},
-		{"p[0]", func(p []byte) uint64 { return uint64(p[0]) }},
-		{"FlowKey", netbench.FlowKey},
-		{"p[1]", func(p []byte) uint64 { return uint64(p[1]) }},
-	} {
-		m, err := Serve(context.Background(), res.Stages, interp.NewWorld(nil), Packets(traffic),
-			Config{Shards: 4, ShardKey: tc.key})
-		if err != nil {
-			t.Fatalf("key %s: %v", tc.name, err)
-		}
-		if m.Packets != n || m.Shards != 4 {
-			t.Fatalf("key %s: served %d packets at width %d, want %d at 4", tc.name, m.Packets, m.Shards, n)
-		}
-		if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
-			t.Errorf("key %s: trace diverges from oracle: %s", tc.name, diff)
-		}
-		if m.Stages[0].Replicas != 4 || m.Stages[1].Replicas != 1 {
-			t.Errorf("key %s: stages ran %d and %d replicas, want 4 and 1",
-				tc.name, m.Stages[0].Replicas, m.Stages[1].Replicas)
-		}
-	}
-}
-
-// napSink is a discard sink that dawdles, so the lanes back up behind it.
-type napSink struct{}
-
-func (napSink) Push(context.Context, []interp.Event) error {
-	time.Sleep(20 * time.Microsecond)
-	return nil
-}
-func (napSink) Close() (int64, error) { return 0, nil }
-
-// TestSeqStreamBoundedUnderSkew holds the sequence side-channel to the bound
-// its comment states. A [P P]->sink plan is served under flow skew — fifteen
-// packets in sixteen hash to one lane — through rings of capacity 2 into a
-// slow sink, so every ring of the hot lane fills and the dispatcher runs as
-// far ahead as backpressure lets it; the published queue must never have held
-// more entries than the segment can hold tokens.
-func TestSeqStreamBoundedUnderSkew(t *testing.T) {
-	const n, p, batch, ringCap = 6000, 4, 4, 2
-	pps, _ := netbench.ByName("IPv4")
-	prog, err := pps.Compile()
+	m, err := Serve(context.Background(), res.Stages, interp.NewWorld(nil), Packets(traffic), Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Partition(prog, core.Options{Stages: 2})
-	if err != nil {
-		t.Fatal(err)
+	if m.Packets != n || m.Shards != 4 {
+		t.Fatalf("served %d packets at width %d, want %d at 4", m.Packets, m.Shards, n)
 	}
-	cfg := Config{Shards: p, Batch: batch, RingCapacity: ringCap, Sink: napSink{},
-		ShardKey: func(pkt []byte) uint64 {
-			if k := DefaultShardKey(pkt); k%16 == 0 {
-				return k
-			}
-			return 0
-		}}
-	l, err := NewLayout(res.Stages, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
+		t.Errorf("trace diverges from oracle: %s", diff)
 	}
-	if !equalInts(l.Replicas(), []int{p, p}) {
-		t.Fatalf("replicas %v, want [%d %d]", l.Replicas(), p, p)
-	}
-	e, err := build(l, netbench.NewWorld(nil), Packets(pps.Traffic(n)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.run(context.Background())
-	m, err := e.finish(context.Background(), netbench.NewWorld(nil))
-	if err != nil || m.Packets != n {
-		t.Fatalf("served %d of %d: %v", m.Packets, n, err)
-	}
-	if len(e.seqs) != 1 {
-		t.Fatalf("%d sequence streams, want the one from the dispatcher to the sink", len(e.seqs))
-	}
-	bound := p * ((len(res.Stages)+1)*(ringCap+1) + 2) * batch
-	if peak := e.seqs[0].peak; peak == 0 || peak > bound {
-		t.Errorf("published queue peaked at %d entries, bound %d", peak, bound)
+	if m.Stages[0].Replicas != 4 || m.Stages[1].Replicas != 1 {
+		t.Errorf("stages ran %d and %d replicas, want 4 and 1", m.Stages[0].Replicas, m.Stages[1].Replicas)
 	}
 }

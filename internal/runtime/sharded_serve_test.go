@@ -3,7 +3,7 @@ package runtime_test
 // Black-box coverage of sharded serving through the public Config surface:
 // merged-trace byte-identity against the sequential oracle for every
 // benchmark pipeline at several widths, and the per-flow order property
-// the flow-hash dispatch must preserve regardless of lane interleaving.
+// the replicas must preserve however their lanes interleave.
 
 import (
 	"context"
@@ -99,8 +99,8 @@ pps FlowSeq {
 // carry a per-flow sequence number, flows are interleaved adversarially,
 // and at every shard width the served trace must (a) keep each flow's
 // sequence numbers strictly increasing and (b) stay byte-identical to the
-// sequential oracle — the merge restores global order, which subsumes
-// per-flow order for any flow-affine key.
+// sequential oracle — the fan-in restores global order, which subsumes
+// per-flow order.
 func TestShardedPerFlowOrder(t *testing.T) {
 	const flows, perFlow = 6, 40
 	prog, err := ppc.Compile(flowSeqSrc)
@@ -131,7 +131,6 @@ func TestShardedPerFlowOrder(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		cfg := runtime.Config{}
 		cfg.Shards = p
-		cfg.ShardKey = func(pkt []byte) uint64 { return uint64(pkt[0]) }
 		m, err := runtime.Serve(context.Background(), res.Stages, interp.NewWorld(nil),
 			runtime.Packets(traffic), cfg)
 		if err != nil {

@@ -56,7 +56,7 @@ func (p *stageProbe) stats(stage int) StageStats {
 // goroutine, race-free — without perturbing the stage goroutines beyond
 // their ordinary atomic counter updates. Probes are flattened stage-major
 // over the served stages (offs[s] is served stage s's first replica); disp
-// is the extra probe of the flow-hash dispatcher when the first stage is
+// is the extra probe of the dispatcher when the first stage is
 // replicated, sink that of the sink unit when the last one is. Reports are per cut stage: first (Layout.first) says which cut
 // stage each served stage begins at. Serve publishes it through
 // Config.OnLive before the first packet moves; repro.Pipeline.Snapshot is

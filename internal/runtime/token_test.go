@@ -23,8 +23,6 @@ func dirtyToken(t *token) {
 	t.ctx.DeferEvents = true
 	t.ctx.Events = append(t.ctx.Events, interp.Event{Kind: interp.EvTrace, Val: 99})
 	t.iter = 17
-	t.shard = 3
-	t.dead = true
 }
 
 // checkPristine fails if any per-iteration state survived a reset.
@@ -50,9 +48,6 @@ func checkPristine(t *testing.T, tok *token) {
 	}
 	if tok.iter != 0 {
 		t.Errorf("recycled token leaks control state: iter=%d", tok.iter)
-	}
-	if tok.shard != 0 || tok.dead {
-		t.Errorf("recycled token leaks shard routing state: shard=%d dead=%v", tok.shard, tok.dead)
 	}
 }
 

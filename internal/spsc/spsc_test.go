@@ -122,7 +122,7 @@ func TestPopCancel(t *testing.T) {
 	}
 }
 
-func TestPushCancelAndTimeout(t *testing.T) {
+func TestPushCancel(t *testing.T) {
 	r := New[int](2, DefaultStrategy())
 	r.TryPush(1)
 	r.TryPush(2) // full
@@ -141,16 +141,6 @@ func TestPushCancelAndTimeout(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Push did not observe done")
-	}
-
-	// PushTimeout on a full ring: times out without cancelation.
-	start := time.Now()
-	pushed, canceled := r.PushTimeout(3, nil, 2*time.Millisecond, nil)
-	if pushed || canceled {
-		t.Fatalf("PushTimeout = %v,%v, want timeout", pushed, canceled)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatalf("PushTimeout overshot its deadline wildly: %v", time.Since(start))
 	}
 }
 
@@ -303,8 +293,8 @@ func TestWaitCountersSplit(t *testing.T) {
 // the backstop both rescues it and says so: an entry is published behind a
 // parked consumer's back — cursor advanced, notifier never posted — so the
 // only thing left to end the park is the 1ms backstop, which must find the
-// entry, count one lost wakeup, and deliver it. A PushTimeout deadline that
-// expires on a full ring, and ordinary parks that end by a post, count none.
+// entry, count one lost wakeup, and deliver it. An ordinary park that ends
+// by a post counts none.
 func TestLostWakeupCounted(t *testing.T) {
 	r := New[int](1, WaitStrategy{})
 	var w WaitCounters
@@ -327,9 +317,6 @@ func TestLostWakeupCounted(t *testing.T) {
 
 	var tx WaitCounters
 	r.TryPush(1)
-	if pushed, _ := r.PushTimeout(2, nil, 3*time.Millisecond, &tx); pushed {
-		t.Fatal("PushTimeout succeeded on a full ring")
-	}
 	go func() {
 		time.Sleep(2 * time.Millisecond)
 		r.TryPop()
@@ -388,8 +375,8 @@ func TestDefaultStrategySingleCore(t *testing.T) {
 }
 
 // TestRandomizedProducerConsumerCloser drives seeded random schedules through
-// the ring: the producer publishes 0..n-1 through a random mix of TryPush,
-// Push and PushTimeout, pausing at random, and closes after the last one —
+// the ring: the producer publishes 0..n-1 through a random mix of TryPush
+// and Push, pausing at random, and closes after the last one —
 // n itself is drawn from the seed, so the close lands at a random point of
 // the consumer's schedule; the consumer claims through a random mix of Pop
 // and TryPop. Whatever the interleaving, at capacities 1, 2 and
@@ -423,7 +410,7 @@ func TestRandomizedProducerConsumerCloser(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 				for next := 0; next < n; {
 					pause(rng)
-					switch rng.Intn(3) {
+					switch rng.Intn(2) {
 					case 0:
 						if r.TryPush(next) {
 							next++
@@ -431,10 +418,6 @@ func TestRandomizedProducerConsumerCloser(t *testing.T) {
 					case 1:
 						r.Push(next, nil, &tx)
 						next++
-					case 2:
-						if ok, _ := r.PushTimeout(next, nil, time.Duration(rng.Intn(300))*time.Microsecond, &tx); ok {
-							next++
-						}
 					}
 				}
 				pause(rng)

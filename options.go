@@ -207,23 +207,24 @@ func WithObserver(o *Observer) Option {
 }
 
 // WithShards sets the serve-path shard width P: stages that keep no state
-// between packets run as P concurrent replicas, packets are dispatched to
-// replicas by a flow hash, and the output is merged back into exact source
+// between packets run as P concurrent replicas that take whole batches in
+// turn, and the output is read back in the same turn, in exact source
 // order — the served trace stays byte-identical to the sequential oracle
 // at any P. Stages that keep state (tables they store to, queues) run once,
-// behind a deterministic fan-in. 0 and 1 both mean unsharded;
+// behind a fan-in. 0 and 1 both mean unsharded;
 // widths outside 0..MaxShards are rejected as ErrBadOption.
 func WithShards(p int) Option {
 	return Option{"WithShards", inServe, func(c *config) { c.serve.Shards = p }}
 }
 
-// WithShardKey sets the flow key the shard dispatcher hashes packets
-// with (default: a whole-packet hash — even spread, but not flow-affine).
-// The key only balances load across replicas: it never changes which
-// stages replicate or the served trace. FlowKey keeps each flow of the
-// benchmark's POS frames on one replica. Nil restores the default.
-func WithShardKey(fn func(pkt []byte) uint64) Option {
-	return Option{"WithShardKey", inServe, func(c *config) { c.serve.ShardKey = fn }}
+// WithShardKey does nothing: replicas take whole batches in turn, so no
+// packet is hashed to a lane. Replicated stages keep no state, so a key
+// could only ever have balanced load. It stays because the repository's
+// benchmark harness still passes it.
+//
+// Deprecated: sharding needs no key; drop the option.
+func WithShardKey(func(pkt []byte) uint64) Option {
+	return Option{"WithShardKey", inServe, func(*config) {}}
 }
 
 // FusionMode selects how Serve realizes pipeline cuts whose inter-stage

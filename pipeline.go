@@ -113,8 +113,8 @@ func (p *Pipeline) Run(ctx context.Context, world *World, opts ...Option) ([]Eve
 // source, and the boundary counters appear in Snapshot().Ingest and the
 // returned Metrics.Ingest.
 // With WithShards(P), stages that keep no state run as P parallel
-// replicas behind a flow-hash dispatcher (WithShardKey balances the load)
-// and the output is deterministically re-merged. Cuts the cost model finds
+// replicas that take whole batches in turn, and the output is read back
+// in the same turn. Cuts the cost model finds
 // not worth their ring are un-made first (WithFusion), and Plan reports the
 // shape that was served and why.
 // The pipeline's output — every retired iteration's events, in exact

@@ -232,11 +232,12 @@ type IngestStats = runtime.IngestStats
 // serve is done.
 func OpenSource(spec string) (BatchSource, error) { return ingest.Open(spec) }
 
-// FlowKey derives a flow-affine shard key from a raw packet in the POS
-// framing the toolkit's benchmarks use: it hashes the IPv4/IPv6 5-tuple
-// (addresses, protocol, and — for TCP/UDP — ports), so every packet of one
-// transport flow lands on the same shard under WithShards+WithShardKey.
-// Non-IP and truncated frames fall back to hashing the whole packet.
+// FlowKey derives a flow key from a raw packet in the POS framing the
+// toolkit's benchmarks use: it hashes the IPv4/IPv6 5-tuple (addresses,
+// protocol, and — for TCP/UDP — ports), so every packet of one transport
+// flow gets the same key. Non-IP and truncated frames fall back to hashing
+// the whole packet. Serve needs no key (see WithShardKey); the benchmark
+// harness still uses this one.
 func FlowKey(pkt []byte) uint64 { return netbench.FlowKey(pkt) }
 
 // Compile parses PPC source and lowers it to IR.

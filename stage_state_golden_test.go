@@ -38,23 +38,19 @@ func verdict(err error) string {
 
 // stageState renders what every consumer of a stage list decides about each
 // stage's state: exec's batching verdict (Lowered.Serial and Carried), the
-// replica width the serve runtime gives it at P=2 without and with a shard
-// key ("-" when the list is not servable), and the verdicts of
-// runtime.Validate and core.ValidateStages on the whole list. fuse is the
-// fuse mask the stages were coarsened by (NewCoarseLayout's). It fails t,
-// naming the list by label, when a serial stage replicates or the shard key
-// changes a replica width. The converse does not hold and is not asserted:
-// the runtime scans the IR, exec the lowered program, so a store exec folds
-// away (rand50's csum_fold(-0)) leaves a stage [par 1/1] — run once though
-// it could replicate, which is conservative and correct.
+// replica width the serve runtime gives it at P=2 ("-" when the list is not
+// servable), and the verdicts of runtime.Validate and core.ValidateStages on
+// the whole list. fuse is the fuse mask the stages were coarsened by
+// (NewCoarseLayout's). It fails t, naming the list by label, when a serial
+// stage replicates. The converse does not hold and is not asserted: the
+// runtime scans the IR, exec the lowered program, so a store exec folds away
+// (rand50's csum_fold(-0)) leaves a stage [par 1] — run once though it could
+// replicate, which is conservative and correct.
 func stageState(t *testing.T, label string, stages []*ir.Program, fuse uint64) string {
 	var b strings.Builder
-	var plain, keyed []int
+	var plain []int
 	if l, err := runtime.NewCoarseLayout(stages, fuse, runtime.Config{Shards: 2}); err == nil {
 		plain = l.Replicas()
-		if lk, err := l.With(runtime.Config{Shards: 2, ShardKey: netbench.FlowKey}); err == nil {
-			keyed = lk.Replicas()
-		}
 	}
 	for k, r := range exec.NewStageRunners(stages, nil) {
 		lo := r.Lowered()
@@ -63,13 +59,10 @@ func stageState(t *testing.T, label string, stages []*ir.Program, fuse uint64) s
 			state = "serial(" + lo.Carried + ")"
 		}
 		reps := "-"
-		if plain != nil && keyed != nil {
-			reps = fmt.Sprintf("%d/%d", plain[k], keyed[k])
-			if lo.Serial && max(plain[k], keyed[k]) > 1 {
+		if plain != nil {
+			reps = fmt.Sprint(plain[k])
+			if lo.Serial && plain[k] > 1 {
 				t.Errorf("%s: serial stage %d replicates %s", label, k+1, reps)
-			}
-			if plain[k] != keyed[k] {
-				t.Errorf("%s: stage %d replicates %s: the shard key changed its width", label, k+1, reps)
 			}
 		}
 		fmt.Fprintf(&b, " [%s %s]", state, reps)
