@@ -155,8 +155,10 @@ echo "== ingest gate: loopback UDP serve + pcap replay byte-identity"
 # fixture pin (TestFlowsCaptureFixture), and that capture replayed off the
 # Source path through D=4, P=4, fused (TestServeFlowsCaptureReplay). Each
 # compares the served trace or decoded stream byte-for-byte against the
-# deterministic reference.
-go test -race -count=1 -run 'TestServeUDPLoopback|TestFlowsCaptureFixture|TestServeFlowsCaptureReplay' .
+# deterministic reference. Then a socket that carries five packets and goes
+# quiet, served in 17 shapes: every packet must reach the sink within 300 ms
+# (TestServeQuietSocketStrandsNoPacket).
+go test -race -count=1 -run 'TestServeUDPLoopback|TestFlowsCaptureFixture|TestServeFlowsCaptureReplay|TestServeQuietSocketStrandsNoPacket' .
 
 echo "== go test -race ./... $*"
 go test -race "$@" ./...

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -461,4 +463,128 @@ func TestServeTeardownUnblocksSource(t *testing.T) {
 		cancel()
 		t.Fatalf("Serve still blocked in the source 10s after stage 2 failed (after cancel: %v)", <-done)
 	}
+}
+
+// outcomeSink counts the send and drop events pushed to it: one per IPv4
+// packet served.
+type outcomeSink struct{ n atomic.Int64 }
+
+func (s *outcomeSink) Push(_ context.Context, evs []repro.Event) error {
+	for _, ev := range evs {
+		if ev.Kind == interp.EvSend || ev.Kind == interp.EvDrop {
+			s.n.Add(1)
+		}
+	}
+	return nil
+}
+
+func (s *outcomeSink) Close() (int64, error) { return s.n.Load(), nil }
+
+// TestServeQuietSocketStrandsNoPacket serves IPv4 off a live socket that
+// carries five packets and then goes quiet: all five must reach the sink
+// within 300 ms, before the cancel that ends the serve. A batch closes when
+// the socket has nothing more ready, never only when it is full, so no shape
+// — degree, shards, batch or fusion — may hold a partly filled batch back.
+func TestServeQuietSocketStrandsNoPacket(t *testing.T) {
+	pps, _ := netbench.ByName("IPv4")
+	prog, err := pps.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic := pps.Traffic(5)
+	if seq := seqTrace(t, prog, traffic, len(traffic)); countOutcomes(seq) != len(traffic) {
+		t.Fatalf("the oracle gives %d sends and drops for %d packets", countOutcomes(seq), len(traffic))
+	}
+	type shape struct {
+		tcp         bool
+		d, p, batch int
+		fusion      repro.FusionMode
+	}
+	var shapes []shape
+	for _, d := range []int{1, 2} {
+		for _, p := range []int{1, 2} {
+			for _, batch := range []int{8, 32} {
+				for _, f := range []repro.FusionMode{repro.FusionOff, repro.FusionAuto} {
+					shapes = append(shapes, shape{false, d, p, batch, f})
+				}
+			}
+		}
+	}
+	shapes = append(shapes, shape{true, 2, 2, 32, repro.FusionAuto})
+	for _, sh := range shapes {
+		proto := "udp"
+		if sh.tcp {
+			proto = "tcp"
+		}
+		fusion := map[repro.FusionMode]string{repro.FusionOff: "off", repro.FusionAuto: "auto"}[sh.fusion]
+		t.Run(fmt.Sprintf("%s/D=%d/P=%d/batch=%d/fusion=%s", proto, sh.d, sh.p, sh.batch, fusion), func(t *testing.T) {
+			pipe, err := repro.Partition(prog, repro.WithStages(sh.d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var src repro.BatchSource
+			var addr net.Addr
+			if sh.tcp {
+				s, err := ingest.OpenTCP("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				src, addr = s, s.LocalAddr()
+			} else {
+				s, err := ingest.OpenUDP("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				src, addr = s, s.LocalAddr()
+			}
+			defer src.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sink := &outcomeSink{}
+			done := make(chan error, 1)
+			go func() {
+				_, err := pipe.Serve(ctx, nil, repro.WithSource(src), repro.WithWorld(netbench.NewWorld(nil)),
+					repro.WithShards(sh.p), repro.WithBatch(sh.batch),
+					repro.WithFusion(sh.fusion), repro.WithSink(sink))
+				done <- err
+			}()
+			// The connection stays open, and quiet, until the check is made.
+			conn, err := net.Dial(proto, addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			for _, p := range traffic {
+				if sh.tcp {
+					p = append([]byte{byte(len(p) >> 8), byte(len(p))}, p...)
+				}
+				if _, err := conn.Write(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := int64(len(traffic))
+			deadline := time.Now().Add(300 * time.Millisecond)
+			for sink.n.Load() < want && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			got := sink.n.Load()
+			cancel()
+			if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
+				t.Errorf("Serve: %v", err)
+			}
+			if got != want {
+				t.Errorf("%d of %d packets stranded after 300 ms of a quiet %s socket", want-got, want, proto)
+			}
+		})
+	}
+}
+
+func countOutcomes(evs []repro.Event) int {
+	n := 0
+	for _, ev := range evs {
+		if ev.Kind == interp.EvSend || ev.Kind == interp.EvDrop {
+			n++
+		}
+	}
+	return n
 }
