@@ -371,8 +371,8 @@ func (h *handoverSource) Pull(ctx context.Context, dst [][]byte) (int, error) {
 func (h *handoverSource) Stats() *ingest.Stats { return &h.stats }
 func (h *handoverSource) Close() error         { return nil }
 
-// TestAdaptiveServeAdoptsOwnedPackets: the ingest feeder says its packets
-// are the pipeline's, and the head must hear it — a PPS that rewrites each
+// TestAdaptiveServeAdoptsOwnedPackets: a batch source hands its packets
+// over, and the head must adopt them — a PPS that rewrites each
 // packet it forwards sends the source's own buffers, rewritten in place, and
 // the Metrics carry the source's boundary counters. The name and the
 // "static" case date from when Serve also had an adaptive path; the static

@@ -18,10 +18,10 @@
 // a packet the caller retains pins at most one chunk (128 KiB TCP, 64 KiB
 // UDP) — copy out what must outlive its neighbours.
 //
-// Backpressure composes end to end. The runtime's head stage pulls one
-// batch at a time; when the first inter-stage ring is full, the head stops
-// pulling, the Feeder stops calling Pull, and a socket source simply stops
-// draining its socket — the kernel receive buffer becomes the final
+// Backpressure composes end to end. The runtime's head makes one Pull per
+// batch and closes the batch with whatever was ready, so a quiet socket
+// strands no packet; when the first inter-stage ring is full, the head stops
+// pulling, and a socket source simply stops draining its socket — the kernel receive buffer becomes the final
 // buffer, and beyond it the kernel drops (counted on Linux for UDP, see
 // UDPSource). The Stats counters every source carries (rx packets/bytes,
 // drops, decode errors) surface through the runtime's metrics registry and

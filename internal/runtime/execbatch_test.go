@@ -7,6 +7,7 @@ package runtime
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -215,10 +216,17 @@ func TestBodyPanicQuarantinesItsGroup(t *testing.T) {
 }
 
 // ownedPackets is a Source that hands its packets over, as the ingest
-// feeder does.
-type ownedPackets struct{ sliceSource }
+// sources do: Pull gives out the next batch of pkts.
+type ownedPackets struct{ pkts [][]byte }
 
-func (*ownedPackets) PacketsOwned() bool { return true }
+func (o *ownedPackets) Pull(_ context.Context, dst [][]byte) (int, error) {
+	if len(o.pkts) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(dst, o.pkts)
+	o.pkts = o.pkts[n:]
+	return n, nil
+}
 
 // TestPacketOwnership serves a pipeline that rewrites every packet it
 // forwards (TTL and checksum) from both kinds of source. An in-memory

@@ -101,38 +101,31 @@ func (e *engine) popRing(r *tokRing, p *stageProbe) (b *batch, ok bool) {
 	return b, ok
 }
 
-// pull is the source in-port: it paces the pipeline by pulling up to one
-// batch of packets from the Source, assigning each its iteration index —
-// the key every fault trigger and record is expressed in — and building
-// its token. The In counter tallies every packet pulled, which is the total
-// the FaultReport ledger is reconciled against. A pull that got no packet
-// returns no batch.
+// pull is the source in-port: it paces the pipeline with one Pull per
+// batch, closing the batch with whatever the Source had ready, and assigns
+// each packet its iteration index — the key every fault trigger and record
+// is expressed in — and its token. The In counter tallies every packet
+// pulled, which is the total the FaultReport ledger is reconciled against.
+// Any error ends the stream after the packets that came with it, and is kept
+// for finish to judge. A pull that got no packet returns no batch.
 func (e *engine) pull(in *inPort) (b *batch, more bool) {
-	select {
-	case <-e.stop.Done():
+	if e.stop.Err() != nil {
 		return nil, false
-	default:
 	}
-	p := in.lc.probe
-	b, more = e.takeBatch(), true
-	n := 0
-	for ; n < e.cfg.Batch; n++ {
-		pkt, ok := e.src.Next()
-		if !ok {
-			more = false
-			break
-		}
-		p.in.Add(1)
-		t := e.tokenAt(b, n)
+	n, err := e.src.Pull(e.stop, e.pkts)
+	e.srcErr, more = err, err == nil
+	if n == 0 {
+		return nil, more
+	}
+	in.lc.probe.in.Add(int64(n))
+	b = e.takeBatch()
+	for i, pkt := range e.pkts[:n] {
+		t := e.tokenAt(b, i)
 		t.iter = in.iter
 		in.iter++
 		t.ctx.Pending, t.ctx.HasPending, t.ctx.PendingOwned = pkt, true, e.owned
 	}
 	e.trim(b, n)
-	if n == 0 {
-		e.putBatch(b)
-		return nil, more
-	}
 	return b, more
 }
 

@@ -20,8 +20,9 @@
 // counters, spans and fault records keep the cut's stage numbers.
 //
 // Correctness model: every iteration owns an interp.IterCtx that flows
-// down the pipeline inside a token. The source in-port pulls one packet
-// per iteration from the Source and attaches it to the token; the iteration's
+// down the pipeline inside a token. The source in-port pulls a batch from
+// the Source, one packet per iteration, and attaches each to its token; the
+// batch closes with whatever the Source had ready. The iteration's
 // observable events are buffered on the token (IterCtx.DeferEvents) and
 // pushed to the Sink (sink.go) as the token retires. Because each ring has
 // exactly one producer and one consumer, tokens retire in iteration order
@@ -60,7 +61,9 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/bits"
 	"runtime/pprof"
@@ -278,7 +281,9 @@ type engine struct {
 	halt     context.CancelFunc
 	cfg      Config
 	src      Source
-	owned    bool // src hands its packets over (packetOwner)
+	owned    bool     // src hands its packets over: it is not Lent
+	pkts     [][]byte // the head's Pull buffer, one batch long
+	srcErr   error    // why src ended: io.EOF, the head's cancelation or a failure
 	plan     *shardPlan
 	runners  [][]*exec.Runner // stage -> replicas
 	rings    [][]*tokRing     // cut -> lane rings; the last, into the sink unit, only when one exists
@@ -488,11 +493,6 @@ func (e *engine) getBatch() *batch {
 	return b
 }
 
-func (e *engine) putBatch(b *batch) {
-	b.toks = b.toks[:0]
-	e.batchPool.Put(b)
-}
-
 // recycleBatch resets a retired batch's tokens in place and hands the
 // whole batch back to the source through the free ring — one ring operation
 // instead of per-token pool traffic. A full ring falls back to the pools.
@@ -506,7 +506,8 @@ func (e *engine) recycleBatch(b *batch) {
 	for _, t := range b.toks {
 		e.tokPool.Put(t)
 	}
-	e.putBatch(b)
+	b.toks = b.toks[:0]
+	e.batchPool.Put(b)
 }
 
 // span records one phase interval into the stage's span log when tracing
@@ -918,9 +919,8 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		e.trace = &TraceSink{}
 		e.sink = e.trace
 	}
-	if o, ok := src.(packetOwner); ok {
-		e.owned = o.PacketsOwned()
-	}
+	_, lent := src.(lender)
+	e.owned, e.pkts = !lent, make([][]byte, cfg.Batch)
 	e.live.ingest = cfg.Ingest
 	e.recs = make([][]FaultRecord, len(e.live.probes))
 	e.injs[0] = e.inj
@@ -1027,12 +1027,6 @@ func (e *engine) run(ctx context.Context) {
 	defer e.cancel()
 	e.stop, e.halt = context.WithCancel(ctx)
 	defer e.halt()
-	if b, ok := e.src.(contextBinder); ok {
-		// I/O-backed sources block in reads; binding the head's context
-		// lets cancelation (external or error teardown) unblock them
-		// instead of stranding the source goroutine in a syscall.
-		b.BindContext(e.stop)
-	}
 	e.live.start = time.Now()
 	e.wireObservability(e.live.degree())
 	if e.cfg.OnLive != nil {
@@ -1079,6 +1073,9 @@ func (e *engine) finish(ctx context.Context, world *interp.World) (*Metrics, err
 	err := e.firstErr
 	if err == nil {
 		err = ctx.Err()
+	}
+	if err == nil && e.srcErr != nil && !errors.Is(e.srcErr, io.EOF) {
+		err = fmt.Errorf("ingest: %w", e.srcErr)
 	}
 	if err == nil && cerr != nil {
 		err = fmt.Errorf("sink: close: %w", cerr)

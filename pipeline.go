@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/ingest"
 	"repro/internal/interp"
 	"repro/internal/runtime"
 )
@@ -108,10 +107,12 @@ func (p *Pipeline) Run(ctx context.Context, world *World, opts ...Option) ([]Eve
 // transmissions (WithBatch), serving src until it is exhausted or ctx is
 // canceled. The environment (route tables, queues) comes from WithWorld.
 // To serve real traffic, pass nil for src and attach a network-facing
-// source with WithSource (see OpenSource): the head stage then pulls
-// batches off the socket / capture, backpressure propagates into the
-// source, and the boundary counters appear in Snapshot().Ingest and the
-// returned Metrics.Ingest.
+// source with WithSource (see OpenSource): the head stage then makes one
+// Pull per batch and closes the batch with whatever the socket / capture
+// had ready, backpressure propagates into the source, and the boundary
+// counters appear in Snapshot().Ingest and the returned Metrics.Ingest. A
+// source that fails ends the stream: what it handed over drains, and Serve
+// returns the Metrics with the source's error wrapped.
 // With WithShards(P), stages that keep no state run as P parallel
 // replicas that take whole batches in turn, and the output is read back
 // in the same turn. Cuts the cost model finds
@@ -129,29 +130,24 @@ func (p *Pipeline) Serve(ctx context.Context, src Source, opts ...Option) (*Metr
 	if err != nil {
 		return nil, err
 	}
-	// WithSource: wrap the batch source in the head-of-pipe feeder. The
-	// feeder pulls socket-friendly batches, carries the serve context
-	// into blocking reads, and exposes the source's boundary counters to
-	// the runtime (Snapshot.Ingest, Metrics.Ingest, registry gauges).
-	var feeder *ingest.Feeder
-	if cfg.source != nil {
-		if src != nil {
-			return nil, fmt.Errorf("repro: %w: both the positional source and WithSource supply the packet stream; pass nil for one of them",
-				ErrConflictingOptions)
-		}
-		pull := cfg.serve.Batch
-		if pull < ingestPullMin {
-			pull = ingestPullMin
-		}
-		feeder = ingest.NewFeeder(cfg.source, pull)
-		feeder.BindContext(ctx)
-		stats := feeder.Stats()
+	// A caller's Source is lent to the runtime packet by packet; WithSource's
+	// is pulled a batch at a time and exposes its boundary counters
+	// (Snapshot.Ingest, Metrics.Ingest, registry gauges).
+	var in runtime.Source
+	switch {
+	case cfg.source != nil && src != nil:
+		return nil, fmt.Errorf("repro: %w: both the positional source and WithSource supply the packet stream; pass nil for one of them",
+			ErrConflictingOptions)
+	case cfg.source != nil:
+		stats := cfg.source.Stats()
 		cfg.serve.Ingest = func() runtime.IngestStats {
 			v := stats.View()
 			return runtime.IngestStats{RxPackets: v.RxPackets, RxBytes: v.RxBytes,
 				Drops: v.Drops, DecodeErrors: v.DecodeErrors}
 		}
-		src = feeder
+		in = cfg.source
+	case src != nil:
+		in = runtime.Lend(src)
 	}
 	cfg.serve.OnLive = func(l *runtime.Live) { p.live.Store(l) }
 	if cfg.world == nil {
@@ -165,22 +161,8 @@ func (p *Pipeline) Serve(ctx context.Context, src Source, opts ...Option) (*Metr
 		return nil, err
 	}
 	p.plan.Store(plan)
-	m, err := lay.Serve(ctx, cfg.world, src)
-	if feeder != nil && err == nil {
-		// The runtime treats a dead source as clean end-of-stream (it
-		// cannot tell a drained pcap from a failed socket); the feeder
-		// remembers which it was.
-		if ferr := feeder.Err(); ferr != nil {
-			return m, fmt.Errorf("repro: ingest: %w", ferr)
-		}
-	}
-	return m, err
+	return lay.Serve(ctx, cfg.world, in)
 }
-
-// ingestPullMin is the smallest batch the feeder requests per Pull: even
-// an unbatched pipeline pulls a few packets per source round-trip so a
-// socket read syscall is never amortized over a single packet.
-const ingestPullMin = 32
 
 // Snapshot captures the counters of the pipeline's most recent Serve run
 // at this instant: safe to call at any time from any goroutine, including

@@ -145,16 +145,21 @@ func NewRegistry() *Registry { return obsv.NewRegistry() }
 // pipeline's stage timeline as swimlanes.
 func WriteChromeTrace(w io.Writer, spans []Span) error { return obsv.WriteChromeTrace(w, spans) }
 
-// ReadChromeTrace imports spans previously exported with WriteChromeTrace.
-func ReadChromeTrace(r io.Reader) ([]Span, error) { return obsv.ReadChromeTrace(r) }
-
 // Timeline renders spans as a fixed-width ASCII swimlane per stage —
 // '#' executing, 'w' waiting on the inbound ring, 't' blocked
 // transmitting, '.' idle.
 func Timeline(spans []Span, width int) string { return obsv.Timeline(spans, width) }
 
-// Source supplies the packet stream a served pipeline consumes.
-type Source = runtime.Source
+// Source supplies the packet stream a served pipeline consumes, one packet
+// per call: Next returns the next packet and true, or nil and false when the
+// stream is exhausted, which drains the pipeline. Next is called from one
+// goroutine only, and a Next that blocks paces the pipeline. Its packets are
+// lent — the pipeline copies one before a stage rewrites it — so Next may
+// hand the same bytes out again. Serve fills each batch with Next calls; a
+// network-facing source goes through WithSource instead.
+type Source interface {
+	Next() ([]byte, bool)
+}
 
 // PacketSource returns a Source that replays pkts once, in order.
 func PacketSource(pkts [][]byte) Source { return runtime.Packets(pkts) }
