@@ -57,10 +57,9 @@ func (f *Feeder) Next() ([]byte, bool) {
 }
 
 // Err reports why the stream ended, or nil if it is still live or ended
-// cleanly (io.EOF and context cancelation are clean ends).
+// cleanly at io.EOF.
 func (f *Feeder) Err() error {
-	if f.err == nil || errors.Is(f.err, io.EOF) ||
-		errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+	if errors.Is(f.err, io.EOF) {
 		return nil
 	}
 	return f.err

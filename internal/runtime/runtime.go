@@ -281,7 +281,7 @@ type engine struct {
 	halt     context.CancelFunc
 	cfg      Config
 	src      Source
-	owned    bool     // src hands its packets over: it is not Lent
+	owned    bool     // src hands its packets over: it is not a lender
 	pkts     [][]byte // the head's Pull buffer, one batch long
 	srcErr   error    // why src ended: io.EOF, the head's cancelation or a failure
 	plan     *shardPlan
