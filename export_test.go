@@ -10,8 +10,8 @@ func WithFaultsForTest(p *fault.Plan) Option {
 }
 
 // WithFuseMaskForTest serves exactly the cuts mask names un-made (bit k: the
-// cut between stages k+1 and k+2) where replica widths align, in place of the
-// valuator's verdict, so a test can put any coarsening through Serve.
+// cut between stages k+1 and k+2) where replica widths align, in place of
+// FusionAuto's verdict, so a test can put any coarsening through Serve.
 func WithFuseMaskForTest(mask uint64) Option {
 	return Option{"WithFuseMaskForTest", inServe, func(c *config) { c.fuse = &mask }}
 }

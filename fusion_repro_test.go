@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/netbench"
 	"repro/internal/runtime/fault"
@@ -243,7 +244,7 @@ const sharedTableSrc = `pps SharedTable {
 
 // TestServeSharedReadOnlyTable: a persistent array no stage stores to is a
 // constant table, so a cut that reads it on both sides is served — ringed and
-// with the valuator's verdict, unsharded and sharded — as the partitioner and
+// with FusionAuto's verdict, unsharded and sharded — as the partitioner and
 // Run already allow, byte-identical to the unpartitioned program.
 func TestServeSharedReadOnlyTable(t *testing.T) {
 	prog := repro.MustCompile(sharedTableSrc)
@@ -342,6 +343,74 @@ func TestServeSharedReadOnlyQueue(t *testing.T) {
 	}
 	if !split {
 		t.Fatal("no depth puts the queue reads in different stages; the case needs a cut between them")
+	}
+}
+
+// TestFusionAutoFusesStatelessCuts: FusionAuto un-makes a cut exactly when
+// neither stage beside it keeps state — taken here from exec's verdict
+// (Lowered.Serial), apart from the runtime's own scan — at any shard width
+// and core count, so no shard junction is ever fused (checkPlanCoherent).
+// Six netbench PPS at D=2..4 and P ∈ {1, 2}, on one and two cores, each
+// serve byte-identical to the oracle on a prefix. The P=2 verdicts are
+// also pinned as literals, so a change to either state scan shows here.
+func TestFusionAutoFusesStatelessCuts(t *testing.T) {
+	const n = 64
+	atP2 := map[string][3]string{ // D=2, 3, 4
+		"RX":        {"[1]", "[1 2]", "[1 2 3]"},
+		"IPv4":      {"[1]", "[1 2]", "[1 2 3]"},
+		"Scheduler": {"[]", "[]", "[3]"},
+		"QM":        {"[]", "[]", "[]"},
+		"TX":        {"[1]", "[1 2]", "[1 2 3]"},
+		"IP(v4)":    {"[1]", "[1 2]", "[1 2 3]"},
+	}
+	ip, _ := netbench.ByName("IP(v4)")
+	for _, pps := range append(netbench.IPv4Forwarding(), ip) {
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		traffic := pps.Traffic(n)
+		seq, err := interp.RunSequential(prog, netbench.NewWorld(traffic), n)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", pps.Name, err)
+		}
+		for d := 2; d <= 4; d++ {
+			pipe, err := repro.Partition(prog, repro.WithStages(d), repro.WithBatch(32))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stateless []int // the cuts with no state-keeping stage beside them
+			runners := exec.NewStageRunners(pipe.Stages(), nil)
+			for k := 1; k < d; k++ {
+				if !runners[k-1].Lowered().Serial && !runners[k].Lowered().Serial {
+					stateless = append(stateless, k)
+				}
+			}
+			for _, cores := range []int{1, 2} {
+				for _, p := range []int{1, 2} {
+					t.Run(fmt.Sprintf("%s/D=%d/P=%d/cores=%d", pps.Name, d, p, cores), func(t *testing.T) {
+						setCores(t, cores)
+						m, err := pipe.Serve(context.Background(), repro.PacketSource(traffic),
+							repro.WithShards(p), repro.WithWorld(netbench.NewWorld(nil)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if diff := repro.TraceEqual(seq, m.Trace); diff != "" {
+							t.Fatalf("trace diverges from oracle: %s", diff)
+						}
+						plan := pipe.Plan()
+						checkPlanCoherent(t, plan)
+						got := fmt.Sprint(plan.FusedCuts)
+						if want := fmt.Sprint(stateless); got != want {
+							t.Errorf("FusedCuts %s, want the stateless cuts %s (%q)", got, want, plan.FusionWhy)
+						}
+						if want := atP2[pps.Name][d-2]; p == 2 && got != want {
+							t.Errorf("FusedCuts %s at P=2, want %s", got, want)
+						}
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -309,11 +309,10 @@ func TestFlowsCaptureFixture(t *testing.T) {
 // TestServeFlowsCaptureReplay streams the checked-in capture off the
 // Source path through the deepest realization the repo serves — the IPv4
 // PPS cut four ways, four shards taking whole batches in turn, every
-// cut fused (the valuator's verdict at one core, pinned so the shape does
-// not depend on the host) — and requires the served trace byte-identical
-// to the sequential oracle over the decoded capture.
+// cut fused (FusionAuto's verdict: no stage keeps state) — and requires
+// the served trace byte-identical to the sequential oracle over the decoded
+// capture.
 func TestServeFlowsCaptureReplay(t *testing.T) {
-	setCores(t, 1)
 	pps, _ := netbench.ByName("IPv4")
 	prog, err := pps.Compile()
 	if err != nil {

@@ -156,9 +156,6 @@ func (a *Analysis) indexForRealize(cfg *graph.Digraph) {
 	}
 }
 
-// Arch returns the cost model the analysis is bound to.
-func (a *Analysis) Arch() *costmodel.Arch { return a.arch }
-
 // Seq returns the worst-case path cost of the unpartitioned program.
 func (a *Analysis) Seq() PathCost { return a.seq }
 

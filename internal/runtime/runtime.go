@@ -874,6 +874,10 @@ func (l *Layout) Stages() []*ir.Program { return l.stages }
 // Replicas reports each served stage's replica width: 1, or the shard width.
 func (l *Layout) Replicas() []int { return slices.Clone(l.plan.reps) }
 
+// Serial reports whether each served stage keeps state between iterations
+// (serialStages): such a stage runs once at any shard width.
+func (l *Layout) Serial() []bool { return slices.Clone(l.serial) }
+
 // Width is the effective shard width: the configured one when any stage
 // replicates, 1 otherwise (every stage keeps state).
 func (l *Layout) Width() int { return l.plan.width() }

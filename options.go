@@ -98,7 +98,7 @@ type config struct {
 	// serving, facade side
 	world  *World
 	fusion FusionMode
-	// fuse, when set, is the fuse mask to serve in place of the valuator's
+	// fuse, when set, is the fuse mask to serve in place of the rule's
 	// verdict (realize, fusion.go): the tests' WithFuseMaskForTest writes it,
 	// no public option does.
 	fuse   *uint64
@@ -227,35 +227,34 @@ func WithShardKey(func(pkt []byte) uint64) Option {
 	return Option{"WithShardKey", inServe, func(*config) {}}
 }
 
-// FusionMode selects how Serve realizes pipeline cuts whose inter-stage
-// ring cannot pay for itself; see WithFusion.
+// FusionMode selects which cuts Serve un-makes; see WithFusion.
 type FusionMode int
 
 const (
-	// FusionAuto (the default) lets the cost model value each cut: a cut
-	// whose ring synchronization tax exceeds its predicted pipeline-bound
-	// gain is un-made — the stages around it are re-realized as one
-	// program, with no live-set transmission between them — while cuts that
-	// buy real overlap keep their rings. On a single-core host this
-	// typically fuses the whole pipeline, which is then served as the D=1
-	// program; on a wide host with balanced stages it fuses nothing.
+	// FusionAuto (the default) un-makes a cut exactly when neither stage
+	// beside it keeps state: the stages around it are re-realized as one
+	// program, with no live-set transmission between them, and replicated
+	// whole when sharded. A cut beside a stage that keeps state — every
+	// shard junction is one — keeps its ring. A pipeline with no state is
+	// served as the D=1 program; one that keeps state everywhere fuses
+	// nothing. Replicas already spread a stateless stage over the cores, so
+	// a cut between two of them buys no parallelism, only a ring
+	// (EXPERIMENTS.md, "Fusion: the state rule against the mask search").
 	FusionAuto FusionMode = iota
-	// FusionOff keeps every cut on an SPSC ring regardless of the cost
-	// model's verdict — the pre-fusion realization, retained as the
-	// baseline for A/B measurement.
+	// FusionOff keeps every cut on an SPSC ring — the pre-fusion
+	// realization, retained as the baseline for A/B measurement.
 	FusionOff
 )
 
 // WithFusion selects the stage-fusion mode of a served pipeline (default
-// FusionAuto). Fusion is a realization choice, not a semantic one: the
+// FusionAuto: fuse a cut iff neither stage beside it keeps state).
+// Fusion is a realization choice, not a semantic one: the
 // served trace and the fault ledger are byte-identical in every mode, and
 // Pipeline.Plan() states which cuts were fused and why. Per-stage reports
 // keep the partition's numbering: a fused unit books its counters, spans
 // and fault records under the first stage it covers, and the entries of
 // the stages fused into it are zero and name that stage
-// (StageStats.FusedInto). A scatter or fan-in junction (sharded serving)
-// always keeps its ring machinery — fusion applies only to cuts whose two
-// sides run at the same replica width.
+// (StageStats.FusedInto). A serve that carries a fault plan keeps every cut.
 func WithFusion(m FusionMode) Option {
 	return Option{"WithFusion", inServe, func(c *config) { c.fusion = m }}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/interp"
 	"repro/internal/runtime"
 )
@@ -24,7 +23,6 @@ type Pipeline struct {
 	report *Report
 	res    *core.Result // the cut itself; Coarsen seam of fusion
 	cfg    config
-	arch   *costmodel.Arch // the cost model the cut was made under; prices a cut's transmission
 	// shapes caches, per set of fused cuts, the cut realized without them,
 	// validated and classified once (shape, fusion.go).
 	mu     sync.Mutex
@@ -34,11 +32,9 @@ type Pipeline struct {
 }
 
 // newPipeline wraps a core result with the configuration it was cut under,
-// so execution defaults (ring kind, capacities) follow the partition, and
-// with the analysis's cost model.
-func newPipeline(res *core.Result, cfg config, arch *costmodel.Arch) *Pipeline {
-	return &Pipeline{stages: res.Stages, report: res.Report, res: res, cfg: cfg, arch: arch,
-		shapes: map[uint64]*served{}}
+// so execution defaults (ring kind, capacities) follow the partition.
+func newPipeline(res *core.Result, cfg config) *Pipeline {
+	return &Pipeline{stages: res.Stages, report: res.Report, res: res, cfg: cfg, shapes: map[uint64]*served{}}
 }
 
 // Stages returns the realized per-stage programs, connected by live-set
@@ -153,8 +149,8 @@ func (p *Pipeline) Serve(ctx context.Context, src Source, opts ...Option) (*Metr
 	if cfg.world == nil {
 		cfg.world = NewWorld(nil)
 	}
-	// Realize the cut under the serve-time shape — cuts whose ring tax exceeds
-	// their pipeline gain are un-made (WithFusion(FusionOff) keeps every cut) —
+	// Realize the cut under the serve-time shape — a cut with no state-keeping
+	// stage beside it is un-made (WithFusion(FusionOff) keeps every cut) —
 	// publish the plan, and execute its layout.
 	plan, lay, err := p.realize(cfg)
 	if err != nil {

@@ -3,7 +3,6 @@ package repro_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -114,7 +113,6 @@ func checkPlanCoherent(t *testing.T, plan *repro.Plan) {
 // Plan publishes are the ones the served Metrics count — ringed, fused, at
 // a shard junction, and when nothing can replicate.
 func TestPlanIsTheServedRealization(t *testing.T) {
-	setCores(t, 1) // the valuator wants every cut fused
 	const n = 512
 	packets := testPackets(n)
 	for _, tc := range []struct {
@@ -125,9 +123,9 @@ func TestPlanIsTheServedRealization(t *testing.T) {
 		fusedCuts string
 	}{
 		{"ringed", junctionSrc, []repro.Option{repro.WithStages(3), repro.WithFusion(repro.FusionOff)}, "[1 1 1]", "[]"},
-		{"fused", junctionSrc, []repro.Option{repro.WithStages(3)}, "[1 1 1]", "[1 2]"},
+		{"fused", junctionSrc, []repro.Option{repro.WithStages(3)}, "[1 1 1]", "[1]"},
 		{"sharded junction", junctionSrc, []repro.Option{repro.WithStages(3), repro.WithShards(2)}, "[2 2 1]", "[1]"},
-		{"nothing replicates", crossSrc, []repro.Option{repro.WithStages(2), repro.WithShards(4)}, "[1 1]", "[1]"},
+		{"nothing replicates", crossSrc, []repro.Option{repro.WithStages(2), repro.WithShards(4)}, "[1 1]", "[]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := repro.MustCompile(tc.src)
@@ -163,11 +161,10 @@ func TestPlanIsTheServedRealization(t *testing.T) {
 }
 
 // TestPlanPredictedNsPerPkt: the figure Plan publishes prices what is
-// served. On one core the D=4 cut fuses whole and is served as one
+// served. The stateless D=4 cut fuses whole and is served as one
 // re-realized program, so the price is that program's own path cost — the
-// D=1 partition's — which undercuts both the sum of the four stages (each
-// pays for transmissions the unit does not make) and the valuator's trial
-// figure, which only drops the sends and receives.
+// D=1 partition's — which undercuts the sum of the four stages (each pays
+// for transmissions the unit does not make).
 func TestPlanPredictedNsPerPkt(t *testing.T) {
 	setCores(t, 1)
 	prog := repro.MustCompile(facadeSrc)
@@ -187,19 +184,8 @@ func TestPlanPredictedNsPerPkt(t *testing.T) {
 	for _, w := range plan.StageWeights {
 		sum += w
 	}
-	// Each verdict's figure after "->" is the valuator's price of its mask,
-	// here the fully fused cut.
-	trial := math.Inf(1)
-	for _, why := range plan.FusionWhy {
-		var after float64
-		if _, err := fmt.Sscanf(why[strings.Index(why, "-> "):], "-> %f ns/pkt", &after); err != nil {
-			t.Fatalf("verdict %q: %v", why, err)
-		}
-		trial = min(trial, after)
-	}
-	if !(plan.PredictedNsPerPkt <= trial && trial < float64(sum)) {
-		t.Errorf("served price %v, valuator's trial %v, member sum %d: want served <= trial < sum",
-			plan.PredictedNsPerPkt, trial, sum)
+	if plan.PredictedNsPerPkt >= float64(sum) {
+		t.Errorf("served price %v, member sum %d: want the served price below the sum", plan.PredictedNsPerPkt, sum)
 	}
 }
 

@@ -37,7 +37,7 @@ func digest(evs []repro.Event) (uint64, int64) {
 
 // TestServeHashSinkMatchesOracle: under WithSink(hash) nothing of the stream
 // is kept, and its digest is the oracle trace's — the IPv4 PPS at D=1..4 as
-// the valuator realizes it, and the IP PPS on mixed v4/v6 traffic at D=4 on
+// FusionAuto realizes it, and the IP PPS on mixed v4/v6 traffic at D=4 on
 // two shards by flow key, through the sink unit's online merge.
 func TestServeHashSinkMatchesOracle(t *testing.T) {
 	const n = 3000
