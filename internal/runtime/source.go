@@ -22,7 +22,10 @@ type Source interface {
 // packet and true, or nil and false when the stream is exhausted; a Next that
 // blocks simply paces the pipeline. Its packets are lent, not handed over
 // (the stream may hand the same bytes out again), so the head copies one
-// before a stage rewrites it. Pull fills the whole batch.
+// before a stage rewrites it. Pull fills the whole batch unless ctx is done
+// first: it checks ctx before each Next and returns what it has with
+// ctx.Err(). A Next that never returns is never interrupted; a source that
+// can block indefinitely belongs behind a batch Source, which takes ctx.
 type Lent interface {
 	Source
 	Next() ([]byte, bool)
@@ -44,8 +47,16 @@ type lender struct {
 
 func (l lender) Next() ([]byte, bool) { return l.s.Next() }
 
-func (l lender) Pull(_ context.Context, dst [][]byte) (int, error) {
+// Pull polls ctx's Done channel without blocking, not ctx.Err, before each
+// Next: Err takes a lock, and this is the per-packet path.
+func (l lender) Pull(ctx context.Context, dst [][]byte) (int, error) {
+	done := ctx.Done()
 	for n := range dst {
+		select {
+		case <-done:
+			return n, ctx.Err()
+		default:
+		}
 		p, ok := l.s.Next()
 		if !ok {
 			return n, io.EOF
@@ -87,7 +98,8 @@ type funcSource func() ([]byte, bool)
 
 func (f funcSource) Next() ([]byte, bool) { return f() }
 
-// SourceFunc adapts a closure to the Source interface.
+// SourceFunc adapts a closure to the Source interface (see Lent: a cancel
+// is seen between calls, never during one).
 func SourceFunc(f func() ([]byte, bool)) Lent { return Lend(funcSource(f)) }
 
 // IngestStats are the boundary counters of a network-facing packet

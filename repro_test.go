@@ -149,6 +149,38 @@ func TestServeCancelNoLeak(t *testing.T) {
 	}
 }
 
+// TestServeCancelMidBatch: a per-packet source pacing one packet every 10 ms
+// is canceled 20 ms in, while its first batch of 32 is still filling. The
+// head sees the cancel between two Next calls, not when the batch is full
+// some 320 ms in: Serve returns within 100 ms, and every packet pulled is
+// delivered.
+func TestServeCancelMidBatch(t *testing.T) {
+	pipe, err := repro.Partition(repro.MustCompile(facadeSrc), repro.WithStages(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := repro.SourceFunc(func() ([]byte, bool) {
+		time.Sleep(10 * time.Millisecond)
+		return []byte{1, 2, 3, 4}, true // endless
+	})
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	m, err := pipe.Serve(ctx, src, repro.WithBatch(32))
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Errorf("Serve returned %v after start, want within 100ms of a cancel at 20ms", elapsed)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	rep, pulled := m.Faults, m.Stages[0].In
+	if pulled < 1 || rep.Accounted() != pulled || rep.Delivered != m.Packets || m.Packets != pulled {
+		t.Errorf("ledger: pulled %d, accounted %d, delivered %d, sink retired %d",
+			pulled, rep.Accounted(), rep.Delivered, m.Packets)
+	}
+}
+
 // TestNilInputs pins the typed errors every entry point returns instead of
 // panicking on nil inputs.
 func TestNilInputs(t *testing.T) {
