@@ -65,3 +65,7 @@ func FrontEndDigests(a *Analysis) (analysis, network uint64) {
 	}
 	return analysis, h.Sum64()
 }
+
+// StageOf exposes a result's stage assignment (1-based, by unit) to the
+// external test package.
+func StageOf(r *Result) []int { return r.stageOf }

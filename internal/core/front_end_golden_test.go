@@ -15,7 +15,7 @@ import (
 	"repro/internal/randprog"
 )
 
-var updateFrontEnd = flag.Bool("update", false, "rewrite testdata/front_end.golden")
+var updateFrontEnd = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // TestFrontEndGolden is the byte-identity oracle of the compiler's front
 // half: for the six distinct netbench PPS sources and 200 random programs,
