@@ -125,10 +125,12 @@ go test -race -count=2 -run 'TestRing' ./internal/runtime
 go test -race -count=2 -run '^(TestServeEveryFuseMaskMatchesOracle|TestServeSharedReadOnlyQueue)$' .
 go test -count=50 -run '^TestRingSPSCWaitCountersAccount$' ./internal/runtime
 
-echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCoarsen, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode, FuzzTCPFramer, FuzzRouteTable, FuzzParse, FuzzLexer"
+echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCompilePartition, FuzzCoarsen, FuzzExecVsInterp, FuzzOpenSpec, FuzzPcapDecode, FuzzTCPFramer, FuzzRouteTable, FuzzParse, FuzzLexer"
 # Differential fuzzing of the streaming runtime against the sequential
 # oracle (the checked-in corpus under internal/runtime/testdata/fuzz seeds
-# the mutator), of the partitioner's coarsening (random program, depth and
+# the mutator), of the partitioner on mutants of the six netbench PPS
+# sources (each cut at D=2..5 on the interpreter and served), of the
+# partitioner's coarsening (random program, depth and
 # fuse mask: the re-realized units against the sequential program on the
 # interpreter), of the compiled backend's lowering against the interpreter
 # on random programs and packets (sequential and partitioned, one iteration
@@ -140,6 +142,8 @@ echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCoarsen, FuzzExecVsInter
 # with a positioned error (FuzzParse), and lex to the same tokens or error as
 # the map-based oracle lexer (FuzzLexer).
 go test ./internal/runtime -run '^$' -fuzz=FuzzServeVsOracle -fuzztime=10s
+# A source string is a byte slice too: the same minimization cap.
+go test ./internal/runtime -run '^$' -fuzz=FuzzCompilePartition -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/core -run '^$' -fuzz=FuzzCoarsen -fuzztime=10s
 go test ./internal/exec -run '^$' -fuzz=FuzzExecVsInterp -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz=FuzzOpenSpec -fuzztime=10s

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/interp"
+	"repro/internal/netbench"
 	"repro/internal/ppc"
 	"repro/internal/randprog"
 	"repro/internal/runtime"
@@ -90,6 +91,60 @@ func FuzzServeVsOracle(f *testing.F) {
 						t.Fatalf("seed %d D=%d P=%d batch=%d %s: accounting hole: %s", seed, d, shards, batch, tag, rep)
 					}
 				}
+			}
+		}
+	})
+}
+
+// FuzzCompilePartition mutates the six netbench PPS sources, the programs
+// the paper's figures cut. A mutant that compiles and runs sequentially is
+// cut at D=2..5; each cut must reproduce the sequential trace on the
+// interpreter's pipeline (interp.RunPipeline) and when served by the
+// streaming runtime. Mutants that do not compile, that the oracle rejects,
+// or that a degree cannot cut or serve are skipped, as in FuzzServeVsOracle.
+func FuzzCompilePartition(f *testing.F) {
+	for _, name := range []string{"RX", "IPv4", "Scheduler", "QM", "TX", "IP(v4)"} {
+		pps, ok := netbench.ByName(name)
+		if !ok {
+			f.Fatalf("unknown PPS %q", name)
+		}
+		f.Add(pps.Source)
+	}
+	traffic := append(netbench.IPv4Stream(6), netbench.MixedStream(6)...)
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := ppc.Compile(src)
+		if err != nil {
+			t.Skip("not compilable")
+		}
+		seq, err := interp.RunSequential(prog.Clone(), netbench.NewWorld(traffic), len(traffic))
+		if err != nil {
+			t.Skipf("oracle rejects program: %v", err)
+		}
+		a, err := core.Analyze(prog, nil)
+		if err != nil {
+			t.Skipf("not analyzable: %v", err)
+		}
+		for d := 2; d <= 5; d++ {
+			res, err := a.Partition(core.Options{Stages: d})
+			if err != nil {
+				continue // not partitionable at this degree
+			}
+			got, err := interp.RunPipeline(res.Stages, netbench.NewWorld(traffic), len(traffic))
+			if err != nil {
+				t.Fatalf("D=%d: pipeline: %v\n%s", d, err, src)
+			}
+			if diff := interp.TraceEqual(seq, got); diff != "" {
+				t.Fatalf("D=%d: pipeline diverges from oracle: %s\n%s", d, diff, src)
+			}
+			if runtime.Validate(res.Stages) != nil {
+				continue // not servable (e.g. no pkt_rx pacing point)
+			}
+			m, err := runtime.Serve(context.Background(), res.Stages, netbench.NewWorld(nil), runtime.Packets(traffic), runtime.Config{})
+			if err != nil {
+				t.Fatalf("D=%d: serve: %v\n%s", d, err, src)
+			}
+			if diff := interp.TraceEqual(seq, m.Trace); diff != "" {
+				t.Fatalf("D=%d: served trace diverges from oracle: %s\n%s", d, diff, src)
 			}
 		}
 	})
