@@ -61,6 +61,11 @@ type Analysis struct {
 	targets   [][]int
 	regName   []string // an.F.RegName indexed by register ("" unnamed)
 
+	// codes[u]+t is the code a coded control object of unit u writes on
+	// its target t (liveset.go, shareCodes): every non-default target of
+	// the program has a nonzero code of its own.
+	codes []int64
+
 	// seq is the worst-case path cost of the unpartitioned program. The
 	// channel kind cannot affect it: channel costs apply only to the
 	// OpSendLS/OpRecvLS instructions that realization inserts later.
@@ -148,6 +153,11 @@ func (a *Analysis) indexForRealize(cfg *graph.Digraph) {
 		if last := u.Instrs[len(u.Instrs)-1]; u.IsLoop || last.Op == ir.OpBr || last.Op == ir.OpSwitch {
 			a.targets[u.ID] = unitTargets(f, u)
 		}
+	}
+	a.codes = make([]int64, len(an.Units))
+	for u, next := 0, int64(1); u < len(a.codes); u++ {
+		a.codes[u] = next
+		next += int64(max(len(a.targets[u])-1, 0))
 	}
 
 	a.regName = make([]string, f.NumRegs)

@@ -152,6 +152,7 @@ func (a *Analysis) Partition(options Options) (*Result, error) {
 // assignment, then builds and validates one program per stage.
 func (st *partitionState) realize() ([]*ir.Program, []StageReport, error) {
 	a, opts := st.a, st.opts
+	st.coded = make([]bool, len(st.an.Units))
 	var prev *cutInfo
 	for j := 1; j < opts.Stages; j++ {
 		prev = st.buildCut(j, a.ps, prev)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/ssa"
@@ -347,10 +348,20 @@ func (st *partitionState) replaceWithCoSwitch(t *ir.Instr, u, co int) {
 	t.Cases = nil
 	t.Targets = nil
 	for i := 0; i < len(targets)-1; i++ {
-		t.Cases = append(t.Cases, int64(i))
+		t.Cases = append(t.Cases, st.ctrlValue(u, i))
 		t.Targets = append(t.Targets, targets[i])
 	}
 	t.Targets = append(t.Targets, targets[len(targets)-1]) // default
+}
+
+// ctrlValue is what branch unit u's control object holds when the branch
+// took its target i: i itself, or the target's code when the object is
+// coded.
+func (st *partitionState) ctrlValue(u, i int) int64 {
+	if st.coded[u] {
+		return st.a.codes[u] + int64(i)
+	}
+	return int64(i)
 }
 
 // skipTarget returns the block to jump to when stage k has nothing inside
@@ -385,41 +396,42 @@ func (st *partitionState) nodeEntryBlock(node int) (int, error) {
 //     block (the receive lands in front of them);
 //   - a control object owned by stage k: a constant per distinct target,
 //     written directly into the slot register at the top of each target
-//     block.
+//     block — a coded object's default target writes none.
+//
+// Objects that share a slot arrive in one slot, so in packed mode a slot
+// takes one relay copy; the naive modes, the ablations' baselines, keep one
+// copy per object.
 func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, sendRegs []int, recvCut *cutInfo, recvRegs []int) error {
 	an := st.an
 	var relays []*ir.Instr
 	for i, o := range cut.objects {
 		dst := sendRegs[cut.slots[i]]
-		if o.isCtrl {
-			if st.stageOf[o.branch] == k {
-				for i, tgt := range st.ctrlTargets(o.branch) {
-					c := &ir.Instr{Op: ir.OpConst, Dst: dst, Imm: int64(i), Tx: true}
-					insertAfterPhis(f.Blocks[tgt], c)
-				}
-				continue
+		if o.isCtrl && st.stageOf[o.branch] == k {
+			targets := st.ctrlTargets(o.branch)
+			if st.coded[o.branch] {
+				targets = targets[:len(targets)-1]
 			}
-			// Relay.
-			src, err := slotIn(recvCut, recvRegs, o)
-			if err != nil {
-				return fmt.Errorf("stage %d: %w", k, err)
+			for i, tgt := range targets {
+				c := &ir.Instr{Op: ir.OpConst, Dst: dst, Imm: st.ctrlValue(o.branch, i), Tx: true}
+				insertAfterPhis(f.Blocks[tgt], c)
 			}
-			relays = append(relays, &ir.Instr{Op: ir.OpCopy, Dst: dst, Args: []int{src}, Tx: true})
 			continue
 		}
-		defUnit := an.DataDef[o.reg]
-		if st.stageOf[defUnit] == k {
+		if !o.isCtrl && st.stageOf[an.DataDef[o.reg]] == k {
 			// Copy right after the defining instruction in the clone.
 			if err := insertCopyAfterDef(f, st.a.ps.defAt[o.reg].block, o.reg, dst); err != nil {
 				return fmt.Errorf("stage %d: %w", k, err)
 			}
 			continue
 		}
+		// Relay.
 		src, err := slotIn(recvCut, recvRegs, o)
 		if err != nil {
 			return fmt.Errorf("stage %d: %w", k, err)
 		}
-		relays = append(relays, &ir.Instr{Op: ir.OpCopy, Dst: dst, Args: []int{src}, Tx: true})
+		if st.opts.Tx != TxPacked || !slices.ContainsFunc(relays, func(in *ir.Instr) bool { return in.Dst == dst }) {
+			relays = append(relays, &ir.Instr{Op: ir.OpCopy, Dst: dst, Args: []int{src}, Tx: true})
+		}
 	}
 	if len(relays) > 0 {
 		entry := f.Blocks[f.Entry]

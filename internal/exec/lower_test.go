@@ -731,25 +731,25 @@ func TestLoweringShape(t *testing.T) {
 			{IRInstrs: 373, Ops: 128, Folded: 180, Fused: 77, FrameSlots: 61, Resets: 3},
 		}},
 		{pps: "IPv4", degree: 4, maxDyn: 4.5, shape: []exec.Lowered{
-			{IRInstrs: 112, Ops: 43, Folded: 49, Fused: 20, FrameSlots: 20, Resets: 10},
-			{IRInstrs: 123, Ops: 31, Folded: 58, Fused: 25, Guards: 5, Forwarded: 5, FrameSlots: 28, Resets: 5},
-			{IRInstrs: 112, Ops: 55, Folded: 35, Fused: 9, Guards: 7, Forwarded: 7, FrameSlots: 35, Resets: 10},
-			{IRInstrs: 110, Ops: 54, Folded: 38, Fused: 8, Guards: 12, FrameSlots: 41, Resets: 2},
+			{IRInstrs: 107, Ops: 38, Folded: 49, Fused: 20, FrameSlots: 16, Resets: 6},
+			{IRInstrs: 113, Ops: 30, Folded: 58, Fused: 25, FrameSlots: 23, Resets: 4},
+			{IRInstrs: 95, Ops: 51, Folded: 35, Fused: 9, FrameSlots: 25, Resets: 6},
+			{IRInstrs: 99, Ops: 54, Folded: 38, Fused: 8, FrameSlots: 30, Resets: 2},
 		}},
 		{pps: "IP(v4)", degree: 4, maxDyn: 7.5, shape: []exec.Lowered{
-			{IRInstrs: 221, Ops: 85, Folded: 98, Fused: 38, FrameSlots: 51, Resets: 20},
-			{IRInstrs: 202, Ops: 89, Folded: 76, Fused: 22, Guards: 7, Forwarded: 10, FrameSlots: 71, Resets: 11},
-			{IRInstrs: 246, Ops: 127, Folded: 80, Fused: 11, Guards: 14, Forwarded: 16, FrameSlots: 90, Resets: 17},
-			{IRInstrs: 216, Ops: 128, Folded: 65, Fused: 8, Guards: 21, FrameSlots: 105, Resets: 10},
+			{IRInstrs: 212, Ops: 76, Folded: 98, Fused: 38, FrameSlots: 45, Resets: 14},
+			{IRInstrs: 183, Ops: 81, Folded: 76, Fused: 22, Forwarded: 4, FrameSlots: 59, Resets: 5},
+			{IRInstrs: 213, Ops: 120, Folded: 80, Fused: 11, Forwarded: 2, FrameSlots: 73, Resets: 12},
+			{IRInstrs: 199, Ops: 129, Folded: 65, Fused: 8, Guards: 1, FrameSlots: 86, Resets: 10},
 		}},
 		// The partitioner has isolated the queue manager's carried state in
 		// stages 2 and 4: those run their lanes one at a time, the other two
 		// stay lane-parallel.
 		{pps: "QM", degree: 4, maxDyn: 40, shape: []exec.Lowered{
-			{IRInstrs: 24, Ops: 16, Folded: 7, Fused: 1, FrameSlots: 10, Resets: 5},
-			{IRInstrs: 68, Ops: 40, Folded: 19, Fused: 7, Guards: 1, Forwarded: 2, FrameSlots: 27, Resets: 5, Serial: true, Carried: "queue"},
-			{IRInstrs: 21, Ops: 14, Folded: 3, Guards: 2, Forwarded: 3, FrameSlots: 9},
-			{IRInstrs: 33, Ops: 20, Folded: 11, Fused: 3, Guards: 2, FrameSlots: 18, Serial: true, Carried: "persistent array dropped"},
+			{IRInstrs: 23, Ops: 15, Folded: 7, Fused: 1, FrameSlots: 10, Resets: 5},
+			{IRInstrs: 67, Ops: 40, Folded: 19, Fused: 7, Guards: 1, Forwarded: 1, FrameSlots: 27, Resets: 5, Serial: true, Carried: "queue"},
+			{IRInstrs: 19, Ops: 14, Folded: 3, Forwarded: 2, FrameSlots: 8},
+			{IRInstrs: 32, Ops: 20, Folded: 11, Fused: 3, FrameSlots: 17, Serial: true, Carried: "persistent array dropped"},
 		}},
 	} {
 		pps, ok := netbench.ByName(tc.pps)
