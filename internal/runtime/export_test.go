@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/ir"
 )
@@ -32,4 +34,10 @@ func CoarseLayout(res *core.Result, fuse uint64, aligned bool, cfg Config) (*Lay
 		progs[i] = u.Prog
 	}
 	return NewCoarseLayout(progs, fuse, cfg)
+}
+
+// ArmLent arms a per-packet source as a serve does: its Pull then reads a
+// flag set once ctx is done. Call release when done with it.
+func ArmLent(src Lent, ctx context.Context) (armed Source, release func() bool) {
+	return src.(lender).arm(ctx)
 }

@@ -1031,6 +1031,11 @@ func (e *engine) run(ctx context.Context) {
 	defer e.cancel()
 	e.stop, e.halt = context.WithCancel(ctx)
 	defer e.halt()
+	if l, ok := e.src.(lender); ok {
+		var release func() bool
+		e.src, release = l.arm(e.stop)
+		defer release()
+	}
 	e.live.start = time.Now()
 	e.wireObservability(e.live.degree())
 	if e.cfg.OnLive != nil {
