@@ -427,17 +427,18 @@ func BenchmarkInterpreter(b *testing.B) {
 }
 
 // BenchmarkServe is the host-throughput sweep: the IPv4 PPS cut D ways and
-// served at batch 32, every cut on an SPSC ring (ringed, FusionOff) or as
-// the cost model's verdict for this host has it (auto, FusionAuto, the
-// serve default). Each point must reproduce interp.RunSequential byte for
-// byte on a short prefix before its timer starts, and reports pkt/s beside
-// the number of cuts the served Plan fused. The whole procedure is
+// served at batch 32 with every cut on an SPSC ring (ringed, FusionOff).
+// Each point must reproduce interp.RunSequential byte for byte on a short
+// prefix before its timer starts, and reports pkt/s beside the number of
+// cuts the served Plan fused. The whole procedure is
 //
 //	go test -run '^$' -bench '^BenchmarkServe$' -count=10 .
 //
 // and -count gives the spread; EXPERIMENTS.md ("Host throughput") records
-// the table. At D=1 there is no cut, so the two modes are one realization
-// measured twice — the sweep's own noise floor. D1/discard
+// the table. D1/auto is the serve default (FusionAuto): IPv4 keeps no state,
+// so at every D the state rule fuses it into the D=1 program, and at D=1,
+// where there is no cut, it is D1/ringed measured twice — the sweep's own
+// noise floor. D1/discard
 // and D1/hash are D1/ringed with the trace sent elsewhere (WithSink): what
 // the in-memory trace costs is the distance to them. Their prefix check is the
 // sink's: the event count, and for the hash the oracle's digest.
@@ -465,9 +466,10 @@ func BenchmarkServe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows := []row{{name: "ringed", opt: repro.WithFusion(repro.FusionOff)}, {name: "auto", opt: repro.WithFusion(repro.FusionAuto)}}
+		rows := []row{{name: "ringed", opt: repro.WithFusion(repro.FusionOff)}}
 		if d == 1 {
-			rows = append(rows, row{"discard", repro.WithFusion(repro.FusionOff), repro.DiscardSink},
+			rows = append(rows, row{name: "auto", opt: repro.WithFusion(repro.FusionAuto)},
+				row{"discard", repro.WithFusion(repro.FusionOff), repro.DiscardSink},
 				row{"hash", repro.WithFusion(repro.FusionOff), func() repro.Sink { return &repro.HashSink{} }})
 		}
 		for _, r := range rows {
