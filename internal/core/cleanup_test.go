@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -149,5 +152,65 @@ func TestCleanupFixpointLadder(t *testing.T) {
 	cleanupFunc(f, new(workspace))
 	if len(f.Blocks) != 1 {
 		t.Errorf("ladder did not collapse: %d blocks remain\n%s", len(f.Blocks), f)
+	}
+}
+
+// A switch that reaches its default successor through a case too must not
+// absorb that successor's switch: the case would land on the stub left in
+// its place. Here x == 2 reaches the second switch through a case of the
+// first and must still take the second's case 2.
+func TestFoldSwitchChainsSkipsDefaultReachedByCase(t *testing.T) {
+	f := ir.NewFunc("fold")
+	bl := ir.NewBuilder(f)
+	drop := f.NewBlock("drop")
+	join := f.NewBlock("join")
+	five := f.NewBlock("five")
+	tail := f.NewBlock("tail")
+	x := bl.Call("pkt_rx")
+	bl.Switch(x, []int64{1, 2}, []*ir.Block{drop, join, join})
+	bl.SetBlock(drop)
+	bl.CallVoid("trace", bl.Const(1))
+	bl.Ret()
+	bl.SetBlock(join)
+	bl.Switch(x, []int64{2}, []*ir.Block{five, tail})
+	bl.SetBlock(five)
+	bl.CallVoid("trace", bl.Const(5))
+	bl.Jmp(tail)
+	bl.SetBlock(tail)
+	bl.CallVoid("trace", x)
+	bl.Ret()
+
+	cleanupFunc(f, new(workspace))
+	// Walk the cleaned function for x == 2: it must trace 5, then x.
+	consts := map[int]int64{}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpConst {
+				consts[in.Dst] = in.Imm
+			}
+		}
+	}
+	var traced []string
+	for b, steps := f.Blocks[f.Entry], 0; b != nil && steps < len(f.Blocks); steps++ {
+		var next *ir.Block
+		for _, in := range b.Instrs {
+			switch {
+			case in.Op == ir.OpCall && in.Call == "trace" && in.Args[0] == x:
+				traced = append(traced, "x")
+			case in.Op == ir.OpCall && in.Call == "trace":
+				traced = append(traced, fmt.Sprint(consts[in.Args[0]]))
+			case in.Op == ir.OpSwitch:
+				next = f.Blocks[in.Targets[len(in.Targets)-1]]
+				if i := slices.Index(in.Cases, 2); i >= 0 {
+					next = f.Blocks[in.Targets[i]]
+				}
+			case in.Op == ir.OpJmp:
+				next = f.Blocks[in.Targets[0]]
+			}
+		}
+		b = next
+	}
+	if got := strings.Join(traced, " "); got != "5 x" {
+		t.Errorf("x == 2 traces %q, want \"5 x\":\n%s", got, f)
 	}
 }

@@ -288,3 +288,17 @@ func TestTraceOrderWithSends(t *testing.T) {
 }
 
 var _ = interp.NewWorld // keep the import for helper reuse
+
+// Two switches on one variable, where a case of the first shares its target
+// with the first's default: the second switch's block is reached by that
+// case too, so it must not fold into the first, at any degree.
+func TestSwitchCaseSharingDefaultStaysSequential(t *testing.T) {
+	src := `pps P { loop {
+		var n = pkt_rx();
+		var x = pkt_byte(0);
+		switch (x) { case 1: { pkt_drop(); continue; } case 2: { } }
+		switch (x) { case 2: { trace(5); } }
+		trace(x);
+	} }`
+	checkEquivalent(t, src, [][]byte{{0}, {1}, {2}, {3}, {2, 2}}, 5, 1, 2, 3, 4)
+}
