@@ -45,8 +45,11 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 	}
 	if sendCut != nil {
 		sendRegs = make([]int, sendCut.numSlots)
-		for i := range sendRegs {
-			sendRegs[i] = f.NewReg()
+		st.soleWriters(k, sendCut, recvCut, recvRegs, sendRegs)
+		for i, r := range sendRegs {
+			if r < 0 {
+				sendRegs[i] = f.NewReg()
+			}
 		}
 	}
 
@@ -400,7 +403,8 @@ func (st *partitionState) nodeEntryBlock(node int) (int, error) {
 //
 // Objects that share a slot arrive in one slot, so in packed mode a slot
 // takes one relay copy; the naive modes, the ablations' baselines, keep one
-// copy per object.
+// copy per object. A slot soleWriters sends from its writer's own register
+// takes no write at all.
 func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, sendRegs []int, recvCut *cutInfo, recvRegs []int) error {
 	an := st.an
 	var relays []*ir.Instr
@@ -418,6 +422,9 @@ func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, send
 			continue
 		}
 		if !o.isCtrl && st.stageOf[an.DataDef[o.reg]] == k {
+			if dst == o.reg {
+				continue
+			}
 			// Copy right after the defining instruction in the clone.
 			if err := insertCopyAfterDef(f, st.a.ps.defAt[o.reg].block, o.reg, dst); err != nil {
 				return fmt.Errorf("stage %d: %w", k, err)
@@ -429,6 +436,9 @@ func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, send
 		if err != nil {
 			return fmt.Errorf("stage %d: %w", k, err)
 		}
+		if dst == src {
+			continue
+		}
 		if st.opts.Tx != TxPacked || !slices.ContainsFunc(relays, func(in *ir.Instr) bool { return in.Dst == dst }) {
 			relays = append(relays, &ir.Instr{Op: ir.OpCopy, Dst: dst, Args: []int{src}, Tx: true})
 		}
@@ -438,6 +448,43 @@ func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, send
 		entry.Instrs = append(relays, entry.Instrs...)
 	}
 	return nil
+}
+
+// soleWriters sets sendRegs[s] to the one register every object in slot s
+// of stage k's outgoing cut comes from, and to a negative number where the
+// slot merges writers or the mode is naive; realizeStage gives those a fresh
+// register. A value stage k defines comes from its SSA register, defined
+// once in the stage (ssa.Destruct gives each phi a temporary of its own); a
+// relayed object from the register its incoming slot arrived in, written
+// once by the OpRecvLS; a control object stage k owns from constants, no
+// register. Sent from that register, a slot needs no copy: at the exit it
+// holds what a copy after the definition would have, and a path that skips
+// the definition reads 0, as an unwritten fresh register does.
+func (st *partitionState) soleWriters(k int, cut, recvCut *cutInfo, recvRegs, sendRegs []int) {
+	const unset, merged = -2, -1
+	for s := range sendRegs {
+		sendRegs[s] = unset
+		if st.opts.Tx != TxPacked {
+			sendRegs[s] = merged
+		}
+	}
+	for i, o := range cut.objects {
+		src := merged
+		switch {
+		case o.isCtrl && st.stageOf[o.branch] == k:
+		case !o.isCtrl && st.stageOf[st.an.DataDef[o.reg]] == k:
+			src = o.reg
+		default:
+			if from := recvCut.from(o); from >= 0 {
+				src = recvRegs[from]
+			}
+		}
+		if s := cut.slots[i]; sendRegs[s] == unset {
+			sendRegs[s] = src
+		} else if sendRegs[s] != src {
+			sendRegs[s] = merged
+		}
+	}
 }
 
 func slotIn(recvCut *cutInfo, recvRegs []int, o object) (int, error) {

@@ -7,6 +7,7 @@ import (
 	. "repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/netbench"
 	"repro/internal/ppc"
 )
 
@@ -301,4 +302,60 @@ func TestSwitchCaseSharingDefaultStaysSequential(t *testing.T) {
 		trace(x);
 	} }`
 	checkEquivalent(t, src, [][]byte{{0}, {1}, {2}, {3}, {2, 2}}, 5, 1, 2, 3, 4)
+}
+
+// TestSingleWriterSlotsAreNotCopied: under packed transmission a slot whose
+// objects all come from one register is sent from that register, so for the
+// six netbench PPS at D=2..10 no stage holds a transmission copy whose
+// destination the stage defines once — such a copy would be the only
+// writer of a slot its source could have filled. Every cut still runs, on
+// the interpreter, to the sequential program's trace.
+func TestSingleWriterSlotsAreNotCopied(t *testing.T) {
+	const n = 48
+	for _, name := range []string{"RX", "IPv4", "Scheduler", "QM", "TX", "IP(v4)"} {
+		pps, _ := netbench.ByName(name)
+		prog, err := pps.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Analyze(prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traffic := pps.Traffic(n)
+		seq, err := interp.RunSequential(prog.Clone(), netbench.NewWorld(traffic), n)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", name, err)
+		}
+		for d := 2; d <= 10; d++ {
+			res, err := a.Partition(Options{Stages: d})
+			if err != nil {
+				t.Fatalf("%s D=%d: %v", name, d, err)
+			}
+			for k, s := range res.Stages {
+				defs := make([]int, s.Func.NumRegs)
+				for _, b := range s.Func.Blocks {
+					for _, in := range b.Instrs {
+						for _, r := range in.Defines() {
+							defs[r]++
+						}
+					}
+				}
+				for _, b := range s.Func.Blocks {
+					for _, in := range b.Instrs {
+						if in.Op == ir.OpCopy && in.Tx && defs[in.Dst] == 1 {
+							t.Errorf("%s D=%d stage %d: b%d: %s writes a slot nothing else writes", name, d, k+1, b.ID, in)
+						}
+					}
+				}
+			}
+			got, err := interp.RunPipeline(res.Stages, netbench.NewWorld(traffic), n)
+			if err != nil {
+				t.Fatalf("%s D=%d: %v", name, d, err)
+			}
+			if diff := interp.TraceEqual(seq, got); diff != "" {
+				t.Errorf("%s D=%d: %s", name, d, diff)
+			}
+		}
+	}
 }

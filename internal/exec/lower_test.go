@@ -717,8 +717,8 @@ func TestGuardExitWithPhis(t *testing.T) {
 // counted once however many lanes it serves) over netbench traffic in
 // batches of one full group. One lane at a time the three IP pipelines
 // dispatch 78.6, 120.9 and 203.4 closures per packet; the bounds sit at or
-// a few percent above what a group of 32 reaches today (3.1, 4.5, 7.2; the
-// QM pipeline, half of it serial, 35.7). A downstream stage's control-object
+// above what a group of 32 reaches today (3.1, 3.9, 6.3; the QM pipeline,
+// half of it serial, 33.2). A downstream stage's control-object
 // switches run as one guard op and its forwarded copies as none.
 func TestLoweringShape(t *testing.T) {
 	for _, tc := range []struct {
@@ -731,24 +731,24 @@ func TestLoweringShape(t *testing.T) {
 			{IRInstrs: 373, Ops: 128, Folded: 180, Fused: 77, FrameSlots: 61, Resets: 3},
 		}},
 		{pps: "IPv4", degree: 4, maxDyn: 4.5, shape: []exec.Lowered{
-			{IRInstrs: 107, Ops: 38, Folded: 49, Fused: 20, FrameSlots: 16, Resets: 6},
-			{IRInstrs: 113, Ops: 30, Folded: 58, Fused: 25, FrameSlots: 23, Resets: 4},
-			{IRInstrs: 95, Ops: 51, Folded: 35, Fused: 9, FrameSlots: 25, Resets: 6},
+			{IRInstrs: 102, Ops: 34, Folded: 48, Fused: 20, FrameSlots: 12, Resets: 6},
+			{IRInstrs: 110, Ops: 29, Folded: 56, Fused: 25, FrameSlots: 22, Resets: 4},
+			{IRInstrs: 91, Ops: 48, Folded: 34, Fused: 9, FrameSlots: 22, Resets: 6},
 			{IRInstrs: 99, Ops: 54, Folded: 38, Fused: 8, FrameSlots: 30, Resets: 2},
 		}},
 		{pps: "IP(v4)", degree: 4, maxDyn: 7.5, shape: []exec.Lowered{
-			{IRInstrs: 212, Ops: 76, Folded: 98, Fused: 38, FrameSlots: 45, Resets: 14},
-			{IRInstrs: 183, Ops: 81, Folded: 76, Fused: 22, Forwarded: 4, FrameSlots: 59, Resets: 5},
-			{IRInstrs: 213, Ops: 120, Folded: 80, Fused: 11, Forwarded: 2, FrameSlots: 73, Resets: 12},
+			{IRInstrs: 202, Ops: 67, Folded: 97, Fused: 38, FrameSlots: 36, Resets: 14},
+			{IRInstrs: 177, Ops: 79, Folded: 76, Fused: 22, FrameSlots: 57, Resets: 5},
+			{IRInstrs: 210, Ops: 119, Folded: 80, Fused: 11, FrameSlots: 72, Resets: 12},
 			{IRInstrs: 199, Ops: 129, Folded: 65, Fused: 8, Guards: 1, FrameSlots: 86, Resets: 10},
 		}},
 		// The partitioner has isolated the queue manager's carried state in
 		// stages 2 and 4: those run their lanes one at a time, the other two
 		// stay lane-parallel.
 		{pps: "QM", degree: 4, maxDyn: 40, shape: []exec.Lowered{
-			{IRInstrs: 23, Ops: 15, Folded: 7, Fused: 1, FrameSlots: 10, Resets: 5},
-			{IRInstrs: 67, Ops: 40, Folded: 19, Fused: 7, Guards: 1, Forwarded: 1, FrameSlots: 27, Resets: 5, Serial: true, Carried: "queue"},
-			{IRInstrs: 19, Ops: 14, Folded: 3, Forwarded: 2, FrameSlots: 8},
+			{IRInstrs: 19, Ops: 14, Folded: 4, Fused: 1, FrameSlots: 9, Resets: 5},
+			{IRInstrs: 65, Ops: 39, Folded: 19, Fused: 7, Guards: 1, FrameSlots: 26, Resets: 5, Serial: true, Carried: "queue"},
+			{IRInstrs: 17, Ops: 14, Folded: 3, FrameSlots: 8},
 			{IRInstrs: 32, Ops: 20, Folded: 11, Fused: 3, FrameSlots: 17, Serial: true, Carried: "persistent array dropped"},
 		}},
 	} {
