@@ -118,10 +118,11 @@ go test ./internal/spsc -run '^$' -bench BenchmarkRingChanVsSPSC -benchtime 50x
 # The same for the exec chain microbench behind EXPERIMENTS' "What a cut
 # costs the host", and twice the tests that pin what the lowering makes of
 # a realized stage: its op counts and closures per packet, its guard runs
-# against the step limit, forwarded copies and phi edges, and the closure
-# census by category.
+# against the step limit and across the copies ssa.Destruct leaves, copies
+# run as ops, the refusal of a block that opens with a phi (exec takes
+# phi-free IR only), and the closure census by category.
 go test ./internal/exec -run '^$' -bench BenchmarkCompiledChainIPv4 -benchtime 50x
-go test -count=2 -run '^(TestLoweringShape|TestGuardChainStepLimit|TestCopyInLoopNotForwarded|TestGuardExitWithPhis|TestDispatchCensus)$' ./internal/exec
+go test -count=2 -run '^(TestLoweringShape|TestGuardChainStepLimit|TestCopyInLoopNotForwarded|TestGuardExitWithPhis|TestSSAInputRefused|TestDispatchCensus)$' ./internal/exec
 go test -race -count=2 -run 'TestRing' ./internal/runtime
 # The sharded junctions where a batch's live-set block crosses a scatter and
 # a fan-in — a batch crosses whole, its tokens and block together — also
@@ -188,7 +189,7 @@ else
 fi
 
 echo "== doc gate: the docs name no deleted machinery"
-if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns|WithOverload|OverloadShed|OverloadPolicy|UntilOverload|TestChaosSaturatedRingSheds|flow-keyed|classFlowKeyed|flowArrs|Store\.Fork|flow-key contract|seqStream|scatterer|tombstone|shardOf|DefaultShardKey|PushTimeout|overloadTick|sequence side-channel|flow-hash|contextBinder|packetOwner|PacketsOwned|BindContext|ingestPullMin|PlanFusion|FusionPlan|maxSearchStages' README.md DESIGN.md EXPERIMENTS.md; then
+if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns|WithOverload|OverloadShed|OverloadPolicy|UntilOverload|TestChaosSaturatedRingSheds|flow-keyed|classFlowKeyed|flowArrs|Store\.Fork|flow-key contract|seqStream|scatterer|tombstone|shardOf|DefaultShardKey|PushTimeout|overloadTick|sequence side-channel|flow-hash|contextBinder|packetOwner|PacketsOwned|BindContext|ingestPullMin|PlanFusion|FusionPlan|maxSearchStages|exec\.RunSequential|exec\.RunPipeline|Lowered\.Forwarded|phi moves' README.md DESIGN.md EXPERIMENTS.md; then
     echo "doc gate: the lines above name deleted machinery" >&2 && exit 1
 fi
 
@@ -221,7 +222,7 @@ echo "stage registers per six-PPS sweep: $(go test -count=1 -run '^TestStageRegi
 echo "partitioner bytes per six-PPS sweep: $(go test -count=1 -run '^$' -bench '^BenchmarkPartitionSweep$/^all$' -benchmem . | awk '/^BenchmarkPartitionSweep\/all/ { for (i = 2; i < NF; i++) if ($(i+1) == "B/op") printf "%.1f MB", $i / 1e6 }')  (31.2 MB before the per-call workspace)"
 # shellcheck disable=SC2046
 echo "internal/obsv code lines: $(cat $(ls internal/obsv/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (585 before the per-stage span logs)"
-echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')"
+echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2165 before phi-free input)"
 # code FILE FROM TO: code lines from the line matching FROM through the
 # closing brace of the declaration that opens at the line matching TO.
 code() { awk -v a="$2" -v b="$3" '$0 ~ a { on = 1 } on { print } on && $0 ~ b { end = 1 } end && /^}/ { exit }' "$1" | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//'; }

@@ -200,8 +200,8 @@ func main() {
 			fmt.Println()
 			fmt.Print(s.Func.String())
 			l := runners[k].Lowered()
-			fmt.Printf("lowered: %d instructions -> %d ops (%d folded, %d fused, %d guards merged, %d copies forwarded), frame %d slots, %d reset per iteration\n",
-				l.IRInstrs, l.Ops, l.Folded, l.Fused, l.Guards, l.Forwarded, l.FrameSlots, l.Resets)
+			fmt.Printf("lowered: %d instructions -> %d ops (%d folded, %d fused, %d guards merged), frame %d slots, %d reset per iteration\n",
+				l.IRInstrs, l.Ops, l.Folded, l.Fused, l.Guards, l.FrameSlots, l.Resets)
 			if l.Serial {
 				fmt.Printf("batches:  serial (%s)\n", l.Carried)
 			} else {

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	. "repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/netbench"
@@ -309,7 +311,11 @@ func TestSwitchCaseSharingDefaultStaysSequential(t *testing.T) {
 // six netbench PPS at D=2..10 no stage holds a transmission copy whose
 // destination the stage defines once — such a copy would be the only
 // writer of a slot its source could have filled. Every cut still runs, on
-// the interpreter, to the sequential program's trace.
+// the interpreter, to the sequential program's trace. The serve runtime
+// also runs fused units, so every Coarsen unit of every fuse mask at D=2..5
+// is held to the same, and no stage or unit without a loop holds any copy
+// between two registers it defines once each: exec forwards no copy, and
+// such a copy would cost it an op a register rename saves.
 func TestSingleWriterSlotsAreNotCopied(t *testing.T) {
 	const n = 48
 	for _, name := range []string{"RX", "IPv4", "Scheduler", "QM", "TX", "IP(v4)"} {
@@ -333,21 +339,7 @@ func TestSingleWriterSlotsAreNotCopied(t *testing.T) {
 				t.Fatalf("%s D=%d: %v", name, d, err)
 			}
 			for k, s := range res.Stages {
-				defs := make([]int, s.Func.NumRegs)
-				for _, b := range s.Func.Blocks {
-					for _, in := range b.Instrs {
-						for _, r := range in.Defines() {
-							defs[r]++
-						}
-					}
-				}
-				for _, b := range s.Func.Blocks {
-					for _, in := range b.Instrs {
-						if in.Op == ir.OpCopy && in.Tx && defs[in.Dst] == 1 {
-							t.Errorf("%s D=%d stage %d: b%d: %s writes a slot nothing else writes", name, d, k+1, b.ID, in)
-						}
-					}
-				}
+				checkCopies(t, fmt.Sprintf("%s D=%d stage %d", name, d, k+1), s.Func)
 			}
 			got, err := interp.RunPipeline(res.Stages, netbench.NewWorld(traffic), n)
 			if err != nil {
@@ -355,6 +347,48 @@ func TestSingleWriterSlotsAreNotCopied(t *testing.T) {
 			}
 			if diff := interp.TraceEqual(seq, got); diff != "" {
 				t.Errorf("%s D=%d: %s", name, d, diff)
+			}
+			for fuse := uint64(0); d <= 5 && fuse < 1<<(d-1); fuse++ {
+				units, err := res.Coarsen(fuse)
+				if err != nil {
+					t.Fatalf("%s D=%d fuse %#x: %v", name, d, fuse, err)
+				}
+				for _, u := range units {
+					checkCopies(t, fmt.Sprintf("%s D=%d fuse %#x unit %d..%d", name, d, fuse, u.First, u.Last), u.Prog.Func)
+				}
+			}
+		}
+	}
+}
+
+// checkCopies fails on a transmission copy that alone writes its slot, and
+// in an acyclic f on any copy whose source and destination f defines once
+// each.
+func checkCopies(t *testing.T, tag string, f *ir.Func) {
+	t.Helper()
+	defs := make([]int, f.NumRegs)
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, r := range in.Defines() {
+				defs[r]++
+			}
+		}
+	}
+	_, acyclic := graph.Build(len(f.Blocks), func(add func(u, v int)) {
+		for _, b := range f.Blocks {
+			for _, s := range b.Succs() {
+				add(b.ID, s)
+			}
+		}
+	}).Topo()
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			switch {
+			case in.Op != ir.OpCopy:
+			case in.Tx && defs[in.Dst] == 1:
+				t.Errorf("%s: b%d: %s writes a slot nothing else writes", tag, b.ID, in)
+			case acyclic && defs[in.Dst] == 1 && defs[in.Args[0]] == 1:
+				t.Errorf("%s: b%d: %s copies a register defined once into another, in a stage without a loop", tag, b.ID, in)
 			}
 		}
 	}

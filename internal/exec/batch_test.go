@@ -196,7 +196,8 @@ func divergencePrograms() []batchCase {
 
 	// An inner loop that turns a different number of times in every lane.
 	// Its counter and accumulator ride phis on the back edge, and a pair of
-	// registers swaps through them every lap: the moves are parallel.
+	// registers swaps through them every lap: the temporaries ssa.Destruct
+	// gives the phis keep the swap parallel.
 	cases = append(cases, batchCase{packets: mixed(), prog: build("loop/trips", func(bl *ir.Builder) {
 		f := bl.Func
 		entry := bl.Cur
@@ -279,7 +280,9 @@ func divergencePrograms() []batchCase {
 			bl.SetBlock(a)
 			x := bl.Bin(ir.OpAdd, v, bl.Const(10))
 			bl.Jmp(join)
-			bl.SetBlock(b) // the join's phi has no value for this edge
+			bl.SetBlock(b) // a phi below the top of its block cannot be evaluated
+			bl.CallVoid("trace", bl.Const(8))
+			b.Instrs = append(b.Instrs, &ir.Instr{Op: ir.OpPhi, Dst: f.NewReg(), Args: []int{v}, PhiPreds: []int{0}})
 			bl.Jmp(join)
 			bl.SetBlock(d) // falls off its end
 			bl.CallVoid("trace", bl.Const(9))

@@ -8,9 +8,9 @@
 // packet:
 //
 //   - basic-block labels become block numbers (the closure for a terminator
-//     returns the next block, with the per-edge phi moves folded in);
-//   - registers and phi slots become columns of one dense frame, a value per
-//     lane, captured by the closures by pointer, so no per-step indirection
+//     returns the next block);
+//   - registers become columns of one dense frame, a value per lane,
+//     captured by the closures by pointer, so no per-step indirection
 //     remains;
 //   - persistent arrays are bound to their preallocated []int64 storage at
 //     compile time, and local arrays to dense per-lane bind slots;
@@ -35,7 +35,8 @@
 // discipline, event ordering, and the send/recv live-set layout — and the
 // interpreter is retained as the behavioural oracle: the differential tests
 // in this package and the cross-backend fuzz harness in internal/runtime
-// hold the two byte-identical on the same inputs.
+// hold the two byte-identical on the same inputs. It runs phi-free IR, the
+// form ppc.Compile emits and realization leaves after ssa.Destruct.
 package exec
 
 import (
@@ -43,7 +44,6 @@ import (
 	"math/bits"
 	"sync"
 
-	"repro/internal/errs"
 	"repro/internal/interp"
 	"repro/internal/ir"
 )
@@ -73,8 +73,8 @@ const pcNone = -1
 const metaWords = len(interp.IterCtx{}.Meta)
 
 // opFn is one compiled body op: it performs its effect for every selected
-// lane. termFn ends a block: it performs the taken edges' phi moves and
-// returns the block all the selected lanes continue in, or pcNone.
+// lane. termFn ends a block: it returns the block all the selected lanes
+// continue in, or pcNone.
 type (
 	opFn   func(m *Runner, sel []lane)
 	termFn func(m *Runner, sel []lane) int
@@ -226,8 +226,7 @@ type Runner struct {
 
 	persistent *interp.Store
 
-	blocks    []block // numbered in reverse post-order
-	entryEdge edge    // the virtual predecessor -1 edge into the entry block
+	blocks    []block // numbered in reverse post-order: the entry is block 0
 	name      string
 	lowered   Lowered
 	rx, emits bool // the program calls pkt_rx / records events
@@ -241,7 +240,6 @@ type Runner struct {
 	cols   []col
 	void   col
 	resets []int32
-	phiBuf []int64
 
 	// localArrs lists the distinct local arrays the program touches;
 	// localBind holds their storage per lane, re-resolved from each
@@ -409,9 +407,9 @@ func (m *Runner) RunBatch(its []Iteration, in, out *Block) error {
 }
 
 // group runs up to lanes iterations: it binds each lane's state, brings the
-// frame to its iteration-start image, takes the virtual predecessor's edge
-// into the entry block and dispatches — all lanes together, or one at a
-// time, in order, when something the stage touches orders its iterations:
+// frame to its iteration-start image and dispatches from the entry block —
+// all lanes together, or one at a time, in order, when something the stage
+// touches orders its iterations:
 // carried state (costmodel.Use.Carries), the World's packet cursor,
 // the World's trace.
 func (m *Runner) group(its []Iteration) error {
@@ -438,16 +436,13 @@ func (m *Runner) group(its []Iteration) error {
 			m.localBind[i][l] = ctx.Local(a.ID, a.Size)
 		}
 	}
-	switch bi := m.take(&m.entryEdge, m.cur[:n]); {
-	case bi < 0:
-		// The entry block's phis have no value for the virtual predecessor.
-	case n > 1 && (m.lowered.Serial || m.rx && !m.RxFromCtx || m.emits && !deferred):
+	if n > 1 && (m.lowered.Serial || m.rx && !m.RxFromCtx || m.emits && !deferred) {
 		for l := 0; l < n && m.nfail == 0; l++ {
 			m.cur[0] = lane(l)
-			m.run(bi, m.cur[:1])
+			m.run(0, m.cur[:1])
 		}
-	default:
-		m.run(bi, m.cur[:n])
+	} else {
+		m.run(0, m.cur[:n])
 	}
 	if m.nfail == 0 {
 		return nil
@@ -634,41 +629,6 @@ func (m *Runner) pop() (int, []lane) {
 	return bi, sel
 }
 
-// RunSequential executes iters iterations of prog against world on the
-// compiled backend and returns the observable trace. It is the compiled
-// counterpart of interp.RunSequential.
-func RunSequential(prog *ir.Program, world *interp.World, iters int) ([]interp.Event, error) {
-	if prog == nil {
-		return nil, errs.ErrNilProgram
-	}
-	if world == nil {
-		return nil, errs.ErrNilWorld
-	}
-	r := NewRunner(prog, world)
-	ctx := interp.NewIterCtx()
-	for i := 0; i < iters; i++ {
-		if _, err := r.RunIteration(ctx, nil); err != nil {
-			return nil, fmt.Errorf("iteration %d: %w", i, err)
-		}
-		ctx.Reset()
-	}
-	return world.Trace, nil
-}
-
-// RunPipeline executes iters iterations through the given pipeline stages
-// on the compiled backend, run to completion per iteration (the same
-// trace-order-preserving discipline as interp.RunPipeline).
-func RunPipeline(stages []*ir.Program, world *interp.World, iters int) ([]interp.Event, error) {
-	if err := interp.CheckPipeline(stages, world); err != nil {
-		return nil, err
-	}
-	c := interp.Chain[*Runner]{Stages: NewStageRunners(stages, world)}
-	if err := c.Run(iters); err != nil {
-		return nil, err
-	}
-	return world.Trace, nil
-}
-
 // emit routes an observable event the way the interpreter does: into the
 // iteration's deferred buffer when the context asks for it, else straight
 // onto the shared World trace.
@@ -712,84 +672,35 @@ func (m *Runner) writable(l lane) []byte {
 // block, and the steps from the top of the guard's block through the guard.
 type exit struct{ to, at int32 }
 
-// edge is one resolved CFG edge: the parallel phi moves the edge performs
-// and the block it lands on.
-type edge struct {
-	to    int   // target block number
-	plain bool  // no moves, no error: taking the edge is going to its target
-	srcs  []int // phi source registers, read first (parallel semantics)
-	dsts  []int // phi destination registers
-	err   error // set when a phi lacks a value for this predecessor
-}
-
-// take performs the edge's phi moves for every selected lane (reads before
-// writes, via the shared scratch buffer) and returns the target block; an
-// edge whose phi lacks a value fails the lanes instead. Most edges carry
-// nothing: the test for that inlines into the terminators.
-func (m *Runner) take(e *edge, sel []lane) int {
-	if e.plain {
-		return e.to
-	}
-	return m.move(e, sel)
-}
-
-func (m *Runner) move(e *edge, sel []lane) int {
-	if e.err != nil {
-		for _, l := range sel {
-			m.fail(l, e.err)
-		}
-		return pcNone
-	}
-	cols, buf := m.cols, m.phiBuf
-	for _, l := range sel {
-		for i, s := range e.srcs {
-			buf[i] = cols[s][l&lm]
-		}
-		for i, d := range e.dsts {
-			cols[d][l&lm] = buf[i]
-		}
-	}
-	return e.to
-}
-
-// parkEdge takes e for the lanes of mask and leaves them waiting at its
-// target.
-func (m *Runner) parkEdge(e *edge, mask uint32) {
-	var buf [lanes]lane
-	if to := m.take(e, spread(buf[:0], mask)); to >= 0 {
-		m.park(to, mask)
-	}
-}
-
 // branch ends a block on a two-way test: taken holds the bit of every
 // selected lane whose test held. Lanes that agree stay one selection.
-func (m *Runner) branch(sel []lane, taken uint32, yes, no *edge) int {
+func (m *Runner) branch(sel []lane, taken uint32, yes, no int) int {
 	switch bits.OnesCount32(taken) {
 	case len(sel):
-		return m.take(yes, sel)
+		return yes
 	case 0:
-		return m.take(no, sel)
+		return no
 	}
 	return m.split(sel, taken, yes, no)
 }
 
-func (m *Runner) split(sel []lane, taken uint32, yes, no *edge) int {
-	m.parkEdge(yes, taken)
-	m.parkEdge(no, maskOf(sel)&^taken)
+func (m *Runner) split(sel []lane, taken uint32, yes, no int) int {
+	m.park(yes, taken)
+	m.park(no, maskOf(sel)&^taken)
 	return pcNone
 }
 
 // fan ends a block on a many-way test: masks[i] holds the lanes that chose
-// edges[i], and is cleared for the next use.
-func (m *Runner) fan(sel []lane, masks []uint32, edges []edge) int {
+// targets[i], and is cleared for the next use.
+func (m *Runner) fan(sel []lane, masks []uint32, targets []int) int {
 	to := pcNone
 	for i, mask := range masks {
 		switch {
 		case mask == 0:
 		case bits.OnesCount32(mask) == len(sel):
-			to = m.take(&edges[i], sel)
+			to = targets[i]
 		default:
-			m.parkEdge(&edges[i], mask)
+			m.park(targets[i], mask)
 		}
 		masks[i] = 0
 	}
@@ -812,7 +723,6 @@ func (m *Runner) compile(lw *lowerer) {
 		}
 	}
 	m.resets = append([]int32(nil), lw.resets...)
-	m.phiBuf = make([]int64, lw.maxPhi)
 
 	// Every block's body and step offsets are slices of two arrays.
 	m.blocks = make([]block, len(lw.order))
@@ -843,12 +753,6 @@ func (m *Runner) compile(lw *lowerer) {
 		bl.body, bl.at = fns[first:len(fns):len(fns)], ats[first:len(ats):len(ats)]
 		bl.cost = int(lb.cost)
 	}
-
-	// The virtual predecessor -1 edge: trivially the entry block, or —
-	// when the entry block opens with phis — the moves (or the
-	// interpreter's no-value-for-predecessor error) every lane takes
-	// before dispatch starts.
-	m.entryEdge = m.planEdge(lw, -1, f.Entry)
 	m.localBind = make([][lanes][]int64, len(m.localArrs))
 }
 
@@ -863,25 +767,6 @@ func (m *Runner) dst(lw *lowerer, r int) *col {
 		return &m.void
 	}
 	return m.col(lw, r)
-}
-
-// planEdge resolves the phi moves of the pred -> succ edge.
-func (m *Runner) planEdge(lw *lowerer, pred, succ int) edge {
-	e := edge{to: lw.blockNum(succ)}
-	f := m.Prog.Func
-	for _, phi := range f.Blocks[succ].Instrs[:lw.blocks[succ].nPhis] {
-		j := phiArg(phi, pred)
-		if j < 0 {
-			return edge{
-				err: fmt.Errorf("%s: b%d: phi has no value for predecessor b%d", f.Name, succ, pred),
-				to:  pcNone,
-			}
-		}
-		e.srcs = append(e.srcs, lw.slot(phi.Args[j]))
-		e.dsts = append(e.dsts, lw.slot(phi.Dst))
-	}
-	e.plain = len(e.srcs) == 0
-	return e
 }
 
 // bindLocal returns the per-iteration bind slot for a local array,
@@ -967,47 +852,48 @@ func wordAt(pkt []byte, off int64) (v int64) {
 	return v
 }
 
-// emitTerm emits the control-transfer closure that ends a block, with the
-// phi moves of each outgoing edge folded in.
+// emitTerm emits the control-transfer closure that ends a block.
 func (m *Runner) emitTerm(lw *lowerer, op *lop) termFn {
-	blk := int(op.blk)
 	switch op.kind {
 	case kJmp:
-		e := m.planEdge(lw, blk, int(op.k))
-		return func(m *Runner, sel []lane) int { return m.take(&e, sel) }
+		to := lw.blockNum(int(op.k))
+		return func(m *Runner, sel []lane) int { return to }
 	case kBr, kCmpBr, kCmpBrImm:
-		yes, no := m.planEdge(lw, blk, op.in.Targets[0]), m.planEdge(lw, blk, op.in.Targets[1])
+		yes, no := lw.blockNum(op.in.Targets[0]), lw.blockNum(op.in.Targets[1])
 		a := m.col(lw, int(op.a))
 		switch op.kind {
 		case kCmpBr:
-			return cmpBr(op.op, a, m.col(lw, int(op.b)), &yes, &no)
+			return cmpBr(op.op, a, m.col(lw, int(op.b)), yes, no)
 		case kCmpBrImm:
-			return cmpBrImm(op.op, a, op.k, &yes, &no)
+			return cmpBrImm(op.op, a, op.k, yes, no)
 		}
-		return cmpBrImm(ir.OpNe, a, 0, &yes, &no)
+		return cmpBrImm(ir.OpNe, a, 0, yes, no)
 	case kSwitch:
 		return m.emitSwitch(lw, op)
 	case kRet:
 		return func(m *Runner, sel []lane) int { return pcNone }
 	case kFell:
-		e := edge{err: fmt.Errorf("%s: b%d fell off the end without a terminator", m.name, blk)}
-		return func(m *Runner, sel []lane) int { return m.take(&e, sel) }
+		fell := raise(fmt.Errorf("%s: b%d fell off the end without a terminator", m.name, op.blk))
+		return func(m *Runner, sel []lane) int {
+			fell(m, sel)
+			return pcNone
+		}
 	}
 	panic("exec: emitTerm on a body op") // unreachable: compile routes by isTerm
 }
 
 // emitSwitch emits a switch: a compare when there is one case, a table
-// from value to edge when the cases are dense, else the interpreter's
+// from value to target when the cases are dense, else the interpreter's
 // first-match linear scan.
 func (m *Runner) emitSwitch(lw *lowerer, op *lop) termFn {
 	in := op.in
 	v := m.col(lw, int(op.a))
-	edges := make([]edge, len(in.Targets))
+	targets := make([]int, len(in.Targets))
 	for i, t := range in.Targets {
-		edges[i] = m.planEdge(lw, int(op.blk), t)
+		targets[i] = lw.blockNum(t)
 	}
-	def := len(edges) - 1
-	var masks []uint32 // lanes per edge, cleared by fan
+	def := len(targets) - 1
+	var masks []uint32 // lanes per target, cleared by fan
 	if len(in.Cases) > 0 {
 		lo, hi := in.Cases[0], in.Cases[0]
 		for _, cv := range in.Cases {
@@ -1018,9 +904,9 @@ func (m *Runner) emitSwitch(lw *lowerer, op *lop) termFn {
 		if span := uint64(hi) - uint64(lo); span == 0 {
 			// One case (the control-predicate test a realized stage opens
 			// with): a compare.
-			return cmpBrImm(ir.OpEq, v, lo, &edges[0], &edges[def])
+			return cmpBrImm(ir.OpEq, v, lo, targets[0], targets[def])
 		} else if span < uint64(4*len(in.Cases)) {
-			masks = make([]uint32, len(edges))
+			masks = make([]uint32, len(targets))
 			table := make([]int32, span+1)
 			for i := range table {
 				table[i] = int32(def)
@@ -1036,12 +922,12 @@ func (m *Runner) emitSwitch(lw *lowerer, op *lop) termFn {
 					}
 					masks[e] |= 1 << (l & lm)
 				}
-				return m.fan(sel, masks, edges)
+				return m.fan(sel, masks, targets)
 			}
 		}
 	}
 	cases := append([]int64(nil), in.Cases...)
-	masks = make([]uint32, len(edges))
+	masks = make([]uint32, len(targets))
 	return func(m *Runner, sel []lane) int {
 		for _, l := range sel {
 			e, x := def, v[l&lm]
@@ -1053,7 +939,7 @@ func (m *Runner) emitSwitch(lw *lowerer, op *lop) termFn {
 			}
 			masks[e] |= 1 << (l & lm)
 		}
-		return m.fan(sel, masks, edges)
+		return m.fan(sel, masks, targets)
 	}
 }
 
@@ -1088,8 +974,8 @@ func (m *Runner) emitGuard(lw *lowerer, run []lop) opFn {
 }
 
 // cmpBr is a comparison fused with the br that was its only reader. Three
-// tests serve the six comparisons: the others swap the edges.
-func cmpBr(op ir.Op, a, b *col, yes, no *edge) termFn {
+// tests serve the six comparisons: the others swap the targets.
+func cmpBr(op ir.Op, a, b *col, yes, no int) termFn {
 	switch op {
 	case ir.OpNe:
 		return cmpBr(ir.OpEq, a, b, no, yes)
@@ -1126,7 +1012,7 @@ func cmpBr(op ir.Op, a, b *col, yes, no *edge) termFn {
 }
 
 // cmpBrImm is cmpBr against a constant.
-func cmpBrImm(op ir.Op, a *col, k int64, yes, no *edge) termFn {
+func cmpBrImm(op ir.Op, a *col, k int64, yes, no int) termFn {
 	switch op {
 	case ir.OpNe:
 		return cmpBrImm(ir.OpEq, a, k, no, yes)
@@ -1228,9 +1114,6 @@ func (m *Runner) emitOp(lw *lowerer, op *lop) opFn {
 				d[l&lm] = 0
 			}
 		}
-	case kMoves:
-		e := m.planEdge(lw, int(op.blk), int(k))
-		return func(m *Runner, sel []lane) { m.take(&e, sel) }
 	}
 	panic("exec: emitOp on a terminator") // unreachable: compile routes by isTerm
 }
@@ -1326,8 +1209,8 @@ func binImm(op ir.Op, d, a *col, k int64) opFn {
 	panic("exec: binImm on " + op.String()) // unreachable: lowerer.binary excludes div and mod
 }
 
-// emitInstr emits the specialized closure for one straight-line (non-phi,
-// non-terminator) instruction in its register-operand form.
+// emitInstr emits the specialized closure for one straight-line
+// (non-terminator) instruction in its register-operand form.
 func (m *Runner) emitInstr(lw *lowerer, blk int, in *ir.Instr) opFn {
 	switch {
 	case in.Op == ir.OpCopy:
@@ -1381,8 +1264,8 @@ func (m *Runner) emitInstr(lw *lowerer, blk int, in *ir.Instr) opFn {
 	}
 
 	// Everything else is what the interpreter's evalPure default would
-	// reject (a non-leading phi, an invalid op): reproduce its wrapped
-	// error, but only if the instruction is ever reached. (An OpConst never
+	// reject: reproduce its wrapped error, but only if the instruction is
+	// ever reached. (An OpConst never
 	// arrives here: lower.go folds it or turns it into a store-immediate.)
 	return raise(fmt.Errorf("%s: b%d: cannot evaluate %s", m.name, blk, in))
 }
@@ -1478,8 +1361,11 @@ func (m *Runner) emitRecv(lw *lowerer, in *ir.Instr) opFn {
 
 // raise is the op that fails every lane that reaches it.
 func raise(err error) opFn {
-	e := edge{err: err}
-	return func(m *Runner, sel []lane) { m.take(&e, sel) }
+	return func(m *Runner, sel []lane) {
+		for _, l := range sel {
+			m.fail(l, err)
+		}
+	}
 }
 
 // emitMem emits a load or a store: a persistent array is bound to its

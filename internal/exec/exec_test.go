@@ -21,6 +21,17 @@ import (
 // byte-identical to the interpreter on the same program and inputs — the
 // differential discipline ISSUE 5 requires.
 
+// runChain runs iters iterations through stages on the compiled backend,
+// each one through every stage before the next: interp.RunPipeline's loop
+// over exec runners. A sequential program is a chain of one stage.
+func runChain(stages []*ir.Program, world *interp.World, iters int) ([]interp.Event, error) {
+	c := interp.Chain[*exec.Runner]{Stages: exec.NewStageRunners(stages, world)}
+	if err := c.Run(iters); err != nil {
+		return nil, err
+	}
+	return world.Trace, nil
+}
+
 // randPackets derives a deterministic random packet stream for a seed,
 // using the same derivation as the core property tests so the two corpora
 // exercise the same inputs.
@@ -57,7 +68,7 @@ func TestCompiledVsInterpSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: interp: %v\n%s", seed, err, src)
 		}
-		got, err := exec.RunSequential(prog, base.Clone(), iters)
+		got, err := runChain([]*ir.Program{prog}, base.Clone(), iters)
 		if err != nil {
 			t.Fatalf("seed %d: exec: %v\n%s", seed, err, src)
 		}
@@ -94,7 +105,7 @@ func TestCompiledVsInterpPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d D=%d: interp: %v\n%s", seed, d, err, src)
 			}
-			got, err := exec.RunPipeline(res.Stages, base.Clone(), iters)
+			got, err := runChain(res.Stages, base.Clone(), iters)
 			if err != nil {
 				t.Fatalf("seed %d D=%d: exec: %v\n%s", seed, d, err, src)
 			}
@@ -121,7 +132,7 @@ func TestCompiledNetbenchGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: interp: %v", pps.Name, err)
 		}
-		got, err := exec.RunSequential(prog, base.Clone(), iters)
+		got, err := runChain([]*ir.Program{prog}, base.Clone(), iters)
 		if err != nil {
 			t.Fatalf("%s: exec: %v", pps.Name, err)
 		}
@@ -134,7 +145,7 @@ func TestCompiledNetbenchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s D=%d: partition: %v", pps.Name, d, err)
 			}
-			got, err := exec.RunPipeline(res.Stages, base.Clone(), iters)
+			got, err := runChain(res.Stages, base.Clone(), iters)
 			if err != nil {
 				t.Fatalf("%s D=%d: exec pipeline: %v", pps.Name, d, err)
 			}
@@ -212,8 +223,8 @@ func TestCompiledStepLimitParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, iErr := interp.RunSequential(prog.Clone(), interp.NewWorld(nil), 1)
-	_, cErr := exec.RunSequential(prog, interp.NewWorld(nil), 1)
+	_, iErr := interp.RunPipeline([]*ir.Program{prog.Clone()}, interp.NewWorld(nil), 1)
+	_, cErr := runChain([]*ir.Program{prog}, interp.NewWorld(nil), 1)
 	if iErr == nil || cErr == nil {
 		t.Fatalf("non-terminating loop did not error: interp=%v exec=%v", iErr, cErr)
 	}
@@ -401,8 +412,8 @@ func TestIntrinsicTableIsTheOneList(t *testing.T) {
 	}
 	run := func(prog *ir.Program) (want, got []interp.Event, ierr, xerr error) {
 		base := netbench.NewWorld([][]byte{{0x45, 0, 0, 20, 1, 2, 3, 4}})
-		want, ierr = interp.RunSequential(prog.Clone(), base.Clone(), 1)
-		got, xerr = exec.RunSequential(prog, base.Clone(), 1)
+		want, ierr = interp.RunPipeline([]*ir.Program{prog.Clone()}, base.Clone(), 1)
+		got, xerr = runChain([]*ir.Program{prog}, base.Clone(), 1)
 		return want, got, ierr, xerr
 	}
 	names := make([]string, 0, len(costmodel.Intrinsics))

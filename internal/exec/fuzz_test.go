@@ -62,10 +62,10 @@ func FuzzExecVsInterp(f *testing.F) {
 		}
 		agree("sequential", func(w *interp.World, compiled bool) error {
 			if compiled {
-				_, err := exec.RunSequential(prog.Clone(), w, iters)
+				_, err := runChain([]*ir.Program{prog.Clone()}, w, iters)
 				return err
 			}
-			_, err := interp.RunSequential(prog.Clone(), w, iters)
+			_, err := interp.RunPipeline([]*ir.Program{prog.Clone()}, w, iters)
 			return err
 		})
 		batched := func(tag string, stages []*ir.Program) {
@@ -98,7 +98,7 @@ func FuzzExecVsInterp(f *testing.F) {
 					stages[i] = s.Clone()
 				}
 				if compiled {
-					_, err := exec.RunPipeline(stages, w, iters)
+					_, err := runChain(stages, w, iters)
 					return err
 				}
 				_, err := interp.RunPipeline(stages, w, iters)

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"math"
+	"fmt"
 	"slices"
 
 	"repro/internal/costmodel"
@@ -19,12 +19,11 @@ import (
 // between the IR the partitioner balances and the ops the host runs can be
 // printed per stage.
 type Lowered struct {
-	IRInstrs   int // reachable non-phi instructions: what the interpreter can count as steps
+	IRInstrs   int // reachable instructions: what the interpreter can count as steps
 	Ops        int // closures emitted: body ops plus one terminator per emitted block
 	Folded     int // instructions evaluated at set-up; their values sit in the frame
 	Fused      int // instructions absorbed into a neighbouring op or a merged block
 	Guards     int // one-case switches the chain runs on through, a run of them one guard op
-	Forwarded  int // copies dropped: the destination shares the source's frame slot
 	FrameSlots int // registers in the dense frame
 	Resets     int // slots zeroed at the start of every iteration
 	// Serial says the stage keeps state from one iteration to the next, so
@@ -51,7 +50,6 @@ const (
 	kMetaGetImm // dst = Meta[k]
 	kMetaSetImm // Meta[k] = a; dst = 0
 	kSetByteImm // pkt_setbyte(k, a); dst = 0
-	kMoves      // the phi moves of the merged edge blk -> k
 	kGuard      // a lane whose a == k leaves for in.Targets[0]; consecutive guards are one op
 
 	// Terminators: the last op of every emitted block.
@@ -87,9 +85,8 @@ type lop struct {
 // blockInfo is what the lowering knows about one IR block, and — for a block
 // that heads an emitted one — the ops it became.
 type blockInfo struct {
-	nPhis   int32 // leading phis
 	termIdx int32 // first control transfer (the interpreter never executes past it), or -1
-	npreds  int32 // edges in from reachable blocks; the entry counts its virtual predecessor
+	npreds  int32 // edges in from reachable blocks; the entry counts the iteration's start
 	inChain int32 // the chain that last absorbed the block
 	reach   bool
 
@@ -112,7 +109,6 @@ type regInfo struct {
 	lastW     int32 // stamp of that write
 	writes    uint8 // writers in reachable code, counted to tooMany
 	reads     uint8 // read sites in reachable code, counted to tooMany
-	alias     int32 // register + 1 whose slot this one shares: a forwarded copy's source
 	unordered bool  // some read is not provably after the sole writer
 	konst     uint8
 }
@@ -149,9 +145,6 @@ type lowerer struct {
 	work   []int32
 	edges  [][2]int32 // the CFG edges reachable from the entry, as analyze walks them
 	dom    *graph.DomTree
-	// acyclic says no cycle is reachable from the entry: every instruction
-	// runs at most once per iteration.
-	acyclic bool
 
 	chain   int32 // id of the chain being lowered
 	horizon int32 // ops before this index are out of fusion's reach
@@ -161,7 +154,6 @@ type lowerer struct {
 	nslots int
 	consts []slotVal // frame slots holding folded constants
 	resets []int32   // frame slots zeroed at iteration start
-	maxPhi int
 	stats  Lowered
 
 	// Effects of the surviving ops that order iterations only under a
@@ -188,7 +180,7 @@ func (lw *lowerer) lower(f *ir.Func) {
 	lw.regs = grow(lw.regs, f.NumRegs)
 	lw.ops, lw.order = lw.ops[:0], lw.order[:0]
 	lw.consts, lw.resets = lw.consts[:0], lw.resets[:0]
-	lw.chain, lw.base, lw.pktW, lw.nslots, lw.maxPhi = 0, 0, 0, 0, 0
+	lw.chain, lw.base, lw.pktW, lw.nslots = 0, 0, 0, 0
 	lw.stats, lw.rx, lw.emits = Lowered{}, false, false
 
 	lw.analyze()
@@ -260,22 +252,20 @@ func (lw *lowerer) liveEnd(b int32) int {
 }
 
 // analyze lays the blocks out and, over the blocks reachable from the entry
-// only, records per register its writers, its read sites (a phi argument is
-// read on its edge, i.e. at the end of the predecessor) and whether a sole
+// only, records per register its writers, its read sites and whether a sole
 // writer is ordered before every read — earlier in the same block, or in a
-// block that dominates the reader's.
+// block that dominates the reader's. The backend runs phi-free IR, so a
+// block that opens with a phi panics here, when the runner is built.
 func (lw *lowerer) analyze() {
 	f := lw.f
 	for i, b := range f.Blocks {
-		n := 0
-		for n < len(b.Instrs) && b.Instrs[n].Op == ir.OpPhi {
-			n++
+		if len(b.Instrs) > 0 && b.Instrs[0].Op == ir.OpPhi {
+			panic(fmt.Sprintf("exec: %s: b%d opens with a phi: exec runs phi-free IR (ssa.Destruct first)", f.Name, b.ID))
 		}
 		bi := &lw.blocks[i]
-		bi.nPhis, bi.termIdx = int32(n), -1
-		lw.maxPhi = max(lw.maxPhi, n)
-		for idx := n; idx < len(b.Instrs); idx++ {
-			if b.Instrs[idx].Op.IsTerminator() {
+		bi.termIdx = -1
+		for idx, in := range b.Instrs {
+			if in.Op.IsTerminator() {
 				bi.termIdx = int32(idx)
 				break
 			}
@@ -308,7 +298,6 @@ func (lw *lowerer) analyze() {
 		}
 	})
 	lw.dom = graph.Dominators(g, f.Entry)
-	_, lw.acyclic = g.Topo()
 
 	for bi, b := range f.Blocks {
 		if !lw.blocks[bi].reach {
@@ -321,7 +310,7 @@ func (lw *lowerer) analyze() {
 				lw.write(d, bi, idx)
 			}
 		}
-		lw.stats.IRInstrs += end - int(lw.blocks[bi].nPhis)
+		lw.stats.IRInstrs += end
 		if lw.blocks[bi].termIdx >= 0 {
 			lw.stats.IRInstrs++
 		}
@@ -330,25 +319,12 @@ func (lw *lowerer) analyze() {
 		if !lw.blocks[bi].reach {
 			continue
 		}
-		np := int(lw.blocks[bi].nPhis)
-		for _, in := range b.Instrs[:np] {
-			for j, p := range in.PhiPreds {
-				switch {
-				case p < 0:
-					// The virtual predecessor reads the frame as the
-					// iteration finds it: before any write.
-					lw.read(in.Args[j], -1, 0)
-				case p < len(lw.blocks) && lw.blocks[p].reach:
-					lw.read(in.Args[j], p, math.MaxInt32)
-				}
-			}
-		}
 		end := int(lw.blocks[bi].termIdx) + 1 // terminators do read (br cond, switch value)
 		if end == 0 {
 			end = len(b.Instrs)
 		}
-		for idx := np; idx < end; idx++ {
-			for _, r := range b.Instrs[idx].Args {
+		for idx, in := range b.Instrs[:end] {
+			for _, r := range in.Args {
 				lw.read(r, bi, idx)
 			}
 		}
@@ -371,8 +347,6 @@ func (lw *lowerer) read(r, blk, idx int) {
 		return
 	}
 	switch {
-	case blk < 0:
-		ri.unordered = true
 	case blk == int(ri.wBlk):
 		ri.unordered = idx <= int(ri.wIdx)
 	default:
@@ -519,7 +493,7 @@ func (lw *lowerer) lowerChain(head int32) {
 	for cur := head; ; {
 		lw.blocks[cur].inChain = lw.chain
 		b := f.Blocks[cur]
-		for _, in := range b.Instrs[lw.blocks[cur].nPhis:lw.liveEnd(cur)] {
+		for _, in := range b.Instrs[:lw.liveEnd(cur)] {
 			pos++
 			lw.instr(cur, in, pos)
 		}
@@ -533,16 +507,12 @@ func (lw *lowerer) lowerChain(head int32) {
 		pos++
 		op.at, op.in = pos, b.Instrs[ti]
 		next := lw.soleSucc(op.in)
-		if next >= 0 && lw.absorbs(cur, next) {
+		if next >= 0 && lw.absorbs(next) {
 			if lw.blocks[next].npreds != 1 {
 				// next is lowered on its own too, for its other
 				// predecessors: from here on this chain is a copy, and a
 				// register read in it once is read in two places.
 				lw.horizon = int32(len(lw.ops))
-			}
-			if lw.blocks[next].nPhis > 0 {
-				op.kind, op.k = kMoves, int64(next)
-				lw.push(op)
 			}
 			lw.stats.Fused++
 			cur = next
@@ -580,22 +550,17 @@ func (lw *lowerer) soleSucc(term *ir.Instr) int32 {
 	return -1
 }
 
-// absorbs reports whether the chain ending in cur may continue into next.
-func (lw *lowerer) absorbs(cur, next int32) bool {
+// absorbs reports whether the chain may continue into next.
+func (lw *lowerer) absorbs(next int32) bool {
 	if lw.blocks[next].inChain == lw.chain {
 		return false // a cycle of empty blocks
 	}
-	body := lw.f.Blocks[next].Instrs[:lw.liveEnd(next)]
-	if lw.blocks[next].npreds != 1 {
-		for _, in := range body[lw.blocks[next].nPhis:] {
-			if in.Dst < 0 || !lw.constReg(in.Dst) {
-				return false
-			}
-		}
+	if lw.blocks[next].npreds == 1 {
+		return true
 	}
-	for _, phi := range body[:lw.blocks[next].nPhis] {
-		if phiArg(phi, int(cur)) < 0 {
-			return false // the edge is the interpreter's no-value error
+	for _, in := range lw.f.Blocks[next].Instrs[:lw.liveEnd(next)] {
+		if in.Dst < 0 || !lw.constReg(in.Dst) {
+			return false
 		}
 	}
 	return true
@@ -603,14 +568,13 @@ func (lw *lowerer) absorbs(cur, next int32) bool {
 
 // guardSucc returns the block a one-case switch continues in when the chain
 // may run on through it as a guard — the default successor has no other
-// predecessor, and neither edge carries phi moves — else -1. The control
-// objects a realized stage opens with are tested this way (paper §3.5).
+// predecessor — else -1. The control objects a realized stage opens with
+// are tested this way (paper §3.5).
 func (lw *lowerer) guardSucc(term *ir.Instr) int32 {
 	if term.Op != ir.OpSwitch || len(term.Cases) != 1 || len(term.Targets) != 2 {
 		return -1
 	}
-	out, next := &lw.blocks[term.Targets[0]], &lw.blocks[term.Targets[1]]
-	if next.npreds != 1 || next.inChain == lw.chain || next.nPhis != 0 || out.nPhis != 0 {
+	if next := &lw.blocks[term.Targets[1]]; next.npreds != 1 || next.inChain == lw.chain {
 		return -1
 	}
 	return int32(term.Targets[1])
@@ -621,16 +585,6 @@ func (lw *lowerer) guardSucc(term *ir.Instr) int32 {
 // first guard.
 func (lw *lowerer) guardTail(i, lo int32) bool {
 	return lw.ops[i].kind == kGuard && i > lo && lw.ops[i-1].kind == kGuard
-}
-
-// phiArg returns the index of the phi's argument for predecessor pred, or -1.
-func phiArg(phi *ir.Instr, pred int) int {
-	for j, p := range phi.PhiPreds {
-		if p == pred {
-			return j
-		}
-	}
-	return -1
 }
 
 // term closes the chain with cur's terminator; next is its sole successor
@@ -658,11 +612,11 @@ func (lw *lowerer) term(op *lop, next int32) {
 }
 
 // fuseCompare turns "c = a <cmp> b; ...; br c" into one compare-and-branch
-// when the br is c's only reader, neither operand is redefined in between,
-// and neither edge carries phi moves.
+// when the br is c's only reader and neither operand is redefined in
+// between.
 func (lw *lowerer) fuseCompare(br *lop) {
 	p := lw.temp(br.a)
-	if p == nil || lw.blocks[br.in.Targets[0]].nPhis != 0 || lw.blocks[br.in.Targets[1]].nPhis != 0 {
+	if p == nil {
 		return
 	}
 	stamp := lw.base + p.at
@@ -714,12 +668,6 @@ func (lw *lowerer) push(op lop) {
 			lw.regs[r].def, lw.regs[r].lastW = idx, stamp
 		}
 	}
-	if op.kind == kMoves {
-		for _, phi := range lw.f.Blocks[op.k].Instrs[:lw.blocks[op.k].nPhis] {
-			wrote(phi.Dst)
-		}
-		return
-	}
 	wrote(op.in.Dst)
 	for _, d := range op.in.Dsts {
 		wrote(d)
@@ -737,19 +685,11 @@ func (lw *lowerer) instr(blk int32, in *ir.Instr, at int32) {
 		lw.stats.Folded++
 		return
 	}
-	if in.Op == ir.OpCopy && lw.acyclic && lw.regs[in.Dst].sole() && lw.regs[in.Args[0]].sole() {
-		// Each register is written once per iteration and read only after
-		// that write, so from the copy on the two hold one value: the
-		// destination reads the source's slot.
-		lw.regs[in.Dst].alias = int32(in.Args[0]) + 1
-		lw.stats.Forwarded++
-		return
-	}
 	op := lop{kind: kInstr, at: at, blk: blk, dst: int32(in.Dst), a: -1, b: -1, in: in}
 	switch v, ok := lw.evalConst(in); {
 	case ok && in.Dst >= 0:
 		// Constant operands, but a destination other writers share (a
-		// phi-elimination copy, a control predicate): store the value.
+		// merge register, a control predicate): store the value.
 		op.kind, op.k = kSetImm, v
 	case in.Op.IsBinary() && in.Dst >= 0 && len(in.Args) >= 2:
 		lw.binary(&op)
@@ -868,17 +808,6 @@ func (lw *lowerer) assignFrame() {
 			}
 		}
 	}
-	for bi, b := range lw.f.Blocks {
-		if !lw.blocks[bi].reach {
-			continue
-		}
-		for _, phi := range b.Instrs[:lw.blocks[bi].nPhis] {
-			lw.ref(phi.Dst)
-			for _, r := range phi.Args {
-				lw.ref(r)
-			}
-		}
-	}
 	lw.stats.FrameSlots, lw.stats.Resets = lw.nslots, len(lw.resets)
 	if lw.stats.Serial {
 		lw.stats.Carried = lw.carried()
@@ -925,7 +854,7 @@ func (lw *lowerer) carried() string {
 		if lw.blocks[b].inChain == 0 {
 			continue
 		}
-		for _, in := range f.Blocks[b].Instrs[lw.blocks[b].nPhis:lw.liveEnd(int32(b))] {
+		for _, in := range f.Blocks[b].Instrs[:lw.liveEnd(int32(b))] {
 			if name := costmodel.UseOf(in).Carries(); name != "" {
 				return name
 			}
@@ -939,12 +868,6 @@ func (lw *lowerer) ref(r int) {
 		return
 	}
 	ri := &lw.regs[r]
-	if ri.alias != 0 {
-		src := int(ri.alias - 1)
-		lw.ref(src)
-		ri.slot = lw.regs[src].slot
-		return
-	}
 	slot := int32(lw.nslots)
 	lw.nslots++
 	ri.slot = slot + 1

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/netbench"
+	"repro/internal/ssa"
 )
 
 // The programs below are built by hand so each one has exactly the shape a
@@ -18,10 +20,13 @@ import (
 // interpreter — trace, error text and the trace prefix before an error.
 
 // build assembles a one-function program: body emits into the entry block
-// and may add more.
+// and may add more, phis included. ssa.Destruct then turns the phis into
+// copies, as realization does, so both backends run the phi-free program
+// exec takes.
 func build(name string, body func(bl *ir.Builder)) *ir.Program {
 	f := ir.NewFunc(name)
 	body(ir.NewBuilder(f))
+	ssa.Destruct(f)
 	return &ir.Program{Name: name, Func: f}
 }
 
@@ -319,45 +324,11 @@ func TestFrameReset(t *testing.T) {
 	}
 }
 
-// TestEntryPhiReadsZeroedFrame reads, through the entry block's virtual
-// predecessor, a register whose only writer is a constant further down: the
-// phi sees the frame as the iteration starts, so the constant must not be
-// folded into it.
-func TestEntryPhiReadsZeroedFrame(t *testing.T) {
-	for _, loop := range []bool{false, true} {
-		prog := build(fmt.Sprintf("entryphi/loop=%v", loop), func(bl *ir.Builder) {
-			f := bl.Func
-			entry := bl.Cur
-			k, p, i := f.NewReg(), f.NewReg(), f.NewReg()
-			phi := &ir.Instr{Op: ir.OpPhi, Dst: p, Args: []int{k}, PhiPreds: []int{-1}}
-			entry.Instrs = append(entry.Instrs, phi)
-			bl.ConstTo(k, 7)
-			bl.CallVoid("trace", p)
-			bl.CallVoid("trace", k)
-			if !loop {
-				bl.Ret()
-				return
-			}
-			// Second time round the edge comes from the latch, where k is 7.
-			latch, exit := f.NewBlock("latch"), f.NewBlock("exit")
-			phi.Args, phi.PhiPreds = append(phi.Args, k), append(phi.PhiPreds, latch.ID)
-			entry.Instrs = append([]*ir.Instr{entry.Instrs[0], {Op: ir.OpPhi, Dst: i, Args: []int{i, i}, PhiPreds: []int{-1, latch.ID}}}, entry.Instrs[1:]...)
-			bl.Br(i, exit, latch)
-			bl.SetBlock(latch)
-			bl.ConstTo(i, 1)
-			bl.Jmp(entry)
-			bl.SetBlock(exit)
-			bl.Ret()
-		})
-		same(t, prog, [][]byte{{1}})
-	}
-}
-
 // TestMergedChains covers the control-flow rewrites: a chain of
-// single-predecessor blocks with phi moves on the merged edges, a jump
-// threaded through blocks whose bodies folded away, a br on a folded
-// condition, a phi edge with no value, and a block that falls off its end
-// behind dropped instructions.
+// single-predecessor blocks whose phis became copies on the merged edges, a
+// jump threaded through blocks whose bodies folded away, a br on a folded
+// condition, and a block that falls off its end behind dropped
+// instructions.
 func TestMergedChains(t *testing.T) {
 	packets := [][]byte{{4, 2}, {}, {9}}
 	t.Run("phi-moves", func(t *testing.T) {
@@ -383,7 +354,9 @@ func TestMergedChains(t *testing.T) {
 			bl.CallVoid("trace", bl.Bin(ir.OpSub, p2, q2))
 			bl.Ret()
 		})
-		if low := same(t, prog, packets); low.Ops != 8 { // rx, add, moves, trace, moves, sub, trace, ret
+		// rx, add, two copies; two copies, trace, two copies; two copies,
+		// sub, trace, ret.
+		if low := same(t, prog, packets); low.Ops != 14 {
 			t.Fatalf("three blocks should have merged into one: %+v", low)
 		}
 	})
@@ -453,18 +426,6 @@ func TestMergedChains(t *testing.T) {
 			bl.SetBlock(spin)
 			bl.Const(2)
 			bl.Jmp(spin)
-		})
-		same(t, prog, nil)
-	})
-	t.Run("no-phi-value", func(t *testing.T) {
-		prog := build("nophi", func(bl *ir.Builder) {
-			f := bl.Func
-			b1 := f.NewBlock("b1")
-			bl.CallVoid("trace", bl.Const(1))
-			bl.Jmp(b1)
-			b1.Instrs = append(b1.Instrs, &ir.Instr{Op: ir.OpPhi, Dst: f.NewReg(), Args: []int{0}, PhiPreds: []int{b1.ID}})
-			bl.SetBlock(b1)
-			bl.Ret()
 		})
 		same(t, prog, nil)
 	})
@@ -631,9 +592,9 @@ func TestGuardChainStepLimit(t *testing.T) {
 	}
 }
 
-// TestCopyInLoopNotForwarded reads a copy whose source has one writer, but
-// inside a loop that rewrites it every lap: the copy stays an op. Without
-// the loop the same copy is forwarded.
+// TestCopyInLoopNotForwarded reads a copy whose source has one writer, in a
+// loop that rewrites it every lap and, without the loop, once: either way
+// the copy runs as an op, as it does on the interpreter.
 func TestCopyInLoopNotForwarded(t *testing.T) {
 	packets := [][]byte{{1, 2, 3, 4}, {9, 8, 7, 6}}
 	for _, loop := range []bool{false, true} {
@@ -658,23 +619,21 @@ func TestCopyInLoopNotForwarded(t *testing.T) {
 			bl.CallVoid("trace", bl.Bin(ir.OpAdd, d, s))
 			bl.Ret()
 		})
-		low := same(t, prog, packets)
+		same(t, prog, packets)
 		sameBatched(t, prog, packets)
-		if forwarded := low.Forwarded == 1; forwarded == loop {
-			t.Fatalf("%s: %+v", prog.Name, low)
-		}
 	}
 }
 
 // TestGuardExitWithPhis lowers two one-case switches in a row: the chain
-// runs on through both when no edge carries phi moves, and stops at a
-// switch whose exit or default successor opens with a phi.
+// runs on through both, also when an exit or default successor opened with
+// a phi before ssa.Destruct — the copies that took its place, before the
+// switch and at the top of the successor, leave the guard run whole.
 func TestGuardExitWithPhis(t *testing.T) {
 	var packets [][]byte
 	for _, v := range []int64{0, 5, 6, 7, -1} {
 		packets = append(packets, word(v))
 	}
-	for phi, guards := range map[string]int{"": 2, "exit": 0, "default": 1} {
+	for _, phi := range []string{"", "exit", "default"} {
 		prog := build("guardphi/"+phi, func(bl *ir.Builder) {
 			f := bl.Func
 			a, b, x := f.NewBlock("a"), f.NewBlock("b"), f.NewBlock("x")
@@ -703,10 +662,57 @@ func TestGuardExitWithPhis(t *testing.T) {
 		})
 		low := same(t, prog, packets)
 		sameBatched(t, prog, packets)
-		if low.Guards != guards {
-			t.Fatalf("%s: want %d guards: %+v", prog.Name, guards, low)
+		if low.Guards != 2 {
+			t.Fatalf("%s: want 2 guards: %+v", prog.Name, low)
 		}
 	}
+}
+
+// TestSSAInputRefused: exec runs phi-free IR. A runner for a program with
+// a block that opens with a phi is refused when it is built, the block
+// named; a phi further down a block is an instruction neither backend can
+// evaluate, and fails the iteration that reaches it with the interpreter's
+// error.
+func TestSSAInputRefused(t *testing.T) {
+	f := ir.NewFunc("ssa")
+	bl := ir.NewBuilder(f)
+	next := f.NewBlock("next")
+	n := bl.Call("pkt_rx")
+	bl.Jmp(next)
+	p := f.NewReg()
+	next.Instrs = append(next.Instrs, &ir.Instr{Op: ir.OpPhi, Dst: p, Args: []int{n}, PhiPreds: []int{f.Entry}})
+	bl.SetBlock(next)
+	bl.CallVoid("trace", p)
+	bl.Ret()
+	prog := &ir.Program{Name: "ssa", Func: f}
+	want := fmt.Sprintf("exec: ssa: b%d opens with a phi", next.ID)
+	for name, compile := range map[string]func(){
+		"NewRunner":       func() { exec.NewRunner(prog, interp.NewWorld(nil)) },
+		"NewRunnerShared": func() { exec.NewRunnerShared(prog, interp.NewWorld(nil), interp.NewStore(prog)) },
+		"NewStageRunners": func() { exec.NewStageRunners([]*ir.Program{prog}, interp.NewWorld(nil)) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.HasPrefix(fmt.Sprint(r), want) {
+					t.Errorf("%s: panic %v, want one that starts %q", name, r, want)
+				}
+			}()
+			compile()
+		}()
+	}
+
+	below := build("below", func(bl *ir.Builder) {
+		n := bl.Call("pkt_rx")
+		bl.CallVoid("trace", n)
+		bl.Cur.Instrs = append(bl.Cur.Instrs, &ir.Instr{Op: ir.OpPhi, Dst: bl.Func.NewReg(), Args: []int{n}, PhiPreds: []int{0}})
+		bl.Ret()
+	})
+	packets := [][]byte{{1, 2}}
+	got, _ := runExec(below, packets, 1)
+	if wantOut := runInterp(below, packets, 1); !strings.Contains(got.err, "cannot evaluate") || got.err != wantOut.err {
+		t.Errorf("phi below the top of its block: exec error %q, interp error %q", got.err, wantOut.err)
+	}
+	sameBatched(t, below, packets)
 }
 
 // TestLoweringShape pins what the lowering makes of the stages the serve
@@ -719,7 +725,7 @@ func TestGuardExitWithPhis(t *testing.T) {
 // dispatch 78.6, 120.9 and 203.4 closures per packet; the bounds sit at or
 // above what a group of 32 reaches today (3.1, 3.9, 6.3; the QM pipeline,
 // half of it serial, 33.2). A downstream stage's control-object
-// switches run as one guard op and its forwarded copies as none.
+// switches run as one guard op.
 func TestLoweringShape(t *testing.T) {
 	for _, tc := range []struct {
 		pps    string
