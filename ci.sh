@@ -52,7 +52,7 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
-echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow differential, concurrent cuts, allocation budget, dense stage registers, queue confinement, pinned cuts, single-writer slots and the intrinsic table under -race -count=2; pipebench figures vs golden"
+echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow differential, concurrent cuts, allocation budget, dense stage registers, queue confinement, pinned cuts, single-writer slots, copy coalescing and the intrinsic table under -race -count=2; pipebench figures vs golden"
 # The partitioner's byte-identity oracles. TestCutSweepGolden digests every
 # stage program and report of the six PPS at D=1..10 (and two coarsenings),
 # and each program renumbered canonically (canon=, which a change that only
@@ -62,6 +62,9 @@ echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow different
 # cut's stage assignment, the naive realizations, no stage's worst path
 # rising — and TestSingleWriterSlotsAreNotCopied that no packed stage copies
 # into a slot only that copy writes (each cut checked on the interpreter);
+# TestStageCopiesInterfere that no stage or Coarsen unit keeps a copy whose
+# registers never interfere, and TestCoalesceKeepsLostCopy/Swap that the
+# coalescer refuses the two merges ssa.Destruct's temporaries exist for;
 # TestRandomContractionAgainstEdmondsKarp holds push-relabel's value and its
 # cut to an in-test reference under random contractions — the reason the
 # discharge schedule is free to change — fresh, warm and refilled in place.
@@ -83,7 +86,7 @@ echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow different
 #   go run ./cmd/pipebench -experiment all > testdata/pipebench_all.golden
 go test -race -count=2 -run '^(TestCutSweepGolden|TestStageStateGolden)$' .
 go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
-go test -race -count=2 -run '^(TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense|TestValidateStagesConfinesQueues|TestPinnedCuts|TestSingleWriterSlotsAreNotCopied)$' ./internal/core
+go test -race -count=2 -run '^(TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense|TestValidateStagesConfinesQueues|TestPinnedCuts|TestSingleWriterSlotsAreNotCopied|TestStageCopiesInterfere|TestCoalesceKeepsLostCopy|TestCoalesceKeepsSwap)$' ./internal/core
 go test -race -count=2 -run '^TestIntrinsicTableIsTheOneList$' ./internal/exec
 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 GOMAXPROCS=1 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"repro/internal/ir"
 )
 
 // ExplorePEs is the number of degrees Explore searches, for the external
@@ -69,3 +71,7 @@ func FrontEndDigests(a *Analysis) (analysis, network uint64) {
 // StageOf exposes a result's stage assignment (1-based, by unit) to the
 // external test package.
 func StageOf(r *Result) []int { return r.stageOf }
+
+// CoalesceCopies runs the stage copy coalescer on f, for the external test
+// package's hand-built stages.
+func CoalesceCopies(f *ir.Func) { coalesceCopies(f, new(workspace)) }

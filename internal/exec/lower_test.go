@@ -722,9 +722,9 @@ func TestSSAInputRefused(t *testing.T) {
 // packet the closures dispatched (body ops plus terminators, each call
 // counted once however many lanes it serves) over netbench traffic in
 // batches of one full group. One lane at a time the three IP pipelines
-// dispatch 78.6, 120.9 and 203.4 closures per packet; the bounds sit at or
-// above what a group of 32 reaches today (3.1, 3.9, 6.3; the QM pipeline,
-// half of it serial, 33.2). A downstream stage's control-object
+// dispatch 74.9, 96.8 and 148.1 closures per packet; the bounds sit at or
+// above what a group of 32 reaches today (3.0, 3.7, 5.4; the QM pipeline,
+// half of it serial, 25.3). A downstream stage's control-object
 // switches run as one guard op.
 func TestLoweringShape(t *testing.T) {
 	for _, tc := range []struct {
@@ -734,26 +734,26 @@ func TestLoweringShape(t *testing.T) {
 		maxDyn float64 // closures per packet, summed over the stages
 	}{
 		{pps: "IPv4", degree: 1, maxDyn: 5, shape: []exec.Lowered{
-			{IRInstrs: 373, Ops: 128, Folded: 180, Fused: 77, FrameSlots: 61, Resets: 3},
+			{IRInstrs: 357, Ops: 123, Folded: 169, Fused: 78, FrameSlots: 57, Resets: 3},
 		}},
 		{pps: "IPv4", degree: 4, maxDyn: 4.5, shape: []exec.Lowered{
 			{IRInstrs: 102, Ops: 34, Folded: 48, Fused: 20, FrameSlots: 12, Resets: 6},
-			{IRInstrs: 110, Ops: 29, Folded: 56, Fused: 25, FrameSlots: 22, Resets: 4},
-			{IRInstrs: 91, Ops: 48, Folded: 34, Fused: 9, FrameSlots: 22, Resets: 6},
-			{IRInstrs: 99, Ops: 54, Folded: 38, Fused: 8, FrameSlots: 30, Resets: 2},
+			{IRInstrs: 109, Ops: 28, Folded: 56, Fused: 25, FrameSlots: 21, Resets: 4},
+			{IRInstrs: 86, Ops: 44, Folded: 33, Fused: 10, FrameSlots: 19, Resets: 6},
+			{IRInstrs: 87, Ops: 52, Folded: 28, Fused: 8, FrameSlots: 28, Resets: 2},
 		}},
 		{pps: "IP(v4)", degree: 4, maxDyn: 7.5, shape: []exec.Lowered{
-			{IRInstrs: 202, Ops: 67, Folded: 97, Fused: 38, FrameSlots: 36, Resets: 14},
-			{IRInstrs: 177, Ops: 79, Folded: 76, Fused: 22, FrameSlots: 57, Resets: 5},
-			{IRInstrs: 210, Ops: 119, Folded: 80, Fused: 11, FrameSlots: 72, Resets: 12},
-			{IRInstrs: 199, Ops: 129, Folded: 65, Fused: 8, Guards: 1, FrameSlots: 86, Resets: 10},
+			{IRInstrs: 199, Ops: 65, Folded: 96, Fused: 38, FrameSlots: 34, Resets: 14},
+			{IRInstrs: 170, Ops: 73, Folded: 75, Fused: 23, FrameSlots: 52, Resets: 5},
+			{IRInstrs: 179, Ops: 99, Folded: 69, Fused: 13, FrameSlots: 56, Resets: 11},
+			{IRInstrs: 165, Ops: 107, Folded: 53, Fused: 9, Guards: 1, FrameSlots: 68, Resets: 8},
 		}},
 		// The partitioner has isolated the queue manager's carried state in
 		// stages 2 and 4: those run their lanes one at a time, the other two
 		// stay lane-parallel.
 		{pps: "QM", degree: 4, maxDyn: 40, shape: []exec.Lowered{
 			{IRInstrs: 19, Ops: 14, Folded: 4, Fused: 1, FrameSlots: 9, Resets: 5},
-			{IRInstrs: 65, Ops: 39, Folded: 19, Fused: 7, Guards: 1, FrameSlots: 26, Resets: 5, Serial: true, Carried: "queue"},
+			{IRInstrs: 51, Ops: 27, Folded: 17, Fused: 7, Guards: 1, FrameSlots: 19, Resets: 3, Serial: true, Carried: "queue"},
 			{IRInstrs: 17, Ops: 14, Folded: 3, FrameSlots: 8},
 			{IRInstrs: 32, Ops: 20, Folded: 11, Fused: 3, FrameSlots: 17, Serial: true, Carried: "persistent array dropped"},
 		}},

@@ -6,8 +6,10 @@ import "repro/internal/ir"
 // Each phi gets a dedicated temporary: every predecessor assigns its
 // incoming value to the temporary before branching, and the phi becomes a
 // copy from the temporary. Dedicated temporaries make the lost-copy and
-// swap problems impossible at the cost of one extra copy per phi, which the
-// later cleanup passes largely coalesce away.
+// swap problems impossible at the cost of two copies per phi on a path.
+// Stage realization removes them again with its copy coalescer
+// (coalesceCopies in internal/core), which keeps a copy only where its two
+// registers interfere.
 func Destruct(f *ir.Func) {
 	for _, b := range f.Blocks {
 		nPhi := 0
