@@ -23,8 +23,8 @@ import (
 // program (Analyze) and then cuts many candidate configurations from it
 // (Partition). After Analyze returns, the analysis itself is never mutated:
 // any number of Partition calls may run concurrently against one Analysis;
-// the per-candidate phase clones only the mutable flow/preflow state of the
-// network skeleton and the stage function bodies, in a workspace of its own.
+// the per-candidate phase builds each cut's contracted network from the
+// skeleton and clones the stage function bodies, in a workspace of its own.
 // The one thing the calls share that changes is the sync.Pool their idle
 // workspaces wait in.
 type Analysis struct {
@@ -40,12 +40,12 @@ type Analysis struct {
 	totalWeight int64
 
 	// net is the pristine flow-network skeleton (paper step 1.6); each cut
-	// search clones it, sharing topology and capacities.
+	// search builds the part of it the cut leaves free.
 	net *netModel
 
-	// ps holds block reachability and instruction positions for the
-	// interference relation; closures[b] lists branch unit b's transitive
-	// control dependents (empty for other units).
+	// ps holds block reachability (as block sets) and instruction
+	// positions for the interference relation; closures[b] lists branch
+	// unit b's transitive control dependents (empty for other units).
 	ps       *positions
 	closures [][]int
 

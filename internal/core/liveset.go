@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -77,8 +78,12 @@ type pos struct {
 // where every SSA value is defined, where each unit reads it, and where each
 // unit's instructions sit. A cut only selects among these.
 type positions struct {
-	f      *ir.Func
-	reach1 [][]bool // reach1[b][c]: nonempty path b -> c
+	f *ir.Func
+	// Block sets are words 64-bit words wide. fwd's row b is the set of
+	// blocks a nonempty path from b reaches, back's row b the set of blocks
+	// with a nonempty path to b.
+	words     int
+	fwd, back []uint64
 	// defAt[r] is where register r is defined (block -1: nowhere).
 	defAt []pos
 	// usesOf[r] lists where r is consumed, grouped by using unit in DataUses
@@ -97,7 +102,8 @@ type useAt struct {
 
 func newPositions(an *dep.Analysis, cfg *graph.Digraph) *positions {
 	f := an.F
-	p := &positions{f: f, reach1: cfg.Reach(), defAt: make([]pos, f.NumRegs)}
+	p := &positions{f: f, defAt: make([]pos, f.NumRegs)}
+	p.words, p.fwd, p.back = blockReach(cfg)
 	for r := range p.defAt {
 		p.defAt[r].block = -1
 	}
@@ -150,17 +156,68 @@ func newPositions(an *dep.Analysis, cfg *graph.Digraph) *positions {
 	return p
 }
 
+// blockReach returns cfg's reachability as rows of words-wide block sets:
+// fwd's row b holds the blocks a nonempty path from b reaches (b itself
+// only around a cycle), back's row b the blocks with a nonempty path to b.
+func blockReach(cfg *graph.Digraph) (words int, fwd, back []uint64) {
+	n := cfg.Len()
+	words = (n + 63) / 64
+	sets := make([]uint64, 2*n*words)
+	fwd, back = sets[:n*words:n*words], sets[n*words:]
+	var stack []int
+	for b := 0; b < n; b++ {
+		row := fwd[b*words : (b+1)*words]
+		for stack = append(stack[:0], b); len(stack) > 0; {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range cfg.Succs(w) {
+				if !has(row, v) {
+					row[v/64] |= 1 << (v % 64)
+					back[v*words+b/64] |= 1 << (b % 64)
+					stack = append(stack, v)
+				}
+			}
+		}
+	}
+	return words, fwd, back
+}
+
+// has reports whether block set s holds b.
+func has(s []uint64, b int) bool { return s[b/64]&(1<<(b%64)) != 0 }
+
+// meets reports whether block sets a and b intersect.
+func meets(a, b []uint64) bool {
+	for i, w := range a {
+		if w&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// meets3 reports whether block sets a, b and c have a block in common.
+func meets3(a, b, c []uint64) bool {
+	for i, w := range a {
+		if w&b[i]&c[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// from and to return the rows of block b: the blocks b reaches, and the
+// blocks that reach b.
+func (ps *positions) from(b int) []uint64 { return ps.fwd[b*ps.words : (b+1)*ps.words] }
+func (ps *positions) to(b int) []uint64   { return ps.back[b*ps.words : (b+1)*ps.words] }
+
 // reaches reports whether a control-flow path from p to q exists (p strictly
 // before q within a block, or any nonempty block path; a block inside a
 // cycle reaches itself).
 func (ps *positions) reaches(p, q pos) bool {
-	if p.block == q.block {
-		if p.idx <= q.idx {
-			return true
-		}
-		return ps.reach1[p.block][q.block] // wrap around a cycle
+	if p.block == q.block && p.idx <= q.idx {
+		return true
 	}
-	return ps.reach1[p.block][q.block]
+	return has(ps.from(p.block), q.block)
 }
 
 // buildCut computes the live set of cut j and packs it into slots. prev is
@@ -249,46 +306,53 @@ func unitTargets(f *ir.Func, u *dep.Unit) []int {
 	return out
 }
 
-// usePositions appends to buf the positions where stages beyond cut j
-// consume the object.
-func (st *partitionState) usePositions(buf []pos, o object, j int, ps *positions) []pos {
-	if o.isCtrl {
-		for _, d := range st.ctrlClosure(o.branch) {
-			if st.stageOf[d] > j {
-				buf = append(buf, ps.unitPos[d]...)
-			}
-		}
-		return buf
-	}
-	for _, use := range ps.usesOf[o.reg] {
-		if st.stageOf[use.unit] > j {
-			buf = append(buf, use.at)
-		}
-	}
-	return buf
-}
-
-// reach is what the interference relation needs of one live-set object at
-// one cut: whether the sending stage relays it (defined before stage j) and
-// its definition and beyond-the-cut use points, and for a relayed object the
-// slot it arrived in at the previous cut (-1 when there is none). packCut
-// computes it once per object; the relation is evaluated per pair.
+// reach is what the interference relations need of one live-set object at
+// one cut: whether the sending stage relays it (defined before stage j), and
+// for a relayed object the slot it arrived in at the previous cut (-1 when
+// there is none); its definition points; the blocks holding its
+// beyond-the-cut uses; and whether a use in a definition's own block follows
+// the definition. That is the one index the relations read: everywhere else
+// a block set answers, one word AND per 64 blocks. live is the figure-13
+// relation's live region, kept only when the naive-interference mode packs.
+// packCut computes a reach once per object; the relations are evaluated per
+// pair.
 type reach struct {
 	o       object
 	relayed bool
 	from    int
 	defs    []pos
-	uses    []pos
+	uses    []uint64
+	after   bool
+	live    []uint64
 }
 
-// reachOf computes object o's reach at cut j, prev being cut j-1.
-func (st *partitionState) reachOf(o object, j int, ps *positions, prev *cutInfo) reach {
-	r := reach{o: o, relayed: st.defStage(o) < j, from: -1, defs: st.defPositions(nil, o, ps), uses: st.usePositions(nil, o, j, ps)}
-	if r.relayed {
-		r.from = prev.from(o)
+// fillUses marks, in r.uses, the blocks where stages beyond cut j consume
+// r's object, and sets r.after. A control object is defined at the start of
+// its targets, so any use in a target's block follows that definition.
+func (st *partitionState) fillUses(r *reach, j int, ps *positions) {
+	if r.o.isCtrl {
+		r.after = true
+		for _, d := range st.ctrlClosure(r.o.branch) {
+			if st.stageOf[d] > j {
+				for _, p := range ps.unitPos[d] {
+					r.uses[p.block/64] |= 1 << (p.block % 64)
+				}
+			}
+		}
+		return
 	}
-	return r
+	def := ps.defAt[r.o.reg]
+	for _, use := range ps.usesOf[r.o.reg] {
+		if q := use.at; st.stageOf[use.unit] > j {
+			r.uses[q.block/64] |= 1 << (q.block % 64)
+			r.after = r.after || (q.block == def.block && q.idx >= def.idx)
+		}
+	}
 }
+
+// usedAfter reports whether u has a beyond-the-cut use at or after its
+// definition d in d's own block.
+func (u *reach) usedAfter(d pos) bool { return u.after && has(u.uses, d.block) }
 
 // interferes implements the paper's interference relation over the
 // concatenated CFGs with impossible paths excluded (figures 15/16): u and v
@@ -309,7 +373,7 @@ func (st *partitionState) reachOf(o object, j int, ps *positions, prev *cutInfo)
 //     relayed object (the relay write always precedes it);
 //   - a relayed object never clobbers a locally defined one (entry writes
 //     precede all local definitions).
-func interferes(u, v reach, ps *positions) bool {
+func interferes(u, v *reach, ps *positions) bool {
 	if u.relayed && v.relayed {
 		return u.from < 0 || u.from != v.from // from < 0: defensive, should not happen
 	}
@@ -323,11 +387,37 @@ func interferes(u, v reach, ps *positions) bool {
 }
 
 // clobbersRelayed reports whether local object v's definition can co-occur
-// on a path with a beyond-the-cut use of relayed object u.
-func clobbersRelayed(u, v reach, ps *positions) bool {
+// on a path with a beyond-the-cut use of relayed object u: a use in the
+// definition's block (one of the two comes first), or in a block it reaches
+// or is reached from.
+func clobbersRelayed(u, v *reach, ps *positions) bool {
 	for _, dv := range v.defs {
-		for _, q := range u.uses {
-			if ps.reaches(dv, q) || ps.reaches(q, dv) {
+		if has(u.uses, dv.block) || meets(ps.from(dv.block), u.uses) || meets(ps.to(dv.block), u.uses) {
+			return true
+		}
+	}
+	return false
+}
+
+// clobbers reports whether v's definition dv can follow u's du on a path
+// that also uses u beyond the cut, at a point q: after dv (paper figure 15)
+// or between the two (figure 16). Over blocks, with dv reachable from du,
+// that is a use
+//
+//   - in a block dv's reaches;
+//   - in dv's block, when it differs from du's: du reaches the whole block,
+//     and the use sits before or after dv;
+//   - in du's block, at or after du: du reaches it, and it reaches dv or
+//     is reached from it;
+//   - in a block du's reaches that reaches dv's.
+func clobbers(u, v *reach, ps *positions) bool {
+	for _, du := range u.defs {
+		for _, dv := range v.defs {
+			if !ps.reaches(du, dv) {
+				continue
+			}
+			if u.usedAfter(du) || (du.block != dv.block && has(u.uses, dv.block)) ||
+				meets(ps.from(dv.block), u.uses) || meets3(ps.from(du.block), ps.to(dv.block), u.uses) {
 				return true
 			}
 		}
@@ -335,90 +425,80 @@ func clobbersRelayed(u, v reach, ps *positions) bool {
 	return false
 }
 
-// clobbers reports whether v's definition can follow u's on a path that
-// also uses u beyond the cut.
-func clobbers(u, v reach, ps *positions) bool {
-	for _, du := range u.defs {
-		for _, dv := range v.defs {
-			if !ps.reaches(du, dv) {
-				continue
+// liveBlocks fills o.live, a zeroed block set, with the figure-13 relation's
+// live region: every block of a path from one of o's definitions to one of
+// its beyond-the-cut uses — the definition's block when it holds a use
+// itself, or reaches one. mid is scratch of one block set.
+func liveBlocks(o *reach, ps *positions, mid []uint64) {
+	for _, d := range o.defs {
+		// The use blocks d reaches, its own included.
+		found := false
+		clear(mid)
+		from := ps.from(d.block)
+		for i, w := range o.uses {
+			reached := w & from[i]
+			if i == d.block/64 {
+				reached |= w & (1 << (d.block % 64))
 			}
-			for _, q := range u.uses {
-				// Paper figure 15: def(u) ... def(v) ... use(u).
-				if ps.reaches(dv, q) {
-					return true
-				}
-				// Paper figure 16: def(u) ... use(u) ... def(v).
-				if ps.reaches(du, q) && ps.reaches(q, dv) {
-					return true
+			for ; reached != 0; reached &= reached - 1 {
+				qb := i*64 + bits.TrailingZeros64(reached)
+				found = true
+				o.live[qb/64] |= 1 << (qb % 64)
+				for k, x := range ps.to(qb) {
+					mid[k] |= x
 				}
 			}
 		}
+		if found {
+			o.live[d.block/64] |= 1 << (d.block % 64)
+			for i, w := range from {
+				o.live[i] |= w & mid[i]
+			}
+		}
 	}
-	return false
 }
 
 // naiveInterferes is the figure-13 relation (no impossible-path exclusion):
-// both objects are live at a common program point, where live means the
-// definition reaches the point and some beyond-cut use is reachable from
-// it. This admits the paper's t2/t3 false interference.
-func naiveInterferes(u, v reach, ps *positions) bool {
-	livePoints := func(o reach) map[int]bool {
-		// Block-granularity liveness region.
-		blocks := make(map[int]bool)
-		for _, d := range o.defs {
-			for _, q := range o.uses {
-				if !ps.reaches(d, q) && d.block != q.block {
-					continue
-				}
-				// All blocks on some d->q path: b with reach(d,b) and
-				// reach(b,q), plus the endpoints.
-				blocks[d.block] = true
-				blocks[q.block] = true
-				for b := range ps.reach1 {
-					if ps.reach1[d.block][b] && ps.reach1[b][q.block] {
-						blocks[b] = true
-					}
-				}
-			}
-		}
-		return blocks
-	}
-	bu := livePoints(u)
-	for b := range livePoints(v) {
-		if bu[b] {
-			return true
-		}
-	}
-	return false
-}
+// both objects are live in a common block (liveBlocks). This admits the
+// paper's t2/t3 false interference.
+func naiveInterferes(u, v *reach) bool { return meets(u.live, v.live) }
 
 // packCut colors the interference graph, assigning each object a slot.
 func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
-	n := len(ci.objects)
+	n, w := len(ci.objects), ps.words
+	naive := st.opts.Tx == TxNaiveInterference
 	ints, marks := scratch(&st.ws.ints, 3*n), scratch(&st.ws.bools, n*n+n+1)
 	degree, order, color := ints[:n], ints[n:2*n], ints[2*n:]
 	adj, used := marks[:n*n], marks[n*n:] // adj[i*n+k]: objects i and k interfere; a neighbour's color is below n
 	rs := scratch(&st.ws.reach, n)
-	// Every object's definition and use points share the workspace's
-	// buffer, handed from cut to cut; a reach keeps capacity-limited windows
-	// of it, which stay valid when it grows, and is dead when this cut is
-	// packed.
+	// Each object's block sets — beyond-the-cut uses, in the naive mode the
+	// live region too — are windows of one workspace slab, the last block
+	// set of which is liveBlocks' scratch; its definition points share the
+	// workspace's buffer. Both are dead when this cut is packed.
+	sets := n
+	if naive {
+		sets = 2*n + 1
+	}
+	words := scratch(&st.ws.sets, sets*w)
+	set := func(k int) []uint64 { return words[k*w : (k+1)*w : (k+1)*w] }
 	buf := st.ws.pos[:0]
 	for i, o := range ci.objects {
 		d0 := len(buf)
 		buf = st.defPositions(buf, o, ps)
-		u0 := len(buf)
-		buf = st.usePositions(buf, o, ci.index, ps)
-		rs[i] = reach{o: o, relayed: st.defStage(o) < ci.index, from: -1, defs: buf[d0:u0:u0], uses: buf[u0:len(buf):len(buf)]}
+		rs[i] = reach{o: o, relayed: st.defStage(o) < ci.index, from: -1, defs: buf[d0:len(buf):len(buf)], uses: set(i)}
+		st.fillUses(&rs[i], ci.index, ps)
 		if rs[i].relayed {
 			rs[i].from = prev.from(o)
+		}
+		if naive {
+			rs[i].live = set(n + i)
+			liveBlocks(&rs[i], ps, set(2*n))
 		}
 	}
 	st.ws.pos = buf
 	for i := 0; i < n; i++ {
 		for k := i + 1; k < n; k++ {
-			u, v := rs[i], rs[k]
+			u, v := &rs[i], &rs[k]
 			var conflict bool
 			switch {
 			case st.opts.Tx == TxNaiveUnified:
@@ -428,12 +508,12 @@ func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 				// naive modes are ablations of packing quality, never of
 				// correctness.
 				conflict = interferes(u, v, ps)
-			case st.opts.Tx == TxNaiveInterference:
+			case naive:
 				// The naive relation (concatenated CFGs without excluding
 				// impossible paths) is a SUPERSET of the exact one: it adds
 				// false pairs like the paper's t2/t3 but must never drop a
 				// real conflict.
-				conflict = interferes(u, v, ps) || naiveInterferes(u, v, ps)
+				conflict = interferes(u, v, ps) || naiveInterferes(u, v)
 			default:
 				conflict = interferes(u, v, ps)
 			}
@@ -504,7 +584,7 @@ func (st *partitionState) shareCodes(ci *cutInfo, rs []reach, ps *positions, pre
 		}
 		for k := i + 1; k < n; k++ {
 			c, r := ci.slots[i], ci.slots[k]
-			if c != r && pure[c] && pure[r] && sharesUnsafely(rs[i], rs[k], ps) {
+			if c != r && pure[c] && pure[r] && sharesUnsafely(&rs[i], &rs[k], ps) {
 				conflict[c*nc+r], conflict[r*nc+c] = true, true
 			}
 		}
@@ -542,14 +622,15 @@ func (st *partitionState) shareCodes(ci *cutInfo, rs []reach, ps *positions, pre
 
 // sharesUnsafely reports whether two coded control objects may not share a
 // slot: two relayed ones arrived in different slots (one relay copy fills a
-// slot), or a non-default target of one and one of the other lie on one path.
-func sharesUnsafely(u, v reach, ps *positions) bool {
+// slot), or a non-default target of one and one of the other lie on one path
+// — in one block, or one reaching the other.
+func sharesUnsafely(u, v *reach, ps *positions) bool {
 	if u.relayed && v.relayed {
 		return u.from != v.from
 	}
 	for _, du := range u.defs[:max(len(u.defs)-1, 0)] {
 		for _, dv := range v.defs[:max(len(v.defs)-1, 0)] {
-			if ps.reaches(du, dv) || ps.reaches(dv, du) {
+			if du.block == dv.block || has(ps.from(du.block), dv.block) || has(ps.from(dv.block), du.block) {
 				return true
 			}
 		}

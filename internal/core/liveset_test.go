@@ -73,7 +73,7 @@ func TestPositionsReachesAroundLoop(t *testing.T) {
 	f := ps.f
 	// Find the loop body block (the one with a back edge path to itself).
 	for _, b := range f.Blocks {
-		if ps.reach1[b.ID][b.ID] && len(b.Instrs) >= 2 {
+		if has(ps.from(b.ID), b.ID) && len(b.Instrs) >= 2 {
 			// Inside a cycle, a later position reaches an earlier one via
 			// the back edge.
 			early := pos{block: b.ID, idx: 0}

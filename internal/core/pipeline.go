@@ -81,13 +81,14 @@ func Partition(orig *ir.Program, options Options) (*Result, error) {
 }
 
 // Partition runs the cheap per-configuration phase: the D-1 balanced min
-// cuts on clones of the flow-network skeleton, live-set computation and
-// packing, and stage realization. It never mutates the Analysis, so any
-// number of Partition calls may run concurrently on one receiver; for a
-// fixed Analysis and Options the result is deterministic (bit-identical
-// reports) regardless of how many run at once. The realized stage programs
-// share the analysis's array descriptors, which are immutable at run time
-// (array storage lives in the interpreter's World/Runner, not in the IR).
+// cuts, each on the part of the flow-network skeleton it leaves free,
+// live-set computation and packing, and stage realization. It never
+// mutates the Analysis, so any number of Partition calls may run
+// concurrently on one receiver; for a fixed Analysis and Options the result
+// is deterministic (bit-identical reports) regardless of how many run at
+// once. The realized stage programs share the analysis's array descriptors,
+// which are immutable at run time (array storage lives in the interpreter's
+// World/Runner, not in the IR).
 func (a *Analysis) Partition(options Options) (*Result, error) {
 	opts, err := a.resolveOptions(options)
 	if err != nil {

@@ -528,3 +528,65 @@ func TestRandomContractionAgainstEdmondsKarp(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesNew: one network Reset trial after trial to random sizes,
+// larger and smaller than the last, must find what a fresh network finds —
+// the reference's value and canonical source side under random
+// contractions — and list every node's own edges in Incident, whatever the
+// storage held before.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	reused := New(2, 0, 1)
+	for trial := 0; trial < 200; trial++ {
+		n := 3 + rng.Intn(30)
+		var edges [][3]int64
+		for i, m := 0, 2+rng.Intn(3*n); i < m; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			c := int64(rng.Intn(9))
+			if rng.Intn(5) == 0 {
+				c = Inf
+			}
+			edges = append(edges, [3]int64{int64(u), int64(v), c})
+		}
+		reused.Reset(n, 0, n-1)
+		for _, e := range edges {
+			reused.AddEdge(int(e[0]), int(e[1]), e[2])
+		}
+		group := make([]int, n)
+		for v := range group {
+			group[v] = -1
+		}
+		group[0], group[n-1] = 0, 1
+		for u := 1; u < n-1; u++ {
+			switch rng.Intn(4) {
+			case 0:
+				group[u] = 0
+				reused.CollapseIntoSource([]int{u})
+			case 1:
+				group[u] = 1
+				reused.CollapseIntoSink([]int{u})
+			}
+		}
+		wantValue, wantSide := ekMinCut(n, edges, group)
+		if got := reused.MaxFlow(); got != wantValue {
+			t.Fatalf("trial %d: MaxFlow = %d after Reset, reference %d", trial, got, wantValue)
+		}
+		if side := reused.SourceSide(); !slices.Equal(side, wantSide) {
+			t.Fatalf("trial %d: SourceSide = %v after Reset, reference %v", trial, side, wantSide)
+		}
+		for u := 0; u < n; u++ {
+			var want []int
+			for e := range 2 * len(edges) {
+				if tail, _ := reused.EdgeEnds(e); tail == u {
+					want = append(want, e)
+				}
+			}
+			if got := reused.Incident(u); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: Incident(%d) = %v, want %v", trial, u, got, want)
+			}
+		}
+	}
+}
