@@ -10,8 +10,7 @@
 // capacity >= maxflow.Inf/2 means "a upstream implies b upstream"). When
 // the heuristic moves a node across the cut it moves the node's constraint
 // closure with it, so finite cuts remain reachable. The constraints are read
-// off the network's own adjacency, which every clone of a skeleton shares;
-// the search builds no lists of its own.
+// off the network's own adjacency; the search builds no lists of its own.
 package balance
 
 import "repro/internal/maxflow"

@@ -20,13 +20,13 @@ import (
 // searches and stage realizations reuse, IPv4 read 552,024 and 1,158,381
 // bytes per Partition at D=4 and D=9, most of it a fresh flow network per
 // cut. A call on a fresh Analysis, whose pool of idle workspaces is empty,
-// now reads 227,847 and 321,411: the returned programs and report plus one
+// now reads 230,863 and 315,386: the returned programs and report plus one
 // workspace, whose network holds only the cut's window. Those are the
 // numbers held; the ceilings sit about 10 % above the 341,085 and 505,999
 // read when the workspace still held a whole-network clone, so a per-cut
 // network or per-stage scratch coming back fails here. They do not depend
 // on the pool, which the race detector makes drop a quarter of what it is
-// handed. Calls on a warm Analysis (about 170,000 and 255,000) must come in
+// handed. Calls on a warm Analysis (about 168,000 and 250,000) must come in
 // well under a cold one: the pool must work.
 func TestPartitionAllocBudget(t *testing.T) {
 	p, _ := netbench.ByName("IPv4")

@@ -15,16 +15,16 @@ import (
 // front half of the pipelining compiler: normalized SSA form, the
 // dependence analysis (def–use chains, control and ordering dependences),
 // the unit dependence graph with its SCC condensation, per-component
-// balance weights, the flow-network skeleton, the interference-test
-// position tables, and the control-dependence closures.
+// balance weights, the tables the flow network is built from, the
+// interference-test position tables, and the control-dependence closures.
 //
 // All of this is identical at every pipelining degree, transmission mode,
 // balance variance and ring kind, so the compiler driver builds it once per
 // program (Analyze) and then cuts many candidate configurations from it
 // (Partition). After Analyze returns, the analysis itself is never mutated:
 // any number of Partition calls may run concurrently against one Analysis;
-// the per-candidate phase builds each cut's contracted network from the
-// skeleton and clones the stage function bodies, in a workspace of its own.
+// the per-candidate phase builds each cut's contracted network from those
+// tables and clones the stage function bodies, in a workspace of its own.
 // The one thing the calls share that changes is the sync.Pool their idle
 // workspaces wait in.
 type Analysis struct {
@@ -34,13 +34,12 @@ type Analysis struct {
 
 	ug          *graph.Digraph   // unit dependence graph
 	scc         *graph.SCCResult // its SCCs (the paper's DG components)
-	cg          *graph.Digraph   // component condensation DAG
-	topo        []int            // deterministic topological order of cg
+	topo        []int            // deterministic topological order of the components
 	compWeight  []int64          // balance weight per component
 	totalWeight int64
 
-	// net is the pristine flow-network skeleton (paper step 1.6); each cut
-	// search builds the part of it the cut leaves free.
+	// net holds what the flow network of paper step 1.6 is built from; each
+	// cut search builds the part of it the cut leaves free.
 	net *netModel
 
 	// ps holds block reachability (as block sets) and instruction
@@ -107,9 +106,9 @@ func Analyze(orig *ir.Program, arch *costmodel.Arch) (*Analysis, error) {
 	for _, w := range a.compWeight {
 		a.totalWeight += w
 	}
-	a.cg = compDAG(an, a.scc)
-	a.topo = topoByProgramOrder(a.cg, a.scc)
-	a.net = buildNetwork(an, a.scc, a.cg, a.compWeight, arch)
+	cg := compDAG(an, a.scc)
+	a.topo = topoByProgramOrder(cg, a.scc)
+	a.net = buildNetwork(an, a.scc, cg, a.compWeight, arch)
 	cfg := an.F.CFG()
 	a.ps = newPositions(an, cfg)
 	a.closures = ctrlClosures(an)

@@ -12,10 +12,10 @@ import (
 // test package.
 const ExplorePEs = explorePEs
 
-// AnalysisInfEdges exposes the flow-network skeleton's infinite-edge count
-// to the external test package (which can import netbench; this package
-// cannot, as netbench depends on core).
-func AnalysisInfEdges(a *Analysis) int { return a.net.nw.InfEdges() }
+// AnalysisInfEdges exposes the flow network's infinite-edge count to the
+// external test package (which can import netbench; this package cannot, as
+// netbench depends on core).
+func AnalysisInfEdges(a *Analysis) int { return a.net.whole().InfEdges() }
 
 // AnalysisNodes is the node count of the analysis's flow network.
 func AnalysisNodes(a *Analysis) int { return a.net.nNodes }
@@ -26,8 +26,9 @@ func AnalysisNodes(a *Analysis) int { return a.net.nNodes }
 // and where each instruction's unit is, DataDef/DataUses, Ctrl, Order,
 // Carried, the SCC components and their topological order and weights, the
 // control closures, the interference position tables and the realization
-// tables. The second covers the frozen flow network: node count, weights,
-// every edge in order with its capacity, and each node's incident-edge list.
+// tables. The second covers the flow network built from a.net: node count,
+// weights, every edge in order with its capacity, and each node's
+// incident-edge list.
 // Tables keyed by unit are written in ascending key order, empty lists left
 // out, so a map and a slice indexed by unit hash alike.
 func FrontEndDigests(a *Analysis) (analysis, network uint64) {
@@ -68,7 +69,7 @@ func FrontEndDigests(a *Analysis) (analysis, network uint64) {
 	analysis = h.Sum64()
 
 	h.Reset()
-	nw := a.net.nw
+	nw := a.net.whole()
 	fmt.Fprintf(h, "%d|%d|%v|%d|", a.net.nNodes, a.net.nc, a.net.weight, nw.InfEdges())
 	nw.ForEachEdge(func(id, tail, head int, capacity int64) { fmt.Fprintf(h, "e%d %d>%d %d;", id, tail, head, capacity) })
 	for u := 0; u < nw.Len(); u++ {

@@ -124,7 +124,7 @@ type partitionState struct {
 // serve coalesceCopies and renumberRegs, and names the phi temporaries
 // ssa.Destruct names before them.
 type workspace struct {
-	nw     *maxflow.Network
+	nw     maxflow.Network
 	pins   []int8
 	win    []int
 	free   []int
@@ -163,21 +163,35 @@ func (st *partitionState) ctrlClosure(u int) []int {
 	return st.a.closures[u]
 }
 
-// netModel is the flow-network model of one program, built once per
-// analysis and only read afterwards: each cut search builds the part of it
-// the cut leaves free (window). The weights are indexed by node.
+// netModel is the flow network of one program (paper step 1.6) held as the
+// facts it is built from, gathered once per analysis and only read
+// afterwards: edges lists the whole network, and each cut search builds
+// from the facts only the part its pins leave free (window). The source and
+// the sink are nodes 0 and 1, component c is node 2+c and object i is node
+// 2+nc+i.
 type netModel struct {
-	nw     *maxflow.Network
-	weight []int64
+	weight []int64 // balance weight by node: the components', zero elsewhere
 	nc     int
 	nNodes int
+	// Object i is defined in component node def[i] at cost[i] (VCost or
+	// CCost) and used in the component nodes users[userAt[i]:userAt[i+1]],
+	// each once, none of them def[i].
+	def    []int
+	cost   []int64
+	userAt []int
+	users  []int
+	// order holds the (tail, head) component nodes of the ordering edges,
+	// one per pair of components, each from the later to the earlier;
+	// anchor[c] has bit 0 set when component c has no predecessor and bit 1
+	// when it has no successor.
+	order  [][2]int
+	anchor []uint8
 }
 
-// compNode returns the node of component c. The source and the sink are
-// nodes 0 and 1; the components follow, then the object nodes.
+// compNode returns the node of component c.
 func (net *netModel) compNode(c int) int { return 2 + c }
 
-// buildNetwork constructs the flow network of paper step 1.6 over the
+// buildNetwork gathers the flow network of paper step 1.6 over the
 // dependence-graph components: program (component) nodes carry the balance
 // weight; each externally used SSA value contributes a variable node whose
 // single definition edge carries VCost; each branch unit with external
@@ -185,46 +199,47 @@ func (net *netModel) compNode(c int) int { return 2 + c }
 // carries CCost; use edges are infinite; and reverse-infinite edges enforce
 // that no dependence flows from the sink side to the source side.
 //
-// The network is built exactly once per analysis and contracted per cut.
 // What must be deterministic is the node numbering: variable nodes are
 // assigned in register order and control nodes in branch-unit order, never
 // in map-iteration order, because node ids are order-sensitive downstream —
 // balance's frontierCandidates breaks its last tie by id, and the numbering
 // is what the reports' values/ctrls counts are read off. The order edges are
-// added in is not: among equal-cost minimum cuts maxflow always returns the
+// listed in is not: among equal-cost minimum cuts maxflow always returns the
 // canonical one, whatever order it met or discharged the edges in
 // (TestRandomContractionAgainstEdmondsKarp).
 func buildNetwork(an *dep.Analysis, scc *graph.SCCResult, cg *graph.Digraph, compWeight []int64, arch *costmodel.Arch) *netModel {
 	nc := len(compWeight)
-	const src, snk = 0, 1
-	compNode := func(c int) int { return 2 + c }
-	crosses := func(def int, uses []int) bool {
+	net := &netModel{nc: nc, userAt: []int{0}, anchor: make([]uint8, nc)}
+	// mark[x] == stamp: component x is already listed for the object (or
+	// tail component) at hand.
+	mark := make([]int, nc)
+	stamp := 0
+	object := func(d int, cost int64, uses []int) {
+		stamp++
 		for _, use := range uses {
-			if scc.Comp[use] != scc.Comp[def] {
-				return true
+			if uc := scc.Comp[use]; uc != d && mark[uc] != stamp {
+				mark[uc] = stamp
+				net.users = append(net.users, net.compNode(uc))
 			}
 		}
-		return false
+		// Only an object used outside its own component gets a node.
+		if n := len(net.users); n > net.userAt[len(net.userAt)-1] {
+			net.def = append(net.def, net.compNode(d))
+			net.cost = append(net.cost, cost)
+			net.userAt = append(net.userAt, n)
+		}
 	}
-	// Object nodes follow the component nodes: extVars[i] is node 2+nc+i,
-	// extBranches[j] node 2+nc+len(extVars)+j.
-	var extVars, extBranches []int
+	// Variable nodes first, then control nodes.
 	for r, def := range an.DataDef {
-		if def >= 0 && crosses(def, an.DataUses[r]) {
-			extVars = append(extVars, r)
+		if def >= 0 {
+			object(scc.Comp[def], arch.VCost, an.DataUses[r])
 		}
 	}
 	for b, deps := range an.Ctrl {
-		if crosses(b, deps) {
-			extBranches = append(extBranches, b)
-		}
+		object(scc.Comp[b], arch.CCost, deps)
 	}
-	nNodes := 2 + nc + len(extVars) + len(extBranches)
+	net.nNodes = 2 + nc + len(net.def)
 
-	// mark[x] == stamp: node (or component) x is already wired to the object
-	// (or tail component) at hand.
-	mark := make([]int, nNodes)
-	stamp := 0
 	// Ordering dependences cost nothing to cut but must stay directed; two
 	// components get one edge, from their first Order entry, which the stamp
 	// finds with the entries grouped (counting sort, stable) by tail.
@@ -249,60 +264,71 @@ func buildNetwork(an *dep.Analysis, scc *graph.SCCResult, cg *graph.Digraph, com
 			mark[b], firstOrder[i] = stamp, true
 		}
 	}
+	for i, o := range an.Order {
+		if firstOrder[i] {
+			net.order = append(net.order, [2]int{net.compNode(scc.Comp[o[1]]), net.compNode(scc.Comp[o[0]])})
+		}
+	}
+	for c := range net.anchor {
+		if len(cg.Preds(c)) == 0 {
+			net.anchor[c] |= 1
+		}
+		if len(cg.Succs(c)) == 0 {
+			net.anchor[c] |= 2
+		}
+	}
 
-	object := func(add func(u, v int, c int64), on, d int, cost int64, users []int) {
-		stamp++
-		add(d, on, cost)
-		add(on, d, maxflow.Inf)
-		for _, use := range users {
-			if uc := compNode(scc.Comp[use]); uc != d && mark[uc] != stamp {
-				mark[uc] = stamp
-				add(on, uc, maxflow.Inf)
-				add(uc, d, maxflow.Inf)
-			}
-		}
-	}
-	edges := func(add func(u, v int, c int64)) {
-		for i, r := range extVars {
-			object(add, 2+nc+i, compNode(scc.Comp[an.DataDef[r]]), arch.VCost, an.DataUses[r])
-		}
-		for j, b := range extBranches {
-			object(add, 2+nc+len(extVars)+j, compNode(scc.Comp[b]), arch.CCost, an.Ctrl[b])
-		}
-		for i, o := range an.Order {
-			if firstOrder[i] {
-				add(compNode(scc.Comp[o[1]]), compNode(scc.Comp[o[0]]), maxflow.Inf)
-			}
-		}
-		// Anchor edges (paper step 1.6.1): zero-cost edges from the source
-		// to entry components and from terminal components to the sink.
-		// They give the balanced-cut search frontier candidates even before
-		// any component is pinned; cutting them transmits nothing.
-		for c := 0; c < nc; c++ {
-			if len(cg.Preds(c)) == 0 {
-				add(src, compNode(c), 0)
-			}
-			if len(cg.Succs(c)) == 0 {
-				add(compNode(c), snk, 0)
-			}
-		}
-	}
-	// Count the edges, then add them into storage allocated once.
-	m := 0
-	edges(func(int, int, int64) { m++ })
-	nw := maxflow.New(nNodes, src, snk)
-	nw.Grow(m)
-	edges(func(u, v int, c int64) { nw.AddEdge(u, v, c) })
+	net.weight = make([]int64, net.nNodes)
+	copy(net.weight[2:], compWeight)
+	return net
+}
 
-	weight := make([]int64, nNodes)
-	for c := 0; c < nc; c++ {
-		weight[compNode(c)] = compWeight[c]
+// edges calls add for every edge of the network, in a fixed order: each
+// object's edges (objectEdges), then compEdges'.
+func (net *netModel) edges(add func(u, v int, c int64)) {
+	for i := range net.def {
+		net.objectEdges(i, add)
 	}
-	// Freeze the finished skeleton: it is about to be read by every cut
-	// search of every concurrent Partition call, and reading the adjacency
-	// of a frozen network is write-free.
-	nw.Freeze()
-	return &netModel{nw: nw, weight: weight, nc: nc, nNodes: nNodes}
+	net.compEdges(func(int) bool { return true }, add)
+}
+
+// objectEdges calls add for object i's edges: its definition edge, the
+// infinite edge back that keeps it downstream of its definition, and for
+// each user an infinite use edge and an infinite edge from the user back to
+// the definition.
+func (net *netModel) objectEdges(i int, add func(u, v int, c int64)) {
+	on, d := 2+net.nc+i, net.def[i]
+	add(d, on, net.cost[i])
+	add(on, d, maxflow.Inf)
+	for _, uc := range net.users[net.userAt[i]:net.userAt[i+1]] {
+		add(on, uc, maxflow.Inf)
+		add(uc, d, maxflow.Inf)
+	}
+}
+
+// compEdges calls add for the ordering edges with an end keep accepts, then
+// for the anchor edges (paper step 1.6.1) of the components keep accepts:
+// zero-cost edges from the source to entry components and from terminal
+// components to the sink. Anchors give the balanced-cut search frontier
+// candidates even before any component is pinned; cutting them transmits
+// nothing.
+func (net *netModel) compEdges(keep func(u int) bool, add func(u, v int, c int64)) {
+	const src, snk = 0, 1
+	for _, o := range net.order {
+		if keep(o[0]) || keep(o[1]) {
+			add(o[0], o[1], maxflow.Inf)
+		}
+	}
+	for c, a := range net.anchor {
+		if u := net.compNode(c); keep(u) {
+			if a&1 != 0 {
+				add(src, u, 0)
+			}
+			if a&2 != 0 {
+				add(u, snk, 0)
+			}
+		}
+	}
 }
 
 // compDAG condenses the unit dependence graph to components.
@@ -414,13 +440,12 @@ func (a *Analysis) assignStages(opts Options, ws *workspace) ([]int, []*balance.
 	results := make([]*balance.Result, 0, D-1)
 	var collapsedW int64
 	pin := scratch(&ws.pins, nc)
-	nn := a.net.nNodes
-	sides := make([]bool, (D-1)*nn) // the cuts' source sides
+	side := scratch(&ws.bools, a.net.nNodes) // each cut's source side in turn
 
 	for i := 1; i < D; i++ {
 		lo, hi := a.cutBand(i, D, opts.Epsilon, collapsedW)
 		a.pinCut(pin, assigned, lo, hi)
-		res := a.net.minCut(ws, pin, lo, hi, collapsedW, sides[(i-1)*nn:i*nn:i*nn])
+		res := a.net.minCut(ws, pin, lo, hi, collapsedW, side)
 		if res.Cost >= maxflow.Inf/2 {
 			return nil, nil, fmt.Errorf("cut %d: %w at degree %d (cost %d)", i, errs.ErrUnbalanced, D, res.Cost)
 		}
@@ -433,6 +458,7 @@ func (a *Analysis) assignStages(opts Options, ws *workspace) ([]int, []*balance.
 				collapsedW += a.compWeight[c]
 			}
 		}
+		res.SourceSide = nil // side is the next cut's
 	}
 
 	stageOf := make([]int, len(units))
@@ -501,7 +527,7 @@ func (a *Analysis) pinCut(pin []int8, assigned []bool, lo, hi int64) {
 }
 
 // minCut runs the balanced min-cut search of one cut on its window and
-// returns its result with SourceSide indexed by skeleton node: side, which
+// returns its result with SourceSide indexed by model node: side, which
 // it fills.
 func (net *netModel) minCut(ws *workspace, pin []int8, lo, hi, collapsedW int64, side []bool) *balance.Result {
 	nw, weight, id := net.window(ws, pin)
@@ -524,23 +550,23 @@ func (net *netModel) minCut(ws *workspace, pin []int8, lo, hi, collapsedW int64,
 //     upstream and used only in pinned components, some downstream, folds
 //     into the sink, where its infinite edges to its users put it in every
 //     finite cut;
-//   - every other node is free, numbered from 2 in skeleton order, so the
+//   - every other node is free, numbered from 2 in node order, so the
 //     search's tie-breaks by node id do not change;
-//   - the edges between the source and sink groups become one source-sink
-//     edge of their summed capacity, so a cut's cost keeps its value (its
-//     definition edge, for such an object; the zero anchors otherwise — the
-//     skeleton's edges between components run from a later to an earlier
-//     one, so none runs from the source pins to the sink pins);
+//   - the edges with a free end are kept; of the rest, those from the source
+//     group to the sink group become one source-sink edge of their summed
+//     capacity, so a cut's cost keeps its value: the definition edges of
+//     such objects (the anchors cost nothing, and the edges between
+//     components run from a later to an earlier one, so none runs from the
+//     source pins to the sink pins);
 //   - the source weighs what folded into it.
 //
 // Folding changes no cut the search meets: max-flow returns the canonical
 // minimum cut, the largest source side, which puts a folded node on its
 // side whatever else it does, and the search moves only free nodes. It
-// returns the network, its weights and id, where id[u] is skeleton node u's
+// returns the network, its weights and id, where id[u] is model node u's
 // node in it.
 func (net *netModel) window(ws *workspace, pin []int8) (*maxflow.Network, []int64, []int) {
 	const s, t = 0, 1
-	sk := net.nw
 	id := scratch(&ws.win, net.nNodes)
 	free := ws.free[:0] // the free nodes, in order
 	var srcW, snkW, across int64
@@ -559,75 +585,48 @@ func (net *netModel) window(ws *workspace, pin []int8) (*maxflow.Network, []int6
 			free = append(free, u)
 		}
 	}
-	for u := 2 + net.nc; u < net.nNodes; u++ {
-		// An object node's forward edges run to its components.
-		var sides int8 // bit 0: a source pin, 1: a sink pin, 2: a free one
-		for _, e := range sk.Incident(u) {
-			if e&1 == 0 {
-				_, h := sk.EdgeEnds(e)
-				sides |= 1 << min(id[h], 2)
-			}
+	comps := len(free)
+	m := 1 // the edges with a free end, and the source-sink edge
+	for i, d := range net.def {
+		users := net.users[net.userAt[i]:net.userAt[i+1]]
+		sides := int8(1) << min(id[d], 2) // bit 0: a source pin, 1: a sink pin, 2: a free one
+		for _, uc := range users {
+			sides |= 1 << min(id[uc], 2)
 		}
-		switch sides {
+		switch u := 2 + net.nc + i; sides {
 		case 1:
 			id[u] = s
-			srcW += net.weight[u]
 		case 2:
 			id[u] = t
-			snkW += net.weight[u]
 		case 3: // its definition edge runs from the source group
 			id[u] = t
-			snkW += net.weight[u]
-			for _, e := range sk.Incident(u) {
-				if _, tail := sk.EdgeEnds(e); e&1 == 1 && id[tail] == s {
-					across += sk.EdgeCap(e ^ 1)
-				}
-			}
+			across += net.cost[i]
 		default:
 			id[u] = 2 + len(free)
 			free = append(free, u)
+			m += 2 + 2*len(users)
 		}
 	}
 	ws.free = free
-	// The anchors between the two groups.
-	for _, e := range sk.Incident(0) {
-		if _, h := sk.EdgeEnds(e); e&1 == 0 && id[h] == t {
-			across += sk.EdgeCap(e)
-		}
-	}
-	for _, e := range sk.Incident(1) {
-		if _, tail := sk.EdgeEnds(e); e&1 == 1 && id[tail] == s {
-			across += sk.EdgeCap(e ^ 1)
-		}
-	}
+	isFree := func(u int) bool { return id[u] >= 2 }
+	net.compEdges(isFree, func(int, int, int64) { m++ })
 
 	n := 2 + len(free)
 	weight := scratch(&ws.winW, n)
 	weight[s], weight[t] = srcW, snkW
-	m := 1
-	for k, u := range free {
+	for k, u := range free[:comps] {
 		weight[2+k] = net.weight[u]
-		m += len(sk.Incident(u))
 	}
-	if ws.nw == nil {
-		ws.nw = maxflow.New(n, s, t)
-	} else {
-		ws.nw.Reset(n, s, t)
-	}
-	nw := ws.nw
+	nw := &ws.nw
+	nw.Reset(n, s, t)
 	nw.Grow(m)
-	for k, u := range free {
-		// Each free node adds its out-edges, and its in-edges from the two
-		// groups; an edge between two free nodes is its tail's.
-		for _, e := range sk.Incident(u) {
-			_, v := sk.EdgeEnds(e)
-			if e&1 == 0 {
-				nw.AddEdge(2+k, id[v], sk.EdgeCap(e))
-			} else if id[v] < 2 {
-				nw.AddEdge(id[v], 2+k, sk.EdgeCap(e^1))
-			}
-		}
+	// The edges with a free end, in the order edges lists them: a folded
+	// object's ends are all pinned, a free one's node is free.
+	add := func(u, v int, c int64) { nw.AddEdge(id[u], id[v], c) }
+	for _, u := range free[comps:] {
+		net.objectEdges(u-2-net.nc, add)
 	}
+	net.compEdges(isFree, add)
 	nw.AddEdge(s, t, across)
 	return nw, weight, id
 }

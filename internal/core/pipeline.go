@@ -81,7 +81,7 @@ func Partition(orig *ir.Program, options Options) (*Result, error) {
 }
 
 // Partition runs the cheap per-configuration phase: the D-1 balanced min
-// cuts, each on the part of the flow-network skeleton it leaves free,
+// cuts, each on the part of the flow network it leaves free,
 // live-set computation and packing, and stage realization. It never
 // mutates the Analysis, so any number of Partition calls may run
 // concurrently on one receiver; for a fixed Analysis and Options the result

@@ -5,14 +5,23 @@ import (
 	"slices"
 
 	"repro/internal/balance"
+	"repro/internal/maxflow"
 )
 
+// whole builds the whole flow network net describes, every edge in the
+// order edges lists them.
+func (net *netModel) whole() *maxflow.Network {
+	nw := maxflow.New(net.nNodes, 0, 1)
+	net.edges(func(u, v int, c int64) { nw.AddEdge(u, v, c) })
+	return nw
+}
+
 // wholeNetworkCut is the search a cut ran before it had a window, kept as
-// the reference minCut is held to (TestWindowedCutsMatchWholeNetwork): a
-// clone of the whole skeleton with the pinned components collapsed into
-// the source and the sink.
+// the reference minCut is held to (TestWindowedCutsMatchWholeNetwork): the
+// whole network with the pinned components collapsed into the source and
+// the sink.
 func (net *netModel) wholeNetworkCut(pin []int8, lo, hi, collapsedW int64) *balance.Result {
-	nw := net.nw.Clone()
+	nw := net.whole()
 	var srcPins, snkPins []int
 	for c, p := range pin {
 		switch p {

@@ -57,65 +57,3 @@ func TestAddEdgeFiniteNotCounted(t *testing.T) {
 		t.Errorf("InfEdges = %d, want 1", nw.InfEdges())
 	}
 }
-
-// TestCloneFreezesTopology: after Clone, AddEdge on either network panics
-// (they share adjacency storage), while flow state stays independent.
-func TestCloneFreezesTopology(t *testing.T) {
-	nw := New(4, 0, 3)
-	nw.AddEdge(0, 1, 3)
-	nw.AddEdge(1, 3, 2)
-	nw.AddEdge(0, 2, 1)
-	nw.AddEdge(2, 3, 4)
-	cl := nw.Clone()
-
-	for name, target := range map[string]*Network{"original": nw, "clone": cl} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("AddEdge on frozen %s network did not panic", name)
-				}
-			}()
-			target.AddEdge(0, 3, 1)
-		}()
-	}
-
-	// The clone runs independently: max-flow on the clone must not disturb
-	// the original, which still computes the same value afterwards.
-	want := cl.MaxFlow()
-	if got := nw.MaxFlow(); got != want {
-		t.Errorf("original after clone ran: maxflow %d, want %d", got, want)
-	}
-	ss1, ss2 := nw.SourceSide(), cl.SourceSide()
-	for i := range ss1 {
-		if ss1[i] != ss2[i] {
-			t.Errorf("node %d: source side diverged between original and clone", i)
-		}
-	}
-}
-
-// TestCloneAfterContraction: cloning mid-search carries the preflow and
-// contraction state, and both copies agree with a fresh solve.
-func TestCloneAfterContraction(t *testing.T) {
-	build := func() *Network {
-		nw := New(5, 0, 4)
-		nw.AddEdge(0, 1, 5)
-		nw.AddEdge(1, 2, 3)
-		nw.AddEdge(2, 4, 5)
-		nw.AddEdge(0, 3, 2)
-		nw.AddEdge(3, 4, 2)
-		return nw
-	}
-	nw := build()
-	nw.MaxFlow()
-	nw.CollapseIntoSource([]int{1})
-	cl := nw.Clone()
-	got1, got2 := nw.MaxFlow(), cl.MaxFlow()
-
-	fresh := build()
-	fresh.MaxFlow()
-	fresh.CollapseIntoSource([]int{1})
-	want := fresh.MaxFlow()
-	if got1 != want || got2 != want {
-		t.Errorf("contracted clone maxflow: original %d, clone %d, fresh %d", got1, got2, want)
-	}
-}

@@ -50,8 +50,8 @@ type Network struct {
 	Source int
 	Sink   int
 
-	// Topology, shared by clones: edge -> head node, edge -> capacity, and
-	// the incident edge ids of node u (both directions, in edge order) at
+	// Topology: edge -> head node, edge -> capacity, and the incident edge
+	// ids of node u (both directions, in edge order) at
 	// adj[adjStart[u]:adjStart[u+1]]. ident[u] = u, so that ident[u:u+1] is
 	// the member list of a node nothing was merged into. The index is built
 	// from head when it is first needed, and again if edges were added since.
@@ -61,12 +61,12 @@ type Network struct {
 	adj      []int
 	ident    []int
 
-	// Preflow state, private to each clone. flow[e] = -flow[e^1]. rep[u] is
-	// u itself, Source or Sink. members holds the two groups: the source's
-	// nSrc nodes from the front, the sink's nSnk from the back (together
-	// they never exceed n). The first saturated source members have had
-	// their out-edges saturated; the rest wait for the next MaxFlow. The
-	// sink's excess is the net flow into its group: the preflow's value.
+	// Preflow state. flow[e] = -flow[e^1]. rep[u] is u itself, Source or
+	// Sink. members holds the two groups: the source's nSrc nodes from the
+	// front, the sink's nSnk from the back (together they never exceed n).
+	// The first saturated source members have had their out-edges
+	// saturated; the rest wait for the next MaxFlow. The sink's excess is
+	// the net flow into its group: the preflow's value.
 	flow      []int64
 	rep       []int
 	members   []int
@@ -80,15 +80,10 @@ type Network struct {
 	// against MaxInfEdges so capacity sums cannot overflow.
 	infEdges int
 
-	// frozen marks a network whose topology is shared with clones; adding
-	// edges to it would corrupt the shared adjacency.
-	frozen bool
-
 	// Scratch, dead between calls: MaxFlow's labels (the global relabel
 	// sets every one), its FIFO of active nodes (first the global relabel's
 	// search order), its queued marks (all false once it returns) and its
-	// nodes per label; SourceSide's residual walk. CloneInto leaves these as
-	// they were.
+	// nodes per label; SourceSide's residual walk.
 	height []int
 	queue  []int
 	inQ    []bool
@@ -103,14 +98,6 @@ type Network struct {
 	i64s   []int64
 	bools  []bool
 	idxBuf []int
-}
-
-// alloc returns a network of n nodes with its per-clone state and scratch
-// carved out of one slab per element type, flow sized for m edges.
-func alloc(n, m, source, sink int) *Network {
-	nw := &Network{n: n, Source: source, Sink: sink, flow: make([]int64, m)}
-	nw.carve(n)
-	return nw
 }
 
 // carve points the per-node state and scratch at windows of nw's slabs,
@@ -140,36 +127,27 @@ func (nw *Network) carve(n int) {
 
 // New creates a network with n nodes.
 func New(n, source, sink int) *Network {
-	nw := alloc(n, 0, source, sink)
-	nw.init()
+	nw := new(Network)
+	nw.Reset(n, source, sink)
 	return nw
-}
-
-// init makes every node its own representative, the two terminals the
-// only members of their groups, with no excess and no node queued.
-func (nw *Network) init() {
-	n := nw.n
-	for i := range nw.rep {
-		nw.rep[i] = i
-	}
-	clear(nw.excess)
-	clear(nw.inQ)
-	nw.members[0], nw.members[n-1] = nw.Source, nw.Sink
-	nw.nSrc, nw.nSnk, nw.saturated, nw.live = 1, 1, 0, n
 }
 
 // Reset empties nw into the network New(n, source, sink) would return — no
 // edges, nothing contracted, no flow — in the storage nw already holds, so
 // a caller that builds one network after another allocates only when one
-// outgrows every earlier one. A network whose topology is shared with
-// clones cannot be reset.
+// outgrows every earlier one. The zero Network is ready for Reset.
 func (nw *Network) Reset(n, source, sink int) {
-	if nw.frozen {
-		panic("maxflow: Reset on a frozen (cloned) network")
-	}
 	nw.n, nw.Source, nw.Sink = n, source, sink
 	nw.carve(n)
-	nw.init()
+	// Every node its own representative, the two terminals the only members
+	// of their groups, no excess and no node queued.
+	for i := range nw.rep {
+		nw.rep[i] = i
+	}
+	clear(nw.excess)
+	clear(nw.inQ)
+	nw.members[0], nw.members[n-1] = source, sink
+	nw.nSrc, nw.nSnk, nw.saturated, nw.live = 1, 1, 0, n
 	nw.head, nw.cap, nw.flow = nw.head[:0], nw.cap[:0], nw.flow[:0]
 	nw.adjStart, nw.adj, nw.ident = nil, nil, nil
 	nw.infEdges = 0
@@ -177,15 +155,6 @@ func (nw *Network) Reset(n, source, sink int) {
 
 // Len returns the node count (including contracted nodes).
 func (nw *Network) Len() int { return nw.n }
-
-// Freeze permanently disables AddEdge on nw. Call it once, before sharing
-// the network across goroutines: from then on the topology is immutable,
-// so any number of goroutines may Clone it concurrently without
-// synchronization.
-func (nw *Network) Freeze() {
-	nw.index()
-	nw.frozen = true
-}
 
 // index brings the incident-edge lists up to date with the edges added.
 func (nw *Network) index() {
@@ -197,9 +166,7 @@ func (nw *Network) index() {
 // reindex builds the incident-edge lists.
 func (nw *Network) reindex() {
 	n, m := nw.n, len(nw.head)
-	// start, next (scratch), ident, adj, in a buffer of the network's own:
-	// clones share an index only once it is frozen, and a frozen network
-	// is never reindexed.
+	// start, next (scratch), ident, adj, in one buffer Reset keeps.
 	if cap(nw.idxBuf) < 3*n+1+m {
 		nw.idxBuf = make([]int, 3*n+1+m)
 	}
@@ -224,52 +191,11 @@ func (nw *Network) reindex() {
 	nw.adjStart, nw.adj, nw.ident = start, adj, ident
 }
 
-// Clone returns an independent network sharing the immutable topology
-// (edge endpoints, capacities, adjacency) with nw while carrying its own
-// mutable preflow state (flow, contractions, excess). Both networks are
-// frozen against AddEdge afterwards, since the shared adjacency could
-// otherwise alias. This is how the analysis phase reuses one flow-network
-// skeleton across many concurrent cut searches: build the network once,
-// Freeze it, Clone it per cut, contract and run the clone. Clone writes to
-// nw only if it was not frozen yet — concurrent Clone calls are race-free
-// provided the network was frozen (or cloned once) beforehand.
-func (nw *Network) Clone() *Network { return nw.CloneInto(nil) }
-
-// CloneInto is Clone into dst's storage: when dst (an earlier clone its
-// owner is done with, say) has nw's node and edge counts, its state slabs
-// are refilled from nw in place and dst is returned, so a search making
-// many cuts of one skeleton allocates its network once. Otherwise — dst nil
-// or of another size — it allocates, exactly as Clone. The result is the
-// network Clone would return either way; only scratch that is dead between
-// calls keeps dst's old contents.
-func (nw *Network) CloneInto(dst *Network) *Network {
-	if !nw.frozen {
-		nw.Freeze()
-	}
-	cl := dst
-	if cl == nil || cl.n != nw.n || len(cl.flow) != len(nw.head) {
-		cl = alloc(nw.n, len(nw.head), nw.Source, nw.Sink)
-	}
-	cl.Source, cl.Sink = nw.Source, nw.Sink
-	cl.head, cl.cap, cl.adjStart, cl.adj, cl.ident = nw.head, nw.cap, nw.adjStart, nw.adj, nw.ident
-	copy(cl.flow, nw.flow)
-	copy(cl.excess, nw.excess)
-	copy(cl.rep, nw.rep)
-	copy(cl.members, nw.members)
-	cl.nSrc, cl.nSnk, cl.saturated, cl.live = nw.nSrc, nw.nSnk, nw.saturated, nw.live
-	cl.infEdges, cl.frozen = nw.infEdges, true
-	return cl
-}
-
 // AddEdge inserts a directed edge u -> v with the given capacity and its
 // zero-capacity reverse. It returns the edge id (the reverse is id^1).
-// AddEdge panics when the network's topology is frozen (it has been
-// cloned) or when adding another infinite edge could overflow capacity
-// sums; both are internal invariant violations, not runtime conditions.
+// AddEdge panics when adding another infinite edge could overflow
+// capacity sums, an internal invariant violation, not a runtime condition.
 func (nw *Network) AddEdge(u, v int, capacity int64) int {
-	if nw.frozen {
-		panic("maxflow: AddEdge on a frozen (cloned) network")
-	}
 	if capacity >= Inf {
 		nw.infEdges++
 		if nw.infEdges > MaxInfEdges {
@@ -301,20 +227,11 @@ func (nw *Network) ForEachEdge(fn func(id, tail, head int, capacity int64)) {
 	}
 }
 
-// Incident returns the ids of the edges, forward and reverse, whose tail is
-// node u itself — u's own edges, whatever it was contracted into. The slice
-// is the network's adjacency, shared with its clones: read it, never write
-// it.
-func (nw *Network) Incident(u int) []int {
-	nw.index()
-	return nw.adj[nw.adjStart[u]:nw.adjStart[u+1]]
-}
-
 // ForEachIncident calls fn for every edge id, forward and reverse, whose
-// tail was contracted into representative u (u itself included). This is
-// the adjacency every clone shares: a caller that needs the neighbours of a
-// group, such as the balanced-cut search following infinite edges, reads
-// them here instead of building lists of its own.
+// tail was contracted into representative u (u itself included). A caller
+// that needs the neighbours of a group, such as the balanced-cut search
+// following infinite edges, reads them here instead of building lists of
+// its own.
 func (nw *Network) ForEachIncident(u int, fn func(e int)) {
 	nw.index()
 	for _, m := range nw.group(u) {

@@ -397,9 +397,8 @@ func ekMinCut(n int, edges [][3]int64, group []int) (int64, []bool) {
 // sequences, every MaxFlow must return the reference's value AND the
 // reference's source side (the canonical cut, so it cannot depend on the
 // schedule); both must be unchanged when the edges are inserted in a
-// shuffled order; a warm restart must equal a fresh run on the same
-// contraction; and so must a clone refilled by CloneInto over a network an
-// earlier contraction and MaxFlow left dirty, in the same storage.
+// shuffled order; and a warm restart must equal a fresh run on the same
+// contraction.
 func TestRandomContractionAgainstEdmondsKarp(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	build := func(n int, edges [][3]int64) *Network {
@@ -463,15 +462,6 @@ func TestRandomContractionAgainstEdmondsKarp(t *testing.T) {
 		}
 
 		warm, warmShuffled := build(n, edges), build(n, shuffled)
-		// The skeleton every refill copies, and the network refilled: first
-		// dirtied by a contraction of its own and a MaxFlow.
-		skeleton := build(n, shuffled)
-		dirty := skeleton.Clone()
-		dirty.CollapseIntoSink([]int{trial % n})
-		dirty.MaxFlow()
-		if other := New(n+1, 0, n); skeleton.CloneInto(other) == other {
-			t.Fatalf("trial %d: CloneInto refilled a network of another size", trial)
-		}
 		for {
 			wantValue, wantSide := ekMinCut(n, edges, group)
 			check("warm", warm, wantValue, wantSide)
@@ -481,20 +471,6 @@ func TestRandomContractionAgainstEdmondsKarp(t *testing.T) {
 				apply(fresh, s)
 			}
 			check("fresh", fresh, wantValue, wantSide)
-			check("clone of warm", warm.Clone(), wantValue, wantSide)
-			fresh = skeleton.Clone()
-			if refilled := skeleton.CloneInto(dirty); refilled != dirty {
-				t.Fatalf("trial %d: CloneInto allocated a network for a same-size destination", trial)
-			}
-			for _, s := range steps {
-				apply(fresh, s)
-				apply(dirty, s)
-			}
-			check("fresh clone", fresh, wantValue, wantSide)
-			check("refilled clone", dirty, wantValue, wantSide)
-			if fresh.excess[fresh.Sink] != dirty.excess[dirty.Sink] || !slices.Equal(fresh.SourceSide(), dirty.SourceSide()) {
-				t.Fatalf("trial %d after %d collapses: the refilled clone differs from a fresh one", trial, len(steps))
-			}
 
 			// Next collapse: one to three free nodes (repeats and already
 			// contracted nodes included, as the balanced-cut search passes
@@ -532,8 +508,9 @@ func TestRandomContractionAgainstEdmondsKarp(t *testing.T) {
 // TestResetMatchesNew: one network Reset trial after trial to random sizes,
 // larger and smaller than the last, must find what a fresh network finds —
 // the reference's value and canonical source side under random
-// contractions — and list every node's own edges in Incident, whatever the
-// storage held before.
+// contractions — and list every node's own edges, in edge order, among
+// those ForEachIncident gives its representative, whatever the storage held
+// before.
 func TestResetMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	reused := New(2, 0, 1)
@@ -584,8 +561,14 @@ func TestResetMatchesNew(t *testing.T) {
 					want = append(want, e)
 				}
 			}
-			if got := reused.Incident(u); !slices.Equal(got, want) {
-				t.Fatalf("trial %d: Incident(%d) = %v, want %v", trial, u, got, want)
+			var got []int
+			reused.ForEachIncident(reused.Find(u), func(e int) {
+				if tail, _ := reused.EdgeEnds(e); tail == u {
+					got = append(got, e)
+				}
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: node %d's own edges are %v, want %v", trial, u, got, want)
 			}
 		}
 	}
