@@ -13,31 +13,16 @@ package repro
 // shape: Coarsen and runtime.NewCoarseLayout take one, the shape cache is
 // keyed by one, and Serve serves the rule's, or any mask a test names
 // (WithFuseMaskForTest) where it is granted. FusionOff keeps every cut.
-// Plan.PredictedNsPerPkt prices the served units with costmodel.Predict.
 
 import (
 	"fmt"
-	stdruntime "runtime"
 	"slices"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/ir"
 	"repro/internal/runtime"
 )
-
-// ringSyncNsSPSC is the per-ring-entry synchronization estimate
-// Plan.PredictedNsPerPkt charges per handoff (divided by the batch a ring
-// entry carries). Derived from the ring microbenchmark in internal/spsc
-// (bench_test.go, recorded in EXPERIMENTS.md): the tax is charged at a
-// *saturated* cut, where each entry puts one blocked handoff on the
-// end-to-end cadence, so the constant is the measured blocked ping-pong
-// round trip divided by the two entries each round trip moves — not the far
-// cheaper uncontended cost (~22ns per entry), which a saturated boundary
-// never sees. It prices a realization and decides none: which cuts fuse is
-// the state rule's alone.
-const ringSyncNsSPSC = 270.0
 
 // served is the cut realized with a set of its cuts un-made: the units (one
 // program per maximal run of fused stages, with the cut stages it stands for
@@ -123,7 +108,7 @@ func valuate(cfg config, serial []bool, widths []int) (fuse uint64, why []string
 }
 
 // Plan describes a Pipeline's realization — which configuration is (or would
-// be) serving and what the cost model says of it. It is always a coarsening
+// be) serving and the cost model's stage weights. It is always a coarsening
 // of the pipeline's own cut, so every per-stage field is in Pipeline.Stages'
 // numbering. Returned by Pipeline.Plan.
 type Plan struct {
@@ -146,22 +131,15 @@ type Plan struct {
 	// its reason: which stage beside the cut keeps state, or that neither
 	// does. Empty when the pipeline has one stage or fusion is off.
 	FusionWhy []string
-	// PredictedNsPerPkt is the cost model's price for exactly this
-	// realization (costmodel.Predict over the served programs' own path
-	// costs, their replica widths and the retained handoffs), in datasheet
-	// weight units taken as nanoseconds.
-	PredictedNsPerPkt float64
 }
 
 // realize decides how the pipeline's cut is served under cfg: it lays the
 // cut out ringed for the replica widths, takes the fuse mask valuate grants,
 // lays the coarsened units out under the same configuration, and reports
 // what that layout says — effective shard width, per-stage replicas, the
-// fused cuts — with the predictor's price for the programs actually served:
-// each unit's own worst-case path cost, not the sum of its members'. Costs
-// are model weights, taken as nanoseconds. When no layout exists — a cut
-// that is not servable, a configuration Serve would refuse — the error says
-// why and the Plan still describes the requested shape.
+// fused cuts. When no layout exists — a cut that is not servable, a
+// configuration Serve would refuse — the error says why and the Plan still
+// describes the requested shape.
 func (p *Pipeline) realize(cfg config) (*Plan, *runtime.Layout, error) {
 	rc := cfg.serveConfig()
 	plan := &Plan{Degree: len(p.stages), Batch: max(1, rc.Batch), Shards: max(1, rc.Shards)}
@@ -188,9 +166,7 @@ func (p *Pipeline) realize(cfg config) (*Plan, *runtime.Layout, error) {
 		}
 	}
 	widths := lay.Replicas()
-	unitNs := make([]float64, len(sv.units))
 	for i, u := range sv.units {
-		unitNs[i] = float64(u.Cost.Total)
 		for s := u.First; s <= u.Last; s++ {
 			plan.Replicas[s-1] = widths[i]
 			if s > u.First {
@@ -198,7 +174,6 @@ func (p *Pipeline) realize(cfg config) (*Plan, *runtime.Layout, error) {
 			}
 		}
 	}
-	plan.PredictedNsPerPkt = costmodel.Predict(unitNs, widths, ringSyncNsSPSC/float64(plan.Batch), stdruntime.GOMAXPROCS(0))
 	return plan, lay, nil
 }
 

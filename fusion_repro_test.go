@@ -36,12 +36,11 @@ func TestWithFusionValidates(t *testing.T) {
 	}
 }
 
-// TestServeFusionOffMatchesAuto: the fused realization (FusionAuto on a
-// pinned single-core budget fuses every cut) and the fully ringed one
+// TestServeFusionOffMatchesAuto: the fused realization (FusionAuto fuses
+// every cut of a program that keeps no state) and the fully ringed one
 // (FusionOff) must both serve a trace byte-identical to the sequential
 // oracle, and the published Plan must tell them apart.
 func TestServeFusionOffMatchesAuto(t *testing.T) {
-	setCores(t, 1)
 	prog, err := repro.Compile(facadeSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -415,11 +414,10 @@ func TestFusionAutoFusesStatelessCuts(t *testing.T) {
 }
 
 // TestServeWithFaultsKeepsEveryCut: a fault plan names stages, so a serve
-// that carries one fuses nothing — on a core budget where FusionAuto would
-// otherwise fuse the whole cut — says so in every verdict, and still
-// attributes a stage-3 fault to stage 3.
+// that carries one fuses nothing — on a stateless cut FusionAuto would
+// otherwise fuse whole — says so in every verdict, and still attributes a
+// stage-3 fault to stage 3.
 func TestServeWithFaultsKeepsEveryCut(t *testing.T) {
-	setCores(t, 1)
 	pps, _ := netbench.ByName("IPv4")
 	prog, err := pps.Compile()
 	if err != nil {
@@ -430,7 +428,7 @@ func TestServeWithFaultsKeepsEveryCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := len(pipe.Plan().FusedCuts); got != 3 {
-		t.Fatalf("without a fault plan one core fuses %d cuts, want 3", got)
+		t.Fatalf("without a fault plan FusionAuto fuses %d cuts, want 3", got)
 	}
 	const n = 24
 	m, err := pipe.Serve(context.Background(), repro.PacketSource(pps.Traffic(n)),
@@ -468,7 +466,6 @@ func TestServeWithFaultsKeepsEveryCut(t *testing.T) {
 // every cut — all of them reach for the same not-yet-realized shape — and
 // each must come back with the oracle's trace.
 func TestServeConcurrentlySharesShapes(t *testing.T) {
-	setCores(t, 1)
 	prog := repro.MustCompile(facadeSrc)
 	const n = 64
 	packets := testPackets(n)

@@ -14,17 +14,16 @@ import (
 
 var updatePlans = flag.Bool("update", false, "rewrite the golden Plan fixtures")
 
-// setCores sets GOMAXPROCS — the core count Serve runs on and
-// Plan.PredictedNsPerPkt prices for — to cores until t ends, so a plan does
-// not depend on the host.
+// setCores sets GOMAXPROCS — the core count Serve runs on — to cores until
+// t ends.
 func setCores(t *testing.T, cores int) {
 	prev := runtime.GOMAXPROCS(cores)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // renderPlan serializes the fusion-relevant face of a Plan: the realized
-// shape, the per-stage weights, which cuts were fused, the units served with
-// the price of exactly those programs, and the stated per-cut reason.
+// shape, the per-stage weights, which cuts were fused, the units served and
+// the stated per-cut reason.
 // Everything here is a pure function of the program, the options, and the
 // pinned core count — no measured times — so the rendering must be
 // byte-stable across runs and machines.
@@ -33,7 +32,7 @@ func renderPlan(p *repro.Plan) string {
 	fmt.Fprintf(&b, "degree %d batch %d shards %d\n", p.Degree, p.Batch, p.Shards)
 	fmt.Fprintf(&b, "stage weights %v\n", p.StageWeights)
 	fmt.Fprintf(&b, "fused cuts %v\n", p.FusedCuts)
-	fmt.Fprintf(&b, "units %s predicted %.0f ns/pkt\n", p.Units(), p.PredictedNsPerPkt)
+	fmt.Fprintf(&b, "units %s\n", p.Units())
 	for _, why := range p.FusionWhy {
 		fmt.Fprintf(&b, "  %s\n", why)
 	}

@@ -348,33 +348,3 @@ func (a *Arch) TxWeight(kind ChannelKind, nWords int) int {
 	}
 	return c.Overhead + c.PerWord*nWords
 }
-
-// Predict is the repository's one throughput model: the predicted cost per
-// packet, in the unit of its inputs, of a realization given as its execution
-// units. unitNs[i] is unit i's summed stage cost, widths[i] its replica
-// width (nil or short: 1), syncNs the cost of one ring handoff, cores the
-// processors the units share (< 1 is read as 1):
-//
-//	max(pipe, cpu)
-//	pipe = max(unitNs[i]/widths[i]) + syncNs·(units-1)
-//	cpu  = (Σ unitNs + syncNs·(units-1)) / cores
-//
-// syncNs·(units-1) is the handoff-chain tax: with bounded rings and
-// steady-state backpressure every boundary's per-packet synchronization
-// appears on the end-to-end cadence, so each retained cut charges one sync
-// against both bounds — and a single unit, however many stages it fuses,
-// pays none. Replication divides only the pipe bound: P replicas of a unit
-// retire P packets per unit time, but every packet's work still lands on
-// the shared cores. Plan.PredictedNsPerPkt is this function.
-func Predict(unitNs []float64, widths []int, syncNs float64, cores int) float64 {
-	var total, bottleneck float64
-	for i, u := range unitNs {
-		total += u
-		if i < len(widths) && widths[i] > 1 {
-			u /= float64(widths[i])
-		}
-		bottleneck = max(bottleneck, u)
-	}
-	sync := syncNs * float64(max(len(unitNs)-1, 0))
-	return max(bottleneck+sync, (total+sync)/float64(max(cores, 1)))
-}

@@ -159,55 +159,3 @@ func TestPlanIsTheServedRealization(t *testing.T) {
 		})
 	}
 }
-
-// TestPlanPredictedNsPerPkt: the figure Plan publishes prices what is
-// served. The stateless D=4 cut fuses whole and is served as one
-// re-realized program, so the price is that program's own path cost — the
-// D=1 partition's — which undercuts the sum of the four stages (each pays
-// for transmissions the unit does not make).
-func TestPlanPredictedNsPerPkt(t *testing.T) {
-	setCores(t, 1)
-	prog := repro.MustCompile(facadeSrc)
-	pipe, err := repro.Partition(prog, repro.WithStages(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := repro.Partition(prog, repro.WithStages(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := pipe.Plan()
-	if got, want := plan.PredictedNsPerPkt, float64(one.Report().Stages[0].Cost.Total); got != want {
-		t.Errorf("PredictedNsPerPkt = %v, want the D=1 program's path cost %v", got, want)
-	}
-	var sum int64
-	for _, w := range plan.StageWeights {
-		sum += w
-	}
-	if plan.PredictedNsPerPkt >= float64(sum) {
-		t.Errorf("served price %v, member sum %d: want the served price below the sum", plan.PredictedNsPerPkt, sum)
-	}
-}
-
-// TestSameUnitSamePrice: a D-stage cut fully fused and a one-stage pipeline
-// are the same program, so Plan must price them equally (and below the
-// ringed realization, which pays for its transmissions and its handoffs).
-func TestSameUnitSamePrice(t *testing.T) {
-	setCores(t, 1)
-	prog := repro.MustCompile(facadeSrc)
-	price := func(opts ...repro.Option) float64 {
-		pipe, err := repro.Partition(prog, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pipe.Plan().PredictedNsPerPkt
-	}
-	fused, single := price(repro.WithStages(4)), price(repro.WithStages(1))
-	ringed := price(repro.WithStages(4), repro.WithFusion(repro.FusionOff))
-	if fused != single {
-		t.Errorf("fully fused D=4 priced %v, D=1 %v; want the same", fused, single)
-	}
-	if ringed <= fused {
-		t.Errorf("ringed D=4 priced %v, not above the fused %v", ringed, fused)
-	}
-}
