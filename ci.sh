@@ -67,7 +67,7 @@ echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow different
 # coalescer refuses the two merges ssa.Destruct's temporaries exist for;
 # TestRandomContractionAgainstEdmondsKarp holds push-relabel's value and its
 # cut to an in-test reference under random contractions — the reason the
-# discharge schedule is free to change — fresh, warm and refilled in place;
+# discharge schedule is free to change — fresh and warm;
 # TestWindowedCutsMatchWholeNetwork holds each cut search on its contracted
 # window to the search on the whole network it replaced (source side, cost,
 # weight, feasibility, iterations), and TestInterferenceOracle packCut's
@@ -98,9 +98,9 @@ GOMAXPROCS=1 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_a
 
 echo "== front-end gate: compile/analysis/network oracle + allocation budget under -race -count=2"
 # The front half's byte-identity oracle: TestFrontEndGolden digests the IR
-# ppc.Compile prints, the dependence analysis and the frozen flow network
-# core.Analyze builds, for the six PPS and 200 random programs, against
-# internal/core/testdata/front_end.golden. TestCompileAnalyzeAllocBudget
+# ppc.Compile prints, the dependence analysis and the flow network built
+# from the tables core.Analyze keeps, for the six PPS and 200 random
+# programs, against internal/core/testdata/front_end.golden. TestCompileAnalyzeAllocBudget
 # holds one compile+analyze pass of the six PPS under its allocation ceiling.
 go test -race -count=2 -run '^(TestFrontEndGolden|TestCompileAnalyzeAllocBudget)$' ./internal/core
 
@@ -112,9 +112,8 @@ echo "== route-table gate: go test -race -count=2 ./internal/netbench"
 go test -race -count=2 ./internal/netbench
 
 echo "== ring gate: microbench smokes + lowering shape + ring oracle matrix"
-# A short microbench smoke proving BenchmarkRingChanVsSPSC still runs (it is
-# the evidence behind fusion.go's ringSyncNsSPSC; the numbers are recorded
-# in EXPERIMENTS.md, not gated — wall-clock on a shared box), and the
+# A short microbench smoke proving BenchmarkRingChanVsSPSC still runs (the
+# SPSC ring against a channel; not gated — wall-clock on a shared box), and the
 # runtime's ring tests under -race -count=2: every benchmark pipeline
 # served ringed and coarsened (every aligned cut un-made), unsharded and
 # sharded, each trace byte-identical to the sequential oracle and no lost
@@ -154,22 +153,39 @@ echo "== fuzz smoke: 10s each of FuzzServeVsOracle, FuzzCompilePartition, FuzzCo
 # probe lists; and of the PPC front end: arbitrary source must parse or fail
 # with a positioned error (FuzzParse), and lex to the same tokens or error as
 # the map-based oracle lexer (FuzzLexer).
-go test ./internal/runtime -run '^$' -fuzz=FuzzServeVsOracle -fuzztime=10s
+#
+# fuzz PKG NAME [FLAG...] fuzzes NAME for 10 s from the package's seeds alone
+# (f.Add and testdata/fuzz): its test binary, built with go test's fuzzing
+# instrumentation, runs in the package directory with an empty
+# -test.fuzzcachedir. Under go test -fuzz the smoke would first replay every
+# input earlier runs on the host had cached in GOCACHE (on a 2-core host,
+# 823 for FuzzServeVsOracle: 7 of its 10 s). A crasher is still written to
+# the package's testdata/fuzz.
+fuzzdir=$(mktemp -d)
+trap 'rm -rf "$fuzzdir"' EXIT
+fuzz() {
+    pkg=$1 name=$2
+    shift 2
+    go test -c -o "$fuzzdir/$name.test" -fuzz="^$name\$" "./$pkg"
+    (cd "$pkg" && "$fuzzdir/$name.test" -test.run '^$' -test.fuzz="^$name\$" -test.fuzztime=10s -test.fuzzcachedir="$fuzzdir/$name" "$@")
+}
+fuzz internal/runtime FuzzServeVsOracle
 # A source string is a byte slice too: the same minimization cap.
-go test ./internal/runtime -run '^$' -fuzz=FuzzCompilePartition -fuzztime=10s -fuzzminimizetime=100x
-go test ./internal/core -run '^$' -fuzz=FuzzCoarsen -fuzztime=10s
-go test ./internal/exec -run '^$' -fuzz=FuzzExecVsInterp -fuzztime=10s
-go test ./internal/ingest -run '^$' -fuzz=FuzzOpenSpec -fuzztime=10s
-# These three take byte slices, and the cached corpus holds entries of a few
-# hundred bytes: minimizing a new interesting input derived from one (Go's
-# default budget is 60 s a value, removing byte ranges pairwise) outlasted
-# the whole smoke, which then logged 0 execs/s. At 100 calls a minimization
-# the smoke fuzzes instead; a crasher is still reported and written whole.
-go test ./internal/ingest -run '^$' -fuzz=FuzzPcapDecode -fuzztime=10s -fuzzminimizetime=100x
-go test ./internal/ingest -run '^$' -fuzz=FuzzTCPFramer -fuzztime=10s -fuzzminimizetime=100x
-go test ./internal/netbench -run '^$' -fuzz=FuzzRouteTable -fuzztime=10s -fuzzminimizetime=100x
-go test ./internal/ppc -run '^$' -fuzz=FuzzParse -fuzztime=10s
-go test ./internal/ppc -run '^$' -fuzz=FuzzLexer -fuzztime=10s
+fuzz internal/runtime FuzzCompilePartition -test.fuzzminimizetime=100x
+fuzz internal/core FuzzCoarsen
+fuzz internal/exec FuzzExecVsInterp
+# These four take strings or byte slices, and a grown corpus holds entries
+# of a few hundred bytes: minimizing a new interesting input derived from
+# one (Go's default budget is 60 s a value, removing byte ranges pairwise)
+# outlasted the whole smoke, which then logged 0 execs/s. At 100 calls a
+# minimization the smoke fuzzes instead; a crasher is still reported and
+# written whole.
+fuzz internal/ingest FuzzOpenSpec -test.fuzzminimizetime=100x
+fuzz internal/ingest FuzzPcapDecode -test.fuzzminimizetime=100x
+fuzz internal/ingest FuzzTCPFramer -test.fuzzminimizetime=100x
+fuzz internal/netbench FuzzRouteTable -test.fuzzminimizetime=100x
+fuzz internal/ppc FuzzParse
+fuzz internal/ppc FuzzLexer
 
 echo "== ingest gate: loopback UDP serve + pcap replay byte-identity"
 # The network-facing front end, end to end: a race-enabled serve over a
@@ -197,7 +213,7 @@ else
 fi
 
 echo "== doc gate: the docs name no deleted machinery"
-if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns|WithOverload|OverloadShed|OverloadPolicy|UntilOverload|TestChaosSaturatedRingSheds|flow-keyed|classFlowKeyed|flowArrs|Store\.Fork|flow-key contract|seqStream|scatterer|tombstone|shardOf|DefaultShardKey|PushTimeout|overloadTick|sequence side-channel|flow-hash|contextBinder|packetOwner|PacketsOwned|BindContext|ingestPullMin|PlanFusion|FusionPlan|maxSearchStages|exec\.RunSequential|exec\.RunPipeline|Lowered\.Forwarded|phi moves' README.md DESIGN.md EXPERIMENTS.md; then
+if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns|WithOverload|OverloadShed|OverloadPolicy|UntilOverload|TestChaosSaturatedRingSheds|flow-keyed|classFlowKeyed|flowArrs|Store\.Fork|flow-key contract|seqStream|scatterer|tombstone|shardOf|DefaultShardKey|PushTimeout|overloadTick|sequence side-channel|flow-hash|contextBinder|packetOwner|PacketsOwned|BindContext|ingestPullMin|PlanFusion|FusionPlan|maxSearchStages|exec\.RunSequential|exec\.RunPipeline|Lowered\.Forwarded|phi moves|PredictedNsPerPkt|ringSyncNsSPSC|costmodel\.Predict|CloneInto' README.md DESIGN.md EXPERIMENTS.md; then
     echo "doc gate: the lines above name deleted machinery" >&2 && exit 1
 fi
 
@@ -205,8 +221,8 @@ echo "== size ledger (printed, not gated)"
 # The design-size numbers ROADMAP item 4 tracks, so each PR's reduction is
 # a recorded figure: non-test, non-blank, non-comment Go lines of the serve
 # runtime and the facade files that configure it, the option count, the
-# runtime.Config field count, and the sentinel count. The cost model (with the
-# one throughput model), the compiled backend and the
+# runtime.Config field count, and the sentinel count. The cost model, the
+# compiled backend and the
 # ingest front end are each listed on their own line.
 # shellcheck disable=SC2046
 echo "non-test Go code lines outside benchmark/: $(cat $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*') | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (16,898 before the adaptive loop's removal)"
