@@ -74,10 +74,10 @@ func (tc *batchCase) check(t *testing.T, width int) {
 	}
 	for lo := 0; lo < len(tc.packets); lo += width {
 		hi := min(lo+width, len(tc.packets))
-		its := make([]exec.Iteration, hi-lo)
+		its := make([]*interp.IterCtx, hi-lo)
 		in, out := exec.NewBlocks(0, hi-lo)
 		for l := range its {
-			its[l] = exec.Iteration{Ctx: newCtx(tc.packets[lo+l])}
+			its[l] = newCtx(tc.packets[lo+l])
 			in.SetRow(l, tc.recvOf(lo+l))
 		}
 		err := r.RunBatch(its, in, out)
@@ -87,7 +87,7 @@ func (tc *batchCase) check(t *testing.T, width int) {
 			if first == "" {
 				first = w.err
 			}
-			if diff := interp.TraceEqual(w.events, it.Ctx.Events); diff != "" {
+			if diff := interp.TraceEqual(w.events, it.Events); diff != "" {
 				t.Fatalf("%s width %d iteration %d: %s", tc.prog.Name, width, lo+l, diff)
 			}
 			if sent, _ := out.Row(l, nil); w.err == "" && fmt.Sprint(w.sent) != fmt.Sprint(sent) {
@@ -390,9 +390,9 @@ func TestBatchSerialWhenEventsAreNotDeferred(t *testing.T) {
 
 	w := interp.NewWorld(packets)
 	r := exec.NewRunner(prog.Clone(), w)
-	its := make([]exec.Iteration, len(packets))
+	its := make([]*interp.IterCtx, len(packets))
 	for l := range its {
-		its[l].Ctx = interp.NewIterCtx() // pkt_rx from the World's cursor, too
+		its[l] = interp.NewIterCtx() // pkt_rx from the World's cursor, too
 	}
 	if err := r.RunBatch(its, nil, nil); err != nil {
 		t.Fatal(err)
@@ -420,17 +420,17 @@ func TestBatchPacketPathAllocates(t *testing.T) {
 	for _, width := range []int{1, exec.Lanes} {
 		r := exec.NewRunner(prog, netbench.NewWorld(nil))
 		r.RxFromCtx = true
-		its := make([]exec.Iteration, width)
+		its := make([]*interp.IterCtx, width)
 		for l := range its {
-			its[l].Ctx = interp.NewIterCtx()
-			its[l].Ctx.DeferEvents = true
+			its[l] = interp.NewIterCtx()
+			its[l].DeferEvents = true
 		}
 		next := 0
 		batches := func() {
 			for b := 0; b < 64; b++ {
 				for l := range its {
-					its[l].Ctx.Reset()
-					its[l].Ctx.Pending, its[l].Ctx.HasPending = traffic[next%len(traffic)], true
+					its[l].Reset()
+					its[l].Pending, its[l].HasPending = traffic[next%len(traffic)], true
 					next++
 				}
 				if err := r.RunBatch(its, nil, nil); err != nil {
@@ -494,10 +494,6 @@ func chainParity(t *testing.T, tag string, stages []*ir.Program, packets [][]byt
 	for lo := 0; lo < len(packets); lo += width {
 		batch := packets[lo:min(lo+width, len(packets))]
 		a, b := streamCtxs(batch, len(batch)), streamCtxs(batch, len(batch))
-		its := make([]exec.Iteration, len(batch))
-		for l := range its {
-			its[l].Ctx = b[l]
-		}
 		recv := make([][]int64, len(batch))
 		in.Reset()
 		for k := range stages {
@@ -513,7 +509,7 @@ func chainParity(t *testing.T, tag string, stages []*ir.Program, packets [][]byt
 				}
 				recv[l] = sent
 			}
-			err := blocks[k].RunBatch(its, in, out)
+			err := blocks[k].RunBatch(b, in, out)
 			if errText(err) != first {
 				t.Fatalf("%s, batch at %d, stage %d: RunBatch error %q, lane by lane %q", tag, lo, k+1, errText(err), first)
 			}
@@ -568,7 +564,7 @@ func TestBlockHoldsOneWidth(t *testing.T) {
 			t.Fatalf("lane %d alone: sent %v, %v", i, sent, err)
 		}
 	}
-	its := []exec.Iteration{{Ctx: newCtx(packets[0])}, {Ctx: newCtx(packets[1])}}
+	its := []*interp.IterCtx{newCtx(packets[0]), newCtx(packets[1])}
 	in, out := exec.NewBlocks(0, len(its))
 	want := "widths: sendls of 2 slots into a batch that sent 1"
 	if err := r.RunBatch(its, in, out); errText(err) != want {

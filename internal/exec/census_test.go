@@ -127,16 +127,16 @@ func TestDispatchCensus(t *testing.T) {
 			r.RxFromCtx = true
 			census(r, &counts[k])
 		}
-		its := make([]Iteration, lanes)
+		its := make([]*interp.IterCtx, lanes)
 		for l := range its {
-			its[l].Ctx = interp.NewIterCtx()
-			its[l].Ctx.DeferEvents = true
+			its[l] = interp.NewIterCtx()
+			its[l].DeferEvents = true
 		}
 		in, out := NewBlocks(0, lanes)
 		traffic := pps.Traffic(batches * lanes)
 		for ; len(traffic) > 0; traffic = traffic[lanes:] {
 			for l := range its {
-				its[l].Ctx.Pending, its[l].Ctx.HasPending = traffic[l], true
+				its[l].Pending, its[l].HasPending = traffic[l], true
 			}
 			for k, r := range runners {
 				if err := r.RunBatch(its, in, out); err != nil {
@@ -145,7 +145,7 @@ func TestDispatchCensus(t *testing.T) {
 				in, out = out, in
 			}
 			for l := range its {
-				its[l].Ctx.Reset()
+				its[l].Reset()
 			}
 		}
 		var sum [ncat]int

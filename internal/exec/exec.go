@@ -101,12 +101,6 @@ type block struct {
 	cost int
 }
 
-// Iteration is one PPS-loop iteration handed to RunBatch: its context. Its
-// live sets travel beside it, in the row of RunBatch's blocks it occupies.
-type Iteration struct {
-	Ctx *interp.IterCtx
-}
-
 // Block is a batch's live set on its way from one stage to the next:
 // column-major, one column per transmission slot and one row per batch
 // position, so that OpSendLS and OpRecvLS move a whole group's slot as one
@@ -252,11 +246,11 @@ type Runner struct {
 	in, out *Block
 	base    int
 
-	// The group being run, and what the closures need of each lane without
-	// chasing its Iteration: the context, the packet as pkt_rx or a
+	// The group being run, and what the closures need of each lane in
+	// fixed arrays: its context, the packet as pkt_rx or a
 	// copy-on-write last left it, the steps settled so far, the error that
 	// took the lane out.
-	its   []Iteration
+	its   []*interp.IterCtx
 	ctxs  [lanes]*interp.IterCtx
 	pkts  [lanes][]byte
 	steps [lanes]int
@@ -277,7 +271,7 @@ type Runner struct {
 	exits   [lanes]exit
 
 	// RunIterationInto's batch of one: recv and dst are its blocks' one row.
-	one           [1]Iteration
+	one           [1]*interp.IterCtx
 	recvOne, dst1 Block
 
 	// slab is the rest of the chunk packet copies are carved from. It
@@ -364,21 +358,21 @@ func (m *Runner) RunIterationInto(ctx *interp.IterCtx, recv, dst []int64) ([]int
 	if out.vals = dst[:cap(dst)]; len(out.vals) < out.width {
 		out.width = 0 // the send widens the block again, into a new array
 	}
-	m.one[0] = Iteration{Ctx: ctx}
+	m.one[0] = ctx
 	err := m.RunBatch(m.one[:], in, out)
 	var sent []int64
 	if out.sent[0] != 0 {
 		sent = out.vals[:out.width] // one row: the slots lie in order
 	}
-	m.one[0], in.vals, out.vals = Iteration{}, nil, nil
+	m.one[0], in.vals, out.vals = nil, nil, nil
 	if err != nil {
 		return nil, err
 	}
 	return sent, nil
 }
 
-// RunBatch executes its, one PPS-loop iteration each, as RunIterationInto
-// would one after the other — same events, same live sets, same persistent
+// RunBatch executes one PPS-loop iteration in each context of its, as
+// RunIterationInto would one after the other — same events, same live sets, same persistent
 // state. Iteration l's incoming live set is row l of in, and its outgoing
 // one goes to row l of out, which RunBatch empties first; a nil block is
 // one that holds nothing, and what is sent to it is dropped. Every
@@ -387,7 +381,7 @@ func (m *Runner) RunIterationInto(ctx *interp.IterCtx, recv, dst []int64) ([]int
 // the next (Lowered.Serial is false) runs every op over all of them before
 // the next op. The error is that of the first iteration that failed; the
 // iterations after it may or may not have run.
-func (m *Runner) RunBatch(its []Iteration, in, out *Block) error {
+func (m *Runner) RunBatch(its []*interp.IterCtx, in, out *Block) error {
 	for _, b := range [2]*Block{in, out} {
 		if b != nil && b.rows < len(its) {
 			panic(fmt.Sprintf("exec: a batch of %d iterations on a block of %d rows", len(its), b.rows))
@@ -412,7 +406,7 @@ func (m *Runner) RunBatch(its []Iteration, in, out *Block) error {
 // touches orders its iterations:
 // carried state (costmodel.Use.Carries), the World's packet cursor,
 // the World's trace.
-func (m *Runner) group(its []Iteration) error {
+func (m *Runner) group(its []*interp.IterCtx) error {
 	n := len(its)
 	m.its = its
 	if m.waiting+m.nfail != 0 {
@@ -425,8 +419,7 @@ func (m *Runner) group(its []Iteration) error {
 		clear(m.cols[s][:n])
 	}
 	deferred := true
-	for l := range its {
-		ctx := its[l].Ctx
+	for l, ctx := range its {
 		if m.ctxs[l] != ctx {
 			m.ctxs[l] = ctx // a context a batch slot keeps costs no write barrier
 		}

@@ -361,17 +361,17 @@ func benchChain(b *testing.B, name string, degrees ...int) {
 				for _, r := range runners {
 					r.RxFromCtx = true
 				}
-				its := make([]exec.Iteration, width)
+				its := make([]*interp.IterCtx, width)
 				for l := range its {
-					its[l].Ctx = interp.NewIterCtx()
-					its[l].Ctx.DeferEvents = true
+					its[l] = interp.NewIterCtx()
+					its[l].DeferEvents = true
 				}
 				in, out := exec.NewBlocks(0, width)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i += width {
 					for l := range its {
-						its[l].Ctx.Pending, its[l].Ctx.HasPending = traffic[(i+l)%len(traffic)], true
+						its[l].Pending, its[l].HasPending = traffic[(i+l)%len(traffic)], true
 					}
 					in.Reset()
 					for _, r := range runners {
@@ -381,7 +381,7 @@ func benchChain(b *testing.B, name string, degrees ...int) {
 						in, out = out, in
 					}
 					for l := range its {
-						its[l].Ctx.Reset()
+						its[l].Reset()
 					}
 				}
 			})

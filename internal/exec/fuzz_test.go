@@ -160,11 +160,8 @@ func execStream(stages []*ir.Program, packets [][]byte, iters, width, first int)
 	ctxs := streamCtxs(packets, iters)
 	var err error
 	for lo, n := 0, first; lo < iters && err == nil; lo, n = lo+n, width {
-		its := make([]exec.Iteration, min(n, iters-lo))
+		its := ctxs[lo:min(lo+n, iters)]
 		in, out := exec.NewBlocks(0, len(its))
-		for l := range its {
-			its[l].Ctx = ctxs[lo+l]
-		}
 		for _, r := range runners {
 			r.RxFromCtx = true
 			if err = r.RunBatch(its, in, out); err != nil {

@@ -778,16 +778,16 @@ func TestLoweringShape(t *testing.T) {
 			}
 		}
 		traffic := pps.Traffic(256)
-		its := make([]exec.Iteration, exec.Lanes)
+		its := make([]*interp.IterCtx, exec.Lanes)
 		for l := range its {
-			its[l].Ctx = interp.NewIterCtx()
-			its[l].Ctx.DeferEvents = true
+			its[l] = interp.NewIterCtx()
+			its[l].DeferEvents = true
 		}
 		in, out := exec.NewBlocks(0, len(its))
 		total := 0
 		for ; len(traffic) >= len(its); traffic = traffic[len(its):] {
 			for l := range its {
-				its[l].Ctx.Pending, its[l].Ctx.HasPending = traffic[l], true
+				its[l].Pending, its[l].HasPending = traffic[l], true
 			}
 			for k, r := range runners {
 				before := r.Dispatched()
@@ -798,7 +798,7 @@ func TestLoweringShape(t *testing.T) {
 				in, out = out, in
 			}
 			for l := range its {
-				its[l].Ctx.Reset()
+				its[l].Reset()
 			}
 		}
 		if dyn := float64(total) / 256; dyn > tc.maxDyn {

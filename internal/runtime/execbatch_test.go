@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,7 +40,8 @@ func ipv4Stages(t *testing.T, d int) (*ir.Program, []*ir.Program, [][]byte) {
 // which a fault plan panics tokens 2 and 5 at admission: the body must run
 // over the other six only — one group — and they must come back in order,
 // closed up, each with its live set in rows 0–5 and, after stage 2, the
-// oracle's events for its own packet.
+// oracle's events for its own packet; the two quarantined tokens stay in the
+// batch past its length, pristine.
 func TestExecBatchSkipsDeadAndDegraded(t *testing.T) {
 	_, stages, traffic := ipv4Stages(t, 2)
 	plan := &fault.Plan{Injections: []fault.Injection{
@@ -55,15 +57,16 @@ func TestExecBatchSkipsDeadAndDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.ictx, e.stop = context.Background(), context.Background()
-	b := e.getBatch()
-	var want []*token
-	for i := 0; i < 8; i++ {
-		tok := e.getToken()
+	b := e.takeBatch()
+	b.toks = b.toks[:8]
+	var want, dead []*token
+	for i, tok := range b.toks {
 		tok.iter = int64(i)
 		tok.ctx.Pending, tok.ctx.HasPending = traffic[i], true
-		b.toks = append(b.toks, tok)
 		if i != 2 && i != 5 {
 			want = append(want, tok)
+		} else {
+			dead = append(dead, tok)
 		}
 	}
 
@@ -84,6 +87,13 @@ func TestExecBatchSkipsDeadAndDegraded(t *testing.T) {
 		if _, sent := b.in.Row(i, nil); !sent {
 			t.Errorf("iteration %d executed but row %d carries no live set", tok.iter, i)
 		}
+	}
+	// The quarantined two stay with the batch, past its length, reset.
+	for _, tok := range dead {
+		if !slices.Contains(b.toks[len(b.toks):cap(b.toks)], tok) {
+			t.Fatal("a quarantined token left its batch")
+		}
+		checkPristine(t, tok)
 	}
 
 	// The six go on through stage 2 and end with the oracle's events.
@@ -216,14 +226,19 @@ func TestBodyPanicQuarantinesItsGroup(t *testing.T) {
 }
 
 // ownedPackets is a Source that hands its packets over, as the ingest
-// sources do: Pull gives out the next batch of pkts.
-type ownedPackets struct{ pkts [][]byte }
+// sources do, a few at a time: its pulls come back 1, 2, 3, 1, ... packets
+// long, never more than dst holds, so batches leave the source part filled.
+type ownedPackets struct {
+	pkts [][]byte
+	k    int
+}
 
 func (o *ownedPackets) Pull(_ context.Context, dst [][]byte) (int, error) {
 	if len(o.pkts) == 0 {
 		return 0, io.EOF
 	}
-	n := copy(dst, o.pkts)
+	o.k = o.k%3 + 1
+	n := copy(dst[:min(o.k, len(dst))], o.pkts)
 	o.pkts = o.pkts[n:]
 	return n, nil
 }

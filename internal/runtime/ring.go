@@ -119,13 +119,12 @@ func (e *engine) pull(in *inPort) (b *batch, more bool) {
 	}
 	in.lc.probe.in.Add(int64(n))
 	b = e.takeBatch()
-	for i, pkt := range e.pkts[:n] {
-		t := e.tokenAt(b, i)
+	b.toks = b.toks[:n]
+	for i, t := range b.toks {
 		t.iter = in.iter
 		in.iter++
-		t.ctx.Pending, t.ctx.HasPending, t.ctx.PendingOwned = pkt, true, e.owned
+		t.ctx.Pending, t.ctx.HasPending, t.ctx.PendingOwned = e.pkts[i], true, e.owned
 	}
-	e.trim(b, n)
 	return b, more
 }
 

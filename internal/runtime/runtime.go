@@ -225,8 +225,10 @@ type token struct {
 // the batch owns. A batch crosses every ring whole, so a token changes
 // place only when quarantine closes the batch up, and then it takes its row
 // along (exec.Block.MoveRow).
-// Blocks are sized once per serve for the widest cut, and a retired batch
-// goes back to the source whole, tokens and blocks, through the free ring.
+// A batch owns exactly Config.Batch tokens and its two blocks, sized for the
+// widest cut, for the whole serve: toks is a prefix of them, and the rest,
+// unfilled or quarantined, wait past len(toks), pristine. A retired batch
+// goes back to the source whole through the free ring.
 type batch struct {
 	toks    []*token
 	in, out *exec.Block
@@ -251,8 +253,8 @@ type laneCtx struct {
 	inj    *fault.Injector
 	recIdx int
 
-	// The batch being executed: one Iteration per admitted token.
-	its []exec.Iteration
+	// The batch being executed: the context of each admitted token.
+	its []*interp.IterCtx
 }
 
 // unit is one serve goroutine — the single shape every pipeline stage of
@@ -308,23 +310,16 @@ type engine struct {
 	fillHist []*obsv.Histogram
 	waitHist []*obsv.Histogram
 
-	// The token and batch pools are allocated apart from the engine: sync
-	// registers every pool it has seen in a global list until two GC cycles
-	// pass, and a pool embedded here would pin the whole engine — trace
-	// chunks, tokens, runners — through that interior pointer long after
-	// Serve returned.
-	tokPool   *sync.Pool
-	batchPool *sync.Pool
-	slab      []token // the rest of the tokens getToken carves
-
 	// free recycles whole retired batches — reset tokens and blocks still
-	// attached — from the sink back to the source in one ring operation per
-	// batch, replacing 2×Batch sync.Pool operations with one synchronization
-	// on the serve hot path. One goroutine pushes to the Sink, so the ring
-	// has its one producer there and its one consumer in the source in-port;
-	// neither end ever waits on it. The pools absorb overflow and the
-	// stragglers recycled off the hot path (quarantines).
-	free *tokRing
+	// attached — from the sink back to the source, one ring operation per
+	// batch. One goroutine pushes to the Sink, so the ring has its one
+	// producer there and its one consumer in the source in-port; neither end
+	// ever waits on it. made counts the batches takeBatch allocated, and
+	// slots is the live-set width their blocks are built for; only the
+	// source in-port's goroutine touches either.
+	free  *tokRing
+	made  int
+	slots int
 
 	// sink is where retired iterations go; trace is the same value when the
 	// serve made its own (Config.Sink nil). evbuf is the pushing goroutine's
@@ -340,29 +335,21 @@ type engine struct {
 // tokenEvents is the room for events a new token's context comes with.
 const tokenEvents = 4
 
-// newTokens allocates n pristine tokens, contexts and room for events
-// included, in one allocation.
-func newTokens(n int) []token {
-	ts := make([]token, n)
+// newBatch allocates a batch of n pristine tokens in deferred-events mode —
+// contexts and room for events included, in one allocation — whose blocks
+// have room for slots live-set slots. With no slot to carry — D=1, a fully
+// fused layout — a batch takes no block.
+func newBatch(n, slots int) *batch {
+	ts, b := make([]token, n), &batch{toks: make([]*token, n)}
 	for i := range ts {
 		t := &ts[i]
-		t.ctx, t.c.Events = &t.c, t.evs[:0]
+		t.ctx, t.c.Events, t.c.DeferEvents = &t.c, t.evs[:0], true
+		b.toks[i] = t
 	}
-	return ts
-}
-
-// newPools builds the token pool and the pool of batches of n tokens, whose
-// blocks have room for slots live-set slots. With no slot to carry — D=1, a
-// fully fused layout — a batch takes no block.
-func newPools(n, slots int) (tok, bat *sync.Pool) {
-	return &sync.Pool{},
-		&sync.Pool{New: func() any {
-			b := &batch{toks: make([]*token, 0, n)}
-			if slots > 0 {
-				b.in, b.out = exec.NewBlocks(slots, n)
-			}
-			return b
-		}}
+	if slots > 0 {
+		b.in, b.out = exec.NewBlocks(slots, n)
+	}
+	return b
 }
 
 // liveSlots is the widest live set any of the programs sends or receives.
@@ -407,7 +394,7 @@ func (e *engine) lane(s, j int) *laneCtx {
 		run:    e.runners[s][j],
 		inj:    e.injs[j],
 		recIdx: e.live.offs[s] + j,
-		its:    make([]exec.Iteration, 0, e.cfg.Batch),
+		its:    make([]*interp.IterCtx, 0, e.cfg.Batch),
 	}
 }
 
@@ -421,29 +408,15 @@ func unitLabel(first, last int) string {
 	return strconv.Itoa(first) + "+" + strconv.Itoa(last)
 }
 
-// getToken hands out a pristine token in deferred-events mode: a recycled
-// one from the pool, or else the next of a slab allocated four batches'
-// worth at a time. Only the source in-port's goroutine calls it.
-func (e *engine) getToken() *token {
-	t, _ := e.tokPool.Get().(*token)
-	if t == nil {
-		if len(e.slab) == 0 {
-			e.slab = newTokens(4 * max(e.cfg.Batch, 1))
-		}
-		t, e.slab = &e.slab[0], e.slab[1:]
-	}
-	t.ctx.DeferEvents = true
-	return t
-}
-
-// takeBatch is the source side's batch allocator: it prefers a batch
-// recycled whole through the free ring, its reset tokens still attached,
-// and falls back to the pool. Either way no row of its blocks holds a live
-// set. Only the source in-port's goroutine calls it.
+// takeBatch hands the source in-port an empty batch, its tokens pristine:
+// one recycled whole through the free ring, or a new one when the ring is
+// empty. Either way no row of its blocks holds a live set. Only the source
+// in-port's goroutine calls it.
 func (e *engine) takeBatch() *batch {
 	b, ok := e.free.TryPop()
 	if !ok {
-		b = e.getBatch()
+		e.made++
+		return newBatch(e.cfg.Batch, e.slots)
 	}
 	if b.in != nil {
 		b.in.Reset()
@@ -451,63 +424,24 @@ func (e *engine) takeBatch() *batch {
 	return b
 }
 
-// tokenAt returns the token for position i of b, a batch the source is
-// filling in order: the recycled token already there, or one from the pool.
-func (e *engine) tokenAt(b *batch, i int) *token {
-	if i == len(b.toks) {
-		b.toks = append(b.toks, e.getToken())
-	}
-	t := b.toks[i]
-	t.ctx.DeferEvents = true
-	return t
-}
-
-// trim gives the tokens of b past the first n back to the pool.
-func (e *engine) trim(b *batch, n int) {
-	for _, t := range b.toks[n:] {
-		e.tokPool.Put(t)
-	}
-	clear(b.toks[n:])
-	b.toks = b.toks[:n]
-}
-
-// reset returns the token to its pristine state for pool reuse. All
+// reset returns the token to its pristine state for reuse. All
 // per-iteration state lives either here or in the IterCtx, whose Reset
-// zeroes the local-array storage in place — a recycled token can never
-// leak a prior packet's locals, metadata, or deferred events.
+// zeroes the local-array storage in place and leaves DeferEvents set — a
+// recycled token can never leak a prior packet's locals, metadata, or
+// deferred events.
 func (t *token) reset() {
 	t.ctx.Reset()
 	t.iter = 0
 }
 
-func (e *engine) putToken(t *token) {
-	t.reset()
-	e.tokPool.Put(t)
-}
-
-// getBatch returns an empty batch from the pool. Its blocks' rows are
-// stale: whoever fills it moves each token's row in with the token.
-func (e *engine) getBatch() *batch {
-	b := e.batchPool.Get().(*batch)
-	b.toks = b.toks[:0]
-	return b
-}
-
-// recycleBatch resets a retired batch's tokens in place and hands the
-// whole batch back to the source through the free ring — one ring operation
-// instead of per-token pool traffic. A full ring falls back to the pools.
+// recycleBatch resets a retired batch's tokens in place and hands the whole
+// batch back to the source through the free ring, which has room for every
+// batch the serve can have (see build).
 func (e *engine) recycleBatch(b *batch) {
 	for _, t := range b.toks {
 		t.reset()
 	}
-	if e.free.TryPush(b) {
-		return
-	}
-	for _, t := range b.toks {
-		e.tokPool.Put(t)
-	}
-	b.toks = b.toks[:0]
-	e.batchPool.Put(b)
+	e.free.TryPush(b)
 }
 
 // span records one phase interval into the stage's span log when tracing
@@ -534,12 +468,13 @@ func (e *engine) admit(lc *laneCtx, t *token) (err error) {
 	return nil
 }
 
-// quarantine removes t from the pipeline and records why; its buffered
-// events never reach the sink.
+// quarantine takes t out of the pipeline and records why; its buffered
+// events never reach the sink. The token is reset but stays with its batch,
+// which execGroup closes up over it.
 func (e *engine) quarantine(lc *laneCtx, t *token, why error) {
 	lc.probe.quarantined.Add(1)
 	e.record(lc.recIdx, FaultRecord{Iter: t.iter, Stage: lc.num, Disposition: "quarantined", Reason: why.Error()})
-	e.putToken(t)
+	t.reset()
 }
 
 // runBody runs the stage body over lc.its and b's blocks, one call for the
@@ -643,24 +578,27 @@ func (e *engine) execBatch(lc *laneCtx, b *batch) bool {
 
 // execGroup runs the tokens of b through lc's stage, leaving in b the ones
 // that go on. A token that fails its admission, or whose group panicked, is
-// quarantined: compacted out, its row with it. The body reads the live sets
-// from b.in and writes the outgoing ones into b.out, then the two swap.
+// quarantined: each kept token swaps forward over it, its row moving with
+// it, so the quarantined token stays in the batch past len(b.toks). The body
+// reads the live sets from b.in and writes the outgoing ones into b.out,
+// then the two swap.
 func (e *engine) execGroup(lc *laneCtx, b *batch) bool {
-	keep := b.toks[:0]
 	lc.its = lc.its[:0]
 	for i, t := range b.toks {
 		if err := e.admit(lc, t); err != nil {
 			e.quarantine(lc, t, err)
 			continue
 		}
-		if j := len(keep); j != i && b.in != nil {
-			b.in.MoveRow(j, b.in, i)
+		if j := len(lc.its); j != i {
+			b.toks[j], b.toks[i] = t, b.toks[j]
+			if b.in != nil {
+				b.in.MoveRow(j, b.in, i)
+			}
 		}
-		keep = append(keep, t)
-		lc.its = append(lc.its, exec.Iteration{Ctx: t.ctx})
+		lc.its = append(lc.its, t.ctx)
 	}
-	b.toks = keep
-	if len(keep) == 0 {
+	b.toks = b.toks[:len(lc.its)]
+	if len(b.toks) == 0 {
 		return true
 	}
 	fault, err := e.runBody(lc, b)
@@ -672,10 +610,10 @@ func (e *engine) execGroup(lc *laneCtx, b *batch) bool {
 	}
 	if fault != nil {
 		lc.probe.bodyPanics.Add(1)
-		for _, t := range keep {
+		for _, t := range b.toks {
 			e.quarantine(lc, t, fault)
 		}
-		b.toks = keep[:0]
+		b.toks = b.toks[:0]
 		return true
 	}
 	b.in, b.out = b.out, b.in
@@ -931,7 +869,7 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 	for j := 1; j < len(e.injs); j++ {
 		e.injs[j] = e.inj.Lane()
 	}
-	e.tokPool, e.batchPool = newPools(cfg.Batch, liveSlots(l.stages))
+	e.slots = liveSlots(l.stages)
 	for k := range e.rings {
 		if k < D-1 || plan.reps[k] > 1 {
 			e.rings[k] = e.newRings(plan.lanes(k))
@@ -950,8 +888,10 @@ func build(l *Layout, world *interp.World, src Source) (*engine, error) {
 		e.units = append(e.units, e.sinkUnit())
 	}
 	// The free ring holds every batch the serve can have: those in the rings
-	// and the one in each unit's hands, so a retired batch never falls back
-	// to the pools.
+	// and the one in each unit's hands. The source allocates a batch only
+	// when the ring is empty, so every batch is then in a ring or in another
+	// unit's hands, and the count never passes the ring's room: the ring
+	// never refuses a retired batch.
 	held := len(e.units) + len(e.headRing)*cfg.RingCapacity
 	for _, rs := range e.rings {
 		held += len(rs) * cfg.RingCapacity

@@ -347,12 +347,12 @@ pps TraceOnly {
 
 // TestServeReleasesEngine: once Serve has returned, one collection must
 // leave little more than the returned trace on the heap. The engine — the
-// chunked second copy of the trace, the tokens, the runners — used to stay
+// chunked second copy of the trace, the tokens, the runners — once stayed
 // reachable for two more GC cycles through sync's pool registry, because
-// the pools were embedded in it, so a caller serving again soon after held a
-// full extra trace resident. The collector
-// is held off while Serve runs so the pools are certainly still registered
-// when it returns, whatever the host's GC pacing.
+// token pools were embedded in it, so a caller serving again soon after held
+// a full extra trace resident. The collector is held off while Serve runs,
+// so anything that registered the engine would still hold it when Serve
+// returns, whatever the host's GC pacing.
 func TestServeReleasesEngine(t *testing.T) {
 	const n = 100_000
 	prog := mustCompile(t, traceOnlySrc)
