@@ -262,7 +262,9 @@ func BenchmarkAnalyzeOnceCutMany(b *testing.B) {
 // way benchmark/'s cut-sweep workload pays for it: the six PPS of the two
 // applications, each analyzed once outside the timer and cut at D=1..10 per
 // iteration — one sub-benchmark per PPS (ten Partition calls) and "all" (the
-// sixty of one sweep), reported as ms/sweep.
+// sixty of one sweep), reported as ms/sweep. Beside it, gc/sweep counts the
+// garbage collections a sweep ran: a change that moves only those moves
+// ms/sweep too, with no change in the partitioner's own work.
 func BenchmarkPartitionSweep(b *testing.B) {
 	var analyses []*core.Analysis
 	for _, name := range sweepPPS {
@@ -280,6 +282,10 @@ func BenchmarkPartitionSweep(b *testing.B) {
 	sweep := func(as []*core.Analysis) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			b.StopTimer()
+			runtime.ReadMemStats(&before)
+			b.StartTimer()
 			for i := 0; i < b.N; i++ {
 				for _, a := range as {
 					for _, d := range experiments.Degrees {
@@ -289,7 +295,10 @@ func BenchmarkPartitionSweep(b *testing.B) {
 					}
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/sweep")
+			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/sweep")
 		}
 	}
 	for i, name := range sweepPPS {
