@@ -52,7 +52,7 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
-echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow differential, windowed cut search, interference oracle, concurrent cuts, allocation budget, dense stage registers, queue confinement, pinned cuts, single-writer slots, copy coalescing and the intrinsic table under -race -count=2; pipebench figures vs golden"
+echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow differential, windowed cut search, interference oracle, concurrent cuts, allocation budget, dense stage registers, defined reads, queue confinement, pinned cuts, single-writer slots, copy coalescing and the intrinsic table under -race -count=2; pipebench figures vs golden"
 # The partitioner's byte-identity oracles. TestCutSweepGolden digests every
 # stage program and report of the six PPS at D=1..10 (and two coarsenings),
 # and each program renumbered canonically (canon=, which a change that only
@@ -73,6 +73,8 @@ echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow different
 # weight, feasibility, iterations), and TestInterferenceOracle packCut's
 # block-set interference relations to their position-list reference, pair
 # by pair, on every cut in all three transmission modes.
+# TestStagesDefineWhatTheyRead holds every realized stage to reading only
+# registers written on every path from its entry (send operands aside).
 # TestStageStateGolden records what each stage's state is taken to be — exec's
 # Serial/Carried, the replica width at P=2, and
 # both validators' verdicts — for the six PPS, their coarsenings, 200 random
@@ -91,7 +93,7 @@ echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow different
 #   go run ./cmd/pipebench -experiment all > testdata/pipebench_all.golden
 go test -race -count=2 -run '^(TestCutSweepGolden|TestStageStateGolden)$' .
 go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
-go test -race -count=2 -run '^(TestWindowedCutsMatchWholeNetwork|TestInterferenceOracle|TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense|TestValidateStagesConfinesQueues|TestPinnedCuts|TestSingleWriterSlotsAreNotCopied|TestStageCopiesInterfere|TestCoalesceKeepsLostCopy|TestCoalesceKeepsSwap)$' ./internal/core
+go test -race -count=2 -run '^(TestWindowedCutsMatchWholeNetwork|TestInterferenceOracle|TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense|TestValidateStagesConfinesQueues|TestPinnedCuts|TestSingleWriterSlotsAreNotCopied|TestStageCopiesInterfere|TestCoalesceKeepsLostCopy|TestCoalesceKeepsSwap|TestStagesDefineWhatTheyRead)$' ./internal/core
 go test -race -count=2 -run '^TestIntrinsicTableIsTheOneList$' ./internal/exec
 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 GOMAXPROCS=1 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
