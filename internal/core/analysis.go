@@ -60,6 +60,13 @@ type Analysis struct {
 	targets   [][]int
 	regName   []string // an.F.RegName indexed by register ("" unnamed)
 
+	// isConst[r]: register r is defined by an OpConst outside every inner
+	// loop. No cut transmits it: each stage that reads it keeps its own copy
+	// of the const, in its original block (stageShell), which the stage
+	// reaches wherever it reaches a read the const dominates. Inside an
+	// inner loop that block would be a stub in every other stage.
+	isConst []bool
+
 	// codes[u]+t is the code a coded control object of unit u writes on
 	// its target t (liveset.go, shareCodes): every non-default target of
 	// the program has a nonzero code of its own.
@@ -162,6 +169,11 @@ func (a *Analysis) indexForRealize(cfg *graph.Digraph) {
 	a.regName = make([]string, f.NumRegs)
 	for r, s := range f.RegName {
 		a.regName[r] = s
+	}
+
+	a.isConst = make([]bool, f.NumRegs)
+	for r, u := range an.DataDef {
+		a.isConst[r] = u >= 0 && !an.Units[u].IsLoop && an.Units[u].Instrs[0].Op == ir.OpConst
 	}
 }
 

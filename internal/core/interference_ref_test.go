@@ -191,7 +191,7 @@ func checkInterference(a *Analysis, options Options) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws, coded: make([]bool, len(a.an.Units))}
+	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws}
 	ref := &refPositions{reach1: a.an.F.CFG().Reach()}
 	pairs := 0
 	var prev *cutInfo

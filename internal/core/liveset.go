@@ -25,9 +25,6 @@ type cutInfo struct {
 	objects  []object // values by register, then control objects by branch unit
 	slots    []int    // slots[i] is objects[i]'s slot
 	numSlots int
-	// pure[s]: slot s holds only control-object codes, or zero (packed
-	// mode; see shareCodes).
-	pure []bool
 	// interferences counts interfering pairs (reported for the ablation).
 	interferences int
 }
@@ -90,8 +87,10 @@ type positions struct {
 	// order. For a phi operand the consuming point is the end of the
 	// incoming predecessor block.
 	usesOf [][]useAt
-	// unitPos[u] lists the positions of unit u's instructions.
-	unitPos [][]pos
+	// unitPos[u] lists the positions of unit u's instructions, and
+	// unitBlocks' row u is the set of blocks they sit in.
+	unitPos    [][]pos
+	unitBlocks []uint64
 }
 
 // useAt is one consuming point of a value, in the unit that reads it.
@@ -110,6 +109,7 @@ func newPositions(an *dep.Analysis, cfg *graph.Digraph) *positions {
 	// Unit instructions sit in block order, so one walk of the blocks lays
 	// out every unit's positions; the lists are windows of one slab.
 	p.unitPos = make([][]pos, len(an.Units))
+	p.unitBlocks = make([]uint64, len(an.Units)*p.words)
 	nInstrs := 0
 	for _, u := range an.Units {
 		nInstrs += len(u.Instrs)
@@ -125,6 +125,7 @@ func newPositions(an *dep.Analysis, cfg *graph.Digraph) *positions {
 			}
 			if u := an.UnitAt[b.ID][i]; u >= 0 {
 				p.unitPos[u] = append(p.unitPos[u], pos{block: b.ID, idx: i})
+				p.unitBlocks[u*p.words+b.ID/64] |= 1 << (b.ID % 64)
 			}
 		}
 	}
@@ -228,11 +229,12 @@ func (st *partitionState) buildCut(j int, ps *positions, prev *cutInfo) *cutInfo
 	ci := &cutInfo{index: j}
 
 	// Values crossing the cut, by register, then control objects by branch
-	// unit. Transitive dependents count for a control object, since a
+	// unit. A constant never crosses: the stages that read it make it
+	// themselves. Transitive dependents count for a control object, since a
 	// downstream stage navigates nested regions through the outer branch's
 	// decision.
 	for r, def := range an.DataDef {
-		if def >= 0 && st.stageOf[def] <= j && slices.ContainsFunc(an.DataUses[r], func(use int) bool { return st.stageOf[use] > j }) {
+		if def >= 0 && !st.a.isConst[r] && st.stageOf[def] <= j && slices.ContainsFunc(an.DataUses[r], func(use int) bool { return st.stageOf[use] > j }) {
 			ci.objects = append(ci.objects, object{reg: r})
 		}
 	}
@@ -334,8 +336,8 @@ func (st *partitionState) fillUses(r *reach, j int, ps *positions) {
 		r.after = true
 		for _, d := range st.ctrlClosure(r.o.branch) {
 			if st.stageOf[d] > j {
-				for _, p := range ps.unitPos[d] {
-					r.uses[p.block/64] |= 1 << (p.block % 64)
+				for i, w := range ps.unitBlocks[d*ps.words : (d+1)*ps.words] {
+					r.uses[i] |= w
 				}
 			}
 		}
@@ -467,8 +469,8 @@ func naiveInterferes(u, v *reach) bool { return meets(u.live, v.live) }
 func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 	n, w := len(ci.objects), ps.words
 	naive := st.opts.Tx == TxNaiveInterference
-	ints, marks := scratch(&st.ws.ints, 3*n), scratch(&st.ws.bools, n*n+n+1)
-	degree, order, color := ints[:n], ints[n:2*n], ints[2*n:]
+	ints, marks := scratch(&st.ws.ints, 4*n), scratch(&st.ws.bools, n*n+n+1)
+	degree, order, color, kind := ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:]
 	adj, used := marks[:n*n], marks[n*n:] // adj[i*n+k]: objects i and k interfere; a neighbour's color is below n
 	rs := scratch(&st.ws.reach, n)
 	// Each object's block sets — beyond-the-cut uses, in the naive mode the
@@ -526,11 +528,15 @@ func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 		}
 	}
 
-	// Greedy coloring, highest degree first.
+	// Greedy coloring, highest degree first. When packed, a colour holds
+	// values or control objects, never both (kind[c]: 0 none yet, 1 values,
+	// 2 control objects), so that every control object can be coded and
+	// share a slot with others (shareCodes).
 	for i := range order {
 		order[i], color[i] = i, -1
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(degree[b], degree[a]) })
+	apart := st.opts.Tx == TxPacked
 	for _, i := range order {
 		clear(used)
 		for k := 0; k < n; k++ {
@@ -538,50 +544,48 @@ func (st *partitionState) packCut(ci *cutInfo, ps *positions, prev *cutInfo) {
 				used[color[k]] = true
 			}
 		}
+		want := 1
+		if ci.objects[i].isCtrl {
+			want = 2
+		}
 		c := 0
-		for used[c] {
+		for used[c] || apart && kind[c] != 0 && kind[c] != want {
 			c++
 		}
-		color[i] = c
+		color[i], kind[c] = c, want
 		if c+1 > ci.numSlots {
 			ci.numSlots = c + 1
 		}
 	}
 	ci.slots = slices.Clone(color)
 	if st.opts.Tx == TxPacked {
-		st.shareCodes(ci, rs, ps, prev)
+		st.shareCodes(ci, rs, ps)
 	}
 }
 
 // shareCodes lets control objects whose non-default decisions never both
-// occur on one path share a slot. Such an object is coded: each of its
-// non-default targets writes its own nonzero code (Analysis.codes), its
-// default target — the switch's last — writes nothing, and the slot enters
-// the stage as zero (a register no path wrote reads 0) or through the relay
-// copy of a slot that was pure at the previous cut. A colour class is pure
-// when it holds no value and every object relayed into it comes from a pure
-// slot; its local control objects are coded, those of any other class keep
-// an explicit write on every target. Pure classes are then merged first-fit
-// in colour order, so the cut never has more slots than the colouring gave.
-func (st *partitionState) shareCodes(ci *cutInfo, rs []reach, ps *positions, prev *cutInfo) {
+// occur on one path share a slot. Packed, every control object is coded:
+// each of its non-default targets writes its own nonzero code
+// (Analysis.codes), its default target — the switch's last — writes
+// nothing, and the slot enters the stage as zero (a register no path wrote
+// reads 0) or through the relay copy of its slot at the previous cut, which
+// held codes only too: packCut gives control objects colour classes without
+// values. Those classes are merged first-fit in colour order, so the cut
+// never has more slots than the colouring gave.
+func (st *partitionState) shareCodes(ci *cutInfo, rs []reach, ps *positions) {
 	n, nc := len(ci.objects), ci.numSlots
 	ints, marks := scratch(&st.ws.ints, 2*nc), scratch(&st.ws.bools, nc*nc+nc)
 	rep, slot := ints[:nc], ints[nc:]
-	conflict, pure := marks[:nc*nc], marks[nc*nc:] // conflict[c*nc+r]: classes c and r may not share
+	conflict, pure := marks[:nc*nc], marks[nc*nc:] // conflict[c*nc+r]: classes c and r may not share; pure[c]: c holds no value
 	for c := range pure {
 		rep[c], pure[c] = c, true
 	}
 	for i, o := range ci.objects {
-		if c := ci.slots[i]; !o.isCtrl {
-			pure[c] = false
-		} else if rs[i].relayed {
-			pure[c] = pure[c] && prev.pure[rs[i].from]
+		if !o.isCtrl {
+			pure[ci.slots[i]] = false
 		}
 	}
-	for i, o := range ci.objects {
-		if o.isCtrl && !rs[i].relayed {
-			st.coded[o.branch] = pure[ci.slots[i]]
-		}
+	for i := range ci.objects {
 		for k := i + 1; k < n; k++ {
 			c, r := ci.slots[i], ci.slots[k]
 			if c != r && pure[c] && pure[r] && sharesUnsafely(&rs[i], &rs[k], ps) {
@@ -609,10 +613,6 @@ func (st *partitionState) shareCodes(ci *cutInfo, rs []reach, ps *positions, pre
 		} else {
 			slot[c] = slot[rep[c]]
 		}
-	}
-	ci.pure = make([]bool, k)
-	for c, p := range pure {
-		ci.pure[slot[c]] = p
 	}
 	for i, c := range ci.slots {
 		ci.slots[i] = slot[c]

@@ -26,7 +26,7 @@ func preparePS(t *testing.T, src string, stages int) (*partitionState, *position
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws, coded: make([]bool, len(a.an.Units))}
+	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws}
 	return st, a.ps
 }
 
@@ -167,7 +167,7 @@ func TestDefStageAndCtrlTargets(t *testing.T) {
 // pkt_drop, and every unit reading a value such a unit defines, in stage 2
 // and the rest in stage 1, so a test chooses which objects cross the cut. The pipeline must
 // reproduce the sequential trace.
-func cutBeforeTraces(t *testing.T, src string) (*partitionState, *cutInfo, []*ir.Program) {
+func cutBeforeTraces(t *testing.T, src string) (*cutInfo, []*ir.Program) {
 	t.Helper()
 	prog, err := ppc.Compile(src)
 	if err != nil {
@@ -215,7 +215,21 @@ func cutBeforeTraces(t *testing.T, src string) (*partitionState, *cutInfo, []*ir
 	if diff := interp.TraceEqual(want, got); diff != "" {
 		t.Fatalf("pipeline diverges from the sequential program: %s", diff)
 	}
-	return st, st.cuts[0], stages
+	return st.cuts[0], stages
+}
+
+// codeWrites counts the control-object constants a stage writes: a coded
+// object of a two-way branch writes one, on its non-default target.
+func codeWrites(p *ir.Program) int {
+	n := 0
+	for _, b := range p.Func.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpConst && in.Tx {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // ctrlSlots returns the slot of each control object crossing ci, in branch
@@ -233,7 +247,7 @@ func ctrlSlots(ci *cutInfo) []int {
 // Three drop checks: on every path at most one of them drops, so their
 // control objects share one slot beside the value's, each coded.
 func TestCodedDropChainSharesOneSlot(t *testing.T) {
-	st, ci, _ := cutBeforeTraces(t, `pps P { loop {
+	ci, stages := cutBeforeTraces(t, `pps P { loop {
 		var n = pkt_rx();
 		if (n < 4) { pkt_drop(); continue; }
 		if (pkt_byte(0) == 1) { pkt_drop(); continue; }
@@ -247,17 +261,15 @@ func TestCodedDropChainSharesOneSlot(t *testing.T) {
 	if ci.numSlots != 2 {
 		t.Errorf("%d slots, want 2: the value's and the shared one", ci.numSlots)
 	}
-	for _, o := range ci.objects {
-		if o.isCtrl && !st.coded[o.branch] {
-			t.Errorf("control object of unit %d is not coded", o.branch)
-		}
+	if w := codeWrites(stages[0]); w != 3 {
+		t.Errorf("stage 1 writes %d control-object constants, want 3: one code per object", w)
 	}
 }
 
 // Two branches whose non-default arms (the then-arms) both run on one
 // path: their control objects are coded but keep a slot each.
 func TestCodedArmsOnOnePathKeepTwoSlots(t *testing.T) {
-	st, ci, _ := cutBeforeTraces(t, `pps P { loop {
+	ci, stages := cutBeforeTraces(t, `pps P { loop {
 		var n = pkt_rx();
 		if (pkt_byte(0) == 1) { trace(1); }
 		if (pkt_byte(1) == 2) { trace(2); }
@@ -267,19 +279,18 @@ func TestCodedArmsOnOnePathKeepTwoSlots(t *testing.T) {
 	if len(slots) != 2 || slots[0] == slots[1] {
 		t.Fatalf("control objects in slots %v, want two apart", slots)
 	}
-	for _, o := range ci.objects {
-		if o.isCtrl && !st.coded[o.branch] {
-			t.Errorf("control object of unit %d is not coded", o.branch)
-		}
+	if w := codeWrites(stages[0]); w != 2 {
+		t.Errorf("stage 1 writes %d control-object constants, want 2: one code per object", w)
 	}
 }
 
 // The inner branch's control object is live only in the outer branch's
-// else-arm, the value v only in its then-arm: the colouring packs the two
-// into one slot, so the control object keeps an explicit write on both of
-// its targets, beside the outer branch's single code.
-func TestCtrlBesideValueKeepsExplicitWrites(t *testing.T) {
-	st, ci, stages := cutBeforeTraces(t, `pps P { loop {
+// else-arm, the value v only in its then-arm: the interference relation
+// would let the two share a slot, but a packed colour holds values or
+// control objects, never both. The inner object joins the outer branch's in
+// a slot of codes, and stage 1 writes one code for each.
+func TestCtrlKeepsApartFromValues(t *testing.T) {
+	ci, stages := cutBeforeTraces(t, `pps P { loop {
 		var n = pkt_rx();
 		if (pkt_byte(0) == 1) {
 			var v = hash_crc(n);
@@ -294,27 +305,42 @@ func TestCtrlBesideValueKeepsExplicitWrites(t *testing.T) {
 			valueSlot = ci.slots[i]
 		}
 	}
-	var inner object
-	for i, o := range ci.objects {
-		if o.isCtrl && ci.slots[i] == valueSlot {
-			inner = o
+	slots := ctrlSlots(ci)
+	if valueSlot < 0 || len(slots) != 2 || slots[0] != slots[1] || slots[0] == valueSlot {
+		t.Fatalf("value in slot %d, control objects in %v: want the two control objects together, apart from the value", valueSlot, slots)
+	}
+	if w := codeWrites(stages[0]); w != 2 {
+		t.Errorf("stage 1 writes %d control-object constants, want 2: one code per object", w)
+	}
+}
+
+// A constant stage 1 defines and stage 2 reads does not cross the cut:
+// stage 2 keeps its own copy of the const, in the then-arm where the
+// analyzed program has it, and sends nothing for it.
+func TestConstantsAreMadeWhereRead(t *testing.T) {
+	ci, stages := cutBeforeTraces(t, `pps P { loop {
+		var n = pkt_rx();
+		if (n > 3) { trace(5); }
+		trace(n);
+	} }`)
+	values := 0
+	for _, o := range ci.objects {
+		if !o.isCtrl {
+			values++
 		}
 	}
-	if !inner.isCtrl {
-		t.Fatalf("no control object shares the value's slot %d (slots %v)", valueSlot, ci.slots)
+	if values != 1 {
+		t.Errorf("%d values cross the cut, want 1 (n; the constant 5 stays behind)", values)
 	}
-	if st.coded[inner.branch] {
-		t.Errorf("control object of unit %d shares a value's slot but is coded", inner.branch)
-	}
-	writes := 0
-	for _, b := range stages[0].Func.Blocks {
+	made := 0
+	for _, b := range stages[1].Func.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpConst && in.Tx {
-				writes++
+			if in.Op == ir.OpConst && !in.Tx && in.Imm == 5 {
+				made++
 			}
 		}
 	}
-	if writes != 3 {
-		t.Errorf("stage 1 writes %d control-object constants, want 3: two explicit, one code", writes)
+	if made != 1 {
+		t.Errorf("stage 2 makes the constant 5 %d times, want once:\n%s", made, stages[1].Func)
 	}
 }

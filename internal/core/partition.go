@@ -107,9 +107,7 @@ type partitionState struct {
 	stageOf []int
 	// cutInfos[j] describes cut j+1 (between stage j+1 and j+2).
 	cuts []*cutInfo
-	// coded[b]: branch unit b's control object is coded (shareCodes).
-	coded []bool
-	ws    *workspace
+	ws   *workspace
 }
 
 // workspace is the scratch one Partition or Coarsen call reuses from cut to

@@ -9,14 +9,18 @@ import (
 // CutReport summarizes one selected cut.
 type CutReport struct {
 	Index         int   // cut j separates stages <= j from > j
-	Values        int   // SSA values in the live set
+	Values        int   // SSA values in the live set (never a constant)
 	Ctrls         int   // control objects in the live set
 	Slots         int   // transmission slots after packing
 	Interferences int   // interfering pairs
 	Weight        int64 // W(X): source-side weight after this cut
-	Cost          int64 // flow-network cut cost
-	Feasible      bool  // balance constraint met exactly
-	Iterations    int   // min-cut computations used
+	// Cost is the flow-network cut cost: VCost per value and CCost per
+	// control object the cut separates from a use. It still counts a
+	// constant at VCost, though no cut sends one and Values and Slots
+	// leave it out.
+	Cost       int64
+	Feasible   bool // balance constraint met exactly
+	Iterations int  // min-cut computations used
 }
 
 // StageReport summarizes one realized stage.
@@ -153,7 +157,6 @@ func (a *Analysis) Partition(options Options) (*Result, error) {
 // assignment, then builds and validates one program per stage.
 func (st *partitionState) realize() ([]*ir.Program, []StageReport, error) {
 	a, opts := st.a, st.opts
-	st.coded = make([]bool, len(st.an.Units))
 	var prev *cutInfo
 	for j := 1; j < opts.Stages; j++ {
 		prev = st.buildCut(j, a.ps, prev)

@@ -722,9 +722,9 @@ func TestSSAInputRefused(t *testing.T) {
 // packet the closures dispatched (body ops plus terminators, each call
 // counted once however many lanes it serves) over netbench traffic in
 // batches of one full group. One lane at a time the three IP pipelines
-// dispatch 74.9, 96.8 and 148.1 closures per packet; the bounds sit at or
-// above what a group of 32 reaches today (3.0, 3.7, 5.4; the QM pipeline,
-// half of it serial, 25.3). A downstream stage's control-object
+// dispatch 74.9, 93.9 and 145.1 closures per packet; the bounds sit at or
+// above what a group of 32 reaches today (3.0, 3.6, 5.3; the QM pipeline,
+// half of it serial, 26.2). A downstream stage's control-object
 // switches run as one guard op.
 func TestLoweringShape(t *testing.T) {
 	for _, tc := range []struct {
@@ -737,23 +737,23 @@ func TestLoweringShape(t *testing.T) {
 			{IRInstrs: 357, Ops: 123, Folded: 169, Fused: 78, FrameSlots: 57, Resets: 3},
 		}},
 		{pps: "IPv4", degree: 4, maxDyn: 4.5, shape: []exec.Lowered{
-			{IRInstrs: 102, Ops: 34, Folded: 48, Fused: 20, FrameSlots: 12, Resets: 6},
-			{IRInstrs: 109, Ops: 28, Folded: 56, Fused: 25, FrameSlots: 21, Resets: 4},
-			{IRInstrs: 86, Ops: 44, Folded: 33, Fused: 10, FrameSlots: 19, Resets: 6},
-			{IRInstrs: 87, Ops: 52, Folded: 28, Fused: 8, FrameSlots: 28, Resets: 2},
+			{IRInstrs: 101, Ops: 33, Folded: 48, Fused: 20, FrameSlots: 11, Resets: 5},
+			{IRInstrs: 109, Ops: 27, Folded: 57, Fused: 25, FrameSlots: 19, Resets: 3},
+			{IRInstrs: 85, Ops: 43, Folded: 34, Fused: 9, FrameSlots: 18, Resets: 5},
+			{IRInstrs: 88, Ops: 52, Folded: 29, Fused: 8, FrameSlots: 27, Resets: 2},
 		}},
 		{pps: "IP(v4)", degree: 4, maxDyn: 7.5, shape: []exec.Lowered{
-			{IRInstrs: 199, Ops: 65, Folded: 96, Fused: 38, FrameSlots: 34, Resets: 14},
-			{IRInstrs: 170, Ops: 73, Folded: 75, Fused: 23, FrameSlots: 52, Resets: 5},
-			{IRInstrs: 179, Ops: 99, Folded: 69, Fused: 13, FrameSlots: 56, Resets: 11},
-			{IRInstrs: 165, Ops: 107, Folded: 53, Fused: 9, Guards: 1, FrameSlots: 68, Resets: 8},
+			{IRInstrs: 196, Ops: 62, Folded: 96, Fused: 38, FrameSlots: 31, Resets: 12},
+			{IRInstrs: 171, Ops: 73, Folded: 76, Fused: 23, FrameSlots: 49, Resets: 5},
+			{IRInstrs: 177, Ops: 97, Folded: 69, Fused: 13, FrameSlots: 54, Resets: 10},
+			{IRInstrs: 167, Ops: 109, Folded: 53, Fused: 9, Guards: 1, FrameSlots: 68, Resets: 9},
 		}},
 		// The partitioner has isolated the queue manager's carried state in
 		// stages 2 and 4: those run their lanes one at a time, the other two
 		// stay lane-parallel.
 		{pps: "QM", degree: 4, maxDyn: 40, shape: []exec.Lowered{
-			{IRInstrs: 19, Ops: 14, Folded: 4, Fused: 1, FrameSlots: 9, Resets: 5},
-			{IRInstrs: 51, Ops: 27, Folded: 17, Fused: 7, Guards: 1, FrameSlots: 19, Resets: 3, Serial: true, Carried: "queue"},
+			{IRInstrs: 16, Ops: 11, Folded: 4, Fused: 1, FrameSlots: 6, Resets: 2},
+			{IRInstrs: 54, Ops: 28, Folded: 19, Fused: 7, Guards: 1, FrameSlots: 17, Resets: 3, Serial: true, Carried: "queue"},
 			{IRInstrs: 17, Ops: 14, Folded: 3, FrameSlots: 8},
 			{IRInstrs: 32, Ops: 20, Folded: 11, Fused: 3, FrameSlots: 17, Serial: true, Carried: "persistent array dropped"},
 		}},
