@@ -120,14 +120,6 @@ func (r *Runner) array(ctx *IterCtx, arr *ir.Array) []int64 {
 	return ctx.Local(arr.ID, arr.Size)
 }
 
-func wrapIndex(i int64, size int) int {
-	m := i % int64(size)
-	if m < 0 {
-		m += int64(size)
-	}
-	return int(m)
-}
-
 // RunIteration executes one PPS-loop iteration of r.Prog.Func in the given
 // per-iteration context. recv supplies the live-set slot values consumed by
 // OpRecvLS (nil for a first stage / sequential program); the values sent by
@@ -203,10 +195,10 @@ func (r *Runner) RunIterationInto(ctx *IterCtx, recv, dst []int64) (sent []int64
 				regs[in.Dst] = regs[in.Args[0]]
 			case ir.OpLoad:
 				st := r.array(ctx, in.Arr)
-				regs[in.Dst] = st[wrapIndex(regs[in.Args[0]], in.Arr.Size)]
+				regs[in.Dst] = st[ir.Wrap(regs[in.Args[0]], in.Arr.Size)]
 			case ir.OpStore:
 				st := r.array(ctx, in.Arr)
-				st[wrapIndex(regs[in.Args[0]], in.Arr.Size)] = regs[in.Args[1]]
+				st[ir.Wrap(regs[in.Args[0]], in.Arr.Size)] = regs[in.Args[1]]
 			case ir.OpCall:
 				v, err := r.intrinsic(ctx, in, regs)
 				if err != nil {
@@ -257,88 +249,19 @@ func (r *Runner) RunIterationInto(ctx *IterCtx, recv, dst []int64) (sent []int64
 			case ir.OpRet:
 				return sent, nil
 			default:
-				v, err := evalPure(in, regs)
-				if err != nil {
-					return nil, fmt.Errorf("%s: b%d: %v", f.Name, cur.ID, err)
+				var b int64
+				switch {
+				case in.Op.IsBinary():
+					b = regs[in.Args[1]]
+				case !in.Op.IsUnary():
+					return nil, fmt.Errorf("%s: b%d: cannot evaluate %s", f.Name, cur.ID, in)
 				}
-				regs[in.Dst] = v
+				regs[in.Dst] = ir.Eval(in.Op, regs[in.Args[0]], b)
 			}
 		}
 		return nil, fmt.Errorf("%s: b%d fell off the end without a terminator", f.Name, cur.ID)
 	nextBlock:
 	}
-}
-
-// evalPure evaluates binary/unary operations with total semantics.
-func evalPure(in *ir.Instr, regs []int64) (int64, error) {
-	b2i := func(v bool) int64 {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	if in.Op.IsUnary() {
-		x := regs[in.Args[0]]
-		switch in.Op {
-		case ir.OpNeg:
-			return -x, nil
-		case ir.OpNot:
-			return b2i(x == 0), nil
-		case ir.OpBNot:
-			return ^x, nil
-		}
-	}
-	if in.Op.IsBinary() {
-		a, b := regs[in.Args[0]], regs[in.Args[1]]
-		switch in.Op {
-		case ir.OpAdd:
-			return a + b, nil
-		case ir.OpSub:
-			return a - b, nil
-		case ir.OpMul:
-			return a * b, nil
-		case ir.OpDiv:
-			if b == 0 {
-				return 0, nil
-			}
-			// Avoid the single overflowing case MinInt64 / -1.
-			if a == -a && b == -1 {
-				return a, nil
-			}
-			return a / b, nil
-		case ir.OpMod:
-			if b == 0 {
-				return 0, nil
-			}
-			if a == -a && b == -1 {
-				return 0, nil
-			}
-			return a % b, nil
-		case ir.OpAnd:
-			return a & b, nil
-		case ir.OpOr:
-			return a | b, nil
-		case ir.OpXor:
-			return a ^ b, nil
-		case ir.OpShl:
-			return a << (uint64(b) & 63), nil
-		case ir.OpShr:
-			return a >> (uint64(b) & 63), nil
-		case ir.OpEq:
-			return b2i(a == b), nil
-		case ir.OpNe:
-			return b2i(a != b), nil
-		case ir.OpLt:
-			return b2i(a < b), nil
-		case ir.OpLe:
-			return b2i(a <= b), nil
-		case ir.OpGt:
-			return b2i(a > b), nil
-		case ir.OpGe:
-			return b2i(a >= b), nil
-		}
-	}
-	return 0, fmt.Errorf("cannot evaluate %s", in)
 }
 
 // intrinsic dispatches an OpCall.
@@ -366,34 +289,14 @@ func (r *Runner) intrinsic(ctx *IterCtx, in *ir.Instr, regs []int64) (int64, err
 	case "pkt_len":
 		return int64(len(ctx.Pkt)), nil
 	case "pkt_byte":
-		off := arg(0)
-		if off < 0 || off >= int64(len(ctx.Pkt)) {
-			return 0, nil
-		}
-		return int64(ctx.Pkt[off]), nil
+		return ir.PktByte(ctx.Pkt, arg(0)), nil
 	case "pkt_word":
-		off := arg(0)
-		var v int64
-		for i := int64(0); i < 4; i++ {
-			v <<= 8
-			if o := off + i; o >= 0 && o < int64(len(ctx.Pkt)) {
-				v |= int64(ctx.Pkt[o])
-			}
-		}
-		return v, nil
+		return ir.PktWord(ctx.Pkt, arg(0)), nil
 	case "pkt_setbyte":
-		off, val := arg(0), arg(1)
-		if off >= 0 && off < int64(len(ctx.Pkt)) {
-			ctx.Pkt[off] = byte(val)
-		}
+		ir.SetPktByte(ctx.Pkt, arg(0), arg(1))
 		return 0, nil
 	case "pkt_setword":
-		off, val := arg(0), arg(1)
-		for i := int64(0); i < 4; i++ {
-			if o := off + i; o >= 0 && o < int64(len(ctx.Pkt)) {
-				ctx.Pkt[o] = byte(val >> (8 * (3 - i)))
-			}
-		}
+		ir.SetPktWord(ctx.Pkt, arg(0), arg(1))
 		return 0, nil
 	case "pkt_send":
 		pkt := make([]byte, len(ctx.Pkt))
@@ -404,9 +307,9 @@ func (r *Runner) intrinsic(ctx *IterCtx, in *ir.Instr, regs []int64) (int64, err
 		r.emit(ctx, Event{Kind: EvDrop})
 		return 0, nil
 	case "meta_get":
-		return ctx.Meta[wrapIndex(arg(0), len(ctx.Meta))], nil
+		return ctx.Meta[ir.Wrap(arg(0), len(ctx.Meta))], nil
 	case "meta_set":
-		ctx.Meta[wrapIndex(arg(0), len(ctx.Meta))] = arg(1)
+		ctx.Meta[ir.Wrap(arg(0), len(ctx.Meta))] = arg(1)
 		return 0, nil
 	case "rt_lookup":
 		if w.RT4 == nil {
@@ -419,17 +322,9 @@ func (r *Runner) intrinsic(ctx *IterCtx, in *ir.Instr, regs []int64) (int64, err
 		}
 		return w.RT6(arg(0), arg(1)), nil
 	case "csum_fold":
-		v := uint64(arg(0)) & 0xFFFFFFFF
-		v = (v & 0xFFFF) + (v >> 16)
-		v = (v & 0xFFFF) + (v >> 16)
-		return int64(v), nil
+		return ir.CsumFold(arg(0)), nil
 	case "hash_crc":
-		// A small deterministic integer mix (xorshift-multiply).
-		v := uint64(arg(0))
-		v ^= v >> 33
-		v *= 0xff51afd7ed558ccd
-		v ^= v >> 33
-		return int64(v & 0x7FFFFFFF), nil
+		return ir.HashCRC(arg(0)), nil
 	case "q_put":
 		q := arg(0)
 		w.Queues[q] = append(w.Queues[q], arg(1))

@@ -595,15 +595,11 @@ func (lo *lowerer) exprAllowVoid(e Expr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch x.Op {
-		case Minus:
-			return lo.bl.Un(ir.OpNeg, v), nil
-		case Bang:
-			return lo.bl.Un(ir.OpNot, v), nil
-		case Tilde:
-			return lo.bl.Un(ir.OpBNot, v), nil
+		op, ok := unOpMap[x.Op]
+		if !ok {
+			return 0, errf(x.Pos_, "bad unary operator")
 		}
-		return 0, errf(x.Pos_, "bad unary operator")
+		return lo.bl.Un(op, v), nil
 
 	case *BinaryExpr:
 		switch x.Op {
@@ -656,6 +652,8 @@ func (lo *lowerer) exprAllowVoid(e Expr) (int, error) {
 	}
 	return 0, fmt.Errorf("internal error: unknown expression %T", e)
 }
+
+var unOpMap = map[Kind]ir.Op{Minus: ir.OpNeg, Bang: ir.OpNot, Tilde: ir.OpBNot}
 
 var binOpMap = map[Kind]ir.Op{
 	Pipe: ir.OpOr, Caret: ir.OpXor, Amp: ir.OpAnd,
@@ -782,16 +780,8 @@ func (lo *lowerer) evalConst(e Expr) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch x.Op {
-		case Minus:
-			return -v, nil
-		case Bang:
-			if v == 0 {
-				return 1, nil
-			}
-			return 0, nil
-		case Tilde:
-			return ^v, nil
+		if op, ok := unOpMap[x.Op]; ok {
+			return ir.Eval(op, v, 0), nil
 		}
 	case *BinaryExpr:
 		a, err := lo.evalConst(x.X)
@@ -802,7 +792,16 @@ func (lo *lowerer) evalConst(e Expr) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return evalBin(x.Op, a, b), nil
+		switch x.Op {
+		case AndAnd:
+			return ir.Bool(a != 0 && b != 0), nil
+		case OrOr:
+			return ir.Bool(a != 0 || b != 0), nil
+		}
+		if op, ok := binOpMap[x.Op]; ok {
+			return ir.Eval(op, a, b), nil
+		}
+		return 0, errf(x.Pos_, "bad binary operator")
 	case *CondExpr:
 		c, err := lo.evalConst(x.Cond)
 		if err != nil {
@@ -814,58 +813,4 @@ func (lo *lowerer) evalConst(e Expr) (int64, error) {
 		return lo.evalConst(x.Else)
 	}
 	return 0, errf(e.pos(), "not a constant expression")
-}
-
-func evalBin(op Kind, a, b int64) int64 {
-	boolToInt := func(v bool) int64 {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case Plus:
-		return a + b
-	case Minus:
-		return a - b
-	case Star:
-		return a * b
-	case Slash:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case Percent:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case Pipe:
-		return a | b
-	case Caret:
-		return a ^ b
-	case Amp:
-		return a & b
-	case Shl:
-		return a << (uint64(b) & 63)
-	case Shr:
-		return a >> (uint64(b) & 63)
-	case EqEq:
-		return boolToInt(a == b)
-	case NotEq:
-		return boolToInt(a != b)
-	case Lt:
-		return boolToInt(a < b)
-	case Le:
-		return boolToInt(a <= b)
-	case Gt:
-		return boolToInt(a > b)
-	case Ge:
-		return boolToInt(a >= b)
-	case AndAnd:
-		return boolToInt(a != 0 && b != 0)
-	case OrOr:
-		return boolToInt(a != 0 || b != 0)
-	}
-	return 0
 }
