@@ -208,7 +208,7 @@ func TestCompiledStageHandoff(t *testing.T) {
 		r.RxFromCtx = true
 	}
 	got := runBoth(func(k int, ctx *interp.IterCtx, slots []int64) ([]int64, error) {
-		return cRunners[k].RunIteration(ctx, slots)
+		return cRunners[k].RunIterationInto(ctx, slots, nil)
 	})
 
 	if diff := interp.TraceEqual(want, got); diff != "" {
@@ -252,7 +252,7 @@ func TestCompiledRecvSlotMismatchParity(t *testing.T) {
 	iErrRun := interp.NewStageRunners(res.Stages, netbench.NewWorld(nil))[1]
 	cErrRun := exec.NewStageRunners(res.Stages, netbench.NewWorld(nil))[1]
 	_, iErr := iErrRun.RunIteration(interp.NewIterCtx(), nil)
-	_, cErr := cErrRun.RunIteration(interp.NewIterCtx(), nil)
+	_, cErr := cErrRun.RunIterationInto(interp.NewIterCtx(), nil, nil)
 	if iErr == nil || cErr == nil {
 		t.Skipf("stage 2 accepted empty live set (no recv): interp=%v exec=%v", iErr, cErr)
 	}
@@ -281,11 +281,11 @@ func TestCompiledPersistentIsolation(t *testing.T) {
 	a := exec.NewRunner(prog, w)
 	b := exec.NewRunner(prog.Clone(), w)
 	ctx := interp.NewIterCtx()
-	if _, err := a.RunIteration(ctx, nil); err != nil {
+	if _, err := a.RunIterationInto(ctx, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx.Reset()
-	if _, err := b.RunIteration(ctx, nil); err != nil {
+	if _, err := b.RunIterationInto(ctx, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Independent runners each count from zero: trace(1), trace(1).
@@ -317,7 +317,7 @@ func BenchmarkCompiledSequentialIPv4(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.Pending, ctx.HasPending = traffic[i%len(traffic)], true
-		if _, err := r.RunIteration(ctx, nil); err != nil {
+		if _, err := r.RunIterationInto(ctx, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 		ctx.Reset()

@@ -55,7 +55,7 @@ func runExec(prog *ir.Program, packets [][]byte, iters int) (outcome, exec.Lower
 	ctx := interp.NewIterCtx()
 	var err error
 	for i := 0; i < iters && err == nil; i++ {
-		if _, err = r.RunIteration(ctx, nil); err != nil {
+		if _, err = r.RunIterationInto(ctx, nil, nil); err != nil {
 			err = fmt.Errorf("iteration %d: %w", i, err)
 		}
 		ctx.Reset()
