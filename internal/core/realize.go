@@ -58,24 +58,12 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 		}
 	}
 
-	// inReg returns the register carrying an upstream object in this stage.
-	inReg := func(o object) (int, error) {
-		if recvCut == nil {
-			return 0, fmt.Errorf("stage %d: object %+v has no incoming cut", k, o)
-		}
-		s, ok := recvCut.slotOf(o)
-		if !ok {
-			return 0, fmt.Errorf("stage %d: object %+v missing from cut %d live set", k, o, recvCut.index)
-		}
-		return recvRegs[s], nil
-	}
-
 	// 1. stageShell kept stage k's instructions in the blocks the stage
 	// reaches, each ending in its terminator as planTerms rewired it. 2. A
 	// switch that re-executes an upstream decision reads its control object.
 	for b, t := range terms {
 		if t.kind == termSwitch {
-			co, err := inReg(object{isCtrl: true, branch: t.unit})
+			co, err := st.inReg(k, recvRegs, object{isCtrl: true, branch: t.unit})
 			if err != nil {
 				return nil, err
 			}
@@ -101,7 +89,7 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 					}
 					continue
 				}
-				nr, err := inReg(object{reg: r})
+				nr, err := st.inReg(k, recvRegs, object{reg: r})
 				if err != nil {
 					return nil, err
 				}
@@ -114,7 +102,7 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 	// which are prepended to the entry) go in first; the receive is
 	// prepended last so it ends up ahead of everything.
 	if sendCut != nil {
-		if err := st.insertSlotWrites(f, k, sendCut, sendRegs, recvCut, recvRegs); err != nil {
+		if err := st.insertSlotWrites(f, k, sendCut, sendRegs, recvRegs); err != nil {
 			return nil, err
 		}
 		// Insert the send before the ret of the unique exit block.
@@ -489,7 +477,7 @@ func (st *partitionState) nodeEntryBlock(node int) (int, error) {
 // A slot soleWriters sends from its writer's own register takes no write at
 // all. The copies left — into a slot that merges writers, one relay per
 // object even where objects share a slot — are coalesceCopies' to remove.
-func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, sendRegs []int, recvCut *cutInfo, recvRegs []int) error {
+func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, sendRegs, recvRegs []int) error {
 	an := st.an
 	var relays []*ir.Instr
 	for i, o := range cut.objects {
@@ -516,9 +504,9 @@ func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, send
 			continue
 		}
 		// Relay.
-		src, err := slotIn(recvCut, recvRegs, o)
+		src, err := st.inReg(k, recvRegs, o)
 		if err != nil {
-			return fmt.Errorf("stage %d: %w", k, err)
+			return err
 		}
 		if dst == src {
 			continue
@@ -568,13 +556,16 @@ func (st *partitionState) soleWriters(k int, cut, recvCut *cutInfo, recvRegs, se
 	}
 }
 
-func slotIn(recvCut *cutInfo, recvRegs []int, o object) (int, error) {
-	if recvCut == nil {
-		return 0, fmt.Errorf("relayed object %+v with no incoming cut", o)
+// inReg returns the register carrying upstream object o into stage k:
+// recvRegs[s] for the slot s of stage k's incoming cut that holds o.
+func (st *partitionState) inReg(k int, recvRegs []int, o object) (int, error) {
+	if k == 1 {
+		return 0, fmt.Errorf("stage %d: object %+v has no incoming cut", k, o)
 	}
-	s, ok := recvCut.slotOf(o)
+	cut := st.cuts[k-2]
+	s, ok := cut.slotOf(o)
 	if !ok {
-		return 0, fmt.Errorf("relayed object %+v missing from incoming live set", o)
+		return 0, fmt.Errorf("stage %d: object %+v missing from cut %d live set", k, o, cut.index)
 	}
 	return recvRegs[s], nil
 }
