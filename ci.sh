@@ -52,7 +52,7 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
-echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow differential, windowed cut search, interference oracle, concurrent cuts, allocation budget, dense stage registers, defined reads, queue confinement, pinned cuts, single-writer slots, copy coalescing and the intrinsic table under -race -count=2; pipebench figures vs golden"
+echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow differential, windowed cut search, interference oracle, concurrent cuts, allocation budget, dense stage registers, defined reads, queue confinement, pinned cuts, single-writer slots, copy coalescing, the intrinsic table and the value-semantics table under -race -count=2; pipebench figures vs golden"
 # The partitioner's byte-identity oracles. TestCutSweepGolden digests every
 # stage program and report of the six PPS at D=1..10 (and two coarsenings),
 # and each program renumbered canonically (canon=, which a change that only
@@ -79,8 +79,10 @@ echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow different
 # Serial/Carried, the replica width at P=2, and
 # both validators' verdicts — for the six PPS, their coarsenings, 200 random
 # programs and hand-built lists; TestValidateStagesConfinesQueues holds
-# core.ValidateStages to the queue half of costmodel.CheckConfined, and
-# TestIntrinsicTableIsTheOneList both backends to costmodel.Intrinsics.
+# core.ValidateStages to the queue half of costmodel.CheckConfined,
+# TestIntrinsicTableIsTheOneList both backends to costmodel.Intrinsics, and
+# TestValueSemanticsTable internal/ir's value semantics, both backends and
+# ppc's constant folding to expected values written out as literals.
 # Each twice under the race detector (Partition is called concurrently on
 # one Analysis), and so are the concurrent-cut tests, which give every
 # concurrent Partition its own workspace, and the per-Partition allocation
@@ -95,6 +97,7 @@ go test -race -count=2 -run '^(TestCutSweepGolden|TestStageStateGolden)$' .
 go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
 go test -race -count=2 -run '^(TestWindowedCutsMatchWholeNetwork|TestInterferenceOracle|TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense|TestValidateStagesConfinesQueues|TestPinnedCuts|TestSingleWriterSlotsAreNotCopied|TestStageCopiesInterfere|TestCoalesceKeepsLostCopy|TestCoalesceKeepsSwap|TestStagesDefineWhatTheyRead)$' ./internal/core
 go test -race -count=2 -run '^TestIntrinsicTableIsTheOneList$' ./internal/exec
+go test -race -count=2 -run '^TestValueSemanticsTable$' ./internal/interp
 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 GOMAXPROCS=1 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden
 
@@ -222,7 +225,7 @@ else
 fi
 
 echo "== doc gate: the docs name no deleted machinery"
-if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns|WithOverload|OverloadShed|OverloadPolicy|UntilOverload|TestChaosSaturatedRingSheds|flow-keyed|classFlowKeyed|flowArrs|Store\.Fork|flow-key contract|seqStream|scatterer|tombstone|shardOf|DefaultShardKey|PushTimeout|overloadTick|sequence side-channel|flow-hash|contextBinder|packetOwner|PacketsOwned|BindContext|ingestPullMin|PlanFusion|FusionPlan|maxSearchStages|exec\.RunSequential|exec\.RunPipeline|Lowered\.Forwarded|phi moves|PredictedNsPerPkt|ringSyncNsSPSC|costmodel\.Predict|CloneInto|tokPool|batchPool|newPools|getToken|putToken|exec\.Iteration' README.md DESIGN.md EXPERIMENTS.md; then
+if grep -nE 'mergeShardTraces|sinkCollector|evCursor|traceBuf|WithAutotune|WithObjective|ThroughputUnderP99|internal/tuner|serveAdaptive|Coarsen\(keep\)|keep-mask|NewCoarseLayout\(programs, covers\)|merge \*order\*|WithThreads|WithArrivalInterval|WithMaxPEs|WithWatermark|ArrivalInterval|WithWorkers|fusionCores|SetFusionCoresForTest|\bFig21OverheadIPv4\b|\bFig22OverheadIP\b|TestHeadlineClaim|WithDeadline|StageDeadline|WithArch|DefaultArch|inSimulate|pipe\.Simulate|Pipeline\.Simulate|greedy descent|the token owns|WithOverload|OverloadShed|OverloadPolicy|UntilOverload|TestChaosSaturatedRingSheds|flow-keyed|classFlowKeyed|flowArrs|Store\.Fork|flow-key contract|seqStream|scatterer|tombstone|shardOf|DefaultShardKey|PushTimeout|overloadTick|sequence side-channel|flow-hash|contextBinder|packetOwner|PacketsOwned|BindContext|ingestPullMin|PlanFusion|FusionPlan|maxSearchStages|exec\.RunSequential|exec\.RunPipeline|Lowered\.Forwarded|phi moves|PredictedNsPerPkt|ringSyncNsSPSC|costmodel\.Predict|CloneInto|tokPool|batchPool|newPools|getToken|putToken|exec\.Iteration|divTotal|modTotal|csumFold|hashCRC|byteAt|wordAt|wrapIndex|evalBin' README.md DESIGN.md EXPERIMENTS.md; then
     echo "doc gate: the lines above name deleted machinery" >&2 && exit 1
 fi
 
@@ -255,6 +258,8 @@ echo "stage registers per six-PPS sweep: $(go test -count=1 -run '^TestStageRegi
 echo "partitioner bytes per six-PPS sweep: $(go test -count=1 -run '^$' -bench '^BenchmarkPartitionSweep$/^all$' -benchmem . | awk '/^BenchmarkPartitionSweep\/all/ { for (i = 2; i < NF; i++) if ($(i+1) == "B/op") printf "%.1f MB", $i / 1e6 }')  (31.2 MB before the per-call workspace)"
 # shellcheck disable=SC2046
 echo "internal/obsv code lines: $(cat $(ls internal/obsv/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (585 before the per-stage span logs)"
+# shellcheck disable=SC2046
+echo "internal/ir code lines: $(cat $(ls internal/ir/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (653 before one value semantics)"
 echo "internal/exec code lines:  $(cat internal/exec/exec.go internal/exec/lower.go | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')  (2165 before phi-free input)"
 # code FILE FROM TO: code lines from the line matching FROM through the
 # closing brace of the declaration that opens at the line matching TO.
