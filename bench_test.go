@@ -262,7 +262,8 @@ func BenchmarkAnalyzeOnceCutMany(b *testing.B) {
 // way benchmark/'s cut-sweep workload pays for it: the six PPS of the two
 // applications, each analyzed once outside the timer and cut at D=1..10 per
 // iteration — one sub-benchmark per PPS (ten Partition calls) and "all" (the
-// sixty of one sweep), reported as ms/sweep. Beside it, gc/sweep counts the
+// sixty of one sweep), reported as ms/sweep — and the six cut at one degree,
+// "d1" and "d10", whose ratio is what a degree costs. Beside it, gc/sweep counts the
 // garbage collections a sweep ran: a change that moves only those moves
 // ms/sweep too, with no change in the partitioner's own work.
 func BenchmarkPartitionSweep(b *testing.B) {
@@ -279,7 +280,7 @@ func BenchmarkPartitionSweep(b *testing.B) {
 		}
 		analyses = append(analyses, a)
 	}
-	sweep := func(as []*core.Analysis) func(*testing.B) {
+	sweep := func(as []*core.Analysis, degrees ...int) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			var before, after runtime.MemStats
@@ -288,7 +289,7 @@ func BenchmarkPartitionSweep(b *testing.B) {
 			b.StartTimer()
 			for i := 0; i < b.N; i++ {
 				for _, a := range as {
-					for _, d := range experiments.Degrees {
+					for _, d := range degrees {
 						if _, err := a.Partition(core.Options{Stages: d}); err != nil {
 							b.Fatal(err)
 						}
@@ -302,9 +303,11 @@ func BenchmarkPartitionSweep(b *testing.B) {
 		}
 	}
 	for i, name := range sweepPPS {
-		b.Run(name, sweep(analyses[i:i+1]))
+		b.Run(name, sweep(analyses[i:i+1], experiments.Degrees...))
 	}
-	b.Run("all", sweep(analyses))
+	b.Run("all", sweep(analyses, experiments.Degrees...))
+	b.Run("d1", sweep(analyses, 1))
+	b.Run("d10", sweep(analyses, 10))
 }
 
 // BenchmarkVerifySweep measures the check benchmark/'s cut-sweep workload

@@ -52,7 +52,7 @@ echo "== chaos gate: go test -race -count=2 -run TestChaos ./internal/runtime"
 # repeated race-enabled runs; -count=2 defeats the test cache.
 go test -race -count=2 -run TestChaos ./internal/runtime
 
-echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow differential, windowed cut search, interference oracle, concurrent cuts, allocation budget, dense stage registers, defined reads, queue confinement, pinned cuts, single-writer slots, copy coalescing, the intrinsic table and the value-semantics table under -race -count=2; pipebench figures vs golden"
+echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow differential, windowed cut search, interference oracle, concurrent cuts, allocation budget, dense stage registers, defined reads, queue confinement, pinned cuts, single-writer slots, copy coalescing, stage-sized shells, the intrinsic table and the value-semantics table under -race -count=2; pipebench figures vs golden"
 # The partitioner's byte-identity oracles. TestCutSweepGolden digests every
 # stage program and report of the six PPS at D=1..10 (and two coarsenings),
 # and each program renumbered canonically (canon=, which a change that only
@@ -95,7 +95,7 @@ echo "== partitioner gate: cut-sweep and stage-state oracles, max-flow different
 #   go run ./cmd/pipebench -experiment all > testdata/pipebench_all.golden
 go test -race -count=2 -run '^(TestCutSweepGolden|TestStageStateGolden)$' .
 go test -race -count=2 -run '^TestRandomContractionAgainstEdmondsKarp$' ./internal/maxflow
-go test -race -count=2 -run '^(TestWindowedCutsMatchWholeNetwork|TestInterferenceOracle|TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense|TestValidateStagesConfinesQueues|TestPinnedCuts|TestSingleWriterSlotsAreNotCopied|TestStageCopiesInterfere|TestCoalesceKeepsLostCopy|TestCoalesceKeepsSwap|TestStagesDefineWhatTheyRead)$' ./internal/core
+go test -race -count=2 -run '^(TestWindowedCutsMatchWholeNetwork|TestInterferenceOracle|TestConcurrentPartitionNetbench|TestConcurrentPartitionRandprog|TestPartitionAllocBudget|TestStageRegistersDense|TestValidateStagesConfinesQueues|TestPinnedCuts|TestSingleWriterSlotsAreNotCopied|TestStageCopiesInterfere|TestCoalesceKeepsLostCopy|TestCoalesceKeepsSwap|TestStagesDefineWhatTheyRead|TestStageShellIsStageSized)$' ./internal/core
 go test -race -count=2 -run '^TestIntrinsicTableIsTheOneList$' ./internal/exec
 go test -race -count=2 -run '^TestValueSemanticsTable$' ./internal/interp
 go run ./cmd/pipebench -experiment all | cmp - testdata/pipebench_all.golden

@@ -39,11 +39,21 @@ type compCost struct {
 	loop, reached bool
 }
 
-// funcCost is FuncCost keeping its per-component records in ws.
+// costGraphs is the storage funcCost builds a function's graphs in: its
+// CFG, their SCCs, the condensation and a topological order of it.
+type costGraphs struct {
+	cfg, cond graph.Digraph
+	scc       graph.SCCResult
+	order     []int
+}
+
+// funcCost is FuncCost keeping its graphs and per-component records in ws.
 func (ws *workspace) funcCost(f *ir.Func, arch *costmodel.Arch, ch costmodel.ChannelKind) PathCost {
-	cfg := f.CFG()
-	scc := graph.SCC(cfg)
-	cond := graph.Condense(cfg, scc)
+	g := &ws.graphs
+	f.CFGInto(&g.cfg)
+	g.scc.Reset(&g.cfg)
+	scc, cond := &g.scc, &g.cond
+	cond.ResetCondensed(&g.cfg, scc)
 	cs := scratch(&ws.comps, cond.Len())
 	var static int64
 	for _, b := range f.Blocks {
@@ -74,7 +84,7 @@ func (ws *workspace) funcCost(f *ir.Func, arch *costmodel.Arch, ch costmodel.Cha
 	}
 
 	// Longest path over the condensation DAG from the entry component.
-	order, _ := cond.Topo()
+	order, _ := cond.TopoInto(&g.order)
 	entry := &cs[scc.Comp[f.Entry]]
 	entry.best, entry.reached = entry.own, true
 	var final nodeCost

@@ -98,3 +98,26 @@ func CheckInterference(a *Analysis, opts Options) (int, error) { return checkInt
 func CheckWindowedCuts(a *Analysis, opts Options) (cuts, widest int, err error) {
 	return checkWindowedCuts(a, opts)
 }
+
+// StageShells returns, for every stage of a's cut at opts with the cuts
+// fuse names un-made (as Coarsen makes them), the function realizeStage
+// hands to ssa.Destruct and how many of its registers its shell named.
+func StageShells(a *Analysis, opts Options, fuse uint64) ([]*ir.Func, []int, error) {
+	res, err := a.Partition(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	ws := new(workspace)
+	_, st := res.coarsened(fuse, ws)
+	st.buildCuts()
+	var fs []*ir.Func
+	var shell []int
+	for k := 1; k <= st.opts.Stages; k++ {
+		f, err := st.stageFunc(k)
+		if err != nil {
+			return nil, nil, err
+		}
+		fs, shell = append(fs, f), append(shell, len(ws.regOf))
+	}
+	return fs, shell, nil
+}

@@ -55,7 +55,7 @@ func (st *partitionState) refReachOf(o object, j int, prev *cutInfo) refReach {
 		for _, t := range st.ctrlTargets(o.branch) {
 			r.defs = append(r.defs, pos{block: t, idx: 0})
 		}
-		for _, d := range st.ctrlClosure(o.branch) {
+		for _, d := range st.a.closures[o.branch] {
 			if st.stageOf[d] > j {
 				r.uses = append(r.uses, ps.unitPos[d]...)
 			}
@@ -191,7 +191,7 @@ func checkInterference(a *Analysis, options Options) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws}
+	st := a.newState(opts, stageOf, ws)
 	ref := &refPositions{reach1: a.an.F.CFG().Reach()}
 	pairs := 0
 	var prev *cutInfo

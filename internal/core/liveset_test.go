@@ -26,7 +26,7 @@ func preparePS(t *testing.T, src string, stages int) (*partitionState, *position
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws}
+	st := a.newState(opts, stageOf, ws)
 	return st, a.ps
 }
 
@@ -198,7 +198,7 @@ func cutBeforeTraces(t *testing.T, src string) (*cutInfo, []*ir.Program) {
 			}
 		}
 	}
-	st := &partitionState{opts: opts, a: a, an: an, stageOf: stageOf, ws: new(workspace)}
+	st := a.newState(opts, stageOf, new(workspace))
 	stages, _, err := st.realize()
 	if err != nil {
 		t.Fatal(err)

@@ -113,14 +113,17 @@ type partitionState struct {
 // workspace is the scratch one Partition or Coarsen call reuses from cut to
 // cut and from stage to stage: the contracted network each cut search
 // builds (window) with its pins, node map and weights, the search's marks,
-// packCut's per-object block sets and interference graph, and the arrays
-// of the cleanup passes and stage costing. A call takes one from its
-// Analysis's pool and puts it back when it returns, so concurrent calls
-// never share one, and nothing a call returns points into it. Every use
-// overwrites what it reads: no content carries from one call, cut or stage
-// to the next. terms holds planTerms' plan; regs, words, coal and copies
-// serve coalesceCopies and renumberRegs, and names the phi temporaries
-// ssa.Destruct names before them.
+// packCut's per-object block sets and interference graph, the tables of
+// the call's stage assignment (index), and the arrays of stage
+// realization, cleanup and costing. A call takes one from its Analysis's
+// pool and puts it back when it returns, so concurrent calls never share
+// one, and nothing a call returns points into it. Every use overwrites
+// what it reads: no content carries from one call, cut or stage to the
+// next, except the tables index builds for the call. terms and reached
+// hold planTerms' plan, regSet, regBase and regOf the stage's registers
+// (stageShell); regs, words, coal and copies serve coalesceCopies and
+// renumberRegs, and names the phi temporaries ssa.Destruct names before
+// them.
 type workspace struct {
 	nw     maxflow.Network
 	pins   []int8
@@ -132,14 +135,29 @@ type workspace struct {
 	reach  []reach
 	sets   []uint64
 	comps  []compCost
+	graphs costGraphs
 	ints   []int
 	bools  []bool
 	regs   []int32
 	words  []uint64
 	coal   []int32
 	copies []*ir.Instr
-	terms  []stageTerm
 	names  map[int]string
+
+	// The call's tables (index).
+	lastUse    []int
+	ctrlStages []uint64
+	ctrlRowAt  []int
+	ctrlRows   []uint64
+	stageAt    []int
+	stagePos   []pos
+
+	// The stage being realized.
+	terms   []stageTerm
+	reached []int
+	regSet  []uint64
+	regBase []int32
+	regOf   []int32
 }
 
 // scratch returns (*buf)[:n] zeroed, first replacing *buf if it is shorter.
@@ -150,15 +168,6 @@ func scratch[T any](buf *[]T, n int) []T {
 	s := (*buf)[:n]
 	clear(s)
 	return s
-}
-
-// ctrlClosure returns the transitive control dependents of branch unit u:
-// everything directly control-dependent on u plus everything dependent on
-// branches inside u's region. A stage containing any of these needs u's
-// control object to navigate its cloned control flow. The closures are
-// precomputed by Analyze (they are degree-independent).
-func (st *partitionState) ctrlClosure(u int) []int {
-	return st.a.closures[u]
 }
 
 // netModel is the flow network of one program (paper step 1.6) held as the

@@ -105,7 +105,7 @@ func (a *Analysis) Partition(options Options) (*Result, error) {
 		return nil, err
 	}
 
-	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws}
+	st := a.newState(opts, stageOf, ws)
 	rep := &Report{Seq: a.seq}
 	res := &Result{Report: rep, a: a, opts: opts, stageOf: stageOf}
 	if res.Stages, rep.Stages, err = st.realize(); err != nil {
@@ -157,11 +157,7 @@ func (a *Analysis) Partition(options Options) (*Result, error) {
 // assignment, then builds and validates one program per stage.
 func (st *partitionState) realize() ([]*ir.Program, []StageReport, error) {
 	a, opts := st.a, st.opts
-	var prev *cutInfo
-	for j := 1; j < opts.Stages; j++ {
-		prev = st.buildCut(j, a.ps, prev)
-		st.cuts = append(st.cuts, prev)
-	}
+	st.buildCuts()
 	stages := make([]*ir.Program, 0, opts.Stages)
 	for k := 1; k <= opts.Stages; k++ {
 		sf, err := st.realizeStage(k)
@@ -194,6 +190,15 @@ func (st *partitionState) realize() ([]*ir.Program, []StageReport, error) {
 	return stages, reports, nil
 }
 
+// buildCuts computes and packs the live set of every cut.
+func (st *partitionState) buildCuts() {
+	var prev *cutInfo
+	for j := 1; j < st.opts.Stages; j++ {
+		prev = st.buildCut(j, st.a.ps, prev)
+		st.cuts = append(st.cuts, prev)
+	}
+}
+
 // Unit is one program of a coarsened cut: cut stages First..Last (1-based,
 // First == Last for a lone stage) realized as a single stage, with its
 // worst-case path cost under the cut's cost model.
@@ -213,6 +218,22 @@ type Unit struct {
 // trace of the unpartitioned program. Coarsen mutates neither the Result nor
 // its Analysis and may be called concurrently.
 func (r *Result) Coarsen(fuse uint64) ([]Unit, error) {
+	ws := r.a.idle.Get().(*workspace)
+	defer r.a.idle.Put(ws)
+	units, st := r.coarsened(fuse, ws)
+	progs, reports, err := st.realize()
+	if err != nil {
+		return nil, err
+	}
+	for i := range units {
+		units[i].Prog, units[i].Cost = progs[i], reports[i].Cost
+	}
+	return units, nil
+}
+
+// coarsened returns the units of r's stages with the cuts fuse names
+// un-made, and the state that realizes them in ws.
+func (r *Result) coarsened(fuse uint64, ws *workspace) ([]Unit, *partitionState) {
 	// unitOf[s] is the 1-based unit of cut stage s.
 	unitOf := make([]int, r.opts.Stages+1)
 	var units []Unit
@@ -223,19 +244,11 @@ func (r *Result) Coarsen(fuse uint64) ([]Unit, error) {
 		units[len(units)-1].Last = s
 		unitOf[s] = len(units)
 	}
-	ws := r.a.idle.Get().(*workspace)
-	defer r.a.idle.Put(ws)
-	st := &partitionState{opts: r.opts, a: r.a, an: r.a.an, stageOf: make([]int, len(r.stageOf)), ws: ws}
-	st.opts.Stages = len(units)
+	stageOf := make([]int, len(r.stageOf))
 	for u, s := range r.stageOf {
-		st.stageOf[u] = unitOf[s]
+		stageOf[u] = unitOf[s]
 	}
-	progs, reports, err := st.realize()
-	if err != nil {
-		return nil, err
-	}
-	for i := range units {
-		units[i].Prog, units[i].Cost = progs[i], reports[i].Cost
-	}
-	return units, nil
+	opts := r.opts
+	opts.Stages = len(units)
+	return units, r.a.newState(opts, stageOf, ws)
 }

@@ -1,12 +1,132 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/ssa"
 )
+
+// newState returns the state of one call realizing stageOf at opts in ws,
+// with the tables its cuts and stages read (index).
+func (a *Analysis) newState(opts Options, stageOf []int, ws *workspace) *partitionState {
+	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws}
+	st.index()
+	return st
+}
+
+// index builds in ws, once per call, what the call's cuts and stages read of
+// its stage assignment, so that each reads only its own part:
+//
+//   - stagePos[stageAt[k-1]:stageAt[k]] lists, in program order, where the
+//     instructions stage k's shell copies sit: its own units' (terminators
+//     aside, which planTerms decides) and the constants of other stages it
+//     reads;
+//   - lastUse[r] is the last stage reading register r, so whether a cut
+//     carries r is a comparison (buildCut);
+//   - ctrlStages[u] has bit s-1 set when unit u's control closure holds a
+//     unit of stage s, so whether a cut carries u's control object
+//     (buildCut) and whether a stage follows u's decision (coNeededBy) are
+//     bit tests;
+//   - for each stage s after u's own that holds part of u's closure, one
+//     block row (ctrlUsesAfter): the blocks of u's closure units in stage s
+//     or later.
+func (st *partitionState) index() {
+	an, ws, D := st.an, st.ws, st.opts.Stages
+	// readers is the stages other than unit u's that read in, when in
+	// defines a constant.
+	readers := func(u int, in *ir.Instr) uint64 {
+		var m uint64
+		if in.Op == ir.OpConst && st.a.isConst[in.Dst] {
+			for _, use := range an.DataUses[in.Dst] {
+				m |= 1 << (st.stageOf[use] - 1)
+			}
+		}
+		return m &^ (1 << (st.stageOf[u] - 1))
+	}
+	each := func(place func(s int, p pos)) {
+		for _, b := range an.F.Blocks {
+			for i, in := range b.Instrs {
+				u := an.UnitAt[b.ID][i]
+				if u < 0 || in.Op.IsTerminator() {
+					continue
+				}
+				place(st.stageOf[u], pos{b.ID, i})
+				for m := readers(u, in); m != 0; m &= m - 1 {
+					place(bits.TrailingZeros64(m)+1, pos{b.ID, i})
+				}
+			}
+		}
+	}
+	// Counted, then placed: at[s] runs from stage s's start to its end,
+	// which is where stage s+1 starts.
+	at := scratch(&ws.stageAt, D+1)
+	each(func(s int, _ pos) { at[s]++ })
+	n := 0
+	for s := 1; s <= D; s++ {
+		at[s], n = n, n+at[s]
+	}
+	list := scratch(&ws.stagePos, n)
+	each(func(s int, p pos) { list[at[s]] = p; at[s]++ })
+
+	last := scratch(&ws.lastUse, len(an.DataUses))
+	for r, uses := range an.DataUses {
+		for _, use := range uses {
+			last[r] = max(last[r], st.stageOf[use])
+		}
+	}
+
+	masks := scratch(&ws.ctrlStages, len(an.Units))
+	rowAt := scratch(&ws.ctrlRowAt, len(an.Units)+1)
+	for u, closure := range st.a.closures {
+		for _, d := range closure {
+			masks[u] |= 1 << (st.stageOf[d] - 1)
+		}
+		rowAt[u+1] = rowAt[u] + bits.OnesCount64(st.laterStages(u))
+	}
+	ps := st.a.ps
+	w := ps.words
+	rows := scratch(&ws.ctrlRows, rowAt[len(an.Units)]*w)
+	for u, closure := range st.a.closures {
+		later := st.laterStages(u)
+		if later == 0 {
+			continue
+		}
+		for _, d := range closure {
+			if bit := uint64(1) << (st.stageOf[d] - 1); later&bit != 0 {
+				row := rows[(rowAt[u]+bits.OnesCount64(later&(bit-1)))*w:]
+				for i, x := range ps.unitBlocks[d*w : (d+1)*w] {
+					row[i] |= x
+				}
+			}
+		}
+		// Each row takes in the later ones.
+		for i := rowAt[u+1]*w - 1; i >= (rowAt[u]+1)*w; i-- {
+			rows[i-w] |= rows[i]
+		}
+	}
+}
+
+// laterStages is ctrlStages[u] without the stages up to unit u's own.
+func (st *partitionState) laterStages(u int) uint64 {
+	own := st.stageOf[u]
+	return st.ws.ctrlStages[u] >> own << own
+}
+
+// ctrlUsesAfter returns the blocks of branch unit u's closure units in
+// stages after j, which must not precede u's own; nil when there are none.
+func (st *partitionState) ctrlUsesAfter(u, j int) []uint64 {
+	later := st.laterStages(u)
+	i := bits.OnesCount64(later & (1<<j - 1))
+	if i == bits.OnesCount64(later) {
+		return nil
+	}
+	w, r := st.a.ps.words, st.ws.ctrlRowAt[u]+i
+	return st.ws.ctrlRows[r*w : (r+1)*w]
+}
 
 // realizeStage builds the IR function for pipeline stage k (1-based) from
 // the analyzed original. The returned function:
@@ -22,32 +142,40 @@ import (
 //   - replaces inner loops owned by other stages with a switch on the
 //     loop's control object over its exit landing pads (paper figure 17).
 func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
-	a, an := st.a, st.an
-	D := st.opts.Stages
-	terms, err := st.planTerms(k)
+	f, err := st.stageFunc(k)
 	if err != nil {
 		return nil, err
 	}
-	f := st.stageShell(k, terms)
-	nOrig := f.NumRegs
+	// Lower the phis, each phi's temporary named after it, coalesce the
+	// copies that leaves and the slot writes, clean up, and give the stage
+	// its own registers.
+	ssa.Destruct(f)
+	coalesceCopies(f, st.ws)
+	cleanupFunc(f, st.ws)
+	renumberRegs(f, st.a.regName, st.ws)
+	return f, nil
+}
 
-	// Incoming and outgoing cuts.
+// stageFunc is realizeStage up to ssa.Destruct: stage k's shell with its
+// transmissions in place.
+func (st *partitionState) stageFunc(k int) (*ir.Func, error) {
+	a := st.a
 	var recvCut, sendCut *cutInfo
 	if k > 1 {
 		recvCut = st.cuts[k-2]
 	}
-	if k < D {
+	if k < st.opts.Stages {
 		sendCut = st.cuts[k-1]
 	}
-
-	// Slot registers.
-	var recvRegs, sendRegs []int
-	if recvCut != nil {
-		recvRegs = make([]int, recvCut.numSlots)
-		for i := range recvRegs {
-			recvRegs[i] = f.NewReg()
-		}
+	terms, reached, err := st.planTerms(k)
+	if err != nil {
+		return nil, err
 	}
+	f, recvRegs, err := st.stageShell(k, terms, reached, recvCut)
+	if err != nil {
+		return nil, err
+	}
+	var sendRegs []int
 	if sendCut != nil {
 		sendRegs = make([]int, sendCut.numSlots)
 		st.soleWriters(k, sendCut, recvCut, recvRegs, sendRegs)
@@ -58,55 +186,19 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 		}
 	}
 
-	// 1. stageShell kept stage k's instructions in the blocks the stage
-	// reaches, each ending in its terminator as planTerms rewired it. 2. A
-	// switch that re-executes an upstream decision reads its control object.
-	for b, t := range terms {
-		if t.kind == termSwitch {
-			co, err := st.inReg(k, recvRegs, object{isCtrl: true, branch: t.unit})
-			if err != nil {
-				return nil, err
-			}
-			f.Blocks[b].Term().Args[0] = co
-		}
-	}
-
-	// 3. Rename upstream value uses to received slot registers. Everything
-	// left in the shell is stage k's own, a constant it reads, or a
-	// terminator; a rewired terminator reads at most a slot register, which
-	// is no original value. A constant keeps its register: the stage's copy
-	// of the const defines it, unless its block is one the stage never
-	// reaches.
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for idx, r := range in.Uses() {
-				if r >= nOrig || an.DataDef[r] < 0 || st.stageOf[an.DataDef[r]] >= k {
-					continue
-				}
-				if a.isConst[r] {
-					if d := a.ps.defAt[r].block; terms[d].kind == termStub {
-						return nil, fmt.Errorf("internal error: stage %d reads constant r%d, defined in b%d, which the stage never reaches", k, r, d)
-					}
-					continue
-				}
-				nr, err := st.inReg(k, recvRegs, object{reg: r})
-				if err != nil {
-					return nil, err
-				}
-				in.Args[idx] = nr
-			}
-		}
-	}
-
-	// 4. Materialize transmissions. Slot writes (including relay copies,
+	// Materialize transmissions. Slot writes (including relay copies,
 	// which are prepended to the entry) go in first; the receive is
 	// prepended last so it ends up ahead of everything.
 	if sendCut != nil {
-		if err := st.insertSlotWrites(f, k, sendCut, sendRegs, recvRegs); err != nil {
+		if err := st.insertSlotWrites(f, k, terms, sendCut, sendRegs, recvRegs); err != nil {
 			return nil, err
 		}
 		// Insert the send before the ret of the unique exit block.
-		exit := f.Blocks[a.exitBlock]
+		t := terms[a.exitBlock]
+		if t.kind == termStub {
+			return nil, fmt.Errorf("internal error: stage %d never reaches the exit b%d", k, a.exitBlock)
+		}
+		exit := f.Blocks[t.at]
 		send := &ir.Instr{Op: ir.OpSendLS, Dst: ir.NoReg, Args: sendRegs, Tx: true}
 		n := len(exit.Instrs)
 		exit.Instrs = append(exit.Instrs, nil)
@@ -118,139 +210,177 @@ func (st *partitionState) realizeStage(k int) (*ir.Func, error) {
 		recv := &ir.Instr{Op: ir.OpRecvLS, Dst: ir.NoReg, Dsts: recvRegs, Tx: true}
 		entry.Instrs = append([]*ir.Instr{recv}, entry.Instrs...)
 	}
-
-	// 5. Lower remaining phis, each phi's temporary named after it,
-	// coalesce the copies that leaves and the slot writes, clean up, and
-	// give the stage its own registers.
-	f.RegName = st.ws.phiNames(f, st.a.regName)
-	ssa.Destruct(f)
-	coalesceCopies(f, st.ws)
-	cleanupFunc(f, st.ws)
-	renumberRegs(f, st.a.regName, st.ws)
 	return f, nil
 }
 
 // What an analyzed block's terminator becomes in a stage.
 const (
-	termKeep   = iota // the analyzed terminator
+	termStub   = iota // none: a block the stage never reaches
+	termKeep          // the analyzed terminator
 	termSkip          // a jump past a region without the stage's code
 	termSwitch        // a switch on an upstream control object
-	termStub          // a ret: a block the stage never reaches
 )
 
 // stageTerm is what one block's terminator becomes in a stage: its kind,
 // the branch or loop unit a skip or switch stands for, and where a skip
-// goes.
-type stageTerm struct{ kind, unit, target int }
+// goes; at is the block's number in the stage.
+type stageTerm struct{ kind, unit, target, at int }
 
 // planTerms returns, in ws.terms, what each analyzed block's terminator
-// becomes in stage k. A branch of another stage is re-executed by a switch
-// on its control object where stage k has code that depends on it (and the
-// branch is upstream), else skipped by a jump to its region's
-// post-dominator; the header of another stage's inner loop does the same
-// for the loop's exits (paper figure 17). Blocks the stage then never
-// reaches — the rest of such loops, skipped regions — are stubs.
-func (st *partitionState) planTerms(k int) ([]stageTerm, error) {
+// becomes in stage k, and in ws.reached, ascending, the blocks the stage
+// reaches, each numbered by its place there. A branch of another stage is
+// re-executed by a switch on its control object where stage k has code
+// that depends on it (and the branch is upstream), else skipped by a jump
+// to its region's post-dominator; the header of another stage's inner loop
+// does the same for the loop's exits (paper figure 17). Only the blocks the
+// stage reaches are planned: the rest of such loops and the skipped regions
+// stay termStub.
+func (st *partitionState) planTerms(k int) ([]stageTerm, []int, error) {
 	an, ws := st.an, st.ws
 	terms := scratch(&ws.terms, len(an.F.Blocks))
-	for _, b := range an.F.Blocks {
-		if b.Term() == nil {
-			continue
+	reached, stack := ws.reached[:0], ws.ints[:0]
+	visit := func(b int) error {
+		if terms[b].kind != termStub {
+			return nil
 		}
-		units := an.UnitAt[b.ID]
-		u := units[len(units)-1]
-		if u < 0 || st.stageOf[u] == k {
-			continue // jmp/ret and the stage's own branches and loops stay
-		}
-		if an.Units[u].IsLoop {
-			header, err := st.nodeEntryBlock(an.Units[u].SumNode)
-			if err != nil {
-				return nil, err
-			}
-			if b.ID != header {
-				continue
-			}
-		}
-		if st.stageOf[u] < k && st.coNeededBy(u, k) {
-			terms[b.ID] = stageTerm{kind: termSwitch, unit: u}
-			continue
-		}
-		target, err := st.skipTarget(u)
-		if err != nil {
-			return nil, err
-		}
-		terms[b.ID] = stageTerm{kind: termSkip, unit: u, target: target}
+		t, err := st.termOf(k, b)
+		terms[b] = t
+		reached, stack = append(reached, b), append(stack, b)
+		return err
 	}
-	seen := scratch(&ws.bools, len(terms))
-	stack := scratch(&ws.ints, len(terms))[:0]
-	visit := func(b int) {
-		if !seen[b] {
-			seen[b] = true
-			stack = append(stack, b)
-		}
-	}
-	for visit(an.F.Entry); len(stack) > 0; {
+	err := visit(an.F.Entry)
+	for err == nil && len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		switch t := terms[b]; t.kind {
 		case termKeep:
 			for _, s := range an.F.Blocks[b].Succs() {
-				visit(s)
+				if err = visit(s); err != nil {
+					break
+				}
 			}
 		case termSkip:
-			visit(t.target)
+			err = visit(t.target)
 		case termSwitch:
 			for _, s := range st.ctrlTargets(t.unit) {
-				visit(s)
+				if err = visit(s); err != nil {
+					break
+				}
 			}
 		}
 	}
-	for b, reached := range seen {
-		if !reached {
-			terms[b] = stageTerm{kind: termStub}
-		}
+	ws.reached, ws.ints = reached, stack
+	if err != nil {
+		return nil, nil, err
 	}
-	return terms, nil
+	slices.Sort(reached)
+	for i, b := range reached {
+		terms[b].at = i
+	}
+	return terms, reached, nil
 }
 
-// stageShell starts stage k's function: the analyzed function's blocks (same
-// IDs, names and loop bounds), each block the stage reaches holding copies
-// of the instructions assigned to the stage, of the upstream constants the
-// stage reads, and its terminator as terms plans it (a switch's control
-// register is filled in by realizeStage); the others share one ret stub.
-// Nothing the stage drops is copied first, and the copies come out of one
-// allocation per kind (blocks, instructions, operand lists, switch cases).
-// The register names come last, from renumberRegs.
-func (st *partitionState) stageShell(k int, terms []stageTerm) *ir.Func {
-	src := st.an.F
-	keeps := func(b, i int, in *ir.Instr) bool {
-		if in.Op.IsTerminator() {
-			return terms[b].kind == termKeep
-		}
-		u := st.an.UnitAt[b][i]
-		if u < 0 {
-			return false
-		}
-		if st.stageOf[u] == k {
-			return true
-		}
-		return in.Op == ir.OpConst && st.a.isConst[in.Dst] &&
-			slices.ContainsFunc(st.an.DataUses[in.Dst], func(use int) bool { return st.stageOf[use] == k })
+// termOf plans block b's terminator in stage k, as planTerms describes.
+func (st *partitionState) termOf(k, b int) (stageTerm, error) {
+	an := st.an
+	keep := stageTerm{kind: termKeep}
+	if an.F.Blocks[b].Term() == nil {
+		return keep, nil
 	}
-	nKept, nInts, nCases := 0, 0, 0
-	for _, ob := range src.Blocks {
-		t := terms[ob.ID]
-		if t.kind == termStub {
-			continue
+	units := an.UnitAt[b]
+	u := units[len(units)-1]
+	if u < 0 || st.stageOf[u] == k {
+		return keep, nil // jmp/ret and the stage's own branches and loops stay
+	}
+	if an.Units[u].IsLoop {
+		header, err := st.nodeEntryBlock(an.Units[u].SumNode)
+		if err != nil || b != header {
+			return keep, err
 		}
-		for i, in := range ob.Instrs {
-			if keeps(ob.ID, i, in) {
-				nKept++
-				nInts += len(in.Args) + len(in.Dsts) + len(in.PhiPreds) + len(in.Targets)
-				nCases += len(in.Cases)
+	}
+	if st.stageOf[u] < k && st.coNeededBy(u, k) {
+		return stageTerm{kind: termSwitch, unit: u}, nil
+	}
+	target, err := st.skipTarget(u)
+	return stageTerm{kind: termSkip, unit: u, target: target}, err
+}
+
+// stageShell starts stage k's function: one block per block the stage
+// reaches (reached, in that order, with their names and loop bounds), each
+// holding copies of the stage's instructions and of the upstream constants
+// it reads (stagePos), and its terminator as terms plans it, targets
+// renumbered; a phi loses the operands of predecessors the stage never
+// reaches. Its registers are the ones those copies name, in the analysis's
+// order (ws.regOf maps them back), then recvRegs, one per slot of the
+// incoming cut: an upstream value the stage reads is renamed to its slot's,
+// and so is the control object a switch tests. Each phi's name is entered
+// in ws.names, for ssa.Destruct to name the phi's temporary after. The
+// copies come out of one allocation per kind (blocks, instructions, operand
+// lists, switch cases).
+func (st *partitionState) stageShell(k int, terms []stageTerm, reached []int, recvCut *cutInfo) (*ir.Func, []int, error) {
+	a, an, ws := st.a, st.an, st.ws
+	src := an.F
+	list := ws.stagePos[ws.stageAt[k-1]:ws.stageAt[k]]
+	// span returns the positions in block b; the blocks come in order.
+	next := 0
+	span := func(b int) []pos {
+		for next < len(list) && list[next].block < b {
+			next++ // a block the stage never reaches
+		}
+		lo := next
+		for next < len(list) && list[next].block == b {
+			next++
+		}
+		return list[lo:next]
+	}
+	// upstream reports whether the stage reads r over the incoming cut: a
+	// value, not a constant, an earlier stage defines.
+	upstream := func(r int) bool {
+		d := an.DataDef[r]
+		return d >= 0 && st.stageOf[d] < k && !a.isConst[r]
+	}
+	dropped := func(in *ir.Instr, i int) bool {
+		return in.Op == ir.OpPhi && terms[in.PhiPreds[i]].kind == termStub
+	}
+
+	// Count what the copies take and mark the registers they keep.
+	set := scratch(&ws.regSet, (src.NumRegs+63)/64)
+	mark := func(r int) { set[r/64] |= 1 << (r % 64) }
+	nKept, nInts, nCases := 0, 0, 0
+	count := func(in *ir.Instr) error {
+		nKept++
+		nInts += len(in.Args) + len(in.Dsts) + len(in.PhiPreds) + len(in.Targets)
+		nCases += len(in.Cases)
+		if in.Dst != ir.NoReg {
+			mark(in.Dst)
+		}
+		for _, d := range in.Dsts {
+			mark(d)
+		}
+		for i, r := range in.Args {
+			if dropped(in, i) || upstream(r) {
+				continue
+			}
+			if d := a.ps.defAt[r].block; a.isConst[r] && st.stageOf[an.DataDef[r]] < k && terms[d].kind == termStub {
+				return fmt.Errorf("internal error: stage %d reads constant r%d, defined in b%d, which the stage never reaches", k, r, d)
+			}
+			mark(r)
+		}
+		return nil
+	}
+	for _, b := range reached {
+		for _, p := range span(b) {
+			if err := count(src.Blocks[b].Instrs[p.idx]); err != nil {
+				return nil, nil, err
 			}
 		}
-		switch t.kind {
+		switch t := terms[b]; t.kind {
+		case termKeep:
+			if term := src.Blocks[b].Term(); term != nil {
+				if err := count(term); err != nil {
+					return nil, nil, err
+				}
+			}
 		case termSkip:
 			nKept, nInts = nKept+1, nInts+1
 		case termSwitch:
@@ -258,18 +388,44 @@ func (st *partitionState) stageShell(k int, terms []stageTerm) *ir.Func {
 			nKept, nInts, nCases = nKept+1, nInts+1+n, nCases+n-1
 		}
 	}
+	base := scratch(&ws.regBase, len(set))
+	regOf := ws.regOf[:0]
+	for w, x := range set {
+		base[w] = int32(len(regOf))
+		for ; x != 0; x &= x - 1 {
+			regOf = append(regOf, int32(w*64+bits.TrailingZeros64(x)))
+		}
+	}
+	ws.regOf = regOf
+	local := func(r int) int {
+		nr, _ := st.stageReg(r)
+		return nr
+	}
+
 	f := &ir.Func{
 		Name:    fmt.Sprintf("%s.stage%d", src.Name, k),
-		Entry:   src.Entry,
-		NumRegs: src.NumRegs,
-		Blocks:  make([]*ir.Block, len(src.Blocks)),
+		Entry:   terms[src.Entry].at,
+		NumRegs: len(regOf),
+		Blocks:  make([]*ir.Block, len(reached)),
 	}
-	blocks := make([]ir.Block, len(src.Blocks))
+	var recvRegs []int
+	if recvCut != nil {
+		recvRegs = make([]int, recvCut.numSlots)
+		for i := range recvRegs {
+			recvRegs[i] = f.NewReg()
+		}
+	}
+	if ws.names == nil {
+		ws.names = make(map[int]string)
+	}
+	clear(ws.names)
+	f.RegName = ws.names
+
+	blocks := make([]ir.Block, len(reached))
 	instrs := make([]ir.Instr, nKept)
 	ptrs := make([]*ir.Instr, nKept)
 	ints := make([]int, nInts)
 	cases := make([]int64, nCases)
-	stub := []*ir.Instr{{Op: ir.OpRet, Dst: ir.NoReg}}
 	// Capacity-limited windows: growing one list reallocates it instead of
 	// writing over its neighbour in the slab.
 	take := func(n int) []int {
@@ -280,11 +436,6 @@ func (st *partitionState) stageShell(k int, terms []stageTerm) *ir.Func {
 		ints = ints[n:]
 		return list
 	}
-	own := func(list []int) []int {
-		out := take(len(list))
-		copy(out, list)
-		return out
-	}
 	takeCases := func(n int) []int64 {
 		if n == 0 {
 			return nil
@@ -293,46 +444,91 @@ func (st *partitionState) stageShell(k int, terms []stageTerm) *ir.Func {
 		cases = cases[n:]
 		return list
 	}
-	for bi, ob := range src.Blocks {
-		nb := &blocks[bi]
-		nb.ID, nb.Name, nb.LoopBound = ob.ID, ob.Name, ob.LoopBound
-		f.Blocks[bi] = nb
-		t := terms[bi]
-		if t.kind == termStub {
-			nb.Instrs = stub
-			continue
+	var err error
+	// read is the stage's register for r, an operand.
+	read := func(r int) int {
+		if !upstream(r) {
+			return local(r)
 		}
+		nr, e := st.inReg(k, recvRegs, object{reg: r})
+		err = cmp.Or(err, e)
+		return nr
+	}
+	next = 0
+	for bi, b := range reached {
+		ob := src.Blocks[b]
+		nb := &blocks[bi]
+		nb.ID, nb.Name, nb.LoopBound = bi, ob.Name, ob.LoopBound
+		f.Blocks[bi] = nb
 		n := 0
-		for i, in := range ob.Instrs {
-			if !keeps(ob.ID, i, in) {
-				continue
-			}
+		emit := func(c *ir.Instr) {
+			ptrs[n] = c
+			n++
+		}
+		copyOf := func(in *ir.Instr) {
 			c := &instrs[n]
 			*c = *in
-			c.Args, c.Dsts, c.PhiPreds, c.Targets = own(in.Args), own(in.Dsts), own(in.PhiPreds), own(in.Targets)
-			c.Cases = takeCases(len(in.Cases))
-			copy(c.Cases, in.Cases)
-			ptrs[n] = c
-			n++
-		}
-		if t.kind != termKeep {
-			c := &instrs[n]
-			if t.kind == termSkip {
-				*c = ir.Instr{Op: ir.OpJmp, Dst: ir.NoReg, Targets: take(1)}
-				c.Targets[0] = t.target
-			} else {
-				targets := st.ctrlTargets(t.unit)
-				*c = ir.Instr{Op: ir.OpSwitch, Dst: ir.NoReg, Args: take(1), Targets: own(targets), Cases: takeCases(len(targets) - 1)}
-				for i := range c.Cases {
-					c.Cases[i] = st.ctrlValue(t.unit, i)
+			if in.Dst != ir.NoReg {
+				c.Dst = local(in.Dst)
+			}
+			c.Dsts, c.Targets = take(len(in.Dsts)), take(len(in.Targets))
+			for i, d := range in.Dsts {
+				c.Dsts[i] = local(d)
+			}
+			for i, t := range in.Targets {
+				c.Targets[i] = terms[t].at
+			}
+			c.Args, c.PhiPreds = take(len(in.Args)), take(len(in.PhiPreds))
+			m := 0
+			for i, r := range in.Args {
+				if !dropped(in, i) {
+					c.Args[m] = read(r)
+					if in.Op == ir.OpPhi {
+						c.PhiPreds[m] = terms[in.PhiPreds[i]].at
+					}
+					m++
 				}
 			}
-			ptrs[n] = c
-			n++
+			if in.Op == ir.OpPhi {
+				c.Args, c.PhiPreds = c.Args[:m:m], c.PhiPreds[:m:m]
+				if s := a.regName[in.Dst]; s != "" {
+					ws.names[c.Dst] = s
+				}
+			}
+			c.Cases = takeCases(len(in.Cases))
+			copy(c.Cases, in.Cases)
+			emit(c)
+		}
+		for _, p := range span(b) {
+			copyOf(ob.Instrs[p.idx])
+		}
+		switch t := terms[b]; t.kind {
+		case termKeep:
+			if term := ob.Term(); term != nil {
+				copyOf(term)
+			}
+		case termSkip:
+			c := &instrs[n]
+			*c = ir.Instr{Op: ir.OpJmp, Dst: ir.NoReg, Targets: take(1)}
+			c.Targets[0] = terms[t.target].at
+			emit(c)
+		case termSwitch:
+			targets := st.ctrlTargets(t.unit)
+			c := &instrs[n]
+			*c = ir.Instr{Op: ir.OpSwitch, Dst: ir.NoReg, Args: take(1), Targets: take(len(targets)), Cases: takeCases(len(targets) - 1)}
+			co, e := st.inReg(k, recvRegs, object{isCtrl: true, branch: t.unit})
+			c.Args[0], err = co, cmp.Or(err, e)
+			for i, tgt := range targets {
+				c.Targets[i] = terms[tgt].at
+			}
+			for i := range c.Cases {
+				c.Cases[i] = st.ctrlValue(t.unit, i)
+			}
+			emit(c)
 		}
 		nb.Instrs, instrs, ptrs = ptrs[:n:n], instrs[n:], ptrs[n:]
 	}
-	return f
+	return f, recvRegs, err
 }
 
 // renumberRegs makes f's registers dense: it renames them in order of first
@@ -342,9 +538,9 @@ func (st *partitionState) stageShell(k int, terms []stageTerm) *ir.Func {
 // function's: everything that sizes a frame by NumRegs — the interpreter's
 // per-iteration clear, exec's lowering tables — pays for the registers the
 // stage touches. f.RegName is then built once, under the new numbers: a
-// register of the analyzed function keeps its name in orig (indexed by
-// register), a register realization added the one f.RegName gives it on
-// entry.
+// register of the shell keeps its name in orig (indexed by the analyzed
+// register ws.regOf maps it to), a register realization added the one
+// f.RegName gives it on entry.
 func renumberRegs(f *ir.Func, orig []string, ws *workspace) {
 	n := f.NumRegs
 	if cap(ws.regs) < 2*n {
@@ -378,8 +574,8 @@ func renumberRegs(f *ir.Func, orig []string, ws *workspace) {
 	}
 	order = order[:k]
 	nameOf := func(r int32) string {
-		if int(r) < len(orig) {
-			return orig[r]
+		if int(r) < len(ws.regOf) {
+			return orig[ws.regOf[r]]
 		}
 		return f.RegName[int(r)]
 	}
@@ -398,36 +594,11 @@ func renumberRegs(f *ir.Func, orig []string, ws *workspace) {
 	f.RegName, f.NumRegs = names, int(k)
 }
 
-// phiNames returns the workspace's name table holding the name in orig of
-// every phi f defines, for ssa.Destruct to name each phi's temporary after.
-func (ws *workspace) phiNames(f *ir.Func, orig []string) map[int]string {
-	if ws.names == nil {
-		ws.names = make(map[int]string)
-	}
-	clear(ws.names)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op != ir.OpPhi {
-				break
-			}
-			if s := orig[in.Dst]; s != "" {
-				ws.names[in.Dst] = s
-			}
-		}
-	}
-	return ws.names
-}
-
 // coNeededBy reports whether stage k contains code (transitively)
 // control-dependent on branch unit u — if so, the stage's clone must follow
 // the original decision through u's region.
 func (st *partitionState) coNeededBy(u, k int) bool {
-	for _, d := range st.ctrlClosure(u) {
-		if st.stageOf[d] == k {
-			return true
-		}
-	}
-	return false
+	return st.ws.ctrlStages[u]>>(k-1)&1 != 0
 }
 
 // ctrlValue is what branch unit u's control object holds when the branch
@@ -477,7 +648,7 @@ func (st *partitionState) nodeEntryBlock(node int) (int, error) {
 // A slot soleWriters sends from its writer's own register takes no write at
 // all. The copies left — into a slot that merges writers, one relay per
 // object even where objects share a slot — are coalesceCopies' to remove.
-func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, sendRegs, recvRegs []int) error {
+func (st *partitionState) insertSlotWrites(f *ir.Func, k int, terms []stageTerm, cut *cutInfo, sendRegs, recvRegs []int) error {
 	an := st.an
 	var relays []*ir.Instr
 	for i, o := range cut.objects {
@@ -488,17 +659,24 @@ func (st *partitionState) insertSlotWrites(f *ir.Func, k int, cut *cutInfo, send
 				targets = targets[:len(targets)-1]
 			}
 			for i, tgt := range targets {
-				c := &ir.Instr{Op: ir.OpConst, Dst: dst, Imm: st.ctrlValue(o.branch, i), Tx: true}
-				insertAfterPhis(f.Blocks[tgt], c)
+				if t := terms[tgt]; t.kind != termStub {
+					c := &ir.Instr{Op: ir.OpConst, Dst: dst, Imm: st.ctrlValue(o.branch, i), Tx: true}
+					insertAfterPhis(f.Blocks[t.at], c)
+				}
 			}
 			continue
 		}
 		if !o.isCtrl && st.stageOf[an.DataDef[o.reg]] == k {
-			if dst == o.reg {
+			r, ok := st.stageReg(o.reg)
+			if ok && dst == r {
 				continue
 			}
 			// Copy right after the defining instruction in the clone.
-			if err := insertCopyAfterDef(f, st.a.ps.defAt[o.reg].block, o.reg, dst); err != nil {
+			d := st.a.ps.defAt[o.reg].block
+			if !ok || d < 0 || terms[d].kind == termStub {
+				return fmt.Errorf("stage %d: register r%d, defined at b%d in the original, is missing from the stage clone", k, o.reg, d)
+			}
+			if err := insertCopyAfterDef(f.Blocks[terms[d].at], r, dst); err != nil {
 				return fmt.Errorf("stage %d: %w", k, err)
 			}
 			continue
@@ -542,7 +720,9 @@ func (st *partitionState) soleWriters(k int, cut, recvCut *cutInfo, recvRegs, se
 		switch {
 		case o.isCtrl && st.stageOf[o.branch] == k:
 		case !o.isCtrl && st.stageOf[st.an.DataDef[o.reg]] == k:
-			src = o.reg
+			if r, ok := st.stageReg(o.reg); ok {
+				src = r
+			}
 		default:
 			if from := recvCut.from(o); from >= 0 {
 				src = recvRegs[from]
@@ -570,15 +750,18 @@ func (st *partitionState) inReg(k int, recvRegs []int, o object) (int, error) {
 	return recvRegs[s], nil
 }
 
-// insertCopyAfterDef finds the instruction defining register r in the stage
-// function — in defBlock, where the analysis saw r defined, which the stage
-// kept if it owns r — and inserts `dst = copy r` right after it
-// (after the phi cluster when the definition is a phi).
-func insertCopyAfterDef(f *ir.Func, defBlock, r, dst int) error {
-	if defBlock < 0 {
-		return fmt.Errorf("register r%d has no definition", r)
-	}
-	blk := f.Blocks[defBlock]
+// stageReg returns the stage's register for analyzed register r, which
+// stageShell numbered, ok false when the stage names no r.
+func (st *partitionState) stageReg(r int) (int, bool) {
+	set, bit := st.ws.regSet[r/64], uint64(1)<<(r%64)
+	return int(st.ws.regBase[r/64]) + bits.OnesCount64(set&(bit-1)), set&bit != 0
+}
+
+// insertCopyAfterDef finds the instruction defining register r in blk — the
+// stage's copy of the block where the analysis saw r defined — and inserts
+// `dst = copy r` right after it (after the phi cluster when the definition
+// is a phi).
+func insertCopyAfterDef(blk *ir.Block, r, dst int) error {
 	for ci, cin := range blk.Instrs {
 		if !defines(cin, r) {
 			continue
@@ -595,7 +778,7 @@ func insertCopyAfterDef(f *ir.Func, defBlock, r, dst int) error {
 		blk.Instrs[at] = cp
 		return nil
 	}
-	return fmt.Errorf("register r%d defined at b%d in the original but missing from the stage clone", r, blk.ID)
+	return fmt.Errorf("register r%d missing from the stage clone's b%d", r, blk.ID)
 }
 
 // defines reports whether in defines register r.

@@ -13,6 +13,11 @@ package graph
 type Digraph struct {
 	succs [][]int
 	preds [][]int
+	// Storage Reset rebuilds in: the lists, their slab, and the degrees
+	// (Dedup's marks afterwards).
+	adj  [][]int
+	slab []int
+	buf  []int
 }
 
 // New returns an empty digraph with n nodes and no edges.
@@ -25,14 +30,26 @@ func New(n int) *Digraph {
 // the order it reports them. It calls edges twice: once to count each
 // node's edges, then to add them to lists carved from one allocation.
 func Build(n int, edges func(add func(u, v int))) *Digraph {
-	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	g := new(Digraph)
+	g.Reset(n, edges)
+	g.buf = nil
+	return g
+}
+
+// Reset makes g the digraph Build(n, edges) returns, in the storage of g's
+// earlier Resets: a graph rebuilt for many inputs allocates only when one
+// outgrows it.
+func (g *Digraph) Reset(n int, edges func(add func(u, v int))) {
+	deg := grow(&g.buf, 2*n) // out-degrees, then in-degrees
+	clear(deg)
 	edges(func(u, v int) { deg[u]++; deg[n+v]++ })
-	g := New(n)
+	adj := grow(&g.adj, 2*n)
+	g.succs, g.preds = adj[:n:n], adj[n:]
 	m := 0
 	for _, d := range deg {
 		m += d
 	}
-	slab := make([]int, m)
+	slab := grow(&g.slab, m)
 	for side, adj := range [][][]int{g.succs, g.preds} {
 		for v := range adj {
 			d := deg[side*n+v]
@@ -40,7 +57,14 @@ func Build(n int, edges func(add func(u, v int))) *Digraph {
 		}
 	}
 	edges(g.AddEdge)
-	return g
+}
+
+// grow returns (*buf)[:n], first replacing *buf if it is shorter.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // Len returns the number of nodes.
@@ -74,7 +98,8 @@ func (g *Digraph) HasEdge(u, v int) bool {
 // Dedup removes duplicate parallel edges in place, keeping each list's
 // first occurrences in order.
 func (g *Digraph) Dedup() {
-	mark := make([]int, g.Len()) // mark[v] == stamp: v is in the list at hand
+	mark := grow(&g.buf, g.Len()) // mark[v] == stamp: v is in the list at hand
+	clear(mark)
 	stamp := 0
 	for _, adj := range [][][]int{g.succs, g.preds} {
 		for u, list := range adj {
@@ -148,28 +173,33 @@ func (g *Digraph) Reach() [][]bool {
 // Topo returns a topological order of the graph's nodes (sources first).
 // The graph must be acyclic; Topo returns ok=false if a cycle exists.
 func (g *Digraph) Topo() (order []int, ok bool) {
+	var buf []int
+	return g.TopoInto(&buf)
+}
+
+// TopoInto is Topo in *buf's storage, which it grows to twice the node
+// count when shorter; order is a window of it.
+func (g *Digraph) TopoInto(buf *[]int) (order []int, ok bool) {
 	n := g.Len()
-	indeg := make([]int, n)
+	indeg := grow(buf, 2*n)[:n]
+	clear(indeg)
 	for u := 0; u < n; u++ {
 		for _, v := range g.succs[u] {
 			indeg[v]++
 		}
 	}
-	queue := make([]int, 0, n)
+	// Kahn's queue: what it has held, in order, is the order.
+	order = (*buf)[n:n]
 	for u := 0; u < n; u++ {
 		if indeg[u] == 0 {
-			queue = append(queue, u)
+			order = append(order, u)
 		}
 	}
-	order = make([]int, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range g.succs[u] {
+	for head := 0; head < len(order); head++ {
+		for _, v := range g.succs[order[head]] {
 			indeg[v]--
 			if indeg[v] == 0 {
-				queue = append(queue, v)
+				order = append(order, v)
 			}
 		}
 	}

@@ -8,7 +8,15 @@ type SCCResult struct {
 	Comp []int
 	// Members lists the nodes of each component.
 	Members [][]int
+
+	// Tarjan's storage, kept for the next Reset.
+	ints, stack, flat []int
+	onStack           []bool
+	work              []frame
 }
+
+// frame is one node of Tarjan's walk and the next of its successors to try.
+type frame struct{ node, next int }
 
 // NumComps returns the number of strongly connected components.
 func (r *SCCResult) NumComps() int { return len(r.Members) }
@@ -16,24 +24,29 @@ func (r *SCCResult) NumComps() int { return len(r.Members) }
 // SCC computes strongly connected components using Tarjan's algorithm
 // (iterative, so deep graphs cannot overflow the goroutine stack).
 func SCC(g *Digraph) *SCCResult {
+	r := new(SCCResult)
+	r.Reset(g)
+	r.stack, r.onStack, r.work = nil, nil, nil
+	return r
+}
+
+// Reset makes r the SCCs of g, in the storage of r's earlier Resets.
+func (r *SCCResult) Reset(g *Digraph) {
 	n := g.Len()
 	const unvisited = -1
-	ints := make([]int, 3*n)
+	ints := grow(&r.ints, 3*n)
 	index, lowlink, comp := ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
-	onStack := make([]bool, n)
+	onStack := grow(&r.onStack, n)
+	clear(onStack)
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = unvisited
 	}
-	type frame struct {
-		node int
-		next int // index into succ list
-	}
 	var (
-		stack   = make([]int, 0, n) // Tarjan stack
-		flat    = make([]int, 0, n) // every component's members, back to back
-		members [][]int
-		work    []frame
+		stack   = grow(&r.stack, n)[:0] // Tarjan stack
+		flat    = grow(&r.flat, n)[:0]  // every component's members, back to back
+		members = r.Members[:0]
+		work    = r.work[:0]
 		counter int
 	)
 	for root := 0; root < n; root++ {
@@ -94,14 +107,23 @@ func SCC(g *Digraph) *SCCResult {
 			}
 		}
 	}
-	return &SCCResult{Comp: comp, Members: members}
+	r.Comp, r.Members, r.work = comp, members, work
 }
 
 // Condense builds the condensation (component DAG) of g under the given SCC
 // result: one node per component, with deduplicated edges between distinct
 // components.
 func Condense(g *Digraph, r *SCCResult) *Digraph {
-	c := Build(r.NumComps(), func(add func(u, v int)) {
+	c := new(Digraph)
+	c.ResetCondensed(g, r)
+	c.buf = nil
+	return c
+}
+
+// ResetCondensed makes c the condensation Condense(g, r) returns, in the
+// storage of c's earlier Resets.
+func (c *Digraph) ResetCondensed(g *Digraph, r *SCCResult) {
+	c.Reset(r.NumComps(), func(add func(u, v int)) {
 		for u := 0; u < g.Len(); u++ {
 			for _, v := range g.succs[u] {
 				if cu, cv := r.Comp[u], r.Comp[v]; cu != cv {
@@ -111,5 +133,4 @@ func Condense(g *Digraph, r *SCCResult) *Digraph {
 		}
 	})
 	c.Dedup()
-	return c
 }

@@ -4,15 +4,24 @@ import "repro/internal/graph"
 
 // CFG builds the control-flow digraph of f over block IDs.
 func (f *Func) CFG() *graph.Digraph {
-	g := graph.Build(len(f.Blocks), func(add func(u, v int)) {
-		for _, b := range f.Blocks {
-			for _, s := range b.Succs() {
-				add(b.ID, s)
-			}
-		}
-	})
+	g := graph.Build(len(f.Blocks), f.cfgEdges)
 	g.Dedup()
 	return g
+}
+
+// CFGInto makes g the graph CFG returns, in the storage of g's earlier
+// Resets.
+func (f *Func) CFGInto(g *graph.Digraph) {
+	g.Reset(len(f.Blocks), f.cfgEdges)
+	g.Dedup()
+}
+
+func (f *Func) cfgEdges(add func(u, v int)) {
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			add(b.ID, s)
+		}
+	}
 }
 
 // ExitBlocks returns the IDs of blocks terminated by OpRet.
