@@ -66,6 +66,7 @@ type Analysis struct {
 	// reaches wherever it reaches a read the const dominates. Inside an
 	// inner loop that block would be a stub in every other stage.
 	isConst []bool
+	constOf []int // constOf[u]: the register unit u defines if it is such a const, else -1
 
 	// codes[u]+t is the code a coded control object of unit u writes on
 	// its target t (liveset.go, shareCodes): every non-default target of
@@ -172,8 +173,15 @@ func (a *Analysis) indexForRealize(cfg *graph.Digraph) {
 	}
 
 	a.isConst = make([]bool, f.NumRegs)
+	a.constOf = make([]int, len(an.Units))
+	for u := range a.constOf {
+		a.constOf[u] = -1
+	}
 	for r, u := range an.DataDef {
 		a.isConst[r] = u >= 0 && !an.Units[u].IsLoop && an.Units[u].Instrs[0].Op == ir.OpConst
+		if a.isConst[r] {
+			a.constOf[u] = r
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func (st *partitionState) refReachOf(o object, j int, prev *cutInfo) refReach {
 		for _, t := range st.ctrlTargets(o.branch) {
 			r.defs = append(r.defs, pos{block: t, idx: 0})
 		}
-		for _, d := range st.a.closures[o.branch] {
+		for _, d := range st.ctrlClosure(o.branch) {
 			if st.stageOf[d] > j {
 				r.uses = append(r.uses, ps.unitPos[d]...)
 			}

@@ -234,12 +234,12 @@ func (st *partitionState) buildCut(j int, ps *positions, prev *cutInfo) *cutInfo
 	// downstream stage navigates nested regions through the outer branch's
 	// decision.
 	for r, def := range an.DataDef {
-		if def >= 0 && !st.a.isConst[r] && st.stageOf[def] <= j && st.ws.lastUse[r] > j {
+		if def >= 0 && !st.a.isConst[r] && st.stageOf[def] <= j && slices.ContainsFunc(an.DataUses[r], func(use int) bool { return st.stageOf[use] > j }) {
 			ci.objects = append(ci.objects, object{reg: r})
 		}
 	}
 	for b := range an.Ctrl {
-		if st.stageOf[b] <= j && st.ws.ctrlStages[b]>>j != 0 {
+		if st.stageOf[b] <= j && slices.ContainsFunc(st.ctrlClosure(b), func(d int) bool { return st.stageOf[d] > j }) {
 			ci.objects = append(ci.objects, object{isCtrl: true, branch: b})
 		}
 	}
@@ -334,8 +334,12 @@ type reach struct {
 func (st *partitionState) fillUses(r *reach, j int, ps *positions) {
 	if r.o.isCtrl {
 		r.after = true
-		for i, w := range st.ctrlUsesAfter(r.o.branch, j) {
-			r.uses[i] |= w
+		for _, d := range st.ctrlClosure(r.o.branch) {
+			if st.stageOf[d] > j {
+				for i, w := range ps.unitBlocks[d*ps.words : (d+1)*ps.words] {
+					r.uses[i] |= w
+				}
+			}
 		}
 		return
 	}

@@ -120,7 +120,7 @@ type partitionState struct {
 // one, and nothing a call returns points into it. Every use overwrites
 // what it reads: no content carries from one call, cut or stage to the
 // next, except the tables index builds for the call. terms and reached
-// hold planTerms' plan, regSet, regBase and regOf the stage's registers
+// hold planTerms' plan, regSet, regRank and regOf the stage's registers
 // (stageShell); regs, words, coal and copies serve coalesceCopies and
 // renumberRegs, and names the phi temporaries ssa.Destruct names before
 // them.
@@ -145,18 +145,14 @@ type workspace struct {
 	names  map[int]string
 
 	// The call's tables (index).
-	lastUse    []int
-	ctrlStages []uint64
-	ctrlRowAt  []int
-	ctrlRows   []uint64
-	stageAt    []int
-	stagePos   []pos
+	stageAt  []int
+	stagePos []pos
 
 	// The stage being realized.
 	terms   []stageTerm
 	reached []int
 	regSet  []uint64
-	regBase []int32
+	regRank []int32
 	regOf   []int32
 }
 
@@ -168,6 +164,15 @@ func scratch[T any](buf *[]T, n int) []T {
 	s := (*buf)[:n]
 	clear(s)
 	return s
+}
+
+// ctrlClosure returns the transitive control dependents of branch unit u:
+// everything directly control-dependent on u plus everything dependent on
+// branches inside u's region. A stage containing any of these needs u's
+// control object to navigate its cloned control flow. The closures are
+// precomputed by Analyze (they are degree-independent).
+func (st *partitionState) ctrlClosure(u int) []int {
+	return st.a.closures[u]
 }
 
 // netModel is the flow network of one program (paper step 1.6) held as the

@@ -11,52 +11,40 @@ import (
 )
 
 // newState returns the state of one call realizing stageOf at opts in ws,
-// with the tables its cuts and stages read (index).
+// with each stage's instruction positions listed (index).
 func (a *Analysis) newState(opts Options, stageOf []int, ws *workspace) *partitionState {
 	st := &partitionState{opts: opts, a: a, an: a.an, stageOf: stageOf, ws: ws}
 	st.index()
 	return st
 }
 
-// index builds in ws, once per call, what the call's cuts and stages read of
-// its stage assignment, so that each reads only its own part:
-//
-//   - stagePos[stageAt[k-1]:stageAt[k]] lists, in program order, where the
-//     instructions stage k's shell copies sit: its own units' (terminators
-//     aside, which planTerms decides) and the constants of other stages it
-//     reads;
-//   - lastUse[r] is the last stage reading register r, so whether a cut
-//     carries r is a comparison (buildCut);
-//   - ctrlStages[u] has bit s-1 set when unit u's control closure holds a
-//     unit of stage s, so whether a cut carries u's control object
-//     (buildCut) and whether a stage follows u's decision (coNeededBy) are
-//     bit tests;
-//   - for each stage s after u's own that holds part of u's closure, one
-//     block row (ctrlUsesAfter): the blocks of u's closure units in stage s
-//     or later.
+// index lists in ws, once per call, where the instructions each stage's
+// shell copies sit: stagePos[stageAt[k-1]:stageAt[k]] holds, in program
+// order, the positions of stage k's own units' instructions (terminators
+// aside, which planTerms decides) and of the constants of other stages it
+// reads. It reads the analysis's unit tables, not the instructions.
 func (st *partitionState) index() {
-	an, ws, D := st.an, st.ws, st.opts.Stages
-	// readers is the stages other than unit u's that read in, when in
-	// defines a constant.
-	readers := func(u int, in *ir.Instr) uint64 {
-		var m uint64
-		if in.Op == ir.OpConst && st.a.isConst[in.Dst] {
-			for _, use := range an.DataUses[in.Dst] {
-				m |= 1 << (st.stageOf[use] - 1)
-			}
-		}
-		return m &^ (1 << (st.stageOf[u] - 1))
-	}
+	a, an, ws, D := st.a, st.an, st.ws, st.opts.Stages
 	each := func(place func(s int, p pos)) {
 		for _, b := range an.F.Blocks {
-			for i, in := range b.Instrs {
-				u := an.UnitAt[b.ID][i]
-				if u < 0 || in.Op.IsTerminator() {
+			units := an.UnitAt[b.ID]
+			if b.Term() != nil {
+				units = units[:len(units)-1]
+			}
+			for i, u := range units {
+				if u < 0 {
 					continue
 				}
-				place(st.stageOf[u], pos{b.ID, i})
-				for m := readers(u, in); m != 0; m &= m - 1 {
-					place(bits.TrailingZeros64(m)+1, pos{b.ID, i})
+				own := st.stageOf[u]
+				place(own, pos{b.ID, i})
+				if r := a.constOf[u]; r >= 0 && D > 1 {
+					var m uint64
+					for _, use := range an.DataUses[r] {
+						m |= 1 << (st.stageOf[use] - 1)
+					}
+					for m &^= 1 << (own - 1); m != 0; m &= m - 1 {
+						place(bits.TrailingZeros64(m)+1, pos{b.ID, i})
+					}
 				}
 			}
 		}
@@ -71,61 +59,6 @@ func (st *partitionState) index() {
 	}
 	list := scratch(&ws.stagePos, n)
 	each(func(s int, p pos) { list[at[s]] = p; at[s]++ })
-
-	last := scratch(&ws.lastUse, len(an.DataUses))
-	for r, uses := range an.DataUses {
-		for _, use := range uses {
-			last[r] = max(last[r], st.stageOf[use])
-		}
-	}
-
-	masks := scratch(&ws.ctrlStages, len(an.Units))
-	rowAt := scratch(&ws.ctrlRowAt, len(an.Units)+1)
-	for u, closure := range st.a.closures {
-		for _, d := range closure {
-			masks[u] |= 1 << (st.stageOf[d] - 1)
-		}
-		rowAt[u+1] = rowAt[u] + bits.OnesCount64(st.laterStages(u))
-	}
-	ps := st.a.ps
-	w := ps.words
-	rows := scratch(&ws.ctrlRows, rowAt[len(an.Units)]*w)
-	for u, closure := range st.a.closures {
-		later := st.laterStages(u)
-		if later == 0 {
-			continue
-		}
-		for _, d := range closure {
-			if bit := uint64(1) << (st.stageOf[d] - 1); later&bit != 0 {
-				row := rows[(rowAt[u]+bits.OnesCount64(later&(bit-1)))*w:]
-				for i, x := range ps.unitBlocks[d*w : (d+1)*w] {
-					row[i] |= x
-				}
-			}
-		}
-		// Each row takes in the later ones.
-		for i := rowAt[u+1]*w - 1; i >= (rowAt[u]+1)*w; i-- {
-			rows[i-w] |= rows[i]
-		}
-	}
-}
-
-// laterStages is ctrlStages[u] without the stages up to unit u's own.
-func (st *partitionState) laterStages(u int) uint64 {
-	own := st.stageOf[u]
-	return st.ws.ctrlStages[u] >> own << own
-}
-
-// ctrlUsesAfter returns the blocks of branch unit u's closure units in
-// stages after j, which must not precede u's own; nil when there are none.
-func (st *partitionState) ctrlUsesAfter(u, j int) []uint64 {
-	later := st.laterStages(u)
-	i := bits.OnesCount64(later & (1<<j - 1))
-	if i == bits.OnesCount64(later) {
-		return nil
-	}
-	w, r := st.a.ps.words, st.ws.ctrlRowAt[u]+i
-	return st.ws.ctrlRows[r*w : (r+1)*w]
 }
 
 // realizeStage builds the IR function for pipeline stage k (1-based) from
@@ -333,53 +266,21 @@ func (st *partitionState) stageShell(k int, terms []stageTerm, reached []int, re
 		}
 		return list[lo:next]
 	}
-	// upstream reports whether the stage reads r over the incoming cut: a
-	// value, not a constant, an earlier stage defines.
-	upstream := func(r int) bool {
-		d := an.DataDef[r]
-		return d >= 0 && st.stageOf[d] < k && !a.isConst[r]
-	}
-	dropped := func(in *ir.Instr, i int) bool {
-		return in.Op == ir.OpPhi && terms[in.PhiPreds[i]].kind == termStub
-	}
-
-	// Count what the copies take and mark the registers they keep.
-	set := scratch(&ws.regSet, (src.NumRegs+63)/64)
-	mark := func(r int) { set[r/64] |= 1 << (r % 64) }
+	// Count what the copies take.
 	nKept, nInts, nCases := 0, 0, 0
-	count := func(in *ir.Instr) error {
+	size := func(in *ir.Instr) {
 		nKept++
 		nInts += len(in.Args) + len(in.Dsts) + len(in.PhiPreds) + len(in.Targets)
 		nCases += len(in.Cases)
-		if in.Dst != ir.NoReg {
-			mark(in.Dst)
-		}
-		for _, d := range in.Dsts {
-			mark(d)
-		}
-		for i, r := range in.Args {
-			if dropped(in, i) || upstream(r) {
-				continue
-			}
-			if d := a.ps.defAt[r].block; a.isConst[r] && st.stageOf[an.DataDef[r]] < k && terms[d].kind == termStub {
-				return fmt.Errorf("internal error: stage %d reads constant r%d, defined in b%d, which the stage never reaches", k, r, d)
-			}
-			mark(r)
-		}
-		return nil
 	}
 	for _, b := range reached {
 		for _, p := range span(b) {
-			if err := count(src.Blocks[b].Instrs[p.idx]); err != nil {
-				return nil, nil, err
-			}
+			size(src.Blocks[b].Instrs[p.idx])
 		}
 		switch t := terms[b]; t.kind {
 		case termKeep:
 			if term := src.Blocks[b].Term(); term != nil {
-				if err := count(term); err != nil {
-					return nil, nil, err
-				}
+				size(term)
 			}
 		case termSkip:
 			nKept, nInts = nKept+1, nInts+1
@@ -388,41 +289,10 @@ func (st *partitionState) stageShell(k int, terms []stageTerm, reached []int, re
 			nKept, nInts, nCases = nKept+1, nInts+1+n, nCases+n-1
 		}
 	}
-	base := scratch(&ws.regBase, len(set))
-	regOf := ws.regOf[:0]
-	for w, x := range set {
-		base[w] = int32(len(regOf))
-		for ; x != 0; x &= x - 1 {
-			regOf = append(regOf, int32(w*64+bits.TrailingZeros64(x)))
-		}
-	}
-	ws.regOf = regOf
-	local := func(r int) int {
-		nr, _ := st.stageReg(r)
-		return nr
-	}
-
-	f := &ir.Func{
-		Name:    fmt.Sprintf("%s.stage%d", src.Name, k),
-		Entry:   terms[src.Entry].at,
-		NumRegs: len(regOf),
-		Blocks:  make([]*ir.Block, len(reached)),
-	}
-	var recvRegs []int
-	if recvCut != nil {
-		recvRegs = make([]int, recvCut.numSlots)
-		for i := range recvRegs {
-			recvRegs[i] = f.NewReg()
-		}
-	}
-	if ws.names == nil {
-		ws.names = make(map[int]string)
-	}
-	clear(ws.names)
-	f.RegName = ws.names
-
 	blocks := make([]ir.Block, len(reached))
-	instrs := make([]ir.Instr, nKept)
+	fblocks := make([]*ir.Block, len(reached))
+	slab := make([]ir.Instr, nKept)
+	instrs := slab
 	ptrs := make([]*ir.Instr, nKept)
 	ints := make([]int, nInts)
 	cases := make([]int64, nCases)
@@ -444,61 +314,70 @@ func (st *partitionState) stageShell(k int, terms []stageTerm, reached []int, re
 		cases = cases[n:]
 		return list
 	}
-	var err error
-	// read is the stage's register for r, an operand.
-	read := func(r int) int {
-		if !upstream(r) {
-			return local(r)
-		}
-		nr, e := st.inReg(k, recvRegs, object{reg: r})
-		err = cmp.Or(err, e)
-		return nr
+
+	// Copy under the analysis's register names, marking each, except that
+	// an upstream read names its incoming slot s as -1-s.
+	set := scratch(&ws.regSet, (src.NumRegs+63)/64)
+	mark := func(r int) int {
+		set[r/64] |= 1 << (r % 64)
+		return r
 	}
-	next = 0
+	var err error
+	// read is what a copy reads for analyzed register r.
+	read := func(r int) int {
+		if d := an.DataDef[r]; d < 0 || st.stageOf[d] >= k {
+			return mark(r)
+		}
+		if a.isConst[r] {
+			if b := a.ps.defAt[r].block; terms[b].kind == termStub {
+				err = cmp.Or(err, fmt.Errorf("internal error: stage %d reads constant r%d, defined in b%d, which the stage never reaches", k, r, b))
+			}
+			return mark(r)
+		}
+		s, e := st.inSlot(k, object{reg: r})
+		err = cmp.Or(err, e)
+		return -1 - s
+	}
+	next, n := 0, 0
+	copyOf := func(in *ir.Instr) {
+		c := &instrs[n]
+		*c = *in
+		if in.Dst != ir.NoReg {
+			mark(in.Dst)
+		}
+		c.Dsts, c.Targets = take(len(in.Dsts)), take(len(in.Targets))
+		for i, d := range in.Dsts {
+			c.Dsts[i] = mark(d)
+		}
+		for i, t := range in.Targets {
+			c.Targets[i] = terms[t].at
+		}
+		c.Args, c.PhiPreds = take(len(in.Args)), take(len(in.PhiPreds))
+		if in.Op != ir.OpPhi {
+			for i, r := range in.Args {
+				c.Args[i] = read(r)
+			}
+		} else {
+			m := 0
+			for i, r := range in.Args {
+				if p := terms[in.PhiPreds[i]]; p.kind != termStub {
+					c.Args[m], c.PhiPreds[m] = read(r), p.at
+					m++
+				}
+			}
+			c.Args, c.PhiPreds = c.Args[:m:m], c.PhiPreds[:m:m]
+		}
+		c.Cases = takeCases(len(in.Cases))
+		copy(c.Cases, in.Cases)
+		ptrs[n] = c
+		n++
+	}
 	for bi, b := range reached {
 		ob := src.Blocks[b]
 		nb := &blocks[bi]
 		nb.ID, nb.Name, nb.LoopBound = bi, ob.Name, ob.LoopBound
-		f.Blocks[bi] = nb
-		n := 0
-		emit := func(c *ir.Instr) {
-			ptrs[n] = c
-			n++
-		}
-		copyOf := func(in *ir.Instr) {
-			c := &instrs[n]
-			*c = *in
-			if in.Dst != ir.NoReg {
-				c.Dst = local(in.Dst)
-			}
-			c.Dsts, c.Targets = take(len(in.Dsts)), take(len(in.Targets))
-			for i, d := range in.Dsts {
-				c.Dsts[i] = local(d)
-			}
-			for i, t := range in.Targets {
-				c.Targets[i] = terms[t].at
-			}
-			c.Args, c.PhiPreds = take(len(in.Args)), take(len(in.PhiPreds))
-			m := 0
-			for i, r := range in.Args {
-				if !dropped(in, i) {
-					c.Args[m] = read(r)
-					if in.Op == ir.OpPhi {
-						c.PhiPreds[m] = terms[in.PhiPreds[i]].at
-					}
-					m++
-				}
-			}
-			if in.Op == ir.OpPhi {
-				c.Args, c.PhiPreds = c.Args[:m:m], c.PhiPreds[:m:m]
-				if s := a.regName[in.Dst]; s != "" {
-					ws.names[c.Dst] = s
-				}
-			}
-			c.Cases = takeCases(len(in.Cases))
-			copy(c.Cases, in.Cases)
-			emit(c)
-		}
+		fblocks[bi] = nb
+		n = 0
 		for _, p := range span(b) {
 			copyOf(ob.Instrs[p.idx])
 		}
@@ -511,22 +390,77 @@ func (st *partitionState) stageShell(k int, terms []stageTerm, reached []int, re
 			c := &instrs[n]
 			*c = ir.Instr{Op: ir.OpJmp, Dst: ir.NoReg, Targets: take(1)}
 			c.Targets[0] = terms[t.target].at
-			emit(c)
+			ptrs[n] = c
+			n++
 		case termSwitch:
 			targets := st.ctrlTargets(t.unit)
 			c := &instrs[n]
 			*c = ir.Instr{Op: ir.OpSwitch, Dst: ir.NoReg, Args: take(1), Targets: take(len(targets)), Cases: takeCases(len(targets) - 1)}
-			co, e := st.inReg(k, recvRegs, object{isCtrl: true, branch: t.unit})
-			c.Args[0], err = co, cmp.Or(err, e)
+			s, e := st.inSlot(k, object{isCtrl: true, branch: t.unit})
+			c.Args[0], err = -1-s, cmp.Or(err, e)
 			for i, tgt := range targets {
 				c.Targets[i] = terms[tgt].at
 			}
 			for i := range c.Cases {
 				c.Cases[i] = st.ctrlValue(t.unit, i)
 			}
-			emit(c)
+			ptrs[n] = c
+			n++
 		}
 		nb.Instrs, instrs, ptrs = ptrs[:n:n], instrs[n:], ptrs[n:]
+	}
+
+	// Rank the marked registers in the analysis's order, then rename the
+	// copies: a marked register to its rank, slot s to the register after
+	// the last rank plus s.
+	rank := scratch(&ws.regRank, src.NumRegs)
+	regOf := ws.regOf[:0]
+	for w, x := range set {
+		for ; x != 0; x &= x - 1 {
+			r := w*64 + bits.TrailingZeros64(x)
+			rank[r] = int32(len(regOf))
+			regOf = append(regOf, int32(r))
+		}
+	}
+	ws.regOf = regOf
+	if ws.names == nil {
+		ws.names = make(map[int]string)
+	}
+	clear(ws.names)
+	nr := len(regOf)
+	for i := range slab {
+		c := &slab[i]
+		if c.Dst != ir.NoReg {
+			if s := a.regName[c.Dst]; s != "" && c.Op == ir.OpPhi {
+				ws.names[int(rank[c.Dst])] = s
+			}
+			c.Dst = int(rank[c.Dst])
+		}
+		for j, d := range c.Dsts {
+			c.Dsts[j] = int(rank[d])
+		}
+		for j, r := range c.Args {
+			if r < 0 {
+				c.Args[j] = nr - 1 - r
+			} else {
+				c.Args[j] = int(rank[r])
+			}
+		}
+	}
+
+	f := &ir.Func{
+		Name:    fmt.Sprintf("%s.stage%d", src.Name, k),
+		Entry:   terms[src.Entry].at,
+		NumRegs: nr,
+		Blocks:  fblocks,
+		RegName: ws.names,
+	}
+	var recvRegs []int
+	if recvCut != nil {
+		recvRegs = make([]int, recvCut.numSlots)
+		for i := range recvRegs {
+			recvRegs[i] = f.NewReg()
+		}
 	}
 	return f, recvRegs, err
 }
@@ -598,7 +532,12 @@ func renumberRegs(f *ir.Func, orig []string, ws *workspace) {
 // control-dependent on branch unit u — if so, the stage's clone must follow
 // the original decision through u's region.
 func (st *partitionState) coNeededBy(u, k int) bool {
-	return st.ws.ctrlStages[u]>>(k-1)&1 != 0
+	for _, d := range st.ctrlClosure(u) {
+		if st.stageOf[d] == k {
+			return true
+		}
+	}
+	return false
 }
 
 // ctrlValue is what branch unit u's control object holds when the branch
@@ -739,6 +678,16 @@ func (st *partitionState) soleWriters(k int, cut, recvCut *cutInfo, recvRegs, se
 // inReg returns the register carrying upstream object o into stage k:
 // recvRegs[s] for the slot s of stage k's incoming cut that holds o.
 func (st *partitionState) inReg(k int, recvRegs []int, o object) (int, error) {
+	s, err := st.inSlot(k, o)
+	if err != nil {
+		return 0, err
+	}
+	return recvRegs[s], nil
+}
+
+// inSlot returns the slot of stage k's incoming cut that holds upstream
+// object o.
+func (st *partitionState) inSlot(k int, o object) (int, error) {
 	if k == 1 {
 		return 0, fmt.Errorf("stage %d: object %+v has no incoming cut", k, o)
 	}
@@ -747,14 +696,16 @@ func (st *partitionState) inReg(k int, recvRegs []int, o object) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("stage %d: object %+v missing from cut %d live set", k, o, cut.index)
 	}
-	return recvRegs[s], nil
+	return s, nil
 }
 
 // stageReg returns the stage's register for analyzed register r, which
 // stageShell numbered, ok false when the stage names no r.
 func (st *partitionState) stageReg(r int) (int, bool) {
-	set, bit := st.ws.regSet[r/64], uint64(1)<<(r%64)
-	return int(st.ws.regBase[r/64]) + bits.OnesCount64(set&(bit-1)), set&bit != 0
+	if st.ws.regSet[r/64]>>(r%64)&1 == 0 {
+		return 0, false
+	}
+	return int(st.ws.regRank[r]), true
 }
 
 // insertCopyAfterDef finds the instruction defining register r in blk — the

@@ -14,7 +14,7 @@ type Digraph struct {
 	succs [][]int
 	preds [][]int
 	// Storage Reset rebuilds in: the lists, their slab, and the degrees
-	// (Dedup's marks afterwards).
+	// (which Dedup reuses for its marks).
 	adj  [][]int
 	slab []int
 	buf  []int
@@ -98,7 +98,14 @@ func (g *Digraph) HasEdge(u, v int) bool {
 // Dedup removes duplicate parallel edges in place, keeping each list's
 // first occurrences in order.
 func (g *Digraph) Dedup() {
-	mark := grow(&g.buf, g.Len()) // mark[v] == stamp: v is in the list at hand
+	// mark[v] == stamp: v is in the list at hand. A graph from Reset lends
+	// its degree storage; any other makes a temporary, so a graph never
+	// keeps more than its edges.
+	mark := g.buf
+	if cap(mark) < g.Len() {
+		mark = make([]int, g.Len())
+	}
+	mark = mark[:g.Len()]
 	clear(mark)
 	stamp := 0
 	for _, adj := range [][][]int{g.succs, g.preds} {
