@@ -145,8 +145,8 @@ type workspace struct {
 	names  map[int]string
 
 	// The call's tables (index).
-	stageAt  []int
-	stagePos []pos
+	stageLen []int
+	stagePos [][]pos
 
 	// The stage being realized.
 	terms   []stageTerm

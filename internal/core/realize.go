@@ -19,46 +19,56 @@ func (a *Analysis) newState(opts Options, stageOf []int, ws *workspace) *partiti
 }
 
 // index lists in ws, once per call, where the instructions each stage's
-// shell copies sit: stagePos[stageAt[k-1]:stageAt[k]] holds, in program
-// order, the positions of stage k's own units' instructions (terminators
-// aside, which planTerms decides) and of the constants of other stages it
-// reads. It reads the analysis's unit tables, not the instructions.
+// shell copies sit: stagePos[k-1] holds, in program order, the positions
+// of stage k's own units' instructions (terminators aside, which planTerms
+// decides) and of the constants of other stages it reads. It reads the
+// analysis's unit tables, not the instructions.
 func (st *partitionState) index() {
 	a, an, ws, D := st.a, st.an, st.ws, st.opts.Stages
-	each := func(place func(s int, p pos)) {
-		for _, b := range an.F.Blocks {
-			units := an.UnitAt[b.ID]
-			if b.Term() != nil {
-				units = units[:len(units)-1]
+	// readers returns the stages, as bits, other than its own that read
+	// unit u's register if u is a constant.
+	readers := func(u int) (m uint64) {
+		if r := a.constOf[u]; r >= 0 && D > 1 {
+			for _, use := range an.DataUses[r] {
+				m |= 1 << (st.stageOf[use] - 1)
 			}
-			for i, u := range units {
-				if u < 0 {
-					continue
-				}
-				own := st.stageOf[u]
-				place(own, pos{b.ID, i})
-				if r := a.constOf[u]; r >= 0 && D > 1 {
-					var m uint64
-					for _, use := range an.DataUses[r] {
-						m |= 1 << (st.stageOf[use] - 1)
-					}
-					for m &^= 1 << (own - 1); m != 0; m &= m - 1 {
-						place(bits.TrailingZeros64(m)+1, pos{b.ID, i})
-					}
-				}
+			m &^= 1 << (st.stageOf[u] - 1)
+		}
+		return m
+	}
+	// Each list is sized from the units first (a branch unit's count
+	// includes its terminator), so a workspace allocates it at most once.
+	need := scratch(&ws.stageLen, D)
+	for u, ps := range a.ps.unitPos {
+		need[st.stageOf[u]-1] += len(ps)
+		for m := readers(u); m != 0; m &= m - 1 {
+			need[bits.TrailingZeros64(m)]++
+		}
+	}
+	for len(ws.stagePos) < D {
+		ws.stagePos = append(ws.stagePos, nil)
+	}
+	lists := ws.stagePos[:D]
+	for s := range lists {
+		lists[s] = slices.Grow(lists[s][:0], need[s])
+	}
+	for _, b := range an.F.Blocks {
+		units := an.UnitAt[b.ID]
+		if b.Term() != nil {
+			units = units[:len(units)-1]
+		}
+		for i, u := range units {
+			if u < 0 {
+				continue
+			}
+			s, p := st.stageOf[u]-1, pos{b.ID, i}
+			lists[s] = append(lists[s], p)
+			for m := readers(u); m != 0; m &= m - 1 {
+				s := bits.TrailingZeros64(m)
+				lists[s] = append(lists[s], p)
 			}
 		}
 	}
-	// Counted, then placed: at[s] runs from stage s's start to its end,
-	// which is where stage s+1 starts.
-	at := scratch(&ws.stageAt, D+1)
-	each(func(s int, _ pos) { at[s]++ })
-	n := 0
-	for s := 1; s <= D; s++ {
-		at[s], n = n, n+at[s]
-	}
-	list := scratch(&ws.stagePos, n)
-	each(func(s int, p pos) { list[at[s]] = p; at[s]++ })
 }
 
 // realizeStage builds the IR function for pipeline stage k (1-based) from
@@ -253,7 +263,7 @@ func (st *partitionState) termOf(k, b int) (stageTerm, error) {
 func (st *partitionState) stageShell(k int, terms []stageTerm, reached []int, recvCut *cutInfo) (*ir.Func, []int, error) {
 	a, an, ws := st.a, st.an, st.ws
 	src := an.F
-	list := ws.stagePos[ws.stageAt[k-1]:ws.stageAt[k]]
+	list := ws.stagePos[k-1]
 	// span returns the positions in block b; the blocks come in order.
 	next := 0
 	span := func(b int) []pos {
