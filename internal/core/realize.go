@@ -329,12 +329,16 @@ func (st *partitionState) stageShell(k int, terms []stageTerm, reached []int, re
 	// an upstream read names its incoming slot s as -1-s.
 	set := scratch(&ws.regSet, (src.NumRegs+63)/64)
 	mark := func(r int) int {
-		set[r/64] |= 1 << (r % 64)
+		set[uint(r)/64] |= 1 << (uint(r) % 64)
 		return r
 	}
 	var err error
-	// read is what a copy reads for analyzed register r.
+	// read is what a copy reads for analyzed register r. The first stage
+	// reads nothing upstream.
 	read := func(r int) int {
+		if k == 1 {
+			return mark(r)
+		}
 		if d := an.DataDef[r]; d < 0 || st.stageOf[d] >= k {
 			return mark(r)
 		}
@@ -441,8 +445,8 @@ func (st *partitionState) stageShell(k int, terms []stageTerm, reached []int, re
 	for i := range slab {
 		c := &slab[i]
 		if c.Dst != ir.NoReg {
-			if s := a.regName[c.Dst]; s != "" && c.Op == ir.OpPhi {
-				ws.names[int(rank[c.Dst])] = s
+			if c.Op == ir.OpPhi && a.regName[c.Dst] != "" {
+				ws.names[int(rank[c.Dst])] = a.regName[c.Dst]
 			}
 			c.Dst = int(rank[c.Dst])
 		}
