@@ -67,6 +67,9 @@ type Analysis struct {
 	// inner loop that block would be a stub in every other stage.
 	isConst []bool
 	constOf []int // constOf[u]: the register unit u defines if it is such a const, else -1
+	// body lists, in program order, where every unit instruction outside
+	// the terminators sits: at D=1, all the one stage copies.
+	body []pos
 
 	// codes[u]+t is the code a coded control object of unit u writes on
 	// its target t (liveset.go, shareCodes): every non-default target of
@@ -170,6 +173,23 @@ func (a *Analysis) indexForRealize(cfg *graph.Digraph) {
 	a.regName = make([]string, f.NumRegs)
 	for r, s := range f.RegName {
 		a.regName[r] = s
+	}
+
+	n := 0
+	for _, ps := range a.ps.unitPos {
+		n += len(ps)
+	}
+	a.body = make([]pos, 0, n)
+	for _, b := range f.Blocks {
+		units := an.UnitAt[b.ID]
+		if b.Term() != nil {
+			units = units[:len(units)-1]
+		}
+		for i, u := range units {
+			if u >= 0 {
+				a.body = append(a.body, pos{b.ID, i})
+			}
+		}
 	}
 
 	a.isConst = make([]bool, f.NumRegs)

@@ -19,16 +19,19 @@ func (a *Analysis) newState(opts Options, stageOf []int, ws *workspace) *partiti
 }
 
 // index lists in ws, once per call, where the instructions each stage's
-// shell copies sit: stagePos[k-1] holds, in program order, the positions
-// of stage k's own units' instructions (terminators aside, which planTerms
-// decides) and of the constants of other stages it reads. It reads the
-// analysis's unit tables, not the instructions.
+// shell copies sit (stagePos): stage k's list holds, in program order, the
+// positions of its own units' instructions (terminators aside, which
+// planTerms decides) and of the constants of other stages it reads. At D=1
+// that is the analysis's body, which the call reads in place.
 func (st *partitionState) index() {
 	a, an, ws, D := st.a, st.an, st.ws, st.opts.Stages
+	if D == 1 {
+		return
+	}
 	// readers returns the stages, as bits, other than its own that read
 	// unit u's register if u is a constant.
 	readers := func(u int) (m uint64) {
-		if r := a.constOf[u]; r >= 0 && D > 1 {
+		if r := a.constOf[u]; r >= 0 {
 			for _, use := range an.DataUses[r] {
 				m |= 1 << (st.stageOf[use] - 1)
 			}
@@ -52,23 +55,23 @@ func (st *partitionState) index() {
 	for s := range lists {
 		lists[s] = slices.Grow(lists[s][:0], need[s])
 	}
-	for _, b := range an.F.Blocks {
-		units := an.UnitAt[b.ID]
-		if b.Term() != nil {
-			units = units[:len(units)-1]
-		}
-		for i, u := range units {
-			if u < 0 {
-				continue
-			}
-			s, p := st.stageOf[u]-1, pos{b.ID, i}
+	for _, p := range a.body {
+		u := an.UnitAt[p.block][p.idx]
+		s := st.stageOf[u] - 1
+		lists[s] = append(lists[s], p)
+		for m := readers(u); m != 0; m &= m - 1 {
+			s := bits.TrailingZeros64(m)
 			lists[s] = append(lists[s], p)
-			for m := readers(u); m != 0; m &= m - 1 {
-				s := bits.TrailingZeros64(m)
-				lists[s] = append(lists[s], p)
-			}
 		}
 	}
+}
+
+// stagePos returns where the instructions stage k's shell copies sit.
+func (st *partitionState) stagePos(k int) []pos {
+	if st.opts.Stages == 1 {
+		return st.a.body
+	}
+	return st.ws.stagePos[k-1]
 }
 
 // realizeStage builds the IR function for pipeline stage k (1-based) from
@@ -181,14 +184,14 @@ type stageTerm struct{ kind, unit, target, at int }
 func (st *partitionState) planTerms(k int) ([]stageTerm, []int, error) {
 	an, ws := st.an, st.ws
 	terms := scratch(&ws.terms, len(an.F.Blocks))
-	reached, stack := ws.reached[:0], ws.ints[:0]
+	stack := ws.ints[:0]
 	visit := func(b int) error {
 		if terms[b].kind != termStub {
 			return nil
 		}
 		t, err := st.termOf(k, b)
 		terms[b] = t
-		reached, stack = append(reached, b), append(stack, b)
+		stack = append(stack, b)
 		return err
 	}
 	err := visit(an.F.Entry)
@@ -212,14 +215,18 @@ func (st *partitionState) planTerms(k int) ([]stageTerm, []int, error) {
 			}
 		}
 	}
-	ws.reached, ws.ints = reached, stack
+	ws.ints = stack
 	if err != nil {
 		return nil, nil, err
 	}
-	slices.Sort(reached)
-	for i, b := range reached {
-		terms[b].at = i
+	reached := ws.reached[:0]
+	for b, t := range terms {
+		if t.kind != termStub {
+			terms[b].at = len(reached)
+			reached = append(reached, b)
+		}
 	}
+	ws.reached = reached
 	return terms, reached, nil
 }
 
@@ -263,7 +270,7 @@ func (st *partitionState) termOf(k, b int) (stageTerm, error) {
 func (st *partitionState) stageShell(k int, terms []stageTerm, reached []int, recvCut *cutInfo) (*ir.Func, []int, error) {
 	a, an, ws := st.a, st.an, st.ws
 	src := an.F
-	list := ws.stagePos[k-1]
+	list := st.stagePos(k)
 	// span returns the positions in block b; the blocks come in order.
 	next := 0
 	span := func(b int) []pos {
